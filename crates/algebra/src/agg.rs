@@ -5,9 +5,9 @@
 //! per group in one tight pass. Like everything in the BAT Algebra the two
 //! phases are separate bulk operators, not a single streaming pipeline.
 
-use mammoth_storage::{Bat, TailHeap};
+use crate::flat::{assign_groups, with_images};
+use mammoth_storage::{Bat, FixedTail, TailHeap};
 use mammoth_types::{Error, NativeType, Oid, Result, Value};
-use std::collections::HashMap;
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,42 +22,15 @@ pub enum AggKind {
 
 /// `group(b)`: a BAT mapping each row to a dense group id (0-based, in
 /// first-appearance order), plus the number of groups and one representative
-/// row position per group ("extents").
+/// row position per group ("extents"). Nil gets its own group like any
+/// other value (SQL GROUP BY semantics).
 pub fn group_by(b: &Bat) -> Result<(Bat, usize, Vec<usize>)> {
-    let n = b.len();
-    let mut ids = Vec::with_capacity(n);
-    let mut extents = Vec::new();
-
-    match b.tail() {
-        TailHeap::Str(h) => {
-            // within one heap, dedup guarantees equal strings share their
-            // offset, so the offset is an exact group key; nil gets its own
-            // group like any other value (SQL GROUP BY semantics)
-            let mut seen: HashMap<u64, u32> = HashMap::new();
-            for i in 0..n {
-                let key = h.offset(i);
-                let next = seen.len() as u32;
-                let id = *seen.entry(key).or_insert_with(|| {
-                    extents.push(i);
-                    next
-                });
-                ids.push(id as Oid);
-            }
-        }
-        _ => {
-            let jk = crate::radix::mix_key_bat(b)?;
-            let mut seen: HashMap<Option<u64>, u32> = HashMap::new();
-            for i in 0..n {
-                let key = if jk.nils[i] { None } else { Some(jk.keys[i]) };
-                let next = seen.len() as u32;
-                let id = *seen.entry(key).or_insert_with(|| {
-                    extents.push(i);
-                    next
-                });
-                ids.push(id as Oid);
-            }
-        }
-    }
+    let (ids, extents) = match b.tail() {
+        // within one heap, dedup guarantees equal strings share their
+        // offset, so the offset is an exact group key
+        TailHeap::Str(h) => assign_groups((0..h.len()).map(|i| h.offset(i))),
+        _ => with_images!(b, |images| assign_groups(images.map(|(image, _)| image))),
+    };
     let ngroups = extents.len();
     Ok((Bat::dense(0, TailHeap::from_vec(ids)), ngroups, extents))
 }
@@ -72,32 +45,13 @@ pub fn group_refine(groups: &Bat, b: &Bat) -> Result<(Bat, usize, Vec<usize>)> {
             right: b.len(),
         });
     }
-    let gid = groups.tail_slice::<Oid>()?;
-    let jk = crate::radix::mix_key_bat(b)?;
-    let mut seen: HashMap<(Oid, Option<u64>), u32> = HashMap::new();
-    let mut ids = Vec::with_capacity(b.len());
-    let mut extents = Vec::new();
-    // strings: refine on heap offset (exact within one heap)
-    let str_heap = b.tail().as_str_heap();
-    #[allow(clippy::needless_range_loop)] // i indexes three parallel arrays
-    for i in 0..b.len() {
-        let key = match str_heap {
-            Some(h) => Some(h.offset(i)),
-            None => {
-                if jk.nils[i] {
-                    None
-                } else {
-                    Some(jk.keys[i])
-                }
-            }
-        };
-        let next = seen.len() as u32;
-        let id = *seen.entry((gid[i], key)).or_insert_with(|| {
-            extents.push(i);
-            next
-        });
-        ids.push(id as Oid);
-    }
+    let gid = groups.tail_slice::<Oid>()?.iter().copied();
+    let (ids, extents) = match b.tail() {
+        TailHeap::Str(h) => assign_groups(gid.zip((0..h.len()).map(|i| h.offset(i)))),
+        _ => with_images!(b, |images| assign_groups(
+            gid.zip(images.map(|(image, _)| image))
+        )),
+    };
     let n = extents.len();
     Ok((Bat::dense(0, TailHeap::from_vec(ids)), n, extents))
 }
@@ -300,11 +254,92 @@ pub fn grouped_aggregate(kind: AggKind, values: &Bat, groups: &Bat, ngroups: usi
     Ok(Bat::dense(0, heap))
 }
 
-/// Aggregate a whole column to a single value.
+/// Count and fold the non-nil values of an integer column, widened to
+/// `i64`, in one pass. A nil contributes the reduction's identity, so the
+/// loop carries no data-dependent branch.
+fn fold_ints<T: FixedTail>(
+    v: &[T],
+    widen: impl Fn(T) -> i64,
+    identity: i64,
+    f: impl Fn(i64, i64) -> i64,
+) -> (usize, i64) {
+    v.iter().fold((0, identity), |(n, acc), &x| {
+        let nil = x.is_nil();
+        (
+            n + !nil as usize,
+            f(acc, if nil { identity } else { widen(x) }),
+        )
+    })
+}
+
+/// One reduction over a fixed-width integer column; results widen to `i64`
+/// like the grouped path's, and a column without a non-nil value yields
+/// nil.
+fn reduce_ints<T: FixedTail>(v: &[T], widen: impl Fn(T) -> i64, kind: AggKind) -> Value {
+    let (count, acc) = match kind {
+        AggKind::Count => (v.iter().filter(|x| !x.is_nil()).count(), 0),
+        AggKind::Sum => fold_ints(v, widen, 0, i64::wrapping_add),
+        AggKind::Min => fold_ints(v, widen, i64::MAX, i64::min),
+        AggKind::Max => fold_ints(v, widen, i64::MIN, i64::max),
+        // summed left to right in f64, exactly like the grouped accumulator
+        AggKind::Avg => {
+            let live = v.iter().filter(|x| !x.is_nil());
+            let (n, sum) = live.fold((0, 0.0), |(n, acc), &x| (n + 1, acc + widen(x) as f64));
+            return if n == 0 {
+                Value::Null
+            } else {
+                Value::F64(sum / n as f64)
+            };
+        }
+    };
+    match (kind, count) {
+        (AggKind::Count, n) => Value::I64(n as i64),
+        (_, 0) => Value::Null,
+        _ => Value::I64(acc),
+    }
+}
+
+/// One pass over a float column. Sums run strictly left to right: float
+/// addition is not associative and both engines must agree bit for bit.
+fn reduce_floats(v: &[f64], kind: AggKind) -> Value {
+    let fold = |identity: f64, f: fn(f64, f64) -> f64| {
+        let live = v.iter().filter(|x| !x.is_nil());
+        live.fold((0usize, identity), |(n, acc), &x| (n + 1, f(acc, x)))
+    };
+    let (count, acc) = match kind {
+        AggKind::Count | AggKind::Sum | AggKind::Avg => fold(0.0, |a, x| a + x),
+        AggKind::Min => fold(f64::INFINITY, f64::min),
+        AggKind::Max => fold(f64::NEG_INFINITY, f64::max),
+    };
+    match (kind, count) {
+        (AggKind::Count, n) => Value::I64(n as i64),
+        (_, 0) => Value::Null,
+        (AggKind::Avg, n) => Value::F64(acc / n as f64),
+        _ => Value::F64(acc),
+    }
+}
+
+/// Aggregate a whole column to a single value: one reduction per kind per
+/// type, no group column.
 pub fn aggregate_scalar(kind: AggKind, values: &Bat) -> Result<Value> {
-    let groups = Bat::dense(0, TailHeap::from_vec(vec![0 as Oid; values.len()]));
-    let out = grouped_aggregate(kind, values, &groups, 1)?;
-    Ok(out.value_at(0))
+    Ok(match values.tail() {
+        TailHeap::I8(v) => reduce_ints(v, i64::from, kind),
+        TailHeap::I16(v) => reduce_ints(v, i64::from, kind),
+        TailHeap::I32(v) => reduce_ints(v, i64::from, kind),
+        TailHeap::I64(v) => reduce_ints(v, |x| x, kind),
+        // oids aggregate as (wrapped) integers, like the grouped path
+        TailHeap::Oid(v) => reduce_ints(v, |x| x as i64, kind),
+        TailHeap::F64(v) => reduce_floats(v, kind),
+        TailHeap::Str(h) if kind == AggKind::Count => {
+            Value::I64((0..h.len()).filter(|&i| h.get(i).is_some()).count() as i64)
+        }
+        // not a hot path (the verifier rejects these plans): answer as the
+        // grouped operator does over a single group
+        TailHeap::Str(_) | TailHeap::Bool(_) => {
+            let groups = Bat::dense(0, TailHeap::from_vec(vec![0 as Oid; values.len()]));
+            grouped_aggregate(kind, values, &groups, 1)?.value_at(0)
+        }
+    })
 }
 
 #[cfg(test)]

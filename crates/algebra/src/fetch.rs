@@ -5,49 +5,88 @@
 //! possible (§3). This is the DSM "post-projection" building block that
 //! experiment E05 stresses.
 
-use mammoth_storage::{Bat, Properties, TailHeap};
+use mammoth_storage::{Bat, FixedTail, HeadColumn, Properties, TailHeap};
 use mammoth_types::{Error, Oid, Result};
+
+/// The one bounds pre-check of a positional operator: every oid must fall
+/// inside the void head `[seqbase, seqbase + len)`. After it, the gather
+/// loops index without a fallible path.
+pub(crate) fn check_in_range(oids: &[Oid], seqbase: Oid, len: usize) -> Result<()> {
+    let len = len as u64;
+    // an oid below seqbase wraps to a huge offset, so one max covers both ends
+    let worst = oids.iter().map(|o| o.wrapping_sub(seqbase)).max();
+    if worst.is_some_and(|w| w >= len) {
+        let index = *oids
+            .iter()
+            .find(|o| o.wrapping_sub(seqbase) >= len)
+            .expect("the maximum offset came from one of the oids");
+        return Err(Error::OutOfRange { index, len });
+    }
+    Ok(())
+}
 
 /// Resolve candidate oids (tail of `cands`) to physical positions in `base`.
 pub fn positions_of(cands: &Bat, base: &Bat) -> Result<Vec<usize>> {
     let oids = cands.tail_slice::<Oid>()?;
-    let mut out = Vec::with_capacity(oids.len());
     match base.head() {
-        mammoth_storage::HeadColumn::Void { seqbase } => {
-            let len = base.len() as u64;
-            for &o in oids {
-                if o < *seqbase || o - seqbase >= len {
-                    return Err(Error::OutOfRange { index: o, len });
-                }
-                out.push((o - seqbase) as usize);
-            }
+        HeadColumn::Void { seqbase } => {
+            check_in_range(oids, *seqbase, base.len())?;
+            Ok(oids.iter().map(|o| (o - seqbase) as usize).collect())
         }
-        mammoth_storage::HeadColumn::Oids(_) => {
-            for &o in oids {
-                let p = base.find_oid(o).ok_or(Error::OutOfRange {
+        HeadColumn::Oids(_) => oids
+            .iter()
+            .map(|&o| {
+                base.find_oid(o).ok_or(Error::OutOfRange {
                     index: o,
                     len: base.len() as u64,
-                })?;
-                out.push(p);
-            }
+                })
+            })
+            .collect(),
+    }
+}
+
+/// Gather `values[oid - seqbase]` for every oid, straight from the oid
+/// slice. Callers have run [`check_in_range`].
+fn gather_oids(values: &TailHeap, oids: &[Oid], seqbase: Oid) -> TailHeap {
+    fn fixed<T: FixedTail>(src: &[T], oids: &[Oid], seqbase: Oid) -> TailHeap {
+        T::into_heap(oids.iter().map(|o| src[(o - seqbase) as usize]).collect())
+    }
+    match values {
+        TailHeap::Bool(v) => fixed(v, oids, seqbase),
+        TailHeap::I8(v) => fixed(v, oids, seqbase),
+        TailHeap::I16(v) => fixed(v, oids, seqbase),
+        TailHeap::I32(v) => fixed(v, oids, seqbase),
+        TailHeap::I64(v) => fixed(v, oids, seqbase),
+        TailHeap::F64(v) => fixed(v, oids, seqbase),
+        TailHeap::Oid(v) => fixed(v, oids, seqbase),
+        TailHeap::Str(h) => {
+            let pos: Vec<usize> = oids.iter().map(|o| (o - seqbase) as usize).collect();
+            TailHeap::Str(h.take(&pos))
         }
     }
-    Ok(out)
 }
 
 /// `fetch_join(cands, values)`: for each candidate oid, fetch the value at
 /// that position of `values`. The result is dense and aligned with `cands`.
 pub fn fetch_join(cands: &Bat, values: &Bat) -> Result<Bat> {
-    let pos = positions_of(cands, values)?;
-    let tail = values.tail().take(&pos);
-    let mut out = Bat::dense(0, tail);
-    // A fetch through ascending positions preserves sortedness facts.
-    if cands.props().sorted {
-        out.set_props(values.props().after_filter());
+    let tail = match values.head() {
+        HeadColumn::Void { seqbase } => {
+            let oids = cands.tail_slice::<Oid>()?;
+            check_in_range(oids, *seqbase, values.len())?;
+            gather_oids(values.tail(), oids, *seqbase)
+        }
+        HeadColumn::Oids(_) => values.tail().take(&positions_of(cands, values)?),
+    };
+    // A fetch through ascending positions preserves order facts; values
+    // stay unique only if no position is fetched twice.
+    let props = if cands.props().sorted && values.head().is_void() {
+        let mut p = values.props().after_filter();
+        p.key &= cands.props().key;
+        p
     } else {
-        out.set_props(Properties::unknown());
-    }
-    Ok(out)
+        Properties::unknown()
+    };
+    Ok(Bat::dense(0, tail).with_props(props))
 }
 
 /// Materialize a candidate BAT over `values` into `<oid, value>` pairs with

@@ -7,12 +7,12 @@
 //! Three algorithms, selected by properties and size:
 //! * [`nested_loop_join`] — tiny inputs;
 //! * [`merge_join`] — both tails sorted;
-//! * [`hash_join`] — the default bucket-chained hash join (build on the
-//!   smaller side). The cache-conscious partitioned variant lives in
-//!   [`crate::radix`].
+//! * [`hash_join`] — the default hash join over a flat open-addressing
+//!   table (build on the right side). The cache-conscious partitioned
+//!   variant lives in [`crate::radix`].
 
+use crate::flat::{with_images, JoinTable};
 use crate::radix::mix_key_bat;
-use mammoth_index::HashTable;
 use mammoth_storage::Bat;
 use mammoth_types::{Oid, Result};
 
@@ -98,27 +98,29 @@ fn verify_eq(l: &Bat, r: &Bat, i: usize, j: usize, exact: bool) -> bool {
     }
 }
 
-/// Bucket-chained hash join; builds on the right side.
+/// Hash join over a flat open-addressing table of the right side's key
+/// images; both columns are read in place. Matches come out in left row
+/// order, and for one left row latest right row first.
 pub fn hash_join(l: &Bat, r: &Bat) -> Result<JoinIndex> {
-    let lk = mix_key_bat(l)?;
-    let rk = mix_key_bat(r)?;
-    let exact = lk.exact && rk.exact;
-    let table = HashTable::build(&rk.keys);
+    let table = with_images!(r, |images| JoinTable::build(images));
+    // fixed-width images are injective; string images are payload hashes
+    let exact = l.tail().as_str_heap().is_none() && r.tail().as_str_heap().is_none();
     let mut out = JoinIndex::default();
-    out.left.reserve(lk.keys.len().min(rk.keys.len()));
-    out.right.reserve(lk.keys.len().min(rk.keys.len()));
-    for i in 0..lk.keys.len() {
-        if lk.nils[i] {
-            continue;
-        }
-        let key = lk.keys[i];
-        for j in table.candidates(key) {
-            if !rk.nils[j] && rk.keys[j] == key && verify_eq(l, r, i, j, exact) {
-                out.left.push(l.oid_at(i));
-                out.right.push(r.oid_at(j));
+    out.left.reserve(l.len().min(r.len()));
+    out.right.reserve(l.len().min(r.len()));
+    with_images!(l, |images| {
+        for (i, (image, nil)) in images.enumerate() {
+            if nil {
+                continue;
+            }
+            for j in table.matches(image) {
+                if verify_eq(l, r, i, j, exact) {
+                    out.left.push(l.oid_at(i));
+                    out.right.push(r.oid_at(j));
+                }
             }
         }
-    }
+    });
     Ok(out)
 }
 

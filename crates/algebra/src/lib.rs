@@ -22,8 +22,11 @@
 pub mod agg;
 pub mod arith;
 pub mod fetch;
+mod flat;
 pub mod join;
 pub mod mat;
+#[cfg(test)]
+mod oracle;
 pub mod radix;
 pub mod select;
 pub mod sort;
@@ -37,5 +40,5 @@ pub use radix::{
     even_passes, mix_key_bat, partitioned_hash_join, radix_cluster, radix_decluster,
     radix_decluster_fixed, ClusteredColumn,
 };
-pub use select::{select_cmp, select_eq, select_range, CmpOp};
-pub use sort::{order, sort_bat, sort_bat_dir};
+pub use select::{select_cmp, select_cmp_cand, select_eq, select_range, select_range_cand, CmpOp};
+pub use sort::{firstn, order, sort_bat, sort_bat_dir};

@@ -16,66 +16,20 @@ use crate::join::{JoinIndex, JoinKeys};
 use mammoth_storage::{Bat, TailHeap};
 use mammoth_types::{Error, NativeType, Oid, Result};
 
-/// Build the nil-aware u64 key image of a tail column.
+/// Build the nil-aware u64 key image of a tail column: the images
+/// [`crate::flat`] hashes in place, copied out for the clustering passes.
 ///
 /// Integer types are sign-extended through i64 so that, e.g., an `i32`
 /// column joins correctly against an `i64` column. The image is injective
 /// ("exact") for all fixed-width types; strings use a content hash and must
 /// be re-verified on match.
 pub fn mix_key_bat(b: &Bat) -> Result<JoinKeys> {
-    fn ints<T: NativeType>(v: &[T], widen: impl Fn(&T) -> u64) -> JoinKeys {
-        JoinKeys {
-            keys: v.iter().map(&widen).collect(),
-            nils: v.iter().map(|x| x.is_nil()).collect(),
-            exact: true,
-        }
-    }
-    Ok(match b.tail() {
-        TailHeap::Bool(v) => ints(v, |x| *x as u64),
-        TailHeap::I8(v) => ints(v, |x| *x as i64 as u64),
-        TailHeap::I16(v) => ints(v, |x| *x as i64 as u64),
-        TailHeap::I32(v) => ints(v, |x| *x as i64 as u64),
-        TailHeap::I64(v) => ints(v, |x| *x as u64),
-        TailHeap::Oid(v) => ints(v, |x| *x),
-        TailHeap::F64(v) => JoinKeys {
-            keys: v
-                .iter()
-                .map(|x| if *x == 0.0 { 0.0f64 } else { *x }.to_bits())
-                .collect(),
-            nils: v.iter().map(|x| x.is_nil()).collect(),
-            exact: true,
-        },
-        TailHeap::Str(h) => {
-            let mut keys = Vec::with_capacity(h.len());
-            let mut nils = Vec::with_capacity(h.len());
-            for i in 0..h.len() {
-                match h.get(i) {
-                    Some(s) => {
-                        keys.push(fnv1a(s.as_bytes()));
-                        nils.push(false);
-                    }
-                    None => {
-                        keys.push(0);
-                        nils.push(true);
-                    }
-                }
-            }
-            JoinKeys {
-                keys,
-                nils,
-                exact: false,
-            }
-        }
+    let (keys, nils) = crate::flat::with_images!(b, |images| images.unzip());
+    Ok(JoinKeys {
+        keys,
+        nils,
+        exact: b.tail().as_str_heap().is_none(),
     })
-}
-
-fn fnv1a(b: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &x in b {
-        h ^= x as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// A column clustered on the lower `bits` of its key image.

@@ -7,13 +7,18 @@
 //!     if (B.tail[i] == V) R.tail[j++] = i;
 //! ```
 //!
-//! — a tight, branch-predictable loop over a native array with no expression
-//! interpreter in sight. Results are candidate BATs (void head, ascending
-//! oid tail). When the input's `sorted` property holds, range selections
-//! switch to binary search (§3.1: properties "gear the selection of
-//! subsequent algorithms").
+//! — a tight loop over a native array with no expression interpreter in
+//! sight; here it runs monomorphized per tail type and without the branch
+//! (see `compress`). Results are candidate BATs (void head, ascending oid
+//! tail). The `_cand` forms test only the rows an earlier candidate list
+//! names and return the survivors as absolute oids again, so a WHERE chain
+//! threads one list through its selections instead of materializing the
+//! surviving values between them. When the input's `sorted` property holds,
+//! selections switch to binary search (§3.1: properties "gear the selection
+//! of subsequent algorithms").
 
-use mammoth_storage::{Bat, FixedTail, Properties, TailHeap};
+use crate::fetch::check_in_range;
+use mammoth_storage::{Bat, FixedTail, HeadColumn, Properties, StrHeap, TailHeap};
 use mammoth_types::{Error, NativeType, Oid, Result, Value};
 
 /// Comparison operators supported by [`select_cmp`].
@@ -27,27 +32,21 @@ pub enum CmpOp {
     Ge,
 }
 
-/// Wrap qualifying positions into a candidate BAT with full properties.
-fn candidates(b: &Bat, positions: Vec<Oid>) -> Bat {
-    // positions are produced in scan order, hence strictly ascending
-    debug_assert!(positions.windows(2).all(|w| w[0] < w[1]));
-    let void_head = b.head().is_void();
-    let oids: Vec<Oid> = match b.head() {
-        mammoth_storage::HeadColumn::Void { seqbase } => {
-            positions.into_iter().map(|p| p + seqbase).collect()
-        }
-        // with a materialized head, candidates carry the head oids (not the
-        // physical positions), and ascending order is no longer guaranteed
-        mammoth_storage::HeadColumn::Oids(_) => positions
-            .into_iter()
-            .map(|p| b.oid_at(p as usize))
-            .collect(),
+/// Wrap qualifying oids into a candidate BAT with full properties. A scan
+/// emits in row order, so without a candidate list the oids of a void-headed
+/// input ascend strictly; with one the result is a subsequence of it and
+/// inherits its order facts.
+fn candidates(b: &Bat, cands: Option<&Bat>, oids: Vec<Oid>) -> Bat {
+    let (sorted, revsorted, key) = match cands {
+        None => (b.head().is_void(), false, b.head().is_void()),
+        Some(c) => (c.props().sorted, c.props().revsorted, c.props().key),
     };
+    debug_assert!(!(sorted && key) || oids.windows(2).all(|w| w[0] < w[1]));
     let mut out = Bat::dense(0, TailHeap::from_vec(oids));
     out.set_props(Properties {
-        sorted: void_head,
-        revsorted: out.len() <= 1,
-        key: void_head,
+        sorted,
+        revsorted: revsorted || out.len() <= 1,
+        key,
         nonil: true,
         min: None,
         max: None,
@@ -55,15 +54,61 @@ fn candidates(b: &Bat, positions: Vec<Oid>) -> Bat {
     out
 }
 
-fn scan_select<T: NativeType + FixedTail>(data: &[T], pred: impl Fn(&T) -> bool) -> Vec<Oid> {
-    let mut out = Vec::new();
-    for (i, v) in data.iter().enumerate() {
-        // nil never qualifies (SQL three-valued logic collapses to false)
-        if !v.is_nil() && pred(v) {
-            out.push(i as Oid);
+/// Oids the compress loop buffers before appending them to the result.
+const BLOCK: usize = 1024;
+
+/// The §3 loop without its branch: every row stores its oid, and the write
+/// cursor advances only when the row qualifies. Oids collect in a
+/// fixed-size block that is appended to the result when full, so the loop
+/// neither mispredicts on selectivity nor allocates for rows that fail.
+fn compress<T: Copy>(rows: impl Iterator<Item = (Oid, T)>, pred: impl Fn(T) -> bool) -> Vec<Oid> {
+    let mut out: Vec<Oid> = Vec::new();
+    let mut block = [0 as Oid; BLOCK];
+    let mut j = 0;
+    for (oid, x) in rows {
+        block[j] = oid;
+        j += pred(x) as usize;
+        if j == BLOCK {
+            out.extend_from_slice(&block);
+            j = 0;
         }
     }
+    out.extend_from_slice(&block[..j]);
     out
+}
+
+/// Run `pred` over the rows of `b` — all of them, or those a candidate list
+/// names — and return the qualifying head oids in scan order.
+fn scan<T: Copy>(
+    b: &Bat,
+    data: &[T],
+    cands: Option<&[Oid]>,
+    pred: impl Fn(T) -> bool,
+) -> Result<Vec<Oid>> {
+    let values = data.iter().copied();
+    Ok(match (b.head(), cands) {
+        (HeadColumn::Void { seqbase }, None) => compress((*seqbase..).zip(values), pred),
+        (HeadColumn::Oids(head), None) => compress(head.iter().copied().zip(values), pred),
+        (HeadColumn::Void { seqbase }, Some(cands)) => {
+            check_in_range(cands, *seqbase, data.len())?;
+            let rows = cands.iter().map(|&o| (o, data[(o - seqbase) as usize]));
+            compress(rows, pred)
+        }
+        // materialized head: no positional lookup, resolve each candidate
+        (HeadColumn::Oids(_), Some(cands)) => {
+            let rows = cands
+                .iter()
+                .map(|&o| match b.find_oid(o) {
+                    Some(p) => Ok((o, data[p])),
+                    None => Err(Error::OutOfRange {
+                        index: o,
+                        len: data.len() as u64,
+                    }),
+                })
+                .collect::<Result<Vec<_>>>()?;
+            compress(rows.into_iter(), pred)
+        }
+    })
 }
 
 fn typed_const<T: NativeType>(v: &Value) -> Result<T> {
@@ -75,65 +120,224 @@ fn typed_const<T: NativeType>(v: &Value) -> Result<T> {
         })
 }
 
-fn select_cmp_fixed<T: NativeType + FixedTail>(b: &Bat, op: CmpOp, v: &Value) -> Result<Bat> {
+/// One side of a range predicate, in the column's native type.
+#[derive(Clone, Copy)]
+struct Bound<T> {
+    value: T,
+    inclusive: bool,
+}
+
+impl<T: NativeType> Bound<T> {
+    fn typed(v: Option<&Value>, inclusive: bool) -> Result<Option<Bound<T>>> {
+        v.map(|v| typed_const(v).map(|value| Bound { value, inclusive }))
+            .transpose()
+    }
+}
+
+/// `lo <(=) x <(=) hi` as flag arithmetic: no branch depends on the data,
+/// and nil never qualifies (SQL three-valued logic collapses to false).
+#[inline(always)]
+fn in_range<T: NativeType>(x: T, lo: Option<Bound<T>>, hi: Option<Bound<T>>) -> bool {
+    let lo_ok = match lo {
+        None => true,
+        Some(b) => (x > b.value) | (b.inclusive & (x == b.value)),
+    };
+    let hi_ok = match hi {
+        None => true,
+        Some(b) => (x < b.value) | (b.inclusive & (x == b.value)),
+    };
+    !x.is_nil() & lo_ok & hi_ok
+}
+
+/// A fixed-width tail type and the predicate its scan loop evaluates.
+trait ScanTail: NativeType + FixedTail {
+    /// [`in_range`] with the bounds fixed, in the cheapest form the type
+    /// allows.
+    fn range_pred(lo: Option<Bound<Self>>, hi: Option<Bound<Self>>) -> impl Fn(Self) -> bool {
+        move |x| in_range(x, lo, hi)
+    }
+}
+
+impl ScanTail for bool {}
+impl ScanTail for f64 {}
+
+/// Integer domains are discrete and keep nil at one end, so any bound pair
+/// closes to `live_lo <= x <= live_hi` over the non-nil values: two
+/// compares per row, whatever the inclusivity, with the nil test folded in.
+/// An empty range comes out as `lo > hi`.
+macro_rules! discrete_scan_tail {
+    ($t:ty, $live_min:expr, $live_max:expr) => {
+        impl ScanTail for $t {
+            fn range_pred(lo: Option<Bound<$t>>, hi: Option<Bound<$t>>) -> impl Fn($t) -> bool {
+                let lo = match lo {
+                    None => Some($live_min),
+                    Some(b) if b.inclusive => Some(b.value),
+                    Some(b) => b.value.checked_add(1),
+                };
+                let hi = match hi {
+                    None => Some($live_max),
+                    Some(b) if b.inclusive => Some(b.value),
+                    Some(b) => b.value.checked_sub(1),
+                };
+                let (lo, hi): ($t, $t) = match (lo, hi) {
+                    (Some(lo), Some(hi)) => (lo.max($live_min), hi.min($live_max)),
+                    _ => ($live_max, $live_min),
+                };
+                move |x| (x >= lo) & (x <= hi)
+            }
+        }
+    };
+}
+
+discrete_scan_tail!(i8, i8::MIN + 1, i8::MAX);
+discrete_scan_tail!(i16, i16::MIN + 1, i16::MAX);
+discrete_scan_tail!(i32, i32::MIN + 1, i32::MAX);
+discrete_scan_tail!(i64, i64::MIN + 1, i64::MAX);
+discrete_scan_tail!(Oid, 0, Oid::MAX - 1);
+
+fn range_fixed<T: ScanTail>(
+    b: &Bat,
+    cands: Option<&Bat>,
+    lo: Option<Bound<T>>,
+    hi: Option<Bound<T>>,
+) -> Result<Vec<Oid>> {
+    let data = b.tail_slice::<T>()?;
+    let cand_oids = cands.map(|c| c.tail_slice::<Oid>()).transpose()?;
+
+    // Binary-search fast path on sorted, nil-free tails of void-headed
+    // columns: the qualifying rows are one contiguous oid run.
+    if let (true, true, HeadColumn::Void { seqbase }) =
+        (b.props().sorted, b.props().nonil, b.head())
+    {
+        let from = match lo {
+            None => 0,
+            Some(l) => data.partition_point(|x| !in_range(*x, Some(l), None)),
+        };
+        let to = match hi {
+            None => data.len(),
+            Some(h) => data.partition_point(|x| in_range(*x, None, Some(h))),
+        };
+        let run = seqbase + from.min(to) as Oid..seqbase + to as Oid;
+        return Ok(match (cand_oids, cands) {
+            (Some(oids), Some(c)) => {
+                check_in_range(oids, *seqbase, data.len())?;
+                if c.props().sorted {
+                    let s = oids.partition_point(|&o| o < run.start);
+                    let e = oids.partition_point(|&o| o < run.end);
+                    oids[s..e].to_vec()
+                } else {
+                    oids.iter().copied().filter(|o| run.contains(o)).collect()
+                }
+            }
+            _ => run.collect(),
+        });
+    }
+    scan(b, data, cand_oids, T::range_pred(lo, hi))
+}
+
+fn theta_fixed<T: ScanTail>(
+    b: &Bat,
+    cands: Option<&Bat>,
+    op: CmpOp,
+    v: &Value,
+) -> Result<Vec<Oid>> {
     let c: T = typed_const(v)?;
     if c.is_nil() {
         // comparisons with NULL select nothing
-        return Ok(candidates(b, Vec::new()));
+        return Ok(Vec::new());
     }
-    let data = b.tail_slice::<T>()?;
-    use std::cmp::Ordering::*;
-    let pos = match op {
-        CmpOp::Eq => scan_select(data, |x| x.nil_cmp(&c) == Equal),
-        CmpOp::Ne => scan_select(data, |x| x.nil_cmp(&c) != Equal),
-        CmpOp::Lt => scan_select(data, |x| x.nil_cmp(&c) == Less),
-        CmpOp::Le => scan_select(data, |x| x.nil_cmp(&c) != Greater),
-        CmpOp::Gt => scan_select(data, |x| x.nil_cmp(&c) == Greater),
-        CmpOp::Ge => scan_select(data, |x| x.nil_cmp(&c) != Less),
+    let at = |inclusive| {
+        Some(Bound {
+            value: c,
+            inclusive,
+        })
     };
-    Ok(candidates(b, pos))
-}
-
-/// `select(b, op, v)`: candidate positions where `tail op v` holds.
-pub fn select_cmp(b: &Bat, op: CmpOp, v: &Value) -> Result<Bat> {
-    match b.tail() {
-        TailHeap::Bool(_) => select_cmp_fixed::<bool>(b, op, v),
-        TailHeap::I8(_) => select_cmp_fixed::<i8>(b, op, v),
-        TailHeap::I16(_) => select_cmp_fixed::<i16>(b, op, v),
-        TailHeap::I32(_) => select_cmp_fixed::<i32>(b, op, v),
-        TailHeap::I64(_) => select_cmp_fixed::<i64>(b, op, v),
-        TailHeap::F64(_) => select_cmp_fixed::<f64>(b, op, v),
-        TailHeap::Oid(_) => select_cmp_fixed::<Oid>(b, op, v),
-        TailHeap::Str(h) => {
-            let needle = match v {
-                Value::Null => return Ok(candidates(b, Vec::new())),
-                Value::Str(s) => s.as_str(),
-                other => {
-                    return Err(Error::TypeMismatch {
-                        expected: "string".into(),
-                        found: format!("{other:?}"),
-                    })
-                }
-            };
-            let mut pos = Vec::new();
-            for i in 0..h.len() {
-                if let Some(s) = h.get(i) {
-                    let keep = match op {
-                        CmpOp::Eq => s == needle,
-                        CmpOp::Ne => s != needle,
-                        CmpOp::Lt => s < needle,
-                        CmpOp::Le => s <= needle,
-                        CmpOp::Gt => s > needle,
-                        CmpOp::Ge => s >= needle,
-                    };
-                    if keep {
-                        pos.push(i as Oid);
-                    }
-                }
-            }
-            Ok(candidates(b, pos))
+    match op {
+        CmpOp::Eq => range_fixed(b, cands, at(true), at(true)),
+        CmpOp::Lt => range_fixed(b, cands, None, at(false)),
+        CmpOp::Le => range_fixed(b, cands, None, at(true)),
+        CmpOp::Gt => range_fixed(b, cands, at(false), None),
+        CmpOp::Ge => range_fixed(b, cands, at(true), None),
+        CmpOp::Ne => {
+            let data = b.tail_slice::<T>()?;
+            let cand_oids = cands.map(|c| c.tail_slice::<Oid>()).transpose()?;
+            scan(b, data, cand_oids, move |x| !x.is_nil() & (x != c))
         }
     }
+}
+
+/// String selections compare payloads row by row (the slow, dynamic path).
+fn scan_str(
+    b: &Bat,
+    h: &StrHeap,
+    cands: Option<&Bat>,
+    keep: impl Fn(&str) -> bool,
+) -> Result<Vec<Oid>> {
+    let qualifies = |p: usize| h.get(p).is_some_and(&keep);
+    let Some(cands) = cands else {
+        return Ok((0..h.len())
+            .filter(|&p| qualifies(p))
+            .map(|p| b.oid_at(p))
+            .collect());
+    };
+    let mut out = Vec::new();
+    for &o in cands.tail_slice::<Oid>()? {
+        let p = b.find_oid(o).ok_or(Error::OutOfRange {
+            index: o,
+            len: h.len() as u64,
+        })?;
+        if qualifies(p) {
+            out.push(o);
+        }
+    }
+    Ok(out)
+}
+
+fn str_const(v: &Value) -> Result<&str> {
+    match v {
+        Value::Str(s) => Ok(s.as_str()),
+        other => Err(Error::TypeMismatch {
+            expected: "string".into(),
+            found: format!("{other:?}"),
+        }),
+    }
+}
+
+fn theta(b: &Bat, cands: Option<&Bat>, op: CmpOp, v: &Value) -> Result<Bat> {
+    let oids = match b.tail() {
+        TailHeap::Bool(_) => theta_fixed::<bool>(b, cands, op, v),
+        TailHeap::I8(_) => theta_fixed::<i8>(b, cands, op, v),
+        TailHeap::I16(_) => theta_fixed::<i16>(b, cands, op, v),
+        TailHeap::I32(_) => theta_fixed::<i32>(b, cands, op, v),
+        TailHeap::I64(_) => theta_fixed::<i64>(b, cands, op, v),
+        TailHeap::F64(_) => theta_fixed::<f64>(b, cands, op, v),
+        TailHeap::Oid(_) => theta_fixed::<Oid>(b, cands, op, v),
+        TailHeap::Str(_) if v.is_null() => Ok(Vec::new()),
+        TailHeap::Str(h) => {
+            let needle = str_const(v)?;
+            scan_str(b, h, cands, |s| match op {
+                CmpOp::Eq => s == needle,
+                CmpOp::Ne => s != needle,
+                CmpOp::Lt => s < needle,
+                CmpOp::Le => s <= needle,
+                CmpOp::Gt => s > needle,
+                CmpOp::Ge => s >= needle,
+            })
+        }
+    }?;
+    Ok(candidates(b, cands, oids))
+}
+
+/// `select(b, op, v)`: candidate oids where `tail op v` holds.
+pub fn select_cmp(b: &Bat, op: CmpOp, v: &Value) -> Result<Bat> {
+    theta(b, None, op, v)
+}
+
+/// [`select_cmp`] restricted to the rows a candidate list names: the result
+/// is the subsequence of `cands` (absolute head oids of `b`) whose rows
+/// qualify. A candidate outside `b` is a typed [`Error::OutOfRange`].
+pub fn select_cmp_cand(b: &Bat, cands: &Bat, op: CmpOp, v: &Value) -> Result<Bat> {
+    theta(b, Some(cands), op, v)
 }
 
 /// `select(b, v)`: equality selection, the canonical §3 example.
@@ -141,57 +345,44 @@ pub fn select_eq(b: &Bat, v: &Value) -> Result<Bat> {
     select_cmp(b, CmpOp::Eq, v)
 }
 
-fn range_fixed<T: NativeType + FixedTail>(
+fn range(
     b: &Bat,
+    cands: Option<&Bat>,
     lo: Option<&Value>,
     hi: Option<&Value>,
     lo_incl: bool,
     hi_incl: bool,
 ) -> Result<Bat> {
-    let data = b.tail_slice::<T>()?;
-    let lo_t: Option<T> = lo.map(typed_const).transpose()?;
-    let hi_t: Option<T> = hi.map(typed_const).transpose()?;
-
-    // Binary-search fast path on sorted, nil-free tails.
-    if b.props().sorted && b.props().nonil {
-        use std::cmp::Ordering::*;
-        let from = match &lo_t {
-            None => 0,
-            Some(c) => data.partition_point(|x| {
-                let ord = x.nil_cmp(c);
-                ord == Less || (!lo_incl && ord == Equal)
-            }),
+    macro_rules! fixed {
+        ($t:ty) => {
+            range_fixed::<$t>(
+                b,
+                cands,
+                Bound::typed(lo, lo_incl)?,
+                Bound::typed(hi, hi_incl)?,
+            )
         };
-        let to = match &hi_t {
-            None => data.len(),
-            Some(c) => data.partition_point(|x| {
-                let ord = x.nil_cmp(c);
-                ord == Less || (hi_incl && ord == Equal)
-            }),
-        };
-        let positions: Vec<Oid> = (from.min(to) as Oid..to as Oid).collect();
-        return Ok(candidates(b, positions));
     }
-
-    use std::cmp::Ordering::*;
-    let pos = scan_select(data, |x| {
-        let lo_ok = match &lo_t {
-            None => true,
-            Some(c) => {
-                let ord = x.nil_cmp(c);
-                ord == Greater || (lo_incl && ord == Equal)
-            }
-        };
-        let hi_ok = match &hi_t {
-            None => true,
-            Some(c) => {
-                let ord = x.nil_cmp(c);
-                ord == Less || (hi_incl && ord == Equal)
-            }
-        };
-        lo_ok && hi_ok
-    });
-    Ok(candidates(b, pos))
+    let null_bound = matches!(lo, Some(Value::Null)) || matches!(hi, Some(Value::Null));
+    let oids = match b.tail() {
+        _ if null_bound => Ok(Vec::new()),
+        TailHeap::Bool(_) => fixed!(bool),
+        TailHeap::I8(_) => fixed!(i8),
+        TailHeap::I16(_) => fixed!(i16),
+        TailHeap::I32(_) => fixed!(i32),
+        TailHeap::I64(_) => fixed!(i64),
+        TailHeap::F64(_) => fixed!(f64),
+        TailHeap::Oid(_) => fixed!(Oid),
+        TailHeap::Str(h) => {
+            let lo_s = lo.map(str_const).transpose()?;
+            let hi_s = hi.map(str_const).transpose()?;
+            scan_str(b, h, cands, |s| {
+                lo_s.is_none_or(|c| if lo_incl { s >= c } else { s > c })
+                    && hi_s.is_none_or(|c| if hi_incl { s <= c } else { s < c })
+            })
+        }
+    }?;
+    Ok(candidates(b, cands, oids))
 }
 
 /// Range selection `lo .. hi` with open bounds expressed as `None`.
@@ -202,51 +393,20 @@ pub fn select_range(
     lo_incl: bool,
     hi_incl: bool,
 ) -> Result<Bat> {
-    if matches!(lo, Some(Value::Null)) || matches!(hi, Some(Value::Null)) {
-        return Ok(candidates(b, Vec::new()));
-    }
-    match b.tail() {
-        TailHeap::Bool(_) => range_fixed::<bool>(b, lo, hi, lo_incl, hi_incl),
-        TailHeap::I8(_) => range_fixed::<i8>(b, lo, hi, lo_incl, hi_incl),
-        TailHeap::I16(_) => range_fixed::<i16>(b, lo, hi, lo_incl, hi_incl),
-        TailHeap::I32(_) => range_fixed::<i32>(b, lo, hi, lo_incl, hi_incl),
-        TailHeap::I64(_) => range_fixed::<i64>(b, lo, hi, lo_incl, hi_incl),
-        TailHeap::F64(_) => range_fixed::<f64>(b, lo, hi, lo_incl, hi_incl),
-        TailHeap::Oid(_) => range_fixed::<Oid>(b, lo, hi, lo_incl, hi_incl),
-        TailHeap::Str(h) => {
-            let lo_s = match lo {
-                None => None,
-                Some(Value::Str(s)) => Some(s.as_str()),
-                Some(other) => {
-                    return Err(Error::TypeMismatch {
-                        expected: "string".into(),
-                        found: format!("{other:?}"),
-                    })
-                }
-            };
-            let hi_s = match hi {
-                None => None,
-                Some(Value::Str(s)) => Some(s.as_str()),
-                Some(other) => {
-                    return Err(Error::TypeMismatch {
-                        expected: "string".into(),
-                        found: format!("{other:?}"),
-                    })
-                }
-            };
-            let mut pos = Vec::new();
-            for i in 0..h.len() {
-                if let Some(s) = h.get(i) {
-                    let lo_ok = lo_s.is_none_or(|c| if lo_incl { s >= c } else { s > c });
-                    let hi_ok = hi_s.is_none_or(|c| if hi_incl { s <= c } else { s < c });
-                    if lo_ok && hi_ok {
-                        pos.push(i as Oid);
-                    }
-                }
-            }
-            Ok(candidates(b, pos))
-        }
-    }
+    range(b, None, lo, hi, lo_incl, hi_incl)
+}
+
+/// [`select_range`] restricted to the rows a candidate list names (see
+/// [`select_cmp_cand`]).
+pub fn select_range_cand(
+    b: &Bat,
+    cands: &Bat,
+    lo: Option<&Value>,
+    hi: Option<&Value>,
+    lo_incl: bool,
+    hi_incl: bool,
+) -> Result<Bat> {
+    range(b, Some(cands), lo, hi, lo_incl, hi_incl)
 }
 
 #[cfg(test)]

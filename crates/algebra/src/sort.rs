@@ -6,34 +6,59 @@
 
 use mammoth_storage::{Bat, FixedTail, Properties, TailHeap};
 use mammoth_types::{NativeType, Oid, Result};
+use std::cmp::Ordering;
+
+/// Positions of the first `n` rows of `b` in sorted order: ascending with
+/// nil first, or exactly the reverse of that when `descending`.
+///
+/// Ties order by position, which makes the order total and equal to what a
+/// stable sort (reversed, when descending) produces — so a prefix can be
+/// selected first and only that prefix sorted.
+fn sorted_prefix(b: &Bat, n: usize, descending: bool) -> Vec<usize> {
+    fn prefix(
+        len: usize,
+        n: usize,
+        descending: bool,
+        by_value: impl Fn(usize, usize) -> Ordering,
+    ) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..len).collect();
+        let total = |a: &usize, b: &usize| {
+            let ord = by_value(*a, *b).then(a.cmp(b));
+            if descending {
+                ord.reverse()
+            } else {
+                ord
+            }
+        };
+        if n < len {
+            if n > 0 {
+                idx.select_nth_unstable_by(n, total);
+            }
+            idx.truncate(n);
+        }
+        idx.sort_unstable_by(total);
+        idx
+    }
+    fn fixed<T: NativeType + FixedTail>(v: &[T], n: usize, descending: bool) -> Vec<usize> {
+        prefix(v.len(), n, descending, |a, b| v[a].nil_cmp(&v[b]))
+    }
+    match b.tail() {
+        TailHeap::Bool(v) => fixed(v, n, descending),
+        TailHeap::I8(v) => fixed(v, n, descending),
+        TailHeap::I16(v) => fixed(v, n, descending),
+        TailHeap::I32(v) => fixed(v, n, descending),
+        TailHeap::I64(v) => fixed(v, n, descending),
+        TailHeap::F64(v) => fixed(v, n, descending),
+        TailHeap::Oid(v) => fixed(v, n, descending),
+        // `Option<&str>` orders nil (None) first
+        TailHeap::Str(h) => prefix(h.len(), n, descending, |a, b| h.get(a).cmp(&h.get(b))),
+    }
+}
 
 /// The stable permutation (as positions) that sorts `b`'s tail ascending,
 /// nil first.
 pub fn order(b: &Bat) -> Result<Vec<usize>> {
-    fn argsort<T: NativeType + FixedTail>(v: &[T]) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..v.len()).collect();
-        idx.sort_by(|&a, &b| v[a].nil_cmp(&v[b]));
-        idx
-    }
-    Ok(match b.tail() {
-        TailHeap::Bool(v) => argsort(v),
-        TailHeap::I8(v) => argsort(v),
-        TailHeap::I16(v) => argsort(v),
-        TailHeap::I32(v) => argsort(v),
-        TailHeap::I64(v) => argsort(v),
-        TailHeap::F64(v) => argsort(v),
-        TailHeap::Oid(v) => argsort(v),
-        TailHeap::Str(h) => {
-            let mut idx: Vec<usize> = (0..h.len()).collect();
-            idx.sort_by(|&a, &b| match (h.get(a), h.get(b)) {
-                (None, None) => std::cmp::Ordering::Equal,
-                (None, Some(_)) => std::cmp::Ordering::Less,
-                (Some(_), None) => std::cmp::Ordering::Greater,
-                (Some(x), Some(y)) => x.cmp(y),
-            });
-            idx
-        }
-    })
+    Ok(sorted_prefix(b, b.len(), false))
 }
 
 /// Sort the tail of `b`, returning `(sorted BAT, order index)`.
@@ -47,10 +72,13 @@ pub fn sort_bat(b: &Bat) -> Result<(Bat, Bat)> {
 /// [`sort_bat`] with a direction: `descending = true` reverses the order
 /// (nil last in that case).
 pub fn sort_bat_dir(b: &Bat, descending: bool) -> Result<(Bat, Bat)> {
-    let mut perm = order(b)?;
-    if descending {
-        perm.reverse();
-    }
+    firstn(b, b.len(), descending)
+}
+
+/// The first `n` rows of [`sort_bat_dir`] — `ORDER BY … LIMIT n` — ties
+/// included exactly as the full sort orders them, without sorting the rest.
+pub fn firstn(b: &Bat, n: usize, descending: bool) -> Result<(Bat, Bat)> {
+    let perm = sorted_prefix(b, n, descending);
     let tail = b.tail().take(&perm);
     let oids: Vec<Oid> = perm.iter().map(|&p| b.oid_at(p)).collect();
     let mut sorted = Bat::dense(0, tail);

@@ -378,7 +378,11 @@ impl Analyzer<'_> {
             }
             OpCode::AggrGrouped(kind) => self.t_aggr_grouped(instr, *kind),
             OpCode::Calc(op) => self.t_calc(instr, *op),
-            OpCode::Sort { desc } => self.t_sort(instr, *desc),
+            OpCode::Sort { desc } => self.t_sort(instr, *desc, None),
+            OpCode::FirstN { desc } => {
+                let n = self.const_arg(instr, 1).and_then(|v| v.as_i64());
+                self.t_sort(instr, *desc, Some(n.map_or(u64::MAX, |n| n.max(0) as u64)));
+            }
             OpCode::Slice => self.t_slice(instr),
             OpCode::PartSlice => self.t_part_slice(instr),
             OpCode::Pack => self.t_pack(instr),
@@ -412,8 +416,20 @@ impl Analyzer<'_> {
     /// oids are strictly ascending, so it is sorted+key+nonil; its values
     /// sit inside `[seqbase, seqbase + n - 1]`. Cardinality is refined by
     /// the interval verdict when the predicate provably keeps all/none.
+    ///
+    /// With a candidate list the result is the subsequence of it whose rows
+    /// qualify: order, key and interval facts carry over from the list,
+    /// cardinality is bounded by it, and (every candidate having to name a
+    /// row of the input, or the select raises) the input's oid range bounds
+    /// the values as well.
     fn t_select(&mut self, instr: &Instr, verdict: SelectVerdict) -> BatFacts {
         let input = self.bat_arg(instr, 0);
+        let cand = instr
+            .select_args()
+            .and_then(|s| s.cand)
+            .map(|_| self.bat_arg(instr, 1));
+        // the rows tested: the candidates, or every row of the input
+        let tested = cand.as_ref().map_or(&input.props, |c| &c.props);
         let mut p = Props::top();
         p.void_head = true;
         p.nonil = true;
@@ -423,21 +439,35 @@ impl Analyzer<'_> {
                 p.card_hi = Some(0);
             }
             SelectVerdict::All => {
-                p.card_lo = input.props.card_lo;
-                p.card_hi = input.props.card_hi;
+                p.card_lo = tested.card_lo;
+                p.card_hi = tested.card_hi;
             }
             SelectVerdict::Unknown => {
                 p.card_lo = 0;
-                p.card_hi = input.props.card_hi;
+                p.card_hi = tested.card_hi;
             }
         }
-        if input.props.void_head {
+        if let Some(c) = &cand {
+            p.sorted = c.props.sorted;
+            p.key = c.props.key;
+            p.min = c.props.min.clone();
+            p.max = c.props.max.clone();
+        } else if input.props.void_head {
             p.sorted = true;
             p.key = true;
-            if let (Some(s), Some(hi)) = (input.seqbase, input.props.card_hi) {
-                p.min = Some(Value::Oid(s));
-                p.max = Some(Value::Oid(s + hi.saturating_sub(1)));
-            }
+        }
+        if let (true, Some(s), Some(hi)) =
+            (input.props.void_head, input.seqbase, input.props.card_hi)
+        {
+            let (first, last) = (Value::Oid(s), Value::Oid(s + hi.saturating_sub(1)));
+            p.min = Some(match p.min.take() {
+                Some(m) if lt(&first, &m) => m,
+                _ => first,
+            });
+            p.max = Some(match p.max.take() {
+                Some(m) if lt(&m, &last) => m,
+                _ => last,
+            });
         }
         p.revsorted = matches!(p.card_hi, Some(hi) if hi <= 1);
         BatFacts::dense0(p)
@@ -622,22 +652,24 @@ impl Analyzer<'_> {
 
     /// `algebra.sort` permutes the input: same rows, same multiset of
     /// values, sorted one way or the other. The order BAT holds the `|b|`
-    /// source positions (non-nil oids).
-    fn t_sort(&mut self, instr: &Instr, desc: bool) {
+    /// source positions (non-nil oids). `algebra.firstn` keeps the first
+    /// `limit` rows of both results.
+    fn t_sort(&mut self, instr: &Instr, desc: bool, limit: Option<u64>) {
         let b = self.bat_arg(instr, 0);
+        let cut = |n: u64| limit.map_or(n, |l| n.min(l));
         let mut p = Props::top();
-        p.card_lo = b.props.card_lo;
-        p.card_hi = b.props.card_hi;
+        p.card_lo = cut(b.props.card_lo);
+        p.card_hi = b.props.card_hi.map(cut).or(limit);
         p.min = b.props.min.clone();
         p.max = b.props.max.clone();
         p.nonil = b.props.nonil;
         p.sorted = !desc;
         p.revsorted = desc;
-        self.set_bat(instr, 0, BatFacts::dense0(p));
         let mut o = Props::top();
-        o.card_lo = b.props.card_lo;
-        o.card_hi = b.props.card_hi;
+        o.card_lo = p.card_lo;
+        o.card_hi = p.card_hi;
         o.nonil = true;
+        self.set_bat(instr, 0, BatFacts::dense0(p));
         self.set_bat(instr, 1, BatFacts::dense0(o));
     }
 
@@ -922,11 +954,14 @@ pub enum SelectVerdict {
     Unknown,
 }
 
-/// Interval verdict for `algebra.thetaselect[op](b, c)`. Public so the
+/// Interval verdict for `algebra.thetaselect[op](b, [cand,] c)`: what the
+/// predicate keeps of the rows it tests, judged on `b`'s value interval
+/// (a candidate list only narrows the rows, never widens the interval).
+/// Public so the
 /// optimizer passes prove their rewrites with the same logic the checker
 /// validates.
 pub fn select_verdict_theta(b: &BatFacts, instr: &Instr, op: CmpOp) -> SelectVerdict {
-    let Some(Arg::Const(c)) = instr.args.get(1) else {
+    let Some([Arg::Const(c)]) = instr.select_args().map(|s| s.bounds) else {
         return SelectVerdict::Unknown;
     };
     if c.is_null() {
@@ -969,16 +1004,15 @@ pub fn select_verdict_theta(b: &BatFacts, instr: &Instr, op: CmpOp) -> SelectVer
     SelectVerdict::Unknown
 }
 
-/// Interval verdict for `algebra.select(b, lo, hi, li, hi_incl)`.
+/// Interval verdict for `algebra.select(b, [cand,] lo, hi, li, hi_incl)`.
 pub fn select_verdict_range(
     b: &BatFacts,
     instr: &Instr,
     lo_incl: bool,
     hi_incl: bool,
 ) -> SelectVerdict {
-    let (lo, hi) = match (instr.args.get(1), instr.args.get(2)) {
-        (Some(Arg::Const(l)), Some(Arg::Const(h))) => (l, h),
-        _ => return SelectVerdict::Unknown,
+    let Some([Arg::Const(lo), Arg::Const(hi)]) = instr.select_args().map(|s| s.bounds) else {
+        return SelectVerdict::Unknown;
     };
     let (bmin, bmax) = (&b.props.min, &b.props.max);
     // open (nil) bounds are unbounded on that side

@@ -398,7 +398,8 @@ impl Verifier<'_> {
             | OpCode::Projection
             | OpCode::Join
             | OpCode::GroupRefine
-            | OpCode::Calc(_) => 2,
+            | OpCode::Calc(_)
+            | OpCode::FirstN { .. } => 2,
             OpCode::RangeSelect { .. }
             | OpCode::AggrGrouped(_)
             | OpCode::Slice
@@ -413,7 +414,9 @@ impl Verifier<'_> {
                 unreachable!("handled above")
             }
         };
-        if instr.args.len() != expected_args {
+        // a selection may carry one more argument: its candidate list
+        let has_cand = instr.select_args().is_some_and(|s| s.cand.is_some());
+        if instr.args.len() != expected_args + has_cand as usize {
             return Err(err(VerifyErrorKind::BadArgCount {
                 expected: expected_args,
                 got: instr.args.len(),
@@ -457,15 +460,12 @@ impl Verifier<'_> {
                 };
                 Ok(vec![VarTy::Bat(ty)])
             }
-            OpCode::ThetaSelect(_) => {
+            OpCode::ThetaSelect(_) | OpCode::RangeSelect { .. } => {
                 let b = self.bat_arg(idx, instr, 0, state)?;
-                let c = self.scalar_arg(idx, instr, 1, state)?;
-                self.comparable(idx, instr, 1, b, c)?;
-                Ok(vec![VarTy::Bat(Some(LogicalType::Oid))])
-            }
-            OpCode::RangeSelect { .. } => {
-                let b = self.bat_arg(idx, instr, 0, state)?;
-                for k in 1..=2 {
+                if has_cand {
+                    self.candidate_arg(idx, instr, 1, state)?;
+                }
+                for k in 1 + has_cand as usize..instr.args.len() {
                     let c = self.scalar_arg(idx, instr, k, state)?;
                     self.comparable(idx, instr, k, b, c)?;
                 }
@@ -536,32 +536,15 @@ impl Verifier<'_> {
                 let t = self.bat_arg(idx, instr, 0, state)?;
                 Ok(vec![VarTy::Bat(t), VarTy::Bat(Some(LogicalType::Oid))])
             }
+            OpCode::FirstN { .. } => {
+                let t = self.bat_arg(idx, instr, 0, state)?;
+                self.row_count_arg(idx, instr, 1, "row count", state)?;
+                Ok(vec![VarTy::Bat(t), VarTy::Bat(Some(LogicalType::Oid))])
+            }
             OpCode::Slice => {
                 let t = self.bat_arg(idx, instr, 0, state)?;
                 for k in 1..=2 {
-                    let c = self.scalar_arg(idx, instr, k, state)?;
-                    if let Some(ty) = c {
-                        if !matches!(
-                            ty,
-                            LogicalType::I8
-                                | LogicalType::I16
-                                | LogicalType::I32
-                                | LogicalType::I64
-                        ) {
-                            return Err(err(VerifyErrorKind::TypeMismatch {
-                                arg: k,
-                                detail: format!(
-                                    "slice bound must be an integer, found {}",
-                                    ty.name()
-                                ),
-                            }));
-                        }
-                    } else if matches!(&instr.args[k], Arg::Const(Value::Null)) {
-                        return Err(err(VerifyErrorKind::TypeMismatch {
-                            arg: k,
-                            detail: "slice bound must not be NULL".into(),
-                        }));
-                    }
+                    self.row_count_arg(idx, instr, k, "slice bound", state)?;
                 }
                 Ok(vec![VarTy::Bat(t)])
             }
@@ -720,6 +703,33 @@ impl Verifier<'_> {
                 },
             }),
         }
+    }
+
+    /// The argument must be an integer, non-NULL scalar (`what` names it in
+    /// the error): a `bat.slice` bound or an `algebra.firstn` row count.
+    fn row_count_arg(
+        &self,
+        idx: usize,
+        instr: &Instr,
+        argno: usize,
+        what: &str,
+        state: &[VarState],
+    ) -> Result<(), VerifyError> {
+        let detail = match self.scalar_arg(idx, instr, argno, state)? {
+            Some(LogicalType::I8 | LogicalType::I16 | LogicalType::I32 | LogicalType::I64) => {
+                return Ok(())
+            }
+            Some(ty) => format!("{what} must be an integer, found {}", ty.name()),
+            None if matches!(&instr.args[argno], Arg::Const(Value::Null)) => {
+                format!("{what} must not be NULL")
+            }
+            None => return Ok(()),
+        };
+        Err(VerifyError {
+            instr: Some(idx),
+            op: Some(instr.op.name()),
+            kind: VerifyErrorKind::TypeMismatch { arg: argno, detail },
+        })
     }
 
     /// The argument must be scalar; returns its (possibly unknown) type.

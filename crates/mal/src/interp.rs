@@ -137,8 +137,12 @@ impl<'a> Interpreter<'a> {
     pub fn run(&mut self, prog: &Program) -> Result<Vec<MalValue>> {
         let t0 = Instant::now();
         let mut vars: Vec<Option<MalValue>> = vec![None; prog.nvars()];
-        let mut sigs: Vec<Option<String>> = vec![None; prog.nvars()];
-        let mut deps: Vec<Vec<String>> = vec![Vec::new(); prog.nvars()];
+        // provenance signatures and column dependencies exist to key the
+        // recycler; without one attached nothing is built or kept
+        let recycling = self.recycler.is_some();
+        let tracked = if recycling { prog.nvars() } else { 0 };
+        let mut sigs: Vec<Option<String>> = vec![None; tracked];
+        let mut deps: Vec<Vec<String>> = vec![Vec::new(); tracked];
         let mut outputs = Vec::new();
         let liveness = self
             .eager_release
@@ -171,8 +175,10 @@ impl<'a> Interpreter<'a> {
                     break 'exec;
                 }
                 // provenance signature of this instruction
-                let sig = self.instr_sig(instr, &sigs);
-                let instr_deps = self.instr_deps(instr, &deps);
+                let (sig, instr_deps) = match recycling {
+                    true => (self.instr_sig(instr, &sigs), self.instr_deps(instr, &deps)),
+                    false => (None, Vec::new()),
+                };
 
                 // recycler lookup: all result slots must hit
                 if let (Some(sig), Some(r)) = (&sig, self.recycler.as_deref_mut()) {
@@ -255,10 +261,10 @@ impl<'a> Interpreter<'a> {
                             );
                         }
                     }
-                    if let Some(s) = &sig {
-                        sigs[*rv] = Some(slot_sig(s, slot));
+                    if recycling {
+                        sigs[*rv] = sig.as_deref().map(|s| slot_sig(s, slot));
+                        deps[*rv] = instr_deps.clone();
                     }
-                    deps[*rv] = instr_deps.clone();
                     set_slot(&mut vars[*rv], val, &mut live_bats, &mut peak_live);
                 }
             }
@@ -428,6 +434,26 @@ fn instr_const(args: &[MalValue], k: usize) -> Result<Value> {
     }
 }
 
+/// Split a selection's resolved arguments after the input column into the
+/// optional candidate list and its `nbounds` predicate constants.
+fn select_operands<'a>(
+    instr: &Instr,
+    args: &'a [MalValue],
+    nbounds: usize,
+) -> Result<(Option<Arc<Bat>>, &'a [MalValue])> {
+    match args.len().checked_sub(1 + nbounds) {
+        Some(0) => Ok((None, &args[1..])),
+        Some(1) => Ok((Some(instr_bat(args, 1)?), &args[2..])),
+        _ => Err(Error::Internal(format!(
+            "{} takes {} or {} arguments, got {}",
+            instr.op.name(),
+            1 + nbounds,
+            2 + nbounds,
+            args.len()
+        ))),
+    }
+}
+
 /// Execute one pure instruction given its resolved argument values (one
 /// entry per `instr.args`, constants resolved to scalars). This is the
 /// single point where MAL opcodes meet the BAT Algebra; the serial
@@ -448,18 +474,25 @@ pub fn execute_instr(catalog: &Catalog, instr: &Instr, args: &[MalValue]) -> Res
         }
         OpCode::ThetaSelect(op) => {
             let b = instr_bat(args, 0)?;
-            let c = instr_const(args, 1)?;
-            vec![bat(alg::select_cmp(&b, *op, &c)?)]
+            let (cand, bounds) = select_operands(instr, args, 1)?;
+            let c = instr_const(bounds, 0)?;
+            vec![bat(match cand {
+                None => alg::select_cmp(&b, *op, &c)?,
+                Some(cand) => alg::select_cmp_cand(&b, &cand, *op, &c)?,
+            })]
         }
         OpCode::RangeSelect { lo_incl, hi_incl } => {
             let b = instr_bat(args, 0)?;
-            let lo = instr_const(args, 1)?;
-            let hi = instr_const(args, 2)?;
-            let lo_ref = (!lo.is_null()).then_some(&lo);
-            let hi_ref = (!hi.is_null()).then_some(&hi);
-            vec![bat(alg::select_range(
-                &b, lo_ref, hi_ref, *lo_incl, *hi_incl,
-            )?)]
+            let (cand, bounds) = select_operands(instr, args, 2)?;
+            // a nil bound is open
+            let lo = instr_const(bounds, 0)?;
+            let hi = instr_const(bounds, 1)?;
+            let lo = (!lo.is_null()).then_some(&lo);
+            let hi = (!hi.is_null()).then_some(&hi);
+            vec![bat(match cand {
+                None => alg::select_range(&b, lo, hi, *lo_incl, *hi_incl)?,
+                Some(cand) => alg::select_range_cand(&b, &cand, lo, hi, *lo_incl, *hi_incl)?,
+            })]
         }
         OpCode::Projection => {
             let cands = instr_bat(args, 0)?;
@@ -508,6 +541,12 @@ pub fn execute_instr(catalog: &Catalog, instr: &Instr, args: &[MalValue]) -> Res
         OpCode::Sort { desc } => {
             let b = instr_bat(args, 0)?;
             let (sorted, order) = alg::sort_bat_dir(&b, *desc)?;
+            vec![bat(sorted), bat(order)]
+        }
+        OpCode::FirstN { desc } => {
+            let b = instr_bat(args, 0)?;
+            let n = instr_const(args, 1)?.as_i64().unwrap_or(i64::MAX).max(0) as usize;
+            let (sorted, order) = alg::firstn(&b, n, *desc)?;
             vec![bat(sorted), bat(order)]
         }
         OpCode::Slice => {

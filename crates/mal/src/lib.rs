@@ -56,4 +56,4 @@ pub use optimizer::{
     GarbageCollect, OptimizerPass, PassError, Pipeline, SelectElimination, SortedSelect,
 };
 pub use parser::parse_program;
-pub use program::{Arg, Instr, MalValue, OpCode, Program, VarId};
+pub use program::{Arg, Instr, MalValue, OpCode, Program, SelectArgs, VarId};

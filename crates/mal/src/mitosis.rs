@@ -11,7 +11,9 @@
 //! spaces provably line up, and re-merges everywhere else:
 //!
 //! * `thetaselect`/`select` over a **range-aligned** fragment group → one
-//!   select per fragment, yielding absolute-oid candidate fragments;
+//!   select per fragment, yielding absolute-oid candidate fragments; a
+//!   candidate argument cut along the same ranges is consumed fragment by
+//!   fragment, any other one is packed and the select stays whole;
 //! * `projection(cands_i, base)` when the candidate fragments carry
 //!   absolute oids and the value operand is a full base column → one fetch
 //!   per fragment;
@@ -145,8 +147,23 @@ struct Group {
     kind: Kind,
     ty: Option<LogicalType>,
     lineage: Lineage,
+    /// The table whose fragment ranges cut this group: fragment `i` holds
+    /// (for base slices) or names (for candidates) rows of range `i` only.
+    /// Every bind of one table is sliced into the same ranges.
+    table: Option<String>,
     /// Whether `<var> := mat.pack(parts…)` has been emitted already.
     packed: bool,
+}
+
+impl Group {
+    /// Whether this candidate group is cut along the fragment ranges of
+    /// the base group `base`.
+    fn aligned_with(&self, base: &Group) -> bool {
+        self.kind == Kind::AbsCands
+            && self.table.is_some()
+            && self.table == base.table
+            && self.parts.len() == base.parts.len()
+    }
 }
 
 /// Propagate operators fragment-wise through a mitosis-sliced plan and
@@ -240,7 +257,8 @@ impl Rewriter<'_> {
                                         parts: parts.iter().map(|&(_, _, v)| v).collect(),
                                         kind: Kind::AlignedBase,
                                         ty,
-                                        lineage: Lineage::Table(table),
+                                        lineage: Lineage::Table(table.clone()),
+                                        table: Some(table),
                                         packed: true, // the bind itself is the whole
                                     },
                                 );
@@ -299,25 +317,38 @@ impl Rewriter<'_> {
     /// Selections propagate only over range-aligned base fragments: each
     /// fragment keeps its absolute seqbase, so per-fragment candidates are
     /// absolute base oids and concatenate in ascending order.
+    ///
+    /// A candidate argument is consumed fragment-wise when it is itself a
+    /// candidate group cut along the same table's fragment ranges (fragment
+    /// `i` of the list then names rows of fragment `i` of the column only);
+    /// any other combination selects over the whole column and the packed
+    /// list.
     fn rewrite_select(&mut self, idx: usize, instr: &Instr) {
-        let Some(Arg::Var(src)) = instr.args.first() else {
+        let sel = instr.select_args();
+        let group_of = |a: Option<&Arg>| match a {
+            Some(Arg::Var(v)) => self.groups.get(v),
+            _ => None,
+        };
+        let src = group_of(sel.as_ref().map(|s| s.input)).filter(|g| g.kind == Kind::AlignedBase);
+        let cand = match sel.as_ref().and_then(|s| s.cand) {
+            None => Some(None),
+            Some(c) => group_of(Some(c))
+                .filter(|c| src.is_some_and(|g| c.aligned_with(g)))
+                .map(|c| Some(c.parts.clone())),
+        };
+        let (Some(src), Some(cand_parts)) = (src, cand) else {
             self.push_with_whole_args(instr.clone());
             return;
         };
-        let Some(g) = self.groups.get(src) else {
-            self.out.instrs.push(instr.clone());
-            return;
-        };
-        if g.kind != Kind::AlignedBase {
-            self.push_with_whole_args(instr.clone());
-            return;
-        }
-        let src_parts = g.parts.clone();
+        let (src_parts, table) = (src.parts.clone(), src.table.clone());
         let mut parts = Vec::with_capacity(src_parts.len());
-        for p in src_parts {
+        for (i, p) in src_parts.into_iter().enumerate() {
             let r = self.out.var();
             let mut args = instr.args.clone();
             args[0] = Arg::Var(p);
+            if let Some(cp) = &cand_parts {
+                args[1] = Arg::Var(cp[i]);
+            }
             parts.push(r);
             self.out.instrs.push(Instr {
                 results: vec![r],
@@ -332,6 +363,7 @@ impl Rewriter<'_> {
                 kind: Kind::AbsCands,
                 ty: Some(LogicalType::Oid),
                 lineage: Lineage::Instr(idx),
+                table,
                 packed: false,
             },
         );
@@ -374,6 +406,7 @@ impl Rewriter<'_> {
                 kind: Kind::LocalValues,
                 ty,
                 lineage,
+                table: None,
                 packed: false,
             },
         );
@@ -439,6 +472,7 @@ impl Rewriter<'_> {
                 kind: Kind::LocalValues,
                 ty,
                 lineage: a_lineage,
+                table: None,
                 packed: false,
             },
         );
@@ -725,6 +759,111 @@ mod tests {
         let serial = Interpreter::new(&cat).run(&p).unwrap();
         let par = Interpreter::new(&cat).run(&out).unwrap();
         assert_eq!(serial[0].as_scalar().unwrap(), par[0].as_scalar().unwrap());
+    }
+
+    /// `a > 5 AND b < 500` as the compiler emits it: the second select
+    /// tests the candidates of the first.
+    fn threaded_selects(second_table: &str) -> Program {
+        let bind = |p: &mut Program, t: &str, c: &str| {
+            p.push(
+                OpCode::Bind,
+                vec![
+                    Arg::Const(Value::Str(t.into())),
+                    Arg::Const(Value::Str(c.into())),
+                ],
+            )[0]
+        };
+        let mut p = Program::new();
+        let a = bind(&mut p, "t", "a");
+        let c1 = p.push(
+            OpCode::ThetaSelect(CmpOp::Gt),
+            vec![Arg::Var(a), Arg::Const(Value::I64(5))],
+        )[0];
+        let b = bind(&mut p, second_table, "b");
+        let c2 = p.push(
+            OpCode::RangeSelect {
+                lo_incl: true,
+                hi_incl: false,
+            },
+            vec![
+                Arg::Var(b),
+                Arg::Var(c1),
+                Arg::Const(Value::I64(100)),
+                Arg::Const(Value::I64(500)),
+            ],
+        )[0];
+        let f = p.push(OpCode::Projection, vec![Arg::Var(c2), Arg::Var(b)])[0];
+        let s = p.push(OpCode::Aggr(AggKind::Sum), vec![Arg::Var(f)])[0];
+        let n = p.push(OpCode::Count, vec![Arg::Var(c2)])[0];
+        p.push_result(&[s, n]);
+        p
+    }
+
+    fn scalars(cat: &Catalog, p: &Program) -> Vec<Value> {
+        let out = Interpreter::new(cat).check_props(true).run(p).unwrap();
+        out.iter().map(|v| v.as_scalar().unwrap().clone()).collect()
+    }
+
+    #[test]
+    fn candidate_selects_propagate_fragment_wise() {
+        let cat = catalog(1000);
+        let prog = threaded_selects("t");
+        let serial = scalars(&cat, &prog);
+        for pieces in [2usize, 3, 7] {
+            let out = parallel_pipeline(pieces, column_types(&cat))
+                .try_optimize(prog.clone())
+                .unwrap();
+            // fragment i of the list feeds fragment i of the column: one
+            // select of each kind per piece, and the list is never packed
+            let count = |f: &dyn Fn(&Instr) -> bool| out.instrs.iter().filter(|i| f(i)).count();
+            assert_eq!(count(&|i| matches!(i.op, OpCode::ThetaSelect(_))), pieces);
+            let ranges: Vec<&Instr> = out
+                .instrs
+                .iter()
+                .filter(|i| matches!(i.op, OpCode::RangeSelect { .. }))
+                .collect();
+            assert_eq!(ranges.len(), pieces);
+            assert!(ranges.iter().all(|i| i.args.len() == 4));
+            assert_eq!(count(&|i| i.op == OpCode::Pack), 0);
+            assert_eq!(count(&|i| i.op == OpCode::PackSum), 2);
+            analysis::verify_with_catalog(&out, &cat).unwrap();
+            assert_eq!(serial, scalars(&cat, &out), "pieces={pieces}");
+        }
+    }
+
+    #[test]
+    fn candidates_cut_along_another_table_are_packed() {
+        // same shape, but the candidates come from table `u`, whose
+        // fragment ranges say nothing about `t`'s: the select over `t.b`
+        // must read the whole column and the packed list
+        let mut cat = catalog(1000);
+        let mut u = Table::new(TableSchema::new(
+            "u",
+            vec![ColumnDef::new("b", LogicalType::I64)],
+        ))
+        .unwrap();
+        for i in 0..400 {
+            u.insert_row(&[Value::I64(i * 2)]).unwrap();
+        }
+        cat.create_table(u).unwrap();
+        // candidates of t.a > 5 (up to oid 999) would overrun u.b, so
+        // select from u and test t's rows instead
+        let mut prog = threaded_selects("t");
+        prog.instrs[0].args[0] = Arg::Const(Value::Str("u".into()));
+        prog.instrs[0].args[1] = Arg::Const(Value::Str("b".into()));
+        let serial = scalars(&cat, &prog);
+        let out = parallel_pipeline(4, column_types(&cat))
+            .try_optimize(prog)
+            .unwrap();
+        let ranges: Vec<&Instr> = out
+            .instrs
+            .iter()
+            .filter(|i| matches!(i.op, OpCode::RangeSelect { .. }))
+            .collect();
+        assert_eq!(ranges.len(), 1, "the select stays whole");
+        assert!(out.instrs.iter().any(|i| i.op == OpCode::Pack));
+        analysis::verify_with_catalog(&out, &cat).unwrap();
+        assert_eq!(serial, scalars(&cat, &out));
     }
 
     #[test]

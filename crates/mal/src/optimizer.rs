@@ -366,14 +366,20 @@ impl OptimizerPass for GarbageCollect {
 /// pass-through (the candidate list of a dense-headed input at seqbase 0
 /// is exactly its mirror); one that provably accepts *no* row becomes an
 /// empty candidate list built as `bat.slice(b, 0, 0)` + `bat.mirror`.
-/// Both proofs compare the input's inferred value interval (seeded from
-/// column statistics and zone maps) against the constant predicate.
+/// With a candidate list the accept-all result is the list itself (later
+/// uses are re-pointed at it) and the accept-none result is its empty
+/// prefix, `bat.slice(cand, 0, 0)`. Both proofs compare the input's
+/// inferred value interval (seeded from column statistics and zone maps)
+/// against the constant predicate.
 ///
 /// Soundness guards, in order:
 /// * plans containing `language.pass` are left untouched (the rewrite
 ///   would have to re-derive end-of-life markers);
 /// * the input must have a statically dense head at seqbase 0, so the
 ///   mirrored oid list is bit-identical to the select's candidate output;
+/// * a candidate list must provably name rows of the input only —
+///   otherwise the select would raise an out-of-range error at runtime,
+///   and eliminating it would mask that error;
 /// * every non-nil predicate constant must coerce losslessly into the
 ///   column's value type — otherwise the select would raise a type error
 ///   at runtime, and eliminating it would mask that error.
@@ -387,16 +393,21 @@ impl SelectElimination {
     }
 
     fn verdict(an: &analysis::Analysis, instr: &Instr) -> SelectVerdict {
-        let Some(Arg::Var(v)) = instr.args.first() else {
+        let Some(sel) = instr.select_args() else {
             return SelectVerdict::Unknown;
         };
-        let Some(f) = an.bat_facts(*v) else {
+        let Some(f) = arg_facts(an, sel.input) else {
             return SelectVerdict::Unknown;
         };
         if !(f.props.void_head && f.seqbase == Some(0)) {
             return SelectVerdict::Unknown;
         }
-        if !consts_coerce(f, &instr.args[1..]) {
+        if let Some(cand) = sel.cand {
+            if !arg_facts(an, cand).is_some_and(|c| cands_in_range(&c.props, &f.props)) {
+                return SelectVerdict::Unknown;
+            }
+        }
+        if !consts_coerce(f, sel.bounds) {
             return SelectVerdict::Unknown;
         }
         match &instr.op {
@@ -407,6 +418,21 @@ impl SelectElimination {
             _ => SelectVerdict::Unknown,
         }
     }
+}
+
+fn arg_facts<'a>(an: &'a analysis::Analysis, a: &Arg) -> Option<&'a BatFacts> {
+    match a {
+        Arg::Var(v) => an.bat_facts(*v),
+        Arg::Const(_) | Arg::Param(_) => None,
+    }
+}
+
+/// True when every oid of a candidate list provably names a row of a
+/// dense, seqbase-0 input: non-nil values inside `[0, |input|)`.
+fn cands_in_range(cand: &analysis::Props, input: &analysis::Props) -> bool {
+    let below = |n: u64| matches!(&cand.max, Some(Value::Oid(m)) if *m < n);
+    // an empty list names no row at all
+    cand.card_hi == Some(0) || (cand.nonil && below(input.card_lo))
 }
 
 /// True when every constant predicate argument either is nil (an open /
@@ -447,34 +473,54 @@ impl OptimizerPass for SelectElimination {
         };
         let mut out = prog.clone();
         out.instrs = Vec::with_capacity(prog.instrs.len());
+        // results proven equal to their candidate list: var -> that list
+        let mut alias: HashMap<VarId, VarId> = HashMap::new();
         for instr in &prog.instrs {
-            match Self::verdict(&an, instr) {
-                SelectVerdict::All => out.instrs.push(Instr {
-                    results: instr.results.clone(),
+            let mut instr = instr.clone();
+            for a in &mut instr.args {
+                if let Arg::Var(v) = a {
+                    if let Some(&c) = alias.get(v) {
+                        *a = Arg::Var(c);
+                    }
+                }
+            }
+            let cand = instr.select_args().and_then(|s| s.cand.cloned());
+            let results = instr.results.clone();
+            match (Self::verdict(&an, &instr), cand) {
+                // accept-all of a candidate list is the list itself
+                (SelectVerdict::All, Some(Arg::Var(c))) => {
+                    alias.insert(results[0], c);
+                }
+                (SelectVerdict::All, None) => out.instrs.push(Instr {
+                    results,
                     op: OpCode::Mirror,
                     args: vec![instr.args[0].clone()],
                 }),
-                SelectVerdict::None => {
+                // accept-none of a candidate list is its empty prefix
+                (SelectVerdict::None, Some(c)) => out.instrs.push(empty_prefix(results, c)),
+                (SelectVerdict::None, None) => {
                     let empty = out.var();
+                    out.instrs
+                        .push(empty_prefix(vec![empty], instr.args[0].clone()));
                     out.instrs.push(Instr {
-                        results: vec![empty],
-                        op: OpCode::Slice,
-                        args: vec![
-                            instr.args[0].clone(),
-                            Arg::Const(Value::I64(0)),
-                            Arg::Const(Value::I64(0)),
-                        ],
-                    });
-                    out.instrs.push(Instr {
-                        results: instr.results.clone(),
+                        results,
                         op: OpCode::Mirror,
                         args: vec![Arg::Var(empty)],
                     });
                 }
-                SelectVerdict::Unknown => out.instrs.push(instr.clone()),
+                _ => out.instrs.push(instr),
             }
         }
         out
+    }
+}
+
+/// `results := bat.slice(src, 0, 0)`.
+fn empty_prefix(results: Vec<VarId>, src: Arg) -> Instr {
+    Instr {
+        results,
+        op: OpCode::Slice,
+        args: vec![src, Arg::Const(Value::I64(0)), Arg::Const(Value::I64(0))],
     }
 }
 
@@ -483,8 +529,9 @@ impl OptimizerPass for SelectElimination {
 /// `algebra.select` range form over a `bat.setprops(b, "sorted,nonil")`
 /// annotated input; the interpreter's binary-search fast path keys off the
 /// *runtime* sorted/nonil flags the annotation establishes, replacing the
-/// scan with two `partition_point` probes. Existing range selects over
-/// proven-sorted inputs get the same annotation.
+/// scan with two `partition_point` probes (a candidate list is then cut to
+/// the qualifying oid run instead of being fetched through). Existing range
+/// selects over proven-sorted inputs get the same annotation.
 ///
 /// Answer preservation is independent of the annotation: the range form
 /// computes the identical candidate set by scan whenever the runtime flags
@@ -541,8 +588,9 @@ impl OptimizerPass for SortedSelect {
             };
             match (&instr.op, sorted_input) {
                 (OpCode::ThetaSelect(op), Some(v)) if *op != CmpOp::Ne => {
-                    let c = match instr.args.get(1) {
-                        Some(Arg::Const(c)) if !c.is_null() => c.clone(),
+                    let sel = instr.select_args();
+                    let c = match sel.as_ref().map(|s| s.bounds) {
+                        Some([Arg::Const(c)]) if !c.is_null() => c.clone(),
                         _ => {
                             out.instrs.push(instr.clone());
                             continue;
@@ -559,10 +607,14 @@ impl OptimizerPass for SortedSelect {
                         CmpOp::Eq => (range_op(true, true), cst.clone(), cst),
                         CmpOp::Ne => unreachable!("guarded above"),
                     };
+                    // the candidate list, when present, stays in place
+                    let mut args = vec![Arg::Var(sv)];
+                    args.extend(sel.and_then(|s| s.cand).cloned());
+                    args.extend([lo, hi]);
                     out.instrs.push(Instr {
                         results: instr.results.clone(),
                         op: op2,
-                        args: vec![Arg::Var(sv), lo, hi],
+                        args,
                     });
                 }
                 (OpCode::RangeSelect { .. }, Some(v)) => {
@@ -812,6 +864,13 @@ mod tests {
         )
         .unwrap();
         cat.create_table(t).unwrap();
+        // twice as long as `t`: its oids overrun `t`'s columns
+        let big = Table::from_bats(
+            TableSchema::new("big", vec![ColumnDef::new("x", LogicalType::I64)]),
+            vec![Bat::from_vec((0..200i64).collect::<Vec<_>>())],
+        )
+        .unwrap();
+        cat.create_table(big).unwrap();
         cat
     }
 
@@ -866,6 +925,81 @@ mod tests {
         let p = select_plan("r", CmpOp::Lt, 50);
         let out = SelectElimination::new(facts).run(p.clone());
         assert_eq!(out.instrs.len(), p.instrs.len());
+    }
+
+    /// `s < 1000` (all rows) → `r < 1000` over its candidates (all of
+    /// them) → `r <op> cut` over those: the middle select dissolves into
+    /// its candidate list, an accept-none tail becomes the empty prefix.
+    fn threaded_plan(op: CmpOp, cut: i64) -> Program {
+        let mut p = Program::new();
+        let s = bind(&mut p, "t", "s");
+        let r = bind(&mut p, "t", "r");
+        let lt = |b: VarId, cand: Option<VarId>, op: CmpOp, cut: i64| {
+            let mut args = vec![Arg::Var(b)];
+            args.extend(cand.map(Arg::Var));
+            args.push(Arg::Const(Value::I64(cut)));
+            (OpCode::ThetaSelect(op), args)
+        };
+        let (o, a) = lt(s, None, CmpOp::Lt, 1000);
+        let c1 = p.push(o, a)[0];
+        let (o, a) = lt(r, Some(c1), CmpOp::Lt, 1000);
+        let c2 = p.push(o, a)[0];
+        let (o, a) = lt(r, Some(c2), op, cut);
+        let c3 = p.push(o, a)[0];
+        let v = p.push(OpCode::Projection, vec![Arg::Var(c3), Arg::Var(r)])[0];
+        p.push_result(&[v]);
+        p
+    }
+
+    #[test]
+    fn select_elimination_over_candidate_lists() {
+        let cat = props_catalog();
+        let facts = analysis::column_facts(&cat);
+        let thetas = |p: &Program| {
+            p.instrs
+                .iter()
+                .filter(|i| matches!(i.op, OpCode::ThetaSelect(_)))
+                .count()
+        };
+        // an undecided tail survives and now reads the first select's
+        // mirror directly: the accept-all middle left no instruction
+        let p = threaded_plan(CmpOp::Lt, 50);
+        let out = default_pipeline_with_props(facts.clone()).optimize(p.clone());
+        assert_eq!(thetas(&out), 1);
+        let tail = out
+            .instrs
+            .iter()
+            .find(|i| matches!(i.op, OpCode::ThetaSelect(_)))
+            .unwrap();
+        let mirror = out.instrs.iter().find(|i| i.op == OpCode::Mirror).unwrap();
+        assert_eq!(tail.args[1], Arg::Var(mirror.results[0]));
+        assert_eq!(run_tail(&cat, &p), run_tail(&cat, &out));
+        assert_eq!(run_tail(&cat, &out).len(), 50);
+
+        // an accept-none tail: no select is left at all
+        let p = threaded_plan(CmpOp::Gt, 1000);
+        let out = default_pipeline_with_props(facts.clone()).optimize(p.clone());
+        assert_eq!(thetas(&out), 0);
+        assert!(out.instrs.iter().any(|i| i.op == OpCode::Slice));
+        assert_eq!(run_tail(&cat, &out), Vec::<i64>::new());
+
+        // a list that may name rows the input lacks keeps its select:
+        // dropping it would swallow the out-of-range error
+        let mut p = Program::new();
+        let x = bind(&mut p, "big", "x");
+        let r = bind(&mut p, "t", "r");
+        let all = |b: VarId| vec![Arg::Var(b), Arg::Const(Value::I64(1000))];
+        let c1 = p.push(OpCode::ThetaSelect(CmpOp::Lt), all(x))[0];
+        let mut args = all(r);
+        args.insert(1, Arg::Var(c1));
+        let c2 = p.push(OpCode::ThetaSelect(CmpOp::Lt), args)[0];
+        p.push_result(&[c2]);
+        let out = SelectElimination::new(facts).run(p);
+        assert_eq!(thetas(&out), 1, "only the select over `big` is provable");
+        assert!(matches!(
+            Interpreter::new(&cat).run(&out),
+            Err(mammoth_types::Error::OutOfRange { index: 100, .. })
+        ));
     }
 
     #[test]

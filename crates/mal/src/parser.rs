@@ -369,6 +369,9 @@ fn parse_stmt(
         "algebra.sort" => OpCode::Sort {
             desc: bracket_op.as_deref() == Some("desc"),
         },
+        "algebra.firstn" => OpCode::FirstN {
+            desc: bracket_op.as_deref() == Some("desc"),
+        },
         "bat.slice" => OpCode::Slice,
         "algebra.slice" => OpCode::PartSlice,
         "mat.pack" => OpCode::Pack,
@@ -511,6 +514,35 @@ mod tests {
             assert_eq!(a.op, b.op);
             assert_eq!(a.args.len(), b.args.len());
         }
+    }
+
+    #[test]
+    fn candidate_forms_and_firstn_roundtrip() {
+        let src = r#"
+            a := sql.bind("t", "a");
+            b := sql.bind("t", "b");
+            c1 := algebra.select(a, 10, nil, true, false);
+            c2 := algebra.thetaselect[<](b, c1, 5);
+            c3 := algebra.select(a, c2, 12, 20, false, true);
+            v := algebra.projection(c3, a);
+            (s, o) := algebra.firstn[desc](v, 3);
+            io.result(s, o);
+        "#;
+        let p = parse_program(src).unwrap();
+        assert_eq!(p.instrs[2].select_args().unwrap().cand, None);
+        assert_eq!(
+            p.instrs[3].select_args().unwrap().cand,
+            Some(&Arg::Var(p.instrs[2].results[0]))
+        );
+        let range = p.instrs[4].select_args().unwrap();
+        assert_eq!(range.cand, Some(&Arg::Var(p.instrs[3].results[0])));
+        assert_eq!(range.bounds.len(), 2);
+        assert_eq!(p.instrs[6].op, OpCode::FirstN { desc: true });
+        assert_eq!(p.instrs[6].results.len(), 2);
+        // the printed form carries the inclusivity flags and `nil`, so it
+        // parses back to the same program
+        let p2 = parse_program(&p.to_string()).unwrap();
+        assert_eq!(p.instrs, p2.instrs);
     }
 
     #[test]

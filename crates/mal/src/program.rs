@@ -49,10 +49,13 @@ pub enum Arg {
 pub enum OpCode {
     /// `sql.bind(table, column)` — materialize a base column (live rows).
     Bind,
-    /// `algebra.thetaselect(b, op, const)` — candidates where `tail op c`.
+    /// `algebra.thetaselect[op](b, [cand,] c)` — candidates where
+    /// `tail op c`. With the optional candidate list only the rows it names
+    /// are tested; either way the result holds absolute head oids of `b`,
+    /// so a chain of selections threads one candidate list through.
     ThetaSelect(CmpOp),
-    /// `algebra.select(b, lo, hi, li, hi_i)` — range candidates. NULL
-    /// bounds are open.
+    /// `algebra.select(b, [cand,] lo, hi, li, hi_i)` — range candidates,
+    /// with the same optional candidate list. NULL bounds are open.
     RangeSelect { lo_incl: bool, hi_incl: bool },
     /// `algebra.projection(cands, b)` — positional fetch.
     Projection,
@@ -72,6 +75,10 @@ pub enum OpCode {
     Calc(ArithOp),
     /// `(sorted, order) := algebra.sort(b)` (optionally descending).
     Sort { desc: bool },
+    /// `(sorted, order) := algebra.firstn(b, n)` — the first `n` rows of
+    /// `algebra.sort(b)`, ties included exactly as the stable sort orders
+    /// them, without sorting the rest.
+    FirstN { desc: bool },
     /// `bat.slice(b, lo, hi)` — positional slice.
     Slice,
     /// `algebra.slice(b, i, k)` — the i-th of k horizontal range
@@ -108,7 +115,11 @@ impl OpCode {
     /// Number of results the instruction binds.
     pub fn result_arity(&self) -> usize {
         match self {
-            OpCode::Join | OpCode::Group | OpCode::GroupRefine | OpCode::Sort { .. } => 2,
+            OpCode::Join
+            | OpCode::Group
+            | OpCode::GroupRefine
+            | OpCode::Sort { .. }
+            | OpCode::FirstN { .. } => 2,
             OpCode::Result | OpCode::Free => 0,
             _ => 1,
         }
@@ -129,6 +140,8 @@ impl OpCode {
             OpCode::Calc(op) => format!("batcalc.{}", arith_name(*op)),
             OpCode::Sort { desc: false } => "algebra.sort".into(),
             OpCode::Sort { desc: true } => "algebra.sort[desc]".into(),
+            OpCode::FirstN { desc: false } => "algebra.firstn".into(),
+            OpCode::FirstN { desc: true } => "algebra.firstn[desc]".into(),
             OpCode::Slice => "bat.slice".into(),
             OpCode::PartSlice => "algebra.slice".into(),
             OpCode::Pack => "mat.pack".into(),
@@ -187,7 +200,40 @@ pub struct Instr {
     pub args: Vec<Arg>,
 }
 
+/// The operands of a selection, split by role.
+pub struct SelectArgs<'a> {
+    /// The column the predicate reads.
+    pub input: &'a Arg,
+    /// The optional candidate list restricting the rows tested.
+    pub cand: Option<&'a Arg>,
+    /// The predicate constants: one for a theta-select, `lo, hi` for a
+    /// range select.
+    pub bounds: &'a [Arg],
+}
+
 impl Instr {
+    /// The operands of an `algebra.thetaselect` / `algebra.select`, with
+    /// the optional candidate list told apart by arity; `None` for any
+    /// other opcode or a malformed argument count.
+    pub fn select_args(&self) -> Option<SelectArgs<'_>> {
+        let nbounds = match self.op {
+            OpCode::ThetaSelect(_) => 1,
+            OpCode::RangeSelect { .. } => 2,
+            _ => return None,
+        };
+        let (input, rest) = self.args.split_first()?;
+        let (cand, bounds) = match rest.len().checked_sub(nbounds)? {
+            0 => (None, rest),
+            1 => (rest.first(), &rest[1..]),
+            _ => return None,
+        };
+        Some(SelectArgs {
+            input,
+            cand,
+            bounds,
+        })
+    }
+
     /// The argument list in the program's textual form (`x3, 1927`) — the
     /// profiler records this per event so traces read like the plan.
     pub fn render_args(&self) -> String {
@@ -199,6 +245,7 @@ impl Instr {
             match a {
                 Arg::Var(v) => out.push_str(&format!("x{v}")),
                 Arg::Const(Value::Str(s)) => out.push_str(&format!("{s:?}")),
+                Arg::Const(Value::Null) => out.push_str("nil"),
                 Arg::Const(c) => out.push_str(&format!("{c}")),
                 Arg::Param(n) => out.push_str(&format!("?{n}")),
             }
@@ -286,7 +333,13 @@ impl fmt::Display for Program {
                     write!(f, ") := ")?;
                 }
             }
-            writeln!(f, "{}({});", i.op.name(), i.render_args())?;
+            write!(f, "{}({}", i.op.name(), i.render_args())?;
+            // the range select's inclusivity lives in the opcode; print it
+            // where the parser reads it back
+            if let OpCode::RangeSelect { lo_incl, hi_incl } = i.op {
+                write!(f, ", {lo_incl}, {hi_incl}")?;
+            }
+            writeln!(f, ");")?;
         }
         Ok(())
     }

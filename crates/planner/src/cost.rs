@@ -115,6 +115,12 @@ pub fn estimate_program(prog: &Program, stats: &StatsCatalog) -> Vec<InstrEstima
 
     for instr in &prog.instrs {
         let in_rows: f64 = instr.args.iter().filter_map(|a| arg_rows(&rows, a)).sum();
+        // a selection touches the rows it tests — its candidates, when it
+        // has a list — not the column and the list both
+        let tested = instr
+            .select_args()
+            .map(|s| s.cand.unwrap_or(s.input))
+            .and_then(|a| arg_rows(&rows, a));
         let est: f64 = match &instr.op {
             OpCode::Bind => {
                 let (t, c) = match (instr.args.first(), instr.args.get(1)) {
@@ -129,58 +135,14 @@ pub fn estimate_program(prog: &Program, stats: &StatsCatalog) -> Vec<InstrEstima
                 }
                 n
             }
-            OpCode::ThetaSelect(op) => {
-                let input = instr.args.first();
-                let base = input.and_then(|a| arg_rows(&rows, a)).unwrap_or(1000.0);
-                let value = match instr.args.get(1) {
-                    Some(Arg::Const(v)) => Some(v),
-                    _ => None, // Arg::Param or variable bound: unknown
-                };
-                let sel = input
-                    .and_then(|a| match a {
-                        Arg::Var(v) => origin.get(v),
-                        _ => None,
-                    })
-                    .map(|(t, c)| selectivity(stats, t, c, *op, value))
-                    .unwrap_or(match op {
-                        CmpOp::Eq => 0.1,
-                        CmpOp::Ne => 0.9,
-                        _ => DEFAULT_RANGE_SELECTIVITY,
-                    });
-                base * sel
-            }
-            OpCode::RangeSelect { .. } => {
-                let base = instr
-                    .args
-                    .first()
-                    .and_then(|a| arg_rows(&rows, a))
-                    .unwrap_or(1000.0);
-                let sel = instr
-                    .args
-                    .first()
-                    .and_then(|a| match a {
-                        Arg::Var(v) => origin.get(v),
-                        _ => None,
-                    })
-                    .map(|(t, c)| {
-                        let lo = match instr.args.get(1) {
-                            Some(Arg::Const(v)) if !v.is_null() => Some(v),
-                            _ => None,
-                        };
-                        let hi = match instr.args.get(2) {
-                            Some(Arg::Const(v)) if !v.is_null() => Some(v),
-                            _ => None,
-                        };
-                        let s_lo = lo
-                            .map(|v| selectivity(stats, t, c, CmpOp::Ge, Some(v)))
-                            .unwrap_or(1.0);
-                        let s_hi = hi
-                            .map(|v| selectivity(stats, t, c, CmpOp::Le, Some(v)))
-                            .unwrap_or(1.0);
-                        (s_lo + s_hi - 1.0).clamp(0.0, 1.0)
-                    })
-                    .unwrap_or(DEFAULT_RANGE_SELECTIVITY);
-                base * sel
+            OpCode::ThetaSelect(_) | OpCode::RangeSelect { .. } => {
+                let sel = instr.select_args();
+                let column = sel.as_ref().and_then(|s| match s.input {
+                    Arg::Var(v) => origin.get(v),
+                    _ => None,
+                });
+                let bounds = sel.as_ref().map_or(&[][..], |s| s.bounds);
+                tested.unwrap_or(1000.0) * select_selectivity(stats, &instr.op, column, bounds)
             }
             OpCode::Projection => {
                 // rows follow the candidate list; provenance follows the
@@ -246,6 +208,19 @@ pub fn estimate_program(prog: &Program, stats: &StatsCatalog) -> Vec<InstrEstima
                 .get(2)
                 .and_then(|a| arg_rows(&rows, a))
                 .unwrap_or(1.0),
+            OpCode::FirstN { .. } => {
+                let base = instr
+                    .args
+                    .first()
+                    .and_then(|a| arg_rows(&rows, a))
+                    .unwrap_or(0.0);
+                if let (Some(Arg::Var(v)), Some(r)) = (instr.args.first(), instr.results.first()) {
+                    if let Some(o) = origin.get(v).cloned() {
+                        origin.insert(*r, o);
+                    }
+                }
+                const_i64(instr.args.get(1)).map_or(base, |n| base.min(n.max(0) as f64))
+            }
             OpCode::Calc(_) | OpCode::SetProps | OpCode::Mirror | OpCode::Sort { .. } => {
                 // element-wise / order-only: cardinality preserved; so is
                 // provenance for the identity-ish ops
@@ -292,10 +267,53 @@ pub fn estimate_program(prog: &Program, stats: &StatsCatalog) -> Vec<InstrEstima
         }
         out.push(InstrEstimate {
             rows: est.round().max(0.0) as u64,
-            cost: in_rows.round().max(0.0) as u64,
+            cost: tested.unwrap_or(in_rows).round().max(0.0) as u64,
         });
     }
     out
+}
+
+/// Estimated fraction of the tested rows a selection keeps. `column` is
+/// the base column the input traces back to, when it does; a bound that
+/// is not a constant (a parameter, a variable) is statically unknown.
+fn select_selectivity(
+    stats: &StatsCatalog,
+    op: &OpCode,
+    column: Option<&(String, String)>,
+    bounds: &[Arg],
+) -> f64 {
+    fn known(a: Option<&Arg>) -> Option<&Value> {
+        match a {
+            Some(Arg::Const(v)) => Some(v),
+            _ => None,
+        }
+    }
+    match (op, column) {
+        (OpCode::ThetaSelect(op), Some((t, c))) => {
+            selectivity(stats, t, c, *op, known(bounds.first()))
+        }
+        (OpCode::ThetaSelect(CmpOp::Eq), None) => 0.1,
+        (OpCode::ThetaSelect(CmpOp::Ne), None) => 0.9,
+        (OpCode::RangeSelect { .. }, Some((t, c))) => {
+            // a nil bound is open: it cuts nothing
+            let side = |a: Option<&Arg>, op| match known(a) {
+                Some(v) if !v.is_null() => selectivity(stats, t, c, op, Some(v)),
+                _ => 1.0,
+            };
+            let (s_lo, s_hi) = (
+                side(bounds.first(), CmpOp::Ge),
+                side(bounds.get(1), CmpOp::Le),
+            );
+            // both sides come off one CDF, so the kept share is their
+            // overlap; where that collapses — no histogram, so two fixed
+            // defaults — fall back to independence rather than "no rows"
+            match s_lo + s_hi - 1.0 {
+                overlap if overlap > 0.0 => overlap.min(1.0),
+                _ => s_lo * s_hi,
+            }
+        }
+        _ => DEFAULT_RANGE_SELECTIVITY,
+    }
 }
 
 fn const_i64(a: Option<&Arg>) -> Option<i64> {
@@ -381,6 +399,65 @@ mod tests {
         assert_eq!(est[1].rows, 10, "1000/ndv(100) for equality");
         assert_eq!(est[2].rows, 10, "projection follows candidates");
         assert_eq!(est[1].cost, 1000, "select sweeps its input");
+    }
+
+    #[test]
+    fn candidate_forms_pay_for_the_candidates_only() {
+        let sc = catalog_with_t();
+        let mut p = Program::new();
+        let bind = |p: &mut Program, c: &str| {
+            p.push(
+                OpCode::Bind,
+                vec![
+                    Arg::Const(Value::Str("t".into())),
+                    Arg::Const(Value::Str(c.into())),
+                ],
+            )[0]
+        };
+        let a = bind(&mut p, "a");
+        let range = OpCode::RangeSelect {
+            lo_incl: true,
+            hi_incl: false,
+        };
+        let bounds = |lo: i64, hi: i64| [Arg::Const(Value::I64(lo)), Arg::Const(Value::I64(hi))];
+        let mut args = vec![Arg::Var(a)];
+        args.extend(bounds(20, 70));
+        let c1 = p.push(range.clone(), args)[0];
+        let c2 = p.push(
+            OpCode::ThetaSelect(CmpOp::Eq),
+            vec![Arg::Var(a), Arg::Var(c1), Arg::Const(Value::I64(30))],
+        )[0];
+        // a column without statistics: both sides are fixed defaults
+        let u = bind(&mut p, "unknown");
+        let mut args = vec![Arg::Var(u), Arg::Var(c1)];
+        args.extend(bounds(1, 2));
+        let c3 = p.push(range, args)[0];
+        let top = p.push(
+            OpCode::FirstN { desc: false },
+            vec![Arg::Var(a), Arg::Const(Value::I64(10))],
+        );
+        p.push_result(&[c2, c3, top[0]]);
+        let est = estimate_program(&p, &sc);
+        assert!(
+            (est[1].rows as i64 - 500).abs() <= 60,
+            "half the cdf: {est:?}"
+        );
+        assert_eq!(est[1].cost, 1000, "the first select sweeps the column");
+        assert_eq!(
+            est[2].cost, est[1].rows,
+            "a threaded select reads its candidates"
+        );
+        assert_eq!(est[2].rows, (est[1].rows as f64 / 100.0).round() as u64);
+        assert_eq!(est[4].cost, est[1].rows);
+        assert!(
+            est[4].rows > 0 && est[4].rows < est[1].rows,
+            "defaults never estimate 0"
+        );
+        assert_eq!(
+            (est[5].rows, est[5].cost),
+            (10, 1000),
+            "top-N reads all, keeps n"
+        );
     }
 
     #[test]

@@ -78,6 +78,47 @@ pub struct Predicate {
     pub value: Scalar,
 }
 
+/// A [`Predicate`] read as one side of a range over its column.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RangeBound<'a> {
+    pub lower: bool,
+    pub inclusive: bool,
+    pub value: &'a Value,
+}
+
+impl Predicate {
+    /// This predicate as a range bound, if it is one. Only non-NULL
+    /// literals qualify: a range select reads a nil bound as *open*, while
+    /// a comparison with NULL — written out, or bound to a `?` at EXECUTE
+    /// time — selects nothing.
+    fn range_bound(&self) -> Option<RangeBound<'_>> {
+        let (lower, inclusive) = match self.op {
+            CmpOp::Gt => (true, false),
+            CmpOp::Ge => (true, true),
+            CmpOp::Lt => (false, false),
+            CmpOp::Le => (false, true),
+            CmpOp::Eq | CmpOp::Ne => return None,
+        };
+        let value = self.value.as_lit().filter(|v| !v.is_null())?;
+        Some(RangeBound {
+            lower,
+            inclusive,
+            value,
+        })
+    }
+
+    /// `(lo, hi)` when `self` and `other` bound the same-named column from
+    /// opposite sides, so one range select can evaluate both.
+    pub fn range_with<'a>(
+        &'a self,
+        other: &'a Predicate,
+    ) -> Option<(RangeBound<'a>, RangeBound<'a>)> {
+        let (a, b) = (self.range_bound()?, other.range_bound()?);
+        let same_column = self.col.column.eq_ignore_ascii_case(&other.col.column);
+        (same_column && a.lower != b.lower).then_some(if a.lower { (a, b) } else { (b, a) })
+    }
+}
+
 /// An inner equi-join: `JOIN <table> ON <left col> = <right col>`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinClause {

@@ -1,11 +1,12 @@
 //! SELECT → MAL compilation.
 //!
 //! The translation follows the MonetDB/SQL recipe: WHERE clauses become
-//! chains of selections composing *candidate* BATs; projections are
-//! positional fetches through the candidates; joins produce two aligned
-//! candidate BATs that route each side's fetches; grouping is the
-//! `group.group` / `group.refine` / `aggr.sub*` triple; ORDER BY sorts one
-//! output column and re-fetches the others through the order index.
+//! chains of selections threading one *candidate* BAT per table (two bounds
+//! on a column fuse into a range select); projections are positional
+//! fetches through the candidates; joins produce two aligned candidate BATs
+//! that route each side's fetches; grouping is the `group.group` /
+//! `group.refine` / `aggr.sub*` triple; ORDER BY sorts one output column (a
+//! top-N under a LIMIT) and re-fetches the others through the order index.
 
 use crate::ast::{ColumnRef, JoinClause, Predicate, Scalar, SelectItem, SelectStmt};
 use mammoth_algebra::AggKind;
@@ -41,9 +42,33 @@ pub fn compile_select(catalog: &Catalog, stmt: &SelectStmt) -> Result<(Program, 
     };
     c.check_tables()?;
 
-    // WHERE: each predicate narrows its table's candidates
-    for pred in &stmt.where_ {
-        c.apply_predicate(pred)?;
+    // WHERE: each predicate selects among the rows its table's candidates
+    // name; a lower and an upper bound on one column are one range select
+    let mut todo: Vec<&Predicate> = stmt.where_.iter().collect();
+    while !todo.is_empty() {
+        let pred = todo.remove(0);
+        let side = c.side_of(&pred.col)?;
+        let partner = todo.iter().position(|other| {
+            pred.range_with(other).is_some() && c.side_of(&other.col).ok() == Some(side)
+        });
+        let (op, bounds) = match partner.and_then(|k| pred.range_with(todo.remove(k))) {
+            Some((lo, hi)) => {
+                let (lo_incl, hi_incl) = (lo.inclusive, hi.inclusive);
+                let bounds = [lo, hi].map(|b| Arg::Const(b.value.clone()));
+                (OpCode::RangeSelect { lo_incl, hi_incl }, bounds.to_vec())
+            }
+            None => {
+                let value = match &pred.value {
+                    Scalar::Lit(v) => Arg::Const(v.clone()),
+                    Scalar::Param(n) => Arg::Param(*n),
+                };
+                (OpCode::ThetaSelect(pred.op), vec![value])
+            }
+        };
+        let mut args = vec![Arg::Var(c.bind(side, &pred.col.column)?)];
+        args.extend(c.cands[side as usize].map(Arg::Var));
+        args.extend(bounds);
+        c.cands[side as usize] = Some(c.prog.push(op, args)[0]);
     }
 
     // JOIN: combine candidates through the join index
@@ -86,10 +111,7 @@ pub fn compile_select(catalog: &Catalog, stmt: &SelectStmt) -> Result<(Program, 
                         .ok_or_else(|| {
                             Error::Bind(format!("column {} must appear in GROUP BY", col.column))
                         })?;
-                    let v = c
-                        .prog
-                        .push(OpCode::Projection, vec![Arg::Var(ext), Arg::Var(fetched)])[0];
-                    outs.push(v);
+                    outs.push(c.project(ext, fetched));
                     names.push(col.column.clone());
                 }
                 SelectItem::CountStar => {
@@ -151,7 +173,7 @@ pub fn compile_select(catalog: &Catalog, stmt: &SelectStmt) -> Result<(Program, 
         }
     }
 
-    // ORDER BY: sort the chosen column, re-fetch all outputs
+    // ORDER BY: sort the chosen column (a top-N under a LIMIT), re-fetch all outputs
     if let Some((col, desc)) = &stmt.order_by {
         let key_idx = stmt
             .items
@@ -163,23 +185,26 @@ pub fn compile_select(catalog: &Catalog, stmt: &SelectStmt) -> Result<(Program, 
                     col.column
                 ))
             })?;
-        let sr = c
-            .prog
-            .push(OpCode::Sort { desc: *desc }, vec![Arg::Var(outs[key_idx])]);
+        let key = Arg::Var(outs[key_idx]);
+        let sr = match stmt.limit {
+            Some(n) => c.prog.push(
+                OpCode::FirstN { desc: *desc },
+                vec![key, Arg::Const(Value::I64(n as i64))],
+            ),
+            None => c.prog.push(OpCode::Sort { desc: *desc }, vec![key]),
+        };
         let order = sr[1];
         for (i, out) in outs.iter_mut().enumerate() {
-            if i == key_idx {
-                *out = sr[0];
+            *out = if i == key_idx {
+                sr[0]
             } else {
-                *out = c
-                    .prog
-                    .push(OpCode::Projection, vec![Arg::Var(order), Arg::Var(*out)])[0];
-            }
+                c.project(order, *out)
+            };
         }
     }
 
-    // LIMIT
-    if let Some(n) = stmt.limit {
+    // LIMIT, unless the ORDER BY has cut the outputs already
+    if let (Some(n), None) = (stmt.limit, &stmt.order_by) {
         for out in outs.iter_mut() {
             *out = c.prog.push(
                 OpCode::Slice,
@@ -303,38 +328,20 @@ impl Compiler<'_> {
         self.bind(side, &first)
     }
 
+    /// `algebra.projection(cands, values)`.
+    fn project(&mut self, cands: VarId, values: VarId) -> VarId {
+        let args = vec![Arg::Var(cands), Arg::Var(values)];
+        self.prog.push(OpCode::Projection, args)[0]
+    }
+
     /// Bind a column and fetch it through the side's candidates, if any.
     fn fetch_column(&mut self, col: &ColumnRef) -> Result<VarId> {
         let side = self.side_of(col)?;
         let bound = self.bind(side, &col.column)?;
         Ok(match self.cands[side as usize] {
             None => bound,
-            Some(cv) => self
-                .prog
-                .push(OpCode::Projection, vec![Arg::Var(cv), Arg::Var(bound)])[0],
+            Some(cv) => self.project(cv, bound),
         })
-    }
-
-    /// Narrow `side`'s candidates by one predicate.
-    fn apply_predicate(&mut self, pred: &Predicate) -> Result<()> {
-        let side = self.side_of(&pred.col)?;
-        let fetched = self.fetch_column(&pred.col)?;
-        let value = match &pred.value {
-            Scalar::Lit(v) => Arg::Const(v.clone()),
-            Scalar::Param(n) => Arg::Param(*n),
-        };
-        let sel = self
-            .prog
-            .push(OpCode::ThetaSelect(pred.op), vec![Arg::Var(fetched), value])[0];
-        // `sel` holds positions into `fetched`; compose with prior cands
-        let new_cands = match self.cands[side as usize] {
-            None => sel,
-            Some(cv) => self
-                .prog
-                .push(OpCode::Projection, vec![Arg::Var(sel), Arg::Var(cv)])[0],
-        };
-        self.cands[side as usize] = Some(new_cands);
-        Ok(())
     }
 
     fn apply_join(&mut self, join: &JoinClause) -> Result<()> {
@@ -355,20 +362,13 @@ impl Compiler<'_> {
         let rs = self
             .prog
             .push(OpCode::Join, vec![Arg::Var(lk), Arg::Var(rk)]);
-        let (jl, jr) = (rs[0], rs[1]);
         // join oids index into lk/rk; route through prior candidates
-        self.cands[0] = Some(match self.cands[0] {
-            None => jl,
-            Some(cv) => self
-                .prog
-                .push(OpCode::Projection, vec![Arg::Var(jl), Arg::Var(cv)])[0],
-        });
-        self.cands[1] = Some(match self.cands[1] {
-            None => jr,
-            Some(cv) => self
-                .prog
-                .push(OpCode::Projection, vec![Arg::Var(jr), Arg::Var(cv)])[0],
-        });
+        for (side, joined) in rs.into_iter().enumerate() {
+            self.cands[side] = Some(match self.cands[side] {
+                None => joined,
+                Some(cv) => self.project(joined, cv),
+            });
+        }
         Ok(())
     }
 
@@ -437,11 +437,52 @@ mod tests {
     }
 
     #[test]
-    fn predicates_compose_candidates() {
+    fn predicates_thread_one_candidate_list() {
         let (p, _) =
             compile("SELECT name FROM people WHERE age > 10 AND age < 20 AND name <> 'x'").unwrap();
-        let selects = p.to_string().matches("algebra.thetaselect").count();
-        assert_eq!(selects, 3);
+        let text = p.to_string();
+        // the two bounds on `age` fuse; `name <> 'x'` tests its candidates
+        assert!(text.contains("x1 := algebra.select(x0, 10, 20, false, false);"));
+        assert!(text.contains("x3 := algebra.thetaselect[!=](x2, x1, \"x\");"));
+        assert_eq!(text.matches("algebra.thetaselect").count(), 1);
+        // no gather between predicates: only the output column is fetched
+        assert_eq!(text.matches("algebra.projection").count(), 1);
+        assert!(!text.contains("bat.mirror"));
+    }
+
+    #[test]
+    fn range_fusion_pairs_bounds_per_column_and_side() {
+        let selects = |sql: &str| {
+            let text = compile(sql).unwrap().0.to_string();
+            (
+                text.matches("algebra.select(").count(),
+                text.matches("algebra.thetaselect").count(),
+            )
+        };
+        // a BETWEEN plus a third bound: one pair fuses, the rest threads on
+        let q = "SELECT name FROM people WHERE age BETWEEN 1 AND 9 AND age < 7";
+        assert_eq!(selects(q), (1, 1));
+        // two lower bounds have no partner; neither has an equality
+        let q = "SELECT name FROM people WHERE age > 1 AND age >= 2 AND age = 3";
+        assert_eq!(selects(q), (0, 3));
+        // a NULL literal is a comparison that selects nothing, never an
+        // open bound, and a `?` may be bound to NULL at EXECUTE time
+        let q = "SELECT name FROM people WHERE age >= NULL AND age < 3";
+        assert_eq!(selects(q), (0, 2));
+        let Statement::Prepare { stmt, .. } =
+            parse_sql("PREPARE p AS SELECT name FROM people WHERE age >= ? AND age < 3").unwrap()
+        else {
+            panic!("not a prepare")
+        };
+        let Statement::Select(sel) = *stmt else {
+            panic!("not a select")
+        };
+        let text = compile_select(&catalog(), &sel).unwrap().0.to_string();
+        assert_eq!(text.matches("algebra.thetaselect").count(), 2);
+        // bounds on same-named columns of two tables stay apart
+        let q = "SELECT people.name FROM people JOIN films ON people.name = films.star \
+                 WHERE people.age > 1 AND films.year < 9";
+        assert_eq!(selects(q), (0, 2));
     }
 
     #[test]
@@ -481,9 +522,14 @@ mod tests {
 
     #[test]
     fn order_and_limit_shape() {
+        // ORDER BY + LIMIT is a top-N: nothing is fully sorted or sliced
         let (p, _) = compile("SELECT name, age FROM people ORDER BY age DESC LIMIT 5").unwrap();
         let text = p.to_string();
-        assert!(text.contains("algebra.sort[desc]"));
-        assert_eq!(text.matches("bat.slice").count(), 2);
+        assert!(text.contains("algebra.firstn[desc](x1, 5)"), "{text}");
+        assert!(!text.contains("algebra.sort") && !text.contains("bat.slice"));
+        let (p, _) = compile("SELECT name, age FROM people ORDER BY age DESC").unwrap();
+        assert!(p.to_string().contains("algebra.sort[desc]"));
+        let (p, _) = compile("SELECT name, age FROM people LIMIT 5").unwrap();
+        assert_eq!(p.to_string().matches("bat.slice").count(), 2);
     }
 }

@@ -17,6 +17,11 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> benchmark package: every workload at --quick sizes against its oracle"
+# benchmark/ is its own workspace, so the root test run never builds it; a
+# changed public signature in crates/* would otherwise break it unseen
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> crash matrix: kill-point sweep under seeded workloads"
 for seed in 1 2 3 4; do
     echo "    MAMMOTH_FAULT_SEED=$seed"

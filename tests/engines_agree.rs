@@ -266,6 +266,121 @@ fn parallel_engine_matches_serial_at_every_thread_count() {
     }
 }
 
+/// The candidate-threaded plan shapes — several predicates on one column
+/// (fused and not), predicates across columns, a BETWEEN with a third
+/// predicate, predicates over a joined side, `ORDER BY … LIMIT` — against a
+/// plain loop over the generated vectors, on the serial engine and on the
+/// dataflow engine at every thread count (`threads: 0` takes the CI
+/// matrix's MAMMOTH_THREADS).
+#[test]
+fn candidate_threaded_shapes_match_a_plain_loop_on_every_engine() {
+    let s = slice();
+    let rows = |keep: &dyn Fn(usize) -> bool| (0..s.len()).filter(|&i| keep(i)).collect::<Vec<_>>();
+    let count_sum = |keep: &dyn Fn(usize) -> bool| {
+        let hit = rows(keep);
+        let sum: i64 = hit.iter().map(|&i| s.extendedprice[i]).sum();
+        vec![vec![Value::I64(hit.len() as i64), Value::I64(sum)]]
+    };
+    let (q, d, p) = (&s.quantity, &s.shipdate, &s.extendedprice);
+    // dim(q, w): quantities 1..=30 (so 31..=50 find no partner), w = q % 7
+    let joined = |keep: &dyn Fn(usize) -> bool| {
+        let n = rows(&|i| q[i] <= 30 && keep(i)).len();
+        vec![vec![Value::I64(n as i64)]]
+    };
+    let top = |keep: &dyn Fn(usize) -> bool, desc: bool, n: usize| {
+        let mut hit = rows(keep);
+        // a stable sort; descending is its exact reverse
+        hit.sort_by_key(|&i| p[i]);
+        if desc {
+            hit.reverse();
+        }
+        hit.truncate(n);
+        hit.iter()
+            .map(|&i| vec![Value::I64(p[i]), Value::I64(q[i])])
+            .collect::<Vec<_>>()
+    };
+    let cases: Vec<(String, Vec<Vec<Value>>)> = vec![
+        (
+            "SELECT COUNT(*), SUM(price) FROM lineitem WHERE qty >= 10 AND qty < 20".into(),
+            count_sum(&|i| q[i] >= 10 && q[i] < 20),
+        ),
+        (
+            "SELECT COUNT(*), SUM(price) FROM lineitem WHERE qty > 10 AND qty <= 40 AND qty <> 25"
+                .into(),
+            count_sum(&|i| q[i] > 10 && q[i] <= 40 && q[i] != 25),
+        ),
+        (
+            format!(
+                "SELECT COUNT(*), SUM(price) FROM lineitem \
+                 WHERE shipdate BETWEEN 9000 AND {CUTOFF} AND qty < {QTY}"
+            ),
+            count_sum(&|i| d[i] >= 9000 && d[i] <= CUTOFF && q[i] < QTY),
+        ),
+        (
+            format!(
+                "SELECT COUNT(*), SUM(price) FROM lineitem \
+                 WHERE qty < {QTY} AND shipdate <= {CUTOFF} AND price > 500000"
+            ),
+            count_sum(&|i| q[i] < QTY && d[i] <= CUTOFF && p[i] > 500_000),
+        ),
+        (
+            "SELECT COUNT(*), SUM(price) FROM lineitem WHERE qty > 40 AND qty < 10".into(),
+            vec![vec![Value::I64(0), Value::Null]],
+        ),
+        (
+            format!(
+                "SELECT COUNT(*) FROM lineitem JOIN dim ON lineitem.qty = dim.q \
+                 WHERE dim.w >= 2 AND dim.w < 5 AND lineitem.shipdate <= {CUTOFF}"
+            ),
+            joined(&|i| (2..5).contains(&(q[i] % 7)) && d[i] <= CUTOFF),
+        ),
+        (
+            "SELECT price, qty FROM lineitem WHERE qty >= 20 AND qty < 23 ORDER BY price LIMIT 15"
+                .into(),
+            top(&|i| q[i] >= 20 && q[i] < 23, false, 15),
+        ),
+        (
+            format!(
+                "SELECT price, qty FROM lineitem WHERE shipdate <= {CUTOFF} \
+                 ORDER BY price DESC LIMIT 9"
+            ),
+            top(&|i| d[i] <= CUTOFF, true, 9),
+        ),
+    ];
+    let load = |db: &mut Database| {
+        load_lineitem(db, &s);
+        let dim = Table::from_bats(
+            TableSchema::new(
+                "dim",
+                vec![
+                    ColumnDef::new("q", LogicalType::I64),
+                    ColumnDef::new("w", LogicalType::I64),
+                ],
+            ),
+            vec![
+                Bat::from_vec((1..=30i64).collect::<Vec<_>>()),
+                Bat::from_vec((1..=30i64).map(|x| x % 7).collect::<Vec<_>>()),
+            ],
+        )
+        .unwrap();
+        db.catalog_mut().create_table(dim).unwrap();
+    };
+    let engines = [1usize, 2, 4, 0]
+        .map(|threads| Engine::Parallel { threads })
+        .into_iter()
+        .chain([Engine::Serial]);
+    for engine in engines {
+        let mut db = Database::with_engine(engine);
+        load(&mut db);
+        for (sql, want) in &cases {
+            let QueryOutput::Table { rows, .. } = db.execute(sql).unwrap() else {
+                panic!("{sql}: not a table")
+            };
+            assert_eq!(&rows, want, "{engine:?}: {sql}");
+        }
+    }
+}
+
 /// `Engine::Parallel { threads: 0 }` resolves via MAMMOTH_THREADS (the
 /// knob the CI matrix turns); it must agree with serial too.
 #[test]

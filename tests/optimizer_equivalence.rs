@@ -62,6 +62,14 @@ const QUERIES: &[&str] = &[
     "SELECT t.s, u.w FROM t JOIN u ON t.a = u.a WHERE b > 0 ORDER BY s LIMIT 50",
     "SELECT b, COUNT(*) FROM t GROUP BY b ORDER BY b LIMIT 5",
     "SELECT s FROM t WHERE s = 'val_3' AND a < 90",
+    // candidate-threaded shapes: several predicates on one column (a fused
+    // range plus a leftover), across columns, over a joined side, and top-N
+    "SELECT a, b FROM t WHERE a > 10 AND a < 90 AND a <> 50",
+    "SELECT COUNT(*), SUM(b) FROM t WHERE a BETWEEN 20 AND 70 AND b < 10 AND s <> 'val_1'",
+    "SELECT a FROM t WHERE a > 95 AND a >= 96 AND a < 3",
+    "SELECT t.s, u.w FROM t JOIN u ON t.a = u.a WHERE u.w >= 2 AND u.w < 8 AND t.b > 0 ORDER BY s LIMIT 20",
+    "SELECT a, b FROM t WHERE b >= -10 AND b < 10 ORDER BY a DESC LIMIT 9",
+    "SELECT b, s FROM t WHERE a >= 40 ORDER BY b LIMIT 3000",
 ];
 
 fn render(values: Vec<mammoth::mal::MalValue>) -> Vec<String> {
@@ -97,6 +105,71 @@ fn optimized_plans_return_identical_results() {
         let out_raw = Interpreter::new(&cat).run(&raw).unwrap();
         let out_opt = Interpreter::new(&cat).run(&optimized).unwrap();
         assert_eq!(render(out_raw), render(out_opt), "query: {sql}");
+    }
+}
+
+/// The property tier's rewrites (select elimination, sorted-select) and the
+/// mitosis/mergetable fragmenting see candidate-form selects and top-N now;
+/// neither may change an answer, and every fact they infer must hold on the
+/// BATs the interpreter materializes.
+#[test]
+fn property_and_fragment_pipelines_preserve_candidate_form_results() {
+    use mammoth::mal::{
+        column_facts, column_types, default_pipeline_with_props, parallel_pipeline_with_props,
+    };
+    let cat = catalog(2000);
+    let facts = column_facts(&cat);
+    for sql in QUERIES {
+        let Statement::Select(stmt) = parse_sql(sql).unwrap() else {
+            panic!()
+        };
+        let (raw, _) = compile_select(&cat, &stmt).unwrap();
+        let baseline = render(Interpreter::new(&cat).run(&raw).unwrap());
+        let serial = default_pipeline_with_props(facts.clone())
+            .try_optimize(raw.clone())
+            .unwrap_or_else(|e| panic!("{sql}: {e}"));
+        let out = Interpreter::new(&cat).check_props(true).run(&serial);
+        assert_eq!(baseline, render(out.unwrap()), "props pipeline: {sql}");
+        for pieces in [2usize, 3, 7] {
+            let par = parallel_pipeline_with_props(pieces, column_types(&cat), facts.clone())
+                .try_optimize(raw.clone())
+                .unwrap_or_else(|e| panic!("{sql} x{pieces}: {e}"));
+            let out = Interpreter::new(&cat).check_props(true).run(&par);
+            assert_eq!(baseline, render(out.unwrap()), "{pieces} pieces: {sql}");
+        }
+    }
+}
+
+/// `ORDER BY … LIMIT n` compiles to a top-N; ties must come out exactly as
+/// the stable sort followed by a slice orders them.
+#[test]
+fn top_n_equals_sort_then_slice() {
+    let cat = catalog(1500);
+    for (order, n) in [
+        ("b", 10),
+        ("b DESC", 10),
+        ("s", 40),
+        ("a DESC", 1),
+        ("a", 5000),
+    ] {
+        let run = |sql: &str| {
+            let Statement::Select(stmt) = parse_sql(sql).unwrap() else {
+                panic!()
+            };
+            let (prog, _) = compile_select(&cat, &stmt).unwrap();
+            (prog.to_string(), Interpreter::new(&cat).run(&prog).unwrap())
+        };
+        let base = format!("SELECT a, b, s FROM t WHERE a >= 5 ORDER BY {order}");
+        let (top_plan, top) = run(&format!("{base} LIMIT {n}"));
+        let (sort_plan, sorted) = run(&base);
+        assert!(top_plan.contains("algebra.firstn") && sort_plan.contains("algebra.sort"));
+        for (t, s) in top.iter().zip(&sorted) {
+            let (t, s) = (t.as_bat().unwrap(), s.as_bat().unwrap());
+            assert_eq!(t.len(), n.min(s.len()), "{order} {n}");
+            for i in 0..t.len() {
+                assert_eq!(t.value_at(i), s.value_at(i), "{order} {n} row {i}");
+            }
+        }
     }
 }
 

@@ -166,6 +166,48 @@ fn prepared_matches_adhoc_parallel() {
     }
 }
 
+/// NULL bounds in the ad-hoc == cold == warm tier: a NULL literal and a
+/// NULL bound to a placeholder both select nothing — also when the other
+/// bound of the same column would fuse with it into a range select, and
+/// also when the cached plan served non-NULL bindings before and after.
+#[test]
+fn null_bounds_select_nothing_adhoc_cold_and_warm() {
+    for parallel in [false, true] {
+        let mut s = session(parallel);
+        seed_table(&mut s, 5);
+        let shapes = [
+            ("k >= {} AND k < {}", ["NULL", "30"], ["3", "30"]),
+            ("k >= {} AND k < {}", ["3", "NULL"], ["3", "30"]),
+            ("k BETWEEN {} AND {}", ["NULL", "9"], ["2", "9"]),
+            (
+                "v > {} AND v <= {} AND k < 40",
+                ["-500", "NULL"],
+                ["-500", "500"],
+            ),
+        ];
+        for (i, (shape, with_null, without)) in shapes.iter().enumerate() {
+            let fill =
+                |args: &[&str; 2]| shape.replacen("{}", args[0], 1).replacen("{}", args[1], 1);
+            let body = "SELECT COUNT(*), MIN(v), MAX(v) FROM t WHERE";
+            s.execute(&format!("PREPARE n{i} AS {body} {}", fill(&["?", "?"])))
+                .unwrap();
+            for args in [without, with_null, without, with_null] {
+                let want = s.execute(&format!("{body} {}", fill(args))).unwrap();
+                let exec = format!("EXECUTE n{i} ({}, {})", args[0], args[1]);
+                let cold = s.execute(&exec).unwrap();
+                let warm = s.execute(&exec).unwrap();
+                assert_eq!(cold, want, "parallel={parallel}: {exec}");
+                assert_eq!(warm, want, "parallel={parallel}: warm {exec}");
+                let QueryOutput::Table { rows, .. } = want else {
+                    panic!("not a table")
+                };
+                let nothing = rows[0][0] == Value::I64(0);
+                assert_eq!(nothing, args.contains(&"NULL"), "{exec}: {rows:?}");
+            }
+        }
+    }
+}
+
 /// Interleave DML between EXECUTEs: the cached plan must track premise
 /// changes (stats drift, prop invalidation) and stay correct.
 #[test]

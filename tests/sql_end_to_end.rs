@@ -139,6 +139,44 @@ fn between_limit_and_floats() {
     assert_eq!(r[0][2], Value::F64(1.5));
 }
 
+/// A comparison with NULL selects nothing. A lower and an upper bound on
+/// one column compile to a single range select whose nil bounds would be
+/// *open*, so NULL bounds must never reach it — neither as literals nor
+/// bound to a `?` at EXECUTE time.
+#[test]
+fn null_bounds_select_nothing_not_everything() {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE m (x INT, y DOUBLE)").unwrap();
+    db.execute("INSERT INTO m VALUES (1, 0.5), (2, 1.5), (3, 2.5), (4, NULL)")
+        .unwrap();
+    let count = |db: &mut Database, sql: &str| rows(db.execute(sql).unwrap())[0][0].clone();
+    for pred in [
+        "x >= NULL",
+        "x >= NULL AND x < 3",
+        "x > 1 AND x <= NULL",
+        "x BETWEEN NULL AND 3",
+        "x BETWEEN 1 AND NULL",
+        "y >= NULL AND y < 2.0 AND x > 0",
+    ] {
+        let sql = format!("SELECT COUNT(*) FROM m WHERE {pred}");
+        assert_eq!(count(&mut db, &sql), Value::I64(0), "{pred}");
+        let sql = format!("SELECT x FROM m WHERE {pred} ORDER BY x LIMIT 2");
+        assert!(rows(db.execute(&sql).unwrap()).is_empty(), "{pred}");
+    }
+    // the same bounds, non-NULL, do select — and fuse without losing rows
+    let sql = "SELECT COUNT(*) FROM m WHERE x >= 1 AND x < 3";
+    assert_eq!(count(&mut db, sql), Value::I64(2));
+    let sql = "SELECT COUNT(*) FROM m WHERE y > 0.5 AND y <= 2.5 AND x BETWEEN 1 AND 4";
+    assert_eq!(count(&mut db, sql), Value::I64(2));
+
+    db.execute("PREPARE p AS SELECT COUNT(*) FROM m WHERE x >= ? AND x < ?")
+        .unwrap();
+    assert_eq!(count(&mut db, "EXECUTE p (1, 3)"), Value::I64(2));
+    assert_eq!(count(&mut db, "EXECUTE p (NULL, 3)"), Value::I64(0));
+    assert_eq!(count(&mut db, "EXECUTE p (1, NULL)"), Value::I64(0));
+    assert_eq!(count(&mut db, "EXECUTE p (2, 9)"), Value::I64(3));
+}
+
 #[test]
 fn error_paths_are_clean() {
     let mut db = Database::new();
