@@ -30,7 +30,7 @@ use mammoth_storage::persist::apply_wal_record;
 use mammoth_storage::persist::wal_file_name;
 use mammoth_storage::ship::{durable_tip, read_wal_range};
 use mammoth_storage::{RealFs, Vfs};
-use mammoth_types::trace::{EventKind, ProfiledRun, TraceEvent};
+use mammoth_types::trace::{EventKind, Recorder};
 use mammoth_types::{Error, Result};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -139,8 +139,7 @@ struct PromoteShared {
     counters: Arc<Counters>,
     stop: Arc<AtomicBool>,
     puller: Arc<Mutex<Option<JoinHandle<()>>>>,
-    events: Arc<Mutex<Vec<TraceEvent>>>,
-    t0: Instant,
+    recorder: Arc<Recorder>,
     /// Server-side handles, filled right after `Server::start` (the
     /// handler must be installed *before* the server exists).
     wiring: Mutex<Option<PromoteWiring>>,
@@ -164,8 +163,7 @@ pub struct Replica {
     stop: Arc<AtomicBool>,
     puller: Arc<Mutex<Option<JoinHandle<()>>>>,
     promo: Arc<PromoteShared>,
-    events: Arc<Mutex<Vec<TraceEvent>>>,
-    t0: Instant,
+    recorder: Arc<Recorder>,
     local_addr: SocketAddr,
 }
 
@@ -177,7 +175,7 @@ impl Replica {
     pub fn start(cfg: ReplicaConfig) -> Result<Replica> {
         let fs: Arc<dyn Vfs> = Arc::new(RealFs);
         let t0 = Instant::now();
-        let events = Arc::new(Mutex::new(Vec::new()));
+        let recorder = Arc::new(Recorder::default());
         let counters = Arc::new(Counters::default());
 
         let (mut applier, wiped) = Applier::open(Arc::clone(&fs), &cfg.data)?;
@@ -208,8 +206,7 @@ impl Replica {
             counters: Arc::clone(&counters),
             stop: Arc::clone(&stop),
             puller: Arc::clone(&puller_slot),
-            events: Arc::clone(&events),
-            t0,
+            recorder: Arc::clone(&recorder),
             wiring: Mutex::new(None),
             begun: AtomicBool::new(false),
         });
@@ -258,8 +255,7 @@ impl Replica {
             stop,
             puller: puller_slot,
             promo,
-            events,
-            t0,
+            recorder,
             local_addr,
         };
         if wiped {
@@ -372,15 +368,13 @@ impl Replica {
         let cfg = self.cfg.clone();
         let stop = Arc::clone(&self.stop);
         let counters = Arc::clone(&self.counters);
-        let events = Arc::clone(&self.events);
-        let t0 = self.t0;
+        let recorder = Arc::clone(&self.recorder);
         let handle = std::thread::spawn(move || {
             puller_loop(
                 &cfg,
                 &stop,
                 &counters,
-                &events,
-                t0,
+                &recorder,
                 &mut applier,
                 &spec,
                 &shared,
@@ -398,25 +392,14 @@ impl Replica {
     }
 
     fn trace(&self, kind: EventKind, args: impl Into<String>, started: Instant) {
-        push_event(&self.events, self.t0, kind, args.into(), started);
+        self.recorder.record(kind, 0, args, started, 0);
     }
 
     /// Fold the replication events into one `engine="replica"` run and
     /// export it through `MAMMOTH_TRACE` (no-op when the env var is
     /// unset) — same discipline as the server's lifecycle trace.
     fn flush_trace(&self) -> Result<()> {
-        let events = {
-            let mut g = self.events.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut *g)
-        };
-        let mut run = ProfiledRun::new("replica", 1);
-        run.executed = events
-            .iter()
-            .filter(|e| e.kind == EventKind::ReplApply)
-            .count() as u64;
-        run.elapsed_ns = self.t0.elapsed().as_nanos() as u64;
-        run.events = events;
-        run.export_env().map_err(|e| Error::Io(e.to_string()))?;
+        self.recorder.flush("replica", 1, &[EventKind::ReplApply])?;
         Ok(())
     }
 }
@@ -482,20 +465,12 @@ fn run_promotion(promo: &PromoteShared) -> Result<u64> {
     })();
     match result {
         Ok(drained) => {
-            push_event(
-                &promo.events,
-                promo.t0,
-                EventKind::ReplPromote,
-                format!(
-                    "in-place drained={drained} bytes from {:?}",
-                    promo
-                        .cfg
-                        .primary_data
-                        .as_ref()
-                        .map(|p| p.display().to_string())
-                ),
-                t,
+            let from = promo.cfg.primary_data.as_ref();
+            let args = format!(
+                "in-place drained={drained} bytes from {:?}",
+                from.map(|p| p.display().to_string())
             );
+            promo.recorder.record(EventKind::ReplPromote, 0, args, t, 0);
             Ok(drained)
         }
         Err(e) => {
@@ -531,25 +506,6 @@ fn drain_into(fs: &Arc<dyn Vfs>, data: &Path, proot: &Path) -> Result<u64> {
     Ok(copied)
 }
 
-fn push_event(
-    events: &Mutex<Vec<TraceEvent>>,
-    t0: Instant,
-    kind: EventKind,
-    args: String,
-    started: Instant,
-) {
-    let now = Instant::now();
-    let ev = TraceEvent {
-        kind,
-        op: kind.as_str().into(),
-        args,
-        start_ns: started.duration_since(t0).as_nanos() as u64,
-        dur_ns: now.duration_since(started).as_nanos() as u64,
-        ..TraceEvent::default()
-    };
-    events.lock().unwrap_or_else(|e| e.into_inner()).push(ev);
-}
-
 /// Replace the serving session with a fresh recovery of the mirror.
 fn rebuild_session(shared: &SharedSession, spec: &SessionSpec) -> Result<()> {
     let fresh = spec.build()?;
@@ -558,17 +514,16 @@ fn rebuild_session(shared: &SharedSession, spec: &SessionSpec) -> Result<()> {
         .map_err(|e| Error::Internal(format!("replica session rebuild refused: {e}")))
 }
 
-#[allow(clippy::too_many_arguments)]
 fn puller_loop(
     cfg: &ReplicaConfig,
     stop: &AtomicBool,
     counters: &Counters,
-    events: &Mutex<Vec<TraceEvent>>,
-    t0: Instant,
+    recorder: &Recorder,
     applier: &mut Applier,
     spec: &SessionSpec,
     shared: &SharedSession,
 ) {
+    let trace = |kind, args: String, started| recorder.record(kind, 0, args, started, 0);
     'reconnect: while !stop.load(Ordering::SeqCst) {
         let mut client = match Client::connect_with_retry(
             &cfg.primary_addr,
@@ -603,9 +558,7 @@ fn puller_loop(
                             continue 'reconnect;
                         }
                         counters.bootstraps.fetch_add(1, Ordering::SeqCst);
-                        push_event(
-                            events,
-                            t0,
+                        trace(
                             EventKind::ReplBootstrap,
                             format!("gen={} len={}", applier.generation(), applier.offset()),
                             started,
@@ -623,9 +576,7 @@ fn puller_loop(
                         match applied {
                             Ok(Ok(())) => {
                                 counters.groups.fetch_add(n, Ordering::SeqCst);
-                                push_event(
-                                    events,
-                                    t0,
+                                trace(
                                     EventKind::ReplApply,
                                     format!("groups={n} off={}", applier.offset()),
                                     started,
@@ -650,9 +601,7 @@ fn puller_loop(
                         let caught = tip_gen == applier.generation() && tip_off == applier.offset();
                         let was = counters.caught_up.swap(caught, Ordering::SeqCst);
                         if caught && !was {
-                            push_event(
-                                events,
-                                t0,
+                            trace(
                                 EventKind::ReplCaughtUp,
                                 format!("gen={tip_gen} off={tip_off}"),
                                 started,
@@ -669,13 +618,7 @@ fn puller_loop(
                     let _ = applier.reset();
                     let _ = rebuild_session(shared, spec);
                     counters.caught_up.store(false, Ordering::SeqCst);
-                    push_event(
-                        events,
-                        t0,
-                        EventKind::ReplBootstrap,
-                        format!("reset: {e}"),
-                        started,
-                    );
+                    trace(EventKind::ReplBootstrap, format!("reset: {e}"), started);
                 }
             }
         }

@@ -187,13 +187,23 @@ impl Client {
         self.poisoned
     }
 
-    fn ensure_usable(&self) -> Result<(), ClientError> {
+    /// Send one request, unless the connection cannot carry it: the verb
+    /// is newer than the negotiated protocol, or an earlier mid-frame
+    /// failure desynchronized the stream.
+    fn request(&mut self, msg: &ClientMsg) -> Result<(), ClientError> {
+        let (verb, since) = msg.verb();
+        if self.negotiated < since {
+            return Err(ClientError::Protocol(format!(
+                "{verb} requires protocol v{since}; negotiated v{}",
+                self.negotiated
+            )));
+        }
         if self.poisoned {
             return Err(ClientError::Protocol(
                 "connection poisoned by an earlier mid-frame failure; reconnect".into(),
             ));
         }
-        Ok(())
+        self.send(msg)
     }
 
     /// Bound every read on this connection (handy for tests).
@@ -203,8 +213,7 @@ impl Client {
 
     /// Execute one SQL statement and wait for its response.
     pub fn query(&mut self, sql: &str) -> Result<Response, ClientError> {
-        self.ensure_usable()?;
-        self.send(&ClientMsg::Query { sql: sql.into() })?;
+        self.request(&ClientMsg::Query { sql: sql.into() })?;
         match self.read_msg()? {
             ServerMsg::Table { columns, rows } => Ok(Response::Table { columns, rows }),
             ServerMsg::Affected { n } => Ok(Response::Affected(n)),
@@ -219,8 +228,7 @@ impl Client {
     /// Ask the server to shut down gracefully. On success the server has
     /// acknowledged and begun draining (and will close this connection).
     pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        self.ensure_usable()?;
-        self.send(&ClientMsg::Shutdown)?;
+        self.request(&ClientMsg::Shutdown)?;
         match self.read_msg()? {
             ServerMsg::Ok => Ok(()),
             ServerMsg::Err { code, message } => Err(refusal(code, message)),
@@ -240,14 +248,7 @@ impl Client {
         generation: u64,
         offset: u64,
     ) -> Result<Vec<ServerMsg>, ClientError> {
-        if self.negotiated < 2 {
-            return Err(ClientError::Protocol(format!(
-                "Subscribe requires protocol v2; negotiated v{}",
-                self.negotiated
-            )));
-        }
-        self.ensure_usable()?;
-        self.send(&ClientMsg::Subscribe { generation, offset })?;
+        self.request(&ClientMsg::Subscribe { generation, offset })?;
         let mut batch = Vec::new();
         loop {
             match self.read_msg()? {
@@ -278,14 +279,7 @@ impl Client {
         id: u64,
         sql: &str,
     ) -> Result<(Vec<String>, Vec<Vec<Value>>), ClientError> {
-        if self.negotiated < 3 {
-            return Err(ClientError::Protocol(format!(
-                "Fragment requires protocol v3; negotiated v{}",
-                self.negotiated
-            )));
-        }
-        self.ensure_usable()?;
-        self.send(&ClientMsg::Fragment {
+        self.request(&ClientMsg::Fragment {
             id,
             sql: sql.into(),
         })?;
@@ -314,14 +308,7 @@ impl Client {
     /// the number of `?` placeholders the statement takes, which is how
     /// many arguments [`Client::execute_prepared`] must supply.
     pub fn prepare(&mut self, name: &str, sql: &str) -> Result<u32, ClientError> {
-        if self.negotiated < 4 {
-            return Err(ClientError::Protocol(format!(
-                "Prepare requires protocol v4; negotiated v{}",
-                self.negotiated
-            )));
-        }
-        self.ensure_usable()?;
-        self.send(&ClientMsg::Prepare {
+        self.request(&ClientMsg::Prepare {
             name: name.into(),
             sql: sql.into(),
         })?;
@@ -342,14 +329,7 @@ impl Client {
         name: &str,
         args: &[Value],
     ) -> Result<Response, ClientError> {
-        if self.negotiated < 4 {
-            return Err(ClientError::Protocol(format!(
-                "ExecutePrepared requires protocol v4; negotiated v{}",
-                self.negotiated
-            )));
-        }
-        self.ensure_usable()?;
-        self.send(&ClientMsg::ExecutePrepared {
+        self.request(&ClientMsg::ExecutePrepared {
             name: name.into(),
             args: args.to_vec(),
         })?;
@@ -366,14 +346,7 @@ impl Client {
 
     /// Drop the statement prepared under `name` (protocol v4).
     pub fn deallocate(&mut self, name: &str) -> Result<(), ClientError> {
-        if self.negotiated < 4 {
-            return Err(ClientError::Protocol(format!(
-                "Deallocate requires protocol v4; negotiated v{}",
-                self.negotiated
-            )));
-        }
-        self.ensure_usable()?;
-        self.send(&ClientMsg::Deallocate { name: name.into() })?;
+        self.request(&ClientMsg::Deallocate { name: name.into() })?;
         match self.read_msg()? {
             ServerMsg::Ok => Ok(()),
             ServerMsg::Err { code, message } => Err(refusal(code, message)),

@@ -11,10 +11,13 @@
 //! * [`shared`] — one engine session multiplexed across connections:
 //!   concurrent readers, single writer with preference, per-statement
 //!   admission deadlines, and panic-poisoned-session rebuilds.
-//! * [`server`] — acceptor + fixed worker pool, bounded-backlog admission
-//!   control that sheds with `SERVER_BUSY`, and graceful drain-checkpoint
-//!   shutdown. The whole connection lifecycle traces through
-//!   `MAMMOTH_TRACE`.
+//! * [`listener`] — the connection core every daemon instantiates with a
+//!   [`Handler`]: acceptor + fixed worker pool, bounded-backlog admission
+//!   control that sheds with `SERVER_BUSY`, handshake and per-verb
+//!   version gating, graceful drain. The whole connection lifecycle
+//!   traces through `MAMMOTH_TRACE`.
+//! * [`server`] — the core over one shared engine session, plus the
+//!   shutdown checkpoint and the verbs only an engine serves.
 //! * [`client`] — the programmatic client that `mammoth-cli`, the load
 //!   experiment (E21), and the tests use.
 //!
@@ -25,11 +28,13 @@
 
 pub mod client;
 pub mod frame;
+pub mod listener;
 pub mod protocol;
 pub mod server;
 pub mod shared;
 
 pub use client::{Client, ClientError, Response, RetryPolicy};
+pub use listener::{Handler, Listener};
 pub use protocol::{
     ClientMsg, ErrorCode, ServerMsg, MIN_PROTO_VERSION, PROTO_VERSION, SERVER_NAME,
 };
@@ -139,77 +144,6 @@ mod tests {
         drop(c2);
         // New connections are refused after drain.
         assert!(Client::connect(&addr, "late", "").is_err());
-    }
-
-    /// A protocol-v1 client (no Subscribe, logs in with version 1) must be
-    /// served unchanged by a v2 server. No old binary exists to test with,
-    /// so speak v1 by hand over a raw socket.
-    #[test]
-    fn v1_client_still_served() {
-        let (srv, addr) = start(ServerConfig::default());
-        let mut stream = std::net::TcpStream::connect(&addr).unwrap();
-        match ServerMsg::decode(&frame::read_frame(&mut stream).unwrap()).unwrap() {
-            ServerMsg::Hello { version, .. } => assert_eq!(version, PROTO_VERSION),
-            other => panic!("expected Hello, got {other:?}"),
-        }
-        let login = ClientMsg::Login {
-            version: 1,
-            client: "antique".into(),
-            token: String::new(),
-        };
-        frame::write_frame(&mut stream, &login.encode()).unwrap();
-        assert!(matches!(
-            ServerMsg::decode(&frame::read_frame(&mut stream).unwrap()).unwrap(),
-            ServerMsg::Ready
-        ));
-        let q = ClientMsg::Query {
-            sql: "CREATE TABLE t (a INT)".into(),
-        };
-        frame::write_frame(&mut stream, &q.encode()).unwrap();
-        assert!(matches!(
-            ServerMsg::decode(&frame::read_frame(&mut stream).unwrap()).unwrap(),
-            ServerMsg::Ok
-        ));
-        let q = ClientMsg::Query {
-            sql: "SELECT a FROM t".into(),
-        };
-        frame::write_frame(&mut stream, &q.encode()).unwrap();
-        assert!(matches!(
-            ServerMsg::decode(&frame::read_frame(&mut stream).unwrap()).unwrap(),
-            ServerMsg::Table { .. }
-        ));
-        // ...but v2-only messages on a v1 connection are refused.
-        let sub = ClientMsg::Subscribe {
-            generation: 0,
-            offset: 0,
-        };
-        frame::write_frame(&mut stream, &sub.encode()).unwrap();
-        match ServerMsg::decode(&frame::read_frame(&mut stream).unwrap()).unwrap() {
-            ServerMsg::Err { code, .. } => assert_eq!(code, ErrorCode::Protocol),
-            other => panic!("expected refusal, got {other:?}"),
-        }
-        srv.shutdown().unwrap();
-    }
-
-    /// Versions outside the supported range are refused at login.
-    #[test]
-    fn unsupported_versions_refused() {
-        let (srv, addr) = start(ServerConfig::default());
-        for version in [0u16, 99] {
-            let mut stream = std::net::TcpStream::connect(&addr).unwrap();
-            frame::read_frame(&mut stream).unwrap(); // Hello
-            let login = ClientMsg::Login {
-                version,
-                client: "weird".into(),
-                token: String::new(),
-            };
-            frame::write_frame(&mut stream, &login.encode()).unwrap();
-            match ServerMsg::decode(&frame::read_frame(&mut stream).unwrap()).unwrap() {
-                ServerMsg::Err { code, .. } => assert_eq!(code, ErrorCode::Protocol),
-                other => panic!("version {version}: expected refusal, got {other:?}"),
-            }
-        }
-        srv.shutdown().unwrap();
     }
 
     #[test]
@@ -541,47 +475,6 @@ mod tests {
             })
         ));
         drop(c);
-        srv.shutdown().unwrap();
-    }
-
-    /// A v3 client on a v4 server keeps working, and the v4-only verbs
-    /// are refused on its connection — same compatibility story the v1
-    /// test tells for Subscribe.
-    #[test]
-    fn v3_client_served_but_refused_prepared_verbs() {
-        let (srv, addr) = start(ServerConfig::default());
-        let mut stream = std::net::TcpStream::connect(&addr).unwrap();
-        frame::read_frame(&mut stream).unwrap(); // Hello
-        let login = ClientMsg::Login {
-            version: 3,
-            client: "lastyear".into(),
-            token: String::new(),
-        };
-        frame::write_frame(&mut stream, &login.encode()).unwrap();
-        assert!(matches!(
-            ServerMsg::decode(&frame::read_frame(&mut stream).unwrap()).unwrap(),
-            ServerMsg::Ready
-        ));
-        let q = ClientMsg::Query {
-            sql: "CREATE TABLE t (a INT)".into(),
-        };
-        frame::write_frame(&mut stream, &q.encode()).unwrap();
-        assert!(matches!(
-            ServerMsg::decode(&frame::read_frame(&mut stream).unwrap()).unwrap(),
-            ServerMsg::Ok
-        ));
-        let p = ClientMsg::Prepare {
-            name: "q".into(),
-            sql: "SELECT a FROM t".into(),
-        };
-        frame::write_frame(&mut stream, &p.encode()).unwrap();
-        match ServerMsg::decode(&frame::read_frame(&mut stream).unwrap()).unwrap() {
-            ServerMsg::Err { code, message } => {
-                assert_eq!(code, ErrorCode::Protocol);
-                assert!(message.contains("version 4"), "{message}");
-            }
-            other => panic!("expected refusal, got {other:?}"),
-        }
         srv.shutdown().unwrap();
     }
 

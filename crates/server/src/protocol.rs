@@ -186,6 +186,21 @@ const T_FRAGRESULT: u8 = 0x89;
 const T_PREPARED: u8 = 0x8a;
 
 impl ClientMsg {
+    /// The message's name and the protocol version that introduced it.
+    pub fn verb(&self) -> (&'static str, u16) {
+        match self {
+            ClientMsg::Login { .. } => ("Login", 1),
+            ClientMsg::Query { .. } => ("Query", 1),
+            ClientMsg::Quit => ("Quit", 1),
+            ClientMsg::Shutdown => ("Shutdown", 1),
+            ClientMsg::Subscribe { .. } => ("Subscribe", 2),
+            ClientMsg::Fragment { .. } => ("Fragment", 3),
+            ClientMsg::Prepare { .. } => ("Prepare", 4),
+            ClientMsg::ExecutePrepared { .. } => ("ExecutePrepared", 4),
+            ClientMsg::Deallocate { .. } => ("Deallocate", 4),
+        }
+    }
+
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
@@ -522,6 +537,24 @@ impl ServerMsg {
             return Err(Error::Corrupt("trailing bytes in server message".into()));
         }
         Ok(msg)
+    }
+
+    /// An error frame.
+    pub fn err(code: ErrorCode, message: impl Into<String>) -> ServerMsg {
+        let message = message.into();
+        ServerMsg::Err { code, message }
+    }
+
+    /// Rows this response carries or reports affected — what a
+    /// `server.statement` trace event records as `rows_out`.
+    pub fn result_rows(&self) -> u64 {
+        match self {
+            ServerMsg::Table { rows, .. } | ServerMsg::FragmentResult { rows, .. } => {
+                rows.len() as u64
+            }
+            ServerMsg::Affected { n } => *n,
+            _ => 0,
+        }
     }
 
     /// Lift a SQL-layer result into its response message.

@@ -1,46 +1,26 @@
-//! The network server: acceptor + fixed worker pool + graceful shutdown.
+//! The single-node network server: the connection core
+//! ([`crate::listener`]) instantiated over one shared engine session.
 //!
-//! Threading model (no async runtime, mirroring `crates/parallel`):
-//!
-//! * **one acceptor thread** polls a nonblocking listener. Each accepted
-//!   socket goes into a bounded queue; when the queue is full the acceptor
-//!   answers with `Err(SERVER_BUSY)` and closes — that is the whole
-//!   admission-control story, and it sheds load in O(1) without touching
-//!   the engine.
-//! * **`workers` worker threads** each pop a connection and serve it until
-//!   the client quits, errors, or the server drains. `workers` therefore
-//!   bounds concurrently-served connections; `backlog` bounds the patient
-//!   waiting room behind them.
-//! * **graceful shutdown** flips one flag. The acceptor stops accepting,
-//!   workers finish the statement in flight, notify their client with
-//!   `Err(SHUTTING_DOWN)`, and exit; queued-but-unserved connections are
-//!   refused the same way. Then the server checkpoints (durable sessions)
-//!   and flushes the trace, so a shutdown under load loses nothing that
-//!   was acknowledged.
-//!
-//! Every lifecycle step emits a [`TraceEvent`] (`server.accept`,
-//! `server.handshake`, `server.statement`, `server.shed`,
-//! `server.shutdown`) into one `engine="server"` run, exported through
-//! `MAMMOTH_TRACE` like every other profiled run — `tracecheck` validates
-//! server traces with no special cases.
+//! The core owns sockets, admission, the handshake and the drain; this
+//! module owns what happens to a statement once it has arrived — the
+//! read-only gate, `PROMOTE`, the wire translation of engine outcomes —
+//! plus the two verbs only an engine can serve (scatter `Fragment`s and
+//! the replication `Subscribe` poll), and what a graceful shutdown owes
+//! the data: a checkpoint (durable sessions) before the trace is flushed,
+//! so a shutdown under load loses nothing that was acknowledged.
 
-use crate::frame::{read_frame, write_frame};
-use crate::protocol::{
-    ClientMsg, ErrorCode, ServerMsg, MIN_PROTO_VERSION, PROTO_VERSION, SERVER_NAME,
-};
+use crate::listener::{Conn, Handler, Listener};
+use crate::protocol::{ErrorCode, ServerMsg, SERVER_NAME};
 use crate::shared::{ExecError, SessionSpec, SharedSession, Storage};
 use mammoth_sql::is_read_only_statement;
 use mammoth_storage::ship::{durable_tip, export_image, read_wal_range, Tip};
 use mammoth_storage::{RealFs, Vfs};
-use mammoth_types::trace::{EventKind, ProfiledRun, TraceEvent};
+use mammoth_types::trace::EventKind;
 use mammoth_types::{Error, Result};
-use std::collections::VecDeque;
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Byte granularity for shipped WAL ranges and checkpoint image files:
@@ -100,19 +80,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// Monotonic counters, readable while the server runs and returned as a
-/// snapshot by [`Server::shutdown`].
-#[derive(Default)]
-pub struct Stats {
-    pub accepted: AtomicU64,
-    pub shed: AtomicU64,
-    pub statements: AtomicU64,
-    pub sql_errors: AtomicU64,
-    pub timeouts: AtomicU64,
-    pub poisonings: AtomicU64,
-}
-
-/// A plain-value snapshot of [`Stats`].
+/// A plain-value snapshot of the server's monotonic counters, readable
+/// while the server runs and returned by [`Server::shutdown`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatsSnapshot {
     pub accepted: u64,
@@ -123,170 +92,117 @@ pub struct StatsSnapshot {
     pub poisonings: u64,
 }
 
-impl Stats {
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            statements: self.statements.load(Ordering::Relaxed),
-            sql_errors: self.sql_errors.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            poisonings: self.poisonings.load(Ordering::Relaxed),
-        }
-    }
-}
-
-struct Inner {
+/// The server's [`Handler`]: one shared engine session and the gates in
+/// front of it.
+struct Engine {
     shared: Arc<SharedSession>,
-    cfg: ServerConfig,
     /// Runtime read-only switch, seeded from `cfg.read_only`. An `Arc` so
     /// promotion can flip a replica to read-write *in place* — existing
     /// connections included — without rebinding the listener.
     read_only: Arc<AtomicBool>,
-    queue: Mutex<VecDeque<TcpStream>>,
-    queue_cv: Condvar,
-    shutdown: AtomicBool,
-    stats: Stats,
-    events: Mutex<Vec<TraceEvent>>,
-    t0: Instant,
-}
-
-impl Inner {
-    fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    fn trace(&self, kind: EventKind, worker: usize, args: String, started: Instant, rows: u64) {
-        let now = Instant::now();
-        let ev = TraceEvent {
-            kind,
-            op: kind.as_str().into(),
-            args,
-            worker,
-            start_ns: started.duration_since(self.t0).as_nanos() as u64,
-            dur_ns: now.duration_since(started).as_nanos() as u64,
-            rows_out: rows,
-            ..TraceEvent::default()
-        };
-        self.events
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(ev);
-    }
+    promote_handler: Option<Arc<dyn Fn() + Send + Sync>>,
+    storage: Storage,
+    statements: AtomicU64,
+    sql_errors: AtomicU64,
+    timeouts: AtomicU64,
+    poisonings: AtomicU64,
 }
 
 /// A running server. Dropping it without calling [`Server::shutdown`]
 /// leaks the listener until process exit; call `shutdown` (or `wait`).
 pub struct Server {
-    inner: Arc<Inner>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    local_addr: SocketAddr,
+    listener: Listener<Engine>,
 }
 
 impl Server {
     /// Bind, spin up the acceptor and worker pool, and return immediately.
     pub fn start(cfg: ServerConfig) -> Result<Server> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let workers_n = cfg.workers.max(1);
-        let test_panics = cfg.test_panics;
-        let mut shared = SharedSession::new(cfg.spec.clone(), cfg.stmt_timeout)?;
-        if test_panics {
-            shared = shared.enable_test_panics();
-        }
-        let read_only = Arc::new(AtomicBool::new(cfg.read_only));
-        let inner = Arc::new(Inner {
-            shared: Arc::new(shared),
-            cfg,
-            read_only,
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            stats: Stats::default(),
-            events: Mutex::new(Vec::new()),
-            t0: Instant::now(),
-        });
-        let acceptor = {
-            let inner = inner.clone();
-            std::thread::Builder::new()
-                .name("mammoth-acceptor".into())
-                .spawn(move || acceptor_loop(&inner, listener))?
-        };
-        let workers = (0..workers_n)
-            .map(|i| {
-                let inner = inner.clone();
-                std::thread::Builder::new()
-                    .name(format!("mammoth-worker-{i}"))
-                    .spawn(move || worker_loop(&inner, i))
+        let listener = Listener::start(&cfg, || {
+            let mut shared = SharedSession::new(cfg.spec.clone(), cfg.stmt_timeout)?;
+            if cfg.test_panics {
+                shared = shared.enable_test_panics();
+            }
+            Ok(Engine {
+                shared: Arc::new(shared),
+                read_only: Arc::new(AtomicBool::new(cfg.read_only)),
+                promote_handler: cfg.promote_handler.clone(),
+                storage: cfg.spec.storage.clone(),
+                statements: AtomicU64::new(0),
+                sql_errors: AtomicU64::new(0),
+                timeouts: AtomicU64::new(0),
+                poisonings: AtomicU64::new(0),
             })
-            .collect::<io::Result<Vec<_>>>()?;
-        Ok(Server {
-            inner,
-            acceptor: Some(acceptor),
-            workers,
-            local_addr,
-        })
+        })?;
+        Ok(Server { listener })
+    }
+
+    fn engine(&self) -> &Engine {
+        self.listener.handler()
     }
 
     /// The bound address (resolves port 0 to the real ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// Live statistics counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.inner.stats.snapshot()
+        let (accepted, shed) = self.listener.admission_counts();
+        let e = self.engine();
+        StatsSnapshot {
+            accepted,
+            shed,
+            statements: e.statements.load(Ordering::Relaxed),
+            sql_errors: e.sql_errors.load(Ordering::Relaxed),
+            timeouts: e.timeouts.load(Ordering::Relaxed),
+            poisonings: e.poisonings.load(Ordering::Relaxed),
+        }
     }
 
     /// Direct access to the shared session (tests and embedded use).
     pub fn shared(&self) -> &SharedSession {
-        &self.inner.shared
+        &self.engine().shared
     }
 
     /// A clonable handle to the shared session — what the replication
     /// applier holds to apply shipped records while the server serves
     /// reads from the same catalog.
     pub fn shared_arc(&self) -> Arc<SharedSession> {
-        Arc::clone(&self.inner.shared)
+        Arc::clone(&self.engine().shared)
     }
 
     /// Whether mutating statements are currently refused.
     pub fn is_read_only(&self) -> bool {
-        self.inner.read_only.load(Ordering::SeqCst)
+        self.engine().read_only.load(Ordering::SeqCst)
     }
 
     /// Flip the read-only gate at runtime. Promotion calls this *after*
     /// the serving session has been rebuilt over the recovered state, so
     /// no write can sneak in against the pre-promotion catalog.
     pub fn set_read_only(&self, read_only: bool) {
-        self.inner.read_only.store(read_only, Ordering::SeqCst);
+        self.engine().read_only.store(read_only, Ordering::SeqCst);
     }
 
     /// A clonable handle to the runtime read-only switch, for promotion
     /// machinery that outlives the `Server` borrow.
     pub fn read_only_switch(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.inner.read_only)
+        Arc::clone(&self.engine().read_only)
     }
 
     /// Flip the drain flag; returns immediately. Idempotent.
     pub fn request_shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.queue_cv.notify_all();
+        self.listener.request_shutdown();
     }
 
     /// Whether a shutdown has been requested (locally or by a client).
     pub fn shutdown_requested(&self) -> bool {
-        self.inner.draining()
+        self.listener.shutdown_requested()
     }
 
     /// Block until some client sends `Shutdown` (or a local
     /// [`Server::request_shutdown`]), then drain and finish.
     pub fn wait(self) -> Result<StatsSnapshot> {
-        while !self.inner.draining() {
-            std::thread::sleep(Duration::from_millis(25));
-        }
+        self.listener.wait_shutdown_requested();
         self.shutdown()
     }
 
@@ -295,636 +211,167 @@ impl Server {
     /// and flush the trace. Returns the final statistics.
     pub fn shutdown(mut self) -> Result<StatsSnapshot> {
         let started = Instant::now();
-        self.request_shutdown();
-        if let Some(a) = self.acceptor.take() {
-            a.join()
-                .map_err(|_| Error::Internal("acceptor thread panicked".into()))?;
-        }
-        for w in self.workers.drain(..) {
-            w.join()
-                .map_err(|_| Error::Internal("worker thread panicked".into()))?;
-        }
-        // Workers are gone: any connection still queued was never served.
-        // (The workers drain the queue with SHUTTING_DOWN refusals before
-        // exiting, so this is normally empty; belt and suspenders.)
-        let leftover: Vec<TcpStream> = {
-            let mut q = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
-            q.drain(..).collect()
-        };
-        for mut stream in leftover {
-            refuse(&mut stream, ErrorCode::ShuttingDown, "server shutting down");
-        }
+        self.listener.drain()?;
         // Persist what was acknowledged. In-memory sessions have nothing
         // to checkpoint; that is not an error. Read-only replicas skip the
         // checkpoint on purpose: checkpointing would bump the local
         // generation past the primary's and desynchronize the stream. (A
         // *promoted* replica is read-write by now and checkpoints like any
         // primary — it owns its generation numbering from promotion on.)
-        if !self.inner.read_only.load(Ordering::SeqCst) {
-            match self.inner.shared.with_session_mut(|s| s.checkpoint()) {
+        if !self.is_read_only() {
+            match self.shared().with_session_mut(|s| s.checkpoint()) {
                 Ok(Ok(())) | Ok(Err(Error::Unsupported(_))) => {}
                 Ok(Err(e)) => return Err(e),
                 Err(e) => return Err(Error::Internal(format!("shutdown checkpoint skipped: {e}"))),
             }
         }
-        self.inner.trace(
+        self.listener.recorder().record(
             EventKind::ServerShutdown,
             0,
-            "drain+checkpoint".into(),
+            "drain+checkpoint",
             started,
             0,
         );
-        self.flush_trace()?;
-        Ok(self.inner.stats.snapshot())
-    }
-
-    /// Fold the lifecycle events into one `engine="server"` run and export
-    /// it through `MAMMOTH_TRACE` (no-op when the env var is unset).
-    fn flush_trace(&self) -> Result<()> {
-        let events = {
-            let mut g = self.inner.events.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut *g)
-        };
-        let mut run = ProfiledRun::new("server", self.inner.cfg.workers.max(1));
-        run.executed = events
-            .iter()
-            .filter(|e| e.kind == EventKind::ServerStatement)
-            .count() as u64;
-        run.elapsed_ns = self.inner.t0.elapsed().as_nanos() as u64;
-        run.events = events;
-        run.export_env()?;
-        Ok(())
+        self.listener.flush_trace()?;
+        Ok(self.stats())
     }
 }
 
-/// Best-effort error frame + close; used on the shed and refuse paths
-/// where the peer may already be gone.
-fn refuse(stream: &mut TcpStream, code: ErrorCode, msg: &str) {
-    let _ = write_frame(
-        stream,
-        &ServerMsg::Err {
-            code,
-            message: msg.into(),
-        }
-        .encode(),
-    );
-}
+impl Handler for Engine {
+    fn name(&self) -> &str {
+        SERVER_NAME
+    }
 
-fn acceptor_loop(inner: &Inner, listener: TcpListener) {
-    loop {
-        if inner.draining() {
-            return;
-        }
-        match listener.accept() {
-            Ok((mut stream, peer)) => {
-                let started = Instant::now();
-                inner.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                let _ = stream.set_nodelay(true);
-                if inner.draining() {
-                    refuse(&mut stream, ErrorCode::ShuttingDown, "server shutting down");
-                    continue;
+    fn statement(&self, sql: &str) -> ServerMsg {
+        self.statements.fetch_add(1, Ordering::Relaxed);
+        // PROMOTE is a server-level statement and must be answered *before*
+        // the read-only gate — its whole purpose is to lift that gate. The
+        // handler only signals the promotion machinery; the Ok acknowledges
+        // "promotion started", and callers confirm completion by polling
+        // EXPLAIN REPLICATION until role=primary.
+        if mammoth_sql::wants_promotion(sql) {
+            return match &self.promote_handler {
+                Some(h) => {
+                    h();
+                    ServerMsg::Ok
                 }
-                let mut q = inner.queue.lock().unwrap_or_else(|e| e.into_inner());
-                if q.len() >= inner.cfg.backlog {
-                    drop(q);
-                    inner.stats.shed.fetch_add(1, Ordering::Relaxed);
-                    inner.trace(
-                        EventKind::ServerShed,
-                        0,
-                        format!("{peer} backlog={}", inner.cfg.backlog),
-                        started,
-                        0,
-                    );
-                    refuse(
-                        &mut stream,
-                        ErrorCode::ServerBusy,
-                        "connection backlog full; retry later",
-                    );
-                } else {
-                    q.push_back(stream);
-                    drop(q);
-                    inner.queue_cv.notify_one();
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-fn worker_loop(inner: &Inner, widx: usize) {
-    loop {
-        let conn = {
-            let mut q = inner.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(c) = q.pop_front() {
-                    break Some(c);
-                }
-                if inner.draining() {
-                    break None;
-                }
-                q = inner
-                    .queue_cv
-                    .wait_timeout(q, Duration::from_millis(100))
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0;
-            }
-        };
-        match conn {
-            Some(stream) => {
-                // Connection-level I/O errors just end that connection;
-                // the worker lives on.
-                let _ = serve_connection(inner, widx, stream);
-            }
-            None => return,
-        }
-    }
-}
-
-enum Wait {
-    /// Bytes are available; a frame read will not block indefinitely.
-    Data,
-    /// Peer closed the connection.
-    Closed,
-    /// The server began draining while the connection idled.
-    Drain,
-}
-
-/// Idle-poll for the next frame without consuming bytes, so the drain flag
-/// is observed between statements but a read timeout can never fire
-/// mid-frame and desynchronize the stream.
-fn wait_for_data(stream: &TcpStream, inner: &Inner) -> io::Result<Wait> {
-    stream.set_read_timeout(Some(Duration::from_millis(25)))?;
-    let mut b = [0u8; 1];
-    loop {
-        match stream.peek(&mut b) {
-            Ok(0) => return Ok(Wait::Closed),
-            Ok(_) => {
-                // Commit to the frame: generous timeout so a stalled peer
-                // cannot pin the worker forever, long enough that a frame
-                // split across packets always makes it.
-                stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-                return Ok(Wait::Data);
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if inner.draining() {
-                    return Ok(Wait::Drain);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-fn send(stream: &mut TcpStream, msg: &ServerMsg) -> Result<()> {
-    write_frame(stream, &msg.encode())
-}
-
-fn serve_connection(inner: &Inner, widx: usize, mut stream: TcpStream) -> Result<()> {
-    let accepted = Instant::now();
-    if inner.draining() {
-        refuse(&mut stream, ErrorCode::ShuttingDown, "server shutting down");
-        return Ok(());
-    }
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| "?".into());
-    inner.trace(EventKind::ServerAccept, widx, peer.clone(), accepted, 0);
-    send(
-        &mut stream,
-        &ServerMsg::Hello {
-            version: PROTO_VERSION,
-            server: SERVER_NAME.into(),
-        },
-    )?;
-
-    // Handshake: exactly one Login must follow the Hello.
-    let hs_started = Instant::now();
-    match wait_for_data(&stream, inner)? {
-        Wait::Data => {}
-        Wait::Closed => return Ok(()),
-        Wait::Drain => {
-            refuse(&mut stream, ErrorCode::ShuttingDown, "server shutting down");
-            return Ok(());
-        }
-    }
-    let payload = read_frame(&mut stream)?;
-    let (client, proto) = match ClientMsg::decode(&payload) {
-        Ok(ClientMsg::Login {
-            version,
-            client,
-            token,
-        }) => {
-            // Negotiation: Hello advertised our newest version; the client
-            // answered with the highest version both sides speak. Accept
-            // the whole supported range so a v1 client is served unchanged.
-            if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&version) {
-                refuse(
-                    &mut stream,
+                None => ServerMsg::err(
                     ErrorCode::Protocol,
-                    &format!(
-                        "protocol version {version} unsupported (server speaks                          {MIN_PROTO_VERSION}..={PROTO_VERSION})"
-                    ),
-                );
-                return Ok(());
-            }
-            if let Some(expected) = &inner.cfg.auth_token {
-                if &token != expected {
-                    refuse(&mut stream, ErrorCode::AuthFailed, "bad auth token");
-                    return Ok(());
-                }
-            }
-            (client, version)
-        }
-        Ok(_) => {
-            refuse(
-                &mut stream,
-                ErrorCode::Protocol,
-                "expected Login after Hello",
-            );
-            return Ok(());
-        }
-        Err(e) => {
-            refuse(
-                &mut stream,
-                ErrorCode::Protocol,
-                &format!("bad login frame: {e}"),
-            );
-            return Ok(());
-        }
-    };
-    inner.trace(
-        EventKind::ServerHandshake,
-        widx,
-        format!("{peer} client={client}"),
-        hs_started,
-        0,
-    );
-    send(&mut stream, &ServerMsg::Ready)?;
-
-    loop {
-        match wait_for_data(&stream, inner)? {
-            Wait::Data => {
-                // A client pipelining statements back-to-back never idles;
-                // check the drain flag here too so shutdown means "finish
-                // the statement in flight", not "finish the client's whole
-                // future workload".
-                if inner.draining() {
-                    refuse(&mut stream, ErrorCode::ShuttingDown, "server shutting down");
-                    return Ok(());
-                }
-            }
-            Wait::Closed => return Ok(()),
-            Wait::Drain => {
-                refuse(&mut stream, ErrorCode::ShuttingDown, "server shutting down");
-                return Ok(());
-            }
-        }
-        let payload = read_frame(&mut stream)?;
-        match ClientMsg::decode(&payload) {
-            Ok(ClientMsg::Query { sql }) => {
-                let started = Instant::now();
-                let (resp, rows) = run_statement(inner, &sql);
-                let mut brief: String = sql.chars().take(64).collect();
-                if brief.len() < sql.len() {
-                    brief.push('…');
-                }
-                inner.trace(EventKind::ServerStatement, widx, brief, started, rows);
-                send(&mut stream, &resp)?;
-            }
-            Ok(ClientMsg::Quit) => return Ok(()),
-            Ok(ClientMsg::Shutdown) => {
-                if inner.cfg.allow_remote_shutdown {
-                    send(&mut stream, &ServerMsg::Ok)?;
-                    inner.shutdown.store(true, Ordering::SeqCst);
-                    inner.queue_cv.notify_all();
-                } else {
-                    refuse(
-                        &mut stream,
-                        ErrorCode::Protocol,
-                        "remote shutdown disabled on this server",
-                    );
-                }
-                return Ok(());
-            }
-            Ok(ClientMsg::Subscribe { generation, offset }) => {
-                if proto < 2 {
-                    refuse(
-                        &mut stream,
-                        ErrorCode::Protocol,
-                        "Subscribe requires protocol version 2",
-                    );
-                    return Ok(());
-                }
-                handle_subscribe(inner, widx, &mut stream, generation, offset)?;
-            }
-            Ok(ClientMsg::Fragment { id, sql }) => {
-                if proto < 3 {
-                    refuse(
-                        &mut stream,
-                        ErrorCode::Protocol,
-                        "Fragment requires protocol version 3",
-                    );
-                    return Ok(());
-                }
-                // Fragments are the read half of scatter-gather; writes
-                // must arrive as Query so they take the normal WAL path.
-                if !is_read_only_statement(&sql) {
-                    send(
-                        &mut stream,
-                        &ServerMsg::Err {
-                            code: ErrorCode::Protocol,
-                            message: "fragments must be read-only statements".into(),
-                        },
-                    )?;
-                    continue;
-                }
-                let started = Instant::now();
-                let (resp, rows) = run_statement(inner, &sql);
-                let resp = match resp {
-                    ServerMsg::Table { columns, rows } => {
-                        ServerMsg::FragmentResult { id, columns, rows }
-                    }
-                    err @ ServerMsg::Err { .. } => err,
-                    _ => ServerMsg::Err {
-                        code: ErrorCode::Internal,
-                        message: "read-only fragment produced no table".into(),
-                    },
-                };
-                inner.trace(
-                    EventKind::ShardFragment,
-                    widx,
-                    format!("id={id}"),
-                    started,
-                    rows,
-                );
-                send(&mut stream, &resp)?;
-            }
-            Ok(ClientMsg::Prepare { name, sql }) => {
-                if proto < 4 {
-                    refuse(
-                        &mut stream,
-                        ErrorCode::Protocol,
-                        "Prepare requires protocol version 4",
-                    );
-                    return Ok(());
-                }
-                // The wire verb is sugar over the SQL statement, so the
-                // whole prepared-statement life cycle (naming, the plan
-                // cache, invalidation) lives in one place: the session.
-                let text = format!("PREPARE {name} AS {sql}");
-                let started = Instant::now();
-                let (resp, rows) = run_statement(inner, &text);
-                let resp = match resp {
-                    ServerMsg::Ok => {
-                        let nparams = mammoth_sql::parse_sql(&text)
-                            .map(|s| s.param_count() as u32)
-                            .unwrap_or(0);
-                        ServerMsg::Prepared { nparams }
-                    }
-                    other => other,
-                };
-                inner.trace(
-                    EventKind::ServerStatement,
-                    widx,
-                    format!("PREPARE {name}"),
-                    started,
-                    rows,
-                );
-                send(&mut stream, &resp)?;
-            }
-            Ok(ClientMsg::ExecutePrepared { name, args }) => {
-                if proto < 4 {
-                    refuse(
-                        &mut stream,
-                        ErrorCode::Protocol,
-                        "ExecutePrepared requires protocol version 4",
-                    );
-                    return Ok(());
-                }
-                let lits: Vec<String> = args.iter().map(mammoth_sql::sql_literal).collect();
-                let text = if lits.is_empty() {
-                    format!("EXECUTE {name}")
-                } else {
-                    format!("EXECUTE {name} ({})", lits.join(", "))
-                };
-                let started = Instant::now();
-                let (resp, rows) = run_statement(inner, &text);
-                inner.trace(
-                    EventKind::ServerStatement,
-                    widx,
-                    format!("EXECUTE {name}"),
-                    started,
-                    rows,
-                );
-                send(&mut stream, &resp)?;
-            }
-            Ok(ClientMsg::Deallocate { name }) => {
-                if proto < 4 {
-                    refuse(
-                        &mut stream,
-                        ErrorCode::Protocol,
-                        "Deallocate requires protocol version 4",
-                    );
-                    return Ok(());
-                }
-                let started = Instant::now();
-                let (resp, rows) = run_statement(inner, &format!("DEALLOCATE {name}"));
-                inner.trace(
-                    EventKind::ServerStatement,
-                    widx,
-                    format!("DEALLOCATE {name}"),
-                    started,
-                    rows,
-                );
-                send(&mut stream, &resp)?;
-            }
-            Ok(ClientMsg::Login { .. }) => {
-                refuse(&mut stream, ErrorCode::Protocol, "already logged in");
-                return Ok(());
-            }
-            Err(e) => {
-                refuse(&mut stream, ErrorCode::Protocol, &format!("bad frame: {e}"));
-                return Ok(());
-            }
-        }
-    }
-}
-
-/// Execute one statement against the shared session and translate the
-/// outcome into its wire response. Returns `(response, result_rows)`.
-fn run_statement(inner: &Inner, sql: &str) -> (ServerMsg, u64) {
-    inner.stats.statements.fetch_add(1, Ordering::Relaxed);
-    // PROMOTE is a server-level statement and must be answered *before*
-    // the read-only gate — its whole purpose is to lift that gate. The
-    // handler only signals the promotion machinery; the Ok acknowledges
-    // "promotion started", and callers confirm completion by polling
-    // EXPLAIN REPLICATION until role=primary.
-    if mammoth_sql::wants_promotion(sql) {
-        return match &inner.cfg.promote_handler {
-            Some(h) => {
-                h();
-                (ServerMsg::Ok, 0)
-            }
-            None => (
-                ServerMsg::Err {
-                    code: ErrorCode::Protocol,
-                    message: "this server has no promotion path (not a replica)".into(),
-                },
-                0,
-            ),
-        };
-    }
-    let read_only = inner.read_only.load(Ordering::SeqCst);
-    if read_only && !is_read_only_statement(sql) {
-        return (
-            ServerMsg::Err {
-                code: ErrorCode::ReadOnly,
-                message: "server is a read-only replica; send writes to the primary".into(),
-            },
-            0,
-        );
-    }
-    // On a replica, `EXECUTE` of a prepared DML statement passes the
-    // textual gate above (EXECUTE is read-only *syntax*), so the
-    // write-escalation retry must stay off: the engine's NeedsWrite
-    // bounce surfaces here and is answered as READ_ONLY instead.
-    let result = if read_only {
-        inner.shared.execute_no_write_escalation(sql)
-    } else {
-        inner.shared.execute(sql)
-    };
-    match result {
-        Ok(out) => {
-            let msg = ServerMsg::from_output(out);
-            let rows = match &msg {
-                ServerMsg::Table { rows, .. } => rows.len() as u64,
-                ServerMsg::Affected { n } => *n,
-                _ => 0,
+                    "this server has no promotion path (not a replica)",
+                ),
             };
-            (msg, rows)
         }
-        Err(ExecError::Timeout) => {
-            inner.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-            (
-                ServerMsg::Err {
-                    code: ErrorCode::StmtTimeout,
-                    message: "statement timed out waiting for the session".into(),
-                },
-                0,
-            )
+        let read_only = self.read_only.load(Ordering::SeqCst);
+        if read_only && !is_read_only_statement(sql) {
+            return ServerMsg::err(
+                ErrorCode::ReadOnly,
+                "server is a read-only replica; send writes to the primary",
+            );
         }
-        Err(ExecError::Poisoned) => {
-            inner.stats.poisonings.fetch_add(1, Ordering::Relaxed);
-            (
-                ServerMsg::Err {
-                    code: ErrorCode::SessionPoisoned,
-                    message: "statement crashed; session rebuilt from committed state".into(),
-                },
-                0,
-            )
+        // On a replica, `EXECUTE` of a prepared DML statement passes the
+        // textual gate above (EXECUTE is read-only *syntax*), so the
+        // write-escalation retry must stay off: the engine's NeedsWrite
+        // bounce surfaces here and is answered as READ_ONLY instead.
+        let result = if read_only {
+            self.shared.execute_no_write_escalation(sql)
+        } else {
+            self.shared.execute(sql)
+        };
+        match result {
+            Ok(out) => ServerMsg::from_output(out),
+            Err(ExecError::Timeout) => {
+                self.timeouts.fetch_add(1, Ordering::Relaxed);
+                ServerMsg::err(
+                    ErrorCode::StmtTimeout,
+                    "statement timed out waiting for the session",
+                )
+            }
+            Err(ExecError::Poisoned) => {
+                self.poisonings.fetch_add(1, Ordering::Relaxed);
+                ServerMsg::err(
+                    ErrorCode::SessionPoisoned,
+                    "statement crashed; session rebuilt from committed state",
+                )
+            }
+            Err(ExecError::Engine(Error::NeedsWrite)) => ServerMsg::err(
+                ErrorCode::ReadOnly,
+                "prepared statement writes; send EXECUTE to the primary",
+            ),
+            Err(ExecError::Engine(e)) => {
+                self.sql_errors.fetch_add(1, Ordering::Relaxed);
+                ServerMsg::err(ErrorCode::Sql, e.to_string())
+            }
+            Err(ExecError::Fatal(m)) => ServerMsg::err(ErrorCode::Internal, m),
         }
-        Err(ExecError::Engine(Error::NeedsWrite)) => (
-            ServerMsg::Err {
-                code: ErrorCode::ReadOnly,
-                message: "prepared statement writes; send EXECUTE to the primary".into(),
-            },
-            0,
-        ),
-        Err(ExecError::Engine(e)) => {
-            inner.stats.sql_errors.fetch_add(1, Ordering::Relaxed);
-            (
-                ServerMsg::Err {
-                    code: ErrorCode::Sql,
-                    message: e.to_string(),
-                },
-                0,
-            )
+    }
+
+    fn fragment(&self, conn: &Conn<'_>, id: u64, sql: &str) -> ServerMsg {
+        // Fragments are the read half of scatter-gather; writes must
+        // arrive as Query so they take the normal WAL path.
+        if !is_read_only_statement(sql) {
+            return ServerMsg::err(
+                ErrorCode::Protocol,
+                "fragments must be read-only statements",
+            );
         }
-        Err(ExecError::Fatal(m)) => (
-            ServerMsg::Err {
-                code: ErrorCode::Internal,
-                message: m,
-            },
-            0,
-        ),
+        let started = Instant::now();
+        let resp = match self.statement(sql) {
+            ServerMsg::Table { columns, rows } => ServerMsg::FragmentResult { id, columns, rows },
+            refused @ ServerMsg::Err { .. } => refused,
+            _ => ServerMsg::err(ErrorCode::Internal, "read-only fragment produced no table"),
+        };
+        let args = format!("id={id}");
+        conn.trace(EventKind::ShardFragment, args, started, resp.result_rows());
+        resp
+    }
+
+    /// Serve one `Subscribe` poll: compute the catch-up batch against the
+    /// durable directory — `CheckpointImage` chunks when the subscriber
+    /// must re-anchor, `WalChunk`s for the byte range it is missing, and a
+    /// final `CaughtUp` carrying the tip. The batch is fully materialized
+    /// before the first byte goes out, so a checkpoint flip racing the
+    /// read never leaves the subscriber with a half-shipped image: the
+    /// batch computation fails, we retry against the fresh tip, and only a
+    /// complete batch is ever transmitted.
+    fn subscribe(&self, conn: &Conn<'_>, sub_gen: u64, sub_off: u64) -> Vec<ServerMsg> {
+        let started = Instant::now();
+        let (fs, root): (Arc<dyn Vfs>, PathBuf) = match &self.storage {
+            Storage::Durable { root } => (Arc::new(RealFs), root.clone()),
+            Storage::DurableVfs { fs, root } => (Arc::clone(fs), root.clone()),
+            Storage::InMemory => {
+                return vec![ServerMsg::err(
+                    ErrorCode::Protocol,
+                    "replication requires a durable server",
+                )]
+            }
+        };
+        let at = format!("gen={sub_gen} off={sub_off}");
+        conn.trace(EventKind::ReplSubscribe, at.clone(), started, 0);
+        let mut last_err = None;
+        for _ in 0..3 {
+            match subscription_batch(fs.as_ref(), &root, sub_gen, sub_off) {
+                Ok((msgs, shipped)) => {
+                    let args = format!("{at} msgs={} bytes={shipped}", msgs.len());
+                    conn.trace(EventKind::ReplShip, args, started, 0);
+                    return msgs;
+                }
+                // Lost a race with the checkpoint flip (the generation we
+                // were reading vanished mid-batch); retry against the
+                // fresh tip.
+                Err(e) => last_err = Some(e),
+            }
+        }
+        let e = last_err.expect("three failed attempts leave an error");
+        vec![ServerMsg::err(
+            ErrorCode::Internal,
+            format!("subscription source unavailable: {e}"),
+        )]
     }
 }
 
 // ---------------------------------------------------------------------------
 // WAL-shipping subscriptions (protocol v2).
 // ---------------------------------------------------------------------------
-
-/// Serve one `Subscribe` poll: compute the catch-up batch against the
-/// durable directory, then send it — `CheckpointImage` chunks when the
-/// subscriber must re-anchor, `WalChunk`s for the byte range it is
-/// missing, and a final `CaughtUp` carrying the tip. The batch is fully
-/// materialized before the first byte goes out, so a checkpoint flip
-/// racing the read never leaves the subscriber with a half-shipped image:
-/// the batch computation fails, we retry against the fresh tip, and only
-/// a complete batch is ever transmitted.
-fn handle_subscribe(
-    inner: &Inner,
-    widx: usize,
-    stream: &mut TcpStream,
-    sub_gen: u64,
-    sub_off: u64,
-) -> Result<()> {
-    let started = Instant::now();
-    let (fs, root): (Arc<dyn Vfs>, PathBuf) = match &inner.cfg.spec.storage {
-        Storage::Durable { root } => (Arc::new(RealFs), root.clone()),
-        Storage::DurableVfs { fs, root } => (Arc::clone(fs), root.clone()),
-        Storage::InMemory => {
-            refuse(
-                stream,
-                ErrorCode::Protocol,
-                "replication requires a durable server",
-            );
-            return Ok(());
-        }
-    };
-    inner.trace(
-        EventKind::ReplSubscribe,
-        widx,
-        format!("gen={sub_gen} off={sub_off}"),
-        started,
-        0,
-    );
-    let mut last_err = None;
-    for _ in 0..3 {
-        match subscription_batch(fs.as_ref(), &root, sub_gen, sub_off) {
-            Ok((msgs, shipped)) => {
-                let n = msgs.len() as u64;
-                for m in &msgs {
-                    send(stream, m)?;
-                }
-                inner.trace(
-                    EventKind::ReplShip,
-                    widx,
-                    format!("gen={sub_gen} off={sub_off} msgs={n} bytes={shipped}"),
-                    started,
-                    0,
-                );
-                return Ok(());
-            }
-            // Lost a race with the checkpoint flip (the generation we were
-            // reading vanished mid-batch); retry against the fresh tip.
-            Err(e) => last_err = Some(e),
-        }
-    }
-    let e = last_err.expect("three failed attempts leave an error");
-    refuse(
-        stream,
-        ErrorCode::Internal,
-        &format!("subscription source unavailable: {e}"),
-    );
-    Ok(())
-}
 
 /// Compute one poll's messages: either a tail of the subscriber's own
 /// generation, or a full re-anchor (image + WAL) of the current one.
@@ -937,32 +384,32 @@ fn subscription_batch(
 ) -> Result<(Vec<ServerMsg>, u64)> {
     let tip = durable_tip(fs, root)?.unwrap_or(Tip { gen: 0, wal_len: 0 });
     let mut msgs = Vec::new();
-    let mut shipped = 0u64;
+    // The WAL bytes of `generation` from `start` on, chunked, then the tip.
+    let wal_tail = |msgs: &mut Vec<ServerMsg>, generation: u64, start: u64, bytes: &[u8]| {
+        let mut offset = start;
+        for chunk in bytes.chunks(SHIP_CHUNK) {
+            msgs.push(ServerMsg::WalChunk {
+                generation,
+                offset,
+                bytes: chunk.to_vec(),
+            });
+            offset += chunk.len() as u64;
+        }
+        msgs.push(ServerMsg::CaughtUp { generation, offset });
+        bytes.len() as u64
+    };
     // Fast path: the subscriber is tailing the live generation and the
     // range it wants still exists.
     if sub_gen == tip.gen {
         if let Some(bytes) = read_wal_range(fs, root, sub_gen, sub_off)? {
-            let end = sub_off + bytes.len() as u64;
-            shipped += bytes.len() as u64;
-            let mut off = sub_off;
-            for chunk in bytes.chunks(SHIP_CHUNK) {
-                msgs.push(ServerMsg::WalChunk {
-                    generation: sub_gen,
-                    offset: off,
-                    bytes: chunk.to_vec(),
-                });
-                off += chunk.len() as u64;
-            }
-            msgs.push(ServerMsg::CaughtUp {
-                generation: sub_gen,
-                offset: end,
-            });
+            let shipped = wal_tail(&mut msgs, sub_gen, sub_off, &bytes);
             return Ok((msgs, shipped));
         }
     }
     // Re-anchor: the subscriber is behind the last checkpoint (or brand
     // new, or its generation's WAL is gone). Ship the current image, then
     // the current WAL from byte zero.
+    let mut shipped = 0u64;
     if tip.gen == 0 {
         // No checkpoint has ever committed: the "image" is the empty
         // catalog. One marker chunk says so.
@@ -994,20 +441,6 @@ fn subscription_batch(
         }
     }
     let bytes = read_wal_range(fs, root, tip.gen, 0)?.unwrap_or_default();
-    let end = bytes.len() as u64;
-    shipped += end;
-    let mut off = 0u64;
-    for chunk in bytes.chunks(SHIP_CHUNK) {
-        msgs.push(ServerMsg::WalChunk {
-            generation: tip.gen,
-            offset: off,
-            bytes: chunk.to_vec(),
-        });
-        off += chunk.len() as u64;
-    }
-    msgs.push(ServerMsg::CaughtUp {
-        generation: tip.gen,
-        offset: end,
-    });
+    shipped += wal_tail(&mut msgs, tip.gen, 0, &bytes);
     Ok((msgs, shipped))
 }

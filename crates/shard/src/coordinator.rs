@@ -64,13 +64,12 @@ use mammoth_mal::{
 use mammoth_planner::normalize_sql;
 use mammoth_server::{Client, ClientError, ErrorCode, Response, RetryPolicy};
 use mammoth_sql::{
-    classify, compile_select, delete_sql, insert_sql, parse_sql, render_outputs, select_sql,
-    wants_sharding_status, GatherTable, Predicate, QueryOutput, ScatterPlan, SelectStmt, Statement,
+    classify, compile_select, delete_sql, insert_sql, parse_sql, reject_stray_params,
+    render_outputs, select_sql, wants_sharding_status, GatherTable, Predicate, PreparedRegistry,
+    QueryOutput, ScatterPlan, SelectStmt, Statement,
 };
 use mammoth_storage::{Bat, Catalog, Table};
-use mammoth_types::{
-    ColumnDef, Error, EventKind, LogicalType, ProfiledRun, TableSchema, TraceEvent, Value,
-};
+use mammoth_types::{ColumnDef, Error, EventKind, LogicalType, Recorder, TableSchema, Value};
 
 use crate::partition::{shard_of, PartitionMap, PartitionSpec};
 
@@ -188,6 +187,12 @@ impl std::fmt::Display for CoordError {
 
 impl std::error::Error for CoordError {}
 
+impl From<Error> for CoordError {
+    fn from(e: Error) -> CoordError {
+        CoordError::Sql(e)
+    }
+}
+
 fn internal(e: impl std::fmt::Display) -> CoordError {
     CoordError::Sql(Error::Internal(e.to_string()))
 }
@@ -219,11 +224,10 @@ pub struct Coordinator {
     /// the planning catalog holds schemas only, so it changes exactly on
     /// DDL, which clears the cache wholesale.
     plans: Mutex<HashMap<String, Arc<PlannedSelect>>>,
-    /// `PREPARE`d statements by lowercased name.
-    prepared: Mutex<HashMap<String, PreparedStmt>>,
+    /// `PREPARE`d statements.
+    prepared: PreparedRegistry,
     next_frag: AtomicU64,
-    events: Mutex<Vec<TraceEvent>>,
-    t0: Instant,
+    recorder: Recorder,
     stmts: AtomicU64,
 }
 
@@ -234,13 +238,6 @@ struct PlannedSelect {
     names: Vec<String>,
     plan: ScatterPlan,
     schemas: Vec<TableSchema>,
-}
-
-/// A coordinator-side prepared statement.
-#[derive(Debug, Clone)]
-struct PreparedStmt {
-    stmt: Statement,
-    nparams: usize,
 }
 
 impl Coordinator {
@@ -269,10 +266,9 @@ impl Coordinator {
             planning: Mutex::new(Catalog::new()),
             parts: Mutex::new(PartitionMap::default()),
             plans: Mutex::new(HashMap::new()),
-            prepared: Mutex::new(HashMap::new()),
+            prepared: PreparedRegistry::default(),
             next_frag: AtomicU64::new(1),
-            events: Mutex::new(Vec::new()),
-            t0: Instant::now(),
+            recorder: Recorder::default(),
             stmts: AtomicU64::new(0),
         }
     }
@@ -287,37 +283,14 @@ impl Coordinator {
     }
 
     fn trace(&self, kind: EventKind, args: String, started: Instant, rows: u64) {
-        let now = Instant::now();
-        let ev = TraceEvent {
-            kind,
-            op: kind.as_str().into(),
-            args,
-            start_ns: started.duration_since(self.t0).as_nanos() as u64,
-            dur_ns: now.duration_since(started).as_nanos() as u64,
-            rows_out: rows,
-            ..TraceEvent::default()
-        };
-        self.events
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(ev);
+        self.recorder.record(kind, 0, args, started, rows);
     }
 
-    /// Fold accumulated `shard.*` events into a [`ProfiledRun`] and append
-    /// it to the `MAMMOTH_TRACE` path, mirroring the server's flush.
+    /// Fold accumulated `shard.*` events into one `engine="shard"` run and
+    /// append it to the `MAMMOTH_TRACE` path, mirroring the server's flush.
     pub fn flush_trace(&self) -> std::io::Result<bool> {
-        let events = {
-            let mut g = self.events.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut *g)
-        };
-        let mut run = ProfiledRun::new("shard", self.nshards());
-        run.executed = events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::ShardScatter | EventKind::ShardRoute))
-            .count() as u64;
-        run.elapsed_ns = self.t0.elapsed().as_nanos() as u64;
-        run.events = events;
-        run.export_env()
+        let counted = [EventKind::ShardScatter, EventKind::ShardRoute];
+        self.recorder.flush("shard", self.nshards(), &counted)
     }
 
     /// The shard's current primary address (swapped on failover).
@@ -390,41 +363,24 @@ impl Coordinator {
         addr: &str,
         f: impl FnOnce(&mut Client) -> Result<T, ClientError>,
     ) -> Result<T, CoordError> {
+        // Every way a leg is lost traces the same event and types the same.
+        let unavailable = |started: Instant, why: &dyn std::fmt::Display| {
+            let args = format!("shard={i} addr={addr}");
+            self.trace(EventKind::ShardUnavailable, args, started, 0);
+            CoordError::Unavailable(format!("shard {i} ({addr}): {why}"))
+        };
         let mut slot = slot.lock().unwrap_or_else(|e| e.into_inner());
         if slot.is_none() {
             let started = Instant::now();
-            match Client::connect_with_retry(
-                addr,
-                "mammoth-shard",
-                &self.cfg.token,
-                &self.cfg.retry,
-            ) {
-                Ok(c) => {
-                    if let Err(e) = c.set_read_timeout(Some(self.cfg.deadline)) {
-                        self.trace(
-                            EventKind::ShardUnavailable,
-                            format!("shard={i} addr={addr}"),
-                            started,
-                            0,
-                        );
-                        return Err(CoordError::Unavailable(format!("shard {i} ({addr}): {e}")));
-                    }
-                    *slot = Some(c);
-                }
-                Err(e) => {
-                    self.trace(
-                        EventKind::ShardUnavailable,
-                        format!("shard={i} addr={addr}"),
-                        started,
-                        0,
-                    );
-                    return Err(CoordError::Unavailable(format!("shard {i} ({addr}): {e}")));
-                }
-            }
+            let c =
+                Client::connect_with_retry(addr, "mammoth-shard", &self.cfg.token, &self.cfg.retry)
+                    .map_err(|e| unavailable(started, &e))?;
+            c.set_read_timeout(Some(self.cfg.deadline))
+                .map_err(|e| unavailable(started, &e))?;
+            *slot = Some(c);
         }
         let started = Instant::now();
-        let out = f(slot.as_mut().expect("dialed above"));
-        match out {
+        match f(slot.as_mut().expect("dialed above")) {
             Ok(v) => Ok(v),
             Err(ClientError::Server {
                 code: ErrorCode::ShuttingDown,
@@ -433,15 +389,7 @@ impl Coordinator {
                 // A draining shard is as gone as a dead one for this
                 // statement; reclassify so clients see the typed code.
                 *slot = None;
-                self.trace(
-                    EventKind::ShardUnavailable,
-                    format!("shard={i} addr={addr}"),
-                    started,
-                    0,
-                );
-                Err(CoordError::Unavailable(format!(
-                    "shard {i} ({addr}): {message}"
-                )))
+                Err(unavailable(started, &message))
             }
             Err(ClientError::Server { code, message }) => {
                 // The shard answered; the connection is still in protocol.
@@ -449,13 +397,7 @@ impl Coordinator {
             }
             Err(e) => {
                 *slot = None;
-                self.trace(
-                    EventKind::ShardUnavailable,
-                    format!("shard={i} addr={addr}"),
-                    started,
-                    0,
-                );
-                Err(CoordError::Unavailable(format!("shard {i} ({addr}): {e}")))
+                Err(unavailable(started, &e))
             }
         }
     }
@@ -1187,13 +1129,8 @@ impl Coordinator {
         if wants_sharding_status(sql) {
             return self.explain_sharding();
         }
-        let stmt = parse_sql(sql).map_err(CoordError::Sql)?;
-        if !matches!(stmt, Statement::Prepare { .. }) && stmt.param_count() > 0 {
-            return Err(CoordError::Sql(Error::Bind(
-                "placeholders (?) are only allowed inside PREPARE; supply values with EXECUTE"
-                    .into(),
-            )));
-        }
+        let stmt = parse_sql(sql)?;
+        reject_stray_params(&stmt)?;
         match stmt {
             Statement::CreateTable { name, columns } => self.create_table(sql, &name, &columns),
             Statement::DropTable { name } => self.drop_table(sql, &name),
@@ -1228,81 +1165,34 @@ impl Coordinator {
                 let sql = delete_sql(&table, &where_);
                 self.delete(&sql, &table, &where_)
             }
-            Statement::Prepare { name, stmt } => self.prepare_statement(name, *stmt),
+            // Fully-bound SELECTs warm the scatter-plan cache at `PREPARE`
+            // time, so the first `EXECUTE` is already a `plan.cache_hit`.
+            Statement::Prepare { name, stmt } => {
+                self.prepared.register(name, *stmt, |stmt| match stmt {
+                    Statement::Select(sel) if stmt.param_count() == 0 => {
+                        self.planned_select(sel).map(drop)
+                    }
+                    Statement::Select(_) | Statement::Insert { .. } | Statement::Delete { .. } => {
+                        Ok(())
+                    }
+                    _ => Err(CoordError::Sql(Error::Unsupported(
+                        "the coordinator prepares SELECT, INSERT and DELETE statements".into(),
+                    ))),
+                })?;
+                Ok(QueryOutput::Ok)
+            }
             Statement::Execute { name, args } => {
-                let p = self
-                    .prepared
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .get(&name.to_lowercase())
-                    .cloned()
-                    .ok_or(CoordError::Sql(Error::NotFound {
-                        kind: "prepared statement",
-                        name: name.clone(),
-                    }))?;
-                if args.len() != p.nparams {
-                    return Err(CoordError::Sql(Error::Bind(format!(
-                        "prepared statement {name} takes {} argument(s), EXECUTE supplies {}",
-                        p.nparams,
-                        args.len()
-                    ))));
-                }
-                let bound = p.stmt.bind_params(&args).map_err(CoordError::Sql)?;
-                self.dispatch(bound)
+                let p = self.prepared.lookup(&name, args.len())?;
+                self.dispatch(p.stmt.bind_params(&args)?)
             }
             Statement::Deallocate { name } => {
-                match self
-                    .prepared
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .remove(&name.to_lowercase())
-                {
-                    Some(_) => Ok(QueryOutput::Ok),
-                    None => Err(CoordError::Sql(Error::NotFound {
-                        kind: "prepared statement",
-                        name,
-                    })),
-                }
+                self.prepared.remove(&name)?;
+                Ok(QueryOutput::Ok)
             }
             other => Err(CoordError::Sql(Error::Unsupported(format!(
                 "the coordinator cannot route {other:?} through EXECUTE"
             )))),
         }
-    }
-
-    /// Register a coordinator-side prepared statement. Fully-bound
-    /// SELECTs warm the scatter-plan cache at `PREPARE` time, so the
-    /// first `EXECUTE` is already a `plan.cache_hit`.
-    fn prepare_statement(&self, name: String, stmt: Statement) -> Result<QueryOutput, CoordError> {
-        let key = name.to_lowercase();
-        if self
-            .prepared
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .contains_key(&key)
-        {
-            return Err(CoordError::Sql(Error::AlreadyExists {
-                kind: "prepared statement",
-                name,
-            }));
-        }
-        if !matches!(
-            stmt,
-            Statement::Select(_) | Statement::Insert { .. } | Statement::Delete { .. }
-        ) {
-            return Err(CoordError::Sql(Error::Unsupported(
-                "the coordinator prepares SELECT, INSERT and DELETE statements".into(),
-            )));
-        }
-        let nparams = stmt.param_count();
-        if let (Statement::Select(sel), 0) = (&stmt, nparams) {
-            self.planned_select(sel)?;
-        }
-        self.prepared
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key, PreparedStmt { stmt, nparams });
-        Ok(QueryOutput::Ok)
     }
 }
 

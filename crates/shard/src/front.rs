@@ -1,30 +1,24 @@
 //! The coordinator's network front end.
 //!
-//! Speaks the same framed protocol as `mammoth-server`, so every existing
-//! client (including [`mammoth_server::Client`]) talks to a shard cluster
-//! unchanged — the coordinator *is* just another server from the outside.
-//! Differences from the single-node server:
+//! The same connection core as `mammoth-server`
+//! ([`mammoth_server::Listener`]), so every existing client (including
+//! [`mammoth_server::Client`]) talks to a shard cluster unchanged — the
+//! coordinator *is* just another server from the outside, with the same
+//! handshake, admission control (the server's default worker pool and
+//! backlog) and drain. What differs is its [`Handler`]:
 //!
-//! * thread-per-connection, no admission queue — the shards themselves
-//!   apply admission control; the coordinator's job is fan-out, and its
-//!   per-statement deadline already bounds how long a connection can hold
-//!   a thread inside a statement;
-//! * `Fragment` and `Subscribe` are refused: the coordinator is the top
-//!   of the tree, not a scatter target or a replication primary;
-//! * statement failures carry the coordinator's typed codes —
-//!   `SHARD_UNAVAILABLE` for a dead or deadline-blown shard, shard error
-//!   frames passed through verbatim.
+//! * statements go to [`Coordinator::execute`], and their failures carry
+//!   the coordinator's typed codes — `SHARD_UNAVAILABLE` for a dead or
+//!   deadline-blown shard, shard error frames passed through verbatim;
+//! * `Fragment` and `Subscribe` keep the core's refusals: the coordinator
+//!   is the top of the tree, not a scatter target or a replication
+//!   primary.
 
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::net::SocketAddr;
+use std::sync::Arc;
 
-use mammoth_server::frame::{read_frame, write_frame};
-use mammoth_server::{ClientMsg, ErrorCode, ServerMsg, MIN_PROTO_VERSION, PROTO_VERSION};
-use mammoth_types::{Error, Result};
+use mammoth_server::{ErrorCode, Handler, Listener, ServerConfig, ServerMsg};
+use mammoth_types::Result;
 
 use crate::coordinator::{CoordError, Coordinator};
 
@@ -38,7 +32,8 @@ pub struct FrontConfig {
     pub addr: String,
     /// Require this token at login when set.
     pub auth_token: Option<String>,
-    /// Honor [`ClientMsg::Shutdown`] from clients (daemon mode).
+    /// Honor [`mammoth_server::ClientMsg::Shutdown`] from clients (daemon
+    /// mode).
     pub allow_remote_shutdown: bool,
 }
 
@@ -52,16 +47,22 @@ impl FrontConfig {
     }
 }
 
-struct Inner {
-    coordinator: Arc<Coordinator>,
-    cfg: FrontConfig,
-    shutdown: AtomicBool,
-    conns: Mutex<Vec<JoinHandle<()>>>,
-}
+struct Front(Arc<Coordinator>);
 
-impl Inner {
-    fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+impl Handler for Front {
+    fn name(&self) -> &str {
+        COORDINATOR_NAME
+    }
+
+    /// Map a coordinator outcome onto a protocol frame.
+    fn statement(&self, sql: &str) -> ServerMsg {
+        let (code, message) = match self.0.execute(sql) {
+            Ok(out) => return ServerMsg::from_output(out),
+            Err(CoordError::Unavailable(m)) => (ErrorCode::ShardUnavailable, m),
+            Err(CoordError::Remote { code, message }) => (code, message),
+            Err(CoordError::Sql(e)) => (ErrorCode::Sql, e.to_string()),
+        };
+        ServerMsg::err(code, message)
     }
 }
 
@@ -69,329 +70,46 @@ impl Inner {
 /// [`FrontEnd::wait`]) to drain and join; dropping it leaks the listener
 /// thread until process exit, like `Server`.
 pub struct FrontEnd {
-    inner: Arc<Inner>,
-    acceptor: Option<JoinHandle<()>>,
-    local_addr: SocketAddr,
+    listener: Listener<Front>,
 }
 
 impl FrontEnd {
     /// Bind, start the acceptor, return immediately.
     pub fn start(cfg: FrontConfig, coordinator: Arc<Coordinator>) -> Result<FrontEnd> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let inner = Arc::new(Inner {
-            coordinator,
-            cfg,
-            shutdown: AtomicBool::new(false),
-            conns: Mutex::new(Vec::new()),
-        });
-        let acceptor = {
-            let inner = inner.clone();
-            std::thread::Builder::new()
-                .name("shard-acceptor".into())
-                .spawn(move || acceptor_loop(&inner, listener))?
+        let cfg = ServerConfig {
+            addr: cfg.addr,
+            auth_token: cfg.auth_token,
+            allow_remote_shutdown: cfg.allow_remote_shutdown,
+            ..ServerConfig::default()
         };
-        Ok(FrontEnd {
-            inner,
-            acceptor: Some(acceptor),
-            local_addr,
-        })
+        let listener = Listener::start(&cfg, || Ok(Front(coordinator)))?;
+        Ok(FrontEnd { listener })
     }
 
     /// The bound address (port 0 resolved to the real ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// Flip the drain flag; returns immediately. Idempotent.
     pub fn request_shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        self.listener.request_shutdown();
     }
 
     /// Block until a client requests shutdown (or a local
     /// [`FrontEnd::request_shutdown`]), then drain and finish.
     pub fn wait(self) -> Result<()> {
-        while !self.inner.draining() {
-            std::thread::sleep(Duration::from_millis(25));
-        }
+        self.listener.wait_shutdown_requested();
         self.shutdown()
     }
 
     /// Stop accepting, let in-flight statements finish, join every
-    /// connection thread, and flush the coordinator's trace.
+    /// thread, and flush the coordinator's and the listener's traces.
     pub fn shutdown(mut self) -> Result<()> {
-        self.request_shutdown();
-        if let Some(a) = self.acceptor.take() {
-            a.join()
-                .map_err(|_| Error::Internal("shard acceptor thread panicked".into()))?;
-        }
-        let conns: Vec<JoinHandle<()>> = {
-            let mut g = self.inner.conns.lock().unwrap_or_else(|e| e.into_inner());
-            g.drain(..).collect()
-        };
-        for c in conns {
-            c.join()
-                .map_err(|_| Error::Internal("shard connection thread panicked".into()))?;
-        }
-        self.inner.coordinator.stop_health_monitor();
-        self.inner.coordinator.flush_trace()?;
-        Ok(())
-    }
-}
-
-fn acceptor_loop(inner: &Arc<Inner>, listener: TcpListener) {
-    loop {
-        if inner.draining() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let inner2 = inner.clone();
-                let handle =
-                    std::thread::Builder::new()
-                        .name("shard-conn".into())
-                        .spawn(move || {
-                            let _ = serve_connection(&inner2, stream);
-                        });
-                if let Ok(h) = handle {
-                    inner
-                        .conns
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push(h);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(25)),
-        }
-    }
-}
-
-enum Wait {
-    Data,
-    Closed,
-    Drain,
-}
-
-/// Idle-poll for the next frame without consuming bytes (same discipline
-/// as the server): the drain flag is observed between statements, but a
-/// read timeout can never fire mid-frame and desynchronize the stream.
-fn wait_for_data(stream: &TcpStream, inner: &Inner) -> io::Result<Wait> {
-    stream.set_read_timeout(Some(Duration::from_millis(25)))?;
-    let mut b = [0u8; 1];
-    loop {
-        match stream.peek(&mut b) {
-            Ok(0) => return Ok(Wait::Closed),
-            Ok(_) => {
-                stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-                return Ok(Wait::Data);
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if inner.draining() {
-                    return Ok(Wait::Drain);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-fn send(stream: &mut TcpStream, msg: &ServerMsg) -> Result<()> {
-    write_frame(stream, &msg.encode())
-}
-
-fn refuse(stream: &mut TcpStream, code: ErrorCode, msg: &str) {
-    let _ = write_frame(
-        stream,
-        &ServerMsg::Err {
-            code,
-            message: msg.into(),
-        }
-        .encode(),
-    );
-}
-
-/// Map a coordinator outcome onto a protocol frame.
-fn response_frame(out: std::result::Result<mammoth_sql::QueryOutput, CoordError>) -> ServerMsg {
-    match out {
-        Ok(out) => ServerMsg::from_output(out),
-        Err(CoordError::Unavailable(m)) => ServerMsg::Err {
-            code: ErrorCode::ShardUnavailable,
-            message: m,
-        },
-        Err(CoordError::Remote { code, message }) => ServerMsg::Err { code, message },
-        Err(CoordError::Sql(e)) => ServerMsg::Err {
-            code: ErrorCode::Sql,
-            message: e.to_string(),
-        },
-    }
-}
-
-fn serve_connection(inner: &Inner, mut stream: TcpStream) -> Result<()> {
-    if inner.draining() {
-        refuse(
-            &mut stream,
-            ErrorCode::ShuttingDown,
-            "coordinator shutting down",
-        );
-        return Ok(());
-    }
-    send(
-        &mut stream,
-        &ServerMsg::Hello {
-            version: PROTO_VERSION,
-            server: COORDINATOR_NAME.into(),
-        },
-    )?;
-    match wait_for_data(&stream, inner)? {
-        Wait::Data => {}
-        Wait::Closed => return Ok(()),
-        Wait::Drain => {
-            refuse(
-                &mut stream,
-                ErrorCode::ShuttingDown,
-                "coordinator shutting down",
-            );
-            return Ok(());
-        }
-    }
-    let payload = read_frame(&mut stream)?;
-    match ClientMsg::decode(&payload) {
-        Ok(ClientMsg::Login { version, token, .. }) => {
-            if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&version) {
-                refuse(
-                    &mut stream,
-                    ErrorCode::Protocol,
-                    &format!(
-                        "protocol version {version} unsupported (coordinator speaks \
-                         {MIN_PROTO_VERSION}..={PROTO_VERSION})"
-                    ),
-                );
-                return Ok(());
-            }
-            if let Some(expected) = &inner.cfg.auth_token {
-                if &token != expected {
-                    refuse(&mut stream, ErrorCode::AuthFailed, "bad auth token");
-                    return Ok(());
-                }
-            }
-        }
-        Ok(_) => {
-            refuse(
-                &mut stream,
-                ErrorCode::Protocol,
-                "expected Login after Hello",
-            );
-            return Ok(());
-        }
-        Err(e) => {
-            refuse(
-                &mut stream,
-                ErrorCode::Protocol,
-                &format!("bad login frame: {e}"),
-            );
-            return Ok(());
-        }
-    }
-    send(&mut stream, &ServerMsg::Ready)?;
-
-    loop {
-        match wait_for_data(&stream, inner)? {
-            Wait::Data => {
-                if inner.draining() {
-                    refuse(
-                        &mut stream,
-                        ErrorCode::ShuttingDown,
-                        "coordinator shutting down",
-                    );
-                    return Ok(());
-                }
-            }
-            Wait::Closed => return Ok(()),
-            Wait::Drain => {
-                refuse(
-                    &mut stream,
-                    ErrorCode::ShuttingDown,
-                    "coordinator shutting down",
-                );
-                return Ok(());
-            }
-        }
-        let payload = read_frame(&mut stream)?;
-        match ClientMsg::decode(&payload) {
-            Ok(ClientMsg::Query { sql }) => {
-                let msg = response_frame(inner.coordinator.execute(&sql));
-                send(&mut stream, &msg)?;
-            }
-            Ok(ClientMsg::Quit) => return Ok(()),
-            Ok(ClientMsg::Shutdown) => {
-                if inner.cfg.allow_remote_shutdown {
-                    send(&mut stream, &ServerMsg::Ok)?;
-                    inner.shutdown.store(true, Ordering::SeqCst);
-                } else {
-                    refuse(
-                        &mut stream,
-                        ErrorCode::Protocol,
-                        "remote shutdown disabled on this coordinator",
-                    );
-                }
-            }
-            // The v4 prepared-statement verbs are sugar over the SQL
-            // forms, so the coordinator's own prepared registry (see
-            // `Coordinator::dispatch`) serves wire clients too.
-            Ok(ClientMsg::Prepare { name, sql }) => {
-                let text = format!("PREPARE {name} AS {sql}");
-                let msg = match response_frame(inner.coordinator.execute(&text)) {
-                    ServerMsg::Ok => {
-                        let nparams = mammoth_sql::parse_sql(&text)
-                            .map(|s| s.param_count() as u32)
-                            .unwrap_or(0);
-                        ServerMsg::Prepared { nparams }
-                    }
-                    other => other,
-                };
-                send(&mut stream, &msg)?;
-            }
-            Ok(ClientMsg::ExecutePrepared { name, args }) => {
-                let lits: Vec<String> = args.iter().map(mammoth_sql::sql_literal).collect();
-                let text = if lits.is_empty() {
-                    format!("EXECUTE {name}")
-                } else {
-                    format!("EXECUTE {name} ({})", lits.join(", "))
-                };
-                let msg = response_frame(inner.coordinator.execute(&text));
-                send(&mut stream, &msg)?;
-            }
-            Ok(ClientMsg::Deallocate { name }) => {
-                let msg = response_frame(inner.coordinator.execute(&format!("DEALLOCATE {name}")));
-                send(&mut stream, &msg)?;
-            }
-            Ok(ClientMsg::Fragment { .. }) => {
-                refuse(
-                    &mut stream,
-                    ErrorCode::Protocol,
-                    "the coordinator is not a scatter target; send Query",
-                );
-            }
-            Ok(ClientMsg::Subscribe { .. }) => {
-                refuse(
-                    &mut stream,
-                    ErrorCode::Protocol,
-                    "the coordinator does not serve a WAL stream",
-                );
-            }
-            Ok(ClientMsg::Login { .. }) => {
-                refuse(&mut stream, ErrorCode::Protocol, "already logged in");
-            }
-            Err(e) => {
-                refuse(&mut stream, ErrorCode::Protocol, &format!("bad frame: {e}"));
-                return Ok(());
-            }
-        }
+        self.listener.drain()?;
+        let coordinator = &self.listener.handler().0;
+        coordinator.stop_health_monitor();
+        coordinator.flush_trace()?;
+        self.listener.flush_trace()
     }
 }

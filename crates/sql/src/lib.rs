@@ -19,6 +19,7 @@ pub mod ast;
 pub mod compile;
 pub mod lexer;
 pub mod parser;
+pub mod prepared;
 pub mod routing;
 pub mod session;
 
@@ -26,6 +27,7 @@ pub use ast::{ColumnRef, JoinClause};
 pub use ast::{Predicate, Scalar, SelectItem, SelectStmt, Statement};
 pub use compile::compile_select;
 pub use parser::parse_sql;
+pub use prepared::{reject_stray_params, PreparedRegistry, PreparedStmt};
 pub use routing::{
     classify, delete_sql, insert_sql, select_sql, sql_literal, wants_promotion,
     wants_sharding_status, GatherTable, ScatterPlan,

@@ -9,6 +9,7 @@
 use crate::ast::{Predicate, SelectStmt, Statement};
 use crate::compile::compile_select;
 use crate::parser::parse_sql;
+use crate::prepared::{reject_stray_params, PreparedRegistry};
 use crate::routing::select_sql;
 use mammoth_mal::{
     analyze_props, column_facts, column_types, default_pipeline_with_props,
@@ -23,7 +24,6 @@ use mammoth_planner::{
 use mammoth_recycler::{EvictPolicy, Recycler};
 use mammoth_storage::{persist, Catalog, RealFs, Table, VersionedColumn, Vfs, Wal, WalRecord};
 use mammoth_types::{ColumnDef, Error, LogicalType, Oid, Result, TableSchema, Value};
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -119,10 +119,8 @@ pub struct Session {
     last_profile: Option<ProfiledRun>,
     /// Replication status callback for `EXPLAIN REPLICATION`.
     status_provider: Option<StatusProvider>,
-    /// Prepared-statement registry: lowercased name → statement. Mutex'd
-    /// so `PREPARE`/`DEALLOCATE` can run on the concurrent-reader path
-    /// (`&self`) — they mutate session bookkeeping, never data.
-    prepared: Mutex<HashMap<String, PreparedStmt>>,
+    /// `PREPARE`d statements.
+    prepared: PreparedRegistry,
     /// Compiled/verified/optimized plans of prepared SELECTs, keyed by
     /// normalized statement text. Cleared on DDL and recovery; premise
     /// mismatches (column properties drifted under DML) evict per-entry.
@@ -131,11 +129,17 @@ pub struct Session {
     stats: Mutex<StatsCatalog>,
 }
 
-/// A registered prepared statement.
-#[derive(Debug, Clone)]
-struct PreparedStmt {
-    stmt: Statement,
-    nparams: usize,
+/// What [`Session::dispatch`] resolved a statement to.
+enum Step {
+    /// Answered from session bookkeeping alone (`EXPLAIN`, `PREPARE`,
+    /// `DEALLOCATE`).
+    Done(QueryOutput),
+    /// A SELECT — ad hoc, or a prepared one with its arguments bound —
+    /// compiled, verified and optimized: the plan and its column names.
+    Run(Program, Vec<String>),
+    /// A statement only [`Session::apply`] can serve — DDL, DML,
+    /// `CHECKPOINT`, `TRACE` — as written or bound from a prepared one.
+    Write(Box<Statement>),
 }
 
 impl Default for Session {
@@ -155,7 +159,7 @@ impl Session {
             merge_threshold: 64 * 1024,
             last_profile: None,
             status_provider: None,
-            prepared: Mutex::new(HashMap::new()),
+            prepared: PreparedRegistry::default(),
             plan_cache: Mutex::new(PlanCache::new()),
             stats: Mutex::new(StatsCatalog::new()),
         }
@@ -417,20 +421,171 @@ impl Session {
         if wants_replication_status(sql) {
             return Ok(self.replication_status());
         }
-        let stmt = parse_sql(sql)?;
-        self.execute_statement(stmt)
+        match self.dispatch(parse_sql(sql)?)? {
+            Step::Done(out) => Ok(out),
+            // with MAMMOTH_TRACE set, SELECTs run profiled and append
+            // their trace to the named file
+            Step::Run(prog, names) => {
+                render_outputs(names, self.run_exclusive(&prog, trace_env_on())?)
+            }
+            Step::Write(stmt) => self.apply(*stmt),
+        }
     }
 
-    /// Execute a parsed statement — the write path body of
-    /// [`Session::execute`], re-entered by `EXECUTE` of a prepared DML
-    /// statement after parameter substitution.
-    fn execute_statement(&mut self, stmt: Statement) -> Result<QueryOutput> {
-        if !matches!(stmt, Statement::Prepare { .. }) && stmt.param_count() > 0 {
-            return Err(Error::Bind(
-                "placeholders (?) are only allowed inside PREPARE; supply values with EXECUTE"
-                    .into(),
-            ));
+    /// Execute a read-only statement (`SELECT` / `EXPLAIN`) through `&self`.
+    ///
+    /// This is the concurrent-reader path the network server schedules N
+    /// clients onto: it touches no session state, so any number of calls
+    /// may run at once while DML waits for exclusive access. The recycler
+    /// and the `MAMMOTH_TRACE` per-query profile both require `&mut self`
+    /// and are bypassed here — both are transparent to results, and the
+    /// server layer emits its own `server.statement` trace events instead.
+    ///
+    /// Statements that mutate data (DML, DDL, `CHECKPOINT`, `TRACE` —
+    /// which records [`Session::last_profile`]) return
+    /// [`Error::Unsupported`]; route them through [`Session::execute`].
+    /// `PREPARE`/`DEALLOCATE` are served here (they mutate only the
+    /// Mutex-guarded session registry), and so is `EXECUTE` of a prepared
+    /// SELECT; `EXECUTE` of prepared DML returns [`Error::NeedsWrite`],
+    /// the typed signal for "retry me on the write path".
+    pub fn execute_read(&self, sql: &str) -> Result<QueryOutput> {
+        if wants_replication_status(sql) {
+            return Ok(self.replication_status());
         }
+        let stmt = parse_sql(sql)?;
+        let prepared = matches!(stmt, Statement::Execute { .. });
+        match self.dispatch(stmt)? {
+            Step::Done(out) => Ok(out),
+            Step::Run(prog, names) => {
+                let (outputs, _) =
+                    Self::run_plan(&self.catalog, self.executor(), None, &prog, false)?;
+                render_outputs(names, outputs)
+            }
+            Step::Write(_) if prepared => Err(Error::NeedsWrite),
+            Step::Write(_) => Err(Error::Unsupported(
+                "execute_read handles only SELECT/EXPLAIN and prepared statements; \
+                 use execute for mutating statements"
+                    .into(),
+            )),
+        }
+    }
+
+    /// The statement dispatcher both entry points share. Everything a
+    /// reader may do is decided here, through `&self`: a SELECT comes back
+    /// as a plan for the caller to run on its own terms (exclusive callers
+    /// attach the recycler and the profiler, readers neither), and
+    /// whatever needs `&mut self` comes back as [`Step::Write`].
+    fn dispatch(&self, stmt: Statement) -> Result<Step> {
+        reject_stray_params(&stmt)?;
+        Ok(match stmt {
+            Statement::Select(sel) => {
+                let (prog, names) = self.compile_optimized(&sel)?;
+                Step::Run(prog, names)
+            }
+            Statement::Explain(sel) => {
+                let (prog, _) = self.compile_optimized(&sel)?;
+                Step::Done(self.explain_table(&prog))
+            }
+            Statement::Prepare { name, stmt } => {
+                // eagerly warm the plan cache for SELECTs, so the first
+                // EXECUTE already hits
+                self.prepared.register(name, *stmt, |s| match s {
+                    Statement::Select(sel) => self.cached_plan_for(sel).map(drop),
+                    _ => Ok(()),
+                })?;
+                Step::Done(QueryOutput::Ok)
+            }
+            Statement::Execute { name, args } => {
+                let p = self.prepared.lookup(&name, args.len())?;
+                match &p.stmt {
+                    // cached plan + parameter substitution: a hit skips
+                    // parse/compile/verify/optimize entirely
+                    Statement::Select(sel) => {
+                        let plan = self.cached_plan_for(sel)?;
+                        Step::Run(bind_program(&plan.prog, &args)?, plan.names)
+                    }
+                    other => return self.dispatch(other.bind_params(&args)?),
+                }
+            }
+            // the cached plan stays until DDL or premise drift evicts it
+            // (another PREPARE of the same text reuses it)
+            Statement::Deallocate { name } => {
+                self.prepared.remove(&name)?;
+                Step::Done(QueryOutput::Ok)
+            }
+            write => Step::Write(Box::new(write)),
+        })
+    }
+
+    /// Run a plan on the session's engine — the one place a plan meets an
+    /// executor. Takes the fields it needs rather than `&self` so the
+    /// exclusive path can lend its recycler while readers share the rest.
+    /// With `profiled`, the per-instruction profile rides along (and, under
+    /// the recycler, its cache decisions in the same run).
+    fn run_plan(
+        catalog: &Catalog,
+        executor: Option<&dyn PlanExecutor>,
+        mut recycler: Option<&mut Recycler>,
+        prog: &Program,
+        profiled: bool,
+    ) -> Result<(Vec<MalValue>, Option<ProfiledRun>)> {
+        if let Some(ex) = executor {
+            return Ok(if profiled {
+                let (outputs, run) = ex.run_plan_profiled(catalog, prog)?;
+                (outputs, Some(run))
+            } else {
+                (ex.run_plan(catalog, prog)?, None)
+            });
+        }
+        let (engine, mut interp) = match recycler.as_deref_mut() {
+            Some(r) => {
+                r.set_tracing(profiled);
+                ("serial+recycler", Interpreter::with_recycler(catalog, r))
+            }
+            None => ("serial", Interpreter::new(catalog)),
+        };
+        interp = interp.profiled(profiled);
+        let res = interp.run(prog);
+        let mut run = profiled.then(|| interp.profiled_run(engine));
+        drop(interp);
+        if let (Some(run), Some(r)) = (&mut run, recycler) {
+            run.events.extend(r.take_events());
+            r.set_tracing(false);
+        }
+        Ok((res?, run))
+    }
+
+    /// [`Session::run_plan`] with exclusive access: the recycler is
+    /// attached, and a `profiled` run is stamped with the cost model's
+    /// `est_rows` per instruction (so `TRACE` output diffs estimated
+    /// against measured cardinality), exported, and kept as
+    /// [`Session::last_profile`].
+    fn run_exclusive(&mut self, prog: &Program, profiled: bool) -> Result<Vec<MalValue>> {
+        let (outputs, run) = Self::run_plan(
+            &self.catalog,
+            self.executor.as_deref(),
+            self.recycler.as_mut(),
+            prog,
+            profiled,
+        )?;
+        if let Some(mut run) = run {
+            let estimates = estimate_program(prog, &self.stats.lock().unwrap());
+            for e in &mut run.events {
+                if e.kind == EventKind::Instr && e.instr >= 0 {
+                    if let Some(est) = estimates.get(e.instr as usize) {
+                        e.est_rows = est.rows as i64;
+                    }
+                }
+            }
+            export_profile(&run);
+            self.last_profile = Some(run);
+        }
+        Ok(outputs)
+    }
+
+    /// The statements that need `&mut self` — what [`Session::dispatch`]
+    /// hands back as [`Step::Write`].
+    fn apply(&mut self, stmt: Statement) -> Result<QueryOutput> {
         match stmt {
             Statement::CreateTable { name, columns } => {
                 let defs: Vec<ColumnDef> = columns
@@ -577,179 +732,19 @@ impl Session {
                 self.checkpoint()?;
                 Ok(QueryOutput::Ok)
             }
-            Statement::Select(stmt) => {
-                // with MAMMOTH_TRACE set, plain SELECTs run profiled and
-                // append their trace to the named file
-                if trace_env_on() {
-                    let (out, run) = self.run_select_profiled(&stmt)?;
-                    export_profile(&run);
-                    self.last_profile = Some(run);
-                    return Ok(out);
-                }
-                let (prog, names) = self.compile_optimized(&stmt)?;
-                if let Some(ex) = &self.executor {
-                    let outputs = ex.run_plan(&self.catalog, &prog)?;
-                    return render_outputs(names, outputs);
-                }
-                let outputs = match &mut self.recycler {
-                    Some(r) => {
-                        let mut interp = Interpreter::with_recycler(&self.catalog, r);
-                        interp.run(&prog)?
-                    }
-                    None => {
-                        let mut interp = Interpreter::new(&self.catalog);
-                        interp.run(&prog)?
-                    }
-                };
-                render_outputs(names, outputs)
+            Statement::Trace(sel) => {
+                let (prog, _) = self.compile_optimized(&sel)?;
+                self.run_exclusive(&prog, true)?;
+                let run = self.last_profile.as_ref();
+                Ok(profile_table(run.expect("a profiled run was just stashed")))
             }
-            Statement::Explain(stmt) => {
-                let (prog, _) = self.compile_optimized(&stmt)?;
-                Ok(self.explain_table(&prog))
-            }
-            Statement::Trace(stmt) => {
-                let (_, run) = self.run_select_profiled(&stmt)?;
-                export_profile(&run);
-                let table = profile_table(&run);
-                self.last_profile = Some(run);
-                Ok(table)
-            }
-            Statement::Prepare { name, stmt } => self.prepare_statement(name, *stmt),
-            Statement::Execute { name, args } => {
-                let p = self.lookup_prepared(&name, args.len())?;
-                match &p.stmt {
-                    Statement::Select(s) => self.run_prepared_select(s, &args),
-                    other => {
-                        let bound = other.bind_params(&args)?;
-                        self.execute_statement(bound)
-                    }
-                }
-            }
-            Statement::Deallocate { name } => self.deallocate(&name),
-        }
-    }
-
-    /// Execute a read-only statement (`SELECT` / `EXPLAIN`) through `&self`.
-    ///
-    /// This is the concurrent-reader path the network server schedules N
-    /// clients onto: it touches no session state, so any number of calls
-    /// may run at once while DML waits for exclusive access. The recycler
-    /// and the `MAMMOTH_TRACE` per-query profile both require `&mut self`
-    /// and are bypassed here — both are transparent to results, and the
-    /// server layer emits its own `server.statement` trace events instead.
-    ///
-    /// Statements that mutate data (DML, DDL, `CHECKPOINT`, `TRACE` —
-    /// which records [`Session::last_profile`]) return
-    /// [`Error::Unsupported`]; route them through [`Session::execute`].
-    /// `PREPARE`/`DEALLOCATE` are served here (they mutate only the
-    /// Mutex-guarded session registry), and so is `EXECUTE` of a prepared
-    /// SELECT; `EXECUTE` of prepared DML returns [`Error::NeedsWrite`],
-    /// the typed signal for "retry me on the write path".
-    pub fn execute_read(&self, sql: &str) -> Result<QueryOutput> {
-        if wants_replication_status(sql) {
-            return Ok(self.replication_status());
-        }
-        match parse_sql(sql)? {
-            Statement::Select(stmt) => {
-                let (prog, names) = self.compile_optimized(&stmt)?;
-                if let Some(ex) = &self.executor {
-                    let outputs = ex.run_plan(&self.catalog, &prog)?;
-                    return render_outputs(names, outputs);
-                }
-                let mut interp = Interpreter::new(&self.catalog);
-                let outputs = interp.run(&prog)?;
-                render_outputs(names, outputs)
-            }
-            Statement::Explain(stmt) => {
-                let (prog, _) = self.compile_optimized(&stmt)?;
-                Ok(self.explain_table(&prog))
-            }
-            Statement::Prepare { name, stmt } => self.prepare_statement(name, *stmt),
-            Statement::Execute { name, args } => {
-                let p = self.lookup_prepared(&name, args.len())?;
-                match &p.stmt {
-                    Statement::Select(s) => self.run_prepared_select(s, &args),
-                    _ => Err(Error::NeedsWrite),
-                }
-            }
-            Statement::Deallocate { name } => self.deallocate(&name),
-            _ => Err(Error::Unsupported(
-                "execute_read handles only SELECT/EXPLAIN and prepared statements; \
-                 use execute for mutating statements"
-                    .into(),
-            )),
+            other => Err(Error::Internal(format!(
+                "{other:?} is served by the dispatcher, not the write path"
+            ))),
         }
     }
 
     // -- the planner tier -------------------------------------------------
-
-    /// Register a prepared statement and eagerly warm the plan cache for
-    /// SELECTs (so the first `EXECUTE` already hits).
-    fn prepare_statement(&self, name: String, stmt: Statement) -> Result<QueryOutput> {
-        let key = name.to_lowercase();
-        if self.prepared.lock().unwrap().contains_key(&key) {
-            return Err(Error::AlreadyExists {
-                kind: "prepared statement",
-                name,
-            });
-        }
-        if let Statement::Select(s) = &stmt {
-            self.cached_plan_for(s)?;
-        }
-        let nparams = stmt.param_count();
-        self.prepared
-            .lock()
-            .unwrap()
-            .insert(key, PreparedStmt { stmt, nparams });
-        Ok(QueryOutput::Ok)
-    }
-
-    /// Fetch a prepared statement and check the `EXECUTE` argument count.
-    fn lookup_prepared(&self, name: &str, nargs: usize) -> Result<PreparedStmt> {
-        let p = self
-            .prepared
-            .lock()
-            .unwrap()
-            .get(&name.to_lowercase())
-            .cloned()
-            .ok_or_else(|| Error::NotFound {
-                kind: "prepared statement",
-                name: name.to_string(),
-            })?;
-        if nargs != p.nparams {
-            return Err(Error::Bind(format!(
-                "prepared statement {name} takes {} argument(s), EXECUTE supplies {nargs}",
-                p.nparams
-            )));
-        }
-        Ok(p)
-    }
-
-    /// Drop a prepared statement; its cached plan stays until DDL or
-    /// premise drift evicts it (another PREPARE of the same text reuses
-    /// it).
-    fn deallocate(&self, name: &str) -> Result<QueryOutput> {
-        match self.prepared.lock().unwrap().remove(&name.to_lowercase()) {
-            Some(_) => Ok(QueryOutput::Ok),
-            None => Err(Error::NotFound {
-                kind: "prepared statement",
-                name: name.to_string(),
-            }),
-        }
-    }
-
-    /// Execute a prepared SELECT: cached plan + parameter substitution,
-    /// skipping parse/compile/verify/optimize entirely on a cache hit.
-    fn run_prepared_select(&self, stmt: &SelectStmt, args: &[Value]) -> Result<QueryOutput> {
-        let plan = self.cached_plan_for(stmt)?;
-        let prog = bind_program(&plan.prog, args)?;
-        let outputs = if let Some(ex) = &self.executor {
-            ex.run_plan(&self.catalog, &prog)?
-        } else {
-            Interpreter::new(&self.catalog).run(&prog)?
-        };
-        render_outputs(plan.names, outputs)
-    }
 
     /// The plan-cache lookup/compile path for a prepared SELECT.
     ///
@@ -953,52 +948,6 @@ impl Session {
             ],
             rows,
         }
-    }
-
-    /// Compile, optimize and execute a SELECT with the per-instruction
-    /// profiler on, on whichever engine the session is configured for.
-    /// Every instruction event carries the cost model's `est_rows`, so
-    /// `TRACE` output diffs estimated against measured cardinality.
-    fn run_select_profiled(&mut self, stmt: &SelectStmt) -> Result<(QueryOutput, ProfiledRun)> {
-        let (prog, names) = self.compile_optimized(stmt)?;
-        let mut out = if let Some(ex) = &self.executor {
-            let (outputs, run) = ex.run_plan_profiled(&self.catalog, &prog)?;
-            (render_outputs(names, outputs)?, run)
-        } else {
-            match &mut self.recycler {
-                Some(r) => {
-                    r.set_tracing(true);
-                    let mut interp = Interpreter::with_recycler(&self.catalog, r).profiled(true);
-                    let res = interp.run(&prog);
-                    let mut run = interp.profiled_run("serial+recycler");
-                    drop(interp);
-                    // cache decisions ride along in the same run
-                    run.events.extend(r.take_events());
-                    r.set_tracing(false);
-                    let outputs = res?;
-                    (render_outputs(names, outputs)?, run)
-                }
-                None => {
-                    let mut interp = Interpreter::new(&self.catalog).profiled(true);
-                    let res = interp.run(&prog);
-                    let run = interp.profiled_run("serial");
-                    let outputs = res?;
-                    (render_outputs(names, outputs)?, run)
-                }
-            }
-        };
-        let estimates = {
-            let stats = self.stats.lock().unwrap();
-            estimate_program(&prog, &stats)
-        };
-        for e in &mut out.1.events {
-            if e.kind == EventKind::Instr && e.instr >= 0 {
-                if let Some(est) = estimates.get(e.instr as usize) {
-                    e.est_rows = est.rows as i64;
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// Drop recycled intermediates that depend on any column of `t`.
@@ -1659,28 +1608,82 @@ mod tests {
         }
     }
 
+    /// `execute` and `execute_read` enter one dispatcher: every read-capable
+    /// statement kind answers identically through both doors, ad hoc and
+    /// prepared, on every engine, and writes bounce off the read door typed.
     #[test]
-    fn execute_read_matches_execute_and_rejects_writes() {
-        let mut s = seeded();
-        for q in [
-            "SELECT name FROM people WHERE age = 1927",
-            "SELECT age, COUNT(*) FROM people GROUP BY age ORDER BY age",
-            "EXPLAIN SELECT name FROM people WHERE age = 1927",
-        ] {
-            let shared = s.execute_read(q).unwrap();
-            assert_eq!(shared, s.execute(q).unwrap(), "{q}");
-        }
-        for bad in [
-            "INSERT INTO people VALUES ('x', 1)",
-            "DELETE FROM people",
-            "DROP TABLE people",
-            "CREATE TABLE z (a INT)",
-            "CHECKPOINT",
-            "TRACE SELECT name FROM people",
-        ] {
-            assert!(
-                matches!(s.execute_read(bad), Err(Error::Unsupported(_))),
-                "{bad}"
+    fn execute_read_agrees_with_execute_on_every_engine() {
+        use mammoth_parallel::ParallelExecutor;
+        // (ad hoc text, the same statement with its literal lifted to `?`)
+        let reads = [
+            (
+                "SELECT name FROM people WHERE age = 1927",
+                "SELECT name FROM people WHERE age = ?",
+            ),
+            (
+                "SELECT age, COUNT(*) FROM people WHERE age > 1927 GROUP BY age ORDER BY age",
+                "SELECT age, COUNT(*) FROM people WHERE age > ? GROUP BY age ORDER BY age",
+            ),
+            (
+                "EXPLAIN SELECT name FROM people WHERE age = 1927",
+                "EXPLAIN SELECT name FROM people WHERE age = ?",
+            ),
+        ];
+        let engines = [
+            ("serial", seeded()),
+            ("serial+recycler", seeded().with_recycler(64 << 20)),
+            (
+                "dataflow",
+                seeded().with_executor(Box::new(ParallelExecutor::new(2)), 2),
+            ),
+        ];
+        for (engine, mut s) in engines {
+            for (adhoc, body) in reads {
+                let want = s.execute(adhoc).unwrap();
+                assert_eq!(s.execute_read(adhoc).unwrap(), want, "{engine}: {adhoc}");
+                // the prepared verbs themselves are read-door statements
+                s.execute_read(&format!("PREPARE p AS {body}")).unwrap();
+                assert_eq!(s.execute("EXECUTE p (1927)").unwrap(), want, "{engine}");
+                assert_eq!(
+                    s.execute_read("EXECUTE p (1927)").unwrap(),
+                    want,
+                    "{engine}"
+                );
+                s.execute_read("DEALLOCATE p").unwrap();
+            }
+            for bad in [
+                "INSERT INTO people VALUES ('x', 1)",
+                "DELETE FROM people",
+                "DROP TABLE people",
+                "CREATE TABLE z (a INT)",
+                "CHECKPOINT",
+                "TRACE SELECT name FROM people",
+            ] {
+                assert!(
+                    matches!(s.execute_read(bad), Err(Error::Unsupported(_))),
+                    "{engine}: {bad}"
+                );
+            }
+            // a stray placeholder is refused at the dispatcher, not wherever
+            // the door's own compile path happens to trip over it
+            let stray = "SELECT name FROM people WHERE age = ?";
+            assert!(matches!(s.execute(stray), Err(Error::Bind(_))));
+            assert_eq!(
+                s.execute_read(stray).unwrap_err().to_string(),
+                s.execute(stray).unwrap_err().to_string()
+            );
+            // prepared DML bounces off the read door with the typed signal
+            // for "retry me exclusively", leaving the table untouched
+            s.execute("PREPARE wr AS DELETE FROM people WHERE age = ?")
+                .unwrap();
+            assert!(matches!(
+                s.execute_read("EXECUTE wr (1927)"),
+                Err(Error::NeedsWrite)
+            ));
+            assert_eq!(
+                s.execute("EXECUTE wr (1927)").unwrap(),
+                QueryOutput::Affected(2),
+                "{engine}"
             );
         }
     }
@@ -1856,35 +1859,6 @@ mod tests {
         // cleanly instead of resurrecting the cached plan.
         s.execute("DROP TABLE t").unwrap();
         assert!(s.execute("EXECUTE q (0)").is_err());
-    }
-
-    /// The read path serves prepared SELECTs but bounces prepared DML with
-    /// the typed [`Error::NeedsWrite`] so the server can retry exclusively.
-    #[test]
-    fn execute_read_serves_prepared_selects_and_bounces_dml() {
-        let mut s = seeded();
-        s.execute("PREPARE rd AS SELECT name FROM people WHERE age = ?")
-            .unwrap();
-        s.execute("PREPARE wr AS DELETE FROM people WHERE age = ?")
-            .unwrap();
-        assert_eq!(
-            s.execute_read("EXECUTE rd (1927)").unwrap(),
-            s.execute("SELECT name FROM people WHERE age = 1927")
-                .unwrap()
-        );
-        assert!(matches!(
-            s.execute_read("EXECUTE wr (1927)"),
-            Err(Error::NeedsWrite)
-        ));
-        // The bounce left the table untouched; the write path applies it.
-        assert_eq!(
-            s.execute("EXECUTE wr (1927)").unwrap(),
-            QueryOutput::Affected(2)
-        );
-        // PREPARE and DEALLOCATE themselves are read-path statements.
-        s.execute_read("PREPARE rd2 AS SELECT age FROM people")
-            .unwrap();
-        s.execute_read("DEALLOCATE rd2").unwrap();
     }
 
     /// Statistics ride the checkpoint sidecar: a reopened durable session

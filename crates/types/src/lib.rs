@@ -30,6 +30,7 @@ pub use oid::{Oid, OID_NIL};
 pub use retry::{Backoff, RetryPolicy};
 pub use schema::{ColumnDef, TableSchema};
 pub use trace::{
-    validate_trace, validate_trace_line, EventKind, FlushGuard, ProfiledRun, TraceEvent, TRACE_ENV,
+    validate_trace, validate_trace_line, EventKind, FlushGuard, ProfiledRun, Recorder, TraceEvent,
+    TRACE_ENV,
 };
 pub use value::{LogicalType, Value};

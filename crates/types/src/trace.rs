@@ -17,6 +17,8 @@
 
 use std::fmt;
 use std::io::Write as _;
+use std::sync::Mutex;
+use std::time::Instant;
 
 /// Environment variable naming the JSON-lines trace sink.
 pub const TRACE_ENV: &str = "MAMMOTH_TRACE";
@@ -413,6 +415,69 @@ impl Drop for FlushGuard {
         if let Some(mut f) = self.file.take() {
             let _ = f.flush();
         }
+    }
+}
+
+/// A daemon's lifecycle-event buffer: events from any thread are stamped
+/// against one timestamp base, and the whole buffer leaves as a single run
+/// through [`ProfiledRun::export_env`] when the daemon shuts down.
+pub struct Recorder {
+    t0: Instant,
+    events: Mutex<Vec<TraceEvent>>,
+}
+
+impl Default for Recorder {
+    fn default() -> Recorder {
+        Recorder {
+            t0: Instant::now(),
+            events: Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl Recorder {
+    /// Record one event of `kind` (its `op` is the kind's name) that began
+    /// at `started` and ends now.
+    pub fn record(
+        &self,
+        kind: EventKind,
+        worker: usize,
+        args: impl Into<String>,
+        started: Instant,
+        rows: u64,
+    ) {
+        let ev = TraceEvent {
+            kind,
+            op: kind.as_str().into(),
+            args: args.into(),
+            worker,
+            start_ns: started.duration_since(self.t0).as_nanos() as u64,
+            dur_ns: started.elapsed().as_nanos() as u64,
+            rows_out: rows,
+            ..TraceEvent::default()
+        };
+        // a push leaves the buffer valid, so a poisoned lock is still usable
+        self.events
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(ev);
+    }
+
+    /// Fold everything recorded so far into one `engine` run — `executed`
+    /// counts the events of the `counted` kinds — and export it (a no-op
+    /// returning `false` when `MAMMOTH_TRACE` is unset).
+    pub fn flush(
+        &self,
+        engine: &str,
+        threads: usize,
+        counted: &[EventKind],
+    ) -> std::io::Result<bool> {
+        let events = std::mem::take(&mut *self.events.lock().unwrap_or_else(|e| e.into_inner()));
+        let mut run = ProfiledRun::new(engine, threads);
+        run.executed = events.iter().filter(|e| counted.contains(&e.kind)).count() as u64;
+        run.elapsed_ns = self.t0.elapsed().as_nanos() as u64;
+        run.events = events;
+        run.export_env()
     }
 }
 

@@ -14,8 +14,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+# The root package's tests/ are the integration tiers; the crate-level
+# suites (SQL session and compiler, the algebra kernels' oracle
+# differentials, the wire protocol, storage's corrupt-image proptests,
+# the coordinator) only run with --workspace.
+cargo test -q --offline --workspace
 
 echo "==> benchmark package: every workload at --quick sizes against its oracle"
 # benchmark/ is its own workspace, so the root test run never builds it; a
@@ -27,9 +31,6 @@ for seed in 1 2 3 4; do
     echo "    MAMMOTH_FAULT_SEED=$seed"
     MAMMOTH_FAULT_SEED=$seed cargo test -q --test durability
 done
-
-echo "==> corrupt-image proptests: truncation/bitflips must error, never panic"
-cargo test -q -p mammoth-storage
 
 echo "==> engines agree under the MAMMOTH_THREADS matrix"
 for threads in 1 4; do
@@ -81,16 +82,7 @@ trap - EXIT
 cargo run -q -p mammoth-types --bin tracecheck -- "$srv_trace"
 rm -f "$srv_trace" "$srv_port_file"
 
-echo "==> planner: differential tier, one-compile trace, EXPLAIN estimates golden"
-cargo test -q --test planner
-cargo test -q --test planner_trace
-cargo test -q --test explain_golden
-
-echo "==> planner smoke: v4 prepared frames + v3 compat, then PREPARE/EXECUTE over the wire"
-# The typed-frame paths (Prepare/ExecutePrepared/Deallocate, the v3
-# refusal, the read-only replica bounce, decode fuzzing) are the
-# server's own tests; re-run them here as the named gate.
-cargo test -q -p mammoth-server --lib prepared
+echo "==> planner smoke: PREPARE/EXECUTE/DEALLOCATE through the daemon and the CLI"
 plnr_pf=$(mktemp -u /tmp/mammoth_plnr_port.XXXXXX)
 ./target/release/mammoth-server --addr 127.0.0.1:0 --port-file "$plnr_pf" &
 plnr_pid=$!

@@ -545,6 +545,51 @@ mod partitioner_props {
     }
 }
 
+// -------------------------------------------------- prepared statements
+
+/// The coordinator and the single-node session keep their prepared
+/// statements in the same registry type, so a client that misuses the
+/// verbs reads the same words from either: duplicate `PREPARE`, unknown
+/// name, wrong arity and a stray `?` fail with byte-identical text.
+#[test]
+fn prepared_statement_errors_read_the_same_as_single_node() {
+    let (servers, addrs) = start_shards(false);
+    let coord = coordinator(addrs);
+    let mut single = Session::new();
+    for setup in [
+        "CREATE TABLE t (id BIGINT NOT NULL, v BIGINT)",
+        "INSERT INTO t VALUES (1, 10), (2, 20)",
+        "PREPARE q AS SELECT v FROM t WHERE id = ?",
+    ] {
+        coord.execute(setup).unwrap();
+        single.execute(setup).unwrap();
+    }
+    assert_eq!(
+        coord.execute("EXECUTE q (2)").unwrap(),
+        single.execute("EXECUTE q (2)").unwrap()
+    );
+    for misuse in [
+        "PREPARE q AS SELECT id FROM t",
+        "PREPARE Q AS SELECT id FROM t",
+        "EXECUTE nope (1)",
+        "EXECUTE q",
+        "EXECUTE q (1, 2)",
+        "DEALLOCATE nope",
+        "SELECT v FROM t WHERE id = ?",
+        "DELETE FROM t WHERE id = ?",
+    ] {
+        let sharded = match coord.execute(misuse) {
+            Err(CoordError::Sql(e)) => e.to_string(),
+            other => panic!("{misuse}: coordinator answered {other:?}"),
+        };
+        let local = single.execute(misuse).unwrap_err().to_string();
+        assert_eq!(sharded, local, "{misuse}");
+    }
+    for s in servers {
+        s.shutdown().unwrap();
+    }
+}
+
 // -------------------------------------------------- wire-level front end
 
 /// The coordinator's front end speaks the ordinary protocol: an existing
