@@ -8,7 +8,7 @@
 
 use crate::table::TextTable;
 use crate::{fmt_secs, ns_per, timed, Scale};
-use mammoth_storage::{Bat, VersionedColumn};
+use mammoth_storage::{Bat, DeletionSet, VersionedColumn};
 use mammoth_types::Value;
 use mammoth_workload::uniform_i64;
 
@@ -24,6 +24,10 @@ pub fn run(scale: Scale) -> String {
     out.push_str("paper claim: deltas delay main-column maintenance; snapshots copy only\n");
     out.push_str("             the deltas\n\n");
 
+    // a lone column: the deleted positions belong to a table, and this
+    // experiment deletes nothing
+    let none = DeletionSet::new();
+
     // delta inserts
     let mut col = VersionedColumn::from_bat(Bat::from_vec(base.clone()));
     let (_, t_delta) = timed(|| {
@@ -38,7 +42,7 @@ pub fn run(scale: Scale) -> String {
     let (_, t_rebuild) = timed(|| {
         for i in 0..rebuild_inserts {
             col2.insert(&Value::I64(i as i64)).unwrap();
-            col2.merge();
+            col2.merge(&none);
         }
     });
 
@@ -56,7 +60,7 @@ pub fn run(scale: Scale) -> String {
     out.push_str(&t.render());
 
     // snapshot cost: deltas only vs full copy
-    let (snap, t_snap) = timed(|| col.snapshot());
+    let (snap, t_snap) = timed(|| col.view(&none).snapshot());
     let (copy, t_copy) = timed(|| base.clone());
     out.push_str(&format!(
         "\nsnapshot with {} pending rows: {}   (full column copy: {})\n",
@@ -76,7 +80,7 @@ pub fn run(scale: Scale) -> String {
             c.insert(&Value::I64(i as i64)).unwrap();
         }
         let rows = n + pending;
-        let (cnt, secs) = timed(|| c.scan().count());
+        let (cnt, secs) = timed(|| c.view(&none).scan().count());
         assert_eq!(cnt, rows);
         t.row(vec![
             format!("{frac}% of base"),

@@ -208,9 +208,10 @@ fn lt(a: &Value, b: &Value) -> bool {
 }
 
 /// Cheap per-column facts from the delta layer's eager base statistics:
-/// exact cardinality always; order/key/nullability flags and the exact
-/// min/max whenever the column has no pending deltas
-/// ([`mammoth_storage::VersionedColumn::stable_props`]).
+/// exact cardinality always (the *live* rows: `sql.bind` does not yield the
+/// deleted ones); order/key/nullability flags and the exact min/max
+/// whenever the column has no pending deltas
+/// ([`mammoth_storage::ColumnView::stable_props`]).
 pub fn column_facts(catalog: &Catalog) -> ColumnFacts {
     facts_impl(catalog, false)
 }
@@ -229,7 +230,7 @@ fn facts_impl(catalog: &Catalog, zonemaps: bool) -> ColumnFacts {
         let Ok(t) = catalog.table(name) else { continue };
         for (i, cdef) in t.schema.columns.iter().enumerate() {
             let col = t.column(i);
-            let mut p = Props::top().with_card(col.total_len() as u64);
+            let mut p = Props::top().with_card(col.live_len() as u64);
             p.void_head = true;
             if let Some(sp) = col.stable_props() {
                 p.sorted = sp.sorted;

@@ -344,13 +344,12 @@ pub fn choose_pieces(rows: u64, max_pieces: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::StatsCatalog;
-    use mammoth_types::LogicalType;
+    use crate::stats::{ColumnStats, StatsCatalog};
 
     fn catalog_with_t() -> StatsCatalog {
         let mut sc = StatsCatalog::new();
-        let vals: Vec<Value> = (0..1000).map(|i| Value::I64(i % 100)).collect();
-        sc.rebuild_table("t", vec![("a".into(), LogicalType::I64, vals)]);
+        let vals: Vec<i64> = (0..1000).map(|i| i % 100).collect();
+        sc.rebuild_table("t", vec![("a".into(), ColumnStats::build_native(&vals))]);
         sc
     }
 

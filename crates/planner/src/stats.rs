@@ -16,7 +16,7 @@
 //!   values — the "fold" that squashes accumulated approximation error.
 
 use mammoth_index::ZoneMap;
-use mammoth_types::{Error, LogicalType, Result, Value};
+use mammoth_types::{Error, LogicalType, NativeType, Result, Value};
 use std::collections::HashMap;
 
 /// Default number of equi-depth histogram buckets.
@@ -200,14 +200,85 @@ fn value_hash(v: &Value) -> u64 {
 }
 
 impl ColumnStats {
-    /// Build from the live values of a column. For integer columns the
-    /// min/max bounds are seeded from a `crates/index` zone map (the
-    /// same structure the scan path prunes with) rather than re-derived.
-    pub fn build(ty: LogicalType, values: &[Value]) -> ColumnStats {
-        let mut s = ColumnStats {
+    fn with_sketch() -> ColumnStats {
+        ColumnStats {
             sketch: vec![0u64; SKETCH_BITS / 64],
             ..ColumnStats::default()
-        };
+        }
+    }
+
+    /// Build from the live cells of a fixed-width column, read in place.
+    /// For integer columns the min/max bounds are seeded from a
+    /// `crates/index` zone map (the same structure the scan path prunes
+    /// with) rather than re-derived.
+    pub fn build_native<T: NativeType>(cells: &[T]) -> ColumnStats {
+        let mut s = ColumnStats::with_sketch();
+        let zone_mapped = matches!(T::LOGICAL, LogicalType::I64 | LogicalType::I32);
+        let mut ints: Vec<i64> = Vec::new();
+        let mut numeric: Vec<f64> = Vec::new();
+        let (mut lo, mut hi): (Option<T>, Option<T>) = (None, None);
+        for &x in cells {
+            s.rows += 1;
+            if x.is_nil() {
+                s.nulls += 1;
+                continue;
+            }
+            // a stack value, no allocation: the incremental path hashes
+            // `Value`s, and a rebuild must set the same sketch bits
+            let v = x.to_value();
+            s.sketch_set(value_hash(&v));
+            if zone_mapped {
+                ints.extend(v.as_i64());
+            }
+            numeric.extend(v.as_f64());
+            if lo.is_none_or(|m| x < m) {
+                lo = Some(x);
+            }
+            if hi.is_none_or(|m| x > m) {
+                hi = Some(x);
+            }
+        }
+        s.min = lo.map(|x| x.to_value());
+        s.max = hi.map(|x| x.to_value());
+        // zone-map seeding: integer bounds come from the index structure
+        if let Some((lo, hi)) = ZoneMap::build(&ints, 1024).bounds() {
+            s.min = Some(Value::I64(lo));
+            s.max = Some(Value::I64(hi));
+        }
+        s.ndv = s.sketch_estimate();
+        s.histogram = Histogram::build(numeric, HISTOGRAM_BUCKETS);
+        s
+    }
+
+    /// Build from the live cells of a string column, `None` for NULL.
+    pub fn build_strs<'a>(cells: impl Iterator<Item = Option<&'a str>>) -> ColumnStats {
+        let mut s = ColumnStats::with_sketch();
+        let (mut lo, mut hi): (Option<&str>, Option<&str>) = (None, None);
+        for cell in cells {
+            s.rows += 1;
+            let Some(x) = cell else {
+                s.nulls += 1;
+                continue;
+            };
+            s.sketch_set(fnv1a(x.as_bytes()));
+            if lo.is_none_or(|m| x < m) {
+                lo = Some(x);
+            }
+            if hi.is_none_or(|m| x > m) {
+                hi = Some(x);
+            }
+        }
+        s.min = lo.map(|x| Value::Str(x.to_string()));
+        s.max = hi.map(|x| Value::Str(x.to_string()));
+        s.ndv = s.sketch_estimate();
+        s
+    }
+
+    /// The predecessor of the typed builders, one boxed [`Value`] per
+    /// cell: kept as their oracle.
+    #[cfg(test)]
+    fn build(ty: LogicalType, values: &[Value]) -> ColumnStats {
+        let mut s = ColumnStats::with_sketch();
         let mut numeric: Vec<f64> = Vec::new();
         let mut ints: Vec<i64> = Vec::new();
         for v in values {
@@ -227,7 +298,6 @@ impl ColumnStats {
             }
             s.fold_bounds(v);
         }
-        // zone-map seeding: integer bounds come from the index structure
         if !ints.is_empty() {
             let zm = ZoneMap::build(&ints, 1024);
             if let Some((lo, hi)) = zm.bounds() {
@@ -258,10 +328,14 @@ impl ColumnStats {
     }
 
     fn sketch_add(&mut self, v: &Value) {
+        self.sketch_set(value_hash(v));
+    }
+
+    fn sketch_set(&mut self, hash: u64) {
         if self.sketch.is_empty() {
             self.sketch = vec![0u64; SKETCH_BITS / 64];
         }
-        let bit = (value_hash(v) as usize) % SKETCH_BITS;
+        let bit = (hash as usize) % SKETCH_BITS;
         self.sketch[bit / 64] |= 1u64 << (bit % 64);
     }
 
@@ -369,14 +443,14 @@ impl StatsCatalog {
         self.tables.remove(&name.to_lowercase());
     }
 
-    /// Rebuild one table's stats from its live column values — the
-    /// CHECKPOINT fold and the recovery self-heal.
-    pub fn rebuild_table(&mut self, name: &str, columns: Vec<(String, LogicalType, Vec<Value>)>) {
+    /// Replace one table's stats with ones freshly built from its live
+    /// columns ([`ColumnStats::build_native`], [`ColumnStats::build_strs`])
+    /// — the CHECKPOINT fold and the recovery self-heal.
+    pub fn rebuild_table(&mut self, name: &str, columns: Vec<(String, ColumnStats)>) {
         let mut t = TableStats::default();
-        for (cname, ty, values) in columns {
-            t.rows = t.rows.max(values.len() as u64);
-            t.columns
-                .insert(cname.to_lowercase(), ColumnStats::build(ty, &values));
+        for (cname, stats) in columns {
+            t.rows = t.rows.max(stats.rows);
+            t.columns.insert(cname.to_lowercase(), stats);
         }
         t.rows_at_build = t.rows;
         self.tables.insert(name.to_lowercase(), t);
@@ -606,6 +680,78 @@ mod tests {
         vals.iter().map(|&x| Value::I64(x)).collect()
     }
 
+    /// The typed builders agree with their `Value`-at-a-time predecessor
+    /// on every logical type — down to the sketch bits, which the
+    /// incremental path goes on to update.
+    #[test]
+    fn typed_builders_match_the_value_oracle() {
+        use mammoth_types::Oid;
+        fn check<T: NativeType>(cells: Vec<T>) {
+            let values: Vec<Value> = cells.iter().map(|x| x.to_value()).collect();
+            let want = ColumnStats::build(T::LOGICAL, &values);
+            assert_eq!(ColumnStats::build_native(&cells), want, "{}", T::LOGICAL);
+        }
+        let n = 3000u64;
+        let mix = |i: u64| i.wrapping_mul(0x9e3779b97f4a7c15) >> 20;
+        check((0..n).map(|i| mix(i) % 2 == 0).collect::<Vec<bool>>());
+        check((0..n).map(|i| (mix(i) % 255) as i8).collect::<Vec<i8>>());
+        check(
+            (0..n)
+                .map(|i| (mix(i) % 60_000) as i16)
+                .collect::<Vec<i16>>(),
+        );
+        check(
+            (0..n)
+                .map(|i| if i % 11 == 0 { i32::NIL } else { mix(i) as i32 })
+                .collect::<Vec<i32>>(),
+        );
+        check(
+            (0..n)
+                .map(|i| {
+                    if i % 7 == 0 {
+                        i64::NIL
+                    } else {
+                        mix(i) as i64 - (1 << 42)
+                    }
+                })
+                .collect::<Vec<i64>>(),
+        );
+        check(
+            (0..n)
+                .map(|i| match i % 13 {
+                    0 => f64::NIL,
+                    1 => -0.0,
+                    2 => 0.0,
+                    _ => mix(i) as f64 / 7.0 - 1e6,
+                })
+                .collect::<Vec<f64>>(),
+        );
+        check(
+            (0..n)
+                .map(|i| if i % 5 == 0 { Oid::NIL } else { mix(i) % 500 })
+                .collect::<Vec<Oid>>(),
+        );
+        check(vec![u64::MAX - 1 as Oid, 3]); // an oid past i64: hashed by rendering
+        check(Vec::<i64>::new());
+        check(vec![i64::NIL; 4]);
+
+        let strs: Vec<Option<String>> = (0..n)
+            .map(|i| (i % 9 != 0).then(|| format!("naïve-{}", mix(i) % 700)))
+            .collect();
+        let values: Vec<Value> = strs
+            .iter()
+            .map(|s| s.clone().map_or(Value::Null, Value::Str))
+            .collect();
+        assert_eq!(
+            ColumnStats::build_strs(strs.iter().map(|s| s.as_deref())),
+            ColumnStats::build(LogicalType::Str, &values)
+        );
+        assert_eq!(
+            ColumnStats::build_strs(std::iter::empty()),
+            ColumnStats::build(LogicalType::Str, &[])
+        );
+    }
+
     #[test]
     fn build_counts_bounds_ndv() {
         let vals = ints(&[5, 1, 9, 1, 5, 7, 3, 1]);
@@ -678,23 +824,17 @@ mod tests {
             vec![
                 (
                     "a".into(),
-                    LogicalType::I64,
-                    ints(&[3, 1, 4, 1, 5, 9, 2, 6]),
+                    ColumnStats::build_native(&[3i64, 1, 4, 1, 5, 9, 2, 6]),
                 ),
                 (
                     "s".into(),
-                    LogicalType::Str,
-                    vec![
-                        Value::Str("x".into()),
-                        Value::Null,
-                        Value::Str("naïve".into()),
-                    ],
+                    ColumnStats::build_strs([Some("x"), None, Some("naïve")].into_iter()),
                 ),
             ],
         );
         sc.rebuild_table(
             "u",
-            vec![("f".into(), LogicalType::F64, vec![Value::F64(2.5)])],
+            vec![("f".into(), ColumnStats::build_native(&[2.5f64]))],
         );
         let bytes = sc.serialize();
         let back = StatsCatalog::deserialize(&bytes).unwrap();
@@ -722,7 +862,10 @@ mod tests {
     #[test]
     fn drift_measures_relative_change() {
         let mut sc = StatsCatalog::new();
-        sc.rebuild_table("t", vec![("a".into(), LogicalType::I64, ints(&[1, 2]))]);
+        sc.rebuild_table(
+            "t",
+            vec![("a".into(), ColumnStats::build_native(&[1i64, 2]))],
+        );
         assert_eq!(sc.table("t").unwrap().drift(), 0.0);
         let cols = vec!["a".to_string()];
         sc.on_insert("t", &cols, &[vec![Value::I64(3)], vec![Value::I64(4)]]);

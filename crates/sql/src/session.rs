@@ -11,6 +11,7 @@ use crate::compile::compile_select;
 use crate::parser::parse_sql;
 use crate::prepared::{reject_stray_params, PreparedRegistry};
 use crate::routing::select_sql;
+use column_test::ColumnTest;
 use mammoth_mal::{
     analyze_props, column_facts, column_types, default_pipeline_with_props,
     parallel_pipeline_with_props, Arg, CommonSubexpr, ConstantFold, DeadCode, EventKind,
@@ -19,11 +20,13 @@ use mammoth_mal::{
 };
 use mammoth_planner::{
     bind_program, choose_pieces, estimate_program, normalize_sql, referenced_columns, selectivity,
-    use_sorted_select, CachedPlan, PlanCache, StatsCatalog,
+    use_sorted_select, CachedPlan, ColumnStats, PlanCache, StatsCatalog,
 };
 use mammoth_recycler::{EvictPolicy, Recycler};
-use mammoth_storage::{persist, Catalog, RealFs, Table, VersionedColumn, Vfs, Wal, WalRecord};
-use mammoth_types::{ColumnDef, Error, LogicalType, Oid, Result, TableSchema, Value};
+use mammoth_storage::{
+    persist, Bat, Catalog, RealFs, Table, TableImage, TailHeap, Vfs, Wal, WalRecord,
+};
+use mammoth_types::{ColumnDef, Error, Oid, Result, TableSchema, Value};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -206,7 +209,7 @@ impl Session {
             .and_then(|bytes| StatsCatalog::deserialize(&bytes).ok())
             .unwrap_or_default();
         *self.stats.lock().unwrap() = loaded;
-        self.sync_stats_with_catalog(rec.wal_records > 0);
+        self.sync_stats(&self.catalog.image(), rec.wal_records > 0);
         self.durable = Some(Durability { fs, root, wal });
         if tracing {
             self.export_durability_events(vec![TraceEvent {
@@ -264,18 +267,22 @@ impl Session {
                 "CHECKPOINT requires a durable session (Session::open_durable)".into(),
             ));
         }
+        // every column compacted, once: what the checkpoint writes, what
+        // the statistics are rebuilt from and — once it is on disk — the
+        // tables' new bases
+        let image = self.catalog.image();
         // fold the statistics: a deterministic rebuild from the live
         // columns squashes the approximation drift the incremental DML
         // maintenance accumulated, and the serialized catalog rides the
         // checkpoint image as a sidecar (committing — and replicating —
         // atomically with the data it describes)
-        self.sync_stats_with_catalog(true);
+        self.sync_stats(&image, true);
         let sidecar = self.stats.lock().unwrap().serialize();
         let d = self.durable.as_mut().unwrap();
         d.wal.commit()?;
-        let (gen, wal_path) = persist::checkpoint_catalog_with(
+        let (gen, wal_path) = persist::checkpoint_image_with(
             d.fs.as_ref(),
-            &self.catalog,
+            &image,
             &d.root,
             &[(STATS_SIDECAR.to_string(), sidecar)],
         )?;
@@ -284,16 +291,14 @@ impl Session {
         wal.set_tracing(tracing);
         d.wal = wal;
         // the image just written is compacted: deltas folded into the base,
-        // positions renumbered. Fold the live tables identically, so the
+        // positions renumbered. Fold the live tables onto it, so the
         // positions in post-checkpoint WAL records mean the same thing
         // online and on replay — and invalidate cached intermediates that
         // the renumbering stales.
-        let names: Vec<String> = self.catalog.table_names().map(str::to_string).collect();
-        for name in names {
-            self.catalog.table_mut(&name)?.merge_all();
-            let t = self.catalog.table(&name)?.clone();
-            self.invalidate_table(&t);
+        for t in &image {
+            Self::invalidate_table(&mut self.recycler, &t.schema);
         }
+        self.catalog.adopt_image(image);
         if tracing {
             self.export_durability_events(vec![TraceEvent {
                 kind: EventKind::Checkpoint,
@@ -625,7 +630,7 @@ impl Session {
                 self.catalog.table(&name)?; // existence check before logging
                 self.wal_write(vec![WalRecord::DropTable { name: name.clone() }])?;
                 let t = self.catalog.drop_table(&name)?;
-                self.invalidate_table(&t);
+                Self::invalidate_table(&mut self.recycler, &t.schema);
                 self.stats.lock().unwrap().drop_table(&name);
                 self.plan_cache.lock().unwrap().clear();
                 self.wal_commit_statement()?;
@@ -669,10 +674,9 @@ impl Session {
                         table: table.clone(),
                     }])?;
                 }
-                let t = self.catalog.table(&table)?.clone();
-                self.invalidate_table(&t);
-                let colnames: Vec<String> =
-                    t.schema.columns.iter().map(|c| c.name.clone()).collect();
+                let schema = &self.catalog.table(&table)?.schema;
+                Self::invalidate_table(&mut self.recycler, schema);
+                let colnames: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
                 self.stats
                     .lock()
                     .unwrap()
@@ -687,14 +691,7 @@ impl Session {
                 // positions are gone
                 let deleted: Vec<Vec<Value>> = {
                     let t = self.catalog.table(&table)?;
-                    victims
-                        .iter()
-                        .map(|&pos| {
-                            (0..t.schema.columns.len())
-                                .map(|i| t.column(i).get(pos).unwrap_or(Value::Null))
-                                .collect()
-                        })
-                        .collect()
+                    victims.iter().filter_map(|&pos| t.get_row(pos)).collect()
                 };
                 self.wal_write(
                     victims
@@ -717,10 +714,9 @@ impl Session {
                         table: table.clone(),
                     }])?;
                 }
-                let t = self.catalog.table(&table)?.clone();
-                self.invalidate_table(&t);
-                let colnames: Vec<String> =
-                    t.schema.columns.iter().map(|c| c.name.clone()).collect();
+                let schema = &self.catalog.table(&table)?.schema;
+                Self::invalidate_table(&mut self.recycler, schema);
+                let colnames: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
                 self.stats
                     .lock()
                     .unwrap()
@@ -871,26 +867,26 @@ impl Session {
         self.stats.lock().unwrap().clone()
     }
 
-    /// Reconcile the statistics catalog with the live tables: drop stats
-    /// of vanished tables and (re)build any table whose stats are absent,
-    /// stale by row count, or — when `force` — unconditionally.
-    fn sync_stats_with_catalog(&mut self, force: bool) {
+    /// Reconcile the statistics catalog with the live tables, given as
+    /// their compacted image: drop stats of vanished tables and (re)build
+    /// any table whose stats are absent, stale by row count, or — when
+    /// `force` — unconditionally. Each column is read in place, as the
+    /// typed array it is.
+    fn sync_stats(&self, image: &[TableImage], force: bool) {
         let mut stats = self.stats.lock().unwrap();
-        let live: Vec<String> = self.catalog.table_names().map(str::to_string).collect();
         let known: Vec<String> = stats.table_names().map(str::to_string).collect();
         for k in known {
-            if !live.iter().any(|n| n.eq_ignore_ascii_case(&k)) {
+            if !image.iter().any(|t| t.name.eq_ignore_ascii_case(&k)) {
                 stats.drop_table(&k);
             }
         }
-        for name in live {
-            let Ok(t) = self.catalog.table(&name) else {
-                continue;
-            };
-            let rows = live_row_count(t);
-            let fresh = !force && stats.table(&name).is_some_and(|ts| ts.rows == rows);
+        for t in image {
+            let rows = t.columns.first().map_or(0, |b| b.len()) as u64;
+            let fresh = !force && stats.table(&t.name).is_some_and(|ts| ts.rows == rows);
             if !fresh {
-                stats.rebuild_table(&name, table_column_values(t));
+                let columns = t.schema.columns.iter().zip(&t.columns);
+                let built = columns.map(|(def, bat)| (def.name.clone(), column_stats(bat)));
+                stats.rebuild_table(&t.name, built.collect());
             }
         }
     }
@@ -950,23 +946,27 @@ impl Session {
         }
     }
 
-    /// Drop recycled intermediates that depend on any column of `t`.
-    fn invalidate_table(&mut self, t: &Table) {
-        if let Some(r) = &mut self.recycler {
-            for c in &t.schema.columns {
-                r.invalidate(&format!("{}.{}", t.schema.name.to_lowercase(), c.name));
-                r.invalidate(&format!("{}.{}", t.schema.name, c.name));
-            }
+    /// Drop recycled intermediates that depend on any column of a table.
+    fn invalidate_table(recycler: &mut Option<Recycler>, schema: &TableSchema) {
+        let Some(r) = recycler else { return };
+        for c in &schema.columns {
+            r.invalidate(&format!("{}.{}", schema.name.to_lowercase(), c.name));
+            r.invalidate(&format!("{}.{}", schema.name, c.name));
         }
     }
 
     /// Positions (delta oids) of live rows matching the AND-ed predicates —
-    /// the DELETE path. Evaluated with the dynamic Value interpreter: DML is
-    /// not the hot path in this engine.
+    /// the DELETE path. The WHERE chain runs the way a SELECT's does: one
+    /// candidate list threaded through the `mammoth_algebra` select
+    /// kernels, a lower and an upper bound on one column fused into one
+    /// range select. The kernels run in place over each column's shared
+    /// base and its insert delta (so a sorted base is binary-searched, not
+    /// scanned); what they find is then taken minus the deleted positions.
     fn matching_positions(&self, table: &str, preds: &[Predicate]) -> Result<Vec<Oid>> {
         let t = self.catalog.table(table)?;
-        // resolve predicate columns and literal bounds up-front
-        let mut resolved: Vec<(&VersionedColumn, &Predicate, &Value)> = Vec::new();
+        // resolve predicate columns and literals up-front
+        let mut todo: Vec<(usize, ColumnTest)> = Vec::new();
+        let mut satisfiable = true;
         for p in preds {
             if let Some(pt) = &p.col.table {
                 if !pt.eq_ignore_ascii_case(table) {
@@ -978,33 +978,62 @@ impl Session {
             let lit = p.value.as_lit().ok_or_else(|| {
                 Error::Bind("DELETE predicate has an unbound placeholder (?)".into())
             })?;
-            resolved.push((t.column_by_name(&p.col.column)?, p, lit));
+            let (idx, def) = t.schema.column(&p.col.column)?;
+            match ColumnTest::new(def.ty, p.op, lit) {
+                Some(test) => todo.push((idx, test)),
+                None => satisfiable = false,
+            }
         }
-        let mut out = Vec::new();
-        'rows: for pos in 0..t.total_len() as Oid {
-            if !t.column(0).is_live(pos) {
-                continue;
+        if !satisfiable {
+            return Ok(Vec::new());
+        }
+        // candidates among the base rows and among the insert delta's
+        let mut cands: [Option<Bat>; 2] = [None, None];
+        while !todo.is_empty() {
+            let (idx, mut test) = todo.remove(0);
+            let partner = todo.iter().enumerate().find_map(|(k, (i, other))| {
+                let fused = if *i == idx { test.fuse(other) } else { None };
+                fused.map(|f| (k, f))
+            });
+            if let Some((k, fused)) = partner {
+                todo.remove(k);
+                test = fused;
             }
-            for (col, p, lit) in &resolved {
-                let v = col.get(pos).unwrap_or(Value::Null);
-                let keep = match v.sql_cmp(lit) {
-                    None => false,
-                    Some(ord) => match p.op {
-                        mammoth_algebra::CmpOp::Eq => ord == std::cmp::Ordering::Equal,
-                        mammoth_algebra::CmpOp::Ne => ord != std::cmp::Ordering::Equal,
-                        mammoth_algebra::CmpOp::Lt => ord == std::cmp::Ordering::Less,
-                        mammoth_algebra::CmpOp::Le => ord != std::cmp::Ordering::Greater,
-                        mammoth_algebra::CmpOp::Gt => ord == std::cmp::Ordering::Greater,
-                        mammoth_algebra::CmpOp::Ge => ord != std::cmp::Ordering::Less,
-                    },
-                };
-                if !keep {
-                    continue 'rows;
-                }
+            let col = t.stored_column(idx);
+            for (part, cand) in [col.base().as_ref(), col.inserts()]
+                .into_iter()
+                .zip(&mut cands)
+            {
+                *cand = Some(test.select(part, cand.as_ref())?);
             }
-            out.push(pos);
+        }
+        let total = t.total_len();
+        let mut out: Vec<Oid> = Vec::new();
+        match cands {
+            [Some(base), Some(inserts)] => {
+                // the insert delta's oids continue the base's: ascending
+                out.extend_from_slice(base.tail_slice::<Oid>()?);
+                out.extend_from_slice(inserts.tail_slice::<Oid>()?);
+                out.retain(|&pos| !t.deleted().contains(pos));
+            }
+            // no WHERE clause: every live row
+            _ => out.extend(t.deleted().live_runs(total).flatten().map(|p| p as Oid)),
         }
         Ok(out)
+    }
+}
+
+/// Statistics of one compacted column, read as the typed array it is.
+fn column_stats(bat: &Bat) -> ColumnStats {
+    match bat.tail() {
+        TailHeap::Bool(v) => ColumnStats::build_native(v),
+        TailHeap::I8(v) => ColumnStats::build_native(v),
+        TailHeap::I16(v) => ColumnStats::build_native(v),
+        TailHeap::I32(v) => ColumnStats::build_native(v),
+        TailHeap::I64(v) => ColumnStats::build_native(v),
+        TailHeap::F64(v) => ColumnStats::build_native(v),
+        TailHeap::Oid(v) => ColumnStats::build_native(v),
+        TailHeap::Str(h) => ColumnStats::build_strs(h.iter()),
     }
 }
 
@@ -1040,44 +1069,6 @@ fn wants_replication_status(sql: &str) -> bool {
 /// Whether `MAMMOTH_TRACE` names a trace sink.
 fn trace_env_on() -> bool {
     std::env::var(TRACE_ENV).is_ok_and(|p| !p.is_empty())
-}
-
-/// Number of live (not deleted) rows in a table.
-fn live_row_count(t: &Table) -> u64 {
-    if t.schema.columns.is_empty() {
-        return 0;
-    }
-    let col = t.column(0);
-    (0..t.total_len() as Oid)
-        .filter(|&p| col.is_live(p))
-        .count() as u64
-}
-
-/// Materialize every column's live values — the input to a statistics
-/// (re)build. Bounded by table size; runs only at attach/CHECKPOINT or
-/// when a table's stats have drifted out of sync.
-fn table_column_values(t: &Table) -> Vec<(String, LogicalType, Vec<Value>)> {
-    let live: Vec<Oid> = if t.schema.columns.is_empty() {
-        Vec::new()
-    } else {
-        let c0 = t.column(0);
-        (0..t.total_len() as Oid)
-            .filter(|&p| c0.is_live(p))
-            .collect()
-    };
-    t.schema
-        .columns
-        .iter()
-        .enumerate()
-        .map(|(i, def)| {
-            let col = t.column(i);
-            let vals = live
-                .iter()
-                .map(|&p| col.get(p).unwrap_or(Value::Null))
-                .collect();
-            (def.name.clone(), def.ty, vals)
-        })
-        .collect()
 }
 
 /// Export a `plan.compile` / `plan.cache_hit` event to the `MAMMOTH_TRACE`
@@ -1215,6 +1206,10 @@ pub fn render_outputs(names: Vec<String>, outputs: Vec<MalValue>) -> Result<Quer
         rows,
     })
 }
+
+mod column_test;
+#[cfg(test)]
+mod delete_oracle;
 
 #[cfg(test)]
 mod tests {

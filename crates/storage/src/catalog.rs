@@ -1,20 +1,39 @@
 //! Tables and the catalog.
 //!
 //! Per the Decomposed Storage Model, a [`Table`] is nothing but a set of
-//! aligned [`VersionedColumn`]s plus a [`TableSchema`]. The [`Catalog`] maps
-//! names to tables and to free-standing named BATs (used by the MAL layer
-//! for join indices and other auxiliary structures).
+//! aligned [`VersionedColumn`]s, the table's [`DeletionSet`] and a
+//! [`TableSchema`]. The [`Catalog`] maps names to tables and to
+//! free-standing named BATs (used by the MAL layer for join indices and
+//! other auxiliary structures).
 
 use crate::bat::Bat;
-use crate::delta::{Snapshot, VersionedColumn};
+use crate::delta::{ColumnView, DeletionSet, Snapshot, VersionedColumn};
 use mammoth_types::{Error, Oid, Result, TableSchema, Value};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A vertically fragmented relational table.
-#[derive(Debug, Clone)]
+///
+/// Deliberately not `Clone`: a copy costs every pending delta of every
+/// column, and no statement needs one.
+#[derive(Debug)]
 pub struct Table {
     pub schema: TableSchema,
     columns: Vec<VersionedColumn>,
+    /// §3.2: "for each table, a BAT with deleted positions is kept".
+    deleted: DeletionSet,
+}
+
+/// A table's compacted columns — live rows only, positions renumbered
+/// `0..live`: what a checkpoint writes, what a fold installs as the new
+/// bases, and what the statistics are rebuilt from. A column without
+/// pending deltas appears as its shared base, not a copy.
+#[derive(Debug, Clone)]
+pub struct TableImage {
+    /// The table's key in the catalog (its normalized name).
+    pub name: String,
+    pub schema: TableSchema,
+    pub columns: Vec<Arc<Bat>>,
 }
 
 impl Table {
@@ -26,7 +45,11 @@ impl Table {
             .iter()
             .map(|c| VersionedColumn::new(c.ty))
             .collect();
-        Ok(Table { schema, columns })
+        Ok(Table {
+            schema,
+            columns,
+            deleted: DeletionSet::new(),
+        })
     }
 
     /// Adopt pre-built aligned BATs as the table's columns.
@@ -63,6 +86,7 @@ impl Table {
         Ok(Table {
             schema,
             columns: bats.into_iter().map(VersionedColumn::from_bat).collect(),
+            deleted: DeletionSet::new(),
         })
     }
 
@@ -72,7 +96,7 @@ impl Table {
 
     /// Live row count (all columns are aligned).
     pub fn live_len(&self) -> usize {
-        self.columns.first().map_or(0, |c| c.live_len())
+        self.total_len() - self.deleted.len()
     }
 
     /// Total positions including deleted.
@@ -80,17 +104,26 @@ impl Table {
         self.columns.first().map_or(0, |c| c.total_len())
     }
 
-    pub fn column(&self, idx: usize) -> &VersionedColumn {
+    /// Column `idx`, read through the table's deleted positions.
+    pub fn column(&self, idx: usize) -> ColumnView<'_> {
+        self.columns[idx].view(&self.deleted)
+    }
+
+    pub fn column_by_name(&self, name: &str) -> Result<ColumnView<'_>> {
+        let (i, _) = self.schema.column(name)?;
+        Ok(self.column(i))
+    }
+
+    /// Column `idx` as stored: the base and the insert delta, deleted rows
+    /// included. Selections run over these in place; their results are
+    /// positions, to be taken minus [`Table::deleted`].
+    pub fn stored_column(&self, idx: usize) -> &VersionedColumn {
         &self.columns[idx]
     }
 
-    pub fn column_mut(&mut self, idx: usize) -> &mut VersionedColumn {
-        &mut self.columns[idx]
-    }
-
-    pub fn column_by_name(&self, name: &str) -> Result<&VersionedColumn> {
-        let (i, _) = self.schema.column(name)?;
-        Ok(&self.columns[i])
+    /// The deleted positions.
+    pub fn deleted(&self) -> &DeletionSet {
+        &self.deleted
     }
 
     /// Check a row against the schema without mutating anything: arity,
@@ -135,58 +168,79 @@ impl Table {
         Ok(pos)
     }
 
-    /// Delete the row at position `pos` in every column.
+    /// Delete the row at position `pos`. Returns false if it was already
+    /// deleted or out of range.
     pub fn delete_row(&mut self, pos: Oid) -> bool {
-        let mut any = false;
-        for col in &mut self.columns {
-            any |= col.delete(pos);
-        }
-        any
+        (pos as usize) < self.total_len() && self.deleted.insert(pos)
     }
 
     /// Point-in-time snapshots of all columns (a consistent table view,
     /// assuming the caller holds the table borrow while snapshotting).
+    /// Copies only the deltas; the deleted positions are copied once and
+    /// shared.
     pub fn snapshot(&self) -> Vec<Snapshot> {
-        self.columns.iter().map(|c| c.snapshot()).collect()
+        let deleted = Arc::new(self.deleted.clone());
+        (0..self.arity())
+            .map(|i| self.column(i).snapshot_sharing(Arc::clone(&deleted)))
+            .collect()
     }
 
-    /// Merge all column deltas whose size exceeds `threshold_rows`.
+    /// Fold the deltas into the bases if more than `threshold_rows` rows
+    /// are pending. Returns true if a merge happened.
     pub fn maybe_merge_all(&mut self, threshold_rows: usize) -> bool {
         // Merge is all-or-none so the columns stay position-aligned.
-        let need = self
-            .columns
-            .iter()
-            .any(|c| c.pending_inserts() + c.pending_deletes() > threshold_rows);
+        let inserted = self.columns.first().map_or(0, |c| c.pending_inserts());
+        let need = inserted + self.deleted.len() > threshold_rows;
         if need {
             self.merge_all();
         }
         need
     }
 
-    /// Unconditionally merge every column's deltas into a fresh base.
+    /// Unconditionally fold every column's deltas into a fresh base.
     /// WAL replay uses this: the online merge decision was already taken
     /// and logged, so replay must repeat it exactly rather than re-apply
     /// a (possibly different) threshold.
     pub fn merge_all(&mut self) {
-        for c in &mut self.columns {
-            c.merge();
+        let columns = self.compacted();
+        self.adopt(columns);
+    }
+
+    /// Every column compacted: one typed pass each, or the shared base
+    /// when nothing is pending.
+    fn compacted(&self) -> Vec<Arc<Bat>> {
+        (0..self.arity())
+            .map(|i| self.column(i).materialize_shared())
+            .collect()
+    }
+
+    /// Install what [`Table::compacted`] returned for the current state as
+    /// the new bases; positions are renumbered `0..live`.
+    fn adopt(&mut self, columns: Vec<Arc<Bat>>) {
+        debug_assert!(columns.iter().all(|b| b.len() == self.live_len()));
+        for (col, image) in self.columns.iter_mut().zip(columns) {
+            col.adopt(image);
         }
+        self.deleted = DeletionSet::new();
     }
 
     /// Read one full row (None if deleted/out of range).
     pub fn get_row(&self, pos: Oid) -> Option<Vec<Value>> {
-        let mut row = Vec::with_capacity(self.arity());
-        for c in &self.columns {
-            row.push(c.get(pos)?);
-        }
-        Some(row)
+        let live = (pos as usize) < self.total_len() && !self.deleted.contains(pos);
+        live.then(|| self.row_at(pos as usize))
+    }
+
+    fn row_at(&self, pos: usize) -> Vec<Value> {
+        self.columns.iter().map(|c| c.value(pos)).collect()
     }
 
     /// All live rows in position order — the table's *logical content*,
     /// independent of how it is split between base and deltas.
     pub fn rows(&self) -> Vec<Vec<Value>> {
-        (0..self.total_len() as Oid)
-            .filter_map(|p| self.get_row(p))
+        self.deleted
+            .live_runs(self.total_len())
+            .flatten()
+            .map(|p| self.row_at(p))
             .collect()
     }
 }
@@ -266,6 +320,31 @@ impl Catalog {
 
     pub fn bat_names(&self) -> impl Iterator<Item = &str> {
         self.bats.keys().map(|s| s.as_str())
+    }
+
+    /// Every table compacted (see [`TableImage`]), in name order. Nothing
+    /// is folded yet: pass the result to [`Catalog::adopt_image`] once it
+    /// has been written, with no statement in between.
+    pub fn image(&self) -> Vec<TableImage> {
+        self.tables
+            .iter()
+            .map(|(name, t)| TableImage {
+                name: name.clone(),
+                schema: t.schema.clone(),
+                columns: t.compacted(),
+            })
+            .collect()
+    }
+
+    /// Fold every table onto its image: the compacted columns become the
+    /// bases, the deltas empty, positions renumbered — exactly what
+    /// loading the written image would give.
+    pub fn adopt_image(&mut self, image: Vec<TableImage>) {
+        for ti in image {
+            if let Some(t) = self.tables.get_mut(&ti.name) {
+                t.adopt(ti.columns);
+            }
+        }
     }
 
     /// A logical dump of every table: (normalized name, schema, live rows

@@ -9,6 +9,7 @@
 
 use crate::strheap::StrHeap;
 use mammoth_types::{Error, LogicalType, NativeType, Oid, Result, Value};
+use std::ops::Range;
 
 /// A typed column heap.
 #[derive(Debug, Clone)]
@@ -279,22 +280,33 @@ impl TailHeap {
 
     /// Append all rows of `other`; errors on type mismatch.
     pub fn extend_from(&mut self, other: &TailHeap) -> Result<()> {
-        if self.ty() != other.ty() {
-            return Err(Error::TypeMismatch {
-                expected: self.ty().name().into(),
-                found: other.ty().name().into(),
-            });
+        self.extend_from_runs(other, std::slice::from_ref(&(0..other.len())))
+    }
+
+    /// Append the rows of `other` that `runs` name (ascending, in range),
+    /// run by run: a slice copy per run for fixed-width types, offsets and
+    /// first-seen payloads for strings. Errors on type mismatch.
+    pub fn extend_from_runs(&mut self, other: &TailHeap, runs: &[Range<usize>]) -> Result<()> {
+        fn copy<T: Copy>(out: &mut Vec<T>, src: &[T], runs: &[Range<usize>]) {
+            for r in runs {
+                out.extend_from_slice(&src[r.clone()]);
+            }
         }
         match (self, other) {
-            (TailHeap::Bool(a), TailHeap::Bool(b)) => a.extend_from_slice(b),
-            (TailHeap::I8(a), TailHeap::I8(b)) => a.extend_from_slice(b),
-            (TailHeap::I16(a), TailHeap::I16(b)) => a.extend_from_slice(b),
-            (TailHeap::I32(a), TailHeap::I32(b)) => a.extend_from_slice(b),
-            (TailHeap::I64(a), TailHeap::I64(b)) => a.extend_from_slice(b),
-            (TailHeap::F64(a), TailHeap::F64(b)) => a.extend_from_slice(b),
-            (TailHeap::Oid(a), TailHeap::Oid(b)) => a.extend_from_slice(b),
-            (TailHeap::Str(a), TailHeap::Str(b)) => a.extend_from(b),
-            _ => unreachable!("type equality checked above"),
+            (TailHeap::Bool(a), TailHeap::Bool(b)) => copy(a, b, runs),
+            (TailHeap::I8(a), TailHeap::I8(b)) => copy(a, b, runs),
+            (TailHeap::I16(a), TailHeap::I16(b)) => copy(a, b, runs),
+            (TailHeap::I32(a), TailHeap::I32(b)) => copy(a, b, runs),
+            (TailHeap::I64(a), TailHeap::I64(b)) => copy(a, b, runs),
+            (TailHeap::F64(a), TailHeap::F64(b)) => copy(a, b, runs),
+            (TailHeap::Oid(a), TailHeap::Oid(b)) => copy(a, b, runs),
+            (TailHeap::Str(a), TailHeap::Str(b)) => a.extend_from_runs(b, runs),
+            (a, b) => {
+                return Err(Error::TypeMismatch {
+                    expected: a.ty().name().into(),
+                    found: b.ty().name().into(),
+                })
+            }
         }
         Ok(())
     }

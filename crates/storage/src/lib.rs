@@ -36,12 +36,12 @@ pub mod strheap;
 pub mod wal;
 
 pub use bat::{Bat, HeadColumn};
-pub use catalog::{Catalog, Table};
-pub use delta::{DeletionMap, Snapshot, VersionedColumn};
+pub use catalog::{Catalog, Table, TableImage};
+pub use delta::{ColumnView, DeletionSet, Snapshot, VersionedColumn};
 pub use fault::{FaultFs, FaultKind, FaultPlan, RealFs, Vfs};
 pub use heap::{FixedTail, TailHeap};
 pub use persist::{
-    checkpoint_catalog, checkpoint_catalog_with, read_sidecar, recover, recover_vfs, Recovered,
+    checkpoint_catalog, checkpoint_image_with, read_sidecar, recover, recover_vfs, Recovered,
 };
 pub use properties::Properties;
 pub use ship::{durable_tip, export_image, read_wal_range, Tip};

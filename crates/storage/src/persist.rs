@@ -34,7 +34,7 @@
 //! generation `g` (old checkpoint + old WAL) or wholly on `g+1`.
 
 use crate::bat::{Bat, HeadColumn};
-use crate::catalog::{Catalog, Table};
+use crate::catalog::{Catalog, Table, TableImage};
 use crate::fault::{RealFs, Vfs};
 use crate::heap::TailHeap;
 use crate::properties::Properties;
@@ -323,43 +323,29 @@ fn read_str(buf: &[u8], pos: &mut usize) -> Result<String> {
     Ok(s)
 }
 
-/// Serialize the catalog manifest and collect the per-column BAT images
-/// that go with it (deltas are merged into the materialized base).
-#[allow(clippy::type_complexity)]
-fn encode_manifest(catalog: &Catalog) -> Result<(Vec<u8>, Vec<(String, Bat)>)> {
+/// Persist a catalog image into `dir` (created if missing) through a
+/// [`Vfs`]: one sealed `.bat` file per compacted column plus the manifest
+/// naming them. When `sync` is set every file is fsync'd — required on the
+/// checkpoint path, skippable for throwaway exports.
+pub fn save_image_vfs(fs: &dyn Vfs, image: &[TableImage], dir: &Path, sync: bool) -> Result<()> {
+    fs.create_dir_all(dir)?;
     let mut manifest = Vec::new();
     manifest.extend_from_slice(CATALOG_MAGIC);
-    let names: Vec<&str> = catalog.table_names().collect();
-    manifest.extend_from_slice(&(names.len() as u32).to_le_bytes());
-    let mut bats = Vec::new();
-    for name in names {
-        let t = catalog.table(name)?;
+    manifest.extend_from_slice(&(image.len() as u32).to_le_bytes());
+    for t in image {
         write_str(&t.schema.name, &mut manifest);
         manifest.extend_from_slice(&(t.schema.columns.len() as u32).to_le_bytes());
-        for (i, c) in t.schema.columns.iter().enumerate() {
+        for (i, (c, bat)) in t.schema.columns.iter().zip(&t.columns).enumerate() {
             write_str(&c.name, &mut manifest);
             manifest.push(ty_tag(c.ty));
             manifest.push(c.nullable as u8);
-            let file = format!("{}.{}.bat", name, i);
+            let file = format!("{}.{}.bat", t.name, i);
             write_str(&file, &mut manifest);
-            bats.push((file, t.column(i).materialize()));
-        }
-    }
-    Ok((manifest, bats))
-}
-
-/// Persist a whole catalog into `dir` (created if missing) through a
-/// [`Vfs`]. Tables are snapshotted and compacted: deltas are merged into
-/// the stored base. When `sync` is set every file is fsync'd — required on
-/// the checkpoint path, skippable for throwaway exports.
-pub fn save_catalog_vfs(fs: &dyn Vfs, catalog: &Catalog, dir: &Path, sync: bool) -> Result<()> {
-    fs.create_dir_all(dir)?;
-    let (manifest, bats) = encode_manifest(catalog)?;
-    for (file, bat) in &bats {
-        let path = dir.join(file);
-        save_bat_vfs(fs, bat, &path)?;
-        if sync {
-            fs.sync(&path)?;
+            let path = dir.join(file);
+            save_bat_vfs(fs, bat, &path)?;
+            if sync {
+                fs.sync(&path)?;
+            }
         }
     }
     let mpath = dir.join(MANIFEST_FILE);
@@ -368,6 +354,12 @@ pub fn save_catalog_vfs(fs: &dyn Vfs, catalog: &Catalog, dir: &Path, sync: bool)
         fs.sync(&mpath)?;
     }
     Ok(())
+}
+
+/// Persist a whole catalog into `dir` through a [`Vfs`]. Tables are
+/// compacted: deltas are merged into the stored base.
+pub fn save_catalog_vfs(fs: &dyn Vfs, catalog: &Catalog, dir: &Path, sync: bool) -> Result<()> {
+    save_image_vfs(fs, &catalog.image(), dir, sync)
 }
 
 /// Persist a whole catalog into `dir` (created if missing).
@@ -473,18 +465,19 @@ pub fn write_current(fs: &dyn Vfs, root: &Path, g: u64) -> Result<()> {
 /// exactly when the `CURRENT` rename lands, and the per-generation WAL
 /// naming means the old log can never be replayed on top of the new image.
 pub fn checkpoint_catalog(fs: &dyn Vfs, catalog: &Catalog, root: &Path) -> Result<(u64, PathBuf)> {
-    checkpoint_catalog_with(fs, catalog, root, &[])
+    checkpoint_image_with(fs, &catalog.image(), root, &[])
 }
 
-/// [`checkpoint_catalog`] plus sealed *sidecar* files: each `(name,
-/// bytes)` pair is written into the checkpoint directory before the
-/// atomic rename, so the sidecars commit (and replicate — the image
-/// shipper enumerates every file of the generation directory) exactly
-/// with the data they describe. Used by the SQL session to persist the
-/// planner's statistics catalog.
-pub fn checkpoint_catalog_with(
+/// [`checkpoint_catalog`] of an image the caller already holds (and goes
+/// on to fold the live tables onto, [`Catalog::adopt_image`]), plus sealed
+/// *sidecar* files: each `(name, bytes)` pair is written into the
+/// checkpoint directory before the atomic rename, so the sidecars commit
+/// (and replicate — the image shipper enumerates every file of the
+/// generation directory) exactly with the data they describe. Used by the
+/// SQL session to persist the planner's statistics catalog.
+pub fn checkpoint_image_with(
     fs: &dyn Vfs,
-    catalog: &Catalog,
+    image: &[TableImage],
     root: &Path,
     sidecars: &[(String, Vec<u8>)],
 ) -> Result<(u64, PathBuf)> {
@@ -496,7 +489,7 @@ pub fn checkpoint_catalog_with(
     fs.remove_dir_all(&tmp)?;
     fs.remove_dir_all(&fin)?;
     fs.remove_file(&root.join(wal_file_name(next)))?;
-    save_catalog_vfs(fs, catalog, &tmp, true)?;
+    save_image_vfs(fs, image, &tmp, true)?;
     for (name, bytes) in sidecars {
         let p = tmp.join(name);
         fs.write_file(&p, bytes)?;

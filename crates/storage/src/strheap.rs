@@ -8,7 +8,8 @@
 //! dictionary encoding that MonetDB exploits heavily.
 
 use mammoth_types::{Error, Result};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::ops::Range;
 
 /// Offset value representing the nil string.
 pub const STR_NIL_OFFSET: u64 = u64::MAX;
@@ -20,11 +21,21 @@ pub struct StrHeap {
     offsets: Vec<u64>,
     /// Concatenated `u32`-length-prefixed string payloads.
     blob: Vec<u8>,
-    /// hash(string) -> candidate blob offsets, for duplicate elimination.
-    dedup: HashMap<u64, Vec<u64>>,
+    /// hash(string) -> blob offset of the first payload with that hash,
+    /// for duplicate elimination. One flat table: building, cloning and
+    /// dropping a heap allocate nothing per distinct string.
+    dedup: HashMap<u64, u64>,
+    /// `(hash, blob offset)` of every further payload whose hash was
+    /// already taken. 64-bit collisions are vanishingly rare; correctness
+    /// does not rest on that.
+    spill: Vec<(u64, u64)>,
     /// Number of distinct strings in the blob.
     distinct: usize,
 }
+
+/// The unit tests keep four bits of the hash, so that every one of them
+/// also exercises the collision path.
+const HASH_MASK: u64 = if cfg!(test) { 0xf } else { !0 };
 
 fn hash_bytes(b: &[u8]) -> u64 {
     // FNV-1a: cheap, good enough for a dedup table keyed by full comparison.
@@ -33,7 +44,16 @@ fn hash_bytes(b: &[u8]) -> u64 {
         h ^= x as u64;
         h = h.wrapping_mul(0x100000001b3);
     }
-    h
+    h & HASH_MASK
+}
+
+/// The payload of the blob entry at `off`.
+fn payload(blob: &[u8], off: u64) -> &[u8] {
+    let off = off as usize;
+    let mut lenb = [0u8; 4];
+    lenb.copy_from_slice(&blob[off..off + 4]);
+    let len = u32::from_le_bytes(lenb) as usize;
+    &blob[off + 4..off + 4 + len]
 }
 
 impl StrHeap {
@@ -69,7 +89,7 @@ impl StrHeap {
 
     /// Append a string, deduplicating the payload. Returns its row index.
     pub fn push(&mut self, s: &str) -> usize {
-        let off = self.intern(s);
+        let off = self.intern(s.as_bytes());
         self.offsets.push(off);
         self.offsets.len() - 1
     }
@@ -80,32 +100,33 @@ impl StrHeap {
         self.offsets.len() - 1
     }
 
-    /// Store `s` in the blob (or find an existing copy) and return its offset.
-    fn intern(&mut self, s: &str) -> u64 {
-        let bytes = s.as_bytes();
+    /// Store a payload in the blob (or find an existing copy) and return
+    /// its offset. `bytes` is utf8: a `&str`'s, or another heap's payload.
+    fn intern(&mut self, bytes: &[u8]) -> u64 {
         let h = hash_bytes(bytes);
-        if let Some(cands) = self.dedup.get(&h) {
-            for &off in cands {
-                if self.payload_at(off) == bytes {
-                    return off;
+        let off = self.blob.len() as u64;
+        match self.dedup.entry(h) {
+            Entry::Vacant(e) => {
+                e.insert(off);
+            }
+            Entry::Occupied(e) => {
+                let same = |&o: &u64| payload(&self.blob, o) == bytes;
+                let spilled = self.spill.iter().filter(|(sh, _)| *sh == h).map(|(_, o)| o);
+                if let Some(&found) = std::iter::once(e.get()).chain(spilled).find(|o| same(o)) {
+                    return found;
                 }
+                self.spill.push((h, off));
             }
         }
-        let off = self.blob.len() as u64;
         let len = u32::try_from(bytes.len()).expect("string longer than u32::MAX");
         self.blob.extend_from_slice(&len.to_le_bytes());
         self.blob.extend_from_slice(bytes);
-        self.dedup.entry(h).or_default().push(off);
         self.distinct += 1;
         off
     }
 
     fn payload_at(&self, off: u64) -> &[u8] {
-        let off = off as usize;
-        let mut lenb = [0u8; 4];
-        lenb.copy_from_slice(&self.blob[off..off + 4]);
-        let len = u32::from_le_bytes(lenb) as usize;
-        &self.blob[off + 4..off + 4 + len]
+        payload(&self.blob, off)
     }
 
     /// The string at row `i`; `None` for NULL. Panics if out of range.
@@ -114,7 +135,8 @@ impl StrHeap {
         if off == STR_NIL_OFFSET {
             return None;
         }
-        // SAFETY of utf8: only `push(&str)` writes payloads.
+        // utf8: payloads come from `push(&str)`, from another heap's
+        // payloads, or were validated by `read_from`.
         Some(std::str::from_utf8(self.payload_at(off)).expect("heap payload is valid utf8"))
     }
 
@@ -157,14 +179,40 @@ impl StrHeap {
 
     /// Append all rows of `other`.
     pub fn extend_from(&mut self, other: &StrHeap) {
-        for v in other.iter() {
-            match v {
-                Some(s) => {
-                    self.push(s);
+        self.extend_from_runs(other, std::slice::from_ref(&(0..other.len())));
+    }
+
+    /// Append the rows of `src` that `runs` name (ascending, in range).
+    ///
+    /// Rows are copied by offset: a table from `src` blob offsets to offsets
+    /// here means each distinct payload is hashed and interned once, when it
+    /// is first seen, and every other row costs one lookup. Payloads land in
+    /// first-seen order, so the result is the heap that pushing the same
+    /// strings one by one would have built, byte for byte.
+    pub fn extend_from_runs(&mut self, src: &StrHeap, runs: &[Range<usize>]) {
+        let whole = matches!(runs, [all] if *all == (0..src.len()));
+        if whole && self.offsets.is_empty() && self.blob.is_empty() {
+            // the whole of `src` into an empty heap: its blob already is
+            // its strings in first-seen order
+            self.clone_from(src);
+            return;
+        }
+        // blob entries start at least 4 bytes (a length prefix) apart
+        let mut moved = vec![STR_NIL_OFFSET; src.blob.len() / 4 + 1];
+        let rows = runs.iter().map(|r| r.len()).sum();
+        self.offsets.reserve(rows);
+        self.dedup.reserve(src.distinct.min(rows));
+        for run in runs {
+            for &off in &src.offsets[run.clone()] {
+                if off == STR_NIL_OFFSET {
+                    self.offsets.push(STR_NIL_OFFSET);
+                    continue;
                 }
-                None => {
-                    self.push_nil();
+                let slot = &mut moved[off as usize / 4];
+                if *slot == STR_NIL_OFFSET {
+                    *slot = self.intern(src.payload_at(off));
                 }
+                self.offsets.push(*slot);
             }
         }
     }
@@ -221,8 +269,7 @@ impl StrHeap {
         let mut heap = StrHeap {
             offsets,
             blob,
-            dedup: HashMap::new(),
-            distinct: 0,
+            ..StrHeap::default()
         };
         let mut boundaries = std::collections::HashSet::new();
         let mut off = 0usize;
@@ -242,7 +289,11 @@ impl StrHeap {
             std::str::from_utf8(&heap.blob[off + 4..end])
                 .map_err(|_| Error::Corrupt("invalid utf8 in string heap".into()))?;
             let h = hash_bytes(&heap.blob[off + 4..end]);
-            heap.dedup.entry(h).or_default().push(off as u64);
+            if let Entry::Vacant(e) = heap.dedup.entry(h) {
+                e.insert(off as u64);
+            } else {
+                heap.spill.push((h, off as u64));
+            }
             heap.distinct += 1;
             boundaries.insert(off as u64);
             off = end;

@@ -21,15 +21,19 @@ use std::io::{Read, Write};
 pub const FRAME_HEADER: usize = 8;
 
 // --------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven. Small and dependency-free.
+// CRC-32 (IEEE 802.3), table-driven (slicing-by-8: eight bytes a step, so
+// a checkpoint image costs a fraction of a nanosecond per byte to seal).
+// Small and dependency-free.
 // --------------------------------------------------------------------------
 
-fn crc32_table() -> &'static [u32; 256] {
+/// `t[0]` is the classic byte-at-a-time table; `t[k][b]` is the CRC of
+/// byte `b` followed by `k` zero bytes.
+fn crc32_tables() -> &'static [[u32; 256]; 8] {
     use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
+    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, e) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 {
@@ -40,16 +44,34 @@ fn crc32_table() -> &'static [u32; 256] {
             }
             *e = c;
         }
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = t[0][(prev & 0xff) as usize] ^ (prev >> 8);
+            }
+        }
         t
     })
 }
 
 /// CRC-32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = crc32_table();
+    let t = crc32_tables();
     let mut c = 0xffff_ffffu32;
-    for &b in bytes {
-        c = t[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     c ^ 0xffff_ffff
 }
@@ -183,6 +205,27 @@ mod tests {
     fn crc32_known_vectors() {
         assert_eq!(crc32(b""), 0x0000_0000);
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+    }
+
+    /// Eight bytes a step gives the checksum one byte a step does, at every
+    /// length around the step and every alignment of the tail.
+    #[test]
+    fn crc32_slices_agree_with_the_bytewise_definition() {
+        fn bytewise(bytes: &[u8]) -> u32 {
+            let t = &crc32_tables()[0];
+            !bytes.iter().fold(!0u32, |c, &b| {
+                t[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8)
+            })
+        }
+        let data: Vec<u8> = (0..300u32)
+            .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
+            .collect();
+        for from in 0..9 {
+            for len in 0..=data.len() - from {
+                let s = &data[from..from + len];
+                assert_eq!(crc32(s), bytewise(s), "from {from} len {len}");
+            }
+        }
     }
 
     #[test]

@@ -172,3 +172,55 @@ fn property_checker_reports_zero_violations_across_engines() {
         }
     }
 }
+
+/// A bound column's cardinality fact is its *live* row count: `sql.bind`
+/// does not yield the deleted rows. (The fact was once the stored length,
+/// deleted positions included, and the checker rejected this very script
+/// with "cardinality 2 below inferred floor 4" — unseen, because no
+/// checked test selected after a DELETE.)
+#[test]
+fn bound_column_facts_count_live_rows_after_a_delete() {
+    use mammoth::{Database, Engine, QueryOutput};
+    std::env::set_var(CHECK_PROPS_ENV, "1");
+    for engine in [Engine::Serial, Engine::Parallel { threads: 2 }] {
+        let mut db = Database::with_engine(engine);
+        db.execute("CREATE TABLE t (k BIGINT NOT NULL, v BIGINT)")
+            .unwrap();
+        db.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30), (4, 40)")
+            .unwrap();
+        db.execute("PREPARE live AS SELECT COUNT(*), SUM(v) FROM t WHERE k >= ?")
+            .unwrap();
+        db.execute("DELETE FROM t WHERE k < 3").unwrap();
+        let expect = |out: QueryOutput, count: i64, sum: i64, ctx: &str| {
+            let QueryOutput::Table { rows, .. } = out else {
+                panic!("{engine:?} {ctx}: not a table")
+            };
+            assert_eq!(
+                rows,
+                vec![vec![Value::I64(count), Value::I64(sum)]],
+                "{engine:?} {ctx}"
+            );
+        };
+        for round in ["deletes pending", "inserts pending too", "merged"] {
+            let (count, sum) = if round == "deletes pending" {
+                (2, 70)
+            } else {
+                (3, 120)
+            };
+            let adhoc = db
+                .execute("SELECT COUNT(*), SUM(v) FROM t WHERE k >= 0")
+                .unwrap_or_else(|e| panic!("{engine:?} ad hoc, {round}: {e}"));
+            expect(adhoc, count, sum, round);
+            let prepared = db
+                .execute("EXECUTE live (0)")
+                .unwrap_or_else(|e| panic!("{engine:?} prepared, {round}: {e}"));
+            expect(prepared, count, sum, round);
+            match round {
+                "deletes pending" => {
+                    db.execute("INSERT INTO t VALUES (5, 50)").unwrap();
+                }
+                _ => db.catalog_mut().table_mut("t").unwrap().merge_all(),
+            }
+        }
+    }
+}
