@@ -10,7 +10,7 @@ use mammoth_storage::{Bat, FixedTail, TailHeap};
 use mammoth_types::{Error, NativeType, Oid, Result, Value};
 
 /// Aggregate functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggKind {
     /// Count of non-nil values.
     Count,

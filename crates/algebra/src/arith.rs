@@ -8,7 +8,7 @@ use mammoth_storage::{Bat, FixedTail, TailHeap};
 use mammoth_types::{Error, LogicalType, NativeType, Result, Value};
 
 /// Binary arithmetic operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArithOp {
     Add,
     Sub,

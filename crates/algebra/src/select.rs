@@ -22,7 +22,7 @@ use mammoth_storage::{Bat, FixedTail, HeadColumn, Properties, StrHeap, TailHeap}
 use mammoth_types::{Error, NativeType, Oid, Result, Value};
 
 /// Comparison operators supported by [`select_cmp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     Eq,
     Ne,

@@ -21,8 +21,9 @@
 use crate::program::{Arg, Instr, OpCode, Program, VarId};
 use mammoth_algebra::{AggKind, ArithOp, CmpOp};
 use mammoth_index::ZoneMap;
-use mammoth_storage::{Bat, Catalog};
+use mammoth_storage::{Bat, Catalog, ColumnView};
 use mammoth_types::{LogicalType, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
@@ -57,7 +58,7 @@ pub struct Props {
 
 impl Props {
     /// The no-information element: anything at all may have happened.
-    pub fn top() -> Props {
+    pub const fn top() -> Props {
         Props {
             card_lo: 0,
             card_hi: None,
@@ -138,15 +139,14 @@ pub struct BatFacts {
     frag: Option<(VarId, u64, u64)>,
 }
 
-impl BatFacts {
-    fn top() -> BatFacts {
-        BatFacts {
-            props: Props::top(),
-            seqbase: None,
-            frag: None,
-        }
-    }
+/// What is known of a variable nothing is known of.
+static TOP: BatFacts = BatFacts {
+    props: Props::top(),
+    seqbase: None,
+    frag: None,
+};
 
+impl BatFacts {
     /// A freshly materialized result: dense head with seqbase 0.
     fn dense0(mut props: Props) -> BatFacts {
         props.void_head = true;
@@ -183,9 +183,49 @@ impl fmt::Display for PropsError {
 
 impl std::error::Error for PropsError {}
 
-/// Catalog statistics for base binds, keyed by lowercased
-/// `(table, column)` — the catalog's own name normalization.
-pub type ColumnFacts = HashMap<(String, String), Props>;
+/// Catalog statistics for base binds, by table and column. Names compare
+/// the way the catalog's do: case-insensitively.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ColumnFacts {
+    /// lowercased table -> lowercased column -> facts
+    tables: HashMap<String, HashMap<String, Props>>,
+}
+
+/// `name` lowercased; borrowed when it already is, as the names a compiled
+/// plan binds almost always are.
+fn lowercased(name: &str) -> Cow<'_, str> {
+    if name.chars().any(char::is_uppercase) {
+        Cow::Owned(name.to_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
+
+impl ColumnFacts {
+    pub fn new() -> ColumnFacts {
+        ColumnFacts::default()
+    }
+
+    /// Record (or replace) the facts of `table.column`.
+    pub fn insert(&mut self, table: &str, column: &str, props: Props) {
+        let (t, c) = (lowercased(table), lowercased(column));
+        match self.tables.get_mut(&*t) {
+            Some(columns) => columns.insert(c.into_owned(), props),
+            None => self
+                .tables
+                .entry(t.into_owned())
+                .or_default()
+                .insert(c.into_owned(), props),
+        };
+    }
+
+    /// The facts of `table.column`, if recorded.
+    pub fn get(&self, table: &str, column: &str) -> Option<&Props> {
+        self.tables
+            .get(&*lowercased(table))?
+            .get(&*lowercased(column))
+    }
+}
 
 /// Compare two bound values; `None` when incomparable (nil, or mixed
 /// non-numeric types). Numeric values compare across widths.
@@ -212,6 +252,10 @@ fn lt(a: &Value, b: &Value) -> bool {
 /// deleted ones); order/key/nullability flags and the exact min/max
 /// whenever the column has no pending deltas
 /// ([`mammoth_storage::ColumnView::stable_props`]).
+///
+/// This walks the whole catalog — for tests, tools and set-up. A compile
+/// path gathers [`bound_column_facts`] instead, so that what a statement
+/// costs does not grow with the number of tables it does not touch.
 pub fn column_facts(catalog: &Catalog) -> ColumnFacts {
     facts_impl(catalog, false)
 }
@@ -224,36 +268,60 @@ pub fn column_facts_with_zonemaps(catalog: &Catalog) -> ColumnFacts {
     facts_impl(catalog, true)
 }
 
+/// [`column_facts`] for the columns `prog` binds and no others — every fact
+/// an analysis of `prog` can ask for.
+pub fn bound_column_facts(prog: &Program, catalog: &Catalog) -> ColumnFacts {
+    let mut out = ColumnFacts::new();
+    for (t, c) in prog.bound_columns() {
+        if out.get(t, c).is_none() {
+            if let Some(p) = column_props(catalog, t, c) {
+                out.insert(t, c, p);
+            }
+        }
+    }
+    out
+}
+
+/// The [`column_facts`] entry of one column, read live from the catalog;
+/// `None` when the catalog has no such column.
+pub fn column_props(catalog: &Catalog, table: &str, column: &str) -> Option<Props> {
+    let t = catalog.table(table).ok()?;
+    let i = t.schema.column_index(column)?;
+    Some(props_of(t.column(i), t.schema.columns[i].ty, false))
+}
+
 fn facts_impl(catalog: &Catalog, zonemaps: bool) -> ColumnFacts {
     let mut out = ColumnFacts::new();
     for name in catalog.table_names() {
         let Ok(t) = catalog.table(name) else { continue };
         for (i, cdef) in t.schema.columns.iter().enumerate() {
-            let col = t.column(i);
-            let mut p = Props::top().with_card(col.live_len() as u64);
-            p.void_head = true;
-            if let Some(sp) = col.stable_props() {
-                p.sorted = sp.sorted;
-                p.revsorted = sp.revsorted;
-                p.key = sp.key && (sp.sorted || sp.revsorted);
-                p.nonil = sp.nonil;
-                p.min = sp.min.clone();
-                p.max = sp.max.clone();
-                if zonemaps && p.min.is_none() && cdef.ty == LogicalType::I64 {
-                    if let Ok(vals) = col.base().tail_slice::<i64>() {
-                        let live: Vec<i64> =
-                            vals.iter().copied().filter(|&v| v != i64::MIN).collect();
-                        if let Some((lo, hi)) = ZoneMap::build(&live, 1024).bounds() {
-                            p.min = Some(Value::I64(lo));
-                            p.max = Some(Value::I64(hi));
-                        }
-                    }
-                }
-            }
-            out.insert((name.to_lowercase(), cdef.name.to_lowercase()), p);
+            out.insert(name, &cdef.name, props_of(t.column(i), cdef.ty, zonemaps));
         }
     }
     out
+}
+
+fn props_of(col: ColumnView<'_>, ty: LogicalType, zonemaps: bool) -> Props {
+    let mut p = Props::top().with_card(col.live_len() as u64);
+    p.void_head = true;
+    if let Some(sp) = col.stable_props() {
+        p.sorted = sp.sorted;
+        p.revsorted = sp.revsorted;
+        p.key = sp.key && (sp.sorted || sp.revsorted);
+        p.nonil = sp.nonil;
+        p.min = sp.min.clone();
+        p.max = sp.max.clone();
+        if zonemaps && p.min.is_none() && ty == LogicalType::I64 {
+            if let Ok(vals) = col.base().tail_slice::<i64>() {
+                let live: Vec<i64> = vals.iter().copied().filter(|&v| v != i64::MIN).collect();
+                if let Some((lo, hi)) = ZoneMap::build(&live, 1024).bounds() {
+                    p.min = Some(Value::I64(lo));
+                    p.max = Some(Value::I64(hi));
+                }
+            }
+        }
+    }
+    p
 }
 
 /// The result of one analysis walk: facts per variable, in plan order.
@@ -300,9 +368,9 @@ pub fn analyze(prog: &Program) -> Result<Analysis, PropsError> {
     analyze_with_facts(prog, &ColumnFacts::new())
 }
 
-/// Analyze against a live catalog ([`column_facts`] seeds the binds).
+/// Analyze against a live catalog ([`bound_column_facts`] seeds the binds).
 pub fn analyze_with_catalog(prog: &Program, catalog: &Catalog) -> Result<Analysis, PropsError> {
-    analyze_with_facts(prog, &column_facts(catalog))
+    analyze_with_facts(prog, &bound_column_facts(prog, catalog))
 }
 
 /// The forward walk. `Err` only for unconfirmable `bat.setprops` claims.
@@ -324,13 +392,13 @@ struct Analyzer<'a> {
 
 impl Analyzer<'_> {
     /// Facts of a BAT argument; `Top` for anything unknown or non-BAT.
-    fn bat_arg(&self, instr: &Instr, k: usize) -> BatFacts {
+    fn bat_arg(&self, instr: &Instr, k: usize) -> &BatFacts {
         match instr.args.get(k) {
             Some(Arg::Var(v)) => match self.facts.get(*v) {
-                Some(Some(VarFacts::Bat(b))) => b.clone(),
-                _ => BatFacts::top(),
+                Some(Some(VarFacts::Bat(b))) => b,
+                _ => &TOP,
             },
-            _ => BatFacts::top(),
+            _ => &TOP,
         }
     }
 
@@ -359,14 +427,14 @@ impl Analyzer<'_> {
             OpCode::ThetaSelect(op) => {
                 let f = self.t_select(
                     instr,
-                    select_verdict_theta(&self.bat_arg(instr, 0), instr, *op),
+                    select_verdict_theta(self.bat_arg(instr, 0), instr, *op),
                 );
                 self.set_bat(instr, 0, f);
             }
             OpCode::RangeSelect { lo_incl, hi_incl } => {
                 let f = self.t_select(
                     instr,
-                    select_verdict_range(&self.bat_arg(instr, 0), instr, *lo_incl, *hi_incl),
+                    select_verdict_range(self.bat_arg(instr, 0), instr, *lo_incl, *hi_incl),
                 );
                 self.set_bat(instr, 0, f);
             }
@@ -397,19 +465,15 @@ impl Analyzer<'_> {
     /// `sql.bind` materializes a column: dense head, seqbase 0, and
     /// whatever the catalog statistics say about the rows.
     fn t_bind(&mut self, instr: &Instr) {
-        let key = match (self.const_arg(instr, 0), self.const_arg(instr, 1)) {
-            (Some(Value::Str(t)), Some(Value::Str(c))) => {
-                Some((t.to_lowercase(), c.to_lowercase()))
-            }
+        let known = match (self.const_arg(instr, 0), self.const_arg(instr, 1)) {
+            (Some(Value::Str(t)), Some(Value::Str(c))) => self.columns.get(t, c),
             _ => None,
         };
-        let props = key
-            .and_then(|k| self.columns.get(&k).cloned())
-            .unwrap_or_else(|| {
-                let mut p = Props::top();
-                p.void_head = true;
-                p
-            });
+        let props = known.cloned().unwrap_or_else(|| {
+            let mut p = Props::top();
+            p.void_head = true;
+            p
+        });
         self.set_bat(instr, 0, BatFacts::dense0(props));
     }
 
@@ -516,15 +580,17 @@ impl Analyzer<'_> {
     /// first-occurrence positions in ascending order (sorted+key+nonil).
     fn t_group(&mut self, instr: &Instr) {
         let b = self.bat_arg(instr, 0);
-        self.set_bat(instr, 0, BatFacts::dense0(group_ids_props(&b)));
-        self.set_bat(instr, 1, BatFacts::dense0(group_ext_props(&b)));
+        let (ids, ext) = (group_ids_props(b), group_ext_props(b));
+        self.set_bat(instr, 0, BatFacts::dense0(ids));
+        self.set_bat(instr, 1, BatFacts::dense0(ext));
     }
 
     /// `group.refine(b, gids)` has the same output shapes as `group.new`.
     fn t_group_refine(&mut self, instr: &Instr) {
         let b = self.bat_arg(instr, 0);
-        self.set_bat(instr, 0, BatFacts::dense0(group_ids_props(&b)));
-        self.set_bat(instr, 1, BatFacts::dense0(group_ext_props(&b)));
+        let (ids, ext) = (group_ids_props(b), group_ext_props(b));
+        self.set_bat(instr, 0, BatFacts::dense0(ids));
+        self.set_bat(instr, 1, BatFacts::dense0(ext));
     }
 
     /// Grouped aggregates emit one row per group (the extents' length).
@@ -581,7 +647,7 @@ impl Analyzer<'_> {
         let mut p = Props::top();
         p.card_lo = a.props.card_lo;
         p.card_hi = a.props.card_hi;
-        if let Some(t) = self.calc_interval(instr, op, &a) {
+        if let Some(t) = self.calc_interval(instr, op, a) {
             (p.min, p.max) = (Some(t.lo), Some(t.hi));
             p.nonil = a.props.nonil;
             (p.sorted, p.revsorted) = if t.flips {
@@ -787,7 +853,7 @@ impl Analyzer<'_> {
     ///
     /// The runtime always re-derives a dense head for the packed result.
     fn t_pack(&mut self, instr: &Instr) {
-        let parts: Vec<BatFacts> = (0..instr.args.len())
+        let parts: Vec<&BatFacts> = (0..instr.args.len())
             .map(|k| self.bat_arg(instr, k))
             .collect();
         if let Some(parent) = self.exact_pack_parent(&parts) {
@@ -838,7 +904,7 @@ impl Analyzer<'_> {
 
     /// The exact-pack detector: all arguments are `algebra.slice`
     /// fragments of one parent with matching `k`, indices `0..k` in order.
-    fn exact_pack_parent(&self, parts: &[BatFacts]) -> Option<BatFacts> {
+    fn exact_pack_parent(&self, parts: &[&BatFacts]) -> Option<BatFacts> {
         let (parent, _, k) = parts.first()?.frag?;
         if k as usize != parts.len() {
             return None;
@@ -912,6 +978,7 @@ impl Analyzer<'_> {
                 ),
             });
         }
+        let b = b.clone();
         self.set_bat(instr, 0, b);
         Ok(())
     }

@@ -225,6 +225,20 @@ struct Verifier<'a> {
     catalog: Option<&'a Catalog>,
 }
 
+/// The inferred types of an instruction's results; no opcode binds more
+/// than two.
+type ResultTys = [Option<VarTy>; 2];
+
+const NO_RESULT: ResultTys = [None, None];
+
+fn one(ty: VarTy) -> ResultTys {
+    [Some(ty), None]
+}
+
+fn two(a: VarTy, b: VarTy) -> ResultTys {
+    [Some(a), Some(b)]
+}
+
 impl Verifier<'_> {
     fn check(&self, prog: &Program) -> Result<(), VerifyError> {
         let mut state = vec![VarState::Undefined; prog.nvars()];
@@ -253,8 +267,8 @@ impl Verifier<'_> {
                     state[*v] = VarState::Freed { at: idx };
                 }
             }
-            debug_assert_eq!(result_tys.len(), instr.results.len());
-            for (&rv, &ty) in instr.results.iter().zip(&result_tys) {
+            debug_assert_eq!(result_tys.iter().flatten().count(), instr.results.len());
+            for (&rv, &ty) in instr.results.iter().zip(result_tys.iter().flatten()) {
                 match state.get(rv) {
                     None => return Err(err(VerifyErrorKind::UnknownVar { var: rv })),
                     Some(VarState::Defined { at, .. }) => {
@@ -296,7 +310,7 @@ impl Verifier<'_> {
         idx: usize,
         instr: &Instr,
         state: &[VarState],
-    ) -> Result<Vec<VarTy>, VerifyError> {
+    ) -> Result<ResultTys, VerifyError> {
         let err = |kind| VerifyError {
             instr: Some(idx),
             op: Some(instr.op.name()),
@@ -322,7 +336,7 @@ impl Verifier<'_> {
                         }
                     }
                 }
-                return Ok(vec![]);
+                return Ok(NO_RESULT);
             }
             OpCode::Free => {
                 if instr.args.len() != 1 {
@@ -339,7 +353,7 @@ impl Verifier<'_> {
                         return Err(err(VerifyErrorKind::VarArgExpected { arg: 0 }))
                     }
                 }
-                return Ok(vec![]);
+                return Ok(NO_RESULT);
             }
             // variadic merge operators: at least one argument, uniform kind
             OpCode::Pack => {
@@ -367,7 +381,7 @@ impl Verifier<'_> {
                         _ => {}
                     }
                 }
-                return Ok(vec![VarTy::Bat(ty)]);
+                return Ok(one(VarTy::Bat(ty)));
             }
             OpCode::PackSum => {
                 if instr.args.is_empty() {
@@ -387,7 +401,7 @@ impl Verifier<'_> {
                         _ => all_known = false,
                     }
                 }
-                return Ok(vec![VarTy::Scalar(if all_known { out } else { None })]);
+                return Ok(one(VarTy::Scalar(if all_known { out } else { None })));
             }
             _ => {}
         }
@@ -425,10 +439,10 @@ impl Verifier<'_> {
 
         match &instr.op {
             OpCode::Bind => {
-                let mut names = Vec::with_capacity(2);
+                let mut names = [""; 2];
                 for (k, a) in instr.args.iter().enumerate() {
                     match a {
-                        Arg::Const(Value::Str(s)) => names.push(s.clone()),
+                        Arg::Const(Value::Str(s)) => names[k] = s,
                         Arg::Const(other) => {
                             return Err(err(VerifyErrorKind::TypeMismatch {
                                 arg: k,
@@ -440,25 +454,25 @@ impl Verifier<'_> {
                         }
                     }
                 }
-                let (table, column) = (&names[0], &names[1]);
+                let [table, column] = names;
                 let ty = match self.catalog {
                     None => None,
                     Some(cat) => {
                         let t = cat.table(table).map_err(|_| {
                             err(VerifyErrorKind::NoSuchTable {
-                                table: table.clone(),
+                                table: table.to_string(),
                             })
                         })?;
                         let (_, col) = t.schema.column(column).map_err(|_| {
                             err(VerifyErrorKind::NoSuchColumn {
-                                table: table.clone(),
-                                column: column.clone(),
+                                table: table.to_string(),
+                                column: column.to_string(),
                             })
                         })?;
                         Some(col.ty)
                     }
                 };
-                Ok(vec![VarTy::Bat(ty)])
+                Ok(one(VarTy::Bat(ty)))
             }
             OpCode::ThetaSelect(_) | OpCode::RangeSelect { .. } => {
                 let b = self.bat_arg(idx, instr, 0, state)?;
@@ -469,48 +483,48 @@ impl Verifier<'_> {
                     let c = self.scalar_arg(idx, instr, k, state)?;
                     self.comparable(idx, instr, k, b, c)?;
                 }
-                Ok(vec![VarTy::Bat(Some(LogicalType::Oid))])
+                Ok(one(VarTy::Bat(Some(LogicalType::Oid))))
             }
             OpCode::Projection => {
                 self.candidate_arg(idx, instr, 0, state)?;
                 let t = self.bat_arg(idx, instr, 1, state)?;
-                Ok(vec![VarTy::Bat(t)])
+                Ok(one(VarTy::Bat(t)))
             }
             OpCode::Join => {
                 let l = self.bat_arg(idx, instr, 0, state)?;
                 let r = self.bat_arg(idx, instr, 1, state)?;
                 self.comparable(idx, instr, 1, l, r)?;
-                Ok(vec![
+                Ok(two(
                     VarTy::Bat(Some(LogicalType::Oid)),
                     VarTy::Bat(Some(LogicalType::Oid)),
-                ])
+                ))
             }
             OpCode::Group => {
                 self.bat_arg(idx, instr, 0, state)?;
-                Ok(vec![
+                Ok(two(
                     VarTy::Bat(Some(LogicalType::Oid)),
                     VarTy::Bat(Some(LogicalType::Oid)),
-                ])
+                ))
             }
             OpCode::GroupRefine => {
                 self.candidate_arg(idx, instr, 0, state)?;
                 self.bat_arg(idx, instr, 1, state)?;
-                Ok(vec![
+                Ok(two(
                     VarTy::Bat(Some(LogicalType::Oid)),
                     VarTy::Bat(Some(LogicalType::Oid)),
-                ])
+                ))
             }
             OpCode::Aggr(kind) => {
                 let t = self.bat_arg(idx, instr, 0, state)?;
                 self.aggregable(idx, instr, *kind, t)?;
-                Ok(vec![VarTy::Scalar(agg_result_ty(*kind, t))])
+                Ok(one(VarTy::Scalar(agg_result_ty(*kind, t))))
             }
             OpCode::AggrGrouped(kind) => {
                 let t = self.bat_arg(idx, instr, 0, state)?;
                 self.aggregable(idx, instr, *kind, t)?;
                 self.candidate_arg(idx, instr, 1, state)?;
                 self.candidate_arg(idx, instr, 2, state)?;
-                Ok(vec![VarTy::Bat(agg_result_ty(*kind, t))])
+                Ok(one(VarTy::Bat(agg_result_ty(*kind, t))))
             }
             OpCode::Calc(_) => {
                 let a = self.bat_arg(idx, instr, 0, state)?;
@@ -530,23 +544,23 @@ impl Verifier<'_> {
                     (Some(x), Some(y)) => LogicalType::widen(x, y),
                     _ => None,
                 };
-                Ok(vec![VarTy::Bat(out)])
+                Ok(one(VarTy::Bat(out)))
             }
             OpCode::Sort { .. } => {
                 let t = self.bat_arg(idx, instr, 0, state)?;
-                Ok(vec![VarTy::Bat(t), VarTy::Bat(Some(LogicalType::Oid))])
+                Ok(two(VarTy::Bat(t), VarTy::Bat(Some(LogicalType::Oid))))
             }
             OpCode::FirstN { .. } => {
                 let t = self.bat_arg(idx, instr, 0, state)?;
                 self.row_count_arg(idx, instr, 1, "row count", state)?;
-                Ok(vec![VarTy::Bat(t), VarTy::Bat(Some(LogicalType::Oid))])
+                Ok(two(VarTy::Bat(t), VarTy::Bat(Some(LogicalType::Oid))))
             }
             OpCode::Slice => {
                 let t = self.bat_arg(idx, instr, 0, state)?;
                 for k in 1..=2 {
                     self.row_count_arg(idx, instr, k, "slice bound", state)?;
                 }
-                Ok(vec![VarTy::Bat(t)])
+                Ok(one(VarTy::Bat(t)))
             }
             OpCode::PartSlice => {
                 let t = self.bat_arg(idx, instr, 0, state)?;
@@ -587,15 +601,15 @@ impl Verifier<'_> {
                         detail: format!("fragment {i} of {n} is out of range"),
                     }));
                 }
-                Ok(vec![VarTy::Bat(t)])
+                Ok(one(VarTy::Bat(t)))
             }
             OpCode::Count => {
                 self.bat_arg(idx, instr, 0, state)?;
-                Ok(vec![VarTy::Scalar(Some(LogicalType::I64))])
+                Ok(one(VarTy::Scalar(Some(LogicalType::I64))))
             }
             OpCode::Mirror => {
                 self.bat_arg(idx, instr, 0, state)?;
-                Ok(vec![VarTy::Bat(Some(LogicalType::Oid))])
+                Ok(one(VarTy::Bat(Some(LogicalType::Oid))))
             }
             OpCode::SetProps => {
                 let t = self.bat_arg(idx, instr, 0, state)?;
@@ -611,7 +625,7 @@ impl Verifier<'_> {
                         }))
                     }
                 }
-                Ok(vec![VarTy::Bat(t)])
+                Ok(one(VarTy::Bat(t)))
             }
             OpCode::Result | OpCode::Free | OpCode::Pack | OpCode::PackSum => {
                 unreachable!("handled above")

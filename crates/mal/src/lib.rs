@@ -22,8 +22,8 @@
 //!   with optional recycler integration (§6.1) that memoizes instruction
 //!   results keyed by their *provenance signature*.
 //! * [`analysis`] — static analysis over plans: a verifier (SSA
-//!   discipline, arity, kinds, column types, plan structure) that the
-//!   pipeline runs after every pass, and a liveness analysis that powers
+//!   discipline, arity, kinds, column types, plan structure) that a
+//!   checked pipeline holds its result to, and a liveness analysis that powers
 //!   the `garbage_collect` pass and the interpreter's eager release of
 //!   dead intermediates.
 
@@ -38,8 +38,9 @@ pub mod parser;
 pub mod program;
 
 pub use analysis::{
-    analyze_props, analyze_props_with_facts, check_bat, check_props_enabled, column_facts,
-    column_facts_with_zonemaps, Analysis, PropFacts, Props, PropsError, CHECK_PROPS_ENV,
+    analyze_props, analyze_props_with_facts, bound_column_facts, check_bat, check_props_enabled,
+    column_facts, column_facts_with_zonemaps, column_props, Analysis, PropFacts, Props, PropsError,
+    CHECK_PROPS_ENV,
 };
 pub use analysis::{verify, verify_with_catalog, Liveness, VerifyError, VerifyErrorKind};
 pub use combine::{
@@ -49,11 +50,13 @@ pub use combine::{
 pub use interp::{bat_rows_bytes, execute_instr, ExecStats, Interpreter, PlanExecutor};
 pub use mammoth_types::{EventKind, ProfiledRun, TraceEvent, TRACE_ENV};
 pub use mitosis::{
-    column_types, parallel_pipeline, parallel_pipeline_with_props, ColumnTypes, Mergetable, Mitosis,
+    bound_column_types, column_types, parallel_pipeline, parallel_pipeline_with_props, ColumnTypes,
+    Mergetable, Mitosis,
 };
 pub use optimizer::{
     default_pipeline, default_pipeline_with_props, CommonSubexpr, ConstantFold, DeadCode,
-    GarbageCollect, OptimizerPass, PassError, Pipeline, SelectElimination, SortedSelect,
+    GarbageCollect, OptimizerPass, PassError, Pipeline, SelectElimination, SharedAnalysis,
+    SortedSelect,
 };
 pub use parser::parse_program;
 pub use program::{Arg, Instr, MalValue, OpCode, Program, SelectArgs, VarId};

@@ -36,9 +36,10 @@
 //! precondition holds. Everything it cannot prove stays serial — the
 //! fallback is always the packed (or original) value, never a wrong one.
 //!
-//! Both passes are plain `Program → Program` rewrites, so
-//! [`Pipeline::checked`](crate::optimizer::Pipeline::checked) re-verifies
-//! the plan after each of them like after any other module.
+//! Both passes are plain `Program → Program` rewrites that move the
+//! instructions they keep, so
+//! [`Pipeline::checked`](crate::optimizer::Pipeline::checked) verifies
+//! their output like any other module's.
 
 use crate::optimizer::{
     CommonSubexpr, ConstantFold, DeadCode, GarbageCollect, OptimizerPass, Pipeline,
@@ -68,6 +69,19 @@ pub fn column_types(catalog: &Catalog) -> ColumnTypes {
     out
 }
 
+/// [`column_types`] for the columns `prog` binds and no others — all that
+/// [`Mergetable`] looks up.
+pub fn bound_column_types(prog: &Program, catalog: &Catalog) -> ColumnTypes {
+    let mut out = ColumnTypes::new();
+    for (t, c) in prog.bound_columns() {
+        let def = catalog.table(t).and_then(|t| t.schema.column(c));
+        if let Ok((_, def)) = def {
+            out.insert((t.to_lowercase(), c.to_lowercase()), def.ty);
+        }
+    }
+    out
+}
+
 /// Split every `sql.bind` into `pieces` horizontal fragments.
 pub struct Mitosis {
     pieces: usize,
@@ -84,22 +98,23 @@ impl OptimizerPass for Mitosis {
         "mitosis"
     }
 
-    fn run(&self, prog: Program) -> Program {
+    fn run(&self, mut prog: Program) -> Program {
         // fragmenting across end-of-life markers would need free-site
         // surgery; mitosis runs before garbage collection
         if self.pieces < 2 || prog.instrs.iter().any(|i| i.op == OpCode::Free) {
             return prog;
         }
-        let mut out = prog.clone();
-        out.instrs = Vec::with_capacity(prog.instrs.len() * (1 + self.pieces));
-        for instr in prog.instrs {
+        let binds = prog.instrs.iter().filter(|i| i.op == OpCode::Bind).count();
+        let old = std::mem::take(&mut prog.instrs);
+        prog.instrs.reserve_exact(old.len() + binds * self.pieces);
+        for instr in old {
             let is_bind = instr.op == OpCode::Bind;
             let src = instr.results.first().copied();
-            out.instrs.push(instr);
+            prog.instrs.push(instr);
             if let (true, Some(src)) = (is_bind, src) {
                 for i in 0..self.pieces {
-                    let r = out.var();
-                    out.instrs.push(Instr {
+                    let r = prog.var();
+                    prog.instrs.push(Instr {
                         results: vec![r],
                         op: OpCode::PartSlice,
                         args: vec![
@@ -111,7 +126,7 @@ impl OptimizerPass for Mitosis {
                 }
             }
         }
-        out
+        prog
     }
 }
 
@@ -194,13 +209,17 @@ impl OptimizerPass for Mergetable {
         if prog.instrs.iter().any(|i| i.op == OpCode::Free) {
             return prog;
         }
+        // nothing to propagate through a plan mitosis did not slice
+        if !prog.instrs.iter().any(|i| i.op == OpCode::PartSlice) {
+            return prog;
+        }
         Rewriter {
             types: &self.types,
             groups: HashMap::new(),
             binds: HashMap::new(),
-            out: prog.clone(),
+            out: prog,
         }
-        .run(prog)
+        .run()
     }
 }
 
@@ -214,12 +233,13 @@ struct Rewriter<'a> {
 }
 
 impl Rewriter<'_> {
-    fn run(mut self, prog: Program) -> Program {
-        self.out.instrs = Vec::with_capacity(prog.instrs.len());
+    fn run(mut self) -> Program {
+        let instrs = std::mem::take(&mut self.out.instrs);
+        self.out.instrs.reserve(instrs.len());
         // collect complete fragment groups emitted by mitosis:
         // src -> [(i, k, var)]
         let mut frags: HashMap<VarId, Vec<(i64, i64, VarId)>> = HashMap::new();
-        for i in &prog.instrs {
+        for i in &instrs {
             if i.op == OpCode::PartSlice {
                 if let [Arg::Var(src), Arg::Const(a), Arg::Const(b)] = &i.args[..] {
                     if let (Some(x), Some(k)) = (a.as_i64(), b.as_i64()) {
@@ -229,7 +249,7 @@ impl Rewriter<'_> {
             }
         }
 
-        for (idx, instr) in prog.instrs.iter().enumerate() {
+        for (idx, instr) in instrs.into_iter().enumerate() {
             match &instr.op {
                 OpCode::Bind => {
                     if let [Arg::Const(Value::Str(t)), Arg::Const(Value::Str(c))] = &instr.args[..]
@@ -240,19 +260,18 @@ impl Rewriter<'_> {
                             .copied();
                         self.binds.insert(instr.results[0], (t.to_lowercase(), ty));
                     }
-                    self.out.instrs.push(instr.clone());
+                    self.out.instrs.push(instr);
                 }
                 OpCode::PartSlice => {
-                    self.out.instrs.push(instr.clone());
                     // once the last fragment of a complete bind group is in
                     // place, the source becomes a range-aligned group
-                    if let Some(Arg::Var(src)) = instr.args.first() {
-                        if instr.results[0] == last_of_complete_group(&frags, *src) {
-                            if let Some((table, ty)) = self.binds.get(src).cloned() {
-                                let mut parts = frags[src].clone();
+                    if let Some(&Arg::Var(src)) = instr.args.first() {
+                        if instr.results[0] == last_of_complete_group(&frags, src) {
+                            if let Some((table, ty)) = self.binds.get(&src).cloned() {
+                                let mut parts = frags[&src].clone();
                                 parts.sort_by_key(|&(i, _, _)| i);
                                 self.groups.insert(
-                                    *src,
+                                    src,
                                     Group {
                                         parts: parts.iter().map(|&(_, _, v)| v).collect(),
                                         kind: Kind::AlignedBase,
@@ -265,12 +284,13 @@ impl Rewriter<'_> {
                             }
                         }
                     }
+                    self.out.instrs.push(instr);
                 }
                 OpCode::ThetaSelect(_) | OpCode::RangeSelect { .. } => {
                     self.rewrite_select(idx, instr);
                 }
                 OpCode::Projection => {
-                    self.rewrite_projection(idx, instr);
+                    self.rewrite_projection(instr);
                 }
                 OpCode::Calc(_) => {
                     self.rewrite_calc(instr);
@@ -280,7 +300,7 @@ impl Rewriter<'_> {
                 }
                 _ => {
                     // a consumer with no fragment rule reads whole values
-                    self.push_with_whole_args(instr.clone());
+                    self.push_with_whole_args(instr);
                 }
             }
         }
@@ -323,7 +343,7 @@ impl Rewriter<'_> {
     /// `i` of the list then names rows of fragment `i` of the column only);
     /// any other combination selects over the whole column and the packed
     /// list.
-    fn rewrite_select(&mut self, idx: usize, instr: &Instr) {
+    fn rewrite_select(&mut self, idx: usize, instr: Instr) {
         let sel = instr.select_args();
         let group_of = |a: Option<&Arg>| match a {
             Some(Arg::Var(v)) => self.groups.get(v),
@@ -337,7 +357,7 @@ impl Rewriter<'_> {
                 .map(|c| Some(c.parts.clone())),
         };
         let (Some(src), Some(cand_parts)) = (src, cand) else {
-            self.push_with_whole_args(instr.clone());
+            self.push_with_whole_args(instr);
             return;
         };
         let (src_parts, table) = (src.parts.clone(), src.table.clone());
@@ -372,18 +392,21 @@ impl Rewriter<'_> {
     /// `projection(cands, base)` propagates when the candidate fragments
     /// carry absolute base oids and the value operand is a full base
     /// column (a `sql.bind` result): each fetch stays in base space.
-    fn rewrite_projection(&mut self, _idx: usize, instr: &Instr) {
-        let (Some(Arg::Var(c)), Some(Arg::Var(v))) = (instr.args.first(), instr.args.get(1)) else {
-            self.push_with_whole_args(instr.clone());
+    fn rewrite_projection(&mut self, instr: Instr) {
+        let (Some(&Arg::Var(c)), Some(&Arg::Var(v))) = (instr.args.first(), instr.args.get(1))
+        else {
+            self.push_with_whole_args(instr);
             return;
         };
-        let cands_ok = self.groups.get(c).is_some_and(|g| g.kind == Kind::AbsCands);
-        let base_ok = self.binds.contains_key(v);
+        let cands_ok = self
+            .groups
+            .get(&c)
+            .is_some_and(|g| g.kind == Kind::AbsCands);
+        let base_ok = self.binds.contains_key(&v);
         if !(cands_ok && base_ok) {
-            self.push_with_whole_args(instr.clone());
+            self.push_with_whole_args(instr);
             return;
         }
-        let (c, v) = (*c, *v);
         let (src_parts, lineage) = {
             let g = &self.groups[&c];
             (g.parts.clone(), g.lineage.clone())
@@ -415,13 +438,12 @@ impl Rewriter<'_> {
     /// `batcalc` propagates over one fragment group with a scalar operand,
     /// or two groups of identical lineage (their fragments are row-aligned
     /// by construction).
-    fn rewrite_calc(&mut self, instr: &Instr) {
-        let Some(Arg::Var(a)) = instr.args.first() else {
-            self.push_with_whole_args(instr.clone());
-            return;
-        };
-        let Some(ga) = self.groups.get(a) else {
-            self.push_with_whole_args(instr.clone());
+    fn rewrite_calc(&mut self, instr: Instr) {
+        let Some(ga) = (match instr.args.first() {
+            Some(Arg::Var(a)) => self.groups.get(a),
+            _ => None,
+        }) else {
+            self.push_with_whole_args(instr);
             return;
         };
         let (a_parts, a_ty, a_lineage) = (ga.parts.clone(), ga.ty, ga.lineage.clone());
@@ -443,7 +465,7 @@ impl Rewriter<'_> {
             None => None,
         };
         let Some((b_parts, b_ty)) = other else {
-            self.push_with_whole_args(instr.clone());
+            self.push_with_whole_args(instr);
             return;
         };
         let mut parts = Vec::with_capacity(a_parts.len());
@@ -482,12 +504,12 @@ impl Rewriter<'_> {
     /// Integer sums only: wrapping i64 addition is associative, f64
     /// addition is not, and the parallel engine must stay bit-identical to
     /// the serial interpreter.
-    fn rewrite_aggregate(&mut self, instr: &Instr) {
-        let Some(Arg::Var(src)) = instr.args.first() else {
-            self.push_with_whole_args(instr.clone());
+    fn rewrite_aggregate(&mut self, instr: Instr) {
+        let Some(&Arg::Var(src)) = instr.args.first() else {
+            self.push_with_whole_args(instr);
             return;
         };
-        let mergeable = match (&instr.op, self.groups.get(src)) {
+        let mergeable = match (&instr.op, self.groups.get(&src)) {
             (_, None) => false,
             (OpCode::Count | OpCode::Aggr(AggKind::Count), Some(_)) => true,
             (OpCode::Aggr(AggKind::Sum), Some(g)) => matches!(
@@ -497,10 +519,10 @@ impl Rewriter<'_> {
             _ => false,
         };
         if !mergeable {
-            self.push_with_whole_args(instr.clone());
+            self.push_with_whole_args(instr);
             return;
         }
-        let src_parts = self.groups[src].parts.clone();
+        let src_parts = self.groups[&src].parts.clone();
         let mut partials = Vec::with_capacity(src_parts.len());
         for p in src_parts {
             let r = self.out.var();
@@ -512,7 +534,7 @@ impl Rewriter<'_> {
             });
         }
         self.out.instrs.push(Instr {
-            results: instr.results.clone(),
+            results: instr.results,
             op: OpCode::PackSum,
             args: partials.into_iter().map(Arg::Var).collect(),
         });
@@ -543,7 +565,7 @@ fn last_of_complete_group(frags: &HashMap<VarId, Vec<(i64, i64, VarId)>>, src: V
 
 /// The optimizer pipeline the parallel engine runs: the default chain, then
 /// mitosis + mergetable, dead-code cleanup of unused fragments, and
-/// end-of-life markers — re-verified after every pass even in release.
+/// end-of-life markers — the result verified even in release.
 pub fn parallel_pipeline(pieces: usize, types: ColumnTypes) -> Pipeline {
     Pipeline::new()
         .with(ConstantFold)
@@ -568,6 +590,7 @@ pub fn parallel_pipeline_with_props(
     types: ColumnTypes,
     facts: crate::analysis::PropFacts,
 ) -> Pipeline {
+    let facts = std::sync::Arc::new(facts);
     Pipeline::new()
         .with(ConstantFold)
         .with(CommonSubexpr)

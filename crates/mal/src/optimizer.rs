@@ -8,26 +8,93 @@
 //! Each module is a standalone program→program rewrite. The default
 //! pipeline runs constant folding, common-subexpression elimination and
 //! dead-code elimination, in that order; [`GarbageCollect`] can be appended
-//! to insert `language.pass` end-of-life markers. Because every pass is an
-//! unconstrained rewrite, the pipeline re-verifies the plan after each pass
-//! with [`crate::analysis::verify`] (always in debug builds, opt-in via
-//! [`Pipeline::checked`] in release) and attributes any failure to the
-//! offending pass.
+//! to insert `language.pass` end-of-life markers.
+//!
+//! The pipeline is built to cost in proportion to the plan it rewrites
+//! (`docs/MAL.md`, "What a pass may assume and what the pipeline
+//! guarantees"):
+//!
+//! * a pass *owns* the [`Program`] it is handed and transforms it in
+//!   place — no module copies its input;
+//! * the property-driven passes share one abstract interpretation per
+//!   pipeline run ([`SharedAnalysis`]), recomputed only after a pass
+//!   actually changed the plan;
+//! * a [`Pipeline::checked`] pipeline verifies with
+//!   [`crate::analysis::verify`] the plan that will run, once, on exit;
+//!   only when that fails does it replay the input pass by pass to name
+//!   the offender. Debug builds verify after every pass.
 
 use crate::analysis::props::{BatFacts, SelectVerdict};
-use crate::analysis::{self, VerifyError};
+use crate::analysis::{self, Analysis, PropFacts, VerifyError};
 use crate::program::{Arg, Instr, OpCode, Program, VarId};
 use mammoth_algebra::{ArithOp, CmpOp};
 use mammoth_types::Value;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
-/// One optimizer module.
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod oracle;
+
 /// An optimizer module. `Send + Sync` so a [`Pipeline`] (and the session
 /// holding it) can be shared across the network server's worker threads.
 pub trait OptimizerPass: Send + Sync {
     fn name(&self) -> &'static str;
+
+    /// Rewrite a plan. The pass owns `prog`: it transforms it in place and
+    /// hands it back, untouched when it has nothing to do.
     fn run(&self, prog: Program) -> Program;
+
+    /// [`OptimizerPass::run`] as one step of a pipeline run. A pass that
+    /// reads the property analysis takes it from `shared`; a pass that
+    /// changes the plan says so with [`SharedAnalysis::plan_changed`]. The
+    /// default knows nothing about what `run` did, so it reports a change.
+    fn run_with(&self, prog: Program, shared: &mut SharedAnalysis) -> Program {
+        shared.plan_changed();
+        self.run(prog)
+    }
+}
+
+/// What the passes of one pipeline run share: the abstract interpretation
+/// of the plan as it stands. It stays valid exactly as long as no pass
+/// changes the plan, so a run whose property-driven passes all leave the
+/// plan alone — the common case — walks it once.
+#[derive(Default)]
+pub struct SharedAnalysis {
+    /// The facts the walk was seeded with and its result.
+    current: Option<(Arc<PropFacts>, Analysis)>,
+    /// How many walks this run has cost.
+    walks: usize,
+}
+
+impl SharedAnalysis {
+    /// The property analysis of `prog` seeded with `facts`: the one an
+    /// earlier pass computed from the same facts if the plan has not
+    /// changed since, a fresh walk otherwise. `None` when the plan carries
+    /// a `bat.setprops` claim the analysis cannot confirm.
+    pub fn get(&mut self, prog: &Program, facts: &Arc<PropFacts>) -> Option<&Analysis> {
+        if !matches!(&self.current, Some((f, _)) if Arc::ptr_eq(f, facts)) {
+            self.walks += 1;
+            self.current = analysis::analyze_props_with_facts(prog, facts)
+                .ok()
+                .map(|an| (facts.clone(), an));
+        }
+        self.current.as_ref().map(|(_, an)| an)
+    }
+
+    /// The plan is no longer the one the analysis walked.
+    pub fn plan_changed(&mut self) {
+        self.current = None;
+    }
+
+    /// Abstract interpretations computed so far.
+    pub fn walks(&self) -> usize {
+        self.walks
+    }
 }
 
 /// A verification failure attributed to the optimizer pass whose output
@@ -50,13 +117,23 @@ impl fmt::Display for PassError {
 
 impl std::error::Error for PassError {}
 
+/// When a pipeline run verifies the plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verify {
+    Never,
+    /// After every pass: the first ill-formed output names its pass.
+    EachPass,
+    /// Once, the plan that will run; the input is replayed pass by pass
+    /// only if that fails.
+    OnExit,
+}
+
 /// An ordered pipeline of modules.
 ///
-/// In debug builds the pipeline re-verifies the plan after every pass; a
-/// pass that emits an ill-formed program is reported by name via
+/// A [`Pipeline::checked`] pipeline verifies the optimized plan; a pass
+/// that emits an ill-formed program is reported by name via
 /// [`Pipeline::try_optimize`] (or a panic from [`Pipeline::optimize`]).
-/// Release builds skip verification unless opted in with
-/// [`Pipeline::checked`].
+/// Debug builds check every pipeline, after every pass.
 #[derive(Default)]
 pub struct Pipeline {
     passes: Vec<Box<dyn OptimizerPass>>,
@@ -73,22 +150,55 @@ impl Pipeline {
         self
     }
 
-    /// Verify the plan after every pass even in release builds.
+    /// Verify the optimized plan even in release builds.
     pub fn checked(mut self) -> Pipeline {
         self.checked = true;
         self
     }
 
-    /// Whether per-pass verification is active (always in debug builds).
+    /// Whether verification is active (always in debug builds).
     pub fn is_checked(&self) -> bool {
         self.checked || cfg!(debug_assertions)
     }
 
-    /// Run all passes, verifying after each when [`Pipeline::is_checked`].
-    pub fn try_optimize(&self, mut prog: Program) -> Result<Program, Box<PassError>> {
+    /// Run all passes. When [`Pipeline::is_checked`], an ill-formed result
+    /// is an error naming the pass that produced it.
+    pub fn try_optimize(&self, prog: Program) -> Result<Program, Box<PassError>> {
+        let verify = if cfg!(debug_assertions) {
+            Verify::EachPass
+        } else if self.checked {
+            Verify::OnExit
+        } else {
+            Verify::Never
+        };
+        self.run_verifying(prog, verify)
+    }
+
+    fn run_verifying(&self, prog: Program, verify: Verify) -> Result<Program, Box<PassError>> {
+        let Some(last) = self.passes.last() else {
+            return Ok(prog);
+        };
+        if verify != Verify::OnExit {
+            return self.run_passes(prog, verify == Verify::EachPass);
+        }
+        // the only copy the pipeline makes: what a replay would start from
+        let input = prog.clone();
+        let out = self.run_passes(prog, false)?;
+        let Err(error) = analysis::verify(&out) else {
+            return Ok(out);
+        };
+        // passes are deterministic, so the replay fails where this run
+        // went wrong; should it not, the exit check's verdict stands
+        let pass = last.name();
+        self.run_passes(input, true)
+            .and(Err(Box::new(PassError { pass, error })))
+    }
+
+    fn run_passes(&self, mut prog: Program, verify_each: bool) -> Result<Program, Box<PassError>> {
+        let mut shared = SharedAnalysis::default();
         for p in &self.passes {
-            prog = p.run(prog);
-            if self.is_checked() {
+            prog = p.run_with(prog, &mut shared);
+            if verify_each {
                 if let Err(error) = analysis::verify(&prog) {
                     return Err(Box::new(PassError {
                         pass: p.name(),
@@ -122,13 +232,15 @@ pub fn default_pipeline() -> Pipeline {
 /// [`default_pipeline`] extended with the abstract-interpretation property
 /// tier: after folding and CSE, [`SelectElimination`] and [`SortedSelect`]
 /// rewrite selections using per-column statistics (`facts`, from
-/// [`analysis::column_facts`] over the catalog the plan will run against),
-/// then dead code is swept. The pipeline is [`Pipeline::checked`] because
-/// these passes rewrite based on facts external to the plan text.
+/// [`analysis::column_facts`] or [`analysis::bound_column_facts`] over the
+/// catalog the plan will run against), then dead code is swept. The
+/// pipeline is [`Pipeline::checked`] because these passes rewrite based on
+/// facts external to the plan text.
 ///
 /// Invariant: `facts` must describe the catalog state the plan executes
 /// against — the passes' proofs are only as sound as their premises.
-pub fn default_pipeline_with_props(facts: analysis::PropFacts) -> Pipeline {
+pub fn default_pipeline_with_props(facts: PropFacts) -> Pipeline {
+    let facts = Arc::new(facts);
     Pipeline::new()
         .with(ConstantFold)
         .with(CommonSubexpr)
@@ -136,6 +248,10 @@ pub fn default_pipeline_with_props(facts: analysis::PropFacts) -> Pipeline {
         .with(SortedSelect::new(facts))
         .with(DeadCode)
         .checked()
+}
+
+fn has_end_of_life_markers(prog: &Program) -> bool {
+    prog.instrs.iter().any(|i| i.op == OpCode::Free)
 }
 
 /// Fold `batcalc` instructions whose *both* operands are constants, and
@@ -148,16 +264,18 @@ impl OptimizerPass for ConstantFold {
     }
 
     fn run(&self, prog: Program) -> Program {
+        self.run_with(prog, &mut SharedAnalysis::default())
+    }
+
+    fn run_with(&self, mut prog: Program, shared: &mut SharedAnalysis) -> Program {
         // In this instruction set only scalar+scalar Calc can fold; the SQL
         // front-end already folds most of those, so the pass mainly
         // normalizes `x := calc(const, const)` produced by generators.
-        let mut out = prog.clone();
-        let mut folded: HashMap<usize, Value> = HashMap::new();
-        out.instrs = prog
-            .instrs
-            .into_iter()
-            .filter_map(|mut i| {
-                // replace args that reference folded vars
+        let before = prog.instrs.len();
+        let mut folded: HashMap<VarId, Value> = HashMap::new();
+        prog.instrs.retain_mut(|i| {
+            // replace args that reference folded vars
+            if !folded.is_empty() {
                 for a in &mut i.args {
                     if let Arg::Var(v) = a {
                         if let Some(c) = folded.get(v) {
@@ -165,25 +283,29 @@ impl OptimizerPass for ConstantFold {
                         }
                     }
                 }
-                // a freed var that folded to a constant has nothing left to
-                // release — the marker disappears with the instruction
-                if i.op == OpCode::Free && matches!(i.args.first(), Some(Arg::Const(_))) {
-                    return None;
-                }
-                if let OpCode::Calc(op) = &i.op {
-                    if let (Some(Arg::Const(a)), Some(Arg::Const(b))) =
-                        (i.args.first(), i.args.get(1))
-                    {
-                        if let Some(c) = fold_arith(*op, a, b) {
-                            folded.insert(i.results[0], c);
-                            return None; // instruction disappears
-                        }
+            }
+            // a freed var that folded to a constant has nothing left to
+            // release — the marker disappears with the instruction
+            if i.op == OpCode::Free && matches!(i.args.first(), Some(Arg::Const(_))) {
+                return false;
+            }
+            if let OpCode::Calc(op) = &i.op {
+                if let (Some(Arg::Const(a)), Some(Arg::Const(b))) = (i.args.first(), i.args.get(1))
+                {
+                    if let Some(c) = fold_arith(*op, a, b) {
+                        folded.insert(i.results[0], c);
+                        return false; // instruction disappears
                     }
                 }
-                Some(i)
-            })
-            .collect();
-        out
+            }
+            true
+        });
+        // arguments are only ever substituted after a fold removed its
+        // instruction, so the length tells whether anything happened
+        if prog.instrs.len() != before {
+            shared.plan_changed();
+        }
+        prog
     }
 }
 
@@ -227,7 +349,46 @@ fn fold_arith(op: ArithOp, a: &Value, b: &Value) -> Option<Value> {
 /// Replace instructions identical to an earlier one (same op, same args)
 /// with the earlier result — the materialize-everything paradigm makes this
 /// safe for all pure instructions.
+///
+/// Identity is structural: the opcode and every argument, constants by
+/// variant and value, floats by bit pattern — `-0.0` and `0.0`, or two
+/// NaNs of different payload, are different constants.
 pub struct CommonSubexpr;
+
+fn hash_computation(i: &Instr) -> u64 {
+    let mut h = DefaultHasher::new();
+    i.op.hash(&mut h);
+    for a in &i.args {
+        std::mem::discriminant(a).hash(&mut h);
+        match a {
+            Arg::Var(v) | Arg::Param(v) => v.hash(&mut h),
+            Arg::Const(c) => {
+                std::mem::discriminant(c).hash(&mut h);
+                match c {
+                    Value::Null => {}
+                    Value::Bool(x) => x.hash(&mut h),
+                    Value::I8(x) => x.hash(&mut h),
+                    Value::I16(x) => x.hash(&mut h),
+                    Value::I32(x) => x.hash(&mut h),
+                    Value::I64(x) => x.hash(&mut h),
+                    Value::F64(x) => x.to_bits().hash(&mut h),
+                    Value::Str(x) => x.hash(&mut h),
+                    Value::Oid(x) => x.hash(&mut h),
+                }
+            }
+        }
+    }
+    h.finish()
+}
+
+fn same_computation(a: &Instr, b: &Instr) -> bool {
+    a.op == b.op
+        && a.args.len() == b.args.len()
+        && a.args.iter().zip(&b.args).all(|pair| match pair {
+            (Arg::Const(Value::F64(x)), Arg::Const(Value::F64(y))) => x.to_bits() == y.to_bits(),
+            (x, y) => x == y,
+        })
+}
 
 impl OptimizerPass for CommonSubexpr {
     fn name(&self) -> &'static str {
@@ -235,45 +396,66 @@ impl OptimizerPass for CommonSubexpr {
     }
 
     fn run(&self, prog: Program) -> Program {
+        self.run_with(prog, &mut SharedAnalysis::default())
+    }
+
+    fn run_with(&self, mut prog: Program, shared: &mut SharedAnalysis) -> Program {
         // Merging duplicates across `language.pass` markers is unsound:
         // redirecting uses onto the surviving var could read it after its
         // free. GC runs last in practice, so just leave such plans alone.
-        if prog.instrs.iter().any(|i| i.op == OpCode::Free) {
+        if has_end_of_life_markers(&prog) {
             return prog;
         }
-        let mut seen: HashMap<String, Vec<usize>> = HashMap::new();
-        let mut replace: HashMap<usize, usize> = HashMap::new(); // var -> var
-        let mut out = prog.clone();
-        out.instrs = prog
-            .instrs
-            .into_iter()
-            .filter_map(|mut i| {
-                for a in &mut i.args {
+        let instrs = &mut prog.instrs;
+        // hash of a kept pure instruction -> its position; two different
+        // instructions of one hash probe on to the next free key
+        let mut seen: HashMap<u64, usize> = HashMap::with_capacity(instrs.len());
+        // results of dropped duplicates -> the surviving results
+        let mut replace: HashMap<VarId, VarId> = HashMap::new();
+        let mut kept = 0;
+        for idx in 0..instrs.len() {
+            if !replace.is_empty() {
+                for a in &mut instrs[idx].args {
                     if let Arg::Var(v) = a {
                         if let Some(&r) = replace.get(v) {
                             *a = Arg::Var(r);
                         }
                     }
                 }
-                if !i.op.is_pure() {
-                    return Some(i);
-                }
-                let key = format!("{:?}|{:?}", i.op, i.args);
-                match seen.get(&key) {
-                    Some(prev) => {
-                        for (mine, theirs) in i.results.iter().zip(prev) {
-                            replace.insert(*mine, *theirs);
+            }
+            if instrs[idx].op.is_pure() {
+                let mut key = hash_computation(&instrs[idx]);
+                let earlier = loop {
+                    match seen.entry(key) {
+                        Entry::Vacant(slot) => {
+                            slot.insert(kept);
+                            break None;
                         }
-                        None
+                        Entry::Occupied(slot) => {
+                            let prev = *slot.get();
+                            if same_computation(&instrs[prev], &instrs[idx]) {
+                                break Some(prev);
+                            }
+                            key = key.wrapping_add(1);
+                        }
                     }
-                    None => {
-                        seen.insert(key, i.results.clone());
-                        Some(i)
+                };
+                if let Some(prev) = earlier {
+                    let (head, tail) = instrs.split_at(idx);
+                    for (mine, theirs) in tail[0].results.iter().zip(&head[prev].results) {
+                        replace.insert(*mine, *theirs);
                     }
+                    continue;
                 }
-            })
-            .collect();
-        out
+            }
+            instrs.swap(kept, idx);
+            kept += 1;
+        }
+        if kept != instrs.len() {
+            instrs.truncate(kept);
+            shared.plan_changed();
+        }
+        prog
     }
 }
 
@@ -286,12 +468,18 @@ impl OptimizerPass for DeadCode {
     }
 
     fn run(&self, prog: Program) -> Program {
+        self.run_with(prog, &mut SharedAnalysis::default())
+    }
+
+    fn run_with(&self, mut prog: Program, shared: &mut SharedAnalysis) -> Program {
+        let start = prog.instrs.len();
+        let mut used = vec![false; prog.nvars()];
+        let mut defined = vec![false; prog.nvars()];
         // iterate to a fixed point (removing one instruction can orphan its
         // inputs)
-        let mut instrs = prog.instrs.clone();
         loop {
-            let mut used = vec![false; prog.nvars()];
-            for i in &instrs {
+            used.fill(false);
+            for i in &prog.instrs {
                 // a `language.pass` is not a real use: a var only freed is
                 // dead, and its definition (plus the marker) can go
                 if i.op == OpCode::Free {
@@ -303,24 +491,26 @@ impl OptimizerPass for DeadCode {
                     }
                 }
             }
-            let before = instrs.len();
-            instrs.retain(|i: &Instr| !i.op.is_pure() || i.results.iter().any(|r| used[*r]));
-            let mut defined = vec![false; prog.nvars()];
-            for i in &instrs {
+            let before = prog.instrs.len();
+            prog.instrs
+                .retain(|i| !i.op.is_pure() || i.results.iter().any(|r| used[*r]));
+            defined.fill(false);
+            for i in &prog.instrs {
                 for &r in &i.results {
                     defined[r] = true;
                 }
             }
-            instrs.retain(|i: &Instr| {
+            prog.instrs.retain(|i| {
                 i.op != OpCode::Free || matches!(i.args.first(), Some(Arg::Var(v)) if defined[*v])
             });
-            if instrs.len() == before {
+            if prog.instrs.len() == before {
                 break;
             }
         }
-        let mut out = prog.clone();
-        out.instrs = instrs;
-        out
+        if prog.instrs.len() != start {
+            shared.plan_changed();
+        }
+        prog
     }
 }
 
@@ -337,26 +527,43 @@ impl OptimizerPass for GarbageCollect {
     }
 
     fn run(&self, prog: Program) -> Program {
+        self.run_with(prog, &mut SharedAnalysis::default())
+    }
+
+    fn run_with(&self, mut prog: Program, shared: &mut SharedAnalysis) -> Program {
         let lv = analysis::analyze_liveness(&prog);
-        let mut out = prog.clone();
-        out.instrs = Vec::with_capacity(prog.instrs.len());
-        for (idx, instr) in prog.instrs.iter().enumerate() {
-            let op = instr.op.clone();
-            out.instrs.push(instr.clone());
-            // outputs die at io.result (nothing follows); a pass's operand
-            // is already released by the pass itself
-            if op == OpCode::Result || op == OpCode::Free {
-                continue;
-            }
-            for &v in &lv.dies_at[idx] {
-                out.instrs.push(Instr {
-                    results: vec![],
-                    op: OpCode::Free,
-                    args: vec![Arg::Var(v)],
-                });
-            }
+        let markers: usize = prog
+            .instrs
+            .iter()
+            .enumerate()
+            .map(|(idx, i)| released_after(&lv, idx, &i.op).len())
+            .sum();
+        if markers == 0 {
+            return prog;
         }
-        out
+        let old = std::mem::take(&mut prog.instrs);
+        prog.instrs.reserve_exact(old.len() + markers);
+        for (idx, instr) in old.into_iter().enumerate() {
+            let dying = released_after(&lv, idx, &instr.op);
+            prog.instrs.push(instr);
+            prog.instrs.extend(dying.iter().map(|&v| Instr {
+                results: vec![],
+                op: OpCode::Free,
+                args: vec![Arg::Var(v)],
+            }));
+        }
+        shared.plan_changed();
+        prog
+    }
+}
+
+/// The variables to release right after instruction `idx`: those whose
+/// life ends there. Outputs die at io.result (nothing follows); a pass's
+/// operand is already released by the pass itself.
+fn released_after<'a>(lv: &'a analysis::Liveness, idx: usize, op: &OpCode) -> &'a [VarId] {
+    match op {
+        OpCode::Result | OpCode::Free => &[],
+        _ => &lv.dies_at[idx],
     }
 }
 
@@ -384,15 +591,20 @@ impl OptimizerPass for GarbageCollect {
 ///   column's value type — otherwise the select would raise a type error
 ///   at runtime, and eliminating it would mask that error.
 pub struct SelectElimination {
-    facts: analysis::PropFacts,
+    facts: Arc<PropFacts>,
 }
 
 impl SelectElimination {
-    pub fn new(facts: analysis::PropFacts) -> SelectElimination {
-        SelectElimination { facts }
+    /// `facts` by value or as the `Arc` the pipeline's other
+    /// property-driven passes hold — sharing it is what lets them share
+    /// one analysis.
+    pub fn new(facts: impl Into<Arc<PropFacts>>) -> SelectElimination {
+        SelectElimination {
+            facts: facts.into(),
+        }
     }
 
-    fn verdict(an: &analysis::Analysis, instr: &Instr) -> SelectVerdict {
+    fn verdict(an: &Analysis, instr: &Instr) -> SelectVerdict {
         let Some(sel) = instr.select_args() else {
             return SelectVerdict::Unknown;
         };
@@ -420,7 +632,7 @@ impl SelectElimination {
     }
 }
 
-fn arg_facts<'a>(an: &'a analysis::Analysis, a: &Arg) -> Option<&'a BatFacts> {
+fn arg_facts<'a>(an: &'a Analysis, a: &Arg) -> Option<&'a BatFacts> {
     match a {
         Arg::Var(v) => an.bat_facts(*v),
         Arg::Const(_) | Arg::Param(_) => None,
@@ -465,18 +677,26 @@ impl OptimizerPass for SelectElimination {
     }
 
     fn run(&self, prog: Program) -> Program {
-        if prog.instrs.iter().any(|i| i.op == OpCode::Free) {
+        self.run_with(prog, &mut SharedAnalysis::default())
+    }
+
+    fn run_with(&self, mut prog: Program, shared: &mut SharedAnalysis) -> Program {
+        if has_end_of_life_markers(&prog) {
             return prog;
         }
-        let Ok(an) = analysis::analyze_props_with_facts(&prog, &self.facts) else {
+        let Some(an) = shared.get(&prog, &self.facts) else {
             return prog;
         };
-        let mut out = prog.clone();
-        out.instrs = Vec::with_capacity(prog.instrs.len());
+        // most plans hold no selection the intervals decide, and stay as
+        // they are; otherwise everything before the first one does
+        let decided = |i: &Instr| Self::verdict(an, i) != SelectVerdict::Unknown;
+        let Some(first) = prog.instrs.iter().position(decided) else {
+            return prog;
+        };
+        let tail = prog.instrs.split_off(first);
         // results proven equal to their candidate list: var -> that list
         let mut alias: HashMap<VarId, VarId> = HashMap::new();
-        for instr in &prog.instrs {
-            let mut instr = instr.clone();
+        for mut instr in tail {
             for a in &mut instr.args {
                 if let Arg::Var(v) = a {
                     if let Some(&c) = alias.get(v) {
@@ -485,33 +705,35 @@ impl OptimizerPass for SelectElimination {
                 }
             }
             let cand = instr.select_args().and_then(|s| s.cand.cloned());
-            let results = instr.results.clone();
-            match (Self::verdict(&an, &instr), cand) {
+            match (Self::verdict(an, &instr), cand) {
                 // accept-all of a candidate list is the list itself
                 (SelectVerdict::All, Some(Arg::Var(c))) => {
-                    alias.insert(results[0], c);
+                    alias.insert(instr.results[0], c);
                 }
-                (SelectVerdict::All, None) => out.instrs.push(Instr {
-                    results,
-                    op: OpCode::Mirror,
-                    args: vec![instr.args[0].clone()],
-                }),
+                (SelectVerdict::All, None) => {
+                    instr.op = OpCode::Mirror;
+                    instr.args.truncate(1);
+                    prog.instrs.push(instr);
+                }
                 // accept-none of a candidate list is its empty prefix
-                (SelectVerdict::None, Some(c)) => out.instrs.push(empty_prefix(results, c)),
+                (SelectVerdict::None, Some(c)) => {
+                    prog.instrs.push(empty_prefix(instr.results, c));
+                }
                 (SelectVerdict::None, None) => {
-                    let empty = out.var();
-                    out.instrs
-                        .push(empty_prefix(vec![empty], instr.args[0].clone()));
-                    out.instrs.push(Instr {
-                        results,
+                    let empty = prog.var();
+                    let input = instr.args.swap_remove(0);
+                    prog.instrs.push(empty_prefix(vec![empty], input));
+                    prog.instrs.push(Instr {
+                        results: instr.results,
                         op: OpCode::Mirror,
                         args: vec![Arg::Var(empty)],
                     });
                 }
-                _ => out.instrs.push(instr),
+                _ => prog.instrs.push(instr),
             }
         }
-        out
+        shared.plan_changed();
+        prog
     }
 }
 
@@ -539,12 +761,33 @@ fn empty_prefix(results: Vec<VarId>, src: Arg) -> Instr {
 /// already confirmed (the plan would not pass the property walk
 /// otherwise). `!=` selects are not range-expressible and stay scans.
 pub struct SortedSelect {
-    facts: analysis::PropFacts,
+    facts: Arc<PropFacts>,
 }
 
 impl SortedSelect {
-    pub fn new(facts: analysis::PropFacts) -> SortedSelect {
-        SortedSelect { facts }
+    /// See [`SelectElimination::new`] on sharing `facts`.
+    pub fn new(facts: impl Into<Arc<PropFacts>>) -> SortedSelect {
+        SortedSelect {
+            facts: facts.into(),
+        }
+    }
+
+    /// The proven-sorted input of a selection this pass rewrites.
+    fn sorted_input(an: &Analysis, instr: &Instr) -> Option<VarId> {
+        let Some(Arg::Var(v)) = instr.args.first() else {
+            return None;
+        };
+        an.bat_facts(*v)
+            .filter(|f| f.props.sorted && f.props.nonil)?;
+        let rewritable = match &instr.op {
+            OpCode::ThetaSelect(op) => {
+                *op != CmpOp::Ne
+                    && matches!(instr.select_args()?.bounds, [Arg::Const(c)] if !c.is_null())
+            }
+            OpCode::RangeSelect { .. } => true,
+            _ => false,
+        };
+        rewritable.then_some(*v)
     }
 
     /// Reuse or insert `sv := bat.setprops(v, "sorted,nonil")`.
@@ -569,64 +812,48 @@ impl OptimizerPass for SortedSelect {
     }
 
     fn run(&self, prog: Program) -> Program {
-        if prog.instrs.iter().any(|i| i.op == OpCode::Free) {
+        self.run_with(prog, &mut SharedAnalysis::default())
+    }
+
+    fn run_with(&self, mut prog: Program, shared: &mut SharedAnalysis) -> Program {
+        if has_end_of_life_markers(&prog) {
             return prog;
         }
-        let Ok(an) = analysis::analyze_props_with_facts(&prog, &self.facts) else {
+        let Some(an) = shared.get(&prog, &self.facts) else {
             return prog;
         };
-        let mut out = prog.clone();
-        out.instrs = Vec::with_capacity(prog.instrs.len());
+        // a plan with no selection over a proven-sorted input stays as it
+        // is; otherwise everything before the first one does
+        let rewritten = |i: &Instr| Self::sorted_input(an, i).is_some();
+        let Some(first) = prog.instrs.iter().position(rewritten) else {
+            return prog;
+        };
+        let tail = prog.instrs.split_off(first);
         let mut annotated: HashMap<VarId, VarId> = HashMap::new();
-        for instr in &prog.instrs {
-            let sorted_input = match instr.args.first() {
-                Some(Arg::Var(v)) => an
-                    .bat_facts(*v)
-                    .filter(|f| f.props.sorted && f.props.nonil)
-                    .map(|_| *v),
-                _ => None,
-            };
-            match (&instr.op, sorted_input) {
-                (OpCode::ThetaSelect(op), Some(v)) if *op != CmpOp::Ne => {
-                    let sel = instr.select_args();
-                    let c = match sel.as_ref().map(|s| s.bounds) {
-                        Some([Arg::Const(c)]) if !c.is_null() => c.clone(),
-                        _ => {
-                            out.instrs.push(instr.clone());
-                            continue;
-                        }
-                    };
-                    let sv = Self::annotate(&mut out, &mut annotated, v);
+        for mut instr in tail {
+            if let Some(v) = Self::sorted_input(an, &instr) {
+                let sv = Self::annotate(&mut prog, &mut annotated, v);
+                instr.args[0] = Arg::Var(sv);
+                if let OpCode::ThetaSelect(op) = instr.op {
+                    // the candidate list, when present, stays in place
+                    let cst = instr.args.pop().expect("a rewritable select has its bound");
                     let nil = || Arg::Const(Value::Null);
-                    let cst = Arg::Const(c);
-                    let (op2, lo, hi) = match op {
+                    let (range, lo, hi) = match op {
                         CmpOp::Lt => (range_op(true, false), nil(), cst),
                         CmpOp::Le => (range_op(true, true), nil(), cst),
                         CmpOp::Gt => (range_op(false, true), cst, nil()),
                         CmpOp::Ge => (range_op(true, true), cst, nil()),
                         CmpOp::Eq => (range_op(true, true), cst.clone(), cst),
-                        CmpOp::Ne => unreachable!("guarded above"),
+                        CmpOp::Ne => unreachable!("not rewritable"),
                     };
-                    // the candidate list, when present, stays in place
-                    let mut args = vec![Arg::Var(sv)];
-                    args.extend(sel.and_then(|s| s.cand).cloned());
-                    args.extend([lo, hi]);
-                    out.instrs.push(Instr {
-                        results: instr.results.clone(),
-                        op: op2,
-                        args,
-                    });
+                    instr.op = range;
+                    instr.args.extend([lo, hi]);
                 }
-                (OpCode::RangeSelect { .. }, Some(v)) => {
-                    let sv = Self::annotate(&mut out, &mut annotated, v);
-                    let mut ni = instr.clone();
-                    ni.args[0] = Arg::Var(sv);
-                    out.instrs.push(ni);
-                }
-                _ => out.instrs.push(instr.clone()),
             }
+            prog.instrs.push(instr);
         }
-        out
+        shared.plan_changed();
+        prog
     }
 }
 
@@ -821,6 +1048,50 @@ mod tests {
         // a sound pipeline passes its own checks
         let pl = default_pipeline().with(GarbageCollect).checked();
         pl.try_optimize(p).unwrap();
+    }
+
+    /// What a release build's checked pipeline does, driven directly: one
+    /// verification of the final plan, and a replay of the input that
+    /// names the offender only when that fails.
+    #[test]
+    fn verify_on_exit_replays_to_name_the_offending_pass() {
+        struct Clobber;
+        impl OptimizerPass for Clobber {
+            fn name(&self) -> &'static str {
+                "clobber"
+            }
+            fn run(&self, mut prog: Program) -> Program {
+                prog.instrs.remove(0);
+                prog
+            }
+        }
+        let mut p = Program::new();
+        let a = bind(&mut p, "t", "a");
+        let m = p.push(OpCode::Mirror, vec![Arg::Var(a)])[0];
+        p.push_result(&[m]);
+
+        // the offender sits mid-pipeline, and the pass after it would not
+        // have been blamed by a check that only sees the final plan
+        let pl = Pipeline::new()
+            .with(ConstantFold)
+            .with(Clobber)
+            .with(GarbageCollect)
+            .checked();
+        for verify in [Verify::OnExit, Verify::EachPass] {
+            let err = pl.run_verifying(p.clone(), verify).unwrap_err();
+            assert_eq!(err.pass, "clobber", "{verify:?}");
+            assert!(matches!(
+                err.error.kind,
+                crate::analysis::VerifyErrorKind::UseBeforeDef { .. }
+            ));
+        }
+        // unchecked, the broken plan is the caller's problem
+        assert!(pl.run_verifying(p.clone(), Verify::Never).is_ok());
+
+        // a sound pipeline: the exit check returns what the passes made
+        let pl = default_pipeline().with(GarbageCollect).checked();
+        let plain = pl.run_verifying(p.clone(), Verify::Never).unwrap();
+        assert_eq!(pl.run_verifying(p, Verify::OnExit).unwrap(), plain);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub enum Arg {
 }
 
 /// The zero-degrees-of-freedom instruction set.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum OpCode {
     /// `sql.bind(table, column)` — materialize a base column (live rows).
     Bind,
@@ -299,6 +299,19 @@ impl Program {
             op: OpCode::Result,
             args: vars.iter().map(|&v| Arg::Var(v)).collect(),
         });
+    }
+
+    /// The `(table, column)` of every `sql.bind`, in plan order, as written
+    /// (a column bound twice appears twice).
+    pub fn bound_columns(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.instrs
+            .iter()
+            .filter_map(|i| match (&i.op, &i.args[..]) {
+                (OpCode::Bind, [Arg::Const(Value::Str(t)), Arg::Const(Value::Str(c))]) => {
+                    Some((t.as_str(), c.as_str()))
+                }
+                _ => None,
+            })
     }
 
     /// The variables marked as outputs.

@@ -10,15 +10,21 @@
 //! the statement recompiles and the entry is replaced. DDL and recovery
 //! clear the cache wholesale.
 //!
+//! A hit costs what the plan is made of, not what the catalog holds: the
+//! premises re-checked are the plan's own bound columns, the entry is
+//! handed out as an [`Arc`], and [`bind_program`] makes the one copy of
+//! the program the executor then owns.
+//!
 //! Parameterized plans carry [`Arg::Param`] slots. [`bind_program`]
 //! substitutes EXECUTE's argument values as MAL constants — a pure
 //! program→program map, no recompile, no re-verify (the verifier already
 //! typed each slot as a scalar of statically unknown type, which a
 //! constant always satisfies).
 
-use mammoth_mal::{Arg, OpCode, Program, Props};
+use mammoth_mal::{Arg, Program, Props};
 use mammoth_types::{Error, Result, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A compiled statement ready to execute (after parameter binding).
 #[derive(Debug, Clone)]
@@ -41,7 +47,7 @@ pub struct CachedPlan {
 /// Compiled-plan cache with hit/compile counters.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    map: HashMap<String, CachedPlan>,
+    map: HashMap<String, Arc<CachedPlan>>,
     hits: u64,
     compiles: u64,
 }
@@ -58,27 +64,28 @@ impl PlanCache {
         &mut self,
         key: &str,
         mut live: impl FnMut(&str, &str) -> Option<Props>,
-    ) -> Option<CachedPlan> {
+    ) -> Option<Arc<CachedPlan>> {
         let entry = self.map.get(key)?;
-        for ((t, c), premise) in &entry.premises {
-            match live(t, c) {
-                Some(now) if now == *premise => {}
-                _ => {
-                    // premise drifted: the optimized program may no longer
-                    // be sound — drop the entry, caller recompiles
-                    self.map.remove(key);
-                    return None;
-                }
-            }
+        let holds = |((t, c), premise): &((String, String), Props)| {
+            live(t, c).is_some_and(|now| now == *premise)
+        };
+        if !entry.premises.iter().all(holds) {
+            // premise drifted: the optimized program may no longer be
+            // sound — drop the entry, caller recompiles
+            self.map.remove(key);
+            return None;
         }
         self.hits += 1;
-        Some(self.map[key].clone())
+        Some(entry.clone())
     }
 
-    /// Insert (or replace) an entry, counting a compile.
-    pub fn insert(&mut self, key: String, plan: CachedPlan) {
+    /// Insert (or replace) an entry, counting a compile; returns it as
+    /// later hits will see it.
+    pub fn insert(&mut self, key: String, plan: CachedPlan) -> Arc<CachedPlan> {
         self.compiles += 1;
-        self.map.insert(key, plan);
+        let plan = Arc::new(plan);
+        self.map.insert(key, plan.clone());
+        plan
     }
 
     /// Drop every entry (DDL, recovery).
@@ -146,16 +153,10 @@ pub fn normalize_sql(sql: &str) -> String {
 /// arguments are string constants.
 pub fn referenced_columns(prog: &Program) -> Vec<(String, String)> {
     let mut out = Vec::new();
-    for instr in &prog.instrs {
-        if instr.op == OpCode::Bind {
-            if let (Some(Arg::Const(Value::Str(t))), Some(Arg::Const(Value::Str(c)))) =
-                (instr.args.first(), instr.args.get(1))
-            {
-                let pair = (t.clone(), c.clone());
-                if !out.contains(&pair) {
-                    out.push(pair);
-                }
-            }
+    for (t, c) in prog.bound_columns() {
+        let pair = (t.to_string(), c.to_string());
+        if !out.contains(&pair) {
+            out.push(pair);
         }
     }
     out
@@ -186,6 +187,7 @@ pub fn bind_program(prog: &Program, args: &[Value]) -> Result<Program> {
 mod tests {
     use super::*;
     use mammoth_algebra::CmpOp;
+    use mammoth_mal::OpCode;
 
     fn sample_prog() -> Program {
         let mut p = Program::new();

@@ -47,6 +47,11 @@ pub trait Handler: Send + Sync + 'static {
     /// response.
     fn statement(&self, sql: &str) -> ServerMsg;
 
+    /// How many `?` placeholders the prepared statement `name` takes, from
+    /// wherever [`Handler::statement`] registered it — what the `Prepare`
+    /// verb reports back. `None` when no such statement is registered.
+    fn prepared_params(&self, name: &str) -> Option<usize>;
+
     /// (v3) Serve one scatter leg. Only a scatter target overrides this.
     fn fragment(&self, _conn: &Conn<'_>, _id: u64, _sql: &str) -> ServerMsg {
         let refusal = format!("{} is not a scatter target; send Query", self.name());
@@ -457,13 +462,14 @@ fn serve_connection<H: Handler>(core: &Core<H>, widx: usize, mut stream: TcpStre
             refuse(&mut stream, ErrorCode::Protocol, &msg);
             return Ok(());
         }
-        let prepare = matches!(msg, ClientMsg::Prepare { .. });
         let started = Instant::now();
+        let mut preparing = None;
         // The prepared-statement verbs are sugar over the SQL statements,
         // so the whole prepared life cycle (naming, the plan cache,
         // invalidation) lives in one place: behind `Handler::statement`.
-        // `label` is what the trace shows for the statement.
-        let (label, sql) = match msg {
+        // `shown` is how much of the statement text the trace shows for
+        // them: the verb and the handle.
+        let (sql, shown) = match msg {
             ClientMsg::Quit => return Ok(()),
             ClientMsg::Login { .. } => {
                 refuse(&mut stream, ErrorCode::Protocol, "already logged in");
@@ -492,44 +498,56 @@ fn serve_connection<H: Handler>(core: &Core<H>, widx: usize, mut stream: TcpStre
                 send(&mut stream, &core.handler.fragment(&conn, id, &sql))?;
                 continue;
             }
-            ClientMsg::Query { sql } => {
-                let mut brief: String = sql.chars().take(64).collect();
-                if brief.len() < sql.len() {
-                    brief.push('…');
-                }
-                (brief, sql)
-            }
+            ClientMsg::Query { sql } => (sql, None),
             ClientMsg::Prepare { name, sql } => {
-                let label = format!("PREPARE {name}");
-                let sql = format!("{label} AS {sql}");
-                (label, sql)
+                let mut text = format!("PREPARE {name}");
+                let shown = text.len();
+                text.push_str(" AS ");
+                text.push_str(&sql);
+                preparing = Some(name);
+                (text, Some(shown))
             }
             ClientMsg::ExecutePrepared { name, args } => {
-                let label = format!("EXECUTE {name}");
-                let lits: Vec<String> = args.iter().map(mammoth_sql::sql_literal).collect();
-                let sql = if lits.is_empty() {
-                    label.clone()
-                } else {
-                    format!("{label} ({})", lits.join(", "))
-                };
-                (label, sql)
+                let mut text = format!("EXECUTE {name}");
+                let shown = text.len();
+                for (i, arg) in args.iter().enumerate() {
+                    text.push_str(if i == 0 { " (" } else { ", " });
+                    text.push_str(&mammoth_sql::sql_literal(arg));
+                }
+                if !args.is_empty() {
+                    text.push(')');
+                }
+                (text, Some(shown))
             }
             ClientMsg::Deallocate { name } => {
-                let sql = format!("DEALLOCATE {name}");
-                (sql.clone(), sql)
+                let text = format!("DEALLOCATE {name}");
+                let shown = text.len();
+                (text, Some(shown))
             }
         };
         let mut resp = core.handler.statement(&sql);
-        if prepare && matches!(resp, ServerMsg::Ok) {
-            let nparams = mammoth_sql::parse_sql(&sql).map_or(0, |s| s.param_count() as u32);
+        if let (Some(name), ServerMsg::Ok) = (&preparing, &resp) {
+            // the registry counted the placeholders when the statement was
+            // parsed on its way in
+            let nparams = core.handler.prepared_params(name).unwrap_or(0) as u32;
             resp = ServerMsg::Prepared { nparams };
         }
-        conn.trace(
-            EventKind::ServerStatement,
-            label,
-            started,
-            resp.result_rows(),
-        );
+        // nobody to show a label to without a sink
+        if core.recorder.enabled() {
+            let label = match shown {
+                Some(n) => sql[..n].to_string(),
+                // ad-hoc SQL: its first 64 characters
+                None => {
+                    let mut brief: String = sql.chars().take(64).collect();
+                    if brief.len() < sql.len() {
+                        brief.push('…');
+                    }
+                    brief
+                }
+            };
+            let rows = resp.result_rows();
+            conn.trace(EventKind::ServerStatement, label, started, rows);
+        }
         send(&mut stream, &resp)?;
     }
     Ok(())

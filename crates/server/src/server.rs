@@ -159,6 +159,12 @@ impl Server {
         }
     }
 
+    /// Lifecycle events buffered for the trace export at shutdown: always
+    /// zero on a server started without a `MAMMOTH_TRACE` sink.
+    pub fn pending_trace_events(&self) -> usize {
+        self.listener.recorder().pending()
+    }
+
     /// Direct access to the shared session (tests and embedded use).
     pub fn shared(&self) -> &SharedSession {
         &self.engine().shared
@@ -240,6 +246,10 @@ impl Server {
 impl Handler for Engine {
     fn name(&self) -> &str {
         SERVER_NAME
+    }
+
+    fn prepared_params(&self, name: &str) -> Option<usize> {
+        self.shared.prepared_params(name)
     }
 
     fn statement(&self, sql: &str) -> ServerMsg {

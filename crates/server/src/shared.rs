@@ -358,6 +358,13 @@ impl SharedSession {
         }
     }
 
+    /// [`Session::prepared_params`]. Reads the session's own registry
+    /// lock only, so it does not queue behind the statement scheduler.
+    pub fn prepared_params(&self, name: &str) -> Option<usize> {
+        let guard = self.session.read().unwrap_or_else(|e| e.into_inner());
+        guard.prepared_params(name)
+    }
+
     /// Run `f` on the session under exclusive access, bypassing the
     /// statement path. The server's shutdown checkpoint and the tests'
     /// setup go through here. No deadline: callers are server-internal.

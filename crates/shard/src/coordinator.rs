@@ -1122,6 +1122,12 @@ impl Coordinator {
         })
     }
 
+    /// How many `?` placeholders the prepared statement `name` takes;
+    /// `None` when no such statement is registered.
+    pub fn prepared_params(&self, name: &str) -> Option<usize> {
+        self.prepared.nparams(name)
+    }
+
     /// Execute one SQL statement across the shard set.
     pub fn execute(&self, sql: &str) -> Result<QueryOutput, CoordError> {
         self.stmts.fetch_add(1, Ordering::Relaxed);
@@ -1168,10 +1174,8 @@ impl Coordinator {
             // Fully-bound SELECTs warm the scatter-plan cache at `PREPARE`
             // time, so the first `EXECUTE` is already a `plan.cache_hit`.
             Statement::Prepare { name, stmt } => {
-                self.prepared.register(name, *stmt, |stmt| match stmt {
-                    Statement::Select(sel) if stmt.param_count() == 0 => {
-                        self.planned_select(sel).map(drop)
-                    }
+                self.prepared.register(name, *stmt, |p| match &p.stmt {
+                    Statement::Select(sel) if p.nparams == 0 => self.planned_select(sel).map(drop),
                     Statement::Select(_) | Statement::Insert { .. } | Statement::Delete { .. } => {
                         Ok(())
                     }

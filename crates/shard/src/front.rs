@@ -54,6 +54,10 @@ impl Handler for Front {
         COORDINATOR_NAME
     }
 
+    fn prepared_params(&self, name: &str) -> Option<usize> {
+        self.0.prepared_params(name)
+    }
+
     /// Map a coordinator outcome onto a protocol frame.
     fn statement(&self, sql: &str) -> ServerMsg {
         let (code, message) = match self.0.execute(sql) {

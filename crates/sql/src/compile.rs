@@ -33,6 +33,17 @@ struct Compiler<'a> {
 /// Compile a SELECT into a MAL program. Output columns appear in `io.result`
 /// in SELECT-list order; the returned vector carries their display names.
 pub fn compile_select(catalog: &Catalog, stmt: &SelectStmt) -> Result<(Program, Vec<String>)> {
+    compile_select_ordered(catalog, stmt, stmt.where_.iter().collect())
+}
+
+/// [`compile_select`] with the WHERE conjuncts applied in the order given
+/// (`where_` is `stmt.where_`, permuted): the planner's most-selective-first
+/// ordering, without a reordered copy of the statement.
+pub(crate) fn compile_select_ordered(
+    catalog: &Catalog,
+    stmt: &SelectStmt,
+    where_: Vec<&Predicate>,
+) -> Result<(Program, Vec<String>)> {
     let mut c = Compiler {
         catalog,
         prog: Program::new(),
@@ -44,7 +55,7 @@ pub fn compile_select(catalog: &Catalog, stmt: &SelectStmt) -> Result<(Program, 
 
     // WHERE: each predicate selects among the rows its table's candidates
     // name; a lower and an upper bound on one column are one range select
-    let mut todo: Vec<&Predicate> = stmt.where_.iter().collect();
+    let mut todo = where_;
     while !todo.is_empty() {
         let pred = todo.remove(0);
         let side = c.side_of(&pred.col)?;

@@ -6,27 +6,45 @@
 //! coordinator. Names are case-insensitive; the statement is stored parsed
 //! and is bound (never re-parsed) at `EXECUTE`.
 
-use crate::ast::Statement;
+use crate::ast::{SelectStmt, Statement};
+use crate::routing::select_sql;
+use mammoth_planner::normalize_sql;
 use mammoth_types::{Error, Result};
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A registered prepared statement.
 #[derive(Debug, Clone)]
 pub struct PreparedStmt {
     pub stmt: Statement,
     pub nparams: usize,
+    /// A SELECT's normalized text, placeholders in place: the key the
+    /// session's plan cache files its plan under. Derived at `PREPARE`,
+    /// once, so that no `EXECUTE` renders the statement again to find its
+    /// plan.
+    plan_key: Option<String>,
+}
+
+impl PreparedStmt {
+    /// The statement, if it is a SELECT, with the key its plan is cached
+    /// under.
+    pub fn cached_select(&self) -> Option<(&SelectStmt, &str)> {
+        match (&self.stmt, &self.plan_key) {
+            (Statement::Select(sel), Some(key)) => Some((sel, key)),
+            _ => None,
+        }
+    }
 }
 
 /// Prepared statements by lowercased name. Mutex'd so the verbs can run on
 /// a concurrent-reader path (`&self`) — they mutate bookkeeping, never data.
 #[derive(Default)]
 pub struct PreparedRegistry {
-    stmts: Mutex<HashMap<String, PreparedStmt>>,
+    stmts: Mutex<HashMap<String, Arc<PreparedStmt>>>,
 }
 
 impl PreparedRegistry {
-    fn stmts(&self) -> MutexGuard<'_, HashMap<String, PreparedStmt>> {
+    fn stmts(&self) -> MutexGuard<'_, HashMap<String, Arc<PreparedStmt>>> {
         // inserts and removes leave the map valid at every step
         self.stmts.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -38,7 +56,7 @@ impl PreparedRegistry {
         &self,
         name: String,
         stmt: Statement,
-        admit: impl FnOnce(&Statement) -> std::result::Result<(), E>,
+        admit: impl FnOnce(&PreparedStmt) -> std::result::Result<(), E>,
     ) -> std::result::Result<(), E> {
         let key = name.to_lowercase();
         if self.stmts().contains_key(&key) {
@@ -48,14 +66,27 @@ impl PreparedRegistry {
             }
             .into());
         }
-        admit(&stmt)?;
-        let nparams = stmt.param_count();
-        self.stmts().insert(key, PreparedStmt { stmt, nparams });
+        let prepared = PreparedStmt {
+            nparams: stmt.param_count(),
+            plan_key: match &stmt {
+                Statement::Select(sel) => Some(normalize_sql(&select_sql(sel))),
+                _ => None,
+            },
+            stmt,
+        };
+        admit(&prepared)?;
+        self.stmts().insert(key, Arc::new(prepared));
         Ok(())
     }
 
+    /// How many `?` placeholders the statement registered as `name` has —
+    /// counted when it was parsed on its way in.
+    pub fn nparams(&self, name: &str) -> Option<usize> {
+        self.stmts().get(&name.to_lowercase()).map(|p| p.nparams)
+    }
+
     /// Fetch a prepared statement and check the `EXECUTE` argument count.
-    pub fn lookup(&self, name: &str, nargs: usize) -> Result<PreparedStmt> {
+    pub fn lookup(&self, name: &str, nargs: usize) -> Result<Arc<PreparedStmt>> {
         let p = self
             .stmts()
             .get(&name.to_lowercase())

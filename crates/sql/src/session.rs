@@ -7,19 +7,18 @@
 //! and serves `PREPARE`d statements from a premise-checked [`PlanCache`].
 
 use crate::ast::{Predicate, SelectStmt, Statement};
-use crate::compile::compile_select;
+use crate::compile::compile_select_ordered;
 use crate::parser::parse_sql;
 use crate::prepared::{reject_stray_params, PreparedRegistry};
-use crate::routing::select_sql;
 use column_test::ColumnTest;
 use mammoth_mal::{
-    analyze_props, column_facts, column_types, default_pipeline_with_props,
-    parallel_pipeline_with_props, Arg, CommonSubexpr, ConstantFold, DeadCode, EventKind,
-    Interpreter, MalValue, OpCode, Pipeline, PlanExecutor, ProfiledRun, Program, SelectElimination,
-    TraceEvent, TRACE_ENV,
+    analyze_props, bound_column_facts, bound_column_types, column_props,
+    default_pipeline_with_props, parallel_pipeline_with_props, Arg, CommonSubexpr, ConstantFold,
+    DeadCode, EventKind, Interpreter, MalValue, OpCode, Pipeline, PlanExecutor, ProfiledRun,
+    Program, PropFacts, SelectElimination, TraceEvent, TRACE_ENV,
 };
 use mammoth_planner::{
-    bind_program, choose_pieces, estimate_program, normalize_sql, referenced_columns, selectivity,
+    bind_program, choose_pieces, estimate_program, referenced_columns, selectivity,
     use_sorted_select, CachedPlan, ColumnStats, PlanCache, StatsCatalog,
 };
 use mammoth_recycler::{EvictPolicy, Recycler};
@@ -351,8 +350,8 @@ impl Session {
 
     /// Run SELECTs on `executor` over plans fragmented into `pieces` by the
     /// mitosis/mergetable optimizer modules. The pipeline is rebuilt per
-    /// query (it snapshots column types from the live catalog) and runs
-    /// checked: every pass output is re-verified before execution.
+    /// query (it snapshots the bound columns' types and statistics from the
+    /// live catalog) and runs checked: the plan is verified before execution.
     pub fn with_executor(mut self, executor: Box<dyn PlanExecutor>, pieces: usize) -> Session {
         self.executor = Some(executor);
         self.pieces = pieces.max(1);
@@ -494,22 +493,23 @@ impl Session {
             Statement::Prepare { name, stmt } => {
                 // eagerly warm the plan cache for SELECTs, so the first
                 // EXECUTE already hits
-                self.prepared.register(name, *stmt, |s| match s {
-                    Statement::Select(sel) => self.cached_plan_for(sel).map(drop),
-                    _ => Ok(()),
-                })?;
+                self.prepared
+                    .register(name, *stmt, |p| match p.cached_select() {
+                        Some((sel, key)) => self.cached_plan_for(key, sel, p.nparams).map(drop),
+                        None => Ok(()),
+                    })?;
                 Step::Done(QueryOutput::Ok)
             }
             Statement::Execute { name, args } => {
                 let p = self.prepared.lookup(&name, args.len())?;
-                match &p.stmt {
+                match p.cached_select() {
                     // cached plan + parameter substitution: a hit skips
                     // parse/compile/verify/optimize entirely
-                    Statement::Select(sel) => {
-                        let plan = self.cached_plan_for(sel)?;
-                        Step::Run(bind_program(&plan.prog, &args)?, plan.names)
+                    Some((sel, key)) => {
+                        let plan = self.cached_plan_for(key, sel, p.nparams)?;
+                        Step::Run(bind_program(&plan.prog, &args)?, plan.names.clone())
                     }
-                    other => return self.dispatch(other.bind_params(&args)?),
+                    None => return self.dispatch(p.stmt.bind_params(&args)?),
                 }
             }
             // the cached plan stays until DDL or premise drift evicts it
@@ -742,107 +742,115 @@ impl Session {
 
     // -- the planner tier -------------------------------------------------
 
-    /// The plan-cache lookup/compile path for a prepared SELECT.
+    /// The plan-cache lookup/compile path for a prepared SELECT, filed
+    /// under `key` (its [`crate::PreparedStmt::plan_key`]).
     ///
     /// A hit requires every premise to re-check: the live properties of
     /// each column the plan binds must equal the snapshot the optimizer
     /// proved its rewrites against. DML that changes a premise (cardinality,
     /// bounds, sortedness) misses here and recompiles — correctness never
-    /// rests on the cache.
-    fn cached_plan_for(&self, stmt: &SelectStmt) -> Result<CachedPlan> {
-        let key = normalize_sql(&select_sql(stmt));
-        let facts = column_facts(&self.catalog);
-        {
-            let mut cache = self.plan_cache.lock().unwrap();
-            if let Some(plan) = cache.lookup(&key, |t, c| {
-                facts.get(&(t.to_lowercase(), c.to_lowercase())).cloned()
-            }) {
-                export_plan_event(EventKind::PlanCacheHit, &key, plan.est_rows);
-                return Ok(plan);
-            }
+    /// rests on the cache. Those columns are all a hit looks at, and what
+    /// it hands out is the shared entry, not a copy.
+    fn cached_plan_for(
+        &self,
+        key: &str,
+        stmt: &SelectStmt,
+        nparams: usize,
+    ) -> Result<Arc<CachedPlan>> {
+        let live = |t: &str, c: &str| column_props(&self.catalog, t, c);
+        if let Some(plan) = self.plan_cache.lock().unwrap().lookup(key, live) {
+            export_plan_event(EventKind::PlanCacheHit, key, plan.est_rows);
+            return Ok(plan);
         }
         let (prog, names) = self.compile_optimized(stmt)?;
+        // the catalog cannot have moved under `&self` since the optimizer
+        // read it, so what `live` reports now is what the plan was proven
+        // against
         let premises = referenced_columns(&prog)
             .into_iter()
             .filter_map(|(t, c)| {
-                let k = (t.to_lowercase(), c.to_lowercase());
-                facts.get(&k).cloned().map(|p| (k, p))
+                let p = live(&t, &c)?;
+                Some(((t.to_lowercase(), c.to_lowercase()), p))
             })
             .collect();
-        let est_rows = {
-            let stats = self.stats.lock().unwrap();
-            output_rows_estimate(&prog, &stats)
-        };
+        let est_rows = output_rows_estimate(&prog, &self.stats.lock().unwrap());
         let plan = CachedPlan {
             prog,
             names,
-            nparams: Statement::Select(stmt.clone()).param_count(),
+            nparams,
             premises,
             parallel: self.executor.is_some(),
             est_rows,
         };
-        self.plan_cache
+        let plan = self
+            .plan_cache
             .lock()
             .unwrap()
-            .insert(key.clone(), plan.clone());
-        export_plan_event(EventKind::PlanCompile, &key, est_rows);
+            .insert(key.to_string(), plan);
+        export_plan_event(EventKind::PlanCompile, key, est_rows);
         Ok(plan)
     }
 
     /// Compile and optimize a SELECT with the cost model in the loop:
-    /// predicates reordered most-selective-first, the select-algorithm
+    /// predicates applied most-selective-first, the select-algorithm
     /// rewrite gated by estimated cardinality, and the mitosis piece
-    /// count scaled to the table.
+    /// count scaled to the table. The optimizer is told about the columns
+    /// the compiled plan binds — not about the catalog.
     fn compile_optimized(&self, stmt: &SelectStmt) -> Result<(Program, Vec<String>)> {
-        let stmt = self.reorder_predicates(stmt.clone());
-        let (prog, names) = compile_select(&self.catalog, &stmt)?;
-        let prog = if self.executor.is_some() {
-            let pieces = {
-                let stats = self.stats.lock().unwrap();
-                match stats.table(&stmt.from).map(|t| t.rows) {
-                    Some(rows) if rows > 0 => choose_pieces(rows, self.pieces),
-                    _ => self.pieces,
-                }
-            };
-            self.rewrite_parallel_sized(prog, pieces)?
-        } else {
-            let est = self.stats.lock().unwrap().table(&stmt.from).map(|t| t.rows);
-            self.serial_pipeline_for(est)
-                .try_optimize(prog)
-                .map_err(|e| Error::Internal(format!("serial pipeline rejected plan: {e}")))?
+        // one look at the statistics serves every cost-model question
+        let (where_, est_rows) = {
+            let stats = self.stats.lock().unwrap();
+            let rows = stats.table(&stmt.from).map(|t| t.rows);
+            (Self::order_predicates(stmt, &stats), rows)
         };
+        let (prog, names) = compile_select_ordered(&self.catalog, stmt, where_)?;
+        let facts = bound_column_facts(&prog, &self.catalog);
+        let (engine, pipeline) = if self.executor.is_some() {
+            // fragments stay worth their scheduling overhead: the cost
+            // model scales pieces down for small tables
+            let pieces = match est_rows {
+                Some(rows) if rows > 0 => choose_pieces(rows, self.pieces),
+                _ => self.pieces,
+            };
+            let types = bound_column_types(&prog, &self.catalog);
+            let pipeline = parallel_pipeline_with_props(pieces, types, facts);
+            ("parallel", pipeline)
+        } else {
+            ("serial", Self::serial_pipeline_for(est_rows, facts))
+        };
+        let prog = pipeline
+            .try_optimize(prog)
+            .map_err(|e| Error::Internal(format!("{engine} pipeline rejected plan: {e}")))?;
         Ok((prog, names))
     }
 
-    /// Reorder AND-ed predicates by ascending estimated selectivity, so
-    /// the cheapest (most selective) select narrows the candidates first.
+    /// The AND-ed predicates by ascending estimated selectivity, so the
+    /// cheapest (most selective) select narrows the candidates first.
     /// Sound: candidate composition of an AND chain is order-independent
     /// (the result — ascending positions satisfying every predicate — is
     /// the same set in the same order); the sort is stable so equal
     /// estimates keep statement order and plans stay deterministic.
-    fn reorder_predicates(&self, mut stmt: SelectStmt) -> SelectStmt {
-        if stmt.where_.len() > 1 {
-            let stats = self.stats.lock().unwrap();
-            let from = stmt.from.clone();
-            stmt.where_.sort_by(|a, b| {
-                let sel = |p: &Predicate| {
-                    let table = p.col.table.as_deref().unwrap_or(&from);
-                    selectivity(&stats, table, &p.col.column, p.op, p.value.as_lit())
-                };
+    fn order_predicates<'s>(stmt: &'s SelectStmt, stats: &StatsCatalog) -> Vec<&'s Predicate> {
+        let mut where_: Vec<&Predicate> = stmt.where_.iter().collect();
+        if where_.len() > 1 {
+            let sel = |p: &Predicate| {
+                let table = p.col.table.as_deref().unwrap_or(&stmt.from);
+                selectivity(stats, table, &p.col.column, p.op, p.value.as_lit())
+            };
+            where_.sort_by(|a, b| {
                 sel(a)
                     .partial_cmp(&sel(b))
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
         }
-        stmt
+        where_
     }
 
     /// The serial pipeline, with the binary-search select rewrite gated
     /// by estimated input cardinality: below
     /// [`mammoth_planner::SORTED_SELECT_MIN_ROWS`] a scan's sequential
     /// sweep beats the rewrite's setup, so the pass is left out.
-    fn serial_pipeline_for(&self, est_rows: Option<u64>) -> Pipeline {
-        let facts = column_facts(&self.catalog);
+    fn serial_pipeline_for(est_rows: Option<u64>, facts: PropFacts) -> Pipeline {
         match est_rows {
             Some(n) if !use_sorted_select(n) => Pipeline::new()
                 .with(ConstantFold)
@@ -852,6 +860,12 @@ impl Session {
                 .checked(),
             _ => default_pipeline_with_props(facts),
         }
+    }
+
+    /// How many `?` placeholders the prepared statement `name` takes;
+    /// `None` when no such statement is registered.
+    pub fn prepared_params(&self, name: &str) -> Option<usize> {
+        self.prepared.nparams(name)
     }
 
     /// Plan-cache hit/compile counters `(hits, compiles)` — what the
@@ -889,22 +903,6 @@ impl Session {
                 stats.rebuild_table(&t.name, built.collect());
             }
         }
-    }
-
-    /// Rewrite a plan through the mitosis/mergetable pipeline (extended
-    /// with the property-driven passes) with an explicit piece count — the
-    /// cost model scales pieces down for small tables
-    /// ([`mammoth_planner::choose_pieces`]) so fragments stay worth their
-    /// scheduling overhead.
-    fn rewrite_parallel_sized(&self, prog: Program, pieces: usize) -> Result<Program> {
-        let pipeline = parallel_pipeline_with_props(
-            pieces,
-            column_types(&self.catalog),
-            column_facts(&self.catalog),
-        );
-        pipeline
-            .try_optimize(prog)
-            .map_err(|e| Error::Internal(format!("parallel pipeline rejected plan: {e}")))
     }
 
     /// Render an optimized plan as the `EXPLAIN` result: one row per

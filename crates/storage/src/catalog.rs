@@ -9,6 +9,7 @@
 use crate::bat::Bat;
 use crate::delta::{ColumnView, DeletionSet, Snapshot, VersionedColumn};
 use mammoth_types::{Error, Oid, Result, TableSchema, Value};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -253,8 +254,15 @@ pub struct Catalog {
     bats: BTreeMap<String, Bat>,
 }
 
-fn norm(name: &str) -> String {
-    name.to_ascii_lowercase()
+/// The catalog's key for `name`: ASCII-lowercased — borrowed when it
+/// already is, which is how statements almost always spell it, so that a
+/// lookup does not allocate.
+fn norm(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
 }
 
 impl Catalog {
@@ -263,7 +271,7 @@ impl Catalog {
     }
 
     pub fn create_table(&mut self, table: Table) -> Result<()> {
-        let key = norm(&table.schema.name);
+        let key = norm(&table.schema.name).into_owned();
         if self.tables.contains_key(&key) {
             return Err(Error::AlreadyExists {
                 kind: "table",
@@ -276,7 +284,7 @@ impl Catalog {
 
     pub fn drop_table(&mut self, name: &str) -> Result<Table> {
         self.tables
-            .remove(&norm(name))
+            .remove(norm(name).as_ref())
             .ok_or_else(|| Error::NotFound {
                 kind: "table",
                 name: name.to_string(),
@@ -284,15 +292,17 @@ impl Catalog {
     }
 
     pub fn table(&self, name: &str) -> Result<&Table> {
-        self.tables.get(&norm(name)).ok_or_else(|| Error::NotFound {
-            kind: "table",
-            name: name.to_string(),
-        })
+        self.tables
+            .get(norm(name).as_ref())
+            .ok_or_else(|| Error::NotFound {
+                kind: "table",
+                name: name.to_string(),
+            })
     }
 
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
         self.tables
-            .get_mut(&norm(name))
+            .get_mut(norm(name).as_ref())
             .ok_or_else(|| Error::NotFound {
                 kind: "table",
                 name: name.to_string(),
@@ -304,18 +314,20 @@ impl Catalog {
     }
 
     pub fn register_bat(&mut self, name: &str, bat: Bat) {
-        self.bats.insert(norm(name), bat);
+        self.bats.insert(norm(name).into_owned(), bat);
     }
 
     pub fn bat(&self, name: &str) -> Result<&Bat> {
-        self.bats.get(&norm(name)).ok_or_else(|| Error::NotFound {
-            kind: "bat",
-            name: name.to_string(),
-        })
+        self.bats
+            .get(norm(name).as_ref())
+            .ok_or_else(|| Error::NotFound {
+                kind: "bat",
+                name: name.to_string(),
+            })
     }
 
     pub fn unregister_bat(&mut self, name: &str) -> Option<Bat> {
-        self.bats.remove(&norm(name))
+        self.bats.remove(norm(name).as_ref())
     }
 
     pub fn bat_names(&self) -> impl Iterator<Item = &str> {

@@ -421,23 +421,44 @@ impl Drop for FlushGuard {
 /// A daemon's lifecycle-event buffer: events from any thread are stamped
 /// against one timestamp base, and the whole buffer leaves as a single run
 /// through [`ProfiledRun::export_env`] when the daemon shuts down.
+///
+/// Whether there is anywhere for the buffer to leave *to* is decided once,
+/// at construction: with [`TRACE_ENV`] unset nothing would ever drain it,
+/// so [`Recorder::record`] keeps nothing and a long-lived daemon's memory
+/// does not grow by an event per statement.
 pub struct Recorder {
     t0: Instant,
-    events: Mutex<Vec<TraceEvent>>,
+    /// `None` when no sink was named at construction.
+    events: Option<Mutex<Vec<TraceEvent>>>,
 }
 
 impl Default for Recorder {
     fn default() -> Recorder {
+        let sink = std::env::var(TRACE_ENV).is_ok_and(|path| !path.is_empty());
         Recorder {
             t0: Instant::now(),
-            events: Mutex::new(Vec::new()),
+            events: sink.then(|| Mutex::new(Vec::new())),
         }
     }
 }
 
 impl Recorder {
+    /// Whether recorded events go anywhere. Callers that must build an
+    /// event's `args` string ask first and skip the work when not.
+    pub fn enabled(&self) -> bool {
+        self.events.is_some()
+    }
+
+    /// Events recorded and not yet flushed.
+    pub fn pending(&self) -> usize {
+        // a push leaves the buffer valid, so a poisoned lock is still usable
+        self.events
+            .as_ref()
+            .map_or(0, |e| e.lock().unwrap_or_else(|e| e.into_inner()).len())
+    }
+
     /// Record one event of `kind` (its `op` is the kind's name) that began
-    /// at `started` and ends now.
+    /// at `started` and ends now. Does nothing without a sink.
     pub fn record(
         &self,
         kind: EventKind,
@@ -446,6 +467,7 @@ impl Recorder {
         started: Instant,
         rows: u64,
     ) {
+        let Some(events) = &self.events else { return };
         let ev = TraceEvent {
             kind,
             op: kind.as_str().into(),
@@ -456,11 +478,7 @@ impl Recorder {
             rows_out: rows,
             ..TraceEvent::default()
         };
-        // a push leaves the buffer valid, so a poisoned lock is still usable
-        self.events
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(ev);
+        events.lock().unwrap_or_else(|e| e.into_inner()).push(ev);
     }
 
     /// Fold everything recorded so far into one `engine` run — `executed`
@@ -472,7 +490,10 @@ impl Recorder {
         threads: usize,
         counted: &[EventKind],
     ) -> std::io::Result<bool> {
-        let events = std::mem::take(&mut *self.events.lock().unwrap_or_else(|e| e.into_inner()));
+        let Some(events) = &self.events else {
+            return Ok(false);
+        };
+        let events = std::mem::take(&mut *events.lock().unwrap_or_else(|e| e.into_inner()));
         let mut run = ProfiledRun::new(engine, threads);
         run.executed = events.iter().filter(|e| counted.contains(&e.kind)).count() as u64;
         run.elapsed_ns = self.t0.elapsed().as_nanos() as u64;

@@ -20,6 +20,11 @@ echo "==> cargo test -q --workspace"
 # differentials, the wire protocol, storage's corrupt-image proptests,
 # the coordinator) only run with --workspace.
 cargo test -q --offline --workspace
+# The compile path's allocation budget is pinned by tests/compile_budget.rs
+# (in the run above). A release build takes the checked pipeline's other
+# branch — verify once on exit, keeping a copy of the input for the replay
+# — so the budget is held there too. Counts, not timings: no wall clock.
+cargo test -q --offline --release --test compile_budget
 
 echo "==> benchmark package: every workload at --quick sizes against its oracle"
 # benchmark/ is its own workspace, so the root test run never builds it; a
