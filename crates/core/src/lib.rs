@@ -26,7 +26,7 @@ use mammoth_xpath::{Doc, XmlNode};
 use std::path::Path;
 
 pub use mammoth_mal::ExecStats;
-pub use mammoth_parallel::{resolve_threads, DataflowStats};
+pub use mammoth_parallel::resolve_threads;
 pub use mammoth_sql::QueryOutput as Output;
 pub use mammoth_types::{
     validate_trace, validate_trace_line, EventKind, ProfiledRun, TraceEvent, TRACE_ENV,

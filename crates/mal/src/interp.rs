@@ -6,8 +6,17 @@
 //! under its *provenance signature* — the canonical text of the whole
 //! expression tree that produced it — so repeated (sub)queries cherry-pick
 //! previous work instead of recomputing it (§6.1).
+//!
+//! The interpreter is a *scheduler* over the shared execution core in
+//! [`crate::frame`]: it steps instructions in program order, and the
+//! recycler lookup/admit around each step is the only thing it adds. The
+//! slots, the counters, the property check and the profiler events are
+//! the core's — the same ones the dataflow scheduler runs on. This module
+//! also holds [`execute_instr`], the single point where MAL opcodes meet
+//! the BAT Algebra.
 
-use crate::program::{Arg, Instr, MalValue, OpCode, Program, VarId};
+use crate::frame::{ExecStats, Frame, StepCtx};
+use crate::program::{Arg, Instr, MalValue, OpCode, Program};
 use mammoth_algebra as alg;
 use mammoth_recycler::Recycler;
 use mammoth_storage::{Bat, Catalog, TailHeap};
@@ -15,51 +24,13 @@ use mammoth_types::{Error, Oid, ProfiledRun, Result, TraceEvent, Value};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Counters from one program execution.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ExecStats {
-    /// Instructions actually executed (excluding recycled ones).
-    pub executed: u64,
-    /// Instructions answered from the recycler.
-    pub recycled: u64,
-    /// Wall time of the whole run in nanoseconds.
-    pub elapsed_ns: u64,
-    /// Maximum number of BAT-valued variables live at any point of the run
-    /// (the operator-at-a-time peak-memory proxy).
-    pub peak_live_bats: u64,
-    /// BAT slots released before the end of the program, by `language.pass`
-    /// instructions or by liveness-driven eager release.
-    pub released_early: u64,
-}
-
-impl ExecStats {
-    /// Fold the serial counters into the engine-neutral [`ProfiledRun`],
-    /// attaching the per-instruction `events` timeline. The serial engine
-    /// is single-threaded, so `threads` and `max_inflight` are both 1.
-    pub fn fold_into(&self, engine: &str, events: Vec<TraceEvent>) -> ProfiledRun {
-        ProfiledRun {
-            engine: engine.to_string(),
-            threads: 1,
-            executed: self.executed,
-            recycled: self.recycled,
-            released_early: self.released_early,
-            peak_live_bats: self.peak_live_bats,
-            max_inflight: 1,
-            elapsed_ns: self.elapsed_ns,
-            events,
-        }
-    }
-}
-
 /// The interpreter. Holds the catalog immutably; queries never mutate.
 pub struct Interpreter<'a> {
     catalog: &'a Catalog,
     recycler: Option<&'a mut Recycler>,
-    stats: ExecStats,
-    eager_release: bool,
     profiled: bool,
     check_props: bool,
-    events: Vec<TraceEvent>,
+    frame: Frame,
 }
 
 impl<'a> Interpreter<'a> {
@@ -67,24 +38,17 @@ impl<'a> Interpreter<'a> {
         Interpreter {
             catalog,
             recycler: None,
-            stats: ExecStats::default(),
-            eager_release: false,
             profiled: false,
             check_props: crate::analysis::check_props_enabled(),
-            events: Vec::new(),
+            frame: Frame::new(1),
         }
     }
 
     /// Attach a recycler: pure instruction results will be memoized.
     pub fn with_recycler(catalog: &'a Catalog, recycler: &'a mut Recycler) -> Interpreter<'a> {
         Interpreter {
-            catalog,
             recycler: Some(recycler),
-            stats: ExecStats::default(),
-            eager_release: false,
-            profiled: false,
-            check_props: crate::analysis::check_props_enabled(),
-            events: Vec::new(),
+            ..Interpreter::new(catalog)
         }
     }
 
@@ -108,260 +72,131 @@ impl<'a> Interpreter<'a> {
         self
     }
 
-    /// Drop intermediate BATs at their last use, guided by
-    /// [`crate::analysis::liveness`]. Lowers `peak_live_bats` on bushy
-    /// plans without changing results. (The recycler keeps its own
-    /// references; eager release shrinks the variable table only.)
-    pub fn eager_release(mut self, on: bool) -> Interpreter<'a> {
-        self.eager_release = on;
-        self
-    }
-
     pub fn stats(&self) -> &ExecStats {
-        &self.stats
+        &self.frame.stats
     }
 
     /// Drain the profiler events recorded so far (empty unless
     /// [`Interpreter::profiled`] was enabled).
     pub fn take_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
+        std::mem::take(&mut self.frame.events)
     }
 
     /// The stats and events folded into the engine-neutral profile.
     pub fn profiled_run(&mut self, engine: &str) -> ProfiledRun {
         let events = self.take_events();
-        self.stats.fold_into(engine, events)
+        self.frame.stats.fold_into(engine, events)
     }
 
     /// Run a program; returns the values marked by `io.result`.
+    ///
+    /// Program-order scheduling of [`StepCtx::step`] over the shared
+    /// [`Frame`]. The one thing this loop adds is the recycler: before an
+    /// instruction steps, its result slots are looked up under their
+    /// provenance signature, and what a step computes is admitted.
     pub fn run(&mut self, prog: &Program) -> Result<Vec<MalValue>> {
-        let t0 = Instant::now();
-        let mut vars: Vec<Option<MalValue>> = vec![None; prog.nvars()];
+        let ctx = StepCtx::new(self.catalog, prog, self.check_props, self.profiled)?;
+        self.frame.reset(prog.nvars());
         // provenance signatures and column dependencies exist to key the
         // recycler; without one attached nothing is built or kept
         let recycling = self.recycler.is_some();
         let tracked = if recycling { prog.nvars() } else { 0 };
         let mut sigs: Vec<Option<String>> = vec![None; tracked];
         let mut deps: Vec<Vec<String>> = vec![Vec::new(); tracked];
-        let mut outputs = Vec::new();
-        let liveness = self
-            .eager_release
-            .then(|| crate::analysis::liveness::analyze(prog));
-        let analysis = match self.check_props {
-            false => None,
-            true => Some(
-                crate::analysis::analyze_props(prog, self.catalog).map_err(|e| {
-                    Error::Internal(format!("MAMMOTH_CHECK_PROPS: unconfirmable claim: {e}"))
-                })?,
-            ),
-        };
-        let mut live_bats: u64 = 0;
-        let mut peak_live: u64 = 0;
 
         for (idx, instr) in prog.instrs.iter().enumerate() {
-            'exec: {
-                if instr.op == OpCode::Result {
-                    for a in &instr.args {
-                        outputs.push(self.arg_value(a, &vars)?);
-                    }
-                    break 'exec;
-                }
-                if instr.op == OpCode::Free {
-                    if let Some(Arg::Var(v)) = instr.args.first() {
-                        if clear_slot(&mut vars[*v], &mut live_bats) {
-                            self.stats.released_early += 1;
-                        }
-                    }
-                    break 'exec;
-                }
-                // provenance signature of this instruction
-                let (sig, instr_deps) = match recycling {
-                    true => (self.instr_sig(instr, &sigs), self.instr_deps(instr, &deps)),
-                    false => (None, Vec::new()),
-                };
-
-                // recycler lookup: all result slots must hit
-                if let (Some(sig), Some(r)) = (&sig, self.recycler.as_deref_mut()) {
-                    let lk_start = self.profiled.then(Instant::now);
-                    let hits: Vec<Option<Arc<Bat>>> = (0..instr.op.result_arity())
-                        .map(|slot| r.lookup(&slot_sig(sig, slot)))
-                        .collect();
-                    if hits.iter().all(|h| h.is_some()) && !hits.is_empty() {
-                        let rows_in = self.profiled.then(|| bat_rows_in(instr, &vars));
-                        let mut rows_out = 0u64;
-                        let mut bytes_out = 0u64;
-                        for (rv, h) in instr.results.iter().zip(hits) {
-                            let b = h.unwrap();
-                            if self.profiled {
-                                rows_out += b.len() as u64;
-                                bytes_out += b.tail().byte_size() as u64;
-                            }
-                            set_slot(
-                                &mut vars[*rv],
-                                MalValue::Bat(b),
-                                &mut live_bats,
-                                &mut peak_live,
-                            );
-                        }
-                        for rv in &instr.results {
-                            sigs[*rv] = Some(slot_sig(sig, position_of(instr, *rv)));
-                            deps[*rv] = instr_deps.clone();
-                        }
-                        self.stats.recycled += 1;
-                        if let Some(lk_start) = lk_start {
-                            self.events.push(TraceEvent {
-                                instr: idx as i64,
-                                op: instr.op.name(),
-                                args: instr.render_args(),
-                                start_ns: lk_start.duration_since(t0).as_nanos() as u64,
-                                dur_ns: lk_start.elapsed().as_nanos() as u64,
-                                rows_in: rows_in.unwrap_or(0),
-                                rows_out,
-                                bytes_out,
-                                recycled: true,
-                                ..TraceEvent::default()
-                            });
-                        }
-                        break 'exec;
-                    }
-                }
-
-                let rows_in = self.profiled.then(|| bat_rows_in(instr, &vars));
+            if self.frame.marker(instr)? {
+                continue;
+            }
+            let args = self.frame.args(instr)?;
+            let (sig, instr_deps) = match recycling {
+                true => (instr_sig(instr, &sigs), instr_deps(instr, &deps)),
+                false => (None, Vec::new()),
+            };
+            // recycler lookup: all result slots must hit
+            let mut hit = None;
+            if let (Some(sig), Some(r)) = (&sig, self.recycler.as_deref_mut()) {
                 let start = Instant::now();
-                let results = self.execute(instr, &vars)?;
-                let cost_ns = start.elapsed().as_nanos() as u64;
-                self.stats.executed += 1;
-                if let Some(rows_in) = rows_in {
-                    let (rows_out, bytes_out) = bat_rows_bytes(&results);
-                    self.events.push(TraceEvent {
-                        instr: idx as i64,
-                        op: instr.op.name(),
-                        args: instr.render_args(),
-                        start_ns: start.duration_since(t0).as_nanos() as u64,
-                        dur_ns: cost_ns,
-                        rows_in,
-                        rows_out,
-                        bytes_out,
-                        ..TraceEvent::default()
-                    });
+                // every slot is looked up, hit or miss, so the recycler's
+                // own counters see each one
+                let hits: Vec<Option<MalValue>> = (0..instr.op.result_arity())
+                    .map(|slot| r.lookup(&slot_sig(sig, slot)).map(MalValue::Bat))
+                    .collect();
+                let hits: Option<Vec<MalValue>> = hits.into_iter().collect();
+                if let Some(hits) = hits.filter(|h| !h.is_empty()) {
+                    hit = Some(ctx.finish(0, idx, &args, start, hits, true)?);
                 }
-
-                debug_assert_eq!(results.len(), instr.results.len());
-                for (slot, (rv, val)) in instr.results.iter().zip(results).enumerate() {
+            }
+            let done = match hit {
+                Some(done) => done,
+                None => {
+                    let done = ctx.step(0, idx, &args)?;
                     // admit BAT results to the recycler
-                    if let (Some(sig), Some(r), MalValue::Bat(b)) =
-                        (&sig, self.recycler.as_deref_mut(), &val)
-                    {
-                        if instr.op.is_pure() {
-                            r.admit(
-                                slot_sig(sig, slot),
-                                Arc::clone(b),
-                                instr_deps.clone(),
-                                cost_ns,
-                            );
+                    if let (Some(sig), Some(r)) = (&sig, self.recycler.as_deref_mut()) {
+                        for (slot, val) in done.results.iter().enumerate() {
+                            if let MalValue::Bat(b) = val {
+                                let deps = instr_deps.clone();
+                                r.admit(slot_sig(sig, slot), Arc::clone(b), deps, done.cost_ns);
+                            }
                         }
                     }
-                    if recycling {
-                        sigs[*rv] = sig.as_deref().map(|s| slot_sig(s, slot));
-                        deps[*rv] = instr_deps.clone();
-                    }
-                    set_slot(&mut vars[*rv], val, &mut live_bats, &mut peak_live);
+                    done
+                }
+            };
+            if recycling {
+                for (slot, &rv) in instr.results.iter().enumerate() {
+                    sigs[rv] = sig.as_deref().map(|s| slot_sig(s, slot));
+                    deps[rv] = instr_deps.clone();
                 }
             }
-            // property checker: every BAT this instruction materialized (or
-            // recycled) must satisfy the statically inferred properties
-            if let Some(an) = &analysis {
-                for &rv in &instr.results {
-                    if let (Some(p), Some(MalValue::Bat(b))) = (an.props_of(rv), &vars[rv]) {
-                        if let Err(msg) = crate::analysis::check_bat(p, b) {
-                            return Err(Error::Internal(format!(
-                                "MAMMOTH_CHECK_PROPS: instr {idx} ({}) result x{rv}: {msg}",
-                                instr.op.name()
-                            )));
-                        }
-                    }
-                }
-            }
-            // liveness-driven eager release: drop every operand whose last
-            // use was this instruction (outputs were cloned above, so
-            // releasing at io.result is safe too)
-            if let Some(lv) = &liveness {
-                for &v in &lv.dies_at[idx] {
-                    if clear_slot(&mut vars[v], &mut live_bats) {
-                        self.stats.released_early += 1;
-                    }
-                }
-            }
+            self.frame.commit(instr, done);
         }
-        self.stats.peak_live_bats = self.stats.peak_live_bats.max(peak_live);
-        self.stats.elapsed_ns += t0.elapsed().as_nanos() as u64;
-        Ok(outputs)
+        self.frame.stats.elapsed_ns += ctx.elapsed_ns();
+        Ok(std::mem::take(&mut self.frame.outputs))
     }
+}
 
-    fn arg_value(&self, a: &Arg, vars: &[Option<MalValue>]) -> Result<MalValue> {
+/// Provenance signature (None when any input's provenance is unknown).
+fn instr_sig(instr: &Instr, sigs: &[Option<String>]) -> Option<String> {
+    if !instr.op.is_pure() {
+        return None;
+    }
+    let mut s = instr.op.name();
+    s.push('(');
+    for (k, a) in instr.args.iter().enumerate() {
+        if k > 0 {
+            s.push(',');
+        }
         match a {
-            Arg::Const(c) => Ok(MalValue::Scalar(c.clone())),
-            Arg::Var(v) => vars
-                .get(*v)
-                .and_then(|x| x.clone())
-                .ok_or_else(|| Error::Internal(format!("use of unbound variable x{v}"))),
-            Arg::Param(n) => Err(Error::Internal(format!(
-                "use of unbound parameter ?{n}: plan executed without EXECUTE bindings"
-            ))),
+            Arg::Const(c) => s.push_str(&format!("{c:?}")),
+            Arg::Var(v) => s.push_str(sigs.get(*v)?.as_deref()?),
+            // parameter slots have no provenance — never recycle them
+            Arg::Param(_) => return None,
         }
     }
+    s.push(')');
+    Some(s)
+}
 
-    /// Provenance signature (None when any input's provenance is unknown).
-    fn instr_sig(&self, instr: &Instr, sigs: &[Option<String>]) -> Option<String> {
-        if !instr.op.is_pure() {
-            return None;
+fn instr_deps(instr: &Instr, deps: &[Vec<String>]) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    if let OpCode::Bind = instr.op {
+        if let (Some(Arg::Const(Value::Str(t))), Some(Arg::Const(Value::Str(c)))) =
+            (instr.args.first(), instr.args.get(1))
+        {
+            out.push(format!("{t}.{c}"));
         }
-        let mut s = instr.op.name();
-        s.push('(');
-        for (k, a) in instr.args.iter().enumerate() {
-            if k > 0 {
-                s.push(',');
-            }
-            match a {
-                Arg::Const(c) => s.push_str(&format!("{c:?}")),
-                Arg::Var(v) => s.push_str(sigs.get(*v)?.as_deref()?),
-                // parameter slots have no provenance — never recycle them
-                Arg::Param(_) => return None,
-            }
-        }
-        s.push(')');
-        Some(s)
     }
-
-    fn instr_deps(&self, instr: &Instr, deps: &[Vec<String>]) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        if let OpCode::Bind = instr.op {
-            if let (Some(Arg::Const(Value::Str(t))), Some(Arg::Const(Value::Str(c)))) =
-                (instr.args.first(), instr.args.get(1))
-            {
-                out.push(format!("{t}.{c}"));
-            }
-        }
-        for a in &instr.args {
-            if let Arg::Var(v) = a {
-                for d in &deps[*v] {
-                    if !out.contains(d) {
-                        out.push(d.clone());
-                    }
+    for a in &instr.args {
+        if let Arg::Var(v) = a {
+            for d in &deps[*v] {
+                if !out.contains(d) {
+                    out.push(d.clone());
                 }
             }
         }
-        out
     }
-
-    fn execute(&self, instr: &Instr, vars: &[Option<MalValue>]) -> Result<Vec<MalValue>> {
-        let args: Vec<MalValue> = instr
-            .args
-            .iter()
-            .map(|a| self.arg_value(a, vars))
-            .collect::<Result<_>>()?;
-        execute_instr(self.catalog, instr, &args)
-    }
+    out
 }
 
 /// An executor of verified MAL plans. The serial [`Interpreter`] and the
@@ -372,46 +207,12 @@ pub trait PlanExecutor: Send + Sync {
     fn run_plan(&self, catalog: &Catalog, prog: &Program) -> Result<Vec<MalValue>>;
     /// A short engine name for diagnostics.
     fn engine_name(&self) -> &'static str;
-    /// Run a program with per-instruction profiling. The default executes
-    /// unprofiled and returns an empty profile; engines with a real
-    /// profiler (the dataflow scheduler) override this.
+    /// Run a program with per-instruction profiling.
     fn run_plan_profiled(
         &self,
         catalog: &Catalog,
         prog: &Program,
-    ) -> Result<(Vec<MalValue>, ProfiledRun)> {
-        let vals = self.run_plan(catalog, prog)?;
-        Ok((vals, ProfiledRun::new(self.engine_name(), 1)))
-    }
-}
-
-/// Sum of input BAT rows over an instruction's variable arguments.
-fn bat_rows_in(instr: &Instr, vars: &[Option<MalValue>]) -> u64 {
-    instr
-        .args
-        .iter()
-        .filter_map(|a| match a {
-            Arg::Var(v) => vars
-                .get(*v)
-                .and_then(|x| x.as_ref())
-                .and_then(|m| m.as_bat())
-                .map(|b| b.len() as u64),
-            Arg::Const(_) | Arg::Param(_) => None,
-        })
-        .sum()
-}
-
-/// `(rows, heap bytes)` summed over the BAT-valued entries of `vals`.
-pub fn bat_rows_bytes(vals: &[MalValue]) -> (u64, u64) {
-    let mut rows = 0u64;
-    let mut bytes = 0u64;
-    for v in vals {
-        if let MalValue::Bat(b) = v {
-            rows += b.len() as u64;
-            bytes += b.tail().byte_size() as u64;
-        }
-    }
-    (rows, bytes)
+    ) -> Result<(Vec<MalValue>, ProfiledRun)>;
 }
 
 fn instr_bat(args: &[MalValue], k: usize) -> Result<Arc<Bat>> {
@@ -633,36 +434,6 @@ fn slot_sig(sig: &str, slot: usize) -> String {
     format!("{sig}#{slot}")
 }
 
-/// Bind a variable slot, keeping the live-BAT counters current.
-fn set_slot(slot: &mut Option<MalValue>, val: MalValue, live: &mut u64, peak: &mut u64) {
-    if matches!(slot, Some(MalValue::Bat(_))) {
-        *live -= 1;
-    }
-    if matches!(val, MalValue::Bat(_)) {
-        *live += 1;
-        *peak = (*peak).max(*live);
-    }
-    *slot = Some(val);
-}
-
-/// Clear a variable slot; returns whether a BAT was released.
-fn clear_slot(slot: &mut Option<MalValue>, live: &mut u64) -> bool {
-    let was_bat = matches!(slot, Some(MalValue::Bat(_)));
-    if was_bat {
-        *live -= 1;
-    }
-    *slot = None;
-    was_bat
-}
-
-fn position_of(instr: &Instr, var: VarId) -> usize {
-    instr
-        .results
-        .iter()
-        .position(|&r| r == var)
-        .expect("var is a result of this instruction")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -814,7 +585,7 @@ mod tests {
     }
 
     /// A two-join plan whose base and index BATs all stay live to the end
-    /// without eager release.
+    /// unless `language.pass` markers release them.
     fn multi_join_program() -> Program {
         let mut p = Program::new();
         let age1 = p.push(
@@ -841,34 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn eager_release_lowers_peak_live_bats() {
-        let cat = catalog();
-        let prog = multi_join_program();
-
-        let mut plain = Interpreter::new(&cat);
-        let out_plain = plain.run(&prog).unwrap();
-        // every BAT intermediate stays live: 2 binds + 2 per join + 2
-        // projections = 8
-        assert_eq!(plain.stats().peak_live_bats, 8);
-        assert_eq!(plain.stats().released_early, 0);
-
-        let mut eager = Interpreter::new(&cat).eager_release(true);
-        let out_eager = eager.run(&prog).unwrap();
-        assert!(
-            eager.stats().peak_live_bats < plain.stats().peak_live_bats,
-            "eager release should shrink the live set: {} vs {}",
-            eager.stats().peak_live_bats,
-            plain.stats().peak_live_bats
-        );
-        assert!(eager.stats().released_early > 0);
-        // results are identical
-        assert_eq!(
-            out_plain[0].as_scalar().unwrap(),
-            out_eager[0].as_scalar().unwrap()
-        );
-    }
-
-    #[test]
     fn language_pass_releases_and_interops_with_gc_pass() {
         use crate::optimizer::{GarbageCollect, OptimizerPass};
         let cat = catalog();
@@ -877,6 +620,10 @@ mod tests {
 
         let mut plain = Interpreter::new(&cat);
         let out = plain.run(&prog).unwrap();
+        // every BAT intermediate stays live: 2 binds + 2 per join + 2
+        // projections = 8
+        assert_eq!(plain.stats().peak_live_bats, 8);
+        assert_eq!(plain.stats().released_early, 0);
         let mut gcd = Interpreter::new(&cat);
         let out_gc = gcd.run(&gc).unwrap();
         assert!(gcd.stats().released_early > 0);

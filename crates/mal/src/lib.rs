@@ -18,19 +18,22 @@
 //!   base-column binds into horizontal fragments and `mergetable`
 //!   propagates operators fragment-wise, inserting `mat.pack` /
 //!   `mat.packsum` merges (§3.1's parallelization chain).
-//! * [`interp`] — the third tier: the interpreter over the BAT Algebra,
-//!   with optional recycler integration (§6.1) that memoizes instruction
-//!   results keyed by their *provenance signature*.
+//! * [`frame`] — the third tier's execution core: the slot frame and the
+//!   instruction step that every scheduler of a plan runs on.
+//! * [`interp`] — the serial scheduler over that core: the interpreter
+//!   over the BAT Algebra, with optional recycler integration (§6.1) that
+//!   memoizes instruction results keyed by their *provenance signature*.
 //! * [`analysis`] — static analysis over plans: a verifier (SSA
 //!   discipline, arity, kinds, column types, plan structure) that a
 //!   checked pipeline holds its result to, and a liveness analysis that powers
-//!   the `garbage_collect` pass and the interpreter's eager release of
-//!   dead intermediates.
+//!   the `garbage_collect` pass (whose `language.pass` markers are what
+//!   releases dead intermediates at run time).
 
 #![deny(unsafe_code)]
 
 pub mod analysis;
 pub mod combine;
+pub mod frame;
 pub mod interp;
 pub mod mitosis;
 pub mod optimizer;
@@ -47,7 +50,8 @@ pub use combine::{
     aggregate_combine, gather_combine, partial_column, shard_partials_table, shard_table_name,
     GatherColumn, PartialMerge,
 };
-pub use interp::{bat_rows_bytes, execute_instr, ExecStats, Interpreter, PlanExecutor};
+pub use frame::{ExecStats, Frame, StepCtx};
+pub use interp::{execute_instr, Interpreter, PlanExecutor};
 pub use mammoth_types::{EventKind, ProfiledRun, TraceEvent, TRACE_ENV};
 pub use mitosis::{
     bound_column_types, column_types, parallel_pipeline, parallel_pipeline_with_props, ColumnTypes,

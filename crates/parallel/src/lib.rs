@@ -10,131 +10,47 @@
 //! turns one query into k parallel operator chains plus a merge, MonetDB's
 //! multi-core execution model.
 //!
-//! The scheduler adds **no new operator semantics**: workers call the very
-//! same [`execute_instr`] the serial interpreter uses, so both engines
-//! compute bit-identical results by construction. `io.result` and
-//! `language.pass` are handled by the scheduler itself, exactly like the
-//! serial loop does:
+//! The scheduler adds **no new execution semantics**: it runs on the same
+//! core as the serial interpreter — `mammoth_mal::frame`'s [`Frame`] (slots,
+//! counters, `io.result` / `language.pass` handling) and [`StepCtx::step`]
+//! (`execute_instr`, property check, profiler event) — so both engines
+//! compute bit-identical results and tell the same story about them by
+//! construction. What this crate owns is the *order*:
 //!
-//! * `io.result` copies its (already computed) argument values into the
-//!   output row — it depends on its arguments like any other node;
-//! * `language.pass x` releases x's slot. It carries *anti-dependency*
-//!   edges on every earlier reader of x, so a slot is freed only after all
-//!   its consumers ran — the verifier already guarantees no instruction
-//!   reads x after its `language.pass`, and the anti-edges enforce the
-//!   same order under concurrency.
+//! * `io.result` depends on its arguments like any other node;
+//! * `language.pass x` carries *anti-dependency* edges on every earlier
+//!   reader of x, so a slot is freed only after all its consumers ran —
+//!   the verifier already guarantees no instruction reads x after its
+//!   `language.pass`, and the anti-edges enforce the same order under
+//!   concurrency.
 //!
-//! One mutex guards the scheduler state (variable slots, in-degrees, the
-//! ready queue, counters); operator execution happens strictly *outside*
-//! the lock. Arguments are Arc-cloned under the lock — cloning a
+//! One mutex guards the scheduler state (the frame, in-degrees, the ready
+//! queue); `step` runs strictly *outside* the lock. Arguments are
+//! Arc-cloned under the lock — cloning a
 //! [`MalValue`](mammoth_mal::MalValue) is O(1) — so the critical sections
 //! stay tiny and workers contend only on bookkeeping, never on data.
 
 #![deny(unsafe_code)]
 
 use mammoth_mal::{
-    analyze_props, bat_rows_bytes, check_bat, check_props_enabled, execute_instr, Analysis, Arg,
-    Instr, MalValue, OpCode, PlanExecutor, Program,
+    check_props_enabled, Arg, ExecStats, Frame, MalValue, OpCode, PlanExecutor, Program, StepCtx,
 };
 use mammoth_storage::Catalog;
 use mammoth_types::{Error, ProfiledRun, Result, TraceEvent};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::Instant;
-
-/// Counters from one dataflow execution.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DataflowStats {
-    /// Worker threads the pool ran with.
-    pub threads: usize,
-    /// Instructions executed (excluding `io.result` / `language.pass`).
-    pub executed: u64,
-    /// Slots released by `language.pass` markers.
-    pub released_early: u64,
-    /// `language.pass` on an already-empty slot — always 0 for verified
-    /// plans; the stress suite asserts it stays that way.
-    pub double_releases: u64,
-    /// Peak number of BAT-valued variables live at once.
-    pub peak_live_bats: u64,
-    /// Peak number of instructions in flight at once (the achieved
-    /// instruction-level parallelism).
-    pub max_inflight: u64,
-    /// Wall time of the whole run in nanoseconds.
-    pub elapsed_ns: u64,
-}
-
-impl DataflowStats {
-    /// Fold the scheduler counters into the engine-neutral [`ProfiledRun`],
-    /// attaching the per-instruction `events` timeline. The dataflow engine
-    /// has no recycler, so `recycled` is 0.
-    pub fn fold_into(&self, engine: &str, events: Vec<TraceEvent>) -> ProfiledRun {
-        ProfiledRun {
-            engine: engine.to_string(),
-            threads: self.threads,
-            executed: self.executed,
-            recycled: 0,
-            released_early: self.released_early,
-            peak_live_bats: self.peak_live_bats,
-            max_inflight: self.max_inflight,
-            elapsed_ns: self.elapsed_ns,
-            events,
-        }
-    }
-}
 
 /// Scheduler state shared by the worker pool; one mutex guards all of it.
 struct State {
-    vars: Vec<Option<MalValue>>,
-    freed: Vec<bool>,
+    frame: Frame,
     indeg: Vec<usize>,
-    ready: VecDeque<usize>,
+    /// Runnable instructions, lowest index first: one worker therefore
+    /// runs the plan in program order, exactly as the serial interpreter.
+    ready: BinaryHeap<Reverse<usize>>,
     done: usize,
     inflight: u64,
-    outputs: Vec<MalValue>,
     error: Option<Error>,
-    live_bats: u64,
-    stats: DataflowStats,
-    events: Vec<TraceEvent>,
-}
-
-impl State {
-    fn set_slot(&mut self, v: usize, val: MalValue) {
-        if matches!(val, MalValue::Bat(_)) {
-            self.live_bats += 1;
-            self.stats.peak_live_bats = self.stats.peak_live_bats.max(self.live_bats);
-        }
-        self.vars[v] = Some(val);
-    }
-
-    fn clear_slot(&mut self, v: usize) {
-        match self.vars[v].take() {
-            Some(MalValue::Bat(_)) => {
-                self.live_bats -= 1;
-                self.stats.released_early += 1;
-            }
-            Some(MalValue::Scalar(_)) => {}
-            None => {
-                if self.freed[v] {
-                    self.stats.double_releases += 1;
-                }
-            }
-        }
-        self.freed[v] = true;
-    }
-
-    fn arg_value(&self, a: &Arg) -> Result<MalValue> {
-        match a {
-            Arg::Const(c) => Ok(MalValue::Scalar(c.clone())),
-            Arg::Var(v) => self
-                .vars
-                .get(*v)
-                .and_then(|x| x.clone())
-                .ok_or_else(|| Error::Internal(format!("use of unbound variable x{v}"))),
-            Arg::Param(n) => Err(Error::Internal(format!(
-                "unbound parameter ?{n} reached the dataflow engine"
-            ))),
-        }
-    }
 }
 
 /// The dependency DAG of a plan: for each instruction, the instructions
@@ -190,13 +106,13 @@ fn build_dag(prog: &Program) -> Dag {
 /// Returns the `io.result` values (in argument order) and the run's
 /// counters. Instructions are dispatched the moment their dependencies
 /// finish; `io.result` and `language.pass` run under the scheduler lock
-/// (they only move/drop already-computed values), everything else runs on
-/// a worker outside the lock via [`execute_instr`].
+/// (they only move/drop already-computed values), everything else steps
+/// on a worker outside the lock.
 pub fn run_dataflow(
     catalog: &Catalog,
     prog: &Program,
     threads: usize,
-) -> Result<(Vec<MalValue>, DataflowStats)> {
+) -> Result<(Vec<MalValue>, ExecStats)> {
     let (out, stats, _) = run_dataflow_inner(catalog, prog, threads, false)?;
     Ok((out, stats))
 }
@@ -210,7 +126,7 @@ pub fn run_dataflow_profiled(
     catalog: &Catalog,
     prog: &Program,
     threads: usize,
-) -> Result<(Vec<MalValue>, DataflowStats, Vec<TraceEvent>)> {
+) -> Result<(Vec<MalValue>, ExecStats, Vec<TraceEvent>)> {
     run_dataflow_inner(catalog, prog, threads, true)
 }
 
@@ -219,56 +135,31 @@ fn run_dataflow_inner(
     prog: &Program,
     threads: usize,
     profiled: bool,
-) -> Result<(Vec<MalValue>, DataflowStats, Vec<TraceEvent>)> {
-    let t0 = Instant::now();
+) -> Result<(Vec<MalValue>, ExecStats, Vec<TraceEvent>)> {
     let threads = threads.max(1);
+    let ctx = StepCtx::new(catalog, prog, check_props_enabled(), profiled)?;
+    let mut frame = Frame::new(threads);
+    frame.reset(prog.nvars());
     let total = prog.instrs.len();
-    // MAMMOTH_CHECK_PROPS: cross-check every materialized BAT against the
-    // statically inferred properties (same oracle as the serial engine)
-    let analysis = match check_props_enabled() {
-        false => None,
-        true => Some(analyze_props(prog, catalog).map_err(|e| {
-            Error::Internal(format!("MAMMOTH_CHECK_PROPS: unconfirmable claim: {e}"))
-        })?),
-    };
     let dag = build_dag(prog);
-    let ready: VecDeque<usize> = (0..total).filter(|&i| dag.indeg[i] == 0).collect();
+    let ready = (0..total)
+        .filter(|&i| dag.indeg[i] == 0)
+        .map(Reverse)
+        .collect();
     let state = Mutex::new(State {
-        vars: vec![None; prog.nvars()],
-        freed: vec![false; prog.nvars()],
+        frame,
         indeg: dag.indeg,
         ready,
         done: 0,
         inflight: 0,
-        outputs: Vec::new(),
         error: None,
-        live_bats: 0,
-        stats: DataflowStats {
-            threads,
-            ..DataflowStats::default()
-        },
-        events: Vec::new(),
     });
     let cv = Condvar::new();
 
     std::thread::scope(|s| {
         for wid in 0..threads {
-            let state = &state;
-            let cv = &cv;
-            let succs = &dag.succs;
-            let analysis = analysis.as_ref();
-            s.spawn(move || {
-                worker(
-                    catalog,
-                    prog,
-                    succs,
-                    total,
-                    state,
-                    cv,
-                    profiled.then_some((wid, t0)),
-                    analysis,
-                )
-            });
+            let (ctx, state, cv, succs) = (&ctx, &state, &cv, &dag.succs);
+            s.spawn(move || worker(ctx, prog, succs, state, cv, wid));
         }
     });
 
@@ -276,52 +167,22 @@ fn run_dataflow_inner(
     if let Some(e) = st.error.take() {
         return Err(e);
     }
-    st.stats.elapsed_ns = t0.elapsed().as_nanos() as u64;
-    Ok((st.outputs, st.stats, st.events))
+    st.frame.stats.elapsed_ns = ctx.elapsed_ns();
+    Ok((st.frame.outputs, st.frame.stats, st.frame.events))
 }
 
-/// Sum of input BAT rows over already-resolved argument values.
-fn rows_in_of(args: &[MalValue]) -> u64 {
-    args.iter()
-        .filter_map(|a| a.as_bat().map(|b| b.len() as u64))
-        .sum()
-}
-
-fn instr_event(
-    idx: usize,
-    instr: &Instr,
-    wid: usize,
-    t0: Instant,
-    start: Instant,
-    rows_in: u64,
-    results: &[MalValue],
-) -> TraceEvent {
-    let (rows_out, bytes_out) = bat_rows_bytes(results);
-    TraceEvent {
-        instr: idx as i64,
-        op: instr.op.name(),
-        args: instr.render_args(),
-        worker: wid,
-        start_ns: start.duration_since(t0).as_nanos() as u64,
-        dur_ns: start.elapsed().as_nanos() as u64,
-        rows_in,
-        rows_out,
-        bytes_out,
-        ..TraceEvent::default()
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
+/// Ready-queue scheduling of [`StepCtx::step`]: pop a runnable
+/// instruction, resolve its arguments under the lock, step outside it,
+/// commit under it, and release whatever that made runnable.
 fn worker(
-    catalog: &Catalog,
+    ctx: &StepCtx<'_>,
     prog: &Program,
     succs: &[Vec<usize>],
-    total: usize,
     state: &Mutex<State>,
     cv: &Condvar,
-    profile: Option<(usize, Instant)>,
-    analysis: Option<&Analysis>,
+    wid: usize,
 ) {
+    let total = prog.instrs.len();
     let mut guard = state.lock().unwrap_or_else(PoisonError::into_inner);
     loop {
         while guard.ready.is_empty() && guard.done < total && guard.error.is_none() {
@@ -331,78 +192,24 @@ fn worker(
             cv.notify_all();
             return;
         }
-        let idx = guard.ready.pop_front().expect("checked non-empty");
-        guard.inflight += 1;
-        guard.stats.max_inflight = guard.stats.max_inflight.max(guard.inflight);
+        let Reverse(idx) = guard.ready.pop().expect("checked non-empty");
+        let st = &mut *guard;
+        st.inflight += 1;
+        st.frame.stats.max_inflight = st.frame.stats.max_inflight.max(st.inflight);
         let instr = &prog.instrs[idx];
 
-        let outcome: Result<()> = match instr.op {
-            OpCode::Result => instr
-                .args
-                .iter()
-                .map(|a| guard.arg_value(a))
-                .collect::<Result<Vec<_>>>()
-                .map(|vals| guard.outputs.extend(vals)),
-            OpCode::Free => {
-                if let Some(Arg::Var(v)) = instr.args.first() {
-                    guard.clear_slot(*v);
+        let outcome: Result<()> = match guard.frame.marker(instr) {
+            Ok(true) => Ok(()),
+            Err(e) => Err(e),
+            Ok(false) => match guard.frame.args(instr) {
+                Err(e) => Err(e),
+                Ok(args) => {
+                    drop(guard);
+                    let done = ctx.step(wid, idx, &args);
+                    guard = state.lock().unwrap_or_else(PoisonError::into_inner);
+                    done.map(|done| guard.frame.commit(instr, done))
                 }
-                Ok(())
-            }
-            _ => {
-                // resolve args under the lock (O(1) Arc clones), execute
-                // outside it
-                match instr
-                    .args
-                    .iter()
-                    .map(|a| guard.arg_value(a))
-                    .collect::<Result<Vec<_>>>()
-                {
-                    Err(e) => Err(e),
-                    Ok(args) => {
-                        drop(guard);
-                        let start = Instant::now();
-                        let r = execute_instr(catalog, instr, &args).and_then(|vals| {
-                            if let Some(an) = analysis {
-                                for (rv, val) in instr.results.iter().zip(&vals) {
-                                    if let (Some(p), MalValue::Bat(b)) = (an.props_of(*rv), val) {
-                                        check_bat(p, b).map_err(|msg| {
-                                            Error::Internal(format!(
-                                                "MAMMOTH_CHECK_PROPS: instr {idx} ({}) result \
-                                                 x{rv}: {msg}",
-                                                instr.op.name()
-                                            ))
-                                        })?;
-                                    }
-                                }
-                            }
-                            Ok(vals)
-                        });
-                        let event = match (&profile, &r) {
-                            (Some((wid, t0)), Ok(vals)) => Some(instr_event(
-                                idx,
-                                instr,
-                                *wid,
-                                *t0,
-                                start,
-                                rows_in_of(&args),
-                                vals,
-                            )),
-                            _ => None,
-                        };
-                        guard = state.lock().unwrap_or_else(PoisonError::into_inner);
-                        r.map(|vals| {
-                            guard.stats.executed += 1;
-                            if let Some(ev) = event {
-                                guard.events.push(ev);
-                            }
-                            for (rv, val) in instr.results.iter().zip(vals) {
-                                guard.set_slot(*rv, val);
-                            }
-                        })
-                    }
-                }
-            }
+            },
         };
 
         guard.inflight -= 1;
@@ -418,7 +225,7 @@ fn worker(
                 for &nxt in &succs[idx] {
                     guard.indeg[nxt] -= 1;
                     if guard.indeg[nxt] == 0 {
-                        guard.ready.push_back(nxt);
+                        guard.ready.push(Reverse(nxt));
                     }
                 }
                 if guard.done >= total || !guard.ready.is_empty() {
@@ -448,11 +255,10 @@ pub fn resolve_threads(requested: usize) -> usize {
         .unwrap_or(1)
 }
 
-/// The dataflow engine behind the [`PlanExecutor`] trait: a fixed thread
-/// count plus the counters of the most recent run.
+/// The dataflow engine behind the [`PlanExecutor`] trait: the scheduler at
+/// a fixed thread count.
 pub struct ParallelExecutor {
     threads: usize,
-    last: parking_lot::Mutex<DataflowStats>,
 }
 
 impl ParallelExecutor {
@@ -460,25 +266,17 @@ impl ParallelExecutor {
     pub fn new(threads: usize) -> ParallelExecutor {
         ParallelExecutor {
             threads: resolve_threads(threads),
-            last: parking_lot::Mutex::new(DataflowStats::default()),
         }
     }
 
     pub fn threads(&self) -> usize {
         self.threads
     }
-
-    /// Counters of the most recent [`PlanExecutor::run_plan`] call.
-    pub fn last_stats(&self) -> DataflowStats {
-        self.last.lock().clone()
-    }
 }
 
 impl PlanExecutor for ParallelExecutor {
     fn run_plan(&self, catalog: &Catalog, prog: &Program) -> Result<Vec<MalValue>> {
-        let (out, stats) = run_dataflow(catalog, prog, self.threads)?;
-        *self.last.lock() = stats;
-        Ok(out)
+        run_dataflow(catalog, prog, self.threads).map(|(out, _)| out)
     }
 
     fn engine_name(&self) -> &'static str {
@@ -491,9 +289,7 @@ impl PlanExecutor for ParallelExecutor {
         prog: &Program,
     ) -> Result<(Vec<MalValue>, ProfiledRun)> {
         let (out, stats, events) = run_dataflow_profiled(catalog, prog, self.threads)?;
-        let run = stats.fold_into(self.engine_name(), events);
-        *self.last.lock() = stats;
-        Ok((out, run))
+        Ok((out, stats.fold_into(self.engine_name(), events)))
     }
 }
 
@@ -641,6 +437,22 @@ mod tests {
         for threads in [1usize, 4] {
             assert!(run_dataflow(&cat, &p, threads).is_err());
         }
+
+        // an unbound `?N` or variable is the frame's error, word for word,
+        // whichever scheduler runs into it
+        let mut unbound = Program::new();
+        let ghost = unbound.var();
+        for arg in [Arg::Param(0), Arg::Var(ghost)] {
+            let mut p = unbound.clone();
+            let n = p.push(OpCode::Count, vec![arg])[0];
+            p.push_result(&[n]);
+            let serial = Interpreter::new(&cat).run(&p).unwrap_err().to_string();
+            assert!(serial.contains("use of unbound"), "{serial}");
+            for threads in [1usize, 4] {
+                let err = run_dataflow(&cat, &p, threads).unwrap_err();
+                assert_eq!(err.to_string(), serial);
+            }
+        }
     }
 
     #[test]
@@ -653,7 +465,9 @@ mod tests {
         assert_eq!(ex.engine_name(), "dataflow");
         let out = ex.run_plan(&cat, &prog).unwrap();
         assert_eq!(out[0].as_scalar(), serial[0].as_scalar());
-        assert_eq!(ex.last_stats().executed, 6);
+        let (out, run) = ex.run_plan_profiled(&cat, &prog).unwrap();
+        assert_eq!(out[0].as_scalar(), serial[0].as_scalar());
+        assert_eq!((run.executed, run.threads), (6, 3));
         assert!(resolve_threads(5) == 5 && resolve_threads(0) >= 1);
     }
 }

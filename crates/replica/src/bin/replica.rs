@@ -24,16 +24,10 @@
 //! errors.
 
 use mammoth_replica::{Replica, ReplicaConfig};
+use mammoth_server::flags::{or_exit, write_port_file, Flags};
 use std::time::Duration;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: mammoth-replica --primary HOST:PORT --data DIR [--addr HOST:PORT] \
-         [--workers N] [--poll-ms N] [--primary-auth TOKEN] [--name NAME] \
-         [--port-file PATH] [--primary-data DIR]"
-    );
-    std::process::exit(2);
-}
+const PROG: &str = "mammoth-replica";
 
 fn main() {
     let mut primary: Option<String> = None;
@@ -46,34 +40,27 @@ fn main() {
     let mut port_file: Option<String> = None;
     let mut primary_data: Option<String> = None;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut val = |flag: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("missing value for {flag}");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--primary" => primary = Some(val("--primary")),
-            "--data" => data = Some(val("--data")),
-            "--addr" => addr = val("--addr"),
-            "--workers" => workers = parse(&val("--workers"), "--workers"),
-            "--poll-ms" => poll_ms = parse(&val("--poll-ms"), "--poll-ms"),
-            "--primary-auth" => primary_auth = val("--primary-auth"),
-            "--name" => name = val("--name"),
-            "--port-file" => port_file = Some(val("--port-file")),
-            "--primary-data" => primary_data = Some(val("--primary-data")),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-            }
+    let mut flags = Flags::new(
+        "mammoth-replica --primary HOST:PORT --data DIR [--addr HOST:PORT] \
+         [--workers N] [--poll-ms N] [--primary-auth TOKEN] [--name NAME] \
+         [--port-file PATH] [--primary-data DIR]",
+    );
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--primary" => primary = Some(flags.val()),
+            "--data" => data = Some(flags.val()),
+            "--addr" => addr = flags.val(),
+            "--workers" => workers = flags.parse(),
+            "--poll-ms" => poll_ms = flags.parse(),
+            "--primary-auth" => primary_auth = flags.val(),
+            "--name" => name = flags.val(),
+            "--port-file" => port_file = Some(flags.val()),
+            "--primary-data" => primary_data = Some(flags.val()),
+            _ => flags.unknown(),
         }
     }
     let (Some(primary), Some(data)) = (primary, data) else {
-        eprintln!("--primary and --data are required");
-        usage();
+        flags.bad("--primary and --data are required");
     };
 
     let mut cfg = ReplicaConfig::new(primary, data);
@@ -84,44 +71,19 @@ fn main() {
     cfg.name = name;
     cfg.primary_data = primary_data.map(Into::into);
 
-    let replica = match Replica::start(cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("mammoth-replica: failed to start: {e}");
-            std::process::exit(1);
-        }
-    };
+    let replica = or_exit(PROG, "failed to start", Replica::start(cfg));
     let local = replica.local_addr();
-    if let Some(path) = port_file {
-        if let Err(e) = std::fs::write(&path, local.to_string()) {
-            eprintln!("mammoth-replica: cannot write port file {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_port_file(PROG, port_file, local);
     eprintln!("mammoth-replica: serving reads on {local}");
 
-    match replica.wait() {
-        Ok(status) => {
-            eprintln!(
-                "mammoth-replica: graceful shutdown — generation {}, {} bytes applied \
-                 ({} groups, {} bootstraps, lag {} bytes)",
-                status.generation,
-                status.local_offset,
-                status.applied_groups,
-                status.bootstraps,
-                status.lag_bytes
-            );
-        }
-        Err(e) => {
-            eprintln!("mammoth-replica: shutdown failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> T {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("bad value {s:?} for {flag}");
-        usage()
-    })
+    let status = or_exit(PROG, "shutdown failed", replica.wait());
+    eprintln!(
+        "mammoth-replica: graceful shutdown — generation {}, {} bytes applied \
+         ({} groups, {} bootstraps, lag {} bytes)",
+        status.generation,
+        status.local_offset,
+        status.applied_groups,
+        status.bootstraps,
+        status.lag_bytes
+    );
 }

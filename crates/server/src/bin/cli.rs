@@ -10,40 +10,26 @@
 //! `\q` (quit) and `SHUTDOWN` (graceful server shutdown) are understood
 //! in both modes.
 
+use mammoth_server::flags::Flags;
 use mammoth_server::{Client, ClientError, Response};
 use mammoth_sql::QueryOutput;
 use std::io::{BufRead, Write};
-
-fn usage() -> ! {
-    eprintln!("usage: mammoth-cli --addr HOST:PORT [--auth TOKEN] [-c \"SQL\"]...");
-    std::process::exit(2);
-}
 
 fn main() {
     let mut addr: Option<String> = None;
     let mut token = String::new();
     let mut commands: Vec<String> = Vec::new();
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut val = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("missing value for {name}");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--addr" => addr = Some(val("--addr")),
-            "--auth" => token = val("--auth"),
-            "-c" => commands.push(val("-c")),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-            }
+    let mut flags = Flags::new("mammoth-cli --addr HOST:PORT [--auth TOKEN] [-c \"SQL\"]...");
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--addr" => addr = Some(flags.val()),
+            "--auth" => token = flags.val(),
+            "-c" => commands.push(flags.val()),
+            _ => flags.unknown(),
         }
     }
-    let Some(addr) = addr else { usage() };
+    let Some(addr) = addr else { flags.usage() };
 
     let mut client = match Client::connect(&addr, "mammoth-cli", &token) {
         Ok(c) => c,

@@ -14,17 +14,11 @@
 //! The process exits 0 after a graceful shutdown (a client sent
 //! `SHUTDOWN`), 2 on bad usage, 1 on runtime errors.
 
+use mammoth_server::flags::{or_exit, write_port_file, Flags};
 use mammoth_server::{Server, ServerConfig, SessionSpec};
 use std::time::Duration;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: mammoth-server [--addr HOST:PORT] [--data DIR] [--workers N] \
-         [--backlog N] [--stmt-timeout-ms N] [--auth TOKEN] [--wal-batch N] \
-         [--port-file PATH] [--no-remote-shutdown]"
-    );
-    std::process::exit(2);
-}
+const PROG: &str = "mammoth-server";
 
 fn main() {
     let mut cfg = ServerConfig::default();
@@ -32,36 +26,26 @@ fn main() {
     let mut wal_batch: Option<usize> = None;
     let mut port_file: Option<String> = None;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut val = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("missing value for {name}");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--addr" => cfg.addr = val("--addr"),
-            "--data" => data = Some(val("--data")),
-            "--workers" => cfg.workers = parse(&val("--workers"), "--workers"),
-            "--backlog" => cfg.backlog = parse(&val("--backlog"), "--backlog"),
+    let mut flags = Flags::new(
+        "mammoth-server [--addr HOST:PORT] [--data DIR] [--workers N] \
+         [--backlog N] [--stmt-timeout-ms N] [--auth TOKEN] [--wal-batch N] \
+         [--port-file PATH] [--no-remote-shutdown]",
+    );
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--addr" => cfg.addr = flags.val(),
+            "--data" => data = Some(flags.val()),
+            "--workers" => cfg.workers = flags.parse(),
+            "--backlog" => cfg.backlog = flags.parse(),
             "--stmt-timeout-ms" => {
-                let ms: u64 = parse(&val("--stmt-timeout-ms"), "--stmt-timeout-ms");
-                cfg.stmt_timeout = if ms == 0 {
-                    None
-                } else {
-                    Some(Duration::from_millis(ms))
-                };
+                let ms: u64 = flags.parse();
+                cfg.stmt_timeout = (ms != 0).then(|| Duration::from_millis(ms));
             }
-            "--auth" => cfg.auth_token = Some(val("--auth")),
-            "--wal-batch" => wal_batch = Some(parse(&val("--wal-batch"), "--wal-batch")),
-            "--port-file" => port_file = Some(val("--port-file")),
+            "--auth" => cfg.auth_token = Some(flags.val()),
+            "--wal-batch" => wal_batch = Some(flags.parse()),
+            "--port-file" => port_file = Some(flags.val()),
             "--no-remote-shutdown" => cfg.allow_remote_shutdown = false,
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-            }
+            _ => flags.unknown(),
         }
     }
 
@@ -72,45 +56,20 @@ fn main() {
     spec.wal_batch = wal_batch;
     cfg.spec = spec;
 
-    let srv = match Server::start(cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("mammoth-server: failed to start: {e}");
-            std::process::exit(1);
-        }
-    };
+    let srv = or_exit(PROG, "failed to start", Server::start(cfg));
     let addr = srv.local_addr();
-    if let Some(path) = port_file {
-        if let Err(e) = std::fs::write(&path, addr.to_string()) {
-            eprintln!("mammoth-server: cannot write port file {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_port_file(PROG, port_file, addr);
     eprintln!("mammoth-server: listening on {addr}");
 
-    match srv.wait() {
-        Ok(stats) => {
-            eprintln!(
-                "mammoth-server: graceful shutdown — {} connections ({} shed), \
-                 {} statements ({} sql errors, {} timeouts, {} poisonings)",
-                stats.accepted,
-                stats.shed,
-                stats.statements,
-                stats.sql_errors,
-                stats.timeouts,
-                stats.poisonings
-            );
-        }
-        Err(e) => {
-            eprintln!("mammoth-server: shutdown failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> T {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("bad value {s:?} for {flag}");
-        usage()
-    })
+    let stats = or_exit(PROG, "shutdown failed", srv.wait());
+    eprintln!(
+        "mammoth-server: graceful shutdown — {} connections ({} shed), \
+         {} statements ({} sql errors, {} timeouts, {} poisonings)",
+        stats.accepted,
+        stats.shed,
+        stats.statements,
+        stats.sql_errors,
+        stats.timeouts,
+        stats.poisonings
+    );
 }

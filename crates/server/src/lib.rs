@@ -27,6 +27,7 @@
 #![deny(unsafe_code)]
 
 pub mod client;
+pub mod flags;
 pub mod frame;
 pub mod listener;
 pub mod protocol;
@@ -478,9 +479,10 @@ mod tests {
         srv.shutdown().unwrap();
     }
 
-    /// `EXECUTE` is read-only *syntax*, so a prepared write on a replica
-    /// passes the textual gate — the engine's NeedsWrite bounce must then
-    /// surface as READ_ONLY, not tunnel onto the write path.
+    /// `EXECUTE` is a read statement until the registry says what it runs,
+    /// so a prepared write on a replica passes the gate in front of the
+    /// session — its NeedsWrite must then surface as READ_ONLY, not go on
+    /// to the write path.
     #[test]
     fn read_only_replica_refuses_prepared_writes() {
         use mammoth_types::Value;

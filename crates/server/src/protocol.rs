@@ -144,8 +144,8 @@ pub enum ClientMsg {
     Subscribe { generation: u64, offset: u64 },
     /// (v3) Execute one read-only statement as a scatter leg for a shard
     /// coordinator. `id` is the coordinator's correlation id, echoed back
-    /// in [`ServerMsg::FragmentResult`]. The statement must satisfy
-    /// `is_read_only_statement`; writes travel as plain [`ClientMsg::Query`]
+    /// in [`ServerMsg::FragmentResult`]. The statement must parse to one
+    /// `Statement::is_read` accepts; writes travel as plain [`ClientMsg::Query`]
     /// so they take the shard's normal WAL-durable commit path.
     Fragment { id: u64, sql: String },
     /// (v4) Compile and cache `sql` under `name` in this session, exactly

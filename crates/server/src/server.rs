@@ -12,7 +12,7 @@
 use crate::listener::{Conn, Handler, Listener};
 use crate::protocol::{ErrorCode, ServerMsg, SERVER_NAME};
 use crate::shared::{ExecError, SessionSpec, SharedSession, Storage};
-use mammoth_sql::is_read_only_statement;
+use mammoth_sql::{parse_sql, QueryOutput, Statement};
 use mammoth_storage::ship::{durable_tip, export_image, read_wal_range, Tip};
 use mammoth_storage::{RealFs, Vfs};
 use mammoth_types::trace::EventKind;
@@ -243,6 +243,38 @@ impl Server {
     }
 }
 
+impl Engine {
+    /// A statement's outcome as its wire reply, counted.
+    fn reply(&self, result: std::result::Result<QueryOutput, ExecError>) -> ServerMsg {
+        match result {
+            Ok(out) => ServerMsg::from_output(out),
+            Err(ExecError::Timeout) => {
+                self.timeouts.fetch_add(1, Ordering::Relaxed);
+                ServerMsg::err(
+                    ErrorCode::StmtTimeout,
+                    "statement timed out waiting for the session",
+                )
+            }
+            Err(ExecError::Poisoned) => {
+                self.poisonings.fetch_add(1, Ordering::Relaxed);
+                ServerMsg::err(
+                    ErrorCode::SessionPoisoned,
+                    "statement crashed; session rebuilt from committed state",
+                )
+            }
+            Err(ExecError::Engine(Error::NeedsWrite)) => ServerMsg::err(
+                ErrorCode::ReadOnly,
+                "prepared statement writes; send EXECUTE to the primary",
+            ),
+            Err(ExecError::Engine(e)) => {
+                self.sql_errors.fetch_add(1, Ordering::Relaxed);
+                ServerMsg::err(ErrorCode::Sql, e.to_string())
+            }
+            Err(ExecError::Fatal(m)) => ServerMsg::err(ErrorCode::Internal, m),
+        }
+    }
+}
+
 impl Handler for Engine {
     fn name(&self) -> &str {
         SERVER_NAME
@@ -271,61 +303,38 @@ impl Handler for Engine {
                 ),
             };
         }
-        let read_only = self.read_only.load(Ordering::SeqCst);
-        if read_only && !is_read_only_statement(sql) {
-            return ServerMsg::err(
-                ErrorCode::ReadOnly,
-                "server is a read-only replica; send writes to the primary",
-            );
-        }
-        // On a replica, `EXECUTE` of a prepared DML statement passes the
-        // textual gate above (EXECUTE is read-only *syntax*), so the
-        // write-escalation retry must stay off: the engine's NeedsWrite
-        // bounce surfaces here and is answered as READ_ONLY instead.
-        let result = if read_only {
-            self.shared.execute_no_write_escalation(sql)
+        let result = if self.read_only.load(Ordering::SeqCst) {
+            // A replica serves what parses as a read and refuses the rest.
+            // With writes off, `EXECUTE` of a prepared DML statement comes
+            // back as NeedsWrite and is answered READ_ONLY below.
+            match parse_sql(sql) {
+                Ok(stmt) if stmt.is_read() => self.shared.execute_stmt(stmt, false),
+                _ => {
+                    return ServerMsg::err(
+                        ErrorCode::ReadOnly,
+                        "server is a read-only replica; send writes to the primary",
+                    )
+                }
+            }
         } else {
             self.shared.execute(sql)
         };
-        match result {
-            Ok(out) => ServerMsg::from_output(out),
-            Err(ExecError::Timeout) => {
-                self.timeouts.fetch_add(1, Ordering::Relaxed);
-                ServerMsg::err(
-                    ErrorCode::StmtTimeout,
-                    "statement timed out waiting for the session",
-                )
-            }
-            Err(ExecError::Poisoned) => {
-                self.poisonings.fetch_add(1, Ordering::Relaxed);
-                ServerMsg::err(
-                    ErrorCode::SessionPoisoned,
-                    "statement crashed; session rebuilt from committed state",
-                )
-            }
-            Err(ExecError::Engine(Error::NeedsWrite)) => ServerMsg::err(
-                ErrorCode::ReadOnly,
-                "prepared statement writes; send EXECUTE to the primary",
-            ),
-            Err(ExecError::Engine(e)) => {
-                self.sql_errors.fetch_add(1, Ordering::Relaxed);
-                ServerMsg::err(ErrorCode::Sql, e.to_string())
-            }
-            Err(ExecError::Fatal(m)) => ServerMsg::err(ErrorCode::Internal, m),
-        }
+        self.reply(result)
     }
 
     fn fragment(&self, conn: &Conn<'_>, id: u64, sql: &str) -> ServerMsg {
         // Fragments are the read half of scatter-gather; writes must
         // arrive as Query so they take the normal WAL path.
-        if !is_read_only_statement(sql) {
+        let Some(stmt) = parse_sql(sql).ok().filter(Statement::is_read) else {
             return ServerMsg::err(
                 ErrorCode::Protocol,
                 "fragments must be read-only statements",
             );
-        }
+        };
         let started = Instant::now();
-        let resp = match self.statement(sql) {
+        self.statements.fetch_add(1, Ordering::Relaxed);
+        let may_write = !self.read_only.load(Ordering::SeqCst);
+        let resp = match self.reply(self.shared.execute_stmt(stmt, may_write)) {
             ServerMsg::Table { columns, rows } => ServerMsg::FragmentResult { id, columns, rows },
             refused @ ServerMsg::Err { .. } => refused,
             _ => ServerMsg::err(ErrorCode::Internal, "read-only fragment produced no table"),

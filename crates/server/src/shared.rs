@@ -4,9 +4,11 @@
 //! `Session` owning the catalog. The server multiplexes N client
 //! connections onto that one session with a small admission scheduler:
 //!
-//! * **Concurrent readers** — `SELECT`/`EXPLAIN` run on the immutable
-//!   [`Session::execute_read`] path under a shared lock, so any number can
-//!   execute at once.
+//! * **Concurrent readers** — the statement is parsed before it is
+//!   admitted, and what [`Statement::is_read`] says is a read
+//!   (`SELECT`/`EXPLAIN`, the prepared-statement verbs) runs on the
+//!   immutable [`Session::execute_read_stmt`] path under a shared lock, so
+//!   any number can execute at once.
 //! * **Single writer, writer preference** — mutating statements take the
 //!   session exclusively. Once a writer is waiting, new readers queue
 //!   behind it so a steady read load cannot starve updates.
@@ -23,7 +25,7 @@
 //!   [`ExecError::Poisoned`].
 
 use mammoth_parallel::ParallelExecutor;
-use mammoth_sql::{is_read_only_statement, QueryOutput, Session, StatusProvider};
+use mammoth_sql::{parse_sql, QueryOutput, Session, Statement, StatusProvider};
 use mammoth_storage::Vfs;
 use mammoth_types::{Error, Result};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -277,83 +279,98 @@ impl SharedSession {
     }
 
     /// Execute one statement with admission control, timeout, and poison
-    /// recovery. Read-only statements (`SELECT`/`EXPLAIN` and the
-    /// prepared-statement verbs) run concurrently; everything else is
-    /// exclusive. `EXECUTE` of a prepared DML statement starts on the
-    /// read path, comes back as [`Error::NeedsWrite`], and is retried
-    /// once with the session held exclusively.
+    /// recovery: [`SharedSession::execute_stmt`] on the parsed text, with
+    /// writes allowed. Text that is not a statement fails here, before it
+    /// queues for anything.
     pub fn execute(&self, sql: &str) -> std::result::Result<QueryOutput, ExecError> {
-        let write = !is_read_only_statement(sql);
-        match self.execute_as(sql, write) {
-            Err(ExecError::Engine(Error::NeedsWrite)) if !write => self.execute_as(sql, true),
-            other => other,
+        if self.test_panics && sql.trim() == "__PANIC__" {
+            return self.exclusive(|_| panic!("test-injected statement panic"));
         }
+        let stmt = parse_sql(sql).map_err(ExecError::Engine)?;
+        self.execute_stmt(stmt, true)
     }
 
-    /// Like [`SharedSession::execute`], but *without* the
-    /// [`Error::NeedsWrite`] escalation: an `EXECUTE` of a prepared DML
-    /// statement fails with that error instead of retrying on the write
-    /// path. Read-only replicas route statements through here so a
-    /// prepared write cannot tunnel past their textual read-only gate —
-    /// the server maps the surfaced `NeedsWrite` to its `READ_ONLY`
-    /// wire error.
-    pub fn execute_no_write_escalation(
+    /// Admit a parsed statement by what it is: [`Statement::is_read`]
+    /// statements (`SELECT`/`EXPLAIN` and the prepared-statement verbs)
+    /// run concurrently; everything else is exclusive. `EXECUTE` of a
+    /// prepared DML statement starts on the read path, comes back bound,
+    /// and goes on to the write path as that statement — unless
+    /// `may_write` is off (a read-only replica), where it fails with
+    /// [`Error::NeedsWrite`] instead, as any other write does.
+    pub fn execute_stmt(
         &self,
-        sql: &str,
+        stmt: Statement,
+        may_write: bool,
     ) -> std::result::Result<QueryOutput, ExecError> {
-        self.execute_as(sql, !is_read_only_statement(sql))
-    }
-
-    fn execute_as(&self, sql: &str, write: bool) -> std::result::Result<QueryOutput, ExecError> {
-        let deadline = self.stmt_timeout.map(|t| Instant::now() + t);
-        self.admit(write, deadline)?;
-
-        let outcome = if write {
-            let mut guard = self.session.write().unwrap_or_else(|e| e.into_inner());
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                if self.test_panics && sql.trim() == "__PANIC__" {
-                    panic!("test-injected statement panic");
-                }
-                guard.execute(sql)
-            }));
-            if r.is_err() {
-                // Still exclusive: rebuild in place before anyone else can
-                // observe the damaged session.
-                match self.spec.build() {
-                    Ok(fresh) => {
-                        *guard = fresh;
-                        self.locked().generation += 1;
-                    }
-                    Err(e) => {
-                        let msg = format!("rebuild after panic failed: {e}");
-                        self.locked().broken = Some(msg.clone());
-                        drop(guard);
-                        self.release(true);
-                        return Err(ExecError::Fatal(msg));
-                    }
-                }
-            }
-            drop(guard);
-            r
-        } else {
+        let stmt = if stmt.is_read() {
+            self.admit(false, self.deadline())?;
             let guard = self.session.read().unwrap_or_else(|e| e.into_inner());
-            let r = catch_unwind(AssertUnwindSafe(|| guard.execute_read(sql)));
+            let r = catch_unwind(AssertUnwindSafe(|| guard.execute_read_stmt(stmt)));
             drop(guard);
-            r
-        };
-        self.release(write);
-
-        match outcome {
-            Ok(Ok(out)) => Ok(out),
-            Ok(Err(e)) => Err(ExecError::Engine(e)),
-            Err(_) => {
-                if !write {
+            self.release(false);
+            match r {
+                Ok(Ok(Ok(out))) => return Ok(out),
+                Ok(Ok(Err(write))) => write,
+                Ok(Err(e)) => return Err(ExecError::Engine(e)),
+                Err(_) => {
                     // The read path never mutates, but a panicked reader
                     // may have observed a session worth distrusting —
                     // rebuild under exclusive access, best effort.
-                    self.rebuild_exclusive();
+                    let _ = self.with_session_mut(|s| self.rebuild(s));
+                    return Err(ExecError::Poisoned);
                 }
-                Err(ExecError::Poisoned)
+            }
+        } else {
+            stmt
+        };
+        if !may_write {
+            return Err(ExecError::Engine(Error::NeedsWrite));
+        }
+        self.exclusive(|s| s.execute_stmt(stmt))
+    }
+
+    fn deadline(&self) -> Option<Instant> {
+        self.stmt_timeout.map(|t| Instant::now() + t)
+    }
+
+    /// Run `f` with the session held exclusively, under the statement
+    /// deadline; a panic in `f` rebuilds the session in place.
+    fn exclusive(
+        &self,
+        f: impl FnOnce(&mut Session) -> Result<QueryOutput>,
+    ) -> std::result::Result<QueryOutput, ExecError> {
+        self.admit(true, self.deadline())?;
+        let mut guard = self.session.write().unwrap_or_else(|e| e.into_inner());
+        let r = catch_unwind(AssertUnwindSafe(|| f(&mut guard)));
+        // Still exclusive: rebuild in place before anyone else can observe
+        // the damaged session.
+        let rebuilt = match r {
+            Err(_) => self.rebuild(&mut guard),
+            Ok(_) => Ok(()),
+        };
+        drop(guard);
+        self.release(true);
+        rebuilt.map_err(ExecError::Fatal)?;
+        match r {
+            Ok(r) => r.map_err(ExecError::Engine),
+            Err(_) => Err(ExecError::Poisoned),
+        }
+    }
+
+    /// Replace a session that panicked (held exclusively by the caller)
+    /// with a fresh build from the spec. If that fails too, the shared
+    /// session is broken for good and the reason comes back.
+    fn rebuild(&self, session: &mut Session) -> std::result::Result<(), String> {
+        match self.spec.build() {
+            Ok(fresh) => {
+                *session = fresh;
+                self.locked().generation += 1;
+                Ok(())
+            }
+            Err(e) => {
+                let msg = format!("rebuild after panic failed: {e}");
+                self.locked().broken = Some(msg.clone());
+                Err(msg)
             }
         }
     }
@@ -379,24 +396,6 @@ impl SharedSession {
         drop(guard);
         self.release(true);
         Ok(r)
-    }
-
-    fn rebuild_exclusive(&self) {
-        if self.admit(true, None).is_err() {
-            return; // already broken; nothing more to do
-        }
-        let mut guard = self.session.write().unwrap_or_else(|e| e.into_inner());
-        match self.spec.build() {
-            Ok(fresh) => {
-                *guard = fresh;
-                self.locked().generation += 1;
-            }
-            Err(e) => {
-                self.locked().broken = Some(format!("rebuild after panic failed: {e}"));
-            }
-        }
-        drop(guard);
-        self.release(true);
     }
 }
 

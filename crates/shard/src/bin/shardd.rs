@@ -32,18 +32,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use mammoth_server::flags::{or_exit, write_port_file, Flags};
 use mammoth_shard::{Coordinator, CoordinatorConfig, FrontConfig, FrontEnd};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: mammoth-shardd --shard HOST:PORT [--shard HOST:PORT ...] \
-         [--replica IDX=HOST:PORT ...] \
-         [--addr HOST:PORT] [--auth TOKEN] [--shard-auth TOKEN] \
-         [--deadline-ms N] [--port-file PATH] \
-         [--probe-ms N] [--suspect-after N] [--promote-timeout-ms N]"
-    );
-    std::process::exit(2);
-}
+const PROG: &str = "mammoth-shardd";
 
 fn main() {
     let mut shards: Vec<String> = Vec::new();
@@ -57,53 +49,44 @@ fn main() {
     let mut suspect_after = 3u32;
     let mut promote_timeout_ms = 5000u64;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut val = |flag: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("missing value for {flag}");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--shard" => shards.push(val("--shard")),
+    let mut flags = Flags::new(
+        "mammoth-shardd --shard HOST:PORT [--shard HOST:PORT ...] \
+         [--replica IDX=HOST:PORT ...] \
+         [--addr HOST:PORT] [--auth TOKEN] [--shard-auth TOKEN] \
+         [--deadline-ms N] [--port-file PATH] \
+         [--probe-ms N] [--suspect-after N] [--promote-timeout-ms N]",
+    );
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--shard" => shards.push(flags.val()),
             "--replica" => {
-                let v = val("--replica");
+                let v = flags.val();
                 let Some((idx, raddr)) = v.split_once('=') else {
-                    eprintln!("--replica wants IDX=HOST:PORT, got {v:?}");
-                    usage();
+                    flags.bad(format_args!("--replica wants IDX=HOST:PORT, got {v:?}"));
                 };
-                replica_specs.push((parse(idx, "--replica"), raddr.to_string()));
+                replica_specs.push((flags.parsed(idx), raddr.to_string()));
             }
-            "--addr" => addr = val("--addr"),
-            "--auth" => auth = Some(val("--auth")),
-            "--shard-auth" => shard_auth = val("--shard-auth"),
-            "--deadline-ms" => deadline_ms = parse(&val("--deadline-ms"), "--deadline-ms"),
-            "--port-file" => port_file = Some(val("--port-file")),
-            "--probe-ms" => probe_ms = parse(&val("--probe-ms"), "--probe-ms"),
-            "--suspect-after" => suspect_after = parse(&val("--suspect-after"), "--suspect-after"),
-            "--promote-timeout-ms" => {
-                promote_timeout_ms = parse(&val("--promote-timeout-ms"), "--promote-timeout-ms")
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-            }
+            "--addr" => addr = flags.val(),
+            "--auth" => auth = Some(flags.val()),
+            "--shard-auth" => shard_auth = flags.val(),
+            "--deadline-ms" => deadline_ms = flags.parse(),
+            "--port-file" => port_file = Some(flags.val()),
+            "--probe-ms" => probe_ms = flags.parse(),
+            "--suspect-after" => suspect_after = flags.parse(),
+            "--promote-timeout-ms" => promote_timeout_ms = flags.parse(),
+            _ => flags.unknown(),
         }
     }
     if shards.is_empty() {
-        eprintln!("at least one --shard is required");
-        usage();
+        flags.bad("at least one --shard is required");
     }
     let mut replicas: Vec<Option<String>> = vec![None; shards.len()];
     for (idx, raddr) in replica_specs {
         if idx >= shards.len() {
-            eprintln!(
+            flags.bad(format_args!(
                 "--replica shard index {idx} out of range ({} shards configured)",
                 shards.len()
-            );
-            usage();
+            ));
         }
         replicas[idx] = Some(raddr);
     }
@@ -124,34 +107,15 @@ fn main() {
     let mut front_cfg = FrontConfig::new(addr);
     front_cfg.auth_token = auth;
     front_cfg.allow_remote_shutdown = true;
-    let front = match FrontEnd::start(front_cfg, coordinator) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("mammoth-shardd: failed to start: {e}");
-            std::process::exit(1);
-        }
-    };
+    let front = or_exit(
+        PROG,
+        "failed to start",
+        FrontEnd::start(front_cfg, coordinator),
+    );
     let local = front.local_addr();
-    if let Some(path) = port_file {
-        if let Err(e) = std::fs::write(&path, local.to_string()) {
-            eprintln!("mammoth-shardd: cannot write port file {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_port_file(PROG, port_file, local);
     eprintln!("mammoth-shardd: coordinating on {local}");
 
-    match front.wait() {
-        Ok(()) => eprintln!("mammoth-shardd: graceful shutdown"),
-        Err(e) => {
-            eprintln!("mammoth-shardd: shutdown failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> T {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("bad value {s:?} for {flag}");
-        usage()
-    })
+    or_exit(PROG, "shutdown failed", front.wait());
+    eprintln!("mammoth-shardd: graceful shutdown");
 }

@@ -162,6 +162,9 @@ pub enum Statement {
     Select(SelectStmt),
     /// `EXPLAIN SELECT ...` — the optimized MAL plan as a result table.
     Explain(SelectStmt),
+    /// `EXPLAIN REPLICATION` — the node's replication role and lag as a
+    /// `(field, value)` table; nothing to plan.
+    ExplainReplication,
     /// `TRACE SELECT ...` — execute and return the per-instruction profile.
     Trace(SelectStmt),
     /// `CHECKPOINT` — fold the WAL into a fresh atomic checkpoint
@@ -185,6 +188,25 @@ pub enum Statement {
 }
 
 impl Statement {
+    /// Whether the statement can run through `&Session` next to other
+    /// readers: `SELECT` / `EXPLAIN`, and the prepared-statement verbs
+    /// (which only touch the Mutex-guarded registry). `TRACE` is not — it
+    /// records the session's last profile. `EXECUTE` of prepared DML reads
+    /// as far as the registry and then turns out to write:
+    /// [`Session::execute_read_stmt`](crate::Session::execute_read_stmt)
+    /// hands that statement back for the exclusive path.
+    pub fn is_read(&self) -> bool {
+        matches!(
+            self,
+            Statement::Select(_)
+                | Statement::Explain(_)
+                | Statement::ExplainReplication
+                | Statement::Prepare { .. }
+                | Statement::Execute { .. }
+                | Statement::Deallocate { .. }
+        )
+    }
+
     /// The number of `?` placeholder slots this statement uses
     /// (`max index + 1`; placeholders are numbered densely by the parser).
     pub fn param_count(&self) -> usize {

@@ -32,4 +32,4 @@ pub use routing::{
     classify, delete_sql, insert_sql, select_sql, sql_literal, wants_promotion,
     wants_sharding_status, GatherTable, ScatterPlan,
 };
-pub use session::{is_read_only_statement, render_outputs, QueryOutput, Session, StatusProvider};
+pub use session::{render_outputs, QueryOutput, Session, StatusProvider};

@@ -69,6 +69,9 @@ impl Parser<'_> {
             Ok(Statement::Select(self.select()?))
         } else if is_kw(&t, "EXPLAIN") {
             self.lex.next()?;
+            if self.accept_kw("REPLICATION")? {
+                return Ok(Statement::ExplainReplication);
+            }
             Ok(Statement::Explain(self.select()?))
         } else if is_kw(&t, "TRACE") {
             self.lex.next()?;

@@ -23,8 +23,8 @@ use mammoth_storage::Catalog;
 use mammoth_types::{LogicalType, Value};
 
 /// `EXPLAIN SHARDING` is answered by the coordinator itself (partition
-/// map + per-shard row counts), the same textual intercept the replica
-/// uses for `EXPLAIN REPLICATION`.
+/// map + per-shard row counts): a textual intercept, since the statement
+/// is the coordinator's and not part of the node grammar.
 pub fn wants_sharding_status(sql: &str) -> bool {
     sql.trim()
         .trim_end_matches(';')

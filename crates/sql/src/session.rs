@@ -422,10 +422,12 @@ impl Session {
     /// statement boundary. A failure before the mutation leaves both log
     /// and catalog untouched.
     pub fn execute(&mut self, sql: &str) -> Result<QueryOutput> {
-        if wants_replication_status(sql) {
-            return Ok(self.replication_status());
-        }
-        match self.dispatch(parse_sql(sql)?)? {
+        self.execute_stmt(parse_sql(sql)?)
+    }
+
+    /// [`Session::execute`] for a statement that is already parsed.
+    pub fn execute_stmt(&mut self, stmt: Statement) -> Result<QueryOutput> {
+        match self.dispatch(stmt)? {
             Step::Done(out) => Ok(out),
             // with MAMMOTH_TRACE set, SELECTs run profiled and append
             // their trace to the named file
@@ -453,25 +455,37 @@ impl Session {
     /// SELECT; `EXECUTE` of prepared DML returns [`Error::NeedsWrite`],
     /// the typed signal for "retry me on the write path".
     pub fn execute_read(&self, sql: &str) -> Result<QueryOutput> {
-        if wants_replication_status(sql) {
-            return Ok(self.replication_status());
-        }
         let stmt = parse_sql(sql)?;
         let prepared = matches!(stmt, Statement::Execute { .. });
-        match self.dispatch(stmt)? {
-            Step::Done(out) => Ok(out),
-            Step::Run(prog, names) => {
-                let (outputs, _) =
-                    Self::run_plan(&self.catalog, self.executor(), None, &prog, false)?;
-                render_outputs(names, outputs)
-            }
-            Step::Write(_) if prepared => Err(Error::NeedsWrite),
-            Step::Write(_) => Err(Error::Unsupported(
+        match self.execute_read_stmt(stmt)? {
+            Ok(out) => Ok(out),
+            Err(_) if prepared => Err(Error::NeedsWrite),
+            Err(_) => Err(Error::Unsupported(
                 "execute_read handles only SELECT/EXPLAIN and prepared statements; \
                  use execute for mutating statements"
                     .into(),
             )),
         }
+    }
+
+    /// [`Session::execute_read`] for a statement that is already parsed.
+    /// A statement that turns out to write comes back as the inner `Err`,
+    /// ready for [`Session::execute_stmt`]: for `EXECUTE` of prepared DML
+    /// that is the prepared statement with its arguments bound, so the
+    /// retry on the write path neither re-reads the text nor the registry.
+    pub fn execute_read_stmt(
+        &self,
+        stmt: Statement,
+    ) -> Result<std::result::Result<QueryOutput, Statement>> {
+        Ok(match self.dispatch(stmt)? {
+            Step::Done(out) => Ok(out),
+            Step::Run(prog, names) => {
+                let (outputs, _) =
+                    Self::run_plan(&self.catalog, self.executor(), None, &prog, false)?;
+                Ok(render_outputs(names, outputs)?)
+            }
+            Step::Write(stmt) => Err(*stmt),
+        })
     }
 
     /// The statement dispatcher both entry points share. Everything a
@@ -490,6 +504,7 @@ impl Session {
                 let (prog, _) = self.compile_optimized(&sel)?;
                 Step::Done(self.explain_table(&prog))
             }
+            Statement::ExplainReplication => Step::Done(self.replication_status()),
             Statement::Prepare { name, stmt } => {
                 // eagerly warm the plan cache for SELECTs, so the first
                 // EXECUTE already hits
@@ -1035,35 +1050,6 @@ fn column_stats(bat: &Bat) -> ColumnStats {
     }
 }
 
-/// Whether `sql` is a statement [`Session::execute_read`] can run — i.e.
-/// its first keyword is `SELECT`, `EXPLAIN`, or one of the prepared-
-/// statement verbs (`PREPARE`/`EXECUTE`/`DEALLOCATE`, which only touch
-/// the Mutex-guarded session registry). The grammar is keyword-led, so
-/// this textual test agrees with the parser on every valid statement
-/// (`TRACE` counts as non-read: it records the session's last profile).
-/// `EXECUTE` of prepared DML starts on the read path and bounces back
-/// with [`Error::NeedsWrite`]; callers retry it through `execute`.
-/// Invalid statements classify as non-read and fail in `execute` instead.
-pub fn is_read_only_statement(sql: &str) -> bool {
-    let first = sql
-        .trim_start()
-        .split(|c: char| !c.is_ascii_alphabetic())
-        .next()
-        .unwrap_or("");
-    ["SELECT", "EXPLAIN", "PREPARE", "EXECUTE", "DEALLOCATE"]
-        .iter()
-        .any(|k| first.eq_ignore_ascii_case(k))
-}
-
-/// Whether `sql` is the `EXPLAIN REPLICATION` status statement, handled
-/// by the session directly (it is not part of the SQL grammar — there is
-/// nothing to plan; its first keyword still classifies it read-only for
-/// [`is_read_only_statement`], so it runs on the concurrent-reader path).
-fn wants_replication_status(sql: &str) -> bool {
-    let t = sql.trim().trim_end_matches(';').trim();
-    t.eq_ignore_ascii_case("EXPLAIN REPLICATION")
-}
-
 /// Whether `MAMMOTH_TRACE` names a trace sink.
 fn trace_env_on() -> bool {
     std::env::var(TRACE_ENV).is_ok_and(|p| !p.is_empty())
@@ -1572,7 +1558,7 @@ mod tests {
     #[test]
     fn explain_replication_reports_role_and_provider_pairs() {
         let mut s = seeded();
-        assert!(is_read_only_statement("EXPLAIN REPLICATION"));
+        assert!(parse_sql("EXPLAIN REPLICATION").unwrap().is_read());
         let want_primary = QueryOutput::Table {
             columns: vec!["field".into(), "value".into()],
             rows: vec![vec![
@@ -1683,24 +1669,26 @@ mod tests {
 
     #[test]
     fn read_only_classifier_agrees_with_grammar() {
-        for q in [
-            "SELECT 1",
-            "  select name FROM people",
-            "\n\tEXPLAIN SELECT 1",
-            "explain select a from t",
-        ] {
-            assert!(is_read_only_statement(q), "{q}");
+        // the door is picked from the parsed statement, so text that is
+        // not a statement gets no door at all: it fails before admission
+        let is_read = |q: &str| parse_sql(q).ok().map(|s| s.is_read());
+        for q in ["  select name FROM people", "explain select a from t"] {
+            assert_eq!(is_read(q), Some(true), "{q}");
+        }
+        for q in ["INSERT INTO t VALUES (1)", "CHECKPOINT", "DELETE FROM t"] {
+            assert_eq!(is_read(q), Some(false), "{q}");
         }
         for q in [
-            "INSERT INTO t VALUES (1)",
+            "SELECT 1",
+            "\n\tEXPLAIN SELECT 1",
             "TRACE SELECT 1",
-            "CHECKPOINT",
-            "DELETE FROM t",
             "SELECTX FROM t",
             "",
         ] {
-            assert!(!is_read_only_statement(q), "{q}");
+            assert_eq!(is_read(q), None, "{q}");
         }
+        // TRACE records the session's last profile: a write
+        assert_eq!(is_read("trace select a from t"), Some(false));
     }
 
     #[test]

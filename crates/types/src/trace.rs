@@ -259,9 +259,9 @@ impl TraceEvent {
     }
 }
 
-/// The unified profile of one plan execution: what `ExecStats` (serial
-/// interpreter) and `DataflowStats` (worker pool) both fold into, plus the
-/// per-instruction event timeline.
+/// The unified profile of one plan execution: what the execution core's
+/// `ExecStats` folds into — the same counters whichever scheduler, serial
+/// or worker pool, drove the run — plus the per-instruction event timeline.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProfiledRun {
     /// Engine label: `serial`, `serial+recycler`, or `dataflow`.

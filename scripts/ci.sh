@@ -5,6 +5,39 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Daemons started below and not yet waited for. A failed stage must not
+# leave one running (it would hold this script's stdout pipe open forever
+# for whoever is capturing it); a stage that reaped its own clears the list.
+daemons=()
+trap 'kill ${daemons[*]:-} 2>/dev/null || true' EXIT
+
+# wait_port FILE: give a daemon up to 5 s to write its bound address.
+wait_port() {
+    for _ in $(seq 1 100); do [ -s "$1" ] && break; sleep 0.05; done
+}
+
+# spawn_daemon CMD...: run CMD in the background on an ephemeral port
+# (every daemon takes --port-file); its pid is left in $daemon_pid and the
+# address it bound in $daemon_addr. Environment given to the call (such as
+# MAMMOTH_TRACE=...) reaches the daemon.
+spawn_daemon() {
+    local pf
+    pf=$(mktemp -u /tmp/mammoth_port.XXXXXX)
+    "$@" --port-file "$pf" &
+    daemon_pid=$!
+    daemons+=("$daemon_pid")
+    wait_port "$pf"
+    daemon_addr=$(cat "$pf")
+    rm -f "$pf"
+}
+
+# stop_daemon ADDR PID WHO: graceful shutdown over the wire; the daemon
+# must exit 0.
+stop_daemon() {
+    ./target/release/mammoth-cli --addr "$1" -c "SHUTDOWN" >/dev/null
+    wait "$2" || { echo "$3 exited non-zero"; exit 1; }
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -53,16 +86,10 @@ rm -f "$trace_file"
 
 echo "==> server smoke: ephemeral port, queries, forced shed, traced shutdown"
 srv_trace=$(mktemp -u /tmp/mammoth_srv_trace.XXXXXX.jsonl)
-srv_port_file=$(mktemp -u /tmp/mammoth_srv_port.XXXXXX)
 # Tiny capacity (1 worker, backlog 1) so the shed path is forcible below.
-MAMMOTH_TRACE=$srv_trace ./target/release/mammoth-server \
-    --addr 127.0.0.1:0 --workers 1 --backlog 1 --port-file "$srv_port_file" &
-srv_pid=$!
-# A failed stage must not leave the daemon running (it would hold this
-# script's stdout pipe open forever for whoever is capturing it).
-trap 'kill $srv_pid 2>/dev/null || true' EXIT
-for _ in $(seq 1 100); do [ -s "$srv_port_file" ] && break; sleep 0.05; done
-srv_addr=$(cat "$srv_port_file")
+MAMMOTH_TRACE=$srv_trace spawn_daemon ./target/release/mammoth-server \
+    --addr 127.0.0.1:0 --workers 1 --backlog 1
+srv_pid=$daemon_pid srv_addr=$daemon_addr
 pipe_out=$(./target/release/mammoth-cli --addr "$srv_addr" \
     -c "CREATE TABLE smoke (a INT NOT NULL)" \
     -c "INSERT INTO smoke VALUES (1), (2), (3)" \
@@ -81,19 +108,14 @@ echo "$shed_out" | grep -q "SERVER_BUSY" \
 kill $holder_pid $filler_pid 2>/dev/null || true
 wait $holder_pid $filler_pid 2>/dev/null || true
 # Graceful shutdown via the wire; the daemon must exit 0.
-./target/release/mammoth-cli --addr "$srv_addr" -c "SHUTDOWN" >/dev/null
-wait $srv_pid || { echo "server smoke: daemon exited non-zero"; exit 1; }
-trap - EXIT
+stop_daemon "$srv_addr" $srv_pid "server smoke: daemon"
+daemons=()
 cargo run -q -p mammoth-types --bin tracecheck -- "$srv_trace"
-rm -f "$srv_trace" "$srv_port_file"
+rm -f "$srv_trace"
 
 echo "==> planner smoke: PREPARE/EXECUTE/DEALLOCATE through the daemon and the CLI"
-plnr_pf=$(mktemp -u /tmp/mammoth_plnr_port.XXXXXX)
-./target/release/mammoth-server --addr 127.0.0.1:0 --port-file "$plnr_pf" &
-plnr_pid=$!
-trap 'kill $plnr_pid 2>/dev/null || true' EXIT
-for _ in $(seq 1 100); do [ -s "$plnr_pf" ] && break; sleep 0.05; done
-plnr_addr=$(cat "$plnr_pf")
+spawn_daemon ./target/release/mammoth-server --addr 127.0.0.1:0
+plnr_pid=$daemon_pid plnr_addr=$daemon_addr
 plnr_out=$(./target/release/mammoth-cli --addr "$plnr_addr" \
     -c "CREATE TABLE smoke (a INT NOT NULL, b INT)" \
     -c "INSERT INTO smoke VALUES (1, 10), (2, 20), (3, 30)" \
@@ -111,31 +133,20 @@ dealloc_out=$(./target/release/mammoth-cli --addr "$plnr_addr" \
     echo "planner smoke: EXECUTE after DEALLOCATE unexpectedly succeeded"; exit 1; }
 echo "$dealloc_out" | grep -qi "prepared" \
     || { echo "planner smoke: expected unknown-prepared error, got: $dealloc_out"; exit 1; }
-./target/release/mammoth-cli --addr "$plnr_addr" -c "SHUTDOWN" >/dev/null
-wait $plnr_pid || { echo "planner smoke: daemon exited non-zero"; exit 1; }
-trap - EXIT
-rm -f "$plnr_pf"
+stop_daemon "$plnr_addr" $plnr_pid "planner smoke: daemon"
+daemons=()
 
 echo "==> replication smoke: primary + replica, convergence, READ_ONLY, traced shutdown"
 repl_ptrace=$(mktemp -u /tmp/mammoth_repl_ptrace.XXXXXX.jsonl)
 repl_rtrace=$(mktemp -u /tmp/mammoth_repl_rtrace.XXXXXX.jsonl)
-repl_pport=$(mktemp -u /tmp/mammoth_repl_pport.XXXXXX)
-repl_rport=$(mktemp -u /tmp/mammoth_repl_rport.XXXXXX)
 repl_pdir=$(mktemp -d /tmp/mammoth_repl_pdir.XXXXXX)
 repl_rdir=$(mktemp -d /tmp/mammoth_repl_rdir.XXXXXX)
-MAMMOTH_TRACE=$repl_ptrace ./target/release/mammoth-server \
-    --addr 127.0.0.1:0 --data "$repl_pdir" --port-file "$repl_pport" &
-repl_ppid=$!
-trap 'kill $repl_ppid 2>/dev/null || true' EXIT
-for _ in $(seq 1 100); do [ -s "$repl_pport" ] && break; sleep 0.05; done
-repl_paddr=$(cat "$repl_pport")
-MAMMOTH_TRACE=$repl_rtrace ./target/release/mammoth-replica \
-    --primary "$repl_paddr" --data "$repl_rdir" --poll-ms 5 \
-    --port-file "$repl_rport" &
-repl_rpid=$!
-trap 'kill $repl_ppid $repl_rpid 2>/dev/null || true' EXIT
-for _ in $(seq 1 100); do [ -s "$repl_rport" ] && break; sleep 0.05; done
-repl_raddr=$(cat "$repl_rport")
+MAMMOTH_TRACE=$repl_ptrace spawn_daemon ./target/release/mammoth-server \
+    --addr 127.0.0.1:0 --data "$repl_pdir"
+repl_ppid=$daemon_pid repl_paddr=$daemon_addr
+MAMMOTH_TRACE=$repl_rtrace spawn_daemon ./target/release/mammoth-replica \
+    --primary "$repl_paddr" --data "$repl_rdir" --poll-ms 5
+repl_rpid=$daemon_pid repl_raddr=$daemon_addr
 ./target/release/mammoth-cli --addr "$repl_paddr" \
     -c "CREATE TABLE smoke (a INT NOT NULL)" \
     -c "INSERT INTO smoke VALUES (1), (2), (3)" \
@@ -162,39 +173,26 @@ echo "$ro_out" | grep -q "READ_ONLY" \
     | grep -q "replica" \
     || { echo "replication smoke: EXPLAIN REPLICATION missing role"; exit 1; }
 # Graceful shutdown both ways; both daemons must exit 0 with clean traces.
-./target/release/mammoth-cli --addr "$repl_raddr" -c "SHUTDOWN" >/dev/null
-wait $repl_rpid || { echo "replication smoke: replica exited non-zero"; exit 1; }
-./target/release/mammoth-cli --addr "$repl_paddr" -c "SHUTDOWN" >/dev/null
-wait $repl_ppid || { echo "replication smoke: primary exited non-zero"; exit 1; }
-trap - EXIT
+stop_daemon "$repl_raddr" $repl_rpid "replication smoke: replica"
+stop_daemon "$repl_paddr" $repl_ppid "replication smoke: primary"
+daemons=()
 cargo run -q -p mammoth-types --bin tracecheck -- "$repl_ptrace"
 cargo run -q -p mammoth-types --bin tracecheck -- "$repl_rtrace"
-rm -rf "$repl_ptrace" "$repl_rtrace" "$repl_pport" "$repl_rport" \
-    "$repl_pdir" "$repl_rdir"
+rm -rf "$repl_ptrace" "$repl_rtrace" "$repl_pdir" "$repl_rdir"
 
 echo "==> shard smoke: 3 shards + coordinator, routed DML, cross-shard aggregate, shard kill"
 shd_trace=$(mktemp -u /tmp/mammoth_shd_trace.XXXXXX.jsonl)
 shd_pids=()
 shd_addrs=()
 for i in 0 1 2; do
-    shd_pf=$(mktemp -u /tmp/mammoth_shd_port.XXXXXX)
-    ./target/release/mammoth-server --addr 127.0.0.1:0 --port-file "$shd_pf" &
-    shd_pids+=($!)
-    # shellcheck disable=SC2064
-    trap "kill ${shd_pids[*]} 2>/dev/null || true" EXIT
-    for _ in $(seq 1 100); do [ -s "$shd_pf" ] && break; sleep 0.05; done
-    shd_addrs+=("$(cat "$shd_pf")")
-    rm -f "$shd_pf"
+    spawn_daemon ./target/release/mammoth-server --addr 127.0.0.1:0
+    shd_pids+=("$daemon_pid")
+    shd_addrs+=("$daemon_addr")
 done
-coord_pf=$(mktemp -u /tmp/mammoth_coord_port.XXXXXX)
-MAMMOTH_TRACE=$shd_trace ./target/release/mammoth-shardd \
-    --addr 127.0.0.1:0 --port-file "$coord_pf" \
-    --shard "${shd_addrs[0]}" --shard "${shd_addrs[1]}" --shard "${shd_addrs[2]}" &
-coord_pid=$!
-# shellcheck disable=SC2064
-trap "kill $coord_pid ${shd_pids[*]} 2>/dev/null || true" EXIT
-for _ in $(seq 1 100); do [ -s "$coord_pf" ] && break; sleep 0.05; done
-coord_addr=$(cat "$coord_pf")
+MAMMOTH_TRACE=$shd_trace spawn_daemon ./target/release/mammoth-shardd \
+    --addr 127.0.0.1:0 \
+    --shard "${shd_addrs[0]}" --shard "${shd_addrs[1]}" --shard "${shd_addrs[2]}"
+coord_pid=$daemon_pid coord_addr=$daemon_addr
 # Routed DML + a packsum-pushdown aggregate + a gather-path GROUP BY,
 # all through the ordinary client against the coordinator.
 shd_out=$(./target/release/mammoth-cli --addr "$coord_addr" \
@@ -217,15 +215,13 @@ dead_out=$(./target/release/mammoth-cli --addr "$coord_addr" \
 echo "$dead_out" | grep -q "SHARD_UNAVAILABLE" \
     || { echo "shard smoke: expected SHARD_UNAVAILABLE, got: $dead_out"; exit 1; }
 # Graceful shutdown everywhere; the coordinator must exit 0 with a clean trace.
-./target/release/mammoth-cli --addr "$coord_addr" -c "SHUTDOWN" >/dev/null
-wait $coord_pid || { echo "shard smoke: coordinator exited non-zero"; exit 1; }
+stop_daemon "$coord_addr" $coord_pid "shard smoke: coordinator"
 for i in 0 2; do
-    ./target/release/mammoth-cli --addr "${shd_addrs[$i]}" -c "SHUTDOWN" >/dev/null
-    wait "${shd_pids[$i]}" || { echo "shard smoke: shard $i exited non-zero"; exit 1; }
+    stop_daemon "${shd_addrs[$i]}" "${shd_pids[$i]}" "shard smoke: shard $i"
 done
-trap - EXIT
+daemons=()
 cargo run -q -p mammoth-types --bin tracecheck -- "$shd_trace"
-rm -f "$shd_trace" "$coord_pf"
+rm -f "$shd_trace"
 
 echo "==> chaos matrix: seeded network-fault schedules over the cluster tier"
 for seed in 1 2 3 4; do
@@ -244,38 +240,21 @@ for i in 0 1 2; do
     ha_pdir=$(mktemp -d /tmp/mammoth_ha_pdir.XXXXXX)
     ha_rdir=$(mktemp -d /tmp/mammoth_ha_rdir.XXXXXX)
     ha_dirs+=("$ha_pdir" "$ha_rdir")
-    ha_pf=$(mktemp -u /tmp/mammoth_ha_port.XXXXXX)
-    ./target/release/mammoth-server --addr 127.0.0.1:0 --data "$ha_pdir" \
-        --port-file "$ha_pf" &
-    ha_pids+=($!)
-    # shellcheck disable=SC2064
-    trap "kill ${ha_pids[*]} ${ha_rpids[*]:-} 2>/dev/null || true" EXIT
-    for _ in $(seq 1 100); do [ -s "$ha_pf" ] && break; sleep 0.05; done
-    ha_addrs+=("$(cat "$ha_pf")")
-    rm -f "$ha_pf"
-    ha_rpf=$(mktemp -u /tmp/mammoth_ha_rport.XXXXXX)
-    ./target/release/mammoth-replica --primary "${ha_addrs[$i]}" \
-        --data "$ha_rdir" --primary-data "$ha_pdir" --poll-ms 5 \
-        --port-file "$ha_rpf" &
-    ha_rpids+=($!)
-    # shellcheck disable=SC2064
-    trap "kill ${ha_pids[*]} ${ha_rpids[*]} 2>/dev/null || true" EXIT
-    for _ in $(seq 1 100); do [ -s "$ha_rpf" ] && break; sleep 0.05; done
-    ha_raddrs+=("$(cat "$ha_rpf")")
-    rm -f "$ha_rpf"
+    spawn_daemon ./target/release/mammoth-server --addr 127.0.0.1:0 --data "$ha_pdir"
+    ha_pids+=("$daemon_pid")
+    ha_addrs+=("$daemon_addr")
+    spawn_daemon ./target/release/mammoth-replica --primary "${ha_addrs[$i]}" \
+        --data "$ha_rdir" --primary-data "$ha_pdir" --poll-ms 5
+    ha_rpids+=("$daemon_pid")
+    ha_raddrs+=("$daemon_addr")
 done
-ha_cpf=$(mktemp -u /tmp/mammoth_ha_cport.XXXXXX)
-MAMMOTH_TRACE=$ha_trace ./target/release/mammoth-shardd \
-    --addr 127.0.0.1:0 --port-file "$ha_cpf" \
+MAMMOTH_TRACE=$ha_trace spawn_daemon ./target/release/mammoth-shardd \
+    --addr 127.0.0.1:0 \
     --shard "${ha_addrs[0]}" --shard "${ha_addrs[1]}" --shard "${ha_addrs[2]}" \
     --replica "0=${ha_raddrs[0]}" --replica "1=${ha_raddrs[1]}" \
     --replica "2=${ha_raddrs[2]}" \
-    --probe-ms 50 --suspect-after 2 --promote-timeout-ms 10000 &
-ha_cpid=$!
-# shellcheck disable=SC2064
-trap "kill $ha_cpid ${ha_pids[*]} ${ha_rpids[*]} 2>/dev/null || true" EXIT
-for _ in $(seq 1 100); do [ -s "$ha_cpf" ] && break; sleep 0.05; done
-ha_caddr=$(cat "$ha_cpf")
+    --probe-ms 50 --suspect-after 2 --promote-timeout-ms 10000
+ha_cpid=$daemon_pid ha_caddr=$daemon_addr
 ./target/release/mammoth-cli --addr "$ha_caddr" \
     -c "CREATE TABLE smoke (id BIGINT NOT NULL, v BIGINT)" \
     -c "INSERT INTO smoke VALUES (1, 10), (2, 20), (3, 30), (4, 40), (5, 50), (6, 60)" \
@@ -330,23 +309,20 @@ post_count=$(echo "$post_out" | tail -1)
     || { echo "ha smoke: post-promotion count wrong: $post_out"; exit 1; }
 # Graceful shutdown everywhere; the coordinator's trace must carry the
 # failover events and validate.
-./target/release/mammoth-cli --addr "$ha_caddr" -c "SHUTDOWN" >/dev/null
-wait $ha_cpid || { echo "ha smoke: coordinator exited non-zero"; exit 1; }
+stop_daemon "$ha_caddr" $ha_cpid "ha smoke: coordinator"
 for i in 0 1 2; do
-    ./target/release/mammoth-cli --addr "${ha_raddrs[$i]}" -c "SHUTDOWN" >/dev/null
-    wait "${ha_rpids[$i]}" || { echo "ha smoke: replica $i exited non-zero"; exit 1; }
+    stop_daemon "${ha_raddrs[$i]}" "${ha_rpids[$i]}" "ha smoke: replica $i"
 done
 for i in 0 2; do
-    ./target/release/mammoth-cli --addr "${ha_addrs[$i]}" -c "SHUTDOWN" >/dev/null
-    wait "${ha_pids[$i]}" || { echo "ha smoke: shard $i exited non-zero"; exit 1; }
+    stop_daemon "${ha_addrs[$i]}" "${ha_pids[$i]}" "ha smoke: shard $i"
 done
-trap - EXIT
+daemons=()
 for ev in ha.suspect ha.degraded ha.promote ha.recovered; do
     grep -q "\"$ev\"" "$ha_trace" \
         || { echo "ha smoke: trace missing $ev event"; exit 1; }
 done
 cargo run -q -p mammoth-types --bin tracecheck -- "$ha_trace"
-rm -rf "$ha_trace" "$ha_cpf" "${ha_dirs[@]}"
+rm -rf "$ha_trace" "${ha_dirs[@]}"
 
 echo "==> malcheck: well-formed plans must verify (profiler must not interfere)"
 good=$(ls examples/plans/*.mal | grep -v '/bad_')

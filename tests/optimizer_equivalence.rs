@@ -335,7 +335,8 @@ fn malformed_plans_are_rejected_with_targeted_errors() {
 }
 
 #[test]
-fn eager_release_shrinks_peak_live_bats_on_join_plans() {
+fn garbage_collect_shrinks_peak_live_bats_on_join_plans() {
+    use mammoth::mal::{GarbageCollect, OptimizerPass};
     let cat = catalog(1000);
     let sql = "SELECT t.s, u.w FROM t JOIN u ON t.a = u.a WHERE b > 0 ORDER BY s LIMIT 50";
     let Statement::Select(stmt) = parse_sql(sql).unwrap() else {
@@ -345,27 +346,29 @@ fn eager_release_shrinks_peak_live_bats_on_join_plans() {
 
     let mut plain = Interpreter::new(&cat);
     let out_plain = plain.run(&prog).unwrap();
-    let mut eager = Interpreter::new(&cat).eager_release(true);
-    let out_eager = eager.run(&prog).unwrap();
+    // the pass alone, on the unoptimized plan: `language.pass` markers at
+    // each intermediate's last use are the only thing that releases a slot
+    let mut marked = Interpreter::new(&cat);
+    let out_marked = marked.run(&GarbageCollect.run(prog.clone())).unwrap();
 
-    assert_eq!(render(out_plain), render(out_eager), "query: {sql}");
-    assert!(
-        eager.stats().peak_live_bats < plain.stats().peak_live_bats,
-        "eager release should lower the peak: {} -> {}",
-        plain.stats().peak_live_bats,
-        eager.stats().peak_live_bats
-    );
-    assert!(eager.stats().released_early > 0);
-
-    // the garbage_collect pass achieves the same effect for a plain run
-    let gcd = default_pipeline()
-        .with(mammoth::mal::GarbageCollect)
-        .optimize(prog.clone());
-    let mut gc_run = Interpreter::new(&cat);
-    let out_gc = gc_run.run(&gcd).unwrap();
     assert_eq!(
-        render(Interpreter::new(&cat).run(&prog).unwrap()),
-        render(out_gc)
+        render(out_plain.clone()),
+        render(out_marked),
+        "query: {sql}"
     );
+    assert_eq!(plain.stats().released_early, 0);
+    assert!(
+        marked.stats().peak_live_bats < plain.stats().peak_live_bats,
+        "release markers should lower the peak: {} -> {}",
+        plain.stats().peak_live_bats,
+        marked.stats().peak_live_bats
+    );
+    assert!(marked.stats().released_early > 0);
+    assert_eq!(marked.stats().double_releases, 0);
+
+    // and behind the default pipeline
+    let gcd = default_pipeline().with(GarbageCollect).optimize(prog);
+    let mut gc_run = Interpreter::new(&cat);
+    assert_eq!(render(out_plain), render(gc_run.run(&gcd).unwrap()));
     assert!(gc_run.stats().peak_live_bats < plain.stats().peak_live_bats);
 }

@@ -165,11 +165,18 @@ fn random_dags_agree_with_serial_and_release_exactly_once() {
         let prog = GarbageCollect.run(prog);
         verify_with_catalog(&prog, &cat).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
 
-        let serial = Interpreter::new(&cat).run(&prog).unwrap();
+        let mut interp = Interpreter::new(&cat);
+        let serial = interp.run(&prog).unwrap();
+        let released = interp.stats().released_early;
+        assert_eq!(interp.stats().double_releases, 0, "seed {seed}: serial");
         for threads in [2usize, 8] {
             let ctx = format!("seed {seed}, threads {threads}");
             let (first, stats) = run_dataflow(&cat, &prog, threads).unwrap();
             assert_eq!(stats.double_releases, 0, "{ctx}: a slot was released twice");
+            assert_eq!(
+                stats.released_early, released,
+                "{ctx}: one release per marker"
+            );
             assert_same(&serial, &first, &ctx);
             // a second run must be byte-for-byte deterministic
             let (second, stats2) = run_dataflow(&cat, &prog, threads).unwrap();

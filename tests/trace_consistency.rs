@@ -20,9 +20,15 @@
 //! * the multiset of executed opcodes is identical across serial and
 //!   dataflow runs, and identical modulo the `recycled` flag for the warm
 //!   recycler run (`warm.executed + warm.recycled == serial.executed`);
-//! * every serialized trace passes the schema validator.
+//! * every serialized trace passes the schema validator;
+//! * with `garbage_collect`'s release markers in the plan, serial and
+//!   dataflow x1 are the same run — `executed`, `released_early`,
+//!   `peak_live_bats` and the events `(instr, op, rows_in, rows_out,
+//!   bytes_out)` in the same order — and dataflow x2/x4 differ from it
+//!   only in order and peak: both engines schedule one `step` over one
+//!   kind of frame, and markers are the only thing that frees a slot.
 
-use mammoth::mal::{Arg, Interpreter, MalValue, OpCode, Program};
+use mammoth::mal::{Arg, GarbageCollect, Interpreter, MalValue, OpCode, OptimizerPass, Program};
 use mammoth::parallel::run_dataflow_profiled;
 use mammoth::recycler::{EvictPolicy, Recycler};
 use mammoth::storage::{Bat, Catalog, Table};
@@ -132,6 +138,14 @@ fn op_multiset(run: &ProfiledRun, include_recycled: bool) -> Vec<String> {
     ops
 }
 
+/// What each event says happened, without when or on which worker.
+fn story(run: &ProfiledRun) -> Vec<(i64, String, u64, u64, u64)> {
+    run.events
+        .iter()
+        .map(|e| (e.instr, e.op.clone(), e.rows_in, e.rows_out, e.bytes_out))
+        .collect()
+}
+
 /// The shared trace invariants every profiled run must satisfy.
 fn check_run(run: &ProfiledRun, ctx: &str) {
     assert_eq!(
@@ -221,6 +235,37 @@ fn engines_agree_on_results_and_traces() {
                     e.worker
                 );
             }
+        }
+
+        // the same plan with release markers: one core, two schedulers
+        let marked = GarbageCollect.run(prog.clone());
+        let mut serial = Interpreter::new(&cat).profiled(true);
+        assert_eq!(scalars(&serial.run(&marked).unwrap()), expected, "{ctx} gc");
+        assert_eq!(serial.stats().double_releases, 0, "{ctx} gc serial");
+        let serial_gc = serial.profiled_run("serial");
+        check_run(&serial_gc, &format!("{ctx} gc serial"));
+        assert!(serial_gc.released_early > 0, "{ctx}: markers release slots");
+        assert!(
+            serial_gc.peak_live_bats <= serial_run.peak_live_bats,
+            "{ctx}"
+        );
+        for threads in [1usize, 2, 4] {
+            let ctx = format!("{ctx} gc dataflow x{threads}");
+            let (vals, stats, events) = run_dataflow_profiled(&cat, &marked, threads).unwrap();
+            assert_eq!(scalars(&vals), expected, "{ctx}");
+            assert_eq!(stats.double_releases, 0, "{ctx}");
+            let run = stats.fold_into("dataflow", events);
+            check_run(&run, &ctx);
+            assert_eq!(run.executed, serial_gc.executed, "{ctx}");
+            assert_eq!(run.released_early, serial_gc.released_early, "{ctx}");
+            let (mut got, mut want) = (story(&run), story(&serial_gc));
+            if threads == 1 {
+                assert_eq!(run.peak_live_bats, serial_gc.peak_live_bats, "{ctx}");
+            } else {
+                got.sort();
+                want.sort();
+            }
+            assert_eq!(got, want, "{ctx}");
         }
     }
 }
