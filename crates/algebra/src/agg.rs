@@ -56,8 +56,54 @@ pub fn group_refine(groups: &Bat, b: &Bat) -> Result<(Bat, usize, Vec<usize>)> {
     Ok((Bat::dense(0, TailHeap::from_vec(ids)), n, extents))
 }
 
+/// A fixed-width tail type aggregates fold over. Integers (and oids, as
+/// wrapped integers) widen to `i64`; floats stay `f64`.
+pub trait AggTail: FixedTail {
+    /// Whether SUM / MIN / MAX over this type are `f64` rather than `i64`.
+    const FLOAT: bool;
+    /// Fold the non-nil values among `values`, in order, into `red`.
+    fn reduce(red: &mut Reduction, values: impl Iterator<Item = Self>);
+    /// Fold each non-nil `(group, value)` into its group's accumulator.
+    fn accumulate(accs: &mut [Acc], rows: impl Iterator<Item = (usize, Self)>);
+}
+
+macro_rules! integer_agg_tail {
+    ($($t:ty),*) => {
+        $(impl AggTail for $t {
+            const FLOAT: bool = false;
+            fn reduce(red: &mut Reduction, values: impl Iterator<Item = $t>) {
+                red.ints(values, |x| x as i64);
+            }
+            fn accumulate(accs: &mut [Acc], rows: impl Iterator<Item = (usize, $t)>) {
+                for (g, x) in rows {
+                    if !x.is_nil() {
+                        accs[g].add_i(x as i64);
+                    }
+                }
+            }
+        })*
+    };
+}
+
+integer_agg_tail!(i8, i16, i32, i64, Oid);
+
+impl AggTail for f64 {
+    const FLOAT: bool = true;
+    fn reduce(red: &mut Reduction, values: impl Iterator<Item = f64>) {
+        red.floats(values);
+    }
+    fn accumulate(accs: &mut [Acc], rows: impl Iterator<Item = (usize, f64)>) {
+        for (g, x) in rows {
+            if !x.is_nil() {
+                accs[g].add_f(x);
+            }
+        }
+    }
+}
+
+/// One group's running aggregates over one value column.
 #[derive(Clone, Copy)]
-struct Acc {
+pub struct Acc {
     count: u64,
     sum: f64,
     sum_i: i64,
@@ -68,7 +114,7 @@ struct Acc {
 }
 
 impl Acc {
-    fn new() -> Acc {
+    pub fn new() -> Acc {
         Acc {
             count: 0,
             sum: 0.0,
@@ -98,59 +144,27 @@ impl Acc {
     }
 }
 
+impl Default for Acc {
+    fn default() -> Acc {
+        Acc::new()
+    }
+}
+
 fn accumulate(values: &Bat, gid: &[Oid], ngroups: usize) -> Result<(Vec<Acc>, bool)> {
+    fn fixed<T: AggTail>(v: &[T], gid: &[Oid], accs: &mut [Acc]) -> bool {
+        T::accumulate(accs, gid.iter().map(|&g| g as usize).zip(v.iter().copied()));
+        T::FLOAT
+    }
     let mut accs = vec![Acc::new(); ngroups];
     let float = match values.tail() {
-        TailHeap::I8(v) => {
-            for (i, x) in v.iter().enumerate() {
-                if !x.is_nil() {
-                    accs[gid[i] as usize].add_i(*x as i64);
-                }
-            }
-            false
-        }
-        TailHeap::I16(v) => {
-            for (i, x) in v.iter().enumerate() {
-                if !x.is_nil() {
-                    accs[gid[i] as usize].add_i(*x as i64);
-                }
-            }
-            false
-        }
-        TailHeap::I32(v) => {
-            for (i, x) in v.iter().enumerate() {
-                if !x.is_nil() {
-                    accs[gid[i] as usize].add_i(*x as i64);
-                }
-            }
-            false
-        }
-        TailHeap::I64(v) => {
-            for (i, x) in v.iter().enumerate() {
-                if !x.is_nil() {
-                    accs[gid[i] as usize].add_i(*x);
-                }
-            }
-            false
-        }
-        TailHeap::F64(v) => {
-            for (i, x) in v.iter().enumerate() {
-                if !x.is_nil() {
-                    accs[gid[i] as usize].add_f(*x);
-                }
-            }
-            true
-        }
-        TailHeap::Oid(v) => {
-            // oids aggregate as unsigned integers (used for COUNT(*) via
-            // the never-nil group-id column)
-            for (i, x) in v.iter().enumerate() {
-                if !x.is_nil() {
-                    accs[gid[i] as usize].add_i(*x as i64);
-                }
-            }
-            false
-        }
+        TailHeap::I8(v) => fixed(v, gid, &mut accs),
+        TailHeap::I16(v) => fixed(v, gid, &mut accs),
+        TailHeap::I32(v) => fixed(v, gid, &mut accs),
+        TailHeap::I64(v) => fixed(v, gid, &mut accs),
+        TailHeap::F64(v) => fixed(v, gid, &mut accs),
+        // oids aggregate as unsigned integers (used for COUNT(*) via the
+        // never-nil group-id column)
+        TailHeap::Oid(v) => fixed(v, gid, &mut accs),
         TailHeap::Str(h) => {
             // only COUNT is meaningful on strings
             for i in 0..h.len() {
@@ -168,6 +182,28 @@ fn accumulate(values: &Bat, gid: &[Oid], ngroups: usize) -> Result<(Vec<Acc>, bo
         }
     };
     Ok((accs, float))
+}
+
+/// One output row per group: SUM/MIN/MAX over integers stay integral
+/// (`i64`), over a `float` column they are `f64`; AVG is always `f64`;
+/// COUNT counts non-nil values; a group without one yields nil.
+pub fn finish_groups(kind: AggKind, accs: &[Acc], float: bool) -> TailHeap {
+    fn column<T: FixedTail>(accs: &[Acc], value: impl Fn(&Acc) -> T) -> TailHeap {
+        let row = |a: &Acc| if a.count == 0 { T::NIL } else { value(a) };
+        TailHeap::from_vec(accs.iter().map(row).collect::<Vec<T>>())
+    }
+    match (kind, float) {
+        (AggKind::Count, _) => {
+            TailHeap::from_vec(accs.iter().map(|a| a.count as i64).collect::<Vec<_>>())
+        }
+        (AggKind::Avg, _) => column(accs, |a| a.sum / a.count as f64),
+        (AggKind::Sum, true) => column(accs, |a| a.sum),
+        (AggKind::Sum, false) => column(accs, |a| a.sum_i),
+        (AggKind::Min, true) => column(accs, |a| a.min),
+        (AggKind::Min, false) => column(accs, |a| a.min_i),
+        (AggKind::Max, true) => column(accs, |a| a.max),
+        (AggKind::Max, false) => column(accs, |a| a.max_i),
+    }
 }
 
 /// `agg(kind, values, groups, ngroups)`: one output row per group.
@@ -189,81 +225,92 @@ pub fn grouped_aggregate(kind: AggKind, values: &Bat, groups: &Bat, ngroups: usi
         });
     }
     let (accs, float) = accumulate(values, gid, ngroups)?;
-
-    let heap = match kind {
-        AggKind::Count => {
-            TailHeap::from_vec(accs.iter().map(|a| a.count as i64).collect::<Vec<_>>())
-        }
-        AggKind::Avg => TailHeap::from_vec(
-            accs.iter()
-                .map(|a| {
-                    if a.count == 0 {
-                        f64::NIL
-                    } else {
-                        a.sum / a.count as f64
-                    }
-                })
-                .collect::<Vec<_>>(),
-        ),
-        AggKind::Sum => {
-            if float {
-                TailHeap::from_vec(
-                    accs.iter()
-                        .map(|a| if a.count == 0 { f64::NIL } else { a.sum })
-                        .collect::<Vec<_>>(),
-                )
-            } else {
-                TailHeap::from_vec(
-                    accs.iter()
-                        .map(|a| if a.count == 0 { i64::NIL } else { a.sum_i })
-                        .collect::<Vec<_>>(),
-                )
-            }
-        }
-        AggKind::Min => {
-            if float {
-                TailHeap::from_vec(
-                    accs.iter()
-                        .map(|a| if a.count == 0 { f64::NIL } else { a.min })
-                        .collect::<Vec<_>>(),
-                )
-            } else {
-                TailHeap::from_vec(
-                    accs.iter()
-                        .map(|a| if a.count == 0 { i64::NIL } else { a.min_i })
-                        .collect::<Vec<_>>(),
-                )
-            }
-        }
-        AggKind::Max => {
-            if float {
-                TailHeap::from_vec(
-                    accs.iter()
-                        .map(|a| if a.count == 0 { f64::NIL } else { a.max })
-                        .collect::<Vec<_>>(),
-                )
-            } else {
-                TailHeap::from_vec(
-                    accs.iter()
-                        .map(|a| if a.count == 0 { i64::NIL } else { a.max_i })
-                        .collect::<Vec<_>>(),
-                )
-            }
-        }
-    };
-    Ok(Bat::dense(0, heap))
+    Ok(Bat::dense(0, finish_groups(kind, &accs, float)))
 }
 
-/// Count and fold the non-nil values of an integer column, widened to
-/// `i64`, in one pass. A nil contributes the reduction's identity, so the
-/// loop carries no data-dependent branch.
+/// The running state of one scalar aggregate: values fold in as they come
+/// — a whole column at once, or a vector at a time — and the result is
+/// read off at the end. Sums run strictly left to right: float addition is
+/// not associative and every engine must agree bit for bit.
+#[derive(Debug, Clone, Copy)]
+pub struct Reduction {
+    kind: AggKind,
+    /// Non-nil values folded so far.
+    count: usize,
+    int: i64,
+    float: f64,
+}
+
+impl Reduction {
+    pub fn new(kind: AggKind) -> Reduction {
+        let (int, float) = match kind {
+            AggKind::Count | AggKind::Sum | AggKind::Avg => (0, 0.0),
+            AggKind::Min => (i64::MAX, f64::INFINITY),
+            AggKind::Max => (i64::MIN, f64::NEG_INFINITY),
+        };
+        Reduction {
+            kind,
+            count: 0,
+            int,
+            float,
+        }
+    }
+
+    fn ints<T: FixedTail>(&mut self, values: impl Iterator<Item = T>, widen: impl Fn(T) -> i64) {
+        let state = (self.count, self.int);
+        (self.count, self.int) = match self.kind {
+            AggKind::Count => (state.0 + values.filter(|x| !x.is_nil()).count(), 0),
+            AggKind::Sum => fold_ints(values, state, widen, 0, i64::wrapping_add),
+            AggKind::Min => fold_ints(values, state, widen, i64::MAX, i64::min),
+            AggKind::Max => fold_ints(values, state, widen, i64::MIN, i64::max),
+            // summed left to right in f64, exactly like the grouped accumulator
+            AggKind::Avg => {
+                let live = values.filter(|x| !x.is_nil());
+                (self.count, self.float) = live.fold((self.count, self.float), |(n, acc), x| {
+                    (n + 1, acc + widen(x) as f64)
+                });
+                return;
+            }
+        };
+    }
+
+    fn floats(&mut self, values: impl Iterator<Item = f64>) {
+        let live = values.filter(|x| !x.is_nil());
+        let state = (self.count, self.float);
+        (self.count, self.float) = match self.kind {
+            AggKind::Count | AggKind::Sum | AggKind::Avg => {
+                live.fold(state, |(n, acc), x| (n + 1, acc + x))
+            }
+            AggKind::Min => live.fold(state, |(n, acc), x| (n + 1, acc.min(x))),
+            AggKind::Max => live.fold(state, |(n, acc), x| (n + 1, acc.max(x))),
+        };
+    }
+
+    /// The aggregate over everything folded so far, read as a column of
+    /// `float` or integer type: integer results widen to `i64` like the
+    /// grouped path's, and no non-nil value at all yields nil.
+    pub fn finish(&self, float: bool) -> Value {
+        match (self.kind, self.count) {
+            (AggKind::Count, n) => Value::I64(n as i64),
+            (_, 0) => Value::Null,
+            (AggKind::Avg, n) => Value::F64(self.float / n as f64),
+            _ if float => Value::F64(self.float),
+            _ => Value::I64(self.int),
+        }
+    }
+}
+
+/// Count and fold the non-nil values among `values`, widened to `i64`, on
+/// top of `state`. A nil contributes the reduction's identity, so the loop
+/// carries no data-dependent branch.
 fn fold_ints<T: FixedTail>(
-    v: &[T],
+    values: impl Iterator<Item = T>,
+    state: (usize, i64),
     widen: impl Fn(T) -> i64,
     identity: i64,
     f: impl Fn(i64, i64) -> i64,
 ) -> (usize, i64) {
-    v.iter().fold((0, identity), |(n, acc), &x| {
+    values.fold(state, |(n, acc), x| {
         let nil = x.is_nil();
         (
             n + !nil as usize,
@@ -272,64 +319,22 @@ fn fold_ints<T: FixedTail>(
     })
 }
 
-/// One reduction over a fixed-width integer column; results widen to `i64`
-/// like the grouped path's, and a column without a non-nil value yields
-/// nil.
-fn reduce_ints<T: FixedTail>(v: &[T], widen: impl Fn(T) -> i64, kind: AggKind) -> Value {
-    let (count, acc) = match kind {
-        AggKind::Count => (v.iter().filter(|x| !x.is_nil()).count(), 0),
-        AggKind::Sum => fold_ints(v, widen, 0, i64::wrapping_add),
-        AggKind::Min => fold_ints(v, widen, i64::MAX, i64::min),
-        AggKind::Max => fold_ints(v, widen, i64::MIN, i64::max),
-        // summed left to right in f64, exactly like the grouped accumulator
-        AggKind::Avg => {
-            let live = v.iter().filter(|x| !x.is_nil());
-            let (n, sum) = live.fold((0, 0.0), |(n, acc), &x| (n + 1, acc + widen(x) as f64));
-            return if n == 0 {
-                Value::Null
-            } else {
-                Value::F64(sum / n as f64)
-            };
-        }
-    };
-    match (kind, count) {
-        (AggKind::Count, n) => Value::I64(n as i64),
-        (_, 0) => Value::Null,
-        _ => Value::I64(acc),
-    }
-}
-
-/// One pass over a float column. Sums run strictly left to right: float
-/// addition is not associative and both engines must agree bit for bit.
-fn reduce_floats(v: &[f64], kind: AggKind) -> Value {
-    let fold = |identity: f64, f: fn(f64, f64) -> f64| {
-        let live = v.iter().filter(|x| !x.is_nil());
-        live.fold((0usize, identity), |(n, acc), &x| (n + 1, f(acc, x)))
-    };
-    let (count, acc) = match kind {
-        AggKind::Count | AggKind::Sum | AggKind::Avg => fold(0.0, |a, x| a + x),
-        AggKind::Min => fold(f64::INFINITY, f64::min),
-        AggKind::Max => fold(f64::NEG_INFINITY, f64::max),
-    };
-    match (kind, count) {
-        (AggKind::Count, n) => Value::I64(n as i64),
-        (_, 0) => Value::Null,
-        (AggKind::Avg, n) => Value::F64(acc / n as f64),
-        _ => Value::F64(acc),
-    }
-}
-
 /// Aggregate a whole column to a single value: one reduction per kind per
 /// type, no group column.
 pub fn aggregate_scalar(kind: AggKind, values: &Bat) -> Result<Value> {
+    fn fixed<T: AggTail>(v: &[T], kind: AggKind) -> Value {
+        let mut red = Reduction::new(kind);
+        T::reduce(&mut red, v.iter().copied());
+        red.finish(T::FLOAT)
+    }
     Ok(match values.tail() {
-        TailHeap::I8(v) => reduce_ints(v, i64::from, kind),
-        TailHeap::I16(v) => reduce_ints(v, i64::from, kind),
-        TailHeap::I32(v) => reduce_ints(v, i64::from, kind),
-        TailHeap::I64(v) => reduce_ints(v, |x| x, kind),
+        TailHeap::I8(v) => fixed(v, kind),
+        TailHeap::I16(v) => fixed(v, kind),
+        TailHeap::I32(v) => fixed(v, kind),
+        TailHeap::I64(v) => fixed(v, kind),
         // oids aggregate as (wrapped) integers, like the grouped path
-        TailHeap::Oid(v) => reduce_ints(v, |x| x as i64, kind),
-        TailHeap::F64(v) => reduce_floats(v, kind),
+        TailHeap::Oid(v) => fixed(v, kind),
+        TailHeap::F64(v) => fixed(v, kind),
         TailHeap::Str(h) if kind == AggKind::Count => {
             Value::I64((0..h.len()).filter(|&i| h.get(i).is_some()).count() as i64)
         }

@@ -8,55 +8,70 @@
 use std::hash::{BuildHasher, RandomState};
 use std::sync::OnceLock;
 
-/// Evaluate `$body` with `$images` bound to an iterator over the
-/// `(u64 image, is nil)` pairs of `$bat`'s tail, monomorphized per tail
-/// type — the loop reads the column in place, nothing is copied.
+/// The exact `u64` image a fixed-width column value groups and joins
+/// under: equal values, and only those, have equal images.
 ///
 /// Integers sign-extend through `i64`, so an `i32` column meets an `i64`
 /// column on equal images; floats use their bit pattern with `-0.0` folded
 /// into `0.0` and every NaN into one; a nil keeps its (in-domain, hence
-/// unique) sentinel image. These images are exact. Strings hash their
+/// unique) sentinel image.
+pub trait KeyImage: Copy {
+    fn image(self) -> u64;
+}
+
+macro_rules! key_image {
+    ($($t:ty => |$x:ident| $image:expr),* $(,)?) => {
+        $(impl KeyImage for $t {
+            #[inline(always)]
+            fn image(self) -> u64 {
+                let $x = self;
+                $image
+            }
+        })*
+    };
+}
+
+key_image! {
+    bool => |x| x as u64,
+    i8 => |x| x as i64 as u64,
+    i16 => |x| x as i64 as u64,
+    i32 => |x| x as i64 as u64,
+    i64 => |x| x as u64,
+    u64 => |x| x,
+    f64 => |x| if x.is_nan() {
+        f64::NAN.to_bits()
+    } else if x == 0.0 {
+        0.0f64.to_bits()
+    } else {
+        x.to_bits()
+    },
+}
+
+/// Evaluate `$body` with `$images` bound to an iterator over the
+/// `(u64 image, is nil)` pairs of `$bat`'s tail, monomorphized per tail
+/// type — the loop reads the column in place, nothing is copied.
+///
+/// Fixed-width images are [`KeyImage`]'s and exact. Strings hash their
 /// payload, so equal images there still need a payload comparison.
 macro_rules! with_images {
     ($bat:expr, |$images:ident| $body:expr) => {{
         use mammoth_storage::TailHeap;
         use mammoth_types::NativeType;
+        use $crate::flat::KeyImage;
+        macro_rules! fixed {
+            ($v:expr) => {{
+                let $images = $v.iter().map(|x| (x.image(), x.is_nil()));
+                $body
+            }};
+        }
         match $bat.tail() {
-            TailHeap::Bool(v) => {
-                let $images = v.iter().map(|x| (*x as u64, false));
-                $body
-            }
-            TailHeap::I8(v) => {
-                let $images = v.iter().map(|x| (*x as i64 as u64, x.is_nil()));
-                $body
-            }
-            TailHeap::I16(v) => {
-                let $images = v.iter().map(|x| (*x as i64 as u64, x.is_nil()));
-                $body
-            }
-            TailHeap::I32(v) => {
-                let $images = v.iter().map(|x| (*x as i64 as u64, x.is_nil()));
-                $body
-            }
-            TailHeap::I64(v) => {
-                let $images = v.iter().map(|x| (*x as u64, x.is_nil()));
-                $body
-            }
-            TailHeap::Oid(v) => {
-                let $images = v.iter().map(|x| (*x, x.is_nil()));
-                $body
-            }
-            TailHeap::F64(v) => {
-                let $images = v.iter().map(|x| {
-                    let canonical = match *x {
-                        x if x.is_nan() => f64::NAN,
-                        x if x == 0.0 => 0.0,
-                        x => x,
-                    };
-                    (canonical.to_bits(), x.is_nan())
-                });
-                $body
-            }
+            TailHeap::Bool(v) => fixed!(v),
+            TailHeap::I8(v) => fixed!(v),
+            TailHeap::I16(v) => fixed!(v),
+            TailHeap::I32(v) => fixed!(v),
+            TailHeap::I64(v) => fixed!(v),
+            TailHeap::Oid(v) => fixed!(v),
+            TailHeap::F64(v) => fixed!(v),
             TailHeap::Str(h) => {
                 let $images = (0..h.len()).map(|i| match h.get(i) {
                     Some(s) => ($crate::flat::fnv1a(s.as_bytes()), false),
@@ -160,27 +175,84 @@ impl<K: GroupKey> Slots<K> {
     }
 }
 
+/// Dense group ids handed out in first-appearance order, one per distinct
+/// key, for keys that arrive a row — or a vector of rows — at a time.
+pub(crate) struct Groups<K> {
+    table: Slots<K>,
+    len: usize,
+}
+
+impl<K: GroupKey> Groups<K> {
+    pub(crate) fn new() -> Groups<K> {
+        Groups {
+            table: Slots::new(1024),
+            len: 0,
+        }
+    }
+
+    /// The id of `key`'s group, and whether this is its first appearance.
+    #[inline(always)]
+    pub(crate) fn id_of(&mut self, key: K) -> (usize, bool) {
+        let s = self.table.probe(key);
+        match self.table.slots[s].1 {
+            0 => {
+                self.len += 1;
+                self.table.slots[s] = (key, self.len);
+                // stay at or below half full so probe runs stay short
+                if self.len * 2 > self.table.slots.len() {
+                    self.table.grow();
+                }
+                (self.len - 1, true)
+            }
+            id1 => (id1 - 1, false),
+        }
+    }
+}
+
+/// [`Groups`] over single-column [`KeyImage`]s: what `group.group` numbers
+/// its groups with, open to callers that see the column one vector at a
+/// time.
+pub struct GroupTable(Groups<u64>);
+
+impl Default for GroupTable {
+    fn default() -> GroupTable {
+        GroupTable(Groups::new())
+    }
+}
+
+impl GroupTable {
+    pub fn new() -> GroupTable {
+        GroupTable::default()
+    }
+
+    /// The group id of a key image, and whether the group is new.
+    #[inline(always)]
+    pub fn id_of(&mut self, image: u64) -> (usize, bool) {
+        self.0.id_of(image)
+    }
+
+    /// Groups seen so far.
+    pub fn len(&self) -> usize {
+        self.0.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.0.len == 0
+    }
+}
+
 /// Dense group ids in first-appearance order, one per key, plus the row of
 /// each group's first appearance ("extents").
 pub(crate) fn assign_groups<K: GroupKey>(keys: impl Iterator<Item = K>) -> (Vec<u64>, Vec<usize>) {
-    let mut table = Slots::new(1024);
+    let mut groups = Groups::new();
     let mut ids = Vec::with_capacity(keys.size_hint().0);
     let mut extents: Vec<usize> = Vec::new();
     for (row, key) in keys.enumerate() {
-        let s = table.probe(key);
-        let id1 = match table.slots[s].1 {
-            0 => {
-                extents.push(row);
-                table.slots[s] = (key, extents.len());
-                // stay at or below half full so probe runs stay short
-                if extents.len() * 2 > table.slots.len() {
-                    table.grow();
-                }
-                extents.len()
-            }
-            id1 => id1,
-        };
-        ids.push((id1 - 1) as u64);
+        let (id, new) = groups.id_of(key);
+        if new {
+            extents.push(row);
+        }
+        ids.push(id as u64);
     }
     (ids, extents)
 }

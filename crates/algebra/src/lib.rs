@@ -31,14 +31,21 @@ pub mod radix;
 pub mod select;
 pub mod sort;
 
-pub use agg::{aggregate_scalar, group_by, group_refine, grouped_aggregate, AggKind};
+pub use agg::{
+    aggregate_scalar, finish_groups, group_by, group_refine, grouped_aggregate, Acc, AggKind,
+    AggTail, Reduction,
+};
 pub use arith::{arith_bat, arith_const, ArithOp};
 pub use fetch::{fetch_join, fetch_join_with_head, gather, positions_of, scatter};
+pub use flat::{GroupTable, KeyImage};
 pub use join::{hash_join, merge_join, nested_loop_join, JoinIndex};
 pub use mat::{pack, packsum};
 pub use radix::{
     even_passes, mix_key_bat, partitioned_hash_join, radix_cluster, radix_decluster,
     radix_decluster_fixed, ClusteredColumn,
 };
-pub use select::{select_cmp, select_cmp_cand, select_eq, select_range, select_range_cand, CmpOp};
+pub use select::{
+    select_cmp, select_cmp_cand, select_eq, select_range, select_range_cand, CmpOp, Pred, RowId,
+    ScanTail,
+};
 pub use sort::{firstn, order, sort_bat, sort_bat_dir};

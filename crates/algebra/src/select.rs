@@ -9,7 +9,7 @@
 //!
 //! — a tight loop over a native array with no expression interpreter in
 //! sight; here it runs monomorphized per tail type and without the branch
-//! (see `compress`). Results are candidate BATs (void head, ascending oid
+//! (see `compress_dense`). Results are candidate BATs (void head, ascending oid
 //! tail). The `_cand` forms test only the rows an earlier candidate list
 //! names and return the survivors as absolute oids again, so a WHERE chain
 //! threads one list through its selections instead of materializing the
@@ -54,61 +54,84 @@ fn candidates(b: &Bat, cands: Option<&Bat>, oids: Vec<Oid>) -> Bat {
     out
 }
 
-/// Oids the compress loop buffers before appending them to the result.
+/// Rows one pass of the compress loop covers: its row ids collect in a
+/// block of this many slots before they are appended to the result.
 const BLOCK: usize = 1024;
 
-/// The §3 loop without its branch: every row stores its oid, and the write
-/// cursor advances only when the row qualifies. Oids collect in a
-/// fixed-size block that is appended to the result when full, so the loop
-/// neither mispredicts on selectivity nor allocates for rows that fail.
-fn compress<T: Copy>(rows: impl Iterator<Item = (Oid, T)>, pred: impl Fn(T) -> bool) -> Vec<Oid> {
-    let mut out: Vec<Oid> = Vec::new();
-    let mut block = [0 as Oid; BLOCK];
-    let mut j = 0;
-    for (oid, x) in rows {
-        block[j] = oid;
-        j += pred(x) as usize;
-        if j == BLOCK {
-            out.extend_from_slice(&block);
-            j = 0;
-        }
-    }
-    out.extend_from_slice(&block[..j]);
-    out
+/// What a selection emits per qualifying row: a head oid here, a `u32`
+/// position inside a vector in the pipeline's selection vectors.
+pub trait RowId: Copy + Default {
+    /// The id `i` rows after this one.
+    fn plus(self, i: usize) -> Self;
+    /// How many rows this id lies after `base`.
+    fn minus(self, base: Self) -> usize;
 }
 
-/// Run `pred` over the rows of `b` — all of them, or those a candidate list
-/// names — and return the qualifying head oids in scan order.
-fn scan<T: Copy>(
-    b: &Bat,
+impl RowId for Oid {
+    #[inline(always)]
+    fn plus(self, i: usize) -> Oid {
+        self + i as Oid
+    }
+    #[inline(always)]
+    fn minus(self, base: Oid) -> usize {
+        (self - base) as usize
+    }
+}
+
+impl RowId for u32 {
+    #[inline(always)]
+    fn plus(self, i: usize) -> u32 {
+        self + i as u32
+    }
+    #[inline(always)]
+    fn minus(self, base: u32) -> usize {
+        (self - base) as usize
+    }
+}
+
+/// The §3 loop without its branch: every row stores its id, and the write
+/// cursor advances only when the row qualifies. Ids collect in a
+/// fixed-size block appended to the result once per [`BLOCK`] rows, so the
+/// loop neither mispredicts on selectivity, nor tests for a full block per
+/// row, nor allocates for rows that fail. The cursor is masked rather than
+/// bounds-checked: it cannot pass the number of rows seen, which stays
+/// below `BLOCK` until the last row of a block has been stored.
+fn compress_dense<T: Copy, O: RowId>(
     data: &[T],
-    cands: Option<&[Oid]>,
-    pred: impl Fn(T) -> bool,
-) -> Result<Vec<Oid>> {
-    let values = data.iter().copied();
-    Ok(match (b.head(), cands) {
-        (HeadColumn::Void { seqbase }, None) => compress((*seqbase..).zip(values), pred),
-        (HeadColumn::Oids(head), None) => compress(head.iter().copied().zip(values), pred),
-        (HeadColumn::Void { seqbase }, Some(cands)) => {
-            check_in_range(cands, *seqbase, data.len())?;
-            let rows = cands.iter().map(|&o| (o, data[(o - seqbase) as usize]));
-            compress(rows, pred)
+    first: O,
+    test: impl Fn(T) -> bool,
+    out: &mut Vec<O>,
+) {
+    let mut block = [O::default(); BLOCK];
+    for (c, chunk) in data.chunks(BLOCK).enumerate() {
+        let at = first.plus(c * BLOCK);
+        let mut j = 0;
+        for (i, &x) in chunk.iter().enumerate() {
+            block[j & (BLOCK - 1)] = at.plus(i);
+            j += test(x) as usize;
         }
-        // materialized head: no positional lookup, resolve each candidate
-        (HeadColumn::Oids(_), Some(cands)) => {
-            let rows = cands
-                .iter()
-                .map(|&o| match b.find_oid(o) {
-                    Some(p) => Ok((o, data[p])),
-                    None => Err(Error::OutOfRange {
-                        index: o,
-                        len: data.len() as u64,
-                    }),
-                })
-                .collect::<Result<Vec<_>>>()?;
-            compress(rows.into_iter(), pred)
+        out.extend_from_slice(&block[..j]);
+    }
+}
+
+/// [`compress_dense`] over the rows a list of ids names (`id - base` is the
+/// row's position in `data`; callers have checked the ids are in range).
+fn compress_among<T: Copy, O: RowId>(
+    data: &[T],
+    base: O,
+    ids: &[O],
+    test: impl Fn(T) -> bool,
+    out: &mut Vec<O>,
+) {
+    let mut block = [O::default(); BLOCK];
+    for chunk in ids.chunks(BLOCK) {
+        let mut j = 0;
+        for &id in chunk {
+            block[j & (BLOCK - 1)] = id;
+            j += test(data[id.minus(base)]) as usize;
         }
-    })
+        out.extend_from_slice(&block[..j]);
+    }
 }
 
 fn typed_const<T: NativeType>(v: &Value) -> Result<T> {
@@ -120,103 +143,247 @@ fn typed_const<T: NativeType>(v: &Value) -> Result<T> {
         })
 }
 
-/// One side of a range predicate, in the column's native type.
-#[derive(Clone, Copy)]
-struct Bound<T> {
-    value: T,
-    inclusive: bool,
+/// A fixed-width tail type a selection can scan. Every such domain is
+/// discrete and keeps nil outside `[LIVE_MIN, LIVE_MAX]`, so any pair of
+/// bounds, whatever their inclusivity, closes to `lo <= x <= hi` over the
+/// non-nil values.
+pub trait ScanTail: NativeType + FixedTail {
+    /// The smallest non-nil value.
+    const LIVE_MIN: Self;
+    /// The largest non-nil value.
+    const LIVE_MAX: Self;
+    /// The least value above this one, if the domain has one.
+    fn succ(self) -> Option<Self>;
+    /// The greatest value below this one, if the domain has one.
+    fn pred(self) -> Option<Self>;
+    /// `lo <= x <= hi` for `lo <= hi` inside the live domain, in the
+    /// cheapest form the type allows; nil never passes.
+    fn between(lo: Self, hi: Self) -> impl Fn(Self) -> bool;
 }
 
-impl<T: NativeType> Bound<T> {
-    fn typed(v: Option<&Value>, inclusive: bool) -> Result<Option<Bound<T>>> {
-        v.map(|v| typed_const(v).map(|value| Bound { value, inclusive }))
-            .transpose()
+impl ScanTail for bool {
+    const LIVE_MIN: bool = false;
+    const LIVE_MAX: bool = true;
+    fn succ(self) -> Option<bool> {
+        (!self).then_some(true)
+    }
+    fn pred(self) -> Option<bool> {
+        self.then_some(false)
+    }
+    fn between(lo: bool, hi: bool) -> impl Fn(bool) -> bool {
+        move |x| (x >= lo) & (x <= hi)
     }
 }
 
-/// `lo <(=) x <(=) hi` as flag arithmetic: no branch depends on the data,
-/// and nil never qualifies (SQL three-valued logic collapses to false).
-#[inline(always)]
-fn in_range<T: NativeType>(x: T, lo: Option<Bound<T>>, hi: Option<Bound<T>>) -> bool {
-    let lo_ok = match lo {
-        None => true,
-        Some(b) => (x > b.value) | (b.inclusive & (x == b.value)),
-    };
-    let hi_ok = match hi {
-        None => true,
-        Some(b) => (x < b.value) | (b.inclusive & (x == b.value)),
-    };
-    !x.is_nil() & lo_ok & hi_ok
-}
-
-/// A fixed-width tail type and the predicate its scan loop evaluates.
-trait ScanTail: NativeType + FixedTail {
-    /// [`in_range`] with the bounds fixed, in the cheapest form the type
-    /// allows.
-    fn range_pred(lo: Option<Bound<Self>>, hi: Option<Bound<Self>>) -> impl Fn(Self) -> bool {
-        move |x| in_range(x, lo, hi)
+/// Floats are discrete too (`next_up` / `next_down`); nil is NaN, which
+/// fails both comparisons on its own.
+impl ScanTail for f64 {
+    const LIVE_MIN: f64 = f64::NEG_INFINITY;
+    const LIVE_MAX: f64 = f64::INFINITY;
+    fn succ(self) -> Option<f64> {
+        (self < f64::INFINITY).then(|| self.next_up())
+    }
+    fn pred(self) -> Option<f64> {
+        (self > f64::NEG_INFINITY).then(|| self.next_down())
+    }
+    fn between(lo: f64, hi: f64) -> impl Fn(f64) -> bool {
+        move |x| (x >= lo) & (x <= hi)
     }
 }
 
-impl ScanTail for bool {}
-impl ScanTail for f64 {}
-
-/// Integer domains are discrete and keep nil at one end, so any bound pair
-/// closes to `live_lo <= x <= live_hi` over the non-nil values: two
-/// compares per row, whatever the inclusivity, with the nil test folded in.
-/// An empty range comes out as `lo > hi`.
-macro_rules! discrete_scan_tail {
-    ($t:ty, $live_min:expr, $live_max:expr) => {
+/// Integers test a range with one compare: `x - lo`, taken without sign,
+/// is at most `hi - lo` exactly when `lo <= x <= hi`.
+macro_rules! integer_scan_tail {
+    ($t:ty, $unsigned:ty, $live_min:expr, $live_max:expr) => {
         impl ScanTail for $t {
-            fn range_pred(lo: Option<Bound<$t>>, hi: Option<Bound<$t>>) -> impl Fn($t) -> bool {
-                let lo = match lo {
-                    None => Some($live_min),
-                    Some(b) if b.inclusive => Some(b.value),
-                    Some(b) => b.value.checked_add(1),
-                };
-                let hi = match hi {
-                    None => Some($live_max),
-                    Some(b) if b.inclusive => Some(b.value),
-                    Some(b) => b.value.checked_sub(1),
-                };
-                let (lo, hi): ($t, $t) = match (lo, hi) {
-                    (Some(lo), Some(hi)) => (lo.max($live_min), hi.min($live_max)),
-                    _ => ($live_max, $live_min),
-                };
-                move |x| (x >= lo) & (x <= hi)
+            const LIVE_MIN: $t = $live_min;
+            const LIVE_MAX: $t = $live_max;
+            fn succ(self) -> Option<$t> {
+                self.checked_add(1)
+            }
+            fn pred(self) -> Option<$t> {
+                self.checked_sub(1)
+            }
+            fn between(lo: $t, hi: $t) -> impl Fn($t) -> bool {
+                let span = hi.wrapping_sub(lo) as $unsigned;
+                move |x| x.wrapping_sub(lo) as $unsigned <= span
             }
         }
     };
 }
 
-discrete_scan_tail!(i8, i8::MIN + 1, i8::MAX);
-discrete_scan_tail!(i16, i16::MIN + 1, i16::MAX);
-discrete_scan_tail!(i32, i32::MIN + 1, i32::MAX);
-discrete_scan_tail!(i64, i64::MIN + 1, i64::MAX);
-discrete_scan_tail!(Oid, 0, Oid::MAX - 1);
+integer_scan_tail!(i8, u8, i8::MIN + 1, i8::MAX);
+integer_scan_tail!(i16, u16, i16::MIN + 1, i16::MAX);
+integer_scan_tail!(i32, u32, i32::MIN + 1, i32::MAX);
+integer_scan_tail!(i64, u64, i64::MIN + 1, i64::MAX);
+integer_scan_tail!(Oid, Oid, 0, Oid::MAX - 1);
 
-fn range_fixed<T: ScanTail>(
+fn null_bound(lo: Option<&Value>, hi: Option<&Value>) -> bool {
+    matches!(lo, Some(Value::Null)) || matches!(hi, Some(Value::Null))
+}
+
+/// A selection predicate in its column's native type: the one form the
+/// select kernels here and the vectorized pipeline's filters both run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Pred<T> {
+    /// `lo <= x <= hi`, with `lo <= hi` inside the live domain.
+    Between(T, T),
+    /// `x != c`, over the non-nil values.
+    Ne(T),
+    /// No row qualifies: an empty range, or a comparison with nil.
+    Nothing,
+}
+
+/// Evaluate `$body` with `$test` bound to the predicate's row test — a
+/// closure of its own type per form, so each loop `$body` holds is compiled
+/// once per form with the test inlined.
+macro_rules! with_test {
+    ($pred:expr, |$test:ident| $body:expr) => {
+        match $pred {
+            Pred::Between(lo, hi) => {
+                let $test = T::between(lo, hi);
+                $body
+            }
+            Pred::Ne(c) => {
+                let $test = move |x: T| !x.is_nil() & (x != c);
+                $body
+            }
+            Pred::Nothing => {}
+        }
+    };
+}
+
+impl<T: ScanTail> Pred<T> {
+    /// `lo <(=) x <(=) hi` over already typed bounds; `None` is open.
+    fn closed(lo: Option<(T, bool)>, hi: Option<(T, bool)>) -> Pred<T> {
+        let lo = match lo {
+            None => Some(T::LIVE_MIN),
+            Some((v, true)) => Some(v),
+            Some((v, false)) => v.succ(),
+        };
+        let hi = match hi {
+            None => Some(T::LIVE_MAX),
+            Some((v, true)) => Some(v),
+            Some((v, false)) => v.pred(),
+        };
+        match (lo, hi) {
+            (Some(lo), Some(hi)) => {
+                // a bound may sit on nil's end of the domain; a NaN bound
+                // compares with nothing and leaves the range empty
+                let lo = if lo < T::LIVE_MIN { T::LIVE_MIN } else { lo };
+                let hi = if hi > T::LIVE_MAX { T::LIVE_MAX } else { hi };
+                if lo <= hi {
+                    Pred::Between(lo, hi)
+                } else {
+                    Pred::Nothing
+                }
+            }
+            _ => Pred::Nothing,
+        }
+    }
+
+    /// `x op v`, with `v` coerced into the column's type (a constant the
+    /// type cannot hold is a typed error). Comparing with NULL selects
+    /// nothing.
+    pub fn theta(op: CmpOp, v: &Value) -> Result<Pred<T>> {
+        let c: T = typed_const(v)?;
+        if c.is_nil() {
+            return Ok(Pred::Nothing);
+        }
+        Ok(match op {
+            CmpOp::Eq => Pred::closed(Some((c, true)), Some((c, true))),
+            CmpOp::Lt => Pred::closed(None, Some((c, false))),
+            CmpOp::Le => Pred::closed(None, Some((c, true))),
+            CmpOp::Gt => Pred::closed(Some((c, false)), None),
+            CmpOp::Ge => Pred::closed(Some((c, true)), None),
+            CmpOp::Ne => Pred::Ne(c),
+        })
+    }
+
+    /// `lo <(=) x <(=) hi` with open bounds expressed as `None`; a NULL
+    /// bound, like any comparison with NULL, selects nothing.
+    pub fn range(
+        lo: Option<&Value>,
+        hi: Option<&Value>,
+        lo_incl: bool,
+        hi_incl: bool,
+    ) -> Result<Pred<T>> {
+        if null_bound(lo, hi) {
+            return Ok(Pred::Nothing);
+        }
+        let typed = |v: Option<&Value>, incl: bool| -> Result<Option<(T, bool)>> {
+            v.map(|v| typed_const(v).map(|c| (c, incl))).transpose()
+        };
+        Ok(Pred::closed(typed(lo, lo_incl)?, typed(hi, hi_incl)?))
+    }
+
+    /// Whether one value qualifies (the row-at-a-time form, for paths with
+    /// no positional access).
+    pub fn test(self, x: T) -> bool {
+        let mut keep = false;
+        with_test!(self, |test| keep = test(x));
+        keep
+    }
+
+    /// Append the ids `first, first + 1, …` of the rows of `data` that
+    /// qualify, in row order.
+    pub fn select_dense<O: RowId>(self, data: &[T], first: O, out: &mut Vec<O>) {
+        with_test!(self, |test| compress_dense(data, first, test, out));
+    }
+
+    /// Append those of `ids` whose row qualifies, in list order; `id - base`
+    /// is a row's position in `data`, and every id must name one.
+    pub fn select_among<O: RowId>(self, data: &[T], base: O, ids: &[O], out: &mut Vec<O>) {
+        with_test!(self, |test| compress_among(data, base, ids, test, out));
+    }
+}
+
+/// Run `pred` over the rows of `b` — all of them, or those a candidate list
+/// names — and return the qualifying head oids in scan order.
+fn scan<T: ScanTail>(
     b: &Bat,
-    cands: Option<&Bat>,
-    lo: Option<Bound<T>>,
-    hi: Option<Bound<T>>,
+    data: &[T],
+    cands: Option<&[Oid]>,
+    pred: Pred<T>,
 ) -> Result<Vec<Oid>> {
+    let mut out = Vec::new();
+    match (b.head(), cands) {
+        (HeadColumn::Void { seqbase }, None) => pred.select_dense(data, *seqbase, &mut out),
+        (HeadColumn::Void { seqbase }, Some(cands)) => {
+            check_in_range(cands, *seqbase, data.len())?;
+            pred.select_among(data, *seqbase, cands, &mut out);
+        }
+        // materialized head: no positional lookup, resolve row by row
+        (HeadColumn::Oids(head), None) => {
+            let rows = head.iter().zip(data);
+            out.extend(rows.filter(|(_, x)| pred.test(**x)).map(|(o, _)| *o));
+        }
+        (HeadColumn::Oids(_), Some(cands)) => {
+            for &o in cands {
+                let p = b.find_oid(o).ok_or(Error::OutOfRange {
+                    index: o,
+                    len: data.len() as u64,
+                })?;
+                if pred.test(data[p]) {
+                    out.push(o);
+                }
+            }
+        }
+    }
+    Ok(out)
+}
+
+fn select_fixed<T: ScanTail>(b: &Bat, cands: Option<&Bat>, pred: Pred<T>) -> Result<Vec<Oid>> {
     let data = b.tail_slice::<T>()?;
     let cand_oids = cands.map(|c| c.tail_slice::<Oid>()).transpose()?;
 
     // Binary-search fast path on sorted, nil-free tails of void-headed
     // columns: the qualifying rows are one contiguous oid run.
-    if let (true, true, HeadColumn::Void { seqbase }) =
-        (b.props().sorted, b.props().nonil, b.head())
+    if let (Pred::Between(lo, hi), true, true, HeadColumn::Void { seqbase }) =
+        (pred, b.props().sorted, b.props().nonil, b.head())
     {
-        let from = match lo {
-            None => 0,
-            Some(l) => data.partition_point(|x| !in_range(*x, Some(l), None)),
-        };
-        let to = match hi {
-            None => data.len(),
-            Some(h) => data.partition_point(|x| in_range(*x, None, Some(h))),
-        };
+        let from = data.partition_point(|x| *x < lo);
+        let to = data.partition_point(|x| *x <= hi);
         let run = seqbase + from.min(to) as Oid..seqbase + to as Oid;
         return Ok(match (cand_oids, cands) {
             (Some(oids), Some(c)) => {
@@ -232,38 +399,7 @@ fn range_fixed<T: ScanTail>(
             _ => run.collect(),
         });
     }
-    scan(b, data, cand_oids, T::range_pred(lo, hi))
-}
-
-fn theta_fixed<T: ScanTail>(
-    b: &Bat,
-    cands: Option<&Bat>,
-    op: CmpOp,
-    v: &Value,
-) -> Result<Vec<Oid>> {
-    let c: T = typed_const(v)?;
-    if c.is_nil() {
-        // comparisons with NULL select nothing
-        return Ok(Vec::new());
-    }
-    let at = |inclusive| {
-        Some(Bound {
-            value: c,
-            inclusive,
-        })
-    };
-    match op {
-        CmpOp::Eq => range_fixed(b, cands, at(true), at(true)),
-        CmpOp::Lt => range_fixed(b, cands, None, at(false)),
-        CmpOp::Le => range_fixed(b, cands, None, at(true)),
-        CmpOp::Gt => range_fixed(b, cands, at(false), None),
-        CmpOp::Ge => range_fixed(b, cands, at(true), None),
-        CmpOp::Ne => {
-            let data = b.tail_slice::<T>()?;
-            let cand_oids = cands.map(|c| c.tail_slice::<Oid>()).transpose()?;
-            scan(b, data, cand_oids, move |x| !x.is_nil() & (x != c))
-        }
-    }
+    scan(b, data, cand_oids, pred)
 }
 
 /// String selections compare payloads row by row (the slow, dynamic path).
@@ -305,13 +441,13 @@ fn str_const(v: &Value) -> Result<&str> {
 
 fn theta(b: &Bat, cands: Option<&Bat>, op: CmpOp, v: &Value) -> Result<Bat> {
     let oids = match b.tail() {
-        TailHeap::Bool(_) => theta_fixed::<bool>(b, cands, op, v),
-        TailHeap::I8(_) => theta_fixed::<i8>(b, cands, op, v),
-        TailHeap::I16(_) => theta_fixed::<i16>(b, cands, op, v),
-        TailHeap::I32(_) => theta_fixed::<i32>(b, cands, op, v),
-        TailHeap::I64(_) => theta_fixed::<i64>(b, cands, op, v),
-        TailHeap::F64(_) => theta_fixed::<f64>(b, cands, op, v),
-        TailHeap::Oid(_) => theta_fixed::<Oid>(b, cands, op, v),
+        TailHeap::Bool(_) => select_fixed(b, cands, Pred::<bool>::theta(op, v)?),
+        TailHeap::I8(_) => select_fixed(b, cands, Pred::<i8>::theta(op, v)?),
+        TailHeap::I16(_) => select_fixed(b, cands, Pred::<i16>::theta(op, v)?),
+        TailHeap::I32(_) => select_fixed(b, cands, Pred::<i32>::theta(op, v)?),
+        TailHeap::I64(_) => select_fixed(b, cands, Pred::<i64>::theta(op, v)?),
+        TailHeap::F64(_) => select_fixed(b, cands, Pred::<f64>::theta(op, v)?),
+        TailHeap::Oid(_) => select_fixed(b, cands, Pred::<Oid>::theta(op, v)?),
         TailHeap::Str(_) if v.is_null() => Ok(Vec::new()),
         TailHeap::Str(h) => {
             let needle = str_const(v)?;
@@ -355,17 +491,10 @@ fn range(
 ) -> Result<Bat> {
     macro_rules! fixed {
         ($t:ty) => {
-            range_fixed::<$t>(
-                b,
-                cands,
-                Bound::typed(lo, lo_incl)?,
-                Bound::typed(hi, hi_incl)?,
-            )
+            select_fixed(b, cands, Pred::<$t>::range(lo, hi, lo_incl, hi_incl)?)
         };
     }
-    let null_bound = matches!(lo, Some(Value::Null)) || matches!(hi, Some(Value::Null));
     let oids = match b.tail() {
-        _ if null_bound => Ok(Vec::new()),
         TailHeap::Bool(_) => fixed!(bool),
         TailHeap::I8(_) => fixed!(i8),
         TailHeap::I16(_) => fixed!(i16),
@@ -373,6 +502,7 @@ fn range(
         TailHeap::I64(_) => fixed!(i64),
         TailHeap::F64(_) => fixed!(f64),
         TailHeap::Oid(_) => fixed!(Oid),
+        TailHeap::Str(_) if null_bound(lo, hi) => Ok(Vec::new()),
         TailHeap::Str(h) => {
             let lo_s = lo.map(str_const).transpose()?;
             let hi_s = hi.map(str_const).transpose()?;
@@ -501,6 +631,77 @@ mod tests {
                 a.tail_slice::<Oid>().unwrap(),
                 b.tail_slice::<Oid>().unwrap()
             );
+        }
+    }
+
+    /// Every bound pair closes to `lo <= x <= hi`, floats included: an
+    /// exclusive float bound moves to the neighbouring value. Against the
+    /// comparison spelled out, over the values where that is delicate.
+    #[test]
+    fn closed_float_ranges_equal_the_spelled_out_comparison() {
+        let edge = [
+            f64::NEG_INFINITY,
+            f64::MIN,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            5e-324,
+            1.5,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        let b = Bat::from_vec(edge.to_vec());
+        let bounds = edge.iter().map(|&x| Some(x)).chain([None]);
+        for lo in bounds.clone() {
+            for hi in bounds.clone() {
+                for (lo_incl, hi_incl) in
+                    [(true, true), (true, false), (false, true), (false, false)]
+                {
+                    let keep = |x: f64| {
+                        let above = lo.is_none_or(|l| if lo_incl { x >= l } else { x > l });
+                        let below = hi.is_none_or(|h| if hi_incl { x <= h } else { x < h });
+                        !x.is_nan() && above && below
+                    };
+                    let want: Vec<Oid> = (0..edge.len())
+                        .filter(|&i| keep(edge[i]))
+                        .map(|i| i as Oid)
+                        .collect();
+                    let (lo_v, hi_v) = (lo.map(Value::F64), hi.map(Value::F64));
+                    let got = select_range(&b, lo_v.as_ref(), hi_v.as_ref(), lo_incl, hi_incl);
+                    assert_eq!(
+                        got.unwrap().tail_slice::<Oid>().unwrap(),
+                        want,
+                        "{lo:?} {lo_incl} .. {hi:?} {hi_incl}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Blocks of exactly, one under and one over the compress block size,
+    /// dense and through a candidate list, with `u32` positions as the
+    /// pipeline's selection vectors use them.
+    #[test]
+    fn compress_is_exact_across_block_boundaries() {
+        for n in [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7] {
+            let data: Vec<i32> = (0..n as i32).map(|i| i % 10).collect();
+            for (pred, keep) in [
+                (Pred::<i32>::theta(CmpOp::Lt, &Value::I32(3)).unwrap(), 3),
+                (Pred::theta(CmpOp::Ge, &Value::I32(0)).unwrap(), 10),
+                (Pred::theta(CmpOp::Gt, &Value::I32(9)).unwrap(), 0),
+            ] {
+                let want: Vec<u32> = (0..n as u32).filter(|i| i % 10 < keep).collect();
+                let mut dense = Vec::new();
+                pred.select_dense(&data, 0u32, &mut dense);
+                assert_eq!(dense, want, "{n} rows, keep {keep}");
+                let evens: Vec<u32> = (0..n as u32).step_by(2).collect();
+                let mut among = Vec::new();
+                pred.select_among(&data, 0u32, &evens, &mut among);
+                let want: Vec<u32> = want.into_iter().filter(|i| i % 2 == 0).collect();
+                assert_eq!(among, want, "{n} rows, keep {keep}, among the even ones");
+            }
         }
     }
 

@@ -28,8 +28,8 @@ fn bench(c: &mut Criterion) {
         ],
     )
     .unwrap();
-    let cols = columns(n);
-    let pipeline = q1(true);
+    let cols = columns(&li);
+    let pipeline = q1();
 
     let mut g = c.benchmark_group("paradigms");
     g.sample_size(10);

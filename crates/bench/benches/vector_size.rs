@@ -1,13 +1,14 @@
 //! Criterion bench for E07: the vector-size sweep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mammoth_bench::experiments::e07_vector_size::{columns, q1};
+use mammoth_bench::experiments::e07_vector_size::{columns, lineitem, q1};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
     let n = 1 << 19;
-    let cols = columns(n);
-    let pipeline = q1(true);
+    let li = lineitem(n);
+    let cols = columns(&li);
+    let pipeline = q1();
 
     let mut g = c.benchmark_group("vector_size");
     g.sample_size(10);

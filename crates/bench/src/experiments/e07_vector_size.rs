@@ -9,53 +9,52 @@
 use crate::table::TextTable;
 use crate::{ns_per, timed, Scale};
 use mammoth_vectorized::{
-    AggSpec, CmpOp, ColRef, Column, ColumnSet, MapOp, Operand, Pipeline, Sink, Stage,
+    AggKind, CmpOp, ColRef, Column, ColumnSet, MapOp, Operand, Out, Output, Pipeline, Sink, Stage,
 };
 use mammoth_workload::LineitemSlice;
 
-pub fn q1(cols_src0_qty: bool) -> Pipeline {
-    let _ = cols_src0_qty;
+/// `SELECT count(*), sum(qty*price) WHERE shipdate <= 10500 AND qty < 25`
+/// over [`columns`].
+pub fn q1() -> Pipeline {
     Pipeline {
         stages: vec![
-            Stage::FilterI64 {
-                col: ColRef::Source(2),
-                op: CmpOp::Le,
-                c: 10_500,
-            },
-            Stage::FilterI64 {
-                col: ColRef::Source(0),
-                op: CmpOp::Lt,
-                c: 25,
-            },
-            Stage::MapI64 {
+            Stage::theta(ColRef::Source(2), CmpOp::Le, 10_500i64),
+            Stage::theta(ColRef::Source(0), CmpOp::Lt, 25i64),
+            Stage::Map {
                 op: MapOp::Mul,
                 l: ColRef::Source(0),
                 r: Operand::Col(ColRef::Source(1)),
                 out: 0,
             },
         ],
-        sink: Sink::Aggregate(vec![
-            AggSpec::CountStar,
-            AggSpec::SumI64(ColRef::Computed(0)),
+        sink: Sink::aggregate(vec![
+            Out::Count,
+            Out::Agg(AggKind::Sum, ColRef::Computed(0)),
         ]),
         computed_slots: 1,
     }
 }
 
-pub fn columns(n: usize) -> ColumnSet {
-    let li = LineitemSlice::generate(n, 42);
+/// `n` generated lineitem rows: the data [`columns`] borrows.
+pub fn lineitem(n: usize) -> LineitemSlice {
+    LineitemSlice::generate(n, 42)
+}
+
+/// Quantity, price and ship date of `li`, read where they lie.
+pub fn columns(li: &LineitemSlice) -> ColumnSet<'_> {
     ColumnSet::new(vec![
-        Column::I64(li.quantity),
-        Column::I64(li.extendedprice),
-        Column::I64(li.shipdate),
+        Column::I64(&li.quantity),
+        Column::I64(&li.extendedprice),
+        Column::I64(&li.shipdate),
     ])
-    .unwrap()
+    .expect("one slice, one length")
 }
 
 pub fn run(scale: Scale) -> String {
     let n = scale.pick(1 << 18, 1 << 22);
-    let cols = columns(n);
-    let pipeline = q1(true);
+    let li = lineitem(n);
+    let cols = columns(&li);
+    let pipeline = q1();
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -73,6 +72,9 @@ pub fn run(scale: Scale) -> String {
     let mut reference = None;
     for vs in sizes {
         let (r, secs) = timed(|| pipeline.run(&cols, vs).unwrap());
+        let Output::Scalars(r) = r else {
+            unreachable!("a global sink yields scalars")
+        };
         match &reference {
             None => reference = Some(r),
             Some(prev) => assert_eq!(prev, &r),

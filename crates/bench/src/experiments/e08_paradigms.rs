@@ -106,8 +106,8 @@ pub fn run(scale: Scale) -> String {
     let sum_b = mal_out[1].as_scalar().unwrap().as_i64().unwrap();
 
     // --- vectorized (X100) ---
-    let cols = e07_vector_size::columns(n);
-    let pipe = e07_vector_size::q1(true);
+    let cols = e07_vector_size::columns(&li);
+    let pipe = e07_vector_size::q1();
     let (_r1, t_vec1) = timed(|| pipe.run(&cols, 1).unwrap());
     let (_r2, t_vec1024) = timed(|| pipe.run(&cols, 1024).unwrap());
 

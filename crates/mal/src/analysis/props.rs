@@ -18,7 +18,7 @@
 //! cannot confirm — the verifier's hook for rejecting annotated plans
 //! whose annotations the dataflow facts do not support.
 
-use crate::program::{Arg, Instr, OpCode, Program, VarId};
+use crate::program::{Arg, Instr, OpCode, PipelineOut, PipelineSpec, Program, VarId};
 use mammoth_algebra::{AggKind, ArithOp, CmpOp};
 use mammoth_index::ZoneMap;
 use mammoth_storage::{Bat, Catalog, ColumnView};
@@ -187,8 +187,9 @@ impl std::error::Error for PropsError {}
 /// the way the catalog's do: case-insensitively.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ColumnFacts {
-    /// lowercased table -> lowercased column -> facts
-    tables: HashMap<String, HashMap<String, Props>>,
+    /// lowercased table -> lowercased column -> facts, and the column's
+    /// type when the facts were read off a catalog
+    tables: HashMap<String, HashMap<String, (Props, Option<LogicalType>)>>,
 }
 
 /// `name` lowercased; borrowed when it already is, as the names a compiled
@@ -206,24 +207,39 @@ impl ColumnFacts {
         ColumnFacts::default()
     }
 
-    /// Record (or replace) the facts of `table.column`.
+    /// Record (or replace) the facts of `table.column`, its type unknown.
     pub fn insert(&mut self, table: &str, column: &str, props: Props) {
+        self.record(table, column, props, None);
+    }
+
+    fn record(&mut self, table: &str, column: &str, props: Props, ty: Option<LogicalType>) {
         let (t, c) = (lowercased(table), lowercased(column));
         match self.tables.get_mut(&*t) {
-            Some(columns) => columns.insert(c.into_owned(), props),
+            Some(columns) => columns.insert(c.into_owned(), (props, ty)),
             None => self
                 .tables
                 .entry(t.into_owned())
                 .or_default()
-                .insert(c.into_owned(), props),
+                .insert(c.into_owned(), (props, ty)),
         };
+    }
+
+    fn entry(&self, table: &str, column: &str) -> Option<&(Props, Option<LogicalType>)> {
+        self.tables
+            .get(&*lowercased(table))?
+            .get(&*lowercased(column))
     }
 
     /// The facts of `table.column`, if recorded.
     pub fn get(&self, table: &str, column: &str) -> Option<&Props> {
-        self.tables
-            .get(&*lowercased(table))?
-            .get(&*lowercased(column))
+        self.entry(table, column).map(|(props, _)| props)
+    }
+
+    /// The type of `table.column`, known when its facts came from a catalog
+    /// ([`column_facts`], [`bound_column_facts`]) — a pass that emits
+    /// type-specific code asks here and leaves alone what it cannot type.
+    pub fn type_of(&self, table: &str, column: &str) -> Option<LogicalType> {
+        self.entry(table, column)?.1
     }
 }
 
@@ -274,8 +290,8 @@ pub fn bound_column_facts(prog: &Program, catalog: &Catalog) -> ColumnFacts {
     let mut out = ColumnFacts::new();
     for (t, c) in prog.bound_columns() {
         if out.get(t, c).is_none() {
-            if let Some(p) = column_props(catalog, t, c) {
-                out.insert(t, c, p);
+            if let Some((p, ty)) = typed_column_props(catalog, t, c) {
+                out.record(t, c, p, Some(ty));
             }
         }
     }
@@ -285,9 +301,18 @@ pub fn bound_column_facts(prog: &Program, catalog: &Catalog) -> ColumnFacts {
 /// The [`column_facts`] entry of one column, read live from the catalog;
 /// `None` when the catalog has no such column.
 pub fn column_props(catalog: &Catalog, table: &str, column: &str) -> Option<Props> {
+    typed_column_props(catalog, table, column).map(|(props, _)| props)
+}
+
+fn typed_column_props(
+    catalog: &Catalog,
+    table: &str,
+    column: &str,
+) -> Option<(Props, LogicalType)> {
     let t = catalog.table(table).ok()?;
     let i = t.schema.column_index(column)?;
-    Some(props_of(t.column(i), t.schema.columns[i].ty, false))
+    let ty = t.schema.columns[i].ty;
+    Some((props_of(t.column(i), ty, false), ty))
 }
 
 fn facts_impl(catalog: &Catalog, zonemaps: bool) -> ColumnFacts {
@@ -295,7 +320,8 @@ fn facts_impl(catalog: &Catalog, zonemaps: bool) -> ColumnFacts {
     for name in catalog.table_names() {
         let Ok(t) = catalog.table(name) else { continue };
         for (i, cdef) in t.schema.columns.iter().enumerate() {
-            out.insert(name, &cdef.name, props_of(t.column(i), cdef.ty, zonemaps));
+            let props = props_of(t.column(i), cdef.ty, zonemaps);
+            out.record(name, &cdef.name, props, Some(cdef.ty));
         }
     }
     out
@@ -424,18 +450,10 @@ impl Analyzer<'_> {
     fn transfer(&mut self, idx: usize, instr: &Instr) -> Result<(), PropsError> {
         match &instr.op {
             OpCode::Bind => self.t_bind(instr),
-            OpCode::ThetaSelect(op) => {
-                let f = self.t_select(
-                    instr,
-                    select_verdict_theta(self.bat_arg(instr, 0), instr, *op),
-                );
-                self.set_bat(instr, 0, f);
-            }
-            OpCode::RangeSelect { lo_incl, hi_incl } => {
-                let f = self.t_select(
-                    instr,
-                    select_verdict_range(self.bat_arg(instr, 0), instr, *lo_incl, *hi_incl),
-                );
+            OpCode::ThetaSelect(_) | OpCode::RangeSelect { .. } => {
+                let bounds = instr.select_args().map_or(&[][..], |s| s.bounds);
+                let verdict = select_verdict(self.bat_arg(instr, 0), &instr.op, bounds);
+                let f = self.t_select(instr, verdict);
                 self.set_bat(instr, 0, f);
             }
             OpCode::Projection => self.t_projection(instr),
@@ -457,6 +475,7 @@ impl Analyzer<'_> {
             OpCode::Pack => self.t_pack(instr),
             OpCode::Mirror => self.t_mirror(instr),
             OpCode::SetProps => self.t_set_props(idx, instr)?,
+            OpCode::Pipeline(spec) => self.t_pipeline(instr, spec),
             OpCode::Result | OpCode::Free => {}
         }
         Ok(())
@@ -597,43 +616,57 @@ impl Analyzer<'_> {
     /// `count` rows are non-nil and bounded by the input's cardinality;
     /// `min`/`max`/`avg` values stay inside the input's interval.
     fn t_aggr_grouped(&mut self, instr: &Instr, kind: AggKind) {
-        let vals = self.bat_arg(instr, 0);
-        let ext = self.bat_arg(instr, 2);
-        let mut p = Props::top();
-        p.card_lo = ext.props.card_lo;
-        p.card_hi = ext.props.card_hi;
-        match kind {
-            AggKind::Count => {
-                p.nonil = true;
-                p.min = Some(Value::I64(0));
-                p.max = vals
-                    .props
-                    .card_hi
-                    .and_then(|n| i64::try_from(n).ok())
-                    .map(Value::I64);
-            }
-            AggKind::Min | AggKind::Max => {
-                p.min = vals.props.min.clone();
-                p.max = vals.props.max.clone();
-            }
-            AggKind::Avg => {
-                // averages of values in [min, max] stay in [min, max]
-                p.min = vals
-                    .props
-                    .min
-                    .as_ref()
-                    .and_then(|v| v.as_f64())
-                    .map(Value::F64);
-                p.max = vals
-                    .props
-                    .max
-                    .as_ref()
-                    .and_then(|v| v.as_f64())
-                    .map(Value::F64);
-            }
-            AggKind::Sum => {}
-        }
+        let vals = &self.bat_arg(instr, 0).props;
+        let ext = &self.bat_arg(instr, 2).props;
+        let p = grouped_agg_props(kind, vals, vals.card_hi, (ext.card_lo, ext.card_hi));
         self.set_bat(instr, 0, BatFacts::dense0(p));
+    }
+
+    /// `vector.pipeline` binds what the chain it fused would have: scalars
+    /// for a global sink; for a grouped one, a row per group of the rows
+    /// its filters keep — the key's values out of the key column, counts
+    /// and aggregates as `aggr.sub*` bounds them.
+    fn t_pipeline(&mut self, instr: &Instr, spec: &PipelineSpec) {
+        let Some(key) = spec.group else {
+            for k in 0..spec.outs.len() {
+                self.set(instr, k, VarFacts::Scalar);
+            }
+            return;
+        };
+        // rows surviving the filters: the first scans its whole column,
+        // each verdict then keeps all, none, or an unknown share
+        let driver = &self.bat_arg(instr, spec.filters[0].col).props;
+        let mut kept = (driver.card_lo, driver.card_hi);
+        for (f, bounds) in spec.filters_with_bounds(&instr.args).into_iter().flatten() {
+            match select_verdict(self.bat_arg(instr, f.col), &f.select_op(), bounds) {
+                SelectVerdict::All => {}
+                SelectVerdict::None => kept = (0, Some(0)),
+                SelectVerdict::Unknown => kept.0 = 0,
+            }
+        }
+        // one group per distinct key among them: at least one if any row
+        let groups = (kept.0.min(1), kept.1);
+        for (k, out) in spec.outs.iter().enumerate() {
+            let p = match *out {
+                PipelineOut::Key => {
+                    let key = &self.bat_arg(instr, key).props;
+                    let mut p = Props::top();
+                    (p.card_lo, p.card_hi) = groups;
+                    (p.min, p.max, p.nonil) = (key.min.clone(), key.max.clone(), key.nonil);
+                    p
+                }
+                PipelineOut::Count => {
+                    let mut p = grouped_agg_props(AggKind::Count, &Props::top(), kept.1, groups);
+                    // a group exists because a row fell into it
+                    p.min = Some(Value::I64(1));
+                    p
+                }
+                PipelineOut::Agg(kind, c) => {
+                    grouped_agg_props(kind, &self.bat_arg(instr, c).props, kept.1, groups)
+                }
+            };
+            self.set_bat(instr, k, BatFacts::dense0(p));
+        }
     }
 
     /// `batcalc` is element-wise, so cardinality carries over exactly.
@@ -984,6 +1017,38 @@ impl Analyzer<'_> {
     }
 }
 
+/// What `aggr.sub<kind>` yields over `rows_hi` (at most) values drawn from
+/// a BAT with facts `vals`, one row per group: `count` rows are non-nil and
+/// bounded by the number of values; `min`/`max`/`avg` stay inside the
+/// values' interval.
+fn grouped_agg_props(
+    kind: AggKind,
+    vals: &Props,
+    rows_hi: Option<u64>,
+    groups: (u64, Option<u64>),
+) -> Props {
+    let mut p = Props::top();
+    (p.card_lo, p.card_hi) = groups;
+    match kind {
+        AggKind::Count => {
+            p.nonil = true;
+            p.min = Some(Value::I64(0));
+            p.max = rows_hi.and_then(|n| i64::try_from(n).ok()).map(Value::I64);
+        }
+        AggKind::Min | AggKind::Max => {
+            p.min = vals.min.clone();
+            p.max = vals.max.clone();
+        }
+        AggKind::Avg => {
+            // averages of values in [min, max] stay in [min, max]
+            p.min = vals.min.as_ref().and_then(|v| v.as_f64()).map(Value::F64);
+            p.max = vals.max.as_ref().and_then(|v| v.as_f64()).map(Value::F64);
+        }
+        AggKind::Sum => {}
+    }
+    p
+}
+
 /// Outputs of `group.new`/`group.refine`, first result: one group id per
 /// input row, ids in `[0, n)`.
 fn group_ids_props(b: &BatFacts) -> Props {
@@ -1022,14 +1087,25 @@ pub enum SelectVerdict {
     Unknown,
 }
 
+/// Interval verdict for a selection opcode over its `bounds` (the
+/// selection's own, or a pipeline filter's); `Unknown` for any other
+/// opcode. Public so the optimizer passes prove their rewrites with the
+/// same logic the checker validates.
+pub fn select_verdict(b: &BatFacts, op: &OpCode, bounds: &[Arg]) -> SelectVerdict {
+    match op {
+        OpCode::ThetaSelect(op) => select_verdict_theta(b, bounds, *op),
+        OpCode::RangeSelect { lo_incl, hi_incl } => {
+            select_verdict_range(b, bounds, *lo_incl, *hi_incl)
+        }
+        _ => SelectVerdict::Unknown,
+    }
+}
+
 /// Interval verdict for `algebra.thetaselect[op](b, [cand,] c)`: what the
 /// predicate keeps of the rows it tests, judged on `b`'s value interval
 /// (a candidate list only narrows the rows, never widens the interval).
-/// Public so the
-/// optimizer passes prove their rewrites with the same logic the checker
-/// validates.
-pub fn select_verdict_theta(b: &BatFacts, instr: &Instr, op: CmpOp) -> SelectVerdict {
-    let Some([Arg::Const(c)]) = instr.select_args().map(|s| s.bounds) else {
+fn select_verdict_theta(b: &BatFacts, bounds: &[Arg], op: CmpOp) -> SelectVerdict {
+    let [Arg::Const(c)] = bounds else {
         return SelectVerdict::Unknown;
     };
     if c.is_null() {
@@ -1073,13 +1149,13 @@ pub fn select_verdict_theta(b: &BatFacts, instr: &Instr, op: CmpOp) -> SelectVer
 }
 
 /// Interval verdict for `algebra.select(b, [cand,] lo, hi, li, hi_incl)`.
-pub fn select_verdict_range(
+fn select_verdict_range(
     b: &BatFacts,
-    instr: &Instr,
+    bounds: &[Arg],
     lo_incl: bool,
     hi_incl: bool,
 ) -> SelectVerdict {
-    let Some([Arg::Const(lo), Arg::Const(hi)]) = instr.select_args().map(|s| s.bounds) else {
+    let [Arg::Const(lo), Arg::Const(hi)] = bounds else {
         return SelectVerdict::Unknown;
     };
     let (bmin, bmax) = (&b.props.min, &b.props.max);

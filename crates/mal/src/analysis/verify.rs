@@ -21,7 +21,7 @@
 //! Errors carry the instruction index and opcode name, so a broken
 //! optimizer pass is caught at the pass boundary with an exact location.
 
-use crate::program::{Arg, Instr, OpCode, Program, VarId};
+use crate::program::{Arg, BaseRows, Instr, OpCode, PipelineOut, PipelineSpec, Program, VarId};
 use mammoth_algebra::AggKind;
 use mammoth_storage::Catalog;
 use mammoth_types::{LogicalType, Value};
@@ -78,6 +78,9 @@ pub enum VerifyErrorKind {
     VarArgExpected { arg: usize },
     /// Statically known operand types contradict the opcode's typing rule.
     TypeMismatch { arg: usize, detail: String },
+    /// A `vector.pipeline` column that is not row-aligned with the column
+    /// its first filter scans.
+    Unaligned { arg: usize, detail: String },
     /// `sql.bind` names a table the catalog does not have.
     NoSuchTable { table: String },
     /// `sql.bind` names a column the catalog does not have.
@@ -135,7 +138,8 @@ impl fmt::Display for VerifyError {
             VerifyErrorKind::VarArgExpected { arg } => {
                 write!(f, "argument {arg}: must be a variable")
             }
-            VerifyErrorKind::TypeMismatch { arg, detail } => {
+            VerifyErrorKind::TypeMismatch { arg, detail }
+            | VerifyErrorKind::Unaligned { arg, detail } => {
                 write!(f, "argument {arg}: {detail}")
             }
             VerifyErrorKind::NoSuchTable { table } => {
@@ -217,26 +221,38 @@ pub fn lint(prog: &Program) -> Vec<Lint> {
 #[derive(Debug, Clone, Copy)]
 enum VarState {
     Undefined,
-    Defined { at: usize, ty: VarTy },
-    Freed { at: usize },
+    Defined {
+        at: usize,
+        ty: VarTy,
+        /// The base rows the variable holds, when it is a bound column or
+        /// a mitosis fragment of one.
+        base: Option<BaseRows>,
+    },
+    Freed {
+        at: usize,
+    },
 }
 
 struct Verifier<'a> {
     catalog: Option<&'a Catalog>,
 }
 
-/// The inferred types of an instruction's results; no opcode binds more
-/// than two.
-type ResultTys = [Option<VarTy>; 2];
+/// The inferred types of an instruction's results. No opcode but the
+/// pipeline binds more than two; a (checked) pipeline's are worked out one
+/// at a time by [`Verifier::pipeline_result`].
+enum ResultTys {
+    Few([Option<VarTy>; 2]),
+    Pipeline,
+}
 
-const NO_RESULT: ResultTys = [None, None];
+const NO_RESULT: ResultTys = ResultTys::Few([None, None]);
 
 fn one(ty: VarTy) -> ResultTys {
-    [Some(ty), None]
+    ResultTys::Few([Some(ty), None])
 }
 
 fn two(a: VarTy, b: VarTy) -> ResultTys {
-    [Some(a), Some(b)]
+    ResultTys::Few([Some(a), Some(b)])
 }
 
 impl Verifier<'_> {
@@ -260,15 +276,28 @@ impl Verifier<'_> {
                 }));
             }
 
-            let result_tys = self.check_instr(idx, instr, &state)?;
+            let result_tys = match &instr.op {
+                OpCode::Pipeline(spec) => self.check_pipeline(idx, &prog.instrs, spec, &state)?,
+                _ => self.check_instr(idx, instr, &state)?,
+            };
+            let base = BaseRows::of(idx, instr, |v| match state.get(v) {
+                Some(VarState::Defined { base, .. }) => *base,
+                _ => None,
+            });
 
             if instr.op == OpCode::Free {
                 if let Some(Arg::Var(v)) = instr.args.first() {
                     state[*v] = VarState::Freed { at: idx };
                 }
             }
-            debug_assert_eq!(result_tys.iter().flatten().count(), instr.results.len());
-            for (&rv, &ty) in instr.results.iter().zip(result_tys.iter().flatten()) {
+            for (k, &rv) in instr.results.iter().enumerate() {
+                let ty = match (&result_tys, &instr.op) {
+                    (ResultTys::Pipeline, OpCode::Pipeline(spec)) => {
+                        self.pipeline_result(idx, instr, spec, k, &state)?
+                    }
+                    (ResultTys::Few(tys), _) => tys[k].expect("one type per declared result"),
+                    (ResultTys::Pipeline, _) => unreachable!("only a pipeline's check yields it"),
+                };
                 match state.get(rv) {
                     None => return Err(err(VerifyErrorKind::UnknownVar { var: rv })),
                     Some(VarState::Defined { at, .. }) => {
@@ -285,7 +314,9 @@ impl Verifier<'_> {
                             first_def: *at,
                         }))
                     }
-                    Some(VarState::Undefined) => state[rv] = VarState::Defined { at: idx, ty },
+                    Some(VarState::Undefined) => {
+                        state[rv] = VarState::Defined { at: idx, ty, base }
+                    }
                 }
             }
             if instr.op == OpCode::Result {
@@ -424,7 +455,11 @@ impl Verifier<'_> {
             | OpCode::Count
             | OpCode::Mirror => 1,
             OpCode::SetProps => 2,
-            OpCode::Result | OpCode::Free | OpCode::Pack | OpCode::PackSum => {
+            OpCode::Result
+            | OpCode::Free
+            | OpCode::Pack
+            | OpCode::PackSum
+            | OpCode::Pipeline(_) => {
                 unreachable!("handled above")
             }
         };
@@ -516,12 +551,12 @@ impl Verifier<'_> {
             }
             OpCode::Aggr(kind) => {
                 let t = self.bat_arg(idx, instr, 0, state)?;
-                self.aggregable(idx, instr, *kind, t)?;
+                self.aggregable(idx, instr, 0, *kind, t)?;
                 Ok(one(VarTy::Scalar(agg_result_ty(*kind, t))))
             }
             OpCode::AggrGrouped(kind) => {
                 let t = self.bat_arg(idx, instr, 0, state)?;
-                self.aggregable(idx, instr, *kind, t)?;
+                self.aggregable(idx, instr, 0, *kind, t)?;
                 self.candidate_arg(idx, instr, 1, state)?;
                 self.candidate_arg(idx, instr, 2, state)?;
                 Ok(one(VarTy::Bat(agg_result_ty(*kind, t))))
@@ -627,10 +662,124 @@ impl Verifier<'_> {
                 }
                 Ok(one(VarTy::Bat(t)))
             }
-            OpCode::Result | OpCode::Free | OpCode::Pack | OpCode::PackSum => {
+            OpCode::Result
+            | OpCode::Free
+            | OpCode::Pack
+            | OpCode::PackSum
+            | OpCode::Pipeline(_) => {
                 unreachable!("handled above")
             }
         }
+    }
+
+    /// `vector.pipeline`: the arity its shape fixes; fixed-width column
+    /// BATs, all row-aligned with the column the first filter scans; bound
+    /// scalars comparable with their filter's column; aggregable inputs;
+    /// and the result types the unfused `aggr.*` / `aggr.sub*` /
+    /// `algebra.projection` instructions would have bound.
+    fn check_pipeline(
+        &self,
+        idx: usize,
+        instrs: &[Instr],
+        spec: &PipelineSpec,
+        state: &[VarState],
+    ) -> Result<ResultTys, VerifyError> {
+        let instr = &instrs[idx];
+        let err = |kind| VerifyError {
+            instr: Some(idx),
+            op: Some(instr.op.name()),
+            kind,
+        };
+        let shape = |detail: &str| {
+            err(VerifyErrorKind::TypeMismatch {
+                arg: 0,
+                detail: detail.into(),
+            })
+        };
+        if spec.filters.is_empty() || spec.outs.is_empty() {
+            return Err(shape("a pipeline needs a filter and a result"));
+        }
+        if spec.group.is_none() && spec.outs.contains(&PipelineOut::Key) {
+            return Err(shape("a key result needs a grouped sink"));
+        }
+        if instr.args.len() != spec.nargs() {
+            return Err(err(VerifyErrorKind::BadArgCount {
+                expected: spec.nargs(),
+                got: instr.args.len(),
+            }));
+        }
+
+        let ncols = spec.ncols();
+        let driver = spec.filters[0].col;
+        let base_of = |k: usize| match &instr.args[k] {
+            Arg::Var(v) => match state.get(*v) {
+                Some(VarState::Defined { base, .. }) => *base,
+                _ => None,
+            },
+            _ => None,
+        };
+        for k in 0..ncols {
+            let t = self.bat_arg(idx, instr, k, state)?;
+            if t == Some(LogicalType::Str) {
+                return Err(err(VerifyErrorKind::TypeMismatch {
+                    arg: k,
+                    detail: "expected a fixed-width column, found str".into(),
+                }));
+            }
+            let detail = match (base_of(k), base_of(driver)) {
+                (Some(col), Some(scanned)) if col.covers(&scanned, instrs) => continue,
+                (Some(col), Some(scanned)) => format!(
+                    "rows of {} do not cover the rows of {} the first filter scans",
+                    col.describe(instrs),
+                    scanned.describe(instrs)
+                ),
+                _ => "expected a bound base column (sql.bind, or an algebra.slice of one)".into(),
+            };
+            return Err(err(VerifyErrorKind::Unaligned { arg: k, detail }));
+        }
+        let bounds = spec
+            .filters_with_bounds(&instr.args)
+            .expect("the argument count was checked above");
+        let mut k = ncols;
+        for (filter, bounds) in bounds {
+            let col = self.bat_arg(idx, instr, filter.col, state)?;
+            for _ in bounds {
+                let c = self.scalar_arg(idx, instr, k, state)?;
+                self.comparable(idx, instr, k, col, c)?;
+                k += 1;
+            }
+        }
+        for out in &spec.outs {
+            if let PipelineOut::Agg(kind, c) = *out {
+                let t = self.bat_arg(idx, instr, c, state)?;
+                self.aggregable(idx, instr, c, kind, t)?;
+            }
+        }
+        Ok(ResultTys::Pipeline)
+    }
+
+    /// The type of result `k` of a pipeline [`Verifier::check_pipeline`]
+    /// accepted.
+    fn pipeline_result(
+        &self,
+        idx: usize,
+        instr: &Instr,
+        spec: &PipelineSpec,
+        k: usize,
+        state: &[VarState],
+    ) -> Result<VarTy, VerifyError> {
+        let value = |t| match spec.group {
+            None => VarTy::Scalar(t),
+            Some(_) => VarTy::Bat(t),
+        };
+        Ok(match (spec.outs[k], spec.group) {
+            (PipelineOut::Key, Some(key)) => VarTy::Bat(self.bat_arg(idx, instr, key, state)?),
+            (PipelineOut::Key, None) => unreachable!("a key without a group was rejected"),
+            (PipelineOut::Count, _) => value(Some(LogicalType::I64)),
+            (PipelineOut::Agg(kind, c), _) => {
+                value(agg_result_ty(kind, self.bat_arg(idx, instr, c, state)?))
+            }
+        })
     }
 
     /// Resolve an argument to the verifier's view of its type.
@@ -802,13 +951,14 @@ impl Verifier<'_> {
         &self,
         idx: usize,
         instr: &Instr,
+        argno: usize,
         kind: AggKind,
         t: Option<LogicalType>,
     ) -> Result<(), VerifyError> {
         if kind == AggKind::Count {
             return Ok(());
         }
-        self.numeric(idx, instr, 0, t)
+        self.numeric(idx, instr, argno, t)
     }
 
     fn numeric(
@@ -1123,6 +1273,116 @@ mod tests {
         assert!(text.contains("instr 0"), "{text}");
         assert!(text.contains("aggr.count"), "{text}");
         assert!(text.contains("x0"), "{text}");
+    }
+
+    /// The pipeline instruction's signature: the arity its shape fixes,
+    /// column BATs of fixed width, bounds comparable with their filter's
+    /// column, numeric aggregates, a key only under a group, and every
+    /// column the same rows of one table as the first filter scans.
+    #[test]
+    fn checks_the_pipeline_signature() {
+        use crate::parser::parse_program;
+        let binds =
+            "age := sql.bind(\"people\", \"age\");\nname := sql.bind(\"people\", \"name\");\n";
+        let check = |body: &str| {
+            let p =
+                parse_program(&format!("{binds}{body}")).unwrap_or_else(|e| panic!("{body}: {e}"));
+            verify_with_catalog(&p, &catalog())
+        };
+        check("(n, s) := vector.pipeline[<@0; count, sum@0](age, 1950);\nio.result(n, s);")
+            .unwrap();
+        check(
+            "(k, n) := vector.pipeline[>=<@0; group@0: key, count](age, 1900, nil);\nio.result(k, n);",
+        )
+        .unwrap();
+        // results type as the chain's would: a grouped sum of i32 is an i64
+        // BAT, so a string comparison against it is refused downstream
+        let e = check(
+            "(k, s) := vector.pipeline[<@0; group@0: key, sum@0](age, 1950);
+             c := algebra.thetaselect[==](s, \"x\");\nio.result(c);",
+        )
+        .unwrap_err();
+        assert_eq!(e.instr, Some(3));
+
+        let kind_of = |body: &str| check(body).unwrap_err().kind;
+        type Expect = fn(&VerifyErrorKind) -> bool;
+        let cases: [(&str, Expect); 8] = [
+            // a bound short, a bound too many
+            ("n := vector.pipeline[>=<@0; count](age, 1900);", |k| {
+                matches!(
+                    k,
+                    VerifyErrorKind::BadArgCount {
+                        expected: 3,
+                        got: 2
+                    }
+                )
+            }),
+            ("n := vector.pipeline[<@0; count](age, 1900, 1950);", |k| {
+                matches!(
+                    k,
+                    VerifyErrorKind::BadArgCount {
+                        expected: 2,
+                        got: 3
+                    }
+                )
+            }),
+            // a scalar where a column goes, a BAT where a bound goes
+            (
+                "m := aggr.max(age);\nn := vector.pipeline[<@0; count](m, 5);",
+                |k| matches!(k, VerifyErrorKind::KindMismatch { arg: 0, .. }),
+            ),
+            ("n := vector.pipeline[<@0; count](age, age);", |k| {
+                matches!(k, VerifyErrorKind::KindMismatch { arg: 1, .. })
+            }),
+            // a string column; a string bound on an integer column
+            (
+                "n := vector.pipeline[<@0; count_nonnil@1](age, name, 5);",
+                |k| matches!(k, VerifyErrorKind::TypeMismatch { arg: 1, .. }),
+            ),
+            ("n := vector.pipeline[<@0; count](age, \"x\");", |k| {
+                matches!(k, VerifyErrorKind::TypeMismatch { arg: 1, .. })
+            }),
+            // a key without a grouping
+            ("k := vector.pipeline[<@0; key](age, 5);", |k| {
+                matches!(k, VerifyErrorKind::TypeMismatch { .. })
+            }),
+            // a column that is not a base column at all
+            (
+                "m := bat.mirror(age);\nn := vector.pipeline[<@0; sum@1](age, m, 5);",
+                |k| matches!(k, VerifyErrorKind::Unaligned { arg: 1, .. }),
+            ),
+        ];
+        for (body, expected) in cases {
+            let kind = kind_of(&format!("{body}\nio.result(age);"));
+            assert!(expected(&kind), "{body}: {kind:?}");
+        }
+
+        // alignment needs no catalog: the binds name their tables, the
+        // slices their fragments
+        let unaligned = |body: &str| {
+            let src = format!(
+                "a := sql.bind(\"t\", \"a\");\nb := sql.bind(\"t\", \"b\");\n{body}\nio.result(n);"
+            );
+            verify(&parse_program(&src).unwrap()).map_err(|e| e.kind)
+        };
+        let frags = "a0 := algebra.slice(a, 0, 2);\nb0 := algebra.slice(b, 0, 2);\nb1 := algebra.slice(b, 1, 2);\n";
+        unaligned(&format!(
+            "{frags}n := vector.pipeline[<@0, <@1; sum@2](a0, b0, b, 5, 6);"
+        ))
+        .unwrap();
+        for body in [
+            // another fragment; the whole column, when a fragment is scanned second
+            format!("{frags}n := vector.pipeline[<@0; sum@1](a0, b1, 5);"),
+            format!("{frags}n := vector.pipeline[<@0, <@1; count](a, b0, 5, 6);"),
+            // another table
+            "w := sql.bind(\"u\", \"w\");\nn := vector.pipeline[<@0; sum@1](a, w, 5);".to_string(),
+        ] {
+            let kind = unaligned(&body).unwrap_err();
+            assert!(
+                matches!(kind, VerifyErrorKind::Unaligned { arg: 1, .. }),
+                "{body}: {kind:?}"
+            );
+        }
     }
 
     #[test]

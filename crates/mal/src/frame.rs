@@ -265,7 +265,17 @@ impl<'a> StepCtx<'a> {
             }
         }
         let event = self.profiled.then(|| {
-            let (rows_out, bytes_out) = rows_bytes(&results);
+            let (mut rows_in, (mut rows_out, bytes_out)) =
+                (rows_bytes(args).0, rows_bytes(&results));
+            // a pipeline's columns are one table's rows, not a table each,
+            // and its results are one sink's (a global sink has one row)
+            if let OpCode::Pipeline(spec) = &instr.op {
+                let rows = |v: Option<&MalValue>| {
+                    v.and_then(MalValue::as_bat).map_or(0, |b| b.len() as u64)
+                };
+                rows_in = rows(spec.filters.first().and_then(|f| args.get(f.col)));
+                rows_out = rows(results.first()).max(1);
+            }
             TraceEvent {
                 instr: idx as i64,
                 op: instr.op.name(),
@@ -273,7 +283,7 @@ impl<'a> StepCtx<'a> {
                 worker,
                 start_ns: start.duration_since(self.t0).as_nanos() as u64,
                 dur_ns: cost_ns,
-                rows_in: rows_bytes(args).0,
+                rows_in,
                 rows_out,
                 bytes_out,
                 recycled,

@@ -16,11 +16,14 @@
 //! the BAT Algebra.
 
 use crate::frame::{ExecStats, Frame, StepCtx};
-use crate::program::{Arg, Instr, MalValue, OpCode, Program};
+use crate::program::{
+    Arg, FilterTest, Instr, MalValue, OpCode, PipelineOut, PipelineSpec, Program,
+};
 use mammoth_algebra as alg;
 use mammoth_recycler::Recycler;
-use mammoth_storage::{Bat, Catalog, TailHeap};
+use mammoth_storage::{Bat, Catalog, HeadColumn, TailHeap};
 use mammoth_types::{Error, Oid, ProfiledRun, Result, TraceEvent, Value};
+use mammoth_vectorized as vx;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -162,6 +165,11 @@ fn instr_sig(instr: &Instr, sigs: &[Option<String>]) -> Option<String> {
         return None;
     }
     let mut s = instr.op.name();
+    // the one opcode whose name leaves part of it out: `a <= x < b` and
+    // `a <= x <= b` are different computations
+    if let OpCode::RangeSelect { lo_incl, hi_incl } = instr.op {
+        s.push_str(&format!("[{lo_incl},{hi_incl}]"));
+    }
     s.push('(');
     for (k, a) in instr.args.iter().enumerate() {
         if k > 0 {
@@ -426,7 +434,83 @@ pub fn execute_instr(catalog: &Catalog, instr: &Instr, args: &[MalValue]) -> Res
                 vec![bat(nb)]
             }
         }
+        OpCode::Pipeline(spec) => run_pipeline(spec, args)?,
         OpCode::Result | OpCode::Free => unreachable!("handled by the scheduler"),
+    })
+}
+
+/// `vector.pipeline`: borrow the column tails where they lie, bind the
+/// filter constants, and hand the lot to the vectorized driver. The first
+/// filter scans its whole column; every other column is read at the same
+/// oids, so a mitosis fragment pairs with the whole columns it is fetched
+/// against.
+fn run_pipeline(spec: &PipelineSpec, args: &[MalValue]) -> Result<Vec<MalValue>> {
+    let columns: Vec<Arc<Bat>> = (0..spec.ncols())
+        .map(|k| instr_bat(args, k))
+        .collect::<Result<_>>()?;
+    let rows_of = |b: &Bat| match b.head() {
+        HeadColumn::Void { seqbase } => Ok(*seqbase..*seqbase + b.len() as Oid),
+        HeadColumn::Oids(_) => Err(Error::Internal(
+            "vector.pipeline reads void-headed base columns".into(),
+        )),
+    };
+    let scanned = match spec.filters.first() {
+        Some(first) => rows_of(&columns[first.col])?,
+        None => return Err(Error::Internal("vector.pipeline without a filter".into())),
+    };
+    let vectors = columns.iter().map(|b| {
+        let column = vx::Column::of(b)?;
+        let skip = scanned.start.checked_sub(rows_of(b)?.start);
+        let rows = (scanned.end - scanned.start) as usize;
+        skip.and_then(|skip| column.slice(skip as usize, rows))
+            .ok_or(Error::OutOfRange {
+                index: scanned.end.max(1) - 1,
+                len: b.len() as u64,
+            })
+    });
+    let vectors = vx::ColumnSet::new(vectors.collect::<Result<_>>()?)?;
+
+    let filters = spec
+        .filters_with_bounds(args)
+        .ok_or_else(|| Error::Internal("vector.pipeline is missing filter bounds".into()))?;
+    let stages = filters.map(|(f, bounds)| {
+        let pred = match f.test {
+            FilterTest::Theta(op) => vx::Filter::Theta(op, instr_const(bounds, 0)?),
+            FilterTest::Range { lo_incl, hi_incl } => {
+                // a nil bound is open
+                let open = |k| instr_const(bounds, k).map(|v| (!v.is_null()).then_some(v));
+                vx::Filter::Range {
+                    lo: open(0)?,
+                    hi: open(1)?,
+                    lo_incl,
+                    hi_incl,
+                }
+            }
+        };
+        Ok(vx::Stage::Filter {
+            col: vx::ColRef::Source(f.col),
+            pred,
+        })
+    });
+    let outs = spec.outs.iter().map(|o| match *o {
+        PipelineOut::Key => vx::Out::Key,
+        PipelineOut::Count => vx::Out::Count,
+        PipelineOut::Agg(kind, c) => vx::Out::Agg(kind, vx::ColRef::Source(c)),
+    });
+    let pipeline = vx::Pipeline {
+        stages: stages.collect::<Result<_>>()?,
+        sink: vx::Sink {
+            group_by: spec.group.map(vx::ColRef::Source),
+            outs: outs.collect(),
+        },
+        computed_slots: 0,
+    };
+    Ok(match pipeline.run(&vectors, vx::VECTOR_SIZE)? {
+        vx::Output::Scalars(values) => values.into_iter().map(MalValue::Scalar).collect(),
+        vx::Output::Columns(heaps) => heaps
+            .into_iter()
+            .map(|h| MalValue::Bat(Arc::new(Bat::dense(0, h))))
+            .collect(),
     })
 }
 

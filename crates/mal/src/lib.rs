@@ -59,8 +59,11 @@ pub use mitosis::{
 };
 pub use optimizer::{
     default_pipeline, default_pipeline_with_props, CommonSubexpr, ConstantFold, DeadCode,
-    GarbageCollect, OptimizerPass, PassError, Pipeline, SelectElimination, SharedAnalysis,
-    SortedSelect,
+    FusePipeline, GarbageCollect, OptimizerPass, PassError, Pipeline, SelectElimination,
+    SharedAnalysis, SortedSelect,
 };
 pub use parser::parse_program;
-pub use program::{Arg, Instr, MalValue, OpCode, Program, SelectArgs, VarId};
+pub use program::{
+    Arg, FilterTest, Instr, MalValue, OpCode, PipelineFilter, PipelineOut, PipelineSpec, Program,
+    SelectArgs, VarId,
+};

@@ -42,7 +42,7 @@
 //! their output like any other module's.
 
 use crate::optimizer::{
-    CommonSubexpr, ConstantFold, DeadCode, GarbageCollect, OptimizerPass, Pipeline,
+    CommonSubexpr, ConstantFold, DeadCode, FusePipeline, GarbageCollect, OptimizerPass, Pipeline,
     SelectElimination, SortedSelect,
 };
 use crate::program::{Arg, Instr, OpCode, Program, VarId};
@@ -583,8 +583,10 @@ pub fn parallel_pipeline(pieces: usize, types: ColumnTypes) -> Pipeline {
 /// mergetable, because the per-fragment `algebra.slice` results inherit
 /// the base column's sortedness through the analysis's exact slice
 /// transfer function — so each fragment's select gets its own
-/// binary-search annotation. `facts` must describe the catalog the plan
-/// executes against.
+/// binary-search annotation. Pipeline fusion runs after both, so each
+/// fragment's chain fuses on its own `algebra.slice` and the per-fragment
+/// partials still meet in `mat.packsum`. `facts` must describe the catalog
+/// the plan executes against.
 pub fn parallel_pipeline_with_props(
     pieces: usize,
     types: ColumnTypes,
@@ -597,7 +599,8 @@ pub fn parallel_pipeline_with_props(
         .with(SelectElimination::new(facts.clone()))
         .with(Mitosis::new(pieces))
         .with(Mergetable::with_types(types))
-        .with(SortedSelect::new(facts))
+        .with(SortedSelect::new(facts.clone()))
+        .with(FusePipeline::new(facts))
         .with(DeadCode)
         .with(GarbageCollect)
         .checked()

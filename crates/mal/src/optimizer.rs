@@ -37,8 +37,11 @@ use std::sync::Arc;
 
 #[cfg(test)]
 mod differential;
+mod fuse;
 #[cfg(test)]
 mod oracle;
+
+pub use fuse::FusePipeline;
 
 /// An optimizer module. `Send + Sync` so a [`Pipeline`] (and the session
 /// holding it) can be shared across the network server's worker threads.
@@ -233,9 +236,11 @@ pub fn default_pipeline() -> Pipeline {
 /// tier: after folding and CSE, [`SelectElimination`] and [`SortedSelect`]
 /// rewrite selections using per-column statistics (`facts`, from
 /// [`analysis::column_facts`] or [`analysis::bound_column_facts`] over the
-/// catalog the plan will run against), then dead code is swept. The
-/// pipeline is [`Pipeline::checked`] because these passes rewrite based on
-/// facts external to the plan text.
+/// catalog the plan will run against); what selections are left at the head
+/// of a filter → fetch → aggregate chain [`FusePipeline`] then fuses into
+/// one vectorized instruction; then dead code is swept. The pipeline is
+/// [`Pipeline::checked`] because these passes rewrite based on facts
+/// external to the plan text.
 ///
 /// Invariant: `facts` must describe the catalog state the plan executes
 /// against — the passes' proofs are only as sound as their premises.
@@ -245,7 +250,8 @@ pub fn default_pipeline_with_props(facts: PropFacts) -> Pipeline {
         .with(ConstantFold)
         .with(CommonSubexpr)
         .with(SelectElimination::new(facts.clone()))
-        .with(SortedSelect::new(facts))
+        .with(SortedSelect::new(facts.clone()))
+        .with(FusePipeline::new(facts))
         .with(DeadCode)
         .checked()
 }
@@ -622,13 +628,7 @@ impl SelectElimination {
         if !consts_coerce(f, sel.bounds) {
             return SelectVerdict::Unknown;
         }
-        match &instr.op {
-            OpCode::ThetaSelect(op) => analysis::props::select_verdict_theta(f, instr, *op),
-            OpCode::RangeSelect { lo_incl, hi_incl } => {
-                analysis::props::select_verdict_range(f, instr, *lo_incl, *hi_incl)
-            }
-            _ => SelectVerdict::Unknown,
-        }
+        analysis::props::select_verdict(f, &instr.op, sel.bounds)
     }
 }
 

@@ -11,10 +11,13 @@
 //! io.result(out);
 //! ```
 
-use crate::program::{Arg, Instr, OpCode, Program};
+use crate::program::{
+    Arg, FilterTest, Instr, OpCode, PipelineFilter, PipelineOut, PipelineSpec, Program,
+};
 use mammoth_algebra::{AggKind, ArithOp, CmpOp};
 use mammoth_types::{Error, Result, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 struct Lexer<'a> {
     src: &'a [u8],
@@ -155,6 +158,23 @@ impl<'a> Lexer<'a> {
         self.pos = save;
         t
     }
+
+    /// The raw text up to the `]` closing a bracket suffix, trimmed; the
+    /// opening `[` has been read.
+    fn bracket_text(&mut self) -> Result<String> {
+        let start = self.pos;
+        let len = self.src[start..].iter().position(|&c| c == b']');
+        let Some(len) = len else {
+            return Err(self.err("unterminated '['"));
+        };
+        self.pos = start + len + 1;
+        let text = std::str::from_utf8(&self.src[start..start + len])
+            .map_err(|_| self.err("invalid utf8"))?;
+        match text.trim() {
+            "" => Err(self.err("expected operator")),
+            text => Ok(text.to_string()),
+        }
+    }
 }
 
 fn cmp_from(s: &str) -> Option<CmpOp> {
@@ -189,6 +209,60 @@ fn agg_from(s: &str) -> Option<AggKind> {
         "count_nonnil" => AggKind::Count,
         _ => return None,
     })
+}
+
+/// The `<op>@<column>` halves of one comma-separated pipeline item.
+fn at_column(item: &str) -> Option<(&str, usize)> {
+    let (name, col) = item.split_once('@')?;
+    Some((name.trim(), col.trim().parse().ok()?))
+}
+
+fn pipeline_filter_from(item: &str) -> Option<PipelineFilter> {
+    let (name, col) = at_column(item)?;
+    let test = match name {
+        ">=<=" | ">=<" | "><=" | "><" => FilterTest::Range {
+            lo_incl: name.starts_with(">="),
+            hi_incl: name.ends_with("<="),
+        },
+        op => FilterTest::Theta(cmp_from(op)?),
+    };
+    Some(PipelineFilter { col, test })
+}
+
+fn pipeline_out_from(item: &str) -> Option<PipelineOut> {
+    match item.trim() {
+        "key" => Some(PipelineOut::Key),
+        "count" => Some(PipelineOut::Count),
+        item => {
+            let (name, col) = at_column(item)?;
+            Some(PipelineOut::Agg(agg_from(name)?, col))
+        }
+    }
+}
+
+/// The bracket text of `vector.pipeline[…]` — what [`PipelineSpec`]
+/// displays as.
+fn pipeline_spec_from(text: &str) -> Option<PipelineSpec> {
+    let (filters, sink) = text.split_once(';')?;
+    let (group, outs) = match sink.split_once(':') {
+        None => (None, sink),
+        Some((group, outs)) => match at_column(group)? {
+            ("group", key) => (Some(key), outs),
+            _ => return None,
+        },
+    };
+    let spec = PipelineSpec {
+        filters: filters
+            .split(',')
+            .map(pipeline_filter_from)
+            .collect::<Option<_>>()?,
+        group,
+        outs: outs
+            .split(',')
+            .map(pipeline_out_from)
+            .collect::<Option<_>>()?,
+    };
+    Some(spec)
 }
 
 /// Parse the textual MAL form into a [`Program`].
@@ -286,18 +360,11 @@ fn parse_stmt(
         }
     }
 
-    // optional [op] suffix
+    // optional [op] suffix: an operator, `desc`, or a pipeline's shape
     let mut bracket_op: Option<String> = None;
     if lex.peek()? == Tok::Sym('[') {
         lex.next()?;
-        match lex.next()? {
-            Tok::Ident(op) => bracket_op = Some(op),
-            t => return Err(lex.err_at(format!("expected operator, got {t:?}"))),
-        }
-        match lex.next()? {
-            Tok::Sym(']') => {}
-            t => return Err(lex.err_at(format!("expected ']', got {t:?}"))),
-        }
+        bracket_op = Some(lex.bracket_text()?);
     }
 
     // argument list
@@ -381,6 +448,13 @@ fn parse_stmt(
         "aggr.count" => OpCode::Count,
         "io.result" => OpCode::Result,
         "language.pass" => OpCode::Free,
+        "vector.pipeline" => {
+            let spec = bracket_op
+                .as_deref()
+                .and_then(pipeline_spec_from)
+                .ok_or_else(|| lex.err_at("vector.pipeline needs [filters; outs]".to_string()))?;
+            OpCode::Pipeline(Arc::new(spec))
+        }
         name if name.starts_with("aggr.sub") => {
             let k = agg_from(&name["aggr.sub".len()..])
                 .ok_or_else(|| lex.err_at(format!("unknown aggregate {name}")))?;
@@ -543,6 +617,71 @@ mod tests {
         // parses back to the same program
         let p2 = parse_program(&p.to_string()).unwrap();
         assert_eq!(p.instrs, p2.instrs);
+    }
+
+    /// The pipeline instruction's shape lives in its brackets; the two
+    /// corpus plans that carry one print and parse back to themselves.
+    #[test]
+    fn pipeline_instructions_roundtrip() {
+        for file in ["pipeline_sum.mal", "pipeline_group.mal"] {
+            let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/plans/");
+            let p = parse_program(&std::fs::read_to_string(format!("{dir}{file}")).unwrap())
+                .unwrap_or_else(|e| panic!("{file}: {e}"));
+            crate::analysis::verify(&p).unwrap_or_else(|e| panic!("{file}: {e}"));
+            let text = p.to_string();
+            let p2 = parse_program(&text).unwrap_or_else(|e| panic!("{file} reparsed: {e}"));
+            assert_eq!(p.instrs, p2.instrs, "{file}");
+            assert_eq!(text, p2.to_string(), "{file}");
+        }
+        let p = parse_program(
+            "(k, n, m) := vector.pipeline[ ><=@1 , !=@0 ; group@2 : key, count, max@1 ](a, b, c, 1, 9, ?0);",
+        )
+        .unwrap();
+        let OpCode::Pipeline(spec) = &p.instrs[0].op else {
+            panic!("not a pipeline")
+        };
+        let range = FilterTest::Range {
+            lo_incl: false,
+            hi_incl: true,
+        };
+        assert_eq!(
+            spec.filters,
+            [
+                PipelineFilter {
+                    col: 1,
+                    test: range
+                },
+                PipelineFilter {
+                    col: 0,
+                    test: FilterTest::Theta(CmpOp::Ne)
+                }
+            ]
+        );
+        assert_eq!((spec.group, spec.ncols(), spec.nargs()), (Some(2), 3, 6));
+        assert_eq!(
+            spec.outs,
+            [
+                PipelineOut::Key,
+                PipelineOut::Count,
+                PipelineOut::Agg(AggKind::Max, 1)
+            ]
+        );
+        assert_eq!(
+            p.instrs[0].op.name(),
+            "vector.pipeline[><=@1, !=@0; group@2: key, count, max@1]"
+        );
+        assert_eq!(p.instrs[0].args[5], Arg::Param(0));
+        for bad in [
+            "x := vector.pipeline(a, 1);",                        // no shape
+            "x := vector.pipeline[<@0](a, 1);",                   // no sink
+            "x := vector.pipeline[<@0; total@0](a, 1);",          // unknown aggregate
+            "x := vector.pipeline[~@0; count](a, 1);",            // unknown comparison
+            "x := vector.pipeline[<@a; count](a, 1);",            // column is not a number
+            "x := vector.pipeline[<@0; rows@1: count](a, b, 1);", // not `group`
+            "x := vector.pipeline[<@0; count(a, 1);",             // unterminated
+        ] {
+            assert!(parse_program(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

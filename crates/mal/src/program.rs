@@ -109,6 +109,146 @@ pub enum OpCode {
     /// released and may not be referenced afterwards (MonetDB's
     /// garbage-collection hint, emitted by the `garbage_collect` pass).
     Free,
+    /// `(r1, …) := vector.pipeline[spec](col…, bound…)` — a fused select →
+    /// fetch → aggregate chain over aligned columns of one table, run a
+    /// vector at a time with no materialized intermediate (the
+    /// `fuse_pipeline` pass emits it; see [`PipelineSpec`]).
+    Pipeline(Arc<PipelineSpec>),
+}
+
+/// The shape of a `vector.pipeline` instruction: which of its column
+/// arguments each filter tests and each result aggregates. The filter
+/// *constants* are not part of the shape — they are ordinary trailing
+/// arguments, so a `?N` parameter binds like any other.
+///
+/// Arguments: `ncols()` column BATs (columns `0..ncols`), then each
+/// filter's bounds in filter order — one for a theta filter, `lo, hi` for a
+/// range. Results: one per entry of `outs`, scalars without `group`, BATs
+/// of one row per group (in first-appearance order) with it.
+///
+/// Text form, inside the brackets: `filter, … ; [group@K:] out, …` where a
+/// filter is `<op>@C` (`<`, `<=`, `==`, `!=`, `>`, `>=`, or a range spelled
+/// by its two comparisons — `>=<@0` is `lo <= col 0 < hi`) and an out is
+/// `count`, `key`, or `<aggregate>@C`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct PipelineSpec {
+    /// At least one; the first has no candidates and tests every row.
+    pub filters: Vec<PipelineFilter>,
+    /// The grouping key's column, for a grouped sink.
+    pub group: Option<usize>,
+    /// At least one.
+    pub outs: Vec<PipelineOut>,
+}
+
+/// One filter of a [`PipelineSpec`]: the column it tests and how.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PipelineFilter {
+    pub col: usize,
+    pub test: FilterTest,
+}
+
+/// A pipeline filter's predicate: that of the selection it stands for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FilterTest {
+    /// `algebra.thetaselect[op]`: one bound.
+    Theta(CmpOp),
+    /// `algebra.select`: `lo, hi`; a nil bound is open.
+    Range { lo_incl: bool, hi_incl: bool },
+}
+
+impl PipelineFilter {
+    /// Bound arguments the filter takes.
+    pub fn nbounds(&self) -> usize {
+        match self.test {
+            FilterTest::Theta(_) => 1,
+            FilterTest::Range { .. } => 2,
+        }
+    }
+
+    /// The selection opcode the filter stands for.
+    pub fn select_op(&self) -> OpCode {
+        match self.test {
+            FilterTest::Theta(op) => OpCode::ThetaSelect(op),
+            FilterTest::Range { lo_incl, hi_incl } => OpCode::RangeSelect { lo_incl, hi_incl },
+        }
+    }
+}
+
+/// One result of a [`PipelineSpec`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PipelineOut {
+    /// The key's value per group — `algebra.projection(ext, key)`.
+    Key,
+    /// Selected rows — `aggr.count(cands)`; per group,
+    /// `aggr.subcount_nonnil(gids, gids, ext)`.
+    Count,
+    /// `aggr.<kind>` / `aggr.sub<kind>` over a column's selected rows.
+    Agg(AggKind, usize),
+}
+
+impl PipelineSpec {
+    /// Leading column arguments: every column index in use is below this.
+    pub fn ncols(&self) -> usize {
+        let filters = self.filters.iter().map(|f| f.col);
+        let outs = self.outs.iter().filter_map(|o| match o {
+            PipelineOut::Agg(_, c) => Some(*c),
+            PipelineOut::Key | PipelineOut::Count => None,
+        });
+        filters
+            .chain(outs)
+            .chain(self.group)
+            .max()
+            .map_or(0, |c| c + 1)
+    }
+
+    /// Arguments in all: the columns, then every filter's bounds.
+    pub fn nargs(&self) -> usize {
+        self.ncols() + self.filters.iter().map(|f| f.nbounds()).sum::<usize>()
+    }
+
+    /// Each filter with its bound arguments out of `args`, the
+    /// instruction's argument list (`None` when that is too short).
+    pub fn filters_with_bounds<'a, A>(
+        &'a self,
+        args: &'a [A],
+    ) -> Option<impl Iterator<Item = (&'a PipelineFilter, &'a [A])>> {
+        let bounds = args.get(self.ncols()..self.nargs())?;
+        let mut at = 0;
+        Some(self.filters.iter().map(move |f| {
+            let b = &bounds[at..at + f.nbounds()];
+            at += f.nbounds();
+            (f, b)
+        }))
+    }
+}
+
+impl fmt::Display for PipelineSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (k, filter) in self.filters.iter().enumerate() {
+            let sep = if k > 0 { ", " } else { "" };
+            match filter.test {
+                FilterTest::Range { lo_incl, hi_incl } => {
+                    let lo = if lo_incl { ">=" } else { ">" };
+                    let hi = if hi_incl { "<=" } else { "<" };
+                    write!(f, "{sep}{lo}{hi}@{}", filter.col)?
+                }
+                FilterTest::Theta(op) => write!(f, "{sep}{}@{}", cmp_name(op), filter.col)?,
+            }
+        }
+        f.write_str("; ")?;
+        if let Some(key) = self.group {
+            write!(f, "group@{key}: ")?;
+        }
+        for (k, out) in self.outs.iter().enumerate() {
+            let sep = if k > 0 { ", " } else { "" };
+            match out {
+                PipelineOut::Key => write!(f, "{sep}key")?,
+                PipelineOut::Count => write!(f, "{sep}count")?,
+                PipelineOut::Agg(kind, c) => write!(f, "{sep}{}@{c}", agg_name(*kind))?,
+            }
+        }
+        Ok(())
+    }
 }
 
 impl OpCode {
@@ -121,6 +261,7 @@ impl OpCode {
             | OpCode::Sort { .. }
             | OpCode::FirstN { .. } => 2,
             OpCode::Result | OpCode::Free => 0,
+            OpCode::Pipeline(spec) => spec.outs.len(),
             _ => 1,
         }
     }
@@ -151,6 +292,7 @@ impl OpCode {
             OpCode::SetProps => "bat.setprops".into(),
             OpCode::Result => "io.result".into(),
             OpCode::Free => "language.pass".into(),
+            OpCode::Pipeline(spec) => format!("vector.pipeline[{spec}]"),
         }
     }
 
@@ -251,6 +393,73 @@ impl Instr {
             }
         }
         out
+    }
+}
+
+/// Which rows of which table a base-column variable holds — all of them,
+/// or one mitosis fragment — named by the instructions that say so: the
+/// `sql.bind`, and the `algebra.slice` that cut the fragment out of it.
+/// What the pipeline instruction's alignment rule is stated in: the
+/// verifier checks it, the `fuse_pipeline` pass decides by it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BaseRows {
+    pub(crate) bind: usize,
+    pub(crate) slice: Option<usize>,
+}
+
+impl BaseRows {
+    /// The base rows the (single) result of `instr`, at index `idx`, holds,
+    /// given what its first argument holds: a `sql.bind` holds its table's,
+    /// an `algebra.slice` of a whole column that fragment of them, nothing
+    /// else holds any.
+    pub(crate) fn of(
+        idx: usize,
+        instr: &Instr,
+        held: impl Fn(VarId) -> Option<BaseRows>,
+    ) -> Option<BaseRows> {
+        match (&instr.op, &instr.args[..]) {
+            (OpCode::Bind, [Arg::Const(Value::Str(_)), _]) => Some(BaseRows {
+                bind: idx,
+                slice: None,
+            }),
+            (OpCode::PartSlice, [Arg::Var(whole), Arg::Const(_), Arg::Const(_)]) => {
+                match held(*whole)? {
+                    BaseRows { bind, slice: None } => Some(BaseRows {
+                        bind,
+                        slice: Some(idx),
+                    }),
+                    _ => None,
+                }
+            }
+            _ => None,
+        }
+    }
+
+    fn table<'p>(&self, instrs: &'p [Instr]) -> Option<&'p str> {
+        match instrs[self.bind].args.first() {
+            Some(Arg::Const(Value::Str(t))) => Some(t),
+            _ => None,
+        }
+    }
+
+    /// Whether every row `scanned` holds is a row of `self`, at the same
+    /// oid: the same table's, and all of them or the same fragment.
+    pub(crate) fn covers(&self, scanned: &BaseRows, instrs: &[Instr]) -> bool {
+        let frag = |rows: &BaseRows| rows.slice.map(|s| &instrs[s].args[1..]);
+        let same_table = match (self.table(instrs), scanned.table(instrs)) {
+            (Some(a), Some(b)) => a.eq_ignore_ascii_case(b),
+            _ => false,
+        };
+        same_table && (self.slice.is_none() || frag(self) == frag(scanned))
+    }
+
+    /// `t`, or `fragment 1 of 2 of t`.
+    pub(crate) fn describe(&self, instrs: &[Instr]) -> String {
+        let table = self.table(instrs).unwrap_or("?");
+        match self.slice.map(|s| &instrs[s].args[..]) {
+            Some([_, Arg::Const(i), Arg::Const(k)]) => format!("fragment {i} of {k} of {table}"),
+            _ => table.to_string(),
+        }
     }
 }
 

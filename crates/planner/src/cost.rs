@@ -114,6 +114,12 @@ pub fn estimate_program(prog: &Program, stats: &StatsCatalog) -> Vec<InstrEstima
     };
 
     for instr in &prog.instrs {
+        if let OpCode::Pipeline(spec) = &instr.op {
+            let e = estimate_pipeline(instr, spec, stats, &rows, &origin);
+            rows.extend(instr.results.iter().map(|r| (*r, e.rows as f64)));
+            out.push(e);
+            continue;
+        }
         let in_rows: f64 = instr.args.iter().filter_map(|a| arg_rows(&rows, a)).sum();
         // a selection touches the rows it tests — its candidates, when it
         // has a list — not the column and the list both
@@ -260,6 +266,7 @@ pub fn estimate_program(prog: &Program, stats: &StatsCatalog) -> Vec<InstrEstima
                 base / k
             }
             OpCode::Pack => in_rows,
+            OpCode::Pipeline(_) => unreachable!("estimated above"),
             OpCode::Result | OpCode::Free => 0.0,
         };
         for r in &instr.results {
@@ -271,6 +278,45 @@ pub fn estimate_program(prog: &Program, stats: &StatsCatalog) -> Vec<InstrEstima
         });
     }
     out
+}
+
+/// A `vector.pipeline` costs what the chain it fused touches — the first
+/// filter tests every row of its column, each later one the rows the
+/// filters before it kept, and every result reads the survivors of its
+/// column — without the intermediates in between. Its rows are the sink's:
+/// one for a global sink, the key column's distinct values (at most the
+/// surviving rows) for a grouped one.
+fn estimate_pipeline(
+    instr: &mammoth_mal::Instr,
+    spec: &mammoth_mal::PipelineSpec,
+    stats: &StatsCatalog,
+    rows: &HashMap<VarId, f64>,
+    origin: &HashMap<VarId, (String, String)>,
+) -> InstrEstimate {
+    let column = |c: usize| match instr.args.get(c) {
+        Some(Arg::Var(v)) => Some(v),
+        _ => None,
+    };
+    let scanned = spec.filters.first().and_then(|f| column(f.col));
+    let mut kept = scanned.and_then(|v| rows.get(v)).copied().unwrap_or(1000.0);
+    let mut cost = 0.0;
+    for (f, bounds) in spec.filters_with_bounds(&instr.args).into_iter().flatten() {
+        cost += kept;
+        let col = column(f.col).and_then(|v| origin.get(v));
+        kept *= select_selectivity(stats, &f.select_op(), col, bounds);
+    }
+    cost += kept * spec.outs.len() as f64;
+    let sink_rows = match spec.group {
+        None => 1.0,
+        Some(key) => column(key)
+            .and_then(|v| origin.get(v))
+            .and_then(|(t, c)| stats.column(t, c))
+            .map_or(kept, |cs| (cs.ndv_clamped() as f64).min(kept.max(1.0))),
+    };
+    InstrEstimate {
+        rows: sink_rows.round().max(0.0) as u64,
+        cost: cost.round().max(0.0) as u64,
+    }
 }
 
 /// Estimated fraction of the tested rows a selection keeps. `column` is

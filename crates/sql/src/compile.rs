@@ -28,6 +28,9 @@ struct Compiler<'a> {
     right_table: Option<String>,
     /// Candidate BATs narrowing each side (None = all rows).
     cands: [Option<VarId>; 2],
+    /// The join's left result: one row per joined pair, whatever the
+    /// sides' candidates have since been routed through.
+    joined: Option<VarId>,
 }
 
 /// Compile a SELECT into a MAL program. Output columns appear in `io.result`
@@ -50,6 +53,7 @@ pub(crate) fn compile_select_ordered(
         left_table: stmt.from.clone(),
         right_table: stmt.join.as_ref().map(|j| j.table.clone()),
         cands: [None, None],
+        joined: None,
     };
     c.check_tables()?;
 
@@ -150,7 +154,10 @@ pub(crate) fn compile_select_ordered(
         for item in &stmt.items {
             match item {
                 SelectItem::CountStar => {
-                    let counted = match c.cands[0] {
+                    // rows are counted where they were produced: fetching
+                    // the left candidates through the join result first
+                    // would gather a BAT only to take its length
+                    let counted = match c.joined.or(c.cands[0]) {
                         Some(cv) => cv,
                         None => c.bind_first_column(Side::Left)?,
                     };
@@ -373,6 +380,7 @@ impl Compiler<'_> {
         let rs = self
             .prog
             .push(OpCode::Join, vec![Arg::Var(lk), Arg::Var(rk)]);
+        self.joined = Some(rs[0]);
         // join oids index into lk/rk; route through prior candidates
         for (side, joined) in rs.into_iter().enumerate() {
             self.cands[side] = Some(match self.cands[side] {

@@ -14,8 +14,8 @@ use column_test::ColumnTest;
 use mammoth_mal::{
     analyze_props, bound_column_facts, bound_column_types, column_props,
     default_pipeline_with_props, parallel_pipeline_with_props, Arg, CommonSubexpr, ConstantFold,
-    DeadCode, EventKind, Interpreter, MalValue, OpCode, Pipeline, PlanExecutor, ProfiledRun,
-    Program, PropFacts, SelectElimination, TraceEvent, TRACE_ENV,
+    DeadCode, EventKind, FusePipeline, Interpreter, MalValue, OpCode, Pipeline, PlanExecutor,
+    ProfiledRun, Program, PropFacts, SelectElimination, SortedSelect, TraceEvent, TRACE_ENV,
 };
 use mammoth_planner::{
     bind_program, choose_pieces, estimate_program, referenced_columns, selectivity,
@@ -831,7 +831,8 @@ impl Session {
             let pipeline = parallel_pipeline_with_props(pieces, types, facts);
             ("parallel", pipeline)
         } else {
-            ("serial", Self::serial_pipeline_for(est_rows, facts))
+            let pipeline = Self::serial_pipeline_for(est_rows, self.recycler.is_some(), facts);
+            ("serial", pipeline)
         };
         let prog = pipeline
             .try_optimize(prog)
@@ -861,20 +862,31 @@ impl Session {
         where_
     }
 
-    /// The serial pipeline, with the binary-search select rewrite gated
-    /// by estimated input cardinality: below
+    /// The serial pipeline — [`default_pipeline_with_props`] less what this
+    /// session is better off without. The binary-search select rewrite is
+    /// gated by estimated input cardinality: below
     /// [`mammoth_planner::SORTED_SELECT_MIN_ROWS`] a scan's sequential
-    /// sweep beats the rewrite's setup, so the pass is left out.
-    fn serial_pipeline_for(est_rows: Option<u64>, facts: PropFacts) -> Pipeline {
-        match est_rows {
-            Some(n) if !use_sorted_select(n) => Pipeline::new()
-                .with(ConstantFold)
-                .with(CommonSubexpr)
-                .with(SelectElimination::new(facts))
-                .with(DeadCode)
-                .checked(),
-            _ => default_pipeline_with_props(facts),
+    /// sweep beats the rewrite's setup. Pipeline fusion is left out when a
+    /// recycler is attached: what it removes — the candidate lists and
+    /// fetched columns between a filter and its aggregate — is exactly what
+    /// the recycler keeps for the next statement to reuse.
+    fn serial_pipeline_for(est_rows: Option<u64>, recycling: bool, facts: PropFacts) -> Pipeline {
+        let sorted_select = est_rows.is_none_or(use_sorted_select);
+        if sorted_select && !recycling {
+            return default_pipeline_with_props(facts);
         }
+        let facts = Arc::new(facts);
+        let mut pipeline = Pipeline::new()
+            .with(ConstantFold)
+            .with(CommonSubexpr)
+            .with(SelectElimination::new(facts.clone()));
+        if sorted_select {
+            pipeline = pipeline.with(SortedSelect::new(facts.clone()));
+        }
+        if !recycling {
+            pipeline = pipeline.with(FusePipeline::new(facts));
+        }
+        pipeline.with(DeadCode).checked()
     }
 
     /// How many `?` placeholders the prepared statement `name` takes;
@@ -1343,6 +1355,70 @@ mod tests {
             r1[0][0].as_i64().unwrap() + 1,
             "stale cache must not be served"
         );
+    }
+
+    /// The recycler's product is the intermediates — the candidate lists
+    /// and fetched columns a later statement can reuse — so a session with
+    /// one keeps its plans column-at-a-time, where a plain session fuses
+    /// the same statements into one pipeline instruction.
+    #[test]
+    fn recycler_sessions_plan_no_pipeline_instruction() {
+        let plan = |s: &mut Session, sql: &str| {
+            let QueryOutput::Table { rows, .. } = s.execute(&format!("EXPLAIN {sql}")).unwrap()
+            else {
+                panic!("EXPLAIN yields a table")
+            };
+            let line = |r: &Vec<Value>| format!("{}\n", r[0]);
+            rows.iter().map(line).collect::<String>()
+        };
+        let statements = [
+            "SELECT COUNT(*), SUM(age) FROM people WHERE age > 1910",
+            "SELECT age, COUNT(*) FROM people WHERE age >= 1907 AND age < 1968 GROUP BY age",
+            "SELECT MIN(age), MAX(age) FROM people WHERE age <> 1927",
+        ];
+        let mut fusing = seeded();
+        let mut recycling = seeded().with_recycler(64 << 20);
+        for sql in statements {
+            let fused = plan(&mut fusing, sql);
+            assert_eq!(fused.matches("vector.pipeline").count(), 1, "{fused}");
+            assert!(
+                !fused.contains("algebra.") && !fused.contains("aggr."),
+                "{fused}"
+            );
+            let kept = plan(&mut recycling, sql);
+            assert!(!kept.contains("vector.pipeline"), "{kept}");
+            assert!(
+                kept.contains("algebra.") && kept.contains("aggr."),
+                "{kept}"
+            );
+            assert_eq!(
+                fusing.execute(sql).unwrap(),
+                recycling.execute(sql).unwrap()
+            );
+        }
+    }
+
+    /// `a <= x < b` and `a <= x <= b` are both `algebra.select(x, a, b)` by
+    /// name; the recycler must not answer one with the other's candidates.
+    #[test]
+    fn recycled_range_selects_keep_their_inclusivity_apart() {
+        use mammoth_storage::Bat;
+        let mut s = Session::new().with_recycler(64 << 20);
+        // big enough to clear the recycler's admission cost floor
+        let data: Vec<i64> = (0..300_000).map(|i| i % 7).collect();
+        let schema = TableSchema::new(
+            "t",
+            vec![ColumnDef::new("a", mammoth_types::LogicalType::I64)],
+        );
+        let table = Table::from_bats(schema, vec![Bat::from_vec(data)]).unwrap();
+        s.catalog_mut().create_table(table).unwrap();
+        let count = |s: &mut Session, sql: &str| match s.execute(sql).unwrap() {
+            QueryOutput::Table { rows, .. } => rows[0][0].as_i64().unwrap(),
+            other => panic!("{sql}: {other:?}"),
+        };
+        let closed = count(&mut s, "SELECT COUNT(a) FROM t WHERE a BETWEEN 2 AND 4");
+        let half_open = count(&mut s, "SELECT COUNT(a) FROM t WHERE a >= 2 AND a < 4");
+        assert_eq!((closed, half_open), (128_571, 85_714));
     }
 
     #[test]

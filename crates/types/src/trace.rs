@@ -201,9 +201,11 @@ pub struct TraceEvent {
     pub start_ns: u64,
     /// Wall time of this event, in nanoseconds.
     pub dur_ns: u64,
-    /// Input BAT rows (summed over BAT-valued arguments).
+    /// Input BAT rows (summed over BAT-valued arguments; the rows scanned,
+    /// once, for a fused pipeline over aligned columns).
     pub rows_in: u64,
-    /// Result BAT rows (summed over BAT-valued results).
+    /// Result BAT rows (summed over BAT-valued results; the sink's rows for a
+    /// fused pipeline).
     pub rows_out: u64,
     /// The planner's compile-time estimate of `rows_out` (`-1` when the
     /// instruction was not estimated — no statistics, or a non-plan

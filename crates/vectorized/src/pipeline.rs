@@ -1,16 +1,40 @@
 //! The vectorized pipeline driver.
 //!
-//! A [`Pipeline`] is a source column set, a list of [`Stage`]s and a
-//! [`Sink`]. [`Pipeline::run`] pulls one `vector_size` window at a time
-//! through all stages — selection vectors narrowing as filters apply,
-//! computed vectors appearing as maps run — and folds the survivors into
-//! the sink. All per-vector state (selection + computed vectors) is sized
-//! by `vector_size`: that is the working set the §5 tuning argument is
-//! about, and what experiment E07 sweeps.
+//! A [`Pipeline`] is a list of [`Stage`]s and a [`Sink`]; [`Pipeline::run`]
+//! pulls one `vector_size` window at a time from a borrowed [`ColumnSet`]
+//! through all stages — a `u32` selection vector narrowing as filters
+//! apply, computed vectors appearing as maps run, every further column
+//! read *in the same window* through the selection — and folds the
+//! survivors into the sink. All per-vector state (selection, computed
+//! vectors, group ids) is sized by `vector_size`: that is the working set
+//! the §5 tuning argument is about, and what experiment E07 sweeps.
+//!
+//! There is one driver. The `vector.pipeline` MAL instruction, experiment
+//! E07 and `examples/vectorized_analytics.rs` all call [`Pipeline::run`];
+//! the instruction passes [`VECTOR_SIZE`].
+//!
+//! Filters and folds are the BAT Algebra's kernels, so a pipeline answers
+//! exactly as the column-at-a-time plan it replaces: nils never qualify
+//! and never aggregate, integer sums wrap, float sums run strictly in row
+//! order (state carries across windows; nothing is re-associated), and
+//! groups are numbered in first-appearance order by the table
+//! `group.group` uses.
 
-use crate::primitives::{self, CmpOp, MapOp};
-use crate::vector::{ColumnSet, VectorWindow};
-use mammoth_types::{Error, Result};
+use crate::primitives::{self, MapOp};
+use crate::vector::{with_slice, Column, ColumnSet};
+use mammoth_algebra::{
+    finish_groups, Acc, AggKind, AggTail, CmpOp, GroupTable, KeyImage, Pred, Reduction, ScanTail,
+};
+use mammoth_compression::decompress;
+use mammoth_storage::{FixedTail, TailHeap};
+use mammoth_types::{Error, Result, Value};
+
+/// The vector size of the serving path, from E07's sweep: per-vector
+/// dispatch stops showing at a few hundred rows, the curve is flat from
+/// there to its minimum at 4096 – 16384, and by 2^18 the vectors have left
+/// the L2 cache and time climbs again. 4096 is the smallest size at the
+/// minimum: a handful of 32 KiB vectors, resident in L2.
+pub const VECTOR_SIZE: usize = 4096;
 
 /// Reference to a column visible inside the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,15 +52,60 @@ pub enum Operand {
     Const(i64),
 }
 
+/// A filter's predicate, as `algebra.thetaselect` / `algebra.select` state
+/// it; its constants are coerced into the column's type when it runs.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Filter {
+    /// `col op c`; a NULL constant selects nothing.
+    Theta(CmpOp, Value),
+    /// `lo <(=) col <(=) hi`; `None` is an open bound.
+    Range {
+        lo: Option<Value>,
+        hi: Option<Value>,
+        lo_incl: bool,
+        hi_incl: bool,
+    },
+}
+
+impl Filter {
+    /// The predicate in the type of the column `_data` is a vector of.
+    fn pred_for<T: ScanTail>(&self, _data: &[T]) -> Result<Pred<T>> {
+        match self {
+            Filter::Theta(op, c) => Pred::theta(*op, c),
+            Filter::Range {
+                lo,
+                hi,
+                lo_incl,
+                hi_incl,
+            } => Pred::range(lo.as_ref(), hi.as_ref(), *lo_incl, *hi_incl),
+        }
+    }
+
+    /// `out` = the positions of `data` — all, or those in `sel` — that
+    /// qualify.
+    fn narrow<T: ScanTail>(
+        &self,
+        data: &[T],
+        sel: Option<&[u32]>,
+        out: &mut Vec<u32>,
+    ) -> Result<()> {
+        let pred = self.pred_for(data)?;
+        out.clear();
+        match sel {
+            None => pred.select_dense(data, 0u32, out),
+            Some(sel) => pred.select_among(data, 0u32, sel, out),
+        }
+        Ok(())
+    }
+}
+
 /// One vectorized operator.
 #[derive(Debug, Clone)]
 pub enum Stage {
-    /// Narrow the selection: keep rows where `col op c` (i64).
-    FilterI64 { col: ColRef, op: CmpOp, c: i64 },
-    /// Narrow the selection on an f64 source column.
-    FilterF64 { col: usize, op: CmpOp, c: f64 },
-    /// Compute `out := l mapop r` into computed slot `out`.
-    MapI64 {
+    /// Narrow the selection to the rows where `pred` holds of `col`.
+    Filter { col: ColRef, pred: Filter },
+    /// Compute `out := l mapop r` (over `i64`) into computed slot `out`.
+    Map {
         op: MapOp,
         l: ColRef,
         r: Operand,
@@ -44,27 +113,51 @@ pub enum Stage {
     },
 }
 
-/// An aggregate to fold in the sink.
-#[derive(Debug, Clone, Copy)]
-pub enum AggSpec {
-    CountStar,
-    SumI64(ColRef),
-    SumF64(usize),
-    MinI64(ColRef),
-    MaxI64(ColRef),
+impl Stage {
+    /// `col op c`.
+    pub fn theta(col: ColRef, op: CmpOp, c: impl Into<Value>) -> Stage {
+        Stage::Filter {
+            col,
+            pred: Filter::Theta(op, c.into()),
+        }
+    }
 }
 
-/// Where the vectors end up.
+/// One result of the sink.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Out {
+    /// The grouping key's value per group (grouped sinks only).
+    Key,
+    /// Selected rows: in all, or per group.
+    Count,
+    /// An aggregate over a column's non-nil values: in all, or per group.
+    Agg(AggKind, ColRef),
+}
+
+/// Where the vectors end up: global aggregates, or — with `group_by` — a
+/// hash aggregation numbering its groups in first-appearance order.
 #[derive(Debug, Clone)]
-pub enum Sink {
+pub struct Sink {
+    pub group_by: Option<ColRef>,
+    pub outs: Vec<Out>,
+}
+
+impl Sink {
     /// Global aggregates.
-    Aggregate(Vec<AggSpec>),
-    /// `sums[key] += value` with dense i64 keys in `0..groups`.
-    GroupedSum {
-        key: ColRef,
-        value: ColRef,
-        groups: usize,
-    },
+    pub fn aggregate(outs: Vec<Out>) -> Sink {
+        Sink {
+            group_by: None,
+            outs,
+        }
+    }
+
+    /// One row per distinct value of `key`.
+    pub fn group_by(key: ColRef, outs: Vec<Out>) -> Sink {
+        Sink {
+            group_by: Some(key),
+            outs,
+        }
+    }
 }
 
 /// A complete vectorized query.
@@ -76,249 +169,411 @@ pub struct Pipeline {
     pub computed_slots: usize,
 }
 
-/// Results of a pipeline run.
-#[derive(Debug, Clone, PartialEq)]
-pub enum QueryResult {
-    Aggregates(Vec<AggOut>),
-    GroupedSums(Vec<i64>),
+/// Results of a pipeline run, one entry per [`Sink::outs`].
+#[derive(Debug, Clone)]
+pub enum Output {
+    /// A global sink: COUNT is `i64`, AVG `f64`, SUM/MIN/MAX `i64` over
+    /// integers and `f64` over floats, NULL when no non-nil value folded.
+    Scalars(Vec<Value>),
+    /// A grouped sink: one column per result, one row per group.
+    Columns(Vec<TailHeap>),
 }
 
-/// One aggregate output.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AggOut {
-    I64(i64),
-    F64(f64),
-    /// MIN/MAX over zero rows.
-    Empty,
+/// The vector of `c` in the current window.
+fn resolve<'w>(c: ColRef, window: &[Column<'w>], computed: &'w [Vec<i64>]) -> Result<Column<'w>> {
+    let (slot, have) = match c {
+        ColRef::Source(i) => (window.get(i).copied(), window.len()),
+        ColRef::Computed(j) => (computed.get(j).map(|v| Column::I64(v)), computed.len()),
+    };
+    slot.ok_or(Error::OutOfRange {
+        index: match c {
+            ColRef::Source(i) | ColRef::Computed(i) => i as u64,
+        },
+        len: have as u64,
+    })
 }
 
-struct AggState {
-    count: u64,
-    sum_i: i64,
-    sum_f: f64,
-    min: Option<i64>,
-    max: Option<i64>,
+fn i64_vector<'w>(c: Column<'w>) -> Result<&'w [i64]> {
+    match c {
+        Column::I64(v) => Ok(v),
+        other => Err(Error::TypeMismatch {
+            expected: "i64".into(),
+            found: other.ty().name().into(),
+        }),
+    }
+}
+
+/// Whether aggregates over `c` are `f64`; an error for the columns nothing
+/// folds (`bool` has no nil and no arithmetic).
+fn folds_as_float(c: Column<'_>) -> Result<bool> {
+    match c {
+        Column::Bool(_) | Column::Packed { .. } => Err(Error::Unsupported(format!(
+            "aggregation over {} columns",
+            c.ty().name()
+        ))),
+        Column::F64(_) => Ok(true),
+        _ => Ok(false),
+    }
+}
+
+/// [`with_slice`] for the columns aggregates fold (see [`folds_as_float`],
+/// which every aggregated column passed when the fold was set up).
+macro_rules! with_agg_slice {
+    ($col:expr, |$data:ident| $body:expr) => {
+        match $col {
+            Column::I8($data) => $body,
+            Column::I16($data) => $body,
+            Column::I32($data) => $body,
+            Column::I64($data) => $body,
+            Column::F64($data) => $body,
+            Column::Oid($data) => $body,
+            Column::Bool(_) | Column::Packed { .. } => {
+                unreachable!("only foldable columns are aggregated")
+            }
+        }
+    };
+}
+
+/// Evaluate `$body` with `$values` bound to the values of `$data` a fold
+/// sees — all of them, or those `$sel` names — either way in row order.
+macro_rules! selected {
+    ($data:expr, $sel:expr, |$values:ident| $body:expr) => {
+        match $sel {
+            None => {
+                let $values = $data.iter().copied();
+                $body
+            }
+            Some(sel) => {
+                let $values = sel.iter().map(|&i| $data[i as usize]);
+                $body
+            }
+        }
+    };
+}
+
+fn reduce<T: AggTail>(red: &mut Reduction, data: &[T], sel: Option<&[u32]>) {
+    selected!(data, sel, |values| T::reduce(red, values));
+}
+
+/// Fold the selected values into the accumulators of their groups: `gids`
+/// holds one group id per selected row.
+fn accumulate<T: AggTail>(accs: &mut [Acc], gids: &[u32], data: &[T], sel: Option<&[u32]>) {
+    let groups = gids.iter().map(|&g| g as usize);
+    selected!(data, sel, |values| T::accumulate(accs, groups.zip(values)));
+}
+
+/// What the sink has folded so far.
+enum Folded {
+    Scalars(Vec<ScalarOut>),
+    Groups(Box<Groups>),
+}
+
+enum ScalarOut {
+    Count(u64),
+    Agg {
+        col: ColRef,
+        red: Reduction,
+        float: bool,
+    },
+}
+
+struct Groups {
+    key: ColRef,
+    table: GroupTable,
+    /// Each group's key value, as of its first appearance.
+    keys: TailHeap,
+    /// Selected rows per group.
+    counts: Vec<i64>,
+    /// One accumulator column per distinct aggregated column.
+    accs: Vec<(ColRef, Vec<Acc>, bool)>,
+    /// The group id of each selected row of the current vector.
+    gids: Vec<u32>,
+}
+
+impl Groups {
+    fn assign<T: KeyImage + FixedTail>(&mut self, data: &[T], sel: Option<&[u32]>) {
+        let keys = self
+            .keys
+            .as_vec_mut::<T>()
+            .expect("the key heap was created with the key column's type");
+        selected!(data, sel, |values| for x in values {
+            let (g, new) = self.table.id_of(x.image());
+            if new {
+                keys.push(x);
+            }
+            self.gids.push(g as u32);
+        });
+    }
+}
+
+impl Folded {
+    /// The empty fold for `sink`, checked against the source column types.
+    fn new(sink: &Sink, sources: &[Column<'_>], computed: &[Vec<i64>]) -> Result<Folded> {
+        let agg_col = |c: ColRef| folds_as_float(resolve(c, sources, computed)?);
+        let Some(key) = sink.group_by else {
+            let outs = sink.outs.iter().map(|o| match *o {
+                Out::Key => Err(Error::Unsupported(
+                    "a key result needs a grouped sink".into(),
+                )),
+                Out::Count => Ok(ScalarOut::Count(0)),
+                Out::Agg(kind, col) => Ok(ScalarOut::Agg {
+                    col,
+                    red: Reduction::new(kind),
+                    float: agg_col(col)?,
+                }),
+            });
+            return Ok(Folded::Scalars(outs.collect::<Result<_>>()?));
+        };
+        let mut accs: Vec<(ColRef, Vec<Acc>, bool)> = Vec::new();
+        for o in &sink.outs {
+            if let Out::Agg(_, col) = *o {
+                if !accs.iter().any(|(c, _, _)| *c == col) {
+                    accs.push((col, Vec::new(), agg_col(col)?));
+                }
+            }
+        }
+        Ok(Folded::Groups(Box::new(Groups {
+            key,
+            table: GroupTable::new(),
+            keys: TailHeap::new(resolve(key, sources, computed)?.ty()),
+            counts: Vec::new(),
+            accs,
+            gids: Vec::new(),
+        })))
+    }
+
+    /// Fold the `sel`ected rows (all `len`, when `None`) of one window.
+    fn fold(
+        &mut self,
+        window: &[Column<'_>],
+        computed: &[Vec<i64>],
+        sel: Option<&[u32]>,
+        len: usize,
+    ) -> Result<()> {
+        // selective or full computation, by the selection's observed
+        // density: a vector that kept every row is read without the
+        // indirection
+        let sel = sel.filter(|s| s.len() < len);
+        match self {
+            Folded::Scalars(outs) => {
+                for out in outs {
+                    match out {
+                        ScalarOut::Count(n) => *n += sel.map_or(len, |s| s.len()) as u64,
+                        ScalarOut::Agg { col, red, .. } => {
+                            let c = resolve(*col, window, computed)?;
+                            with_agg_slice!(c, |d| reduce(red, d, sel));
+                        }
+                    }
+                }
+            }
+            Folded::Groups(g) => {
+                g.gids.clear();
+                let key = resolve(g.key, window, computed)?;
+                with_slice!(key, |d| g.assign(d, sel), else unreachable!("packed columns are decoded before windowing"));
+                g.counts.resize(g.table.len(), 0);
+                for &gid in &g.gids {
+                    g.counts[gid as usize] += 1;
+                }
+                let Groups {
+                    accs, gids, table, ..
+                } = &mut **g;
+                for (col, accs, _) in accs {
+                    accs.resize(table.len(), Acc::new());
+                    let c = resolve(*col, window, computed)?;
+                    with_agg_slice!(c, |d| accumulate(accs, gids, d, sel));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(self, sink: &Sink) -> Output {
+        match self {
+            Folded::Scalars(outs) => Output::Scalars(
+                outs.iter()
+                    .map(|o| match o {
+                        ScalarOut::Count(n) => Value::I64(*n as i64),
+                        ScalarOut::Agg { red, float, .. } => red.finish(*float),
+                    })
+                    .collect(),
+            ),
+            Folded::Groups(g) => Output::Columns(
+                sink.outs
+                    .iter()
+                    .map(|o| match *o {
+                        Out::Key => g.keys.clone(),
+                        Out::Count => TailHeap::from_vec(g.counts.clone()),
+                        Out::Agg(kind, col) => {
+                            let (_, accs, float) = g
+                                .accs
+                                .iter()
+                                .find(|(c, _, _)| *c == col)
+                                .expect("every aggregated column got its accumulators");
+                            finish_groups(kind, accs, *float)
+                        }
+                    })
+                    .collect(),
+            ),
+        }
+    }
 }
 
 impl Pipeline {
-    /// Execute over `columns` with the given vector size.
-    pub fn run(&self, columns: &ColumnSet, vector_size: usize) -> Result<QueryResult> {
-        let vector_size = vector_size.max(1);
+    /// Execute over `columns`, `vector_size` rows at a time.
+    pub fn run(&self, columns: &ColumnSet<'_>, vector_size: usize) -> Result<Output> {
+        // selection vectors hold u32 positions inside one vector
+        let vector_size = vector_size.clamp(1, u32::MAX as usize);
         let n = columns.len();
-        let mut window = VectorWindow::new(columns.arity());
+
+        // Packed columns decode into scratch the run owns. (A real X100
+        // decodes a block per vector; this miniature decodes each packed
+        // column once, up front, and windows the result.)
+        let decoded: Vec<Option<Vec<i64>>> = columns
+            .columns()
+            .iter()
+            .map(|c| match c {
+                Column::Packed { data, .. } => Some(decompress(data)),
+                _ => None,
+            })
+            .collect();
+        let sources: Vec<Column<'_>> = columns
+            .columns()
+            .iter()
+            .zip(&decoded)
+            .map(|(c, d)| d.as_ref().map_or(*c, |v| Column::I64(v)))
+            .collect();
+
         let mut computed: Vec<Vec<i64>> = vec![Vec::new(); self.computed_slots];
-        let mut sel: Vec<u32> = Vec::with_capacity(vector_size);
-        let mut sel_next: Vec<u32> = Vec::with_capacity(vector_size);
+        let mut folded = Folded::new(&self.sink, &sources, &computed)?;
+        // a filter constant its column cannot hold is an error whether or
+        // not a row ever reaches the filter
+        let mut sel: Vec<u32> = Vec::new();
+        let mut sel_next: Vec<u32> = Vec::new();
+        for stage in &self.stages {
+            if let Stage::Filter { col, pred } = stage {
+                let empty = resolve(*col, &sources, &computed)?.window(0, 0);
+                with_slice!(empty, |d| pred.narrow(d, None, &mut sel)?, else unreachable!("decoded above"));
+            }
+        }
 
-        let mut agg_states: Vec<AggState> = match &self.sink {
-            Sink::Aggregate(specs) => specs
-                .iter()
-                .map(|_| AggState {
-                    count: 0,
-                    sum_i: 0,
-                    sum_f: 0.0,
-                    min: None,
-                    max: None,
-                })
-                .collect(),
-            Sink::GroupedSum { .. } => Vec::new(),
-        };
-        let mut group_sums: Vec<i64> = match &self.sink {
-            Sink::GroupedSum { groups, .. } => vec![0; *groups],
-            _ => Vec::new(),
-        };
-
+        let mut window: Vec<Column<'_>> = Vec::with_capacity(sources.len());
         let mut start = 0usize;
-        while start < n {
+        'windows: while start < n {
             let len = vector_size.min(n - start);
-            window.set(columns, start, len);
+            window.clear();
+            window.extend(sources.iter().map(|c| c.window(start, len)));
+            start += len;
 
-            // resolve a ColRef to a borrowed i64 slice (computed slots are
-            // mem::taken while written, so reads see consistent data)
             let mut have_sel = false;
-            sel.clear();
             for stage in &self.stages {
+                let s = have_sel.then_some(&sel[..]);
                 match stage {
-                    Stage::FilterI64 { col, op, c } => {
-                        let data = resolve(&window, columns, &computed, *col)?;
-                        primitives::sel_cmp_i64(
-                            *op,
-                            data,
-                            *c,
-                            have_sel.then_some(&sel[..]),
-                            &mut sel_next,
-                        );
+                    Stage::Filter { col, pred } => {
+                        let c = resolve(*col, &window, &computed)?;
+                        with_slice!(c, |d| pred.narrow(d, s, &mut sel_next)?, else unreachable!("decoded above"));
                         std::mem::swap(&mut sel, &mut sel_next);
                         have_sel = true;
+                        if sel.is_empty() {
+                            continue 'windows;
+                        }
                     }
-                    Stage::FilterF64 { col, op, c } => {
-                        let data = window.f64_slice(columns, *col)?;
-                        primitives::sel_cmp_f64(
-                            *op,
-                            data,
-                            *c,
-                            have_sel.then_some(&sel[..]),
-                            &mut sel_next,
-                        );
-                        std::mem::swap(&mut sel, &mut sel_next);
-                        have_sel = true;
-                    }
-                    Stage::MapI64 { op, l, r, out } => {
-                        let mut buf = std::mem::take(&mut computed[*out]);
-                        {
-                            let ldata = resolve(&window, columns, &computed, *l)?;
-                            let s = have_sel.then_some(&sel[..]);
-                            match r {
-                                Operand::Const(c) => {
-                                    primitives::map_arith_i64_const(*op, ldata, *c, s, &mut buf)
-                                }
-                                Operand::Col(rc) => {
-                                    let rdata = resolve(&window, columns, &computed, *rc)?;
-                                    primitives::map_arith_i64(*op, ldata, rdata, s, &mut buf);
-                                }
+                    Stage::Map { op, l, r, out } => {
+                        // the slot is taken while written, so operands
+                        // that are computed vectors stay readable
+                        let mut buf =
+                            std::mem::take(computed.get_mut(*out).ok_or(Error::OutOfRange {
+                                index: *out as u64,
+                                len: self.computed_slots as u64,
+                            })?);
+                        let ldata = i64_vector(resolve(*l, &window, &computed)?)?;
+                        match r {
+                            Operand::Const(c) => {
+                                primitives::map_arith_i64_const(*op, ldata, *c, s, &mut buf)
+                            }
+                            Operand::Col(rc) => {
+                                let rdata = i64_vector(resolve(*rc, &window, &computed)?)?;
+                                primitives::map_arith_i64(*op, ldata, rdata, s, &mut buf);
                             }
                         }
                         computed[*out] = buf;
                     }
                 }
             }
-
-            let s = have_sel.then_some(&sel[..]);
-            match &self.sink {
-                Sink::Aggregate(specs) => {
-                    for (spec, st) in specs.iter().zip(&mut agg_states) {
-                        match spec {
-                            AggSpec::CountStar => {
-                                st.count += primitives::count(len, s) as u64;
-                            }
-                            AggSpec::SumI64(c) => {
-                                let data = resolve(&window, columns, &computed, *c)?;
-                                st.sum_i = st.sum_i.wrapping_add(primitives::sum_i64(data, s));
-                            }
-                            AggSpec::SumF64(c) => {
-                                let data = window.f64_slice(columns, *c)?;
-                                st.sum_f += primitives::sum_f64(data, s);
-                            }
-                            AggSpec::MinI64(c) => {
-                                let data = resolve(&window, columns, &computed, *c)?;
-                                if let Some(m) = primitives::min_i64(data, s) {
-                                    st.min = Some(st.min.map_or(m, |x| x.min(m)));
-                                }
-                            }
-                            AggSpec::MaxI64(c) => {
-                                let data = resolve(&window, columns, &computed, *c)?;
-                                if let Some(m) = primitives::max_i64(data, s) {
-                                    st.max = Some(st.max.map_or(m, |x| x.max(m)));
-                                }
-                            }
-                        }
-                    }
-                }
-                Sink::GroupedSum { key, value, groups } => {
-                    let keys = resolve(&window, columns, &computed, *key)?;
-                    // dense key vector: convert to u32 gids, bounds-checked
-                    let mut gids = Vec::with_capacity(len);
-                    for &k in keys {
-                        if k < 0 || k as usize >= *groups {
-                            return Err(Error::OutOfRange {
-                                index: k as u64,
-                                len: *groups as u64,
-                            });
-                        }
-                        gids.push(k as u32);
-                    }
-                    let vals = resolve(&window, columns, &computed, *value)?;
-                    primitives::grouped_sum_i64(vals, &gids, s, &mut group_sums);
-                }
-            }
-            start += len;
+            folded.fold(&window, &computed, have_sel.then_some(&sel[..]), len)?;
         }
-
-        Ok(match &self.sink {
-            Sink::Aggregate(specs) => QueryResult::Aggregates(
-                specs
-                    .iter()
-                    .zip(agg_states)
-                    .map(|(spec, st)| match spec {
-                        AggSpec::CountStar => AggOut::I64(st.count as i64),
-                        AggSpec::SumI64(_) => AggOut::I64(st.sum_i),
-                        AggSpec::SumF64(_) => AggOut::F64(st.sum_f),
-                        AggSpec::MinI64(_) => st.min.map_or(AggOut::Empty, AggOut::I64),
-                        AggSpec::MaxI64(_) => st.max.map_or(AggOut::Empty, AggOut::I64),
-                    })
-                    .collect(),
-            ),
-            Sink::GroupedSum { .. } => QueryResult::GroupedSums(group_sums),
-        })
-    }
-}
-
-fn resolve<'a>(
-    window: &'a VectorWindow,
-    columns: &'a ColumnSet,
-    computed: &'a [Vec<i64>],
-    c: ColRef,
-) -> Result<&'a [i64]> {
-    match c {
-        ColRef::Source(i) => window.i64_slice(columns, i),
-        ColRef::Computed(j) => {
-            let v = computed.get(j).ok_or(Error::OutOfRange {
-                index: j as u64,
-                len: computed.len() as u64,
-            })?;
-            Ok(&v[..])
-        }
+        Ok(folded.finish(&self.sink))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vector::Column;
+    use mammoth_compression::{compress, Scheme};
+    use mammoth_types::NativeType;
 
-    fn lineitem() -> ColumnSet {
-        // qty, price, tax-class
-        ColumnSet::new(vec![
-            Column::I64((0..1000).map(|i| i % 50).collect()),
-            Column::I64((0..1000).map(|i| 100 + (i % 7)).collect()),
-            Column::I64((0..1000).map(|i| i % 4).collect()),
-        ])
-        .unwrap()
+    struct Lineitem {
+        qty: Vec<i64>,
+        price: Vec<i64>,
+        class: Vec<i64>,
+    }
+
+    impl Lineitem {
+        fn new() -> Lineitem {
+            Lineitem {
+                qty: (0..1000).map(|i| i % 50).collect(),
+                price: (0..1000).map(|i| 100 + (i % 7)).collect(),
+                class: (0..1000).map(|i| i % 4).collect(),
+            }
+        }
+
+        fn columns(&self) -> ColumnSet<'_> {
+            ColumnSet::new(vec![
+                Column::I64(&self.qty),
+                Column::I64(&self.price),
+                Column::I64(&self.class),
+            ])
+            .unwrap()
+        }
+    }
+
+    /// A run's results as rows of values, whichever kind of sink it had.
+    fn rows(out: Output) -> Vec<Vec<Value>> {
+        match out {
+            Output::Scalars(v) => vec![v],
+            Output::Columns(cols) => cols
+                .iter()
+                .map(|c| (0..c.len()).map(|i| c.value(i)).collect())
+                .collect(),
+        }
     }
 
     fn q1() -> Pipeline {
         // SELECT count(*), sum(qty * price) WHERE qty < 25
         Pipeline {
             stages: vec![
-                Stage::FilterI64 {
-                    col: ColRef::Source(0),
-                    op: CmpOp::Lt,
-                    c: 25,
-                },
-                Stage::MapI64 {
+                Stage::theta(ColRef::Source(0), CmpOp::Lt, 25i64),
+                Stage::Map {
                     op: MapOp::Mul,
                     l: ColRef::Source(0),
                     r: Operand::Col(ColRef::Source(1)),
                     out: 0,
                 },
             ],
-            sink: Sink::Aggregate(vec![
-                AggSpec::CountStar,
-                AggSpec::SumI64(ColRef::Computed(0)),
+            sink: Sink::aggregate(vec![
+                Out::Count,
+                Out::Agg(AggKind::Sum, ColRef::Computed(0)),
             ]),
             computed_slots: 1,
         }
     }
 
-    fn oracle(cs: &ColumnSet) -> (i64, i64) {
-        let qty = cs.column(0).to_i64().unwrap();
-        let price = cs.column(1).to_i64().unwrap();
+    fn oracle(li: &Lineitem) -> (i64, i64) {
         let mut count = 0;
         let mut sum = 0;
-        for i in 0..qty.len() {
-            if qty[i] < 25 {
+        for i in 0..li.qty.len() {
+            if li.qty[i] < 25 {
                 count += 1;
-                sum += qty[i] * price[i];
+                sum += li.qty[i] * li.price[i];
             }
         }
         (count, sum)
@@ -326,13 +581,13 @@ mod tests {
 
     #[test]
     fn vector_size_does_not_change_results() {
-        let cs = lineitem();
-        let (count, sum) = oracle(&cs);
+        let li = Lineitem::new();
+        let (count, sum) = oracle(&li);
         for vs in [1usize, 7, 100, 1000, 4096] {
-            let r = q1().run(&cs, vs).unwrap();
+            let r = q1().run(&li.columns(), vs).unwrap();
             assert_eq!(
-                r,
-                QueryResult::Aggregates(vec![AggOut::I64(count), AggOut::I64(sum)]),
+                rows(r),
+                [[Value::I64(count), Value::I64(sum)]],
                 "vector size {vs}"
             );
         }
@@ -341,141 +596,150 @@ mod tests {
     #[test]
     fn compressed_scan_agrees_with_plain() {
         let values: Vec<i64> = (0..5000).map(|i| i % 50).collect();
-        let plain = ColumnSet::new(vec![
-            Column::I64(values.clone()),
-            Column::I64(vec![2; 5000]),
-            Column::I64(vec![0; 5000]),
-        ])
-        .unwrap();
-        let compressed = ColumnSet::new(vec![
-            Column::compressed(&values, mammoth_compression::Scheme::Rle),
-            Column::I64(vec![2; 5000]),
-            Column::I64(vec![0; 5000]),
-        ])
-        .unwrap();
+        let (twos, zeros) = (vec![2i64; 5000], vec![0i64; 5000]);
+        let packed = compress(&values, Scheme::Rle);
+        let rest = [Column::I64(&twos), Column::I64(&zeros)];
+        let plain = ColumnSet::new([&[Column::I64(&values)], &rest[..]].concat()).unwrap();
+        let first = Column::Packed {
+            data: &packed,
+            len: values.len(),
+        };
+        let compressed = ColumnSet::new([&[first], &rest[..]].concat()).unwrap();
         let a = q1().run(&plain, 512).unwrap();
         let b = q1().run(&compressed, 512).unwrap();
-        assert_eq!(a, b);
+        assert_eq!(rows(a), rows(b));
     }
 
     #[test]
     fn chained_filters_intersect() {
-        let cs = lineitem();
+        let li = Lineitem::new();
         let p = Pipeline {
             stages: vec![
-                Stage::FilterI64 {
-                    col: ColRef::Source(0),
-                    op: CmpOp::Ge,
-                    c: 10,
-                },
-                Stage::FilterI64 {
-                    col: ColRef::Source(0),
-                    op: CmpOp::Lt,
-                    c: 12,
-                },
+                Stage::theta(ColRef::Source(0), CmpOp::Ge, 10i64),
+                Stage::theta(ColRef::Source(0), CmpOp::Lt, 12i64),
             ],
-            sink: Sink::Aggregate(vec![AggSpec::CountStar]),
+            sink: Sink::aggregate(vec![Out::Count]),
             computed_slots: 0,
         };
-        let r = p.run(&cs, 128).unwrap();
+        let r = p.run(&li.columns(), 128).unwrap();
         // qty in {10, 11}: 20 rows per 50-cycle, 1000 rows -> 40
-        assert_eq!(r, QueryResult::Aggregates(vec![AggOut::I64(40)]));
+        assert_eq!(rows(r), [[Value::I64(40)]]);
     }
 
     #[test]
-    fn grouped_sums() {
-        let cs = lineitem();
+    fn groups_number_in_first_appearance_order() {
+        let li = Lineitem::new();
         let p = Pipeline {
-            stages: vec![],
-            sink: Sink::GroupedSum {
-                key: ColRef::Source(2),
-                value: ColRef::Source(0),
-                groups: 4,
-            },
+            stages: vec![Stage::theta(ColRef::Source(0), CmpOp::Ge, 2i64)],
+            sink: Sink::group_by(
+                ColRef::Source(2),
+                vec![
+                    Out::Key,
+                    Out::Count,
+                    Out::Agg(AggKind::Sum, ColRef::Source(0)),
+                ],
+            ),
             computed_slots: 0,
         };
-        let QueryResult::GroupedSums(sums) = p.run(&cs, 256).unwrap() else {
-            panic!("wrong result kind");
-        };
-        assert_eq!(sums.len(), 4);
-        // oracle
-        let qty = cs.column(0).to_i64().unwrap();
-        let cls = cs.column(2).to_i64().unwrap();
-        let mut expect = vec![0i64; 4];
-        for i in 0..qty.len() {
-            expect[cls[i] as usize] += qty[i];
+        // rows 0 and 1 (classes 0 and 1) fail the filter: class 2 is seen
+        // first, and every vector size must number the groups alike
+        let mut count = [0i64; 4];
+        let mut sum = [0i64; 4];
+        for i in 0..1000 {
+            if li.qty[i] >= 2 {
+                count[li.class[i] as usize] += 1;
+                sum[li.class[i] as usize] += li.qty[i];
+            }
         }
-        assert_eq!(sums, expect);
+        let order = [2usize, 3, 0, 1];
+        let column = |f: &dyn Fn(usize) -> i64| -> Vec<Value> {
+            order.iter().map(|&g| Value::I64(f(g))).collect()
+        };
+        let expect = [
+            column(&|g| g as i64),
+            column(&|g| count[g]),
+            column(&|g| sum[g]),
+        ];
+        for vs in [1usize, 3, 256, 5000] {
+            let r = p.run(&li.columns(), vs).unwrap();
+            assert_eq!(rows(r), expect, "vector size {vs}");
+        }
     }
 
     #[test]
     fn min_max_and_empty() {
-        let cs = ColumnSet::new(vec![Column::I64(vec![5, -3, 9])]).unwrap();
-        let p = Pipeline {
-            stages: vec![Stage::FilterI64 {
-                col: ColRef::Source(0),
-                op: CmpOp::Gt,
-                c: 100,
-            }],
-            sink: Sink::Aggregate(vec![
-                AggSpec::MinI64(ColRef::Source(0)),
-                AggSpec::MaxI64(ColRef::Source(0)),
-                AggSpec::CountStar,
+        let data = [5i64, -3, 9];
+        let cs = ColumnSet::new(vec![Column::I64(&data)]).unwrap();
+        let min_max = |stages| Pipeline {
+            stages,
+            sink: Sink::aggregate(vec![
+                Out::Agg(AggKind::Min, ColRef::Source(0)),
+                Out::Agg(AggKind::Max, ColRef::Source(0)),
+                Out::Count,
             ]),
             computed_slots: 0,
         };
+        let none = min_max(vec![Stage::theta(ColRef::Source(0), CmpOp::Gt, 100i64)]);
         assert_eq!(
-            p.run(&cs, 2).unwrap(),
-            QueryResult::Aggregates(vec![AggOut::Empty, AggOut::Empty, AggOut::I64(0)])
+            rows(none.run(&cs, 2).unwrap()),
+            [[Value::Null, Value::Null, Value::I64(0)]]
         );
-        let p2 = Pipeline {
-            stages: vec![],
-            sink: Sink::Aggregate(vec![
-                AggSpec::MinI64(ColRef::Source(0)),
-                AggSpec::MaxI64(ColRef::Source(0)),
-            ]),
-            computed_slots: 0,
-        };
         assert_eq!(
-            p2.run(&cs, 2).unwrap(),
-            QueryResult::Aggregates(vec![AggOut::I64(-3), AggOut::I64(9)])
+            rows(min_max(vec![]).run(&cs, 2).unwrap()),
+            [[Value::I64(-3), Value::I64(9), Value::I64(3)]]
         );
     }
 
     #[test]
-    fn f64_filter_and_sum() {
-        let cs = ColumnSet::new(vec![
-            Column::F64(vec![0.5, 1.5, 2.5, 3.5]),
-            Column::I64(vec![1, 2, 3, 4]),
-        ])
-        .unwrap();
+    fn typed_columns_skip_nils_and_keep_float_order() {
+        let f = [0.5f64, f64::NAN, 1.5, 2.5, 3.5];
+        let i = [1i32, 2, i32::NIL, 4, 5];
+        let cs = ColumnSet::new(vec![Column::F64(&f), Column::I32(&i)]).unwrap();
         let p = Pipeline {
-            stages: vec![Stage::FilterF64 {
-                col: 0,
-                op: CmpOp::Gt,
-                c: 1.0,
-            }],
-            sink: Sink::Aggregate(vec![AggSpec::SumF64(0), AggSpec::SumI64(ColRef::Source(1))]),
+            stages: vec![Stage::theta(ColRef::Source(0), CmpOp::Gt, 1.0f64)],
+            sink: Sink::aggregate(vec![
+                Out::Agg(AggKind::Sum, ColRef::Source(0)),
+                Out::Agg(AggKind::Sum, ColRef::Source(1)),
+                Out::Agg(AggKind::Count, ColRef::Source(1)),
+                Out::Agg(AggKind::Avg, ColRef::Source(1)),
+                Out::Count,
+            ]),
             computed_slots: 0,
         };
-        assert_eq!(
-            p.run(&cs, 3).unwrap(),
-            QueryResult::Aggregates(vec![AggOut::F64(7.5), AggOut::I64(9)])
-        );
+        // rows 2, 3, 4 qualify (NaN is nil and never does); row 2's i32 is nil
+        for vs in [1usize, 2, 8] {
+            assert_eq!(
+                rows(p.run(&cs, vs).unwrap()),
+                [[
+                    Value::F64(7.5),
+                    Value::I64(9),
+                    Value::I64(2),
+                    Value::F64(4.5),
+                    Value::I64(3)
+                ]],
+                "vector size {vs}"
+            );
+        }
     }
 
     #[test]
-    fn bad_group_key_errors() {
-        let cs = ColumnSet::new(vec![Column::I64(vec![0, 5])]).unwrap();
-        let p = Pipeline {
-            stages: vec![],
-            sink: Sink::GroupedSum {
-                key: ColRef::Source(0),
-                value: ColRef::Source(0),
-                groups: 2,
-            },
-            computed_slots: 0,
+    fn ill_typed_pipelines_are_errors_before_any_row() {
+        let (i, b) = ([1i32, 2], [true, false]);
+        let cs = ColumnSet::new(vec![Column::I32(&i), Column::Bool(&b)]).unwrap();
+        let run = |stages, outs| {
+            Pipeline {
+                stages,
+                sink: Sink::aggregate(outs),
+                computed_slots: 0,
+            }
+            .run(&cs, 8)
         };
-        assert!(p.run(&cs, 8).is_err());
+        // a constant the column's type cannot hold
+        let wide = Stage::theta(ColRef::Source(0), CmpOp::Lt, 1i64 << 40);
+        assert!(run(vec![wide], vec![Out::Count]).is_err());
+        // a column that is not there, a key without groups, a sum of bools
+        assert!(run(vec![], vec![Out::Agg(AggKind::Sum, ColRef::Source(2))]).is_err());
+        assert!(run(vec![], vec![Out::Key]).is_err());
+        assert!(run(vec![], vec![Out::Agg(AggKind::Sum, ColRef::Source(1))]).is_err());
     }
 }

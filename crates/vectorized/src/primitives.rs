@@ -1,80 +1,16 @@
 //! Zero-degree-of-freedom vector primitives.
 //!
-//! Each primitive does exactly one thing to one vector: compare against a
-//! constant producing a selection vector, compute an arithmetic map, fold
-//! an aggregate. Complex expressions are *sequences* of primitives — the
-//! X100/MonetDB answer to per-tuple expression interpretation.
+//! Each primitive does exactly one thing to one vector. Complex
+//! expressions are *sequences* of primitives — the X100/MonetDB answer to
+//! per-tuple expression interpretation — connected by *selection vectors*
+//! (`&[u32]` of qualifying positions within the current vector), so no
+//! primitive copies the data it skips.
 //!
-//! Selection vectors (`&[u32]` of qualifying positions within the current
-//! vector) connect the primitives without copying data.
-
-/// Comparison operators (mirrors the algebra crate, kept separate so this
-/// crate stays dependency-light).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-}
-
-#[inline(always)]
-fn keep(op: CmpOp, ord: std::cmp::Ordering) -> bool {
-    use std::cmp::Ordering::*;
-    match op {
-        CmpOp::Eq => ord == Equal,
-        CmpOp::Ne => ord != Equal,
-        CmpOp::Lt => ord == Less,
-        CmpOp::Le => ord != Greater,
-        CmpOp::Gt => ord == Greater,
-        CmpOp::Ge => ord != Less,
-    }
-}
-
-/// `out = positions i where data[i] op c`, intersected with `sel`.
-pub fn sel_cmp_i64(op: CmpOp, data: &[i64], c: i64, sel: Option<&[u32]>, out: &mut Vec<u32>) {
-    out.clear();
-    match sel {
-        None => {
-            for (i, &v) in data.iter().enumerate() {
-                if keep(op, v.cmp(&c)) {
-                    out.push(i as u32);
-                }
-            }
-        }
-        Some(sel) => {
-            for &i in sel {
-                if keep(op, data[i as usize].cmp(&c)) {
-                    out.push(i);
-                }
-            }
-        }
-    }
-}
-
-/// `out = positions i where data[i] op c` on f64 data.
-pub fn sel_cmp_f64(op: CmpOp, data: &[f64], c: f64, sel: Option<&[u32]>, out: &mut Vec<u32>) {
-    out.clear();
-    let test = |v: f64| v.partial_cmp(&c).is_some_and(|ord| keep(op, ord));
-    match sel {
-        None => {
-            for (i, &v) in data.iter().enumerate() {
-                if test(v) {
-                    out.push(i as u32);
-                }
-            }
-        }
-        Some(sel) => {
-            for &i in sel {
-                if test(data[i as usize]) {
-                    out.push(i);
-                }
-            }
-        }
-    }
-}
+//! The filter and fold primitives are the BAT Algebra's own kernels, run
+//! over a vector instead of a column: a filter is a
+//! [`mammoth_algebra::Pred`] compressing positions into a selection vector,
+//! a fold a [`mammoth_algebra::Reduction`] or [`mammoth_algebra::Acc`] fed
+//! through one. What this module adds is the arithmetic map.
 
 /// Arithmetic operators for map primitives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,140 +37,45 @@ fn apply_i64(op: MapOp, a: i64, b: i64) -> i64 {
     }
 }
 
-/// `out[i] = a[i] op b[i]` at selected positions (`out` is full-length;
-/// unselected slots are left as-is / zero).
-pub fn map_arith_i64(op: MapOp, a: &[i64], b: &[i64], sel: Option<&[u32]>, out: &mut Vec<i64>) {
+/// `out[i] = a[i] op b(i)` at the selected positions (`out` is
+/// full-length; unselected slots are zero).
+fn map_i64(
+    op: MapOp,
+    a: &[i64],
+    b: impl Fn(usize) -> i64,
+    sel: Option<&[u32]>,
+    out: &mut Vec<i64>,
+) {
     out.clear();
     out.resize(a.len(), 0);
     match sel {
         None => {
             for i in 0..a.len() {
-                out[i] = apply_i64(op, a[i], b[i]);
-            }
-        }
-        Some(sel) => {
-            for &i in sel {
-                out[i as usize] = apply_i64(op, a[i as usize], b[i as usize]);
-            }
-        }
-    }
-}
-
-/// `out[i] = a[i] op c` at selected positions.
-pub fn map_arith_i64_const(op: MapOp, a: &[i64], c: i64, sel: Option<&[u32]>, out: &mut Vec<i64>) {
-    out.clear();
-    out.resize(a.len(), 0);
-    match sel {
-        None => {
-            for i in 0..a.len() {
-                out[i] = apply_i64(op, a[i], c);
-            }
-        }
-        Some(sel) => {
-            for &i in sel {
-                out[i as usize] = apply_i64(op, a[i as usize], c);
-            }
-        }
-    }
-}
-
-/// Σ data over the selection.
-pub fn sum_i64(data: &[i64], sel: Option<&[u32]>) -> i64 {
-    match sel {
-        None => data.iter().fold(0i64, |acc, &v| acc.wrapping_add(v)),
-        Some(sel) => sel
-            .iter()
-            .fold(0i64, |acc, &i| acc.wrapping_add(data[i as usize])),
-    }
-}
-
-/// Σ data over the selection (f64).
-pub fn sum_f64(data: &[f64], sel: Option<&[u32]>) -> f64 {
-    match sel {
-        None => data.iter().sum(),
-        Some(sel) => sel.iter().map(|&i| data[i as usize]).sum(),
-    }
-}
-
-/// Count of selected rows.
-pub fn count(len: usize, sel: Option<&[u32]>) -> usize {
-    sel.map_or(len, |s| s.len())
-}
-
-/// Min over the selection.
-pub fn min_i64(data: &[i64], sel: Option<&[u32]>) -> Option<i64> {
-    match sel {
-        None => data.iter().copied().min(),
-        Some(sel) => sel.iter().map(|&i| data[i as usize]).min(),
-    }
-}
-
-/// Max over the selection.
-pub fn max_i64(data: &[i64], sel: Option<&[u32]>) -> Option<i64> {
-    match sel {
-        None => data.iter().copied().max(),
-        Some(sel) => sel.iter().map(|&i| data[i as usize]).max(),
-    }
-}
-
-/// Grouped sum into a dense accumulator array: `acc[gid[i]] += data[i]`.
-/// `gid` values must be < `acc.len()`.
-pub fn grouped_sum_i64(data: &[i64], gid: &[u32], sel: Option<&[u32]>, acc: &mut [i64]) {
-    match sel {
-        None => {
-            for i in 0..data.len() {
-                acc[gid[i] as usize] = acc[gid[i] as usize].wrapping_add(data[i]);
+                out[i] = apply_i64(op, a[i], b(i));
             }
         }
         Some(sel) => {
             for &i in sel {
                 let i = i as usize;
-                acc[gid[i] as usize] = acc[gid[i] as usize].wrapping_add(data[i]);
+                out[i] = apply_i64(op, a[i], b(i));
             }
         }
     }
 }
 
-/// Grouped count.
-pub fn grouped_count(gid: &[u32], sel: Option<&[u32]>, acc: &mut [i64]) {
-    match sel {
-        None => {
-            for &g in gid {
-                acc[g as usize] += 1;
-            }
-        }
-        Some(sel) => {
-            for &i in sel {
-                acc[gid[i as usize] as usize] += 1;
-            }
-        }
-    }
+/// `out[i] = a[i] op b[i]` at selected positions.
+pub fn map_arith_i64(op: MapOp, a: &[i64], b: &[i64], sel: Option<&[u32]>, out: &mut Vec<i64>) {
+    map_i64(op, a, |i| b[i], sel, out);
+}
+
+/// `out[i] = a[i] op c` at selected positions.
+pub fn map_arith_i64_const(op: MapOp, a: &[i64], c: i64, sel: Option<&[u32]>, out: &mut Vec<i64>) {
+    map_i64(op, a, |_| c, sel, out);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn selection_chain() {
-        let data = vec![5i64, 1, 9, 3, 7];
-        let mut s1 = Vec::new();
-        sel_cmp_i64(CmpOp::Gt, &data, 2, None, &mut s1);
-        assert_eq!(s1, vec![0, 2, 3, 4]);
-        let mut s2 = Vec::new();
-        sel_cmp_i64(CmpOp::Lt, &data, 8, Some(&s1), &mut s2);
-        assert_eq!(s2, vec![0, 3, 4]);
-    }
-
-    #[test]
-    fn float_selection_ignores_nan() {
-        let data = vec![1.0f64, f64::NAN, 3.0];
-        let mut s = Vec::new();
-        sel_cmp_f64(CmpOp::Ge, &data, 0.0, None, &mut s);
-        assert_eq!(s, vec![0, 2]);
-        sel_cmp_f64(CmpOp::Lt, &data, 100.0, None, &mut s);
-        assert_eq!(s, vec![0, 2], "NaN fails every comparison");
-    }
 
     #[test]
     fn maps_respect_selection() {
@@ -247,29 +88,5 @@ mod tests {
         assert_eq!(out, vec![101, 102, 103]);
         map_arith_i64_const(MapOp::Div, &a, 0, None, &mut out);
         assert_eq!(out, vec![0, 0, 0], "div by zero yields 0, not panic");
-    }
-
-    #[test]
-    fn aggregates() {
-        let data = vec![4i64, -1, 7];
-        assert_eq!(sum_i64(&data, None), 10);
-        assert_eq!(sum_i64(&data, Some(&[0, 2])), 11);
-        assert_eq!(count(3, Some(&[1])), 1);
-        assert_eq!(min_i64(&data, None), Some(-1));
-        assert_eq!(max_i64(&data, Some(&[0, 1])), Some(4));
-        assert_eq!(min_i64(&data, Some(&[])), None);
-        assert_eq!(sum_f64(&[0.5, 0.25], None), 0.75);
-    }
-
-    #[test]
-    fn grouped() {
-        let data = vec![10i64, 20, 30, 40];
-        let gid = vec![0u32, 1, 0, 1];
-        let mut sums = vec![0i64; 2];
-        grouped_sum_i64(&data, &gid, None, &mut sums);
-        assert_eq!(sums, vec![40, 60]);
-        let mut counts = vec![0i64; 2];
-        grouped_count(&gid, Some(&[0, 1, 2]), &mut counts);
-        assert_eq!(counts, vec![2, 1]);
     }
 }

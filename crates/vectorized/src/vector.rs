@@ -1,67 +1,128 @@
-//! Columns and column sets for the vectorized engine.
+//! Borrowed columns for the vectorized engine.
 //!
-//! Source data lives in full columns; execution only ever sees
-//! `vector_size`-long windows of them. Columns are either plain arrays or
-//! compressed blocks that are decoded one vector at a time, so the engine's
-//! working set stays cache-resident (the §5 design point).
+//! Source data lives wherever it already is — a BAT's tail heap, a `Vec` —
+//! and the engine borrows it: a [`Column`] is a typed slice, a
+//! [`ColumnSet`] a few of them of one length, and execution only ever sees
+//! `vector_size`-long windows (sub-slices) of them. Nothing is copied on
+//! the way in. The one exception is a [`Column::Packed`] column, whose
+//! blocks a run decodes into scratch space of its own.
 
-use mammoth_compression::{compress, decompress, Compressed, Scheme};
-use mammoth_types::{Error, Result};
+use mammoth_compression::Compressed;
+use mammoth_storage::{Bat, TailHeap};
+use mammoth_types::{Error, LogicalType, Oid, Result};
 
-/// A source column.
-#[derive(Debug, Clone)]
-pub enum Column {
-    I64(Vec<i64>),
-    F64(Vec<f64>),
-    /// A compressed i64 column; scans decode it vector-by-vector.
-    CompressedI64 {
-        data: Compressed,
+/// A source column: a typed slice borrowed from its owner.
+#[derive(Debug, Clone, Copy)]
+pub enum Column<'a> {
+    Bool(&'a [bool]),
+    I8(&'a [i8]),
+    I16(&'a [i16]),
+    I32(&'a [i32]),
+    I64(&'a [i64]),
+    F64(&'a [f64]),
+    Oid(&'a [Oid]),
+    /// A compressed `i64` column of `len` values.
+    Packed {
+        data: &'a Compressed,
         len: usize,
     },
 }
 
-impl Column {
-    pub fn len(&self) -> usize {
-        match self {
-            Column::I64(v) => v.len(),
-            Column::F64(v) => v.len(),
-            Column::CompressedI64 { len, .. } => *len,
+/// Evaluate `$body` with `$data` bound to the typed slice of a fixed-width
+/// [`Column`], monomorphized per type; `$other` is what a column with no
+/// slice of its own (still packed) evaluates to.
+macro_rules! with_slice {
+    ($col:expr, |$data:ident| $body:expr, else $other:expr) => {
+        match $col {
+            $crate::vector::Column::Bool($data) => $body,
+            $crate::vector::Column::I8($data) => $body,
+            $crate::vector::Column::I16($data) => $body,
+            $crate::vector::Column::I32($data) => $body,
+            $crate::vector::Column::I64($data) => $body,
+            $crate::vector::Column::F64($data) => $body,
+            $crate::vector::Column::Oid($data) => $body,
+            $crate::vector::Column::Packed { .. } => $other,
         }
+    };
+}
+pub(crate) use with_slice;
+
+impl<'a> Column<'a> {
+    /// Borrow a BAT's tail. String tails have no fixed-width slice.
+    pub fn of(bat: &'a Bat) -> Result<Column<'a>> {
+        Ok(match bat.tail() {
+            TailHeap::Bool(v) => Column::Bool(v),
+            TailHeap::I8(v) => Column::I8(v),
+            TailHeap::I16(v) => Column::I16(v),
+            TailHeap::I32(v) => Column::I32(v),
+            TailHeap::I64(v) => Column::I64(v),
+            TailHeap::F64(v) => Column::F64(v),
+            TailHeap::Oid(v) => Column::Oid(v),
+            TailHeap::Str(_) => {
+                return Err(Error::Unsupported(
+                    "vectorized execution over str columns".into(),
+                ))
+            }
+        })
+    }
+
+    pub fn len(&self) -> usize {
+        if let Column::Packed { len, .. } = *self {
+            return len;
+        }
+        with_slice!(*self, |v| v.len(), else unreachable!("returned above"))
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Compress a plain i64 column with `scheme`.
-    pub fn compressed(values: &[i64], scheme: Scheme) -> Column {
-        Column::CompressedI64 {
-            data: compress(values, scheme),
-            len: values.len(),
+    pub fn ty(&self) -> LogicalType {
+        match self {
+            Column::Bool(_) => LogicalType::Bool,
+            Column::I8(_) => LogicalType::I8,
+            Column::I16(_) => LogicalType::I16,
+            Column::I32(_) => LogicalType::I32,
+            Column::I64(_) | Column::Packed { .. } => LogicalType::I64,
+            Column::F64(_) => LogicalType::F64,
+            Column::Oid(_) => LogicalType::Oid,
         }
     }
 
-    /// Materialize as i64 (decompressing if needed).
-    pub fn to_i64(&self) -> Result<Vec<i64>> {
-        match self {
-            Column::I64(v) => Ok(v.clone()),
-            Column::CompressedI64 { data, .. } => Ok(decompress(data)),
-            Column::F64(_) => Err(Error::TypeMismatch {
-                expected: "i64 column".into(),
-                found: "f64".into(),
-            }),
-        }
+    /// Rows `[start, start + len)`: the vector a window exposes, or the
+    /// part of a longer column a caller wants scanned. `None` when the
+    /// column does not hold those rows, or is packed (a run decodes packed
+    /// columns before it cuts its windows).
+    pub fn slice(&self, start: usize, len: usize) -> Option<Column<'a>> {
+        let rows = start..start.checked_add(len)?;
+        Some(match *self {
+            Column::Bool(v) => Column::Bool(v.get(rows)?),
+            Column::I8(v) => Column::I8(v.get(rows)?),
+            Column::I16(v) => Column::I16(v.get(rows)?),
+            Column::I32(v) => Column::I32(v.get(rows)?),
+            Column::I64(v) => Column::I64(v.get(rows)?),
+            Column::F64(v) => Column::F64(v.get(rows)?),
+            Column::Oid(v) => Column::Oid(v.get(rows)?),
+            Column::Packed { .. } => return None,
+        })
+    }
+
+    /// [`Column::slice`] for the driver, which decodes before it windows
+    /// and never leaves the column.
+    pub(crate) fn window(&self, start: usize, len: usize) -> Column<'a> {
+        self.slice(start, len)
+            .expect("a window lies inside its decoded column")
     }
 }
 
 /// A set of equally long columns — the vectorized engine's "table".
 #[derive(Debug, Clone, Default)]
-pub struct ColumnSet {
-    columns: Vec<Column>,
+pub struct ColumnSet<'a> {
+    columns: Vec<Column<'a>>,
 }
 
-impl ColumnSet {
-    pub fn new(columns: Vec<Column>) -> Result<ColumnSet> {
+impl<'a> ColumnSet<'a> {
+    pub fn new(columns: Vec<Column<'a>>) -> Result<ColumnSet<'a>> {
         if let Some(first) = columns.first() {
             let n = first.len();
             for c in &columns {
@@ -88,73 +149,12 @@ impl ColumnSet {
         self.columns.len()
     }
 
-    pub fn column(&self, i: usize) -> &Column {
-        &self.columns[i]
-    }
-}
-
-/// Scratch buffers holding the current vector of each source column.
-/// Plain columns are sliced (no copy); compressed columns decode into the
-/// scratch buffer — per vector, never the whole column.
-#[derive(Debug, Default)]
-pub struct VectorWindow {
-    /// Decoded scratch per column (used only for compressed columns).
-    scratch_i64: Vec<Vec<i64>>,
-    /// Cache of full decompressed blocks would defeat the purpose; we
-    /// decode ranges directly instead.
-    pub start: usize,
-    pub len: usize,
-}
-
-impl VectorWindow {
-    pub fn new(arity: usize) -> VectorWindow {
-        VectorWindow {
-            scratch_i64: vec![Vec::new(); arity],
-            start: 0,
-            len: 0,
-        }
+    pub fn column(&self, i: usize) -> Option<&Column<'a>> {
+        self.columns.get(i)
     }
 
-    /// Position the window at `[start, start+len)`.
-    pub fn set(&mut self, columns: &ColumnSet, start: usize, len: usize) {
-        self.start = start;
-        self.len = len;
-        for (i, c) in columns.columns.iter().enumerate() {
-            if let Column::CompressedI64 { data, .. } = c {
-                // decode the needed range; for simplicity decode whole
-                // column once into scratch lazily (real X100 decodes per
-                // block; the effect on working set is modeled by vector
-                // slicing below)
-                if self.scratch_i64[i].is_empty() {
-                    self.scratch_i64[i] = decompress(data);
-                }
-            }
-        }
-    }
-
-    /// The current vector of column `i` as i64.
-    pub fn i64_slice<'a>(&'a self, columns: &'a ColumnSet, i: usize) -> Result<&'a [i64]> {
-        match columns.column(i) {
-            Column::I64(v) => Ok(&v[self.start..self.start + self.len]),
-            Column::CompressedI64 { .. } => {
-                Ok(&self.scratch_i64[i][self.start..self.start + self.len])
-            }
-            Column::F64(_) => Err(Error::TypeMismatch {
-                expected: "i64".into(),
-                found: "f64".into(),
-            }),
-        }
-    }
-
-    /// The current vector of column `i` as f64.
-    pub fn f64_slice<'a>(&'a self, columns: &'a ColumnSet, i: usize) -> Result<&'a [f64]> {
-        match columns.column(i) {
-            Column::F64(v) => Ok(&v[self.start..self.start + self.len]),
-            _ => Err(Error::TypeMismatch {
-                expected: "f64".into(),
-                found: "i64".into(),
-            }),
-        }
+    pub(crate) fn columns(&self) -> &[Column<'a>] {
+        &self.columns
     }
 }
 
@@ -164,38 +164,28 @@ mod tests {
 
     #[test]
     fn column_set_validates_lengths() {
-        let ok = ColumnSet::new(vec![
-            Column::I64(vec![1, 2, 3]),
-            Column::F64(vec![0.1, 0.2, 0.3]),
-        ]);
-        assert!(ok.is_ok());
-        let bad = ColumnSet::new(vec![Column::I64(vec![1]), Column::I64(vec![1, 2])]);
-        assert!(bad.is_err());
+        let (a, b) = ([1i64, 2, 3], [0.1f64, 0.2, 0.3]);
+        assert!(ColumnSet::new(vec![Column::I64(&a), Column::F64(&b)]).is_ok());
+        assert!(ColumnSet::new(vec![Column::I64(&a[..1]), Column::I64(&a)]).is_err());
     }
 
     #[test]
-    fn window_slices_plain_columns() {
-        let cs = ColumnSet::new(vec![Column::I64((0..100).collect())]).unwrap();
-        let mut w = VectorWindow::new(1);
-        w.set(&cs, 10, 5);
-        assert_eq!(w.i64_slice(&cs, 0).unwrap(), &[10, 11, 12, 13, 14]);
+    fn windows_are_sub_slices_of_the_borrowed_data() {
+        let data: Vec<i64> = (0..100).collect();
+        let Some(Column::I64(w)) = Column::I64(&data).slice(10, 5) else {
+            panic!("a slice keeps its column's type");
+        };
+        assert_eq!(w, &[10, 11, 12, 13, 14]);
+        assert!(std::ptr::eq(w.as_ptr(), data[10..].as_ptr()));
+        assert!(Column::I64(&data).slice(98, 5).is_none());
     }
 
     #[test]
-    fn window_decodes_compressed_columns() {
-        let data: Vec<i64> = (0..1000).collect();
-        let cs = ColumnSet::new(vec![Column::compressed(&data, Scheme::PforDelta)]).unwrap();
-        let mut w = VectorWindow::new(1);
-        w.set(&cs, 500, 4);
-        assert_eq!(w.i64_slice(&cs, 0).unwrap(), &[500, 501, 502, 503]);
-    }
-
-    #[test]
-    fn type_mismatches_error() {
-        let cs = ColumnSet::new(vec![Column::F64(vec![1.0])]).unwrap();
-        let mut w = VectorWindow::new(1);
-        w.set(&cs, 0, 1);
-        assert!(w.i64_slice(&cs, 0).is_err());
-        assert!(w.f64_slice(&cs, 0).is_ok());
+    fn bat_tails_are_borrowed_by_type() {
+        let b = Bat::from_vec(vec![1i32, 2, 3]);
+        let c = Column::of(&b).unwrap();
+        assert_eq!((c.len(), c.ty()), (3, LogicalType::I32));
+        let s = Bat::from_strings([Some("x")]);
+        assert!(Column::of(&s).is_err());
     }
 }

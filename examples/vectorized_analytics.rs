@@ -8,9 +8,9 @@
 //!
 //! Run with: `cargo run --release --example vectorized_analytics`
 
-use mammoth::compression::Scheme;
+use mammoth::compression::{compress, Scheme};
 use mammoth::vectorized::{
-    AggSpec, CmpOp, ColRef, Column, ColumnSet, MapOp, Operand, Pipeline, QueryResult, Sink, Stage,
+    AggKind, CmpOp, ColRef, Column, ColumnSet, MapOp, Operand, Out, Output, Pipeline, Sink, Stage,
 };
 use mammoth::workload::LineitemSlice;
 use std::time::Instant;
@@ -19,26 +19,18 @@ fn q1_pipeline() -> Pipeline {
     // SELECT count(*), sum(qty*price) WHERE shipdate <= 10500 AND qty < 25
     Pipeline {
         stages: vec![
-            Stage::FilterI64 {
-                col: ColRef::Source(2),
-                op: CmpOp::Le,
-                c: 10_500,
-            },
-            Stage::FilterI64 {
-                col: ColRef::Source(0),
-                op: CmpOp::Lt,
-                c: 25,
-            },
-            Stage::MapI64 {
+            Stage::theta(ColRef::Source(2), CmpOp::Le, 10_500i64),
+            Stage::theta(ColRef::Source(0), CmpOp::Lt, 25i64),
+            Stage::Map {
                 op: MapOp::Mul,
                 l: ColRef::Source(0),
                 r: Operand::Col(ColRef::Source(1)),
                 out: 0,
             },
         ],
-        sink: Sink::Aggregate(vec![
-            AggSpec::CountStar,
-            AggSpec::SumI64(ColRef::Computed(0)),
+        sink: Sink::aggregate(vec![
+            Out::Count,
+            Out::Agg(AggKind::Sum, ColRef::Computed(0)),
         ]),
         computed_slots: 1,
     }
@@ -47,10 +39,11 @@ fn q1_pipeline() -> Pipeline {
 fn main() {
     let n = 4_000_000;
     let li = LineitemSlice::generate(n, 42);
+    // the engine borrows the columns where they lie: nothing is copied in
     let plain = ColumnSet::new(vec![
-        Column::I64(li.quantity.clone()),
-        Column::I64(li.extendedprice.clone()),
-        Column::I64(li.shipdate.clone()),
+        Column::I64(&li.quantity),
+        Column::I64(&li.extendedprice),
+        Column::I64(&li.shipdate),
     ])
     .unwrap();
 
@@ -59,7 +52,9 @@ fn main() {
     let mut reference = None;
     for vs in [1usize, 4, 16, 64, 256, 1024, 4096, 65_536, n] {
         let t0 = Instant::now();
-        let r = q1_pipeline().run(&plain, vs).unwrap();
+        let Output::Scalars(r) = q1_pipeline().run(&plain, vs).unwrap() else {
+            unreachable!("a global sink yields scalars")
+        };
         let dt = t0.elapsed();
         if let Some(prev) = &reference {
             assert_eq!(prev, &r, "vector size must not change the answer");
@@ -73,16 +68,18 @@ fn main() {
             n as f64 / dt.as_secs_f64()
         );
     }
-    if let Some(QueryResult::Aggregates(aggs)) = reference {
+    if let Some(aggs) = reference {
         println!("\nanswer: {aggs:?}");
     }
 
-    println!("\nsame query over PFOR/RLE-compressed columns:");
-    let compressed = ColumnSet::new(vec![
-        Column::compressed(&li.quantity, Scheme::Pfor),
-        Column::compressed(&li.extendedprice, Scheme::Pfor),
-        Column::compressed(&li.shipdate, Scheme::Pfor),
-    ])
+    println!("\nsame query over PFOR-compressed columns:");
+    let packed = [&li.quantity, &li.extendedprice, &li.shipdate].map(|c| compress(c, Scheme::Pfor));
+    let compressed = ColumnSet::new(
+        packed
+            .iter()
+            .map(|data| Column::Packed { data, len: n })
+            .collect(),
+    )
     .unwrap();
     let t0 = Instant::now();
     let r = q1_pipeline().run(&compressed, 1024).unwrap();

@@ -351,7 +351,14 @@ echo "==> props: runtime checker finds zero violations across engines"
 # deletes pending, after recovery and across checkpoint folds (a fact that
 # counted deleted rows went unseen while only props_soundness ran checked)
 MAMMOTH_CHECK_PROPS=1 cargo test -q --test props_soundness --test sql_end_to_end \
-    --test durability --test dml_model
+    --test durability --test dml_model --test optimizer_equivalence
 MAMMOTH_CHECK_PROPS=1 cargo test -q -p mammoth-sql durable
+# and the engine differential under its thread matrix: what a fused
+# vector.pipeline binds — per statement, and per mitosis fragment — is held
+# to the properties inferred for it on every engine
+for threads in 1 4; do
+    echo "    MAMMOTH_CHECK_PROPS=1 MAMMOTH_THREADS=$threads"
+    MAMMOTH_CHECK_PROPS=1 MAMMOTH_THREADS=$threads cargo test -q --test engines_agree
+done
 
 echo "==> ci: all gates passed"

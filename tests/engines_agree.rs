@@ -7,7 +7,7 @@
 use mammoth::storage::{Bat, Table};
 use mammoth::types::{ColumnDef, LogicalType, TableSchema, Value};
 use mammoth::vectorized::{
-    AggSpec, CmpOp as VCmp, ColRef, Column, ColumnSet, MapOp, Operand, Pipeline, QueryResult, Sink,
+    AggKind, CmpOp as VCmp, ColRef, Column, ColumnSet, MapOp, Operand, Out, Output, Pipeline, Sink,
     Stage,
 };
 use mammoth::volcano::{
@@ -131,48 +131,36 @@ fn column_engine_matches_oracle() {
 fn vectorized_engine_matches_oracle_at_all_vector_sizes() {
     let s = slice();
     let cols = ColumnSet::new(vec![
-        Column::I64(s.quantity.clone()),
-        Column::I64(s.extendedprice.clone()),
-        Column::I64(s.shipdate.clone()),
+        Column::I64(&s.quantity),
+        Column::I64(&s.extendedprice),
+        Column::I64(&s.shipdate),
     ])
     .unwrap();
     let pipeline = Pipeline {
         stages: vec![
-            Stage::FilterI64 {
-                col: ColRef::Source(2),
-                op: VCmp::Le,
-                c: CUTOFF,
-            },
-            Stage::FilterI64 {
-                col: ColRef::Source(0),
-                op: VCmp::Lt,
-                c: QTY,
-            },
-            Stage::MapI64 {
+            Stage::theta(ColRef::Source(2), VCmp::Le, CUTOFF),
+            Stage::theta(ColRef::Source(0), VCmp::Lt, QTY),
+            Stage::Map {
                 op: MapOp::Mul,
                 l: ColRef::Source(0),
                 r: Operand::Col(ColRef::Source(1)),
                 out: 0,
             },
         ],
-        sink: Sink::Aggregate(vec![
-            AggSpec::CountStar,
-            AggSpec::SumI64(ColRef::Computed(0)),
+        sink: Sink::aggregate(vec![
+            Out::Count,
+            Out::Agg(AggKind::Sum, ColRef::Computed(0)),
         ]),
         computed_slots: 1,
     };
     let (count, sum) = oracle();
     for vs in [1usize, 13, 128, 1024, N] {
-        let r = pipeline.run(&cols, vs).unwrap();
-        let QueryResult::Aggregates(aggs) = r else {
-            panic!()
+        let Output::Scalars(aggs) = pipeline.run(&cols, vs).unwrap() else {
+            panic!("a global sink yields scalars")
         };
         assert_eq!(
             aggs,
-            vec![
-                mammoth::vectorized::pipeline::AggOut::I64(count),
-                mammoth::vectorized::pipeline::AggOut::I64(sum)
-            ],
+            vec![Value::I64(count), Value::I64(sum)],
             "vector size {vs}"
         );
     }
@@ -379,6 +367,98 @@ fn candidate_threaded_shapes_match_a_plain_loop_on_every_engine() {
             assert_eq!(&rows, want, "{engine:?}: {sql}");
         }
     }
+}
+
+/// Filter → aggregate statements run as one fused `vector.pipeline`
+/// instruction on the serial engine, and per mitosis fragment (sums and
+/// counts) or not at all (grouping, MIN/MAX, which `mat.pack` first) on the
+/// dataflow engine. A session with a recycler keeps the column-at-a-time
+/// plan: that is the oracle, and every engine at every thread count must
+/// return its answer exactly — float sums included.
+#[test]
+fn fused_plans_agree_with_the_unfused_plan_on_every_engine() {
+    let s = slice();
+    let queries = [
+        format!("SELECT SUM(price), COUNT(*) FROM lineitem WHERE shipdate < {CUTOFF}"),
+        format!(
+            "SELECT COUNT(*), SUM(shipdate) FROM lineitem \
+             WHERE shipdate BETWEEN 9000 AND {CUTOFF} AND qty < {QTY}"
+        ),
+        format!(
+            "SELECT qty, COUNT(*), SUM(price), AVG(ratio) FROM lineitem \
+             WHERE shipdate < {CUTOFF} AND shipdate >= 9000 GROUP BY qty"
+        ),
+        format!(
+            "SELECT MIN(qty), MAX(qty), MIN(price), MAX(price) FROM lineitem \
+             WHERE shipdate < {CUTOFF} AND shipdate >= 9500"
+        ),
+        "SELECT SUM(ratio), AVG(ratio), COUNT(ratio) FROM lineitem WHERE qty <> 25".to_string(),
+        "SELECT COUNT(*) FROM lineitem WHERE qty > 45".to_string(),
+    ];
+    // a float column whose sum depends on the order of its terms
+    let ratio: Vec<f64> = (0..s.len())
+        .map(|i| s.extendedprice[i] as f64 / (3 + s.quantity[i]) as f64)
+        .collect();
+    let load = |db: &mut Database| {
+        let table = Table::from_bats(
+            TableSchema::new(
+                "lineitem",
+                vec![
+                    ColumnDef::new("qty", LogicalType::I64),
+                    ColumnDef::new("price", LogicalType::I64),
+                    ColumnDef::new("shipdate", LogicalType::I64),
+                    ColumnDef::new("ratio", LogicalType::F64),
+                ],
+            ),
+            vec![
+                Bat::from_vec(s.quantity.clone()),
+                Bat::from_vec(s.extendedprice.clone()),
+                Bat::from_vec(s.shipdate.clone()),
+                Bat::from_vec(ratio.clone()),
+            ],
+        )
+        .unwrap();
+        db.catalog_mut().create_table(table).unwrap();
+    };
+    let plan = |db: &mut Database, q: &str| match db.execute(&format!("EXPLAIN {q}")).unwrap() {
+        QueryOutput::Table { rows, .. } => rows
+            .iter()
+            .map(|r| format!("{}\n", r[0]))
+            .collect::<String>(),
+        other => panic!("EXPLAIN {q}: {other:?}"),
+    };
+
+    let mut unfused = Database::with_recycler(64 << 20);
+    load(&mut unfused);
+    let mut serial = Database::new();
+    load(&mut serial);
+    let want: Vec<QueryOutput> = queries
+        .iter()
+        .map(|q| {
+            assert!(!plan(&mut unfused, q).contains("vector.pipeline"), "{q}");
+            assert!(plan(&mut serial, q).contains("vector.pipeline"), "{q}");
+            unfused.execute(q).unwrap()
+        })
+        .collect();
+    let engines = [1usize, 2, 4, 0]
+        .map(|threads| Engine::Parallel { threads })
+        .into_iter()
+        .chain([Engine::Serial]);
+    for engine in engines {
+        let mut db = Database::with_engine(engine);
+        load(&mut db);
+        for (q, want) in queries.iter().zip(&want) {
+            assert_eq!(&db.execute(q).unwrap(), want, "{engine:?}: {q}");
+        }
+    }
+    // the dataflow plans fuse too, fragment by fragment
+    let mut par = Database::with_engine(Engine::Parallel { threads: 2 });
+    load(&mut par);
+    let text = plan(&mut par, &queries[0]);
+    assert!(
+        text.matches("vector.pipeline").count() >= 2 && text.contains("mat.packsum"),
+        "per-fragment pipelines merged by packsum:\n{text}"
+    );
 }
 
 /// `Engine::Parallel { threads: 0 }` resolves via MAMMOTH_THREADS (the

@@ -225,7 +225,7 @@ fn recycled_and_cold_runs_agree_per_value() {
 fn every_pass_alone_is_sound_and_verifier_clean() {
     use mammoth::mal::analysis::verify_with_catalog;
     use mammoth::mal::optimizer::{
-        CommonSubexpr, ConstantFold, DeadCode, GarbageCollect, OptimizerPass,
+        CommonSubexpr, ConstantFold, DeadCode, FusePipeline, GarbageCollect, OptimizerPass,
     };
     let cat = catalog(800);
     let passes: Vec<Box<dyn OptimizerPass>> = vec![
@@ -233,6 +233,7 @@ fn every_pass_alone_is_sound_and_verifier_clean() {
         Box::new(CommonSubexpr),
         Box::new(DeadCode),
         Box::new(GarbageCollect),
+        Box::new(FusePipeline::new(mammoth::mal::column_facts(&cat))),
     ];
     for sql in QUERIES {
         let Statement::Select(stmt) = parse_sql(sql).unwrap() else {
@@ -371,4 +372,279 @@ fn garbage_collect_shrinks_peak_live_bats_on_join_plans() {
     let mut gc_run = Interpreter::new(&cat);
     assert_eq!(render(out_plain), render(gc_run.run(&gcd).unwrap()));
     assert!(gc_run.stats().peak_live_bats < plain.stats().peak_live_bats);
+}
+
+/// `SELECT COUNT(*) … JOIN …` counts the join's own result: fetching the
+/// left candidates through it first would gather a BAT only to take its
+/// length. Same answer — checked against a nested loop — one projection
+/// fewer.
+#[test]
+fn count_over_a_join_counts_the_join_result() {
+    let cat = catalog(600);
+    let sql = "SELECT COUNT(*) FROM t JOIN u ON t.a = u.a WHERE b > 0 AND w < 5";
+    let Statement::Select(stmt) = parse_sql(sql).unwrap() else {
+        panic!()
+    };
+    let (raw, _) = compile_select(&cat, &stmt).unwrap();
+    let optimized = default_pipeline().optimize(raw.clone());
+    let join = optimized
+        .instrs
+        .iter()
+        .find(|i| i.op == mammoth::mal::OpCode::Join)
+        .expect("the plan joins");
+    let text = optimized.to_string();
+    assert!(
+        text.contains(&format!("aggr.count(x{});", join.results[0])),
+        "COUNT(*) should read the join's left result:\n{text}"
+    );
+
+    let col = |t: &str, c: &str| {
+        let column = cat.table(t).unwrap().column_by_name(c).unwrap();
+        column.base().tail_slice::<i64>().unwrap().to_vec()
+    };
+    let (ta, tb, ua, uw) = (col("t", "a"), col("t", "b"), col("u", "a"), col("u", "w"));
+    let mut pairs = 0i64;
+    for i in 0..ta.len() {
+        for j in 0..ua.len() {
+            pairs += (tb[i] > 0 && uw[j] < 5 && ta[i] == ua[j]) as i64;
+        }
+    }
+    let want = vec![format!("scalar:{:?}", mammoth::types::Value::I64(pairs))];
+    assert_eq!(render(Interpreter::new(&cat).run(&raw).unwrap()), want);
+    assert_eq!(
+        render(Interpreter::new(&cat).run(&optimized).unwrap()),
+        want
+    );
+}
+
+/// The fused pipeline instruction against the chain it replaces.
+///
+/// Random tables — every fixed-width type, nils, `-0.0` and NaN, row counts
+/// on both sides of every vector boundary — under random chains of one to
+/// three filters (constants inside and outside the column's domain, NULL,
+/// open and inverted ranges: selections from empty to accept-all) into
+/// every sink: any mix of global aggregates, or a grouping on any column
+/// with key, count and aggregates. The unfused plan is the oracle: the
+/// fused one must return the same values bit for bit (float sums and
+/// averages included), the same groups in the same order, and the same
+/// error when a constant does not fit its column.
+mod fused_pipeline {
+    use super::*;
+    use mammoth::algebra::{AggKind, CmpOp};
+    use mammoth::mal::optimizer::{FusePipeline, OptimizerPass};
+    use mammoth::mal::{column_facts, verify_with_catalog, Arg, MalValue, OpCode, Program};
+    use mammoth::types::{NativeType, Oid, Value};
+    use mammoth::vectorized::VECTOR_SIZE;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    const COLUMNS: [(&str, LogicalType); 7] = [
+        ("flag", LogicalType::Bool),
+        ("tiny", LogicalType::I8),
+        ("small", LogicalType::I16),
+        ("int", LogicalType::I32),
+        ("big", LogicalType::I64),
+        ("real", LogicalType::F64),
+        ("ref", LogicalType::Oid),
+    ];
+
+    /// A value of the small domain every column draws from (so groups
+    /// repeat and predicates cut anywhere), nil one time in eight.
+    fn draw(rng: &mut StdRng) -> Option<i64> {
+        (rng.random_range(0..8) != 0).then(|| rng.random_range(-6i64..7))
+    }
+
+    fn column(ty: LogicalType, rows: usize, rng: &mut StdRng) -> Bat {
+        fn ints<T: NativeType + mammoth::storage::FixedTail>(
+            rows: usize,
+            rng: &mut StdRng,
+            from: impl Fn(i64) -> T,
+        ) -> Bat {
+            Bat::from_vec((0..rows).map(|_| draw(rng).map_or(T::NIL, &from)).collect())
+        }
+        match ty {
+            LogicalType::Bool => Bat::from_vec((0..rows).map(|_| rng.random_bool(0.5)).collect()),
+            LogicalType::I8 => ints(rows, rng, |x| x as i8),
+            LogicalType::I16 => ints(rows, rng, |x| (x * 1000) as i16),
+            LogicalType::I32 => ints(rows, rng, |x| (x * 100_000) as i32),
+            // wide enough that a sum of a few thousand wraps
+            LogicalType::I64 => ints(rows, rng, |x| x * (i64::MAX / 8)),
+            LogicalType::F64 => ints(rows, rng, |x| match x {
+                0 => -0.0,
+                3 => 0.0,
+                // thirds, so float sums depend on their order
+                x => x as f64 / 3.0,
+            }),
+            LogicalType::Oid => ints(rows, rng, |x| (x + 6) as Oid),
+            LogicalType::Str => unreachable!("no string column here"),
+        }
+    }
+
+    fn table(rows: usize, rng: &mut StdRng) -> Catalog {
+        let schema = COLUMNS.map(|(name, ty)| ColumnDef::new(name, ty)).to_vec();
+        let bats = COLUMNS.map(|(_, ty)| column(ty, rows, rng)).to_vec();
+        let mut cat = Catalog::new();
+        cat.create_table(Table::from_bats(TableSchema::new("w", schema), bats).unwrap())
+            .unwrap();
+        cat
+    }
+
+    /// A predicate constant for a column of type `ty`: mostly inside the
+    /// drawn domain, sometimes far outside, sometimes NULL, once in a while
+    /// of a width the column cannot hold.
+    fn constant(ty: LogicalType, rng: &mut StdRng) -> Value {
+        let x = match rng.random_range(0..12) {
+            0 => return Value::Null,
+            1 => -9,
+            2 => 9,
+            _ => rng.random_range(-6i64..7),
+        };
+        match ty {
+            LogicalType::Bool => Value::Bool(x > 0),
+            LogicalType::I8 if rng.random_range(0..40) == 0 => Value::I64(1000),
+            LogicalType::I8 => Value::I64(x),
+            LogicalType::I16 => Value::I64(x * 1000),
+            LogicalType::I32 => Value::I32((x * 100_000) as i32),
+            LogicalType::I64 => Value::I64(x.saturating_mul(i64::MAX / 8)),
+            LogicalType::F64 => Value::F64(if x == 0 { -0.0 } else { x as f64 / 3.0 }),
+            LogicalType::Oid => Value::I64(x + 6),
+            LogicalType::Str => unreachable!("no string column here"),
+        }
+    }
+
+    fn bind(p: &mut Program, column: &str) -> usize {
+        let name = |s: &str| Arg::Const(Value::Str(s.into()));
+        p.push(OpCode::Bind, vec![name("w"), name(column)])[0]
+    }
+
+    /// The chain as `compile_select` writes it: selections threading one
+    /// candidate list, fetches through the last list, a sink.
+    fn chain(rng: &mut StdRng) -> Program {
+        let mut p = Program::new();
+        let mut cands: Option<usize> = None;
+        for _ in 0..rng.random_range(1..4) {
+            let (name, ty) = COLUMNS[rng.random_range(0..COLUMNS.len())];
+            let mut args = vec![Arg::Var(bind(&mut p, name))];
+            args.extend(cands.map(Arg::Var));
+            let op = if rng.random_bool(0.5) {
+                let ops = [
+                    CmpOp::Eq,
+                    CmpOp::Ne,
+                    CmpOp::Lt,
+                    CmpOp::Le,
+                    CmpOp::Gt,
+                    CmpOp::Ge,
+                ];
+                args.push(Arg::Const(constant(ty, rng)));
+                OpCode::ThetaSelect(ops[rng.random_range(0..ops.len())])
+            } else {
+                // NULL is an open bound here; lo > hi happens and is empty
+                args.extend([constant(ty, rng), constant(ty, rng)].map(Arg::Const));
+                OpCode::RangeSelect {
+                    lo_incl: rng.random_bool(0.5),
+                    hi_incl: rng.random_bool(0.5),
+                }
+            };
+            cands = Some(p.push(op, args)[0]);
+        }
+        let cands = cands.expect("at least one filter");
+        let fetch = |p: &mut Program, column: usize| {
+            let bound = bind(p, COLUMNS[column].0);
+            p.push(OpCode::Projection, vec![Arg::Var(cands), Arg::Var(bound)])[0]
+        };
+        let kinds = [
+            AggKind::Count,
+            AggKind::Sum,
+            AggKind::Min,
+            AggKind::Max,
+            AggKind::Avg,
+        ];
+        let mut outs = Vec::new();
+        if rng.random_bool(0.5) {
+            for _ in 0..rng.random_range(1..5) {
+                outs.push(if rng.random_range(0..4) == 0 {
+                    p.push(OpCode::Count, vec![Arg::Var(cands)])[0]
+                } else {
+                    // aggregates fold everything but the bool column
+                    let v = fetch(&mut p, rng.random_range(1..COLUMNS.len()));
+                    let kind = kinds[rng.random_range(0..kinds.len())];
+                    p.push(OpCode::Aggr(kind), vec![Arg::Var(v)])[0]
+                });
+            }
+        } else {
+            let key = fetch(&mut p, rng.random_range(0..COLUMNS.len()));
+            let [gids, ext] = p.push(OpCode::Group, vec![Arg::Var(key)])[..] else {
+                unreachable!("group.group binds two results")
+            };
+            outs.push(p.push(OpCode::Projection, vec![Arg::Var(ext), Arg::Var(key)])[0]);
+            for _ in 0..rng.random_range(0..4) {
+                let (kind, v) = if rng.random_range(0..4) == 0 {
+                    (AggKind::Count, gids)
+                } else {
+                    let v = fetch(&mut p, rng.random_range(1..COLUMNS.len()));
+                    (kinds[rng.random_range(0..kinds.len())], v)
+                };
+                let args = vec![Arg::Var(v), Arg::Var(gids), Arg::Var(ext)];
+                outs.push(p.push(OpCode::AggrGrouped(kind), args)[0]);
+            }
+        }
+        p.push_result(&outs);
+        p
+    }
+
+    /// Every output value with floats by bit pattern, or the error text.
+    fn answer(cat: &Catalog, p: &Program) -> Result<Vec<Vec<String>>, String> {
+        let bits = |v: Value| match v {
+            Value::F64(x) => format!("f64:{:016x}", x.to_bits()),
+            other => format!("{other:?}"),
+        };
+        let out = Interpreter::new(cat).check_props(true).run(p);
+        let out = out.map_err(|e| e.to_string())?;
+        Ok(out
+            .iter()
+            .map(|v| match v {
+                MalValue::Scalar(s) => vec![bits(s.clone())],
+                MalValue::Bat(b) => (0..b.len()).map(|i| bits(b.value_at(i))).collect(),
+            })
+            .collect())
+    }
+
+    proptest! {
+        #[test]
+        fn fused_equals_unfused_bit_for_bit(seed in proptest::num::u64::ANY) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let v = VECTOR_SIZE;
+            for rows in [0, 1, v - 1, v, v + 1, 3 * v + 7] {
+                let cat = table(rows, &mut rng);
+                let fuse = FusePipeline::new(column_facts(&cat));
+                let unfused = chain(&mut rng);
+                let fused = fuse.run(unfused.clone());
+                verify_with_catalog(&fused, &cat)
+                    .unwrap_or_else(|e| panic!("seed {seed}, {rows} rows: {e}\n{fused}"));
+                let ops = |p: &Program, f: &dyn Fn(&OpCode) -> bool| {
+                    p.instrs.iter().filter(|i| f(&i.op)).count()
+                };
+                prop_assert_eq!(
+                    ops(&fused, &|op| matches!(op, OpCode::Pipeline(_))),
+                    1,
+                    "seed {}, {} rows: not fused:\n{}", seed, rows, fused
+                );
+                prop_assert_eq!(
+                    ops(&fused, &|op| !matches!(
+                        op,
+                        OpCode::Bind | OpCode::Pipeline(_) | OpCode::Result
+                    )),
+                    0,
+                    "seed {}, {} rows: something was left beside the pipeline:\n{}",
+                    seed, rows, fused
+                );
+                prop_assert_eq!(
+                    answer(&cat, &fused),
+                    answer(&cat, &unfused),
+                    "seed {}, {} rows:\n{}\n{}", seed, rows, unfused, fused
+                );
+            }
+        }
+    }
 }

@@ -208,6 +208,66 @@ fn null_bounds_select_nothing_adhoc_cold_and_warm() {
     }
 }
 
+/// A `?` in a fused filter stays an ordinary argument of the pipeline
+/// instruction, so one cached plan serves every binding: ad-hoc == cold ==
+/// warm for each, a NULL binding still selects nothing, and a binding the
+/// column's type cannot hold is the error the ad-hoc statement raises.
+#[test]
+fn fused_filter_bounds_bind_like_any_parameter() {
+    use mammoth_mal::{bound_column_facts, default_pipeline_with_props, Arg, OpCode};
+    use mammoth_sql::{compile_select, parse_sql, Statement};
+    let body = |lo: &str, hi: &str, cut: &str| {
+        format!(
+            "SELECT COUNT(*), SUM(v), MIN(k) FROM t WHERE k >= {lo} AND k < {hi} AND v <= {cut}"
+        )
+    };
+    let mut s = session(false);
+    seed_table(&mut s, 17);
+
+    // what PREPARE caches: one pipeline instruction, its bounds still `?N`
+    let Statement::Select(stmt) = parse_sql(&body("?", "?", "?")).unwrap() else {
+        panic!("a SELECT")
+    };
+    let (raw, _) = compile_select(s.catalog(), &stmt).unwrap();
+    let plan = default_pipeline_with_props(bound_column_facts(&raw, s.catalog())).optimize(raw);
+    let fused: Vec<_> = plan
+        .instrs
+        .iter()
+        .filter(|i| matches!(i.op, OpCode::Pipeline(_)))
+        .collect();
+    assert_eq!(fused.len(), 1, "{plan}");
+    let params = fused[0].args.iter().filter(|a| matches!(a, Arg::Param(_)));
+    assert_eq!(params.count(), 3, "{plan}");
+
+    s.execute(&format!("PREPARE f AS {}", body("?", "?", "?")))
+        .unwrap();
+    for args in [
+        ["3", "30", "500"],
+        ["NULL", "30", "500"],
+        ["10", "12", "-20000"],
+        ["3", "30", "NULL"],
+        ["0", "50", "20000"],
+    ] {
+        let want = s.execute(&body(args[0], args[1], args[2])).unwrap();
+        let exec = format!("EXECUTE f ({})", args.join(", "));
+        assert_eq!(s.execute(&exec).unwrap(), want, "cold {exec}");
+        assert_eq!(s.execute(&exec).unwrap(), want, "warm {exec}");
+        let QueryOutput::Table { rows, .. } = want else {
+            panic!("not a table")
+        };
+        let nothing = rows[0] == vec![Value::I64(0), Value::Null, Value::Null];
+        assert_eq!(
+            nothing,
+            args.contains(&"NULL") || args[2] == "-20000",
+            "{exec}"
+        );
+    }
+    // `k` is an INT column: a bound only a BIGINT holds is refused alike
+    let adhoc = s.execute(&body("3", "5000000000", "0")).unwrap_err();
+    let bound = s.execute("EXECUTE f (3, 5000000000, 0)").unwrap_err();
+    assert_eq!(adhoc.to_string(), bound.to_string());
+}
+
 /// Interleave DML between EXECUTEs: the cached plan must track premise
 /// changes (stats drift, prop invalidation) and stay correct.
 #[test]

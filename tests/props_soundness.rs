@@ -3,7 +3,10 @@
 //!
 //! A corpus of randomized scan/select/project/calc/join/aggregate plans —
 //! over columns with known statistics, including a provably sorted one and
-//! predicate cuts that land outside the value intervals — runs with the
+//! predicate cuts that land outside the value intervals — and of
+//! filter → fetch → aggregate / group chains, which the optimizer fuses
+//! into one `vector.pipeline` instruction (so that opcode's transfer
+//! function is checked against what it materializes), runs with the
 //! `MAMMOTH_CHECK_PROPS` runtime checker on, both as compiled and after
 //! the property-driven optimizer passes, on:
 //!
@@ -117,9 +120,78 @@ fn random_plan(rng: &mut StdRng) -> Program {
     p
 }
 
-fn scalars(vals: &[MalValue]) -> Vec<Value> {
+/// One randomized chain the `fuse_pipeline` pass takes whole: one to three
+/// selections threading a candidate list (cuts past both interval ends
+/// again), fetched columns, and either global aggregates or a grouping
+/// with its key, group sizes and grouped aggregates.
+fn random_fusable_plan(rng: &mut StdRng) -> Program {
+    // the sorted column is left out: a select over it becomes a binary
+    // search, which is not fused
+    let cols = ["c0", "c1", "c2"];
+    let mut p = Program::new();
+    let mut cands = None;
+    for _ in 0..rng.random_range(1..4usize) {
+        let col = bind(&mut p, "t", cols[rng.random_range(0..cols.len())]);
+        let mut args = vec![Arg::Var(col)];
+        args.extend(cands.map(Arg::Var));
+        let cut = |rng: &mut StdRng| Arg::Const(Value::I64(rng.random_range(-100..1100i64)));
+        let op = if rng.random_bool(0.5) {
+            args.push(cut(rng));
+            OpCode::ThetaSelect([CmpOp::Gt, CmpOp::Lt, CmpOp::Ne][rng.random_range(0..3usize)])
+        } else {
+            args.extend([cut(rng), cut(rng)]);
+            OpCode::RangeSelect {
+                lo_incl: rng.random_bool(0.5),
+                hi_incl: rng.random_bool(0.5),
+            }
+        };
+        cands = Some(p.push(op, args)[0]);
+    }
+    let cands = cands.expect("at least one selection");
+    let fetch = |p: &mut Program, rng: &mut StdRng| {
+        let col = bind(p, "t", cols[rng.random_range(0..cols.len())]);
+        p.push(OpCode::Projection, vec![Arg::Var(cands), Arg::Var(col)])[0]
+    };
+    let kinds = [
+        AggKind::Count,
+        AggKind::Sum,
+        AggKind::Min,
+        AggKind::Max,
+        AggKind::Avg,
+    ];
+    let mut outs = Vec::new();
+    if rng.random_bool(0.5) {
+        outs.push(p.push(OpCode::Count, vec![Arg::Var(cands)])[0]);
+        for _ in 0..rng.random_range(1..4usize) {
+            let v = fetch(&mut p, rng);
+            let kind = kinds[rng.random_range(0..kinds.len())];
+            outs.push(p.push(OpCode::Aggr(kind), vec![Arg::Var(v)])[0]);
+        }
+    } else {
+        let key = fetch(&mut p, rng);
+        let g = p.push(OpCode::Group, vec![Arg::Var(key)]);
+        let (gids, ext) = (Arg::Var(g[0]), Arg::Var(g[1]));
+        outs.push(p.push(OpCode::Projection, vec![ext.clone(), Arg::Var(key)])[0]);
+        let sizes = vec![gids.clone(), gids.clone(), ext.clone()];
+        outs.push(p.push(OpCode::AggrGrouped(AggKind::Count), sizes)[0]);
+        for _ in 0..rng.random_range(1..4usize) {
+            let v = fetch(&mut p, rng);
+            let kind = kinds[rng.random_range(0..kinds.len())];
+            let args = vec![Arg::Var(v), gids.clone(), ext.clone()];
+            outs.push(p.push(OpCode::AggrGrouped(kind), args)[0]);
+        }
+    }
+    p.push_result(&outs);
+    p
+}
+
+/// Every output, scalar or BAT, as its values in order.
+fn answers(vals: &[MalValue]) -> Vec<Vec<Value>> {
     vals.iter()
-        .map(|v| v.as_scalar().expect("scalar output").clone())
+        .map(|v| match v {
+            MalValue::Scalar(s) => vec![s.clone()],
+            MalValue::Bat(b) => (0..b.len()).map(|i| b.value_at(i)).collect(),
+        })
         .collect()
 }
 
@@ -131,12 +203,18 @@ fn property_checker_reports_zero_violations_across_engines() {
     let cat = catalog();
     let facts = column_facts_with_zonemaps(&cat);
     let mut rng = StdRng::seed_from_u64(0xC0FFEE);
-    for plan_no in 0..25 {
-        let prog = random_plan(&mut rng);
+    let mut fused = 0;
+    for plan_no in 0..50 {
+        // every other plan is a chain the optimizer fuses
+        let fusable = plan_no % 2 == 1;
+        let prog = match fusable {
+            false => random_plan(&mut rng),
+            true => random_fusable_plan(&mut rng),
+        };
         let ctx = format!("plan {plan_no}");
 
         // reference: property passes disabled, checker on
-        let expected = scalars(
+        let expected = answers(
             &Interpreter::new(&cat)
                 .check_props(true)
                 .run(&prog)
@@ -145,7 +223,16 @@ fn property_checker_reports_zero_violations_across_engines() {
 
         // property passes enabled
         let opt = default_pipeline_with_props(facts.clone()).optimize(prog.clone());
-        let got = scalars(
+        // a chain fuses unless the interval proofs got to its selections
+        // first (an accept-all select is a mirror, not a filter)
+        let pipelines = opt
+            .instrs
+            .iter()
+            .filter(|i| matches!(i.op, OpCode::Pipeline(_)));
+        let pipelines = pipelines.count();
+        assert!(pipelines <= fusable as usize, "{ctx}:\n{opt}");
+        fused += pipelines;
+        let got = answers(
             &Interpreter::new(&cat)
                 .check_props(true)
                 .run(&opt)
@@ -160,7 +247,7 @@ fn property_checker_reports_zero_violations_across_engines() {
                 .check_props(true)
                 .run(&opt)
                 .unwrap_or_else(|e| panic!("{ctx} recycler/{phase}: {e}"));
-            assert_eq!(scalars(&vals), expected, "{ctx} recycler/{phase}");
+            assert_eq!(answers(&vals), expected, "{ctx} recycler/{phase}");
         }
 
         // dataflow pool (checker enabled via MAMMOTH_CHECK_PROPS above),
@@ -168,9 +255,10 @@ fn property_checker_reports_zero_violations_across_engines() {
         for (name, plan) in [("unoptimized", &prog), ("optimized", &opt)] {
             let (vals, _) = run_dataflow(&cat, plan, 4)
                 .unwrap_or_else(|e| panic!("{ctx} dataflow/{name}: {e}"));
-            assert_eq!(scalars(&vals), expected, "{ctx} dataflow/{name}");
+            assert_eq!(answers(&vals), expected, "{ctx} dataflow/{name}");
         }
     }
+    assert!(fused >= 15, "only {fused} of 25 chains ran fused");
 }
 
 /// A bound column's cardinality fact is its *live* row count: `sql.bind`

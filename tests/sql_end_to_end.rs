@@ -177,6 +177,100 @@ fn null_bounds_select_nothing_not_everything() {
     assert_eq!(count(&mut db, "EXECUTE p (2, 9)"), Value::I64(3));
 }
 
+/// What `EXPLAIN` and `TRACE` show of the scan shapes: a filter feeding
+/// aggregates or one grouping is a single `vector.pipeline` instruction
+/// with nothing of the chain left beside it; a join or a top-N keeps its
+/// column-at-a-time plan — and a `COUNT(*)` over a join counts the join's
+/// result instead of a fetch through it.
+#[test]
+fn scan_shapes_fuse_into_one_pipeline_instruction() {
+    const ROWS: i64 = 500;
+    let mut db = Database::new();
+    db.execute("CREATE TABLE fact (a BIGINT, b BIGINT, k BIGINT)")
+        .unwrap();
+    db.execute("CREATE TABLE dim (k BIGINT)").unwrap();
+    let fact: Vec<String> = (0..ROWS)
+        .map(|i| format!("({}, {}, {})", (i * 37) % ROWS, i % 8, i % 50))
+        .collect();
+    db.execute(&format!("INSERT INTO fact VALUES {}", fact.join(", ")))
+        .unwrap();
+    let dim: Vec<String> = (0..20).map(|k| format!("({k})")).collect();
+    db.execute(&format!("INSERT INTO dim VALUES {}", dim.join(", ")))
+        .unwrap();
+
+    let column = |db: &mut Database, sql: &str, name: &str| -> Vec<Value> {
+        let QueryOutput::Table { columns, rows } = db.execute(sql).unwrap() else {
+            panic!("{sql}: not a table")
+        };
+        let at = columns.iter().position(|c| c == name).expect(name);
+        rows.into_iter().map(|mut r| r.swap_remove(at)).collect()
+    };
+    let plan = |db: &mut Database, sql: &str| -> Vec<String> {
+        let mal = column(db, &format!("EXPLAIN {sql}"), "mal");
+        mal.iter().map(|v| v.to_string()).collect()
+    };
+
+    let fused = [
+        "SELECT SUM(b), COUNT(*) FROM fact WHERE a < 50",
+        "SELECT COUNT(*), SUM(a) FROM fact WHERE a BETWEEN 400 AND 480 AND b < 4",
+        "SELECT b, COUNT(*), SUM(a) FROM fact WHERE a < 70 AND a >= 10 GROUP BY b",
+        "SELECT MIN(b), MAX(b), MIN(k), MAX(k) FROM fact WHERE a < 130 AND a >= 5",
+    ];
+    for sql in fused {
+        let lines = plan(&mut db, sql);
+        let count = |needle: &str| lines.iter().filter(|l| l.contains(needle)).count();
+        assert_eq!(count("vector.pipeline"), 1, "{sql}:\n{lines:#?}");
+        for gone in ["algebra.", "aggr.", "group."] {
+            assert_eq!(
+                count(gone),
+                0,
+                "{sql}: {gone} beside the pipeline:\n{lines:#?}"
+            );
+        }
+    }
+
+    let join_count = "SELECT COUNT(*) FROM fact JOIN dim ON fact.k = dim.k WHERE fact.a < 300";
+    let lines = plan(&mut db, join_count);
+    let join = lines
+        .iter()
+        .find(|l| l.contains(":= algebra.join("))
+        .expect("the plan joins");
+    let left = &join[1..join.find(',').expect("two results")];
+    let counted = format!(":= aggr.count({left});");
+    assert!(
+        lines.iter().any(|l| l.ends_with(&counted)),
+        "COUNT(*) reads the join's left result {left}:\n{lines:#?}"
+    );
+    let topn = "SELECT a, b FROM fact WHERE a < 60 AND a >= 10 ORDER BY a LIMIT 10";
+    for sql in [join_count, topn] {
+        let lines = plan(&mut db, sql);
+        assert!(
+            !lines.iter().any(|l| l.contains("vector.pipeline")),
+            "{sql}"
+        );
+    }
+
+    // TRACE: the instruction read the table's rows once and produced its sink's
+    for (sql, sink_rows) in [(fused[1], 1), (fused[2], 8)] {
+        let trace = format!("TRACE {sql}");
+        let ops = column(&mut db, &trace, "op");
+        let at = ops
+            .iter()
+            .position(|op| op.to_string().starts_with("vector.pipeline["))
+            .unwrap_or_else(|| panic!("{sql}: no pipeline event in {ops:?}"));
+        assert_eq!(
+            column(&mut db, &trace, "rows_in")[at],
+            Value::I64(ROWS),
+            "{sql}"
+        );
+        assert_eq!(
+            column(&mut db, &trace, "rows_out")[at],
+            Value::I64(sink_rows),
+            "{sql}"
+        );
+    }
+}
+
 #[test]
 fn error_paths_are_clean() {
     let mut db = Database::new();
