@@ -28,6 +28,7 @@
 use crate::frame::{read_frame, write_frame};
 use crate::protocol::{ClientMsg, ErrorCode, ServerMsg, MIN_PROTO_VERSION, PROTO_VERSION};
 use crate::server::ServerConfig;
+use mammoth_sql::{parse_prepare, parse_sql, Statement};
 use mammoth_types::trace::{EventKind, Recorder};
 use mammoth_types::{Error, Result};
 use std::collections::VecDeque;
@@ -38,22 +39,25 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// What a daemon plugs into the connection core.
+/// What a daemon plugs into the connection core. The core owns the only
+/// parse: a handler is given statements, never text to read again.
 pub trait Handler: Send + Sync + 'static {
     /// The name advertised in `Hello`.
     fn name(&self) -> &str;
 
-    /// Execute one SQL statement and translate the outcome into its wire
+    /// Execute one statement and translate the outcome into its wire
     /// response.
-    fn statement(&self, sql: &str) -> ServerMsg;
+    fn statement(&self, stmt: Statement) -> ServerMsg;
 
-    /// How many `?` placeholders the prepared statement `name` takes, from
-    /// wherever [`Handler::statement`] registered it — what the `Prepare`
-    /// verb reports back. `None` when no such statement is registered.
-    fn prepared_params(&self, name: &str) -> Option<usize>;
+    /// Answer a `Query` or `Prepare` whose text is not a statement; `err`
+    /// is what the parser said of `sql`.
+    fn rejected(&self, _sql: &str, err: Error) -> ServerMsg {
+        ServerMsg::err(ErrorCode::Sql, err.to_string())
+    }
 
-    /// (v3) Serve one scatter leg. Only a scatter target overrides this.
-    fn fragment(&self, _conn: &Conn<'_>, _id: u64, _sql: &str) -> ServerMsg {
+    /// (v3) Serve one scatter leg — or refuse it, if its text did not
+    /// parse. Only a scatter target overrides this.
+    fn fragment(&self, _conn: &Conn<'_>, _id: u64, _stmt: Result<Statement>) -> ServerMsg {
         let refusal = format!("{} is not a scatter target; send Query", self.name());
         ServerMsg::err(ErrorCode::Protocol, refusal)
     }
@@ -463,13 +467,28 @@ fn serve_connection<H: Handler>(core: &Core<H>, widx: usize, mut stream: TcpStre
             return Ok(());
         }
         let started = Instant::now();
-        let mut preparing = None;
-        // The prepared-statement verbs are sugar over the SQL statements,
-        // so the whole prepared life cycle (naming, the plan cache,
-        // invalidation) lives in one place: behind `Handler::statement`.
-        // `shown` is how much of the statement text the trace shows for
-        // them: the verb and the handle.
-        let (sql, shown) = match msg {
+        // What the trace shows of a statement: the verb and the handle of
+        // a prepared-statement frame, the first 64 characters of ad-hoc
+        // text. Nobody to show a label to without a sink.
+        let label = core.recorder.enabled().then(|| match &msg {
+            ClientMsg::Prepare { name, .. } => format!("PREPARE {name}"),
+            ClientMsg::ExecutePrepared { name, .. } => format!("EXECUTE {name}"),
+            ClientMsg::Deallocate { name } => format!("DEALLOCATE {name}"),
+            ClientMsg::Query { sql } => {
+                let mut brief: String = sql.chars().take(64).collect();
+                if brief.len() < sql.len() {
+                    brief.push('…');
+                }
+                brief
+            }
+            _ => String::new(),
+        });
+        // Text is parsed here, once, and nowhere behind this point; the
+        // prepared-statement frames are the statements they name already,
+        // so an `ExecutePrepared` carries its arguments to the bind as the
+        // values the wire delivered.
+        let mut nparams = None;
+        let parsed = match msg {
             ClientMsg::Quit => return Ok(()),
             ClientMsg::Login { .. } => {
                 refuse(&mut stream, ErrorCode::Protocol, "already logged in");
@@ -495,56 +514,28 @@ fn serve_connection<H: Handler>(core: &Core<H>, widx: usize, mut stream: TcpStre
                 continue;
             }
             ClientMsg::Fragment { id, sql } => {
-                send(&mut stream, &core.handler.fragment(&conn, id, &sql))?;
+                let resp = core.handler.fragment(&conn, id, parse_sql(&sql));
+                send(&mut stream, &resp)?;
                 continue;
             }
-            ClientMsg::Query { sql } => (sql, None),
+            ClientMsg::Query { sql } => parse_sql(&sql).map_err(|e| (sql, e)),
             ClientMsg::Prepare { name, sql } => {
-                let mut text = format!("PREPARE {name}");
-                let shown = text.len();
-                text.push_str(" AS ");
-                text.push_str(&sql);
-                preparing = Some(name);
-                (text, Some(shown))
+                let parsed = parse_prepare(&name, &sql);
+                // what `Prepared` reports: the count of the statement in hand
+                nparams = parsed.as_ref().ok().map(|stmt| stmt.param_count() as u32);
+                parsed.map_err(|e| (sql, e))
             }
-            ClientMsg::ExecutePrepared { name, args } => {
-                let mut text = format!("EXECUTE {name}");
-                let shown = text.len();
-                for (i, arg) in args.iter().enumerate() {
-                    text.push_str(if i == 0 { " (" } else { ", " });
-                    text.push_str(&mammoth_sql::sql_literal(arg));
-                }
-                if !args.is_empty() {
-                    text.push(')');
-                }
-                (text, Some(shown))
-            }
-            ClientMsg::Deallocate { name } => {
-                let text = format!("DEALLOCATE {name}");
-                let shown = text.len();
-                (text, Some(shown))
-            }
+            ClientMsg::ExecutePrepared { name, args } => Ok(Statement::Execute { name, args }),
+            ClientMsg::Deallocate { name } => Ok(Statement::Deallocate { name }),
         };
-        let mut resp = core.handler.statement(&sql);
-        if let (Some(name), ServerMsg::Ok) = (&preparing, &resp) {
-            // the registry counted the placeholders when the statement was
-            // parsed on its way in
-            let nparams = core.handler.prepared_params(name).unwrap_or(0) as u32;
-            resp = ServerMsg::Prepared { nparams };
-        }
-        // nobody to show a label to without a sink
-        if core.recorder.enabled() {
-            let label = match shown {
-                Some(n) => sql[..n].to_string(),
-                // ad-hoc SQL: its first 64 characters
-                None => {
-                    let mut brief: String = sql.chars().take(64).collect();
-                    if brief.len() < sql.len() {
-                        brief.push('…');
-                    }
-                    brief
-                }
-            };
+        let resp = match parsed {
+            Ok(stmt) => match (core.handler.statement(stmt), nparams) {
+                (ServerMsg::Ok, Some(nparams)) => ServerMsg::Prepared { nparams },
+                (resp, _) => resp,
+            },
+            Err((sql, e)) => core.handler.rejected(&sql, e),
+        };
+        if let Some(label) = label {
             let rows = resp.result_rows();
             conn.trace(EventKind::ServerStatement, label, started, rows);
         }

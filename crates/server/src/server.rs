@@ -12,7 +12,7 @@
 use crate::listener::{Conn, Handler, Listener};
 use crate::protocol::{ErrorCode, ServerMsg, SERVER_NAME};
 use crate::shared::{ExecError, SessionSpec, SharedSession, Storage};
-use mammoth_sql::{parse_sql, QueryOutput, Statement};
+use mammoth_sql::{QueryOutput, Statement};
 use mammoth_storage::ship::{durable_tip, export_image, read_wal_range, Tip};
 use mammoth_storage::{RealFs, Vfs};
 use mammoth_types::trace::EventKind;
@@ -273,6 +273,13 @@ impl Engine {
             Err(ExecError::Fatal(m)) => ServerMsg::err(ErrorCode::Internal, m),
         }
     }
+
+    fn read_only_refusal(&self) -> ServerMsg {
+        ServerMsg::err(
+            ErrorCode::ReadOnly,
+            "server is a read-only replica; send writes to the primary",
+        )
+    }
 }
 
 impl Handler for Engine {
@@ -280,18 +287,14 @@ impl Handler for Engine {
         SERVER_NAME
     }
 
-    fn prepared_params(&self, name: &str) -> Option<usize> {
-        self.shared.prepared_params(name)
-    }
-
-    fn statement(&self, sql: &str) -> ServerMsg {
+    fn statement(&self, stmt: Statement) -> ServerMsg {
         self.statements.fetch_add(1, Ordering::Relaxed);
         // PROMOTE is a server-level statement and must be answered *before*
         // the read-only gate — its whole purpose is to lift that gate. The
         // handler only signals the promotion machinery; the Ok acknowledges
         // "promotion started", and callers confirm completion by polling
         // EXPLAIN REPLICATION until role=primary.
-        if mammoth_sql::wants_promotion(sql) {
+        if stmt == Statement::Promote {
             return match &self.promote_handler {
                 Some(h) => {
                     h();
@@ -303,29 +306,29 @@ impl Handler for Engine {
                 ),
             };
         }
-        let result = if self.read_only.load(Ordering::SeqCst) {
-            // A replica serves what parses as a read and refuses the rest.
-            // With writes off, `EXECUTE` of a prepared DML statement comes
-            // back as NeedsWrite and is answered READ_ONLY below.
-            match parse_sql(sql) {
-                Ok(stmt) if stmt.is_read() => self.shared.execute_stmt(stmt, false),
-                _ => {
-                    return ServerMsg::err(
-                        ErrorCode::ReadOnly,
-                        "server is a read-only replica; send writes to the primary",
-                    )
-                }
-            }
-        } else {
-            self.shared.execute(sql)
-        };
-        self.reply(result)
+        // A replica serves what is a read and refuses the rest. With writes
+        // off, `EXECUTE` of a prepared DML statement comes back as
+        // NeedsWrite and is answered READ_ONLY by `reply`.
+        let read_only = self.read_only.load(Ordering::SeqCst);
+        if read_only && !stmt.is_read() {
+            return self.read_only_refusal();
+        }
+        self.reply(self.shared.execute_stmt(stmt, !read_only))
     }
 
-    fn fragment(&self, conn: &Conn<'_>, id: u64, sql: &str) -> ServerMsg {
+    fn rejected(&self, sql: &str, err: Error) -> ServerMsg {
+        self.statements.fetch_add(1, Ordering::Relaxed);
+        // a replica cannot tell unreadable text from a write
+        if self.read_only.load(Ordering::SeqCst) {
+            return self.read_only_refusal();
+        }
+        self.reply(self.shared.unparsed(sql, err))
+    }
+
+    fn fragment(&self, conn: &Conn<'_>, id: u64, stmt: Result<Statement>) -> ServerMsg {
         // Fragments are the read half of scatter-gather; writes must
         // arrive as Query so they take the normal WAL path.
-        let Some(stmt) = parse_sql(sql).ok().filter(Statement::is_read) else {
+        let Some(stmt) = stmt.ok().filter(Statement::is_read) else {
             return ServerMsg::err(
                 ErrorCode::Protocol,
                 "fragments must be read-only statements",

@@ -278,16 +278,25 @@ impl SharedSession {
         self.cv.notify_all();
     }
 
-    /// Execute one statement with admission control, timeout, and poison
-    /// recovery: [`SharedSession::execute_stmt`] on the parsed text, with
-    /// writes allowed. Text that is not a statement fails here, before it
+    /// [`SharedSession::execute_stmt`] on the parsed text, with writes
+    /// allowed — for callers that hold text (embedding, tests); the wire
+    /// arrives parsed. Text that is not a statement fails here, before it
     /// queues for anything.
     pub fn execute(&self, sql: &str) -> std::result::Result<QueryOutput, ExecError> {
+        match parse_sql(sql) {
+            Ok(stmt) => self.execute_stmt(stmt, true),
+            Err(e) => self.unparsed(sql, e),
+        }
+    }
+
+    /// What text that is not a statement comes to: `err`, the parser's
+    /// verdict on it — except that, with test panics enabled, `__PANIC__`
+    /// is the statement that panics holding the session.
+    pub fn unparsed(&self, sql: &str, err: Error) -> std::result::Result<QueryOutput, ExecError> {
         if self.test_panics && sql.trim() == "__PANIC__" {
             return self.exclusive(|_| panic!("test-injected statement panic"));
         }
-        let stmt = parse_sql(sql).map_err(ExecError::Engine)?;
-        self.execute_stmt(stmt, true)
+        Err(ExecError::Engine(err))
     }
 
     /// Admit a parsed statement by what it is: [`Statement::is_read`]
@@ -373,13 +382,6 @@ impl SharedSession {
                 Err(msg)
             }
         }
-    }
-
-    /// [`Session::prepared_params`]. Reads the session's own registry
-    /// lock only, so it does not queue behind the statement scheduler.
-    pub fn prepared_params(&self, name: &str) -> Option<usize> {
-        let guard = self.session.read().unwrap_or_else(|e| e.into_inner());
-        guard.prepared_params(name)
     }
 
     /// Run `f` on the session under exclusive access, bypassing the

@@ -9,9 +9,9 @@
 //!
 //! Execution strategies, in the order [`Coordinator::execute`] tries them:
 //!
-//! * **DDL** (`CREATE`/`DROP TABLE`, `CHECKPOINT`) broadcasts the raw
-//!   statement to every shard and mirrors the change into the planning
-//!   catalog and partition map.
+//! * **DDL** (`CREATE`/`DROP TABLE`, `CHECKPOINT`) broadcasts the
+//!   statement, printed back to text, to every shard and mirrors the
+//!   change into the planning catalog and partition map.
 //! * **DML** routes by partition key: an `INSERT` splits its rows by
 //!   [`shard_of`] and ships each shard only its subset (durable via that
 //!   shard's WAL); a `DELETE` whose predicate pins the key goes to the one
@@ -64,9 +64,8 @@ use mammoth_mal::{
 use mammoth_planner::normalize_sql;
 use mammoth_server::{Client, ClientError, ErrorCode, Response, RetryPolicy};
 use mammoth_sql::{
-    classify, compile_select, delete_sql, insert_sql, parse_sql, reject_stray_params,
-    render_outputs, select_sql, wants_sharding_status, GatherTable, Predicate, PreparedRegistry,
-    QueryOutput, ScatterPlan, SelectStmt, Statement,
+    classify, compile_select, parse_sql, reject_stray_params, render_outputs, GatherTable,
+    Predicate, PreparedRegistry, QueryOutput, Scalar, ScatterPlan, SelectStmt, Statement,
 };
 use mammoth_storage::{Bat, Catalog, Table};
 use mammoth_types::{ColumnDef, Error, EventKind, LogicalType, Recorder, TableSchema, Value};
@@ -228,7 +227,6 @@ pub struct Coordinator {
     prepared: PreparedRegistry,
     next_frag: AtomicU64,
     recorder: Recorder,
-    stmts: AtomicU64,
 }
 
 /// One cached scatter compilation: the verified single-node program, its
@@ -269,17 +267,11 @@ impl Coordinator {
             prepared: PreparedRegistry::default(),
             next_frag: AtomicU64::new(1),
             recorder: Recorder::default(),
-            stmts: AtomicU64::new(0),
         }
     }
 
     pub fn nshards(&self) -> usize {
         self.cfg.shards.len()
-    }
-
-    /// Statements executed so far (including failed ones).
-    pub fn statements(&self) -> u64 {
-        self.stmts.load(Ordering::Relaxed)
     }
 
     fn trace(&self, kind: EventKind, args: String, started: Instant, rows: u64) {
@@ -418,7 +410,7 @@ impl Coordinator {
         })
     }
 
-    /// Broadcast a raw statement to every shard, failing on the first
+    /// Broadcast a statement's text to every shard, failing on the first
     /// error (in shard order).
     fn broadcast(&self, sql: &str) -> Result<Vec<Response>, CoordError> {
         let legs = self.scatter(|i| self.with_shard(i, |c| c.query(sql)));
@@ -427,24 +419,8 @@ impl Coordinator {
 
     // ---------------------------------------------------------------- DDL
 
-    fn create_table(
-        &self,
-        sql: &str,
-        name: &str,
-        columns: &[(String, LogicalType, bool)],
-    ) -> Result<QueryOutput, CoordError> {
-        let defs: Vec<ColumnDef> = columns
-            .iter()
-            .map(|(n, ty, nullable)| {
-                let d = ColumnDef::new(n.clone(), *ty);
-                if *nullable {
-                    d
-                } else {
-                    d.not_null()
-                }
-            })
-            .collect();
-        let schema = TableSchema::new(name, defs);
+    fn create_table(&self, sql: &str, schema: &TableSchema) -> Result<QueryOutput, CoordError> {
+        let name = &schema.name;
         {
             let mut planning = self.planning.lock().unwrap_or_else(|e| e.into_inner());
             let table = Table::new(schema.clone()).map_err(CoordError::Sql)?;
@@ -453,7 +429,7 @@ impl Coordinator {
                 .parts
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
-                .add_table(&schema)
+                .add_table(schema)
             {
                 let _ = planning.drop_table(name);
                 return Err(CoordError::Sql(e));
@@ -487,28 +463,32 @@ impl Coordinator {
 
     // ---------------------------------------------------------------- DML
 
-    fn insert(&self, table: &str, rows: Vec<Vec<Value>>) -> Result<QueryOutput, CoordError> {
+    fn insert(&self, table: &str, rows: Vec<Vec<Scalar>>) -> Result<QueryOutput, CoordError> {
         let spec = self.spec_for(table)?;
         let n = self.nshards();
         let started = Instant::now();
-        let mut per_shard: Vec<Vec<Vec<Value>>> = vec![Vec::new(); n];
+        let mut per_shard: Vec<Vec<Vec<Scalar>>> = vec![Vec::new(); n];
         for row in rows {
-            let key = row.get(spec.key_index).ok_or_else(|| {
-                CoordError::Sql(Error::Internal(format!(
-                    "INSERT row has no value for partition key column {}",
-                    spec.key_column
-                )))
-            })?;
+            let key = row
+                .get(spec.key_index)
+                .and_then(Scalar::as_lit)
+                .ok_or_else(|| {
+                    CoordError::Sql(Error::Internal(format!(
+                        "INSERT row has no value for partition key column {}",
+                        spec.key_column
+                    )))
+                })?;
             per_shard[shard_of(key, n)].push(row);
         }
         let mut total: u64 = 0;
         let mut touched = 0usize;
-        for (i, shard_rows) in per_shard.iter().enumerate() {
-            if shard_rows.is_empty() {
+        for (i, rows) in per_shard.into_iter().enumerate() {
+            if rows.is_empty() {
                 continue;
             }
             touched += 1;
-            let frag = insert_sql(table, shard_rows);
+            let table = table.to_string();
+            let frag = Statement::Insert { table, rows }.to_string();
             match self.with_shard(i, |c| c.query(&frag))? {
                 Response::Affected(k) => total += k,
                 other => {
@@ -840,7 +820,7 @@ impl Coordinator {
     /// (`plan.cache_hit` / `plan.compile`) so the one-compile-per-
     /// coordinator-lifetime property is testable from the outside.
     fn planned_select(&self, sel: &SelectStmt) -> Result<Arc<PlannedSelect>, CoordError> {
-        let key = normalize_sql(&select_sql(sel));
+        let key = normalize_sql(&sel.to_string());
         let started = Instant::now();
         let hit = self
             .plans
@@ -1122,55 +1102,35 @@ impl Coordinator {
         })
     }
 
-    /// How many `?` placeholders the prepared statement `name` takes;
-    /// `None` when no such statement is registered.
-    pub fn prepared_params(&self, name: &str) -> Option<usize> {
-        self.prepared.nparams(name)
-    }
-
     /// Execute one SQL statement across the shard set.
     pub fn execute(&self, sql: &str) -> Result<QueryOutput, CoordError> {
-        self.stmts.fetch_add(1, Ordering::Relaxed);
-        let sql = sql.trim();
-        if wants_sharding_status(sql) {
-            return self.explain_sharding();
-        }
-        let stmt = parse_sql(sql)?;
+        self.execute_stmt(parse_sql(sql)?)
+    }
+
+    /// [`Coordinator::execute`] for a statement that is already parsed —
+    /// how the front end's listener hands every statement over.
+    pub fn execute_stmt(&self, stmt: Statement) -> Result<QueryOutput, CoordError> {
         reject_stray_params(&stmt)?;
-        match stmt {
-            Statement::CreateTable { name, columns } => self.create_table(sql, &name, &columns),
-            Statement::DropTable { name } => self.drop_table(sql, &name),
-            Statement::Checkpoint => {
-                self.broadcast(sql)?;
-                Ok(QueryOutput::Ok)
-            }
-            Statement::Trace(_) => Err(CoordError::Sql(Error::Unsupported(
-                "TRACE profiles a single node; connect to a shard directly".into(),
-            ))),
-            Statement::Explain(sel) => self.explain(&sel),
-            other => self.dispatch(other),
-        }
+        self.dispatch(stmt)
     }
 
     /// Route a parsed (and, for `EXECUTE`, parameter-bound) statement.
-    /// The statements reachable here are exactly the ones that do not
-    /// need the original text verbatim: `INSERT`/`DELETE` are re-rendered
-    /// per shard anyway, and `SELECT` scatters compiled fragments.
     fn dispatch(&self, stmt: Statement) -> Result<QueryOutput, CoordError> {
         match stmt {
             Statement::Select(sel) => self.select(&sel),
-            Statement::Insert { table, rows } => {
-                let rows: Vec<Vec<Value>> = rows
-                    .into_iter()
-                    .map(|r| r.into_iter().map(|s| s.bind(&[])).collect())
-                    .collect::<mammoth_types::Result<_>>()
-                    .map_err(CoordError::Sql)?;
-                self.insert(&table, rows)
-            }
-            Statement::Delete { table, where_ } => {
-                let sql = delete_sql(&table, &where_);
-                self.delete(&sql, &table, &where_)
-            }
+            Statement::Explain(sel) => self.explain(&sel),
+            Statement::ExplainSharding => self.explain_sharding(),
+            Statement::Insert { table, rows } => self.insert(&table, rows),
+            // What the shards are sent of these is the statement itself,
+            // printed: `INSERT` above prints one per shard, and `SELECT`
+            // scatters compiled fragments.
+            Statement::CreateTable(ref schema) => self.create_table(&stmt.to_string(), schema),
+            Statement::DropTable { ref name } => self.drop_table(&stmt.to_string(), name),
+            Statement::Delete {
+                ref table,
+                ref where_,
+            } => self.delete(&stmt.to_string(), table, where_),
+            Statement::Checkpoint => self.broadcast(&stmt.to_string()).map(|_| QueryOutput::Ok),
             // Fully-bound SELECTs warm the scatter-plan cache at `PREPARE`
             // time, so the first `EXECUTE` is already a `plan.cache_hit`.
             Statement::Prepare { name, stmt } => {
@@ -1186,6 +1146,13 @@ impl Coordinator {
                 Ok(QueryOutput::Ok)
             }
             Statement::Execute { name, args } => {
+                // a shard is sent its leg of the bound statement as text
+                let non_finite = |v: &&Value| matches!(v, Value::F64(x) if !x.is_finite());
+                if let Some(v) = args.iter().find(non_finite) {
+                    return Err(CoordError::Sql(Error::Unsupported(format!(
+                        "a non-finite float ({v}) has no SQL literal to send a shard"
+                    ))));
+                }
                 let p = self.prepared.lookup(&name, args.len())?;
                 self.dispatch(p.stmt.bind_params(&args)?)
             }
@@ -1193,9 +1160,14 @@ impl Coordinator {
                 self.prepared.remove(&name)?;
                 Ok(QueryOutput::Ok)
             }
-            other => Err(CoordError::Sql(Error::Unsupported(format!(
-                "the coordinator cannot route {other:?} through EXECUTE"
-            )))),
+            Statement::Trace(_) => Err(CoordError::Sql(Error::Unsupported(
+                "TRACE profiles a single node; connect to a shard directly".into(),
+            ))),
+            Statement::ExplainReplication | Statement::Promote => {
+                Err(CoordError::Sql(Error::Unsupported(format!(
+                    "{stmt} is answered by a node, not by the coordinator in front of it"
+                ))))
+            }
         }
     }
 }

@@ -7,7 +7,7 @@
 //! handshake, admission control (the server's default worker pool and
 //! backlog) and drain. What differs is its [`Handler`]:
 //!
-//! * statements go to [`Coordinator::execute`], and their failures carry
+//! * statements go to [`Coordinator::execute_stmt`], and their failures carry
 //!   the coordinator's typed codes — `SHARD_UNAVAILABLE` for a dead or
 //!   deadline-blown shard, shard error frames passed through verbatim;
 //! * `Fragment` and `Subscribe` keep the core's refusals: the coordinator
@@ -18,6 +18,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 
 use mammoth_server::{ErrorCode, Handler, Listener, ServerConfig, ServerMsg};
+use mammoth_sql::Statement;
 use mammoth_types::Result;
 
 use crate::coordinator::{CoordError, Coordinator};
@@ -54,13 +55,9 @@ impl Handler for Front {
         COORDINATOR_NAME
     }
 
-    fn prepared_params(&self, name: &str) -> Option<usize> {
-        self.0.prepared_params(name)
-    }
-
     /// Map a coordinator outcome onto a protocol frame.
-    fn statement(&self, sql: &str) -> ServerMsg {
-        let (code, message) = match self.0.execute(sql) {
+    fn statement(&self, stmt: Statement) -> ServerMsg {
+        let (code, message) = match self.0.execute_stmt(stmt) {
             Ok(out) => return ServerMsg::from_output(out),
             Err(CoordError::Unavailable(m)) => (ErrorCode::ShardUnavailable, m),
             Err(CoordError::Remote { code, message }) => (code, message),

@@ -1,7 +1,7 @@
 //! The SQL abstract syntax tree.
 
 use mammoth_algebra::{AggKind, CmpOp};
-use mammoth_types::{Error, LogicalType, Result, Value};
+use mammoth_types::{Error, Result, TableSchema, Value};
 
 /// A (possibly table-qualified) column reference.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,6 +18,16 @@ impl ColumnRef {
         }
     }
 }
+
+/// The aggregate functions by name, as the parser reads them (in any
+/// case) and the printer writes them.
+pub(crate) const AGGREGATES: [(&str, AggKind); 5] = [
+    ("COUNT", AggKind::Count),
+    ("SUM", AggKind::Sum),
+    ("MIN", AggKind::Min),
+    ("MAX", AggKind::Max),
+    ("AVG", AggKind::Avg),
+];
 
 /// One item of the SELECT list.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,10 +154,7 @@ pub struct SelectStmt {
 #[derive(Debug, Clone, PartialEq)]
 #[allow(clippy::large_enum_variant)] // statements are built once per query
 pub enum Statement {
-    CreateTable {
-        name: String,
-        columns: Vec<(String, LogicalType, bool)>, // (name, type, nullable)
-    },
+    CreateTable(TableSchema),
     DropTable {
         name: String,
     },
@@ -165,6 +172,14 @@ pub enum Statement {
     /// `EXPLAIN REPLICATION` — the node's replication role and lag as a
     /// `(field, value)` table; nothing to plan.
     ExplainReplication,
+    /// `EXPLAIN SHARDING` — the partition map and per-shard row counts.
+    /// A shard coordinator answers it; a single node has no shards to
+    /// report and refuses.
+    ExplainSharding,
+    /// `PROMOTE` — ask a read-only replica to take over as primary. The
+    /// replica's server answers it in front of its read-only gate; a
+    /// session on its own has no role to change and refuses.
+    Promote,
     /// `TRACE SELECT ...` — execute and return the per-instruction profile.
     Trace(SelectStmt),
     /// `CHECKPOINT` — fold the WAL into a fresh atomic checkpoint
@@ -189,12 +204,14 @@ pub enum Statement {
 
 impl Statement {
     /// Whether the statement can run through `&Session` next to other
-    /// readers: `SELECT` / `EXPLAIN`, and the prepared-statement verbs
+    /// readers: `SELECT` / `EXPLAIN …`, and the prepared-statement verbs
     /// (which only touch the Mutex-guarded registry). `TRACE` is not — it
     /// records the session's last profile. `EXECUTE` of prepared DML reads
     /// as far as the registry and then turns out to write:
     /// [`Session::execute_read_stmt`](crate::Session::execute_read_stmt)
-    /// hands that statement back for the exclusive path.
+    /// hands that statement back for the exclusive path. `EXPLAIN SHARDING`
+    /// and `PROMOTE` are no session's to answer at either door; they take
+    /// the exclusive one to be refused there.
     pub fn is_read(&self) -> bool {
         matches!(
             self,
@@ -207,80 +224,56 @@ impl Statement {
         )
     }
 
+    /// Where the statement holds its literals and placeholders, in the
+    /// order the parser numbers them: `WHERE` conjuncts or `VALUES` rows —
+    /// for a `PREPARE`, those of the statement it wraps.
+    fn slots(&self) -> (&[Predicate], &[Vec<Scalar>]) {
+        match self {
+            Statement::Select(s) | Statement::Explain(s) | Statement::Trace(s) => (&s.where_, &[]),
+            Statement::Delete { where_, .. } => (where_, &[]),
+            Statement::Insert { rows, .. } => (&[], rows),
+            Statement::Prepare { stmt, .. } => stmt.slots(),
+            _ => (&[], &[]),
+        }
+    }
+
+    fn slots_mut(&mut self) -> (&mut [Predicate], &mut [Vec<Scalar>]) {
+        match self {
+            Statement::Select(s) | Statement::Explain(s) | Statement::Trace(s) => {
+                (&mut s.where_, &mut [])
+            }
+            Statement::Delete { where_, .. } => (where_, &mut []),
+            Statement::Insert { rows, .. } => (&mut [], rows),
+            Statement::Prepare { stmt, .. } => stmt.slots_mut(),
+            _ => (&mut [], &mut []),
+        }
+    }
+
     /// The number of `?` placeholder slots this statement uses
     /// (`max index + 1`; placeholders are numbered densely by the parser).
     pub fn param_count(&self) -> usize {
-        fn scan_preds(preds: &[Predicate], max: &mut Option<usize>) {
-            for p in preds {
-                if let Scalar::Param(n) = &p.value {
-                    *max = Some(max.map_or(*n, |m: usize| m.max(*n)));
-                }
-            }
-        }
-        let mut max: Option<usize> = None;
-        match self {
-            Statement::Select(s) | Statement::Explain(s) | Statement::Trace(s) => {
-                scan_preds(&s.where_, &mut max)
-            }
-            Statement::Delete { where_, .. } => scan_preds(where_, &mut max),
-            Statement::Insert { rows, .. } => {
-                for row in rows {
-                    for v in row {
-                        if let Scalar::Param(n) = v {
-                            max = Some(max.map_or(*n, |m| m.max(*n)));
-                        }
-                    }
-                }
-            }
-            Statement::Prepare { stmt, .. } => return stmt.param_count(),
-            _ => {}
-        }
-        max.map_or(0, |m| m + 1)
+        let (preds, rows) = self.slots();
+        let scalars = preds.iter().map(|p| &p.value).chain(rows.iter().flatten());
+        let used = scalars.filter_map(|s| match s {
+            Scalar::Param(n) => Some(n + 1),
+            Scalar::Lit(_) => None,
+        });
+        used.max().unwrap_or(0)
     }
 
     /// Substitute every `?` placeholder from `args`, producing a fully
     /// concrete statement. Errors when `args` is too short; extra
     /// arguments are rejected by the caller (which knows the handle name).
     pub fn bind_params(&self, args: &[Value]) -> Result<Statement> {
-        fn bind_preds(preds: &[Predicate], args: &[Value]) -> Result<Vec<Predicate>> {
-            preds
-                .iter()
-                .map(|p| {
-                    Ok(Predicate {
-                        col: p.col.clone(),
-                        op: p.op,
-                        value: Scalar::Lit(p.value.bind(args)?),
-                    })
-                })
-                .collect()
-        }
-        Ok(match self {
-            Statement::Select(s) | Statement::Explain(s) | Statement::Trace(s) => {
-                let mut bound = s.clone();
-                bound.where_ = bind_preds(&s.where_, args)?;
-                match self {
-                    Statement::Explain(_) => Statement::Explain(bound),
-                    Statement::Trace(_) => Statement::Trace(bound),
-                    _ => Statement::Select(bound),
-                }
+        let mut bound = self.clone();
+        let (preds, rows) = bound.slots_mut();
+        let scalars = preds.iter_mut().map(|p| &mut p.value);
+        for s in scalars.chain(rows.iter_mut().flatten()) {
+            if let Scalar::Param(_) = s {
+                *s = Scalar::Lit(s.bind(args)?);
             }
-            Statement::Delete { table, where_ } => Statement::Delete {
-                table: table.clone(),
-                where_: bind_preds(where_, args)?,
-            },
-            Statement::Insert { table, rows } => Statement::Insert {
-                table: table.clone(),
-                rows: rows
-                    .iter()
-                    .map(|row| {
-                        row.iter()
-                            .map(|v| v.bind(args).map(Scalar::Lit))
-                            .collect::<Result<Vec<Scalar>>>()
-                    })
-                    .collect::<Result<Vec<_>>>()?,
-            },
-            other => other.clone(),
-        })
+        }
+        Ok(bound)
     }
 }
 

@@ -1,5 +1,6 @@
 //! SQL tokenizer.
 
+use mammoth_algebra::CmpOp;
 use mammoth_types::{Error, Result};
 
 /// SQL tokens. Keywords are uppercased idents, matched case-insensitively.
@@ -9,8 +10,8 @@ pub enum Token {
     Int(i64),
     Float(f64),
     Str(String),
-    /// `=`, `<>`, `<`, `<=`, `>`, `>=`
-    Op(String),
+    /// `=`, `<>` (or `!=`), `<`, `<=`, `>`, `>=`
+    Op(CmpOp),
     LParen,
     RParen,
     Comma,
@@ -94,34 +95,34 @@ impl<'a> SqlLexer<'a> {
             }
             b'=' => {
                 self.pos += 1;
-                Token::Op("=".into())
+                Token::Op(CmpOp::Eq)
             }
             b'<' => {
                 self.pos += 1;
                 match self.src.get(self.pos) {
                     Some(b'=') => {
                         self.pos += 1;
-                        Token::Op("<=".into())
+                        Token::Op(CmpOp::Le)
                     }
                     Some(b'>') => {
                         self.pos += 1;
-                        Token::Op("<>".into())
+                        Token::Op(CmpOp::Ne)
                     }
-                    _ => Token::Op("<".into()),
+                    _ => Token::Op(CmpOp::Lt),
                 }
             }
             b'>' => {
                 self.pos += 1;
                 if self.src.get(self.pos) == Some(&b'=') {
                     self.pos += 1;
-                    Token::Op(">=".into())
+                    Token::Op(CmpOp::Ge)
                 } else {
-                    Token::Op(">".into())
+                    Token::Op(CmpOp::Gt)
                 }
             }
             b'!' if self.src.get(self.pos + 1) == Some(&b'=') => {
                 self.pos += 2;
-                Token::Op("<>".into())
+                Token::Op(CmpOp::Ne)
             }
             b'\'' => {
                 self.pos += 1;
@@ -158,19 +159,30 @@ impl<'a> SqlLexer<'a> {
                 let start = self.pos;
                 self.pos += 1;
                 let mut float = false;
-                while self.pos < self.src.len()
-                    && (self.src[self.pos].is_ascii_digit() || self.src[self.pos] == b'.')
-                {
-                    float |= self.src[self.pos] == b'.';
+                while let Some(&c) = self.src.get(self.pos) {
+                    match c {
+                        b'0'..=b'9' => {}
+                        b'.' => float = true,
+                        // an exponent, with its sign: `1e-7`, `2.5E+16`
+                        b'e' | b'E' => {
+                            let signed = matches!(self.src.get(self.pos + 1), Some(b'+' | b'-'));
+                            let digits = self.pos + 1 + usize::from(signed);
+                            if !self.src.get(digits).is_some_and(u8::is_ascii_digit) {
+                                break;
+                            }
+                            float = true;
+                            self.pos = digits;
+                        }
+                        _ => break,
+                    }
                     self.pos += 1;
                 }
                 let text = std::str::from_utf8(&self.src[start..self.pos])
                     .map_err(|_| self.err("invalid utf8 in number"))?;
                 if float {
-                    Token::Float(
-                        text.parse()
-                            .map_err(|_| self.err(format!("bad float {text}")))?,
-                    )
+                    // `1e999` parses, to infinity: not a value SQL can spell
+                    let parsed = text.parse().ok().filter(|f: &f64| f.is_finite());
+                    Token::Float(parsed.ok_or_else(|| self.err(format!("bad float {text}")))?)
                 } else {
                     Token::Int(
                         text.parse()
@@ -229,7 +241,7 @@ mod tests {
     fn tokenizes_select() {
         let toks = all("SELECT name, age FROM people WHERE age >= 1927;");
         assert_eq!(toks[0], Token::Ident("SELECT".into()));
-        assert!(toks.contains(&Token::Op(">=".into())));
+        assert!(toks.contains(&Token::Op(CmpOp::Ge)));
         assert_eq!(*toks.last().unwrap(), Token::Semi);
     }
 
@@ -245,6 +257,17 @@ mod tests {
         assert_eq!(all("42"), vec![Token::Int(42)]);
         assert_eq!(all("-7"), vec![Token::Int(-7)]);
         assert_eq!(all("2.5"), vec![Token::Float(2.5)]);
+        // exponents, as Rust prints floats below 1e-5 and from 1e16 up
+        assert_eq!(all("1e-7"), vec![Token::Float(1e-7)]);
+        assert_eq!(all("2.5E+16, -1e300"), {
+            vec![Token::Float(2.5e16), Token::Comma, Token::Float(-1e300)]
+        });
+        assert!(SqlLexer::new("1e999").next().is_err(), "infinity");
+        // no digits, no exponent: the `e` starts the next token
+        assert_eq!(
+            all("1east"),
+            vec![Token::Int(1), Token::Ident("east".into())]
+        );
     }
 
     #[test]

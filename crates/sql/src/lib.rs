@@ -20,16 +20,14 @@ pub mod compile;
 pub mod lexer;
 pub mod parser;
 pub mod prepared;
+mod printer;
 pub mod routing;
 pub mod session;
 
 pub use ast::{ColumnRef, JoinClause};
 pub use ast::{Predicate, Scalar, SelectItem, SelectStmt, Statement};
 pub use compile::compile_select;
-pub use parser::parse_sql;
+pub use parser::{parse_prepare, parse_sql};
 pub use prepared::{reject_stray_params, PreparedRegistry, PreparedStmt};
-pub use routing::{
-    classify, delete_sql, insert_sql, select_sql, sql_literal, wants_promotion,
-    wants_sharding_status, GatherTable, ScatterPlan,
-};
+pub use routing::{classify, sql_literal, GatherTable, ScatterPlan};
 pub use session::{render_outputs, QueryOutput, Session, StatusProvider};

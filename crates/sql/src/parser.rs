@@ -3,7 +3,7 @@
 use crate::ast::*;
 use crate::lexer::{is_kw, SqlLexer, Token};
 use mammoth_algebra::{AggKind, CmpOp};
-use mammoth_types::{LogicalType, Result, Value};
+use mammoth_types::{ColumnDef, Error, LogicalType, Result, TableSchema, Value};
 
 /// Parse one SQL statement (a trailing `;` is optional).
 pub fn parse_sql(src: &str) -> Result<Statement> {
@@ -19,6 +19,33 @@ pub fn parse_sql(src: &str) -> Result<Statement> {
     match p.lex.next()? {
         Token::Eof => Ok(stmt),
         t => Err(p.lex.err(format!("trailing input: {t:?}"))),
+    }
+}
+
+/// `PREPARE name AS body` from its two parts — what a protocol-v4
+/// `Prepare` frame carries. `name` must be one identifier, as the grammar
+/// would have read it.
+pub fn parse_prepare(name: &str, body: &str) -> Result<Statement> {
+    let mut lex = SqlLexer::new(name);
+    match (lex.next()?, lex.next()?) {
+        (Token::Ident(name), Token::Eof) => prepared(name, parse_sql(body)?, 0),
+        _ => Err(lex.err("a prepared statement's name is one identifier")),
+    }
+}
+
+/// `PREPARE name AS stmt`, for a `stmt` that began at `pos`.
+fn prepared(name: String, stmt: Statement, pos: usize) -> Result<Statement> {
+    match stmt {
+        Statement::Prepare { .. } | Statement::Execute { .. } | Statement::Deallocate { .. } => {
+            Err(Error::Parse {
+                pos,
+                message: "PREPARE cannot wrap PREPARE/EXECUTE/DEALLOCATE".into(),
+            })
+        }
+        stmt => Ok(Statement::Prepare {
+            name,
+            stmt: Box::new(stmt),
+        }),
     }
 }
 
@@ -63,6 +90,26 @@ impl Parser<'_> {
         }
     }
 
+    /// `item, item, …`: one or more.
+    fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
+        let mut out = vec![item(self)?];
+        while self.lex.peek()? == Token::Comma {
+            self.lex.next()?;
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
+
+    /// `(item, item, …)`.
+    fn tuple<T>(&mut self, item: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
+        self.expect(Token::LParen)?;
+        let out = self.list(item)?;
+        match self.lex.next()? {
+            Token::RParen => Ok(out),
+            t => Err(self.lex.err(format!("expected ',' or ')', got {t:?}"))),
+        }
+    }
+
     fn statement(&mut self) -> Result<Statement> {
         let t = self.lex.peek()?;
         if is_kw(&t, "SELECT") {
@@ -70,9 +117,12 @@ impl Parser<'_> {
         } else if is_kw(&t, "EXPLAIN") {
             self.lex.next()?;
             if self.accept_kw("REPLICATION")? {
-                return Ok(Statement::ExplainReplication);
+                Ok(Statement::ExplainReplication)
+            } else if self.accept_kw("SHARDING")? {
+                Ok(Statement::ExplainSharding)
+            } else {
+                Ok(Statement::Explain(self.select()?))
             }
-            Ok(Statement::Explain(self.select()?))
         } else if is_kw(&t, "TRACE") {
             self.lex.next()?;
             Ok(Statement::Trace(self.select()?))
@@ -91,6 +141,9 @@ impl Parser<'_> {
         } else if is_kw(&t, "CHECKPOINT") {
             self.lex.next()?;
             Ok(Statement::Checkpoint)
+        } else if is_kw(&t, "PROMOTE") {
+            self.lex.next()?;
+            Ok(Statement::Promote)
         } else if is_kw(&t, "PREPARE") {
             self.prepare()
         } else if is_kw(&t, "EXECUTE") {
@@ -110,18 +163,8 @@ impl Parser<'_> {
         self.expect_kw("PREPARE")?;
         let name = self.ident()?;
         self.expect_kw("AS")?;
-        let stmt = self.statement()?;
-        match stmt {
-            Statement::Prepare { .. }
-            | Statement::Execute { .. }
-            | Statement::Deallocate { .. } => Err(self
-                .lex
-                .err("PREPARE cannot wrap PREPARE/EXECUTE/DEALLOCATE")),
-            s => Ok(Statement::Prepare {
-                name,
-                stmt: Box::new(s),
-            }),
-        }
+        let pos = self.lex.pos;
+        prepared(name, self.statement()?, pos)
     }
 
     fn execute(&mut self) -> Result<Statement> {
@@ -129,18 +172,13 @@ impl Parser<'_> {
         let name = self.ident()?;
         let mut args = Vec::new();
         if self.lex.peek()? == Token::LParen {
+            let open = self.lex.pos;
             self.lex.next()?;
             if self.lex.peek()? == Token::RParen {
-                self.lex.next()?;
+                self.lex.next()?; // `()`: no arguments
             } else {
-                loop {
-                    args.push(self.literal()?);
-                    match self.lex.next()? {
-                        Token::Comma => continue,
-                        Token::RParen => break,
-                        t => return Err(self.lex.err(format!("expected ',' or ')', got {t:?}"))),
-                    }
-                }
+                self.lex.pos = open;
+                args = self.tuple(Self::literal)?;
             }
         }
         Ok(Statement::Execute { name, args })
@@ -150,26 +188,22 @@ impl Parser<'_> {
         self.expect_kw("CREATE")?;
         self.expect_kw("TABLE")?;
         let name = self.ident()?;
-        self.expect(Token::LParen)?;
-        let mut columns = Vec::new();
-        loop {
-            let cname = self.ident()?;
-            let tyname = self.ident()?;
+        let columns = self.tuple(|p| {
+            let cname = p.ident()?;
+            let tyname = p.ident()?;
             let ty = LogicalType::parse(&tyname)
-                .ok_or_else(|| self.lex.err(format!("unknown type {tyname}")))?;
-            let mut nullable = true;
-            if self.accept_kw("NOT")? {
-                self.expect_kw("NULL")?;
-                nullable = false;
+                .ok_or_else(|| p.lex.err(format!("unknown type {tyname}")))?;
+            let not_null = p.accept_kw("NOT")?;
+            if not_null {
+                p.expect_kw("NULL")?;
             }
-            columns.push((cname, ty, nullable));
-            match self.lex.next()? {
-                Token::Comma => continue,
-                Token::RParen => break,
-                t => return Err(self.lex.err(format!("expected ',' or ')', got {t:?}"))),
-            }
-        }
-        Ok(Statement::CreateTable { name, columns })
+            Ok(ColumnDef {
+                name: cname,
+                ty,
+                nullable: !not_null,
+            })
+        })?;
+        Ok(Statement::CreateTable(TableSchema::new(name, columns)))
     }
 
     fn literal(&mut self) -> Result<Value> {
@@ -206,25 +240,7 @@ impl Parser<'_> {
         self.expect_kw("INTO")?;
         let table = self.ident()?;
         self.expect_kw("VALUES")?;
-        let mut rows = Vec::new();
-        loop {
-            self.expect(Token::LParen)?;
-            let mut row = Vec::new();
-            loop {
-                row.push(self.scalar()?);
-                match self.lex.next()? {
-                    Token::Comma => continue,
-                    Token::RParen => break,
-                    t => return Err(self.lex.err(format!("expected ',' or ')', got {t:?}"))),
-                }
-            }
-            rows.push(row);
-            if self.lex.peek()? == Token::Comma {
-                self.lex.next()?;
-                continue;
-            }
-            break;
-        }
+        let rows = self.list(|p| p.tuple(Self::scalar))?;
         Ok(Statement::Insert { table, rows })
     }
 
@@ -277,15 +293,7 @@ impl Parser<'_> {
                 });
             } else {
                 let op = match self.lex.next()? {
-                    Token::Op(o) => match o.as_str() {
-                        "=" => CmpOp::Eq,
-                        "<>" => CmpOp::Ne,
-                        "<" => CmpOp::Lt,
-                        "<=" => CmpOp::Le,
-                        ">" => CmpOp::Gt,
-                        ">=" => CmpOp::Ge,
-                        other => return Err(self.lex.err(format!("bad operator {other}"))),
-                    },
+                    Token::Op(op) => op,
                     t => return Err(self.lex.err(format!("expected operator, got {t:?}"))),
                 };
                 let value = self.scalar()?;
@@ -301,20 +309,7 @@ impl Parser<'_> {
 
     fn select_item(&mut self) -> Result<SelectItem> {
         let t = self.lex.peek()?;
-        let agg = if is_kw(&t, "COUNT") {
-            Some(AggKind::Count)
-        } else if is_kw(&t, "SUM") {
-            Some(AggKind::Sum)
-        } else if is_kw(&t, "MIN") {
-            Some(AggKind::Min)
-        } else if is_kw(&t, "MAX") {
-            Some(AggKind::Max)
-        } else if is_kw(&t, "AVG") {
-            Some(AggKind::Avg)
-        } else {
-            None
-        };
-        if let Some(kind) = agg {
+        if let Some(&(_, kind)) = AGGREGATES.iter().find(|(name, _)| is_kw(&t, name)) {
             // aggregates require parentheses; a bare identifier named like
             // an aggregate is treated as a column
             let save = self.lex.pos;
@@ -337,15 +332,7 @@ impl Parser<'_> {
 
     fn select(&mut self) -> Result<SelectStmt> {
         self.expect_kw("SELECT")?;
-        let mut items = Vec::new();
-        loop {
-            items.push(self.select_item()?);
-            if self.lex.peek()? == Token::Comma {
-                self.lex.next()?;
-                continue;
-            }
-            break;
-        }
+        let items = self.list(Self::select_item)?;
         self.expect_kw("FROM")?;
         let from = self.ident()?;
         let join = if self.accept_kw("JOIN")? {
@@ -353,7 +340,7 @@ impl Parser<'_> {
             self.expect_kw("ON")?;
             let left = self.column_ref()?;
             match self.lex.next()? {
-                Token::Op(o) if o == "=" => {}
+                Token::Op(CmpOp::Eq) => {}
                 t => return Err(self.lex.err(format!("JOIN requires '=', got {t:?}"))),
             }
             let right = self.column_ref()?;
@@ -366,18 +353,12 @@ impl Parser<'_> {
         } else {
             Vec::new()
         };
-        let mut group_by = Vec::new();
-        if self.accept_kw("GROUP")? {
+        let group_by = if self.accept_kw("GROUP")? {
             self.expect_kw("BY")?;
-            loop {
-                group_by.push(self.column_ref()?);
-                if self.lex.peek()? == Token::Comma {
-                    self.lex.next()?;
-                    continue;
-                }
-                break;
-            }
-        }
+            self.list(Self::column_ref)?
+        } else {
+            Vec::new()
+        };
         let order_by = if self.accept_kw("ORDER")? {
             self.expect_kw("BY")?;
             let col = self.column_ref()?;
@@ -438,6 +419,16 @@ mod tests {
             panic!("expected Trace, got {s:?}")
         };
         assert_eq!(inner.from, "people");
+        // the EXPLAIN surfaces and PROMOTE, which plan nothing
+        for (sql, want) in [
+            ("EXPLAIN REPLICATION", Statement::ExplainReplication),
+            ("  explain sharding ; ", Statement::ExplainSharding),
+            ("promote;", Statement::Promote),
+        ] {
+            assert_eq!(parse_sql(sql).unwrap(), want, "{sql}");
+        }
+        assert!(parse_sql("EXPLAIN SHARDING t").is_err());
+        assert!(parse_sql("PROMOTE now").is_err());
         // EXPLAIN/TRACE wrap SELECT only
         assert!(parse_sql("EXPLAIN DROP TABLE people").is_err());
         assert!(parse_sql("TRACE INSERT INTO t VALUES (1)").is_err());
@@ -488,13 +479,13 @@ mod tests {
     #[test]
     fn parses_ddl_dml() {
         let s = parse_sql("CREATE TABLE t (a INT NOT NULL, b VARCHAR, c DOUBLE)").unwrap();
-        let Statement::CreateTable { name, columns } = s else {
+        let Statement::CreateTable(schema) = s else {
             panic!()
         };
-        assert_eq!(name, "t");
-        assert_eq!(columns.len(), 3);
-        assert!(!columns[0].2);
-        assert_eq!(columns[1].1, LogicalType::Str);
+        assert_eq!(schema.name, "t");
+        assert_eq!(schema.columns.len(), 3);
+        assert!(!schema.columns[0].nullable);
+        assert_eq!(schema.columns[1].ty, LogicalType::Str);
 
         let s = parse_sql("INSERT INTO t VALUES (1, 'x', 2.5), (2, NULL, 0.5)").unwrap();
         let Statement::Insert { rows, .. } = s else {
@@ -584,6 +575,30 @@ mod tests {
         assert!(parse_sql("PREPARE a AS DEALLOCATE b").is_err());
         // EXECUTE arguments are literals, never placeholders
         assert!(parse_sql("EXECUTE q (?)").is_err());
+    }
+
+    #[test]
+    fn a_prepare_frame_parses_to_the_statement_its_text_would() {
+        let body = "SELECT a FROM t WHERE a > ? AND b = ?;";
+        let framed = parse_prepare("q1", body).unwrap();
+        assert_eq!(framed, parse_sql(&format!("PREPARE q1 AS {body}")).unwrap());
+        assert_eq!(framed.param_count(), 2);
+        for name in ["", "1x", "a b", "a; DROP TABLE t", "'q'"] {
+            assert!(parse_prepare(name, body).is_err(), "{name:?}");
+        }
+        assert!(parse_prepare("q", "EXECUTE other").is_err());
+        assert!(parse_prepare("q", "SELECT FROM").is_err());
+    }
+
+    #[test]
+    fn exponent_floats_are_literals() {
+        let Statement::Insert { rows, .. } =
+            parse_sql("INSERT INTO t VALUES (1e-7, 2.5E+16, -1e300)").unwrap()
+        else {
+            panic!()
+        };
+        let want = [1e-7, 2.5e16, -1e300].map(|f| Scalar::Lit(Value::F64(f)));
+        assert_eq!(rows, vec![want.to_vec()]);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! and is bound (never re-parsed) at `EXECUTE`.
 
 use crate::ast::{SelectStmt, Statement};
-use crate::routing::select_sql;
 use mammoth_planner::normalize_sql;
 use mammoth_types::{Error, Result};
 use std::collections::HashMap;
@@ -69,7 +68,7 @@ impl PreparedRegistry {
         let prepared = PreparedStmt {
             nparams: stmt.param_count(),
             plan_key: match &stmt {
-                Statement::Select(sel) => Some(normalize_sql(&select_sql(sel))),
+                Statement::Select(sel) => Some(normalize_sql(&sel.to_string())),
                 _ => None,
             },
             stmt,
@@ -77,12 +76,6 @@ impl PreparedRegistry {
         admit(&prepared)?;
         self.stmts().insert(key, Arc::new(prepared));
         Ok(())
-    }
-
-    /// How many `?` placeholders the statement registered as `name` has —
-    /// counted when it was parsed on its way in.
-    pub fn nparams(&self, name: &str) -> Option<usize> {
-        self.stmts().get(&name.to_lowercase()).map(|p| p.nparams)
     }
 
     /// Fetch a prepared statement and check the `EXECUTE` argument count.

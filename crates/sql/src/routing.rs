@@ -17,168 +17,16 @@
 //! the same discipline the in-process mergetable applies.
 
 use crate::ast::{ColumnRef, Predicate, SelectItem, SelectStmt};
-use mammoth_algebra::{AggKind, CmpOp};
+use crate::printer::{Literal, Where};
+use mammoth_algebra::AggKind;
 use mammoth_mal::PartialMerge;
 use mammoth_storage::Catalog;
 use mammoth_types::{LogicalType, Value};
 
-/// `EXPLAIN SHARDING` is answered by the coordinator itself (partition
-/// map + per-shard row counts): a textual intercept, since the statement
-/// is the coordinator's and not part of the node grammar.
-pub fn wants_sharding_status(sql: &str) -> bool {
-    sql.trim()
-        .trim_end_matches(';')
-        .trim()
-        .eq_ignore_ascii_case("EXPLAIN SHARDING")
-}
-
-/// `PROMOTE` asks a read-only replica to take over as primary. It is a
-/// server-level statement (the serving session never sees it), detected
-/// with the same textual intercept as the EXPLAIN surfaces so the shard
-/// coordinator can drive failover over the ordinary query protocol.
-pub fn wants_promotion(sql: &str) -> bool {
-    sql.trim()
-        .trim_end_matches(';')
-        .trim()
-        .eq_ignore_ascii_case("PROMOTE")
-}
-
-/// Render a literal exactly as the lexer reads it back: `''`-doubled
-/// strings, `{:?}` floats (so `1.0` stays a float), bare digits for
-/// integers.
+/// A value as the literal the lexer reads back (see the printer for the
+/// spelling rules).
 pub fn sql_literal(v: &Value) -> String {
-    match v {
-        Value::Null => "NULL".into(),
-        Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.into(),
-        Value::I8(x) => x.to_string(),
-        Value::I16(x) => x.to_string(),
-        Value::I32(x) => x.to_string(),
-        Value::I64(x) => x.to_string(),
-        Value::F64(x) => format!("{x:?}"),
-        Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
-        Value::Oid(x) => x.to_string(),
-    }
-}
-
-fn col_sql(c: &ColumnRef) -> String {
-    match &c.table {
-        Some(t) => format!("{t}.{}", c.column),
-        None => c.column.clone(),
-    }
-}
-
-fn cmp_sql(op: CmpOp) -> &'static str {
-    match op {
-        CmpOp::Eq => "=",
-        CmpOp::Ne => "<>",
-        CmpOp::Lt => "<",
-        CmpOp::Le => "<=",
-        CmpOp::Gt => ">",
-        CmpOp::Ge => ">=",
-    }
-}
-
-fn predicate_sql(p: &Predicate) -> String {
-    let value = match &p.value {
-        crate::ast::Scalar::Lit(v) => sql_literal(v),
-        crate::ast::Scalar::Param(_) => "?".to_string(),
-    };
-    format!("{} {} {}", col_sql(&p.col), cmp_sql(p.op), value)
-}
-
-fn item_sql(item: &SelectItem) -> String {
-    match item {
-        SelectItem::Column(c) => col_sql(c),
-        SelectItem::CountStar => "COUNT(*)".into(),
-        SelectItem::Agg(kind, c) => {
-            let name = match kind {
-                AggKind::Count => "COUNT",
-                AggKind::Sum => "SUM",
-                AggKind::Min => "MIN",
-                AggKind::Max => "MAX",
-                AggKind::Avg => "AVG",
-            };
-            format!("{name}({})", col_sql(c))
-        }
-    }
-}
-
-/// Render a SELECT back to SQL the parser accepts (used for pushed-down
-/// fragments; the rendering is lossless for the supported grammar).
-pub fn select_sql(s: &SelectStmt) -> String {
-    let mut out = String::from("SELECT ");
-    out.push_str(&s.items.iter().map(item_sql).collect::<Vec<_>>().join(", "));
-    out.push_str(&format!(" FROM {}", s.from));
-    if let Some(j) = &s.join {
-        out.push_str(&format!(
-            " JOIN {} ON {} = {}",
-            j.table,
-            col_sql(&j.left),
-            col_sql(&j.right)
-        ));
-    }
-    if !s.where_.is_empty() {
-        out.push_str(" WHERE ");
-        out.push_str(
-            &s.where_
-                .iter()
-                .map(predicate_sql)
-                .collect::<Vec<_>>()
-                .join(" AND "),
-        );
-    }
-    if !s.group_by.is_empty() {
-        out.push_str(" GROUP BY ");
-        out.push_str(
-            &s.group_by
-                .iter()
-                .map(col_sql)
-                .collect::<Vec<_>>()
-                .join(", "),
-        );
-    }
-    if let Some((c, desc)) = &s.order_by {
-        out.push_str(&format!(" ORDER BY {}", col_sql(c)));
-        if *desc {
-            out.push_str(" DESC");
-        }
-    }
-    if let Some(n) = s.limit {
-        out.push_str(&format!(" LIMIT {n}"));
-    }
-    out
-}
-
-/// Render a DELETE back to SQL the parser accepts (the shard coordinator
-/// ships bound prepared DELETEs as text; unbound `?` renders as `?` and
-/// is rejected by the receiving session).
-pub fn delete_sql(table: &str, where_: &[Predicate]) -> String {
-    let mut out = format!("DELETE FROM {table}");
-    if !where_.is_empty() {
-        out.push_str(" WHERE ");
-        out.push_str(
-            &where_
-                .iter()
-                .map(predicate_sql)
-                .collect::<Vec<_>>()
-                .join(" AND "),
-        );
-    }
-    out
-}
-
-/// Render a multi-row INSERT for one shard's row subset.
-pub fn insert_sql(table: &str, rows: &[Vec<Value>]) -> String {
-    let vals: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "({})",
-                r.iter().map(sql_literal).collect::<Vec<_>>().join(", ")
-            )
-        })
-        .collect();
-    format!("INSERT INTO {table} VALUES {}", vals.join(", "))
+    Literal(v).to_string()
 }
 
 /// One table's gather fragment: every column (schema order) plus the
@@ -240,7 +88,7 @@ pub fn classify(catalog: &Catalog, stmt: &SelectStmt) -> ScatterPlan {
     let aggregates = aggregate_merges(catalog, stmt);
     if let Some(merges) = aggregates {
         return ScatterPlan::Aggregates {
-            fragment_sql: select_sql(stmt),
+            fragment_sql: stmt.to_string(),
             merges,
         };
     }
@@ -252,21 +100,11 @@ pub fn classify(catalog: &Catalog, stmt: &SelectStmt) -> ScatterPlan {
             return;
         };
         let columns: Vec<String> = t.schema.columns.iter().map(|c| c.name.clone()).collect();
-        let mut sql = format!("SELECT {} FROM {}", columns.join(", "), table);
-        if !preds.is_empty() {
-            sql.push_str(" WHERE ");
-            sql.push_str(
-                &preds
-                    .iter()
-                    .map(predicate_sql)
-                    .collect::<Vec<_>>()
-                    .join(" AND "),
-            );
-        }
+        let fragment_sql = format!("SELECT {} FROM {table}{}", columns.join(", "), Where(preds));
         tables.push(GatherTable {
             table: table.to_string(),
             columns,
-            fragment_sql: sql,
+            fragment_sql,
         });
     };
     match &stmt.join {
@@ -360,19 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn select_sql_roundtrips_through_parser() {
-        for sql in [
-            "SELECT a, s FROM t",
-            "SELECT t.a FROM t JOIN u ON t.a = u.b WHERE a > 3 AND s = 'it''s'",
-            "SELECT a, COUNT(*) FROM t GROUP BY a ORDER BY a DESC LIMIT 7",
-            "SELECT MIN(f), MAX(a) FROM t WHERE f < 2.5",
-        ] {
-            let stmt = select(sql);
-            assert_eq!(select(&select_sql(&stmt)), stmt, "roundtrip of {sql}");
-        }
-    }
-
-    #[test]
     fn lossless_aggregates_push_down() {
         let cat = catalog();
         let plan = classify(
@@ -442,14 +267,6 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn sharding_status_intercept() {
-        assert!(wants_sharding_status("EXPLAIN SHARDING"));
-        assert!(wants_sharding_status("  explain sharding ; "));
-        assert!(!wants_sharding_status("EXPLAIN SELECT a FROM t"));
-        assert!(!wants_sharding_status("EXPLAIN REPLICATION"));
     }
 
     #[test]

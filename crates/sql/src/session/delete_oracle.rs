@@ -17,8 +17,9 @@
 //! is a sentinel.
 
 use super::*;
-use crate::ast::{ColumnRef, Scalar};
+use crate::ast::{ColumnRef, Predicate, Scalar};
 use mammoth_algebra::CmpOp;
+use mammoth_types::Oid;
 use std::cmp::Ordering;
 
 impl Session {

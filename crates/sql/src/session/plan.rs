@@ -1,0 +1,198 @@
+//! The planner tier of a [`Session`]: statistics-fed compilation and the
+//! premise-checked plan cache.
+
+use super::explain::{export_profile, trace_env_on};
+use super::Session;
+use crate::ast::{Predicate, SelectStmt};
+use crate::compile::compile_select_ordered;
+use mammoth_mal::{
+    bound_column_facts, bound_column_types, column_props, default_pipeline_with_props,
+    parallel_pipeline_with_props, Arg, CommonSubexpr, ConstantFold, DeadCode, EventKind,
+    FusePipeline, OpCode, Pipeline, ProfiledRun, Program, PropFacts, SelectElimination,
+    SortedSelect, TraceEvent,
+};
+use mammoth_planner::{
+    choose_pieces, estimate_program, referenced_columns, selectivity, use_sorted_select,
+    CachedPlan, StatsCatalog,
+};
+use mammoth_types::{Error, Result};
+use std::sync::Arc;
+
+impl Session {
+    /// The plan-cache lookup/compile path for a prepared SELECT, filed
+    /// under `key` (its [`crate::PreparedStmt::plan_key`]).
+    ///
+    /// A hit requires every premise to re-check: the live properties of
+    /// each column the plan binds must equal the snapshot the optimizer
+    /// proved its rewrites against. DML that changes a premise (cardinality,
+    /// bounds, sortedness) misses here and recompiles — correctness never
+    /// rests on the cache. Those columns are all a hit looks at, and what
+    /// it hands out is the shared entry, not a copy.
+    pub(super) fn cached_plan_for(
+        &self,
+        key: &str,
+        stmt: &SelectStmt,
+        nparams: usize,
+    ) -> Result<Arc<CachedPlan>> {
+        let live = |t: &str, c: &str| column_props(&self.catalog, t, c);
+        if let Some(plan) = self.plan_cache.lock().unwrap().lookup(key, live) {
+            export_plan_event(EventKind::PlanCacheHit, key, plan.est_rows);
+            return Ok(plan);
+        }
+        let (prog, names) = self.compile_optimized(stmt)?;
+        // the catalog cannot have moved under `&self` since the optimizer
+        // read it, so what `live` reports now is what the plan was proven
+        // against
+        let premises = referenced_columns(&prog)
+            .into_iter()
+            .filter_map(|(t, c)| {
+                let p = live(&t, &c)?;
+                Some(((t.to_lowercase(), c.to_lowercase()), p))
+            })
+            .collect();
+        let est_rows = output_rows_estimate(&prog, &self.stats.lock().unwrap());
+        let plan = CachedPlan {
+            prog,
+            names,
+            nparams,
+            premises,
+            parallel: self.executor.is_some(),
+            est_rows,
+        };
+        let plan = self
+            .plan_cache
+            .lock()
+            .unwrap()
+            .insert(key.to_string(), plan);
+        export_plan_event(EventKind::PlanCompile, key, est_rows);
+        Ok(plan)
+    }
+
+    /// Compile and optimize a SELECT with the cost model in the loop:
+    /// predicates applied most-selective-first, the select-algorithm
+    /// rewrite gated by estimated cardinality, and the mitosis piece
+    /// count scaled to the table. The optimizer is told about the columns
+    /// the compiled plan binds — not about the catalog.
+    pub(super) fn compile_optimized(&self, stmt: &SelectStmt) -> Result<(Program, Vec<String>)> {
+        // one look at the statistics serves every cost-model question
+        let (where_, est_rows) = {
+            let stats = self.stats.lock().unwrap();
+            let rows = stats.table(&stmt.from).map(|t| t.rows);
+            (Self::order_predicates(stmt, &stats), rows)
+        };
+        let (prog, names) = compile_select_ordered(&self.catalog, stmt, where_)?;
+        let facts = bound_column_facts(&prog, &self.catalog);
+        let (engine, pipeline) = if self.executor.is_some() {
+            // fragments stay worth their scheduling overhead: the cost
+            // model scales pieces down for small tables
+            let pieces = match est_rows {
+                Some(rows) if rows > 0 => choose_pieces(rows, self.pieces),
+                _ => self.pieces,
+            };
+            let types = bound_column_types(&prog, &self.catalog);
+            let pipeline = parallel_pipeline_with_props(pieces, types, facts);
+            ("parallel", pipeline)
+        } else {
+            let pipeline = Self::serial_pipeline_for(est_rows, self.recycler.is_some(), facts);
+            ("serial", pipeline)
+        };
+        let prog = pipeline
+            .try_optimize(prog)
+            .map_err(|e| Error::Internal(format!("{engine} pipeline rejected plan: {e}")))?;
+        Ok((prog, names))
+    }
+
+    /// The AND-ed predicates by ascending estimated selectivity, so the
+    /// cheapest (most selective) select narrows the candidates first.
+    /// Sound: candidate composition of an AND chain is order-independent
+    /// (the result — ascending positions satisfying every predicate — is
+    /// the same set in the same order); the sort is stable so equal
+    /// estimates keep statement order and plans stay deterministic.
+    fn order_predicates<'s>(stmt: &'s SelectStmt, stats: &StatsCatalog) -> Vec<&'s Predicate> {
+        let mut where_: Vec<&Predicate> = stmt.where_.iter().collect();
+        if where_.len() > 1 {
+            let sel = |p: &Predicate| {
+                let table = p.col.table.as_deref().unwrap_or(&stmt.from);
+                selectivity(stats, table, &p.col.column, p.op, p.value.as_lit())
+            };
+            where_.sort_by(|a, b| {
+                sel(a)
+                    .partial_cmp(&sel(b))
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+        }
+        where_
+    }
+
+    /// The serial pipeline — [`default_pipeline_with_props`] less what this
+    /// session is better off without. The binary-search select rewrite is
+    /// gated by estimated input cardinality: below
+    /// [`mammoth_planner::SORTED_SELECT_MIN_ROWS`] a scan's sequential
+    /// sweep beats the rewrite's setup. Pipeline fusion is left out when a
+    /// recycler is attached: what it removes — the candidate lists and
+    /// fetched columns between a filter and its aggregate — is exactly what
+    /// the recycler keeps for the next statement to reuse.
+    fn serial_pipeline_for(est_rows: Option<u64>, recycling: bool, facts: PropFacts) -> Pipeline {
+        let sorted_select = est_rows.is_none_or(use_sorted_select);
+        if sorted_select && !recycling {
+            return default_pipeline_with_props(facts);
+        }
+        let facts = Arc::new(facts);
+        let mut pipeline = Pipeline::new()
+            .with(ConstantFold)
+            .with(CommonSubexpr)
+            .with(SelectElimination::new(facts.clone()));
+        if sorted_select {
+            pipeline = pipeline.with(SortedSelect::new(facts.clone()));
+        }
+        if !recycling {
+            pipeline = pipeline.with(FusePipeline::new(facts));
+        }
+        pipeline.with(DeadCode).checked()
+    }
+
+    /// Plan-cache hit/compile counters `(hits, compiles)` — what the
+    /// regression tests assert one-compile-per-statement against.
+    pub fn plan_cache_stats(&self) -> (u64, u64) {
+        let c = self.plan_cache.lock().unwrap();
+        (c.hits(), c.compiles())
+    }
+}
+
+/// Export a `plan.compile` / `plan.cache_hit` event to the `MAMMOTH_TRACE`
+/// sink (no-op when unset): one single-event run labelled `planner`, the
+/// normalized statement text as the event's args and the plan's estimated
+/// result cardinality as `est_rows`.
+fn export_plan_event(kind: EventKind, key: &str, est_rows: Option<u64>) {
+    if !trace_env_on() {
+        return;
+    }
+    let mut run = ProfiledRun::new("planner", 1);
+    run.events.push(TraceEvent {
+        kind,
+        op: "plan".to_string(),
+        args: key.to_string(),
+        est_rows: est_rows.map_or(-1, |n| n as i64),
+        ..TraceEvent::default()
+    });
+    export_profile(&run);
+}
+
+/// The cost model's estimate of a plan's result cardinality: the row
+/// estimate of the instruction producing the first `Result` operand.
+fn output_rows_estimate(prog: &Program, stats: &StatsCatalog) -> Option<u64> {
+    let est = estimate_program(prog, stats);
+    let result = prog
+        .instrs
+        .iter()
+        .find(|i| matches!(i.op, OpCode::Result))?;
+    let var = result.args.iter().find_map(|a| match a {
+        Arg::Var(v) => Some(*v),
+        _ => None,
+    })?;
+    prog.instrs
+        .iter()
+        .position(|i| i.results.contains(&var))
+        .and_then(|idx| est.get(idx))
+        .map(|e| e.rows)
+}

@@ -132,9 +132,35 @@ fn measure(s: &Session) -> Vec<(u64, u64)> {
         .collect()
 }
 
+/// `EXECUTE` of a prepared point SELECT whose plan is cached, handed over
+/// as a statement: what the listener does with every `ExecutePrepared`
+/// frame. Lookup, bind, execute, render — and no lexer or parser.
+const EXECUTE_TYPED: u64 = 71;
+
+/// `(typed, as text)` allocation counts of one warm `EXECUTE`.
+fn measure_execute(s: &mut Session) -> (u64, u64) {
+    s.execute("PREPARE pt AS SELECT v, s FROM kv WHERE k = ? AND v <= ?")
+        .unwrap();
+    let text = "EXECUTE pt (1234, 1000005)";
+    s.execute(text).unwrap();
+    // the frame's decoder has already built the name and the arguments
+    let typed = parse_sql(text).unwrap();
+    let (typed, a) = allocations(|| s.execute_stmt(typed).unwrap());
+    let (as_text, b) = allocations(|| s.execute(text).unwrap());
+    assert_eq!(a, b);
+    s.execute("DEALLOCATE pt").unwrap();
+    (typed, as_text)
+}
+
 #[test]
 fn compiling_a_statement_stays_inside_its_allocation_budget() {
     let mut s = kv_session();
+    let (typed, as_text) = measure_execute(&mut s);
+    assert_eq!(typed, EXECUTE_TYPED, "a typed EXECUTE on a warm plan cache");
+    assert!(
+        typed < as_text,
+        "handing over a statement ({typed}) must cost less than its text ({as_text})"
+    );
     let small = measure(&s);
     for (sql, (optimize, statement)) in SHAPES.iter().zip(&small) {
         assert!(

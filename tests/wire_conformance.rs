@@ -8,7 +8,10 @@
 //!
 //! * the name advertised in `Hello` (and echoed in the version refusal),
 //! * the two verbs only an engine serves — `Fragment` and `Subscribe` —
-//!   which a coordinator refuses while keeping the connection.
+//!   which a coordinator refuses while keeping the connection,
+//! * a non-finite float argument to `ExecutePrepared`, which a node binds
+//!   like any value and a coordinator — it has to print its shards' legs
+//!   as SQL, and NaN has no literal — refuses with a typed error.
 //!
 //! Several rows pin behaviour the front end's former hand copy of the
 //! loop had lost: no frame after the `Ok` that answers `Shutdown`, verbs
@@ -251,6 +254,90 @@ fn transcripts(name: &str) -> Vec<(&'static str, Cfg, Vec<Step>)> {
                 Send(ClientMsg::Quit),
                 Closed,
             ],
+        ),
+        (
+            // An `ExecutePrepared` frame is the statement already: its
+            // arguments reach the bind as the values the wire delivered,
+            // not as text printed for a second parse. Floats Rust prints
+            // with an exponent, the narrow integer and oid types, and a
+            // string holding a quote and a newline all used to be lost or
+            // refused on that round trip.
+            "prepared arguments arrive as the wire's values",
+            open,
+            {
+                let prepare = |name: &str, sql: &str, nparams| {
+                    let (name, sql) = (name.into(), sql.into());
+                    [
+                        Send(ClientMsg::Prepare { name, sql }),
+                        Expect(ServerMsg::Prepared { nparams }),
+                    ]
+                };
+                let execute = |name: &str, args: Vec<Value>, want| {
+                    let name = name.into();
+                    [
+                        Send(ClientMsg::ExecutePrepared { name, args }),
+                        Expect(want),
+                    ]
+                };
+                let two_lines = || Value::Str("it's\ntwo lines".into());
+                let row = |k, f, tiny, o, s| vec![Value::I64(k), Value::F64(f), tiny, o, s];
+                let mut steps = vec![
+                    login(PROTO_VERSION),
+                    Expect(ServerMsg::Ready),
+                    Send(query(
+                        "CREATE TABLE w (k BIGINT NOT NULL, f DOUBLE, tiny TINYINT, o OID, s VARCHAR)",
+                    )),
+                    Expect(ServerMsg::Ok),
+                ];
+                steps.extend(prepare("ins", "INSERT INTO w VALUES (?, ?, ?, ?, ?)", 5));
+                steps.extend(execute(
+                    "ins",
+                    row(1, 1e-7, Value::I8(-5), Value::Oid(7), two_lines()),
+                    ServerMsg::Affected { n: 1 },
+                ));
+                steps.extend(execute(
+                    "ins",
+                    row(
+                        2,
+                        1e300,
+                        Value::I8(6),
+                        Value::Oid(8),
+                        Value::Str("plain".into()),
+                    ),
+                    ServerMsg::Affected { n: 1 },
+                ));
+                for (column, arg, k) in [
+                    ("f", Value::F64(1e-7), 1),
+                    ("f", Value::F64(1e300), 2),
+                    ("tiny", Value::I8(-5), 1),
+                    ("o", Value::Oid(8), 2),
+                    ("s", two_lines(), 1),
+                ] {
+                    let sql = format!("SELECT k FROM w WHERE {column} = ?");
+                    steps.extend(prepare("by", &sql, 1));
+                    steps.extend(execute("by", vec![arg], table("k", k)));
+                    steps.push(Send(ClientMsg::Deallocate { name: "by".into() }));
+                    steps.push(Expect(ServerMsg::Ok));
+                }
+                // NaN has no SQL spelling. A node binds it as it binds any
+                // value, and no row equals it; a coordinator, which must
+                // print a shard's leg of the statement, refuses it typed.
+                steps.extend(prepare("by", "SELECT k FROM w WHERE f = ?", 1));
+                let nan = if name == mammoth_server::SERVER_NAME {
+                    ServerMsg::Table {
+                        columns: vec!["k".into()],
+                        rows: vec![],
+                    }
+                } else {
+                    ServerMsg::err(
+                        ErrorCode::Sql,
+                        "unsupported: a non-finite float (NaN) has no SQL literal to send a shard",
+                    )
+                };
+                steps.extend(execute("by", vec![Value::F64(f64::NAN)], nan));
+                steps.extend([Send(ClientMsg::Quit), Closed]);
+                steps
+            },
         ),
         (
             // no v1 binary exists any more, so speak it by hand
