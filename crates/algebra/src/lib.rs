@@ -48,4 +48,4 @@ pub use select::{
     select_cmp, select_cmp_cand, select_eq, select_range, select_range_cand, CmpOp, Pred, RowId,
     ScanTail,
 };
-pub use sort::{firstn, order, sort_bat, sort_bat_dir};
+pub use sort::{firstn, order, sort_bat, sort_bat_dir, sorted_props, TopN};

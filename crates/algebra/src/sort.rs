@@ -8,39 +8,104 @@ use mammoth_storage::{Bat, FixedTail, Properties, TailHeap};
 use mammoth_types::{NativeType, Oid, Result};
 use std::cmp::Ordering;
 
-/// Positions of the first `n` rows of `b` in sorted order: ascending with
-/// nil first, or exactly the reverse of that when `descending`.
+/// Bounded selection: the first `n` rows, in sorted order, of a stream of
+/// `(key, position)` pairs.
 ///
-/// Ties order by position, which makes the order total and equal to what a
-/// stable sort (reversed, when descending) produces — so a prefix can be
-/// selected first and only that prefix sorted.
+/// This is the one definition of the sort order — ascending by key (nil
+/// first, as `by_key` says) with ties by position, or exactly the reverse
+/// of that when `descending`. The order is total, so the answer is what a
+/// stable sort (reversed, when descending) would put first, whatever order
+/// the rows are offered in. [`firstn`] and the `vector.pipeline` top-N sink
+/// both select through it.
+///
+/// At most `2n` rows are held: once `n` have been seen, a row that does not
+/// come before the worst one kept costs a single comparison, and the kept
+/// rows are cut back to the best `n` each time they reach `2n` — linear in
+/// the rows offered, whatever their order.
+pub struct TopN<K, F> {
+    n: usize,
+    descending: bool,
+    by_key: F,
+    rows: Vec<(K, usize)>,
+    /// The worst of the best `n` rows as of the last cut: nothing that
+    /// does not come before it can be among the first `n`.
+    bound: Option<(K, usize)>,
+}
+
+impl<K: Copy, F: Fn(&K, &K) -> Ordering> TopN<K, F> {
+    pub fn new(n: usize, descending: bool, by_key: F) -> TopN<K, F> {
+        TopN {
+            n,
+            descending,
+            by_key,
+            rows: Vec::new(),
+            bound: None,
+        }
+    }
+
+    fn cmp(&self, a: &(K, usize), b: &(K, usize)) -> Ordering {
+        let ord = (self.by_key)(&a.0, &b.0).then(a.1.cmp(&b.1));
+        if self.descending {
+            ord.reverse()
+        } else {
+            ord
+        }
+    }
+
+    /// Offer the row at `position`.
+    #[inline]
+    pub fn offer(&mut self, key: K, position: usize) {
+        let row = (key, position);
+        if let Some(bound) = &self.bound {
+            if self.cmp(&row, bound) != Ordering::Less {
+                return;
+            }
+        }
+        self.rows.push(row);
+        if self.rows.len() >= self.n.saturating_mul(2) {
+            self.cut();
+        }
+    }
+
+    /// Keep the best `n` of the rows held.
+    fn cut(&mut self) {
+        if self.rows.len() <= self.n {
+            return;
+        }
+        let mut rows = std::mem::take(&mut self.rows);
+        if self.n > 0 {
+            rows.select_nth_unstable_by(self.n - 1, |a, b| self.cmp(a, b));
+        }
+        rows.truncate(self.n);
+        self.bound = rows.last().copied().or(self.bound);
+        self.rows = rows;
+    }
+
+    /// The first `n` rows offered (all of them, if fewer), in order.
+    pub fn finish(mut self) -> Vec<(K, usize)> {
+        self.cut();
+        let mut rows = std::mem::take(&mut self.rows);
+        rows.sort_unstable_by(|a, b| self.cmp(a, b));
+        rows
+    }
+}
+
+/// Positions of the first `n` rows of `b` in sorted order (see [`TopN`]).
 fn sorted_prefix(b: &Bat, n: usize, descending: bool) -> Vec<usize> {
-    fn prefix(
-        len: usize,
+    fn prefix<K: Copy>(
+        keys: impl Iterator<Item = K>,
         n: usize,
         descending: bool,
-        by_value: impl Fn(usize, usize) -> Ordering,
+        by_key: impl Fn(&K, &K) -> Ordering,
     ) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..len).collect();
-        let total = |a: &usize, b: &usize| {
-            let ord = by_value(*a, *b).then(a.cmp(b));
-            if descending {
-                ord.reverse()
-            } else {
-                ord
-            }
-        };
-        if n < len {
-            if n > 0 {
-                idx.select_nth_unstable_by(n, total);
-            }
-            idx.truncate(n);
+        let mut top = TopN::new(n, descending, by_key);
+        for (position, key) in keys.enumerate() {
+            top.offer(key, position);
         }
-        idx.sort_unstable_by(total);
-        idx
+        top.finish().into_iter().map(|(_, p)| p).collect()
     }
     fn fixed<T: NativeType + FixedTail>(v: &[T], n: usize, descending: bool) -> Vec<usize> {
-        prefix(v.len(), n, descending, |a, b| v[a].nil_cmp(&v[b]))
+        prefix(v.iter().copied(), n, descending, T::nil_cmp)
     }
     match b.tail() {
         TailHeap::Bool(v) => fixed(v, n, descending),
@@ -51,7 +116,7 @@ fn sorted_prefix(b: &Bat, n: usize, descending: bool) -> Vec<usize> {
         TailHeap::F64(v) => fixed(v, n, descending),
         TailHeap::Oid(v) => fixed(v, n, descending),
         // `Option<&str>` orders nil (None) first
-        TailHeap::Str(h) => prefix(h.len(), n, descending, |a, b| h.get(a).cmp(&h.get(b))),
+        TailHeap::Str(h) => prefix((0..h.len()).map(|i| h.get(i)), n, descending, Ord::cmp),
     }
 }
 
@@ -81,18 +146,24 @@ pub fn firstn(b: &Bat, n: usize, descending: bool) -> Result<(Bat, Bat)> {
     let perm = sorted_prefix(b, n, descending);
     let tail = b.tail().take(&perm);
     let oids: Vec<Oid> = perm.iter().map(|&p| b.oid_at(p)).collect();
-    let mut sorted = Bat::dense(0, tail);
-    let len = sorted.len();
-    let nonil = len == 0 || !sorted.tail().is_nil(if descending { len - 1 } else { 0 });
-    sorted.set_props(Properties {
+    let props = sorted_props(&tail, descending);
+    let sorted = Bat::dense(0, tail).with_props(props);
+    Ok((sorted, Bat::dense(0, TailHeap::from_vec(oids))))
+}
+
+/// The properties of a tail in [`TopN`]'s order: sorted one way or the
+/// other, and nil-free unless a nil stands at the end the order puts them
+/// (the first ascending — the last, for oids, whose nil is the largest).
+pub fn sorted_props(tail: &TailHeap, descending: bool) -> Properties {
+    let len = tail.len();
+    Properties {
         sorted: !descending,
         revsorted: descending || len <= 1,
         key: false,
-        nonil,
+        nonil: len == 0 || !(tail.is_nil(0) || tail.is_nil(len - 1)),
         min: None,
         max: None,
-    });
-    Ok((sorted, Bat::dense(0, TailHeap::from_vec(oids))))
+    }
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@
 //! cannot confirm — the verifier's hook for rejecting annotated plans
 //! whose annotations the dataflow facts do not support.
 
-use crate::program::{Arg, Instr, OpCode, PipelineOut, PipelineSpec, Program, VarId};
+use crate::program::{Arg, Instr, OpCode, PipelineOut, PipelineSink, PipelineSpec, Program, VarId};
 use mammoth_algebra::{AggKind, ArithOp, CmpOp};
 use mammoth_index::ZoneMap;
 use mammoth_storage::{Bat, Catalog, ColumnView};
@@ -447,6 +447,13 @@ impl Analyzer<'_> {
         self.set(instr, k, VarFacts::Bat(f));
     }
 
+    /// The row count argument `k` of a top-N (`algebra.firstn`, a pipeline's
+    /// top-N sink) as a limit: unbounded unless it is a constant.
+    fn row_limit(&self, instr: &Instr, k: usize) -> u64 {
+        let n = self.const_arg(instr, k).and_then(|v| v.as_i64());
+        n.map_or(u64::MAX, |n| n.max(0) as u64)
+    }
+
     fn transfer(&mut self, idx: usize, instr: &Instr) -> Result<(), PropsError> {
         match &instr.op {
             OpCode::Bind => self.t_bind(instr),
@@ -466,10 +473,7 @@ impl Analyzer<'_> {
             OpCode::AggrGrouped(kind) => self.t_aggr_grouped(instr, *kind),
             OpCode::Calc(op) => self.t_calc(instr, *op),
             OpCode::Sort { desc } => self.t_sort(instr, *desc, None),
-            OpCode::FirstN { desc } => {
-                let n = self.const_arg(instr, 1).and_then(|v| v.as_i64());
-                self.t_sort(instr, *desc, Some(n.map_or(u64::MAX, |n| n.max(0) as u64)));
-            }
+            OpCode::FirstN { desc } => self.t_sort(instr, *desc, Some(self.row_limit(instr, 1))),
             OpCode::Slice => self.t_slice(instr),
             OpCode::PartSlice => self.t_part_slice(instr),
             OpCode::Pack => self.t_pack(instr),
@@ -563,18 +567,7 @@ impl Analyzer<'_> {
     /// facts carry over only when the candidates are sorted *and* the
     /// values BAT is dense (ascending oids then fetch ascending positions).
     fn t_projection(&mut self, instr: &Instr) {
-        let cands = self.bat_arg(instr, 0);
-        let vals = self.bat_arg(instr, 1);
-        let mut p = Props::top();
-        p.card_lo = cands.props.card_lo;
-        p.card_hi = cands.props.card_hi;
-        p.min = vals.props.min.clone();
-        p.max = vals.props.max.clone();
-        p.nonil = vals.props.nonil;
-        let monotone = cands.props.sorted && vals.props.void_head;
-        p.sorted = monotone && vals.props.sorted;
-        p.revsorted = monotone && vals.props.revsorted;
-        p.key = monotone && cands.props.key && vals.props.key && (p.sorted || p.revsorted);
+        let p = projection_props(&self.bat_arg(instr, 0).props, &self.bat_arg(instr, 1).props);
         self.set_bat(instr, 0, BatFacts::dense0(p));
     }
 
@@ -623,16 +616,20 @@ impl Analyzer<'_> {
     }
 
     /// `vector.pipeline` binds what the chain it fused would have: scalars
-    /// for a global sink; for a grouped one, a row per group of the rows
-    /// its filters keep — the key's values out of the key column, counts
-    /// and aggregates as `aggr.sub*` bounds them.
+    /// for global aggregates; for a grouped sink, a row per group of the
+    /// rows its filters keep — the key's values out of the key column,
+    /// counts and aggregates as `aggr.sub*` bounds them; for an emitted
+    /// column, what [`Analyzer::t_projection`] claims of a fetch through
+    /// the candidate list of those rows; for a top-N sink, what
+    /// [`Analyzer::t_sort`] claims of `algebra.firstn` over the fetched key
+    /// and of a fetch through its order.
     fn t_pipeline(&mut self, instr: &Instr, spec: &PipelineSpec) {
-        let Some(key) = spec.group else {
+        if spec.binds_scalars() {
             for k in 0..spec.outs.len() {
                 self.set(instr, k, VarFacts::Scalar);
             }
             return;
-        };
+        }
         // rows surviving the filters: the first scans its whole column,
         // each verdict then keeps all, none, or an unknown share
         let driver = &self.bat_arg(instr, spec.filters[0].col).props;
@@ -644,24 +641,45 @@ impl Analyzer<'_> {
                 SelectVerdict::Unknown => kept.0 = 0,
             }
         }
+        // the candidate list the filters stand for: ascending oids of a
+        // dense column
+        let mut cands = Props::top();
+        (cands.card_lo, cands.card_hi) = kept;
+        (cands.sorted, cands.key) = (driver.void_head, driver.void_head);
+        let fetched = |an: &Self, c: usize| projection_props(&cands, &an.bat_arg(instr, c).props);
+        let top = match spec.sink {
+            PipelineSink::Top { key, desc } => {
+                let limit = self.row_limit(instr, instr.args.len() - 1);
+                Some((key, sort_props(&fetched(self, key), desc, Some(limit))))
+            }
+            _ => None,
+        };
         // one group per distinct key among them: at least one if any row
         let groups = (kept.0.min(1), kept.1);
         for (k, out) in spec.outs.iter().enumerate() {
-            let p = match *out {
-                PipelineOut::Key => {
+            let p = match (*out, &top) {
+                (PipelineOut::Col(c), None) => fetched(self, c),
+                (PipelineOut::Col(c), Some((key, (sorted, _)))) if c == *key => sorted.clone(),
+                (PipelineOut::Col(c), Some((_, (_, order)))) => {
+                    projection_props(order, &self.bat_arg(instr, c).props)
+                }
+                (PipelineOut::Key, _) => {
+                    let PipelineSink::Group(key) = spec.sink else {
+                        continue; // the verifier rejects a key without a group
+                    };
                     let key = &self.bat_arg(instr, key).props;
                     let mut p = Props::top();
                     (p.card_lo, p.card_hi) = groups;
                     (p.min, p.max, p.nonil) = (key.min.clone(), key.max.clone(), key.nonil);
                     p
                 }
-                PipelineOut::Count => {
+                (PipelineOut::Count, _) => {
                     let mut p = grouped_agg_props(AggKind::Count, &Props::top(), kept.1, groups);
                     // a group exists because a row fell into it
                     p.min = Some(Value::I64(1));
                     p
                 }
-                PipelineOut::Agg(kind, c) => {
+                (PipelineOut::Agg(kind, c), _) => {
                     grouped_agg_props(kind, &self.bat_arg(instr, c).props, kept.1, groups)
                 }
             };
@@ -755,22 +773,9 @@ impl Analyzer<'_> {
     /// source positions (non-nil oids). `algebra.firstn` keeps the first
     /// `limit` rows of both results.
     fn t_sort(&mut self, instr: &Instr, desc: bool, limit: Option<u64>) {
-        let b = self.bat_arg(instr, 0);
-        let cut = |n: u64| limit.map_or(n, |l| n.min(l));
-        let mut p = Props::top();
-        p.card_lo = cut(b.props.card_lo);
-        p.card_hi = b.props.card_hi.map(cut).or(limit);
-        p.min = b.props.min.clone();
-        p.max = b.props.max.clone();
-        p.nonil = b.props.nonil;
-        p.sorted = !desc;
-        p.revsorted = desc;
-        let mut o = Props::top();
-        o.card_lo = p.card_lo;
-        o.card_hi = p.card_hi;
-        o.nonil = true;
-        self.set_bat(instr, 0, BatFacts::dense0(p));
-        self.set_bat(instr, 1, BatFacts::dense0(o));
+        let (sorted, order) = sort_props(&self.bat_arg(instr, 0).props, desc, limit);
+        self.set_bat(instr, 0, BatFacts::dense0(sorted));
+        self.set_bat(instr, 1, BatFacts::dense0(order));
     }
 
     /// `bat.slice(b, lo, hi)` keeps a contiguous run: every filter-stable
@@ -1047,6 +1052,40 @@ fn grouped_agg_props(
         AggKind::Sum => {}
     }
     p
+}
+
+/// What a fetch of `vals[cands]` holds (see [`Analyzer::t_projection`]).
+fn projection_props(cands: &Props, vals: &Props) -> Props {
+    let mut p = Props::top();
+    p.card_lo = cands.card_lo;
+    p.card_hi = cands.card_hi;
+    p.min = vals.min.clone();
+    p.max = vals.max.clone();
+    p.nonil = vals.nonil;
+    let monotone = cands.sorted && vals.void_head;
+    p.sorted = monotone && vals.sorted;
+    p.revsorted = monotone && vals.revsorted;
+    p.key = monotone && cands.key && vals.key && (p.sorted || p.revsorted);
+    p
+}
+
+/// `(sorted, order)` of a sort of `b` cut to `limit` rows (see
+/// [`Analyzer::t_sort`]).
+fn sort_props(b: &Props, desc: bool, limit: Option<u64>) -> (Props, Props) {
+    let cut = |n: u64| limit.map_or(n, |l| n.min(l));
+    let mut p = Props::top();
+    p.card_lo = cut(b.card_lo);
+    p.card_hi = b.card_hi.map(cut).or(limit);
+    p.min = b.min.clone();
+    p.max = b.max.clone();
+    p.nonil = b.nonil;
+    p.sorted = !desc;
+    p.revsorted = desc;
+    let mut o = Props::top();
+    o.card_lo = p.card_lo;
+    o.card_hi = p.card_hi;
+    o.nonil = true;
+    (p, o)
 }
 
 /// Outputs of `group.new`/`group.refine`, first result: one group id per

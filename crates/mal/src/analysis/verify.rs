@@ -21,7 +21,9 @@
 //! Errors carry the instruction index and opcode name, so a broken
 //! optimizer pass is caught at the pass boundary with an exact location.
 
-use crate::program::{Arg, BaseRows, Instr, OpCode, PipelineOut, PipelineSpec, Program, VarId};
+use crate::program::{
+    Arg, BaseRows, Instr, OpCode, PipelineOut, PipelineSink, PipelineSpec, Program, VarId,
+};
 use mammoth_algebra::AggKind;
 use mammoth_storage::Catalog;
 use mammoth_types::{LogicalType, Value};
@@ -674,9 +676,12 @@ impl Verifier<'_> {
 
     /// `vector.pipeline`: the arity its shape fixes; fixed-width column
     /// BATs, all row-aligned with the column the first filter scans; bound
-    /// scalars comparable with their filter's column; aggregable inputs;
-    /// and the result types the unfused `aggr.*` / `aggr.sub*` /
-    /// `algebra.projection` instructions would have bound.
+    /// scalars comparable with their filter's column; results of the one
+    /// kind the sink produces — aggregates (over aggregable inputs) or
+    /// columns, never both; a top-N sink's integer row count; and the
+    /// result types the unfused `aggr.*` / `aggr.sub*` /
+    /// `algebra.projection` / `algebra.firstn` instructions would have
+    /// bound.
     fn check_pipeline(
         &self,
         idx: usize,
@@ -699,8 +704,31 @@ impl Verifier<'_> {
         if spec.filters.is_empty() || spec.outs.is_empty() {
             return Err(shape("a pipeline needs a filter and a result"));
         }
-        if spec.group.is_none() && spec.outs.contains(&PipelineOut::Key) {
-            return Err(shape("a key result needs a grouped sink"));
+        let grouped = matches!(spec.sink, PipelineSink::Group(_));
+        let columns = match spec.sink {
+            PipelineSink::Rows => spec.emits_columns(),
+            PipelineSink::Group(_) => false,
+            PipelineSink::Top { .. } => true,
+        };
+        for out in &spec.outs {
+            match out {
+                PipelineOut::Key if !grouped => {
+                    return Err(shape("a key result needs a grouped sink"))
+                }
+                PipelineOut::Col(_) if !columns => {
+                    return Err(shape(match grouped {
+                        true => "a grouped sink binds keys and aggregates, not columns",
+                        false => "column and aggregate results do not mix in one sink",
+                    }))
+                }
+                PipelineOut::Key | PipelineOut::Count | PipelineOut::Agg(..) if columns => {
+                    return Err(shape(match spec.sink {
+                        PipelineSink::Top { .. } => "a top-N sink binds columns, not aggregates",
+                        _ => "column and aggregate results do not mix in one sink",
+                    }))
+                }
+                _ => {}
+            }
         }
         if instr.args.len() != spec.nargs() {
             return Err(err(VerifyErrorKind::BadArgCount {
@@ -755,6 +783,15 @@ impl Verifier<'_> {
                 self.aggregable(idx, instr, c, kind, t)?;
             }
         }
+        if matches!(spec.sink, PipelineSink::Top { .. }) {
+            self.row_count_arg(idx, instr, k, "row count", state)?;
+            if matches!(&instr.args[k], Arg::Const(n) if n.as_i64().is_some_and(|n| n < 0)) {
+                return Err(err(VerifyErrorKind::TypeMismatch {
+                    arg: k,
+                    detail: "row count must not be negative".into(),
+                }));
+            }
+        }
         Ok(ResultTys::Pipeline)
     }
 
@@ -768,17 +805,20 @@ impl Verifier<'_> {
         k: usize,
         state: &[VarState],
     ) -> Result<VarTy, VerifyError> {
-        let value = |t| match spec.group {
-            None => VarTy::Scalar(t),
-            Some(_) => VarTy::Bat(t),
+        let value = |t| match spec.sink {
+            PipelineSink::Rows => VarTy::Scalar(t),
+            PipelineSink::Group(_) | PipelineSink::Top { .. } => VarTy::Bat(t),
         };
-        Ok(match (spec.outs[k], spec.group) {
-            (PipelineOut::Key, Some(key)) => VarTy::Bat(self.bat_arg(idx, instr, key, state)?),
-            (PipelineOut::Key, None) => unreachable!("a key without a group was rejected"),
+        Ok(match (spec.outs[k], spec.sink) {
+            (PipelineOut::Key, PipelineSink::Group(key)) => {
+                VarTy::Bat(self.bat_arg(idx, instr, key, state)?)
+            }
+            (PipelineOut::Key, _) => unreachable!("a key without a group was rejected"),
             (PipelineOut::Count, _) => value(Some(LogicalType::I64)),
             (PipelineOut::Agg(kind, c), _) => {
                 value(agg_result_ty(kind, self.bat_arg(idx, instr, c, state)?))
             }
+            (PipelineOut::Col(c), _) => VarTy::Bat(self.bat_arg(idx, instr, c, state)?),
         })
     }
 
@@ -1303,10 +1343,22 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(e.instr, Some(3));
+        // emitted columns are BATs of their column's type; so are a top-N's,
+        // whose row count may be a parameter
+        check("a := vector.pipeline[<@0; col@0](age, 1950);\ns := aggr.sum(a);\nio.result(s);")
+            .unwrap();
+        check("a := vector.pipeline[<@0; top.desc@0: col@0](age, 1950, ?0);\nio.result(a);")
+            .unwrap();
+        let e = check(
+            "a := vector.pipeline[<@0; top@0: col@0](age, 1950, 3);
+             c := algebra.thetaselect[==](a, \"x\");\nio.result(c);",
+        )
+        .unwrap_err();
+        assert_eq!(e.instr, Some(3));
 
         let kind_of = |body: &str| check(body).unwrap_err().kind;
         type Expect = fn(&VerifyErrorKind) -> bool;
-        let cases: [(&str, Expect); 8] = [
+        let cases: [(&str, Expect); 16] = [
             // a bound short, a bound too many
             ("n := vector.pipeline[>=<@0; count](age, 1900);", |k| {
                 matches!(
@@ -1351,7 +1403,56 @@ mod tests {
                 "m := bat.mirror(age);\nn := vector.pipeline[<@0; sum@1](age, m, 5);",
                 |k| matches!(k, VerifyErrorKind::Unaligned { arg: 1, .. }),
             ),
+            // a sink of two kinds: a column beside an aggregate, either way
+            // round, in a grouping, and an aggregate in a top-N
+            (
+                "(a, n) := vector.pipeline[<@0; col@0, count](age, 5);",
+                |k| matches!(k, VerifyErrorKind::TypeMismatch { arg: 0, .. }),
+            ),
+            (
+                "(n, a) := vector.pipeline[<@0; sum@0, col@0](age, 5);",
+                |k| matches!(k, VerifyErrorKind::TypeMismatch { arg: 0, .. }),
+            ),
+            (
+                "(k, a) := vector.pipeline[<@0; group@0: key, col@0](age, 5);",
+                |k| matches!(k, VerifyErrorKind::TypeMismatch { arg: 0, .. }),
+            ),
+            (
+                "(a, n) := vector.pipeline[<@0; top@0: col@0, count](age, 5, 3);",
+                |k| matches!(k, VerifyErrorKind::TypeMismatch { arg: 0, .. }),
+            ),
+            // a string column emitted, or as the top-N key
+            ("n := vector.pipeline[<@0; col@1](age, name, 5);", |k| {
+                matches!(k, VerifyErrorKind::TypeMismatch { arg: 1, .. })
+            }),
+            (
+                "n := vector.pipeline[<@0; top@1: col@0](age, name, 5, 3);",
+                |k| matches!(k, VerifyErrorKind::TypeMismatch { arg: 1, .. }),
+            ),
+            // a top-N's count: missing, a BAT, a float, negative
+            ("a := vector.pipeline[<@0; top@0: col@0](age, 5);", |k| {
+                matches!(
+                    k,
+                    VerifyErrorKind::BadArgCount {
+                        expected: 3,
+                        got: 2
+                    }
+                )
+            }),
+            (
+                "a := vector.pipeline[<@0; top@0: col@0](age, 5, age);",
+                |k| matches!(k, VerifyErrorKind::KindMismatch { arg: 2, .. }),
+            ),
         ];
+        for (n, detail) in [("1.5", "integer"), ("-1", "negative"), ("nil", "NULL")] {
+            let kind = kind_of(&format!(
+                "a := vector.pipeline[<@0; top@0: col@0](age, 5, {n});\nio.result(a);"
+            ));
+            assert!(
+                matches!(&kind, VerifyErrorKind::TypeMismatch { arg: 2, detail: d } if d.contains(detail)),
+                "{n}: {kind:?}"
+            );
+        }
         for (body, expected) in cases {
             let kind = kind_of(&format!("{body}\nio.result(age);"));
             assert!(expected(&kind), "{body}: {kind:?}");

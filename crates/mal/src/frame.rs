@@ -267,14 +267,16 @@ impl<'a> StepCtx<'a> {
         let event = self.profiled.then(|| {
             let (mut rows_in, (mut rows_out, bytes_out)) =
                 (rows_bytes(args).0, rows_bytes(&results));
-            // a pipeline's columns are one table's rows, not a table each,
-            // and its results are one sink's (a global sink has one row)
+            // a pipeline's columns are one table's rows, scanned once, not
+            // a table each, and its results are one sink's rows: a row of
+            // scalars, or as many as each of its BATs holds
             if let OpCode::Pipeline(spec) = &instr.op {
-                let rows = |v: Option<&MalValue>| {
-                    v.and_then(MalValue::as_bat).map_or(0, |b| b.len() as u64)
+                let rows = |v: Option<&MalValue>| match v {
+                    Some(MalValue::Bat(b)) => Some(b.len() as u64),
+                    _ => None,
                 };
-                rows_in = rows(spec.filters.first().and_then(|f| args.get(f.col)));
-                rows_out = rows(results.first()).max(1);
+                rows_in = rows(spec.filters.first().and_then(|f| args.get(f.col))).unwrap_or(0);
+                rows_out = rows(results.first()).unwrap_or(1);
             }
             TraceEvent {
                 instr: idx as i64,

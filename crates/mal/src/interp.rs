@@ -17,11 +17,11 @@
 
 use crate::frame::{ExecStats, Frame, StepCtx};
 use crate::program::{
-    Arg, FilterTest, Instr, MalValue, OpCode, PipelineOut, PipelineSpec, Program,
+    Arg, FilterTest, Instr, MalValue, OpCode, PipelineOut, PipelineSink, PipelineSpec, Program,
 };
 use mammoth_algebra as alg;
 use mammoth_recycler::Recycler;
-use mammoth_storage::{Bat, Catalog, HeadColumn, TailHeap};
+use mammoth_storage::{Bat, Catalog, HeadColumn, Properties, TailHeap};
 use mammoth_types::{Error, Oid, ProfiledRun, Result, TraceEvent, Value};
 use mammoth_vectorized as vx;
 use std::sync::Arc;
@@ -243,6 +243,18 @@ fn instr_const(args: &[MalValue], k: usize) -> Result<Value> {
     }
 }
 
+/// The `n` of `algebra.firstn` and of a top-N pipeline sink: a nil count is
+/// no limit, a negative one none at all.
+fn row_count(arg: Option<&MalValue>) -> Result<usize> {
+    match arg {
+        Some(MalValue::Scalar(n)) => Ok(n.as_i64().unwrap_or(i64::MAX).max(0) as usize),
+        _ => Err(Error::TypeMismatch {
+            expected: "a scalar row count".into(),
+            found: "bat".into(),
+        }),
+    }
+}
+
 /// Split a selection's resolved arguments after the input column into the
 /// optional candidate list and its `nbounds` predicate constants.
 fn select_operands<'a>(
@@ -354,8 +366,7 @@ pub fn execute_instr(catalog: &Catalog, instr: &Instr, args: &[MalValue]) -> Res
         }
         OpCode::FirstN { desc } => {
             let b = instr_bat(args, 0)?;
-            let n = instr_const(args, 1)?.as_i64().unwrap_or(i64::MAX).max(0) as usize;
-            let (sorted, order) = alg::firstn(&b, n, *desc)?;
+            let (sorted, order) = alg::firstn(&b, row_count(args.get(1))?, *desc)?;
             vec![bat(sorted), bat(order)]
         }
         OpCode::Slice => {
@@ -496,11 +507,21 @@ fn run_pipeline(spec: &PipelineSpec, args: &[MalValue]) -> Result<Vec<MalValue>>
         PipelineOut::Key => vx::Out::Key,
         PipelineOut::Count => vx::Out::Count,
         PipelineOut::Agg(kind, c) => vx::Out::Agg(kind, vx::ColRef::Source(c)),
+        PipelineOut::Col(c) => vx::Out::Col(vx::ColRef::Source(c)),
     });
+    let kind = match spec.sink {
+        PipelineSink::Rows => vx::SinkKind::Rows,
+        PipelineSink::Group(key) => vx::SinkKind::GroupBy(vx::ColRef::Source(key)),
+        PipelineSink::Top { key, desc } => vx::SinkKind::Top {
+            key: vx::ColRef::Source(key),
+            n: row_count(args.last())?,
+            descending: desc,
+        },
+    };
     let pipeline = vx::Pipeline {
         stages: stages.collect::<Result<_>>()?,
         sink: vx::Sink {
-            group_by: spec.group.map(vx::ColRef::Source),
+            kind,
             outs: outs.collect(),
         },
         computed_slots: 0,
@@ -509,7 +530,20 @@ fn run_pipeline(spec: &PipelineSpec, args: &[MalValue]) -> Result<Vec<MalValue>>
         vx::Output::Scalars(values) => values.into_iter().map(MalValue::Scalar).collect(),
         vx::Output::Columns(heaps) => heaps
             .into_iter()
-            .map(|h| MalValue::Bat(Arc::new(Bat::dense(0, h))))
+            .zip(&spec.outs)
+            .map(|(h, out)| {
+                // the runtime properties the unfused instructions tag their
+                // results with: a fetch through a selection's (ascending)
+                // candidates, `algebra.firstn`'s sorted keys
+                let props = match (spec.sink, *out) {
+                    (PipelineSink::Rows, PipelineOut::Col(c)) => columns[c].props().after_filter(),
+                    (PipelineSink::Top { key, desc }, PipelineOut::Col(c)) if c == key => {
+                        alg::sorted_props(&h, desc)
+                    }
+                    _ => Properties::unknown(),
+                };
+                MalValue::Bat(Arc::new(Bat::dense(0, h).with_props(props)))
+            })
             .collect(),
     })
 }

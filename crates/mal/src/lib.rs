@@ -64,6 +64,6 @@ pub use optimizer::{
 };
 pub use parser::parse_program;
 pub use program::{
-    Arg, FilterTest, Instr, MalValue, OpCode, PipelineFilter, PipelineOut, PipelineSpec, Program,
-    SelectArgs, VarId,
+    Arg, FilterTest, Instr, MalValue, OpCode, PipelineFilter, PipelineOut, PipelineSink,
+    PipelineSpec, Program, SelectArgs, VarId,
 };

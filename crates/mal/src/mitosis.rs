@@ -583,10 +583,11 @@ pub fn parallel_pipeline(pieces: usize, types: ColumnTypes) -> Pipeline {
 /// mergetable, because the per-fragment `algebra.slice` results inherit
 /// the base column's sortedness through the analysis's exact slice
 /// transfer function — so each fragment's select gets its own
-/// binary-search annotation. Pipeline fusion runs after both, so each
+/// binary-search annotation. Pipeline fusion runs after both — and after
+/// the dead-code sweep, so an unused fragment is nobody's reader — so each
 /// fragment's chain fuses on its own `algebra.slice` and the per-fragment
-/// partials still meet in `mat.packsum`. `facts` must describe the catalog
-/// the plan executes against.
+/// partials still meet in `mat.packsum` / `mat.pack`. `facts` must describe
+/// the catalog the plan executes against.
 pub fn parallel_pipeline_with_props(
     pieces: usize,
     types: ColumnTypes,
@@ -600,8 +601,8 @@ pub fn parallel_pipeline_with_props(
         .with(Mitosis::new(pieces))
         .with(Mergetable::with_types(types))
         .with(SortedSelect::new(facts.clone()))
-        .with(FusePipeline::new(facts))
         .with(DeadCode)
+        .with(FusePipeline::new(facts))
         .with(GarbageCollect)
         .checked()
 }

@@ -236,11 +236,12 @@ pub fn default_pipeline() -> Pipeline {
 /// tier: after folding and CSE, [`SelectElimination`] and [`SortedSelect`]
 /// rewrite selections using per-column statistics (`facts`, from
 /// [`analysis::column_facts`] or [`analysis::bound_column_facts`] over the
-/// catalog the plan will run against); what selections are left at the head
-/// of a filter → fetch → aggregate chain [`FusePipeline`] then fuses into
-/// one vectorized instruction; then dead code is swept. The pipeline is
-/// [`Pipeline::checked`] because these passes rewrite based on facts
-/// external to the plan text.
+/// catalog the plan will run against); dead code is swept — a fetch nobody
+/// reads any more must not look like a reader of its candidate list — and
+/// what selections are left at the head of a filter → fetch → sink chain
+/// [`FusePipeline`] then fuses into one vectorized instruction, which
+/// leaves nothing dead behind. The pipeline is [`Pipeline::checked`]
+/// because these passes rewrite based on facts external to the plan text.
 ///
 /// Invariant: `facts` must describe the catalog state the plan executes
 /// against — the passes' proofs are only as sound as their premises.
@@ -251,8 +252,8 @@ pub fn default_pipeline_with_props(facts: PropFacts) -> Pipeline {
         .with(CommonSubexpr)
         .with(SelectElimination::new(facts.clone()))
         .with(SortedSelect::new(facts.clone()))
-        .with(FusePipeline::new(facts))
         .with(DeadCode)
+        .with(FusePipeline::new(facts))
         .checked()
 }
 

@@ -180,15 +180,18 @@ fn corpus() -> Vec<Case> {
 type Passes = Vec<Box<dyn OptimizerPass>>;
 
 /// The serial chain — `default_pipeline_with_props` and `garbage_collect`
-/// — as the new passes and as their predecessors.
+/// — as the new passes and as their predecessors. `fuse_pipeline` has no
+/// predecessor to compare with (it never copied): both sides run the same
+/// one, over what the passes before it made of the plan.
 fn serial_chain(facts: &PropFacts) -> (Passes, Passes) {
     let shared = Arc::new(facts.clone());
     let new: Passes = vec![
         Box::new(ConstantFold),
         Box::new(CommonSubexpr),
         Box::new(SelectElimination::new(shared.clone())),
-        Box::new(SortedSelect::new(shared)),
+        Box::new(SortedSelect::new(shared.clone())),
         Box::new(DeadCode),
+        Box::new(FusePipeline::new(shared.clone())),
         Box::new(GarbageCollect),
     ];
     let old: Passes = vec![
@@ -197,14 +200,15 @@ fn serial_chain(facts: &PropFacts) -> (Passes, Passes) {
         Box::new(SelectEliminationOracle(facts.clone())),
         Box::new(SortedSelectOracle(facts.clone())),
         Box::new(DeadCodeOracle),
+        Box::new(FusePipeline::new(shared)),
         Box::new(GarbageCollectOracle),
     ];
     (new, old)
 }
 
-/// The chain of `parallel_pipeline_with_props`. `mitosis` and
-/// `mergetable` have no predecessor to compare with (they kept their
-/// logic and stopped copying); both sides run the same ones.
+/// The chain of `parallel_pipeline_with_props`. `mitosis`, `mergetable`
+/// and `fuse_pipeline` have no predecessor to compare with (the first two
+/// kept their logic and stopped copying); both sides run the same ones.
 fn parallel_chain(pieces: usize, c: &Case) -> (Passes, Passes) {
     let shared = Arc::new(c.facts.clone());
     let new: Passes = vec![
@@ -213,8 +217,9 @@ fn parallel_chain(pieces: usize, c: &Case) -> (Passes, Passes) {
         Box::new(SelectElimination::new(shared.clone())),
         Box::new(Mitosis::new(pieces)),
         Box::new(Mergetable::with_types(c.types.clone())),
-        Box::new(SortedSelect::new(shared)),
+        Box::new(SortedSelect::new(shared.clone())),
         Box::new(DeadCode),
+        Box::new(FusePipeline::new(shared.clone())),
         Box::new(GarbageCollect),
     ];
     let old: Passes = vec![
@@ -225,6 +230,7 @@ fn parallel_chain(pieces: usize, c: &Case) -> (Passes, Passes) {
         Box::new(Mergetable::with_types(c.types.clone())),
         Box::new(SortedSelectOracle(c.facts.clone())),
         Box::new(DeadCodeOracle),
+        Box::new(FusePipeline::new(shared)),
         Box::new(GarbageCollectOracle),
     ];
     (new, old)

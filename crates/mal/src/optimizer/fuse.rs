@@ -1,47 +1,63 @@
 //! `fuse_pipeline`: a scan stops materializing.
 //!
 //! Column-at-a-time execution pays for every intermediate it writes. For a
-//! filter-then-aggregate statement those are the candidate list of each
-//! selection and one gathered column per aggregated or grouped column —
-//! BATs that are read once and dropped. This pass recognises the chain
+//! filtered statement those are the candidate list of each selection and
+//! one gathered column per column it goes on to read — BATs that are read
+//! once and dropped, or of which a top-N keeps ten rows. This pass
+//! recognises the chain
 //!
 //! ```text
 //! c1 := select(col, bounds…)            no candidate list: scans the column
 //! c2 := select(col', c1, bounds…) …     each threads the list on
 //! v  := algebra.projection(ck, col'')   any number, all through the last list
-//! s  := aggr.<kind>(v) | aggr.count(ck)               a global sink, or
+//! ```
+//!
+//! ending in one of four sinks
+//!
+//! ```text
+//! s  := aggr.<kind>(v) | aggr.count(ck)               global aggregates
 //! (g, e) := group.group(v); aggr.sub<kind>(v', g, e)  one single-key
-//!           | aggr.subcount_nonnil(g, g, e) | algebra.projection(e, v)  grouped one
+//!           | aggr.subcount_nonnil(g, g, e) | algebra.projection(e, v)  grouping
+//! io.result(v…) | algebra.join(v, _) | bat.slice(v, _, _) | mat.pack(v…)
+//!                                                     emitted columns
+//! (s, o) := algebra.firstn(v, n); w := algebra.projection(o, v') …
+//!                                                     a top-N, `n` a constant or `?N`
 //! ```
 //!
 //! over row-aligned base columns of one table and replaces it with one
 //! [`OpCode::Pipeline`] instruction binding the sink's results — which the
 //! interpreter hands to `mammoth-vectorized`, a vector at a time, with no
-//! intermediate at all.
+//! intermediate at all. An emitted column is a fetched `v` one of the four
+//! readers named above takes from outside the chain: it becomes a result
+//! of the instruction instead of a reason to refuse. A top-N binds `s` and
+//! every `w`, keeping the best `n` rows while the vectors stream past.
 //!
-//! It fuses only what it can prove is the whole story. Every variable the
-//! chain defines must be read by the chain alone (a candidate list that
-//! also feeds `io.result`, a join, an `algebra.firstn`, a `mat.pack` … is
-//! somebody's input, and stays); every column must be a `sql.bind` — or a
-//! mitosis `algebra.slice` of one — whose fixed-width type the optimizer's
-//! column facts state (so string columns, `batcalc` results and
-//! `bat.setprops`-annotated inputs of the binary-search select rewrite
-//! never qualify), holding the rows the first filter scans; and a sink is
-//! either all scalar or one `group.group` (no `group.refine`). Anything
+//! It fuses only what it can prove is the whole story. Every other variable
+//! the chain defines must be read by the chain alone (a candidate list, a
+//! `firstn` order or a group id that also feeds `io.result`, a join, a
+//! `mat.pack` … is somebody's input, and stays; so does a fetched column
+//! read by anything but those four — `algebra.sort`, `batcalc`,
+//! `group.refine`, a `firstn` over a variable count); every column must be
+//! a `sql.bind` — or a mitosis `algebra.slice` of one — whose fixed-width
+//! type the optimizer's column facts state (so string columns, `batcalc`
+//! results, packed fragments and `bat.setprops`-annotated inputs of the
+//! binary-search select rewrite never qualify), holding the rows the first
+//! filter scans; and a sink is of one kind — all scalar, one `group.group`
+//! (no `group.refine`), all columns, or one top-N — never two. Anything
 //! else is left exactly as it was: the unfused plan is always a correct
 //! plan, so there is no fallback to get wrong.
 
 use super::{has_end_of_life_markers, OptimizerPass, SharedAnalysis};
 use crate::analysis::PropFacts;
 use crate::program::{
-    Arg, BaseRows, FilterTest, Instr, OpCode, PipelineFilter, PipelineOut, PipelineSpec, Program,
-    VarId,
+    Arg, BaseRows, FilterTest, Instr, OpCode, PipelineFilter, PipelineOut, PipelineSink,
+    PipelineSpec, Program, VarId,
 };
 use mammoth_algebra::AggKind;
 use mammoth_types::{LogicalType, Value};
 use std::sync::Arc;
 
-/// Fuse select → projection → aggregate chains into `vector.pipeline`
+/// Fuse select → projection → sink chains into `vector.pipeline`
 /// instructions (see the module docs for what qualifies).
 pub struct FusePipeline {
     facts: Arc<PropFacts>,
@@ -75,6 +91,8 @@ enum Role {
     /// A chain's `group.group` results.
     Gids(usize),
     Extents(usize),
+    /// The order of a chain's `algebra.firstn`.
+    Order(usize),
     /// A result of a chain's sink: the world reads these.
     Sunk(usize),
 }
@@ -95,10 +113,36 @@ impl Role {
             | Role::Fetched(c, _)
             | Role::Gids(c)
             | Role::Extents(c)
+            | Role::Order(c)
             | Role::Sunk(c) => Some(c),
             Role::Other | Role::Column { .. } => None,
         }
     }
+}
+
+/// What a chain's sink has turned out to be: of one kind, fixed by the
+/// first instruction that sinks anything.
+#[derive(Clone, PartialEq)]
+enum Sink {
+    /// Nothing sunk yet.
+    Open,
+    Scalars,
+    /// `group.group` of the fetched `key` (column `col`).
+    Group {
+        col: usize,
+        key: VarId,
+        gids: VarId,
+        extents: VarId,
+    },
+    Columns,
+    /// `algebra.firstn` of the fetched column `col`, `n` rows, binding
+    /// `order`.
+    Top {
+        col: usize,
+        desc: bool,
+        n: Arg,
+        order: VarId,
+    },
 }
 
 /// One candidate chain, traced from its first selection.
@@ -110,13 +154,11 @@ struct Chain {
     /// The latest definition among the columns: the fused instruction
     /// must come after it.
     inputs_defined: usize,
-    filters: Vec<PipelineFilter>,
     /// The candidate list the next filter, fetch or count must read.
     tip: VarId,
     /// The last list has been fetched through or counted: no more filters.
     sealed: bool,
-    /// `(key column, fetched key, gids, extents)` of a grouped sink.
-    group: Option<(usize, VarId, VarId, VarId)>,
+    sink: Sink,
     outs: Vec<PipelineOut>,
     results: Vec<VarId>,
     /// Where the fused instruction goes: the first replaced instruction
@@ -148,6 +190,16 @@ impl Chain {
     fn sink(&mut self, out: PipelineOut, result: VarId) {
         self.outs.push(out);
         self.results.push(result);
+    }
+
+    /// Settle the sink's kind as `kind`: true when it was open, or is
+    /// that already.
+    fn sinks_as(&mut self, kind: Sink) -> bool {
+        if self.sink == Sink::Open {
+            self.sink = kind;
+            return true;
+        }
+        self.sink == kind
     }
 
     /// Whether the trace found a complete chain with a place to put it:
@@ -199,13 +251,6 @@ impl Tracer<'_> {
                     return None;
                 };
                 let input = var(sel.input)?;
-                let test = match instr.op {
-                    OpCode::ThetaSelect(op) => FilterTest::Theta(op),
-                    OpCode::RangeSelect { lo_incl, hi_incl } => {
-                        FilterTest::Range { lo_incl, hi_incl }
-                    }
-                    _ => return None,
-                };
                 let c = match sel.cand {
                     None => {
                         self.chains.push(Chain {
@@ -213,10 +258,9 @@ impl Tracer<'_> {
                             // room for a few columns and their bounds
                             args: Vec::with_capacity(8),
                             inputs_defined: 0,
-                            filters: Vec::new(),
                             tip: instr.results[0],
                             sealed: false,
-                            group: None,
+                            sink: Sink::Open,
                             outs: Vec::new(),
                             results: Vec::new(),
                             slot: None,
@@ -238,8 +282,7 @@ impl Tracer<'_> {
                     }
                 };
                 let ch = &mut self.chains[c];
-                let col = ch.column(input, defined_at);
-                ch.filters.push(PipelineFilter { col, test });
+                ch.column(input, defined_at);
                 ch.tip = instr.results[0];
                 self.roles[instr.results[0]] = Role::Cands(c);
                 c
@@ -265,11 +308,24 @@ impl Tracer<'_> {
                     (Role::Extents(c), Role::Fetched(c2, _)) if c == c2 => {
                         let (e, v) = (var(through)?, var(values)?);
                         let ch = self.open(c)?;
-                        let (_, key, _, ext) = ch.group?;
-                        if (key, ext) != (v, e) {
+                        let Sink::Group { key, extents, .. } = ch.sink else {
+                            return None;
+                        };
+                        if (key, extents) != (v, e) {
                             return None;
                         }
                         ch.sink(PipelineOut::Key, instr.results[0]);
+                        self.roles[instr.results[0]] = Role::Sunk(c);
+                        c
+                    }
+                    // a column of the top rows, fetched in their order
+                    (Role::Order(c), Role::Fetched(c2, col)) if c == c2 => {
+                        let o = var(through)?;
+                        let ch = self.open(c)?;
+                        if !matches!(ch.sink, Sink::Top { order, .. } if order == o) {
+                            return None;
+                        }
+                        ch.sink(PipelineOut::Col(col), instr.results[0]);
                         self.roles[instr.results[0]] = Role::Sunk(c);
                         c
                     }
@@ -281,9 +337,10 @@ impl Tracer<'_> {
                     return None;
                 };
                 let tip = var(cands)?;
-                let ch = self
-                    .open(c)
-                    .filter(|ch| ch.tip == tip && ch.group.is_none())?;
+                let ch = self.open(c).filter(|ch| ch.tip == tip)?;
+                if !ch.sinks_as(Sink::Scalars) {
+                    return None;
+                }
                 ch.sealed = true;
                 ch.sink(PipelineOut::Count, instr.results[0]);
                 self.roles[instr.results[0]] = Role::Sunk(c);
@@ -294,7 +351,10 @@ impl Tracer<'_> {
                     return None;
                 };
                 let folds = self.folds(c, col);
-                let ch = self.open(c).filter(|ch| folds && ch.group.is_none())?;
+                let ch = self.open(c).filter(|_| folds)?;
+                if !ch.sinks_as(Sink::Scalars) {
+                    return None;
+                }
                 ch.sink(PipelineOut::Agg(*kind, col), instr.results[0]);
                 self.roles[instr.results[0]] = Role::Sunk(c);
                 c
@@ -304,12 +364,37 @@ impl Tracer<'_> {
                     return None;
                 };
                 let key = var(key)?;
-                let ch = self
-                    .open(c)
-                    .filter(|ch| ch.group.is_none() && ch.outs.is_empty())?;
-                ch.group = Some((col, key, instr.results[0], instr.results[1]));
+                let ch = self.open(c).filter(|ch| ch.sink == Sink::Open)?;
+                ch.sink = Sink::Group {
+                    col,
+                    key,
+                    gids: instr.results[0],
+                    extents: instr.results[1],
+                };
                 self.roles[instr.results[0]] = Role::Gids(c);
                 self.roles[instr.results[1]] = Role::Extents(c);
+                c
+            }
+            (OpCode::FirstN { desc }, [key, n]) => {
+                let Role::Fetched(c, col) = self.role(key) else {
+                    return None;
+                };
+                // a count the plan states: a constant, or `?N`
+                let counts = match n {
+                    Arg::Const(v) => v.as_i64().is_some_and(|n| n >= 0),
+                    Arg::Param(_) => true,
+                    Arg::Var(_) => false,
+                };
+                let ch = self.open(c).filter(|ch| counts && ch.sink == Sink::Open)?;
+                ch.sink = Sink::Top {
+                    col,
+                    desc: *desc,
+                    n: n.clone(),
+                    order: instr.results[1],
+                };
+                ch.sink(PipelineOut::Col(col), instr.results[0]);
+                self.roles[instr.results[0]] = Role::Sunk(c);
+                self.roles[instr.results[1]] = Role::Order(c);
                 c
             }
             (OpCode::AggrGrouped(kind), [values, gids, ext]) => {
@@ -327,7 +412,14 @@ impl Tracer<'_> {
                     _ => return None,
                 };
                 let ch = self.open(c).filter(|_| c == c2)?;
-                let (_, _, g, e) = ch.group?;
+                let Sink::Group {
+                    gids: g,
+                    extents: e,
+                    ..
+                } = ch.sink
+                else {
+                    return None;
+                };
                 if (Some(g), Some(e)) != (var(gids), var(ext)) {
                     return None;
                 }
@@ -381,10 +473,23 @@ impl Tracer<'_> {
         if self.link(idx, instr).is_some() {
             return;
         }
-        // not a link: whatever chain intermediates it reads have a reader
-        // outside their chain, and sink results are being read
+        // not a link: a fetched column one of these takes is the chain's
+        // to emit; whatever other chain intermediates it reads have a
+        // reader outside their chain; and sink results are being read
+        let takes_columns = matches!(
+            instr.op,
+            OpCode::Result | OpCode::Join | OpCode::Slice | OpCode::Pack
+        );
         for a in &instr.args {
-            match self.role(a) {
+            let mut role = self.role(a);
+            if let (Role::Fetched(c, col), Arg::Var(v), true) = (role, a, takes_columns) {
+                if !self.chains[c].broken && self.chains[c].sinks_as(Sink::Columns) {
+                    self.chains[c].sink(PipelineOut::Col(col), *v);
+                    role = Role::Sunk(c);
+                    self.roles[*v] = role;
+                }
+            }
+            match role {
                 Role::Sunk(c) => {
                     let ch = &mut self.chains[c];
                     ch.first_read = ch.first_read.min(idx);
@@ -409,11 +514,11 @@ impl OptimizerPass for FusePipeline {
     }
 
     fn run_with(&self, mut prog: Program, shared: &mut SharedAnalysis) -> Program {
-        // a chain runs from a selection over a whole column to an
-        // aggregate or a grouping; point lookups, range fetches and most
-        // joins have no such pair, and cost one look
+        // a chain runs from a selection over a whole column to a count of
+        // its candidates or a fetch through them; a plan without such a
+        // pair costs one look
         let scans = |i: &Instr| i.select_args().is_some_and(|s| s.cand.is_none());
-        let sinks = |i: &Instr| matches!(i.op, OpCode::Aggr(_) | OpCode::Count | OpCode::Group);
+        let sinks = |i: &Instr| matches!(i.op, OpCode::Count | OpCode::Projection);
         let instrs = &prog.instrs;
         if !(instrs.iter().any(scans) && instrs.iter().any(sinks)) || has_end_of_life_markers(&prog)
         {
@@ -436,21 +541,44 @@ impl OptimizerPass for FusePipeline {
         // instructions it replaces, the others are dropped
         for (c, ch) in chains.iter_mut().enumerate().filter(|(_, ch)| ch.fuses()) {
             // the columns, then the bounds of the chain's selections — the
-            // instructions that define its candidate lists — in order
+            // instructions that define its candidate lists, each a filter
+            // on the column it reads — in order, then a top-N's row count
             let mut args = std::mem::take(&mut ch.args);
+            let ncols = args.len();
+            let mut filters = Vec::new();
             for instr in &prog.instrs {
-                if let Some(sel) = instr.select_args() {
-                    if matches!(roles[instr.results[0]], Role::Cands(of) if of == c) {
-                        args.extend_from_slice(sel.bounds);
-                    }
+                let Some(sel) = instr.select_args() else {
+                    continue;
+                };
+                if !matches!(roles[instr.results[0]], Role::Cands(of) if of == c) {
+                    continue;
                 }
+                let test = match instr.op {
+                    OpCode::ThetaSelect(op) => FilterTest::Theta(op),
+                    OpCode::RangeSelect { lo_incl, hi_incl } => {
+                        FilterTest::Range { lo_incl, hi_incl }
+                    }
+                    _ => unreachable!("only selections have select_args"),
+                };
+                let col = args[..ncols].iter().position(|a| a == sel.input);
+                let col = col.expect("a chain's selection reads one of its columns");
+                filters.push(PipelineFilter { col, test });
+                args.extend_from_slice(sel.bounds);
             }
+            let sink = match std::mem::replace(&mut ch.sink, Sink::Open) {
+                Sink::Group { col, .. } => PipelineSink::Group(col),
+                Sink::Top { col, desc, n, .. } => {
+                    args.push(n);
+                    PipelineSink::Top { key: col, desc }
+                }
+                Sink::Open | Sink::Scalars | Sink::Columns => PipelineSink::Rows,
+            };
             ch.fused = Some(Instr {
                 args,
                 results: std::mem::take(&mut ch.results),
                 op: OpCode::Pipeline(Arc::new(PipelineSpec {
-                    filters: std::mem::take(&mut ch.filters),
-                    group: ch.group.map(|(key, ..)| key),
+                    filters,
+                    sink,
                     outs: std::mem::take(&mut ch.outs),
                 })),
             });
@@ -586,6 +714,87 @@ mod tests {
         assert_eq!(p.instrs.len(), 4, "{p}");
     }
 
+    fn line_with<'a>(text: &'a str, needle: &str) -> &'a str {
+        let found = text.lines().find(|l| l.contains(needle));
+        found.unwrap_or_else(|| panic!("no {needle} in\n{text}"))
+    }
+
+    #[test]
+    fn a_fetched_column_somebody_takes_becomes_a_result() {
+        // io.result: two columns of the rows two filters keep
+        let p = fuse(&format!(
+            "{BINDS}c1 := algebra.select(a, 5, 30, true, false);
+            c2 := algebra.thetaselect[!=](b, c1, 2);
+            va := algebra.projection(c2, a);
+            vb := algebra.projection(c2, b);
+            io.result(vb, va);"
+        ));
+        assert_eq!(
+            p.to_string().lines().nth(2).unwrap(),
+            "(x5, x4) := vector.pipeline[>=<@0, !=@1; col@1, col@0](x0, x1, 5, 30, 2);"
+        );
+        assert_eq!(p.instrs.len(), 4, "{p}");
+        // the probe side of a join, a LIMIT's slice, a fragment's pack
+        for (taker, rest) in [
+            (
+                "(l, r) := algebra.join(v, w);",
+                "n := aggr.count(l);\nio.result(n);",
+            ),
+            ("s := bat.slice(v, 0, 3);", "io.result(s);"),
+            ("m := mat.pack(v, w);", "io.result(m);"),
+        ] {
+            let p = fuse(&format!(
+                "{BINDS}w := sql.bind(\"u\", \"w\");
+                c := algebra.thetaselect[<](a, 9);
+                v := algebra.projection(c, b);
+                {taker}\n{rest}"
+            ));
+            let text = p.to_string();
+            assert!(
+                text.contains(":= vector.pipeline[<@0; col@1](x0, x1, 9);"),
+                "{taker}\n{text}"
+            );
+            assert!(!text.contains("algebra.projection"), "{text}");
+        }
+    }
+
+    #[test]
+    fn a_top_n_keeps_its_rows_while_the_filters_stream() {
+        let chain = |firstn: &str| {
+            format!(
+                "{BINDS}c := algebra.select(a, 3, 36, true, true);
+                vb := algebra.projection(c, b);
+                va := algebra.projection(c, a);
+                (s, o) := {firstn};
+                w := algebra.projection(o, va);
+                io.result(w, s);"
+            )
+        };
+        // `b` has four values over 34 rows: position decides the ties
+        let p = fuse(&chain("algebra.firstn(vb, 6)"));
+        let text = p.to_string();
+        assert_eq!(
+            line_with(&text, "vector.pipeline"),
+            "(x5, x7) := vector.pipeline[>=<=@0; top@1: col@1, col@0](x0, x1, 3, 36, 6);"
+        );
+        assert_eq!(p.instrs.len(), 4, "{p}");
+        let p = fuse(&chain("algebra.firstn[desc](vb, 100)"));
+        assert!(p
+            .to_string()
+            .contains("top.desc@1: col@1, col@0](x0, x1, 3, 36, 100);"));
+        // no rows asked for; and a count that is a parameter stays one
+        fuse(&chain("algebra.firstn(vb, 0)"));
+        let plan = parse_program(&chain("algebra.firstn[desc](vb, ?0)")).unwrap();
+        let fused = FusePipeline::new(column_facts(&catalog())).run(plan);
+        verify_with_catalog(&fused, &catalog()).unwrap();
+        assert!(
+            fused
+                .to_string()
+                .contains("top.desc@1: col@1, col@0](x0, x1, 3, 36, ?0);"),
+            "{fused}"
+        );
+    }
+
     #[test]
     fn anything_with_another_reader_or_shape_is_left_alone() {
         let unfusable = [
@@ -627,6 +836,29 @@ mod tests {
             "c := algebra.thetaselect[<](a, 30);\nn := aggr.count(c);\nn2 := mat.packsum(n);
              a2 := sql.bind(\"t\", \"a\");\nv := algebra.projection(c, a2);\ns := aggr.sum(v);
              io.result(n2, s);",
+            // an emitted column beside its candidate list
+            "c := algebra.thetaselect[<](a, 9);\nv := algebra.projection(c, b);\nio.result(v, c);",
+            // a fetched column taken by something that is not a sink: a
+            // whole sort, a top-N over a variable count
+            "c := algebra.thetaselect[<](a, 30);\nv := algebra.projection(c, b);
+             (s, o) := algebra.sort(v);\nio.result(s);",
+            "c := algebra.thetaselect[<](a, 30);\nv := algebra.projection(c, b);
+             m := aggr.max(b);\n(s, o) := algebra.firstn(v, m);\nio.result(s);",
+            // a top-N that gives nothing, and one whose order gets out
+            "c := algebra.thetaselect[<](a, 30);\nv := algebra.projection(c, b);
+             (s, o) := algebra.firstn(v, -1);\nio.result(s);",
+            "c := algebra.thetaselect[<](a, 30);\nv := algebra.projection(c, b);
+             (s, o) := algebra.firstn(v, 5);\nio.result(s, o);",
+            // a top-N beside the column it sorted, and beside an aggregate
+            "c := algebra.thetaselect[<](a, 30);\nv := algebra.projection(c, b);
+             (s, o) := algebra.firstn(v, 5);\nio.result(s, v);",
+            "c := algebra.thetaselect[<](a, 30);\nv := algebra.projection(c, b);
+             n := aggr.count(c);\n(s, o) := algebra.firstn(v, 5);\nio.result(s, n);",
+            // a string sort key, and the key of packed fragments
+            "s := sql.bind(\"t\", \"s\");\nc := algebra.thetaselect[<](a, 9);
+             v := algebra.projection(c, s);\n(f, o) := algebra.firstn(v, 3);\nio.result(f);",
+            "a0 := algebra.slice(a, 0, 2);\na1 := algebra.slice(a, 1, 2);
+             m := mat.pack(a0, a1);\n(f, o) := algebra.firstn(m, 3);\nio.result(f);",
         ];
         for body in unfusable {
             let src = format!("{BINDS}{body}");

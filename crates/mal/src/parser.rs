@@ -12,7 +12,8 @@
 //! ```
 
 use crate::program::{
-    Arg, FilterTest, Instr, OpCode, PipelineFilter, PipelineOut, PipelineSpec, Program,
+    Arg, FilterTest, Instr, OpCode, PipelineFilter, PipelineOut, PipelineSink, PipelineSpec,
+    Program,
 };
 use mammoth_algebra::{AggKind, ArithOp, CmpOp};
 use mammoth_types::{Error, Result, Value};
@@ -233,10 +234,10 @@ fn pipeline_out_from(item: &str) -> Option<PipelineOut> {
     match item.trim() {
         "key" => Some(PipelineOut::Key),
         "count" => Some(PipelineOut::Count),
-        item => {
-            let (name, col) = at_column(item)?;
-            Some(PipelineOut::Agg(agg_from(name)?, col))
-        }
+        item => match at_column(item)? {
+            ("col", col) => Some(PipelineOut::Col(col)),
+            (name, col) => Some(PipelineOut::Agg(agg_from(name)?, col)),
+        },
     }
 }
 
@@ -244,10 +245,12 @@ fn pipeline_out_from(item: &str) -> Option<PipelineOut> {
 /// displays as.
 fn pipeline_spec_from(text: &str) -> Option<PipelineSpec> {
     let (filters, sink) = text.split_once(';')?;
-    let (group, outs) = match sink.split_once(':') {
-        None => (None, sink),
-        Some((group, outs)) => match at_column(group)? {
-            ("group", key) => (Some(key), outs),
+    let (sink, outs) = match sink.split_once(':') {
+        None => (PipelineSink::Rows, sink),
+        Some((keyed, outs)) => match at_column(keyed)? {
+            ("group", key) => (PipelineSink::Group(key), outs),
+            ("top", key) => (PipelineSink::Top { key, desc: false }, outs),
+            ("top.desc", key) => (PipelineSink::Top { key, desc: true }, outs),
             _ => return None,
         },
     };
@@ -256,7 +259,7 @@ fn pipeline_spec_from(text: &str) -> Option<PipelineSpec> {
             .split(',')
             .map(pipeline_filter_from)
             .collect::<Option<_>>()?,
-        group,
+        sink,
         outs: outs
             .split(',')
             .map(pipeline_out_from)
@@ -619,11 +622,17 @@ mod tests {
         assert_eq!(p.instrs, p2.instrs);
     }
 
-    /// The pipeline instruction's shape lives in its brackets; the two
-    /// corpus plans that carry one print and parse back to themselves.
+    /// The pipeline instruction's shape lives in its brackets; the corpus
+    /// plans that carry one — every sink form — print and parse back to
+    /// themselves.
     #[test]
     fn pipeline_instructions_roundtrip() {
-        for file in ["pipeline_sum.mal", "pipeline_group.mal"] {
+        for file in [
+            "pipeline_sum.mal",
+            "pipeline_group.mal",
+            "pipeline_fetch.mal",
+            "pipeline_topn.mal",
+        ] {
             let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/plans/");
             let p = parse_program(&std::fs::read_to_string(format!("{dir}{file}")).unwrap())
                 .unwrap_or_else(|e| panic!("{file}: {e}"));
@@ -657,7 +666,10 @@ mod tests {
                 }
             ]
         );
-        assert_eq!((spec.group, spec.ncols(), spec.nargs()), (Some(2), 3, 6));
+        assert_eq!(
+            (spec.sink, spec.ncols(), spec.nargs()),
+            (PipelineSink::Group(2), 3, 6)
+        );
         assert_eq!(
             spec.outs,
             [
@@ -671,14 +683,32 @@ mod tests {
             "vector.pipeline[><=@1, !=@0; group@2: key, count, max@1]"
         );
         assert_eq!(p.instrs[0].args[5], Arg::Param(0));
+        let p = parse_program(
+            "(s, w) := vector.pipeline[ <@0 ; top.desc@1 : col@1 , col@0 ](a, b, 9, ?1);",
+        )
+        .unwrap();
+        let OpCode::Pipeline(spec) = &p.instrs[0].op else {
+            panic!("not a pipeline")
+        };
+        assert_eq!(
+            (spec.sink, spec.ncols(), spec.nargs()),
+            (PipelineSink::Top { key: 1, desc: true }, 2, 4)
+        );
+        assert_eq!(spec.outs, [PipelineOut::Col(1), PipelineOut::Col(0)]);
+        assert_eq!(
+            p.instrs[0].op.name(),
+            "vector.pipeline[<@0; top.desc@1: col@1, col@0]"
+        );
         for bad in [
-            "x := vector.pipeline(a, 1);",                        // no shape
-            "x := vector.pipeline[<@0](a, 1);",                   // no sink
-            "x := vector.pipeline[<@0; total@0](a, 1);",          // unknown aggregate
-            "x := vector.pipeline[~@0; count](a, 1);",            // unknown comparison
-            "x := vector.pipeline[<@a; count](a, 1);",            // column is not a number
-            "x := vector.pipeline[<@0; rows@1: count](a, b, 1);", // not `group`
-            "x := vector.pipeline[<@0; count(a, 1);",             // unterminated
+            "x := vector.pipeline(a, 1);",                           // no shape
+            "x := vector.pipeline[<@0](a, 1);",                      // no sink
+            "x := vector.pipeline[<@0; total@0](a, 1);",             // unknown aggregate
+            "x := vector.pipeline[~@0; count](a, 1);",               // unknown comparison
+            "x := vector.pipeline[<@a; count](a, 1);",               // column is not a number
+            "x := vector.pipeline[<@0; rows@1: count](a, b, 1);",    // not `group` or `top`
+            "x := vector.pipeline[<@0; top.asc@0: col@0](a, 1, 2);", // `top` is ascending
+            "x := vector.pipeline[<@0; col](a, 1);",                 // a column needs its index
+            "x := vector.pipeline[<@0; count(a, 1);",                // unterminated
         ] {
             assert!(parse_program(bad).is_err(), "{bad}");
         }

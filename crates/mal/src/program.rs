@@ -109,35 +109,55 @@ pub enum OpCode {
     /// released and may not be referenced afterwards (MonetDB's
     /// garbage-collection hint, emitted by the `garbage_collect` pass).
     Free,
-    /// `(r1, …) := vector.pipeline[spec](col…, bound…)` — a fused select →
-    /// fetch → aggregate chain over aligned columns of one table, run a
-    /// vector at a time with no materialized intermediate (the
-    /// `fuse_pipeline` pass emits it; see [`PipelineSpec`]).
+    /// `(r1, …) := vector.pipeline[spec](col…, bound…[, n])` — a fused
+    /// select → fetch → aggregate / emit / top-N chain over aligned columns
+    /// of one table, run a vector at a time with no materialized
+    /// intermediate (the `fuse_pipeline` pass emits it; see
+    /// [`PipelineSpec`]).
     Pipeline(Arc<PipelineSpec>),
 }
 
 /// The shape of a `vector.pipeline` instruction: which of its column
-/// arguments each filter tests and each result aggregates. The filter
-/// *constants* are not part of the shape — they are ordinary trailing
-/// arguments, so a `?N` parameter binds like any other.
+/// arguments each filter tests and what its sink makes of the rows that
+/// pass. The filter *constants* and a top-N sink's row count are not part
+/// of the shape — they are ordinary trailing arguments, so a `?N`
+/// parameter binds like any other.
 ///
 /// Arguments: `ncols()` column BATs (columns `0..ncols`), then each
 /// filter's bounds in filter order — one for a theta filter, `lo, hi` for a
-/// range. Results: one per entry of `outs`, scalars without `group`, BATs
-/// of one row per group (in first-appearance order) with it.
+/// range — then, for a [`PipelineSink::Top`], the row count `n`. Results:
+/// one per entry of `outs`, of the kind the sink fixes (see
+/// [`PipelineSink`]).
 ///
-/// Text form, inside the brackets: `filter, … ; [group@K:] out, …` where a
-/// filter is `<op>@C` (`<`, `<=`, `==`, `!=`, `>`, `>=`, or a range spelled
-/// by its two comparisons — `>=<@0` is `lo <= col 0 < hi`) and an out is
-/// `count`, `key`, or `<aggregate>@C`.
+/// Text form, inside the brackets: `filter, … ; [group@K: | top@K: |
+/// top.desc@K:] out, …` where a filter is `<op>@C` (`<`, `<=`, `==`, `!=`,
+/// `>`, `>=`, or a range spelled by its two comparisons — `>=<@0` is
+/// `lo <= col 0 < hi`) and an out is `count`, `key`, `<aggregate>@C` or
+/// `col@C`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PipelineSpec {
     /// At least one; the first has no candidates and tests every row.
     pub filters: Vec<PipelineFilter>,
-    /// The grouping key's column, for a grouped sink.
-    pub group: Option<usize>,
+    pub sink: PipelineSink,
     /// At least one.
     pub outs: Vec<PipelineOut>,
+}
+
+/// What a pipeline does with the rows its filters keep. A sink is of one
+/// kind: aggregates and columns never mix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PipelineSink {
+    /// Every row, ungrouped: either every result is a scalar
+    /// ([`PipelineOut::Count`] / [`PipelineOut::Agg`]) or every result is a
+    /// column of those rows, in row order ([`PipelineOut::Col`]).
+    Rows,
+    /// One row per distinct value of the key column, in first-appearance
+    /// order — `group.group`: BATs of keys, counts and aggregates.
+    Group(usize),
+    /// The first `n` rows in the key column's sort order —
+    /// `algebra.firstn` — `n` being the instruction's last argument: every
+    /// result is a column ([`PipelineOut::Col`]) of those rows, sorted.
+    Top { key: usize, desc: bool },
 }
 
 /// One filter of a [`PipelineSpec`]: the column it tests and how.
@@ -184,6 +204,10 @@ pub enum PipelineOut {
     Count,
     /// `aggr.<kind>` / `aggr.sub<kind>` over a column's selected rows.
     Agg(AggKind, usize),
+    /// A column's values at the sink's rows — `algebra.projection(cands,
+    /// col)` through the last candidate list, or through a top-N sink's
+    /// order.
+    Col(usize),
 }
 
 impl PipelineSpec {
@@ -191,19 +215,33 @@ impl PipelineSpec {
     pub fn ncols(&self) -> usize {
         let filters = self.filters.iter().map(|f| f.col);
         let outs = self.outs.iter().filter_map(|o| match o {
-            PipelineOut::Agg(_, c) => Some(*c),
+            PipelineOut::Agg(_, c) | PipelineOut::Col(c) => Some(*c),
             PipelineOut::Key | PipelineOut::Count => None,
         });
-        filters
-            .chain(outs)
-            .chain(self.group)
-            .max()
-            .map_or(0, |c| c + 1)
+        let key = match self.sink {
+            PipelineSink::Rows => None,
+            PipelineSink::Group(key) | PipelineSink::Top { key, .. } => Some(key),
+        };
+        filters.chain(outs).chain(key).max().map_or(0, |c| c + 1)
     }
 
-    /// Arguments in all: the columns, then every filter's bounds.
+    /// Arguments in all: the columns, every filter's bounds, and a top-N
+    /// sink's row count.
     pub fn nargs(&self) -> usize {
-        self.ncols() + self.filters.iter().map(|f| f.nbounds()).sum::<usize>()
+        let bounds: usize = self.filters.iter().map(|f| f.nbounds()).sum();
+        self.ncols() + bounds + matches!(self.sink, PipelineSink::Top { .. }) as usize
+    }
+
+    /// Whether the results are columns of rows of the table (rather than
+    /// aggregates over them).
+    pub fn emits_columns(&self) -> bool {
+        matches!(self.outs.first(), Some(PipelineOut::Col(_)))
+    }
+
+    /// Whether the results are scalars — global aggregates — rather than
+    /// BATs.
+    pub fn binds_scalars(&self) -> bool {
+        self.sink == PipelineSink::Rows && !self.emits_columns()
     }
 
     /// Each filter with its bound arguments out of `args`, the
@@ -212,7 +250,8 @@ impl PipelineSpec {
         &'a self,
         args: &'a [A],
     ) -> Option<impl Iterator<Item = (&'a PipelineFilter, &'a [A])>> {
-        let bounds = args.get(self.ncols()..self.nargs())?;
+        let nbounds: usize = self.filters.iter().map(|f| f.nbounds()).sum();
+        let bounds = args.get(self.ncols()..self.ncols() + nbounds)?;
         let mut at = 0;
         Some(self.filters.iter().map(move |f| {
             let b = &bounds[at..at + f.nbounds()];
@@ -236,8 +275,11 @@ impl fmt::Display for PipelineSpec {
             }
         }
         f.write_str("; ")?;
-        if let Some(key) = self.group {
-            write!(f, "group@{key}: ")?;
+        match self.sink {
+            PipelineSink::Rows => {}
+            PipelineSink::Group(key) => write!(f, "group@{key}: ")?,
+            PipelineSink::Top { key, desc: false } => write!(f, "top@{key}: ")?,
+            PipelineSink::Top { key, desc: true } => write!(f, "top.desc@{key}: ")?,
         }
         for (k, out) in self.outs.iter().enumerate() {
             let sep = if k > 0 { ", " } else { "" };
@@ -245,6 +287,7 @@ impl fmt::Display for PipelineSpec {
                 PipelineOut::Key => write!(f, "{sep}key")?,
                 PipelineOut::Count => write!(f, "{sep}count")?,
                 PipelineOut::Agg(kind, c) => write!(f, "{sep}{}@{c}", agg_name(*kind))?,
+                PipelineOut::Col(c) => write!(f, "{sep}col@{c}")?,
             }
         }
         Ok(())

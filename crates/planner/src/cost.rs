@@ -11,7 +11,7 @@
 
 use crate::stats::StatsCatalog;
 use mammoth_algebra::CmpOp;
-use mammoth_mal::{Arg, OpCode, Program, VarId};
+use mammoth_mal::{Arg, OpCode, PipelineOut, PipelineSink, Program, VarId};
 use mammoth_types::Value;
 use std::collections::HashMap;
 
@@ -100,8 +100,14 @@ pub fn selectivity(
 /// aligned index-for-index with `prog.instrs`.
 ///
 /// Column provenance is threaded through projections so selections over
-/// a fetched column still consult that column's statistics.
-pub fn estimate_program(prog: &Program, stats: &StatsCatalog) -> Vec<InstrEstimate> {
+/// a fetched column still consult that column's statistics. A table the
+/// statistics have never seen — one created from whole columns rather
+/// than through INSERTs — is as long as `live_rows` says it is.
+pub fn estimate_program(
+    prog: &Program,
+    stats: &StatsCatalog,
+    live_rows: impl Fn(&str) -> Option<u64>,
+) -> Vec<InstrEstimate> {
     let mut rows: HashMap<VarId, f64> = HashMap::new();
     let mut origin: HashMap<VarId, (String, String)> = HashMap::new();
     let mut out = Vec::with_capacity(prog.instrs.len());
@@ -115,7 +121,7 @@ pub fn estimate_program(prog: &Program, stats: &StatsCatalog) -> Vec<InstrEstima
 
     for instr in &prog.instrs {
         if let OpCode::Pipeline(spec) = &instr.op {
-            let e = estimate_pipeline(instr, spec, stats, &rows, &origin);
+            let e = estimate_pipeline(instr, spec, stats, &rows, &mut origin);
             rows.extend(instr.results.iter().map(|r| (*r, e.rows as f64)));
             out.push(e);
             continue;
@@ -135,7 +141,8 @@ pub fn estimate_program(prog: &Program, stats: &StatsCatalog) -> Vec<InstrEstima
                     }
                     _ => (String::new(), String::new()),
                 };
-                let n = stats.table(&t).map(|ts| ts.rows as f64).unwrap_or(1000.0);
+                let n = stats.table(&t).map(|ts| ts.rows).or_else(|| live_rows(&t));
+                let n = n.map_or(1000.0, |n| n as f64);
                 if let Some(r) = instr.results.first() {
                     origin.insert(*r, (t, c));
                 }
@@ -284,14 +291,16 @@ pub fn estimate_program(prog: &Program, stats: &StatsCatalog) -> Vec<InstrEstima
 /// filter tests every row of its column, each later one the rows the
 /// filters before it kept, and every result reads the survivors of its
 /// column — without the intermediates in between. Its rows are the sink's:
-/// one for a global sink, the key column's distinct values (at most the
-/// surviving rows) for a grouped one.
+/// one for global aggregates, the key column's distinct values (at most
+/// the surviving rows) for a grouped one, the surviving rows for emitted
+/// columns, and at most `n` of them for a top-N. A column result carries
+/// its column's provenance on, as the projection it stands for does.
 fn estimate_pipeline(
     instr: &mammoth_mal::Instr,
     spec: &mammoth_mal::PipelineSpec,
     stats: &StatsCatalog,
     rows: &HashMap<VarId, f64>,
-    origin: &HashMap<VarId, (String, String)>,
+    origin: &mut HashMap<VarId, (String, String)>,
 ) -> InstrEstimate {
     let column = |c: usize| match instr.args.get(c) {
         Some(Arg::Var(v)) => Some(v),
@@ -306,13 +315,24 @@ fn estimate_pipeline(
         kept *= select_selectivity(stats, &f.select_op(), col, bounds);
     }
     cost += kept * spec.outs.len() as f64;
-    let sink_rows = match spec.group {
-        None => 1.0,
-        Some(key) => column(key)
+    let sink_rows = match spec.sink {
+        PipelineSink::Rows if spec.binds_scalars() => 1.0,
+        PipelineSink::Rows => kept,
+        PipelineSink::Group(key) => column(key)
             .and_then(|v| origin.get(v))
             .and_then(|(t, c)| stats.column(t, c))
             .map_or(kept, |cs| (cs.ndv_clamped() as f64).min(kept.max(1.0))),
+        PipelineSink::Top { .. } => {
+            const_i64(instr.args.last()).map_or(kept, |n| kept.min(n.max(0) as f64))
+        }
     };
+    for (out, r) in spec.outs.iter().zip(&instr.results) {
+        if let PipelineOut::Col(c) = out {
+            if let Some(o) = column(*c).and_then(|v| origin.get(v)).cloned() {
+                origin.insert(*r, o);
+            }
+        }
+    }
     InstrEstimate {
         rows: sink_rows.round().max(0.0) as u64,
         cost: cost.round().max(0.0) as u64,
@@ -438,7 +458,7 @@ mod tests {
         )[0];
         let f = p.push(OpCode::Projection, vec![Arg::Var(s), Arg::Var(b)])[0];
         p.push_result(&[f]);
-        let est = estimate_program(&p, &sc);
+        let est = estimate_program(&p, &sc, |_| None);
         assert_eq!(est.len(), 4);
         assert_eq!(est[0].rows, 1000, "bind = table rows");
         assert_eq!(est[1].rows, 10, "1000/ndv(100) for equality");
@@ -482,7 +502,7 @@ mod tests {
             vec![Arg::Var(a), Arg::Const(Value::I64(10))],
         );
         p.push_result(&[c2, c3, top[0]]);
-        let est = estimate_program(&p, &sc);
+        let est = estimate_program(&p, &sc, |_| None);
         assert!(
             (est[1].rows as i64 - 500).abs() <= 60,
             "half the cdf: {est:?}"

@@ -17,7 +17,7 @@ use crate::parser::parse_sql;
 use crate::prepared::{reject_stray_params, PreparedRegistry};
 use explain::{export_profile, trace_env_on};
 use mammoth_mal::{EventKind, Interpreter, MalValue, PlanExecutor, ProfiledRun, Program};
-use mammoth_planner::{bind_program, estimate_program, PlanCache, StatsCatalog};
+use mammoth_planner::{bind_program, PlanCache, StatsCatalog};
 use mammoth_recycler::{EvictPolicy, Recycler};
 use mammoth_storage::{Catalog, RealFs, Vfs};
 use mammoth_types::{Error, Result, Value};
@@ -403,7 +403,7 @@ impl Session {
             profiled,
         )?;
         if let Some(mut run) = run {
-            let estimates = estimate_program(prog, &self.stats.lock().unwrap());
+            let estimates = self.estimates(prog);
             for e in &mut run.events {
                 if e.kind == EventKind::Instr && e.instr >= 0 {
                     if let Some(est) = estimates.get(e.instr as usize) {

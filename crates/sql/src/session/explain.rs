@@ -3,7 +3,6 @@
 
 use super::{QueryOutput, Session};
 use mammoth_mal::{analyze_props, ProfiledRun, Program, TRACE_ENV};
-use mammoth_planner::estimate_program;
 use mammoth_types::Value;
 
 impl Session {
@@ -29,10 +28,7 @@ impl Session {
     /// cardinality/cost estimates for the instruction.
     pub(super) fn explain_table(&self, prog: &Program) -> QueryOutput {
         let analysis = analyze_props(prog, &self.catalog).ok();
-        let estimates = {
-            let stats = self.stats.lock().unwrap();
-            estimate_program(prog, &stats)
-        };
+        let estimates = self.estimates(prog);
         let text = prog.to_string();
         let rows = text
             .lines()

@@ -13,7 +13,7 @@ use mammoth_mal::{
 };
 use mammoth_planner::{
     choose_pieces, estimate_program, referenced_columns, selectivity, use_sorted_select,
-    CachedPlan, StatsCatalog,
+    CachedPlan, InstrEstimate, StatsCatalog,
 };
 use mammoth_types::{Error, Result};
 use std::sync::Arc;
@@ -50,7 +50,7 @@ impl Session {
                 Some(((t.to_lowercase(), c.to_lowercase()), p))
             })
             .collect();
-        let est_rows = output_rows_estimate(&prog, &self.stats.lock().unwrap());
+        let est_rows = output_rows_estimate(&prog, &self.estimates(&prog));
         let plan = CachedPlan {
             prog,
             names,
@@ -68,6 +68,18 @@ impl Session {
         Ok(plan)
     }
 
+    /// The cost model's per-instruction estimates for `prog`, with the
+    /// catalog's live row count standing in for a table the statistics
+    /// have never seen (a bulk load through `Catalog::create_table`).
+    pub(super) fn estimates(&self, prog: &Program) -> Vec<InstrEstimate> {
+        estimate_program(prog, &self.stats.lock().unwrap(), |t| self.live_rows(t))
+    }
+
+    /// Live rows of table `t`, from the catalog: O(1).
+    pub(super) fn live_rows(&self, t: &str) -> Option<u64> {
+        self.catalog.table(t).ok().map(|t| t.live_len() as u64)
+    }
+
     /// Compile and optimize a SELECT with the cost model in the loop:
     /// predicates applied most-selective-first, the select-algorithm
     /// rewrite gated by estimated cardinality, and the mitosis piece
@@ -78,6 +90,7 @@ impl Session {
         let (where_, est_rows) = {
             let stats = self.stats.lock().unwrap();
             let rows = stats.table(&stmt.from).map(|t| t.rows);
+            let rows = rows.or_else(|| self.live_rows(&stmt.from));
             (Self::order_predicates(stmt, &stats), rows)
         };
         let (prog, names) = compile_select_ordered(&self.catalog, stmt, where_)?;
@@ -145,10 +158,11 @@ impl Session {
         if sorted_select {
             pipeline = pipeline.with(SortedSelect::new(facts.clone()));
         }
+        pipeline = pipeline.with(DeadCode);
         if !recycling {
             pipeline = pipeline.with(FusePipeline::new(facts));
         }
-        pipeline.with(DeadCode).checked()
+        pipeline.checked()
     }
 
     /// Plan-cache hit/compile counters `(hits, compiles)` — what the
@@ -180,8 +194,7 @@ fn export_plan_event(kind: EventKind, key: &str, est_rows: Option<u64>) {
 
 /// The cost model's estimate of a plan's result cardinality: the row
 /// estimate of the instruction producing the first `Result` operand.
-fn output_rows_estimate(prog: &Program, stats: &StatsCatalog) -> Option<u64> {
-    let est = estimate_program(prog, stats);
+fn output_rows_estimate(prog: &Program, est: &[InstrEstimate]) -> Option<u64> {
     let result = prog
         .instrs
         .iter()

@@ -39,6 +39,8 @@ pub mod primitives;
 pub mod vector;
 
 pub use mammoth_algebra::{AggKind, CmpOp};
-pub use pipeline::{ColRef, Filter, Operand, Out, Output, Pipeline, Sink, Stage, VECTOR_SIZE};
+pub use pipeline::{
+    ColRef, Filter, Operand, Out, Output, Pipeline, Sink, SinkKind, Stage, VECTOR_SIZE,
+};
 pub use primitives::MapOp;
 pub use vector::{Column, ColumnSet};

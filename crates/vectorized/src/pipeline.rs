@@ -4,10 +4,11 @@
 //! pulls one `vector_size` window at a time from a borrowed [`ColumnSet`]
 //! through all stages — a `u32` selection vector narrowing as filters
 //! apply, computed vectors appearing as maps run, every further column
-//! read *in the same window* through the selection — and folds the
-//! survivors into the sink. All per-vector state (selection, computed
-//! vectors, group ids) is sized by `vector_size`: that is the working set
-//! the §5 tuning argument is about, and what experiment E07 sweeps.
+//! read *in the same window* through the selection — and hands the
+//! survivors to the sink: aggregates folded, columns emitted, or the best
+//! `n` rows kept. All per-vector state (selection, computed vectors, group
+//! ids) is sized by `vector_size`: that is the working set the §5 tuning
+//! argument is about, and what experiment E07 sweeps.
 //!
 //! There is one driver. The `vector.pipeline` MAL instruction, experiment
 //! E07 and `examples/vectorized_analytics.rs` all call [`Pipeline::run`];
@@ -16,14 +17,17 @@
 //! Filters and folds are the BAT Algebra's kernels, so a pipeline answers
 //! exactly as the column-at-a-time plan it replaces: nils never qualify
 //! and never aggregate, integer sums wrap, float sums run strictly in row
-//! order (state carries across windows; nothing is re-associated), and
+//! order (state carries across windows; nothing is re-associated),
 //! groups are numbered in first-appearance order by the table
-//! `group.group` uses.
+//! `group.group` uses, emitted columns hold the surviving rows in row
+//! order, and a top-N sink selects through `algebra.firstn`'s own
+//! [`TopN`].
 
 use crate::primitives::{self, MapOp};
 use crate::vector::{with_slice, Column, ColumnSet};
 use mammoth_algebra::{
     finish_groups, Acc, AggKind, AggTail, CmpOp, GroupTable, KeyImage, Pred, Reduction, ScanTail,
+    TopN,
 };
 use mammoth_compression::decompress;
 use mammoth_storage::{FixedTail, TailHeap};
@@ -132,13 +136,34 @@ pub enum Out {
     Count,
     /// An aggregate over a column's non-nil values: in all, or per group.
     Agg(AggKind, ColRef),
+    /// A column's values at the sink's rows: the selected rows in row
+    /// order, or a top-N sink's rows in sort order.
+    Col(ColRef),
 }
 
-/// Where the vectors end up: global aggregates, or — with `group_by` — a
-/// hash aggregation numbering its groups in first-appearance order.
+/// What the sink makes of the selected rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SinkKind {
+    /// All of them, ungrouped: global aggregates, or emitted columns.
+    Rows,
+    /// A hash aggregation numbering its groups in first-appearance order.
+    GroupBy(ColRef),
+    /// The first `n` in the sort order of source column `key` — ascending
+    /// with nil first and ties by position, or exactly the reverse.
+    Top {
+        key: ColRef,
+        n: usize,
+        descending: bool,
+    },
+}
+
+/// Where the vectors end up. A sink's results are of one kind: scalars
+/// (`Count` / `Agg` over [`SinkKind::Rows`]), one row per group (`Key` /
+/// `Count` / `Agg` over [`SinkKind::GroupBy`]), or columns (`Col` over
+/// [`SinkKind::Rows`] or [`SinkKind::Top`]).
 #[derive(Debug, Clone)]
 pub struct Sink {
-    pub group_by: Option<ColRef>,
+    pub kind: SinkKind,
     pub outs: Vec<Out>,
 }
 
@@ -146,7 +171,7 @@ impl Sink {
     /// Global aggregates.
     pub fn aggregate(outs: Vec<Out>) -> Sink {
         Sink {
-            group_by: None,
+            kind: SinkKind::Rows,
             outs,
         }
     }
@@ -154,7 +179,7 @@ impl Sink {
     /// One row per distinct value of `key`.
     pub fn group_by(key: ColRef, outs: Vec<Out>) -> Sink {
         Sink {
-            group_by: Some(key),
+            kind: SinkKind::GroupBy(key),
             outs,
         }
     }
@@ -175,7 +200,8 @@ pub enum Output {
     /// A global sink: COUNT is `i64`, AVG `f64`, SUM/MIN/MAX `i64` over
     /// integers and `f64` over floats, NULL when no non-nil value folded.
     Scalars(Vec<Value>),
-    /// A grouped sink: one column per result, one row per group.
+    /// A grouped, emitting or top-N sink: one column per result, one row
+    /// per group or kept row.
     Columns(Vec<TailHeap>),
 }
 
@@ -266,6 +292,8 @@ fn accumulate<T: AggTail>(accs: &mut [Acc], gids: &[u32], data: &[T], sel: Optio
 enum Folded {
     Scalars(Vec<ScalarOut>),
     Groups(Box<Groups>),
+    /// One emitted column per result, grown a vector at a time.
+    Columns(Vec<(ColRef, TailHeap)>),
 }
 
 enum ScalarOut {
@@ -306,30 +334,58 @@ impl Groups {
     }
 }
 
+/// The error of a result its sink cannot produce.
+fn mixed(what: &str) -> Error {
+    Error::Unsupported(format!("a sink's results are of one kind: {what}"))
+}
+
+/// `out` += the values of `data` — all, or those `sel` names.
+fn emit<T: FixedTail>(out: &mut TailHeap, data: &[T], sel: Option<&[u32]>) {
+    let out = out
+        .as_vec_mut::<T>()
+        .expect("the heap was created with the column's type");
+    selected!(data, sel, |values| out.extend(values));
+}
+
 impl Folded {
-    /// The empty fold for `sink`, checked against the source column types.
+    /// The empty fold for an aggregating or emitting `sink`, checked
+    /// against the source column types.
     fn new(sink: &Sink, sources: &[Column<'_>], computed: &[Vec<i64>]) -> Result<Folded> {
         let agg_col = |c: ColRef| folds_as_float(resolve(c, sources, computed)?);
-        let Some(key) = sink.group_by else {
-            let outs = sink.outs.iter().map(|o| match *o {
-                Out::Key => Err(Error::Unsupported(
-                    "a key result needs a grouped sink".into(),
-                )),
-                Out::Count => Ok(ScalarOut::Count(0)),
-                Out::Agg(kind, col) => Ok(ScalarOut::Agg {
-                    col,
-                    red: Reduction::new(kind),
-                    float: agg_col(col)?,
-                }),
-            });
-            return Ok(Folded::Scalars(outs.collect::<Result<_>>()?));
+        let key = match sink.kind {
+            SinkKind::GroupBy(key) => key,
+            SinkKind::Rows if matches!(sink.outs.first(), Some(Out::Col(_))) => {
+                let outs = sink.outs.iter().map(|o| match *o {
+                    Out::Col(col) => {
+                        Ok((col, TailHeap::new(resolve(col, sources, computed)?.ty())))
+                    }
+                    _ => Err(mixed("an aggregate beside a column")),
+                });
+                return Ok(Folded::Columns(outs.collect::<Result<_>>()?));
+            }
+            SinkKind::Rows => {
+                let outs = sink.outs.iter().map(|o| match *o {
+                    Out::Key => Err(mixed("a key needs a grouped sink")),
+                    Out::Col(_) => Err(mixed("a column beside an aggregate")),
+                    Out::Count => Ok(ScalarOut::Count(0)),
+                    Out::Agg(kind, col) => Ok(ScalarOut::Agg {
+                        col,
+                        red: Reduction::new(kind),
+                        float: agg_col(col)?,
+                    }),
+                });
+                return Ok(Folded::Scalars(outs.collect::<Result<_>>()?));
+            }
+            SinkKind::Top { .. } => unreachable!("a top-N sink is run by `Pipeline::run_top`"),
         };
         let mut accs: Vec<(ColRef, Vec<Acc>, bool)> = Vec::new();
         for o in &sink.outs {
-            if let Out::Agg(_, col) = *o {
-                if !accs.iter().any(|(c, _, _)| *c == col) {
+            match *o {
+                Out::Agg(_, col) if !accs.iter().any(|(c, _, _)| *c == col) => {
                     accs.push((col, Vec::new(), agg_col(col)?));
                 }
+                Out::Col(_) => return Err(mixed("a column in a grouped sink")),
+                _ => {}
             }
         }
         Ok(Folded::Groups(Box::new(Groups {
@@ -383,6 +439,12 @@ impl Folded {
                     with_agg_slice!(c, |d| accumulate(accs, gids, d, sel));
                 }
             }
+            Folded::Columns(outs) => {
+                for (col, heap) in outs {
+                    let c = resolve(*col, window, computed)?;
+                    with_slice!(c, |d| emit(heap, d, sel), else unreachable!("packed columns are decoded before windowing"));
+                }
+            }
         }
         Ok(())
     }
@@ -411,20 +473,29 @@ impl Folded {
                                 .expect("every aggregated column got its accumulators");
                             finish_groups(kind, accs, *float)
                         }
+                        Out::Col(_) => unreachable!("rejected when the fold was set up"),
                     })
                     .collect(),
             ),
+            Folded::Columns(outs) => Output::Columns(outs.into_iter().map(|(_, h)| h).collect()),
         }
+    }
+}
+
+/// The source column behind `c`: what a top-N sink reads its key from and
+/// gathers its results out of once the scan is over.
+fn source<'w>(c: ColRef, sources: &[Column<'w>]) -> Result<Column<'w>> {
+    match c {
+        ColRef::Source(_) => resolve(c, sources, &[]),
+        ColRef::Computed(_) => Err(Error::Unsupported(
+            "a top-N sink reads source columns".into(),
+        )),
     }
 }
 
 impl Pipeline {
     /// Execute over `columns`, `vector_size` rows at a time.
     pub fn run(&self, columns: &ColumnSet<'_>, vector_size: usize) -> Result<Output> {
-        // selection vectors hold u32 positions inside one vector
-        let vector_size = vector_size.clamp(1, u32::MAX as usize);
-        let n = columns.len();
-
         // Packed columns decode into scratch the run owns. (A real X100
         // decodes a block per vector; this miniature decodes each packed
         // column once, up front, and windows the result.)
@@ -443,25 +514,84 @@ impl Pipeline {
             .map(|(c, d)| d.as_ref().map_or(*c, |v| Column::I64(v)))
             .collect();
 
+        if let SinkKind::Top { key, n, descending } = self.sink.kind {
+            let keys = source(key, &sources)?;
+            return with_slice!(keys, |k| self.run_top(&sources, vector_size, k, n, descending), else unreachable!("decoded above"));
+        }
+        // computed vectors exist a window at a time; the fold is set up
+        // against their (empty) slots
+        let slots = vec![Vec::new(); self.computed_slots];
+        let mut folded = Folded::new(&self.sink, &sources, &slots)?;
+        self.scan(&sources, vector_size, |_, window, computed, sel, len| {
+            folded.fold(window, computed, sel, len)
+        })?;
+        Ok(folded.finish(&self.sink))
+    }
+
+    /// A top-N sink over the key column `keys`: offer every selected row's
+    /// key as the vectors stream past, then fetch each result column at
+    /// the `n` positions kept — no column is gathered for a row that lost.
+    fn run_top<T: FixedTail>(
+        &self,
+        sources: &[Column<'_>],
+        vector_size: usize,
+        keys: &[T],
+        n: usize,
+        descending: bool,
+    ) -> Result<Output> {
+        let outs = self.sink.outs.iter().map(|o| match *o {
+            Out::Col(c) => source(c, sources),
+            _ => Err(mixed("a top-N sink emits columns")),
+        });
+        let outs: Vec<Column<'_>> = outs.collect::<Result<_>>()?;
+        let mut top = TopN::new(n, descending, T::nil_cmp);
+        self.scan(sources, vector_size, |start, _, _, sel, len| {
+            let keys = &keys[start..start + len];
+            match sel.filter(|s| s.len() < len) {
+                None => (0..len).for_each(|i| top.offer(keys[i], start + i)),
+                Some(sel) => sel
+                    .iter()
+                    .for_each(|&i| top.offer(keys[i as usize], start + i as usize)),
+            }
+            Ok(())
+        })?;
+        let rows = top.finish();
+        let fetch = |c: Column<'_>| with_slice!(c, |d| TailHeap::from_vec(rows.iter().map(|&(_, p)| d[p]).collect()), else unreachable!("decoded before the scan"));
+        Ok(Output::Columns(outs.into_iter().map(fetch).collect()))
+    }
+
+    /// Pull `sources` through the stages a window at a time, handing
+    /// `sink` each window that kept a row: its first row's position, its
+    /// vectors, the computed vectors, the selection (`None`: every row)
+    /// and its length.
+    fn scan<'s>(
+        &self,
+        sources: &[Column<'s>],
+        vector_size: usize,
+        mut sink: impl FnMut(usize, &[Column<'s>], &[Vec<i64>], Option<&[u32]>, usize) -> Result<()>,
+    ) -> Result<()> {
+        // selection vectors hold u32 positions inside one vector
+        let vector_size = vector_size.clamp(1, u32::MAX as usize);
+        let n = sources.first().map_or(0, |c| c.len());
         let mut computed: Vec<Vec<i64>> = vec![Vec::new(); self.computed_slots];
-        let mut folded = Folded::new(&self.sink, &sources, &computed)?;
         // a filter constant its column cannot hold is an error whether or
         // not a row ever reaches the filter
         let mut sel: Vec<u32> = Vec::new();
         let mut sel_next: Vec<u32> = Vec::new();
         for stage in &self.stages {
             if let Stage::Filter { col, pred } = stage {
-                let empty = resolve(*col, &sources, &computed)?.window(0, 0);
+                let empty = resolve(*col, sources, &computed)?.window(0, 0);
                 with_slice!(empty, |d| pred.narrow(d, None, &mut sel)?, else unreachable!("decoded above"));
             }
         }
 
-        let mut window: Vec<Column<'_>> = Vec::with_capacity(sources.len());
+        let mut window: Vec<Column<'s>> = Vec::with_capacity(sources.len());
         let mut start = 0usize;
         'windows: while start < n {
             let len = vector_size.min(n - start);
             window.clear();
             window.extend(sources.iter().map(|c| c.window(start, len)));
+            let first = start;
             start += len;
 
             let mut have_sel = false;
@@ -499,9 +629,9 @@ impl Pipeline {
                     }
                 }
             }
-            folded.fold(&window, &computed, have_sel.then_some(&sel[..]), len)?;
+            sink(first, &window, &computed, have_sel.then_some(&sel[..]), len)?;
         }
-        Ok(folded.finish(&self.sink))
+        Ok(())
     }
 }
 
@@ -723,6 +853,98 @@ mod tests {
     }
 
     #[test]
+    fn emitted_columns_hold_the_selected_rows_in_row_order() {
+        let li = Lineitem::new();
+        let p = Pipeline {
+            stages: vec![
+                Stage::theta(ColRef::Source(0), CmpOp::Ge, 48i64),
+                Stage::Map {
+                    op: MapOp::Mul,
+                    l: ColRef::Source(0),
+                    r: Operand::Const(2),
+                    out: 0,
+                },
+            ],
+            sink: Sink {
+                kind: SinkKind::Rows,
+                outs: vec![
+                    Out::Col(ColRef::Source(2)),
+                    Out::Col(ColRef::Computed(0)),
+                    Out::Col(ColRef::Source(2)),
+                ],
+            },
+            computed_slots: 1,
+        };
+        let hit: Vec<usize> = (0..1000).filter(|&i| li.qty[i] >= 48).collect();
+        let class: Vec<Value> = hit.iter().map(|&i| Value::I64(li.class[i])).collect();
+        let twice: Vec<Value> = hit.iter().map(|&i| Value::I64(li.qty[i] * 2)).collect();
+        for vs in [1usize, 49, 50, 51, 4096] {
+            assert_eq!(
+                rows(p.run(&li.columns(), vs).unwrap()),
+                [class.clone(), twice.clone(), class.clone()],
+                "vector size {vs}"
+            );
+        }
+        // no stage at all: the column, whole
+        let all = Pipeline {
+            stages: vec![],
+            sink: Sink {
+                kind: SinkKind::Rows,
+                outs: vec![Out::Col(ColRef::Source(1))],
+            },
+            computed_slots: 0,
+        };
+        let price: Vec<Value> = li.price.iter().map(|&x| Value::I64(x)).collect();
+        assert_eq!(rows(all.run(&li.columns(), 64).unwrap()), [price]);
+    }
+
+    #[test]
+    fn top_n_orders_nil_first_and_ties_by_position_or_exactly_the_reverse() {
+        let key = [3i32, i32::NIL, 1, 3, 1, i32::NIL, 2, 3];
+        let pos: Vec<i64> = (0..8).collect();
+        let cs = ColumnSet::new(vec![Column::I32(&key), Column::I64(&pos)]).unwrap();
+        let top = |n: usize, descending: bool, stages: Vec<Stage>| Pipeline {
+            stages,
+            sink: Sink {
+                kind: SinkKind::Top {
+                    key: ColRef::Source(0),
+                    n,
+                    descending,
+                },
+                outs: vec![Out::Col(ColRef::Source(1)), Out::Col(ColRef::Source(0))],
+            },
+            computed_slots: 0,
+        };
+        let positions = |p: &Pipeline, vs: usize| -> Vec<i64> {
+            let out = rows(p.run(&cs, vs).unwrap());
+            assert_eq!(out[0].len(), out[1].len());
+            out[0].iter().map(|v| v.as_i64().unwrap()).collect()
+        };
+        let ascending = [1i64, 5, 2, 4, 6, 0, 3, 7];
+        for vs in [1usize, 3, 8, 100] {
+            for n in 0..=9 {
+                let want = &ascending[..n.min(8)];
+                assert_eq!(
+                    positions(&top(n, false, vec![]), vs),
+                    want,
+                    "asc {n} at {vs}"
+                );
+                let want: Vec<i64> = ascending.iter().rev().take(n).copied().collect();
+                assert_eq!(
+                    positions(&top(n, true, vec![]), vs),
+                    want,
+                    "desc {n} at {vs}"
+                );
+            }
+            // under a filter only the rows that pass compete (nils never do)
+            let some = vec![Stage::theta(ColRef::Source(0), CmpOp::Ge, 2i32)];
+            assert_eq!(positions(&top(3, false, some.clone()), vs), [6, 0, 3]);
+            let none = vec![Stage::theta(ColRef::Source(0), CmpOp::Gt, 9i32)];
+            assert_eq!(positions(&top(3, true, none), vs), [0i64; 0]);
+        }
+    }
+
+    #[test]
     fn ill_typed_pipelines_are_errors_before_any_row() {
         let (i, b) = ([1i32, 2], [true, false]);
         let cs = ColumnSet::new(vec![Column::I32(&i), Column::Bool(&b)]).unwrap();
@@ -741,5 +963,28 @@ mod tests {
         assert!(run(vec![], vec![Out::Agg(AggKind::Sum, ColRef::Source(2))]).is_err());
         assert!(run(vec![], vec![Out::Key]).is_err());
         assert!(run(vec![], vec![Out::Agg(AggKind::Sum, ColRef::Source(1))]).is_err());
+        // a sink of two kinds, whichever comes first
+        let col = Out::Col(ColRef::Source(0));
+        assert!(run(vec![], vec![col, Out::Count]).is_err());
+        assert!(run(vec![], vec![Out::Count, col]).is_err());
+        let sink = |kind, outs| Pipeline {
+            stages: vec![],
+            sink: Sink { kind, outs },
+            computed_slots: 0,
+        };
+        let grouped = sink(SinkKind::GroupBy(ColRef::Source(0)), vec![Out::Key, col]);
+        assert!(grouped.run(&cs, 8).is_err());
+        let top = |key, out| {
+            let kind = SinkKind::Top {
+                key,
+                n: 1,
+                descending: false,
+            };
+            sink(kind, vec![out]).run(&cs, 8)
+        };
+        assert!(top(ColRef::Source(0), col).is_ok());
+        assert!(top(ColRef::Source(0), Out::Count).is_err());
+        assert!(top(ColRef::Source(2), col).is_err());
+        assert!(top(ColRef::Computed(0), col).is_err());
     }
 }

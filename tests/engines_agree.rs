@@ -5,7 +5,7 @@
 //! E19.
 
 use mammoth::storage::{Bat, Table};
-use mammoth::types::{ColumnDef, LogicalType, TableSchema, Value};
+use mammoth::types::{ColumnDef, LogicalType, NativeType, TableSchema, Value};
 use mammoth::vectorized::{
     AggKind, CmpOp as VCmp, ColRef, Column, ColumnSet, MapOp, Operand, Out, Output, Pipeline, Sink,
     Stage,
@@ -369,15 +369,18 @@ fn candidate_threaded_shapes_match_a_plain_loop_on_every_engine() {
     }
 }
 
-/// Filter → aggregate statements run as one fused `vector.pipeline`
-/// instruction on the serial engine, and per mitosis fragment (sums and
-/// counts) or not at all (grouping, MIN/MAX, which `mat.pack` first) on the
-/// dataflow engine. A session with a recycler keeps the column-at-a-time
-/// plan: that is the oracle, and every engine at every thread count must
-/// return its answer exactly — float sums included.
+/// Filter → aggregate, filter → fetch and filter → top-N statements run as
+/// one fused `vector.pipeline` instruction on the serial engine, and per
+/// mitosis fragment (sums, counts and fetched columns) or not at all
+/// (grouping, MIN/MAX and top-N, which `mat.pack` first) on the dataflow
+/// engine. A session with a recycler keeps the column-at-a-time plan: that
+/// is the oracle, and every engine at every thread count must return its
+/// answer exactly — float sums, nil placement and the order of ties
+/// included.
 #[test]
 fn fused_plans_agree_with_the_unfused_plan_on_every_engine() {
     let s = slice();
+    let sevens = s.quantity.iter().filter(|&&q| q == 7).count();
     let queries = [
         format!("SELECT SUM(price), COUNT(*) FROM lineitem WHERE shipdate < {CUTOFF}"),
         format!(
@@ -394,10 +397,48 @@ fn fused_plans_agree_with_the_unfused_plan_on_every_engine() {
         ),
         "SELECT SUM(ratio), AVG(ratio), COUNT(ratio) FROM lineitem WHERE qty <> 25".to_string(),
         "SELECT COUNT(*) FROM lineitem WHERE qty > 45".to_string(),
+        // emitted columns: two of them, a float one, one under a LIMIT,
+        // the probe side of a join, an empty selection
+        format!("SELECT price, qty FROM lineitem WHERE shipdate < {CUTOFF} AND shipdate >= 9000"),
+        "SELECT ratio, disc FROM lineitem WHERE qty = 7".to_string(),
+        "SELECT price FROM lineitem WHERE qty < 5 LIMIT 7".to_string(),
+        format!(
+            "SELECT COUNT(*) FROM lineitem JOIN dim ON lineitem.qty = dim.q \
+             WHERE lineitem.shipdate <= {CUTOFF}"
+        ),
+        "SELECT price, ratio FROM lineitem WHERE qty = 7 AND qty = 8".to_string(),
+        // top-N: fifty distinct keys over 20 000 rows, so position decides
+        // nearly every tie; a nullable key sorts its nils first ascending
+        // and last descending; a float key
+        format!("SELECT qty, price FROM lineitem WHERE shipdate < {CUTOFF} ORDER BY qty LIMIT 25"),
+        format!(
+            "SELECT price, qty FROM lineitem WHERE shipdate < {CUTOFF} ORDER BY qty DESC LIMIT 25"
+        ),
+        "SELECT disc, price FROM lineitem WHERE qty < 10 ORDER BY disc LIMIT 400".to_string(),
+        "SELECT disc, price FROM lineitem WHERE qty < 10 ORDER BY disc DESC LIMIT 3800".to_string(),
+        "SELECT ratio, qty FROM lineitem WHERE qty >= 48 ORDER BY ratio DESC LIMIT 11".to_string(),
+        // n: none, one, every qualifying row exactly, more than there are
+        "SELECT price, qty FROM lineitem WHERE qty = 7 ORDER BY price LIMIT 0".to_string(),
+        "SELECT price, qty FROM lineitem WHERE qty = 7 ORDER BY price LIMIT 1".to_string(),
+        format!("SELECT price, qty FROM lineitem WHERE qty = 7 ORDER BY price LIMIT {sevens}"),
+        format!("SELECT price, qty FROM lineitem WHERE qty = 7 ORDER BY price DESC LIMIT {N}"),
+        "SELECT price, qty FROM lineitem WHERE qty = 7 AND qty = 8 ORDER BY price LIMIT 5"
+            .to_string(),
     ];
+    // what stays column at a time keeps its plan byte for byte: an ORDER BY
+    // without a LIMIT is sorted whole
+    let unsorted =
+        format!("SELECT price, qty FROM lineitem WHERE shipdate < {CUTOFF} ORDER BY price");
     // a float column whose sum depends on the order of its terms
     let ratio: Vec<f64> = (0..s.len())
         .map(|i| s.extendedprice[i] as f64 / (3 + s.quantity[i]) as f64)
+        .collect();
+    // a narrow nullable column of a few distinct values: nil every seventh row
+    let disc: Vec<i32> = (0..s.len())
+        .map(|i| match i % 7 {
+            0 => i32::NIL,
+            _ => (s.extendedprice[i] % 11) as i32,
+        })
         .collect();
     let load = |db: &mut Database| {
         let table = Table::from_bats(
@@ -408,6 +449,7 @@ fn fused_plans_agree_with_the_unfused_plan_on_every_engine() {
                     ColumnDef::new("price", LogicalType::I64),
                     ColumnDef::new("shipdate", LogicalType::I64),
                     ColumnDef::new("ratio", LogicalType::F64),
+                    ColumnDef::new("disc", LogicalType::I32),
                 ],
             ),
             vec![
@@ -415,10 +457,15 @@ fn fused_plans_agree_with_the_unfused_plan_on_every_engine() {
                 Bat::from_vec(s.extendedprice.clone()),
                 Bat::from_vec(s.shipdate.clone()),
                 Bat::from_vec(ratio.clone()),
+                Bat::from_vec(disc.clone()),
             ],
         )
         .unwrap();
         db.catalog_mut().create_table(table).unwrap();
+        let q = Bat::from_vec((1..=30i64).collect::<Vec<_>>());
+        let dim = TableSchema::new("dim", vec![ColumnDef::new("q", LogicalType::I64)]);
+        let dim = Table::from_bats(dim, vec![q]).unwrap();
+        db.catalog_mut().create_table(dim).unwrap();
     };
     let plan = |db: &mut Database, q: &str| match db.execute(&format!("EXPLAIN {q}")).unwrap() {
         QueryOutput::Table { rows, .. } => rows
@@ -440,6 +487,12 @@ fn fused_plans_agree_with_the_unfused_plan_on_every_engine() {
             unfused.execute(q).unwrap()
         })
         .collect();
+    let sorted_whole = plan(&mut serial, &unsorted);
+    assert!(
+        sorted_whole.contains("algebra.sort(") && sorted_whole.contains("algebra.thetaselect"),
+        "{sorted_whole}"
+    );
+    assert_eq!(sorted_whole, plan(&mut unfused, &unsorted));
     let engines = [1usize, 2, 4, 0]
         .map(|threads| Engine::Parallel { threads })
         .into_iter()
@@ -451,14 +504,21 @@ fn fused_plans_agree_with_the_unfused_plan_on_every_engine() {
             assert_eq!(&db.execute(q).unwrap(), want, "{engine:?}: {q}");
         }
     }
-    // the dataflow plans fuse too, fragment by fragment
+    // the dataflow plans fuse too, fragment by fragment: partial sums meet
+    // in `mat.packsum`, fetched slices in `mat.pack` — under the top-N as well
     let mut par = Database::with_engine(Engine::Parallel { threads: 2 });
     load(&mut par);
-    let text = plan(&mut par, &queries[0]);
-    assert!(
-        text.matches("vector.pipeline").count() >= 2 && text.contains("mat.packsum"),
-        "per-fragment pipelines merged by packsum:\n{text}"
-    );
+    for (q, merge) in [
+        (0, "mat.packsum"),
+        (6, "mat.pack("),
+        (11, "algebra.firstn("),
+    ] {
+        let text = plan(&mut par, &queries[q]);
+        assert!(
+            text.matches("vector.pipeline").count() >= 2 && text.contains(merge),
+            "per-fragment pipelines merged by {merge}:\n{text}"
+        );
+    }
 }
 
 /// `Engine::Parallel { threads: 0 }` resolves via MAMMOTH_THREADS (the

@@ -423,11 +423,14 @@ fn count_over_a_join_counts_the_join_result() {
 /// on both sides of every vector boundary — under random chains of one to
 /// three filters (constants inside and outside the column's domain, NULL,
 /// open and inverted ranges: selections from empty to accept-all) into
-/// every sink: any mix of global aggregates, or a grouping on any column
-/// with key, count and aggregates. The unfused plan is the oracle: the
-/// fused one must return the same values bit for bit (float sums and
-/// averages included), the same groups in the same order, and the same
-/// error when a constant does not fit its column.
+/// every sink: any mix of global aggregates; a grouping on any column with
+/// key, count and aggregates; emitted columns, bare or under a `bat.slice`;
+/// or a top-N on any column, either direction, of a count from none to
+/// more than there are rows (the drawn domain is a dozen values, so ties
+/// are the rule and position decides them). The unfused plan is the
+/// oracle: the fused one must return the same values bit for bit (float
+/// sums and averages included), the same rows and groups in the same
+/// order, and the same error when a constant does not fit its column.
 mod fused_pipeline {
     use super::*;
     use mammoth::algebra::{AggKind, CmpOp};
@@ -561,7 +564,48 @@ mod fused_pipeline {
             AggKind::Avg,
         ];
         let mut outs = Vec::new();
-        if rng.random_bool(0.5) {
+        let sink = rng.random_range(0..4);
+        if sink == 0 {
+            // emitted columns; now and then cut by a LIMIT
+            let limit = rng
+                .random_bool(0.25)
+                .then(|| rng.random_range(0..2 * VECTOR_SIZE as i64));
+            let fetched: Vec<usize> = (0..rng.random_range(1..4))
+                .map(|_| fetch(&mut p, rng.random_range(0..COLUMNS.len())))
+                .collect();
+            for v in fetched {
+                outs.push(match limit {
+                    None => v,
+                    Some(n) => {
+                        let cut = [Value::I64(0), Value::I64(n)].map(Arg::Const);
+                        let args = [vec![Arg::Var(v)], cut.to_vec()].concat();
+                        p.push(OpCode::Slice, args)[0]
+                    }
+                });
+            }
+        } else if sink == 1 {
+            // a top-N: the key sorted, other columns fetched in its order
+            let key = fetch(&mut p, rng.random_range(0..COLUMNS.len()));
+            let others: Vec<usize> = (0..rng.random_range(0..3))
+                .map(|_| fetch(&mut p, rng.random_range(0..COLUMNS.len())))
+                .collect();
+            let n = match rng.random_range(0..5) {
+                0 => 0,
+                1 => 1,
+                2 => rng.random_range(2..12),
+                3 => rng.random_range(0..VECTOR_SIZE as i64 + 2),
+                _ => 1 << 40,
+            };
+            let desc = rng.random_bool(0.5);
+            let args = vec![Arg::Var(key), Arg::Const(Value::I64(n))];
+            let [sorted, order] = p.push(OpCode::FirstN { desc }, args)[..] else {
+                unreachable!("algebra.firstn binds two results")
+            };
+            outs.push(sorted);
+            for v in others {
+                outs.push(p.push(OpCode::Projection, vec![Arg::Var(order), Arg::Var(v)])[0]);
+            }
+        } else if sink == 2 {
             for _ in 0..rng.random_range(1..5) {
                 outs.push(if rng.random_range(0..4) == 0 {
                     p.push(OpCode::Count, vec![Arg::Var(cands)])[0]
@@ -610,7 +654,83 @@ mod fused_pipeline {
             .collect())
     }
 
+    /// `?N` is an ordinary argument of either new sink: a filter bound of
+    /// an emitting pipeline, the row count of a top-N. The plan fuses with
+    /// the slots in place, and binding them afterwards answers as binding
+    /// them first and never fusing.
+    #[test]
+    fn parameters_bind_through_the_fused_instruction() {
+        let mut rng = StdRng::seed_from_u64(28);
+        let cat = table(VECTOR_SIZE + 9, &mut rng);
+        let fuse = FusePipeline::new(column_facts(&cat));
+        let plans = [
+            "a := sql.bind(\"w\", \"int\");\nb := sql.bind(\"w\", \"real\");
+             c := algebra.thetaselect[>=](a, ?0);\nva := algebra.projection(c, a);
+             vb := algebra.projection(c, b);\n(s, o) := algebra.firstn[desc](vb, ?1);
+             w := algebra.projection(o, va);\nio.result(s, w);",
+            "a := sql.bind(\"w\", \"int\");\nb := sql.bind(\"w\", \"tiny\");
+             c := algebra.select(a, ?0, nil, false, true);\nvb := algebra.projection(c, b);
+             s := bat.slice(vb, 0, ?1);\nio.result(s);",
+        ];
+        for text in plans {
+            let unfused = mammoth::mal::parse_program(text).unwrap();
+            let fused = fuse.run(unfused.clone());
+            verify_with_catalog(&fused, &cat).unwrap_or_else(|e| panic!("{e}\n{fused}"));
+            assert!(fused.to_string().contains("vector.pipeline["), "{fused}");
+            assert!(!fused.to_string().contains("algebra."), "{fused}");
+            for n in [0i64, 1, 7, 1 << 40] {
+                let args = [Value::I32(-200_000), Value::I64(n)];
+                let bound = |p: &Program| mammoth_planner::bind_program(p, &args).unwrap();
+                let (got, want) = (answer(&cat, &bound(&fused)), answer(&cat, &bound(&unfused)));
+                assert!(want.is_ok(), "{want:?}");
+                assert_eq!(got, want, "n = {n}:\n{fused}");
+            }
+        }
+    }
+
     proptest! {
+        // The top-N sink against the kernels it replaces, below the plan:
+        // `algebra.firstn` over the fetch of the selected keys, and a fetch
+        // of a second column through its order — any vector size, either
+        // direction, counts from none to more than qualify, nils and
+        // duplicate keys throughout.
+        #[test]
+        fn top_n_sink_is_firstn_of_the_projection(
+            keys in proptest::collection::vec(-4i64..5, 0..300),
+            cut in -4i64..5,
+            n in 0usize..40,
+            desc in 0u8..2,
+            vector_size in 1usize..70,
+        ) {
+            use mammoth::algebra::{fetch_join, firstn, select_cmp};
+            use mammoth::vectorized::{
+                ColRef, Column, ColumnSet, Out, Output, Pipeline, Sink, SinkKind, Stage,
+            };
+            // -4 stands for nil; the payload is the row's own position
+            let keys: Vec<i64> = keys.iter().map(|&k| if k == -4 { i64::NIL } else { k }).collect();
+            let payload: Vec<i64> = (0..keys.len() as i64).collect();
+            let (kb, pb) = (Bat::from_vec(keys.clone()), Bat::from_vec(payload.clone()));
+            let cands = select_cmp(&kb, CmpOp::Ge, &Value::I64(cut)).unwrap();
+            let desc = desc == 1;
+            let (sorted, order) = firstn(&fetch_join(&cands, &kb).unwrap(), n, desc).unwrap();
+            let through = fetch_join(&order, &fetch_join(&cands, &pb).unwrap()).unwrap();
+
+            let pipeline = Pipeline {
+                stages: vec![Stage::theta(ColRef::Source(0), CmpOp::Ge, cut)],
+                sink: Sink {
+                    kind: SinkKind::Top { key: ColRef::Source(0), n, descending: desc },
+                    outs: vec![Out::Col(ColRef::Source(0)), Out::Col(ColRef::Source(1))],
+                },
+                computed_slots: 0,
+            };
+            let columns = ColumnSet::new(vec![Column::I64(&keys), Column::I64(&payload)]).unwrap();
+            let Output::Columns(got) = pipeline.run(&columns, vector_size).unwrap() else {
+                panic!("a top-N sink binds columns")
+            };
+            prop_assert_eq!(got[0].as_slice::<i64>(), Some(sorted.tail_slice::<i64>().unwrap()));
+            prop_assert_eq!(got[1].as_slice::<i64>(), Some(through.tail_slice::<i64>().unwrap()));
+        }
+
         #[test]
         fn fused_equals_unfused_bit_for_bit(seed in proptest::num::u64::ANY) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -633,7 +753,7 @@ mod fused_pipeline {
                 prop_assert_eq!(
                     ops(&fused, &|op| !matches!(
                         op,
-                        OpCode::Bind | OpCode::Pipeline(_) | OpCode::Result
+                        OpCode::Bind | OpCode::Pipeline(_) | OpCode::Slice | OpCode::Result
                     )),
                     0,
                     "seed {}, {} rows: something was left beside the pipeline:\n{}",

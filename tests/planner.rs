@@ -332,6 +332,86 @@ fn estimates_bound_q_error_on_single_predicates() {
     assert!(worst > 1.0, "every estimate exact is suspicious");
 }
 
+/// A table the statistics have never seen — made from whole columns
+/// through `Catalog::create_table`, as every bulk load is — is costed at the
+/// catalog's live row count. (It used to be a constant 1 000 rows: every
+/// `TRACE` of a bulk-loaded table printed `est_rows 1000` beside its true
+/// `rows`, so a q-error over exactly the big tables meant nothing.) The
+/// plans chosen for such a table do not move: what the cost model gates on
+/// — the binary-search select, here — it gated open when it knew nothing.
+#[test]
+fn bulk_loaded_tables_are_costed_at_their_live_row_count() {
+    use mammoth_storage::{Bat, Table};
+    use mammoth_types::{ColumnDef, LogicalType, TableSchema};
+    const BULK: i64 = 3000;
+    let mut s = session(false);
+    let int = |name: &str| ColumnDef::new(name, LogicalType::I64);
+    let fact = Table::from_bats(
+        TableSchema::new("fact", vec![int("a"), int("b"), int("k")]),
+        vec![
+            Bat::from_vec((0..BULK).map(|i| (i * 1237) % BULK).collect::<Vec<_>>()),
+            Bat::from_vec((0..BULK).map(|i| i % 16).collect::<Vec<_>>()),
+            Bat::from_vec((0..BULK).collect::<Vec<_>>()),
+        ],
+    )
+    .unwrap();
+    s.catalog_mut().create_table(fact).unwrap();
+    assert!(s.stats_catalog().table("fact").is_none());
+
+    let column = |s: &mut Session, sql: &str, name: &str| -> Vec<Value> {
+        let QueryOutput::Table { columns, rows } = s.execute(sql).unwrap() else {
+            panic!("{sql}: not a table")
+        };
+        let at = columns.iter().position(|c| c == name).expect(name);
+        rows.into_iter().map(|mut r| r.swap_remove(at)).collect()
+    };
+    let trace = "TRACE SELECT SUM(b), COUNT(*) FROM fact WHERE a < 300";
+    let ops = column(&mut s, trace, "op");
+    let (est, rows) = (
+        column(&mut s, trace, "est_rows"),
+        column(&mut s, trace, "rows_out"),
+    );
+    let mut binds = 0;
+    for ((op, est), rows) in ops.iter().zip(&est).zip(&rows) {
+        if *op == Value::Str("sql.bind".into()) {
+            assert_eq!((est, rows), (&Value::I64(BULK), &Value::I64(BULK)));
+            binds += 1;
+        }
+    }
+    assert_eq!(binds, 2, "{ops:?}");
+    // the plans are the ones chosen before: a fused scan of an unsorted
+    // column, a binary search of the sorted one
+    let plan = |s: &mut Session, sql: &str| -> Vec<String> {
+        let mal = column(s, &format!("EXPLAIN {sql}"), "mal");
+        mal.iter().map(|v| v.to_string()).collect()
+    };
+    let fused = plan(&mut s, "SELECT SUM(b), COUNT(*) FROM fact WHERE a < 300");
+    assert_eq!(fused.len(), 4, "{fused:#?}");
+    assert!(
+        fused[2].contains(":= vector.pipeline[<@0; sum@1, count]("),
+        "{fused:#?}"
+    );
+    let searched = plan(
+        &mut s,
+        "SELECT COUNT(*) FROM fact WHERE k >= 2500 AND k < 2600",
+    );
+    assert!(
+        searched.iter().any(|l| l.contains("bat.setprops(")) && searched.len() == 5,
+        "{searched:#?}"
+    );
+
+    // the estimate follows the table as rows go
+    s.execute("DELETE FROM fact WHERE a < 1000").unwrap();
+    assert_eq!(
+        column(
+            &mut s,
+            "EXPLAIN SELECT b FROM fact WHERE a < 2000",
+            "est_rows"
+        )[0],
+        Value::I64(BULK - 1000)
+    );
+}
+
 /// Cost-guided predicate ordering: the worst textual order compiles to
 /// the same optimized MAL as the best order, and therefore runs in the
 /// same ballpark.

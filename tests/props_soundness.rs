@@ -4,9 +4,10 @@
 //! A corpus of randomized scan/select/project/calc/join/aggregate plans —
 //! over columns with known statistics, including a provably sorted one and
 //! predicate cuts that land outside the value intervals — and of
-//! filter → fetch → aggregate / group chains, which the optimizer fuses
-//! into one `vector.pipeline` instruction (so that opcode's transfer
-//! function is checked against what it materializes), runs with the
+//! filter → fetch → aggregate / group / emit / top-N chains, which the
+//! optimizer fuses into one `vector.pipeline` instruction (so that opcode's
+//! transfer function is checked against what each sink materializes), runs
+//! with the
 //! `MAMMOTH_CHECK_PROPS` runtime checker on, both as compiled and after
 //! the property-driven optimizer passes, on:
 //!
@@ -122,8 +123,10 @@ fn random_plan(rng: &mut StdRng) -> Program {
 
 /// One randomized chain the `fuse_pipeline` pass takes whole: one to three
 /// selections threading a candidate list (cuts past both interval ends
-/// again), fetched columns, and either global aggregates or a grouping
-/// with its key, group sizes and grouped aggregates.
+/// again), fetched columns, and one of the four sinks: global aggregates; a
+/// grouping with its key, group sizes and grouped aggregates; the fetched
+/// columns themselves; or a top-N of one of them with the others fetched in
+/// its order.
 fn random_fusable_plan(rng: &mut StdRng) -> Program {
     // the sorted column is left out: a select over it becomes a binary
     // search, which is not fused
@@ -160,7 +163,27 @@ fn random_fusable_plan(rng: &mut StdRng) -> Program {
         AggKind::Avg,
     ];
     let mut outs = Vec::new();
-    if rng.random_bool(0.5) {
+    let sink = rng.random_range(0..4usize);
+    if sink == 0 {
+        for _ in 0..rng.random_range(1..4usize) {
+            outs.push(fetch(&mut p, rng));
+        }
+    } else if sink == 1 {
+        let key = fetch(&mut p, rng);
+        let others: Vec<usize> = (0..rng.random_range(0..3usize))
+            .map(|_| fetch(&mut p, rng))
+            .collect();
+        let desc = rng.random_bool(0.5);
+        let n = [0, 1, 10, ROWS as i64 / 2, 2 * ROWS as i64][rng.random_range(0..5usize)];
+        let top = p.push(
+            OpCode::FirstN { desc },
+            vec![Arg::Var(key), Arg::Const(Value::I64(n))],
+        );
+        outs.push(top[0]);
+        for v in others {
+            outs.push(p.push(OpCode::Projection, vec![Arg::Var(top[1]), Arg::Var(v)])[0]);
+        }
+    } else if sink == 2 {
         outs.push(p.push(OpCode::Count, vec![Arg::Var(cands)])[0]);
         for _ in 0..rng.random_range(1..4usize) {
             let v = fetch(&mut p, rng);
@@ -203,8 +226,9 @@ fn property_checker_reports_zero_violations_across_engines() {
     let cat = catalog();
     let facts = column_facts_with_zonemaps(&cat);
     let mut rng = StdRng::seed_from_u64(0xC0FFEE);
-    let mut fused = 0;
-    for plan_no in 0..50 {
+    // chains that ran fused, by the kind of result their sink binds
+    let (mut scalars, mut bats) = (0, 0);
+    for plan_no in 0..80 {
         // every other plan is a chain the optimizer fuses
         let fusable = plan_no % 2 == 1;
         let prog = match fusable {
@@ -229,9 +253,12 @@ fn property_checker_reports_zero_violations_across_engines() {
             .instrs
             .iter()
             .filter(|i| matches!(i.op, OpCode::Pipeline(_)));
-        let pipelines = pipelines.count();
-        assert!(pipelines <= fusable as usize, "{ctx}:\n{opt}");
-        fused += pipelines;
+        let pipelines: Vec<_> = pipelines.collect();
+        assert!(pipelines.len() <= fusable as usize, "{ctx}:\n{opt}");
+        for fused in pipelines {
+            let scalar = matches!(&fused.op, OpCode::Pipeline(spec) if spec.binds_scalars());
+            *(if scalar { &mut scalars } else { &mut bats }) += 1;
+        }
         let got = answers(
             &Interpreter::new(&cat)
                 .check_props(true)
@@ -258,7 +285,10 @@ fn property_checker_reports_zero_violations_across_engines() {
             assert_eq!(answers(&vals), expected, "{ctx} dataflow/{name}");
         }
     }
-    assert!(fused >= 15, "only {fused} of 25 chains ran fused");
+    assert!(
+        scalars >= 3 && bats >= 10,
+        "of 40 chains only {scalars} ran fused into scalars and {bats} into BATs"
+    );
 }
 
 /// A bound column's cardinality fact is its *live* row count: `sql.bind`

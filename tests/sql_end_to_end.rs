@@ -229,21 +229,49 @@ fn scan_shapes_fuse_into_one_pipeline_instruction() {
         }
     }
 
+    // a top-N is the two binds and one instruction that keeps ten rows
+    let topn = "SELECT a, b FROM fact WHERE a < 60 AND a >= 10 ORDER BY a LIMIT 10";
+    let lines = plan(&mut db, topn);
+    assert_eq!(lines.len(), 4, "{lines:#?}");
+    assert!(lines[..2].iter().all(|l| l.contains(":= sql.bind(")));
+    assert!(
+        lines[2].contains(":= vector.pipeline[>=<@0; top@0: col@0, col@1]("),
+        "{lines:#?}"
+    );
+    assert_eq!(
+        column(&mut db, topn, "a"),
+        (10..20).map(Value::I64).collect::<Vec<_>>()
+    );
+
+    // the probe side of a join is one scan emitting the join column, and
+    // COUNT(*) still reads the join's left result
     let join_count = "SELECT COUNT(*) FROM fact JOIN dim ON fact.k = dim.k WHERE fact.a < 300";
     let lines = plan(&mut db, join_count);
-    let join = lines
-        .iter()
-        .find(|l| l.contains(":= algebra.join("))
-        .expect("the plan joins");
-    let left = &join[1..join.find(',').expect("two results")];
+    let at = |needle: &str| lines.iter().position(|l| l.contains(needle));
+    let join = at(":= algebra.join(").expect("the plan joins");
+    assert!(
+        at(":= vector.pipeline[<@0; col@1](").is_some_and(|p| p < join),
+        "{lines:#?}"
+    );
+    for gone in ["algebra.thetaselect", "algebra.projection"] {
+        assert_eq!(at(gone), None, "{gone} beside the pipeline:\n{lines:#?}");
+    }
+    let left = &lines[join][1..lines[join].find(',').expect("two results")];
     let counted = format!(":= aggr.count({left});");
     assert!(
         lines.iter().any(|l| l.ends_with(&counted)),
         "COUNT(*) reads the join's left result {left}:\n{lines:#?}"
     );
-    let topn = "SELECT a, b FROM fact WHERE a < 60 AND a >= 10 ORDER BY a LIMIT 10";
+
+    // a session with a recycler plans both column at a time: the
+    // intermediates are its product
+    let mut recycling = Database::with_recycler(1 << 20);
+    recycling
+        .execute("CREATE TABLE fact (a BIGINT, b BIGINT, k BIGINT)")
+        .unwrap();
+    recycling.execute("CREATE TABLE dim (k BIGINT)").unwrap();
     for sql in [join_count, topn] {
-        let lines = plan(&mut db, sql);
+        let lines = plan(&mut recycling, sql);
         assert!(
             !lines.iter().any(|l| l.contains("vector.pipeline")),
             "{sql}"
@@ -251,7 +279,7 @@ fn scan_shapes_fuse_into_one_pipeline_instruction() {
     }
 
     // TRACE: the instruction read the table's rows once and produced its sink's
-    for (sql, sink_rows) in [(fused[1], 1), (fused[2], 8)] {
+    for (sql, sink_rows) in [(fused[1], 1), (fused[2], 8), (topn, 10)] {
         let trace = format!("TRACE {sql}");
         let ops = column(&mut db, &trace, "op");
         let at = ops
