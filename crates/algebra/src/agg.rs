@@ -228,74 +228,159 @@ pub fn grouped_aggregate(kind: AggKind, values: &Bat, groups: &Bat, ngroups: usi
     Ok(Bat::dense(0, finish_groups(kind, &accs, float)))
 }
 
-/// The running state of one scalar aggregate: values fold in as they come
-/// — a whole column at once, or a vector at a time — and the result is
-/// read off at the end. Sums run strictly left to right: float addition is
-/// not associative and every engine must agree bit for bit.
+/// The running state of the scalar aggregates over one column: values fold
+/// in as they come — a whole column at once, or a vector at a time — and
+/// each result is read off at the end. One aggregate folds in a loop of its
+/// own; several (`MIN(b), MAX(b)`) fold in one pass over the values, which
+/// are then read — through a selection, where there is one — once instead
+/// of once per aggregate. Sums run strictly left to right either way:
+/// float addition is not associative and every engine must agree bit for
+/// bit.
 #[derive(Debug, Clone, Copy)]
 pub struct Reduction {
-    kind: AggKind,
+    /// The aggregates asked for, a bit per [`AggKind`].
+    kinds: u8,
     /// Non-nil values folded so far.
     count: usize,
-    int: i64,
-    float: f64,
+    sum_i: i64,
+    min_i: i64,
+    max_i: i64,
+    /// Of a float column, or for AVG over an integer one.
+    sum_f: f64,
+    min_f: f64,
+    max_f: f64,
 }
+
+const fn bit(kind: AggKind) -> u8 {
+    1 << kind as u8
+}
+
+const COUNT: u8 = bit(AggKind::Count);
+const SUM: u8 = bit(AggKind::Sum);
+const MIN: u8 = bit(AggKind::Min);
+const MAX: u8 = bit(AggKind::Max);
+const AVG: u8 = bit(AggKind::Avg);
 
 impl Reduction {
     pub fn new(kind: AggKind) -> Reduction {
-        let (int, float) = match kind {
-            AggKind::Count | AggKind::Sum | AggKind::Avg => (0, 0.0),
-            AggKind::Min => (i64::MAX, f64::INFINITY),
-            AggKind::Max => (i64::MIN, f64::NEG_INFINITY),
-        };
         Reduction {
-            kind,
+            kinds: bit(kind),
             count: 0,
-            int,
-            float,
+            sum_i: 0,
+            min_i: i64::MAX,
+            max_i: i64::MIN,
+            sum_f: 0.0,
+            min_f: f64::INFINITY,
+            max_f: f64::NEG_INFINITY,
         }
     }
 
+    /// Fold `kind` over the same values as well.
+    pub fn and(mut self, kind: AggKind) -> Reduction {
+        self.kinds |= bit(kind);
+        self
+    }
+
+    fn asks(&self, kind: AggKind) -> bool {
+        self.kinds & bit(kind) != 0
+    }
+
     fn ints<T: FixedTail>(&mut self, values: impl Iterator<Item = T>, widen: impl Fn(T) -> i64) {
-        let state = (self.count, self.int);
-        (self.count, self.int) = match self.kind {
-            AggKind::Count => (state.0 + values.filter(|x| !x.is_nil()).count(), 0),
-            AggKind::Sum => fold_ints(values, state, widen, 0, i64::wrapping_add),
-            AggKind::Min => fold_ints(values, state, widen, i64::MAX, i64::min),
-            AggKind::Max => fold_ints(values, state, widen, i64::MIN, i64::max),
+        match self.kinds {
+            COUNT => self.count += values.filter(|x| !x.is_nil()).count(),
+            SUM => {
+                let state = (self.count, self.sum_i);
+                (self.count, self.sum_i) = fold_ints(values, state, widen, 0, i64::wrapping_add);
+            }
+            MIN => {
+                let state = (self.count, self.min_i);
+                (self.count, self.min_i) = fold_ints(values, state, widen, i64::MAX, i64::min);
+            }
+            MAX => {
+                let state = (self.count, self.max_i);
+                (self.count, self.max_i) = fold_ints(values, state, widen, i64::MIN, i64::max);
+            }
             // summed left to right in f64, exactly like the grouped accumulator
-            AggKind::Avg => {
+            AVG => {
                 let live = values.filter(|x| !x.is_nil());
-                (self.count, self.float) = live.fold((self.count, self.float), |(n, acc), x| {
+                (self.count, self.sum_f) = live.fold((self.count, self.sum_f), |(n, acc), x| {
                     (n + 1, acc + widen(x) as f64)
                 });
-                return;
             }
-        };
+            kinds if kinds & AVG == 0 => self.all_ints::<T, false>(values, widen),
+            _ => self.all_ints::<T, true>(values, widen),
+        }
+    }
+
+    /// Every integer aggregate in one pass, [`fold_ints`]'s way: a nil
+    /// contributes each one's identity. The `f64` sum AVG reads is a chain
+    /// of dependent float additions, folded only `WITH_AVG`.
+    fn all_ints<T: FixedTail, const WITH_AVG: bool>(
+        &mut self,
+        values: impl Iterator<Item = T>,
+        widen: impl Fn(T) -> i64,
+    ) {
+        let state = (self.count, self.sum_i, self.min_i, self.max_i, self.sum_f);
+        (self.count, self.sum_i, self.min_i, self.max_i, self.sum_f) =
+            values.fold(state, |(n, sum, min, max, sum_f), x| {
+                let nil = x.is_nil();
+                let v = widen(x);
+                (
+                    n + !nil as usize,
+                    sum.wrapping_add(if nil { 0 } else { v }),
+                    min.min(if nil { i64::MAX } else { v }),
+                    max.max(if nil { i64::MIN } else { v }),
+                    if WITH_AVG && !nil {
+                        sum_f + v as f64
+                    } else {
+                        sum_f
+                    },
+                )
+            });
     }
 
     fn floats(&mut self, values: impl Iterator<Item = f64>) {
         let live = values.filter(|x| !x.is_nil());
-        let state = (self.count, self.float);
-        (self.count, self.float) = match self.kind {
-            AggKind::Count | AggKind::Sum | AggKind::Avg => {
-                live.fold(state, |(n, acc), x| (n + 1, acc + x))
+        match self.kinds {
+            MIN => {
+                (self.count, self.min_f) =
+                    live.fold((self.count, self.min_f), |(n, acc), x| (n + 1, acc.min(x)));
             }
-            AggKind::Min => live.fold(state, |(n, acc), x| (n + 1, acc.min(x))),
-            AggKind::Max => live.fold(state, |(n, acc), x| (n + 1, acc.max(x))),
-        };
+            MAX => {
+                (self.count, self.max_f) =
+                    live.fold((self.count, self.max_f), |(n, acc), x| (n + 1, acc.max(x)));
+            }
+            // COUNT, SUM, AVG or any two of them: the sum and the count
+            kinds if kinds & (MIN | MAX) == 0 => {
+                (self.count, self.sum_f) =
+                    live.fold((self.count, self.sum_f), |(n, acc), x| (n + 1, acc + x));
+            }
+            _ => {
+                let state = (self.count, self.sum_f, self.min_f, self.max_f);
+                (self.count, self.sum_f, self.min_f, self.max_f) = live
+                    .fold(state, |(n, sum, min, max), x| {
+                        (n + 1, sum + x, min.min(x), max.max(x))
+                    });
+            }
+        }
     }
 
-    /// The aggregate over everything folded so far, read as a column of
-    /// `float` or integer type: integer results widen to `i64` like the
-    /// grouped path's, and no non-nil value at all yields nil.
-    pub fn finish(&self, float: bool) -> Value {
-        match (self.kind, self.count) {
+    /// `kind` — one of the aggregates asked for — over everything folded
+    /// so far, read as a column of `float` or integer type: integer
+    /// results widen to `i64` like the grouped path's, and no non-nil
+    /// value at all yields nil.
+    pub fn finish(&self, kind: AggKind, float: bool) -> Value {
+        debug_assert!(self.asks(kind), "{kind:?} was not folded");
+        match (kind, self.count) {
             (AggKind::Count, n) => Value::I64(n as i64),
             (_, 0) => Value::Null,
-            (AggKind::Avg, n) => Value::F64(self.float / n as f64),
-            _ if float => Value::F64(self.float),
-            _ => Value::I64(self.int),
+            (AggKind::Avg, n) => Value::F64(self.sum_f / n as f64),
+            (AggKind::Sum, _) if float => Value::F64(self.sum_f),
+            (AggKind::Sum, _) => Value::I64(self.sum_i),
+            (AggKind::Min, _) if float => Value::F64(self.min_f),
+            (AggKind::Min, _) => Value::I64(self.min_i),
+            (AggKind::Max, _) if float => Value::F64(self.max_f),
+            (AggKind::Max, _) => Value::I64(self.max_i),
         }
     }
 }
@@ -325,7 +410,7 @@ pub fn aggregate_scalar(kind: AggKind, values: &Bat) -> Result<Value> {
     fn fixed<T: AggTail>(v: &[T], kind: AggKind) -> Value {
         let mut red = Reduction::new(kind);
         T::reduce(&mut red, v.iter().copied());
-        red.finish(T::FLOAT)
+        red.finish(kind, T::FLOAT)
     }
     Ok(match values.tail() {
         TailHeap::I8(v) => fixed(v, kind),

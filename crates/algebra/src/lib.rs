@@ -25,6 +25,7 @@ pub mod fetch;
 mod flat;
 pub mod join;
 pub mod mat;
+mod multiversion;
 #[cfg(test)]
 mod oracle;
 pub mod radix;

@@ -8,16 +8,22 @@
 //! ```
 //!
 //! — a tight loop over a native array with no expression interpreter in
-//! sight; here it runs monomorphized per tail type and without the branch
-//! (see `compress_dense`). Results are candidate BATs (void head, ascending oid
-//! tail). The `_cand` forms test only the rows an earlier candidate list
-//! names and return the survivors as absolute oids again, so a WHERE chain
-//! threads one list through its selections instead of materializing the
-//! surviving values between them. When the input's `sorted` property holds,
+//! sight; here it runs monomorphized per tail type and without the branch:
+//! `compress_scalar` is its definition, and on a CPU with AVX2
+//! `compress_dense` runs it as `compress_words` — a vectorized compare into
+//! a 64-row mask, then a table-driven expansion of the mask into row ids —
+//! through [`crate::multiversion`]'s run-time dispatch (E32: the first
+//! filter of a scan at ~1.7x the cost of streaming its column, 2.1x
+//! before). Results are candidate BATs (void head, ascending oid tail). The
+//! `_cand` forms test only the rows an earlier candidate list names and
+//! return the survivors as absolute oids again, so a WHERE chain threads
+//! one list through its selections instead of materializing the surviving
+//! values between them. When the input's `sorted` property holds,
 //! selections switch to binary search (§3.1: properties "gear the selection
 //! of subsequent algorithms").
 
 use crate::fetch::check_in_range;
+use crate::multiversion::{dispatch, Kernel};
 use mammoth_storage::{Bat, FixedTail, HeadColumn, Properties, StrHeap, TailHeap};
 use mammoth_types::{Error, NativeType, Oid, Result, Value};
 
@@ -96,7 +102,11 @@ impl RowId for u32 {
 /// row, nor allocates for rows that fail. The cursor is masked rather than
 /// bounds-checked: it cannot pass the number of rows seen, which stays
 /// below `BLOCK` until the last row of a block has been stored.
-fn compress_dense<T: Copy, O: RowId>(
+///
+/// This is the definition of a dense selection, and what runs on every
+/// CPU [`compress_words`] is not compiled for.
+#[inline(always)]
+pub(crate) fn compress_scalar<T: Copy, O: RowId>(
     data: &[T],
     first: O,
     test: impl Fn(T) -> bool,
@@ -114,7 +124,133 @@ fn compress_dense<T: Copy, O: RowId>(
     }
 }
 
-/// [`compress_dense`] over the rows a list of ids names (`id - base` is the
+/// Rows per qualification mask.
+const WORD: usize = 64;
+
+/// `BYTE_ROWS[m]`: the positions of the set bits of `m`, ascending, then
+/// zeros — which of eight consecutive rows qualified, as offsets.
+static BYTE_ROWS: [[u8; 8]; 256] = {
+    let mut table = [[0u8; 8]; 256];
+    let mut m = 0;
+    while m < 256 {
+        let (mut bit, mut k) = (0, 0);
+        while bit < 8 {
+            if m >> bit & 1 == 1 {
+                table[m][k] = bit;
+                k += 1;
+            }
+            bit += 1;
+        }
+        m += 1;
+    }
+    table
+};
+
+/// Store at `block[*j..]` the ids of the rows `mask` marks — bit `k` is row
+/// `at + k` — and advance `j` past them. Each mask byte stores eight ids
+/// from [`BYTE_ROWS`], qualifying rows first, and the cursor moves by the
+/// byte's population count: no branch, the same work at any selectivity.
+/// Slots past the cursor hold garbage until a later byte overwrites them.
+#[inline(always)]
+fn expand<O: RowId>(mask: u64, at: O, block: &mut [O; BLOCK + 8], j: &mut usize) {
+    for (b, byte) in mask.to_le_bytes().into_iter().enumerate() {
+        // masked, so that the eight slots provably lie inside `block` (it
+        // has eight to spare) and no bounds check is compiled; the mask
+        // never bites, because the byte covers rows the cursor has not
+        // passed: `*j + 8 <= BLOCK`
+        let start = *j & (BLOCK - 1);
+        let ids = &mut block[start..start + 8];
+        let rows = &BYTE_ROWS[byte as usize];
+        for (id, &row) in ids.iter_mut().zip(rows) {
+            *id = at.plus(8 * b + row as usize);
+        }
+        *j += byte.count_ones() as usize;
+    }
+}
+
+/// [`compress_scalar`] in two steps, for a CPU with a SIMD compare (it
+/// must be inlined into a function compiled for one: for baseline x86-64
+/// this shape is 1.9x *slower* than the scalar loop, E32). Per [`WORD`]
+/// rows, first a qualification mask — a loop over a fixed-size array selecting
+/// one constant per row, which LLVM turns into vector compares and `and`s
+/// — then, unless no row qualified, [`expand`].
+#[inline(always)]
+fn compress_words<T: Copy, O: RowId>(
+    data: &[T],
+    first: O,
+    test: impl Fn(T) -> bool,
+    out: &mut Vec<O>,
+) {
+    let mut block = [O::default(); BLOCK + 8];
+    for (c, chunk) in data.chunks(BLOCK).enumerate() {
+        let mut j = 0;
+        let words = chunk.chunks_exact(WORD);
+        let (full, rest) = (words.len(), words.remainder());
+        for (w, word) in words.enumerate() {
+            let word: &[T; WORD] = word.try_into().expect("chunks_exact(WORD)");
+            let mut mask = 0u64;
+            for (k, &x) in word.iter().enumerate() {
+                mask |= if test(x) { 1 << k } else { 0 };
+            }
+            if mask != 0 {
+                expand(mask, first.plus(c * BLOCK + w * WORD), &mut block, &mut j);
+            }
+        }
+        let mut mask = 0u64;
+        for (k, &x) in rest.iter().enumerate() {
+            mask |= (test(x) as u64) << k;
+        }
+        if mask != 0 {
+            expand(
+                mask,
+                first.plus(c * BLOCK + full * WORD),
+                &mut block,
+                &mut j,
+            );
+        }
+        out.extend_from_slice(&block[..j]);
+    }
+}
+
+/// A dense selection as a [`Kernel`]: the ids `first, first + 1, …` of the
+/// rows of `data` that pass `test`, appended to `out` in row order.
+struct CompressDense<'a, T, O, F> {
+    data: &'a [T],
+    first: O,
+    test: F,
+    out: &'a mut Vec<O>,
+}
+
+impl<T: Copy, O: RowId, F: Fn(T) -> bool> Kernel for CompressDense<'_, T, O, F> {
+    type Out = ();
+    #[inline(always)]
+    fn wide(self) {
+        compress_words(self.data, self.first, self.test, self.out)
+    }
+    #[inline(always)]
+    fn portable(self) {
+        compress_scalar(self.data, self.first, self.test, self.out)
+    }
+}
+
+/// The single dense selection loop: behind [`Pred::select_dense`], hence
+/// behind the first filter of every `vector.pipeline` and every unfused
+/// select over a void-headed BAT.
+fn compress_dense<T: Copy, O: RowId>(
+    data: &[T],
+    first: O,
+    test: impl Fn(T) -> bool,
+    out: &mut Vec<O>,
+) {
+    dispatch(CompressDense {
+        data,
+        first,
+        test,
+        out,
+    })
+}
+
+/// [`compress_scalar`] over the rows a list of ids names (`id - base` is the
 /// row's position in `data`; callers have checked the ids are in range).
 fn compress_among<T: Copy, O: RowId>(
     data: &[T],
@@ -542,7 +678,19 @@ pub fn select_range_cand(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multiversion::has_wide;
     use mammoth_storage::Bat;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// Lengths on, one under and one over the boundaries the two-step
+    /// kernel has: the 8-row byte, the 64-row word, the 1024-row block.
+    #[rustfmt::skip]
+    const EDGES: [usize; 20] = [
+        0, 1, 7, 8, 9, 63, 64, 65, 127, 129, 1023, 1024, 1025, 1087, 1089, 2047, 2048, 2049,
+        3 * BLOCK - 1, 3 * BLOCK,
+    ];
 
     #[test]
     fn figure1_select() {
@@ -703,6 +851,107 @@ mod tests {
                 assert_eq!(among, want, "{n} rows, keep {keep}, among the even ones");
             }
         }
+    }
+
+    /// The value the kernel differential draws for a row of type `T`: one
+    /// of a hundred small values (so a bound picks its selectivity), nil
+    /// one row in sixteen, and for floats the infinities as well.
+    trait Draw: ScanTail + std::fmt::Debug {
+        fn small(v: u8) -> Self;
+        fn draw(rng: &mut StdRng) -> Self {
+            match rng.random_range(0..16) {
+                0 => Self::NIL,
+                1 => Self::LIVE_MIN,
+                2 => Self::LIVE_MAX,
+                _ => Self::small(rng.random_range(0..100)),
+            }
+        }
+    }
+
+    macro_rules! draw {
+        ($($t:ty: $small:expr),*) => {
+            $(impl Draw for $t {
+                fn small(v: u8) -> $t {
+                    $small(v)
+                }
+            })*
+        };
+    }
+    draw!(bool: |v| v < 50, i8: |v| v as i8, i16: i16::from, i32: i32::from, i64: i64::from,
+          Oid: Oid::from, f64: f64::from);
+
+    /// `pred` over `data` three ways — the dispatched kernel, the scalar
+    /// loop called directly, and the row-at-a-time test — must name the
+    /// same rows.
+    fn kernels_agree<T: Draw, O: RowId + PartialEq + std::fmt::Debug>(
+        data: &[T],
+        first: O,
+        pred: Pred<T>,
+    ) {
+        let mut dispatched = Vec::new();
+        pred.select_dense(data, first, &mut dispatched);
+        let mut scalar = Vec::new();
+        with_test!(pred, |test| compress_scalar(data, first, test, &mut scalar));
+        assert_eq!(dispatched, scalar, "{} rows, {pred:?}", data.len());
+        let rows = (0..data.len()).filter(|&i| pred.test(data[i]));
+        let spelled: Vec<O> = rows.map(|i| first.plus(i)).collect();
+        assert_eq!(scalar, spelled, "{} rows, {pred:?}", data.len());
+    }
+
+    fn kernels_agree_for<T: Draw>(len: usize, rng: &mut StdRng) {
+        let data: Vec<T> = (0..len).map(|_| T::draw(rng)).collect();
+        // no row draws 100: nothing qualifies, yet every row is tested
+        let (zero, one, half, absent) = (T::small(0), T::small(1), T::small(49), T::small(100));
+        for pred in [
+            Pred::Between(absent, absent),
+            Pred::Between(zero, zero),
+            Pred::Between(zero, half),
+            Pred::Between(T::LIVE_MIN, T::LIVE_MAX),
+            Pred::Ne(one),
+            Pred::Nothing,
+        ] {
+            kernels_agree(&data, rng.random_range(1..1000u32), pred);
+            kernels_agree(&data, rng.random_range(1..1000 as Oid), pred);
+        }
+    }
+
+    // The AVX2 arm of `compress_dense` against the scalar loop it stands in
+    // for: every scanned type, both predicate forms and `Nothing`, both row
+    // ids from a non-zero `first`, nil-bearing data, at 0 %, ~1 %, 50 % and
+    // 100 % selectivity, over lengths that straddle the 8-row byte, the
+    // 64-row word and `BLOCK`.
+    proptest! {
+        #[test]
+        fn dispatched_kernel_equals_the_scalar_loop(
+            edge in 0usize..2 * EDGES.len(),
+            seed in proptest::num::u64::ANY,
+        ) {
+            let rng = &mut StdRng::seed_from_u64(seed);
+            let len = match EDGES.get(edge) {
+                Some(&len) => len,
+                None => rng.random_range(0..=3 * BLOCK),
+            };
+            kernels_agree_for::<bool>(len, rng);
+            kernels_agree_for::<i8>(len, rng);
+            kernels_agree_for::<i16>(len, rng);
+            kernels_agree_for::<i32>(len, rng);
+            kernels_agree_for::<i64>(len, rng);
+            kernels_agree_for::<Oid>(len, rng);
+            kernels_agree_for::<f64>(len, rng);
+        }
+    }
+
+    /// Which arm the differential above exercised. An optimized build on
+    /// x86-64 with AVX2 must take the SIMD one.
+    #[test]
+    fn dispatch_takes_the_simd_arm_where_the_cpu_has_one() {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            assert!(has_wide(), "AVX2 reported, scalar arm taken");
+            return;
+        }
+        assert!(!has_wide());
+        eprintln!("no AVX2 on this host: only the scalar arm of compress_dense was checked");
     }
 
     #[test]

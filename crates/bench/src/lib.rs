@@ -6,6 +6,8 @@
 //! the criterion benches under `benches/` wrap the same code paths with
 //! small sizes for `cargo bench`.
 
+#![deny(unsafe_code)]
+
 pub mod table;
 
 pub mod experiments {

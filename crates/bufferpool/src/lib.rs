@@ -15,6 +15,8 @@
 //!   cooperative scans, where queries attach to whatever relevant chunk is
 //!   resident and the scheduler loads the chunk wanted by the most queries.
 
+#![deny(unsafe_code)]
+
 pub mod coop;
 pub mod pool;
 

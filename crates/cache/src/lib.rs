@@ -26,6 +26,8 @@
 //!   hash-join, used to validate the model on real algorithms and to let
 //!   the model *choose* the optimal number of radix bits.
 
+#![deny(unsafe_code)]
+
 pub mod cost;
 pub mod hierarchy;
 pub mod pattern;

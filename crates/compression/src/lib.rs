@@ -18,6 +18,8 @@
 //! * [`pfor_delta`] — PFOR over deltas, for quasi-sorted columns;
 //! * [`scheme`] — a tagged container + a heuristic scheme picker.
 
+#![deny(unsafe_code)]
+
 pub mod bitpack;
 pub mod dict;
 pub mod pfor;

@@ -17,6 +17,8 @@
 //! println!("{}", out.to_text());
 //! ```
 
+#![deny(unsafe_code)]
+
 use mammoth_mal::{parse_program, Interpreter, MalValue};
 use mammoth_parallel::ParallelExecutor;
 use mammoth_sql::{QueryOutput, Session};

@@ -17,6 +17,8 @@
 //! inserts and deletes buffer in small side structures consulted by every
 //! query and are merged piece-wise once they exceed a threshold.
 
+#![deny(unsafe_code)]
+
 pub mod cracker;
 pub mod sideways;
 

@@ -12,6 +12,8 @@
 //! * [`zonemap`] — per-block min/max summaries, the simplest form of the
 //!   "partial indexing" theme.
 
+#![deny(unsafe_code)]
+
 pub mod btree;
 pub mod css;
 pub mod hash;

@@ -22,7 +22,7 @@ use crate::program::{Arg, Instr, OpCode, PipelineOut, PipelineSink, PipelineSpec
 use mammoth_algebra::{AggKind, ArithOp, CmpOp};
 use mammoth_index::ZoneMap;
 use mammoth_storage::{Bat, Catalog, ColumnView};
-use mammoth_types::{LogicalType, Value};
+use mammoth_types::{LogicalType, NativeType, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -1147,11 +1147,14 @@ fn select_verdict_theta(b: &BatFacts, bounds: &[Arg], op: CmpOp) -> SelectVerdic
     let [Arg::Const(c)] = bounds else {
         return SelectVerdict::Unknown;
     };
-    if c.is_null() {
-        // nil compares with nothing: the runtime returns no candidates
+    let (min, max) = (&b.props.min, &b.props.max);
+    // nil compares with nothing: the runtime returns no candidates — and
+    // what it tests for nil is the constant *in the column's type*, whose
+    // nil is an in-domain sentinel (a bound, when known, has that type)
+    let column = min.as_ref().or(max.as_ref()).and_then(Value::logical_type);
+    if c.is_null() || column.is_some_and(|ty| reads_as_nil(c, ty)) {
         return SelectVerdict::None;
     }
-    let (min, max) = (&b.props.min, &b.props.max);
     let all = |cond: bool| cond && b.props.nonil;
     let some_all = |lo: &Option<Value>, f: &dyn Fn(&Value) -> bool| lo.as_ref().is_some_and(f);
     let verdict_all = match op {
@@ -1187,7 +1190,26 @@ fn select_verdict_theta(b: &BatFacts, bounds: &[Arg], op: CmpOp) -> SelectVerdic
     SelectVerdict::Unknown
 }
 
+/// Whether a select over a column of type `ty` reads the constant `c` as
+/// nil: coerced into `ty`, as the kernels coerce it, it is that type's nil
+/// sentinel (`algebra.thetaselect[>](b, -9223372036854775808:lng)` compares
+/// with NULL).
+fn reads_as_nil(c: &Value, ty: LogicalType) -> bool {
+    match c.coerce(ty) {
+        Some(Value::I8(x)) => x.is_nil(),
+        Some(Value::I16(x)) => x.is_nil(),
+        Some(Value::I32(x)) => x.is_nil(),
+        Some(Value::I64(x)) => x.is_nil(),
+        Some(Value::Oid(x)) => x.is_nil(),
+        Some(Value::F64(x)) => x.is_nil(),
+        _ => false,
+    }
+}
+
 /// Interval verdict for `algebra.select(b, [cand,] lo, hi, li, hi_incl)`.
+/// A bound equal to the column type's nil sentinel needs no case of its
+/// own: the range kernels read it as the number it is — the end of the
+/// domain no live value lies beyond — and so do the comparisons here.
 fn select_verdict_range(
     b: &BatFacts,
     bounds: &[Arg],
@@ -1390,7 +1412,14 @@ mod tests {
             OpCode::ThetaSelect(CmpOp::Gt),
             vec![Arg::Var(s), Arg::Const(Value::I64(1000))],
         )[0];
-        p.push_result(&[all, none]);
+        // `-9223372036854775808:lng` is below every value of the nil-free
+        // column, and it is lng's nil: the kernels compare with NULL and
+        // select nothing, so "All" would be wrong
+        let nil = p.push(
+            OpCode::ThetaSelect(CmpOp::Gt),
+            vec![Arg::Var(s), Arg::Const(Value::I64(i64::MIN))],
+        )[0];
+        p.push_result(&[all, none, nil]);
         let a = analyze_with_catalog(&p, &cat).unwrap();
         let pa = a.props_of(all).unwrap();
         assert_eq!((pa.card_lo, pa.card_hi), (100, Some(100)));
@@ -1399,6 +1428,77 @@ mod tests {
         assert_eq!(pa.max, Some(Value::Oid(99)));
         let pn = a.props_of(none).unwrap();
         assert_eq!(pn.card_hi, Some(0));
+        let pnil = a.props_of(nil).unwrap();
+        assert_eq!((pnil.card_lo, pnil.card_hi), (0, Some(0)));
+    }
+
+    /// A verdict is a claim about what the select kernels return. Held
+    /// against them over a nil-free column of every scanned type, for
+    /// constants at and beside the type's nil sentinel and the ends of its
+    /// domain, as theta constants and as range bounds.
+    #[test]
+    fn verdicts_agree_with_the_kernels_at_the_nil_sentinels() {
+        use mammoth_algebra::{select_cmp, select_range};
+        fn held<T: mammoth_storage::FixedTail>(live: [T; 3], consts: Vec<Value>) {
+            let bat = Bat::from_vec(live.to_vec());
+            let mut props = Props::top().with_card(3);
+            props.nonil = true;
+            props.min = Some(live[0].to_value());
+            props.max = Some(live[2].to_value());
+            let facts = BatFacts::dense0(props);
+            let judge = |verdict, kept: usize, what: String| match verdict {
+                SelectVerdict::All => assert_eq!(kept, 3, "{what}"),
+                SelectVerdict::None => assert_eq!(kept, 0, "{what}"),
+                SelectVerdict::Unknown => {}
+            };
+            use CmpOp::*;
+            for c in &consts {
+                for op in [Eq, Ne, Lt, Le, Gt, Ge] {
+                    let bounds = [Arg::Const(c.clone())];
+                    let verdict = select_verdict(&facts, &OpCode::ThetaSelect(op), &bounds);
+                    let kept = select_cmp(&bat, op, c).unwrap().len();
+                    judge(verdict, kept, format!("{op:?} {c:?}"));
+                }
+                for (lo_incl, hi_incl) in
+                    [(true, true), (true, false), (false, true), (false, false)]
+                {
+                    for (lo, hi) in [(c.clone(), Value::Null), (Value::Null, c.clone())] {
+                        let op = OpCode::RangeSelect { lo_incl, hi_incl };
+                        let bounds = [Arg::Const(lo.clone()), Arg::Const(hi.clone())];
+                        let verdict = select_verdict(&facts, &op, &bounds);
+                        let open = |v: &Value| (!v.is_null()).then(|| v.clone());
+                        let (l, h) = (open(&lo), open(&hi));
+                        let kept = select_range(&bat, l.as_ref(), h.as_ref(), lo_incl, hi_incl);
+                        let what = format!("{lo:?} {lo_incl} .. {hi:?} {hi_incl}");
+                        judge(verdict, kept.unwrap().len(), what);
+                    }
+                }
+            }
+        }
+        let ints = |min: i64, max: i64| {
+            let at = [min, min + 1, max - 1, max];
+            at.map(Value::I64).to_vec()
+        };
+        held([1i8, 2, 3], ints(i8::MIN.into(), i8::MAX.into()));
+        held([1i16, 2, 3], ints(i16::MIN.into(), i16::MAX.into()));
+        held([1i32, 2, 3], ints(i32::MIN.into(), i32::MAX.into()));
+        held([1i64, 2, 3], ints(i64::MIN, i64::MAX));
+        held([i64::MIN + 1, 0, i64::MAX], ints(i64::MIN, i64::MAX));
+        let oids = [0, 1, u64::MAX - 1, u64::MAX].map(Value::Oid).to_vec();
+        held([1u64, 2, 3], oids.clone());
+        held([0u64, 2, u64::MAX - 1], oids);
+        let floats = [
+            f64::NAN,
+            f64::NEG_INFINITY,
+            f64::MIN,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        held([1.0f64, 2.0, 3.0], floats.map(Value::F64).to_vec());
+        held(
+            [f64::NEG_INFINITY, 0.0, f64::INFINITY],
+            floats.map(Value::F64).to_vec(),
+        );
     }
 
     #[test]

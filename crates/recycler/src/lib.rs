@@ -14,6 +14,8 @@
 //! from a cached `σ[0,20](c)` by refining the smaller intermediate instead
 //! of rescanning the base column.
 
+#![deny(unsafe_code)]
+
 use mammoth_storage::Bat;
 use mammoth_types::{EventKind, TraceEvent};
 use std::collections::HashMap;

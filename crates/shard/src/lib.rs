@@ -29,6 +29,8 @@
 //! monitor's suspect → degraded → promote → recovered state machine
 //! (see `docs/ha.md` and [`coordinator::CoordinatorConfig::replicas`]).
 
+#![deny(unsafe_code)]
+
 pub mod coordinator;
 pub mod front;
 pub mod partition;

@@ -24,6 +24,8 @@
 //!   a deterministic fault-injection VFS ([`fault`]) that the crash-matrix
 //!   tests drive to prove every kill point recovers the committed prefix.
 
+#![deny(unsafe_code)]
+
 pub mod bat;
 pub mod catalog;
 pub mod delta;

@@ -13,6 +13,8 @@
 //! engines. Windows are tumbling or sliding by row count, with an optional
 //! predicate pre-filter ("predicate based window processing").
 
+#![deny(unsafe_code)]
+
 pub mod cell;
 
 pub use cell::{ContinuousQuery, DataCell, WindowKind, WindowResult};

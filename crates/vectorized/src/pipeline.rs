@@ -290,19 +290,16 @@ fn accumulate<T: AggTail>(accs: &mut [Acc], gids: &[u32], data: &[T], sel: Optio
 
 /// What the sink has folded so far.
 enum Folded {
-    Scalars(Vec<ScalarOut>),
+    Scalars {
+        /// Selected rows.
+        rows: u64,
+        /// One reduction per distinct aggregated column, folding every
+        /// aggregate over it in one pass.
+        cols: Vec<(ColRef, Reduction, bool)>,
+    },
     Groups(Box<Groups>),
     /// One emitted column per result, grown a vector at a time.
     Columns(Vec<(ColRef, TailHeap)>),
-}
-
-enum ScalarOut {
-    Count(u64),
-    Agg {
-        col: ColRef,
-        red: Reduction,
-        float: bool,
-    },
 }
 
 struct Groups {
@@ -364,17 +361,19 @@ impl Folded {
                 return Ok(Folded::Columns(outs.collect::<Result<_>>()?));
             }
             SinkKind::Rows => {
-                let outs = sink.outs.iter().map(|o| match *o {
-                    Out::Key => Err(mixed("a key needs a grouped sink")),
-                    Out::Col(_) => Err(mixed("a column beside an aggregate")),
-                    Out::Count => Ok(ScalarOut::Count(0)),
-                    Out::Agg(kind, col) => Ok(ScalarOut::Agg {
-                        col,
-                        red: Reduction::new(kind),
-                        float: agg_col(col)?,
-                    }),
-                });
-                return Ok(Folded::Scalars(outs.collect::<Result<_>>()?));
+                let mut cols: Vec<(ColRef, Reduction, bool)> = Vec::new();
+                for o in &sink.outs {
+                    match *o {
+                        Out::Key => return Err(mixed("a key needs a grouped sink")),
+                        Out::Col(_) => return Err(mixed("a column beside an aggregate")),
+                        Out::Count => {}
+                        Out::Agg(kind, col) => match cols.iter_mut().find(|(c, _, _)| *c == col) {
+                            Some((_, red, _)) => *red = red.and(kind),
+                            None => cols.push((col, Reduction::new(kind), agg_col(col)?)),
+                        },
+                    }
+                }
+                return Ok(Folded::Scalars { rows: 0, cols });
             }
             SinkKind::Top { .. } => unreachable!("a top-N sink is run by `Pipeline::run_top`"),
         };
@@ -411,15 +410,11 @@ impl Folded {
         // indirection
         let sel = sel.filter(|s| s.len() < len);
         match self {
-            Folded::Scalars(outs) => {
-                for out in outs {
-                    match out {
-                        ScalarOut::Count(n) => *n += sel.map_or(len, |s| s.len()) as u64,
-                        ScalarOut::Agg { col, red, .. } => {
-                            let c = resolve(*col, window, computed)?;
-                            with_agg_slice!(c, |d| reduce(red, d, sel));
-                        }
-                    }
+            Folded::Scalars { rows, cols } => {
+                *rows += sel.map_or(len, |s| s.len()) as u64;
+                for (col, red, _) in cols {
+                    let c = resolve(*col, window, computed)?;
+                    with_agg_slice!(c, |d| reduce(red, d, sel));
                 }
             }
             Folded::Groups(g) => {
@@ -451,11 +446,21 @@ impl Folded {
 
     fn finish(self, sink: &Sink) -> Output {
         match self {
-            Folded::Scalars(outs) => Output::Scalars(
-                outs.iter()
-                    .map(|o| match o {
-                        ScalarOut::Count(n) => Value::I64(*n as i64),
-                        ScalarOut::Agg { red, float, .. } => red.finish(*float),
+            Folded::Scalars { rows, cols } => Output::Scalars(
+                sink.outs
+                    .iter()
+                    .map(|o| match *o {
+                        Out::Count => Value::I64(rows as i64),
+                        Out::Agg(kind, col) => {
+                            let (_, red, float) = cols
+                                .iter()
+                                .find(|(c, _, _)| *c == col)
+                                .expect("every aggregated column got its reduction");
+                            red.finish(kind, *float)
+                        }
+                        Out::Key | Out::Col(_) => {
+                            unreachable!("rejected when the fold was set up")
+                        }
                     })
                     .collect(),
             ),
@@ -849,6 +854,81 @@ mod tests {
                 ]],
                 "vector size {vs}"
             );
+        }
+    }
+
+    /// Aggregates of one column fold in one pass over its selected values;
+    /// each must answer exactly as it does alone, in a loop of its own —
+    /// float sums to the bit, an aggregate asked for twice, nils on both
+    /// columns, windows with and without a selection.
+    #[test]
+    fn aggregates_sharing_a_column_answer_as_each_alone() {
+        let n = 3 * VECTOR_SIZE + 5;
+        let pick: Vec<i64> = (0..n as i64).map(|i| (i * 7919) % 100).collect();
+        let ints: Vec<i32> = (0..n as i32)
+            .map(|i| {
+                if i % 13 == 0 {
+                    i32::NIL
+                } else {
+                    (i * 31) % 1000 - 500
+                }
+            })
+            .collect();
+        let floats: Vec<f64> = (0..n as i32)
+            .map(|i| {
+                if i % 17 == 0 {
+                    f64::NAN
+                } else {
+                    0.1 * (i % 1000) as f64 - 33.3
+                }
+            })
+            .collect();
+        let cs = ColumnSet::new(vec![
+            Column::I64(&pick),
+            Column::I32(&ints),
+            Column::F64(&floats),
+        ])
+        .unwrap();
+        let run = |outs: Vec<Out>, keep: i64, vs: usize| {
+            let p = Pipeline {
+                stages: vec![Stage::theta(ColRef::Source(0), CmpOp::Lt, keep)],
+                sink: Sink::aggregate(outs),
+                computed_slots: 0,
+            };
+            match p.run(&cs, vs).unwrap() {
+                Output::Scalars(v) => v,
+                Output::Columns(_) => panic!("a global sink binds scalars"),
+            }
+        };
+        let bits = |v: &Value| match v {
+            Value::F64(x) => format!("{:016x}", x.to_bits()),
+            other => format!("{other:?}"),
+        };
+        let (i, f) = (ColRef::Source(1), ColRef::Source(2));
+        let sets = [
+            vec![Out::Agg(AggKind::Min, i), Out::Agg(AggKind::Max, i)],
+            vec![Out::Agg(AggKind::Max, f), Out::Agg(AggKind::Min, f)],
+            vec![Out::Agg(AggKind::Sum, f), Out::Agg(AggKind::Avg, f)],
+            vec![
+                Out::Agg(AggKind::Min, i),
+                Out::Agg(AggKind::Sum, f),
+                Out::Agg(AggKind::Avg, i),
+                Out::Count,
+                Out::Agg(AggKind::Avg, f),
+                Out::Agg(AggKind::Min, i),
+                Out::Agg(AggKind::Sum, i),
+                Out::Agg(AggKind::Count, f),
+                Out::Agg(AggKind::Max, f),
+            ],
+        ];
+        for outs in sets {
+            for (keep, vs) in [(60, 7), (60, VECTOR_SIZE), (100, VECTOR_SIZE), (0, n)] {
+                let together = run(outs.clone(), keep, vs);
+                for (out, got) in outs.iter().zip(&together) {
+                    let alone = run(vec![*out], keep, vs);
+                    assert_eq!(bits(got), bits(&alone[0]), "{out:?}, vector size {vs}");
+                }
+            }
         }
     }
 

@@ -12,6 +12,8 @@
 //! architecture the textbook teaches; it is simply built for disks, not for
 //! caches.
 
+#![deny(unsafe_code)]
+
 pub mod expr;
 pub mod iter;
 pub mod page;

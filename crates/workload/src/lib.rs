@@ -12,6 +12,8 @@
 //! * [`tpch`] — a TPC-H-like `lineitem` slice for the vectorized-execution
 //!   sweep (substitution for audited TPC-H data).
 
+#![deny(unsafe_code)]
+
 pub mod columns;
 pub mod queries;
 pub mod tpch;

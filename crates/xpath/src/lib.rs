@@ -13,6 +13,8 @@
 //!   plus the naive region join it replaces (the E15 baseline).
 //! * [`path`] — evaluation of simple `/a//b` location paths.
 
+#![deny(unsafe_code)]
+
 pub mod encode;
 pub mod path;
 pub mod staircase;

@@ -44,6 +44,18 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> unsafe gate: the dispatch call in mammoth-algebra, and nothing else"
+# The workspace is safe Rust but for one call: the one into the
+# `target_feature` instantiation of a multiversioned kernel
+# (crates/algebra/src/multiversion.rs; policy in DESIGN.md). The keyword in
+# code position anywhere else, or twice there, fails the build.
+unsafe_use='\bunsafe[[:space:]]*(\{|fn|impl|trait|extern)'
+dispatch=crates/algebra/src/multiversion.rs
+stray=$(grep -rnE --include='*.rs' "$unsafe_use" crates/*/src src | grep -v "^$dispatch:" || true)
+[ -z "$stray" ] || { echo "unsafe outside $dispatch:"; echo "$stray"; exit 1; }
+[ "$(grep -cE "$unsafe_use" "$dispatch")" -eq 1 ] \
+    || { echo "$dispatch must hold exactly one unsafe block"; exit 1; }
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
@@ -58,6 +70,9 @@ cargo test -q --offline --workspace
 # branch — verify once on exit, keeping a copy of the input for the replay
 # — so the budget is held there too. Counts, not timings: no wall clock.
 cargo test -q --offline --release --test compile_budget
+# The dense selection kernel's AVX2 arm only takes its vectorized shape in
+# an optimized build: hold it to the scalar loop there as well.
+cargo test -q --offline --release -p mammoth-algebra select::tests::dispatch
 
 echo "==> benchmark package: every workload at --quick sizes against its oracle"
 # benchmark/ is its own workspace, so the root test run never builds it; a

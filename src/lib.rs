@@ -41,6 +41,8 @@
 //! | [`xpath`] | pre/post XML encoding + staircase join |
 //! | [`workload`] | deterministic data/query generators |
 
+#![deny(unsafe_code)]
+
 pub use mammoth_core::{Database, Engine};
 pub use mammoth_sql::QueryOutput;
 
