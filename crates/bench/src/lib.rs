@@ -1,6 +1,6 @@
 //! The experiment harness.
 //!
-//! One module per experiment of DESIGN.md §4 (E01–E16). Each module exposes
+//! One module per experiment of DESIGN.md §4 (E01–E26). Each module exposes
 //! `run(scale) -> String`: it executes the experiment and renders the table
 //! EXPERIMENTS.md records. The `exp` binary dispatches on experiment ids;
 //! the criterion benches under `benches/` wrap the same code paths with

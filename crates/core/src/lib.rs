@@ -3,9 +3,9 @@
 //! [`Database`] is the one-object entry point a downstream user adopts: SQL
 //! in, tables out, with the column-store machinery of the paper underneath —
 //! BAT storage with void heads, the materializing BAT Algebra, the MAL
-//! optimizer pipeline and interpreter, optional recycling of intermediates,
-//! delta-based updates with snapshot isolation, raw-heap persistence, and
-//! the XML front-end sharing the same columnar back-end (Figure 1).
+//! optimizer pipeline and interpreter, delta-based updates with snapshot
+//! isolation, raw-heap persistence, and the XML front-end sharing the same
+//! columnar back-end (Figure 1).
 //!
 //! ```
 //! use mammoth_core::Database;
@@ -66,15 +66,6 @@ impl Database {
         }
     }
 
-    /// A database with the recycler enabled (§6.1): materialized
-    /// intermediates are cached up to `capacity_bytes` and reused across
-    /// queries.
-    pub fn with_recycler(capacity_bytes: usize) -> Database {
-        Database {
-            session: Session::new().with_recycler(capacity_bytes),
-        }
-    }
-
     /// A database running SELECTs on the chosen [`Engine`].
     ///
     /// With [`Engine::Parallel`], base-column scans are sliced into
@@ -112,11 +103,6 @@ impl Database {
 
     pub fn catalog_mut(&mut self) -> &mut Catalog {
         self.session.catalog_mut()
-    }
-
-    /// Recycler counters, when enabled.
-    pub fn recycler_stats(&self) -> Option<&mammoth_recycler::RecyclerStats> {
-        self.session.recycler_stats()
     }
 
     /// The per-instruction profile of the most recent profiled SELECT: a
@@ -289,29 +275,6 @@ mod tests {
         };
         assert_eq!(rows, vec![vec![Value::I32(1)], vec![Value::I32(3)]]);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn recycler_enabled_database() {
-        use mammoth_storage::Bat;
-        let mut db = Database::with_recycler(64 << 20);
-        // large enough that the selects clear the admission cost floor
-        let data: Vec<i64> = (0..200_000).map(|i| i % 1000).collect();
-        db.register_table(
-            TableSchema::new("t", vec![ColumnDef::new("a", LogicalType::I64)]),
-            vec![Bat::from_vec(data)],
-        )
-        .unwrap();
-        db.execute("SELECT COUNT(a) FROM t WHERE a > 10 AND a < 900")
-            .unwrap();
-        db.execute("SELECT COUNT(a) FROM t WHERE a > 10 AND a < 900")
-            .unwrap();
-        let stats = db.recycler_stats().unwrap();
-        assert!(stats.exact_hits > 0, "{stats:?}");
-        // DML invalidates the cached intermediates
-        db.execute("INSERT INTO t VALUES (5)").unwrap();
-        let before = db.recycler_stats().unwrap().invalidations;
-        assert!(before > 0);
     }
 
     #[test]

@@ -14,11 +14,13 @@
 //!   [`ProfiledRun`] in one place.
 //!
 //! The second half is all a scheduler is. The serial
-//! [`Interpreter`](crate::Interpreter) steps in program order (and asks its
-//! recycler before stepping); `mammoth-parallel` steps whatever its ready
-//! queue yields, holding the frame under a mutex and calling `step`
-//! outside it. Slots are released by `language.pass` markers only — the
-//! `garbage_collect` pass decides where, neither scheduler second-guesses.
+//! [`Interpreter`](crate::Interpreter) steps in program order;
+//! `mammoth-parallel` steps whatever its ready queue yields, holding the
+//! frame under a mutex and calling `step` outside it; `mammoth-recycler`
+//! steps in program order but first asks its cache, and hands a hit to
+//! [`StepCtx::finish`] instead. Slots are released by `language.pass`
+//! markers only — the `garbage_collect` pass decides where, no scheduler
+//! second-guesses.
 
 use crate::analysis::{analyze_props, check_bat, Analysis};
 use crate::interp::execute_instr;

@@ -2,35 +2,28 @@
 //!
 //! Executes a [`Program`] against a [`Catalog`] by calling the BAT Algebra
 //! operator library, materializing every intermediate (operator-at-a-time).
-//! With a [`Recycler`] attached, each pure instruction's result is memoized
-//! under its *provenance signature* — the canonical text of the whole
-//! expression tree that produced it — so repeated (sub)queries cherry-pick
-//! previous work instead of recomputing it (§6.1).
 //!
 //! The interpreter is a *scheduler* over the shared execution core in
-//! [`crate::frame`]: it steps instructions in program order, and the
-//! recycler lookup/admit around each step is the only thing it adds. The
-//! slots, the counters, the property check and the profiler events are
-//! the core's — the same ones the dataflow scheduler runs on. This module
+//! [`crate::frame`]: it steps instructions in program order and adds
+//! nothing else. The slots, the counters, the property check and the
+//! profiler events are the core's — the same ones the dataflow scheduler
+//! (`mammoth-parallel`) and the memoizing one (§6.1) run on. This module
 //! also holds [`execute_instr`], the single point where MAL opcodes meet
 //! the BAT Algebra.
 
 use crate::frame::{ExecStats, Frame, StepCtx};
 use crate::program::{
-    Arg, FilterTest, Instr, MalValue, OpCode, PipelineOut, PipelineSink, PipelineSpec, Program,
+    FilterTest, Instr, MalValue, OpCode, PipelineOut, PipelineSink, PipelineSpec, Program,
 };
 use mammoth_algebra as alg;
-use mammoth_recycler::Recycler;
 use mammoth_storage::{Bat, Catalog, HeadColumn, Properties, TailHeap};
 use mammoth_types::{Error, Oid, ProfiledRun, Result, TraceEvent, Value};
 use mammoth_vectorized as vx;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The interpreter. Holds the catalog immutably; queries never mutate.
 pub struct Interpreter<'a> {
     catalog: &'a Catalog,
-    recycler: Option<&'a mut Recycler>,
     profiled: bool,
     check_props: bool,
     frame: Frame,
@@ -40,36 +33,26 @@ impl<'a> Interpreter<'a> {
     pub fn new(catalog: &'a Catalog) -> Interpreter<'a> {
         Interpreter {
             catalog,
-            recycler: None,
             profiled: false,
             check_props: crate::analysis::check_props_enabled(),
             frame: Frame::new(1),
         }
     }
 
-    /// Attach a recycler: pure instruction results will be memoized.
-    pub fn with_recycler(catalog: &'a Catalog, recycler: &'a mut Recycler) -> Interpreter<'a> {
-        Interpreter {
-            recycler: Some(recycler),
-            ..Interpreter::new(catalog)
-        }
-    }
-
-    /// Cross-check every materialized BAT (executed *and* recycled) against
-    /// the properties the abstract interpretation inferred for its variable;
-    /// a violation aborts the run with an internal error naming the
-    /// instruction. Defaults to the `MAMMOTH_CHECK_PROPS` environment
-    /// variable; this builder pins it explicitly (tests use it to avoid
-    /// process-global environment races).
+    /// Cross-check every materialized BAT against the properties the
+    /// abstract interpretation inferred for its variable; a violation aborts
+    /// the run with an internal error naming the instruction. Defaults to
+    /// the `MAMMOTH_CHECK_PROPS` environment variable; this builder pins it
+    /// explicitly (tests use it to avoid process-global environment races).
     pub fn check_props(mut self, on: bool) -> Interpreter<'a> {
         self.check_props = on;
         self
     }
 
-    /// Record one [`TraceEvent`] per executed (or recycled) instruction:
-    /// opcode, rendered args, wall time, input/result BAT rows and heap
-    /// bytes. `io.result` and `language.pass` are bookkeeping, not work, so
-    /// they get no event — `events.len() == executed + recycled` holds.
+    /// Record one [`TraceEvent`] per executed instruction: opcode, rendered
+    /// args, wall time, input/result BAT rows and heap bytes. `io.result`
+    /// and `language.pass` are bookkeeping, not work, so they get no event
+    /// — `events.len() == executed` holds.
     pub fn profiled(mut self, on: bool) -> Interpreter<'a> {
         self.profiled = on;
         self
@@ -91,120 +74,23 @@ impl<'a> Interpreter<'a> {
         self.frame.stats.fold_into(engine, events)
     }
 
-    /// Run a program; returns the values marked by `io.result`.
-    ///
-    /// Program-order scheduling of [`StepCtx::step`] over the shared
-    /// [`Frame`]. The one thing this loop adds is the recycler: before an
-    /// instruction steps, its result slots are looked up under their
-    /// provenance signature, and what a step computes is admitted.
+    /// Run a program; returns the values marked by `io.result`:
+    /// program-order scheduling of [`StepCtx::step`] over the shared
+    /// [`Frame`].
     pub fn run(&mut self, prog: &Program) -> Result<Vec<MalValue>> {
         let ctx = StepCtx::new(self.catalog, prog, self.check_props, self.profiled)?;
         self.frame.reset(prog.nvars());
-        // provenance signatures and column dependencies exist to key the
-        // recycler; without one attached nothing is built or kept
-        let recycling = self.recycler.is_some();
-        let tracked = if recycling { prog.nvars() } else { 0 };
-        let mut sigs: Vec<Option<String>> = vec![None; tracked];
-        let mut deps: Vec<Vec<String>> = vec![Vec::new(); tracked];
-
         for (idx, instr) in prog.instrs.iter().enumerate() {
             if self.frame.marker(instr)? {
                 continue;
             }
             let args = self.frame.args(instr)?;
-            let (sig, instr_deps) = match recycling {
-                true => (instr_sig(instr, &sigs), instr_deps(instr, &deps)),
-                false => (None, Vec::new()),
-            };
-            // recycler lookup: all result slots must hit
-            let mut hit = None;
-            if let (Some(sig), Some(r)) = (&sig, self.recycler.as_deref_mut()) {
-                let start = Instant::now();
-                // every slot is looked up, hit or miss, so the recycler's
-                // own counters see each one
-                let hits: Vec<Option<MalValue>> = (0..instr.op.result_arity())
-                    .map(|slot| r.lookup(&slot_sig(sig, slot)).map(MalValue::Bat))
-                    .collect();
-                let hits: Option<Vec<MalValue>> = hits.into_iter().collect();
-                if let Some(hits) = hits.filter(|h| !h.is_empty()) {
-                    hit = Some(ctx.finish(0, idx, &args, start, hits, true)?);
-                }
-            }
-            let done = match hit {
-                Some(done) => done,
-                None => {
-                    let done = ctx.step(0, idx, &args)?;
-                    // admit BAT results to the recycler
-                    if let (Some(sig), Some(r)) = (&sig, self.recycler.as_deref_mut()) {
-                        for (slot, val) in done.results.iter().enumerate() {
-                            if let MalValue::Bat(b) = val {
-                                let deps = instr_deps.clone();
-                                r.admit(slot_sig(sig, slot), Arc::clone(b), deps, done.cost_ns);
-                            }
-                        }
-                    }
-                    done
-                }
-            };
-            if recycling {
-                for (slot, &rv) in instr.results.iter().enumerate() {
-                    sigs[rv] = sig.as_deref().map(|s| slot_sig(s, slot));
-                    deps[rv] = instr_deps.clone();
-                }
-            }
+            let done = ctx.step(0, idx, &args)?;
             self.frame.commit(instr, done);
         }
         self.frame.stats.elapsed_ns += ctx.elapsed_ns();
         Ok(std::mem::take(&mut self.frame.outputs))
     }
-}
-
-/// Provenance signature (None when any input's provenance is unknown).
-fn instr_sig(instr: &Instr, sigs: &[Option<String>]) -> Option<String> {
-    if !instr.op.is_pure() {
-        return None;
-    }
-    let mut s = instr.op.name();
-    // the one opcode whose name leaves part of it out: `a <= x < b` and
-    // `a <= x <= b` are different computations
-    if let OpCode::RangeSelect { lo_incl, hi_incl } = instr.op {
-        s.push_str(&format!("[{lo_incl},{hi_incl}]"));
-    }
-    s.push('(');
-    for (k, a) in instr.args.iter().enumerate() {
-        if k > 0 {
-            s.push(',');
-        }
-        match a {
-            Arg::Const(c) => s.push_str(&format!("{c:?}")),
-            Arg::Var(v) => s.push_str(sigs.get(*v)?.as_deref()?),
-            // parameter slots have no provenance — never recycle them
-            Arg::Param(_) => return None,
-        }
-    }
-    s.push(')');
-    Some(s)
-}
-
-fn instr_deps(instr: &Instr, deps: &[Vec<String>]) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
-    if let OpCode::Bind = instr.op {
-        if let (Some(Arg::Const(Value::Str(t))), Some(Arg::Const(Value::Str(c)))) =
-            (instr.args.first(), instr.args.get(1))
-        {
-            out.push(format!("{t}.{c}"));
-        }
-    }
-    for a in &instr.args {
-        if let Arg::Var(v) = a {
-            for d in &deps[*v] {
-                if !out.contains(d) {
-                    out.push(d.clone());
-                }
-            }
-        }
-    }
-    out
 }
 
 /// An executor of verified MAL plans. The serial [`Interpreter`] and the
@@ -548,13 +434,10 @@ fn run_pipeline(spec: &PipelineSpec, args: &[MalValue]) -> Result<Vec<MalValue>>
     })
 }
 
-fn slot_sig(sig: &str, slot: usize) -> String {
-    format!("{sig}#{slot}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::Arg;
     use mammoth_algebra::{AggKind, CmpOp};
     use mammoth_storage::Table;
     use mammoth_types::{ColumnDef, LogicalType, TableSchema};
@@ -619,33 +502,6 @@ mod tests {
         assert_eq!(b.value_at(0), Value::Str("Roger Moore".into()));
         assert_eq!(b.value_at(1), Value::Str("Bob Fosse".into()));
         assert_eq!(interp.stats().executed, 4);
-    }
-
-    #[test]
-    fn recycler_avoids_double_work() {
-        let cat = catalog();
-        let mut rec = Recycler::new(1 << 20, mammoth_recycler::EvictPolicy::Lru);
-        {
-            let mut i1 = Interpreter::with_recycler(&cat, &mut rec);
-            i1.run(&figure1_program()).unwrap();
-            assert_eq!(i1.stats().recycled, 0);
-        }
-        {
-            let mut i2 = Interpreter::with_recycler(&cat, &mut rec);
-            let out = i2.run(&figure1_program()).unwrap();
-            assert_eq!(i2.stats().recycled, 4, "whole plan recycled");
-            assert_eq!(i2.stats().executed, 0);
-            assert_eq!(out[0].as_bat().unwrap().len(), 2);
-        }
-        // invalidation kills dependent entries
-        rec.invalidate("people.age");
-        {
-            let mut i3 = Interpreter::with_recycler(&cat, &mut rec);
-            i3.run(&figure1_program()).unwrap();
-            // name-bind survives; age-bind/select/projection recompute
-            assert_eq!(i3.stats().recycled, 1);
-            assert_eq!(i3.stats().executed, 3);
-        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * [`optimizer`] — the second tier of §3.1: "a collection of optimizer
 //!   modules, which are assembled into optimization pipelines … The
 //!   approach breaks with the hitherto omnipresent cost-based optimizers."
-//!   Implemented modules: constant folding, common-subexpression
-//!   elimination, dead-code elimination.
+//!   The pass order is written once there; the four pipeline
+//!   constructors are views of it.
 //! * [`mitosis`] — the multi-core modules of that tier: `mitosis` slices
 //!   base-column binds into horizontal fragments and `mergetable`
 //!   propagates operators fragment-wise, inserting `mat.pack` /
@@ -21,8 +21,8 @@
 //! * [`frame`] — the third tier's execution core: the slot frame and the
 //!   instruction step that every scheduler of a plan runs on.
 //! * [`interp`] — the serial scheduler over that core: the interpreter
-//!   over the BAT Algebra, with optional recycler integration (§6.1) that
-//!   memoizes instruction results keyed by their *provenance signature*.
+//!   over the BAT Algebra, and `execute_instr`, where opcodes meet it.
+//!   (`mammoth-parallel` and `mammoth-recycler` are the other schedulers.)
 //! * [`analysis`] — static analysis over plans: a verifier (SSA
 //!   discipline, arity, kinds, column types, plan structure) that a
 //!   checked pipeline holds its result to, and a liveness analysis that powers
@@ -53,14 +53,11 @@ pub use combine::{
 pub use frame::{ExecStats, Frame, StepCtx};
 pub use interp::{execute_instr, Interpreter, PlanExecutor};
 pub use mammoth_types::{EventKind, ProfiledRun, TraceEvent, TRACE_ENV};
-pub use mitosis::{
-    bound_column_types, column_types, parallel_pipeline, parallel_pipeline_with_props, ColumnTypes,
-    Mergetable, Mitosis,
-};
+pub use mitosis::{bound_column_types, column_types, ColumnTypes, Mergetable, Mitosis};
 pub use optimizer::{
-    default_pipeline, default_pipeline_with_props, CommonSubexpr, ConstantFold, DeadCode,
-    FusePipeline, GarbageCollect, OptimizerPass, PassError, Pipeline, SelectElimination,
-    SharedAnalysis, SortedSelect,
+    default_pipeline, default_pipeline_with_props, parallel_pipeline, parallel_pipeline_with_props,
+    CommonSubexpr, ConstantFold, DeadCode, FusePipeline, GarbageCollect, OptimizerPass, PassError,
+    Pipeline, SelectElimination, SharedAnalysis, SortedSelect,
 };
 pub use parser::parse_program;
 pub use program::{

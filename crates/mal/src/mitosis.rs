@@ -41,10 +41,7 @@
 //! [`Pipeline::checked`](crate::optimizer::Pipeline::checked) verifies
 //! their output like any other module's.
 
-use crate::optimizer::{
-    CommonSubexpr, ConstantFold, DeadCode, FusePipeline, GarbageCollect, OptimizerPass, Pipeline,
-    SelectElimination, SortedSelect,
-};
+use crate::optimizer::OptimizerPass;
 use crate::program::{Arg, Instr, OpCode, Program, VarId};
 use mammoth_algebra::AggKind;
 use mammoth_storage::Catalog;
@@ -563,55 +560,12 @@ fn last_of_complete_group(frags: &HashMap<VarId, Vec<(i64, i64, VarId)>>, src: V
     parts.iter().map(|&(_, _, v)| v).max().unwrap_or(VarId::MAX)
 }
 
-/// The optimizer pipeline the parallel engine runs: the default chain, then
-/// mitosis + mergetable, dead-code cleanup of unused fragments, and
-/// end-of-life markers — the result verified even in release.
-pub fn parallel_pipeline(pieces: usize, types: ColumnTypes) -> Pipeline {
-    Pipeline::new()
-        .with(ConstantFold)
-        .with(CommonSubexpr)
-        .with(Mitosis::new(pieces))
-        .with(Mergetable::with_types(types))
-        .with(DeadCode)
-        .with(GarbageCollect)
-        .checked()
-}
-
-/// [`parallel_pipeline`] extended with the property tier. Interval-based
-/// select elimination runs *before* mitosis (a select proven trivial need
-/// not be fragmented at all); sorted-input specialization runs *after*
-/// mergetable, because the per-fragment `algebra.slice` results inherit
-/// the base column's sortedness through the analysis's exact slice
-/// transfer function — so each fragment's select gets its own
-/// binary-search annotation. Pipeline fusion runs after both — and after
-/// the dead-code sweep, so an unused fragment is nobody's reader — so each
-/// fragment's chain fuses on its own `algebra.slice` and the per-fragment
-/// partials still meet in `mat.packsum` / `mat.pack`. `facts` must describe
-/// the catalog the plan executes against.
-pub fn parallel_pipeline_with_props(
-    pieces: usize,
-    types: ColumnTypes,
-    facts: crate::analysis::PropFacts,
-) -> Pipeline {
-    let facts = std::sync::Arc::new(facts);
-    Pipeline::new()
-        .with(ConstantFold)
-        .with(CommonSubexpr)
-        .with(SelectElimination::new(facts.clone()))
-        .with(Mitosis::new(pieces))
-        .with(Mergetable::with_types(types))
-        .with(SortedSelect::new(facts.clone()))
-        .with(DeadCode)
-        .with(FusePipeline::new(facts))
-        .with(GarbageCollect)
-        .checked()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analysis;
     use crate::interp::Interpreter;
+    use crate::optimizer::{parallel_pipeline, GarbageCollect};
     use mammoth_algebra::CmpOp;
     use mammoth_storage::Table;
     use mammoth_types::{ColumnDef, TableSchema};

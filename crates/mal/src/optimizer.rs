@@ -26,6 +26,7 @@
 
 use crate::analysis::props::{BatFacts, SelectVerdict};
 use crate::analysis::{self, Analysis, PropFacts, VerifyError};
+use crate::mitosis::{ColumnTypes, Mergetable, Mitosis};
 use crate::program::{Arg, Instr, OpCode, Program, VarId};
 use mammoth_algebra::{ArithOp, CmpOp};
 use mammoth_types::Value;
@@ -223,38 +224,78 @@ impl Pipeline {
     }
 }
 
-/// The default pipeline (mirrors MonetDB's default optimizer chain in
-/// spirit).
-pub fn default_pipeline() -> Pipeline {
-    Pipeline::new()
-        .with(ConstantFold)
-        .with(CommonSubexpr)
-        .with(DeadCode)
+/// The pass order, written once: every pipeline a statement can be planned
+/// with is this list with some of its passes left out. `fragments` (a piece
+/// count and the bound columns' types, which keep float sums serial) adds
+/// the multi-core passes; `facts` adds the three passes that rewrite on
+/// per-column statistics. Invariant: `facts` must describe the catalog
+/// state the plan executes against — the passes' proofs are only as sound
+/// as their premises.
+fn passes(fragments: Option<(usize, ColumnTypes)>, facts: Option<PropFacts>) -> Pipeline {
+    let facts = facts.map(Arc::new);
+    let parallel = fragments.is_some();
+    let mut p = Pipeline::new().with(ConstantFold).with(CommonSubexpr);
+    // before mitosis: a select proven trivial is not fragmented at all
+    if let Some(facts) = &facts {
+        p = p.with(SelectElimination::new(facts.clone()));
+    }
+    if let Some((pieces, types)) = fragments {
+        p = p
+            .with(Mitosis::new(pieces))
+            .with(Mergetable::with_types(types));
+    }
+    // after mergetable: a fragment's `algebra.slice` inherits the base
+    // column's order through the analysis's exact slice transfer function,
+    // so each fragment's select gets its own binary-search annotation
+    if let Some(facts) = &facts {
+        p = p.with(SortedSelect::new(facts.clone()));
+    }
+    // before fusion: a fetch nobody reads any more, or an unused fragment,
+    // must not look like a reader of its candidate list
+    p = p.with(DeadCode);
+    // what is still a filter → fetch → sink chain — under mitosis each
+    // fragment's, on its own slice, the partials still meeting in
+    // `mat.packsum` / `mat.pack` — becomes one instruction, which leaves
+    // nothing dead behind
+    if let Some(facts) = facts {
+        p = p.with(FusePipeline::new(facts));
+    }
+    // end-of-life markers go in last
+    if parallel {
+        p = p.with(GarbageCollect);
+    }
+    p
 }
 
-/// [`default_pipeline`] extended with the abstract-interpretation property
-/// tier: after folding and CSE, [`SelectElimination`] and [`SortedSelect`]
-/// rewrite selections using per-column statistics (`facts`, from
-/// [`analysis::column_facts`] or [`analysis::bound_column_facts`] over the
-/// catalog the plan will run against); dead code is swept — a fetch nobody
-/// reads any more must not look like a reader of its candidate list — and
-/// what selections are left at the head of a filter → fetch → sink chain
-/// [`FusePipeline`] then fuses into one vectorized instruction, which
-/// leaves nothing dead behind. The pipeline is [`Pipeline::checked`]
-/// because these passes rewrite based on facts external to the plan text.
-///
-/// Invariant: `facts` must describe the catalog state the plan executes
-/// against — the passes' proofs are only as sound as their premises.
+/// The serial, fact-free view of the pass list (mirrors MonetDB's
+/// default optimizer chain in spirit): folding, CSE, dead code. Unchecked
+/// outside debug builds — it rewrites on the plan text alone.
+pub fn default_pipeline() -> Pipeline {
+    passes(None, None)
+}
+
+/// What a serial session plans with: the pass list less the multi-core
+/// passes, [`Pipeline::checked`] because the fact-driven passes rewrite on
+/// premises external to the plan text. `facts` come from
+/// [`analysis::column_facts`] or [`analysis::bound_column_facts`].
 pub fn default_pipeline_with_props(facts: PropFacts) -> Pipeline {
-    let facts = Arc::new(facts);
-    Pipeline::new()
-        .with(ConstantFold)
-        .with(CommonSubexpr)
-        .with(SelectElimination::new(facts.clone()))
-        .with(SortedSelect::new(facts.clone()))
-        .with(DeadCode)
-        .with(FusePipeline::new(facts))
-        .checked()
+    passes(None, Some(facts)).checked()
+}
+
+/// The multi-core view without the fact-driven passes: the default chain
+/// around mitosis + mergetable, then end-of-life markers — verified even
+/// in release.
+pub fn parallel_pipeline(pieces: usize, types: ColumnTypes) -> Pipeline {
+    passes(Some((pieces, types)), None).checked()
+}
+
+/// What a dataflow session plans with: the whole pass list.
+pub fn parallel_pipeline_with_props(
+    pieces: usize,
+    types: ColumnTypes,
+    facts: PropFacts,
+) -> Pipeline {
+    passes(Some((pieces, types)), Some(facts)).checked()
 }
 
 fn has_end_of_life_markers(prog: &Program) -> bool {
@@ -1093,6 +1134,55 @@ mod tests {
         let pl = default_pipeline().with(GarbageCollect).checked();
         let plain = pl.run_verifying(p.clone(), Verify::Never).unwrap();
         assert_eq!(pl.run_verifying(p, Verify::OnExit).unwrap(), plain);
+    }
+
+    /// The four constructors are views of one pass list, and `benchmark/`
+    /// and `tests/compile_budget.rs` replay two of them: what each runs is
+    /// pinned here.
+    #[test]
+    fn the_four_pipelines_keep_their_pass_lists() {
+        let facts = PropFacts::default;
+        let types = ColumnTypes::new;
+        assert_eq!(
+            default_pipeline_with_props(facts()).pass_names(),
+            [
+                "constant_fold",
+                "common_subexpression",
+                "select_elimination",
+                "sorted_select",
+                "dead_code",
+                "fuse_pipeline"
+            ]
+        );
+        assert_eq!(
+            parallel_pipeline(4, types()).pass_names(),
+            [
+                "constant_fold",
+                "common_subexpression",
+                "mitosis",
+                "mergetable",
+                "dead_code",
+                "garbage_collect"
+            ]
+        );
+        assert_eq!(
+            parallel_pipeline_with_props(4, types(), facts()).pass_names(),
+            [
+                "constant_fold",
+                "common_subexpression",
+                "select_elimination",
+                "mitosis",
+                "mergetable",
+                "sorted_select",
+                "dead_code",
+                "fuse_pipeline",
+                "garbage_collect"
+            ]
+        );
+        // release builds verify all of them but the fact-free serial one
+        assert!(!default_pipeline().checked && parallel_pipeline(4, types()).checked);
+        assert!(default_pipeline_with_props(facts()).checked);
+        assert!(parallel_pipeline_with_props(4, types(), facts()).checked);
     }
 
     #[test]

@@ -16,9 +16,7 @@ use super::oracle::{
     SelectEliminationOracle, SortedSelectOracle,
 };
 use super::*;
-use crate::mitosis::{
-    column_types, parallel_pipeline_with_props, ColumnTypes, Mergetable, Mitosis,
-};
+use crate::mitosis::column_types;
 use crate::parser::parse_program;
 use mammoth_sql::{compile_select, parse_sql, Statement};
 use mammoth_storage::{Bat, Catalog, Table};

@@ -38,8 +38,6 @@ pub struct CachedPlan {
     /// Column-property premises the optimizer relied on:
     /// `(table, column) -> Props` snapshot at compile time.
     pub premises: Vec<((String, String), Props)>,
-    /// Whether the cached program is the parallel (mitosis) rewrite.
-    pub parallel: bool,
     /// Estimated output rows at compile time (for EXPLAIN/telemetry).
     pub est_rows: Option<u64>,
 }
@@ -259,7 +257,6 @@ mod tests {
                 names: vec!["a".into()],
                 nparams: 1,
                 premises: vec![(("t".into(), "a".into()), premise.clone())],
-                parallel: false,
                 est_rows: None,
             },
         );

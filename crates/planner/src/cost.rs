@@ -19,10 +19,6 @@ use std::collections::HashMap;
 /// (a `?N` parameter, or no histogram).
 pub const DEFAULT_RANGE_SELECTIVITY: f64 = 1.0 / 3.0;
 
-/// Row-count threshold below which binary-search range selection
-/// (`SortedSelect`) is not worth the setup over a plain scan.
-pub const SORTED_SELECT_MIN_ROWS: u64 = 256;
-
 /// Target rows per mitosis fragment: fragments smaller than this lose
 /// more to per-piece overhead than they gain from parallelism.
 const MITOSIS_TARGET_ROWS: u64 = 8192;
@@ -389,13 +385,6 @@ fn const_i64(a: Option<&Arg>) -> Option<i64> {
     }
 }
 
-/// Whether binary-search range selection over a sorted column is worth
-/// it at this cardinality. Below [`SORTED_SELECT_MIN_ROWS`] the scan's
-/// sequential sweep wins on setup cost.
-pub fn use_sorted_select(estimated_rows: u64) -> bool {
-    estimated_rows >= SORTED_SELECT_MIN_ROWS
-}
-
 /// Mitosis piece count for a table of `rows` rows, capped at
 /// `max_pieces` (the session's configured parallelism). Scales down for
 /// small tables so fragments stay at least [`MITOSIS_TARGET_ROWS`] rows.
@@ -526,9 +515,7 @@ mod tests {
     }
 
     #[test]
-    fn sorted_select_gate_and_pieces() {
-        assert!(!use_sorted_select(SORTED_SELECT_MIN_ROWS - 1));
-        assert!(use_sorted_select(SORTED_SELECT_MIN_ROWS));
+    fn pieces_scale_with_the_table() {
         assert_eq!(choose_pieces(0, 8), 8, "unknown/empty keeps the default");
         assert_eq!(choose_pieces(100, 8), 1, "tiny table: one piece");
         assert_eq!(choose_pieces(20_000, 8), 3);

@@ -19,8 +19,7 @@
 //! * [`cost`] — per-instruction cardinality/cost estimates over a MAL
 //!   program ([`estimate_program`]), predicate selectivity from the
 //!   histograms, and the small decision procedures the SQL session
-//!   consults: predicate ordering, select-algorithm gating, mitosis
-//!   piece count.
+//!   consults: predicate ordering, mitosis piece count.
 
 #![deny(unsafe_code)]
 
@@ -29,8 +28,5 @@ pub mod cost;
 pub mod stats;
 
 pub use cache::{bind_program, normalize_sql, referenced_columns, CachedPlan, PlanCache};
-pub use cost::{
-    choose_pieces, estimate_program, selectivity, use_sorted_select, InstrEstimate,
-    SORTED_SELECT_MIN_ROWS,
-};
+pub use cost::{choose_pieces, estimate_program, selectivity, InstrEstimate};
 pub use stats::{ColumnStats, Histogram, StatsCatalog, TableStats};

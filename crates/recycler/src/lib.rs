@@ -7,19 +7,36 @@
 //! traditional cache replacement policies can be applied to avoid double
 //! work, cherry picking the cache for previously derived results."
 //!
-//! Entries are keyed by the instruction's canonical signature. The cache
-//! tracks which base columns each entry (transitively) depends on, so
-//! updates invalidate exactly the affected intermediates. Range selections
-//! additionally support *subsumption*: a query `σ[5,10](c)` can be computed
-//! from a cached `σ[0,20](c)` by refining the smaller intermediate instead
-//! of rescanning the base column.
+//! Two halves, one module. The [`Recycler`] is the cache: entries keyed by
+//! an instruction's *provenance signature*, each remembering which base
+//! columns it (transitively) depends on, so updates invalidate exactly the
+//! affected intermediates. Range selections additionally support
+//! *subsumption*: a query `σ[5,10](c)` can be computed from a cached
+//! `σ[0,20](c)` by refining the smaller intermediate instead of rescanning
+//! the base column.
+//!
+//! [`run_recycling`] is the scheduler that fills and reads it: like
+//! `mammoth-parallel`, a scheduler over `mammoth_mal::frame` that adds no
+//! execution semantics. It steps a compiled MAL plan in program order and,
+//! before each step, looks the instruction's result slots up under their
+//! signature ([`signature`] — the key's only producer); what a step
+//! computes is admitted. The plans worth running through it are *unfused*
+//! ones (`compile_select` + `default_pipeline()`): the candidate lists and
+//! fetched columns between a filter and its aggregate, which
+//! `fuse_pipeline` removes, are exactly what the next statement reuses. No
+//! SQL session and no daemon links this crate; whoever drives it calls
+//! [`Recycler::invalidate`] after a write.
 
 #![deny(unsafe_code)]
 
-use mammoth_storage::Bat;
-use mammoth_types::{EventKind, TraceEvent};
+use mammoth_mal::{
+    check_props_enabled, Arg, ExecStats, Frame, Instr, MalValue, OpCode, Program, StepCtx,
+};
+use mammoth_storage::{Bat, Catalog};
+use mammoth_types::{EventKind, ProfiledRun, Result, TraceEvent, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Replacement policies for a full cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -336,6 +353,136 @@ impl Recycler {
     }
 }
 
+/// Run `prog` in program order, answering every instruction the
+/// `recycler` has seen before — same opcode over the same provenance —
+/// from its cache, and admitting what had to be computed. Returns the
+/// `io.result` values and the run's counters.
+pub fn run_recycling(
+    catalog: &Catalog,
+    prog: &Program,
+    recycler: &mut Recycler,
+) -> Result<(Vec<MalValue>, ExecStats)> {
+    let frame = run(catalog, prog, recycler, false)?;
+    Ok((frame.outputs, frame.stats))
+}
+
+/// [`run_recycling`] with the profiler on: one [`TraceEvent`] per executed
+/// or recycled instruction (hits carry `recycled`), then the cache's own
+/// decisions during the run (`recycler.hit` / `.admit` / `.evict`), under
+/// the engine label `serial+recycler`.
+pub fn run_recycling_profiled(
+    catalog: &Catalog,
+    prog: &Program,
+    recycler: &mut Recycler,
+) -> Result<(Vec<MalValue>, ProfiledRun)> {
+    recycler.set_tracing(true);
+    let frame = run(catalog, prog, recycler, true);
+    let decisions = recycler.take_events();
+    recycler.set_tracing(false);
+    let mut frame = frame?;
+    frame.events.extend(decisions);
+    let run = frame.stats.fold_into("serial+recycler", frame.events);
+    Ok((frame.outputs, run))
+}
+
+fn run(
+    catalog: &Catalog,
+    prog: &Program,
+    recycler: &mut Recycler,
+    profiled: bool,
+) -> Result<Frame> {
+    let ctx = StepCtx::new(catalog, prog, check_props_enabled(), profiled)?;
+    let mut frame = Frame::new(1);
+    frame.reset(prog.nvars());
+    // per variable: the signature of the value it holds (`None` when its
+    // provenance is unknown) and the base columns that value derives from
+    let mut sigs: Vec<Option<String>> = vec![None; prog.nvars()];
+    let mut deps: Vec<Vec<String>> = vec![Vec::new(); prog.nvars()];
+
+    for (idx, instr) in prog.instrs.iter().enumerate() {
+        if frame.marker(instr)? {
+            continue;
+        }
+        let args = frame.args(instr)?;
+        let sig = signature(instr, &sigs);
+        let columns = base_columns(instr, &deps);
+        let start = Instant::now();
+        // every slot is looked up, hit or miss, so the cache's own counters
+        // see each one; only a hit on all of them answers the instruction
+        let hits = sig.as_deref().and_then(|sig| {
+            let slots: Vec<Option<MalValue>> = (0..instr.results.len())
+                .map(|slot| recycler.lookup(&slot_sig(sig, slot)).map(MalValue::Bat))
+                .collect();
+            slots.into_iter().collect::<Option<Vec<MalValue>>>()
+        });
+        let done = match hits {
+            Some(hits) => ctx.finish(0, idx, &args, start, hits, true)?,
+            None => {
+                let done = ctx.step(0, idx, &args)?;
+                for (slot, val) in done.results.iter().enumerate() {
+                    if let (Some(sig), MalValue::Bat(b)) = (&sig, val) {
+                        let (key, bat) = (slot_sig(sig, slot), Arc::clone(b));
+                        recycler.admit(key, bat, columns.clone(), done.cost_ns);
+                    }
+                }
+                done
+            }
+        };
+        for (slot, &rv) in instr.results.iter().enumerate() {
+            sigs[rv] = sig.as_deref().map(|s| slot_sig(s, slot));
+            deps[rv] = columns.clone();
+        }
+        frame.commit(instr, done);
+    }
+    frame.stats.elapsed_ns = ctx.elapsed_ns();
+    Ok(frame)
+}
+
+/// The provenance signature of what `instr` (not a marker) computes: its
+/// opcode over the signatures of its inputs — the text of the whole
+/// expression tree down to the `sql.bind`s. `None` when any input's
+/// provenance is unknown. The opcode goes in as its derived `Debug`
+/// rendering, which holds every field an opcode has (`algebra.select`'s
+/// bound inclusivity, a pipeline's whole spec), so two different
+/// computations cannot share a key by omission.
+fn signature(instr: &Instr, sigs: &[Option<String>]) -> Option<String> {
+    let args = instr.args.iter().map(|a| match a {
+        Arg::Const(c) => Some(format!("{c:?}")),
+        Arg::Var(v) => sigs.get(*v)?.clone(),
+        // parameter slots have no provenance — never recycle them
+        Arg::Param(_) => None,
+    });
+    let args: Option<Vec<String>> = args.collect();
+    Some(format!("{:?}({})", instr.op, args?.join(",")))
+}
+
+/// The key of one result slot of the instruction signed `sig`.
+fn slot_sig(sig: &str, slot: usize) -> String {
+    format!("{sig}#{slot}")
+}
+
+/// The base columns (`table.column`) `instr`'s results derive from: the
+/// one a `sql.bind` names, plus those of every variable it reads. These are
+/// the names [`Recycler::invalidate`] takes.
+fn base_columns(instr: &Instr, deps: &[Vec<String>]) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    if let (OpCode::Bind, [Arg::Const(Value::Str(t)), Arg::Const(Value::Str(c)), ..]) =
+        (&instr.op, instr.args.as_slice())
+    {
+        out.push(format!("{t}.{c}"));
+    }
+    for a in &instr.args {
+        if let Arg::Var(v) = a {
+            for d in &deps[*v] {
+                if !out.contains(d) {
+                    out.push(d.clone());
+                }
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,6 +635,110 @@ mod tests {
         assert!(kinds.contains(&EventKind::RecyclerHit));
         assert!(kinds.contains(&EventKind::RecyclerInvalidate));
         assert!(r.take_events().is_empty(), "drained");
+    }
+
+    fn people() -> Catalog {
+        use mammoth_storage::Table;
+        use mammoth_types::{ColumnDef, LogicalType, TableSchema};
+        let schema = TableSchema::new(
+            "people",
+            vec![
+                ColumnDef::new("name", LogicalType::Str),
+                ColumnDef::new("age", LogicalType::I32),
+            ],
+        );
+        let mut t = Table::new(schema).unwrap();
+        for (n, a) in [
+            ("John Wayne", 1907),
+            ("Roger Moore", 1927),
+            ("Bob Fosse", 1927),
+            ("Will Smith", 1968),
+        ] {
+            t.insert_row(&[Value::Str(n.into()), Value::I32(a)])
+                .unwrap();
+        }
+        let mut cat = Catalog::new();
+        cat.create_table(t).unwrap();
+        cat
+    }
+
+    fn bind(p: &mut Program, table: &str, column: &str) -> usize {
+        let name = |s: &str| Arg::Const(Value::Str(s.into()));
+        p.push(OpCode::Bind, vec![name(table), name(column)])[0]
+    }
+
+    /// Figure 1's query as a MAL program: select(age, 1927), fetch names.
+    fn figure1_program() -> Program {
+        use mammoth_algebra::CmpOp;
+        let mut p = Program::new();
+        let age = bind(&mut p, "people", "age");
+        let cands = p.push(
+            OpCode::ThetaSelect(CmpOp::Eq),
+            vec![Arg::Var(age), Arg::Const(Value::I32(1927))],
+        )[0];
+        let name = bind(&mut p, "people", "name");
+        let out = p.push(OpCode::Projection, vec![Arg::Var(cands), Arg::Var(name)])[0];
+        p.push_result(&[out]);
+        p
+    }
+
+    #[test]
+    fn scheduler_avoids_double_work() {
+        let cat = people();
+        let prog = figure1_program();
+        let mut rec = Recycler::new(1 << 20, EvictPolicy::Lru);
+        let (_, cold) = run_recycling(&cat, &prog, &mut rec).unwrap();
+        assert_eq!((cold.executed, cold.recycled), (4, 0));
+        let (out, warm) = run_recycling(&cat, &prog, &mut rec).unwrap();
+        assert_eq!(
+            (warm.executed, warm.recycled),
+            (0, 4),
+            "whole plan recycled"
+        );
+        assert_eq!(out[0].as_bat().unwrap().len(), 2);
+        // invalidation kills dependent entries: the name bind survives,
+        // the age bind, the select and the projection recompute
+        rec.invalidate("people.age");
+        let (_, after) = run_recycling(&cat, &prog, &mut rec).unwrap();
+        assert_eq!((after.executed, after.recycled), (3, 1));
+    }
+
+    #[test]
+    fn signatures_spell_out_the_whole_opcode_and_stop_at_unknowns() {
+        let mut p = Program::new();
+        let a = bind(&mut p, "t", "a");
+        let bounds = || {
+            vec![
+                Arg::Var(a),
+                Arg::Const(Value::I64(2)),
+                Arg::Const(Value::I64(4)),
+            ]
+        };
+        let range = |lo_incl, hi_incl| OpCode::RangeSelect { lo_incl, hi_incl };
+        p.push(range(true, true), bounds());
+        p.push(range(true, false), bounds());
+        p.push(
+            OpCode::Slice,
+            vec![Arg::Var(a), Arg::Param(0), Arg::Param(1)],
+        );
+        p.push_result(&[a]);
+        let sigs = vec![signature(&p.instrs[0], &[]).map(|s| slot_sig(&s, 0))];
+        assert!(sigs[0].as_deref().unwrap().ends_with("#0"), "{sigs:?}");
+        let closed = signature(&p.instrs[1], &sigs).unwrap();
+        let half_open = signature(&p.instrs[2], &sigs).unwrap();
+        assert_ne!(closed, half_open, "same name, same arguments");
+        // a parameter slot, an input of unknown provenance
+        assert_eq!(signature(&p.instrs[3], &sigs), None);
+        assert_eq!(signature(&p.instrs[1], &[None]), None);
+        // the rendering docs/MAL.md quotes
+        let fig = figure1_program();
+        let age = signature(&fig.instrs[0], &[]).map(|s| slot_sig(&s, 0));
+        assert_eq!(
+            signature(&fig.instrs[1], &[age]).unwrap(),
+            r#"ThetaSelect(Eq)(Bind(Str("people"),Str("age"))#0,I32(1927))"#
+        );
+        assert_eq!(base_columns(&p.instrs[0], &[]), ["t.a"]);
+        assert_eq!(base_columns(&p.instrs[1], &[vec!["t.a".into()]]), ["t.a"]);
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //! predicates plus `BETWEEN`, a two-table equi-`JOIN`, `GROUP BY`,
 //! `ORDER BY … [DESC]` and `LIMIT`. Queries compile to MAL
 //! ([`compile`]), run through the optimizer pipeline, and execute on the
-//! BAT Algebra interpreter — optionally with the recycler attached
-//! ([`session::Session`]).
+//! BAT Algebra interpreter ([`session::Session`]).
 
 #![deny(unsafe_code)]
 

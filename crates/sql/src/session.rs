@@ -3,8 +3,8 @@
 //! Since the planner tier, compilation is *statistics-fed*: the session
 //! maintains a [`StatsCatalog`] (incremental on DML, folded at
 //! CHECKPOINT, persisted as a checkpoint sidecar), consults it for
-//! predicate ordering, select-algorithm gating and mitosis piece counts,
-//! and serves `PREPARE`d statements from a premise-checked [`PlanCache`].
+//! predicate ordering and mitosis piece counts, and serves `PREPARE`d
+//! statements from a premise-checked [`PlanCache`].
 //!
 //! This file holds the type, its constructors and its doors — `execute*`,
 //! the one `dispatch`, `run_plan`. The rest of `impl Session` lives beside
@@ -18,7 +18,6 @@ use crate::prepared::{reject_stray_params, PreparedRegistry};
 use explain::{export_profile, trace_env_on};
 use mammoth_mal::{EventKind, Interpreter, MalValue, PlanExecutor, ProfiledRun, Program};
 use mammoth_planner::{bind_program, PlanCache, StatsCatalog};
-use mammoth_recycler::{EvictPolicy, Recycler};
 use mammoth_storage::{Catalog, RealFs, Vfs};
 use mammoth_types::{Error, Result, Value};
 use std::path::PathBuf;
@@ -83,18 +82,16 @@ impl QueryOutput {
 /// without a provider report `role = primary`.
 pub type StatusProvider = Arc<dyn Fn() -> Vec<(String, String)> + Send + Sync>;
 
-/// A database session: a catalog, per-statement optimizer pipelines (rebuilt
-/// so the property-driven passes see column statistics for the catalog state
-/// each plan runs against), and optionally the recycler.
+/// A database session: a catalog and per-statement optimizer pipelines
+/// (rebuilt so the property-driven passes see column statistics for the
+/// catalog state each plan runs against).
 pub struct Session {
     catalog: Catalog,
-    recycler: Option<Recycler>,
     /// WAL + checkpoint state; `None` for in-memory sessions.
     durable: Option<durable::Durability>,
     /// An alternative plan executor (the dataflow engine). When set,
     /// SELECTs run through the mitosis/mergetable pipeline and this
-    /// executor instead of the serial interpreter; the recycler (a serial,
-    /// mutable-state optimization) is bypassed.
+    /// executor instead of the serial interpreter.
     executor: Option<Box<dyn PlanExecutor>>,
     /// Fragments per base column for the mitosis pass.
     pieces: usize,
@@ -138,7 +135,6 @@ impl Session {
     pub fn new() -> Session {
         Session {
             catalog: Catalog::new(),
-            recycler: None,
             durable: None,
             executor: None,
             pieces: 1,
@@ -193,16 +189,6 @@ impl Session {
         self.executor.as_deref()
     }
 
-    /// Enable the recycler with a budget in bytes.
-    pub fn with_recycler(mut self, capacity_bytes: usize) -> Session {
-        self.recycler = Some(
-            Recycler::new(capacity_bytes, EvictPolicy::BenefitPerByte)
-                // zero-copy binds recompute in microseconds; don't cache them
-                .with_min_cost_ns(20_000),
-        );
-        self
-    }
-
     /// Install the `EXPLAIN REPLICATION` status callback. Returns `&mut
     /// Self` so the builder chain reads naturally.
     pub fn set_status_provider(&mut self, p: StatusProvider) -> &mut Self {
@@ -216,10 +202,6 @@ impl Session {
 
     pub fn catalog_mut(&mut self) -> &mut Catalog {
         &mut self.catalog
-    }
-
-    pub fn recycler_stats(&self) -> Option<&mammoth_recycler::RecyclerStats> {
-        self.recycler.as_ref().map(|r| r.stats())
     }
 
     /// The profile of the most recent profiled SELECT — the programmatic
@@ -256,10 +238,10 @@ impl Session {
     ///
     /// This is the concurrent-reader path the network server schedules N
     /// clients onto: it touches no session state, so any number of calls
-    /// may run at once while DML waits for exclusive access. The recycler
-    /// and the `MAMMOTH_TRACE` per-query profile both require `&mut self`
-    /// and are bypassed here — both are transparent to results, and the
-    /// server layer emits its own `server.statement` trace events instead.
+    /// may run at once while DML waits for exclusive access. The
+    /// `MAMMOTH_TRACE` per-query profile requires `&mut self` and is
+    /// bypassed here — it is transparent to results, and the server layer
+    /// emits its own `server.statement` trace events instead.
     ///
     /// Statements that mutate data (DML, DDL, `CHECKPOINT`, `TRACE` —
     /// which records [`Session::last_profile`]) return
@@ -294,8 +276,7 @@ impl Session {
         Ok(match self.dispatch(stmt)? {
             Step::Done(out) => Ok(out),
             Step::Run(prog, names) => {
-                let (outputs, _) =
-                    Self::run_plan(&self.catalog, self.executor(), None, &prog, false)?;
+                let (outputs, _) = self.run_plan(&prog, false)?;
                 Ok(render_outputs(names, outputs)?)
             }
             Step::Write(stmt) => Err(*stmt),
@@ -305,8 +286,8 @@ impl Session {
     /// The statement dispatcher both entry points share. Everything a
     /// reader may do is decided here, through `&self`: a SELECT comes back
     /// as a plan for the caller to run on its own terms (exclusive callers
-    /// attach the recycler and the profiler, readers neither), and
-    /// whatever needs `&mut self` comes back as [`Step::Write`].
+    /// may attach the profiler, readers never), and whatever needs
+    /// `&mut self` comes back as [`Step::Write`].
     fn dispatch(&self, stmt: Statement) -> Result<Step> {
         reject_stray_params(&stmt)?;
         Ok(match stmt {
@@ -352,56 +333,31 @@ impl Session {
     }
 
     /// Run a plan on the session's engine — the one place a plan meets an
-    /// executor. Takes the fields it needs rather than `&self` so the
-    /// exclusive path can lend its recycler while readers share the rest.
-    /// With `profiled`, the per-instruction profile rides along (and, under
-    /// the recycler, its cache decisions in the same run).
+    /// executor. With `profiled`, the per-instruction profile rides along.
     fn run_plan(
-        catalog: &Catalog,
-        executor: Option<&dyn PlanExecutor>,
-        mut recycler: Option<&mut Recycler>,
+        &self,
         prog: &Program,
         profiled: bool,
     ) -> Result<(Vec<MalValue>, Option<ProfiledRun>)> {
-        if let Some(ex) = executor {
+        if let Some(ex) = self.executor() {
             return Ok(if profiled {
-                let (outputs, run) = ex.run_plan_profiled(catalog, prog)?;
+                let (outputs, run) = ex.run_plan_profiled(&self.catalog, prog)?;
                 (outputs, Some(run))
             } else {
-                (ex.run_plan(catalog, prog)?, None)
+                (ex.run_plan(&self.catalog, prog)?, None)
             });
         }
-        let (engine, mut interp) = match recycler.as_deref_mut() {
-            Some(r) => {
-                r.set_tracing(profiled);
-                ("serial+recycler", Interpreter::with_recycler(catalog, r))
-            }
-            None => ("serial", Interpreter::new(catalog)),
-        };
-        interp = interp.profiled(profiled);
-        let res = interp.run(prog);
-        let mut run = profiled.then(|| interp.profiled_run(engine));
-        drop(interp);
-        if let (Some(run), Some(r)) = (&mut run, recycler) {
-            run.events.extend(r.take_events());
-            r.set_tracing(false);
-        }
-        Ok((res?, run))
+        let mut interp = Interpreter::new(&self.catalog).profiled(profiled);
+        let outputs = interp.run(prog)?;
+        Ok((outputs, profiled.then(|| interp.profiled_run("serial"))))
     }
 
-    /// [`Session::run_plan`] with exclusive access: the recycler is
-    /// attached, and a `profiled` run is stamped with the cost model's
-    /// `est_rows` per instruction (so `TRACE` output diffs estimated
-    /// against measured cardinality), exported, and kept as
-    /// [`Session::last_profile`].
+    /// [`Session::run_plan`] with exclusive access: a `profiled` run is
+    /// stamped with the cost model's `est_rows` per instruction (so `TRACE`
+    /// output diffs estimated against measured cardinality), exported, and
+    /// kept as [`Session::last_profile`].
     fn run_exclusive(&mut self, prog: &Program, profiled: bool) -> Result<Vec<MalValue>> {
-        let (outputs, run) = Self::run_plan(
-            &self.catalog,
-            self.executor.as_deref(),
-            self.recycler.as_mut(),
-            prog,
-            profiled,
-        )?;
+        let (outputs, run) = self.run_plan(prog, profiled)?;
         if let Some(mut run) = run {
             let estimates = self.estimates(prog);
             for e in &mut run.events {

@@ -1,14 +1,13 @@
 //! The write path of a [`Session`]: DDL and DML under the write-ahead
-//! discipline, and the statistics and recycler upkeep that follows them.
+//! discipline, and the statistics upkeep that follows them.
 
 use super::column_test::ColumnTest;
 use super::explain::profile_table;
 use super::{QueryOutput, Session};
 use crate::ast::{Predicate, Statement};
 use mammoth_planner::{ColumnStats, StatsCatalog};
-use mammoth_recycler::Recycler;
 use mammoth_storage::{Bat, Table, TableImage, TailHeap, WalRecord};
-use mammoth_types::{Error, Oid, Result, TableSchema, Value};
+use mammoth_types::{Error, Oid, Result, Value};
 
 impl Session {
     /// The statements that need `&mut self` — what [`Session::dispatch`]
@@ -44,8 +43,7 @@ impl Session {
             Statement::DropTable { name } => {
                 self.catalog.table(&name)?; // existence check before logging
                 self.wal_write(vec![WalRecord::DropTable { name: name.clone() }])?;
-                let t = self.catalog.drop_table(&name)?;
-                Self::invalidate_table(&mut self.recycler, &t.schema);
+                self.catalog.drop_table(&name)?;
                 self.stats.lock().unwrap().drop_table(&name);
                 self.plan_cache.lock().unwrap().clear();
                 self.wal_commit_statement()?;
@@ -90,7 +88,6 @@ impl Session {
                     }])?;
                 }
                 let schema = &self.catalog.table(&table)?.schema;
-                Self::invalidate_table(&mut self.recycler, schema);
                 let colnames: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
                 self.stats
                     .lock()
@@ -130,7 +127,6 @@ impl Session {
                     }])?;
                 }
                 let schema = &self.catalog.table(&table)?.schema;
-                Self::invalidate_table(&mut self.recycler, schema);
                 let colnames: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
                 self.stats
                     .lock()
@@ -186,15 +182,6 @@ impl Session {
                 let built = columns.map(|(def, bat)| (def.name.clone(), column_stats(bat)));
                 stats.rebuild_table(&t.name, built.collect());
             }
-        }
-    }
-
-    /// Drop recycled intermediates that depend on any column of a table.
-    pub(super) fn invalidate_table(recycler: &mut Option<Recycler>, schema: &TableSchema) {
-        let Some(r) = recycler else { return };
-        for c in &schema.columns {
-            r.invalidate(&format!("{}.{}", schema.name.to_lowercase(), c.name));
-            r.invalidate(&format!("{}.{}", schema.name, c.name));
         }
     }
 

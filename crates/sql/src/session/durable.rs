@@ -27,11 +27,6 @@ impl Session {
         let tracing = trace_env_on();
         wal.set_tracing(tracing);
         self.catalog = rec.catalog;
-        // cached intermediates and cracked copies describe the pre-crash
-        // process's columns; none of them survive recovery
-        if let Some(r) = &mut self.recycler {
-            r.clear();
-        }
         // compiled plans were proven against the pre-recovery catalog
         self.plan_cache.lock().unwrap().clear();
         // restore the statistics sidecar of the committed checkpoint and
@@ -76,7 +71,7 @@ impl Session {
     /// every statement boundary). Larger batches trade the durability of
     /// the last `n-1` acknowledged records for fewer fsyncs. Returns
     /// `&mut Self` so configuration chains builder-style, consistent with
-    /// [`Session::with_recycler`]/[`Session::with_executor`].
+    /// [`Session::with_executor`].
     pub fn set_wal_batch(&mut self, n: usize) -> &mut Self {
         if let Some(d) = &mut self.durable {
             d.wal.set_batch(n);
@@ -119,11 +114,7 @@ impl Session {
         // the image just written is compacted: deltas folded into the base,
         // positions renumbered. Fold the live tables onto it, so the
         // positions in post-checkpoint WAL records mean the same thing
-        // online and on replay — and invalidate cached intermediates that
-        // the renumbering stales.
-        for t in &image {
-            Self::invalidate_table(&mut self.recycler, &t.schema);
-        }
+        // online and on replay.
         self.catalog.adopt_image(image);
         if tracing {
             self.export_durability_events(vec![TraceEvent {

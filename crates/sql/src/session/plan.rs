@@ -7,13 +7,11 @@ use crate::ast::{Predicate, SelectStmt};
 use crate::compile::compile_select_ordered;
 use mammoth_mal::{
     bound_column_facts, bound_column_types, column_props, default_pipeline_with_props,
-    parallel_pipeline_with_props, Arg, CommonSubexpr, ConstantFold, DeadCode, EventKind,
-    FusePipeline, OpCode, Pipeline, ProfiledRun, Program, PropFacts, SelectElimination,
-    SortedSelect, TraceEvent,
+    parallel_pipeline_with_props, Arg, EventKind, OpCode, ProfiledRun, Program, TraceEvent,
 };
 use mammoth_planner::{
-    choose_pieces, estimate_program, referenced_columns, selectivity, use_sorted_select,
-    CachedPlan, InstrEstimate, StatsCatalog,
+    choose_pieces, estimate_program, referenced_columns, selectivity, CachedPlan, InstrEstimate,
+    StatsCatalog,
 };
 use mammoth_types::{Error, Result};
 use std::sync::Arc;
@@ -56,7 +54,6 @@ impl Session {
             names,
             nparams,
             premises,
-            parallel: self.executor.is_some(),
             est_rows,
         };
         let plan = self
@@ -81,16 +78,16 @@ impl Session {
     }
 
     /// Compile and optimize a SELECT with the cost model in the loop:
-    /// predicates applied most-selective-first, the select-algorithm
-    /// rewrite gated by estimated cardinality, and the mitosis piece
-    /// count scaled to the table. The optimizer is told about the columns
+    /// predicates applied most-selective-first and, on a dataflow session,
+    /// the mitosis piece count scaled to the table. The plan is a function
+    /// of the statement, the catalog and that piece count: one of the two
+    /// `mammoth_mal` pipelines a session can have, told about the columns
     /// the compiled plan binds — not about the catalog.
     pub(super) fn compile_optimized(&self, stmt: &SelectStmt) -> Result<(Program, Vec<String>)> {
         // one look at the statistics serves every cost-model question
         let (where_, est_rows) = {
             let stats = self.stats.lock().unwrap();
             let rows = stats.table(&stmt.from).map(|t| t.rows);
-            let rows = rows.or_else(|| self.live_rows(&stmt.from));
             (Self::order_predicates(stmt, &stats), rows)
         };
         let (prog, names) = compile_select_ordered(&self.catalog, stmt, where_)?;
@@ -98,7 +95,7 @@ impl Session {
         let (engine, pipeline) = if self.executor.is_some() {
             // fragments stay worth their scheduling overhead: the cost
             // model scales pieces down for small tables
-            let pieces = match est_rows {
+            let pieces = match est_rows.or_else(|| self.live_rows(&stmt.from)) {
                 Some(rows) if rows > 0 => choose_pieces(rows, self.pieces),
                 _ => self.pieces,
             };
@@ -106,8 +103,7 @@ impl Session {
             let pipeline = parallel_pipeline_with_props(pieces, types, facts);
             ("parallel", pipeline)
         } else {
-            let pipeline = Self::serial_pipeline_for(est_rows, self.recycler.is_some(), facts);
-            ("serial", pipeline)
+            ("serial", default_pipeline_with_props(facts))
         };
         let prog = pipeline
             .try_optimize(prog)
@@ -135,34 +131,6 @@ impl Session {
             });
         }
         where_
-    }
-
-    /// The serial pipeline — [`default_pipeline_with_props`] less what this
-    /// session is better off without. The binary-search select rewrite is
-    /// gated by estimated input cardinality: below
-    /// [`mammoth_planner::SORTED_SELECT_MIN_ROWS`] a scan's sequential
-    /// sweep beats the rewrite's setup. Pipeline fusion is left out when a
-    /// recycler is attached: what it removes — the candidate lists and
-    /// fetched columns between a filter and its aggregate — is exactly what
-    /// the recycler keeps for the next statement to reuse.
-    fn serial_pipeline_for(est_rows: Option<u64>, recycling: bool, facts: PropFacts) -> Pipeline {
-        let sorted_select = est_rows.is_none_or(use_sorted_select);
-        if sorted_select && !recycling {
-            return default_pipeline_with_props(facts);
-        }
-        let facts = Arc::new(facts);
-        let mut pipeline = Pipeline::new()
-            .with(ConstantFold)
-            .with(CommonSubexpr)
-            .with(SelectElimination::new(facts.clone()));
-        if sorted_select {
-            pipeline = pipeline.with(SortedSelect::new(facts.clone()));
-        }
-        pipeline = pipeline.with(DeadCode);
-        if !recycling {
-            pipeline = pipeline.with(FusePipeline::new(facts));
-        }
-        pipeline.checked()
     }
 
     /// Plan-cache hit/compile counters `(hits, compiles)` — what the

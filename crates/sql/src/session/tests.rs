@@ -1,8 +1,6 @@
 //! Unit tests of the session, through its public doors.
 
 use super::*;
-use mammoth_storage::Table;
-use mammoth_types::{ColumnDef, TableSchema};
 
 fn seeded() -> Session {
     let mut s = Session::new();
@@ -115,105 +113,6 @@ fn dml_roundtrip() {
 }
 
 #[test]
-fn recycler_sees_repeats_and_invalidation() {
-    use mammoth_storage::Bat;
-    let mut s = Session::new().with_recycler(64 << 20);
-    // big enough to clear the recycler's admission cost floor
-    let data: Vec<i64> = (0..300_000).map(|i| i % 7).collect();
-    let table = Table::from_bats(
-        TableSchema::new(
-            "t",
-            vec![ColumnDef::new("a", mammoth_types::LogicalType::I64)],
-        ),
-        vec![Bat::from_vec(data)],
-    )
-    .unwrap();
-    s.catalog_mut().create_table(table).unwrap();
-    s.execute("SELECT COUNT(a) FROM t WHERE a > 1").unwrap();
-    s.execute("SELECT COUNT(a) FROM t WHERE a > 1").unwrap();
-    let stats = s.recycler_stats().unwrap();
-    assert!(stats.exact_hits >= 1, "repeat hits: {stats:?}");
-    // DML invalidates: count changes after an insert
-    let out = s.execute("SELECT COUNT(a) FROM t WHERE a > 1").unwrap();
-    let QueryOutput::Table { rows: r1, .. } = out else {
-        panic!()
-    };
-    s.execute("INSERT INTO t VALUES (5)").unwrap();
-    let out = s.execute("SELECT COUNT(a) FROM t WHERE a > 1").unwrap();
-    let QueryOutput::Table { rows: r2, .. } = out else {
-        panic!()
-    };
-    assert_eq!(
-        r2[0][0].as_i64().unwrap(),
-        r1[0][0].as_i64().unwrap() + 1,
-        "stale cache must not be served"
-    );
-}
-
-/// The recycler's product is the intermediates — the candidate lists
-/// and fetched columns a later statement can reuse — so a session with
-/// one keeps its plans column-at-a-time, where a plain session fuses
-/// the same statements into one pipeline instruction.
-#[test]
-fn recycler_sessions_plan_no_pipeline_instruction() {
-    let plan = |s: &mut Session, sql: &str| {
-        let QueryOutput::Table { rows, .. } = s.execute(&format!("EXPLAIN {sql}")).unwrap() else {
-            panic!("EXPLAIN yields a table")
-        };
-        let line = |r: &Vec<Value>| format!("{}\n", r[0]);
-        rows.iter().map(line).collect::<String>()
-    };
-    let statements = [
-        "SELECT COUNT(*), SUM(age) FROM people WHERE age > 1910",
-        "SELECT age, COUNT(*) FROM people WHERE age >= 1907 AND age < 1968 GROUP BY age",
-        "SELECT MIN(age), MAX(age) FROM people WHERE age <> 1927",
-    ];
-    let mut fusing = seeded();
-    let mut recycling = seeded().with_recycler(64 << 20);
-    for sql in statements {
-        let fused = plan(&mut fusing, sql);
-        assert_eq!(fused.matches("vector.pipeline").count(), 1, "{fused}");
-        assert!(
-            !fused.contains("algebra.") && !fused.contains("aggr."),
-            "{fused}"
-        );
-        let kept = plan(&mut recycling, sql);
-        assert!(!kept.contains("vector.pipeline"), "{kept}");
-        assert!(
-            kept.contains("algebra.") && kept.contains("aggr."),
-            "{kept}"
-        );
-        assert_eq!(
-            fusing.execute(sql).unwrap(),
-            recycling.execute(sql).unwrap()
-        );
-    }
-}
-
-/// `a <= x < b` and `a <= x <= b` are both `algebra.select(x, a, b)` by
-/// name; the recycler must not answer one with the other's candidates.
-#[test]
-fn recycled_range_selects_keep_their_inclusivity_apart() {
-    use mammoth_storage::Bat;
-    let mut s = Session::new().with_recycler(64 << 20);
-    // big enough to clear the recycler's admission cost floor
-    let data: Vec<i64> = (0..300_000).map(|i| i % 7).collect();
-    let schema = TableSchema::new(
-        "t",
-        vec![ColumnDef::new("a", mammoth_types::LogicalType::I64)],
-    );
-    let table = Table::from_bats(schema, vec![Bat::from_vec(data)]).unwrap();
-    s.catalog_mut().create_table(table).unwrap();
-    let count = |s: &mut Session, sql: &str| match s.execute(sql).unwrap() {
-        QueryOutput::Table { rows, .. } => rows[0][0].as_i64().unwrap(),
-        other => panic!("{sql}: {other:?}"),
-    };
-    let closed = count(&mut s, "SELECT COUNT(a) FROM t WHERE a BETWEEN 2 AND 4");
-    let half_open = count(&mut s, "SELECT COUNT(a) FROM t WHERE a >= 2 AND a < 4");
-    assert_eq!((closed, half_open), (128_571, 85_714));
-}
-
-#[test]
 fn explain_returns_optimized_mal_text() {
     let mut s = seeded();
     let out = s
@@ -277,37 +176,11 @@ fn trace_returns_per_instruction_profile() {
     // the profile is also available programmatically
     let run = s.last_profile().unwrap();
     assert_eq!(run.engine, "serial");
-    assert_eq!(run.events.len() as u64, run.executed + run.recycled);
+    assert_eq!(run.events.len() as u64, run.executed);
     assert!(run
         .events
         .iter()
         .all(|e| e.start_ns + e.dur_ns <= run.elapsed_ns));
-}
-
-#[test]
-fn trace_under_recycler_marks_hits() {
-    let mut s = seeded().with_recycler(64 << 20);
-    s.execute("TRACE SELECT name FROM people WHERE age = 1927")
-        .unwrap();
-    let first = s.last_profile().unwrap().clone();
-    assert_eq!(first.engine, "serial+recycler");
-    assert_eq!(first.recycled, 0);
-    s.execute("TRACE SELECT name FROM people WHERE age = 1927")
-        .unwrap();
-    let second = s.last_profile().unwrap();
-    // the people table is tiny, so nothing clears the recycler's
-    // admission cost floor deterministically — but the counters and the
-    // event invariant must still line up
-    assert_eq!(
-        second.executed + second.recycled,
-        first.executed + first.recycled
-    );
-    let instr_events = second
-        .events
-        .iter()
-        .filter(|e| e.kind == mammoth_mal::EventKind::Instr)
-        .count() as u64;
-    assert_eq!(instr_events, second.executed + second.recycled);
 }
 
 #[test]
@@ -478,7 +351,6 @@ fn execute_read_agrees_with_execute_on_every_engine() {
     ];
     let engines = [
         ("serial", seeded()),
-        ("serial+recycler", seeded().with_recycler(64 << 20)),
         (
             "dataflow",
             seeded().with_executor(Box::new(ParallelExecutor::new(2)), 2),

@@ -56,6 +56,22 @@ stray=$(grep -rnE --include='*.rs' "$unsafe_use" crates/*/src src | grep -v "^$d
 [ "$(grep -cE "$unsafe_use" "$dispatch")" -eq 1 ] \
     || { echo "$dispatch must hold exactly one unsafe block"; exit 1; }
 
+echo "==> pass-order gate: no optimizer pipeline is assembled outside crates/mal"
+# The pass order is written once (crates/mal/src/optimizer.rs, `passes`);
+# a session picks one of the public views of it and builds none of its own.
+stray=$(grep -rn --include='*.rs' 'Pipeline::new()' crates/*/src | grep -v '^crates/mal/' || true)
+[ -z "$stray" ] || { echo "a pass list hand-built beside mammoth-mal's:"; echo "$stray"; exit 1; }
+
+echo "==> serving gate: mammoth-server links no evidence crate"
+# What reproduces a paper claim but serves no request (DESIGN.md's "serves /
+# evidence" column) stays out of the daemons. `compression` is linked
+# through `vectorized`'s `Column::Packed` and allowed until ROADMAP 4(b)
+# decides whether a SQL plan ever produces one.
+evidence='recycler|cracking|bufferpool|volcano|cache|xpath|stream|workload|core|bench'
+linked=$(cargo tree --offline -p mammoth-server -e normal --prefix none \
+    | grep -E "^mammoth-($evidence) " | sort -u || true)
+[ -z "$linked" ] || { echo "mammoth-server links evidence crates:"; echo "$linked"; exit 1; }
+
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 

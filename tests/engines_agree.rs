@@ -4,6 +4,8 @@
 //! generated data. This is the correctness backbone of experiments E08 and
 //! E19.
 
+use mammoth::mal::{default_pipeline, Interpreter};
+use mammoth::sql::{compile_select, parse_sql, render_outputs, Statement};
 use mammoth::storage::{Bat, Table};
 use mammoth::types::{ColumnDef, LogicalType, NativeType, TableSchema, Value};
 use mammoth::vectorized::{
@@ -373,10 +375,11 @@ fn candidate_threaded_shapes_match_a_plain_loop_on_every_engine() {
 /// one fused `vector.pipeline` instruction on the serial engine, and per
 /// mitosis fragment (sums, counts and fetched columns) or not at all
 /// (grouping, MIN/MAX and top-N, which `mat.pack` first) on the dataflow
-/// engine. A session with a recycler keeps the column-at-a-time plan: that
-/// is the oracle, and every engine at every thread count must return its
-/// answer exactly — float sums, nil placement and the order of ties
-/// included.
+/// engine. The oracle is the column-at-a-time plan of the same statement —
+/// compiled, run through the fact-free `default_pipeline()` (which cannot
+/// fuse) and interpreted — and every engine at every thread count must
+/// return its answer exactly: float sums, nil placement and the order of
+/// ties included.
 #[test]
 fn fused_plans_agree_with_the_unfused_plan_on_every_engine() {
     let s = slice();
@@ -475,24 +478,35 @@ fn fused_plans_agree_with_the_unfused_plan_on_every_engine() {
         other => panic!("EXPLAIN {q}: {other:?}"),
     };
 
-    let mut unfused = Database::with_recycler(64 << 20);
-    load(&mut unfused);
     let mut serial = Database::new();
     load(&mut serial);
+    // the unfused plan of `q` as text, and its answer
+    let unfused = |db: &Database, q: &str| {
+        let Statement::Select(sel) = parse_sql(q).unwrap() else {
+            panic!("not a SELECT: {q}")
+        };
+        let (prog, names) = compile_select(db.catalog(), &sel).unwrap();
+        let prog = default_pipeline().optimize(prog);
+        let outputs = Interpreter::new(db.catalog()).run(&prog).unwrap();
+        (prog.to_string(), render_outputs(names, outputs).unwrap())
+    };
     let want: Vec<QueryOutput> = queries
         .iter()
         .map(|q| {
-            assert!(!plan(&mut unfused, q).contains("vector.pipeline"), "{q}");
-            assert!(plan(&mut serial, q).contains("vector.pipeline"), "{q}");
-            unfused.execute(q).unwrap()
+            let (text, want) = unfused(&serial, q);
+            assert!(!text.contains("vector.pipeline"), "{q}");
+            want
         })
         .collect();
+    for q in &queries {
+        assert!(plan(&mut serial, q).contains("vector.pipeline"), "{q}");
+    }
     let sorted_whole = plan(&mut serial, &unsorted);
     assert!(
         sorted_whole.contains("algebra.sort(") && sorted_whole.contains("algebra.thetaselect"),
         "{sorted_whole}"
     );
-    assert_eq!(sorted_whole, plan(&mut unfused, &unsorted));
+    assert_eq!(sorted_whole, unfused(&serial, &unsorted).0);
     let engines = [1usize, 2, 4, 0]
         .map(|threads| Engine::Parallel { threads })
         .into_iter()

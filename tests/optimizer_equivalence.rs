@@ -200,7 +200,7 @@ fn cse_actually_fires_on_shared_binds() {
 
 #[test]
 fn recycled_and_cold_runs_agree_per_value() {
-    use mammoth::recycler::{EvictPolicy, Recycler};
+    use mammoth::recycler::{run_recycling, EvictPolicy, Recycler};
     let cat = catalog(1000);
     let mut rec = Recycler::new(64 << 20, EvictPolicy::Lru);
     for sql in QUERIES {
@@ -210,12 +210,8 @@ fn recycled_and_cold_runs_agree_per_value() {
         let (prog, _) = compile_select(&cat, &stmt).unwrap();
         let cold = Interpreter::new(&cat).run(&prog).unwrap();
         // twice through the recycler: second run is fully cached
-        let warm1 = Interpreter::with_recycler(&cat, &mut rec)
-            .run(&prog)
-            .unwrap();
-        let warm2 = Interpreter::with_recycler(&cat, &mut rec)
-            .run(&prog)
-            .unwrap();
+        let (warm1, _) = run_recycling(&cat, &prog, &mut rec).unwrap();
+        let (warm2, _) = run_recycling(&cat, &prog, &mut rec).unwrap();
         assert_eq!(render(cold.clone()), render(warm1), "{sql}");
         assert_eq!(render(cold), render(warm2), "{sql}");
     }

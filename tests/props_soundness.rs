@@ -28,7 +28,7 @@ use mammoth::mal::{
     Program, CHECK_PROPS_ENV,
 };
 use mammoth::parallel::run_dataflow;
-use mammoth::recycler::{EvictPolicy, Recycler};
+use mammoth::recycler::{run_recycling, EvictPolicy, Recycler};
 use mammoth::storage::{Bat, Catalog, Table};
 use mammoth::types::{ColumnDef, LogicalType, TableSchema, Value};
 use mammoth::workload::uniform_i64;
@@ -267,18 +267,17 @@ fn property_checker_reports_zero_violations_across_engines() {
         );
         assert_eq!(got, expected, "{ctx}: passes must preserve answers");
 
-        // recycler, cold then warm: recycled BATs are checked too
+        // recycler, cold then warm: recycled BATs are checked too (this
+        // scheduler and the pool below take the checker from
+        // MAMMOTH_CHECK_PROPS, set above)
         let mut rec = Recycler::new(16 << 20, EvictPolicy::Lru);
         for phase in ["cold", "warm"] {
-            let vals = Interpreter::with_recycler(&cat, &mut rec)
-                .check_props(true)
-                .run(&opt)
+            let (vals, _) = run_recycling(&cat, &opt, &mut rec)
                 .unwrap_or_else(|e| panic!("{ctx} recycler/{phase}: {e}"));
             assert_eq!(answers(&vals), expected, "{ctx} recycler/{phase}");
         }
 
-        // dataflow pool (checker enabled via MAMMOTH_CHECK_PROPS above),
-        // on both the unoptimized and the optimized plan
+        // dataflow pool, on both the unoptimized and the optimized plan
         for (name, plan) in [("unoptimized", &prog), ("optimized", &opt)] {
             let (vals, _) = run_dataflow(&cat, plan, 4)
                 .unwrap_or_else(|e| panic!("{ctx} dataflow/{name}: {e}"));

@@ -2,10 +2,78 @@
 //! working inside the full engine, at a scale unit tests don't reach.
 
 use mammoth::cracking::{Bound, CrackerColumn};
-use mammoth::recycler::{EvictPolicy, Recycler};
-use mammoth::types::Value;
+use mammoth::mal::{default_pipeline, EventKind, ProfiledRun, Program};
+use mammoth::recycler::{run_recycling, run_recycling_profiled, EvictPolicy, Recycler};
+use mammoth::sql::{compile_select, parse_sql, render_outputs, Statement};
+use mammoth::storage::{Bat, Table};
+use mammoth::types::{ColumnDef, LogicalType, TableSchema, Value};
 use mammoth::workload::{range_query_log, skyserver_log, uniform_i64, QueryPattern};
 use mammoth::{Database, QueryOutput};
+
+/// The recycler beside the engine: a [`Database`] takes the writes, its
+/// SELECTs are compiled to the column-at-a-time plan (`compile_select` +
+/// `default_pipeline()`, unfused — the intermediates are what recycles) and
+/// run by the recycling scheduler, and the invalidation a write owes the
+/// cache is spelled out, column by column.
+struct Recycling {
+    db: Database,
+    rec: Recycler,
+}
+
+impl Recycling {
+    /// A database holding `table`, and a roomy cache that admits anything.
+    fn over(table: Table) -> Recycling {
+        let mut db = Database::new();
+        db.catalog_mut().create_table(table).unwrap();
+        let rec = Recycler::new(64 << 20, EvictPolicy::BenefitPerByte);
+        Recycling { db, rec }
+    }
+
+    fn plan(&self, sql: &str) -> (Program, Vec<String>) {
+        let Statement::Select(sel) = parse_sql(sql).unwrap() else {
+            panic!("not a SELECT: {sql}")
+        };
+        let (prog, names) = compile_select(self.db.catalog(), &sel).unwrap();
+        let prog = default_pipeline().optimize(prog);
+        assert!(!prog.to_string().contains("vector.pipeline"), "{prog}");
+        (prog, names)
+    }
+
+    fn select(&mut self, sql: &str) -> QueryOutput {
+        let (prog, names) = self.plan(sql);
+        let (outputs, _) = run_recycling(self.db.catalog(), &prog, &mut self.rec).unwrap();
+        render_outputs(names, outputs).unwrap()
+    }
+
+    fn count(&mut self, sql: &str) -> i64 {
+        match self.select(sql) {
+            QueryOutput::Table { rows, .. } => rows[0][0].as_i64().unwrap(),
+            other => panic!("{sql}: {other:?}"),
+        }
+    }
+
+    fn profiled(&mut self, sql: &str) -> ProfiledRun {
+        let (prog, _) = self.plan(sql);
+        run_recycling_profiled(self.db.catalog(), &prog, &mut self.rec)
+            .unwrap()
+            .1
+    }
+
+    /// A write to `table`, then what DML owes the cache.
+    fn write(&mut self, sql: &str, table: &str, columns: &[&str]) {
+        self.db.execute(sql).unwrap();
+        for c in columns {
+            self.rec.invalidate(&format!("{table}.{c}"));
+        }
+    }
+}
+
+/// One BIGINT column `t.a` of 300 000 rows cycling through `0..7`.
+fn sevens() -> Table {
+    let data: Vec<i64> = (0..300_000).map(|i| i % 7).collect();
+    let schema = TableSchema::new("t", vec![ColumnDef::new("a", LogicalType::I64)]);
+    Table::from_bats(schema, vec![Bat::from_vec(data)]).unwrap()
+}
 
 /// Cracking answers every query of a realistic log exactly like a scan,
 /// while physically reorganizing the column — and converges: late queries
@@ -78,50 +146,30 @@ fn cracking_with_interleaved_updates() {
 }
 
 /// The recycler pays off on a Skyserver-like log and never serves stale
-/// results across DML, inside the full SQL engine.
+/// results across DML, over the plans the SQL front-end compiles.
 #[test]
 fn recycler_on_skyserver_log_with_dml() {
-    let mut db = Database::with_recycler(64 << 20);
-    db.execute("CREATE TABLE sky (ra BIGINT, dec BIGINT)")
-        .unwrap();
     // moderate table so the test stays quick
     let ra = uniform_i64(20_000, 0, 100_000, 1);
     let dec = uniform_i64(20_000, 0, 100_000, 2);
-    use mammoth::storage::{Bat, Table};
-    use mammoth::types::{ColumnDef, LogicalType, TableSchema};
-    db.catalog_mut().drop_table("sky").unwrap();
-    db.catalog_mut()
-        .create_table(
-            Table::from_bats(
-                TableSchema::new(
-                    "sky",
-                    vec![
-                        ColumnDef::new("ra", LogicalType::I64),
-                        ColumnDef::new("dec", LogicalType::I64),
-                    ],
-                ),
-                vec![Bat::from_vec(ra.clone()), Bat::from_vec(dec.clone())],
-            )
-            .unwrap(),
-        )
-        .unwrap();
+    let schema = TableSchema::new(
+        "sky",
+        vec![
+            ColumnDef::new("ra", LogicalType::I64),
+            ColumnDef::new("dec", LogicalType::I64),
+        ],
+    );
+    let columns = vec![Bat::from_vec(ra.clone()), Bat::from_vec(dec.clone())];
+    let mut sky = Recycling::over(Table::from_bats(schema, columns).unwrap());
 
     let log = skyserver_log(120, 2, 15, 1.1, 100_000, 3);
-    let mut answers: Vec<i64> = Vec::new();
-    for q in &log {
+    let sql = |q: &mammoth::workload::ReuseQuery| {
         let col = if q.column == 0 { "ra" } else { "dec" };
-        let out = db
-            .execute(&format!(
-                "SELECT COUNT({col}) FROM sky WHERE {col} >= {} AND {col} <= {}",
-                q.range.lo, q.range.hi
-            ))
-            .unwrap();
-        let QueryOutput::Table { rows, .. } = out else {
-            panic!()
-        };
-        answers.push(rows[0][0].as_i64().unwrap());
-    }
-    let stats = db.recycler_stats().unwrap().clone();
+        let (lo, hi) = (q.range.lo, q.range.hi);
+        format!("SELECT COUNT({col}) FROM sky WHERE {col} >= {lo} AND {col} <= {hi}")
+    };
+    let answers: Vec<i64> = log.iter().map(|q| sky.count(&sql(q))).collect();
+    let stats = sky.rec.stats().clone();
     assert!(
         stats.exact_hits > 50,
         "a zipf log must hit the recycler hard: {stats:?}"
@@ -137,43 +185,84 @@ fn recycler_on_skyserver_log_with_dml() {
         assert_eq!(got, expect);
     }
 
-    // DML must invalidate: the repeated query now sees the new row
+    // DML must invalidate: the repeated query now sees the new row, which
+    // lies inside the range on either column
     let q = &log[0];
-    let col = if q.column == 0 { "ra" } else { "dec" };
-    let out1 = db
-        .execute(&format!(
-            "SELECT COUNT({col}) FROM sky WHERE {col} >= {} AND {col} <= {}",
-            q.range.lo, q.range.hi
-        ))
-        .unwrap();
-    db.execute(&format!(
-        "INSERT INTO sky VALUES ({}, {})",
-        q.range.lo, q.range.lo
-    ))
-    .unwrap();
-    let out2 = db
-        .execute(&format!(
-            "SELECT COUNT({col}) FROM sky WHERE {col} >= {} AND {col} <= {}",
-            q.range.lo, q.range.hi
-        ))
-        .unwrap();
-    let (QueryOutput::Table { rows: r1, .. }, QueryOutput::Table { rows: r2, .. }) = (out1, out2)
-    else {
-        panic!()
-    };
-    let expected_increase = if q.column == 0 { 1 } else { 0 };
+    let before = sky.count(&sql(q));
+    let row = format!("INSERT INTO sky VALUES ({0}, {0})", q.range.lo);
+    sky.write(&row, "sky", &["ra", "dec"]);
     assert_eq!(
-        r2[0][0].as_i64().unwrap(),
-        r1[0][0].as_i64().unwrap() + expected_increase,
+        sky.count(&sql(q)),
+        before + 1,
         "recycler must not serve stale counts after INSERT"
     );
+}
+
+/// A repeated statement is answered from the cache, and a write followed
+/// by its invalidation is not.
+#[test]
+fn recycler_sees_repeats_and_invalidation() {
+    let mut t = Recycling::over(sevens());
+    let sql = "SELECT COUNT(a) FROM t WHERE a > 1";
+    let first = t.count(sql);
+    assert_eq!(t.rec.stats().exact_hits, 0);
+    assert_eq!(t.count(sql), first);
+    // the bind, the selection and the fetch all come back from the cache
+    assert_eq!(t.rec.stats().exact_hits, 3, "{:?}", t.rec.stats());
+    t.write("INSERT INTO t VALUES (5)", "t", &["a"]);
+    assert_eq!(t.rec.stats().invalidations, 3);
+    assert_eq!(t.count(sql), first + 1, "stale cache must not be served");
+}
+
+/// `a <= x < b` and `a <= x <= b` are both `algebra.select(x, a, b)` by
+/// name; the recycler must not answer one with the other's candidates.
+#[test]
+fn recycled_range_selects_keep_their_inclusivity_apart() {
+    let mut t = Recycling::over(sevens());
+    let closed = t.count("SELECT COUNT(a) FROM t WHERE a BETWEEN 2 AND 4");
+    let half_open = t.count("SELECT COUNT(a) FROM t WHERE a >= 2 AND a < 4");
+    assert_eq!((closed, half_open), (128_571, 85_714));
+    // the bind was shared, the selections were not
+    assert_eq!(t.rec.stats().exact_hits, 1);
+}
+
+/// A profiled run marks what it recycled and carries the cache's own
+/// decisions in the same trace, under the engine label the trace schema
+/// reserves for it.
+#[test]
+fn trace_under_recycler_marks_hits() {
+    let mut t = Recycling::over(sevens());
+    let sql = "SELECT COUNT(a) FROM t WHERE a > 1";
+    let kinds = |run: &ProfiledRun, kind: EventKind| {
+        let of_kind = run.events.iter().filter(|e| e.kind == kind);
+        of_kind.count() as u64
+    };
+
+    let cold = t.profiled(sql);
+    assert_eq!(cold.engine, "serial+recycler");
+    assert_eq!(cold.recycled, 0);
+    assert_eq!(kinds(&cold, EventKind::Instr), cold.executed);
+    // bind, selection, fetch; the count is a scalar and stays out
+    assert_eq!(kinds(&cold, EventKind::RecyclerAdmit), 3);
+    assert_eq!(kinds(&cold, EventKind::RecyclerHit), 0);
+
+    let warm = t.profiled(sql);
+    assert_eq!(warm.recycled, 3);
+    assert_eq!(warm.executed + warm.recycled, cold.executed);
+    assert_eq!(kinds(&warm, EventKind::Instr), cold.executed);
+    assert_eq!(kinds(&warm, EventKind::RecyclerHit), 3);
+    let marked = warm.events.iter().filter(|e| e.recycled);
+    // each hit shows twice: on its instruction, and as the cache's event
+    assert_eq!(marked.count() as u64, 2 * warm.recycled);
+    // tracing was for the profiled runs only
+    t.count(sql);
+    assert!(t.rec.take_events().is_empty());
 }
 
 /// Recycler subsumption: a narrow range can be refined from a cached wide
 /// range without touching the base column.
 #[test]
 fn recycler_subsumption_path() {
-    use mammoth::storage::Bat;
     let mut rec = Recycler::new(1 << 20, EvictPolicy::Lru);
     let wide = Bat::from_vec((0..1000i64).collect::<Vec<_>>());
     rec.admit_range(
@@ -289,9 +378,7 @@ mod recycler_equivalence {
             for &cut in &cuts {
                 let prog = plan(cut);
                 let plain = Interpreter::new(&cat).run(&prog).unwrap();
-                let cached = Interpreter::with_recycler(&cat, &mut rec)
-                    .run(&prog)
-                    .unwrap();
+                let (cached, _) = run_recycling(&cat, &prog, &mut rec).unwrap();
                 prop_assert_eq!(flatten(&plain), flatten(&cached));
                 let stats = rec.stats();
                 prop_assert!(stats.exact_hits >= last_hits, "hit counter went backwards");

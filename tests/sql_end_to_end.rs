@@ -263,21 +263,6 @@ fn scan_shapes_fuse_into_one_pipeline_instruction() {
         "COUNT(*) reads the join's left result {left}:\n{lines:#?}"
     );
 
-    // a session with a recycler plans both column at a time: the
-    // intermediates are its product
-    let mut recycling = Database::with_recycler(1 << 20);
-    recycling
-        .execute("CREATE TABLE fact (a BIGINT, b BIGINT, k BIGINT)")
-        .unwrap();
-    recycling.execute("CREATE TABLE dim (k BIGINT)").unwrap();
-    for sql in [join_count, topn] {
-        let lines = plan(&mut recycling, sql);
-        assert!(
-            !lines.iter().any(|l| l.contains("vector.pipeline")),
-            "{sql}"
-        );
-    }
-
     // TRACE: the instruction read the table's rows once and produced its sink's
     for (sql, sink_rows) in [(fused[1], 1), (fused[2], 8), (topn, 10)] {
         let trace = format!("TRACE {sql}");

@@ -7,7 +7,7 @@
 //! runs on:
 //!
 //! * the serial interpreter,
-//! * the serial interpreter with a recycler, twice (cold, then warm),
+//! * the recycling scheduler (`mammoth::recycler`), twice (cold, then warm),
 //! * the dataflow worker pool at 1, 2 and 4 threads — on the *same*
 //!   unrewritten plan, so the executed-opcode multiset must match the
 //!   serial one exactly.
@@ -30,9 +30,9 @@
 
 use mammoth::mal::{Arg, GarbageCollect, Interpreter, MalValue, OpCode, OptimizerPass, Program};
 use mammoth::parallel::run_dataflow_profiled;
-use mammoth::recycler::{EvictPolicy, Recycler};
+use mammoth::recycler::{run_recycling_profiled, EvictPolicy, Recycler};
 use mammoth::storage::{Bat, Catalog, Table};
-use mammoth::types::{ColumnDef, LogicalType, ProfiledRun, TableSchema, Value};
+use mammoth::types::{ColumnDef, EventKind, LogicalType, ProfiledRun, TableSchema, Value};
 use mammoth::workload::uniform_i64;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -185,20 +185,22 @@ fn engines_agree_on_results_and_traces() {
         assert_eq!(serial_run.recycled, 0, "{ctx}: no recycler, no hits");
         let reference_ops = op_multiset(&serial_run, true);
 
-        // serial + recycler: cold, then warm on the same cache
+        // the recycling scheduler: cold, then warm on the same cache. Its
+        // trace also carries the cache's own decisions (`recycler.*`
+        // events); the invariants are stated over the instruction timeline
         let mut rec = Recycler::new(16 << 20, EvictPolicy::Lru);
-        let cold_run = {
-            let mut i = Interpreter::with_recycler(&cat, &mut rec).profiled(true);
-            assert_eq!(scalars(&i.run(&prog).unwrap()), expected, "{ctx} cold");
-            i.profiled_run("serial+recycler")
+        let mut recycling = |phase: &str| {
+            let (vals, mut run) = run_recycling_profiled(&cat, &prog, &mut rec).unwrap();
+            assert_eq!(scalars(&vals), expected, "{ctx} {phase}");
+            assert_eq!(run.engine, "serial+recycler");
+            mammoth::types::validate_trace(&run.to_json_lines())
+                .unwrap_or_else(|e| panic!("{ctx} {phase}: {e}"));
+            run.events.retain(|e| e.kind == EventKind::Instr);
+            check_run(&run, &format!("{ctx} {phase}"));
+            run
         };
-        check_run(&cold_run, &format!("{ctx} cold"));
-        let warm_run = {
-            let mut i = Interpreter::with_recycler(&cat, &mut rec).profiled(true);
-            assert_eq!(scalars(&i.run(&prog).unwrap()), expected, "{ctx} warm");
-            i.profiled_run("serial+recycler")
-        };
-        check_run(&warm_run, &format!("{ctx} warm"));
+        let cold_run = recycling("cold");
+        let warm_run = recycling("warm");
         assert_eq!(
             warm_run.executed + warm_run.recycled,
             serial_run.executed,
