@@ -13,9 +13,11 @@
 //!   `EXPLAIN REPLICATION` `lag_bytes` is sampled throughout, and the
 //!   time from last write to convergence is measured.
 //! * **Failover** — the primary's filesystem is killed mid-stream at a
-//!   deterministic kill point (`FaultFs`); a replica is promoted with a
-//!   drain of the dead primary's surviving directory and must recover
-//!   every acknowledged write (acked <= recovered <= acked + 1).
+//!   deterministic kill point (`FaultFs`); the replica is promoted in
+//!   place (`PROMOTE`'s path: drain the dead primary's surviving
+//!   directory, rebuild the serving session, go read-write) and its
+//!   directory must recover every acknowledged write
+//!   (acked <= recovered <= acked + 1).
 
 use crate::table::TextTable;
 use crate::{record_metric, Metric, Scale};
@@ -198,11 +200,7 @@ pub fn run(scale: Scale) -> String {
     }
     let converge_ms = t_conv.elapsed().as_secs_f64() * 1e3;
     let max_lag = samples.iter().copied().max().unwrap_or(0);
-    let mean_lag = if samples.is_empty() {
-        0.0
-    } else {
-        samples.iter().sum::<u64>() as f64 / samples.len() as f64
-    };
+    let mean_lag = samples.iter().sum::<u64>() as f64 / samples.len().max(1) as f64;
     out.push_str(&format!(
         "\nlag under {lag_writes} sustained INSERTs (1 ms probe): max {max_lag} bytes, \
          mean {mean_lag:.0} bytes over {} samples; converged {converge_ms:.0} ms after \
@@ -240,7 +238,9 @@ pub fn run(scale: Scale) -> String {
     })
     .expect("doomed primary start");
     let daddr = doomed.local_addr().to_string();
-    let replica = Replica::start(replica_cfg(&daddr, &frdir)).expect("failover replica");
+    let mut rcfg = replica_cfg(&daddr, &frdir);
+    rcfg.primary_data = Some(fpdir.clone());
+    let replica = Replica::start(rcfg).expect("failover replica");
     let mut acked = 0u64;
     {
         let mut c = Client::connect(&daddr, "doomed-writer", "").unwrap();
@@ -255,9 +255,10 @@ pub fn run(scale: Scale) -> String {
     }
     std::thread::sleep(Duration::from_millis(100));
     let t_promote = Instant::now();
-    let promoted = replica.promote(Some(&fpdir)).expect("promotion");
+    replica.promote_in_place().expect("promotion");
     let promote_s = t_promote.elapsed().as_secs_f64();
-    let recovered = Session::open_durable(promoted)
+    replica.shutdown().expect("promoted replica shutdown");
+    let recovered = Session::open_durable(&frdir)
         .expect("promoted dir must recover")
         .catalog()
         .table("t")
@@ -269,7 +270,7 @@ pub fn run(scale: Scale) -> String {
     );
     out.push_str(&format!(
         "\nfailover: primary killed after {acked} acked INSERTs → promoted replica \
-         recovered {recovered} ({:.1} ms incl. drain)\n",
+         recovered {recovered} ({:.1} ms in-place promotion incl. drain)\n",
         promote_s * 1e3
     ));
     record_metric(Metric {

@@ -21,10 +21,10 @@
 //! * **Restart is just recovery.** A restarted replica opens its local
 //!   directory like any durable session and resumes from its own WAL
 //!   length.
-//! * **Promotion is a rename-free failover.** A promoted replica's
-//!   directory *is* a valid primary directory; after draining whatever
-//!   the dead primary's disk still holds, a read-write server starts on
-//!   it directly.
+//! * **Promotion is recovery in place.** The mirror *is* a valid primary
+//!   directory: after draining whatever the dead primary's disk still
+//!   holds, the replica rebuilds its session over it and lifts its
+//!   read-only gate, without a rename or a restart.
 //!
 //! Divergence discipline: any local corruption — a bad CRC in the tailed
 //! WAL, a chunk that does not extend the local file, a torn tail at

@@ -8,21 +8,22 @@
 //! [`crate::applier::Applier`], and folds committed statement groups into
 //! the serving session.
 //!
-//! Failover comes in two shapes:
-//!
-//! * [`Replica::promote`] (consuming) stops replication, drains whatever
-//!   the dead primary's surviving directory still holds beyond the
-//!   replicated prefix (WAL shipping is asynchronous, so the replica may
-//!   trail by the last poll interval), and returns the data directory —
-//!   now a valid primary directory — for a read-write server to start on.
-//! * **In-place promotion** keeps the replica's server (and its client
-//!   connections) alive: a `PROMOTE` statement — sent by an operator or by
-//!   the shard coordinator's health monitor — stops the puller, drains the
-//!   dead primary's directory (`ReplicaConfig::primary_data`), rebuilds
-//!   the serving session over the recovered state, and only then lifts the
-//!   server's read-only gate. Progress is observable through
-//!   `EXPLAIN REPLICATION`: `role` flips from `replica` to `primary` when
-//!   promotion completes, which is exactly what the coordinator polls for.
+//! Failover is promotion in place, and it keeps the replica's server (and
+//! its client connections) alive: a `PROMOTE` statement — sent by an
+//! operator or by the shard coordinator's health monitor — or a direct
+//! [`Replica::promote_in_place`] call stops the puller, drains whatever
+//! the dead primary's directory (`ReplicaConfig::primary_data`) still
+//! holds beyond the replicated prefix (WAL shipping is asynchronous, so
+//! the replica may trail by the last poll interval), rebuilds the serving
+//! session over the recovered state, and only then lifts the server's
+//! read-only gate. Progress is observable through `EXPLAIN REPLICATION`:
+//! `role` flips from `replica` to `primary` when promotion completes,
+//! which is exactly what the coordinator polls for. The drain reads the
+//! dead primary's files directly — no server is involved — and only ever
+//! *extends* the local WAL; if the dead primary sits on a generation the
+//! replica never reached, the mirror is replaced by a verbatim copy. A
+//! torn tail in the drained bytes is fine: recovery discards it exactly as
+//! it would after the node's own crash.
 
 use crate::applier::Applier;
 use mammoth_server::{Client, RetryPolicy, Server, ServerConfig, SessionSpec, SharedSession};
@@ -158,7 +159,6 @@ struct PromoteWiring {
 pub struct Replica {
     server: Option<Server>,
     cfg: ReplicaConfig,
-    fs: Arc<dyn Vfs>,
     counters: Arc<Counters>,
     stop: Arc<AtomicBool>,
     puller: Arc<Mutex<Option<JoinHandle<()>>>>,
@@ -250,7 +250,6 @@ impl Replica {
         let mut r = Replica {
             server: Some(server),
             cfg,
-            fs,
             counters,
             stop,
             puller: puller_slot,
@@ -314,46 +313,13 @@ impl Replica {
         Ok(self.counters.snapshot())
     }
 
-    /// Fail over: stop replication, drain whatever `dead_primary`'s
-    /// directory holds beyond the replicated prefix (pass `None` when the
-    /// primary's disk is lost — then the replicated prefix is all that
-    /// survives), and return the data directory for a read-write server
-    /// to start on.
-    ///
-    /// The drain reads the dead primary's files directly — no server is
-    /// involved — and only ever *extends* the local WAL: if the dead
-    /// primary sits on a generation the replica never reached, the local
-    /// mirror is replaced by a verbatim copy. A torn tail in the drained
-    /// bytes is fine; the promoted server's recovery discards it exactly
-    /// as it would after its own crash.
-    pub fn promote(mut self, dead_primary: Option<&Path>) -> Result<PathBuf> {
-        self.stop_puller();
-        if let Some(server) = self.server.take() {
-            server.shutdown()?;
-        }
-        let t = Instant::now();
-        let mut drained = 0u64;
-        if let Some(proot) = dead_primary {
-            drained = drain_into(&self.fs, &self.cfg.data, proot)?;
-        }
-        self.trace(
-            EventKind::ReplPromote,
-            format!(
-                "drained={drained} bytes from {:?}",
-                dead_primary.map(|p| p.display().to_string())
-            ),
-            t,
-        );
-        self.flush_trace()?;
-        Ok(self.cfg.data.clone())
-    }
-
     /// Fail over *without* tearing the server down: stop replication,
     /// drain the dead primary's directory (`cfg.primary_data`), rebuild
     /// the serving session over the recovered state, then lift the
     /// read-only gate — existing connections ride through and `role`
     /// flips to `primary`. This is what the `PROMOTE` statement runs
-    /// (asynchronously); tests and embedders may call it directly.
+    /// (asynchronously); tests and embedders may call it directly, and
+    /// after [`Replica::shutdown`] the data directory is a primary's.
     /// Idempotent: a second call is a no-op. Returns WAL bytes drained.
     pub fn promote_in_place(&self) -> Result<u64> {
         run_promotion(&self.promo)

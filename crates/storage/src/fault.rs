@@ -204,6 +204,13 @@ impl FaultFs {
         self.state.lock().unwrap().fired_on.clone()
     }
 
+    /// Die now, whatever the plan says: every later mutating op fails.
+    pub fn crash_now(&self) {
+        let mut st = self.state.lock().unwrap();
+        st.crashed = true;
+        st.fired_on.get_or_insert_with(|| "crash_now".into());
+    }
+
     fn injected(&self, what: &str) -> Error {
         Error::Io(format!("injected fault: {what}"))
     }
@@ -216,28 +223,15 @@ impl FaultFs {
         if st.crashed {
             return Err(self.injected(&format!("process dead before op {n} ({what})")));
         }
-        if n == st.plan.at_op {
-            st.fired_on = Some(format!("op {n}: {what}"));
-            match st.plan.kind {
-                FaultKind::Fail => {
-                    st.crashed = true;
-                    Err(self.injected(&format!("op {n} failed ({what})")))
-                }
-                FaultKind::ShortWrite(k) => {
-                    st.crashed = true;
-                    Ok(Some(k))
-                }
-                FaultKind::CrashAfter => {
-                    // the op itself runs; the crash lands on the next admit
-                    st.plan.at_op = n; // any later op sees crashed below
-                    st.crashed = true;
-                    // un-crash for this one op by signalling "run normally";
-                    // the flag is honored starting from the next call
-                    Ok(None)
-                }
-            }
-        } else {
-            Ok(None)
+        if n != st.plan.at_op {
+            return Ok(None);
+        }
+        st.fired_on = Some(format!("op {n}: {what}"));
+        st.crashed = true; // every later op fails
+        match st.plan.kind {
+            FaultKind::Fail => Err(self.injected(&format!("op {n} failed ({what})"))),
+            FaultKind::ShortWrite(k) => Ok(Some(k)),
+            FaultKind::CrashAfter => Ok(None), // this one still runs
         }
     }
 }
@@ -371,6 +365,8 @@ mod tests {
         fs.sync(&d.join("a")).unwrap();
         assert_eq!(fs.op_count(), 3);
         assert!(fs.fired_on().is_none());
+        fs.crash_now();
+        assert!(fs.sync(&d.join("a")).is_err(), "dead once crashed");
         let _ = fs::remove_dir_all(&d);
     }
 

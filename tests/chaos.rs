@@ -23,59 +23,23 @@
 //! and operation counters are process-global, so a second arming test on
 //! a parallel test thread would steal the first one's faults.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mammoth_replica::{Replica, ReplicaConfig};
-use mammoth_server::{RetryPolicy, Server, ServerConfig, SessionSpec};
-use mammoth_shard::{shard_of, CoordError, Coordinator, CoordinatorConfig};
-use mammoth_sql::{QueryOutput, Session};
+use mammoth_shard::{shard_of, CoordError, Coordinator};
+use mammoth_sql::QueryOutput;
 use mammoth_types::netfault;
 use mammoth_types::Value;
 
+mod support;
+use support::cluster::{ask, wait_served, Cluster, Spec};
+use support::wait_for;
+
 const NSHARDS: usize = 3;
-
-fn tmpdir(tag: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("mammoth-chaos-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
-
-fn chaos_seed() -> u64 {
-    std::env::var(netfault::NET_FAULT_SEED_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(1)
-}
-
-fn quick_retry(seed: u64) -> RetryPolicy {
-    RetryPolicy {
-        attempts: 3,
-        base_delay: Duration::from_millis(5),
-        max_delay: Duration::from_millis(25),
-        seed,
-    }
-}
 
 fn count_all(coord: &Coordinator) -> Result<i64, CoordError> {
     match coord.execute("SELECT COUNT(*) FROM t")? {
-        QueryOutput::Table { rows, .. } => match rows[0][0] {
-            Value::I64(n) => Ok(n),
-            ref other => panic!("COUNT(*) returned {other:?}"),
-        },
+        QueryOutput::Table { rows, .. } => Ok(rows[0][0].as_i64().unwrap()),
         other => panic!("COUNT(*) returned {other:?}"),
-    }
-}
-
-/// Poll `f` until it returns `Some`, panicking with `what` on timeout.
-fn wait_for<T>(deadline: Duration, what: &str, mut f: impl FnMut() -> Option<T>) -> T {
-    let t0 = Instant::now();
-    loop {
-        if let Some(v) = f() {
-            return v;
-        }
-        assert!(t0.elapsed() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(10));
     }
 }
 
@@ -91,23 +55,12 @@ fn seeded_net_faults_degrade_typed_and_lose_no_acked_write() {
         .lock()
         .unwrap_or_else(|e| e.into_inner());
     netfault::clear();
-    let seed = chaos_seed();
-
-    let mut servers = Vec::new();
-    let mut addrs = Vec::new();
-    for _ in 0..NSHARDS {
-        let srv = Server::start(ServerConfig {
-            spec: SessionSpec::in_memory(),
-            ..ServerConfig::default()
-        })
-        .unwrap();
-        addrs.push(srv.local_addr().to_string());
-        servers.push(srv);
-    }
-    let mut cfg = CoordinatorConfig::new(addrs);
-    cfg.deadline = Duration::from_millis(1500);
-    cfg.retry = quick_retry(seed);
-    let coord = Coordinator::new(cfg);
+    let seed = support::seed(netfault::NET_FAULT_SEED_ENV, 1);
+    let cluster = Cluster::start(Spec {
+        seed,
+        ..Spec::in_memory(NSHARDS)
+    });
+    let coord = cluster.coord();
 
     // Clean setup, then arm the seeded schedule for the workload proper.
     coord
@@ -178,9 +131,6 @@ fn seeded_net_faults_degrade_typed_and_lose_no_acked_write() {
         baseline + acked <= total && total <= baseline + attempted,
         "seed {seed}: acked {acked} of {attempted} over baseline {baseline}, but counted {total}"
     );
-    for s in servers {
-        s.shutdown().unwrap();
-    }
 }
 
 // --------------------------------------------------------------- failover
@@ -196,43 +146,17 @@ fn primary_death_degrades_reads_then_promotes_the_replica() {
         .unwrap_or_else(|e| e.into_inner());
     netfault::clear();
 
-    let pdirs: Vec<_> = (0..NSHARDS).map(|i| tmpdir(&format!("ha-p{i}"))).collect();
-    let rdirs: Vec<_> = (0..NSHARDS).map(|i| tmpdir(&format!("ha-r{i}"))).collect();
-    let mut servers: Vec<Option<Server>> = Vec::new();
-    let mut addrs = Vec::new();
-    for dir in &pdirs {
-        let srv = Server::start(ServerConfig {
-            spec: SessionSpec::durable(dir),
-            ..ServerConfig::default()
-        })
-        .unwrap();
-        addrs.push(srv.local_addr().to_string());
-        servers.push(Some(srv));
-    }
-    let mut replicas: Vec<Option<Replica>> = Vec::new();
-    let mut raddrs = Vec::new();
-    for (i, rdir) in rdirs.iter().enumerate() {
-        let mut rcfg = ReplicaConfig::new(&addrs[i], rdir);
-        rcfg.poll_interval = Duration::from_millis(5);
-        rcfg.retry = quick_retry(11);
-        // The replica can see its primary's disk: promotion drains the
-        // unreplicated WAL tail, which is what makes `acked <=
-        // recovered` hold exactly, not just up to replication lag.
-        rcfg.primary_data = Some(pdirs[i].clone());
-        let r = Replica::start(rcfg).unwrap();
-        raddrs.push(r.local_addr().to_string());
-        replicas.push(Some(r));
-    }
-
-    let mut cfg = CoordinatorConfig::new(addrs.clone());
-    cfg.deadline = Duration::from_millis(1500);
-    cfg.retry = quick_retry(23);
-    cfg.replicas = raddrs.iter().cloned().map(Some).collect();
-    cfg.probe_interval = Duration::from_millis(25);
-    cfg.suspect_after = 2;
-    cfg.promote_timeout = Duration::from_secs(10);
-    let coord = Arc::new(Coordinator::new(cfg));
-    coord.start_health_monitor();
+    // Every replica can see its primary's disk: promotion drains the
+    // unreplicated WAL tail, which is what makes `acked <= recovered`
+    // hold exactly, not just up to replication lag.
+    let mut cluster = Cluster::start(Spec {
+        replicas: (0..NSHARDS).collect(),
+        primary_data: true,
+        seed: 23,
+        monitor: true,
+        ..Spec::durable(NSHARDS)
+    });
+    let coord = cluster.coord();
 
     coord
         .execute("CREATE TABLE t (id BIGINT NOT NULL, v BIGINT)")
@@ -249,44 +173,31 @@ fn primary_death_degrades_reads_then_promotes_the_replica() {
     }
     let pre_kill: i64 = next_id;
     // `caught_up` latches at the first empty poll, so ask each replica's
-    // own server when it actually *serves* every acked row — that is the
-    // state a degraded read will be judged against.
-    for (i, raddr) in raddrs.iter().enumerate() {
-        use mammoth_server::{Client, Response};
-        wait_for(Duration::from_secs(20), "replica convergence", || {
-            let mut c = Client::connect(raddr, "chaos-check", "").ok()?;
-            let served = match c.query("SELECT COUNT(*) FROM t").ok()? {
-                Response::Table { rows, .. } => match rows[0][0] {
-                    Value::I64(n) => n as u64,
-                    ref other => panic!("COUNT(*) returned {other:?}"),
-                },
-                other => panic!("COUNT(*) returned {other:?}"),
-            };
-            let _ = c.quit();
-            (served == acked[i]).then_some(())
-        });
+    // own server when it actually *serves* what its primary does — that is
+    // the state a degraded read will be judged against.
+    let count = "SELECT COUNT(*) FROM t";
+    for i in 0..NSHARDS {
+        let want = ask(&cluster.addr(i), count).unwrap();
+        wait_served(&cluster.replica_addr(i), count, &want);
     }
     assert_eq!(coord.shard_health(), vec!["healthy"; NSHARDS]);
 
-    // Kill shard 1's primary. Its listener closes, so the monitor's next
-    // probes miss and confirm the death.
+    // Shard 1's primary dies as `kill -9` leaves it: no shutdown
+    // checkpoint, so promotion extends the replica's WAL from the dead
+    // directory. Its listener closes, so the monitor's next probes miss
+    // and confirm the death.
     let victim = 1usize;
-    servers[victim].take().unwrap().shutdown().unwrap();
+    cluster.crash(victim);
 
     // Reads must flow during the outage: first typed-or-correct while
     // the monitor converges, then correct. A succeeding fan-out count is
     // exact — the replica was caught up and no writes have raced it.
-    let t0 = Instant::now();
-    let mut degraded_reads = 0u32;
     let total = wait_for(
         Duration::from_secs(15),
         "a degraded read",
         || match count_all(&coord) {
             Ok(n) => Some(n),
-            Err(CoordError::Unavailable(_)) | Err(CoordError::Remote { .. }) => {
-                degraded_reads += 1;
-                None
-            }
+            Err(CoordError::Unavailable(_)) | Err(CoordError::Remote { .. }) => None,
             Err(e) => panic!("untyped read failure during outage: {e}"),
         },
     );
@@ -294,49 +205,32 @@ fn primary_death_degrades_reads_then_promotes_the_replica() {
         total, pre_kill,
         "degraded read must not lose or invent rows"
     );
-    let _ = (t0, degraded_reads); // observability only; timing is env-dependent
 
     // Writes: victim-owned keys fail *typed* until promotion restores
     // the shard; live shards keep acking throughout. Loop until a
     // victim-owned write lands — that is write availability restored.
-    let mut victim_write_failures = 0u32;
-    let t_promote = Instant::now();
-    'restored: loop {
-        assert!(
-            t_promote.elapsed() < Duration::from_secs(20),
-            "promotion never restored victim writes \
-             ({victim_write_failures} typed failures observed)"
-        );
+    let restored = "promotion to restore victim writes";
+    wait_for(Duration::from_secs(20), restored, || {
         let id = next_id;
         next_id += 1;
         let owner = shard_of(&Value::I64(id), NSHARDS);
         match coord.execute(&format!("INSERT INTO t VALUES ({id}, 0)")) {
             Ok(QueryOutput::Affected(1)) => {
                 acked[owner] += 1;
-                if owner == victim {
-                    break 'restored;
-                }
+                (owner == victim).then_some(())
             }
             Err(CoordError::Unavailable(msg)) => {
-                assert_eq!(
-                    owner, victim,
-                    "only the dead shard may refuse a write: {msg}"
-                );
-                victim_write_failures += 1;
-                std::thread::sleep(Duration::from_millis(20));
+                assert_eq!(owner, victim, "only the dead shard may refuse: {msg}");
+                None
             }
             other => panic!("INSERT during outage answered {other:?}"),
         }
-    }
+    });
 
     // The control plane must agree: every shard healthy again, the
     // victim's primary address swapped to the promoted replica, and its
     // replica slot consumed.
-    wait_for(
-        Duration::from_secs(10),
-        "all-healthy EXPLAIN SHARDING",
-        || (coord.shard_health() == vec!["healthy"; NSHARDS]).then_some(()),
-    );
+    cluster.wait_healthy();
     match coord.execute("EXPLAIN SHARDING").unwrap() {
         QueryOutput::Table { columns, rows } => {
             assert_eq!(columns[3], "addr");
@@ -345,7 +239,8 @@ fn primary_death_degrades_reads_then_promotes_the_replica() {
                     panic!("unexpected row shape {r:?}")
                 };
                 if shard as usize == victim {
-                    assert_eq!(r[3], Value::Str(raddrs[victim].clone()), "addr not swapped");
+                    let promoted = cluster.replica_addr(victim);
+                    assert_eq!(r[3], Value::Str(promoted), "addr not swapped");
                     assert_eq!(r[6], Value::Str(String::new()), "replica slot not consumed");
                 }
                 assert_eq!(r[5], Value::Str("healthy".into()));
@@ -358,33 +253,11 @@ fn primary_death_degrades_reads_then_promotes_the_replica() {
 
     // Audit durable state per shard: survivors from their own
     // directories, the victim from the promoted replica's mirror.
-    coord.stop_health_monitor();
-    drop(coord);
-    for r in replicas.into_iter().flatten() {
-        r.shutdown().unwrap();
-    }
-    for s in servers.iter_mut() {
-        if let Some(srv) = s.take() {
-            srv.shutdown().unwrap();
-        }
-    }
-    for i in 0..NSHARDS {
-        let dir = if i == victim { &rdirs[i] } else { &pdirs[i] };
-        let mut session = Session::open_durable(dir).unwrap();
-        let recovered = match session.execute("SELECT COUNT(*) FROM t").unwrap() {
-            QueryOutput::Table { rows, .. } => match rows[0][0] {
-                Value::I64(n) => n as u64,
-                ref other => panic!("COUNT(*) returned {other:?}"),
-            },
-            other => panic!("COUNT(*) returned {other:?}"),
-        };
+    for (i, acked) in acked.into_iter().enumerate() {
+        let recovered = cluster.audit(i).len() as u64;
         assert!(
-            acked[i] <= recovered && recovered <= acked[i] + 1,
-            "shard {i}: acked {} recovered {recovered}",
-            acked[i]
+            acked <= recovered && recovered <= acked + 1,
+            "shard {i}: acked {acked} recovered {recovered}"
         );
-    }
-    for d in pdirs.iter().chain(rdirs.iter()) {
-        let _ = std::fs::remove_dir_all(d);
     }
 }

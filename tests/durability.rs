@@ -12,46 +12,20 @@
 //! The workload is deterministic per seed; `MAMMOTH_FAULT_SEED` selects
 //! one (the CI crash matrix runs seeds 1..=4).
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use mammoth_sql::Session;
 use mammoth_storage::{FaultFs, FaultKind, FaultPlan};
 use mammoth_types::{TableSchema, Value};
 
+mod support;
+use support::{seed, Rng, Scratch};
+
 /// Small merge threshold so the workload crosses it and logs Merge records.
 const MERGE_THRESHOLD: usize = 8;
 
 type Dump = Vec<(String, TableSchema, Vec<Vec<Value>>)>;
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("mammoth-dura-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
-
-/// xorshift64* — deterministic, seed-parameterised workload without
-/// pulling in an RNG crate.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.wrapping_mul(2685821657736338717).max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(2685821657736338717)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 /// A deterministic workload of always-valid statements: multi-row inserts
 /// (the torn-batch case), predicate deletes, a mid-stream CHECKPOINT, DDL.
@@ -129,39 +103,30 @@ fn recovered_dump(dir: &Path) -> Dump {
     s.catalog().logical_dump()
 }
 
-fn seed_from_env() -> u64 {
-    std::env::var("MAMMOTH_FAULT_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
 #[test]
 fn fault_free_run_recovers_final_state() {
-    let stmts = workload(seed_from_env());
+    let stmts = workload(seed("MAMMOTH_FAULT_SEED", 0));
     let states = oracle_states(&stmts);
-    let dir = tmpdir("clean");
+    let dir = Scratch::new("dura-clean");
     let fs = Arc::new(FaultFs::new(FaultPlan::none()));
     let acked = run_until_crash(Arc::clone(&fs), &dir, &stmts);
     assert_eq!(acked, stmts.len(), "fault-free run must ack everything");
     assert!(fs.op_count() > 0);
     assert_eq!(recovered_dump(&dir), *states.last().unwrap());
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn kill_point_sweep_recovers_committed_prefix() {
-    let seed = seed_from_env();
+    let seed = seed("MAMMOTH_FAULT_SEED", 0);
     let stmts = workload(seed);
     let states = oracle_states(&stmts);
 
     // measure the op budget of a clean run; every one of those ops is a
     // kill point
-    let probe_dir = tmpdir("probe");
+    let probe_dir = Scratch::new("dura-probe");
     let probe = Arc::new(FaultFs::new(FaultPlan::none()));
     run_until_crash(Arc::clone(&probe), &probe_dir, &stmts);
     let total_ops = probe.op_count();
-    let _ = std::fs::remove_dir_all(&probe_dir);
     assert!(total_ops > 20, "workload too small to be interesting");
 
     let kinds = [
@@ -173,7 +138,7 @@ fn kill_point_sweep_recovers_committed_prefix() {
     let mut checked = 0u64;
     for kind in kinds {
         for at_op in 0..total_ops {
-            let dir = tmpdir("sweep");
+            let dir = Scratch::new("dura-sweep");
             let fs = Arc::new(FaultFs::new(FaultPlan { at_op, kind }));
             let acked = run_until_crash(Arc::clone(&fs), &dir, &stmts);
             let got = recovered_dump(&dir);
@@ -187,7 +152,6 @@ fn kill_point_sweep_recovers_committed_prefix() {
                 fs.fired_on(),
             );
             checked += 1;
-            let _ = std::fs::remove_dir_all(&dir);
         }
     }
     assert_eq!(checked, 4 * total_ops);

@@ -9,11 +9,11 @@
 //! integration-test file its own process, so isolation comes from the
 //! file boundary (same discipline as `trace_export.rs`).
 
-use mammoth_server::{Server, ServerConfig, SessionSpec};
-use mammoth_shard::{Coordinator, CoordinatorConfig};
 use mammoth_sql::QueryOutput;
 use mammoth_types::{validate_trace, TRACE_ENV};
-use std::time::Duration;
+
+mod support;
+use support::cluster::{Cluster, Spec};
 
 #[test]
 fn coordinator_compiles_each_statement_once_per_lifetime() {
@@ -24,20 +24,8 @@ fn coordinator_compiles_each_statement_once_per_lifetime() {
     let _ = std::fs::remove_file(&path);
     std::env::set_var(TRACE_ENV, &path);
 
-    let mut servers = Vec::new();
-    let mut addrs = Vec::new();
-    for _ in 0..3 {
-        let srv = Server::start(ServerConfig {
-            spec: SessionSpec::in_memory(),
-            ..ServerConfig::default()
-        })
-        .unwrap();
-        addrs.push(srv.local_addr().to_string());
-        servers.push(srv);
-    }
-    let mut cfg = CoordinatorConfig::new(addrs);
-    cfg.deadline = Duration::from_millis(2000);
-    let coord = Coordinator::new(cfg);
+    let cluster = Cluster::start(Spec::in_memory(3));
+    let coord = cluster.coord();
 
     coord.execute("CREATE TABLE t (k INT, v INT)").unwrap();
     coord
@@ -66,9 +54,7 @@ fn coordinator_compiles_each_statement_once_per_lifetime() {
     }
 
     coord.flush_trace().unwrap();
-    for srv in servers {
-        srv.shutdown().unwrap();
-    }
+    drop(cluster);
     std::env::remove_var(TRACE_ENV);
 
     let text = std::fs::read_to_string(&path).expect("trace file must exist");

@@ -12,81 +12,29 @@
 //!   garbled row.
 //! * **Failover** — with the primary killed at a randomized filesystem
 //!   kill point (`MAMMOTH_FAULT_SEED` selects the schedule), promoting a
-//!   replica that drains the dead primary's surviving directory loses no
-//!   acknowledged write: acked <= recovered <= acked + 1 (the `+ 1` is a
-//!   write that became durable without its OK reaching the client).
+//!   replica in place — it drains the dead primary's surviving directory
+//!   first — loses no acknowledged write: acked <= recovered <= acked + 1
+//!   (the `+ 1` is a write that became durable without its OK reaching
+//!   the client).
 
-use mammoth_replica::{Replica, ReplicaConfig};
-use mammoth_server::{
-    Client, ClientError, ErrorCode, Response, RetryPolicy, Server, ServerConfig, SessionSpec,
-};
-use mammoth_sql::Session;
+use mammoth_server::{Client, ClientError, ErrorCode, Response, SessionSpec};
 use mammoth_storage::persist::wal_file_name;
 use mammoth_storage::{FaultFs, FaultKind, FaultPlan};
 use mammoth_types::Value;
-use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("mammoth-repl-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
-
-fn start_primary(dir: &PathBuf) -> (Server, String) {
-    let srv = Server::start(ServerConfig {
-        spec: SessionSpec::durable(dir),
-        ..ServerConfig::default()
-    })
-    .unwrap();
-    let addr = srv.local_addr().to_string();
-    (srv, addr)
-}
-
-fn start_replica(primary: &str, dir: &PathBuf) -> Replica {
-    let mut cfg = ReplicaConfig::new(primary, dir);
-    cfg.poll_interval = Duration::from_millis(5);
-    cfg.retry = RetryPolicy {
-        attempts: 10,
-        base_delay: Duration::from_millis(5),
-        max_delay: Duration::from_millis(50),
-        seed: 42,
-    };
-    Replica::start(cfg).unwrap()
-}
-
-fn select_all(addr: &str, sql: &str) -> Response {
-    let mut c = Client::connect(addr, "checker", "").unwrap();
-    let r = c.query(sql).unwrap();
-    c.quit().unwrap();
-    r
-}
-
-/// Poll until `replica`'s answer to `sql` equals `want` (the primary's
-/// answer), failing after `deadline`.
-fn wait_for_match(replica_addr: &str, sql: &str, want: &Response, deadline: Duration) {
-    let t0 = Instant::now();
-    let mut last = None;
-    while t0.elapsed() < deadline {
-        let got = select_all(replica_addr, sql);
-        if &got == want {
-            return;
-        }
-        last = Some(got);
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    panic!("replica never converged on {sql:?}: wanted {want:?}, last saw {last:?}");
-}
+mod support;
+use support::cluster::{ask, wait_served, Cluster, Spec};
+use support::{seed, tmpdir, wait_for};
 
 #[test]
 fn replicas_converge_to_identical_tables() {
-    let pdir = tmpdir("conv-p");
-    let r1dir = tmpdir("conv-r1");
-    let r2dir = tmpdir("conv-r2");
-    let (primary, paddr) = start_primary(&pdir);
-    let r1 = start_replica(&paddr, &r1dir);
-    let r2 = start_replica(&paddr, &r2dir);
+    let cluster = Cluster::start(Spec {
+        replicas: vec![0, 0],
+        ..Spec::durable(1)
+    });
+    let paddr = cluster.addr(0);
 
     let mut c = Client::connect(&paddr, "writer", "").unwrap();
     c.query("CREATE TABLE t (a INT, b TEXT)").unwrap();
@@ -103,17 +51,15 @@ fn replicas_converge_to_identical_tables() {
     }
 
     let sql = "SELECT a, b FROM t";
-    let want = select_all(&paddr, sql);
+    let want = ask(&paddr, sql).unwrap();
     match &want {
         Response::Table { rows, .. } => assert_eq!(rows.len(), 30),
         other => panic!("expected table, got {other:?}"),
     }
-    for (r, addr) in [
-        (&r1, r1.local_addr().to_string()),
-        (&r2, r2.local_addr().to_string()),
-    ] {
+    for k in 0..2 {
+        let (r, addr) = (cluster.replica(k), cluster.replica_addr(k));
         assert!(r.wait_caught_up(Duration::from_secs(20)), "never caught up");
-        wait_for_match(&addr, sql, &want, Duration::from_secs(20));
+        wait_served(&addr, sql, &want);
         // Writes must be refused at the replica.
         let mut rc = Client::connect(&addr, "misguided", "").unwrap();
         match rc.query("INSERT INTO t VALUES (99, 'nope')") {
@@ -131,22 +77,18 @@ fn replicas_converge_to_identical_tables() {
             other => panic!("expected status table, got {other:?}"),
         }
         rc.quit().unwrap();
-    }
-    let s1 = r1.shutdown().unwrap();
-    assert!(s1.applied_groups > 0 || s1.bootstraps > 0);
-    r2.shutdown().unwrap();
-    drop(c);
-    primary.shutdown().unwrap();
-    for d in [pdir, r1dir, r2dir] {
-        let _ = std::fs::remove_dir_all(&d);
+        let status = r.status();
+        assert!(status.applied_groups > 0 || status.bootstraps > 0);
     }
 }
 
 #[test]
 fn corrupted_replica_rebootstraps_never_serves_garbage() {
-    let pdir = tmpdir("div-p");
-    let rdir = tmpdir("div-r");
-    let (primary, paddr) = start_primary(&pdir);
+    let mut cluster = Cluster::start(Spec {
+        replicas: vec![0],
+        ..Spec::durable(1)
+    });
+    let paddr = cluster.addr(0);
 
     let mut c = Client::connect(&paddr, "writer", "").unwrap();
     c.query("CREATE TABLE t (a INT)").unwrap();
@@ -159,98 +101,77 @@ fn corrupted_replica_rebootstraps_never_serves_garbage() {
     c.query("INSERT INTO t VALUES (10)").unwrap();
 
     let sql = "SELECT a FROM t";
-    let want = select_all(&paddr, sql);
+    let want = ask(&paddr, sql).unwrap();
+    assert!(cluster.replica(0).wait_caught_up(Duration::from_secs(20)));
+    wait_served(&cluster.replica_addr(0), sql, &want);
+    let gen = cluster.replica(0).status().generation;
 
-    let r = start_replica(&paddr, &rdir);
-    assert!(r.wait_caught_up(Duration::from_secs(20)));
-    let raddr = r.local_addr().to_string();
-    wait_for_match(&raddr, sql, &want, Duration::from_secs(20));
-    let gen = r.status().generation;
-    r.shutdown().unwrap();
+    // Corrupt the mirror's WAL mid-file (flip a byte past the header) and
+    // restart the replica on it: it must detect the divergence, wipe, and
+    // re-bootstrap.
+    cluster.restart_replica(0, |rdir| {
+        let wal = rdir.join(wal_file_name(gen));
+        let mut bytes = std::fs::read(&wal).unwrap();
+        assert!(bytes.len() > 12, "need a record to corrupt");
+        let mid = 8 + (bytes.len() - 8) / 2;
+        bytes[mid] ^= 0x40;
+        std::fs::write(&wal, &bytes).unwrap();
+    });
 
-    // Corrupt the mirror's WAL mid-file: flip a byte past the header.
-    let wal = rdir.join(wal_file_name(gen));
-    let mut bytes = std::fs::read(&wal).unwrap();
-    assert!(bytes.len() > 12, "need a record to corrupt");
-    let mid = 8 + (bytes.len() - 8) / 2;
-    bytes[mid] ^= 0x40;
-    std::fs::write(&wal, &bytes).unwrap();
-
-    // The restarted replica must detect the divergence, wipe, and
-    // re-bootstrap. While it does, every answer must be a clean prefix
-    // of the true table — garbled values must never appear.
-    let r = start_replica(&paddr, &rdir);
-    let raddr = r.local_addr().to_string();
+    // While it does, every answer must be a clean prefix of the true
+    // table — garbled values must never appear.
+    let raddr = cluster.replica_addr(0);
     let legal: Vec<Vec<Value>> = (0..=10).map(|i| vec![Value::I32(i)]).collect();
-    let t0 = Instant::now();
-    loop {
-        let mut probe = Client::connect(&raddr, "probe", "").unwrap();
-        match probe.query(sql) {
+    wait_for(Duration::from_secs(20), "reconvergence", || {
+        match ask(&raddr, sql) {
             // A freshly wiped mirror has no table yet — a legal (empty)
             // prefix of the true state.
             Err(ClientError::Server {
                 code: ErrorCode::Sql,
                 ..
-            }) => {}
+            }) => None,
             Ok(Response::Table { rows, .. }) => {
                 for row in &rows {
                     assert!(legal.contains(row), "garbled row {row:?} served");
                 }
-                if rows.len() == legal.len() {
-                    break;
-                }
+                (rows.len() == legal.len()).then_some(())
             }
             other => panic!("expected table or missing table, got {other:?}"),
         }
-        assert!(t0.elapsed() < Duration::from_secs(20), "never reconverged");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    });
+    let r = cluster.replica(0);
     assert!(r.wait_caught_up(Duration::from_secs(20)));
-    let status = r.shutdown().unwrap();
+    let status = r.status();
     assert!(
         status.bootstraps >= 1,
         "corruption must force a re-bootstrap, got {status:?}"
     );
-    drop(c);
-    primary.shutdown().unwrap();
-    for d in [pdir, rdir] {
-        let _ = std::fs::remove_dir_all(&d);
-    }
-}
-
-fn seed_from_env() -> u64 {
-    std::env::var("MAMMOTH_FAULT_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
 }
 
 #[test]
 fn promotion_after_primary_crash_loses_no_acked_write() {
-    let seed = seed_from_env();
+    let seed = seed("MAMMOTH_FAULT_SEED", 0);
     // Three randomized kill points per seed: early (mid-schema), middle,
     // and late in the insert stream.
     for (round, at_op) in [23 + seed % 11, 67 + seed % 29, 131 + seed % 53]
         .into_iter()
         .enumerate()
     {
-        let pdir = tmpdir(&format!("fail-p{round}"));
-        let rdir = tmpdir(&format!("fail-r{round}"));
         let fs = Arc::new(FaultFs::new(FaultPlan {
             at_op,
             kind: FaultKind::CrashAfter,
         }));
-        let primary = Server::start(ServerConfig {
-            spec: SessionSpec::durable_with(fs.clone(), &pdir),
-            ..ServerConfig::default()
-        })
-        .unwrap();
-        let paddr = primary.local_addr().to_string();
-        let replica = start_replica(&paddr, &rdir);
+        let pdir = tmpdir(&format!("repl-fail-{round}"));
+        let mut cluster = Cluster::start(Spec {
+            shards: vec![SessionSpec::durable_with(fs.clone(), pdir)],
+            replicas: vec![0],
+            primary_data: true,
+            ..Spec::in_memory(1)
+        });
 
         // Write until the injected crash kills the primary's disk.
         let mut acked: i64 = 0;
-        let mut c = Client::connect(&paddr, "writer", "").unwrap();
+        let mut c = Client::connect(&cluster.addr(0), "writer", "").unwrap();
         if c.query("CREATE TABLE t (a INT)").is_ok() {
             for i in 0..200 {
                 match c.query(&format!("INSERT INTO t VALUES ({i})")) {
@@ -260,16 +181,13 @@ fn promotion_after_primary_crash_loses_no_acked_write() {
             }
         }
         drop(c);
-        // Let the replica pull whatever it can still get (reads on the
-        // dead primary's directory keep working), then fail over.
-        std::thread::sleep(Duration::from_millis(100));
-        let promoted = replica.promote(Some(&pdir)).unwrap();
+        // The primary is gone; fail over. Promotion drains whatever the
+        // replica has not pulled yet from the dead primary's directory
+        // (reads there keep working), so nothing waits for replication.
+        cluster.crash(0);
+        cluster.replica(0).promote_in_place().unwrap();
 
-        let s = Session::open_durable(promoted).unwrap();
-        let rows = match s.catalog().table("t") {
-            Ok(t) => t.rows(),
-            Err(_) => Vec::new(), // crashed before CREATE committed
-        };
+        let rows = cluster.audit(0);
         let recovered = rows.len() as i64;
         assert!(
             recovered == acked || recovered == acked + 1,
@@ -278,10 +196,6 @@ fn promotion_after_primary_crash_loses_no_acked_write() {
         );
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(row, &vec![Value::I32(i as i32)], "row {i} garbled");
-        }
-        drop(primary); // leaks worker threads; the process is test-scoped
-        for d in [pdir, rdir] {
-            let _ = std::fs::remove_dir_all(&d);
         }
     }
 }

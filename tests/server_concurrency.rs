@@ -18,38 +18,11 @@ use mammoth_server::{Client, ClientError, Response, Server, ServerConfig, Sessio
 use mammoth_sql::{QueryOutput, Session};
 use mammoth_storage::{FaultFs, FaultKind, FaultPlan};
 use mammoth_types::Value;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("mammoth-srvtest-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
-
-/// xorshift64* — the same seedable generator the durability tests use.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed.wrapping_mul(2685821657736338717).max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(2685821657736338717)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+mod support;
+use support::{seed, Rng, Scratch};
 
 fn count(resp: Response) -> i64 {
     match resp {
@@ -63,10 +36,7 @@ fn count(resp: Response) -> i64 {
 
 #[test]
 fn mixed_load_sixteen_threads_is_serializable_equivalent() {
-    let seed: u64 = std::env::var("MAMMOTH_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1);
+    let seed = seed("MAMMOTH_FAULT_SEED", 1);
     let srv = Server::start(ServerConfig {
         workers: 16,
         backlog: 32,
@@ -173,7 +143,7 @@ fn mixed_load_sixteen_threads_is_serializable_equivalent() {
 
 #[test]
 fn killed_server_recovers_every_acknowledged_statement() {
-    let dir = tmpdir("kill");
+    let dir = Scratch::new("srvtest-kill");
     // Let setup (store creation + CREATE TABLE) through, then crash the
     // "disk" a couple hundred mutating operations into the load.
     let fs = Arc::new(FaultFs::new(FaultPlan {
@@ -253,7 +223,6 @@ fn killed_server_recovers_every_acknowledged_statement() {
     );
     // And the store is live again: new statements commit.
     s.execute("INSERT INTO t VALUES (424242)").unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

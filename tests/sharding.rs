@@ -27,11 +27,9 @@
 //! different order than single-node insertion order. Integer aggregates
 //! and order-independent float MIN/MAX stay bit-identical.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mammoth_server::{RetryPolicy, Server, ServerConfig, SessionSpec};
-use mammoth_shard::{shard_of, CoordError, Coordinator, CoordinatorConfig, PartitionMap};
+use mammoth_shard::{shard_of, CoordError, Coordinator, PartitionMap};
 use mammoth_sql::{QueryOutput, Session};
 use mammoth_types::{ColumnDef, LogicalType, TableSchema, Value};
 use rand::rngs::StdRng;
@@ -39,44 +37,8 @@ use rand::{RngExt, SeedableRng};
 
 const NSHARDS: usize = 3;
 
-fn tmpdir(tag: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("mammoth-shard-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
-
-/// Start an in-memory shard fleet; `parallel` flips the shards onto the
-/// dataflow engine.
-fn start_shards(parallel: bool) -> (Vec<Server>, Vec<String>) {
-    let mut servers = Vec::new();
-    let mut addrs = Vec::new();
-    for _ in 0..NSHARDS {
-        let mut spec = SessionSpec::in_memory();
-        if parallel {
-            spec.parallel = Some(2);
-        }
-        let srv = Server::start(ServerConfig {
-            spec,
-            ..ServerConfig::default()
-        })
-        .unwrap();
-        addrs.push(srv.local_addr().to_string());
-        servers.push(srv);
-    }
-    (servers, addrs)
-}
-
-fn coordinator(addrs: Vec<String>) -> Coordinator {
-    let mut cfg = CoordinatorConfig::new(addrs);
-    cfg.deadline = Duration::from_millis(1500);
-    cfg.retry = RetryPolicy {
-        attempts: 2,
-        base_delay: Duration::from_millis(5),
-        max_delay: Duration::from_millis(25),
-        seed: 7,
-    };
-    Coordinator::new(cfg)
-}
+mod support;
+use support::cluster::{Cluster, Spec};
 
 /// Canonical form: rows rendered to strings; sorted unless `ordered`.
 fn canon(out: &QueryOutput, ordered: bool) -> String {
@@ -213,8 +175,13 @@ impl Workload {
 }
 
 fn run_differential(seed: u64, parallel: bool) {
-    let (servers, addrs) = start_shards(parallel);
-    let coord = coordinator(addrs);
+    let mut spec = Spec::in_memory(NSHARDS);
+    for shard in &mut spec.shards {
+        // `parallel` puts the shards' SELECTs on the dataflow engine
+        shard.parallel = parallel.then_some(2);
+    }
+    let cluster = Cluster::start(spec);
+    let coord = cluster.coord();
     let mut single = Session::new();
 
     differ(
@@ -252,10 +219,6 @@ fn run_differential(seed: u64, parallel: bool) {
         true,
     );
     differ(&coord, &mut single, "SELECT id, w FROM u ORDER BY id", true);
-
-    for s in servers {
-        s.shutdown().unwrap();
-    }
 }
 
 #[test]
@@ -272,8 +235,8 @@ fn randomized_workload_matches_single_node_parallel() {
 
 #[test]
 fn explain_sharding_accounts_for_every_row() {
-    let (servers, addrs) = start_shards(false);
-    let coord = coordinator(addrs);
+    let cluster = Cluster::start(Spec::in_memory(NSHARDS));
+    let coord = cluster.coord();
     coord
         .execute("CREATE TABLE t (id BIGINT NOT NULL, v BIGINT)")
         .unwrap();
@@ -321,9 +284,6 @@ fn explain_sharding_accounts_for_every_row() {
         }
         other => panic!("EXPLAIN SHARDING returned {other:?}"),
     }
-    for s in servers {
-        s.shutdown().unwrap();
-    }
 }
 
 // --------------------------------------------------------------- failure
@@ -340,30 +300,13 @@ fn shard_kill_returns_shard_unavailable_and_wals_recover() {
 
 fn shard_kill_case(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let dirs: Vec<std::path::PathBuf> = (0..NSHARDS)
-        .map(|i| tmpdir(&format!("kill-{seed}-{i}")))
-        .collect();
-    let mut servers: Vec<Option<Server>> = Vec::new();
-    let mut addrs = Vec::new();
-    for dir in &dirs {
-        let srv = Server::start(ServerConfig {
-            spec: SessionSpec::durable(dir),
-            ..ServerConfig::default()
-        })
-        .unwrap();
-        addrs.push(srv.local_addr().to_string());
-        servers.push(Some(srv));
-    }
     let deadline = Duration::from_millis(800);
-    let mut cfg = CoordinatorConfig::new(addrs);
-    cfg.deadline = deadline;
-    cfg.retry = RetryPolicy {
-        attempts: 2,
-        base_delay: Duration::from_millis(5),
-        max_delay: Duration::from_millis(25),
+    let mut cluster = Cluster::start(Spec {
+        deadline,
         seed,
-    };
-    let coord = Coordinator::new(cfg);
+        ..Spec::durable(NSHARDS)
+    });
+    let coord = cluster.coord();
 
     coord
         .execute("CREATE TABLE t (id BIGINT NOT NULL, v BIGINT)")
@@ -395,7 +338,7 @@ fn shard_kill_case(seed: u64) {
 
     // Kill the victim (shutdown closes its listener and drains — the
     // coordinator sees connection failures exactly like a dead process).
-    servers[victim].take().unwrap().shutdown().unwrap();
+    cluster.kill(victim);
 
     // Fan-out reads now fail typed, within the deadline budget, and
     // return no partial rows (an Err carries none by construction).
@@ -438,26 +381,12 @@ fn shard_kill_case(seed: u64) {
     }
 
     // Drain the survivors, then audit every shard's durable state.
-    for s in servers.iter_mut() {
-        if let Some(srv) = s.take() {
-            srv.shutdown().unwrap();
-        }
-    }
-    for (i, dir) in dirs.iter().enumerate() {
-        let mut session = Session::open_durable(dir).unwrap();
-        let recovered = match session.execute("SELECT COUNT(*) FROM t").unwrap() {
-            QueryOutput::Table { rows, .. } => match rows[0][0] {
-                Value::I64(n) => n as u64,
-                ref other => panic!("COUNT(*) returned {other:?}"),
-            },
-            other => panic!("COUNT(*) returned {other:?}"),
-        };
+    for (i, acked) in acked.into_iter().enumerate() {
+        let recovered = cluster.audit(i).len() as u64;
         assert!(
-            acked[i] <= recovered && recovered <= acked[i] + 1,
-            "shard {i}: acked {} recovered {recovered}",
-            acked[i]
+            acked <= recovered && recovered <= acked + 1,
+            "shard {i}: acked {acked} recovered {recovered}"
         );
-        let _ = std::fs::remove_dir_all(dir);
     }
 }
 
@@ -553,8 +482,8 @@ mod partitioner_props {
 /// name, wrong arity and a stray `?` fail with byte-identical text.
 #[test]
 fn prepared_statement_errors_read_the_same_as_single_node() {
-    let (servers, addrs) = start_shards(false);
-    let coord = coordinator(addrs);
+    let cluster = Cluster::start(Spec::in_memory(NSHARDS));
+    let coord = cluster.coord();
     let mut single = Session::new();
     for setup in [
         "CREATE TABLE t (id BIGINT NOT NULL, v BIGINT)",
@@ -585,9 +514,6 @@ fn prepared_statement_errors_read_the_same_as_single_node() {
         let local = single.execute(misuse).unwrap_err().to_string();
         assert_eq!(sharded, local, "{misuse}");
     }
-    for s in servers {
-        s.shutdown().unwrap();
-    }
 }
 
 // -------------------------------------------------- wire-level front end
@@ -598,11 +524,10 @@ fn prepared_statement_errors_read_the_same_as_single_node() {
 #[test]
 fn front_end_serves_ordinary_clients() {
     use mammoth_server::{Client, ClientError, ErrorCode, Response};
-    use mammoth_shard::{FrontConfig, FrontEnd};
+    use mammoth_shard::FrontConfig;
 
-    let (mut servers, addrs) = start_shards(false);
-    let coord = Arc::new(coordinator(addrs));
-    let front = FrontEnd::start(FrontConfig::new("127.0.0.1:0"), coord).unwrap();
+    let mut cluster = Cluster::start(Spec::in_memory(NSHARDS));
+    let front = cluster.front(FrontConfig::new("127.0.0.1:0"));
     let addr = front.local_addr().to_string();
 
     let mut c = Client::connect(&addr, "itest", "").unwrap();
@@ -640,7 +565,7 @@ fn front_end_serves_ordinary_clients() {
 
     // A dead shard surfaces as the typed wire code, not a hang or a
     // truncated table.
-    servers.remove(1).shutdown().unwrap();
+    cluster.kill(1);
     match c.query("SELECT COUNT(*) FROM t") {
         Err(ClientError::Server { code, .. }) => {
             assert_eq!(code, ErrorCode::ShardUnavailable);
@@ -650,7 +575,4 @@ fn front_end_serves_ordinary_clients() {
 
     c.quit().unwrap();
     front.shutdown().unwrap();
-    for s in servers {
-        s.shutdown().unwrap();
-    }
 }

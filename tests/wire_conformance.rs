@@ -23,12 +23,14 @@ use mammoth_server::frame::{read_frame, write_frame};
 use mammoth_server::{
     ClientMsg, ErrorCode, Server, ServerConfig, ServerMsg, MIN_PROTO_VERSION, PROTO_VERSION,
 };
-use mammoth_shard::{Coordinator, CoordinatorConfig, FrontConfig, FrontEnd};
+use mammoth_shard::{FrontConfig, FrontEnd};
 use mammoth_types::Value;
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::Duration;
+
+mod support;
+use support::cluster::{Cluster, Spec};
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Kind {
@@ -49,8 +51,8 @@ impl Kind {
 /// Either daemon, behind the handful of operations a transcript needs.
 enum Daemon {
     Server(Server),
-    /// The front end plus the one in-memory shard its coordinator fronts.
-    Front(FrontEnd, Server),
+    /// The front end plus the one-shard cluster its coordinator fronts.
+    Front(FrontEnd, Cluster),
 }
 
 #[derive(Clone, Copy, Default)]
@@ -72,13 +74,11 @@ impl Daemon {
                 .unwrap(),
             ),
             Kind::Front => {
-                let shard = Server::start(ServerConfig::default()).unwrap();
-                let ccfg = CoordinatorConfig::new(vec![shard.local_addr().to_string()]);
+                let cluster = Cluster::start(Spec::in_memory(1));
                 let mut fcfg = FrontConfig::new("127.0.0.1:0");
                 fcfg.auth_token = auth_token;
                 fcfg.allow_remote_shutdown = cfg.allow_shutdown;
-                let front = FrontEnd::start(fcfg, Arc::new(Coordinator::new(ccfg))).unwrap();
-                Daemon::Front(front, shard)
+                Daemon::Front(cluster.front(fcfg), cluster)
             }
         }
     }
@@ -107,10 +107,8 @@ impl Daemon {
     fn wait(self) {
         match self {
             Daemon::Server(s) => drop(s.wait().unwrap()),
-            Daemon::Front(f, shard) => {
-                f.wait().unwrap();
-                shard.shutdown().unwrap();
-            }
+            // the cluster stops after its front end, when the arm ends
+            Daemon::Front(f, _cluster) => f.wait().unwrap(),
         }
     }
 
