@@ -607,10 +607,12 @@ impl StatsCatalog {
                         .filter(|s| !s.is_empty())
                         .map(|s| s.parse().map_err(|_| corrupt("hist count")))
                         .collect::<Result<_>>()?;
-                    if bounds.len() != counts.len() {
-                        return Err(corrupt("hist bounds/counts mismatch"));
-                    }
-                    let total = counts.iter().sum();
+                    // untrusted bytes: a total past u64 is corruption, not
+                    // an overflow panic (nor, in release, a wrapped total)
+                    let total = counts.iter().try_fold(0u64, |t, &n| t.checked_add(n));
+                    let Some(total) = total.filter(|_| bounds.len() == counts.len()) else {
+                        return Err(corrupt("hist bounds/counts mismatch or count overflow"));
+                    };
                     c.histogram = Some(Histogram {
                         lo,
                         bounds,
@@ -658,7 +660,7 @@ fn decode_value(s: &str) -> Result<Option<Value>> {
                 u64::from_str_radix(x, 16).map_err(|_| corrupt())?,
             ))),
             Some(("s", hex)) => {
-                if hex.len() % 2 != 0 {
+                if hex.len() % 2 != 0 || !hex.is_ascii() {
                     return Err(corrupt());
                 }
                 let bytes: Vec<u8> = (0..hex.len() / 2)
@@ -857,6 +859,60 @@ mod tests {
         assert!(StatsCatalog::deserialize(b"MSTATS1\nbogus record").is_err());
         assert!(StatsCatalog::deserialize(b"MSTATS1\ncol a 1 0 1 - -").is_err());
         assert!(StatsCatalog::deserialize(&[0xff, 0xfe]).is_err());
+    }
+
+    #[test]
+    fn overflowing_histogram_counts_are_corrupt() {
+        let sidecar =
+            b"MSTATS1\ntable t 1 1\ncol a 1 0 1 - -\nhist 0 1 2 ; 18446744073709551615 1\n";
+        assert!(matches!(
+            StatsCatalog::deserialize(sidecar),
+            Err(Error::Corrupt(_))
+        ));
+        // hex is sliced two bytes at a time: a multibyte char is corrupt
+        assert!(StatsCatalog::deserialize(
+            "MSTATS1\ntable t 1 1\ncol a 1 0 1 s:aéa -\n".as_bytes()
+        )
+        .is_err());
+    }
+
+    mod fuzz {
+        //! The sidecar is written raw (no seal, no CRC) into the checkpoint
+        //! directory, so its reader sees whatever a disk did to it. Damage
+        //! must come back `Ok` or `Error::Corrupt` — a durable session
+        //! rebuilds its statistics on either — and never as a panic.
+        use super::*;
+        use mammoth_types::netfault::mangle;
+        use proptest::prelude::*;
+
+        /// A sidecar whose histogram counts sum to just under 2^64, so
+        /// that most flips of a count digit overflow the total.
+        fn sidecar() -> Vec<u8> {
+            let big = u64::MAX / 4;
+            let mut out = String::from("MSTATS1\ntable t 9 9\n");
+            for (col, lo) in [
+                ("a", "i:-3"),
+                ("b", "f:4004000000000000"),
+                ("c", "s:6e61c3af7665"),
+            ] {
+                out.push_str(&format!(
+                    "col {col} 9 1 4 {lo} -\nhist 0 1 2 3 4 ; {big} {big} {big} {big}\n"
+                ));
+            }
+            out.into_bytes()
+        }
+
+        proptest! {
+            #[test]
+            fn mangled_sidecars_load_or_are_corrupt(seed in 0u64..1 << 20) {
+                let clean = sidecar();
+                prop_assert!(StatsCatalog::deserialize(&clean).is_ok());
+                match StatsCatalog::deserialize(&mangle(&clean, seed)) {
+                    Ok(_) | Err(Error::Corrupt(_)) => {}
+                    Err(e) => prop_assert!(false, "seed {}: {}", seed, e),
+                }
+            }
+        }
     }
 
     #[test]

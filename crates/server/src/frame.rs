@@ -13,11 +13,12 @@
 //! clients cheaply, and one framing discipline across the system is what
 //! lets replication ship raw WAL byte ranges as message payloads.
 //!
-//! The payload's first byte is a message tag (see [`crate::protocol`]).
-//! Frames above [`MAX_FRAME`] are rejected before allocation — a client
+//! The payload's first byte is a message tag (see [`crate::protocol`]);
+//! the rest is written in [`mammoth_types::codec`], the byte codec the WAL
+//! and the checkpoint images use too. Frames above [`MAX_FRAME`] are rejected before allocation — a client
 //! cannot make the server allocate gigabytes with an 8-byte header.
 
-use mammoth_types::{framing, Error, Result, Value};
+use mammoth_types::{framing, Result};
 use std::io::{Read, Write};
 
 /// Sanity cap on one frame's payload, either direction.
@@ -33,145 +34,6 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
 /// frame arrives; returns `Err` on EOF, oversized frames, or CRC mismatch.
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>> {
     framing::read_frame(r, MAX_FRAME)
-}
-
-// ---------------------------------------------------------------------------
-// Payload codec: length-prefixed strings, tagged values — the same shapes
-// the WAL uses, kept independent so the wire protocol and the on-disk log
-// can version separately.
-// ---------------------------------------------------------------------------
-
-pub fn put_u16(x: u16, out: &mut Vec<u8>) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
-pub fn put_u32(x: u32, out: &mut Vec<u8>) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
-pub fn put_u64(x: u64, out: &mut Vec<u8>) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
-pub fn put_str(s: &str, out: &mut Vec<u8>) {
-    put_u32(s.len() as u32, out);
-    out.extend_from_slice(s.as_bytes());
-}
-
-pub fn put_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Bool(b) => {
-            out.push(1);
-            out.push(*b as u8);
-        }
-        Value::I8(x) => {
-            out.push(2);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::I16(x) => {
-            out.push(3);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::I32(x) => {
-            out.push(4);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::I64(x) => {
-            out.push(5);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::F64(x) => {
-            out.push(6);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(7);
-            put_str(s, out);
-        }
-        Value::Oid(o) => {
-            out.push(8);
-            out.extend_from_slice(&o.to_le_bytes());
-        }
-    }
-}
-
-/// A bounds-checked payload reader (inputs from the network are untrusted).
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    /// Bytes left unconsumed — used to bound `Vec::with_capacity` on
-    /// attacker-controlled counts.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| Error::Corrupt("truncated message payload".into()))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    pub fn u8(&mut self) -> Result<u8> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    pub fn u16(&mut self) -> Result<u16> {
-        let b = self.bytes(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    pub fn u32(&mut self) -> Result<u32> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub fn u64(&mut self) -> Result<u64> {
-        let b = self.bytes(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    pub fn str(&mut self) -> Result<String> {
-        let n = self.u32()? as usize;
-        let b = self.bytes(n)?;
-        String::from_utf8(b.to_vec()).map_err(|_| Error::Corrupt("invalid utf8 in message".into()))
-    }
-
-    pub fn value(&mut self) -> Result<Value> {
-        Ok(match self.u8()? {
-            0 => Value::Null,
-            1 => Value::Bool(self.u8()? != 0),
-            2 => Value::I8(self.bytes(1)?[0] as i8),
-            3 => {
-                let b = self.bytes(2)?;
-                Value::I16(i16::from_le_bytes([b[0], b[1]]))
-            }
-            4 => Value::I32(self.u32()? as i32),
-            5 => Value::I64(self.u64()? as i64),
-            6 => Value::F64(f64::from_bits(self.u64()?)),
-            7 => Value::Str(self.str()?),
-            8 => Value::Oid(self.u64()?),
-            t => return Err(Error::Corrupt(format!("unknown value tag {t}"))),
-        })
-    }
-
-    pub fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
 }
 
 #[cfg(test)]
@@ -202,38 +64,5 @@ mod tests {
         huge.extend_from_slice(&(u32::MAX).to_le_bytes());
         huge.extend_from_slice(&0u32.to_le_bytes());
         assert!(read_frame(&mut &huge[..]).is_err());
-    }
-
-    #[test]
-    fn value_codec_roundtrips() {
-        let vals = vec![
-            Value::Null,
-            Value::Bool(true),
-            Value::I8(-3),
-            Value::I16(-300),
-            Value::I32(70_000),
-            Value::I64(-1 << 40),
-            Value::F64(2.5),
-            Value::Str("x''y\"z\n".into()),
-            Value::Str(String::new()),
-            Value::Oid(42),
-        ];
-        let mut buf = Vec::new();
-        for v in &vals {
-            put_value(v, &mut buf);
-        }
-        let mut r = Reader::new(&buf);
-        for v in &vals {
-            assert_eq!(&r.value().unwrap(), v);
-        }
-        assert!(r.done());
-    }
-
-    #[test]
-    fn reader_bounds_checked() {
-        let mut r = Reader::new(b"\x05\x00\x00\x00ab");
-        assert!(r.str().is_err(), "declared 5 bytes, only 2 present");
-        let mut r = Reader::new(b"\x09");
-        assert!(r.value().is_err(), "unknown tag");
     }
 }

@@ -17,8 +17,8 @@
 //! Every message is one frame; the payload's first byte is the tag. Tags
 //! `< 0x80` flow client→server, `>= 0x80` server→client.
 
-use crate::frame::{put_str, put_u16, put_u32, put_u64, put_value, Reader};
 use mammoth_sql::QueryOutput;
+use mammoth_types::codec::{put_str, put_u16, put_u32, put_u64, put_u8, put_value, Reader};
 use mammoth_types::{Error, Result, Value};
 use std::fmt;
 
@@ -239,9 +239,7 @@ impl ClientMsg {
                 out.push(T_EXECPREP);
                 put_str(name, &mut out);
                 put_u32(args.len() as u32, &mut out);
-                for v in args {
-                    put_value(v, &mut out);
-                }
+                args.iter().for_each(|v| put_value(v, &mut out));
             }
             ClientMsg::Deallocate { name } => {
                 out.push(T_DEALLOC);
@@ -276,24 +274,14 @@ impl ClientMsg {
             },
             T_EXECPREP => {
                 let name = r.str()?;
-                let nargs = r.u32()? as usize;
-                // Every argument consumes at least one byte; reject a count
-                // that overruns the payload before allocating for it.
-                if nargs > r.remaining() {
-                    return Err(Error::Corrupt("argument count overruns payload".into()));
-                }
-                let mut args = Vec::with_capacity(nargs);
-                for _ in 0..nargs {
-                    args.push(r.value()?);
-                }
+                let nargs = r.count(1)?;
+                let args = r.values(nargs)?;
                 ClientMsg::ExecutePrepared { name, args }
             }
             T_DEALLOC => ClientMsg::Deallocate { name: r.str()? },
             t => return Err(Error::Corrupt(format!("unknown client message tag {t}"))),
         };
-        if !r.done() {
-            return Err(Error::Corrupt("trailing bytes in client message".into()));
-        }
+        r.finish()?;
         Ok(msg)
     }
 }
@@ -365,16 +353,7 @@ impl ServerMsg {
             ServerMsg::Ready => out.push(T_READY),
             ServerMsg::Table { columns, rows } => {
                 out.push(T_TABLE);
-                put_u32(columns.len() as u32, &mut out);
-                for c in columns {
-                    put_str(c, &mut out);
-                }
-                put_u64(rows.len() as u64, &mut out);
-                for row in rows {
-                    for v in row {
-                        put_value(v, &mut out);
-                    }
-                }
+                put_table(columns, rows, &mut out);
             }
             ServerMsg::Affected { n } => {
                 out.push(T_AFFECTED);
@@ -406,7 +385,7 @@ impl ServerMsg {
                 out.push(T_IMAGE);
                 put_u64(*generation, &mut out);
                 put_str(name, &mut out);
-                out.push(*last as u8);
+                put_u8(*last as u8, &mut out);
                 put_u32(bytes.len() as u32, &mut out);
                 out.extend_from_slice(bytes);
             }
@@ -418,16 +397,7 @@ impl ServerMsg {
             ServerMsg::FragmentResult { id, columns, rows } => {
                 out.push(T_FRAGRESULT);
                 put_u64(*id, &mut out);
-                put_u32(columns.len() as u32, &mut out);
-                for c in columns {
-                    put_str(c, &mut out);
-                }
-                put_u64(rows.len() as u64, &mut out);
-                for row in rows {
-                    for v in row {
-                        put_value(v, &mut out);
-                    }
-                }
+                put_table(columns, rows, &mut out);
             }
             ServerMsg::Prepared { nparams } => {
                 out.push(T_PREPARED);
@@ -446,29 +416,7 @@ impl ServerMsg {
             },
             T_READY => ServerMsg::Ready,
             T_TABLE => {
-                let ncols = r.u32()? as usize;
-                if ncols > r.remaining() {
-                    return Err(Error::Corrupt("column count overruns payload".into()));
-                }
-                let mut columns = Vec::with_capacity(ncols);
-                for _ in 0..ncols {
-                    columns.push(r.str()?);
-                }
-                let nrows = r.u64()? as usize;
-                // Every row consumes at least one byte per value, and a
-                // zero-column table cannot justify any row count — reject
-                // both before the row loop spins on a corrupt length.
-                if nrows > r.remaining() || (ncols == 0 && nrows > 0) {
-                    return Err(Error::Corrupt("row count overruns payload".into()));
-                }
-                let mut rows = Vec::new();
-                for _ in 0..nrows {
-                    let mut row = Vec::with_capacity(ncols);
-                    for _ in 0..ncols {
-                        row.push(r.value()?);
-                    }
-                    rows.push(row);
-                }
+                let (columns, rows) = read_table(&mut r)?;
                 ServerMsg::Table { columns, rows }
             }
             T_AFFECTED => ServerMsg::Affected { n: r.u64()? },
@@ -505,37 +453,13 @@ impl ServerMsg {
             },
             T_FRAGRESULT => {
                 let id = r.u64()?;
-                let ncols = r.u32()? as usize;
-                if ncols > r.remaining() {
-                    return Err(Error::Corrupt("column count overruns payload".into()));
-                }
-                let mut columns = Vec::with_capacity(ncols);
-                for _ in 0..ncols {
-                    columns.push(r.str()?);
-                }
-                let nrows = r.u64()? as usize;
-                // Every row consumes at least one byte per value, and a
-                // zero-column table cannot justify any row count — reject
-                // both before the row loop spins on a corrupt length.
-                if nrows > r.remaining() || (ncols == 0 && nrows > 0) {
-                    return Err(Error::Corrupt("row count overruns payload".into()));
-                }
-                let mut rows = Vec::new();
-                for _ in 0..nrows {
-                    let mut row = Vec::with_capacity(ncols);
-                    for _ in 0..ncols {
-                        row.push(r.value()?);
-                    }
-                    rows.push(row);
-                }
+                let (columns, rows) = read_table(&mut r)?;
                 ServerMsg::FragmentResult { id, columns, rows }
             }
             T_PREPARED => ServerMsg::Prepared { nparams: r.u32()? },
             t => return Err(Error::Corrupt(format!("unknown server message tag {t}"))),
         };
-        if !r.done() {
-            return Err(Error::Corrupt("trailing bytes in server message".into()));
-        }
+        r.finish()?;
         Ok(msg)
     }
 
@@ -565,6 +489,32 @@ impl ServerMsg {
             QueryOutput::Table { columns, rows } => ServerMsg::Table { columns, rows },
         }
     }
+}
+
+/// A result table, as `Table` and `FragmentResult` carry it: u32 column
+/// count, the names, u64 row count, the values row-major.
+#[inline]
+fn put_table(columns: &[String], rows: &[Vec<Value>], out: &mut Vec<u8>) {
+    put_u32(columns.len() as u32, out);
+    columns.iter().for_each(|c| put_str(c, out));
+    put_u64(rows.len() as u64, out);
+    rows.iter().flatten().for_each(|v| put_value(v, out));
+}
+
+fn read_table(r: &mut Reader) -> Result<(Vec<String>, Vec<Vec<Value>>)> {
+    let ncols = r.count(4)?;
+    let mut columns = Vec::with_capacity(ncols);
+    for _ in 0..ncols {
+        columns.push(r.str()?);
+    }
+    // a row is `ncols` values of at least one byte each, so a zero-column
+    // table justifies no rows at all
+    let nrows = r.count64(ncols)?;
+    let mut rows = Vec::new();
+    for _ in 0..nrows {
+        rows.push(r.values(ncols)?);
+    }
+    Ok((columns, rows))
 }
 
 #[cfg(test)]

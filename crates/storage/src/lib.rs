@@ -48,4 +48,4 @@ pub use persist::{
 pub use properties::Properties;
 pub use ship::{durable_tip, export_image, read_wal_range, Tip};
 pub use strheap::StrHeap;
-pub use wal::{crc32, Wal, WalCursor, WalRecord, WalReplay};
+pub use wal::{Wal, WalCursor, WalRecord, WalReplay};

@@ -39,8 +39,11 @@ use crate::fault::{RealFs, Vfs};
 use crate::heap::TailHeap;
 use crate::properties::Properties;
 use crate::strheap::StrHeap;
-use crate::wal::{self, crc32, WalRecord};
-use mammoth_types::{ColumnDef, Error, LogicalType, NativeType, Oid, Result, TableSchema};
+use crate::wal::{self, WalRecord};
+use mammoth_types::codec::{
+    put_column, put_fixed, put_str, put_ty, put_u32, put_u64, put_u8, Reader,
+};
+use mammoth_types::{crc32, Error, LogicalType, Result, TableSchema};
 use std::path::{Path, PathBuf};
 
 const BAT_MAGIC: &[u8; 6] = b"MBAT1\n";
@@ -60,67 +63,6 @@ pub fn checkpoint_dir_name(g: u64) -> String {
 /// WAL file name for generation `g`.
 pub fn wal_file_name(g: u64) -> String {
     format!("wal-{g}")
-}
-
-fn ty_tag(ty: LogicalType) -> u8 {
-    match ty {
-        LogicalType::Bool => 0,
-        LogicalType::I8 => 1,
-        LogicalType::I16 => 2,
-        LogicalType::I32 => 3,
-        LogicalType::I64 => 4,
-        LogicalType::F64 => 5,
-        LogicalType::Str => 6,
-        LogicalType::Oid => 7,
-    }
-}
-
-fn tag_ty(tag: u8) -> Result<LogicalType> {
-    Ok(match tag {
-        0 => LogicalType::Bool,
-        1 => LogicalType::I8,
-        2 => LogicalType::I16,
-        3 => LogicalType::I32,
-        4 => LogicalType::I64,
-        5 => LogicalType::F64,
-        6 => LogicalType::Str,
-        7 => LogicalType::Oid,
-        t => return Err(Error::Corrupt(format!("unknown type tag {t}"))),
-    })
-}
-
-fn write_fixed<T: NativeType>(v: &[T], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(v.len() as u64).to_le_bytes());
-    for x in v {
-        x.write_le(out);
-    }
-}
-
-fn read_fixed<T: NativeType>(buf: &[u8]) -> Result<(Vec<T>, usize)> {
-    if buf.len() < 8 {
-        return Err(Error::Corrupt("truncated heap length".into()));
-    }
-    let mut lenb = [0u8; 8];
-    lenb.copy_from_slice(&buf[0..8]);
-    let n = usize::try_from(u64::from_le_bytes(lenb))
-        .map_err(|_| Error::Corrupt("heap length exceeds address space".into()))?;
-    // the element count is untrusted input: every arithmetic step is checked
-    // against overflow and against the bytes actually present before any
-    // allocation is sized from it
-    let need = n
-        .checked_mul(T::WIDTH)
-        .and_then(|b| b.checked_add(8))
-        .ok_or_else(|| Error::Corrupt("heap byte size overflows".into()))?;
-    if buf.len() < need {
-        return Err(Error::Corrupt("truncated heap data".into()));
-    }
-    let mut v = Vec::with_capacity(n);
-    let mut pos = 8;
-    for _ in 0..n {
-        v.push(T::read_le(&buf[pos..]));
-        pos += T::WIDTH;
-    }
-    Ok((v, pos))
 }
 
 // --------------------------------------------------------------------------
@@ -156,105 +98,58 @@ fn unseal(buf: &[u8]) -> Result<&[u8]> {
 /// Serialize a BAT into `out`.
 pub fn write_bat(bat: &Bat, out: &mut Vec<u8>) {
     out.extend_from_slice(BAT_MAGIC);
-    out.push(ty_tag(bat.ty()));
+    put_ty(bat.ty(), out);
     // properties: a conservative bitmask (min/max are recomputed on demand)
     let p = bat.props();
     let flags = (p.sorted as u8)
         | ((p.revsorted as u8) << 1)
         | ((p.key as u8) << 2)
         | ((p.nonil as u8) << 3);
-    out.push(flags);
+    put_u8(flags, out);
     match bat.head() {
         HeadColumn::Void { seqbase } => {
-            out.push(0);
-            out.extend_from_slice(&seqbase.to_le_bytes());
+            put_u8(0, out);
+            put_u64(*seqbase, out);
         }
         HeadColumn::Oids(v) => {
-            out.push(1);
-            write_fixed(v, out);
+            put_u8(1, out);
+            put_fixed(v, out);
         }
     }
     match bat.tail() {
-        TailHeap::Bool(v) => write_fixed(v, out),
-        TailHeap::I8(v) => write_fixed(v, out),
-        TailHeap::I16(v) => write_fixed(v, out),
-        TailHeap::I32(v) => write_fixed(v, out),
-        TailHeap::I64(v) => write_fixed(v, out),
-        TailHeap::F64(v) => write_fixed(v, out),
-        TailHeap::Oid(v) => write_fixed(v, out),
+        TailHeap::Bool(v) => put_fixed(v, out),
+        TailHeap::I8(v) => put_fixed(v, out),
+        TailHeap::I16(v) => put_fixed(v, out),
+        TailHeap::I32(v) => put_fixed(v, out),
+        TailHeap::I64(v) => put_fixed(v, out),
+        TailHeap::F64(v) => put_fixed(v, out),
+        TailHeap::Oid(v) => put_fixed(v, out),
         TailHeap::Str(h) => h.write_to(out),
     }
 }
 
 /// Deserialize a BAT; returns the BAT and bytes consumed.
 pub fn read_bat(buf: &[u8]) -> Result<(Bat, usize)> {
-    if buf.len() < 9 || &buf[0..6] != BAT_MAGIC {
+    let mut r = Reader::new(buf);
+    if r.bytes(BAT_MAGIC.len()).ok() != Some(&BAT_MAGIC[..]) {
         return Err(Error::Corrupt("bad BAT magic".into()));
     }
-    let ty = tag_ty(buf[6])?;
-    let flags = buf[7];
-    let head_tag = buf[8];
-    let mut pos = 9;
-    let head = match head_tag {
-        0 => {
-            if buf.len() < pos + 8 {
-                return Err(Error::Corrupt("truncated seqbase".into()));
-            }
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&buf[pos..pos + 8]);
-            pos += 8;
-            HeadColumn::Void {
-                seqbase: u64::from_le_bytes(b),
-            }
-        }
-        1 => {
-            let (v, used) = read_fixed::<Oid>(&buf[pos..])?;
-            pos += used;
-            HeadColumn::Oids(v)
-        }
+    let ty = r.ty()?;
+    let flags = r.u8()?;
+    let head = match r.u8()? {
+        0 => HeadColumn::Void { seqbase: r.u64()? },
+        1 => HeadColumn::Oids(r.fixed()?),
         t => return Err(Error::Corrupt(format!("unknown head tag {t}"))),
     };
     let tail = match ty {
-        LogicalType::Bool => {
-            let (v, used) = read_fixed::<bool>(&buf[pos..])?;
-            pos += used;
-            TailHeap::Bool(v)
-        }
-        LogicalType::I8 => {
-            let (v, used) = read_fixed::<i8>(&buf[pos..])?;
-            pos += used;
-            TailHeap::I8(v)
-        }
-        LogicalType::I16 => {
-            let (v, used) = read_fixed::<i16>(&buf[pos..])?;
-            pos += used;
-            TailHeap::I16(v)
-        }
-        LogicalType::I32 => {
-            let (v, used) = read_fixed::<i32>(&buf[pos..])?;
-            pos += used;
-            TailHeap::I32(v)
-        }
-        LogicalType::I64 => {
-            let (v, used) = read_fixed::<i64>(&buf[pos..])?;
-            pos += used;
-            TailHeap::I64(v)
-        }
-        LogicalType::F64 => {
-            let (v, used) = read_fixed::<f64>(&buf[pos..])?;
-            pos += used;
-            TailHeap::F64(v)
-        }
-        LogicalType::Oid => {
-            let (v, used) = read_fixed::<Oid>(&buf[pos..])?;
-            pos += used;
-            TailHeap::Oid(v)
-        }
-        LogicalType::Str => {
-            let (h, used) = StrHeap::read_from(&buf[pos..])?;
-            pos += used;
-            TailHeap::Str(h)
-        }
+        LogicalType::Bool => TailHeap::Bool(r.fixed()?),
+        LogicalType::I8 => TailHeap::I8(r.fixed()?),
+        LogicalType::I16 => TailHeap::I16(r.fixed()?),
+        LogicalType::I32 => TailHeap::I32(r.fixed()?),
+        LogicalType::I64 => TailHeap::I64(r.fixed()?),
+        LogicalType::F64 => TailHeap::F64(r.fixed()?),
+        LogicalType::Oid => TailHeap::Oid(r.fixed()?),
+        LogicalType::Str => TailHeap::Str(StrHeap::read_from(&mut r)?),
     };
     let bat = match head {
         HeadColumn::Void { seqbase } => Bat::dense(seqbase, tail),
@@ -268,7 +163,7 @@ pub fn read_bat(buf: &[u8]) -> Result<(Bat, usize)> {
         min: None,
         max: None,
     };
-    Ok((bat.with_props(props), pos))
+    Ok((bat.with_props(props), buf.len() - r.remaining()))
 }
 
 /// Save one BAT to a file (sealed) through a [`Vfs`].
@@ -299,48 +194,21 @@ pub fn load_bat(path: &Path) -> Result<Bat> {
     load_bat_vfs(&RealFs, path)
 }
 
-fn write_str(s: &str, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn read_str(buf: &[u8], pos: &mut usize) -> Result<String> {
-    let hdr_end = pos
-        .checked_add(4)
-        .filter(|&e| e <= buf.len())
-        .ok_or_else(|| Error::Corrupt("truncated string".into()))?;
-    let mut lenb = [0u8; 4];
-    lenb.copy_from_slice(&buf[*pos..hdr_end]);
-    let n = u32::from_le_bytes(lenb) as usize;
-    let end = hdr_end
-        .checked_add(n)
-        .filter(|&e| e <= buf.len())
-        .ok_or_else(|| Error::Corrupt("truncated string body".into()))?;
-    let s = std::str::from_utf8(&buf[hdr_end..end])
-        .map_err(|_| Error::Corrupt("invalid utf8 in catalog".into()))?
-        .to_string();
-    *pos = end;
-    Ok(s)
-}
-
 /// Persist a catalog image into `dir` (created if missing) through a
 /// [`Vfs`]: one sealed `.bat` file per compacted column plus the manifest
 /// naming them. When `sync` is set every file is fsync'd — required on the
 /// checkpoint path, skippable for throwaway exports.
 pub fn save_image_vfs(fs: &dyn Vfs, image: &[TableImage], dir: &Path, sync: bool) -> Result<()> {
     fs.create_dir_all(dir)?;
-    let mut manifest = Vec::new();
-    manifest.extend_from_slice(CATALOG_MAGIC);
-    manifest.extend_from_slice(&(image.len() as u32).to_le_bytes());
+    let mut manifest = CATALOG_MAGIC.to_vec();
+    put_u32(image.len() as u32, &mut manifest);
     for t in image {
-        write_str(&t.schema.name, &mut manifest);
-        manifest.extend_from_slice(&(t.schema.columns.len() as u32).to_le_bytes());
+        put_str(&t.schema.name, &mut manifest);
+        put_u32(t.schema.columns.len() as u32, &mut manifest);
         for (i, (c, bat)) in t.schema.columns.iter().zip(&t.columns).enumerate() {
-            write_str(&c.name, &mut manifest);
-            manifest.push(ty_tag(c.ty));
-            manifest.push(c.nullable as u8);
+            put_column(c, &mut manifest);
             let file = format!("{}.{}.bat", t.name, i);
-            write_str(&file, &mut manifest);
+            put_str(&file, &mut manifest);
             let path = dir.join(file);
             save_bat_vfs(fs, bat, &path)?;
             if sync {
@@ -370,51 +238,39 @@ pub fn save_catalog(catalog: &Catalog, dir: &Path) -> Result<()> {
 /// Load a catalog previously written by [`save_catalog`] through a [`Vfs`].
 pub fn load_catalog_vfs(fs: &dyn Vfs, dir: &Path) -> Result<Catalog> {
     let raw = fs.read(&dir.join(MANIFEST_FILE))?;
-    let buf = unseal(&raw)?;
-    if buf.len() < 10 || &buf[0..6] != CATALOG_MAGIC {
+    let mut r = Reader::new(unseal(&raw)?);
+    if r.bytes(CATALOG_MAGIC.len()).ok() != Some(&CATALOG_MAGIC[..]) {
         return Err(Error::Corrupt("bad catalog magic".into()));
     }
-    let ntables = u32::from_le_bytes([buf[6], buf[7], buf[8], buf[9]]) as usize;
-    if ntables > buf.len() {
-        return Err(Error::Corrupt("catalog table count overruns".into()));
-    }
-    let mut pos = 10;
     let mut catalog = Catalog::new();
-    for _ in 0..ntables {
-        let tname = read_str(buf, &mut pos)?;
-        if buf.len() < pos + 4 {
-            return Err(Error::Corrupt("truncated column count".into()));
-        }
-        let ncols =
-            u32::from_le_bytes([buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]]) as usize;
-        if ncols > buf.len() {
-            return Err(Error::Corrupt("catalog column count overruns".into()));
-        }
-        pos += 4;
+    // a table takes at least its name and column count, a column at least
+    // its definition and file name
+    for _ in 0..r.count(8)? {
+        let name = r.str()?;
+        let ncols = r.count(10)?;
         let mut defs = Vec::with_capacity(ncols);
         let mut bats = Vec::with_capacity(ncols);
         for _ in 0..ncols {
-            let cname = read_str(buf, &mut pos)?;
-            if buf.len() < pos + 2 {
-                return Err(Error::Corrupt("truncated column def".into()));
-            }
-            let ty = tag_ty(buf[pos])?;
-            let nullable = buf[pos + 1] != 0;
-            pos += 2;
-            let file = read_str(buf, &mut pos)?;
+            defs.push(r.column()?);
+            let file = r.str()?;
             // the manifest names bare files inside `dir`; reject anything
-            // that would escape it (a corrupt or hostile manifest)
-            if file.contains('/') || file.contains('\\') || file.contains("..") {
-                return Err(Error::Corrupt(format!("unsafe bat file name {file:?}")));
+            // that would escape it (a corrupt or hostile manifest), or that
+            // is not there
+            let path = dir.join(&file);
+            if file.contains('/') || file.contains('\\') || file.contains("..") || !fs.exists(&path)
+            {
+                return Err(Error::Corrupt(format!(
+                    "unsafe or missing bat file {file:?}"
+                )));
             }
-            let mut def = ColumnDef::new(cname, ty);
-            def.nullable = nullable;
-            defs.push(def);
-            bats.push(load_bat_vfs(fs, &dir.join(file))?);
+            bats.push(load_bat_vfs(fs, &path)?);
         }
-        let table = Table::from_bats(TableSchema::new(tname, defs), bats)?;
-        catalog.create_table(table)?;
+        // the files a corrupt manifest names may not make up its table
+        Table::from_bats(TableSchema::new(name, defs), bats)
+            .and_then(|t| catalog.create_table(t))
+            .map_err(|e| Error::Corrupt(format!("manifest disagrees with its files: {e}")))?;
     }
+    r.finish()?;
     Ok(catalog)
 }
 
@@ -469,12 +325,14 @@ pub fn checkpoint_catalog(fs: &dyn Vfs, catalog: &Catalog, root: &Path) -> Resul
 }
 
 /// [`checkpoint_catalog`] of an image the caller already holds (and goes
-/// on to fold the live tables onto, [`Catalog::adopt_image`]), plus sealed
+/// on to fold the live tables onto, [`Catalog::adopt_image`]), plus
 /// *sidecar* files: each `(name, bytes)` pair is written into the
 /// checkpoint directory before the atomic rename, so the sidecars commit
 /// (and replicate — the image shipper enumerates every file of the
-/// generation directory) exactly with the data they describe. Used by the
-/// SQL session to persist the planner's statistics catalog.
+/// generation directory) exactly with the data they describe. Sidecars are
+/// written as given, not sealed: no CRC guards them, so their readers must
+/// treat the bytes as untrusted. Used by the SQL session to persist the
+/// planner's statistics catalog.
 pub fn checkpoint_image_with(
     fs: &dyn Vfs,
     image: &[TableImage],
@@ -608,7 +466,7 @@ pub fn recover(root: &Path) -> Result<Recovered> {
 mod tests {
     use super::*;
     use crate::wal::Wal;
-    use mammoth_types::Value;
+    use mammoth_types::{netfault, Value};
     use std::fs;
     use std::sync::Arc;
 
@@ -935,6 +793,25 @@ mod tests {
             let pos = pos % img.len();
             img[pos] ^= 1 << bit;
             prop_assert!(unseal(&img).and_then(read_bat).is_err());
+        }
+
+        // A legacy unsealed `MCAT1` manifest skips the CRC, so the decoder
+        // itself meets the damage: torn, flipped, or both, it loads or is
+        // `Corrupt` — never a panic, an over-allocation, or a path outside
+        // the directory.
+        #[test]
+        fn prop_mangled_legacy_manifest_loads_or_is_corrupt(seed in 0u64..1 << 20) {
+            let d = tmpdir("manifest-fuzz");
+            save_catalog(&demo_catalog(), &d).unwrap();
+            let sealed = fs::read(d.join(MANIFEST_FILE)).unwrap();
+            let legacy = &sealed[SEAL_MAGIC.len() + 4..];
+            prop_assert_eq!(&legacy[..CATALOG_MAGIC.len()], CATALOG_MAGIC);
+            fs::write(d.join(MANIFEST_FILE), netfault::mangle(legacy, seed)).unwrap();
+            match load_catalog(&d) {
+                Ok(_) | Err(Error::Corrupt(_)) => {}
+                Err(e) => prop_assert!(false, "seed {}: {}", seed, e),
+            }
+            fs::remove_dir_all(&d).unwrap();
         }
     }
 }

@@ -7,6 +7,7 @@
 //! cost one offset per row plus one copy per distinct value — a free
 //! dictionary encoding that MonetDB exploits heavily.
 
+use mammoth_types::codec::{self, Reader};
 use mammoth_types::{Error, Result};
 use std::collections::hash_map::{Entry, HashMap};
 use std::ops::Range;
@@ -217,86 +218,43 @@ impl StrHeap {
         }
     }
 
-    /// Serialize: offsets + blob, little endian. The dedup table is rebuilt
-    /// on load (it is an in-memory acceleration structure only).
+    /// Serialize: the offsets, then the blob, in the byte codec's shapes.
+    /// The dedup table is rebuilt on load (it is an in-memory acceleration
+    /// structure only).
     pub fn write_to(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.offsets.len() as u64).to_le_bytes());
-        for &o in &self.offsets {
-            out.extend_from_slice(&o.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.blob.len() as u64).to_le_bytes());
+        codec::put_fixed(&self.offsets, out);
+        codec::put_u64(self.blob.len() as u64, out);
         out.extend_from_slice(&self.blob);
     }
 
-    /// Deserialize from the format written by [`StrHeap::write_to`].
-    /// Returns the heap and the number of bytes consumed.
-    pub fn read_from(buf: &[u8]) -> Result<(StrHeap, usize)> {
-        let take8 = |pos: usize| -> Result<(u64, usize)> {
-            let end = pos
-                .checked_add(8)
-                .filter(|&e| e <= buf.len())
-                .ok_or_else(|| Error::Corrupt("truncated string heap".into()))?;
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&buf[pos..end]);
-            Ok((u64::from_le_bytes(b), end))
-        };
-        let (nrows, mut pos) = take8(0)?;
-        // every length below is untrusted input: checked arithmetic only,
-        // and no allocation is sized beyond what the buffer can back
-        let nrows = usize::try_from(nrows)
-            .ok()
-            .and_then(|n| n.checked_mul(8))
-            .filter(|&bytes| bytes <= buf.len().saturating_sub(pos))
-            .map(|bytes| bytes / 8)
-            .ok_or_else(|| Error::Corrupt("truncated string heap".into()))?;
-        let mut offsets = Vec::with_capacity(nrows);
-        for _ in 0..nrows {
-            let (o, next) = take8(pos)?;
-            offsets.push(o);
-            pos = next;
-        }
-        let (blob_len, next) = take8(pos)?;
-        pos = next;
-        let blob_len = usize::try_from(blob_len)
-            .ok()
-            .filter(|&n| n <= buf.len().saturating_sub(pos))
-            .ok_or_else(|| Error::Corrupt("truncated string heap".into()))?;
-        let blob = buf[pos..pos + blob_len].to_vec();
-        pos += blob_len;
-
-        // Rebuild the dedup index by walking the blob, remembering every
-        // valid entry boundary along the way.
+    /// Deserialize what [`StrHeap::write_to`] wrote.
+    pub fn read_from(r: &mut Reader) -> Result<StrHeap> {
+        let offsets = r.fixed()?;
+        let n = r.count64(1)?;
         let mut heap = StrHeap {
             offsets,
-            blob,
+            blob: r.bytes(n)?.to_vec(),
             ..StrHeap::default()
         };
+        // Rebuild the dedup index by walking the blob, remembering every
+        // valid entry boundary along the way.
         let mut boundaries = std::collections::HashSet::new();
-        let mut off = 0usize;
-        while off < heap.blob.len() {
-            if off + 4 > heap.blob.len() {
-                return Err(Error::Corrupt("string heap blob overrun".into()));
-            }
-            let mut lenb = [0u8; 4];
-            lenb.copy_from_slice(&heap.blob[off..off + 4]);
-            let len = u32::from_le_bytes(lenb) as usize;
-            let end = off
-                .checked_add(4)
-                .and_then(|s| s.checked_add(len))
-                .filter(|&e| e <= heap.blob.len())
-                .ok_or_else(|| Error::Corrupt("string heap blob overrun".into()))?;
+        let mut walk = Reader::new(&heap.blob);
+        while walk.remaining() > 0 {
+            let off = (heap.blob.len() - walk.remaining()) as u64;
+            let len = walk.u32()? as usize;
+            let bytes = walk.bytes(len)?;
             // `get` hands these bytes out as &str, so reject non-utf8 now
-            std::str::from_utf8(&heap.blob[off + 4..end])
+            std::str::from_utf8(bytes)
                 .map_err(|_| Error::Corrupt("invalid utf8 in string heap".into()))?;
-            let h = hash_bytes(&heap.blob[off + 4..end]);
+            let h = hash_bytes(bytes);
             if let Entry::Vacant(e) = heap.dedup.entry(h) {
-                e.insert(off as u64);
+                e.insert(off);
             } else {
-                heap.spill.push((h, off as u64));
+                heap.spill.push((h, off));
             }
             heap.distinct += 1;
-            boundaries.insert(off as u64);
-            off = end;
+            boundaries.insert(off);
         }
         // Offsets must name entry boundaries: an offset into the middle of
         // an entry would read garbage lengths and payloads.
@@ -305,7 +263,7 @@ impl StrHeap {
                 return Err(Error::Corrupt("string offset not at entry boundary".into()));
             }
         }
-        Ok((heap, pos))
+        Ok(heap)
     }
 }
 
@@ -383,8 +341,9 @@ mod tests {
         h.push("x");
         let mut buf = Vec::new();
         h.write_to(&mut buf);
-        let (back, used) = StrHeap::read_from(&buf).unwrap();
-        assert_eq!(used, buf.len());
+        let mut r = Reader::new(&buf);
+        let back = StrHeap::read_from(&mut r).unwrap();
+        r.finish().unwrap();
         assert_eq!(back.len(), 4);
         assert_eq!(back.get(0), Some("x"));
         assert_eq!(back.get(1), None);
@@ -398,13 +357,13 @@ mod tests {
 
     #[test]
     fn corrupt_input_rejected() {
-        assert!(StrHeap::read_from(&[1, 2, 3]).is_err());
+        assert!(StrHeap::read_from(&mut Reader::new(&[1, 2, 3])).is_err());
         let mut h = StrHeap::new();
         h.push("hello");
         let mut buf = Vec::new();
         h.write_to(&mut buf);
         buf.truncate(buf.len() - 2);
-        assert!(StrHeap::read_from(&buf).is_err());
+        assert!(StrHeap::read_from(&mut Reader::new(&buf)).is_err());
     }
 
     proptest! {
@@ -425,7 +384,7 @@ mod tests {
             }
             let mut buf = Vec::new();
             h.write_to(&mut buf);
-            let (back, _) = StrHeap::read_from(&buf).unwrap();
+            let back = StrHeap::read_from(&mut Reader::new(&buf)).unwrap();
             for (i, s) in strings.iter().enumerate() {
                 prop_assert_eq!(back.get(i), s.as_deref());
             }

@@ -15,27 +15,41 @@
 //! record := u32-le payload_len | u32-le crc32(payload) | payload
 //! ```
 //!
-//! A record's payload starts with a one-byte tag (see [`WalRecord`]);
-//! strings are u32-length-prefixed UTF-8, integers little-endian. A record
-//! whose length overruns the file or whose CRC does not match terminates
-//! replay: the tail from that point on is *discarded, not an error* — it is
-//! the torn final append of a crashed process. Corruption before the last
-//! valid record cannot be distinguished from a torn tail and is treated the
-//! same way; the checkpoint + committed-prefix guarantee is unaffected
-//! because every fsync'd batch either fully precedes the tear or was never
-//! acknowledged.
+//! A record's payload starts with a one-byte tag (see [`WalRecord`]); its
+//! strings, integers, column definitions and values are the primitives of
+//! [`mammoth_types::codec`], the same bytes the wire protocol carries.
+//!
+//! A record whose length overruns the file or whose CRC does not match
+//! terminates replay: the tail from that point on is *discarded, not an
+//! error* — it is the torn final append of a crashed process. Corruption
+//! before the last valid record cannot be distinguished from a torn tail
+//! and is treated the same way; the checkpoint + committed-prefix guarantee
+//! is unaffected because every fsync'd batch either fully precedes the tear
+//! or was never acknowledged.
 
 use crate::fault::Vfs;
-use mammoth_types::{
-    ColumnDef, Error, EventKind, LogicalType, Oid, Result, TableSchema, TraceEvent, Value,
-};
+use mammoth_types::codec::{put_column, put_str, put_u32, put_u64, put_value, Reader};
+use mammoth_types::framing::{self, Frame};
+use mammoth_types::{Error, EventKind, Oid, Result, TableSchema, TraceEvent, Value};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-const WAL_MAGIC: &[u8; 6] = b"MWAL1\n";
-const WAL_VERSION: u16 = 1;
+/// Every log's first bytes: the magic, then the format version (u16-le 1).
+const WAL_HEADER: &[u8; 8] = b"MWAL1\n\x01\x00";
 /// Sanity cap on one record's payload (inputs are untrusted on replay).
 const MAX_RECORD: usize = 1 << 30;
+
+/// Check the header at the front of a log image or stream.
+fn check_header(buf: &[u8]) -> Result<()> {
+    match buf.get(..WAL_HEADER.len()) {
+        Some(h) if h == WAL_HEADER => Ok(()),
+        Some(h) if h[..6] == WAL_HEADER[..6] => Err(Error::Corrupt(format!(
+            "unknown WAL version {}",
+            u16::from_le_bytes([h[6], h[7]])
+        ))),
+        _ => Err(Error::Corrupt("bad WAL magic".into())),
+    }
+}
 
 /// One redo record. Replay applies these to the checkpointed catalog in
 /// log order; the encoding is versioned by the WAL header.
@@ -60,153 +74,6 @@ pub enum WalRecord {
     Commit,
 }
 
-// Record frames are the shared CRC32 length-prefixed codec — the same
-// discipline the wire protocol speaks, which is what lets replication ship
-// raw WAL byte ranges. Re-exported so `mammoth_storage::crc32` keeps
-// resolving for existing call sites.
-pub use mammoth_types::framing::crc32;
-use mammoth_types::framing::{self, Frame};
-
-// --------------------------------------------------------------------------
-// Payload codec.
-// --------------------------------------------------------------------------
-
-fn put_str(s: &str, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| Error::Corrupt("truncated WAL payload".into()))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        let b = self.bytes(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn str(&mut self) -> Result<String> {
-        let n = self.u32()? as usize;
-        let b = self.bytes(n)?;
-        String::from_utf8(b.to_vec()).map_err(|_| Error::Corrupt("invalid utf8 in WAL".into()))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
-fn ty_tag(ty: LogicalType) -> u8 {
-    match ty {
-        LogicalType::Bool => 0,
-        LogicalType::I8 => 1,
-        LogicalType::I16 => 2,
-        LogicalType::I32 => 3,
-        LogicalType::I64 => 4,
-        LogicalType::F64 => 5,
-        LogicalType::Str => 6,
-        LogicalType::Oid => 7,
-    }
-}
-
-fn tag_ty(tag: u8) -> Result<LogicalType> {
-    Ok(match tag {
-        0 => LogicalType::Bool,
-        1 => LogicalType::I8,
-        2 => LogicalType::I16,
-        3 => LogicalType::I32,
-        4 => LogicalType::I64,
-        5 => LogicalType::F64,
-        6 => LogicalType::Str,
-        7 => LogicalType::Oid,
-        t => return Err(Error::Corrupt(format!("unknown WAL type tag {t}"))),
-    })
-}
-
-fn put_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Bool(b) => {
-            out.push(1);
-            out.push(*b as u8);
-        }
-        Value::I8(x) => {
-            out.push(2);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::I16(x) => {
-            out.push(3);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::I32(x) => {
-            out.push(4);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::I64(x) => {
-            out.push(5);
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::F64(x) => {
-            out.push(6);
-            out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(7);
-            put_str(s, out);
-        }
-        Value::Oid(o) => {
-            out.push(8);
-            out.extend_from_slice(&o.to_le_bytes());
-        }
-    }
-}
-
-fn get_value(r: &mut Reader) -> Result<Value> {
-    Ok(match r.u8()? {
-        0 => Value::Null,
-        1 => Value::Bool(r.u8()? != 0),
-        2 => Value::I8(r.bytes(1)?[0] as i8),
-        3 => {
-            let b = r.bytes(2)?;
-            Value::I16(i16::from_le_bytes([b[0], b[1]]))
-        }
-        4 => Value::I32(r.u32()? as i32),
-        5 => Value::I64(r.u64()? as i64),
-        6 => Value::F64(f64::from_bits(r.u64()?)),
-        7 => Value::Str(r.str()?),
-        8 => Value::Oid(r.u64()?),
-        t => return Err(Error::Corrupt(format!("unknown WAL value tag {t}"))),
-    })
-}
-
 impl WalRecord {
     /// Encode this record's payload (without the frame).
     pub fn encode(&self, out: &mut Vec<u8>) {
@@ -214,11 +81,9 @@ impl WalRecord {
             WalRecord::CreateTable { schema } => {
                 out.push(1);
                 put_str(&schema.name, out);
-                out.extend_from_slice(&(schema.columns.len() as u32).to_le_bytes());
+                put_u32(schema.columns.len() as u32, out);
                 for c in &schema.columns {
-                    put_str(&c.name, out);
-                    out.push(ty_tag(c.ty));
-                    out.push(c.nullable as u8);
+                    put_column(c, out);
                 }
             }
             WalRecord::DropTable { name } => {
@@ -228,7 +93,7 @@ impl WalRecord {
             WalRecord::Insert { table, row } => {
                 out.push(3);
                 put_str(table, out);
-                out.extend_from_slice(&(row.len() as u32).to_le_bytes());
+                put_u32(row.len() as u32, out);
                 for v in row {
                     put_value(v, out);
                 }
@@ -236,7 +101,7 @@ impl WalRecord {
             WalRecord::Delete { table, pos } => {
                 out.push(4);
                 put_str(table, out);
-                out.extend_from_slice(&pos.to_le_bytes());
+                put_u64(*pos, out);
             }
             WalRecord::Merge { table } => {
                 out.push(5);
@@ -252,20 +117,8 @@ impl WalRecord {
         let rec = match r.u8()? {
             1 => {
                 let name = r.str()?;
-                let ncols = r.u32()? as usize;
-                // bound the allocation by what the payload can actually hold
-                if ncols > payload.len() {
-                    return Err(Error::Corrupt("WAL schema column count overruns".into()));
-                }
-                let mut columns = Vec::with_capacity(ncols);
-                for _ in 0..ncols {
-                    let cname = r.str()?;
-                    let ty = tag_ty(r.u8()?)?;
-                    let nullable = r.u8()? != 0;
-                    let mut def = ColumnDef::new(cname, ty);
-                    def.nullable = nullable;
-                    columns.push(def);
-                }
+                let n = r.count(6)?;
+                let columns = (0..n).map(|_| r.column()).collect::<Result<_>>()?;
                 WalRecord::CreateTable {
                     schema: TableSchema::new(name, columns),
                 }
@@ -273,14 +126,8 @@ impl WalRecord {
             2 => WalRecord::DropTable { name: r.str()? },
             3 => {
                 let table = r.str()?;
-                let n = r.u32()? as usize;
-                if n > payload.len() {
-                    return Err(Error::Corrupt("WAL row arity overruns payload".into()));
-                }
-                let mut row = Vec::with_capacity(n);
-                for _ in 0..n {
-                    row.push(get_value(&mut r)?);
-                }
+                let n = r.count(1)?;
+                let row = r.values(n)?;
                 WalRecord::Insert { table, row }
             }
             4 => WalRecord::Delete {
@@ -291,9 +138,7 @@ impl WalRecord {
             6 => WalRecord::Commit,
             t => return Err(Error::Corrupt(format!("unknown WAL record tag {t}"))),
         };
-        if !r.done() {
-            return Err(Error::Corrupt("trailing bytes in WAL record".into()));
-        }
+        r.finish()?;
         Ok(rec)
     }
 }
@@ -320,32 +165,19 @@ pub fn replay_bytes(buf: &[u8]) -> Result<WalReplay> {
     if buf.is_empty() {
         return Ok(WalReplay::default());
     }
-    if buf.len() < 8 {
-        // shorter than the header: either the header write itself tore
-        // (crash at generation creation, before anything could have been
-        // acknowledged — an empty log), or the file is not a WAL at all
-        let mut header = Vec::with_capacity(8);
-        header.extend_from_slice(WAL_MAGIC);
-        header.extend_from_slice(&WAL_VERSION.to_le_bytes());
-        if header.starts_with(buf) {
-            return Ok(WalReplay {
-                records: Vec::new(),
-                tail_discarded: true,
-            });
-        }
-        return Err(Error::Corrupt("bad WAL magic".into()));
+    if buf.len() < WAL_HEADER.len() && WAL_HEADER.starts_with(buf) {
+        // the header write itself tore (crash at generation creation,
+        // before anything could have been acknowledged): an empty log
+        return Ok(WalReplay {
+            records: Vec::new(),
+            tail_discarded: true,
+        });
     }
-    if &buf[0..6] != WAL_MAGIC {
-        return Err(Error::Corrupt("bad WAL magic".into()));
-    }
-    let version = u16::from_le_bytes([buf[6], buf[7]]);
-    if version != WAL_VERSION {
-        return Err(Error::Corrupt(format!("unknown WAL version {version}")));
-    }
+    check_header(buf)?;
     let mut out = WalReplay::default();
     // records staged until their statement's commit marker arrives
     let mut staged: Vec<WalRecord> = Vec::new();
-    let mut rest = &buf[8..];
+    let mut rest = &buf[WAL_HEADER.len()..];
     loop {
         match framing::split_frame(rest, MAX_RECORD) {
             Frame::Complete { payload, consumed } => {
@@ -446,10 +278,7 @@ impl Wal {
     }
 
     fn write_header(&self) -> Result<()> {
-        let mut h = Vec::with_capacity(8);
-        h.extend_from_slice(WAL_MAGIC);
-        h.extend_from_slice(&WAL_VERSION.to_le_bytes());
-        self.fs.write_file(&self.path, &h)?;
+        self.fs.write_file(&self.path, WAL_HEADER)?;
         self.fs.sync(&self.path)
     }
 
@@ -600,20 +429,12 @@ impl WalCursor {
         let mut groups = Vec::new();
         let mut pos = 0usize;
         if !self.header_done {
-            if self.buf.len() < 8 {
+            if self.buf.len() < WAL_HEADER.len() {
                 return Ok(groups);
             }
-            if &self.buf[0..6] != WAL_MAGIC {
-                return Err(Error::Corrupt("bad WAL magic in stream".into()));
-            }
-            let version = u16::from_le_bytes([self.buf[6], self.buf[7]]);
-            if version != WAL_VERSION {
-                return Err(Error::Corrupt(format!(
-                    "unknown WAL version {version} in stream"
-                )));
-            }
+            check_header(&self.buf)?;
             self.header_done = true;
-            pos = 8;
+            pos = WAL_HEADER.len();
         }
         loop {
             match framing::split_frame(&self.buf[pos..], MAX_RECORD) {
@@ -640,6 +461,7 @@ impl WalCursor {
 mod tests {
     use super::*;
     use crate::fault::RealFs;
+    use mammoth_types::{ColumnDef, LogicalType};
 
     fn tmp(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("mammoth-wal-{tag}-{}", std::process::id()));
@@ -674,12 +496,6 @@ mod tests {
             WalRecord::Merge { table: "t".into() },
             WalRecord::DropTable { name: "t".into() },
         ]
-    }
-
-    #[test]
-    fn crc32_known_vectors() {
-        assert_eq!(crc32(b""), 0x0000_0000);
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! Architecture Evolution: Mammals Flourished long before Dinosaurs became
 //! Extinct* (VLDB 2009). This crate holds the vocabulary every other crate
 //! speaks: logical types, runtime values, object identifiers (oids), table
-//! schemas and the common error type.
+//! schemas and the common error type — and the byte codec ([`codec`]) and
+//! frame codec ([`framing`]) every on-disk and on-wire format is written in.
 //!
 //! Following MonetDB, NULL ("nil") is represented *in-domain*: every native
 //! type reserves one sentinel value (e.g. `i32::MIN`) rather than keeping a
@@ -13,6 +14,7 @@
 
 #![deny(unsafe_code)]
 
+pub mod codec;
 pub mod error;
 pub mod framing;
 pub mod native;

@@ -6,6 +6,7 @@
 //! dereferencing one costs a slot-directory indirection, exactly the
 //! "B-tree lookup into slotted pages" access path of the comparison.
 
+use mammoth_types::codec::{put_value, Reader};
 use mammoth_types::{Error, LogicalType, Result, Value};
 
 /// Page size in bytes (classic 8 KiB).
@@ -63,89 +64,6 @@ impl Page {
     }
 }
 
-/// Serialize a tuple row-wise: per value a 1-byte tag, then the payload.
-fn write_tuple(row: &[Value], out: &mut Vec<u8>) -> Result<()> {
-    for v in row {
-        match v {
-            Value::Null => out.push(0),
-            Value::Bool(b) => {
-                out.push(1);
-                out.push(*b as u8);
-            }
-            Value::I8(x) => {
-                out.push(2);
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-            Value::I16(x) => {
-                out.push(3);
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-            Value::I32(x) => {
-                out.push(4);
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-            Value::I64(x) => {
-                out.push(5);
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-            Value::F64(x) => {
-                out.push(6);
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-            Value::Str(s) => {
-                out.push(7);
-                let b = s.as_bytes();
-                out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-                out.extend_from_slice(b);
-            }
-            Value::Oid(x) => {
-                out.push(8);
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Deserialize `arity` values.
-fn read_tuple(buf: &[u8], arity: usize) -> Result<Vec<Value>> {
-    fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
-        if buf.len() < *pos + n {
-            return Err(Error::Corrupt("truncated tuple".into()));
-        }
-        let out = &buf[*pos..*pos + n];
-        *pos += n;
-        Ok(out)
-    }
-    let mut row = Vec::with_capacity(arity);
-    let mut pos = 0usize;
-    let mut take = |n: usize| take(buf, &mut pos, n);
-    for _ in 0..arity {
-        let tag = take(1)?[0];
-        row.push(match tag {
-            0 => Value::Null,
-            1 => Value::Bool(take(1)?[0] != 0),
-            2 => Value::I8(i8::from_le_bytes(take(1)?.try_into().unwrap())),
-            3 => Value::I16(i16::from_le_bytes(take(2)?.try_into().unwrap())),
-            4 => Value::I32(i32::from_le_bytes(take(4)?.try_into().unwrap())),
-            5 => Value::I64(i64::from_le_bytes(take(8)?.try_into().unwrap())),
-            6 => Value::F64(f64::from_le_bytes(take(8)?.try_into().unwrap())),
-            7 => {
-                let n = u32::from_le_bytes(take(4)?.try_into().unwrap()) as usize;
-                let b = take(n)?;
-                Value::Str(
-                    std::str::from_utf8(b)
-                        .map_err(|_| Error::Corrupt("bad utf8 in tuple".into()))?
-                        .to_string(),
-                )
-            }
-            8 => Value::Oid(u64::from_le_bytes(take(8)?.try_into().unwrap())),
-            t => return Err(Error::Corrupt(format!("bad value tag {t}"))),
-        });
-    }
-    Ok(row)
-}
-
 /// A heap file of slotted pages.
 #[derive(Debug, Clone, Default)]
 pub struct HeapFile {
@@ -183,8 +101,9 @@ impl HeapFile {
                 right: self.arity,
             });
         }
+        // row-wise, each value in the byte codec's tagged shape
         let mut payload = Vec::with_capacity(row.len() * 9);
-        write_tuple(row, &mut payload)?;
+        row.iter().for_each(|v| put_value(v, &mut payload));
         if payload.len() > PAGE_SIZE - 8 {
             return Err(Error::Unsupported("tuple larger than a page".into()));
         }
@@ -220,7 +139,7 @@ impl HeapFile {
             index: rid.slot as u64,
             len: page.tuple_count() as u64,
         })?;
-        read_tuple(buf, self.arity)
+        Reader::new(buf).values(self.arity)
     }
 
     /// Scan every tuple in rid order.
@@ -231,7 +150,8 @@ impl HeapFile {
                     page: pi as u32,
                     slot: si as u16,
                 };
-                let row = read_tuple(page.get(si as u16).unwrap(), self.arity)
+                let row = Reader::new(page.get(si as u16).unwrap())
+                    .values(self.arity)
                     .expect("pages contain only tuples we wrote");
                 (rid, row)
             })

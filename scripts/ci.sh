@@ -29,6 +29,14 @@ echo "==> pass-order gate: no optimizer pipeline is assembled outside crates/mal
 stray=$(grep -rn --include='*.rs' 'Pipeline::new()' crates/*/src | grep -v '^crates/mal/' || true)
 [ -z "$stray" ] || { echo "a pass list hand-built beside mammoth-mal's:"; echo "$stray"; exit 1; }
 
+echo "==> one byte codec: disk and wire bytes are read and written in mammoth_types::codec"
+# A value, a type tag or a bounds-checked reader written out a second time
+# is a format that can drift from the one replicas and clients decode.
+codec=crates/types/src/codec.rs
+stray=$(grep -rnE --include='*.rs' 'struct Reader\b|fn (put_value|get_value|ty_tag|tag_ty)\b' \
+    crates/*/src | grep -v "^$codec:" || true)
+[ -z "$stray" ] || { echo "a byte codec beside $codec:"; echo "$stray"; exit 1; }
+
 echo "==> serving gate: mammoth-server links no evidence crate"
 # What reproduces a paper claim but serves no request (DESIGN.md's "serves /
 # evidence" column) stays out of the daemons. `compression` is linked
