@@ -9,14 +9,23 @@
 //!
 //! Maintenance discipline:
 //! * `CREATE TABLE` registers an empty [`TableStats`].
-//! * INSERT folds the new values in incrementally (counts, bounds, ndv
-//!   sketch, histogram bucket bumps with clamping).
-//! * DELETE decrements conservatively and marks drift.
+//! * INSERT folds a statement's rows in incrementally, per statement and
+//!   one column at a time: one loop over a column's cells updates counts,
+//!   ndv sketch bits and histogram buckets (found by binary search over
+//!   the bounds, clamped at the edges); the ndv estimate is re-derived and
+//!   a new bound cloned once per column. The result is the one folding
+//!   the cells one at a time would give, field for field.
+//! * DELETE decrements conservatively and marks drift, per column too.
+//! * The nil rule: a cell whose stored image is its column type's nil
+//!   sentinel (`i64::MIN` in a BIGINT, any NaN in a DOUBLE) is NULL —
+//!   what the read path returns for it — so it counts as a null and the
+//!   histogram never sees a NaN.
 //! * CHECKPOINT (and recovery self-heal) *rebuilds* from the live column
 //!   values — the "fold" that squashes accumulated approximation error.
 
 use mammoth_index::ZoneMap;
-use mammoth_types::{Error, LogicalType, NativeType, Result, Value};
+use mammoth_types::{Error, LogicalType, NativeType, Result, TableSchema, Value};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Default number of equi-depth histogram buckets.
@@ -79,6 +88,12 @@ impl Histogram {
         })
     }
 
+    /// The first bucket whose bound is `>= v`, by binary search over the
+    /// non-decreasing bounds; `bounds.len()` when `v` is above them all.
+    fn bucket(&self, v: f64) -> usize {
+        self.bounds.partition_point(|&b| b < v)
+    }
+
     /// Fold one inserted value in: bump the covering bucket (clamped to
     /// the nearest edge bucket when the value falls outside the bounds,
     /// widening the recorded range so containment still holds).
@@ -94,11 +109,11 @@ impl Histogram {
             self.lo = v;
         }
         let last = self.bounds.len() - 1;
-        let idx = self.bounds.iter().position(|&b| v <= b).unwrap_or_else(|| {
+        let idx = self.bucket(v);
+        if idx > last {
             self.bounds[last] = v; // widen the top bucket
-            last
-        });
-        self.counts[idx] += 1;
+        }
+        self.counts[idx.min(last)] += 1;
         self.total += 1;
     }
 
@@ -109,11 +124,7 @@ impl Histogram {
         if self.total == 0 {
             return;
         }
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len() - 1);
+        let idx = self.bucket(v).min(self.bounds.len() - 1);
         // steal from the nearest non-empty bucket if this one is empty
         let idx = (idx..self.counts.len())
             .chain((0..idx).rev())
@@ -169,6 +180,9 @@ pub struct ColumnStats {
     pub histogram: Option<Histogram>,
     /// The linear-counting bitmap backing `ndv` (fixed 2^14 bits).
     sketch: Vec<u64>,
+    /// Bits set in `sketch`, kept as they are set, so that re-estimating
+    /// ndv after a statement costs no pass over the bitmap.
+    sketch_ones: u32,
 }
 
 const SKETCH_BITS: usize = 1 << 14;
@@ -186,6 +200,18 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h ^= h >> 27;
     h = h.wrapping_mul(0x94d049bb133111eb);
     h ^ (h >> 31)
+}
+
+/// NULL as a `ty` column stores it: a nil sentinel is NULL too.
+fn is_null(v: &Value, ty: LogicalType) -> bool {
+    v.stored_nil(ty) != Some(false)
+}
+
+/// Whether `v` replaces the running bound `cur`: there is none yet, or `v`
+/// is strictly `toward` it (`Less` for a minimum), so that the first of
+/// equal extremes stays.
+fn beats(v: &Value, cur: Option<&Value>, toward: Ordering) -> bool {
+    cur.is_none_or(|b| v.sql_cmp(b) == Some(toward))
 }
 
 fn value_hash(v: &Value) -> u64 {
@@ -287,7 +313,7 @@ impl ColumnStats {
                 s.nulls += 1;
                 continue;
             }
-            s.sketch_add(v);
+            s.sketch_set(value_hash(v));
             if ty == LogicalType::I64 || ty == LogicalType::I32 {
                 if let Some(x) = v.as_i64() {
                     ints.push(x);
@@ -296,7 +322,12 @@ impl ColumnStats {
             if let Some(f) = v.as_f64() {
                 numeric.push(f);
             }
-            s.fold_bounds(v);
+            if beats(v, s.min.as_ref(), Ordering::Less) {
+                s.min = Some(v.clone());
+            }
+            if beats(v, s.max.as_ref(), Ordering::Greater) {
+                s.max = Some(v.clone());
+            }
         }
         if !ints.is_empty() {
             let zm = ZoneMap::build(&ints, 1024);
@@ -310,73 +341,78 @@ impl ColumnStats {
         s
     }
 
-    fn fold_bounds(&mut self, v: &Value) {
-        let lower = match &self.min {
-            None => true,
-            Some(m) => matches!(v.sql_cmp(m), Some(std::cmp::Ordering::Less)),
-        };
-        if lower {
-            self.min = Some(v.clone());
-        }
-        let higher = match &self.max {
-            None => true,
-            Some(m) => matches!(v.sql_cmp(m), Some(std::cmp::Ordering::Greater)),
-        };
-        if higher {
-            self.max = Some(v.clone());
-        }
-    }
-
-    fn sketch_add(&mut self, v: &Value) {
-        self.sketch_set(value_hash(v));
-    }
-
     fn sketch_set(&mut self, hash: u64) {
         if self.sketch.is_empty() {
             self.sketch = vec![0u64; SKETCH_BITS / 64];
         }
         let bit = (hash as usize) % SKETCH_BITS;
-        self.sketch[bit / 64] |= 1u64 << (bit % 64);
+        let (word, mask) = (&mut self.sketch[bit / 64], 1u64 << (bit % 64));
+        self.sketch_ones += u32::from(*word & mask == 0);
+        *word |= mask;
     }
 
     fn sketch_estimate(&self) -> u64 {
-        let ones: u32 = self.sketch.iter().map(|w| w.count_ones()).sum();
+        debug_assert_eq!(
+            self.sketch_ones,
+            self.sketch.iter().map(|w| w.count_ones()).sum::<u32>()
+        );
         let m = SKETCH_BITS as f64;
-        let zeros = m - ones as f64;
+        let zeros = m - self.sketch_ones as f64;
         if zeros <= 0.5 {
             return self.rows - self.nulls; // sketch saturated: give up
         }
         (-(m) * (zeros / m).ln()).round() as u64
     }
 
-    /// Fold one inserted value in.
-    pub fn on_insert(&mut self, v: &Value) {
-        self.rows += 1;
-        if v.is_null() {
-            self.nulls += 1;
-            return;
-        }
-        self.sketch_add(v);
-        self.ndv = self.sketch_estimate();
-        self.fold_bounds(v);
-        if let Some(f) = v.as_f64() {
-            match &mut self.histogram {
-                Some(h) => h.add(f),
-                None => self.histogram = Histogram::build(vec![f], HISTOGRAM_BUCKETS),
+    /// Fold one statement's inserted cells of a `ty` column in, in one pass:
+    /// counts, sketch bits and histogram buckets per cell, the ndv estimate
+    /// once, and a bound cloned only once it has survived the column. A
+    /// batch of one cell is the per-cell fold; a longer batch ends where
+    /// that many one-cell batches would, field for field.
+    fn insert_cells<'a>(&mut self, ty: LogicalType, cells: impl Iterator<Item = &'a Value>) {
+        let (mut lo, mut hi): (Option<&Value>, Option<&Value>) = (None, None);
+        let mut folded = false;
+        for v in cells {
+            self.rows += 1;
+            if is_null(v, ty) {
+                self.nulls += 1;
+                continue;
             }
+            folded = true;
+            self.sketch_set(value_hash(v));
+            if let Some(f) = v.as_f64() {
+                self.histogram.get_or_insert_with(Histogram::default).add(f);
+            }
+            if beats(v, lo.or(self.min.as_ref()), Ordering::Less) {
+                lo = Some(v);
+            }
+            if beats(v, hi.or(self.max.as_ref()), Ordering::Greater) {
+                hi = Some(v);
+            }
+        }
+        if folded {
+            self.ndv = self.sketch_estimate();
+        }
+        if let Some(v) = lo {
+            self.min = Some(v.clone());
+        }
+        if let Some(v) = hi {
+            self.max = Some(v.clone());
         }
     }
 
-    /// Fold one deleted value out (bounds and ndv stay as upper bounds —
-    /// the CHECKPOINT fold tightens them).
-    pub fn on_delete(&mut self, v: &Value) {
-        self.rows = self.rows.saturating_sub(1);
-        if v.is_null() {
-            self.nulls = self.nulls.saturating_sub(1);
-            return;
-        }
-        if let (Some(f), Some(h)) = (v.as_f64(), &mut self.histogram) {
-            h.remove(f);
+    /// Fold one statement's deleted cells of a `ty` column out (bounds and
+    /// ndv stay as upper bounds — the CHECKPOINT fold tightens them).
+    fn delete_cells<'a>(&mut self, ty: LogicalType, cells: impl Iterator<Item = &'a Value>) {
+        for v in cells {
+            self.rows = self.rows.saturating_sub(1);
+            if is_null(v, ty) {
+                self.nulls = self.nulls.saturating_sub(1);
+                continue;
+            }
+            if let (Some(f), Some(h)) = (v.as_f64(), &mut self.histogram) {
+                h.remove(f);
+            }
         }
     }
 
@@ -456,33 +492,31 @@ impl StatsCatalog {
         self.tables.insert(name.to_lowercase(), t);
     }
 
-    /// Fold inserted rows in. `columns` carries the schema's column names
-    /// in row order.
-    pub fn on_insert(&mut self, table: &str, columns: &[String], rows: &[Vec<Value>]) {
-        let Some(t) = self.tables.get_mut(&table.to_lowercase()) else {
+    /// Fold one statement's inserted rows (laid out as `schema`'s columns)
+    /// in, a column at a time. A value the column stores as its nil
+    /// sentinel counts as NULL, as it reads back.
+    pub fn on_insert(&mut self, schema: &TableSchema, rows: &[Vec<Value>]) {
+        let Some(t) = self.tables.get_mut(&schema.name.to_lowercase()) else {
             return;
         };
         t.rows += rows.len() as u64;
-        for row in rows {
-            for (c, v) in columns.iter().zip(row) {
-                t.columns.entry(c.to_lowercase()).or_default().on_insert(v);
-            }
+        for (i, def) in schema.columns.iter().enumerate() {
+            let cells = rows.iter().filter_map(|row| row.get(i));
+            let stats = t.columns.entry(def.name.to_lowercase()).or_default();
+            stats.insert_cells(def.ty, cells);
         }
     }
 
-    /// Fold deleted rows out; `rows` carries the deleted values when the
-    /// caller has them (same layout as `on_insert`), else only the count
-    /// is adjusted.
-    pub fn on_delete(&mut self, table: &str, columns: &[String], rows: &[Vec<Value>]) {
-        let Some(t) = self.tables.get_mut(&table.to_lowercase()) else {
+    /// Fold one statement's deleted rows (read back from the table, laid
+    /// out as `schema`'s columns) out, a column at a time.
+    pub fn on_delete(&mut self, schema: &TableSchema, rows: &[Vec<Value>]) {
+        let Some(t) = self.tables.get_mut(&schema.name.to_lowercase()) else {
             return;
         };
         t.rows = t.rows.saturating_sub(rows.len() as u64);
-        for row in rows {
-            for (c, v) in columns.iter().zip(row) {
-                if let Some(cs) = t.columns.get_mut(&c.to_lowercase()) {
-                    cs.on_delete(v);
-                }
+        for (i, def) in schema.columns.iter().enumerate() {
+            if let Some(cs) = t.columns.get_mut(&def.name.to_lowercase()) {
+                cs.delete_cells(def.ty, rows.iter().filter_map(|row| row.get(i)));
             }
         }
     }
@@ -575,8 +609,7 @@ impl StatsCatalog {
                         ndv: parse_u64(parts.next())?,
                         min: decode_value(parts.next().ok_or_else(|| corrupt("min"))?)?,
                         max: decode_value(parts.next().ok_or_else(|| corrupt("max"))?)?,
-                        histogram: None,
-                        sketch: Vec::new(),
+                        ..ColumnStats::default()
                     };
                     t.columns.insert(name.to_string(), c);
                     cur_col = Some(name.to_string());
@@ -805,17 +838,102 @@ mod tests {
     #[test]
     fn incremental_insert_delete_keeps_totals() {
         let mut s = ColumnStats::build(LogicalType::I64, &ints(&[1, 2, 3]));
-        s.on_insert(&Value::I64(10));
-        s.on_insert(&Value::Null);
+        s.insert_cells(LogicalType::I64, [Value::I64(10), Value::Null].iter());
         assert_eq!(s.rows, 5);
         assert_eq!(s.nulls, 1);
         assert_eq!(s.max, Some(Value::I64(10)), "bounds widen on insert");
         let h = s.histogram.as_ref().unwrap();
         assert_eq!(h.total, 4);
         assert_eq!(h.counts.iter().sum::<u64>(), h.total);
-        s.on_delete(&Value::I64(2));
+        s.delete_cells(LogicalType::I64, [Value::I64(2)].iter());
         assert_eq!(s.rows, 4);
         assert_eq!(s.histogram.as_ref().unwrap().total, 3);
+    }
+
+    /// Folding a column's cells in one batch ends where folding them one
+    /// at a time does — from empty stats, from built ones, and from ones
+    /// loaded without a sketch — and a nil sentinel is a null either way.
+    #[test]
+    fn a_column_folds_in_one_batch_as_one_cell_at_a_time() {
+        let mix = |i: u64| i.wrapping_mul(0x9e3779b97f4a7c15) >> 40;
+        let ints: Vec<Value> = (0..700u64)
+            .map(|i| match mix(i) % 11 {
+                0 => Value::Null,
+                1 => Value::I32(mix(i) as i32 % 50),
+                2 => Value::I64(i64::MIN),
+                _ => Value::I64(mix(i) as i64 % 90 - 45),
+            })
+            .collect();
+        let floats: Vec<Value> = (0..700u64)
+            .map(|i| match mix(i) % 9 {
+                0 => Value::Null,
+                1 => Value::F64(-0.0),
+                2 => Value::F64(f64::INFINITY),
+                3 => Value::F64(f64::NAN),
+                4 => Value::I64(3),
+                _ => Value::F64(mix(i) as f64 / 7.0 - 9e4),
+            })
+            .collect();
+        let strs: Vec<Value> = (0..700u64)
+            .map(|i| match mix(i) % 7 {
+                0 => Value::Null,
+                n => Value::Str(format!("naïve-{}", mix(i) % (40 * n))),
+            })
+            .collect();
+        // what a session holds once it has read the sidecar: no sketch
+        let mut sc = StatsCatalog::new();
+        sc.rebuild_table(
+            "t",
+            vec![("a".into(), ColumnStats::build_native(&[4i64, 9]))],
+        );
+        let sidecar = StatsCatalog::deserialize(&sc.serialize()).unwrap();
+        let loaded = sidecar.column("t", "a").unwrap().clone();
+        assert!(loaded.sketch.is_empty() && loaded.ndv == 2);
+        for (ty, cells) in [
+            (LogicalType::I64, &ints),
+            (LogicalType::F64, &floats),
+            (LogicalType::Str, &strs),
+        ] {
+            for start in [ColumnStats::default(), loaded.clone()] {
+                for split in [0, 1, 350, 699] {
+                    let (mut batched, mut one_by_one) = (start.clone(), start.clone());
+                    batched.insert_cells(ty, cells[..split].iter());
+                    batched.insert_cells(ty, cells[split..].iter());
+                    cells
+                        .iter()
+                        .for_each(|v| one_by_one.insert_cells(ty, std::iter::once(v)));
+                    assert_eq!(batched, one_by_one, "{ty}, split at {split}");
+                    batched.delete_cells(ty, cells[..split].iter());
+                    cells[..split]
+                        .iter()
+                        .for_each(|v| one_by_one.delete_cells(ty, std::iter::once(v)));
+                    assert_eq!(batched, one_by_one, "{ty}, deleted {split}");
+                }
+            }
+        }
+        let mut s = ColumnStats::default();
+        s.insert_cells(LogicalType::F64, floats.iter());
+        let h = s.histogram.as_ref().unwrap();
+        assert!(h.bounds.iter().all(|b| !b.is_nan()), "NaN is NULL");
+        assert!(s
+            .min
+            .as_ref()
+            .and_then(Value::as_f64)
+            .is_some_and(|m| !m.is_nan()));
+    }
+
+    #[test]
+    fn the_bucket_binary_search_is_the_first_covering_bound() {
+        let h = Histogram {
+            lo: -1.0,
+            bounds: vec![0.0, 0.0, 2.0, 2.0, 2.0, 5.0, f64::INFINITY],
+            counts: vec![1; 7],
+            total: 7,
+        };
+        for v in [-2.0, -0.0, 0.0, 1.0, 2.0, 3.0, 5.0, 1e300, f64::INFINITY] {
+            let linear = h.bounds.iter().position(|&b| v <= b).unwrap_or(7);
+            assert_eq!(h.bucket(v), linear, "{v}");
+        }
     }
 
     #[test]
@@ -923,8 +1041,12 @@ mod tests {
             vec![("a".into(), ColumnStats::build_native(&[1i64, 2]))],
         );
         assert_eq!(sc.table("t").unwrap().drift(), 0.0);
-        let cols = vec!["a".to_string()];
-        sc.on_insert("t", &cols, &[vec![Value::I64(3)], vec![Value::I64(4)]]);
+        let schema = TableSchema::new(
+            "T",
+            vec![mammoth_types::ColumnDef::new("A", LogicalType::I64)],
+        );
+        sc.on_insert(&schema, &[vec![Value::I64(3)], vec![Value::I64(4)]]);
+        assert_eq!(sc.column("t", "a").unwrap().max, Some(Value::I64(4)));
         assert_eq!(sc.table("t").unwrap().rows, 4);
         assert_eq!(sc.table("t").unwrap().drift(), 1.0);
     }

@@ -22,9 +22,11 @@ impl Session {
                         name: table.schema.name.clone(),
                     });
                 }
-                self.wal_write(vec![WalRecord::CreateTable {
-                    schema: table.schema.clone(),
-                }])?;
+                self.wal_write(|wal| {
+                    wal.append(&WalRecord::CreateTable {
+                        schema: table.schema.clone(),
+                    })
+                })?;
                 let colnames: Vec<String> = table
                     .schema
                     .columns
@@ -42,7 +44,7 @@ impl Session {
             }
             Statement::DropTable { name } => {
                 self.catalog.table(&name)?; // existence check before logging
-                self.wal_write(vec![WalRecord::DropTable { name: name.clone() }])?;
+                self.wal_write(|wal| wal.append(&WalRecord::DropTable { name: name.clone() }))?;
                 self.catalog.drop_table(&name)?;
                 self.stats.lock().unwrap().drop_table(&name);
                 self.plan_cache.lock().unwrap().clear();
@@ -54,45 +56,38 @@ impl Session {
                 // literal and binding against no arguments cannot fail
                 let rows: Vec<Vec<Value>> = rows
                     .into_iter()
-                    .map(|r| r.into_iter().map(|s| s.bind(&[])).collect())
+                    .map(|r| r.into_iter().map(|s| s.into_bound(&[])).collect())
                     .collect::<Result<_>>()?;
                 let n = rows.len();
                 {
-                    // full validation up front: after the WAL records are
-                    // written, the mutation below must not be able to fail
+                    // full validation up front, once per row: after the WAL
+                    // records are written, the mutation below must not be
+                    // able to fail
                     let t = self.catalog.table(&table)?;
                     for row in &rows {
                         t.validate_row(row)?;
                     }
                 }
-                self.wal_write(
+                self.wal_write(|wal| {
                     rows.iter()
-                        .map(|row| WalRecord::Insert {
-                            table: table.clone(),
-                            row: row.clone(),
-                        })
-                        .collect(),
-                )?;
+                        .try_for_each(|row| wal.append_insert(&table, row))
+                })?;
                 let merged = {
                     let t = self.catalog.table_mut(&table)?;
-                    for row in &rows {
-                        t.insert_row(row)?;
-                    }
+                    t.append_rows(&rows)?;
                     t.maybe_merge_all(self.merge_threshold)
                 };
                 if merged {
                     // merges renumber positions, so replay must repeat them
                     // at the same point in the record stream
-                    self.wal_write(vec![WalRecord::Merge {
-                        table: table.clone(),
-                    }])?;
+                    self.wal_write(|wal| {
+                        wal.append(&WalRecord::Merge {
+                            table: table.clone(),
+                        })
+                    })?;
                 }
                 let schema = &self.catalog.table(&table)?.schema;
-                let colnames: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
-                self.stats
-                    .lock()
-                    .unwrap()
-                    .on_insert(&table, &colnames, &rows);
+                self.stats.lock().unwrap().on_insert(schema, &rows);
                 self.wal_commit_statement()?;
                 Ok(QueryOutput::Affected(n))
             }
@@ -105,15 +100,11 @@ impl Session {
                     let t = self.catalog.table(&table)?;
                     victims.iter().filter_map(|&pos| t.get_row(pos)).collect()
                 };
-                self.wal_write(
+                self.wal_write(|wal| {
                     victims
                         .iter()
-                        .map(|&pos| WalRecord::Delete {
-                            table: table.clone(),
-                            pos,
-                        })
-                        .collect(),
-                )?;
+                        .try_for_each(|&pos| wal.append_delete(&table, pos))
+                })?;
                 let merged = {
                     let t = self.catalog.table_mut(&table)?;
                     for pos in victims {
@@ -122,16 +113,14 @@ impl Session {
                     t.maybe_merge_all(self.merge_threshold)
                 };
                 if merged {
-                    self.wal_write(vec![WalRecord::Merge {
-                        table: table.clone(),
-                    }])?;
+                    self.wal_write(|wal| {
+                        wal.append(&WalRecord::Merge {
+                            table: table.clone(),
+                        })
+                    })?;
                 }
                 let schema = &self.catalog.table(&table)?.schema;
-                let colnames: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
-                self.stats
-                    .lock()
-                    .unwrap()
-                    .on_delete(&table, &colnames, &deleted);
+                self.stats.lock().unwrap().on_delete(schema, &deleted);
                 self.wal_commit_statement()?;
                 Ok(QueryOutput::Affected(n))
             }

@@ -4,7 +4,7 @@ use super::explain::{export_profile, trace_env_on};
 use super::Session;
 use mammoth_mal::{EventKind, ProfiledRun, TraceEvent};
 use mammoth_planner::StatsCatalog;
-use mammoth_storage::{persist, Vfs, Wal, WalRecord};
+use mammoth_storage::{persist, Vfs, Wal};
 use mammoth_types::{Error, Result};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -127,20 +127,16 @@ impl Session {
         Ok(())
     }
 
-    /// Append redo records for the statement being executed. On any append
+    /// Append redo records for the statement being executed: `log` frames
+    /// them into the open WAL, from the statement's own data. On any append
     /// failure the partial batch is rolled back so the log never holds half
-    /// a statement. No-op for in-memory sessions.
-    pub(super) fn wal_write(&mut self, recs: Vec<WalRecord>) -> Result<()> {
+    /// a statement. An in-memory session never calls `log`, so it builds no
+    /// records at all.
+    pub(super) fn wal_write(&mut self, log: impl FnOnce(&mut Wal) -> Result<()>) -> Result<()> {
         let Some(d) = &mut self.durable else {
             return Ok(());
         };
-        for r in &recs {
-            if let Err(e) = d.wal.append(r) {
-                d.wal.rollback_pending();
-                return Err(e);
-            }
-        }
-        Ok(())
+        log(&mut d.wal).inspect_err(|_| d.wal.rollback_pending())
     }
 
     /// Commit the statement's records (fsync, unless group commit is still

@@ -167,13 +167,26 @@ impl Bat {
 
     /// Append one dynamic value, keeping a void head dense.
     pub fn append_value(&mut self, v: &Value) -> Result<()> {
-        self.tail.push_value(v)?;
+        self.extend_values(std::slice::from_ref(v).iter())
+    }
+
+    /// Append a column of dynamic values in one typed loop
+    /// ([`TailHeap::extend_values`]), keeping a void head dense. On error
+    /// the values before the failing one stay appended, head and tail
+    /// aligned.
+    pub fn extend_values<'a>(
+        &mut self,
+        vals: impl ExactSizeIterator<Item = &'a Value>,
+    ) -> Result<()> {
+        let before = self.tail.len();
+        let res = self.tail.extend_values(vals);
+        let added = (self.tail.len() - before) as Oid;
         if let HeadColumn::Oids(h) = &mut self.head {
             let next = h.iter().copied().max().map_or(0, |m| m + 1);
-            h.push(next);
+            h.extend(next..next + added);
         }
         self.props = Properties::unknown();
-        Ok(())
+        res
     }
 
     /// Contiguous positional slice `[from, to)`. Void heads stay void with a

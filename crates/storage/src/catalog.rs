@@ -127,12 +127,21 @@ impl Table {
         &self.deleted
     }
 
-    /// Check a row against the schema without mutating anything: arity,
-    /// NOT NULL, and type coercibility. [`Table::insert_row`] on a
-    /// validated row cannot fail, which is what both the WAL-before-mutate
-    /// discipline and column alignment rely on (a mid-row type error after
-    /// some columns were appended would leave the table misaligned).
+    /// Check a row the way a statement must before it is logged, without
+    /// mutating anything: arity, type coercibility and NOT NULL — where a
+    /// value the column stores as its nil sentinel (`i64::MIN` in a BIGINT,
+    /// a NaN in a DOUBLE) *is* NULL, since that is what reads return for
+    /// it. [`Table::append_rows`] of validated rows cannot fail, which is
+    /// what both the WAL-before-mutate discipline and column alignment rely
+    /// on (a type error after some columns were appended would leave the
+    /// table misaligned).
     pub fn validate_row(&self, row: &[Value]) -> Result<()> {
+        self.check_row(row, true)
+    }
+
+    /// Arity and coercibility; NOT NULL rejects a literal NULL, and with
+    /// `nil_is_null` a nil sentinel too.
+    fn check_row(&self, row: &[Value], nil_is_null: bool) -> Result<()> {
         if row.len() != self.arity() {
             return Err(Error::LengthMismatch {
                 left: row.len(),
@@ -140,16 +149,19 @@ impl Table {
             });
         }
         for (c, def) in row.iter().zip(&self.schema.columns) {
-            if c.is_null() {
-                if !def.nullable {
-                    return Err(Error::Bind(format!(
-                        "NULL not allowed in column {}",
-                        def.name
-                    )));
-                }
-                continue;
+            let nil = c.stored_nil(def.ty);
+            if !def.nullable && (c.is_null() || nil_is_null && nil == Some(true)) {
+                let sentinel = if c.is_null() {
+                    String::new()
+                } else {
+                    format!(" ({c} is {}'s nil)", def.ty)
+                };
+                return Err(Error::Bind(format!(
+                    "NULL not allowed in column {}{sentinel}",
+                    def.name
+                )));
             }
-            if c.coerce(def.ty).is_none() {
+            if nil.is_none() {
                 return Err(Error::TypeMismatch {
                     expected: def.ty.name().into(),
                     found: format!("{c:?}"),
@@ -159,14 +171,27 @@ impl Table {
         Ok(())
     }
 
-    /// Insert a full row; values are coerced to the column types.
-    pub fn insert_row(&mut self, row: &[Value]) -> Result<Oid> {
-        self.validate_row(row)?;
-        let mut pos = 0;
-        for (col, v) in self.columns.iter_mut().zip(row) {
-            pos = col.insert(v)?;
+    /// Append rows that passed [`Table::validate_row`], one column at a
+    /// time: one typed loop per column over all of them.
+    pub fn append_rows<R: AsRef<[Value]>>(&mut self, rows: &[R]) -> Result<()> {
+        debug_assert!(rows
+            .iter()
+            .all(|r| self.check_row(r.as_ref(), false).is_ok()));
+        for (i, col) in self.columns.iter_mut().enumerate() {
+            col.extend(rows.iter().map(|r| &r.as_ref()[i]))?;
         }
-        Ok(pos)
+        Ok(())
+    }
+
+    /// Insert one logged row — the replay path (WAL recovery, replica
+    /// apply); values are coerced to the column types. Checks what the
+    /// columns' alignment needs, but reads a nil sentinel in a NOT NULL
+    /// column as the NULL it always read back as: records an older build
+    /// acknowledged may hold one.
+    pub fn insert_row(&mut self, row: &[Value]) -> Result<Oid> {
+        self.check_row(row, false)?;
+        self.append_rows(&[row])?;
+        Ok(self.total_len().saturating_sub(1) as Oid)
     }
 
     /// Delete the row at position `pos`. Returns false if it was already
@@ -412,6 +437,45 @@ mod tests {
         assert!(e.to_string().contains("age"));
         // nullable column accepts NULL
         t.insert_row(&[Value::Null, Value::I32(2000)]).unwrap();
+    }
+
+    /// A statement may not store a nil sentinel in a NOT NULL column;
+    /// replaying a record that holds one reads it back as NULL.
+    #[test]
+    fn nil_sentinels_are_null_to_a_statement_not_to_replay() {
+        let mut t = people();
+        let row = [Value::Str("x".into()), Value::I32(i32::MIN)];
+        let e = t.validate_row(&row).unwrap_err();
+        assert!(e.to_string().contains("age"), "{e}");
+        t.insert_row(&row).unwrap();
+        assert_eq!(
+            t.get_row(0),
+            Some(vec![Value::Str("x".into()), Value::Null])
+        );
+        // an INT literal is coerced, so its image is what counts
+        assert!(t
+            .validate_row(&[Value::Null, Value::I64(i32::MIN.into())])
+            .is_err());
+        assert!(t
+            .validate_row(&[Value::Null, Value::I64(i64::MIN)])
+            .is_err());
+    }
+
+    #[test]
+    fn rows_append_a_column_at_a_time() {
+        let mut t = people();
+        let rows: Vec<Vec<Value>> = (0..5)
+            .map(|i| vec![Value::Str(format!("p{i}")), Value::I64(i)])
+            .collect();
+        rows.iter().try_for_each(|r| t.validate_row(r)).unwrap();
+        t.append_rows(&rows).unwrap();
+        t.insert_row(&[Value::Null, Value::I32(5)]).unwrap();
+        assert_eq!(t.live_len(), 6);
+        assert_eq!(
+            t.get_row(4),
+            Some(vec![Value::Str("p4".into()), Value::I32(4)])
+        );
+        assert_eq!(t.get_row(5), Some(vec![Value::Null, Value::I32(5)]));
     }
 
     #[test]

@@ -186,6 +186,11 @@ impl VersionedColumn {
         Ok((self.total_len() - 1) as Oid)
     }
 
+    /// Append a column of values to the insert delta in one typed loop.
+    pub fn extend<'a>(&mut self, vals: impl ExactSizeIterator<Item = &'a Value>) -> Result<()> {
+        self.inserts.extend_values(vals)
+    }
+
     /// Value at position `pos`, whether or not the row is deleted. Panics
     /// if out of range.
     pub fn value(&self, pos: usize) -> Value {

@@ -197,43 +197,52 @@ impl TailHeap {
         Ok(self.value(i))
     }
 
-    /// Dynamic append with coercion; the slow path used by DML.
+    /// Dynamic append of one value with coercion.
     pub fn push_value(&mut self, v: &Value) -> Result<()> {
-        let ty = self.ty();
-        match self {
-            TailHeap::Str(h) => match v {
-                Value::Null => {
-                    h.push_nil();
-                    Ok(())
-                }
-                Value::Str(s) => {
-                    h.push(s);
-                    Ok(())
-                }
-                other => Err(Error::TypeMismatch {
-                    expected: "string".into(),
-                    found: format!("{other:?}"),
-                }),
-            },
-            _ => {
-                let coerced = v.coerce(ty).ok_or_else(|| Error::TypeMismatch {
-                    expected: ty.name().into(),
+        self.extend_values(std::slice::from_ref(v).iter())
+    }
+
+    /// Append a column of dynamic values with coercion: one typed loop for
+    /// the whole column. Stops at the first value the column cannot hold,
+    /// the ones before it appended.
+    pub fn extend_values<'a>(
+        &mut self,
+        vals: impl ExactSizeIterator<Item = &'a Value>,
+    ) -> Result<()> {
+        fn fixed<'a, T: FixedTail>(
+            out: &mut Vec<T>,
+            vals: impl ExactSizeIterator<Item = &'a Value>,
+        ) -> Result<()> {
+            out.reserve(vals.len());
+            for v in vals {
+                let x = v.coerce(T::LOGICAL).and_then(|c| T::from_value(&c));
+                out.push(x.ok_or_else(|| Error::TypeMismatch {
+                    expected: T::LOGICAL.name().into(),
                     found: format!("{v:?}"),
-                })?;
-                match self {
-                    TailHeap::Bool(vec) => vec.push(bool::from_value(&coerced).ok_or_else(
-                        || Error::TypeMismatch {
-                            expected: "bool".into(),
-                            found: format!("{coerced:?}"),
-                        },
-                    )?),
-                    TailHeap::I8(vec) => vec.push(i8::from_value(&coerced).unwrap_or(i8::NIL)),
-                    TailHeap::I16(vec) => vec.push(i16::from_value(&coerced).unwrap_or(i16::NIL)),
-                    TailHeap::I32(vec) => vec.push(i32::from_value(&coerced).unwrap_or(i32::NIL)),
-                    TailHeap::I64(vec) => vec.push(i64::from_value(&coerced).unwrap_or(i64::NIL)),
-                    TailHeap::F64(vec) => vec.push(f64::from_value(&coerced).unwrap_or(f64::NIL)),
-                    TailHeap::Oid(vec) => vec.push(Oid::from_value(&coerced).unwrap_or(Oid::NIL)),
-                    TailHeap::Str(_) => unreachable!(),
+                })?);
+            }
+            Ok(())
+        }
+        match self {
+            TailHeap::Bool(out) => fixed(out, vals),
+            TailHeap::I8(out) => fixed(out, vals),
+            TailHeap::I16(out) => fixed(out, vals),
+            TailHeap::I32(out) => fixed(out, vals),
+            TailHeap::I64(out) => fixed(out, vals),
+            TailHeap::F64(out) => fixed(out, vals),
+            TailHeap::Oid(out) => fixed(out, vals),
+            TailHeap::Str(h) => {
+                for v in vals {
+                    match v {
+                        Value::Null => h.push_nil(),
+                        Value::Str(s) => h.push(s),
+                        other => {
+                            return Err(Error::TypeMismatch {
+                                expected: "string".into(),
+                                found: format!("{other:?}"),
+                            })
+                        }
+                    };
                 }
                 Ok(())
             }

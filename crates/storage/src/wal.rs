@@ -90,19 +90,8 @@ impl WalRecord {
                 out.push(2);
                 put_str(name, out);
             }
-            WalRecord::Insert { table, row } => {
-                out.push(3);
-                put_str(table, out);
-                put_u32(row.len() as u32, out);
-                for v in row {
-                    put_value(v, out);
-                }
-            }
-            WalRecord::Delete { table, pos } => {
-                out.push(4);
-                put_str(table, out);
-                put_u64(*pos, out);
-            }
+            WalRecord::Insert { table, row } => encode_insert(table, row, out),
+            WalRecord::Delete { table, pos } => encode_delete(table, *pos, out),
             WalRecord::Merge { table } => {
                 out.push(5);
                 put_str(table, out);
@@ -141,6 +130,24 @@ impl WalRecord {
         r.finish()?;
         Ok(rec)
     }
+}
+
+/// The payload of a [`WalRecord::Insert`], written from a borrowed row —
+/// the one encoding of that record, whether or not a record value exists.
+pub fn encode_insert(table: &str, row: &[Value], out: &mut Vec<u8>) {
+    out.push(3);
+    put_str(table, out);
+    put_u32(row.len() as u32, out);
+    for v in row {
+        put_value(v, out);
+    }
+}
+
+/// The payload of a [`WalRecord::Delete`] (see [`encode_insert`]).
+pub fn encode_delete(table: &str, pos: Oid, out: &mut Vec<u8>) {
+    out.push(4);
+    put_str(table, out);
+    put_u64(pos, out);
 }
 
 /// What [`replay`] found in a log.
@@ -310,19 +317,30 @@ impl Wal {
         std::mem::take(&mut self.events)
     }
 
-    fn frame(&mut self, rec: &WalRecord) {
-        let mut payload = Vec::new();
-        rec.encode(&mut payload);
-        framing::frame_into(&payload, &mut self.buf);
-    }
-
-    /// Buffer one record of the statement in flight. Nothing touches the
-    /// file until the statement is sealed and its batch commits.
-    pub fn append(&mut self, rec: &WalRecord) -> Result<()> {
-        self.frame(rec);
+    /// Buffer one record of the statement in flight, its payload encoded
+    /// straight into the frame. Nothing touches the file until the
+    /// statement is sealed and its batch commits.
+    fn push(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<()> {
+        framing::frame_with(&mut self.buf, encode);
         self.pending += 1;
         self.since_boundary += 1;
         Ok(())
+    }
+
+    /// Buffer one record of the statement in flight.
+    pub fn append(&mut self, rec: &WalRecord) -> Result<()> {
+        self.push(|out| rec.encode(out))
+    }
+
+    /// [`Wal::append`] of a [`WalRecord::Insert`], framed from the
+    /// statement's own row: the same bytes, and no record built.
+    pub fn append_insert(&mut self, table: &str, row: &[Value]) -> Result<()> {
+        self.push(|out| encode_insert(table, row, out))
+    }
+
+    /// [`Wal::append`] of a [`WalRecord::Delete`], without building it.
+    pub fn append_delete(&mut self, table: &str, pos: Oid) -> Result<()> {
+        self.push(|out| encode_delete(table, pos, out))
     }
 
     /// Append the buffered batch to the file and fsync it. A no-op when
@@ -361,7 +379,7 @@ impl Wal {
         if self.since_boundary == 0 {
             return Ok(());
         }
-        self.frame(&WalRecord::Commit);
+        framing::frame_with(&mut self.buf, |out| WalRecord::Commit.encode(out));
         self.boundary_off = self.buf.len();
         self.since_boundary = 0;
         self.stmts_pending += 1;
@@ -507,6 +525,43 @@ mod tests {
             rec.encode(&mut p);
             assert_eq!(WalRecord::decode(&p).unwrap(), rec);
         }
+    }
+
+    #[test]
+    fn borrowed_rows_frame_to_the_records_bytes() {
+        let d = tmp("borrowed");
+        let fs: Arc<dyn Vfs> = Arc::new(RealFs);
+        let mut owned = Wal::open(Arc::clone(&fs), d.join("a")).unwrap();
+        let mut borrowed = Wal::open(fs, d.join("b")).unwrap();
+        let row = vec![
+            Value::I64(i64::MIN),
+            Value::Str("naïve".into()),
+            Value::Null,
+            Value::F64(-0.0),
+        ];
+        let insert = WalRecord::Insert {
+            table: "t".into(),
+            row: row.clone(),
+        };
+        let delete = WalRecord::Delete {
+            table: "t".into(),
+            pos: 7,
+        };
+        owned.append(&insert).unwrap();
+        owned.append(&delete).unwrap();
+        borrowed.append_insert("t", &row).unwrap();
+        borrowed.append_delete("t", 7).unwrap();
+        let mut framed = Vec::new();
+        for rec in [&insert, &delete] {
+            let mut payload = Vec::new();
+            rec.encode(&mut payload);
+            framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            framed.extend_from_slice(&framing::crc32(&payload).to_le_bytes());
+            framed.extend_from_slice(&payload);
+        }
+        assert_eq!(owned.buf, framed);
+        assert_eq!(borrowed.buf, framed);
+        let _ = std::fs::remove_dir_all(&d);
     }
 
     #[test]

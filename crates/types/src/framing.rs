@@ -78,9 +78,18 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// Append one frame (header + payload) to `out`.
 pub fn frame_into(payload: &[u8], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    frame_with(out, |out| out.extend_from_slice(payload));
+}
+
+/// Append one frame whose payload `encode` writes straight into `out`:
+/// the header is filled in afterwards, so no payload buffer is built.
+pub fn frame_with(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    encode(out);
+    let (header, payload) = out[start..].split_at_mut(FRAME_HEADER);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
 }
 
 /// The outcome of examining the front of a byte buffer for one frame.

@@ -205,6 +205,31 @@ impl Value {
         }
     }
 
+    /// Whether a column of type `ty` stores this value as its nil: `None`
+    /// when the column cannot hold it (what [`Value::coerce`] refuses, and a
+    /// NULL in a `bool` column, which has no nil), `Some(true)` for NULL and
+    /// for a value whose stored image *is* the nil sentinel — `i64::MIN` in
+    /// a BIGINT column, any NaN in a DOUBLE one — which the read path
+    /// returns as NULL. Allocates nothing.
+    pub fn stored_nil(&self, ty: LogicalType) -> Option<bool> {
+        use crate::native::NativeType;
+        if let (LogicalType::Str, Value::Str(_)) = (ty, self) {
+            return Some(false);
+        }
+        // past strings, coercing copies no heap data
+        Some(match self.coerce(ty)? {
+            Value::Null if ty == LogicalType::Bool => return None,
+            Value::Null => true,
+            Value::I8(x) => x.is_nil(),
+            Value::I16(x) => x.is_nil(),
+            Value::I32(x) => x.is_nil(),
+            Value::I64(x) => x.is_nil(),
+            Value::F64(x) => x.is_nil(),
+            Value::Oid(x) => x.is_nil(),
+            Value::Bool(_) | Value::Str(_) => false,
+        })
+    }
+
     /// SQL-style comparison: `None` when either side is NULL or the types
     /// are incomparable.
     pub fn sql_cmp(&self, other: &Value) -> Option<std::cmp::Ordering> {
@@ -325,6 +350,55 @@ mod tests {
         );
         assert_eq!(Value::Null.coerce(LogicalType::I32), Some(Value::Null));
         assert_eq!(Value::Str("x".into()).coerce(LogicalType::I32), None);
+    }
+
+    /// `stored_nil` is `coerce` followed by the column's native image.
+    #[test]
+    fn stored_nil_reads_the_stored_image() {
+        use crate::native::NativeType;
+        use crate::oid::OID_NIL;
+        fn image<T: NativeType>(v: &Value) -> Option<bool> {
+            T::from_value(v).map(|x| x.is_nil())
+        }
+        let values = [
+            Value::Null,
+            Value::Bool(false),
+            Value::I8(i8::MIN),
+            Value::I8(3),
+            Value::I16(i16::MIN),
+            Value::I32(i32::MIN),
+            Value::I32(-1),
+            Value::I64(i64::MIN),
+            Value::I64(i32::MIN.into()),
+            Value::I64(i16::MIN.into()),
+            Value::I64(i8::MIN.into()),
+            Value::I64(-7),
+            Value::I64(7),
+            Value::F64(f64::NAN),
+            Value::F64(-0.0),
+            Value::F64(f64::NEG_INFINITY),
+            Value::F64(2.5),
+            Value::Str(String::new()),
+            Value::Oid(OID_NIL),
+            Value::Oid(OID_NIL - 1),
+            Value::Oid(5),
+        ];
+        use LogicalType::*;
+        for ty in [Bool, I8, I16, I32, I64, F64, Str, Oid] {
+            for v in &values {
+                let want = v.coerce(ty).and_then(|c| match ty {
+                    Bool => image::<bool>(&c),
+                    I8 => image::<i8>(&c),
+                    I16 => image::<i16>(&c),
+                    I32 => image::<i32>(&c),
+                    I64 => image::<i64>(&c),
+                    F64 => image::<f64>(&c),
+                    Oid => image::<crate::Oid>(&c),
+                    Str => Some(c.is_null()),
+                });
+                assert_eq!(v.stored_nil(ty), want, "{v:?} in a {ty} column");
+            }
+        }
     }
 
     #[test]

@@ -58,10 +58,12 @@ echo "==> cargo test -q --workspace"
 # binaries' own tests (crates/{server,replica,shard}/tests/daemon.rs).
 cargo test -q --offline --workspace
 # The compile path's allocation budget is pinned by tests/compile_budget.rs
-# (in the run above). A release build takes the checked pipeline's other
-# branch — verify once on exit, keeping a copy of the input for the replay
-# — so the budget is held there too. Counts, not timings: no wall clock.
-cargo test -q --offline --release --test compile_budget
+# and the write path's by tests/write_budget.rs (in the run above). A
+# release build takes the checked pipeline's other branch — verify once on
+# exit, keeping a copy of the input for the replay — and drops the write
+# path's debug re-validation, so the budgets are held there too. Counts,
+# not timings: no wall clock.
+cargo test -q --offline --release --test compile_budget --test write_budget
 # The dense selection kernel's AVX2 arm only takes its vectorized shape in
 # an optimized build: hold it to the scalar loop there as well.
 cargo test -q --offline --release -p mammoth-algebra select::tests::dispatch

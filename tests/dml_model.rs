@@ -8,15 +8,21 @@
 //! At each crash, [`Catalog::logical_dump`] of the online state, of the
 //! recovered state and the model's rows must all be the same; every
 //! statement's row count and every read must match the model as well.
+//! Around every CHECKPOINT, the statistics DML kept up incrementally must
+//! agree with the ones it rebuilds (see [`check_statistics`]). Some INSERTs
+//! carry a column's nil sentinel: `b INT` stores it as NULL, and `a BIGINT
+//! NOT NULL` refuses the statement, leaving the table as it was.
 //!
 //! Runs under `MAMMOTH_CHECK_PROPS=1` in CI: the reads bind columns with
 //! deletes pending, which is where a fact about the *stored* column (its
 //! total length) once passed for a fact about the *bound* one.
 
+use mammoth_planner::StatsCatalog;
 use mammoth_sql::{QueryOutput, Session};
 use mammoth_types::Value;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::cmp::Ordering;
 use std::path::PathBuf;
 
 /// A draw from `0..n`.
@@ -90,6 +96,40 @@ fn table_rows(s: &Session) -> Vec<Vec<Value>> {
     dump.into_iter().next().unwrap().2
 }
 
+/// The statistics DML kept up incrementally against the ones CHECKPOINT
+/// rebuilds from the live columns: the same row and null counts per
+/// column, and bounds that contain the rebuilt ones (a DELETE never
+/// narrows them).
+fn check_statistics(incremental: &StatsCatalog, rebuilt: &StatsCatalog, ctx: &str) {
+    for col in ["a", "b", "s"] {
+        let (inc, built) = (
+            incremental.column("t", col).unwrap(),
+            rebuilt.column("t", col).unwrap(),
+        );
+        assert_eq!(
+            (inc.rows, inc.nulls),
+            (built.rows, built.nulls),
+            "{ctx}: rows and nulls of {col}"
+        );
+        // `inc` is at or beyond `built` on the `side` it bounds
+        let contains =
+            |inc: &Option<Value>, built: &Option<Value>, side: Ordering| match (inc, built) {
+                (_, None) => true,
+                (Some(i), Some(b)) => matches!(i.sql_cmp(b), Some(o) if o != side.reverse()),
+                (None, Some(_)) => false,
+            };
+        assert!(
+            contains(&inc.min, &built.min, Ordering::Less)
+                && contains(&inc.max, &built.max, Ordering::Greater),
+            "{ctx}: [{:?}, {:?}] of {col} does not contain the rebuilt [{:?}, {:?}]",
+            inc.min,
+            inc.max,
+            built.min,
+            built.max
+        );
+    }
+}
+
 fn run(seed: u64, root: PathBuf) {
     let _ = std::fs::remove_dir_all(&root);
     let open = |root: &PathBuf| {
@@ -107,26 +147,47 @@ fn run(seed: u64, root: PathBuf) {
     for step in 0..400 {
         match below(&mut r, 20) {
             0..=9 => {
+                // now and then a cell is its column's nil sentinel: NULL in
+                // `b INT`, and the whole statement refused in `a BIGINT NOT
+                // NULL`
+                let mut nil_b = Vec::new();
                 let rows: Vec<Row> = (0..1 + below(&mut r, 6))
                     .map(|_| {
                         next_key += 1;
                         let b = (below(&mut r, 5) != 0).then(|| below(&mut r, 9) as i64 - 4);
+                        nil_b.push(b.is_none() && below(&mut r, 2) == 0);
                         let tag = (below(&mut r, 4) != 0).then(|| format!("s{}", below(&mut r, 5)));
                         (next_key - 1, b, tag)
                     })
                     .collect();
+                let nil_a = below(&mut r, 12) == 0;
                 let tuples: Vec<String> = rows
                     .iter()
-                    .map(|row| {
-                        let cells: Vec<String> = as_values(row).iter().map(sql_literal).collect();
+                    .zip(&nil_b)
+                    .enumerate()
+                    .map(|(i, (row, &nil_b))| {
+                        let mut cells: Vec<String> =
+                            as_values(row).iter().map(sql_literal).collect();
+                        if nil_b {
+                            cells[1] = i32::MIN.to_string();
+                        }
+                        if nil_a && i == 0 {
+                            cells[0] = i64::MIN.to_string();
+                        }
                         format!("({})", cells.join(", "))
                     })
                     .collect();
-                let out = s
-                    .execute(&format!("INSERT INTO t VALUES {}", tuples.join(", ")))
-                    .unwrap();
-                assert_eq!(out, QueryOutput::Affected(rows.len()));
-                model.extend(rows);
+                let out = s.execute(&format!("INSERT INTO t VALUES {}", tuples.join(", ")));
+                if nil_a {
+                    let e = out.unwrap_err().to_string();
+                    assert!(
+                        e.contains("NULL not allowed in column a"),
+                        "seed {seed} step {step}: {e}"
+                    );
+                } else {
+                    assert_eq!(out.unwrap(), QueryOutput::Affected(rows.len()));
+                    model.extend(rows);
+                }
             }
             10..=14 => {
                 let w = random_where(&mut r, next_key);
@@ -160,9 +221,15 @@ fn run(seed: u64, root: PathBuf) {
                 }
             }
             17 => {
+                let incremental = s.stats_catalog();
                 s.execute("CHECKPOINT").unwrap();
                 let t = s.catalog().table("t").unwrap();
                 assert_eq!(t.total_len(), t.live_len(), "a checkpoint folds the deltas");
+                check_statistics(
+                    &incremental,
+                    &s.stats_catalog(),
+                    &format!("seed {seed} step {step}"),
+                );
             }
             _ => {
                 // crash: what the WAL and the last checkpoint hold is all

@@ -525,5 +525,129 @@ mod histogram_props {
                 prop_assert!(*h.bounds.last().unwrap() >= mx);
             }
         }
+
+        // The same laws for histograms a session folds as INSERTs apply,
+        // nil sentinels among the values: the histogram holds exactly the
+        // values that read back as non-NULL.
+        #[test]
+        fn prop_session_inserts_keep_the_laws(
+            cells in proptest::collection::vec((0u8..10, -400i64..400), 1..120),
+            batch in 1usize..24,
+        ) {
+            use mammoth_sql::{QueryOutput, Scalar, Session, Statement};
+            use mammoth_types::Value;
+            let mut s = Session::new();
+            s.execute("CREATE TABLE h (b BIGINT, x DOUBLE)").unwrap();
+            let rows: Vec<Vec<Scalar>> = cells
+                .iter()
+                .map(|&(code, v)| {
+                    let (b, x) = match code {
+                        0 => (Value::Null, Value::Null),
+                        1 => (Value::I64(i64::MIN), Value::F64(f64::NAN)),
+                        2 => (Value::I32(v as i32), Value::F64(-0.0)),
+                        3 => (Value::I64(v), Value::F64(if v < 0 { f64::NEG_INFINITY } else { f64::INFINITY })),
+                        _ => (Value::I64(v), Value::F64(v as f64 / 3.0)),
+                    };
+                    vec![Scalar::Lit(b), Scalar::Lit(x)]
+                })
+                .collect();
+            for chunk in rows.chunks(batch) {
+                let insert = Statement::Insert { table: "h".into(), rows: chunk.to_vec() };
+                s.execute_stmt(insert).unwrap();
+            }
+            let stats = s.stats_catalog();
+            for col in ["b", "x"] {
+                let QueryOutput::Table { rows: read, .. } =
+                    s.execute(&format!("SELECT {col} FROM h")).unwrap()
+                else {
+                    panic!("not a table")
+                };
+                let live: Vec<f64> = read.iter().filter_map(|r| r[0].as_f64()).collect();
+                let c = stats.column("h", col).unwrap();
+                prop_assert_eq!(c.nulls, (read.len() - live.len()) as u64, "{}", col);
+                let Some(h) = &c.histogram else {
+                    prop_assert!(live.is_empty());
+                    continue;
+                };
+                check_invariants(h);
+                prop_assert_eq!(h.total, live.len() as u64, "{}: {:?}", col, h);
+                let top = *h.bounds.last().unwrap();
+                for v in &live {
+                    prop_assert!(*v >= h.lo && *v <= top, "{}: {} outside {:?}", col, v, h);
+                }
+            }
+        }
+    }
+}
+
+mod stats_batching {
+    //! The statistics fold a statement's rows a column at a time; the
+    //! result must not depend on how the rows were batched into statements.
+    use mammoth_sql::{Scalar, Session, Statement};
+    use mammoth_types::Value;
+    use proptest::prelude::*;
+
+    const DDL: &str = "CREATE TABLE t (k BIGINT NOT NULL, b BIGINT, x DOUBLE, s VARCHAR, i INT)";
+    const WORDS: [&str; 6] = ["naïve", "日本語", "straße", "", "e\u{301}", "zz"];
+
+    /// Row `k` of the generated table: NULLs, duplicates from small
+    /// domains, INT literals into BIGINT (and BIGINT into INT), −0.0, ±inf
+    /// and multibyte strings.
+    fn row(k: i64, (code, v, word): (u8, i64, usize)) -> Vec<Scalar> {
+        let b = match code % 4 {
+            0 => Value::Null,
+            1 => Value::I32(v as i32),
+            _ => Value::I64(v),
+        };
+        let x = match code % 7 {
+            0 => Value::Null,
+            1 => Value::F64(-0.0),
+            2 => Value::F64(0.0),
+            3 => Value::F64(f64::INFINITY),
+            4 => Value::F64(f64::NEG_INFINITY),
+            5 => Value::I64(v),
+            _ => Value::F64(v as f64 / 4.0),
+        };
+        let s = match word {
+            6 => Value::Null,
+            w => Value::Str(WORDS[w].into()),
+        };
+        let i = if code % 5 == 0 {
+            Value::Null
+        } else {
+            Value::I64(v)
+        };
+        [Value::I64(k), b, x, s, i]
+            .into_iter()
+            .map(Scalar::Lit)
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn prop_one_statement_folds_like_one_statement_per_row(
+            cells in proptest::collection::vec((0u8..140, -20i64..20, 0usize..7), 1..80),
+            cut in (0usize..80, 0usize..80),
+        ) {
+            let rows: Vec<Vec<Scalar>> =
+                cells.iter().enumerate().map(|(k, &c)| row(k as i64, c)).collect();
+            let (mut batched, mut single) = (Session::new(), Session::new());
+            batched.execute(DDL).unwrap();
+            single.execute(DDL).unwrap();
+            let insert = |rows: Vec<Vec<Scalar>>| Statement::Insert { table: "t".into(), rows };
+            batched.execute_stmt(insert(rows.clone())).unwrap();
+            for r in rows {
+                single.execute_stmt(insert(vec![r])).unwrap();
+            }
+            prop_assert_eq!(batched.stats_catalog(), single.stats_catalog());
+
+            let n = cells.len();
+            let (lo, hi) = (cut.0 % n, cut.0 % n + cut.1 % (n - cut.0 % n + 1));
+            batched.execute(&format!("DELETE FROM t WHERE k >= {lo} AND k < {hi}")).unwrap();
+            for k in lo..hi {
+                single.execute(&format!("DELETE FROM t WHERE k = {k}")).unwrap();
+            }
+            prop_assert_eq!(batched.stats_catalog(), single.stats_catalog());
+        }
     }
 }

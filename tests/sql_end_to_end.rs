@@ -1,6 +1,7 @@
 //! End-to-end SQL workout: DDL, bulk DML, joins, grouping, ordering,
 //! persistence — the downstream-user path through the whole stack.
 
+use mammoth::sql::{Session, Statement};
 use mammoth::types::Value;
 use mammoth::{Database, QueryOutput};
 
@@ -297,4 +298,113 @@ fn error_paths_are_clean() {
     db.execute("INSERT INTO t VALUES (1)").unwrap();
     let r = rows(db.execute("SELECT COUNT(*) FROM t").unwrap());
     assert_eq!(r[0][0], Value::I64(1));
+}
+
+/// A value its column stores as the nil sentinel — `i64::MIN` in a
+/// BIGINT, a NaN in a DOUBLE — *is* NULL on the statement path, as it is
+/// when read back: NOT NULL refuses it, and the statistics count it as a
+/// null rather than as a bound or a histogram value.
+#[test]
+fn nil_sentinels_are_null_to_not_null_and_to_the_statistics() {
+    let mut s = Session::new();
+    let execute = |s: &mut Session, name: &str, args: Vec<Value>| {
+        let name = name.to_string();
+        s.execute_stmt(Statement::Execute { name, args })
+    };
+    s.execute("CREATE TABLE t (k BIGINT NOT NULL, x DOUBLE NOT NULL)")
+        .unwrap();
+    let e = s
+        .execute("INSERT INTO t VALUES (-9223372036854775808, 1.0)")
+        .unwrap_err();
+    assert!(
+        e.to_string().contains("NULL not allowed in column k"),
+        "{e}"
+    );
+    s.execute("PREPARE ins AS INSERT INTO t VALUES (?, ?)")
+        .unwrap();
+    let e = execute(&mut s, "ins", vec![Value::I64(1), Value::F64(f64::NAN)]).unwrap_err();
+    assert!(
+        e.to_string().contains("NULL not allowed in column x"),
+        "{e}"
+    );
+    let r = rows(s.execute("SELECT COUNT(*) FROM t").unwrap());
+    assert_eq!(r, vec![vec![Value::I64(0)]], "nothing was stored");
+
+    s.execute("CREATE TABLE u (k BIGINT, x DOUBLE)").unwrap();
+    s.execute("PREPARE ins_u AS INSERT INTO u VALUES (?, ?)")
+        .unwrap();
+    for (k, x) in [(1, 1.0), (2, 2.0), (3, 3.0), (i64::MIN, f64::NAN), (5, 0.5)] {
+        execute(&mut s, "ins_u", vec![Value::I64(k), Value::F64(x)]).unwrap();
+    }
+    let r = rows(s.execute("SELECT k, x FROM u").unwrap());
+    assert_eq!(r[3], vec![Value::Null, Value::Null]);
+    let stats = s.stats_catalog();
+    let k = stats.column("u", "k").unwrap();
+    assert_eq!((k.rows, k.nulls), (5, 1));
+    assert_eq!(
+        (&k.min, &k.max),
+        (&Some(Value::I64(1)), &Some(Value::I64(5)))
+    );
+    let x = stats.column("u", "x").unwrap();
+    assert_eq!((x.rows, x.nulls), (5, 1));
+    assert_eq!(
+        (&x.min, &x.max),
+        (&Some(Value::F64(0.5)), &Some(Value::F64(3.0)))
+    );
+    let h = x.histogram.as_ref().unwrap();
+    assert_eq!(h.total, 4);
+    assert_eq!(h.counts.iter().sum::<u64>(), h.total);
+    assert_eq!((h.lo, h.bounds.last().copied()), (0.5, Some(3.0)));
+    assert!(h.bounds.windows(2).all(|w| w[0] <= w[1]), "{h:?}");
+}
+
+/// What an older build acknowledged — a nil sentinel in a NOT NULL column
+/// — still replays, and reads back as the NULL it always read back as.
+#[test]
+fn a_logged_nil_sentinel_in_a_not_null_column_still_recovers() {
+    use mammoth::storage::persist::wal_file_name;
+    use mammoth::storage::{RealFs, Vfs, Wal, WalRecord};
+    use mammoth::types::{ColumnDef, LogicalType, TableSchema};
+    use std::sync::Arc;
+    let dir = std::env::temp_dir().join(format!("mammoth-e2e-nil-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let fs: Arc<dyn Vfs> = Arc::new(RealFs);
+    let mut wal = Wal::open(fs, dir.join(wal_file_name(0))).unwrap();
+    let schema = TableSchema::new(
+        "t",
+        vec![
+            ColumnDef::new("k", LogicalType::I64).not_null(),
+            ColumnDef::new("x", LogicalType::F64).not_null(),
+        ],
+    );
+    let insert = |row| WalRecord::Insert {
+        table: "t".into(),
+        row,
+    };
+    for rec in [
+        WalRecord::CreateTable { schema },
+        insert(vec![Value::I64(i64::MIN), Value::F64(1.0)]),
+        insert(vec![Value::I64(2), Value::F64(f64::NAN)]),
+    ] {
+        wal.append(&rec).unwrap();
+        wal.statement_boundary().unwrap();
+    }
+    drop(wal);
+    let mut s = Session::open_durable(&dir).unwrap();
+    let r = rows(s.execute("SELECT k, x FROM t").unwrap());
+    assert_eq!(
+        r,
+        vec![
+            vec![Value::Null, Value::F64(1.0)],
+            vec![Value::I64(2), Value::Null]
+        ]
+    );
+    let stats = s.stats_catalog();
+    for c in ["k", "x"] {
+        let c = stats.column("t", c).unwrap();
+        assert_eq!((c.rows, c.nulls), (2, 1));
+    }
+    drop(s);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
