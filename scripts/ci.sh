@@ -37,11 +37,18 @@ stray=$(grep -rnE --include='*.rs' 'struct Reader\b|fn (put_value|get_value|ty_t
     crates/*/src | grep -v "^$codec:" || true)
 [ -z "$stray" ] || { echo "a byte codec beside $codec:"; echo "$stray"; exit 1; }
 
+echo "==> one statement generator: the differential tiers draw from tests/support/gen.rs"
+# A tier that writes its own workload generator covers what its author
+# thought of; a production added to the shared one reaches every tier.
+stray=$(grep -nE 'fn gen_query|fn random_where|fn random_plan|struct Workload|fn workload\(' \
+    tests/*.rs || true)
+[ -z "$stray" ] || { echo "a generator beside tests/support/gen.rs:"; echo "$stray"; exit 1; }
+
 echo "==> serving gate: mammoth-server links no evidence crate"
 # What reproduces a paper claim but serves no request (DESIGN.md's "serves /
 # evidence" column) stays out of the daemons. `compression` is linked
-# through `vectorized`'s `Column::Packed` and allowed until ROADMAP 4(b)
-# decides whether a SQL plan ever produces one.
+# through `vectorized`'s `Column::Packed` and allowed until ROADMAP's
+# "Compressed out-of-core columns" decides whether a SQL plan produces one.
 evidence='recycler|cracking|bufferpool|volcano|cache|xpath|stream|workload|core|bench'
 linked=$(cargo tree --offline -p mammoth-server -e normal --prefix none \
     | grep -E "^mammoth-($evidence) " | sort -u || true)

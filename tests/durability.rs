@@ -9,52 +9,40 @@
 //!   the crash landed between making a statement durable and
 //!   acknowledging it (fsync'd but the OK never returned).
 //!
-//! The workload is deterministic per seed; `MAMMOTH_FAULT_SEED` selects
-//! one (the CI crash matrix runs seeds 1..=4).
+//! The workload is the statement generator's (`support::gen`), deterministic
+//! per seed; `MAMMOTH_FAULT_SEED` selects one (the CI crash matrix runs
+//! seeds 1..=4).
 
 use std::path::Path;
 use std::sync::Arc;
 
-use mammoth_sql::Session;
+use mammoth_sql::{Session, Statement};
 use mammoth_storage::{FaultFs, FaultKind, FaultPlan};
 use mammoth_types::{TableSchema, Value};
 
 mod support;
-use support::{seed, Rng, Scratch};
+use support::gen::Gen;
+use support::{seed, Scratch};
 
 /// Small merge threshold so the workload crosses it and logs Merge records.
 const MERGE_THRESHOLD: usize = 8;
 
+/// Writes per seed: one CHECKPOINT among them, and some 70–80 mutating
+/// filesystem operations, each a kill point.
+const WRITES: usize = 24;
+
 type Dump = Vec<(String, TableSchema, Vec<Vec<Value>>)>;
 
-/// A deterministic workload of always-valid statements: multi-row inserts
-/// (the torn-batch case), predicate deletes, a mid-stream CHECKPOINT, DDL.
-/// Insert volume crosses `MERGE_THRESHOLD`, so Merge records appear too.
-fn workload(seed: u64) -> Vec<String> {
-    let mut r = Rng::new(seed ^ 0x6d616d6d); // "mamm"
-    let mut stmts = vec![
-        "CREATE TABLE t (a INT NOT NULL, s TEXT)".to_string(),
-        "CREATE TABLE side (x INT NOT NULL)".to_string(),
-    ];
-    for round in 0..4u64 {
-        let rows: Vec<String> = (0..(3 + r.below(4)))
-            .map(|i| format!("({}, 'r{}-{}')", r.below(50), round, i))
-            .collect();
-        stmts.push(format!("INSERT INTO t VALUES {}", rows.join(", ")));
-        stmts.push(format!("INSERT INTO side VALUES ({})", r.below(9)));
-        stmts.push(format!("DELETE FROM t WHERE a < {}", r.below(20)));
-        if round == 1 {
-            stmts.push("CHECKPOINT".to_string());
-        }
-    }
-    stmts.push("DROP TABLE side".to_string());
-    stmts.push("CHECKPOINT".to_string());
-    stmts.push(format!(
-        "INSERT INTO t VALUES ({}, 'after-ckpt')",
-        r.below(50)
-    ));
-    stmts.push(format!("DELETE FROM t WHERE a >= {}", 25 + r.below(20)));
-    stmts
+/// The writes of the generated workload under `seed` — DDL, multi-row
+/// inserts (the torn-batch case), predicate deletes, a CHECKPOINT, DROPs —
+/// all valid (no refusals), as text; its reads write nothing, so no kill
+/// point falls in one. Insert volume crosses `MERGE_THRESHOLD`, so Merge
+/// records appear too.
+fn statements(seed: u64) -> Vec<String> {
+    let mut g = Gen::new(seed);
+    g.refusals = false;
+    let writes = g.filter(|s| !matches!(s, Statement::Select(_)));
+    writes.take(WRITES).map(|s| s.to_string()).collect()
 }
 
 /// Run the workload on a plain in-memory session, recording the logical
@@ -105,7 +93,7 @@ fn recovered_dump(dir: &Path) -> Dump {
 
 #[test]
 fn fault_free_run_recovers_final_state() {
-    let stmts = workload(seed("MAMMOTH_FAULT_SEED", 0));
+    let stmts = statements(seed("MAMMOTH_FAULT_SEED", 0));
     let states = oracle_states(&stmts);
     let dir = Scratch::new("dura-clean");
     let fs = Arc::new(FaultFs::new(FaultPlan::none()));
@@ -118,7 +106,7 @@ fn fault_free_run_recovers_final_state() {
 #[test]
 fn kill_point_sweep_recovers_committed_prefix() {
     let seed = seed("MAMMOTH_FAULT_SEED", 0);
-    let stmts = workload(seed);
+    let stmts = statements(seed);
     let states = oracle_states(&stmts);
 
     // measure the op budget of a clean run; every one of those ops is a

@@ -18,7 +18,12 @@ use mammoth::volcano::{
 use mammoth::workload::LineitemSlice;
 use mammoth::{Database, Engine, QueryOutput};
 
+mod support;
+use support::gen::Gen;
+
 const N: usize = 20_000;
+/// The statement generator's seed for the engine differential.
+const SEED: u64 = 7;
 const CUTOFF: i64 = 10_000;
 const QTY: i64 = 25;
 
@@ -231,27 +236,36 @@ fn load_lineitem(db: &mut Database, s: &LineitemSlice) {
 }
 
 /// The parallel dataflow engine must agree with the serial interpreter on
-/// every compiled query, at every thread count.
+/// every compiled query, at every thread count (`threads: 0` resolves
+/// through MAMMOTH_THREADS, the knob the CI matrix turns): a dozen
+/// generated SELECTs (`support::gen`) over generated tables, the fact table
+/// past the 8 192 rows of one mitosis fragment.
 #[test]
 fn parallel_engine_matches_serial_at_every_thread_count() {
-    let s = slice();
-    let queries = [
-        format!("SELECT COUNT(qty) FROM lineitem WHERE qty < {QTY}"),
-        format!("SELECT SUM(price), COUNT(price) FROM lineitem WHERE shipdate <= {CUTOFF}"),
-        format!("SELECT price FROM lineitem WHERE shipdate <= {CUTOFF} AND qty < {QTY} LIMIT 7"),
-        format!("SELECT qty, COUNT(*) FROM lineitem WHERE shipdate <= {CUTOFF} GROUP BY qty ORDER BY qty"),
-        "SELECT AVG(price) FROM lineitem WHERE qty > 10".to_string(),
-        "SELECT MIN(shipdate), MAX(shipdate) FROM lineitem".to_string(),
+    let mut g = Gen::new(SEED);
+    g.refusals = false;
+    let load = [
+        g.create(0),
+        g.insert_rows(0, 9_000),
+        g.create(1),
+        g.insert_rows(1, 64),
     ];
-    let mut serial = Database::new();
-    load_lineitem(&mut serial, &s);
-    for threads in [1usize, 2, 4, 8] {
-        let mut par = Database::with_engine(Engine::Parallel { threads });
-        load_lineitem(&mut par, &s);
-        for q in &queries {
-            let a = serial.execute(q).unwrap();
-            let b = par.execute(q).unwrap();
-            assert_eq!(a, b, "threads={threads}, query={q}");
+    let load = load.map(|stmt| stmt.to_string());
+    let queries: Vec<String> = (0..12).map(|_| g.select(0).to_string()).collect();
+    let database = |engine| {
+        let mut db = Database::with_engine(engine);
+        for stmt in &load {
+            db.execute(stmt).unwrap();
+        }
+        db
+    };
+    let mut serial = database(Engine::Serial);
+    let want: Vec<QueryOutput> = queries.iter().map(|q| serial.execute(q).unwrap()).collect();
+    for threads in [1usize, 2, 4, 8, 0] {
+        let mut par = database(Engine::Parallel { threads });
+        for (step, (q, want)) in queries.iter().zip(&want).enumerate() {
+            let ctx = format!("seed {SEED} step {step}, threads={threads}: {q}");
+            assert_eq!(&par.execute(q).unwrap(), want, "{ctx}");
         }
     }
 }
@@ -549,6 +563,7 @@ fn parallel_engine_default_thread_resolution_agrees() {
 }
 
 mod props_compat {
+    use super::support::gen::{bind, int_table};
     use super::*;
     use mammoth::algebra::{AggKind, CmpOp};
     use mammoth::mal::{
@@ -559,37 +574,17 @@ mod props_compat {
 
     fn catalog(n: i64) -> Catalog {
         let mut cat = Catalog::new();
-        let t = Table::from_bats(
-            TableSchema::new(
-                "t",
-                vec![
-                    ColumnDef::new("v", LogicalType::I64),
-                    ColumnDef::new("w", LogicalType::I64),
-                ],
-            ),
-            vec![
-                Bat::from_vec((0..n).collect::<Vec<_>>()), // sorted
-                Bat::from_vec((0..n).map(|i| (i * 131) % n).collect::<Vec<_>>()), // scrambled
-            ],
-        )
-        .unwrap();
-        cat.create_table(t).unwrap();
+        let sorted = (0..n).collect();
+        let scrambled = (0..n).map(|i| (i * 131) % n).collect();
+        int_table(&mut cat, "t", vec![("v", sorted), ("w", scrambled)]);
         cat
     }
 
     fn plan(col: &str, cut: i64) -> Program {
         let mut p = Program::new();
-        let b = p.push(
-            OpCode::Bind,
-            vec![
-                Arg::Const(Value::Str("t".into())),
-                Arg::Const(Value::Str(col.into())),
-            ],
-        )[0];
-        let c = p.push(
-            OpCode::ThetaSelect(CmpOp::Lt),
-            vec![Arg::Var(b), Arg::Const(Value::I64(cut))],
-        )[0];
+        let b = bind(&mut p, "t", col);
+        let cut = Arg::Const(Value::I64(cut));
+        let c = p.push(OpCode::ThetaSelect(CmpOp::Lt), vec![Arg::Var(b), cut])[0];
         let v = p.push(OpCode::Projection, vec![Arg::Var(c), Arg::Var(b)])[0];
         let s = p.push(OpCode::Aggr(AggKind::Sum), vec![Arg::Var(v)])[0];
         let n = p.push(OpCode::Count, vec![Arg::Var(v)])[0];

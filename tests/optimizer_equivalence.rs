@@ -14,6 +14,8 @@ use mammoth::storage::{Bat, Catalog, Table};
 use mammoth::types::{ColumnDef, LogicalType, TableSchema};
 use mammoth::workload::{strings_low_card, uniform_i64};
 
+mod support;
+
 fn catalog(rows: usize) -> Catalog {
     let mut cat = Catalog::new();
     let names = strings_low_card(rows, 8, 5);
@@ -416,8 +418,9 @@ fn count_over_a_join_counts_the_join_result() {
 /// The fused pipeline instruction against the chain it replaces.
 ///
 /// Random tables — every fixed-width type, nils, `-0.0` and NaN, row counts
-/// on both sides of every vector boundary — under random chains of one to
-/// three filters (constants inside and outside the column's domain, NULL,
+/// on both sides of every vector boundary — under random chains
+/// (`support::gen::random_fusable_plan`) of one to three filters
+/// (constants inside and outside the column's domain, NULL,
 /// open and inverted ranges: selections from empty to accept-all) into
 /// every sink: any mix of global aggregates; a grouping on any column with
 /// key, count and aggregates; emitted columns, bare or under a `bat.slice`;
@@ -428,10 +431,11 @@ fn count_over_a_join_counts_the_join_result() {
 /// sums and averages included), the same rows and groups in the same
 /// order, and the same error when a constant does not fit its column.
 mod fused_pipeline {
+    use super::support::gen::random_fusable_plan;
     use super::*;
-    use mammoth::algebra::{AggKind, CmpOp};
+    use mammoth::algebra::CmpOp;
     use mammoth::mal::optimizer::{FusePipeline, OptimizerPass};
-    use mammoth::mal::{column_facts, verify_with_catalog, Arg, MalValue, OpCode, Program};
+    use mammoth::mal::{column_facts, verify_with_catalog, MalValue, OpCode, Program};
     use mammoth::types::{NativeType, Oid, Value};
     use mammoth::vectorized::VECTOR_SIZE;
     use proptest::prelude::*;
@@ -510,127 +514,6 @@ mod fused_pipeline {
             LogicalType::Oid => Value::I64(x + 6),
             LogicalType::Str => unreachable!("no string column here"),
         }
-    }
-
-    fn bind(p: &mut Program, column: &str) -> usize {
-        let name = |s: &str| Arg::Const(Value::Str(s.into()));
-        p.push(OpCode::Bind, vec![name("w"), name(column)])[0]
-    }
-
-    /// The chain as `compile_select` writes it: selections threading one
-    /// candidate list, fetches through the last list, a sink.
-    fn chain(rng: &mut StdRng) -> Program {
-        let mut p = Program::new();
-        let mut cands: Option<usize> = None;
-        for _ in 0..rng.random_range(1..4) {
-            let (name, ty) = COLUMNS[rng.random_range(0..COLUMNS.len())];
-            let mut args = vec![Arg::Var(bind(&mut p, name))];
-            args.extend(cands.map(Arg::Var));
-            let op = if rng.random_bool(0.5) {
-                let ops = [
-                    CmpOp::Eq,
-                    CmpOp::Ne,
-                    CmpOp::Lt,
-                    CmpOp::Le,
-                    CmpOp::Gt,
-                    CmpOp::Ge,
-                ];
-                args.push(Arg::Const(constant(ty, rng)));
-                OpCode::ThetaSelect(ops[rng.random_range(0..ops.len())])
-            } else {
-                // NULL is an open bound here; lo > hi happens and is empty
-                args.extend([constant(ty, rng), constant(ty, rng)].map(Arg::Const));
-                OpCode::RangeSelect {
-                    lo_incl: rng.random_bool(0.5),
-                    hi_incl: rng.random_bool(0.5),
-                }
-            };
-            cands = Some(p.push(op, args)[0]);
-        }
-        let cands = cands.expect("at least one filter");
-        let fetch = |p: &mut Program, column: usize| {
-            let bound = bind(p, COLUMNS[column].0);
-            p.push(OpCode::Projection, vec![Arg::Var(cands), Arg::Var(bound)])[0]
-        };
-        let kinds = [
-            AggKind::Count,
-            AggKind::Sum,
-            AggKind::Min,
-            AggKind::Max,
-            AggKind::Avg,
-        ];
-        let mut outs = Vec::new();
-        let sink = rng.random_range(0..4);
-        if sink == 0 {
-            // emitted columns; now and then cut by a LIMIT
-            let limit = rng
-                .random_bool(0.25)
-                .then(|| rng.random_range(0..2 * VECTOR_SIZE as i64));
-            let fetched: Vec<usize> = (0..rng.random_range(1..4))
-                .map(|_| fetch(&mut p, rng.random_range(0..COLUMNS.len())))
-                .collect();
-            for v in fetched {
-                outs.push(match limit {
-                    None => v,
-                    Some(n) => {
-                        let cut = [Value::I64(0), Value::I64(n)].map(Arg::Const);
-                        let args = [vec![Arg::Var(v)], cut.to_vec()].concat();
-                        p.push(OpCode::Slice, args)[0]
-                    }
-                });
-            }
-        } else if sink == 1 {
-            // a top-N: the key sorted, other columns fetched in its order
-            let key = fetch(&mut p, rng.random_range(0..COLUMNS.len()));
-            let others: Vec<usize> = (0..rng.random_range(0..3))
-                .map(|_| fetch(&mut p, rng.random_range(0..COLUMNS.len())))
-                .collect();
-            let n = match rng.random_range(0..5) {
-                0 => 0,
-                1 => 1,
-                2 => rng.random_range(2..12),
-                3 => rng.random_range(0..VECTOR_SIZE as i64 + 2),
-                _ => 1 << 40,
-            };
-            let desc = rng.random_bool(0.5);
-            let args = vec![Arg::Var(key), Arg::Const(Value::I64(n))];
-            let [sorted, order] = p.push(OpCode::FirstN { desc }, args)[..] else {
-                unreachable!("algebra.firstn binds two results")
-            };
-            outs.push(sorted);
-            for v in others {
-                outs.push(p.push(OpCode::Projection, vec![Arg::Var(order), Arg::Var(v)])[0]);
-            }
-        } else if sink == 2 {
-            for _ in 0..rng.random_range(1..5) {
-                outs.push(if rng.random_range(0..4) == 0 {
-                    p.push(OpCode::Count, vec![Arg::Var(cands)])[0]
-                } else {
-                    // aggregates fold everything but the bool column
-                    let v = fetch(&mut p, rng.random_range(1..COLUMNS.len()));
-                    let kind = kinds[rng.random_range(0..kinds.len())];
-                    p.push(OpCode::Aggr(kind), vec![Arg::Var(v)])[0]
-                });
-            }
-        } else {
-            let key = fetch(&mut p, rng.random_range(0..COLUMNS.len()));
-            let [gids, ext] = p.push(OpCode::Group, vec![Arg::Var(key)])[..] else {
-                unreachable!("group.group binds two results")
-            };
-            outs.push(p.push(OpCode::Projection, vec![Arg::Var(ext), Arg::Var(key)])[0]);
-            for _ in 0..rng.random_range(0..4) {
-                let (kind, v) = if rng.random_range(0..4) == 0 {
-                    (AggKind::Count, gids)
-                } else {
-                    let v = fetch(&mut p, rng.random_range(1..COLUMNS.len()));
-                    (kinds[rng.random_range(0..kinds.len())], v)
-                };
-                let args = vec![Arg::Var(v), Arg::Var(gids), Arg::Var(ext)];
-                outs.push(p.push(OpCode::AggrGrouped(kind), args)[0]);
-            }
-        }
-        p.push_result(&outs);
-        p
     }
 
     /// Every output value with floats by bit pattern, or the error text.
@@ -734,7 +617,7 @@ mod fused_pipeline {
             for rows in [0, 1, v - 1, v, v + 1, 3 * v + 7] {
                 let cat = table(rows, &mut rng);
                 let fuse = FusePipeline::new(column_facts(&cat));
-                let unfused = chain(&mut rng);
+                let unfused = random_fusable_plan(&mut rng, "w", &COLUMNS, constant);
                 let fused = fuse.run(unfused.clone());
                 verify_with_catalog(&fused, &cat)
                     .unwrap_or_else(|e| panic!("seed {seed}, {rows} rows: {e}\n{fused}"));

@@ -9,10 +9,13 @@ use mammoth::mal::{
     verify_with_catalog, Arg, GarbageCollect, Interpreter, OpCode, OptimizerPass, Program, VarId,
 };
 use mammoth::parallel::run_dataflow;
-use mammoth::storage::{Bat, Catalog, Table};
-use mammoth::types::{ColumnDef, LogicalType, TableSchema, Value};
+use mammoth::storage::Catalog;
+use mammoth::types::Value;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+
+mod support;
+use support::gen::{bind, int_table};
 
 const ROWS: usize = 256;
 /// Packing concatenates, so lengths can grow; keep programs bounded.
@@ -21,12 +24,7 @@ const MAX_PACK_ROWS: usize = 50_000;
 fn catalog() -> Catalog {
     let mut cat = Catalog::new();
     let vals: Vec<i64> = (0..ROWS as i64).map(|i| (i * 7) % 13 - 6).collect();
-    let t = Table::from_bats(
-        TableSchema::new("t", vec![ColumnDef::new("v", LogicalType::I64)]),
-        vec![Bat::from_vec(vals)],
-    )
-    .unwrap();
-    cat.create_table(t).unwrap();
+    int_table(&mut cat, "t", vec![("v", vals)]);
     cat
 }
 
@@ -40,13 +38,7 @@ fn build_program(seed: u64) -> Program {
     let mut scalars: Vec<VarId> = Vec::new();
 
     for _ in 0..3 {
-        let b = p.push(
-            OpCode::Bind,
-            vec![
-                Arg::Const(Value::Str("t".into())),
-                Arg::Const(Value::Str("v".into())),
-            ],
-        )[0];
+        let b = bind(&mut p, "t", "v");
         bats.push((b, ROWS));
     }
     scalars.push(p.push(OpCode::Count, vec![Arg::Var(bats[0].0)])[0]);

@@ -2,12 +2,14 @@
 //!
 //! Invariants under test:
 //!
-//! * **Prepared == ad-hoc** — for a seeded randomized workload of point,
-//!   range, BETWEEN, conjunctive, aggregate and ORDER BY selects, running
-//!   the statement ad-hoc and running it as `PREPARE`/`EXECUTE` with the
-//!   constants bound as parameters produces *identical* result tables —
-//!   under both the serial interpreter and the parallel dataflow engine,
-//!   and identically on the cold (first) and warm (cached-plan) execution.
+//! * **Prepared == ad-hoc** — for the SELECTs of the statement generator
+//!   (`support::gen`: point, range, fused-pair, conjunctive, aggregate,
+//!   GROUP BY, join and ORDER BY … LIMIT selects, with NULL and nil-sentinel
+//!   literals), running the statement ad-hoc and running it as
+//!   `PREPARE`/`EXECUTE` with the constants bound as parameters produces
+//!   *identical* result tables — under both the serial interpreter and the
+//!   parallel dataflow engine, and identically on the cold (first) and warm
+//!   (cached-plan) execution.
 //! * **Histogram laws** (property tests) — equi-depth histograms keep
 //!   their bucket counts summing to the row count, bounds sorted, and
 //!   min/max containment, through any interleaving of incremental
@@ -23,10 +25,13 @@
 //!   noise. A generous wall-clock bound backs the plan-text equality.
 
 use mammoth_parallel::ParallelExecutor;
-use mammoth_sql::{QueryOutput, Session};
+use mammoth_sql::{QueryOutput, Session, Statement};
 use mammoth_types::Value;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+
+mod support;
+use support::gen::{parameterize, Gen};
 
 const ROWS: usize = 4000;
 
@@ -57,98 +62,36 @@ fn seed_table(s: &mut Session, seed: u64) {
     }
 }
 
-/// One generated query as (ad-hoc SQL, parameterized body, argument
-/// literals in placeholder order).
-fn gen_query(rng: &mut StdRng) -> (String, String, Vec<String>) {
-    let shapes = [
-        "SELECT k, v FROM t",
-        "SELECT COUNT(*), MIN(v), MAX(v) FROM t",
-        "SELECT k FROM t",
-        "SELECT v FROM t",
-    ];
-    let shape = shapes[rng.random_range(0i64..shapes.len() as i64) as usize];
-    let npreds = 1 + rng.random_range(0i64..2);
-    let mut adhoc = Vec::new();
-    let mut prepd = Vec::new();
-    let mut args = Vec::new();
-    for _ in 0..npreds {
-        let (col, lo, hi) = if rng.random_bool(0.5) {
-            ("k", 0i64, 50i64)
-        } else {
-            ("v", -10_000i64, 10_000i64)
-        };
-        let c = rng.random_range(lo..hi);
-        match rng.random_range(0i64..6) {
-            0 => {
-                adhoc.push(format!("{col} = {c}"));
-                prepd.push(format!("{col} = ?"));
-                args.push(c.to_string());
-            }
-            1 => {
-                adhoc.push(format!("{col} < {c}"));
-                prepd.push(format!("{col} < ?"));
-                args.push(c.to_string());
-            }
-            2 => {
-                adhoc.push(format!("{col} > {c}"));
-                prepd.push(format!("{col} > ?"));
-                args.push(c.to_string());
-            }
-            3 => {
-                adhoc.push(format!("{col} <= {c}"));
-                prepd.push(format!("{col} <= ?"));
-                args.push(c.to_string());
-            }
-            4 => {
-                adhoc.push(format!("{col} >= {c}"));
-                prepd.push(format!("{col} >= ?"));
-                args.push(c.to_string());
-            }
-            _ => {
-                let d = rng.random_range(1i64..(hi - lo) / 4);
-                adhoc.push(format!("{col} BETWEEN {c} AND {}", c + d));
-                prepd.push(format!("{col} BETWEEN ? AND ?"));
-                args.push(c.to_string());
-                args.push((c + d).to_string());
-            }
-        }
-    }
-    // ORDER BY a projected column keeps row order deterministic where the
-    // statement asks for order; unordered shapes compare exactly anyway
-    // because both paths execute the identical plan.
-    let tail = if shape == "SELECT k FROM t" {
-        " ORDER BY k LIMIT 200".to_string()
-    } else if shape == "SELECT v FROM t" {
-        " ORDER BY v LIMIT 200".to_string()
-    } else {
-        String::new()
-    };
-    (
-        format!("{shape} WHERE {}{tail}", adhoc.join(" AND ")),
-        format!("{shape} WHERE {}{tail}", prepd.join(" AND ")),
-        args,
-    )
-}
-
+/// Seed `seed`'s generated tables, their rows folded into the bases (so the
+/// ad hoc plans are proved against column facts), then forty generated
+/// SELECTs, each run ad hoc and as `PREPARE`/`EXECUTE` of its
+/// [`parameterize`]d form.
 fn differential(seed: u64, parallel: bool) {
     let mut s = session(parallel);
-    seed_table(&mut s, seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37);
+    s.set_merge_threshold(1);
+    let mut g = Gen::new(seed);
+    g.refusals = false;
+    for load in [
+        g.create(0),
+        g.insert_rows(0, 1500),
+        g.create(1),
+        g.insert_rows(1, 60),
+    ] {
+        s.execute(&load.to_string()).unwrap();
+    }
     for i in 0..40 {
-        let (adhoc, prepd, args) = gen_query(&mut rng);
-        let want = s.execute(&adhoc).unwrap_or_else(|e| {
-            panic!("ad-hoc {adhoc:?} failed: {e}");
-        });
-        s.execute(&format!("PREPARE p{i} AS {prepd}")).unwrap();
-        let exec = if args.is_empty() {
-            format!("EXECUTE p{i}")
-        } else {
-            format!("EXECUTE p{i} ({})", args.join(", "))
-        };
-        let cold = s.execute(&exec).unwrap();
+        let adhoc = g.select(0);
+        let ctx = format!("seed {seed} step {i}, parallel={parallel}: {adhoc}");
+        let want = s.execute(&adhoc.to_string());
+        let want = want.unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        let (body, args) = parameterize(&adhoc);
+        s.execute(&format!("PREPARE p{i} AS {body}")).unwrap();
+        let name = format!("p{i}");
+        let exec = Statement::Execute { name, args }.to_string();
+        let cold = s.execute(&exec).unwrap_or_else(|e| panic!("{ctx}: {e}"));
         let warm = s.execute(&exec).unwrap();
-        assert_eq!(cold, want, "cold EXECUTE != ad-hoc for {adhoc:?}");
-        assert_eq!(warm, cold, "warm EXECUTE != cold for {adhoc:?}");
+        assert_eq!(cold, want, "cold EXECUTE != ad hoc, {ctx}");
+        assert_eq!(warm, cold, "warm EXECUTE != cold, {ctx}");
     }
 }
 
@@ -215,7 +158,7 @@ fn null_bounds_select_nothing_adhoc_cold_and_warm() {
 #[test]
 fn fused_filter_bounds_bind_like_any_parameter() {
     use mammoth_mal::{bound_column_facts, default_pipeline_with_props, Arg, OpCode};
-    use mammoth_sql::{compile_select, parse_sql, Statement};
+    use mammoth_sql::{compile_select, parse_sql};
     let body = |lo: &str, hi: &str, cut: &str| {
         format!(
             "SELECT COUNT(*), SUM(v), MIN(k) FROM t WHERE k >= {lo} AND k < {hi} AND v <= {cut}"

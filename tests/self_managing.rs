@@ -10,6 +10,8 @@ use mammoth::types::{ColumnDef, LogicalType, TableSchema, Value};
 use mammoth::workload::{range_query_log, skyserver_log, uniform_i64, QueryPattern};
 use mammoth::{Database, QueryOutput};
 
+mod support;
+
 /// The recycler beside the engine: a [`Database`] takes the writes, its
 /// SELECTs are compiled to the column-at-a-time plan (`compile_select` +
 /// `default_pipeline()`, unfused — the intermediates are what recycles) and
@@ -291,31 +293,18 @@ fn recycler_subsumption_path() {
 }
 
 mod recycler_equivalence {
+    use super::support::gen::{bind, int_table};
     use super::*;
     use mammoth::algebra::{AggKind, CmpOp};
     use mammoth::mal::{Arg, Interpreter, MalValue, OpCode, Program};
-    use mammoth::storage::{Bat, Catalog, Table};
-    use mammoth::types::{ColumnDef, LogicalType, TableSchema};
+    use mammoth::storage::Catalog;
     use mammoth::workload::uniform_i64 as gen_i64;
     use proptest::prelude::*;
 
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();
-        let t = Table::from_bats(
-            TableSchema::new(
-                "t",
-                vec![
-                    ColumnDef::new("a", LogicalType::I64),
-                    ColumnDef::new("b", LogicalType::I64),
-                ],
-            ),
-            vec![
-                Bat::from_vec(gen_i64(2000, 0, 50, 21)),
-                Bat::from_vec(gen_i64(2000, 0, 1000, 22)),
-            ],
-        )
-        .unwrap();
-        cat.create_table(t).unwrap();
+        let (a, b) = (gen_i64(2000, 0, 50, 21), gen_i64(2000, 0, 1000, 22));
+        int_table(&mut cat, "t", vec![("a", a), ("b", b)]);
         cat
     }
 
@@ -324,24 +313,10 @@ mod recycler_equivalence {
     /// the recycler gets real hits.
     fn plan(cut: i64) -> Program {
         let mut p = Program::new();
-        let a = p.push(
-            OpCode::Bind,
-            vec![
-                Arg::Const(Value::Str("t".into())),
-                Arg::Const(Value::Str("a".into())),
-            ],
-        )[0];
-        let c = p.push(
-            OpCode::ThetaSelect(CmpOp::Gt),
-            vec![Arg::Var(a), Arg::Const(Value::I64(cut))],
-        )[0];
-        let b = p.push(
-            OpCode::Bind,
-            vec![
-                Arg::Const(Value::Str("t".into())),
-                Arg::Const(Value::Str("b".into())),
-            ],
-        )[0];
+        let a = bind(&mut p, "t", "a");
+        let cut = Arg::Const(Value::I64(cut));
+        let c = p.push(OpCode::ThetaSelect(CmpOp::Gt), vec![Arg::Var(a), cut])[0];
+        let b = bind(&mut p, "t", "b");
         let f = p.push(OpCode::Projection, vec![Arg::Var(c), Arg::Var(b)])[0];
         let s = p.push(OpCode::Aggr(AggKind::Sum), vec![Arg::Var(f)])[0];
         let n = p.push(OpCode::Count, vec![Arg::Var(f)])[0];

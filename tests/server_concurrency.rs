@@ -4,8 +4,9 @@
 //!
 //! * **Serializable equivalence** — 16 client threads issue a mixed
 //!   DDL/DML/SELECT stream against one server. Every per-thread-private
-//!   observation must be *exact* (each thread owns a private table whose
-//!   state is deterministic), shared-table counts must be monotone while
+//!   observation must be *exact*: each thread owns a private table, fed by
+//!   the statement generator (`support::gen`), whose state its model
+//!   mirrors. Shared-table counts must be monotone while
 //!   only inserts run, and the final shared state must equal the sum of
 //!   everything acknowledged. No deadlock: the test simply finishes.
 //! * **Kill recovery** — a durable server is "killed" mid-load with a
@@ -22,15 +23,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 mod support;
-use support::{seed, Rng, Scratch};
+use support::gen::{Gen, Model};
+use support::{seed, Scratch};
 
-fn count(resp: Response) -> i64 {
+/// The first row of a result table, as integers.
+fn tally(resp: Response) -> Vec<Option<i64>> {
     match resp {
-        Response::Table { rows, .. } => match rows[0][0] {
-            Value::I64(n) => n,
-            ref v => panic!("COUNT came back as {v:?}"),
-        },
-        other => panic!("expected a count table, got {other:?}"),
+        Response::Table { rows, .. } => rows[0].iter().map(Value::as_i64).collect(),
+        other => panic!("expected a table, got {other:?}"),
     }
 }
 
@@ -61,65 +61,53 @@ fn mixed_load_sixteen_threads_is_serializable_equivalent() {
             let addr = addr.clone();
             let shared_inserted = shared_inserted.clone();
             std::thread::spawn(move || {
-                let mut rng = Rng::new(seed ^ (ti + 1));
+                // a private table whose whole history this thread owns, fed
+                // by the statement generator and mirrored by its model
+                let mut g = Gen::new(seed ^ (ti + 1));
+                g.tables[0].name = format!("own_{ti}");
                 let mut c = Client::connect(&addr, &format!("mix-{ti}"), "").unwrap();
-                // DDL: a private table whose whole history this thread owns.
-                c.query(&format!("CREATE TABLE own_{ti} (a INT NOT NULL)"))
-                    .unwrap();
-                let mut own_rows: Vec<u64> = Vec::new();
-                let mut last_shared_count = 0i64;
-                for k in 0..STEPS {
-                    match rng.below(5) {
+                assert_eq!(c.query(&g.create(0).to_string()).unwrap(), Response::Ok);
+                let mut own = Model::new(&g.tables[0]);
+                let mut last_shared_count = Some(0);
+                for step in 0..STEPS {
+                    let ctx = format!("seed {seed} thread {ti} step {step}");
+                    let stmt = match g.below(5) {
                         // 2-in-5: shared insert (globally counted)
                         0 | 1 => {
-                            let v = ti * 10_000 + k;
-                            assert_eq!(
-                                c.query(&format!("INSERT INTO shared VALUES ({v})"))
-                                    .unwrap(),
-                                Response::Affected(1)
-                            );
+                            let v = ti * 10_000 + step;
+                            let sql = format!("INSERT INTO shared VALUES ({v})");
+                            assert_eq!(c.query(&sql).unwrap(), Response::Affected(1));
                             shared_inserted.fetch_add(1, Ordering::SeqCst);
+                            continue;
                         }
-                        // private insert: state fully deterministic
-                        2 => {
-                            let v = rng.below(1000);
-                            c.query(&format!("INSERT INTO own_{ti} VALUES ({v})"))
-                                .unwrap();
-                            own_rows.push(v);
-                        }
-                        // private delete of a value we know about
-                        3 if !own_rows.is_empty() => {
-                            let v = own_rows[rng.below(own_rows.len() as u64) as usize];
-                            let expect = own_rows.iter().filter(|&&x| x == v).count();
-                            assert_eq!(
-                                c.query(&format!("DELETE FROM own_{ti} WHERE a = {v}"))
-                                    .unwrap(),
-                                Response::Affected(expect as u64),
-                                "private DELETE saw foreign rows"
-                            );
-                            own_rows.retain(|&x| x != v);
-                        }
-                        // reads: private count exact, shared count monotone
+                        // private INSERTs and DELETEs: exactly what the model says
+                        2 => g.insert(0),
+                        3 => g.delete(0),
+                        // reads: private tally exact, shared count monotone
                         _ => {
-                            let own =
-                                count(c.query(&format!("SELECT COUNT(*) FROM own_{ti}")).unwrap());
-                            assert_eq!(own as usize, own_rows.len(), "private count drifted");
-                            let sh = count(c.query("SELECT COUNT(*) FROM shared").unwrap());
+                            let read = g.tally(0);
+                            let got = c.query(&read.to_string()).unwrap();
+                            assert_eq!(tally(got), own.tally(&read), "{ctx}: {read}");
+                            let sh = tally(c.query("SELECT COUNT(*) FROM shared").unwrap())[0];
                             assert!(
                                 sh >= last_shared_count,
                                 "shared count went backwards under insert-only load"
                             );
                             last_shared_count = sh;
+                            continue;
                         }
-                    }
+                    };
+                    let want = own.apply(&stmt).map(|n| Response::Affected(n as u64));
+                    let got = c.query(&stmt.to_string()).ok();
+                    assert_eq!(got, want, "{ctx}: {stmt}");
                 }
                 // Half the threads drop their table (DDL churn); the other
                 // half verify and leave it for the final sweep.
                 if ti % 2 == 0 {
-                    c.query(&format!("DROP TABLE own_{ti}")).unwrap();
+                    c.query(&g.drop_table(0).to_string()).unwrap();
                 } else {
-                    let own = count(c.query(&format!("SELECT COUNT(*) FROM own_{ti}")).unwrap());
-                    assert_eq!(own as usize, own_rows.len());
+                    let read = g.tally(0);
+                    assert_eq!(tally(c.query(&read.to_string()).unwrap()), own.tally(&read));
                 }
                 c.quit().unwrap();
             })
@@ -131,8 +119,8 @@ fn mixed_load_sixteen_threads_is_serializable_equivalent() {
 
     // Global serializable-equivalence check: nothing lost, nothing doubled.
     let mut c = Client::connect(&addr, "verify", "").unwrap();
-    let total = count(c.query("SELECT COUNT(*) FROM shared").unwrap());
-    assert_eq!(total as u64, shared_inserted.load(Ordering::SeqCst));
+    let total = tally(c.query("SELECT COUNT(*) FROM shared").unwrap())[0];
+    assert_eq!(total, Some(shared_inserted.load(Ordering::SeqCst) as i64));
     // Dropped tables are gone; kept tables remain queryable.
     assert!(c.query("SELECT COUNT(*) FROM own_0").is_err());
     assert!(c.query("SELECT COUNT(*) FROM own_1").is_ok());

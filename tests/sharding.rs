@@ -3,13 +3,14 @@
 //!
 //! The invariants under test:
 //!
-//! * **Differential equivalence** — a seeded randomized SQL workload
-//!   (DDL + mixed DML / point and range SELECTs / aggregates / joins /
-//!   GROUP BY) executed through the scatter-gather coordinator produces
-//!   *identical* result tables to the same workload on a single-node
-//!   [`Session`], under both the serial and the parallel engine on the
-//!   shards. Rows compare as multisets except under ORDER BY (on the
-//!   unique key), where order is exact.
+//! * **Differential equivalence** — the statement generator's mixed
+//!   workload (`support::gen`: DDL, multi-row INSERTs, point, range and
+//!   conjunctive DELETEs, filtered scans, aggregates, GROUP BY, joins,
+//!   CHECKPOINT and DROP) executed through the scatter-gather coordinator
+//!   produces *identical* result tables to the same workload on a
+//!   single-node [`Session`], under both the serial and the parallel engine
+//!   on the shards. Rows compare as multisets except under ORDER BY (the
+//!   generator orders by the unique key only here), where order is exact.
 //! * **Typed partial failure** — killing one shard mid-workload makes
 //!   fan-out statements fail with `SHARD_UNAVAILABLE` *within the
 //!   coordinator's deadline*: no hang, and never a silently truncated
@@ -20,25 +21,24 @@
 //!   survives coordinator restarts, and the union of per-shard splits is
 //!   the original row multiset.
 //!
-//! Floating-point aggregates are deliberately absent from the randomized
-//! workload: the coordinator itself routes `SUM(f64)`/`AVG` through the
-//! gather path for exactness, but the recombined table packs shard
-//! fragments in shard order, so a *re-run* float sum may associate in a
-//! different order than single-node insertion order. Integer aggregates
+//! Floating-point sums are deliberately absent from the generated workload
+//! (`float_sums` is off): the coordinator itself routes `SUM(f64)`/`AVG`
+//! through the gather path for exactness, but the recombined table packs
+//! shard fragments in shard order, so a *re-run* float sum may associate in
+//! a different order than single-node insertion order. Integer aggregates
 //! and order-independent float MIN/MAX stay bit-identical.
 
 use std::time::{Duration, Instant};
 
 use mammoth_shard::{shard_of, CoordError, Coordinator, PartitionMap};
-use mammoth_sql::{QueryOutput, Session};
+use mammoth_sql::{parse_sql, QueryOutput, Scalar, Session, Statement};
 use mammoth_types::{ColumnDef, LogicalType, TableSchema, Value};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 
 const NSHARDS: usize = 3;
 
 mod support;
 use support::cluster::{Cluster, Spec};
+use support::gen::Gen;
 
 /// Canonical form: rows rendered to strings; sorted unless `ordered`.
 fn canon(out: &QueryOutput, ordered: bool) -> String {
@@ -55,125 +55,31 @@ fn canon(out: &QueryOutput, ordered: bool) -> String {
     }
 }
 
-/// One statement, run on both sides and compared.
-fn differ(
-    coord: &Coordinator,
-    single: &mut Session,
-    sql: &str,
-    ordered: bool,
-) -> (bool, Option<String>) {
-    let distributed = coord.execute(sql);
-    let local = single.execute(sql);
-    match (distributed, local) {
+/// One statement, run on both sides and compared; whether both ran it.
+fn differ(coord: &Coordinator, single: &mut Session, stmt: &Statement, ctx: &str) -> bool {
+    let sql = stmt.to_string();
+    // ORDER BY is on the unique key: the order is exact
+    let ordered = matches!(stmt, Statement::Select(s) if s.order_by.is_some());
+    match (coord.execute(&sql), single.execute(&sql)) {
         (Ok(d), Ok(l)) => {
             let (d, l) = (canon(&d, ordered), canon(&l, ordered));
-            assert_eq!(d, l, "distributed vs single-node diverged on: {sql}");
-            (true, Some(d))
+            assert_eq!(d, l, "distributed vs single-node diverged, {ctx}: {sql}");
+            true
         }
         (Err(de), Ok(l)) => {
-            panic!("only distributed failed on {sql}: {de} (single-node said {l:?})")
+            panic!("only distributed failed, {ctx}: {sql}: {de} (single-node said {l:?})")
         }
         (Ok(d), Err(le)) => {
-            panic!("only single-node failed on {sql}: {le} (distributed said {d:?})")
+            panic!("only single-node failed, {ctx}: {sql}: {le} (distributed said {d:?})")
         }
-        // Both reject (e.g. duplicate key-less shapes): acceptable, no
+        // Both reject (a CHECKPOINT on in-memory nodes): acceptable, no
         // message comparison — the layers word errors differently.
-        (Err(_), Err(_)) => (false, None),
+        (Err(_), Err(_)) => false,
     }
 }
 
-struct Workload {
-    rng: StdRng,
-    next_id: i64,
-    live_ids: Vec<i64>,
-}
-
-impl Workload {
-    fn new(seed: u64) -> Workload {
-        Workload {
-            rng: StdRng::seed_from_u64(seed),
-            next_id: 0,
-            live_ids: Vec::new(),
-        }
-    }
-
-    fn word(&mut self) -> String {
-        let len = self.rng.random_range(1usize..6);
-        (0..len)
-            .map(|_| (b'a' + self.rng.random_range(0u8..26)) as char)
-            .collect()
-    }
-
-    /// The next statement and whether its result order is significant.
-    fn next_stmt(&mut self) -> (String, bool) {
-        match self.rng.random_range(0u32..10) {
-            // Multi-row INSERT into t (weight 3: data must grow).
-            0..=2 => {
-                let n = self.rng.random_range(1usize..6);
-                let rows: Vec<String> = (0..n)
-                    .map(|_| {
-                        let id = self.next_id;
-                        self.next_id += 1;
-                        self.live_ids.push(id);
-                        let v = self.rng.random_range(-20i64..20);
-                        let s = self.word();
-                        format!("({id}, {v}, '{s}')")
-                    })
-                    .collect();
-                (format!("INSERT INTO t VALUES {}", rows.join(", ")), false)
-            }
-            3 => {
-                let id = self.next_id;
-                self.next_id += 1;
-                let w = self.rng.random_range(0i64..50);
-                (format!("INSERT INTO u VALUES ({id}, {w})"), false)
-            }
-            // Point DELETE on the partition key — routes to one shard.
-            4 => {
-                let id = if self.live_ids.is_empty() || self.rng.random_bool(0.3) {
-                    self.rng.random_range(0i64..(self.next_id + 5).max(5))
-                } else {
-                    let i = self.rng.random_range(0..self.live_ids.len());
-                    self.live_ids.swap_remove(i)
-                };
-                (format!("DELETE FROM t WHERE id = {id}"), false)
-            }
-            // Range DELETE — broadcasts.
-            5 => {
-                let c = self.rng.random_range(-20i64..20);
-                (
-                    format!("DELETE FROM t WHERE v < {c} AND v > {}", c - 3),
-                    false,
-                )
-            }
-            // Filtered scan with ORDER BY on the unique key: exact order.
-            6 => {
-                let c = self.rng.random_range(-20i64..20);
-                let lim = self.rng.random_range(1usize..12);
-                (
-                    format!("SELECT id, v, s FROM t WHERE v >= {c} ORDER BY id LIMIT {lim}"),
-                    true,
-                )
-            }
-            // Lossless scalar aggregates — the packsum pushdown path.
-            7 => {
-                let c = self.rng.random_range(-20i64..20);
-                (
-                    format!("SELECT COUNT(*), SUM(v), MIN(v), MAX(v) FROM t WHERE v <= {c}"),
-                    false,
-                )
-            }
-            // Grouped aggregate — the gather path, multiset compare.
-            8 => ("SELECT v, COUNT(*) FROM t GROUP BY v".into(), false),
-            // Join — both tables gathered whole.
-            _ => (
-                "SELECT t.id, t.v, u.w FROM t JOIN u ON t.id = u.id".into(),
-                false,
-            ),
-        }
-    }
-}
-
+/// 120 statements of the generated workload, on the cluster and on one
+/// session, then every live table whole.
 fn run_differential(seed: u64, parallel: bool) {
     let mut spec = Spec::in_memory(NSHARDS);
     for shard in &mut spec.shards {
@@ -184,27 +90,13 @@ fn run_differential(seed: u64, parallel: bool) {
     let coord = cluster.coord();
     let mut single = Session::new();
 
-    differ(
-        &coord,
-        &mut single,
-        "CREATE TABLE t (id BIGINT NOT NULL, v BIGINT, s VARCHAR)",
-        false,
-    );
-    differ(
-        &coord,
-        &mut single,
-        "CREATE TABLE u (id BIGINT NOT NULL, w BIGINT)",
-        false,
-    );
-
-    let mut w = Workload::new(seed);
+    let mut g = Gen::new(seed);
+    (g.key_order, g.float_sums, g.refusals) = (true, false, false);
     let mut compared = 0usize;
-    for _ in 0..120 {
-        let (sql, ordered) = w.next_stmt();
-        let (ok, _) = differ(&coord, &mut single, &sql, ordered);
-        if ok {
-            compared += 1;
-        }
+    for step in 0..120 {
+        let stmt = g.next().unwrap();
+        let ctx = format!("seed {seed} step {step}");
+        compared += differ(&coord, &mut single, &stmt, &ctx) as usize;
     }
     assert!(
         compared > 100,
@@ -212,13 +104,13 @@ fn run_differential(seed: u64, parallel: bool) {
     );
 
     // The final full-table states agree too.
-    differ(
-        &coord,
-        &mut single,
-        "SELECT id, v, s FROM t ORDER BY id",
-        true,
-    );
-    differ(&coord, &mut single, "SELECT id, w FROM u ORDER BY id", true);
+    for t in (0..g.tables.len()).filter(|&t| g.live[t]) {
+        let schema = &g.tables[t];
+        let cols: Vec<&str> = schema.columns.iter().map(|c| c.name.as_str()).collect();
+        let all = format!("SELECT {} FROM {} ORDER BY k", cols.join(", "), schema.name);
+        let all = parse_sql(&all).unwrap();
+        differ(&coord, &mut single, &all, "final state");
+    }
 }
 
 #[test]
@@ -299,7 +191,6 @@ fn shard_kill_returns_shard_unavailable_and_wals_recover() {
 }
 
 fn shard_kill_case(seed: u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
     let deadline = Duration::from_millis(800);
     let mut cluster = Cluster::start(Spec {
         deadline,
@@ -307,33 +198,24 @@ fn shard_kill_case(seed: u64) {
         ..Spec::durable(NSHARDS)
     });
     let coord = cluster.coord();
-
-    coord
-        .execute("CREATE TABLE t (id BIGINT NOT NULL, v BIGINT)")
-        .unwrap();
+    let mut g = Gen::new(seed);
+    g.refusals = false;
+    coord.execute(&g.create(0).to_string()).unwrap();
 
     // Acked rows per shard, tracked through the same pure partitioner the
     // coordinator uses — stability of that map is itself under test.
     let mut acked = [0u64; NSHARDS];
-    let mut next_id = 0i64;
-    let kill_at = rng.random_range(5usize..20);
-    let victim = rng.random_range(0..NSHARDS);
+    let owner = |row: &[Scalar]| shard_of(row[0].as_lit().unwrap(), NSHARDS);
+    let (kill_at, victim) = (5 + g.below(15), g.below(NSHARDS));
     for step in 0..kill_at {
-        let n = rng.random_range(1usize..4);
-        let mut rows = Vec::new();
-        for _ in 0..n {
-            let id = next_id;
-            next_id += 1;
-            rows.push(format!("({id}, {})", id * 3));
-        }
-        let sql = format!("INSERT INTO t VALUES {}", rows.join(", "));
-        match coord.execute(&sql).unwrap() {
-            QueryOutput::Affected(k) => assert_eq!(k, n, "step {step}"),
-            other => panic!("INSERT answered {other:?}"),
-        }
-        for id in (next_id - n as i64)..next_id {
-            acked[shard_of(&Value::I64(id), NSHARDS)] += 1;
-        }
+        let stmt = g.insert(0);
+        let Statement::Insert { rows, .. } = &stmt else {
+            unreachable!()
+        };
+        let out = coord.execute(&stmt.to_string()).unwrap();
+        let ctx = format!("seed {seed} step {step}: {stmt}");
+        assert_eq!(out, QueryOutput::Affected(rows.len()), "{ctx}");
+        rows.iter().for_each(|r| acked[owner(r)] += 1);
     }
 
     // Kill the victim (shutdown closes its listener and drains — the
@@ -342,7 +224,7 @@ fn shard_kill_case(seed: u64) {
 
     // Fan-out reads now fail typed, within the deadline budget, and
     // return no partial rows (an Err carries none by construction).
-    for sql in ["SELECT COUNT(*), SUM(v) FROM t", "SELECT id, v FROM t"] {
+    for sql in ["SELECT COUNT(*), SUM(b) FROM t", "SELECT k, b FROM t"] {
         let started = Instant::now();
         match coord.execute(sql) {
             Err(CoordError::Unavailable(msg)) => {
@@ -364,11 +246,12 @@ fn shard_kill_case(seed: u64) {
     // and ack; ones owned by the victim fail typed. Either way at most
     // one unacked row can exist per shard.
     for _ in 0..6 {
-        let id = next_id;
-        next_id += 1;
-        let owner = shard_of(&Value::I64(id), NSHARDS);
-        let res = coord.execute(&format!("INSERT INTO t VALUES ({id}, 0)"));
-        match res {
+        let stmt = g.insert_rows(0, 1);
+        let Statement::Insert { rows, .. } = &stmt else {
+            unreachable!()
+        };
+        let owner = owner(&rows[0]);
+        match coord.execute(&stmt.to_string()) {
             Ok(QueryOutput::Affected(1)) => {
                 assert_ne!(owner, victim, "the dead shard cannot ack");
                 acked[owner] += 1;

@@ -1,5 +1,5 @@
 //! Test helpers that need nothing but `std`: scratch directories, a tier's
-//! seed and a generator to spend it, one poll loop. Root tests reach them
+//! seed, one poll loop. Root tests reach them
 //! through `support`; a package's tests include this file by `#[path]`.
 #![allow(dead_code)]
 
@@ -45,25 +45,6 @@ impl Drop for Scratch {
 pub fn seed(var: &str, default: u64) -> u64 {
     let set = std::env::var(var).ok();
     set.and_then(|v| v.trim().parse().ok()).unwrap_or(default)
-}
-
-/// xorshift64* — a seedable workload generator without an RNG crate.
-pub struct Rng(u64);
-
-impl Rng {
-    pub fn new(seed: u64) -> Rng {
-        Rng(seed.wrapping_mul(2685821657736338717).max(1))
-    }
-
-    /// The next value, reduced into `0..n`.
-    pub fn below(&mut self, n: u64) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(2685821657736338717) % n
-    }
 }
 
 /// Poll `f` every 10 ms until it returns `Some`; panic naming `what` once

@@ -3,8 +3,9 @@
 //! about how it got them.
 //!
 //! A corpus of randomized scan/select/project/calc/join/aggregate plans
-//! (i64 columns only, scalar outputs, so results compare bit-exactly)
-//! runs on:
+//! (`support::gen`'s, as the property tier draws them: i64 columns only,
+//! one of them sorted, cuts past both ends of the value range, scalar
+//! outputs, so results compare bit-exactly) runs on:
 //!
 //! * the serial interpreter,
 //! * the recycling scheduler (`mammoth::recycler`), twice (cold, then warm),
@@ -28,96 +29,15 @@
 //!   only in order and peak: both engines schedule one `step` over one
 //!   kind of frame, and markers are the only thing that frees a slot.
 
-use mammoth::mal::{Arg, GarbageCollect, Interpreter, MalValue, OpCode, OptimizerPass, Program};
+use mammoth::mal::{GarbageCollect, Interpreter, MalValue, OptimizerPass};
 use mammoth::parallel::run_dataflow_profiled;
 use mammoth::recycler::{run_recycling_profiled, EvictPolicy, Recycler};
-use mammoth::storage::{Bat, Catalog, Table};
-use mammoth::types::{ColumnDef, EventKind, LogicalType, ProfiledRun, TableSchema, Value};
-use mammoth::workload::uniform_i64;
+use mammoth::types::{EventKind, ProfiledRun, Value};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 
-use mammoth::algebra::{AggKind, ArithOp, CmpOp};
-
-const ROWS: usize = 4096;
-const DIM_ROWS: usize = 64;
-
-fn catalog() -> Catalog {
-    let mut cat = Catalog::new();
-    let fact = Table::from_bats(
-        TableSchema::new(
-            "t",
-            vec![
-                ColumnDef::new("c0", LogicalType::I64),
-                ColumnDef::new("c1", LogicalType::I64),
-                ColumnDef::new("c2", LogicalType::I64),
-            ],
-        ),
-        vec![
-            Bat::from_vec(uniform_i64(ROWS, 0, 1000, 11)),
-            Bat::from_vec(uniform_i64(ROWS, 0, 1000, 12)),
-            Bat::from_vec(uniform_i64(ROWS, 0, DIM_ROWS as i64, 13)),
-        ],
-    )
-    .unwrap();
-    cat.create_table(fact).unwrap();
-    let dim = Table::from_bats(
-        TableSchema::new("d", vec![ColumnDef::new("k", LogicalType::I64)]),
-        vec![Bat::from_vec((0..DIM_ROWS as i64).collect::<Vec<_>>())],
-    )
-    .unwrap();
-    cat.create_table(dim).unwrap();
-    cat
-}
-
-fn bind(p: &mut Program, table: &str, col: &str) -> usize {
-    p.push(
-        OpCode::Bind,
-        vec![
-            Arg::Const(Value::Str(table.into())),
-            Arg::Const(Value::Str(col.into())),
-        ],
-    )[0]
-}
-
-/// One randomized plan: select on a random column, project a random
-/// payload, an optional calc chain, an optional join against the
-/// dimension, scalar aggregates at the end.
-fn random_plan(rng: &mut StdRng) -> Program {
-    let cols = ["c0", "c1", "c2"];
-    let mut p = Program::new();
-    let sel_col = cols[rng.random_range(0..cols.len())];
-    let a = bind(&mut p, "t", sel_col);
-    let cmp = [CmpOp::Gt, CmpOp::Lt, CmpOp::Ge, CmpOp::Le][rng.random_range(0..4usize)];
-    let cut = rng.random_range(0..1000i64);
-    let cands = p.push(
-        OpCode::ThetaSelect(cmp),
-        vec![Arg::Var(a), Arg::Const(Value::I64(cut))],
-    )[0];
-    let pay_col = cols[rng.random_range(0..cols.len())];
-    let b = bind(&mut p, "t", pay_col);
-    let mut v = p.push(OpCode::Projection, vec![Arg::Var(cands), Arg::Var(b)])[0];
-    for _ in 0..rng.random_range(0..3usize) {
-        let op = [ArithOp::Add, ArithOp::Mul][rng.random_range(0..2usize)];
-        let k = rng.random_range(1..10i64);
-        v = p.push(
-            OpCode::Calc(op),
-            vec![Arg::Var(v), Arg::Const(Value::I64(k))],
-        )[0];
-    }
-    let mut outs = Vec::new();
-    if rng.random_bool(0.5) {
-        let fk = bind(&mut p, "t", "c2");
-        let keys = p.push(OpCode::Projection, vec![Arg::Var(cands), Arg::Var(fk)])[0];
-        let dk = bind(&mut p, "d", "k");
-        let j = p.push(OpCode::Join, vec![Arg::Var(keys), Arg::Var(dk)]);
-        outs.push(p.push(OpCode::Count, vec![Arg::Var(j[0])])[0]);
-    }
-    outs.push(p.push(OpCode::Aggr(AggKind::Sum), vec![Arg::Var(v)])[0]);
-    outs.push(p.push(OpCode::Count, vec![Arg::Var(v)])[0]);
-    p.push_result(&outs);
-    p
-}
+mod support;
+use support::gen::{catalog, random_plan};
 
 fn scalars(vals: &[MalValue]) -> Vec<Value> {
     vals.iter()

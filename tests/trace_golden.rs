@@ -12,21 +12,23 @@
 //! broken.
 
 use mammoth::mal::{Arg, Interpreter, OpCode, Program};
-use mammoth::storage::{Bat, Catalog, Table};
-use mammoth::types::{validate_trace, ColumnDef, LogicalType, TableSchema, Value};
+use mammoth::storage::Catalog;
+use mammoth::types::validate_trace;
 
 use mammoth::algebra::AggKind;
+
+mod support;
+use support::gen::{bind, int_table};
 
 const GOLDEN: &str = "tests/golden/two_join_trace.jsonl";
 
 fn catalog() -> Catalog {
     let mut cat = Catalog::new();
-    let t = Table::from_bats(
-        TableSchema::new("ages", vec![ColumnDef::new("age", LogicalType::I64)]),
-        vec![Bat::from_vec(vec![1907i64, 1927, 1927, 1968])],
-    )
-    .unwrap();
-    cat.create_table(t).unwrap();
+    int_table(
+        &mut cat,
+        "ages",
+        vec![("age", vec![1907, 1927, 1927, 1968])],
+    );
     cat
 }
 
@@ -34,17 +36,8 @@ fn catalog() -> Catalog {
 /// shape the interpreter's liveness tests use.
 fn two_join_plan() -> Program {
     let mut p = Program::new();
-    let bind = |p: &mut Program| {
-        p.push(
-            OpCode::Bind,
-            vec![
-                Arg::Const(Value::Str("ages".into())),
-                Arg::Const(Value::Str("age".into())),
-            ],
-        )[0]
-    };
-    let age1 = bind(&mut p);
-    let age2 = bind(&mut p);
+    let age1 = bind(&mut p, "ages", "age");
+    let age2 = bind(&mut p, "ages", "age");
     let j1 = p.push(OpCode::Join, vec![Arg::Var(age1), Arg::Var(age2)]);
     let f1 = p.push(OpCode::Projection, vec![Arg::Var(j1[0]), Arg::Var(age1)])[0];
     let j2 = p.push(OpCode::Join, vec![Arg::Var(f1), Arg::Var(age2)]);
