@@ -5,7 +5,7 @@
 //! cargo run -p mammoth-bench --release --bin exp -- e03 e07
 //! cargo run -p mammoth-bench --release --bin exp -- all
 //! cargo run -p mammoth-bench --release --bin exp -- --quick all
-//! cargo run -p mammoth-bench --release --bin exp -- --json e19 > BENCH_E19.json
+//! cargo run -p mammoth-bench --release --bin exp -- --json e22 > BENCH_E22.json
 //! ```
 //!
 //! Every experiment prints the table recorded in EXPERIMENTS.md. With
@@ -13,7 +13,7 @@
 //! JSON document: per experiment the id, wall clock, and the data points
 //! it recorded (name, params, wall-clock, simulated cache misses).
 
-use mammoth_bench::{all_experiments, json_escape, take_metrics, take_phases, Scale};
+use mammoth_bench::{all_experiments, json_escape, take_metrics, Scale};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -58,23 +58,19 @@ fn main() {
                 if json {
                     eprintln!("{report}");
                     let metrics: Vec<String> = take_metrics().iter().map(|m| m.to_json()).collect();
-                    let phases: Vec<String> = take_phases().iter().map(|p| p.to_json()).collect();
                     json_blocks.push(format!(
                         "    {{\"id\": \"{}\", \"description\": \"{}\", \
-                         \"wall_clock_s\": {:.3}, \"metrics\": [\n      {}\n    ], \
-                         \"phase_breakdowns\": [\n      {}\n    ]}}",
+                         \"wall_clock_s\": {:.3}, \"metrics\": [\n      {}\n    ]}}",
                         json_escape(id),
                         json_escape(desc),
                         elapsed.as_secs_f64(),
-                        metrics.join(",\n      "),
-                        phases.join(",\n      ")
+                        metrics.join(",\n      ")
                     ));
                 } else {
                     println!("{}", "=".repeat(78));
                     println!("{report}");
                     println!("[{id} took {elapsed:.1?}]\n");
                     take_metrics(); // drop; only --json consumes them
-                    take_phases();
                 }
             }
         }

@@ -112,3 +112,17 @@ pub fn run(scale: Scale) -> String {
     out.push_str("in-memory rate while risking only unacknowledged tail statements.\n");
     out
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn group_commit_sweep_reports_every_batch() {
+        let r = run(Scale::Quick);
+        assert!(
+            r.contains("checkpoint after") && r.contains("in-memory (no WAL)"),
+            "{r}"
+        );
+    }
+}

@@ -222,3 +222,14 @@ pub fn run(scale: Scale) -> String {
     );
     out
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rewrites_keep_the_baseline_answers() {
+        let r = run(Scale::Quick);
+        assert!(r.contains("with props") && r.contains("verdict"), "{r}");
+    }
+}

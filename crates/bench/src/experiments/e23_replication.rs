@@ -290,3 +290,14 @@ pub fn run(scale: Scale) -> String {
     }
     out
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn replicas_converge_and_promotion_keeps_acked_writes() {
+        let r = run(Scale::Quick);
+        assert!(r.contains("lag under") && r.contains("failover:"), "{r}");
+    }
+}

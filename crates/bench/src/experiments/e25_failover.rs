@@ -287,3 +287,14 @@ pub fn run(scale: Scale) -> String {
     }
     out
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn failover_loses_no_acked_statement() {
+        let r = run(Scale::Quick);
+        assert!(r.contains(", 0 lost"), "{r}");
+    }
+}

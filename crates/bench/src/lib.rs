@@ -1,6 +1,8 @@
 //! The experiment harness.
 //!
-//! One module per experiment of DESIGN.md §4 (E01–E26). Each module exposes
+//! One module per experiment of DESIGN.md §4: the paper evidence E01–E18,
+//! and the extensions E20, E22, E23 and E25 that no `benchmark/` workload
+//! measures (the serving layers' numbers live there). Each module exposes
 //! `run(scale) -> String`: it executes the experiment and renders the table
 //! EXPERIMENTS.md records. The `exp` binary dispatches on experiment ids;
 //! the criterion benches under `benches/` wrap the same code paths with
@@ -29,14 +31,10 @@ pub mod experiments {
     pub mod e16_deltas;
     pub mod e17_datacell;
     pub mod e18_sideways;
-    pub mod e19_parallel;
     pub mod e20_wal;
-    pub mod e21_server;
     pub mod e22_props;
     pub mod e23_replication;
-    pub mod e24_sharding;
     pub mod e25_failover;
-    pub mod e26_prepared;
 }
 
 /// Workload scale for the harness: `Quick` for smoke runs and CI,
@@ -155,19 +153,9 @@ pub fn all_experiments() -> Vec<Experiment> {
             e18_sideways::run,
         ),
         (
-            "e19",
-            "Multi-core MAL execution: mitosis + dataflow thread-count scaling sweep",
-            e19_parallel::run,
-        ),
-        (
             "e20",
             "extension - WAL overhead: group-commit batch sweep + checkpoint cost",
             e20_wal::run,
-        ),
-        (
-            "e21",
-            "extension - mammoth-server: closed-loop client scaling, overload shedding, drain",
-            e21_server::run,
         ),
         (
             "e22",
@@ -180,19 +168,9 @@ pub fn all_experiments() -> Vec<Experiment> {
             e23_replication::run,
         ),
         (
-            "e24",
-            "extension - sharded scale-out: routed write throughput, cross-shard aggregates, shard kill",
-            e24_sharding::run,
-        ),
-        (
             "e25",
             "extension - shard-replica failover: time to detect/degrade/promote, zero acked loss",
             e25_failover::run,
-        ),
-        (
-            "e26",
-            "extension - prepared statements: warm plan-cache EXECUTE vs ad-hoc recompile",
-            e26_prepared::run,
         ),
     ]
 }
@@ -200,11 +178,11 @@ pub fn all_experiments() -> Vec<Experiment> {
 /// One measured data point, recorded by an experiment for `exp --json`.
 #[derive(Debug, Clone)]
 pub struct Metric {
-    /// The experiment id, e.g. `"e19"`.
+    /// The experiment id, e.g. `"e22"`.
     pub experiment: &'static str,
-    /// The measured thing, e.g. `"scan_select_aggregate"`.
+    /// The measured thing, e.g. `"sorted_select"`.
     pub name: String,
-    /// Free-form parameters: `("threads", "4")`, `("rows", "4194304")`, …
+    /// Free-form parameters: `("probes", "8")`, `("rows", "4194304")`, …
     pub params: Vec<(String, String)>,
     /// Wall-clock seconds of the measured region.
     pub wall_secs: f64,
@@ -264,70 +242,6 @@ impl Metric {
             misses
         )
     }
-}
-
-/// A per-operator attribution of one measured run, distilled from a
-/// profiler trace. Emitted by `exp --json` as `phase_breakdowns`, so BENCH
-/// files can attribute wall time to operators, not just whole queries.
-#[derive(Debug, Clone)]
-pub struct PhaseBreakdown {
-    /// The experiment id, e.g. `"e19"`.
-    pub experiment: &'static str,
-    /// The run this breakdown describes, e.g. `"scan_select_aggregate/serial"`.
-    pub name: String,
-    /// `(opcode, total_ns, instruction count)`, descending by time.
-    pub phases: Vec<(String, u64, u64)>,
-}
-
-impl PhaseBreakdown {
-    /// Distill a [`ProfiledRun`](mammoth_types::ProfiledRun)'s event
-    /// timeline into a per-opcode breakdown.
-    pub fn from_profile(
-        experiment: &'static str,
-        name: impl Into<String>,
-        run: &mammoth_types::ProfiledRun,
-    ) -> PhaseBreakdown {
-        PhaseBreakdown {
-            experiment,
-            name: name.into(),
-            phases: run.per_op_breakdown(),
-        }
-    }
-
-    /// Render as one JSON object.
-    pub fn to_json(&self) -> String {
-        let phases: Vec<String> = self
-            .phases
-            .iter()
-            .map(|(op, ns, n)| {
-                format!(
-                    "{{\"op\": \"{}\", \"total_ns\": {}, \"count\": {}}}",
-                    json_escape(op),
-                    ns,
-                    n
-                )
-            })
-            .collect();
-        format!(
-            "{{\"experiment\": \"{}\", \"name\": \"{}\", \"phases\": [{}]}}",
-            json_escape(self.experiment),
-            json_escape(&self.name),
-            phases.join(", ")
-        )
-    }
-}
-
-static PHASES: std::sync::Mutex<Vec<PhaseBreakdown>> = std::sync::Mutex::new(Vec::new());
-
-/// Record a phase breakdown; `exp --json` drains these after each
-/// experiment.
-pub fn record_phases(p: PhaseBreakdown) {
-    PHASES.lock().unwrap().push(p);
-}
-
-/// Drain every phase breakdown recorded since the last call.
-pub fn take_phases() -> Vec<PhaseBreakdown> {
-    std::mem::take(&mut *PHASES.lock().unwrap())
 }
 
 /// Convenience used by experiments: time a closure, return (result, secs).

@@ -22,7 +22,7 @@ use crate::program::{Arg, Instr, OpCode, PipelineOut, PipelineSink, PipelineSpec
 use mammoth_algebra::{AggKind, ArithOp, CmpOp};
 use mammoth_index::ZoneMap;
 use mammoth_storage::{Bat, Catalog, ColumnView};
-use mammoth_types::{LogicalType, NativeType, Value};
+use mammoth_types::{LogicalType, Value};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -1152,7 +1152,7 @@ fn select_verdict_theta(b: &BatFacts, bounds: &[Arg], op: CmpOp) -> SelectVerdic
     // what it tests for nil is the constant *in the column's type*, whose
     // nil is an in-domain sentinel (a bound, when known, has that type)
     let column = min.as_ref().or(max.as_ref()).and_then(Value::logical_type);
-    if c.is_null() || column.is_some_and(|ty| reads_as_nil(c, ty)) {
+    if c.is_null() || column.is_some_and(|ty| c.reads_as_null(ty)) {
         return SelectVerdict::None;
     }
     let all = |cond: bool| cond && b.props.nonil;
@@ -1188,22 +1188,6 @@ fn select_verdict_theta(b: &BatFacts, bounds: &[Arg], op: CmpOp) -> SelectVerdic
         return SelectVerdict::None;
     }
     SelectVerdict::Unknown
-}
-
-/// Whether a select over a column of type `ty` reads the constant `c` as
-/// nil: coerced into `ty`, as the kernels coerce it, it is that type's nil
-/// sentinel (`algebra.thetaselect[>](b, -9223372036854775808:lng)` compares
-/// with NULL).
-fn reads_as_nil(c: &Value, ty: LogicalType) -> bool {
-    match c.coerce(ty) {
-        Some(Value::I8(x)) => x.is_nil(),
-        Some(Value::I16(x)) => x.is_nil(),
-        Some(Value::I32(x)) => x.is_nil(),
-        Some(Value::I64(x)) => x.is_nil(),
-        Some(Value::Oid(x)) => x.is_nil(),
-        Some(Value::F64(x)) => x.is_nil(),
-        _ => false,
-    }
 }
 
 /// Interval verdict for `algebra.select(b, [cand,] lo, hi, li, hi_incl)`.

@@ -1,5 +1,5 @@
-//! The programmatic client — what `mammoth-cli`, the E21 load experiment,
-//! and the concurrency tests all build on.
+//! The programmatic client — what `mammoth-cli`, the benchmark's `wire_*`
+//! workloads, and the concurrency tests all build on.
 
 use crate::frame::{read_frame, write_frame};
 use crate::protocol::{ClientMsg, ErrorCode, ServerMsg, MIN_PROTO_VERSION, PROTO_VERSION};

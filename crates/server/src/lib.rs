@@ -18,8 +18,8 @@
 //!   traces through `MAMMOTH_TRACE`.
 //! * [`server`] — the core over one shared engine session, plus the
 //!   shutdown checkpoint and the verbs only an engine serves.
-//! * [`client`] — the programmatic client that `mammoth-cli`, the load
-//!   experiment (E21), and the tests use.
+//! * [`client`] — the programmatic client that `mammoth-cli`, the
+//!   benchmark's `wire_*` workloads, and the tests use.
 //!
 //! Binaries: `mammoth-server` (the daemon) and `mammoth-cli` (interactive
 //! shell / one-shot `-c "sql"`).

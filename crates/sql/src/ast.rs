@@ -1,7 +1,7 @@
 //! The SQL abstract syntax tree.
 
 use mammoth_algebra::{AggKind, CmpOp};
-use mammoth_types::{Error, Result, TableSchema, Value};
+use mammoth_types::{Error, LogicalType, Result, TableSchema, Value};
 
 /// A (possibly table-qualified) column reference.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,11 +105,12 @@ pub struct RangeBound<'a> {
 }
 
 impl Predicate {
-    /// This predicate as a range bound, if it is one. Only non-NULL
-    /// literals qualify: a range select reads a nil bound as *open*, while
-    /// a comparison with NULL — written out, or bound to a `?` at EXECUTE
-    /// time — selects nothing.
-    fn range_bound(&self) -> Option<RangeBound<'_>> {
+    /// This predicate as a range bound on a column of type `ty`, if it is
+    /// one. Only literals the column does not store as its nil qualify: a
+    /// range select reads a nil bound as *open*, while a comparison with
+    /// NULL — written out, bound to a `?` at EXECUTE time, or a literal that
+    /// is the column type's nil sentinel — selects nothing.
+    fn range_bound(&self, ty: LogicalType) -> Option<RangeBound<'_>> {
         let (lower, inclusive) = match self.op {
             CmpOp::Gt => (true, false),
             CmpOp::Ge => (true, true),
@@ -117,7 +118,7 @@ impl Predicate {
             CmpOp::Le => (false, true),
             CmpOp::Eq | CmpOp::Ne => return None,
         };
-        let value = self.value.as_lit().filter(|v| !v.is_null())?;
+        let value = self.value.as_lit().filter(|v| !v.reads_as_null(ty))?;
         Some(RangeBound {
             lower,
             inclusive,
@@ -125,13 +126,14 @@ impl Predicate {
         })
     }
 
-    /// `(lo, hi)` when `self` and `other` bound the same-named column from
-    /// opposite sides, so one range select can evaluate both.
+    /// `(lo, hi)` when `self` and `other` bound the same-named column, of
+    /// type `ty`, from opposite sides, so one range select can evaluate both.
     pub fn range_with<'a>(
         &'a self,
         other: &'a Predicate,
+        ty: LogicalType,
     ) -> Option<(RangeBound<'a>, RangeBound<'a>)> {
-        let (a, b) = (self.range_bound()?, other.range_bound()?);
+        let (a, b) = (self.range_bound(ty)?, other.range_bound(ty)?);
         let same_column = self.col.column.eq_ignore_ascii_case(&other.col.column);
         (same_column && a.lower != b.lower).then_some(if a.lower { (a, b) } else { (b, a) })
     }

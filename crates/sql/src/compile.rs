@@ -12,7 +12,7 @@ use crate::ast::{ColumnRef, JoinClause, Predicate, Scalar, SelectItem, SelectStm
 use mammoth_algebra::AggKind;
 use mammoth_mal::{Arg, OpCode, Program, VarId};
 use mammoth_storage::Catalog;
-use mammoth_types::{Error, Result, Value};
+use mammoth_types::{Error, LogicalType, Result, Value};
 
 /// Which side of the plan a column belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,10 +63,11 @@ pub(crate) fn compile_select_ordered(
     while !todo.is_empty() {
         let pred = todo.remove(0);
         let side = c.side_of(&pred.col)?;
+        let ty = c.column_type(side, &pred.col.column)?;
         let partner = todo.iter().position(|other| {
-            pred.range_with(other).is_some() && c.side_of(&other.col).ok() == Some(side)
+            pred.range_with(other, ty).is_some() && c.side_of(&other.col).ok() == Some(side)
         });
-        let (op, bounds) = match partner.and_then(|k| pred.range_with(todo.remove(k))) {
+        let (op, bounds) = match partner.and_then(|k| pred.range_with(todo.remove(k), ty)) {
             Some((lo, hi)) => {
                 let (lo_incl, hi_incl) = (lo.inclusive, hi.inclusive);
                 let bounds = [lo, hi].map(|b| Arg::Const(b.value.clone()));
@@ -139,7 +140,7 @@ pub(crate) fn compile_select_ordered(
                     names.push("count".into());
                 }
                 SelectItem::Agg(kind, col) => {
-                    let fetched = c.fetch_column(col)?;
+                    let fetched = c.fetch_aggregated(*kind, col)?;
                     let v = c.prog.push(
                         OpCode::AggrGrouped(*kind),
                         vec![Arg::Var(fetched), Arg::Var(gids), Arg::Var(ext)],
@@ -166,7 +167,7 @@ pub(crate) fn compile_select_ordered(
                     names.push("count".into());
                 }
                 SelectItem::Agg(kind, col) => {
-                    let fetched = c.fetch_column(col)?;
+                    let fetched = c.fetch_aggregated(*kind, col)?;
                     let v = c.prog.push(OpCode::Aggr(*kind), vec![Arg::Var(fetched)])[0];
                     outs.push(v);
                     names.push(format!("{}({})", agg_label(*kind), col.column));
@@ -319,10 +320,15 @@ impl Compiler<'_> {
         }
     }
 
+    fn column_type(&self, side: Side, column: &str) -> Result<LogicalType> {
+        let table = self.catalog.table(self.table_of(side))?;
+        Ok(table.schema.column(column)?.1.ty)
+    }
+
     fn bind(&mut self, side: Side, column: &str) -> Result<VarId> {
         // validate eagerly for a friendly error at compile time
+        self.column_type(side, column)?;
         let table = self.table_of(side).to_string();
-        self.catalog.table(&table)?.schema.column(column)?;
         Ok(self.prog.push(
             OpCode::Bind,
             vec![
@@ -360,6 +366,20 @@ impl Compiler<'_> {
             None => bound,
             Some(cv) => self.project(cv, bound),
         })
+    }
+
+    /// [`Compiler::fetch_column`] for an aggregate's operand: only COUNT
+    /// takes a column that is not a number.
+    fn fetch_aggregated(&mut self, kind: AggKind, col: &ColumnRef) -> Result<VarId> {
+        let ty = self.column_type(self.side_of(col)?, &col.column)?;
+        if kind != AggKind::Count && !ty.is_numeric() {
+            return Err(Error::Unsupported(format!(
+                "{}({}) over a {ty} column: only COUNT aggregates a non-numeric column",
+                agg_label(kind).to_uppercase(),
+                col.column
+            )));
+        }
+        self.fetch_column(col)
     }
 
     fn apply_join(&mut self, join: &JoinClause) -> Result<()> {
@@ -488,6 +508,9 @@ mod tests {
         // open bound, and a `?` may be bound to NULL at EXECUTE time
         let q = "SELECT name FROM people WHERE age >= NULL AND age < 3";
         assert_eq!(selects(q), (0, 2));
+        // and so is the literal an INT column stores as its nil
+        let q = "SELECT name FROM people WHERE age >= -2147483648 AND age < 3";
+        assert_eq!(selects(q), (0, 2));
         let Statement::Prepare { stmt, .. } =
             parse_sql("PREPARE p AS SELECT name FROM people WHERE age >= ? AND age < 3").unwrap()
         else {
@@ -528,6 +551,14 @@ mod tests {
         assert!(compile("SELECT nosuch FROM people").is_err());
         assert!(compile("SELECT name FROM missing_table").is_err());
         assert!(compile("SELECT name, COUNT(*) FROM people").is_err());
+        // only COUNT aggregates a string
+        for q in [
+            "SELECT MIN(name) FROM people",
+            "SELECT age, SUM(name) FROM people GROUP BY age",
+        ] {
+            assert!(matches!(compile(q), Err(Error::Unsupported(_))), "{q}");
+        }
+        assert!(compile("SELECT COUNT(name) FROM people").is_ok());
         assert!(
             compile("SELECT name FROM people ORDER BY age").is_err(),
             "ORDER BY column must be selected"

@@ -25,10 +25,11 @@ pub(super) enum ColumnTest {
 
 impl ColumnTest {
     /// `column op lit` for a column of type `ty`; `None` when no row can
-    /// qualify — a comparison with NULL, or between types SQL does not
-    /// order (a string against a number).
+    /// qualify — a comparison with NULL (or with the literal the column
+    /// stores as its nil), or between types SQL does not order (a string
+    /// against a number).
     pub(super) fn new(ty: LogicalType, op: CmpOp, lit: &Value) -> Option<ColumnTest> {
-        if lit.is_null() {
+        if lit.reads_as_null(ty) {
             return None;
         }
         if let Some(v) = lit.coerce(ty) {

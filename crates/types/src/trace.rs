@@ -338,24 +338,6 @@ impl ProfiledRun {
         }
     }
 
-    /// Aggregate the `instr` events per opcode: `(op, total_ns, count)`,
-    /// sorted by descending total time. This is the per-phase breakdown the
-    /// bench harness and EXPERIMENTS.md report.
-    pub fn per_op_breakdown(&self) -> Vec<(String, u64, u64)> {
-        let mut agg: Vec<(String, u64, u64)> = Vec::new();
-        for e in self.events.iter().filter(|e| e.kind == EventKind::Instr) {
-            match agg.iter_mut().find(|(op, _, _)| *op == e.op) {
-                Some((_, ns, n)) => {
-                    *ns += e.dur_ns;
-                    *n += 1;
-                }
-                None => agg.push((e.op.clone(), e.dur_ns, 1)),
-            }
-        }
-        agg.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        agg
-    }
-
     /// Append the run to `path` as JSON lines. The full block goes through
     /// one `write` call, so concurrent appenders do not interleave; the
     /// [`FlushGuard`] flushes again on drop so a panic between the write
@@ -864,21 +846,6 @@ mod tests {
         a.zero_timestamps();
         b.zero_timestamps();
         assert_eq!(a.to_json_lines(), b.to_json_lines());
-    }
-
-    #[test]
-    fn per_op_breakdown_aggregates() {
-        let mut run = sample_run();
-        run.events.push(TraceEvent {
-            instr: 2,
-            op: "sql.bind".into(),
-            args: "\"t\", \"b\"".into(),
-            dur_ns: 30,
-            ..TraceEvent::default()
-        });
-        let b = run.per_op_breakdown();
-        assert_eq!(b[0], ("sql.bind".to_string(), 40, 2));
-        assert_eq!(b[1], ("aggr.count".to_string(), 5, 1));
     }
 
     #[test]

@@ -230,6 +230,13 @@ impl Value {
         })
     }
 
+    /// Whether comparing a column of type `ty` with this literal compares
+    /// it with NULL — the literal is NULL, or the column stores it as its
+    /// nil — so that no row can qualify.
+    pub fn reads_as_null(&self, ty: LogicalType) -> bool {
+        self.is_null() || self.stored_nil(ty) == Some(true)
+    }
+
     /// SQL-style comparison: `None` when either side is NULL or the types
     /// are incomparable.
     pub fn sql_cmp(&self, other: &Value) -> Option<std::cmp::Ordering> {

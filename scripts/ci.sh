@@ -44,6 +44,12 @@ stray=$(grep -nE 'fn gen_query|fn random_where|fn random_plan|struct Workload|fn
     tests/*.rs || true)
 [ -z "$stray" ] || { echo "a generator beside tests/support/gen.rs:"; echo "$stray"; exit 1; }
 
+echo "==> docs name no missing file"
+# A crates/, examples/ or scripts/ path (or glob) in README.md, DESIGN.md or docs/ must exist.
+stray=$(grep -ohE '\b(crates|examples|scripts)/[A-Za-z0-9_.*/-]*[A-Za-z0-9_*]' README.md \
+    DESIGN.md docs/*.md | sort -u | while read -r p; do compgen -G "$p" >/dev/null || echo "$p"; done)
+[ -z "$stray" ] || { echo "docs name files that do not exist:"; echo "$stray"; exit 1; }
+
 echo "==> serving gate: mammoth-server links no evidence crate"
 # What reproduces a paper claim but serves no request (DESIGN.md's "serves /
 # evidence" column) stays out of the daemons. `compression` is linked
@@ -58,18 +64,14 @@ echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
 echo "==> cargo test -q --workspace"
-# The root package's tests/ are the integration tiers; the crate-level
-# suites (SQL session and compiler, the algebra kernels' oracle
-# differentials, the wire protocol, storage's corrupt-image proptests,
-# the coordinator) only run with --workspace — and so do the daemon
-# binaries' own tests (crates/{server,replica,shard}/tests/daemon.rs).
+# The root package's tests/ are the integration tiers; the crate-level suites
+# (compiler, kernels, wire protocol, storage, coordinator, experiments) and the
+# daemon binaries' own tests (crates/{server,replica,shard}/tests/daemon.rs)
+# only run with --workspace.
 cargo test -q --offline --workspace
-# The compile path's allocation budget is pinned by tests/compile_budget.rs
-# and the write path's by tests/write_budget.rs (in the run above). A
-# release build takes the checked pipeline's other branch — verify once on
-# exit, keeping a copy of the input for the replay — and drops the write
-# path's debug re-validation, so the budgets are held there too. Counts,
-# not timings: no wall clock.
+# The compile and write paths' allocation budgets (tests/compile_budget.rs,
+# tests/write_budget.rs) again in release, which verifies a plan once on exit
+# and drops the write path's debug re-validation. Counts, not timings.
 cargo test -q --offline --release --test compile_budget --test write_budget
 # The dense selection kernel's AVX2 arm only takes its vectorized shape in
 # an optimized build: hold it to the scalar loop there as well.

@@ -1,8 +1,8 @@
 //! Integration test: the execution paradigms — tuple-at-a-time (volcano),
 //! column-at-a-time (BAT algebra via SQL), vectorized (X100-style), and the
 //! multi-core dataflow engine — must return identical answers on the same
-//! generated data. This is the correctness backbone of experiments E08 and
-//! E19.
+//! generated data. This is the correctness backbone of experiment E08 and
+//! of the benchmark's `scan_dataflow` workload.
 
 use mammoth::mal::{default_pipeline, Interpreter};
 use mammoth::sql::{compile_select, parse_sql, render_outputs, Statement};

@@ -7,22 +7,24 @@
 //! * a census: every production appears at least once;
 //! * each statement runs on a durable [`Session`] over the generated schema,
 //!   and the only failures are the refusals drawn on purpose — an INSERT of
-//!   a nil sentinel into a NOT NULL column — which fail with the typed error;
+//!   a nil sentinel into a NOT NULL column, SUM / AVG / MIN / MAX over a
+//!   VARCHAR column — which fail with their typed errors;
 //! * under the sharding tier's limits, ORDER BY takes only the key and no
 //!   SUM or AVG runs over the DOUBLE column.
 
 use mammoth_algebra::AggKind::{Avg, Sum};
 use mammoth_algebra::CmpOp;
 use mammoth_sql::{parse_sql, Predicate, Scalar, SelectItem, SelectStmt, Session, Statement};
-use mammoth_types::{Error, Value};
+use mammoth_types::{Error, TableSchema, Value};
 use std::collections::BTreeMap;
 
 mod support;
-use support::gen::{parameterize, stored, Gen};
+use support::gen::{parameterize, Gen};
 use support::Scratch;
 
-/// Every production of the generator, and whether `stmt` shows it.
-fn productions(stmt: &Statement) -> Vec<(String, bool)> {
+/// Every production of the generator over `tables`, and whether `stmt`
+/// shows it.
+fn productions(stmt: &Statement, tables: &[TableSchema]) -> Vec<(String, bool)> {
     use CmpOp::*;
     let (select, rows, where_): (_, &[Vec<Scalar>], &[Predicate]) = match stmt {
         Statement::Select(s) => (Some(s), &[], &s.where_),
@@ -33,7 +35,12 @@ fn productions(stmt: &Statement) -> Vec<(String, bool)> {
     let (int_nil, big_nil) = (Value::I32(i32::MIN), Value::I64(i64::MIN));
     let lit = |v: &Value| where_.iter().any(|p| p.value.as_lit() == Some(v));
     let cell = |v: &Value| rows.iter().flatten().any(|c| c.as_lit() == Some(v));
-    let pairs = |p: &Predicate| where_.iter().any(|q| p.range_with(q).is_some());
+    // a column name has one type in every generated table
+    let columns = tables.iter().flat_map(|t| &t.columns);
+    let ty = |p: &Predicate| columns.clone().find(|c| c.name == p.col.column).unwrap().ty;
+    let pairs = |p: &Predicate| where_.iter().any(|q| p.range_with(q, ty(p)).is_some());
+    let nil = |p: &Predicate| [&int_nil, &big_nil].map(Some).contains(&p.value.as_lit());
+    let nil_bound = where_.iter().any(|p| nil(p) && !matches!(p.op, Eq | Ne));
     let fused = where_.iter().any(pairs);
     let sel = |shows: &dyn Fn(&SelectStmt) -> bool| select.is_some_and(shows);
     let ordered =
@@ -48,6 +55,7 @@ fn productions(stmt: &Statement) -> Vec<(String, bool)> {
         ("NULL literal", lit(&Value::Null)),
         ("INT sentinel literal", lit(&int_nil)),
         ("BIGINT sentinel literal", lit(&big_nil)),
+        ("sentinel range bound", nil_bound),
         ("GROUP BY", sel(&|s| !s.group_by.is_empty())),
         ("ORDER BY … LIMIT", ordered(false)),
         ("ORDER BY … DESC LIMIT", ordered(true)),
@@ -79,24 +87,23 @@ fn generated_statements_read_back_cover_the_grammar_and_run() {
         assert_eq!(parse_sql(&text).as_ref(), Ok(&stmt), "{ctx}");
         let (body, args) = parameterize(&stmt);
         assert_eq!(body.bind_params(&args).as_ref(), Ok(&stmt), "{ctx}");
-        let refused = match &stmt {
-            Statement::Insert { table, rows } => {
-                let schema = g.tables.iter().find(|t| &t.name == table).unwrap();
-                rows.iter().any(|r| stored(schema, r).is_none())
-            }
-            _ => false,
-        };
-        let shown = productions(&stmt)
-            .into_iter()
-            .chain([("refused INSERT".into(), refused)]);
+        let refused = g.refused(&stmt);
+        let insert = matches!(stmt, Statement::Insert { .. });
+        let shown = productions(&stmt, &g.tables).into_iter().chain([
+            ("refused INSERT".into(), refused && insert),
+            ("refused aggregate".into(), refused && !insert),
+        ]);
         for (name, on) in shown {
             *census.entry(name).or_default() += on as usize;
         }
         match s.execute(&text) {
             Ok(_) => assert!(!refused, "{ctx}: accepted"),
             Err(e) => {
-                let typed =
-                    matches!(&e, Error::Bind(m) if m.contains("NULL not allowed in column"));
+                let typed = match &e {
+                    Error::Bind(m) => insert && m.contains("NULL not allowed in column"),
+                    Error::Unsupported(m) => !insert && m.contains("only COUNT aggregates"),
+                    _ => false,
+                };
                 assert!(refused && typed, "{ctx}: {e}");
             }
         }

@@ -9,11 +9,12 @@
 //!   mirrors. Shared-table counts must be monotone while
 //!   only inserts run, and the final shared state must equal the sum of
 //!   everything acknowledged. No deadlock: the test simply finishes.
-//! * **Kill recovery** — a durable server is "killed" mid-load with a
-//!   [`FaultFs`] crash schedule (every disk op after the Nth fails).
-//!   Reopening the store with a healthy filesystem must recover every
-//!   acknowledged INSERT; only the one statement in flight at the crash
-//!   may appear beyond that (fsync'd but never acknowledged).
+//! * **Kill and drain recovery** — a durable server is "killed" mid-load
+//!   with a [`FaultFs`] crash schedule (every disk op after the Nth
+//!   fails), or shut down gracefully mid-load. Reopening the store with a
+//!   healthy filesystem must recover every acknowledged INSERT; only the
+//!   one statement in flight at the stop may appear beyond that (fsync'd
+//!   but never acknowledged).
 
 use mammoth_server::{Client, ClientError, Response, Server, ServerConfig, SessionSpec};
 use mammoth_sql::{QueryOutput, Session};
@@ -21,10 +22,12 @@ use mammoth_storage::{FaultFs, FaultKind, FaultPlan};
 use mammoth_types::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 mod support;
 use support::gen::{Gen, Model};
-use support::{seed, Scratch};
+use support::{seed, wait_for, Scratch};
 
 /// The first row of a result table, as integers.
 fn tally(resp: Response) -> Vec<Option<i64>> {
@@ -129,19 +132,14 @@ fn mixed_load_sixteen_threads_is_serializable_equivalent() {
     assert_eq!(stats.accepted, 18); // setup + 16 mixers + verify
 }
 
-#[test]
-fn killed_server_recovers_every_acknowledged_statement() {
-    let dir = Scratch::new("srvtest-kill");
-    // Let setup (store creation + CREATE TABLE) through, then crash the
-    // "disk" a couple hundred mutating operations into the load.
-    let fs = Arc::new(FaultFs::new(FaultPlan {
-        at_op: 220,
-        kind: FaultKind::CrashAfter,
-    }));
+/// A durable server on `fs` holding one table, and four writers INSERTing
+/// into it until a statement fails: the server, the writers, and the count
+/// of acknowledged INSERTs.
+fn insert_load(dir: &Scratch, fs: Arc<FaultFs>) -> (Server, Vec<JoinHandle<()>>, Arc<AtomicU64>) {
     let srv = Server::start(ServerConfig {
         workers: 4,
         backlog: 16,
-        spec: SessionSpec::durable_with(fs.clone(), dir.clone()),
+        spec: SessionSpec::durable_with(fs, dir.to_path_buf()),
         ..ServerConfig::default()
     })
     .unwrap();
@@ -153,7 +151,7 @@ fn killed_server_recovers_every_acknowledged_statement() {
     }
 
     let acked = Arc::new(AtomicU64::new(0));
-    let writers: Vec<_> = (0..4u64)
+    let writers = (0..4u64)
         .map(|wi| {
             let addr = addr.clone();
             let acked = acked.clone();
@@ -165,30 +163,24 @@ fn killed_server_recovers_every_acknowledged_statement() {
                             acked.fetch_add(1, Ordering::SeqCst);
                         }
                         Ok(other) => panic!("INSERT acked oddly: {other:?}"),
-                        // The injected crash surfaces as SQL_ERROR frames
-                        // (or a torn connection); the "process" is dead.
+                        // A crash surfaces as SQL_ERROR frames (or a torn
+                        // connection), a drain as SHUTTING_DOWN: either way
+                        // this writer is done.
                         Err(_) => return,
                     }
                 }
             })
         })
         .collect();
-    for w in writers {
-        w.join().unwrap();
-    }
-    let acked = acked.load(Ordering::SeqCst);
-    assert!(
-        fs.fired_on().is_some(),
-        "the workload never reached the crash point — raise the load"
-    );
-    assert!(acked > 0, "nothing was acknowledged before the crash");
+    (srv, writers, acked)
+}
 
-    // Graceful-drain machinery still works, but the shutdown checkpoint
-    // hits the dead disk; that error is the expected outcome of a kill.
-    let _ = srv.shutdown();
-
-    // Reopen with a healthy filesystem: the committed prefix must be back.
-    let mut s = Session::open_durable(dir.clone()).expect("recovery after kill");
+/// Reopen `dir` with a healthy filesystem: the committed prefix must be
+/// back — every acknowledged INSERT (the WAL fsyncs before the ack frame)
+/// and, since writes serialize on the session, at most ONE more: the
+/// statement in flight at the stop, durable but never acknowledged.
+fn assert_recovers(dir: &Scratch, acked: u64) {
+    let mut s = Session::open_durable(dir.to_path_buf()).expect("recovery");
     let QueryOutput::Table { rows, .. } = s.execute("SELECT COUNT(*) FROM t").unwrap() else {
         panic!("COUNT did not return a table")
     };
@@ -196,13 +188,9 @@ fn killed_server_recovers_every_acknowledged_statement() {
         panic!("COUNT returned a non-integer")
     };
     let recovered = recovered as u64;
-    // Every acknowledged statement is durable (the WAL fsyncs before the
-    // ack frame). Writes serialize on the session, so at most ONE extra
-    // statement — in flight at the crash, durable but never acknowledged —
-    // may appear on top.
     assert!(
         recovered >= acked,
-        "kill lost {} acknowledged statements",
+        "lost {} acknowledged statements",
         acked - recovered
     );
     assert!(
@@ -211,6 +199,44 @@ fn killed_server_recovers_every_acknowledged_statement() {
     );
     // And the store is live again: new statements commit.
     s.execute("INSERT INTO t VALUES (424242)").unwrap();
+}
+
+#[test]
+fn killed_server_recovers_every_acknowledged_statement() {
+    let dir = Scratch::new("srvtest-kill");
+    // Let setup (store creation + CREATE TABLE) through, then crash the
+    // "disk" a couple hundred mutating operations into the load.
+    let fs = Arc::new(FaultFs::new(FaultPlan {
+        at_op: 220,
+        kind: FaultKind::CrashAfter,
+    }));
+    let (srv, writers, acked) = insert_load(&dir, fs.clone());
+    writers.into_iter().for_each(|w| w.join().unwrap());
+    let acked = acked.load(Ordering::SeqCst);
+    assert!(
+        fs.fired_on().is_some(),
+        "the workload never reached the crash point — raise the load"
+    );
+    assert!(acked > 0, "nothing was acknowledged before the crash");
+    // Graceful-drain machinery still works, but the shutdown checkpoint
+    // hits the dead disk; that error is the expected outcome of a kill.
+    let _ = srv.shutdown();
+    assert_recovers(&dir, acked);
+}
+
+/// A graceful shutdown in the middle of the same load — drain, then the
+/// shutdown checkpoint — keeps the same contract.
+#[test]
+fn drained_server_recovers_every_acknowledged_statement() {
+    let dir = Scratch::new("srvtest-drain");
+    let fs = Arc::new(FaultFs::new(FaultPlan::none()));
+    let (srv, writers, acked) = insert_load(&dir, fs);
+    wait_for(Duration::from_secs(30), "acknowledged INSERTs", || {
+        (acked.load(Ordering::SeqCst) >= 200).then_some(())
+    });
+    srv.shutdown().expect("a graceful shutdown");
+    writers.into_iter().for_each(|w| w.join().unwrap());
+    assert_recovers(&dir, acked.load(Ordering::SeqCst));
 }
 
 #[test]

@@ -369,8 +369,8 @@ fn prepared_statement_errors_read_the_same_as_single_node() {
     let coord = cluster.coord();
     let mut single = Session::new();
     for setup in [
-        "CREATE TABLE t (id BIGINT NOT NULL, v BIGINT)",
-        "INSERT INTO t VALUES (1, 10), (2, 20)",
+        "CREATE TABLE t (id BIGINT NOT NULL, v BIGINT, s VARCHAR)",
+        "INSERT INTO t VALUES (1, 10, 'a'), (2, 20, 'b')",
         "PREPARE q AS SELECT v FROM t WHERE id = ?",
     ] {
         coord.execute(setup).unwrap();
@@ -389,6 +389,8 @@ fn prepared_statement_errors_read_the_same_as_single_node() {
         "DEALLOCATE nope",
         "SELECT v FROM t WHERE id = ?",
         "DELETE FROM t WHERE id = ?",
+        "SELECT MAX(s) FROM t",
+        "SELECT id, SUM(s) FROM t GROUP BY id",
     ] {
         let sharded = match coord.execute(misuse) {
             Err(CoordError::Sql(e)) => e.to_string(),
@@ -397,6 +399,14 @@ fn prepared_statement_errors_read_the_same_as_single_node() {
         let local = single.execute(misuse).unwrap_err().to_string();
         assert_eq!(sharded, local, "{misuse}");
     }
+    // the coordinator compiles a parameterized SELECT when EXECUTE binds it
+    // (a single node, at PREPARE): the refusal reads the same either way
+    coord
+        .execute("PREPARE r AS SELECT AVG(s) FROM t WHERE id > ?")
+        .unwrap();
+    let sharded = coord.execute("EXECUTE r (0)").unwrap_err().to_string();
+    let local = single.execute("SELECT AVG(s) FROM t WHERE id > 0");
+    assert_eq!(sharded, local.unwrap_err().to_string());
 }
 
 // -------------------------------------------------- wire-level front end

@@ -2,8 +2,8 @@
 //! persistence — the downstream-user path through the whole stack.
 
 use mammoth::sql::{Session, Statement};
-use mammoth::types::Value;
-use mammoth::{Database, QueryOutput};
+use mammoth::types::{Error, Value};
+use mammoth::{Database, Engine, QueryOutput};
 
 fn rows(out: QueryOutput) -> Vec<Vec<Value>> {
     match out {
@@ -298,6 +298,68 @@ fn error_paths_are_clean() {
     db.execute("INSERT INTO t VALUES (1)").unwrap();
     let r = rows(db.execute("SELECT COUNT(*) FROM t").unwrap());
     assert_eq!(r[0][0], Value::I64(1));
+}
+
+/// A literal its column stores as the nil sentinel is NULL to a range
+/// bound as it is to `=`: fused with another bound in a SELECT — ad hoc or
+/// bound at EXECUTE, on either engine — and in a DELETE, it selects nothing.
+#[test]
+fn a_nil_sentinel_range_bound_selects_and_deletes_nothing() {
+    for engine in [Engine::Serial, Engine::Parallel { threads: 2 }] {
+        let mut db = Database::with_engine(engine);
+        db.execute("CREATE TABLE t (k BIGINT NOT NULL)").unwrap();
+        db.execute("INSERT INTO t VALUES (1), (2), (3), (5)")
+            .unwrap();
+        let sql = "SELECT k FROM t WHERE k >= -9223372036854775808 AND k < 4";
+        assert!(
+            rows(db.execute(sql).unwrap()).is_empty(),
+            "{engine:?}: {sql}"
+        );
+        db.execute("PREPARE p AS SELECT k FROM t WHERE k >= ? AND k < ?")
+            .unwrap();
+        let exec = "EXECUTE p (-9223372036854775808, 4)";
+        assert!(
+            rows(db.execute(exec).unwrap()).is_empty(),
+            "{engine:?}: {exec}"
+        );
+        let sql = "DELETE FROM t WHERE k > -9223372036854775808";
+        assert_eq!(db.execute(sql), Ok(QueryOutput::Affected(0)), "{engine:?}");
+        let all = rows(db.execute("SELECT COUNT(*) FROM t").unwrap());
+        assert_eq!(all[0][0], Value::I64(4), "{engine:?}");
+    }
+}
+
+/// SUM, AVG, MIN and MAX take numbers: over a VARCHAR or a BOOLEAN column,
+/// grouped or not, the statement is refused with one typed error before a
+/// plan exists — the same ad hoc and through PREPARE / EXECUTE — while
+/// COUNT of a string still runs.
+#[test]
+fn aggregates_over_strings_and_booleans_are_refused_typed() {
+    let mut db = Database::new();
+    db.execute("CREATE TABLE t (g INT, s VARCHAR, f BOOLEAN)")
+        .unwrap();
+    db.execute("INSERT INTO t VALUES (1, 'a', true), (1, 'b', false), (2, 'c', true)")
+        .unwrap();
+    for (i, agg) in ["SUM", "AVG", "MIN", "MAX"].iter().enumerate() {
+        for (j, col) in ["s", "f"].iter().enumerate() {
+            for query in [
+                format!("SELECT {agg}({col}) FROM t"),
+                format!("SELECT g, {agg}({col}) FROM t WHERE g > ? GROUP BY g"),
+            ] {
+                let name = format!("p{i}{j}{}", query.contains('?') as u8);
+                let prepared = db.execute(&format!("PREPARE {name} AS {query}"));
+                let adhoc = db.execute(&query.replace('?', "0"));
+                let want = format!("{agg}({col}) over a ");
+                let Err(Error::Unsupported(m)) = &adhoc else {
+                    panic!("{query}: {adhoc:?}")
+                };
+                assert!(m.starts_with(&want), "{query}: {m}");
+                assert_eq!(prepared, adhoc, "{query}");
+            }
+        }
+    }
+    let counted = rows(db.execute("SELECT g, COUNT(s) FROM t GROUP BY g").unwrap());
+    assert_eq!(counted.len(), 2);
 }
 
 /// A value its column stores as the nil sentinel — `i64::MIN` in a

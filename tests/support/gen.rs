@@ -60,7 +60,8 @@ pub struct Gen {
     /// the terms.
     pub float_sums: bool,
     /// One INSERT in twelve puts a nil sentinel in a NOT NULL column, which
-    /// refuses the whole statement.
+    /// refuses the whole statement, and now and then an aggregate other
+    /// than COUNT takes the VARCHAR column, which refuses the SELECT.
     pub refusals: bool,
 }
 
@@ -136,8 +137,7 @@ impl Gen {
 
     /// One to three conjuncts on table `ti`: comparisons with every
     /// operator, and lower-and-upper bound pairs on one column, which fuse
-    /// into one range select. A nil sentinel is compared by `=` and `<>`
-    /// only: as a range bound the kernels read it as open (ROADMAP).
+    /// into one range select unless a bound is NULL or a nil sentinel.
     fn conjuncts(&mut self, ti: usize, qualify: bool, wide: bool) -> Vec<Predicate> {
         use CmpOp::*;
         let mut out = Vec::new();
@@ -149,15 +149,13 @@ impl Gen {
             };
             let col = self.column(ti, c, qualify);
             if self.below(3) == 0 {
-                let (lo, hi) = (self.datum(ti, c), self.datum(ti, c));
+                let (lo, hi) = (self.literal(ti, c, wide), self.literal(ti, c, wide));
                 out.push(cmp(&col, self.pick(&[Gt, Ge]), lo));
                 out.push(cmp(&col, self.pick(&[Lt, Le]), hi));
                 continue;
             }
             let lit = self.literal(ti, c, wide);
-            let nil = sentinel(self.tables[ti].columns[c].ty).as_ref() == Some(&lit);
-            let ops = [Eq, Ne, Lt, Le, Gt, Ge];
-            out.push(cmp(&col, self.pick(&ops[..if nil { 2 } else { 6 }]), lit));
+            out.push(cmp(&col, self.pick(&[Eq, Ne, Lt, Le, Gt, Ge]), lit));
         }
         out
     }
@@ -214,11 +212,14 @@ impl Gen {
 
     /// An aggregate over a column of table `ti`: COUNT of any, MIN and MAX
     /// of a number, SUM and AVG of a number (a DOUBLE with
-    /// [`Gen::float_sums`]).
+    /// [`Gen::float_sums`]), and with [`Gen::refusals`] now and then one of
+    /// those four over a string.
     fn aggregate(&mut self, ti: usize) -> SelectItem {
         use AggKind::*;
         let c = self.below(self.tables[ti].columns.len());
+        let refused = self.refusals && self.below(4) == 0;
         let kinds: &[AggKind] = match self.tables[ti].columns[c].ty {
+            LogicalType::Str if refused => &[Sum, Min, Max, Avg],
             LogicalType::Str => &[Count],
             LogicalType::F64 if !self.float_sums => &[Count, Min, Max],
             _ => &[Count, Sum, Min, Max, Avg],
@@ -303,6 +304,26 @@ impl Gen {
         let sum = SelectItem::Agg(AggKind::Sum, self.column(ti, 1, false));
         sel.items.push(sum);
         Statement::Select(sel)
+    }
+
+    /// Whether `stmt`, over the generated tables, is one of the statements
+    /// [`Gen::refusals`] draws to be refused: an INSERT of a row the table
+    /// does not store, or an aggregate other than COUNT over a string.
+    pub fn refused(&self, stmt: &Statement) -> bool {
+        let schema = |name: &str| self.tables.iter().find(|t| t.name == name).unwrap();
+        match stmt {
+            Statement::Insert { table, rows } => {
+                rows.iter().any(|r| stored(schema(table), r).is_none())
+            }
+            Statement::Select(s) => s.items.iter().any(|item| match item {
+                SelectItem::Agg(kind, col) if *kind != AggKind::Count => {
+                    let (_, def) = schema(&s.from).column(&col.column).unwrap();
+                    !def.ty.is_numeric()
+                }
+                _ => false,
+            }),
+            _ => false,
+        }
     }
 }
 
