@@ -56,7 +56,7 @@ key_image! {
 macro_rules! with_images {
     ($bat:expr, |$images:ident| $body:expr) => {{
         use mammoth_storage::TailHeap;
-        use mammoth_types::NativeType;
+        use mammoth_types::{fnv1a, NativeType, FNV_OFFSET};
         use $crate::flat::KeyImage;
         macro_rules! fixed {
             ($v:expr) => {{
@@ -74,7 +74,7 @@ macro_rules! with_images {
             TailHeap::F64(v) => fixed!(v),
             TailHeap::Str(h) => {
                 let $images = (0..h.len()).map(|i| match h.get(i) {
-                    Some(s) => ($crate::flat::fnv1a(s.as_bytes()), false),
+                    Some(s) => (fnv1a(FNV_OFFSET, s.as_bytes()), false),
                     None => (0, true),
                 });
                 $body
@@ -83,15 +83,6 @@ macro_rules! with_images {
     }};
 }
 pub(crate) use with_images;
-
-pub(crate) fn fnv1a(b: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &x in b {
-        h ^= x as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// A per-process random seed folded into every hash. Column values come
 /// from outside the program; with a fixed multiplier alone, keys crafted to

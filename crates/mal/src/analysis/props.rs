@@ -23,7 +23,6 @@ use mammoth_algebra::{AggKind, ArithOp, CmpOp};
 use mammoth_index::ZoneMap;
 use mammoth_storage::{Bat, Catalog, ColumnView};
 use mammoth_types::{LogicalType, Value};
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
@@ -183,23 +182,13 @@ impl fmt::Display for PropsError {
 
 impl std::error::Error for PropsError {}
 
-/// Catalog statistics for base binds, by table and column. Names compare
-/// the way the catalog's do: case-insensitively.
+/// Catalog statistics for base binds, by table and column, whose names
+/// arrive folded (DESIGN.md, the `sql` row) and compare byte for byte.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ColumnFacts {
-    /// lowercased table -> lowercased column -> facts, and the column's
-    /// type when the facts were read off a catalog
+    /// table -> column -> facts, and the column's type when the facts were
+    /// read off a catalog
     tables: HashMap<String, HashMap<String, (Props, Option<LogicalType>)>>,
-}
-
-/// `name` lowercased; borrowed when it already is, as the names a compiled
-/// plan binds almost always are.
-fn lowercased(name: &str) -> Cow<'_, str> {
-    if name.chars().any(char::is_uppercase) {
-        Cow::Owned(name.to_lowercase())
-    } else {
-        Cow::Borrowed(name)
-    }
 }
 
 impl ColumnFacts {
@@ -213,21 +202,18 @@ impl ColumnFacts {
     }
 
     fn record(&mut self, table: &str, column: &str, props: Props, ty: Option<LogicalType>) {
-        let (t, c) = (lowercased(table), lowercased(column));
-        match self.tables.get_mut(&*t) {
-            Some(columns) => columns.insert(c.into_owned(), (props, ty)),
+        match self.tables.get_mut(table) {
+            Some(columns) => columns.insert(column.to_string(), (props, ty)),
             None => self
                 .tables
-                .entry(t.into_owned())
+                .entry(table.to_string())
                 .or_default()
-                .insert(c.into_owned(), (props, ty)),
+                .insert(column.to_string(), (props, ty)),
         };
     }
 
     fn entry(&self, table: &str, column: &str) -> Option<&(Props, Option<LogicalType>)> {
-        self.tables
-            .get(&*lowercased(table))?
-            .get(&*lowercased(column))
+        self.tables.get(table)?.get(column)
     }
 
     /// The facts of `table.column`, if recorded.

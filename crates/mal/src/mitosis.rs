@@ -48,7 +48,7 @@ use mammoth_storage::Catalog;
 use mammoth_types::{LogicalType, Value};
 use std::collections::HashMap;
 
-/// Column types keyed by `(table, column)` (lowercased), used by
+/// Column types keyed by `(table, column)`, used by
 /// [`Mergetable`] to keep float sums serial. Snapshot with
 /// [`column_types`].
 pub type ColumnTypes = HashMap<(String, String), LogicalType>;
@@ -59,7 +59,7 @@ pub fn column_types(catalog: &Catalog) -> ColumnTypes {
     for name in catalog.table_names() {
         if let Ok(t) = catalog.table(name) {
             for c in &t.schema.columns {
-                out.insert((name.to_lowercase(), c.name.to_lowercase()), c.ty);
+                out.insert((name.to_string(), c.name.clone()), c.ty);
             }
         }
     }
@@ -73,7 +73,7 @@ pub fn bound_column_types(prog: &Program, catalog: &Catalog) -> ColumnTypes {
     for (t, c) in prog.bound_columns() {
         let def = catalog.table(t).and_then(|t| t.schema.column(c));
         if let Ok((_, def)) = def {
-            out.insert((t.to_lowercase(), c.to_lowercase()), def.ty);
+            out.insert((t.to_string(), c.to_string()), def.ty);
         }
     }
     out
@@ -251,11 +251,9 @@ impl Rewriter<'_> {
                 OpCode::Bind => {
                     if let [Arg::Const(Value::Str(t)), Arg::Const(Value::Str(c))] = &instr.args[..]
                     {
-                        let ty = self
-                            .types
-                            .get(&(t.to_lowercase(), c.to_lowercase()))
-                            .copied();
-                        self.binds.insert(instr.results[0], (t.to_lowercase(), ty));
+                        let key = (t.clone(), c.clone());
+                        let ty = self.types.get(&key).copied();
+                        self.binds.insert(instr.results[0], (key.0, ty));
                     }
                     self.out.instrs.push(instr);
                 }

@@ -115,7 +115,7 @@ fn corpus() -> Vec<Case> {
         let (mut dense, mut types) = (PropFacts::new(), ColumnTypes::new());
         for (t, c) in prog.bound_columns() {
             dense.insert(t, c, sorted.clone());
-            types.insert((t.to_lowercase(), c.to_lowercase()), LogicalType::I64);
+            types.insert((t.to_string(), c.to_string()), LogicalType::I64);
         }
         for (label, facts) in [("no facts", PropFacts::new()), ("sorted facts", dense)] {
             cases.push(Case {

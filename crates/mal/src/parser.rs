@@ -490,6 +490,15 @@ fn parse_stmt(
         }
     };
 
+    if op == OpCode::Bind {
+        // a table and a column name: folded as SQL's are (DESIGN.md, the
+        // `sql` row), so that a plan compares them byte for byte
+        for arg in &mut args {
+            if let Arg::Const(Value::Str(name)) = arg {
+                name.make_ascii_lowercase();
+            }
+        }
+    }
     if op.result_arity() != targets.len() {
         return Err(lex.err_at(format!(
             "{} binds {} results, {} given",

@@ -489,10 +489,9 @@ impl BaseRows {
     /// oid: the same table's, and all of them or the same fragment.
     pub(crate) fn covers(&self, scanned: &BaseRows, instrs: &[Instr]) -> bool {
         let frag = |rows: &BaseRows| rows.slice.map(|s| &instrs[s].args[1..]);
-        let same_table = match (self.table(instrs), scanned.table(instrs)) {
-            (Some(a), Some(b)) => a.eq_ignore_ascii_case(b),
-            _ => false,
-        };
+        let same_table = self
+            .table(instrs)
+            .is_some_and(|t| scanned.table(instrs) == Some(t));
         same_table && (self.slice.is_none() || frag(self) == frag(scanned))
     }
 

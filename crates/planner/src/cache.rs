@@ -1,5 +1,6 @@
 //! The session plan cache: compiled, verified, optimized MAL programs
-//! keyed by normalized statement text.
+//! keyed by the statement's canonical text — its `Display`, whose names the
+//! lexer has already folded.
 //!
 //! A cache entry is sound only while the optimizer's premises hold: every
 //! rewrite the pipeline applied was proven against the column properties
@@ -55,7 +56,7 @@ impl PlanCache {
         PlanCache::default()
     }
 
-    /// Look up by normalized key, verifying the premises still hold.
+    /// Look up by canonical text, verifying the premises still hold.
     /// `live` yields the current properties of a (table, column) pair —
     /// `None` means the column no longer exists (always a miss).
     pub fn lookup(
@@ -106,44 +107,6 @@ impl PlanCache {
     pub fn compiles(&self) -> u64 {
         self.compiles
     }
-}
-
-/// Normalize statement text into a cache key: collapse runs of
-/// whitespace, trim, strip a trailing `;`, lowercase everything outside
-/// single-quoted string literals. Two statements that normalize equal
-/// compile to the same plan (the grammar is case-insensitive outside
-/// literals).
-pub fn normalize_sql(sql: &str) -> String {
-    let mut out = String::with_capacity(sql.len());
-    let mut in_str = false;
-    let mut pending_space = false;
-    for ch in sql.chars() {
-        if in_str {
-            out.push(ch);
-            if ch == '\'' {
-                in_str = false;
-            }
-            continue;
-        }
-        if ch.is_whitespace() {
-            pending_space = !out.is_empty();
-            continue;
-        }
-        if pending_space {
-            out.push(' ');
-            pending_space = false;
-        }
-        if ch == '\'' {
-            in_str = true;
-            out.push(ch);
-        } else {
-            out.extend(ch.to_lowercase());
-        }
-    }
-    while out.ends_with(';') || out.ends_with(' ') {
-        out.pop();
-    }
-    out
 }
 
 /// The (table, column) pairs a program binds — the premise set a cache
@@ -203,19 +166,6 @@ mod tests {
         let f = p.push(OpCode::Projection, vec![Arg::Var(s), Arg::Var(b)])[0];
         p.push(OpCode::Result, vec![Arg::Var(f)]);
         p
-    }
-
-    #[test]
-    fn normalize_collapses_case_and_whitespace() {
-        assert_eq!(
-            normalize_sql("SELECT  a\nFROM t  WHERE a = 1;"),
-            "select a from t where a = 1"
-        );
-        // string literals keep their case
-        assert_eq!(
-            normalize_sql("select A from T where s = 'MiXeD  CaSe'"),
-            "select a from t where s = 'MiXeD  CaSe'"
-        );
     }
 
     #[test]

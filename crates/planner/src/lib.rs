@@ -12,7 +12,7 @@
 //!   columns) at CHECKPOINT. Serializable, so it rides the checkpoint
 //!   image and recovery restores it.
 //! * [`cache`] — a [`PlanCache`] of compiled, verified, optimized MAL
-//!   programs keyed by normalized statement text, with `?N` parameter
+//!   programs keyed by canonical statement text, with `?N` parameter
 //!   slots substituted as constants at EXECUTE time. Entries carry the
 //!   column-property premises they were optimized under; a premise
 //!   mismatch (or DDL, or recovery) invalidates.
@@ -27,6 +27,6 @@ pub mod cache;
 pub mod cost;
 pub mod stats;
 
-pub use cache::{bind_program, normalize_sql, referenced_columns, CachedPlan, PlanCache};
+pub use cache::{bind_program, referenced_columns, CachedPlan, PlanCache};
 pub use cost::{choose_pieces, estimate_program, selectivity, InstrEstimate};
 pub use stats::{ColumnStats, Histogram, StatsCatalog, TableStats};

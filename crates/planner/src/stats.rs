@@ -24,7 +24,9 @@
 //!   values — the "fold" that squashes accumulated approximation error.
 
 use mammoth_index::ZoneMap;
-use mammoth_types::{Error, LogicalType, NativeType, Result, TableSchema, Value};
+use mammoth_types::{
+    fnv1a, Error, LogicalType, NativeType, Result, TableSchema, Value, FNV_OFFSET,
+};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -187,12 +189,9 @@ pub struct ColumnStats {
 
 const SKETCH_BITS: usize = 1 << 14;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
+/// The sketch's hash of a cell's bytes.
+fn sketch_hash(bytes: &[u8]) -> u64 {
+    let mut h = fnv1a(FNV_OFFSET, bytes);
     // FNV's low bits avalanche poorly on short keys and the sketch
     // indexes by `h mod m` — run a splitmix64 finalizer to disperse
     h ^= h >> 30;
@@ -214,14 +213,18 @@ fn beats(v: &Value, cur: Option<&Value>, toward: Ordering) -> bool {
     cur.is_none_or(|b| v.sql_cmp(b) == Some(toward))
 }
 
+/// A non-null cell's sketch hash, from its bytes and never a rendering.
+/// Integers hash as `i64`, so that I32(5) and I64(5) agree the way SQL
+/// comparison does.
 fn value_hash(v: &Value) -> u64 {
-    // hash through a canonical rendering so I32(5) and I64(5) agree the
-    // way SQL comparison does
-    match (v.as_i64(), v.as_f64(), v.as_str()) {
-        (Some(x), _, _) => fnv1a(&x.to_le_bytes()),
-        (None, Some(f), _) => fnv1a(&f.to_bits().to_le_bytes()),
-        (None, None, Some(s)) => fnv1a(s.as_bytes()),
-        _ => fnv1a(format!("{v:?}").as_bytes()),
+    match (v.as_i64(), v) {
+        (Some(x), _) => sketch_hash(&x.to_le_bytes()),
+        (None, Value::F64(f)) => sketch_hash(&f.to_bits().to_le_bytes()),
+        (None, Value::Str(s)) => sketch_hash(s.as_bytes()),
+        (None, Value::Bool(b)) => sketch_hash(&[u8::from(*b)]),
+        // an oid past i64::MAX
+        (None, Value::Oid(x)) => sketch_hash(&x.to_le_bytes()),
+        (None, _) => sketch_hash(&[]),
     }
 }
 
@@ -286,7 +289,7 @@ impl ColumnStats {
                 s.nulls += 1;
                 continue;
             };
-            s.sketch_set(fnv1a(x.as_bytes()));
+            s.sketch_set(sketch_hash(x.as_bytes()));
             if lo.is_none_or(|m| x < m) {
                 lo = Some(x);
             }
@@ -455,11 +458,11 @@ impl StatsCatalog {
     }
 
     pub fn table(&self, name: &str) -> Option<&TableStats> {
-        self.tables.get(&name.to_lowercase())
+        self.tables.get(name)
     }
 
     pub fn column(&self, table: &str, column: &str) -> Option<&ColumnStats> {
-        self.table(table)?.columns.get(&column.to_lowercase())
+        self.table(table)?.columns.get(column)
     }
 
     pub fn table_names(&self) -> impl Iterator<Item = &str> {
@@ -470,13 +473,13 @@ impl StatsCatalog {
     pub fn create_table(&mut self, name: &str, columns: &[String]) {
         let mut t = TableStats::default();
         for c in columns {
-            t.columns.insert(c.to_lowercase(), ColumnStats::default());
+            t.columns.insert(c.clone(), ColumnStats::default());
         }
-        self.tables.insert(name.to_lowercase(), t);
+        self.tables.insert(name.to_string(), t);
     }
 
     pub fn drop_table(&mut self, name: &str) {
-        self.tables.remove(&name.to_lowercase());
+        self.tables.remove(name);
     }
 
     /// Replace one table's stats with ones freshly built from its live
@@ -486,36 +489,36 @@ impl StatsCatalog {
         let mut t = TableStats::default();
         for (cname, stats) in columns {
             t.rows = t.rows.max(stats.rows);
-            t.columns.insert(cname.to_lowercase(), stats);
+            t.columns.insert(cname, stats);
         }
         t.rows_at_build = t.rows;
-        self.tables.insert(name.to_lowercase(), t);
+        self.tables.insert(name.to_string(), t);
     }
 
     /// Fold one statement's inserted rows (laid out as `schema`'s columns)
     /// in, a column at a time. A value the column stores as its nil
     /// sentinel counts as NULL, as it reads back.
     pub fn on_insert(&mut self, schema: &TableSchema, rows: &[Vec<Value>]) {
-        let Some(t) = self.tables.get_mut(&schema.name.to_lowercase()) else {
+        let Some(t) = self.tables.get_mut(&schema.name) else {
             return;
         };
         t.rows += rows.len() as u64;
         for (i, def) in schema.columns.iter().enumerate() {
-            let cells = rows.iter().filter_map(|row| row.get(i));
-            let stats = t.columns.entry(def.name.to_lowercase()).or_default();
-            stats.insert_cells(def.ty, cells);
+            if let Some(cs) = t.columns.get_mut(&def.name) {
+                cs.insert_cells(def.ty, rows.iter().filter_map(|row| row.get(i)));
+            }
         }
     }
 
     /// Fold one statement's deleted rows (read back from the table, laid
     /// out as `schema`'s columns) out, a column at a time.
     pub fn on_delete(&mut self, schema: &TableSchema, rows: &[Vec<Value>]) {
-        let Some(t) = self.tables.get_mut(&schema.name.to_lowercase()) else {
+        let Some(t) = self.tables.get_mut(&schema.name) else {
             return;
         };
         t.rows = t.rows.saturating_sub(rows.len() as u64);
         for (i, def) in schema.columns.iter().enumerate() {
-            if let Some(cs) = t.columns.get_mut(&def.name.to_lowercase()) {
+            if let Some(cs) = t.columns.get_mut(&def.name) {
                 cs.delete_cells(def.ty, rows.iter().filter_map(|row| row.get(i)));
             }
         }
@@ -766,7 +769,7 @@ mod tests {
                 .map(|i| if i % 5 == 0 { Oid::NIL } else { mix(i) % 500 })
                 .collect::<Vec<Oid>>(),
         );
-        check(vec![u64::MAX - 1 as Oid, 3]); // an oid past i64: hashed by rendering
+        check(vec![u64::MAX - 1 as Oid, 3]); // an oid past i64: hashed as u64
         check(Vec::<i64>::new());
         check(vec![i64::NIL; 4]);
 
@@ -1042,8 +1045,8 @@ mod tests {
         );
         assert_eq!(sc.table("t").unwrap().drift(), 0.0);
         let schema = TableSchema::new(
-            "T",
-            vec![mammoth_types::ColumnDef::new("A", LogicalType::I64)],
+            "t",
+            vec![mammoth_types::ColumnDef::new("a", LogicalType::I64)],
         );
         sc.on_insert(&schema, &[vec![Value::I64(3)], vec![Value::I64(4)]]);
         assert_eq!(sc.column("t", "a").unwrap().max, Some(Value::I64(4)));

@@ -486,7 +486,9 @@ fn serve_connection<H: Handler>(core: &Core<H>, widx: usize, mut stream: TcpStre
         // Text is parsed here, once, and nowhere behind this point; the
         // prepared-statement frames are the statements they name already,
         // so an `ExecutePrepared` carries its arguments to the bind as the
-        // values the wire delivered.
+        // values the wire delivered. Their handles are names the lexer
+        // never sees (a `Prepare`'s is lexed by `parse_prepare`), so they
+        // are folded here, as the lexer folds (DESIGN.md, the `sql` row).
         let mut nparams = None;
         let parsed = match msg {
             ClientMsg::Quit => return Ok(()),
@@ -525,8 +527,14 @@ fn serve_connection<H: Handler>(core: &Core<H>, widx: usize, mut stream: TcpStre
                 nparams = parsed.as_ref().ok().map(|stmt| stmt.param_count() as u32);
                 parsed.map_err(|e| (sql, e))
             }
-            ClientMsg::ExecutePrepared { name, args } => Ok(Statement::Execute { name, args }),
-            ClientMsg::Deallocate { name } => Ok(Statement::Deallocate { name }),
+            ClientMsg::ExecutePrepared { mut name, args } => {
+                name.make_ascii_lowercase();
+                Ok(Statement::Execute { name, args })
+            }
+            ClientMsg::Deallocate { mut name } => {
+                name.make_ascii_lowercase();
+                Ok(Statement::Deallocate { name })
+            }
         };
         let resp = match parsed {
             Ok(stmt) => match (core.handler.statement(stmt), nparams) {

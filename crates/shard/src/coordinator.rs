@@ -61,7 +61,6 @@ use mammoth_mal::{
     partial_column, shard_partials_table, shard_table_name, verify_with_catalog, GatherColumn,
     Interpreter, MalValue, PartialMerge, Program,
 };
-use mammoth_planner::normalize_sql;
 use mammoth_server::{Client, ClientError, ErrorCode, Response, RetryPolicy};
 use mammoth_sql::{
     classify, compile_select, parse_sql, reject_stray_params, render_outputs, GatherTable,
@@ -520,11 +519,8 @@ impl Coordinator {
         // only the owning shard can hold matching rows.
         let pinned = where_.iter().find_map(|p| {
             if p.op == CmpOp::Eq
-                && p.col.column.eq_ignore_ascii_case(&spec.key_column)
-                && p.col
-                    .table
-                    .as_ref()
-                    .is_none_or(|t| t.eq_ignore_ascii_case(table))
+                && p.col.column == spec.key_column
+                && p.col.table.as_ref().is_none_or(|t| t == table)
             {
                 p.value.as_lit()
             } else {
@@ -820,7 +816,7 @@ impl Coordinator {
     /// (`plan.cache_hit` / `plan.compile`) so the one-compile-per-
     /// coordinator-lifetime property is testable from the outside.
     fn planned_select(&self, sel: &SelectStmt) -> Result<Arc<PlannedSelect>, CoordError> {
-        let key = normalize_sql(&sel.to_string());
+        let key = sel.to_string();
         let started = Instant::now();
         let hit = self
             .plans

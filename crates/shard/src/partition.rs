@@ -15,17 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use mammoth_types::{Error, Result, TableSchema, Value};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
-}
+use mammoth_types::{fnv1a, Error, Result, TableSchema, Value, FNV_OFFSET};
 
 /// FNV-1a over the canonical encoding of a value.
 ///
@@ -33,40 +23,18 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
 /// structurally; integers normalise to `i64` little-endian so the two
 /// integer widths route identically.
 pub fn hash_value(v: &Value) -> u64 {
-    let mut h = FNV_OFFSET;
+    let tagged = |tag: u8, bytes: &[u8]| fnv1a(fnv1a(FNV_OFFSET, &[tag]), bytes);
     match v {
-        Value::Null => fnv1a(&mut h, &[0]),
-        Value::Bool(b) => fnv1a(&mut h, &[1, u8::from(*b)]),
-        Value::I8(x) => {
-            fnv1a(&mut h, &[2]);
-            fnv1a(&mut h, &i64::from(*x).to_le_bytes());
-        }
-        Value::I16(x) => {
-            fnv1a(&mut h, &[2]);
-            fnv1a(&mut h, &i64::from(*x).to_le_bytes());
-        }
-        Value::I32(x) => {
-            fnv1a(&mut h, &[2]);
-            fnv1a(&mut h, &i64::from(*x).to_le_bytes());
-        }
-        Value::I64(x) => {
-            fnv1a(&mut h, &[2]);
-            fnv1a(&mut h, &x.to_le_bytes());
-        }
-        Value::F64(x) => {
-            fnv1a(&mut h, &[3]);
-            fnv1a(&mut h, &x.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            fnv1a(&mut h, &[4]);
-            fnv1a(&mut h, s.as_bytes());
-        }
-        Value::Oid(o) => {
-            fnv1a(&mut h, &[5]);
-            fnv1a(&mut h, &o.to_le_bytes());
-        }
+        Value::Null => tagged(0, &[]),
+        Value::Bool(b) => tagged(1, &[u8::from(*b)]),
+        Value::I8(x) => tagged(2, &i64::from(*x).to_le_bytes()),
+        Value::I16(x) => tagged(2, &i64::from(*x).to_le_bytes()),
+        Value::I32(x) => tagged(2, &i64::from(*x).to_le_bytes()),
+        Value::I64(x) => tagged(2, &x.to_le_bytes()),
+        Value::F64(x) => tagged(3, &x.to_bits().to_le_bytes()),
+        Value::Str(s) => tagged(4, s.as_bytes()),
+        Value::Oid(o) => tagged(5, &o.to_le_bytes()),
     }
-    h
 }
 
 /// The shard that owns a row whose partition key is `v`, out of `nshards`.
@@ -85,7 +53,7 @@ pub struct PartitionSpec {
     pub key_index: usize,
 }
 
-/// Partition specs for every sharded table, keyed by lowercased name.
+/// Partition specs for every sharded table, keyed by name.
 #[derive(Debug, Clone, Default)]
 pub struct PartitionMap {
     specs: BTreeMap<String, PartitionSpec>,
@@ -99,7 +67,7 @@ impl PartitionMap {
             .first()
             .ok_or_else(|| Error::Unsupported("cannot shard a table with no columns".into()))?;
         self.specs.insert(
-            schema.name.to_ascii_lowercase(),
+            schema.name.clone(),
             PartitionSpec {
                 key_column: first.name.clone(),
                 key_index: 0,
@@ -110,12 +78,12 @@ impl PartitionMap {
 
     /// Forget a dropped table.
     pub fn remove_table(&mut self, name: &str) {
-        self.specs.remove(&name.to_ascii_lowercase());
+        self.specs.remove(name);
     }
 
     /// The partition spec for `table`, if it is sharded.
     pub fn spec(&self, table: &str) -> Option<&PartitionSpec> {
-        self.specs.get(&table.to_ascii_lowercase())
+        self.specs.get(table)
     }
 
     /// Iterate `(table, spec)` pairs in name order.
@@ -138,6 +106,37 @@ mod tests {
                     shard_of(&Value::I64(x), n),
                     "I32/I64 {x} disagree at n={n}"
                 );
+            }
+        }
+    }
+
+    /// Placement is stored state: every durable shard directory holds the
+    /// rows this function sent it, so it may not move between builds. The
+    /// expected digits are `shard_of` of each value at 3 and at 7 shards.
+    #[rustfmt::skip]
+    #[test]
+    fn placement_is_pinned() {
+        let cases: [(Vec<Value>, &str, &str); 8] = [
+            (vec![Value::Null, false.into(), true.into()], "012", "303"),
+            ([i8::MIN, -100, -7, -1, 0, 1, 2, 5, 41, 100, 126, i8::MAX].map(Value::I8).to_vec(),
+                "110122111102", "215353616440"),
+            ([i16::MIN, -9_000, -129, -1, 0, 1, 2, 300, 4_097, 20_000, 32_766, i16::MAX]
+                .map(Value::I16).to_vec(), "201122112002", "134353604332"),
+            ([i32::MIN, -70_000, -129, -1, 0, 1, 2, 41, 65_536, 1 << 24, 1 << 30, i32::MAX]
+                .map(Value::I32).to_vec(), "111122111221", "604353665045"),
+            ([i64::MIN + 1, -1 << 40, -65_536, -129, -7, -1, 0, 1, 2, 41, 1 << 33, i64::MAX]
+                .map(Value::I64).to_vec(), "120101221122", "226453536614"),
+            ([f64::MIN, -1e300, -2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.25, 1e10, f64::INFINITY, f64::NAN]
+                .map(Value::F64).to_vec(), "100221112122", "113310025256"),
+            (["", "a", "b", "k", "abc", "naïve", "key-1", "key-2", "hello world", "0", "42", "zzz"]
+                .map(Value::from).to_vec(), "202010112211", "541132612522"),
+            ([0, 1, 2, 3, 5, 41, 1_000, 1 << 32, 1 << 40, u64::MAX - 2, u64::MAX - 1, u64::MAX]
+                .map(Value::Oid).to_vec(), "120102101111", "630454056106"),
+        ];
+        for (values, at3, at7) in cases {
+            for (n, want) in [(3, at3), (7, at7)] {
+                let got: String = values.iter().map(|v| shard_of(v, n).to_string()).collect();
+                assert_eq!(got, want, "{values:?} at n={n}");
             }
         }
     }
@@ -166,7 +165,7 @@ mod tests {
     #[test]
     fn map_tracks_first_column_and_drops() {
         let schema = TableSchema::new(
-            "T",
+            "t",
             vec![
                 ColumnDef::new("id", LogicalType::I64),
                 ColumnDef::new("v", LogicalType::Str),
@@ -174,10 +173,10 @@ mod tests {
         );
         let mut map = PartitionMap::default();
         map.add_table(&schema).unwrap();
-        let spec = map.spec("t").expect("lowercased lookup");
+        let spec = map.spec("t").expect("registered");
         assert_eq!(spec.key_column, "id");
         assert_eq!(spec.key_index, 0);
-        map.remove_table("T");
+        map.remove_table("t");
         assert!(map.spec("t").is_none());
     }
 }

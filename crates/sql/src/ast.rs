@@ -134,7 +134,7 @@ impl Predicate {
         ty: LogicalType,
     ) -> Option<(RangeBound<'a>, RangeBound<'a>)> {
         let (a, b) = (self.range_bound(ty)?, other.range_bound(ty)?);
-        let same_column = self.col.column.eq_ignore_ascii_case(&other.col.column);
+        let same_column = self.col.column == other.col.column;
         (same_column && a.lower != b.lower).then_some(if a.lower { (a, b) } else { (b, a) })
     }
 }

@@ -273,13 +273,11 @@ impl Compiler<'_> {
     /// Resolve which side a column reference belongs to.
     fn side_of(&self, col: &ColumnRef) -> Result<Side> {
         if let Some(t) = &col.table {
-            if t.eq_ignore_ascii_case(&self.left_table) {
+            if *t == self.left_table {
                 return Ok(Side::Left);
             }
-            if let Some(r) = &self.right_table {
-                if t.eq_ignore_ascii_case(r) {
-                    return Ok(Side::Right);
-                }
+            if self.right_table.as_ref() == Some(t) {
+                return Ok(Side::Right);
             }
             return Err(Error::NotFound {
                 kind: "table",
@@ -412,13 +410,12 @@ impl Compiler<'_> {
     }
 
     fn same_column(&self, a: &ColumnRef, b: &ColumnRef) -> bool {
-        if !a.column.eq_ignore_ascii_case(&b.column) {
-            return false;
-        }
-        match (&a.table, &b.table) {
-            (Some(x), Some(y)) => x.eq_ignore_ascii_case(y),
-            _ => true, // unqualified matches qualified of same name
-        }
+        // unqualified matches qualified of same name
+        let same_table = match (&a.table, &b.table) {
+            (Some(x), Some(y)) => x == y,
+            _ => true,
+        };
+        a.column == b.column && same_table
     }
 }
 

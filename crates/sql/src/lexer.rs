@@ -3,7 +3,9 @@
 use mammoth_algebra::CmpOp;
 use mammoth_types::{Error, Result};
 
-/// SQL tokens. Keywords are uppercased idents, matched case-insensitively.
+/// SQL tokens. An identifier — a keyword too — is folded to ASCII lowercase
+/// as it is lexed: the one place a SQL name is folded (DESIGN.md, the `sql`
+/// row). A string literal keeps its case.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Token {
     Ident(String),
@@ -197,11 +199,11 @@ impl<'a> SqlLexer<'a> {
                 {
                     self.pos += 1;
                 }
-                Token::Ident(
-                    std::str::from_utf8(&self.src[start..self.pos])
-                        .map_err(|_| self.err("invalid utf8 in identifier"))?
-                        .to_string(),
-                )
+                let mut ident = std::str::from_utf8(&self.src[start..self.pos])
+                    .map_err(|_| self.err("invalid utf8 in identifier"))?
+                    .to_string();
+                ident.make_ascii_lowercase();
+                Token::Ident(ident)
             }
             other => return Err(self.err(format!("unexpected character '{}'", other as char))),
         })
@@ -215,7 +217,7 @@ impl<'a> SqlLexer<'a> {
     }
 }
 
-/// Case-insensitive keyword check.
+/// Keyword check: `kw` in either case against a folded identifier.
 pub fn is_kw(t: &Token, kw: &str) -> bool {
     matches!(t, Token::Ident(s) if s.eq_ignore_ascii_case(kw))
 }
@@ -239,16 +241,18 @@ mod tests {
 
     #[test]
     fn tokenizes_select() {
-        let toks = all("SELECT name, age FROM people WHERE age >= 1927;");
-        assert_eq!(toks[0], Token::Ident("SELECT".into()));
+        let toks = all("SELECT Name, age FROM PEOPLE WHERE age >= 1927;");
+        assert_eq!(toks[0], Token::Ident("select".into()));
+        assert_eq!(toks[1], Token::Ident("name".into()));
+        assert_eq!(toks[5], Token::Ident("people".into()));
         assert!(toks.contains(&Token::Op(CmpOp::Ge)));
         assert_eq!(*toks.last().unwrap(), Token::Semi);
     }
 
     #[test]
     fn strings_and_escapes() {
-        let toks = all("'it''s'");
-        assert_eq!(toks, vec![Token::Str("it's".into())]);
+        let toks = all("'It''s'");
+        assert_eq!(toks, vec![Token::Str("It's".into())]);
         assert!(SqlLexer::new("'oops").next().is_err());
     }
 

@@ -3,11 +3,11 @@
 //! `PREPARE name AS stmt` / `EXECUTE name (args)` / `DEALLOCATE name` keep
 //! their naming rules and error text here, once, for every front door that
 //! serves them: the single-node [`crate::Session`] and the shard
-//! coordinator. Names are case-insensitive; the statement is stored parsed
-//! and is bound (never re-parsed) at `EXECUTE`.
+//! coordinator. A name arrives folded (DESIGN.md, the `sql` row) and is
+//! compared byte for byte; the statement is stored parsed and is bound
+//! (never re-parsed) at `EXECUTE`.
 
 use crate::ast::{SelectStmt, Statement};
-use mammoth_planner::normalize_sql;
 use mammoth_types::{Error, Result};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub struct PreparedStmt {
     pub stmt: Statement,
     pub nparams: usize,
-    /// A SELECT's normalized text, placeholders in place: the key the
+    /// A SELECT's canonical text, placeholders in place: the key the
     /// session's plan cache files its plan under. Derived at `PREPARE`,
     /// once, so that no `EXECUTE` renders the statement again to find its
     /// plan.
@@ -35,7 +35,7 @@ impl PreparedStmt {
     }
 }
 
-/// Prepared statements by lowercased name. Mutex'd so the verbs can run on
+/// Prepared statements by name. Mutex'd so the verbs can run on
 /// a concurrent-reader path (`&self`) — they mutate bookkeeping, never data.
 #[derive(Default)]
 pub struct PreparedRegistry {
@@ -57,8 +57,7 @@ impl PreparedRegistry {
         stmt: Statement,
         admit: impl FnOnce(&PreparedStmt) -> std::result::Result<(), E>,
     ) -> std::result::Result<(), E> {
-        let key = name.to_lowercase();
-        if self.stmts().contains_key(&key) {
+        if self.stmts().contains_key(&name) {
             return Err(Error::AlreadyExists {
                 kind: "prepared statement",
                 name,
@@ -68,13 +67,13 @@ impl PreparedRegistry {
         let prepared = PreparedStmt {
             nparams: stmt.param_count(),
             plan_key: match &stmt {
-                Statement::Select(sel) => Some(normalize_sql(&sel.to_string())),
+                Statement::Select(sel) => Some(sel.to_string()),
                 _ => None,
             },
             stmt,
         };
         admit(&prepared)?;
-        self.stmts().insert(key, Arc::new(prepared));
+        self.stmts().insert(name, Arc::new(prepared));
         Ok(())
     }
 
@@ -82,7 +81,7 @@ impl PreparedRegistry {
     pub fn lookup(&self, name: &str, nargs: usize) -> Result<Arc<PreparedStmt>> {
         let p = self
             .stmts()
-            .get(&name.to_lowercase())
+            .get(name)
             .cloned()
             .ok_or_else(|| not_found(name))?;
         if nargs != p.nparams {
@@ -96,7 +95,7 @@ impl PreparedRegistry {
 
     /// Drop a prepared statement (`DEALLOCATE`).
     pub fn remove(&self, name: &str) -> Result<()> {
-        match self.stmts().remove(&name.to_lowercase()) {
+        match self.stmts().remove(name) {
             Some(_) => Ok(()),
             None => Err(not_found(name)),
         }

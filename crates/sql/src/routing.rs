@@ -56,10 +56,8 @@ pub enum ScatterPlan {
 /// Resolve the type of `col` against the statement's FROM table, if the
 /// reference (possibly qualified) lands there.
 fn column_type(catalog: &Catalog, stmt: &SelectStmt, col: &ColumnRef) -> Option<LogicalType> {
-    if let Some(t) = &col.table {
-        if !t.eq_ignore_ascii_case(&stmt.from) {
-            return None;
-        }
+    if col.table.as_ref().is_some_and(|t| *t != stmt.from) {
+        return None;
     }
     catalog
         .table(&stmt.from)
@@ -67,7 +65,7 @@ fn column_type(catalog: &Catalog, stmt: &SelectStmt, col: &ColumnRef) -> Option<
         .schema
         .columns
         .iter()
-        .find(|c| c.name.eq_ignore_ascii_case(&col.column))
+        .find(|c| c.name == col.column)
         .map(|c| c.ty)
 }
 

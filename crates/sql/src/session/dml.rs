@@ -159,7 +159,7 @@ impl Session {
         let mut stats = self.stats.lock().unwrap();
         let known: Vec<String> = stats.table_names().map(str::to_string).collect();
         for k in known {
-            if !image.iter().any(|t| t.name.eq_ignore_ascii_case(&k)) {
+            if !image.iter().any(|t| t.name == k) {
                 stats.drop_table(&k);
             }
         }
@@ -188,7 +188,7 @@ impl Session {
         let mut satisfiable = true;
         for p in preds {
             if let Some(pt) = &p.col.table {
-                if !pt.eq_ignore_ascii_case(table) {
+                if pt != table {
                     return Err(Error::Bind(format!(
                         "DELETE predicate references table {pt}"
                     )));

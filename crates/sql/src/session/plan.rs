@@ -45,7 +45,7 @@ impl Session {
             .into_iter()
             .filter_map(|(t, c)| {
                 let p = live(&t, &c)?;
-                Some(((t.to_lowercase(), c.to_lowercase()), p))
+                Some(((t, c), p))
             })
             .collect();
         let est_rows = output_rows_estimate(&prog, &self.estimates(&prog));
@@ -143,7 +143,7 @@ impl Session {
 
 /// Export a `plan.compile` / `plan.cache_hit` event to the `MAMMOTH_TRACE`
 /// sink (no-op when unset): one single-event run labelled `planner`, the
-/// normalized statement text as the event's args and the plan's estimated
+/// statement's canonical text as the event's args and the plan's estimated
 /// result cardinality as `est_rows`.
 fn export_plan_event(kind: EventKind, key: &str, est_rows: Option<u64>) {
     if !trace_env_on() {

@@ -280,8 +280,9 @@ pub struct Catalog {
 }
 
 /// The catalog's key for `name`: ASCII-lowercased — borrowed when it
-/// already is, which is how statements almost always spell it, so that a
-/// lookup does not allocate.
+/// already is, as every name that came through the lexer is, so that a
+/// lookup does not allocate. (Lookups fold because untyped callers reach
+/// them; [`Catalog::create_table`] is where a stored name is folded.)
 fn norm(name: &str) -> Cow<'_, str> {
     if name.bytes().any(|b| b.is_ascii_uppercase()) {
         Cow::Owned(name.to_ascii_lowercase())
@@ -295,15 +296,23 @@ impl Catalog {
         Self::default()
     }
 
-    pub fn create_table(&mut self, table: Table) -> Result<()> {
-        let key = norm(&table.schema.name).into_owned();
-        if self.tables.contains_key(&key) {
+    /// Add `table`, its name and its column names folded to ASCII
+    /// lowercase: every table enters here — SQL DDL, WAL replay, checkpoint
+    /// load and the embedding API — so every stored name is canonical and
+    /// compares byte for byte (DESIGN.md, the `sql` row).
+    pub fn create_table(&mut self, mut table: Table) -> Result<()> {
+        let schema = &mut table.schema;
+        schema.name.make_ascii_lowercase();
+        for c in &mut schema.columns {
+            c.name.make_ascii_lowercase();
+        }
+        if self.tables.contains_key(&schema.name) {
             return Err(Error::AlreadyExists {
                 kind: "table",
-                name: table.schema.name.clone(),
+                name: schema.name.clone(),
             });
         }
-        self.tables.insert(key, table);
+        self.tables.insert(schema.name.clone(), table);
         Ok(())
     }
 
@@ -515,8 +524,13 @@ mod tests {
     #[test]
     fn catalog_names_case_insensitive() {
         let mut c = Catalog::new();
-        c.create_table(people()).unwrap();
-        assert!(c.table("PEOPLE").is_ok());
+        let mut shouting = people();
+        shouting.schema.name = "People".into();
+        shouting.schema.columns[1].name = "AGE".into();
+        c.create_table(shouting).unwrap();
+        // stored folded, looked up folding
+        assert_eq!(c.table_names().collect::<Vec<_>>(), ["people"]);
+        assert_eq!(c.table("PEOPLE").unwrap().schema, people().schema);
         assert!(c.create_table(people()).is_err());
         assert!(c.drop_table("People").is_ok());
         assert!(c.table("people").is_err());

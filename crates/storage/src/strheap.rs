@@ -8,7 +8,7 @@
 //! dictionary encoding that MonetDB exploits heavily.
 
 use mammoth_types::codec::{self, Reader};
-use mammoth_types::{Error, Result};
+use mammoth_types::{fnv1a, Error, Result, FNV_OFFSET};
 use std::collections::hash_map::{Entry, HashMap};
 use std::ops::Range;
 
@@ -38,14 +38,9 @@ pub struct StrHeap {
 /// also exercises the collision path.
 const HASH_MASK: u64 = if cfg!(test) { 0xf } else { !0 };
 
+/// FNV-1a: cheap, good enough for a dedup table keyed by full comparison.
 fn hash_bytes(b: &[u8]) -> u64 {
-    // FNV-1a: cheap, good enough for a dedup table keyed by full comparison.
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &x in b {
-        h ^= x as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h & HASH_MASK
+    fnv1a(FNV_OFFSET, b) & HASH_MASK
 }
 
 /// The payload of the blob entry at `off`.

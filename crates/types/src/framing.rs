@@ -13,6 +13,10 @@
 //! two call sites differ only in their sanity cap and in what a bad frame
 //! means (torn tail vs. protocol error), so the codec takes the cap as a
 //! parameter and reports outcomes instead of policies.
+//!
+//! Beside the checksum sits the one hash of bytes, [`fnv1a`], which the
+//! string heap, the kernels' hash tables, the planner's sketches and shard
+//! placement all use.
 
 use crate::{Error, Result};
 use std::io::{Read, Write};
@@ -74,6 +78,19 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         c = t[0][((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
     }
     c ^ 0xffff_ffff
+}
+
+/// FNV-1a's 64-bit offset basis: the hash of no bytes.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a of `bytes`, continuing from `h` — [`FNV_OFFSET`] to start
+/// one, the hash of the bytes before to extend it. Not a checksum (that is
+/// [`crc32`]): the one hash of bytes for tables, sketches and placement.
+#[inline]
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Append one frame (header + payload) to `out`.
@@ -214,6 +231,18 @@ mod tests {
     fn crc32_known_vectors() {
         assert_eq!(crc32(b""), 0x0000_0000);
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+    }
+
+    #[test]
+    fn fnv1a_known_vectors() {
+        assert_eq!(fnv1a(FNV_OFFSET, b""), FNV_OFFSET);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        // continuing a hash is hashing the concatenation
+        assert_eq!(
+            fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"),
+            0x8594_4171_f739_67e8
+        );
     }
 
     /// Eight bytes a step gives the checksum one byte a step does, at every

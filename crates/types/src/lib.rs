@@ -26,7 +26,7 @@ pub mod trace;
 pub mod value;
 
 pub use error::{Error, Result};
-pub use framing::crc32;
+pub use framing::{crc32, fnv1a, FNV_OFFSET};
 pub use native::NativeType;
 pub use oid::{Oid, OID_NIL};
 pub use retry::{Backoff, RetryPolicy};

@@ -44,7 +44,9 @@ impl TableSchema {
         }
     }
 
-    /// Index of a column by name (case-insensitive, SQL style).
+    /// Index of a column by name, case-insensitively: untyped callers reach
+    /// it, though a catalog's names are already folded (DESIGN.md, the
+    /// `sql` row).
     pub fn column_index(&self, name: &str) -> Option<usize> {
         self.columns
             .iter()

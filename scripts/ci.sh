@@ -44,6 +44,13 @@ stray=$(grep -nE 'fn gen_query|fn random_where|fn random_plan|struct Workload|fn
     tests/*.rs || true)
 [ -z "$stray" ] || { echo "a generator beside tests/support/gen.rs:"; echo "$stray"; exit 1; }
 
+echo "==> one fold: a name is folded where it enters and compared byte for byte after"
+# lexer, listener, catalog, MAL parser (DESIGN.md's sql row); keyword, type, CLI matches
+entry='crates/(sql/src/(lexer|parser)|storage/src/catalog|types/src/(schema|value)|server/src/(listener|bin/cli)|mal/src/parser)\.rs:'
+stray=$(grep -rnE --include='*.rs' '(to_|make_)(ascii_)?lowercase|eq_ignore_ascii_case' crates/*/src \
+    | grep -vE "^$entry" || true)
+[ -z "$stray" ] || { echo "a name folded past its entry point:"; echo "$stray"; exit 1; }
+
 echo "==> docs name no missing file"
 # A crates/, examples/ or scripts/ path (or glob) in README.md, DESIGN.md or docs/ must exist.
 stray=$(grep -ohE '\b(crates|examples|scripts)/[A-Za-z0-9_.*/-]*[A-Za-z0-9_*]' README.md \
@@ -65,16 +72,14 @@ cargo build --release --workspace
 
 echo "==> cargo test -q --workspace"
 # The root package's tests/ are the integration tiers; the crate-level suites
-# (compiler, kernels, wire protocol, storage, coordinator, experiments) and the
-# daemon binaries' own tests (crates/{server,replica,shard}/tests/daemon.rs)
+# and the daemon binaries' own tests (crates/{server,replica,shard}/tests/daemon.rs)
 # only run with --workspace.
 cargo test -q --offline --workspace
 # The compile and write paths' allocation budgets (tests/compile_budget.rs,
 # tests/write_budget.rs) again in release, which verifies a plan once on exit
 # and drops the write path's debug re-validation. Counts, not timings.
 cargo test -q --offline --release --test compile_budget --test write_budget
-# The dense selection kernel's AVX2 arm only takes its vectorized shape in
-# an optimized build: hold it to the scalar loop there as well.
+# the AVX2 select kernel is only vectorized in an optimized build: check it there
 cargo test -q --offline --release -p mammoth-algebra select::tests::dispatch
 
 echo "==> benchmark package: every workload at --quick sizes against its oracle"
@@ -130,16 +135,13 @@ else
 fi
 
 echo "==> props: runtime checker finds zero violations across engines"
-# not only the randomized plans: the SQL end-to-end suite and the durable
-# sessions run checked too, because they are what binds columns with
-# deletes pending, after recovery and across checkpoint folds (a fact that
-# counted deleted rows went unseen while only props_soundness ran checked)
+# the SQL, durable and DML tiers run checked too: they bind columns with deletes
+# pending, after recovery and across folds, which props_soundness alone missed
 MAMMOTH_CHECK_PROPS=1 cargo test -q --test props_soundness --test sql_end_to_end \
     --test durability --test dml_model --test optimizer_equivalence
 MAMMOTH_CHECK_PROPS=1 cargo test -q -p mammoth-sql durable
-# and the engine differential under its thread matrix: what a fused
-# vector.pipeline binds — per statement, and per mitosis fragment — is held
-# to the properties inferred for it on every engine
+# and the engine differential under its thread matrix: what a fused pipeline
+# binds, per statement and per mitosis fragment, holds its inferred properties
 for threads in 1 4; do
     echo "    MAMMOTH_CHECK_PROPS=1 MAMMOTH_THREADS=$threads"
     MAMMOTH_CHECK_PROPS=1 MAMMOTH_THREADS=$threads cargo test -q --test engines_agree

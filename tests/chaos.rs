@@ -9,8 +9,9 @@
 //!   fails with a typed `CoordError` — never a panic, never a hang past
 //!   the deadline budget, never a truncated result table. Acknowledged
 //!   writes are never lost: after the schedule is disarmed the cluster
-//!   holds `acked <= total <= attempted` rows (an unacked statement may
-//!   have landed before its OK frame was torn — that is the only slack).
+//!   holds every acked id once, and no id that was never sent (an unacked
+//!   statement may have landed before its OK frame was torn — that is the
+//!   only slack).
 //! * **Replica failover** — killing one shard primary under a live
 //!   health monitor degrades that shard's reads to its replica (the
 //!   cluster keeps answering fan-out SELECTs throughout the outage),
@@ -32,7 +33,7 @@ use mammoth_types::Value;
 
 mod support;
 use support::cluster::{ask, wait_served, Cluster, Spec};
-use support::wait_for;
+use support::{wait_for, Ledger};
 
 const NSHARDS: usize = 3;
 
@@ -47,8 +48,8 @@ fn count_all(coord: &Coordinator) -> Result<i64, CoordError> {
 
 /// A seeded workload through the coordinator with FaultNet armed: every
 /// statement fails typed or succeeds, nothing hangs, and once the
-/// schedule is disarmed the cluster's row count brackets between what
-/// was acked and what was attempted.
+/// schedule is disarmed the cluster holds every id that was acked, and
+/// beyond them only ids that were attempted.
 #[test]
 fn seeded_net_faults_degrade_typed_and_lose_no_acked_write() {
     let _g = netfault::test_lock()
@@ -66,18 +67,17 @@ fn seeded_net_faults_degrade_typed_and_lose_no_acked_write() {
     coord
         .execute("CREATE TABLE t (id BIGINT NOT NULL, v BIGINT)")
         .unwrap();
+    let ledger = Ledger::default();
     let mut next_id = 0i64;
     for _ in 0..10 {
         coord
             .execute(&format!("INSERT INTO t VALUES ({next_id}, {next_id})"))
             .unwrap();
+        ledger.record(next_id, true);
         next_id += 1;
     }
-    let baseline = next_id;
 
     netfault::install(netfault::plan_from_seed(seed));
-    let mut acked = 0i64;
-    let mut attempted = 0i64;
     let budget = Duration::from_secs(60);
     let t0 = Instant::now();
     for step in 0..120 {
@@ -102,11 +102,12 @@ fn seeded_net_faults_degrade_typed_and_lose_no_acked_write() {
         } else {
             let id = next_id;
             next_id += 1;
-            attempted += 1;
             match coord.execute(&format!("INSERT INTO t VALUES ({id}, {id})")) {
-                Ok(QueryOutput::Affected(1)) => acked += 1,
+                Ok(QueryOutput::Affected(1)) => ledger.record(id, true),
                 Ok(other) => panic!("INSERT answered {other:?} (seed {seed})"),
-                Err(CoordError::Unavailable(_)) | Err(CoordError::Remote { .. }) => {}
+                Err(CoordError::Unavailable(_)) | Err(CoordError::Remote { .. }) => {
+                    ledger.record(id, false)
+                }
                 Err(e) => panic!("untyped write failure under seed {seed}: {e}"),
             }
         }
@@ -123,14 +124,20 @@ fn seeded_net_faults_degrade_typed_and_lose_no_acked_write() {
     );
 
     // Disarmed, the cluster must converge and answer cleanly again; the
-    // only acceptable drift is a write that landed without its ack.
-    let total = wait_for(Duration::from_secs(10), "post-chaos convergence", || {
-        count_all(&coord).ok()
-    });
-    assert!(
-        baseline + acked <= total && total <= baseline + attempted,
-        "seed {seed}: acked {acked} of {attempted} over baseline {baseline}, but counted {total}"
+    // only acceptable drift is a write that landed without its ack, and
+    // any of them may have.
+    let ids = wait_for(
+        Duration::from_secs(10),
+        "post-chaos convergence",
+        || match coord.execute("SELECT id FROM t").ok()? {
+            QueryOutput::Table { rows, .. } => Some(rows),
+            other => panic!("SELECT answered {other:?} (seed {seed})"),
+        },
     );
+    let ids: Vec<i64> = ids.iter().map(|r| r[0].as_i64().unwrap()).collect();
+    if let Err(e) = ledger.check(&ids, usize::MAX) {
+        panic!("seed {seed}: {e}");
+    }
 }
 
 // --------------------------------------------------------------- failover

@@ -91,7 +91,7 @@ fn measure(s: &Session) -> Vec<(u64, u64)> {
 /// `EXECUTE` of a prepared point SELECT whose plan is cached, handed over
 /// as a statement: what the listener does with every `ExecutePrepared`
 /// frame. Lookup, bind, execute, render — and no lexer or parser.
-const EXECUTE_TYPED: u64 = 71;
+const EXECUTE_TYPED: u64 = 70;
 
 /// `(typed, as text)` allocation counts of one warm `EXECUTE`.
 fn measure_execute(s: &mut Session) -> (u64, u64) {

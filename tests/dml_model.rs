@@ -76,7 +76,8 @@ fn run(seed: u64) {
     };
     let mut s = open();
     let mut g = Gen::new(seed);
-    s.execute(&g.create(0).to_string()).unwrap();
+    let create = g.create(0);
+    s.execute(&g.render(&create)).unwrap();
     let mut model = Model::new(&g.tables[0]);
     let (mut merges_seen, mut crashes) = (0, 0);
     for step in 0..400 {
@@ -88,12 +89,12 @@ fn run(seed: u64) {
             kind @ 0..=14 => {
                 let stmt = if kind < 10 { g.insert(0) } else { g.delete(0) };
                 let want = model.apply(&stmt).map(QueryOutput::Affected);
-                assert_eq!(s.execute(&stmt.to_string()).ok(), want, "{}", ctx(&stmt));
+                assert_eq!(s.execute(&g.render(&stmt)).ok(), want, "{}", ctx(&stmt));
             }
             15 | 16 => {
                 // a read through whatever deltas are pending
                 let read = g.tally(0);
-                let QueryOutput::Table { rows, .. } = s.execute(&read.to_string()).unwrap() else {
+                let QueryOutput::Table { rows, .. } = s.execute(&g.render(&read)).unwrap() else {
                     panic!("{}: not a table", ctx(&read))
                 };
                 let got: Vec<Option<i64>> = rows[0].iter().map(Value::as_i64).collect();

@@ -41,8 +41,9 @@ type Dump = Vec<(String, TableSchema, Vec<Vec<Value>>)>;
 fn statements(seed: u64) -> Vec<String> {
     let mut g = Gen::new(seed);
     g.refusals = false;
-    let writes = g.filter(|s| !matches!(s, Statement::Select(_)));
-    writes.take(WRITES).map(|s| s.to_string()).collect()
+    let writes = g.by_ref().filter(|s| !matches!(s, Statement::Select(_)));
+    let writes: Vec<Statement> = writes.take(WRITES).collect();
+    writes.iter().map(|s| g.render(s)).collect()
 }
 
 /// Run the workload on a plain in-memory session, recording the logical
@@ -55,7 +56,7 @@ fn oracle_states(stmts: &[String]) -> Vec<Dump> {
     for q in stmts {
         // CHECKPOINT needs a durable store and changes no logical state;
         // every other statement must be valid for the oracle
-        if q != "CHECKPOINT" {
+        if !q.eq_ignore_ascii_case("CHECKPOINT") {
             s.execute(q)
                 .unwrap_or_else(|e| panic!("oracle rejected {q:?}: {e}"));
         }

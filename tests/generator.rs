@@ -2,8 +2,9 @@
 //! (`support::gen`), held to what the tiers take from it, over seed 1's
 //! first few hundred statements of the mixed workload:
 //!
-//! * each statement reads back from its text (`parse_sql`), and
-//!   [`parameterize`] is the inverse of binding its literals;
+//! * each statement reads back from its text (`parse_sql`) as the tiers
+//!   send it, recased by [`Gen::render`], and [`parameterize`] is the
+//!   inverse of binding its literals;
 //! * a census: every production appears at least once;
 //! * each statement runs on a durable [`Session`] over the generated schema,
 //!   and the only failures are the refusals drawn on purpose — an INSERT of
@@ -82,7 +83,7 @@ fn generated_statements_read_back_cover_the_grammar_and_run() {
     let mut census = BTreeMap::<String, usize>::new();
     for step in 0..300 {
         let stmt = g.next().unwrap();
-        let text = stmt.to_string();
+        let text = g.render(&stmt);
         let ctx = format!("seed 1 step {step}: {text}");
         assert_eq!(parse_sql(&text).as_ref(), Ok(&stmt), "{ctx}");
         let (body, args) = parameterize(&stmt);
@@ -92,6 +93,7 @@ fn generated_statements_read_back_cover_the_grammar_and_run() {
         let shown = productions(&stmt, &g.tables).into_iter().chain([
             ("refused INSERT".into(), refused && insert),
             ("refused aggregate".into(), refused && !insert),
+            ("recased".into(), text != stmt.to_string()),
         ]);
         for (name, on) in shown {
             *census.entry(name).or_default() += on as usize;

@@ -78,18 +78,19 @@ fn differential(seed: u64, parallel: bool) {
         g.create(1),
         g.insert_rows(1, 60),
     ] {
-        s.execute(&load.to_string()).unwrap();
+        s.execute(&g.render(&load)).unwrap();
     }
     g.refusals = true;
     for i in 0..40 {
         let adhoc = g.select(0);
         let ctx = format!("seed {seed} step {i}, parallel={parallel}: {adhoc}");
-        let want = s.execute(&adhoc.to_string());
+        let want = s.execute(&g.render(&adhoc));
         assert_eq!(want.is_err(), g.refused(&adhoc), "{ctx}: {want:?}");
         let (body, args) = parameterize(&adhoc);
         let name = format!("p{i}");
-        let exec = Statement::Execute { name, args }.to_string();
-        let cold = s.execute(&format!("PREPARE p{i} AS {body}"));
+        let exec = g.render(&Statement::Execute { name, args });
+        let (name, stmt) = (format!("p{i}"), Box::new(body));
+        let cold = s.execute(&g.render(&Statement::Prepare { name, stmt }));
         let cold = cold.and_then(|_| s.execute(&exec));
         assert_eq!(cold, want, "cold EXECUTE != ad hoc, {ctx}");
         if want.is_ok() {

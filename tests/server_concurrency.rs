@@ -12,9 +12,9 @@
 //! * **Kill and drain recovery** — a durable server is "killed" mid-load
 //!   with a [`FaultFs`] crash schedule (every disk op after the Nth
 //!   fails), or shut down gracefully mid-load. Reopening the store with a
-//!   healthy filesystem must recover every acknowledged INSERT; only the
-//!   one statement in flight at the stop may appear beyond that (fsync'd
-//!   but never acknowledged).
+//!   healthy filesystem must recover every acknowledged INSERT, by value;
+//!   only the one statement in flight at the stop may appear beyond that
+//!   (fsync'd but never acknowledged), and nothing that was never sent.
 
 use mammoth_server::{Client, ClientError, Response, Server, ServerConfig, SessionSpec};
 use mammoth_sql::{QueryOutput, Session};
@@ -27,7 +27,7 @@ use std::time::Duration;
 
 mod support;
 use support::gen::{Gen, Model};
-use support::{seed, wait_for, Scratch};
+use support::{seed, wait_for, Ledger, Scratch};
 
 /// The first row of a result table, as integers.
 fn tally(resp: Response) -> Vec<Option<i64>> {
@@ -69,7 +69,8 @@ fn mixed_load_sixteen_threads_is_serializable_equivalent() {
                 let mut g = Gen::new(seed ^ (ti + 1));
                 g.tables[0].name = format!("own_{ti}");
                 let mut c = Client::connect(&addr, &format!("mix-{ti}"), "").unwrap();
-                assert_eq!(c.query(&g.create(0).to_string()).unwrap(), Response::Ok);
+                let create = g.create(0);
+                assert_eq!(c.query(&g.render(&create)).unwrap(), Response::Ok);
                 let mut own = Model::new(&g.tables[0]);
                 let mut last_shared_count = Some(0);
                 for step in 0..STEPS {
@@ -89,7 +90,7 @@ fn mixed_load_sixteen_threads_is_serializable_equivalent() {
                         // reads: private tally exact, shared count monotone
                         _ => {
                             let read = g.tally(0);
-                            let got = c.query(&read.to_string()).unwrap();
+                            let got = c.query(&g.render(&read)).unwrap();
                             assert_eq!(tally(got), own.tally(&read), "{ctx}: {read}");
                             let sh = tally(c.query("SELECT COUNT(*) FROM shared").unwrap())[0];
                             assert!(
@@ -101,16 +102,17 @@ fn mixed_load_sixteen_threads_is_serializable_equivalent() {
                         }
                     };
                     let want = own.apply(&stmt).map(|n| Response::Affected(n as u64));
-                    let got = c.query(&stmt.to_string()).ok();
+                    let got = c.query(&g.render(&stmt)).ok();
                     assert_eq!(got, want, "{ctx}: {stmt}");
                 }
                 // Half the threads drop their table (DDL churn); the other
                 // half verify and leave it for the final sweep.
                 if ti % 2 == 0 {
-                    c.query(&g.drop_table(0).to_string()).unwrap();
+                    let drop = g.drop_table(0);
+                    c.query(&g.render(&drop)).unwrap();
                 } else {
                     let read = g.tally(0);
-                    assert_eq!(tally(c.query(&read.to_string()).unwrap()), own.tally(&read));
+                    assert_eq!(tally(c.query(&g.render(&read)).unwrap()), own.tally(&read));
                 }
                 c.quit().unwrap();
             })
@@ -133,9 +135,9 @@ fn mixed_load_sixteen_threads_is_serializable_equivalent() {
 }
 
 /// A durable server on `fs` holding one table, and four writers INSERTing
-/// into it until a statement fails: the server, the writers, and the count
-/// of acknowledged INSERTs.
-fn insert_load(dir: &Scratch, fs: Arc<FaultFs>) -> (Server, Vec<JoinHandle<()>>, Arc<AtomicU64>) {
+/// distinct values into it until a statement fails: the server, the
+/// writers, and the ledger of what each INSERT was answered.
+fn insert_load(dir: &Scratch, fs: Arc<FaultFs>) -> (Server, Vec<JoinHandle<()>>, Arc<Ledger>) {
     let srv = Server::start(ServerConfig {
         workers: 4,
         backlog: 16,
@@ -150,53 +152,40 @@ fn insert_load(dir: &Scratch, fs: Arc<FaultFs>) -> (Server, Vec<JoinHandle<()>>,
         c.quit().unwrap();
     }
 
-    let acked = Arc::new(AtomicU64::new(0));
-    let writers = (0..4u64)
+    let ledger = Arc::new(Ledger::default());
+    let writers = (0..4i64)
         .map(|wi| {
             let addr = addr.clone();
-            let acked = acked.clone();
+            let ledger = ledger.clone();
             std::thread::spawn(move || {
                 let mut c = Client::connect(&addr, &format!("w{wi}"), "").unwrap();
-                for k in 0..2000u64 {
-                    match c.query(&format!("INSERT INTO t VALUES ({})", wi * 10_000 + k)) {
-                        Ok(Response::Affected(1)) => {
-                            acked.fetch_add(1, Ordering::SeqCst);
-                        }
+                for v in wi * 10_000..wi * 10_000 + 2000 {
+                    match c.query(&format!("INSERT INTO t VALUES ({v})")) {
+                        Ok(Response::Affected(1)) => ledger.record(v, true),
                         Ok(other) => panic!("INSERT acked oddly: {other:?}"),
                         // A crash surfaces as SQL_ERROR frames (or a torn
                         // connection), a drain as SHUTTING_DOWN: either way
-                        // this writer is done.
-                        Err(_) => return,
+                        // this writer is done, its last value in flight.
+                        Err(_) => return ledger.record(v, false),
                     }
                 }
             })
         })
         .collect();
-    (srv, writers, acked)
+    (srv, writers, ledger)
 }
 
 /// Reopen `dir` with a healthy filesystem: the committed prefix must be
-/// back — every acknowledged INSERT (the WAL fsyncs before the ack frame)
+/// back — every acknowledged value (the WAL fsyncs before the ack frame)
 /// and, since writes serialize on the session, at most ONE more: the
 /// statement in flight at the stop, durable but never acknowledged.
-fn assert_recovers(dir: &Scratch, acked: u64) {
+fn assert_recovers(dir: &Scratch, ledger: &Ledger) {
     let mut s = Session::open_durable(dir.to_path_buf()).expect("recovery");
-    let QueryOutput::Table { rows, .. } = s.execute("SELECT COUNT(*) FROM t").unwrap() else {
-        panic!("COUNT did not return a table")
+    let QueryOutput::Table { rows, .. } = s.execute("SELECT a FROM t").unwrap() else {
+        panic!("SELECT did not return a table")
     };
-    let Value::I64(recovered) = rows[0][0] else {
-        panic!("COUNT returned a non-integer")
-    };
-    let recovered = recovered as u64;
-    assert!(
-        recovered >= acked,
-        "lost {} acknowledged statements",
-        acked - recovered
-    );
-    assert!(
-        recovered <= acked + 1,
-        "recovered {recovered} rows but only {acked} were acknowledged (+1 allowed)"
-    );
+    let recovered: Vec<i64> = rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
+    ledger.check(&recovered, 1).unwrap();
     // And the store is live again: new statements commit.
     s.execute("INSERT INTO t VALUES (424242)").unwrap();
 }
@@ -210,18 +199,20 @@ fn killed_server_recovers_every_acknowledged_statement() {
         at_op: 220,
         kind: FaultKind::CrashAfter,
     }));
-    let (srv, writers, acked) = insert_load(&dir, fs.clone());
+    let (srv, writers, ledger) = insert_load(&dir, fs.clone());
     writers.into_iter().for_each(|w| w.join().unwrap());
-    let acked = acked.load(Ordering::SeqCst);
     assert!(
         fs.fired_on().is_some(),
         "the workload never reached the crash point — raise the load"
     );
-    assert!(acked > 0, "nothing was acknowledged before the crash");
+    assert!(
+        ledger.acked() > 0,
+        "nothing was acknowledged before the crash"
+    );
     // Graceful-drain machinery still works, but the shutdown checkpoint
     // hits the dead disk; that error is the expected outcome of a kill.
     let _ = srv.shutdown();
-    assert_recovers(&dir, acked);
+    assert_recovers(&dir, &ledger);
 }
 
 /// A graceful shutdown in the middle of the same load — drain, then the
@@ -230,13 +221,13 @@ fn killed_server_recovers_every_acknowledged_statement() {
 fn drained_server_recovers_every_acknowledged_statement() {
     let dir = Scratch::new("srvtest-drain");
     let fs = Arc::new(FaultFs::new(FaultPlan::none()));
-    let (srv, writers, acked) = insert_load(&dir, fs);
+    let (srv, writers, ledger) = insert_load(&dir, fs);
     wait_for(Duration::from_secs(30), "acknowledged INSERTs", || {
-        (acked.load(Ordering::SeqCst) >= 200).then_some(())
+        (ledger.acked() >= 200).then_some(())
     });
     srv.shutdown().expect("a graceful shutdown");
     writers.into_iter().for_each(|w| w.join().unwrap());
-    assert_recovers(&dir, acked.load(Ordering::SeqCst));
+    assert_recovers(&dir, &ledger);
 }
 
 #[test]

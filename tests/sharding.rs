@@ -55,12 +55,12 @@ fn canon(out: &QueryOutput, ordered: bool) -> String {
     }
 }
 
-/// One statement, run on both sides and compared; whether both ran it.
-fn differ(coord: &Coordinator, single: &mut Session, stmt: &Statement, ctx: &str) -> bool {
-    let sql = stmt.to_string();
+/// One statement's text, run on both sides and compared; whether both ran
+/// it.
+fn differ(coord: &Coordinator, single: &mut Session, sql: &str, ctx: &str) -> bool {
     // ORDER BY is on the unique key: the order is exact
-    let ordered = matches!(stmt, Statement::Select(s) if s.order_by.is_some());
-    match (coord.execute(&sql), single.execute(&sql)) {
+    let ordered = matches!(parse_sql(sql), Ok(Statement::Select(s)) if s.order_by.is_some());
+    match (coord.execute(sql), single.execute(sql)) {
         (Ok(d), Ok(l)) => {
             let (d, l) = (canon(&d, ordered), canon(&l, ordered));
             assert_eq!(d, l, "distributed vs single-node diverged, {ctx}: {sql}");
@@ -96,7 +96,7 @@ fn run_differential(seed: u64, parallel: bool) {
     for step in 0..120 {
         let stmt = g.next().unwrap();
         let ctx = format!("seed {seed} step {step}");
-        compared += differ(&coord, &mut single, &stmt, &ctx) as usize;
+        compared += differ(&coord, &mut single, &g.render(&stmt), &ctx) as usize;
     }
     assert!(
         compared > 100,
@@ -107,9 +107,8 @@ fn run_differential(seed: u64, parallel: bool) {
     for t in (0..g.tables.len()).filter(|&t| g.live[t]) {
         let schema = &g.tables[t];
         let cols: Vec<&str> = schema.columns.iter().map(|c| c.name.as_str()).collect();
-        let all = format!("SELECT {} FROM {} ORDER BY k", cols.join(", "), schema.name);
-        let all = parse_sql(&all).unwrap();
-        differ(&coord, &mut single, &all, "final state");
+        let sql = format!("SELECT {} FROM {} ORDER BY k", cols.join(", "), schema.name);
+        differ(&coord, &mut single, &sql, "final state");
     }
 }
 
@@ -200,7 +199,8 @@ fn shard_kill_case(seed: u64) {
     let coord = cluster.coord();
     let mut g = Gen::new(seed);
     g.refusals = false;
-    coord.execute(&g.create(0).to_string()).unwrap();
+    let create = g.create(0);
+    coord.execute(&g.render(&create)).unwrap();
 
     // Acked rows per shard, tracked through the same pure partitioner the
     // coordinator uses — stability of that map is itself under test.
@@ -212,7 +212,7 @@ fn shard_kill_case(seed: u64) {
         let Statement::Insert { rows, .. } = &stmt else {
             unreachable!()
         };
-        let out = coord.execute(&stmt.to_string()).unwrap();
+        let out = coord.execute(&g.render(&stmt)).unwrap();
         let ctx = format!("seed {seed} step {step}: {stmt}");
         assert_eq!(out, QueryOutput::Affected(rows.len()), "{ctx}");
         rows.iter().for_each(|r| acked[owner(r)] += 1);
@@ -251,7 +251,7 @@ fn shard_kill_case(seed: u64) {
             unreachable!()
         };
         let owner = owner(&rows[0]);
-        match coord.execute(&stmt.to_string()) {
+        match coord.execute(&g.render(&stmt)) {
             Ok(QueryOutput::Affected(1)) => {
                 assert_ne!(owner, victim, "the dead shard cannot ack");
                 acked[owner] += 1;

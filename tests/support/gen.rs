@@ -5,8 +5,9 @@
 //! Every literal is drawn in the parser's image — an integer is `INT` when
 //! it fits and `BIGINT` when not, a float is a half — so
 //! `parse_sql(&stmt.to_string()) == Ok(stmt)`, and the text a tier sends is
-//! exactly the statement it drew (`tests/generator.rs` holds it to that). A
-//! tier's limits are fields of [`Gen`], not a second generator.
+//! exactly the statement it drew (`tests/generator.rs` holds it to that) —
+//! in mixed case, as [`Gen::render`] spells it. A tier's limits are fields
+//! of [`Gen`], not a second generator.
 
 use mammoth::algebra::{AggKind, ArithOp, CmpOp};
 use mammoth::mal::{Arg, OpCode, Program};
@@ -47,6 +48,9 @@ fn cmp(col: &ColumnRef, op: CmpOp, lit: Value) -> Predicate {
 /// [`Iterator`] it yields a mixed workload; the productions are public too.
 pub struct Gen {
     rng: StdRng,
+    /// What [`Gen::render`] draws from, apart from `rng`: how a statement
+    /// is spelled does not change which statements a seed yields.
+    case: StdRng,
     pub tables: Vec<TableSchema>,
     /// Whether each table exists: the workload's next statement on a
     /// missing one is its CREATE.
@@ -77,6 +81,7 @@ impl Gen {
         let u = schema("CREATE TABLE u (k BIGINT NOT NULL, w INT NOT NULL)");
         Gen {
             rng: StdRng::seed_from_u64(seed),
+            case: StdRng::seed_from_u64(!seed),
             tables: vec![t, u],
             live: vec![false; 2],
             keys: vec![0; 2],
@@ -90,6 +95,24 @@ impl Gen {
     /// A draw from `0..n`, for a tier's own choices.
     pub fn below(&mut self, n: usize) -> usize {
         self.rng.random_range(0..n)
+    }
+
+    /// `stmt` as the text a tier sends: printed, then with the case of
+    /// letters outside its string literals flipped at random, so that every
+    /// point where a name is folded sees mixed case.
+    pub fn render(&mut self, stmt: &Statement) -> String {
+        let mut quoted = false;
+        let text = stmt.to_string();
+        text.chars()
+            .map(|c| {
+                quoted ^= c == '\'';
+                match !quoted && c.is_ascii_alphabetic() && self.case.random_bool(0.5) {
+                    false => c,
+                    true if c.is_ascii_uppercase() => c.to_ascii_lowercase(),
+                    true => c.to_ascii_uppercase(),
+                }
+            })
+            .collect()
     }
 
     fn pick<T: Copy>(&mut self, from: &[T]) -> T {

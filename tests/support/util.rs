@@ -1,10 +1,12 @@
 //! Test helpers that need nothing but `std`: scratch directories, a tier's
-//! seed, one poll loop. Root tests reach them
+//! seed, one poll loop, a writers' ledger. Root tests reach them
 //! through `support`; a package's tests include this file by `#[path]`.
 #![allow(dead_code)]
 
+use std::collections::BTreeSet;
 use std::ops::Deref;
 use std::path::PathBuf;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// A directory path under the system temp dir, unique to this process and
@@ -57,5 +59,53 @@ pub fn wait_for<T>(deadline: Duration, what: &str, mut f: impl FnMut() -> Option
         }
         assert!(t0.elapsed() < deadline, "timed out waiting for {what}");
         std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// What writers of distinct values were told about each one: acknowledged,
+/// or sent and then failed — such a value may have landed before its
+/// acknowledgement was lost. Recovery is checked against it by identity,
+/// not by count, so a lost acknowledged row that a durable unacknowledged
+/// one stands in for is caught.
+#[derive(Default)]
+pub struct Ledger(Mutex<[BTreeSet<i64>; 2]>);
+
+impl Ledger {
+    /// Record `v` as acknowledged, or as sent without an acknowledgement.
+    pub fn record(&self, v: i64, acked: bool) {
+        self.0.lock().unwrap()[usize::from(!acked)].insert(v);
+    }
+
+    /// How many values were acknowledged.
+    pub fn acked(&self) -> usize {
+        self.0.lock().unwrap()[0].len()
+    }
+
+    /// Whether `recovered`, the values a store holds after the stop, holds
+    /// each value at most once, every acknowledged one, none that was never
+    /// sent, and at most `extra` unacknowledged ones.
+    pub fn check(&self, recovered: &[i64], extra: usize) -> Result<(), String> {
+        let [acked, unacked] = &*self.0.lock().unwrap();
+        let held: BTreeSet<i64> = recovered.iter().copied().collect();
+        let lost: Vec<&i64> = acked.difference(&held).collect();
+        let beyond: Vec<&i64> = held.difference(acked).collect();
+        let never: Vec<&&i64> = beyond.iter().filter(|v| !unacked.contains(v)).collect();
+        if held.len() < recovered.len() {
+            Err(format!(
+                "{} values recovered twice",
+                recovered.len() - held.len()
+            ))
+        } else if !lost.is_empty() {
+            Err(format!("lost acknowledged values {lost:?}"))
+        } else if !never.is_empty() {
+            Err(format!("recovered values never sent: {never:?}"))
+        } else if beyond.len() > extra {
+            Err(format!(
+                "{} unacknowledged values recovered, at most {extra}: {beyond:?}",
+                beyond.len()
+            ))
+        } else {
+            Ok(())
+        }
     }
 }

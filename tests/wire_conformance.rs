@@ -577,6 +577,65 @@ fn remote_shutdown_is_one_ok_then_a_drain() {
     }
 }
 
+/// A name is folded where it enters — a prepared frame's handle at the
+/// listener, everything else in the lexer — so `PT` and `pt` name one
+/// statement, the SELECT spelled in capitals and the one in lowercase are
+/// one plan, compiled once, and the result is headed by the folded name.
+#[test]
+fn mixed_case_names_are_one_statement_and_one_plan() {
+    let srv = Server::start(ServerConfig::default()).unwrap();
+    let daemon = Daemon::Server(srv);
+    let mut c = daemon.connect();
+    c.handshake(Kind::Server.name());
+    let k = |v: i64| ServerMsg::Table {
+        columns: vec!["k".into()],
+        rows: vec![vec![Value::I64(v)]],
+    };
+    let execute = |name: &str, v: i64| ClientMsg::ExecutePrepared {
+        name: name.into(),
+        args: vec![Value::I64(v)],
+    };
+    let (name, sql) = ("PT".into(), "SELECT K FROM T WHERE K = ?".into());
+    for (send, want) in [
+        (query("CREATE TABLE t (k BIGINT NOT NULL)"), ServerMsg::Ok),
+        (
+            query("INSERT INTO T VALUES (1), (2), (3)"),
+            ServerMsg::Affected { n: 3 },
+        ),
+        (
+            ClientMsg::Prepare { name, sql },
+            ServerMsg::Prepared { nparams: 1 },
+        ),
+        (execute("pt", 2), k(2)),
+        (
+            query("prepare pt2 as select k from t where k = ?"),
+            ServerMsg::Ok,
+        ),
+        (execute("Pt2", 3), k(3)),
+        (ClientMsg::Deallocate { name: "pT".into() }, ServerMsg::Ok),
+        (
+            execute("pt", 1),
+            ServerMsg::err(ErrorCode::Sql, "prepared statement not found: pt"),
+        ),
+    ] {
+        c.send(&send);
+        assert_eq!(c.recv(), Got::Frame(want), "{send:?}");
+    }
+    let Daemon::Server(srv) = &daemon else {
+        unreachable!()
+    };
+    let (hits, compiles) = srv
+        .shared()
+        .with_session_mut(|s| s.plan_cache_stats())
+        .unwrap();
+    assert_eq!(
+        (hits, compiles),
+        (3, 1),
+        "one compile, then the EXECUTE and PREPARE hits"
+    );
+    daemon.stop();
+}
+
 #[test]
 fn drain_tells_idle_and_pipelining_clients_alike() {
     let shutting_down = || {
