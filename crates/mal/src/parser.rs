@@ -723,6 +723,118 @@ mod tests {
         }
     }
 
+    /// Every corpus plan meant to be refused, with the stage that refuses
+    /// it and where: the parse, the verifier (instruction and error kind,
+    /// its `detail` text left out) or the property analysis.
+    #[test]
+    fn corpus_rejections_are_pinned() {
+        use crate::analysis::{props, verify, VerifyErrorKind as K};
+        #[derive(Debug, PartialEq)]
+        enum Refused {
+            Parse(String),
+            Verify(usize, K),
+            Props(usize),
+        }
+        let blank = |k: K| match k {
+            K::TypeMismatch { arg, .. } => K::TypeMismatch {
+                arg,
+                detail: String::new(),
+            },
+            K::Unaligned { arg, .. } => K::Unaligned {
+                arg,
+                detail: String::new(),
+            },
+            k => k,
+        };
+        let (kind, ty, unaligned) = (
+            |arg, expected, found| K::KindMismatch {
+                arg,
+                expected,
+                found,
+            },
+            |arg| K::TypeMismatch {
+                arg,
+                detail: String::new(),
+            },
+            |arg| K::Unaligned {
+                arg,
+                detail: String::new(),
+            },
+        );
+        let count = |expected, got| K::BadArgCount { expected, got };
+        let cases = [
+            ("bad_arity", Refused::Verify(1, count(2, 1))),
+            (
+                "bad_candidate_kind",
+                Refused::Verify(2, kind(1, "bat", "scalar")),
+            ),
+            ("bad_kind", Refused::Verify(2, kind(0, "bat", "scalar"))),
+            ("bad_pack_arity", Refused::Verify(1, count(1, 0))),
+            ("bad_pipeline_mixed_sink", Refused::Verify(2, ty(0))),
+            (
+                "bad_pipeline_result_arity",
+                Refused::Parse(
+                    "vector.pipeline[<@0; count, sum@1] binds 2 results, 1 given".into(),
+                ),
+            ),
+            (
+                "bad_pipeline_topn_count",
+                Refused::Verify(2, kind(3, "scalar", "bat")),
+            ),
+            ("bad_pipeline_topn_key", Refused::Verify(2, unaligned(1))),
+            ("bad_pipeline_unaligned", Refused::Verify(2, unaligned(1))),
+            (
+                "bad_post_result",
+                Refused::Verify(2, K::CodeAfterResult { result_at: 1 }),
+            ),
+            ("bad_props_key_join", Refused::Props(3)),
+            ("bad_props_unsorted_claim", Refused::Props(1)),
+            (
+                "bad_shard_packsum_bat",
+                Refused::Verify(2, kind(0, "scalar", "bat")),
+            ),
+            ("bad_slice_range", Refused::Verify(1, ty(1))),
+            ("bad_type", Refused::Verify(3, ty(0))),
+            (
+                "bad_use_after_free",
+                Refused::Verify(
+                    2,
+                    K::UseAfterFree {
+                        var: 0,
+                        freed_at: 1,
+                    },
+                ),
+            ),
+            (
+                "bad_use_before_def",
+                Refused::Verify(0, K::UseBeforeDef { var: 0 }),
+            ),
+        ];
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/plans");
+        let mut corpus: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|f| f.starts_with("bad_"))
+            .map(|f| f.trim_end_matches(".mal").to_string())
+            .collect();
+        corpus.sort();
+        let named: Vec<&str> = cases.iter().map(|(f, _)| *f).collect();
+        assert_eq!(corpus, named, "one case per bad_*.mal");
+        for (file, expected) in cases {
+            let src = std::fs::read_to_string(format!("{dir}/{file}.mal")).unwrap();
+            let refused = match parse_program(&src) {
+                Err(Error::Parse { message, .. }) => Refused::Parse(message),
+                Err(e) => panic!("{file}: {e}"),
+                Ok(p) => match (verify(&p), props::analyze(&p)) {
+                    (Err(e), _) => Refused::Verify(e.instr.unwrap(), blank(e.kind)),
+                    (Ok(()), Err(e)) => Refused::Props(e.instr),
+                    (Ok(()), Ok(_)) => panic!("{file} is accepted"),
+                },
+            };
+            assert_eq!(refused, expected, "{file}");
+        }
+    }
+
     #[test]
     fn errors_are_reported() {
         assert!(parse_program("x := unknown.fn(y);").is_err());
