@@ -22,7 +22,8 @@
 //! optimizer pass is caught at the pass boundary with an exact location.
 
 use crate::program::{
-    Arg, BaseRows, Instr, OpCode, PipelineOut, PipelineSink, PipelineSpec, Program, VarId,
+    Arg, ArgKind, BaseRows, Instr, OpCode, PipelineOut, PipelineSink, PipelineSpec, Program,
+    ResultKind, Rule, VarId,
 };
 use mammoth_algebra::AggKind;
 use mammoth_storage::Catalog;
@@ -39,13 +40,6 @@ pub enum VarTy {
 }
 
 impl VarTy {
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            VarTy::Bat(_) => "bat",
-            VarTy::Scalar(_) => "scalar",
-        }
-    }
-
     pub fn ty(&self) -> Option<LogicalType> {
         match self {
             VarTy::Bat(t) | VarTy::Scalar(t) => *t,
@@ -239,22 +233,13 @@ struct Verifier<'a> {
     catalog: Option<&'a Catalog>,
 }
 
-/// The inferred types of an instruction's results. No opcode but the
-/// pipeline binds more than two; a (checked) pipeline's are worked out one
-/// at a time by [`Verifier::pipeline_result`].
-enum ResultTys {
-    Few([Option<VarTy>; 2]),
-    Pipeline,
-}
-
-const NO_RESULT: ResultTys = ResultTys::Few([None, None]);
-
-fn one(ty: VarTy) -> ResultTys {
-    ResultTys::Few([Some(ty), None])
-}
-
-fn two(a: VarTy, b: VarTy) -> ResultTys {
-    ResultTys::Few([Some(a), Some(b)])
+/// A failure of instruction `idx`.
+fn error(idx: usize, instr: &Instr, kind: VerifyErrorKind) -> VerifyError {
+    VerifyError {
+        instr: Some(idx),
+        op: Some(instr.op.name()),
+        kind,
+    }
 }
 
 impl Verifier<'_> {
@@ -263,11 +248,7 @@ impl Verifier<'_> {
         let mut result_at: Option<usize> = None;
 
         for (idx, instr) in prog.instrs.iter().enumerate() {
-            let err = |kind| VerifyError {
-                instr: Some(idx),
-                op: Some(instr.op.name()),
-                kind,
-            };
+            let err = |kind| error(idx, instr, kind);
             if let Some(r) = result_at {
                 return Err(err(VerifyErrorKind::CodeAfterResult { result_at: r }));
             }
@@ -278,9 +259,12 @@ impl Verifier<'_> {
                 }));
             }
 
-            let result_tys = match &instr.op {
-                OpCode::Pipeline(spec) => self.check_pipeline(idx, &prog.instrs, spec, &state)?,
-                _ => self.check_instr(idx, instr, &state)?,
+            let sig = instr.op.sig();
+            let ty = match &instr.op {
+                OpCode::Pipeline(spec) => {
+                    At::new(idx, instr, &state).check_pipeline(&prog.instrs, spec)?
+                }
+                _ => self.check_instr(&At::new(idx, instr, &state))?,
             };
             let base = BaseRows::of(idx, instr, |v| match state.get(v) {
                 Some(VarState::Defined { base, .. }) => *base,
@@ -293,27 +277,25 @@ impl Verifier<'_> {
                 }
             }
             for (k, &rv) in instr.results.iter().enumerate() {
-                let ty = match (&result_tys, &instr.op) {
-                    (ResultTys::Pipeline, OpCode::Pipeline(spec)) => {
-                        self.pipeline_result(idx, instr, spec, k, &state)?
+                let ty = match (&instr.op, sig.results.get(k)) {
+                    (OpCode::Pipeline(spec), _) => {
+                        At::new(idx, instr, &state).pipeline_result(spec, k)?
                     }
-                    (ResultTys::Few(tys), _) => tys[k].expect("one type per declared result"),
-                    (ResultTys::Pipeline, _) => unreachable!("only a pipeline's check yields it"),
+                    (_, Some(ResultKind::Oids)) => VarTy::Bat(Some(LogicalType::Oid)),
+                    (_, Some(ResultKind::Bat)) => VarTy::Bat(ty),
+                    (_, Some(ResultKind::Scalar)) => VarTy::Scalar(ty),
+                    (_, None) => unreachable!("the result count was checked"),
                 };
                 match state.get(rv) {
                     None => return Err(err(VerifyErrorKind::UnknownVar { var: rv })),
-                    Some(VarState::Defined { at, .. }) => {
-                        return Err(err(VerifyErrorKind::Redefinition {
-                            var: rv,
-                            first_def: *at,
-                        }))
-                    }
                     // a freed slot may not be re-bound either: the plan
                     // would no longer be SSA
-                    Some(VarState::Freed { at }) => {
+                    Some(
+                        VarState::Defined { at: first_def, .. } | VarState::Freed { at: first_def },
+                    ) => {
                         return Err(err(VerifyErrorKind::Redefinition {
                             var: rv,
-                            first_def: *at,
+                            first_def: *first_def,
                         }))
                     }
                     Some(VarState::Undefined) => {
@@ -336,342 +318,126 @@ impl Verifier<'_> {
         }
     }
 
-    /// Check one instruction's argument count, kinds and types; return the
-    /// inferred types of its results.
-    fn check_instr(
-        &self,
-        idx: usize,
-        instr: &Instr,
-        state: &[VarState],
-    ) -> Result<ResultTys, VerifyError> {
-        let err = |kind| VerifyError {
-            instr: Some(idx),
-            op: Some(instr.op.name()),
-            kind,
-        };
+    /// Check one instruction against its declaration: the argument count,
+    /// each argument's kind, then the type rule; return the type the rule
+    /// gives its results.
+    fn check_instr(&self, at: &At) -> Result<Option<LogicalType>, VerifyError> {
+        let (instr, sig) = (at.instr, at.instr.op.sig());
+        let n = instr.args.len();
+        if !sig.takes(n) {
+            return Err(at.error(VerifyErrorKind::BadArgCount {
+                expected: sig.args.len(),
+                got: n,
+            }));
+        }
+        for k in 0..n {
+            at.arg(k, sig.arg(n, k))?;
+        }
+        // every argument is of its kind now: its type cannot fail
+        let ty = |k| at.arg_any(k).map(|t| t.ty());
 
-        // `io.result` and `language.pass` take variables of any kind.
-        match instr.op {
-            OpCode::Result => {
-                if instr.args.is_empty() {
-                    return Err(err(VerifyErrorKind::BadArgCount {
-                        expected: 1,
-                        got: 0,
-                    }));
-                }
-                for (k, a) in instr.args.iter().enumerate() {
-                    match a {
-                        Arg::Var(v) => {
-                            self.arg_ty(idx, instr, k, *v, state)?;
-                        }
-                        Arg::Const(_) | Arg::Param(_) => {
-                            return Err(err(VerifyErrorKind::VarArgExpected { arg: k }))
-                        }
-                    }
-                }
-                return Ok(NO_RESULT);
+        Ok(match sig.rule {
+            Rule::Catalog => {
+                let [Arg::Const(Value::Str(table)), Arg::Const(Value::Str(column))] =
+                    &instr.args[..]
+                else {
+                    unreachable!("two names, checked above")
+                };
+                let Some(cat) = self.catalog else {
+                    return Ok(None);
+                };
+                let t = cat.table(table).map_err(|_| {
+                    at.error(VerifyErrorKind::NoSuchTable {
+                        table: table.to_string(),
+                    })
+                })?;
+                let (_, col) = t.schema.column(column).map_err(|_| {
+                    at.error(VerifyErrorKind::NoSuchColumn {
+                        table: table.to_string(),
+                        column: column.to_string(),
+                    })
+                })?;
+                Some(col.ty)
             }
-            OpCode::Free => {
-                if instr.args.len() != 1 {
-                    return Err(err(VerifyErrorKind::BadArgCount {
-                        expected: 1,
-                        got: instr.args.len(),
-                    }));
+            Rule::Compare => {
+                let first = ty(0)?;
+                for k in (1..n).filter(|&k| sig.arg(n, k) != ArgKind::Cand) {
+                    at.comparable(k, first, ty(k)?)?;
                 }
-                match &instr.args[0] {
-                    Arg::Var(v) => {
-                        self.arg_ty(idx, instr, 0, *v, state)?;
-                    }
-                    Arg::Const(_) | Arg::Param(_) => {
-                        return Err(err(VerifyErrorKind::VarArgExpected { arg: 0 }))
-                    }
-                }
-                return Ok(NO_RESULT);
+                None
             }
-            // variadic merge operators: at least one argument, uniform kind
-            OpCode::Pack => {
-                if instr.args.is_empty() {
-                    return Err(err(VerifyErrorKind::BadArgCount {
-                        expected: 1,
-                        got: 0,
-                    }));
+            Rule::Untyped | Rule::Pipeline => None,
+            Rule::Like(k) => ty(k)?,
+            Rule::Fragment => {
+                // 0 <= i < k, so a malformed mitosis rewrite is caught
+                // statically, not at run time
+                let coord = |k: usize| match &instr.args[k] {
+                    Arg::Const(c) => c.as_i64().expect("an integer, checked above"),
+                    _ => unreachable!("a literal, checked above"),
+                };
+                let (i, k) = (coord(1), coord(2));
+                if k < 1 || i < 0 || i >= k {
+                    return Err(at.mismatch(1, format!("fragment {i} of {k} is out of range")));
                 }
-                let mut ty: Option<LogicalType> = None;
-                for k in 0..instr.args.len() {
-                    let t = self.bat_arg(idx, instr, k, state)?;
-                    match (ty, t) {
-                        (Some(a), Some(b)) if a != b => {
-                            return Err(err(VerifyErrorKind::TypeMismatch {
-                                arg: k,
-                                detail: format!(
-                                    "cannot pack a {} fragment with {} fragments",
-                                    b.name(),
-                                    a.name()
-                                ),
-                            }))
-                        }
-                        (None, Some(b)) => ty = Some(b),
-                        _ => {}
-                    }
-                }
-                return Ok(one(VarTy::Bat(ty)));
+                ty(0)?
             }
-            OpCode::PackSum => {
-                if instr.args.is_empty() {
-                    return Err(err(VerifyErrorKind::BadArgCount {
-                        expected: 1,
-                        got: 0,
-                    }));
-                }
-                let mut out: Option<LogicalType> = None;
-                let mut all_known = true;
-                for k in 0..instr.args.len() {
-                    let t = self.scalar_arg(idx, instr, k, state)?;
-                    self.numeric(idx, instr, k, t)?;
+            Rule::Agg(kind) => {
+                let t = ty(0)?;
+                at.aggregable(0, kind, t)?;
+                agg_result_ty(kind, t)
+            }
+            Rule::Widen => {
+                let (mut out, mut known) = (None, true);
+                for k in 0..n {
+                    let t = ty(k)?;
+                    at.numeric(k, t)?;
                     match (out, t) {
                         (Some(a), Some(b)) => out = LogicalType::widen(a, b),
                         (None, Some(b)) => out = Some(b),
-                        _ => all_known = false,
+                        _ => known = false,
                     }
                 }
-                return Ok(one(VarTy::Scalar(if all_known { out } else { None })));
+                out.filter(|_| known)
             }
-            _ => {}
-        }
+            Rule::Same => {
+                let mut out: Option<LogicalType> = None;
+                for k in 0..n {
+                    match (out, ty(k)?) {
+                        (Some(a), Some(b)) if a != b => {
+                            let (a, b) = (a.name(), b.name());
+                            let detail = format!("cannot pack a {b} fragment with {a} fragments");
+                            return Err(at.mismatch(k, detail));
+                        }
+                        (None, Some(b)) => out = Some(b),
+                        _ => {}
+                    }
+                }
+                out
+            }
+            Rule::Of(t) => Some(t),
+        })
+    }
+}
 
-        let expected_args = match instr.op {
-            OpCode::Bind
-            | OpCode::ThetaSelect(_)
-            | OpCode::Projection
-            | OpCode::Join
-            | OpCode::GroupRefine
-            | OpCode::Calc(_)
-            | OpCode::FirstN { .. } => 2,
-            OpCode::RangeSelect { .. }
-            | OpCode::AggrGrouped(_)
-            | OpCode::Slice
-            | OpCode::PartSlice => 3,
-            OpCode::Group
-            | OpCode::Aggr(_)
-            | OpCode::Sort { .. }
-            | OpCode::Count
-            | OpCode::Mirror => 1,
-            OpCode::SetProps => 2,
-            OpCode::Result
-            | OpCode::Free
-            | OpCode::Pack
-            | OpCode::PackSum
-            | OpCode::Pipeline(_) => {
-                unreachable!("handled above")
-            }
-        };
-        // a selection may carry one more argument: its candidate list
-        let has_cand = instr.select_args().is_some_and(|s| s.cand.is_some());
-        if instr.args.len() != expected_args + has_cand as usize {
-            return Err(err(VerifyErrorKind::BadArgCount {
-                expected: expected_args,
-                got: instr.args.len(),
-            }));
-        }
+/// One instruction under check: where it is, and what is known of the
+/// variables it reads.
+struct At<'p> {
+    idx: usize,
+    instr: &'p Instr,
+    state: &'p [VarState],
+}
 
-        match &instr.op {
-            OpCode::Bind => {
-                let mut names = [""; 2];
-                for (k, a) in instr.args.iter().enumerate() {
-                    match a {
-                        Arg::Const(Value::Str(s)) => names[k] = s,
-                        Arg::Const(other) => {
-                            return Err(err(VerifyErrorKind::TypeMismatch {
-                                arg: k,
-                                detail: format!("expected a string constant, found {other:?}"),
-                            }))
-                        }
-                        Arg::Var(_) | Arg::Param(_) => {
-                            return Err(err(VerifyErrorKind::ConstArgExpected { arg: k }))
-                        }
-                    }
-                }
-                let [table, column] = names;
-                let ty = match self.catalog {
-                    None => None,
-                    Some(cat) => {
-                        let t = cat.table(table).map_err(|_| {
-                            err(VerifyErrorKind::NoSuchTable {
-                                table: table.to_string(),
-                            })
-                        })?;
-                        let (_, col) = t.schema.column(column).map_err(|_| {
-                            err(VerifyErrorKind::NoSuchColumn {
-                                table: table.to_string(),
-                                column: column.to_string(),
-                            })
-                        })?;
-                        Some(col.ty)
-                    }
-                };
-                Ok(one(VarTy::Bat(ty)))
-            }
-            OpCode::ThetaSelect(_) | OpCode::RangeSelect { .. } => {
-                let b = self.bat_arg(idx, instr, 0, state)?;
-                if has_cand {
-                    self.candidate_arg(idx, instr, 1, state)?;
-                }
-                for k in 1 + has_cand as usize..instr.args.len() {
-                    let c = self.scalar_arg(idx, instr, k, state)?;
-                    self.comparable(idx, instr, k, b, c)?;
-                }
-                Ok(one(VarTy::Bat(Some(LogicalType::Oid))))
-            }
-            OpCode::Projection => {
-                self.candidate_arg(idx, instr, 0, state)?;
-                let t = self.bat_arg(idx, instr, 1, state)?;
-                Ok(one(VarTy::Bat(t)))
-            }
-            OpCode::Join => {
-                let l = self.bat_arg(idx, instr, 0, state)?;
-                let r = self.bat_arg(idx, instr, 1, state)?;
-                self.comparable(idx, instr, 1, l, r)?;
-                Ok(two(
-                    VarTy::Bat(Some(LogicalType::Oid)),
-                    VarTy::Bat(Some(LogicalType::Oid)),
-                ))
-            }
-            OpCode::Group => {
-                self.bat_arg(idx, instr, 0, state)?;
-                Ok(two(
-                    VarTy::Bat(Some(LogicalType::Oid)),
-                    VarTy::Bat(Some(LogicalType::Oid)),
-                ))
-            }
-            OpCode::GroupRefine => {
-                self.candidate_arg(idx, instr, 0, state)?;
-                self.bat_arg(idx, instr, 1, state)?;
-                Ok(two(
-                    VarTy::Bat(Some(LogicalType::Oid)),
-                    VarTy::Bat(Some(LogicalType::Oid)),
-                ))
-            }
-            OpCode::Aggr(kind) => {
-                let t = self.bat_arg(idx, instr, 0, state)?;
-                self.aggregable(idx, instr, 0, *kind, t)?;
-                Ok(one(VarTy::Scalar(agg_result_ty(*kind, t))))
-            }
-            OpCode::AggrGrouped(kind) => {
-                let t = self.bat_arg(idx, instr, 0, state)?;
-                self.aggregable(idx, instr, 0, *kind, t)?;
-                self.candidate_arg(idx, instr, 1, state)?;
-                self.candidate_arg(idx, instr, 2, state)?;
-                Ok(one(VarTy::Bat(agg_result_ty(*kind, t))))
-            }
-            OpCode::Calc(_) => {
-                let a = self.bat_arg(idx, instr, 0, state)?;
-                self.numeric(idx, instr, 0, a)?;
-                // the second operand may be a BAT or a scalar
-                let b = match self.arg_any(idx, instr, 1, state)? {
-                    VarTy::Bat(t) | VarTy::Scalar(t) => t,
-                };
-                if matches!(&instr.args[1], Arg::Const(Value::Null)) {
-                    return Err(err(VerifyErrorKind::TypeMismatch {
-                        arg: 1,
-                        detail: "batcalc operand must not be the NULL literal".into(),
-                    }));
-                }
-                self.numeric(idx, instr, 1, b)?;
-                let out = match (a, b) {
-                    (Some(x), Some(y)) => LogicalType::widen(x, y),
-                    _ => None,
-                };
-                Ok(one(VarTy::Bat(out)))
-            }
-            OpCode::Sort { .. } => {
-                let t = self.bat_arg(idx, instr, 0, state)?;
-                Ok(two(VarTy::Bat(t), VarTy::Bat(Some(LogicalType::Oid))))
-            }
-            OpCode::FirstN { .. } => {
-                let t = self.bat_arg(idx, instr, 0, state)?;
-                self.row_count_arg(idx, instr, 1, "row count", state)?;
-                Ok(two(VarTy::Bat(t), VarTy::Bat(Some(LogicalType::Oid))))
-            }
-            OpCode::Slice => {
-                let t = self.bat_arg(idx, instr, 0, state)?;
-                for k in 1..=2 {
-                    self.row_count_arg(idx, instr, k, "slice bound", state)?;
-                }
-                Ok(one(VarTy::Bat(t)))
-            }
-            OpCode::PartSlice => {
-                let t = self.bat_arg(idx, instr, 0, state)?;
-                // the fragment coordinates are literal integer constants
-                // with 0 <= i < k, so a malformed mitosis rewrite is caught
-                // statically, not at runtime
-                let mut vals = [0i64; 2];
-                for (slot, k) in (1..=2).enumerate() {
-                    match &instr.args[k] {
-                        Arg::Var(_) | Arg::Param(_) => {
-                            return Err(err(VerifyErrorKind::ConstArgExpected { arg: k }))
-                        }
-                        Arg::Const(c) => match (c.logical_type(), c.as_i64()) {
-                            (
-                                Some(
-                                    LogicalType::I8
-                                    | LogicalType::I16
-                                    | LogicalType::I32
-                                    | LogicalType::I64,
-                                ),
-                                Some(x),
-                            ) => vals[slot] = x,
-                            _ => {
-                                return Err(err(VerifyErrorKind::TypeMismatch {
-                                    arg: k,
-                                    detail: format!(
-                                    "fragment coordinate must be an integer constant, found {c:?}"
-                                ),
-                                }))
-                            }
-                        },
-                    }
-                }
-                let (i, n) = (vals[0], vals[1]);
-                if n < 1 || i < 0 || i >= n {
-                    return Err(err(VerifyErrorKind::TypeMismatch {
-                        arg: 1,
-                        detail: format!("fragment {i} of {n} is out of range"),
-                    }));
-                }
-                Ok(one(VarTy::Bat(t)))
-            }
-            OpCode::Count => {
-                self.bat_arg(idx, instr, 0, state)?;
-                Ok(one(VarTy::Scalar(Some(LogicalType::I64))))
-            }
-            OpCode::Mirror => {
-                self.bat_arg(idx, instr, 0, state)?;
-                Ok(one(VarTy::Bat(Some(LogicalType::Oid))))
-            }
-            OpCode::SetProps => {
-                let t = self.bat_arg(idx, instr, 0, state)?;
-                match instr.args.get(1) {
-                    Some(Arg::Const(Value::Str(s)))
-                        if crate::analysis::props::parse_claims(s).is_some() => {}
-                    _ => {
-                        return Err(err(VerifyErrorKind::TypeMismatch {
-                            arg: 1,
-                            detail: "expected a string constant of property claims \
-                                     (sorted, revsorted, key, nonil)"
-                                .into(),
-                        }))
-                    }
-                }
-                Ok(one(VarTy::Bat(t)))
-            }
-            OpCode::Result
-            | OpCode::Free
-            | OpCode::Pack
-            | OpCode::PackSum
-            | OpCode::Pipeline(_) => {
-                unreachable!("handled above")
-            }
-        }
+impl<'p> At<'p> {
+    fn new(idx: usize, instr: &'p Instr, state: &'p [VarState]) -> At<'p> {
+        At { idx, instr, state }
+    }
+
+    fn error(&self, kind: VerifyErrorKind) -> VerifyError {
+        error(self.idx, self.instr, kind)
+    }
+
+    fn mismatch(&self, arg: usize, detail: String) -> VerifyError {
+        self.error(VerifyErrorKind::TypeMismatch { arg, detail })
     }
 
     /// `vector.pipeline`: the arity its shape fixes; fixed-width column
@@ -684,23 +450,11 @@ impl Verifier<'_> {
     /// bound.
     fn check_pipeline(
         &self,
-        idx: usize,
         instrs: &[Instr],
         spec: &PipelineSpec,
-        state: &[VarState],
-    ) -> Result<ResultTys, VerifyError> {
-        let instr = &instrs[idx];
-        let err = |kind| VerifyError {
-            instr: Some(idx),
-            op: Some(instr.op.name()),
-            kind,
-        };
-        let shape = |detail: &str| {
-            err(VerifyErrorKind::TypeMismatch {
-                arg: 0,
-                detail: detail.into(),
-            })
-        };
+    ) -> Result<Option<LogicalType>, VerifyError> {
+        let instr = self.instr;
+        let shape = |detail: &str| self.mismatch(0, detail.into());
         if spec.filters.is_empty() || spec.outs.is_empty() {
             return Err(shape("a pipeline needs a filter and a result"));
         }
@@ -731,7 +485,7 @@ impl Verifier<'_> {
             }
         }
         if instr.args.len() != spec.nargs() {
-            return Err(err(VerifyErrorKind::BadArgCount {
+            return Err(self.error(VerifyErrorKind::BadArgCount {
                 expected: spec.nargs(),
                 got: instr.args.len(),
             }));
@@ -740,19 +494,15 @@ impl Verifier<'_> {
         let ncols = spec.ncols();
         let driver = spec.filters[0].col;
         let base_of = |k: usize| match &instr.args[k] {
-            Arg::Var(v) => match state.get(*v) {
+            Arg::Var(v) => match self.state.get(*v) {
                 Some(VarState::Defined { base, .. }) => *base,
                 _ => None,
             },
             _ => None,
         };
         for k in 0..ncols {
-            let t = self.bat_arg(idx, instr, k, state)?;
-            if t == Some(LogicalType::Str) {
-                return Err(err(VerifyErrorKind::TypeMismatch {
-                    arg: k,
-                    detail: "expected a fixed-width column, found str".into(),
-                }));
+            if self.arg(k, ArgKind::Bat)? == Some(LogicalType::Str) {
+                return Err(self.mismatch(k, "expected a fixed-width column, found str".into()));
             }
             let detail = match (base_of(k), base_of(driver)) {
                 (Some(col), Some(scanned)) if col.covers(&scanned, instrs) => continue,
@@ -763,262 +513,179 @@ impl Verifier<'_> {
                 ),
                 _ => "expected a bound base column (sql.bind, or an algebra.slice of one)".into(),
             };
-            return Err(err(VerifyErrorKind::Unaligned { arg: k, detail }));
+            return Err(self.error(VerifyErrorKind::Unaligned { arg: k, detail }));
         }
         let bounds = spec
             .filters_with_bounds(&instr.args)
             .expect("the argument count was checked above");
         let mut k = ncols;
         for (filter, bounds) in bounds {
-            let col = self.bat_arg(idx, instr, filter.col, state)?;
+            let col = self.arg(filter.col, ArgKind::Bat)?;
             for _ in bounds {
-                let c = self.scalar_arg(idx, instr, k, state)?;
-                self.comparable(idx, instr, k, col, c)?;
+                self.comparable(k, col, self.arg(k, ArgKind::Scalar)?)?;
                 k += 1;
             }
         }
         for out in &spec.outs {
             if let PipelineOut::Agg(kind, c) = *out {
-                let t = self.bat_arg(idx, instr, c, state)?;
-                self.aggregable(idx, instr, c, kind, t)?;
+                self.aggregable(c, kind, self.arg(c, ArgKind::Bat)?)?;
             }
         }
         if matches!(spec.sink, PipelineSink::Top { .. }) {
-            self.row_count_arg(idx, instr, k, "row count", state)?;
+            self.arg(k, ArgKind::RowCount)?;
             if matches!(&instr.args[k], Arg::Const(n) if n.as_i64().is_some_and(|n| n < 0)) {
-                return Err(err(VerifyErrorKind::TypeMismatch {
-                    arg: k,
-                    detail: "row count must not be negative".into(),
-                }));
+                return Err(self.mismatch(k, "row count must not be negative".into()));
             }
         }
-        Ok(ResultTys::Pipeline)
+        Ok(None)
     }
 
-    /// The type of result `k` of a pipeline [`Verifier::check_pipeline`]
+    /// The type of result `k` of a pipeline [`At::check_pipeline`]
     /// accepted.
-    fn pipeline_result(
-        &self,
-        idx: usize,
-        instr: &Instr,
-        spec: &PipelineSpec,
-        k: usize,
-        state: &[VarState],
-    ) -> Result<VarTy, VerifyError> {
+    fn pipeline_result(&self, spec: &PipelineSpec, k: usize) -> Result<VarTy, VerifyError> {
         let value = |t| match spec.sink {
             PipelineSink::Rows => VarTy::Scalar(t),
             PipelineSink::Group(_) | PipelineSink::Top { .. } => VarTy::Bat(t),
         };
+        let column = |c| self.arg(c, ArgKind::Bat);
         Ok(match (spec.outs[k], spec.sink) {
-            (PipelineOut::Key, PipelineSink::Group(key)) => {
-                VarTy::Bat(self.bat_arg(idx, instr, key, state)?)
-            }
+            (PipelineOut::Key, PipelineSink::Group(key)) => VarTy::Bat(column(key)?),
             (PipelineOut::Key, _) => unreachable!("a key without a group was rejected"),
             (PipelineOut::Count, _) => value(Some(LogicalType::I64)),
-            (PipelineOut::Agg(kind, c), _) => {
-                value(agg_result_ty(kind, self.bat_arg(idx, instr, c, state)?))
-            }
-            (PipelineOut::Col(c), _) => VarTy::Bat(self.bat_arg(idx, instr, c, state)?),
+            (PipelineOut::Agg(kind, c), _) => value(agg_result_ty(kind, column(c)?)),
+            (PipelineOut::Col(c), _) => VarTy::Bat(column(c)?),
         })
     }
 
     /// Resolve an argument to the verifier's view of its type.
-    fn arg_any(
-        &self,
-        idx: usize,
-        instr: &Instr,
-        argno: usize,
-        state: &[VarState],
-    ) -> Result<VarTy, VerifyError> {
-        match &instr.args[argno] {
-            Arg::Const(c) => Ok(VarTy::Scalar(c.logical_type())),
-            Arg::Var(v) => self.arg_ty(idx, instr, argno, *v, state),
+    fn arg_any(&self, argno: usize) -> Result<VarTy, VerifyError> {
+        let v = match &self.instr.args[argno] {
+            Arg::Const(c) => return Ok(VarTy::Scalar(c.logical_type())),
+            Arg::Var(v) => *v,
             // a parameter slot is a scalar of (statically) unknown type;
             // EXECUTE substitutes a concrete constant before execution
-            Arg::Param(_) => Ok(VarTy::Scalar(None)),
-        }
-    }
-
-    fn arg_ty(
-        &self,
-        idx: usize,
-        instr: &Instr,
-        _argno: usize,
-        v: VarId,
-        state: &[VarState],
-    ) -> Result<VarTy, VerifyError> {
-        let err = |kind| VerifyError {
-            instr: Some(idx),
-            op: Some(instr.op.name()),
-            kind,
+            Arg::Param(_) => return Ok(VarTy::Scalar(None)),
         };
-        match state.get(v) {
-            None => Err(err(VerifyErrorKind::UnknownVar { var: v })),
-            Some(VarState::Undefined) => Err(err(VerifyErrorKind::UseBeforeDef { var: v })),
-            Some(VarState::Freed { at }) => Err(err(VerifyErrorKind::UseAfterFree {
+        let err = |kind| Err(self.error(kind));
+        match self.state.get(v) {
+            None => err(VerifyErrorKind::UnknownVar { var: v }),
+            Some(VarState::Undefined) => err(VerifyErrorKind::UseBeforeDef { var: v }),
+            Some(VarState::Freed { at }) => err(VerifyErrorKind::UseAfterFree {
                 var: v,
                 freed_at: *at,
-            })),
+            }),
             Some(VarState::Defined { ty, .. }) => Ok(*ty),
         }
     }
 
-    /// The argument must be a BAT; returns its (possibly unknown) tail type.
-    fn bat_arg(
-        &self,
-        idx: usize,
-        instr: &Instr,
-        argno: usize,
-        state: &[VarState],
-    ) -> Result<Option<LogicalType>, VerifyError> {
-        match self.arg_any(idx, instr, argno, state)? {
-            VarTy::Bat(t) => Ok(t),
-            VarTy::Scalar(_) => Err(VerifyError {
-                instr: Some(idx),
-                op: Some(instr.op.name()),
-                kind: VerifyErrorKind::KindMismatch {
-                    arg: argno,
-                    expected: "bat",
-                    found: "scalar",
-                },
-            }),
-        }
-    }
-
-    /// The argument must be a candidate/grouping BAT: tail type oid (or
-    /// statically unknown).
-    fn candidate_arg(
-        &self,
-        idx: usize,
-        instr: &Instr,
-        argno: usize,
-        state: &[VarState],
-    ) -> Result<(), VerifyError> {
-        let t = self.bat_arg(idx, instr, argno, state)?;
-        match t {
-            None | Some(LogicalType::Oid) => Ok(()),
-            Some(other) => Err(VerifyError {
-                instr: Some(idx),
-                op: Some(instr.op.name()),
-                kind: VerifyErrorKind::TypeMismatch {
-                    arg: argno,
-                    detail: format!("expected a candidate (oid) bat, found {}", other.name()),
-                },
-            }),
-        }
-    }
-
-    /// The argument must be an integer, non-NULL scalar (`what` names it in
-    /// the error): a `bat.slice` bound or an `algebra.firstn` row count.
-    fn row_count_arg(
-        &self,
-        idx: usize,
-        instr: &Instr,
-        argno: usize,
-        what: &str,
-        state: &[VarState],
-    ) -> Result<(), VerifyError> {
-        let detail = match self.scalar_arg(idx, instr, argno, state)? {
-            Some(LogicalType::I8 | LogicalType::I16 | LogicalType::I32 | LogicalType::I64) => {
-                return Ok(())
-            }
-            Some(ty) => format!("{what} must be an integer, found {}", ty.name()),
-            None if matches!(&instr.args[argno], Arg::Const(Value::Null)) => {
-                format!("{what} must not be NULL")
-            }
-            None => return Ok(()),
+    /// Argument `argno` must be of `kind`; returns its (possibly unknown)
+    /// type.
+    fn arg(&self, argno: usize, kind: ArgKind) -> Result<Option<LogicalType>, VerifyError> {
+        let integer = |t| {
+            matches!(
+                t,
+                Some(LogicalType::I8 | LogicalType::I16 | LogicalType::I32 | LogicalType::I64)
+            )
         };
-        Err(VerifyError {
-            instr: Some(idx),
-            op: Some(instr.op.name()),
-            kind: VerifyErrorKind::TypeMismatch { arg: argno, detail },
-        })
-    }
-
-    /// The argument must be scalar; returns its (possibly unknown) type.
-    fn scalar_arg(
-        &self,
-        idx: usize,
-        instr: &Instr,
-        argno: usize,
-        state: &[VarState],
-    ) -> Result<Option<LogicalType>, VerifyError> {
-        match self.arg_any(idx, instr, argno, state)? {
-            VarTy::Scalar(t) => Ok(t),
-            VarTy::Bat(_) => Err(VerifyError {
-                instr: Some(idx),
-                op: Some(instr.op.name()),
-                kind: VerifyErrorKind::KindMismatch {
-                    arg: argno,
-                    expected: "scalar",
-                    found: "bat",
-                },
-            }),
-        }
+        let arg = &self.instr.args[argno];
+        let detail = match (kind, arg) {
+            (ArgKind::Name, Arg::Const(Value::Str(_))) => return Ok(Some(LogicalType::Str)),
+            (ArgKind::Name, Arg::Const(c)) => format!("expected a string constant, found {c:?}"),
+            (ArgKind::Frag, Arg::Const(c)) if integer(c.logical_type()) => {
+                return Ok(c.logical_type())
+            }
+            (ArgKind::Frag, Arg::Const(c)) => {
+                format!("fragment coordinate must be an integer constant, found {c:?}")
+            }
+            (ArgKind::Name | ArgKind::Frag, _) => {
+                return Err(self.error(VerifyErrorKind::ConstArgExpected { arg: argno }))
+            }
+            (ArgKind::Claims, Arg::Const(Value::Str(s)))
+                if crate::analysis::props::parse_claims(s).is_some() =>
+            {
+                return Ok(Some(LogicalType::Str))
+            }
+            (ArgKind::Claims, _) => "expected a string constant of property claims \
+                                     (sorted, revsorted, key, nonil)"
+                .into(),
+            (ArgKind::Var, Arg::Const(_) | Arg::Param(_)) => {
+                return Err(self.error(VerifyErrorKind::VarArgExpected { arg: argno }))
+            }
+            (ArgKind::Operand, Arg::Const(Value::Null)) => {
+                "batcalc operand must not be the NULL literal".into()
+            }
+            _ => {
+                let mismatch = |expected, found| {
+                    Err(self.error(VerifyErrorKind::KindMismatch {
+                        arg: argno,
+                        expected,
+                        found,
+                    }))
+                };
+                match (kind, self.arg_any(argno)?) {
+                    (ArgKind::Bat | ArgKind::Cand, VarTy::Scalar(_)) => {
+                        return mismatch("bat", "scalar")
+                    }
+                    (ArgKind::Scalar | ArgKind::RowCount, VarTy::Bat(_)) => {
+                        return mismatch("scalar", "bat")
+                    }
+                    (ArgKind::Cand, VarTy::Bat(Some(t))) if t != LogicalType::Oid => {
+                        format!("expected a candidate (oid) bat, found {}", t.name())
+                    }
+                    (ArgKind::RowCount, VarTy::Scalar(Some(t))) if !integer(Some(t)) => {
+                        format!("expected an integer, found {}", t.name())
+                    }
+                    (ArgKind::RowCount, VarTy::Scalar(None))
+                        if matches!(arg, Arg::Const(Value::Null)) =>
+                    {
+                        "expected an integer, found NULL".into()
+                    }
+                    (_, ty) => return Ok(ty.ty()),
+                }
+            }
+        };
+        Err(self.mismatch(argno, detail))
     }
 
     /// Two operand types that are compared or joined must agree: identical,
     /// or both from the numeric/oid family. Unknown types pass.
     fn comparable(
         &self,
-        idx: usize,
-        instr: &Instr,
         argno: usize,
         a: Option<LogicalType>,
         b: Option<LogicalType>,
     ) -> Result<(), VerifyError> {
-        let (Some(a), Some(b)) = (a, b) else {
-            return Ok(());
-        };
         let num_like =
             |t: LogicalType| t.is_numeric() || t == LogicalType::Oid || t == LogicalType::Bool;
-        if a == b || (num_like(a) && num_like(b)) {
-            Ok(())
-        } else {
-            Err(VerifyError {
-                instr: Some(idx),
-                op: Some(instr.op.name()),
-                kind: VerifyErrorKind::TypeMismatch {
-                    arg: argno,
-                    detail: format!("cannot compare {} with {}", a.name(), b.name()),
-                },
-            })
+        match (a, b) {
+            (Some(a), Some(b)) if a != b && !(num_like(a) && num_like(b)) => {
+                let detail = format!("cannot compare {} with {}", a.name(), b.name());
+                Err(self.mismatch(argno, detail))
+            }
+            _ => Ok(()),
         }
     }
 
     /// SUM/AVG/MIN/MAX need numeric input; COUNT takes anything.
     fn aggregable(
         &self,
-        idx: usize,
-        instr: &Instr,
         argno: usize,
         kind: AggKind,
         t: Option<LogicalType>,
     ) -> Result<(), VerifyError> {
-        if kind == AggKind::Count {
-            return Ok(());
+        match kind {
+            AggKind::Count => Ok(()),
+            _ => self.numeric(argno, t),
         }
-        self.numeric(idx, instr, argno, t)
     }
 
-    fn numeric(
-        &self,
-        idx: usize,
-        instr: &Instr,
-        argno: usize,
-        t: Option<LogicalType>,
-    ) -> Result<(), VerifyError> {
+    fn numeric(&self, argno: usize, t: Option<LogicalType>) -> Result<(), VerifyError> {
         match t {
-            None => Ok(()),
-            Some(t) if t.is_numeric() || t == LogicalType::Oid => Ok(()),
-            Some(t) => Err(VerifyError {
-                instr: Some(idx),
-                op: Some(instr.op.name()),
-                kind: VerifyErrorKind::TypeMismatch {
-                    arg: argno,
-                    detail: format!("expected a numeric operand, found {}", t.name()),
-                },
-            }),
+            Some(t) if !t.is_numeric() && t != LogicalType::Oid => {
+                let detail = format!("expected a numeric operand, found {}", t.name());
+                Err(self.mismatch(argno, detail))
+            }
+            _ => Ok(()),
         }
     }
 }

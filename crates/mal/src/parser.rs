@@ -12,10 +12,9 @@
 //! ```
 
 use crate::program::{
-    Arg, FilterTest, Instr, OpCode, PipelineFilter, PipelineOut, PipelineSink, PipelineSpec,
-    Program,
+    Arg, FilterTest, Instr, OpCode, Param, PipelineFilter, PipelineOut, PipelineSink, PipelineSpec,
+    Program, AGG_NAMES, CMP_NAMES,
 };
-use mammoth_algebra::{AggKind, ArithOp, CmpOp};
 use mammoth_types::{Error, Result, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -85,19 +84,21 @@ impl<'a> Lexer<'a> {
                 }
             }
             b'"' => {
-                self.pos += 1;
-                let start = self.pos;
-                while self.pos < self.src.len() && self.src[self.pos] != b'"' {
-                    self.pos += 1;
+                // up to the closing quote, past every backslash's escape
+                let start = self.pos + 1;
+                let mut end = start;
+                while end < self.src.len() && self.src[end] != b'"' {
+                    end += 1 + usize::from(self.src[end] == b'\\');
                 }
-                if self.pos >= self.src.len() {
+                if end >= self.src.len() {
                     return Err(self.err("unterminated string"));
                 }
-                let s = std::str::from_utf8(&self.src[start..self.pos])
-                    .map_err(|_| self.err("invalid utf8"))?
-                    .to_string();
-                self.pos += 1;
-                Ok(Tok::Str(s))
+                let raw = std::str::from_utf8(&self.src[start..end])
+                    .map_err(|_| self.err("invalid utf8"))?;
+                self.pos = end + 1;
+                unescape(raw)
+                    .map(Tok::Str)
+                    .ok_or_else(|| self.err("bad escape in string"))
             }
             b'0'..=b'9' | b'-' => {
                 let start = self.pos;
@@ -135,21 +136,15 @@ impl<'a> Lexer<'a> {
                         .to_string(),
                 ))
             }
-            // operator names inside thetaselect brackets: ==, !=, <, <=, >, >=
-            b'=' | b'!' | b'<' | b'>' | b'+' | b'*' | b'/' | b'%' => {
-                let start = self.pos;
-                self.pos += 1;
-                while self.pos < self.src.len() && matches!(self.src[self.pos], b'=' | b'<' | b'>')
-                {
-                    self.pos += 1;
-                }
-                Ok(Tok::Ident(
-                    std::str::from_utf8(&self.src[start..self.pos])
-                        .unwrap()
-                        .to_string(),
-                ))
-            }
             other => Err(self.err(format!("unexpected character '{}'", other as char))),
+        }
+    }
+
+    /// Read `tok` (`what` names it in the error).
+    fn expect(&mut self, tok: Tok, what: &str) -> Result<()> {
+        match self.next()? {
+            t if t == tok => Ok(()),
+            t => Err(self.err(format!("expected {what}, got {t:?}"))),
         }
     }
 
@@ -158,6 +153,16 @@ impl<'a> Lexer<'a> {
         let t = self.next();
         self.pos = save;
         t
+    }
+
+    /// The raw text of a name's last part (`batcalc.-`), up to the
+    /// bracket or argument list after it.
+    fn name_suffix(&mut self) -> String {
+        let start = self.pos;
+        while self.pos < self.src.len() && !b"([ \t\r\n".contains(&self.src[self.pos]) {
+            self.pos += 1;
+        }
+        String::from_utf8_lossy(&self.src[start..self.pos]).into_owned()
     }
 
     /// The raw text up to the `]` closing a bracket suffix, trimmed; the
@@ -178,38 +183,36 @@ impl<'a> Lexer<'a> {
     }
 }
 
-fn cmp_from(s: &str) -> Option<CmpOp> {
-    Some(match s {
-        "==" => CmpOp::Eq,
-        "!=" => CmpOp::Ne,
-        "<" => CmpOp::Lt,
-        "<=" => CmpOp::Le,
-        ">" => CmpOp::Gt,
-        ">=" => CmpOp::Ge,
-        _ => return None,
-    })
+/// A string literal's text with the escapes that `{:?}` writes (`\"`,
+/// `\\`, `\n`, `\r`, `\t`, `\0`, `\u{…}`) read back.
+fn unescape(raw: &str) -> Option<String> {
+    let mut out = String::with_capacity(raw.len());
+    let mut chars = raw.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        out.push(match chars.next()? {
+            'n' => '\n',
+            'r' => '\r',
+            't' => '\t',
+            '0' => '\0',
+            'u' => {
+                let (hex, rest) = chars.as_str().strip_prefix('{')?.split_once('}')?;
+                chars = rest.chars();
+                char::from_u32(u32::from_str_radix(hex, 16).ok()?)?
+            }
+            c @ ('\\' | '"' | '\'') => c,
+            _ => return None,
+        });
+    }
+    Some(out)
 }
 
-fn arith_from(s: &str) -> Option<ArithOp> {
-    Some(match s {
-        "+" => ArithOp::Add,
-        "-" => ArithOp::Sub,
-        "*" => ArithOp::Mul,
-        "/" => ArithOp::Div,
-        "%" => ArithOp::Mod,
-        _ => return None,
-    })
-}
-
-fn agg_from(s: &str) -> Option<AggKind> {
-    Some(match s {
-        "sum" => AggKind::Sum,
-        "min" => AggKind::Min,
-        "max" => AggKind::Max,
-        "avg" => AggKind::Avg,
-        "count_nonnil" => AggKind::Count,
-        _ => return None,
-    })
+/// The value named `name` in one of the printer's name tables.
+fn named<T: Copy>(names: &[(T, &str)], name: &str) -> Option<T> {
+    names.iter().find(|(_, n)| *n == name).map(|(v, _)| *v)
 }
 
 /// The `<op>@<column>` halves of one comma-separated pipeline item.
@@ -225,7 +228,7 @@ fn pipeline_filter_from(item: &str) -> Option<PipelineFilter> {
             lo_incl: name.starts_with(">="),
             hi_incl: name.ends_with("<="),
         },
-        op => FilterTest::Theta(cmp_from(op)?),
+        op => FilterTest::Theta(named(&CMP_NAMES, op)?),
     };
     Some(PipelineFilter { col, test })
 }
@@ -236,7 +239,7 @@ fn pipeline_out_from(item: &str) -> Option<PipelineOut> {
         "count" => Some(PipelineOut::Count),
         item => match at_column(item)? {
             ("col", col) => Some(PipelineOut::Col(col)),
-            (name, col) => Some(PipelineOut::Agg(agg_from(name)?, col)),
+            (name, col) => Some(PipelineOut::Agg(named(&AGG_NAMES, name)?, col)),
         },
     }
 }
@@ -275,21 +278,12 @@ pub fn parse_program(src: &str) -> Result<Program> {
     let mut names: HashMap<String, usize> = HashMap::new();
 
     loop {
-        let tok = lex.next()?;
-        match tok {
+        match lex.next()? {
             Tok::Eof => break,
-            Tok::Ident(first) => {
-                parse_stmt(&mut lex, &mut prog, &mut names, Tok::Ident(first))?;
+            first @ (Tok::Ident(_) | Tok::Sym('(')) => {
+                parse_stmt(&mut lex, &mut prog, &mut names, first)?
             }
-            Tok::Sym('(') => {
-                parse_stmt(&mut lex, &mut prog, &mut names, Tok::Sym('('))?;
-            }
-            other => {
-                return Err(Error::Parse {
-                    pos: 0,
-                    message: format!("unexpected token {other:?}"),
-                })
-            }
+            other => return Err(lex.err(format!("unexpected token {other:?}"))),
         }
     }
     Ok(prog)
@@ -310,57 +304,41 @@ fn parse_stmt(
     names: &mut HashMap<String, usize>,
     first: Tok,
 ) -> Result<()> {
-    // targets
+    // targets: `(a, b) :=`, `a :=`, or none before a bare `io.result(…)`
     let mut targets: Vec<String> = Vec::new();
-    #[allow(unused_assignments)]
-    let mut call_name: Option<String> = None;
-    match first {
-        Tok::Sym('(') => {
-            loop {
-                match lex.next()? {
-                    Tok::Ident(n) => targets.push(n),
-                    t => return Err(lex.err_at(format!("expected target name, got {t:?}"))),
-                }
-                match lex.next()? {
-                    Tok::Sym(',') => continue,
-                    Tok::Sym(')') => break,
-                    t => return Err(lex.err_at(format!("expected ',' or ')', got {t:?}"))),
-                }
+    let call = match first {
+        Tok::Sym('(') => loop {
+            match lex.next()? {
+                Tok::Ident(n) => targets.push(n),
+                t => return Err(lex.err(format!("expected target name, got {t:?}"))),
             }
             match lex.next()? {
-                Tok::Assign => {}
-                t => return Err(lex.err_at(format!("expected ':=', got {t:?}"))),
+                Tok::Sym(',') => continue,
+                Tok::Sym(')') => break None,
+                t => return Err(lex.err(format!("expected ',' or ')', got {t:?}"))),
             }
-            match lex.next()? {
-                Tok::Ident(f) => call_name = Some(f),
-                t => return Err(lex.err_at(format!("expected function, got {t:?}"))),
-            }
-        }
+        },
+        Tok::Ident(name) if name.contains('.') => Some(name),
         Tok::Ident(name) => {
-            // either `name := call` or a bare call like io.result(...)
-            if name.contains('.') {
-                call_name = Some(name);
-            } else {
-                targets.push(name);
-                match lex.next()? {
-                    Tok::Assign => {}
-                    t => return Err(lex.err_at(format!("expected ':=', got {t:?}"))),
-                }
-                match lex.next()? {
-                    Tok::Ident(f) => call_name = Some(f),
-                    t => return Err(lex.err_at(format!("expected function, got {t:?}"))),
-                }
+            targets.push(name);
+            None
+        }
+        t => return Err(lex.err(format!("unexpected {t:?}"))),
+    };
+    let mut fname = match call {
+        Some(name) => name,
+        None => {
+            lex.expect(Tok::Assign, "':='")?;
+            match lex.next()? {
+                Tok::Ident(f) => f,
+                t => return Err(lex.err(format!("expected function, got {t:?}"))),
             }
         }
-        t => return Err(lex.err_at(format!("unexpected {t:?}"))),
-    }
-    let mut fname = call_name.expect("set above");
-    // symbol-named functions lex as `batcalc.` followed by the operator
+    };
+    // a name that ends in its operator (`batcalc.-`): read as written, not
+    // as the start of a number
     if fname.ends_with('.') {
-        match lex.next()? {
-            Tok::Ident(op) => fname.push_str(&op),
-            t => return Err(lex.err_at(format!("expected operator after '{fname}', got {t:?}"))),
-        }
+        fname.push_str(&lex.name_suffix());
     }
 
     // optional [op] suffix: an operator, `desc`, or a pipeline's shape
@@ -371,10 +349,7 @@ fn parse_stmt(
     }
 
     // argument list
-    match lex.next()? {
-        Tok::Sym('(') => {}
-        t => return Err(lex.err_at(format!("expected '(', got {t:?}"))),
-    }
+    lex.expect(Tok::Sym('('), "'('")?;
     let mut args: Vec<Arg> = Vec::new();
     if lex.peek()? == Tok::Sym(')') {
         lex.next()?;
@@ -395,100 +370,24 @@ fn parse_stmt(
                 // `?N` — a prepared-statement parameter slot
                 Tok::Sym('?') => match lex.next()? {
                     Tok::Int(n) if n >= 0 => Arg::Param(n as usize),
-                    t => return Err(lex.err_at(format!("expected parameter index, got {t:?}"))),
+                    t => return Err(lex.err(format!("expected parameter index, got {t:?}"))),
                 },
-                t => return Err(lex.err_at(format!("bad argument {t:?}"))),
+                t => return Err(lex.err(format!("bad argument {t:?}"))),
             };
             args.push(a);
             match lex.next()? {
                 Tok::Sym(',') => continue,
                 Tok::Sym(')') => break,
-                t => return Err(lex.err_at(format!("expected ',' or ')', got {t:?}"))),
+                t => return Err(lex.err(format!("expected ',' or ')', got {t:?}"))),
             }
         }
     }
-    match lex.next()? {
-        Tok::Sym(';') => {}
-        t => return Err(lex.err_at(format!("expected ';', got {t:?}"))),
-    }
+    lex.expect(Tok::Sym(';'), "';'")?;
 
-    // resolve the opcode
-    let op = match fname.as_str() {
-        "sql.bind" => OpCode::Bind,
-        "algebra.thetaselect" => {
-            let op = bracket_op
-                .as_deref()
-                .and_then(cmp_from)
-                .ok_or_else(|| lex.err_at("thetaselect needs [op]".to_string()))?;
-            OpCode::ThetaSelect(op)
-        }
-        "algebra.select" => {
-            // last two args are the inclusivity booleans
-            let hi_incl = pop_bool(&mut args).ok_or_else(|| {
-                lex.err_at("algebra.select needs inclusivity booleans".to_string())
-            })?;
-            let lo_incl = pop_bool(&mut args).ok_or_else(|| {
-                lex.err_at("algebra.select needs inclusivity booleans".to_string())
-            })?;
-            OpCode::RangeSelect { lo_incl, hi_incl }
-        }
-        "algebra.projection" => OpCode::Projection,
-        "algebra.join" => OpCode::Join,
-        "group.group" => OpCode::Group,
-        "group.refine" => OpCode::GroupRefine,
-        "algebra.sort" => OpCode::Sort {
-            desc: bracket_op.as_deref() == Some("desc"),
-        },
-        "algebra.firstn" => OpCode::FirstN {
-            desc: bracket_op.as_deref() == Some("desc"),
-        },
-        "bat.slice" => OpCode::Slice,
-        "algebra.slice" => OpCode::PartSlice,
-        "mat.pack" => OpCode::Pack,
-        "mat.packsum" => OpCode::PackSum,
-        "bat.mirror" => OpCode::Mirror,
-        "bat.setprops" => OpCode::SetProps,
-        "aggr.count" => OpCode::Count,
-        "io.result" => OpCode::Result,
-        "language.pass" => OpCode::Free,
-        "vector.pipeline" => {
-            let spec = bracket_op
-                .as_deref()
-                .and_then(pipeline_spec_from)
-                .ok_or_else(|| lex.err_at("vector.pipeline needs [filters; outs]".to_string()))?;
-            OpCode::Pipeline(Arc::new(spec))
-        }
-        name if name.starts_with("aggr.sub") => {
-            let k = agg_from(&name["aggr.sub".len()..])
-                .ok_or_else(|| lex.err_at(format!("unknown aggregate {name}")))?;
-            OpCode::AggrGrouped(k)
-        }
-        name if name.starts_with("aggr.") => {
-            let k = agg_from(&name["aggr.".len()..])
-                .ok_or_else(|| lex.err_at(format!("unknown aggregate {name}")))?;
-            OpCode::Aggr(k)
-        }
-        "batcalc" => {
-            let op = bracket_op
-                .as_deref()
-                .and_then(arith_from)
-                .ok_or_else(|| lex.err_at("batcalc needs [op]".to_string()))?;
-            OpCode::Calc(op)
-        }
-        other => {
-            // batcalc.+ parses as ident "batcalc." followed by op token;
-            // accept the dotted form too
-            if let Some(rest) = other.strip_prefix("batcalc.") {
-                if let Some(op) = arith_from(rest) {
-                    OpCode::Calc(op)
-                } else {
-                    return Err(lex.err_at(format!("unknown function {other}")));
-                }
-            } else {
-                return Err(lex.err_at(format!("unknown function {other}")));
-            }
-        }
-    };
+    let op = resolve(&fname, bracket_op.as_deref(), &mut args).ok_or_else(|| {
+        let bracket = bracket_op.map(|b| format!("[{b}]")).unwrap_or_default();
+        lex.err(format!("unknown operation {fname}{bracket}"))
+    })?;
 
     if op == OpCode::Bind {
         // a table and a column name: folded as SQL's are (DESIGN.md, the
@@ -500,7 +399,7 @@ fn parse_stmt(
         }
     }
     if op.result_arity() != targets.len() {
-        return Err(lex.err_at(format!(
+        return Err(lex.err(format!(
             "{} binds {} results, {} given",
             op.name(),
             op.result_arity(),
@@ -512,25 +411,41 @@ fn parse_stmt(
     Ok(())
 }
 
-fn pop_bool(args: &mut Vec<Arg>) -> Option<bool> {
-    match args.pop()? {
-        Arg::Const(Value::Bool(b)) => Some(b),
-        _ => None,
-    }
-}
-
-impl Lexer<'_> {
-    fn err_at(&self, message: String) -> Error {
-        Error::Parse {
-            pos: self.pos,
-            message,
+/// The operation printed as `name`, with `[bracket]` after it: the one of
+/// [`OpCode::every`] the printer names so, or a pipeline of the bracket's
+/// shape. A parameter the printer writes as trailing arguments (a range's
+/// inclusivity) must be there too, and is taken off `args`.
+fn resolve(name: &str, bracket: Option<&str>, args: &mut Vec<Arg>) -> Option<OpCode> {
+    let text = match bracket {
+        Some(b) => format!("{name}[{b}]"),
+        None => name.to_string(),
+    };
+    let incl = match &args[..] {
+        [.., Arg::Const(Value::Bool(lo)), Arg::Const(Value::Bool(hi))] => {
+            Some(Param::Incl(*lo, *hi))
         }
+        _ => None,
+    };
+    let op = OpCode::every()
+        .find(|op| {
+            let sig = op.sig();
+            let trailing = !matches!(sig.param, Param::Incl(..)) || incl == Some(sig.param);
+            trailing && text.starts_with(sig.name) && op.name() == text
+        })
+        .or_else(|| {
+            let op = OpCode::Pipeline(Arc::new(pipeline_spec_from(bracket?)?));
+            (op.sig().name == name).then_some(op)
+        })?;
+    if let Param::Incl(..) = op.sig().param {
+        args.truncate(args.len() - 2);
     }
+    Some(op)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mammoth_algebra::{AggKind, ArithOp, CmpOp};
 
     #[test]
     fn parses_figure1_program() {
@@ -721,6 +636,44 @@ mod tests {
         ] {
             assert!(parse_program(bad).is_err(), "{bad}");
         }
+    }
+
+    /// Every operation the printer names parses back to itself: each
+    /// comparison, inclusivity, aggregate, operator and direction, and each
+    /// pipeline sink form.
+    #[test]
+    fn every_operation_roundtrips() {
+        for op in OpCode::every() {
+            let mut p = Program::new();
+            let x = p.var();
+            p.push(op.clone(), vec![Arg::Var(x), Arg::Const(Value::I32(1))]);
+            let text = p.to_string();
+            let back = parse_program(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(back.instrs[0].op, op, "{text}");
+            assert_eq!(back.instrs[0].args, p.instrs[0].args, "{text}");
+        }
+    }
+
+    /// A string constant prints with the escapes the lexer reads back.
+    #[test]
+    fn string_constants_roundtrip() {
+        for s in [
+            "a\"b",
+            "a\\b",
+            "tab\there",
+            "new\nline",
+            "s\u{e9}rie",
+            "\u{301}\0",
+        ] {
+            let mut p = Program::new();
+            let x = p.var();
+            let c = Arg::Const(Value::Str(s.into()));
+            p.push(OpCode::SetProps, vec![Arg::Var(x), c.clone()]);
+            let text = p.to_string();
+            let back = parse_program(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(back.instrs[0].args[1], c, "{text}");
+        }
+        assert!(parse_program(r#"x := bat.setprops(y, "a\qb");"#).is_err());
     }
 
     /// Every corpus plan meant to be refused, with the stage that refuses

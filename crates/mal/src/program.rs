@@ -2,7 +2,7 @@
 
 use mammoth_algebra::{AggKind, ArithOp, CmpOp};
 use mammoth_storage::Bat;
-use mammoth_types::Value;
+use mammoth_types::{LogicalType, Value};
 use std::fmt;
 use std::sync::Arc;
 
@@ -271,7 +271,9 @@ impl fmt::Display for PipelineSpec {
                     let hi = if hi_incl { "<=" } else { "<" };
                     write!(f, "{sep}{lo}{hi}@{}", filter.col)?
                 }
-                FilterTest::Theta(op) => write!(f, "{sep}{}@{}", cmp_name(op), filter.col)?,
+                FilterTest::Theta(op) => {
+                    write!(f, "{sep}{}@{}", name_of(&CMP_NAMES, op), filter.col)?
+                }
             }
         }
         f.write_str("; ")?;
@@ -286,7 +288,7 @@ impl fmt::Display for PipelineSpec {
             match out {
                 PipelineOut::Key => write!(f, "{sep}key")?,
                 PipelineOut::Count => write!(f, "{sep}count")?,
-                PipelineOut::Agg(kind, c) => write!(f, "{sep}{}@{c}", agg_name(*kind))?,
+                PipelineOut::Agg(kind, c) => write!(f, "{sep}{}@{c}", name_of(&AGG_NAMES, *kind))?,
                 PipelineOut::Col(c) => write!(f, "{sep}col@{c}")?,
             }
         }
@@ -294,49 +296,264 @@ impl fmt::Display for PipelineSpec {
     }
 }
 
+/// An operation's one declaration: the name it prints as and how that
+/// carries its parameter, the kinds of its arguments and results, and the
+/// rule that types its results. The printer, the parser and the verifier
+/// read it; [`OpCode::sig`] holds one per opcode.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Sig<'a> {
+    /// `module.function`, or the part of it before a name suffix
+    /// (`aggr.sub`, `batcalc.`).
+    pub name: &'static str,
+    pub param: Param<'a>,
+    pub args: &'static [ArgKind],
+    pub tail: Tail,
+    pub results: &'static [ResultKind],
+    pub rule: Rule,
+}
+
+/// An operation's parameter, and where its text form carries it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Param<'a> {
+    None,
+    /// `[op]` after the name.
+    Cmp(CmpOp),
+    /// The end of the name: `aggr.sum`, `aggr.subsum`.
+    Agg(AggKind),
+    /// The end of the name: `batcalc.+`.
+    Arith(ArithOp),
+    /// `[desc]` after the name when descending, nothing when ascending.
+    Desc(bool),
+    /// Two trailing boolean arguments: the range's `lo_incl, hi_incl`.
+    Incl(bool, bool),
+    /// `[shape]` after the name: the pipeline's [`PipelineSpec`].
+    Spec(&'a PipelineSpec),
+}
+
+/// What an argument slot takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArgKind {
+    /// A BAT.
+    Bat,
+    /// A candidate list or grouping: a BAT of oids.
+    Cand,
+    /// A scalar: a constant, a `?N` parameter or a scalar variable.
+    Scalar,
+    /// A BAT or a scalar, but not the NULL literal: `batcalc`'s right
+    /// operand.
+    Operand,
+    /// An integer scalar, not NULL: a slice bound or a row count.
+    RowCount,
+    /// A string literal naming a table or a column.
+    Name,
+    /// An integer literal: a fragment coordinate.
+    Frag,
+    /// A string literal of property claims (`"sorted,nonil"`).
+    Claims,
+    /// A variable of either kind.
+    Var,
+}
+
+/// What may follow the declared arguments.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tail {
+    /// Nothing: exactly the declared arguments.
+    None,
+    /// A selection's optional candidate list, right after the first
+    /// argument.
+    Cand,
+    /// The last declared argument repeats: one or more of it.
+    Variadic,
+}
+
+/// What a result binds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResultKind {
+    /// A BAT of oids: candidates, group ids, an order.
+    Oids,
+    /// A BAT of the type the [`Rule`] gives.
+    Bat,
+    /// A scalar of the type the [`Rule`] gives.
+    Scalar,
+}
+
+/// How argument types type the results (and which argument types the
+/// operation refuses).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rule {
+    /// The bound column's type, from the catalog (unknown without one).
+    Catalog,
+    /// Every argument after the first but a candidate list is compared
+    /// with the first; the results are oids.
+    Compare,
+    /// No typed result: they are oids, or there are none.
+    Untyped,
+    /// The type of argument `k`.
+    Like(usize),
+    /// The type of the first argument; the fragment coordinates after it
+    /// name one of `k` fragments.
+    Fragment,
+    /// The aggregate's over the first argument, which it must accept.
+    Agg(AggKind),
+    /// Numeric arguments, widened to one type when every type is known.
+    Widen,
+    /// The one type of every argument.
+    Same,
+    /// Always this type.
+    Of(LogicalType),
+    /// The spec's (see [`PipelineSpec`]).
+    Pipeline,
+}
+
+impl Sig<'_> {
+    /// Whether the operation takes `n` arguments.
+    pub fn takes(&self, n: usize) -> bool {
+        let declared = self.args.len();
+        match self.tail {
+            Tail::None => n == declared,
+            Tail::Cand => n == declared || n == declared + 1,
+            Tail::Variadic => n >= declared,
+        }
+    }
+
+    /// The kind of argument `k` of `n` (which it [`Sig::takes`]).
+    pub fn arg(&self, n: usize, k: usize) -> ArgKind {
+        match self.tail {
+            Tail::Cand if n > self.args.len() && k > 0 => match k {
+                1 => ArgKind::Cand,
+                k => self.args[k - 1],
+            },
+            Tail::Variadic => self.args[k.min(self.args.len() - 1)],
+            _ => self.args[k],
+        }
+    }
+}
+
+impl fmt::Display for Param<'_> {
+    /// The parameter's part of the printed name.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Param::Cmp(op) => write!(f, "[{}]", name_of(&CMP_NAMES, *op)),
+            Param::Agg(k) => f.write_str(name_of(&AGG_NAMES, *k)),
+            Param::Arith(op) => f.write_str(name_of(&ARITH_NAMES, *op)),
+            Param::Desc(true) => f.write_str("[desc]"),
+            Param::Spec(spec) => write!(f, "[{spec}]"),
+            Param::None | Param::Desc(false) | Param::Incl(..) => Ok(()),
+        }
+    }
+}
+
 impl OpCode {
+    /// The operation's declaration.
+    pub fn sig(&self) -> Sig<'_> {
+        use ArgKind::{Bat, Cand, Claims, Frag, Name, Operand, RowCount, Scalar, Var};
+        use ResultKind::{Bat as B, Oids, Scalar as S};
+        #[rustfmt::skip]
+        let (name, param, args, tail, results, rule): (_, _, &[_], _, &[_], _) = match self {
+            OpCode::Bind => ("sql.bind", Param::None, &[Name, Name], Tail::None, &[B], Rule::Catalog),
+            OpCode::ThetaSelect(op) => ("algebra.thetaselect", Param::Cmp(*op), &[Bat, Scalar], Tail::Cand, &[Oids], Rule::Compare),
+            OpCode::RangeSelect { lo_incl, hi_incl } => ("algebra.select", Param::Incl(*lo_incl, *hi_incl), &[Bat, Scalar, Scalar], Tail::Cand, &[Oids], Rule::Compare),
+            OpCode::Projection => ("algebra.projection", Param::None, &[Cand, Bat], Tail::None, &[B], Rule::Like(1)),
+            OpCode::Join => ("algebra.join", Param::None, &[Bat, Bat], Tail::None, &[Oids, Oids], Rule::Compare),
+            OpCode::Group => ("group.group", Param::None, &[Bat], Tail::None, &[Oids, Oids], Rule::Untyped),
+            OpCode::GroupRefine => ("group.refine", Param::None, &[Cand, Bat], Tail::None, &[Oids, Oids], Rule::Untyped),
+            OpCode::Aggr(k) => ("aggr.", Param::Agg(*k), &[Bat], Tail::None, &[S], Rule::Agg(*k)),
+            OpCode::AggrGrouped(k) => ("aggr.sub", Param::Agg(*k), &[Bat, Cand, Cand], Tail::None, &[B], Rule::Agg(*k)),
+            OpCode::Calc(op) => ("batcalc.", Param::Arith(*op), &[Bat, Operand], Tail::None, &[B], Rule::Widen),
+            OpCode::Sort { desc } => ("algebra.sort", Param::Desc(*desc), &[Bat], Tail::None, &[B, Oids], Rule::Like(0)),
+            OpCode::FirstN { desc } => ("algebra.firstn", Param::Desc(*desc), &[Bat, RowCount], Tail::None, &[B, Oids], Rule::Like(0)),
+            OpCode::Slice => ("bat.slice", Param::None, &[Bat, RowCount, RowCount], Tail::None, &[B], Rule::Like(0)),
+            OpCode::PartSlice => ("algebra.slice", Param::None, &[Bat, Frag, Frag], Tail::None, &[B], Rule::Fragment),
+            OpCode::Pack => ("mat.pack", Param::None, &[Bat], Tail::Variadic, &[B], Rule::Same),
+            OpCode::PackSum => ("mat.packsum", Param::None, &[Scalar], Tail::Variadic, &[S], Rule::Widen),
+            OpCode::Count => ("aggr.count", Param::None, &[Bat], Tail::None, &[S], Rule::Of(LogicalType::I64)),
+            OpCode::Mirror => ("bat.mirror", Param::None, &[Bat], Tail::None, &[Oids], Rule::Untyped),
+            OpCode::SetProps => ("bat.setprops", Param::None, &[Bat, Claims], Tail::None, &[B], Rule::Like(0)),
+            OpCode::Result => ("io.result", Param::None, &[Var], Tail::Variadic, &[], Rule::Untyped),
+            OpCode::Free => ("language.pass", Param::None, &[Var], Tail::None, &[], Rule::Untyped),
+            // arguments and results as the spec says: checked by its own rule
+            OpCode::Pipeline(spec) => ("vector.pipeline", Param::Spec(spec), &[], Tail::None, &[], Rule::Pipeline),
+        };
+        Sig {
+            name,
+            param,
+            args,
+            tail,
+            results,
+            rule,
+        }
+    }
+
+    /// Every operation the printer names: each opcode with each value of
+    /// its parameter, and a pipeline of each sink form. The parser
+    /// resolves a printed name among them.
+    pub fn every() -> impl Iterator<Item = OpCode> {
+        use PipelineOut::{Agg, Col, Count, Key};
+        let pipeline = |sink, outs: &[PipelineOut]| {
+            let range = FilterTest::Range {
+                lo_incl: true,
+                hi_incl: false,
+            };
+            let filters = [FilterTest::Theta(CmpOp::Lt), range];
+            OpCode::Pipeline(Arc::new(PipelineSpec {
+                filters: filters.map(|test| PipelineFilter { col: 0, test }).into(),
+                sink,
+                outs: outs.into(),
+            }))
+        };
+        let top = |desc| PipelineSink::Top { key: 1, desc };
+        let bools = [false, true];
+        let plain = [
+            OpCode::Bind,
+            OpCode::Projection,
+            OpCode::Join,
+            OpCode::Group,
+            OpCode::GroupRefine,
+            OpCode::Slice,
+            OpCode::PartSlice,
+            OpCode::Pack,
+            OpCode::PackSum,
+            OpCode::Count,
+            OpCode::Mirror,
+            OpCode::SetProps,
+            OpCode::Result,
+            OpCode::Free,
+        ];
+        plain
+            .into_iter()
+            .chain(CMP_NAMES.map(|(op, _)| OpCode::ThetaSelect(op)))
+            .chain(bools.into_iter().flat_map(move |lo_incl| {
+                bools.map(|hi_incl| OpCode::RangeSelect { lo_incl, hi_incl })
+            }))
+            .chain(AGG_NAMES.map(|(k, _)| OpCode::Aggr(k)))
+            .chain(AGG_NAMES.map(|(k, _)| OpCode::AggrGrouped(k)))
+            .chain(ARITH_NAMES.map(|(op, _)| OpCode::Calc(op)))
+            .chain(
+                bools
+                    .into_iter()
+                    .flat_map(|desc| [OpCode::Sort { desc }, OpCode::FirstN { desc }]),
+            )
+            .chain([
+                pipeline(PipelineSink::Rows, &[Count, Agg(AggKind::Sum, 1)]),
+                pipeline(PipelineSink::Rows, &[Col(1)]),
+                pipeline(PipelineSink::Group(1), &[Key, Count]),
+                pipeline(top(false), &[Col(0)]),
+                pipeline(top(true), &[Col(0)]),
+            ])
+    }
+
     /// Number of results the instruction binds.
     pub fn result_arity(&self) -> usize {
         match self {
-            OpCode::Join
-            | OpCode::Group
-            | OpCode::GroupRefine
-            | OpCode::Sort { .. }
-            | OpCode::FirstN { .. } => 2,
-            OpCode::Result | OpCode::Free => 0,
             OpCode::Pipeline(spec) => spec.outs.len(),
-            _ => 1,
+            op => op.sig().results.len(),
         }
     }
 
     /// The MonetDB-style `module.function` name.
     pub fn name(&self) -> String {
-        match self {
-            OpCode::Bind => "sql.bind".into(),
-            OpCode::ThetaSelect(op) => format!("algebra.thetaselect[{}]", cmp_name(*op)),
-            OpCode::RangeSelect { .. } => "algebra.select".into(),
-            OpCode::Projection => "algebra.projection".into(),
-            OpCode::Join => "algebra.join".into(),
-            OpCode::Group => "group.group".into(),
-            OpCode::GroupRefine => "group.refine".into(),
-            OpCode::Aggr(k) => format!("aggr.{}", agg_name(*k)),
-            OpCode::AggrGrouped(k) => format!("aggr.sub{}", agg_name(*k)),
-            OpCode::Calc(op) => format!("batcalc.{}", arith_name(*op)),
-            OpCode::Sort { desc: false } => "algebra.sort".into(),
-            OpCode::Sort { desc: true } => "algebra.sort[desc]".into(),
-            OpCode::FirstN { desc: false } => "algebra.firstn".into(),
-            OpCode::FirstN { desc: true } => "algebra.firstn[desc]".into(),
-            OpCode::Slice => "bat.slice".into(),
-            OpCode::PartSlice => "algebra.slice".into(),
-            OpCode::Pack => "mat.pack".into(),
-            OpCode::PackSum => "mat.packsum".into(),
-            OpCode::Count => "aggr.count".into(),
-            OpCode::Mirror => "bat.mirror".into(),
-            OpCode::SetProps => "bat.setprops".into(),
-            OpCode::Result => "io.result".into(),
-            OpCode::Free => "language.pass".into(),
-            OpCode::Pipeline(spec) => format!("vector.pipeline[{spec}]"),
-        }
+        let sig = self.sig();
+        format!("{}{}", sig.name, sig.param)
     }
 
     /// Instructions without side effects whose unused results may be
@@ -346,35 +563,40 @@ impl OpCode {
     }
 }
 
-pub(crate) fn cmp_name(op: CmpOp) -> &'static str {
-    match op {
-        CmpOp::Eq => "==",
-        CmpOp::Ne => "!=",
-        CmpOp::Lt => "<",
-        CmpOp::Le => "<=",
-        CmpOp::Gt => ">",
-        CmpOp::Ge => ">=",
-    }
-}
+/// Each comparison by the name it prints as.
+pub(crate) const CMP_NAMES: [(CmpOp, &str); 6] = [
+    (CmpOp::Eq, "=="),
+    (CmpOp::Ne, "!="),
+    (CmpOp::Lt, "<"),
+    (CmpOp::Le, "<="),
+    (CmpOp::Gt, ">"),
+    (CmpOp::Ge, ">="),
+];
 
-pub(crate) fn agg_name(k: AggKind) -> &'static str {
-    match k {
-        AggKind::Count => "count_nonnil",
-        AggKind::Sum => "sum",
-        AggKind::Min => "min",
-        AggKind::Max => "max",
-        AggKind::Avg => "avg",
-    }
-}
+/// Each aggregate by the name it prints as.
+pub(crate) const AGG_NAMES: [(AggKind, &str); 5] = [
+    (AggKind::Count, "count_nonnil"),
+    (AggKind::Sum, "sum"),
+    (AggKind::Min, "min"),
+    (AggKind::Max, "max"),
+    (AggKind::Avg, "avg"),
+];
 
-pub(crate) fn arith_name(op: ArithOp) -> &'static str {
-    match op {
-        ArithOp::Add => "+",
-        ArithOp::Sub => "-",
-        ArithOp::Mul => "*",
-        ArithOp::Div => "/",
-        ArithOp::Mod => "%",
-    }
+const ARITH_NAMES: [(ArithOp, &str); 5] = [
+    (ArithOp::Add, "+"),
+    (ArithOp::Sub, "-"),
+    (ArithOp::Mul, "*"),
+    (ArithOp::Div, "/"),
+    (ArithOp::Mod, "%"),
+];
+
+/// The name `v` prints as, out of one of the name tables.
+pub(crate) fn name_of<T: PartialEq>(names: &[(T, &'static str)], v: T) -> &'static str {
+    names
+        .iter()
+        .find(|(x, _)| *x == v)
+        .expect("every value is named")
+        .1
 }
 
 /// One MAL instruction: `results := op(args)`.
@@ -401,16 +623,14 @@ impl Instr {
     /// the optional candidate list told apart by arity; `None` for any
     /// other opcode or a malformed argument count.
     pub fn select_args(&self) -> Option<SelectArgs<'_>> {
-        let nbounds = match self.op {
-            OpCode::ThetaSelect(_) => 1,
-            OpCode::RangeSelect { .. } => 2,
-            _ => return None,
-        };
+        let sig = self.op.sig();
+        if sig.tail != Tail::Cand || !sig.takes(self.args.len()) {
+            return None;
+        }
         let (input, rest) = self.args.split_first()?;
-        let (cand, bounds) = match rest.len().checked_sub(nbounds)? {
-            0 => (None, rest),
-            1 => (rest.first(), &rest[1..]),
-            _ => return None,
+        let (cand, bounds) = match self.args.len() > sig.args.len() {
+            true => (rest.first(), &rest[1..]),
+            false => (None, rest),
         };
         Some(SelectArgs {
             input,
@@ -598,9 +818,7 @@ impl fmt::Display for Program {
                 }
             }
             write!(f, "{}({}", i.op.name(), i.render_args())?;
-            // the range select's inclusivity lives in the opcode; print it
-            // where the parser reads it back
-            if let OpCode::RangeSelect { lo_incl, hi_incl } = i.op {
+            if let Param::Incl(lo_incl, hi_incl) = i.op.sig().param {
                 write!(f, ", {lo_incl}, {hi_incl}")?;
             }
             writeln!(f, ");")?;

@@ -29,7 +29,6 @@ use mammoth_algebra::{
     finish_groups, Acc, AggKind, AggTail, CmpOp, GroupTable, KeyImage, Pred, Reduction, ScanTail,
     TopN,
 };
-use mammoth_compression::decompress;
 use mammoth_storage::{FixedTail, TailHeap};
 use mammoth_types::{Error, Result, Value};
 
@@ -233,7 +232,7 @@ fn i64_vector<'w>(c: Column<'w>) -> Result<&'w [i64]> {
 /// folds (`bool` has no nil and no arithmetic).
 fn folds_as_float(c: Column<'_>) -> Result<bool> {
     match c {
-        Column::Bool(_) | Column::Packed { .. } => Err(Error::Unsupported(format!(
+        Column::Bool(_) => Err(Error::Unsupported(format!(
             "aggregation over {} columns",
             c.ty().name()
         ))),
@@ -253,9 +252,7 @@ macro_rules! with_agg_slice {
             Column::I64($data) => $body,
             Column::F64($data) => $body,
             Column::Oid($data) => $body,
-            Column::Bool(_) | Column::Packed { .. } => {
-                unreachable!("only foldable columns are aggregated")
-            }
+            Column::Bool(_) => unreachable!("only foldable columns are aggregated"),
         }
     };
 }
@@ -420,7 +417,7 @@ impl Folded {
             Folded::Groups(g) => {
                 g.gids.clear();
                 let key = resolve(g.key, window, computed)?;
-                with_slice!(key, |d| g.assign(d, sel), else unreachable!("packed columns are decoded before windowing"));
+                with_slice!(key, |d| g.assign(d, sel));
                 g.counts.resize(g.table.len(), 0);
                 for &gid in &g.gids {
                     g.counts[gid as usize] += 1;
@@ -437,7 +434,7 @@ impl Folded {
             Folded::Columns(outs) => {
                 for (col, heap) in outs {
                     let c = resolve(*col, window, computed)?;
-                    with_slice!(c, |d| emit(heap, d, sel), else unreachable!("packed columns are decoded before windowing"));
+                    with_slice!(c, |d| emit(heap, d, sel));
                 }
             }
         }
@@ -501,33 +498,22 @@ fn source<'w>(c: ColRef, sources: &[Column<'w>]) -> Result<Column<'w>> {
 impl Pipeline {
     /// Execute over `columns`, `vector_size` rows at a time.
     pub fn run(&self, columns: &ColumnSet<'_>, vector_size: usize) -> Result<Output> {
-        // Packed columns decode into scratch the run owns. (A real X100
-        // decodes a block per vector; this miniature decodes each packed
-        // column once, up front, and windows the result.)
-        let decoded: Vec<Option<Vec<i64>>> = columns
-            .columns()
-            .iter()
-            .map(|c| match c {
-                Column::Packed { data, .. } => Some(decompress(data)),
-                _ => None,
-            })
-            .collect();
-        let sources: Vec<Column<'_>> = columns
-            .columns()
-            .iter()
-            .zip(&decoded)
-            .map(|(c, d)| d.as_ref().map_or(*c, |v| Column::I64(v)))
-            .collect();
-
+        let sources = columns.columns();
         if let SinkKind::Top { key, n, descending } = self.sink.kind {
-            let keys = source(key, &sources)?;
-            return with_slice!(keys, |k| self.run_top(&sources, vector_size, k, n, descending), else unreachable!("decoded above"));
+            let keys = source(key, sources)?;
+            return with_slice!(keys, |k| self.run_top(
+                sources,
+                vector_size,
+                k,
+                n,
+                descending
+            ));
         }
         // computed vectors exist a window at a time; the fold is set up
         // against their (empty) slots
         let slots = vec![Vec::new(); self.computed_slots];
-        let mut folded = Folded::new(&self.sink, &sources, &slots)?;
-        self.scan(&sources, vector_size, |_, window, computed, sel, len| {
+        let mut folded = Folded::new(&self.sink, sources, &slots)?;
+        self.scan(sources, vector_size, |_, window, computed, sel, len| {
             folded.fold(window, computed, sel, len)
         })?;
         Ok(folded.finish(&self.sink))
@@ -561,7 +547,11 @@ impl Pipeline {
             Ok(())
         })?;
         let rows = top.finish();
-        let fetch = |c: Column<'_>| with_slice!(c, |d| TailHeap::from_vec(rows.iter().map(|&(_, p)| d[p]).collect()), else unreachable!("decoded before the scan"));
+        let fetch = |c: Column<'_>| {
+            with_slice!(c, |d| TailHeap::from_vec(
+                rows.iter().map(|&(_, p)| d[p]).collect()
+            ))
+        };
         Ok(Output::Columns(outs.into_iter().map(fetch).collect()))
     }
 
@@ -586,7 +576,7 @@ impl Pipeline {
         for stage in &self.stages {
             if let Stage::Filter { col, pred } = stage {
                 let empty = resolve(*col, sources, &computed)?.window(0, 0);
-                with_slice!(empty, |d| pred.narrow(d, None, &mut sel)?, else unreachable!("decoded above"));
+                with_slice!(empty, |d| pred.narrow(d, None, &mut sel)?);
             }
         }
 
@@ -605,7 +595,7 @@ impl Pipeline {
                 match stage {
                     Stage::Filter { col, pred } => {
                         let c = resolve(*col, &window, &computed)?;
-                        with_slice!(c, |d| pred.narrow(d, s, &mut sel_next)?, else unreachable!("decoded above"));
+                        with_slice!(c, |d| pred.narrow(d, s, &mut sel_next)?);
                         std::mem::swap(&mut sel, &mut sel_next);
                         have_sel = true;
                         if sel.is_empty() {
@@ -643,7 +633,6 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mammoth_compression::{compress, Scheme};
     use mammoth_types::NativeType;
 
     struct Lineitem {
@@ -726,23 +715,6 @@ mod tests {
                 "vector size {vs}"
             );
         }
-    }
-
-    #[test]
-    fn compressed_scan_agrees_with_plain() {
-        let values: Vec<i64> = (0..5000).map(|i| i % 50).collect();
-        let (twos, zeros) = (vec![2i64; 5000], vec![0i64; 5000]);
-        let packed = compress(&values, Scheme::Rle);
-        let rest = [Column::I64(&twos), Column::I64(&zeros)];
-        let plain = ColumnSet::new([&[Column::I64(&values)], &rest[..]].concat()).unwrap();
-        let first = Column::Packed {
-            data: &packed,
-            len: values.len(),
-        };
-        let compressed = ColumnSet::new([&[first], &rest[..]].concat()).unwrap();
-        let a = q1().run(&plain, 512).unwrap();
-        let b = q1().run(&compressed, 512).unwrap();
-        assert_eq!(rows(a), rows(b));
     }
 
     #[test]

@@ -4,10 +4,8 @@
 //! and the engine borrows it: a [`Column`] is a typed slice, a
 //! [`ColumnSet`] a few of them of one length, and execution only ever sees
 //! `vector_size`-long windows (sub-slices) of them. Nothing is copied on
-//! the way in. The one exception is a [`Column::Packed`] column, whose
-//! blocks a run decodes into scratch space of its own.
+//! the way in.
 
-use mammoth_compression::Compressed;
 use mammoth_storage::{Bat, TailHeap};
 use mammoth_types::{Error, LogicalType, Oid, Result};
 
@@ -21,18 +19,12 @@ pub enum Column<'a> {
     I64(&'a [i64]),
     F64(&'a [f64]),
     Oid(&'a [Oid]),
-    /// A compressed `i64` column of `len` values.
-    Packed {
-        data: &'a Compressed,
-        len: usize,
-    },
 }
 
 /// Evaluate `$body` with `$data` bound to the typed slice of a fixed-width
-/// [`Column`], monomorphized per type; `$other` is what a column with no
-/// slice of its own (still packed) evaluates to.
+/// [`Column`], monomorphized per type.
 macro_rules! with_slice {
-    ($col:expr, |$data:ident| $body:expr, else $other:expr) => {
+    ($col:expr, |$data:ident| $body:expr) => {
         match $col {
             $crate::vector::Column::Bool($data) => $body,
             $crate::vector::Column::I8($data) => $body,
@@ -41,7 +33,6 @@ macro_rules! with_slice {
             $crate::vector::Column::I64($data) => $body,
             $crate::vector::Column::F64($data) => $body,
             $crate::vector::Column::Oid($data) => $body,
-            $crate::vector::Column::Packed { .. } => $other,
         }
     };
 }
@@ -67,10 +58,7 @@ impl<'a> Column<'a> {
     }
 
     pub fn len(&self) -> usize {
-        if let Column::Packed { len, .. } = *self {
-            return len;
-        }
-        with_slice!(*self, |v| v.len(), else unreachable!("returned above"))
+        with_slice!(*self, |v| v.len())
     }
 
     pub fn is_empty(&self) -> bool {
@@ -83,7 +71,7 @@ impl<'a> Column<'a> {
             Column::I8(_) => LogicalType::I8,
             Column::I16(_) => LogicalType::I16,
             Column::I32(_) => LogicalType::I32,
-            Column::I64(_) | Column::Packed { .. } => LogicalType::I64,
+            Column::I64(_) => LogicalType::I64,
             Column::F64(_) => LogicalType::F64,
             Column::Oid(_) => LogicalType::Oid,
         }
@@ -91,8 +79,7 @@ impl<'a> Column<'a> {
 
     /// Rows `[start, start + len)`: the vector a window exposes, or the
     /// part of a longer column a caller wants scanned. `None` when the
-    /// column does not hold those rows, or is packed (a run decodes packed
-    /// columns before it cuts its windows).
+    /// column does not hold those rows.
     pub fn slice(&self, start: usize, len: usize) -> Option<Column<'a>> {
         let rows = start..start.checked_add(len)?;
         Some(match *self {
@@ -103,12 +90,10 @@ impl<'a> Column<'a> {
             Column::I64(v) => Column::I64(v.get(rows)?),
             Column::F64(v) => Column::F64(v.get(rows)?),
             Column::Oid(v) => Column::Oid(v.get(rows)?),
-            Column::Packed { .. } => return None,
         })
     }
 
-    /// [`Column::slice`] for the driver, which decodes before it windows
-    /// and never leaves the column.
+    /// [`Column::slice`] for the driver, which never leaves the column.
     pub(crate) fn window(&self, start: usize, len: usize) -> Column<'a> {
         self.slice(start, len)
             .expect("a window lies inside its decoded column")

@@ -59,10 +59,8 @@ stray=$(grep -ohE '\b(crates|examples|scripts)/[A-Za-z0-9_.*/-]*[A-Za-z0-9_*]' R
 
 echo "==> serving gate: mammoth-server links no evidence crate"
 # What reproduces a paper claim but serves no request (DESIGN.md's "serves /
-# evidence" column) stays out of the daemons. `compression` is linked
-# through `vectorized`'s `Column::Packed` and allowed until ROADMAP's
-# "Compressed out-of-core columns" decides whether a SQL plan produces one.
-evidence='recycler|cracking|bufferpool|volcano|cache|xpath|stream|workload|core|bench'
+# evidence" column) stays out of the daemons.
+evidence='recycler|cracking|bufferpool|volcano|cache|compression|xpath|stream|workload|core|bench'
 linked=$(cargo tree --offline -p mammoth-server -e normal --prefix none \
     | grep -E "^mammoth-($evidence) " | sort -u || true)
 [ -z "$linked" ] || { echo "mammoth-server links evidence crates:"; echo "$linked"; exit 1; }

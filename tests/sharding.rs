@@ -15,7 +15,8 @@
 //!   fan-out statements fail with `SHARD_UNAVAILABLE` *within the
 //!   coordinator's deadline*: no hang, and never a silently truncated
 //!   result. Afterwards every shard's WAL obeys the durability contract
-//!   per shard: `acked <= recovered <= acked + 1`.
+//!   per shard, checked by key: every acknowledged row is recovered, none
+//!   that was never sent, and at most one sent without an acknowledgement.
 //! * **Partitioner laws** (property tests) — every row hashes to exactly
 //!   one shard, routing is a pure function of (key, shard count) and so
 //!   survives coordinator restarts, and the union of per-shard splits is
@@ -39,6 +40,7 @@ const NSHARDS: usize = 3;
 mod support;
 use support::cluster::{Cluster, Spec};
 use support::gen::Gen;
+use support::Ledger;
 
 /// Canonical form: rows rendered to strings; sorted unless `ordered`.
 fn canon(out: &QueryOutput, ordered: bool) -> String {
@@ -202,10 +204,12 @@ fn shard_kill_case(seed: u64) {
     let create = g.create(0);
     coord.execute(&g.render(&create)).unwrap();
 
-    // Acked rows per shard, tracked through the same pure partitioner the
-    // coordinator uses — stability of that map is itself under test.
-    let mut acked = [0u64; NSHARDS];
+    // The keys sent to each shard, acknowledged or not, tracked through the
+    // same pure partitioner the coordinator uses — stability of that map
+    // is itself under test. `Gen` hands out fresh keys.
+    let ledgers: [Ledger; NSHARDS] = Default::default();
     let owner = |row: &[Scalar]| shard_of(row[0].as_lit().unwrap(), NSHARDS);
+    let key = |row: &[Scalar]| row[0].as_lit().and_then(Value::as_i64).unwrap();
     let (kill_at, victim) = (5 + g.below(15), g.below(NSHARDS));
     for step in 0..kill_at {
         let stmt = g.insert(0);
@@ -215,7 +219,8 @@ fn shard_kill_case(seed: u64) {
         let out = coord.execute(&g.render(&stmt)).unwrap();
         let ctx = format!("seed {seed} step {step}: {stmt}");
         assert_eq!(out, QueryOutput::Affected(rows.len()), "{ctx}");
-        rows.iter().for_each(|r| acked[owner(r)] += 1);
+        rows.iter()
+            .for_each(|r| ledgers[owner(r)].record(key(r), true));
     }
 
     // Kill the victim (shutdown closes its listener and drains — the
@@ -243,33 +248,36 @@ fn shard_kill_case(seed: u64) {
     }
 
     // Single-row inserts keep flowing: ones owned by a live shard land
-    // and ack; ones owned by the victim fail typed. Either way at most
-    // one unacked row can exist per shard.
+    // and ack; ones owned by the victim fail typed, sent but unacked.
     for _ in 0..6 {
         let stmt = g.insert_rows(0, 1);
         let Statement::Insert { rows, .. } = &stmt else {
             unreachable!()
         };
-        let owner = owner(&rows[0]);
+        let (owner, key) = (owner(&rows[0]), key(&rows[0]));
         match coord.execute(&g.render(&stmt)) {
             Ok(QueryOutput::Affected(1)) => {
                 assert_ne!(owner, victim, "the dead shard cannot ack");
-                acked[owner] += 1;
+                ledgers[owner].record(key, true);
             }
             Err(CoordError::Unavailable(_)) => {
                 assert_eq!(owner, victim, "only the dead shard may be unavailable");
+                ledgers[owner].record(key, false);
             }
             other => panic!("single-row INSERT answered {other:?}"),
         }
     }
 
-    // Drain the survivors, then audit every shard's durable state.
-    for (i, acked) in acked.into_iter().enumerate() {
-        let recovered = cluster.audit(i).len() as u64;
-        assert!(
-            acked <= recovered && recovered <= acked + 1,
-            "shard {i}: acked {acked} recovered {recovered}"
-        );
+    // Drain the survivors, then audit every shard's durable state by key.
+    for (i, ledger) in ledgers.iter().enumerate() {
+        let keys: Vec<i64> = cluster
+            .audit(i)
+            .iter()
+            .map(|r| r[0].as_i64().unwrap())
+            .collect();
+        ledger
+            .check(&keys, 1)
+            .unwrap_or_else(|e| panic!("seed {seed} shard {i}: {e}"));
     }
 }
 
