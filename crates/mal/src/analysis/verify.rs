@@ -22,8 +22,8 @@
 //! optimizer pass is caught at the pass boundary with an exact location.
 
 use crate::program::{
-    Arg, ArgKind, BaseRows, Instr, OpCode, PipelineOut, PipelineSink, PipelineSpec, Program,
-    ResultKind, Rule, VarId,
+    Arg, ArgKind, BaseRows, Instr, OpCode, Param, PipelineOut, PipelineSink, PipelineSpec, Program,
+    ResultKind, Rule, Sig, VarId,
 };
 use mammoth_algebra::AggKind;
 use mammoth_storage::Catalog;
@@ -259,12 +259,12 @@ impl Verifier<'_> {
                 }));
             }
 
-            let sig = instr.op.sig();
+            let (sig, param) = instr.op.sig();
             let ty = match &instr.op {
                 OpCode::Pipeline(spec) => {
                     At::new(idx, instr, &state).check_pipeline(&prog.instrs, spec)?
                 }
-                _ => self.check_instr(&At::new(idx, instr, &state))?,
+                _ => self.check_instr(&At::new(idx, instr, &state), sig, param)?,
             };
             let base = BaseRows::of(idx, instr, |v| match state.get(v) {
                 Some(VarState::Defined { base, .. }) => *base,
@@ -321,8 +321,13 @@ impl Verifier<'_> {
     /// Check one instruction against its declaration: the argument count,
     /// each argument's kind, then the type rule; return the type the rule
     /// gives its results.
-    fn check_instr(&self, at: &At) -> Result<Option<LogicalType>, VerifyError> {
-        let (instr, sig) = (at.instr, at.instr.op.sig());
+    fn check_instr(
+        &self,
+        at: &At,
+        sig: &Sig,
+        param: Param,
+    ) -> Result<Option<LogicalType>, VerifyError> {
+        let instr = at.instr;
         let n = instr.args.len();
         if !sig.takes(n) {
             return Err(at.error(VerifyErrorKind::BadArgCount {
@@ -330,11 +335,37 @@ impl Verifier<'_> {
                 got: n,
             }));
         }
+        // each argument's kind, then what the type rule makes of its type
+        let (mut first, mut out, mut known) = (None, None, true);
         for k in 0..n {
-            at.arg(k, sig.arg(n, k))?;
+            let kind = sig.arg(n, k);
+            let t = at.arg(k, kind)?;
+            match sig.rule {
+                Rule::Compare if k > 0 && kind != ArgKind::Cand => at.comparable(k, first, t)?,
+                Rule::Like(j) if j == k => out = t,
+                Rule::Widen => {
+                    at.numeric(k, t)?;
+                    match (out, t) {
+                        (Some(a), Some(b)) => out = LogicalType::widen(a, b),
+                        (None, Some(b)) => out = Some(b),
+                        _ => known = false,
+                    }
+                }
+                Rule::Same => match (out, t) {
+                    (Some(a), Some(b)) if a != b => {
+                        let (a, b) = (a.name(), b.name());
+                        let detail = || format!("cannot pack a {b} fragment with {a} fragments");
+                        return Err(at.mismatch(k, detail));
+                    }
+                    (None, Some(b)) => out = Some(b),
+                    _ => {}
+                },
+                _ => {}
+            }
+            if k == 0 {
+                first = t;
+            }
         }
-        // every argument is of its kind now: its type cannot fail
-        let ty = |k| at.arg_any(k).map(|t| t.ty());
 
         Ok(match sig.rule {
             Rule::Catalog => {
@@ -359,15 +390,9 @@ impl Verifier<'_> {
                 })?;
                 Some(col.ty)
             }
-            Rule::Compare => {
-                let first = ty(0)?;
-                for k in (1..n).filter(|&k| sig.arg(n, k) != ArgKind::Cand) {
-                    at.comparable(k, first, ty(k)?)?;
-                }
-                None
-            }
-            Rule::Untyped | Rule::Pipeline => None,
-            Rule::Like(k) => ty(k)?,
+            Rule::Compare | Rule::Untyped | Rule::Pipeline => None,
+            Rule::Like(_) | Rule::Same => out,
+            Rule::Widen => out.filter(|_| known),
             Rule::Fragment => {
                 // 0 <= i < k, so a malformed mitosis rewrite is caught
                 // statically, not at run time
@@ -377,42 +402,16 @@ impl Verifier<'_> {
                 };
                 let (i, k) = (coord(1), coord(2));
                 if k < 1 || i < 0 || i >= k {
-                    return Err(at.mismatch(1, format!("fragment {i} of {k} is out of range")));
+                    return Err(at.mismatch(1, || format!("fragment {i} of {k} is out of range")));
                 }
-                ty(0)?
+                first
             }
-            Rule::Agg(kind) => {
-                let t = ty(0)?;
-                at.aggregable(0, kind, t)?;
-                agg_result_ty(kind, t)
-            }
-            Rule::Widen => {
-                let (mut out, mut known) = (None, true);
-                for k in 0..n {
-                    let t = ty(k)?;
-                    at.numeric(k, t)?;
-                    match (out, t) {
-                        (Some(a), Some(b)) => out = LogicalType::widen(a, b),
-                        (None, Some(b)) => out = Some(b),
-                        _ => known = false,
-                    }
-                }
-                out.filter(|_| known)
-            }
-            Rule::Same => {
-                let mut out: Option<LogicalType> = None;
-                for k in 0..n {
-                    match (out, ty(k)?) {
-                        (Some(a), Some(b)) if a != b => {
-                            let (a, b) = (a.name(), b.name());
-                            let detail = format!("cannot pack a {b} fragment with {a} fragments");
-                            return Err(at.mismatch(k, detail));
-                        }
-                        (None, Some(b)) => out = Some(b),
-                        _ => {}
-                    }
-                }
-                out
+            Rule::Agg => {
+                let Param::Agg(kind) = param else {
+                    unreachable!("an aggregate's parameter is its kind")
+                };
+                at.aggregable(0, kind, first)?;
+                agg_result_ty(kind, first)
             }
             Rule::Of(t) => Some(t),
         })
@@ -432,12 +431,20 @@ impl<'p> At<'p> {
         At { idx, instr, state }
     }
 
+    #[cold]
     fn error(&self, kind: VerifyErrorKind) -> VerifyError {
         error(self.idx, self.instr, kind)
     }
 
-    fn mismatch(&self, arg: usize, detail: String) -> VerifyError {
-        self.error(VerifyErrorKind::TypeMismatch { arg, detail })
+    /// A [`VerifyErrorKind::TypeMismatch`]; its detail is only formatted
+    /// for a plan that fails, which keeps the checks that pass short.
+    #[cold]
+    #[inline(never)]
+    fn mismatch(&self, arg: usize, detail: impl FnOnce() -> String) -> VerifyError {
+        self.error(VerifyErrorKind::TypeMismatch {
+            arg,
+            detail: detail(),
+        })
     }
 
     /// `vector.pipeline`: the arity its shape fixes; fixed-width column
@@ -454,7 +461,7 @@ impl<'p> At<'p> {
         spec: &PipelineSpec,
     ) -> Result<Option<LogicalType>, VerifyError> {
         let instr = self.instr;
-        let shape = |detail: &str| self.mismatch(0, detail.into());
+        let shape = |detail: &'static str| self.mismatch(0, || detail.into());
         if spec.filters.is_empty() || spec.outs.is_empty() {
             return Err(shape("a pipeline needs a filter and a result"));
         }
@@ -502,7 +509,7 @@ impl<'p> At<'p> {
         };
         for k in 0..ncols {
             if self.arg(k, ArgKind::Bat)? == Some(LogicalType::Str) {
-                return Err(self.mismatch(k, "expected a fixed-width column, found str".into()));
+                return Err(self.mismatch(k, || "expected a fixed-width column, found str".into()));
             }
             let detail = match (base_of(k), base_of(driver)) {
                 (Some(col), Some(scanned)) if col.covers(&scanned, instrs) => continue,
@@ -534,7 +541,7 @@ impl<'p> At<'p> {
         if matches!(spec.sink, PipelineSink::Top { .. }) {
             self.arg(k, ArgKind::RowCount)?;
             if matches!(&instr.args[k], Arg::Const(n) if n.as_i64().is_some_and(|n| n < 0)) {
-                return Err(self.mismatch(k, "row count must not be negative".into()));
+                return Err(self.mismatch(k, || "row count must not be negative".into()));
             }
         }
         Ok(None)
@@ -588,63 +595,58 @@ impl<'p> At<'p> {
             )
         };
         let arg = &self.instr.args[argno];
-        let detail = match (kind, arg) {
-            (ArgKind::Name, Arg::Const(Value::Str(_))) => return Ok(Some(LogicalType::Str)),
-            (ArgKind::Name, Arg::Const(c)) => format!("expected a string constant, found {c:?}"),
-            (ArgKind::Frag, Arg::Const(c)) if integer(c.logical_type()) => {
-                return Ok(c.logical_type())
+        let mismatch = |detail: &dyn Fn() -> String| Err(self.mismatch(argno, detail));
+        let misfit = |expected, found| {
+            Err(self.error(VerifyErrorKind::KindMismatch {
+                arg: argno,
+                expected,
+                found,
+            }))
+        };
+        match (kind, arg) {
+            (ArgKind::Name, Arg::Const(Value::Str(_))) => Ok(Some(LogicalType::Str)),
+            (ArgKind::Name, Arg::Const(c)) => {
+                mismatch(&|| format!("expected a string constant, found {c:?}"))
             }
-            (ArgKind::Frag, Arg::Const(c)) => {
+            (ArgKind::Frag, Arg::Const(c)) if integer(c.logical_type()) => Ok(c.logical_type()),
+            (ArgKind::Frag, Arg::Const(c)) => mismatch(&|| {
                 format!("fragment coordinate must be an integer constant, found {c:?}")
-            }
+            }),
             (ArgKind::Name | ArgKind::Frag, _) => {
-                return Err(self.error(VerifyErrorKind::ConstArgExpected { arg: argno }))
+                Err(self.error(VerifyErrorKind::ConstArgExpected { arg: argno }))
             }
             (ArgKind::Claims, Arg::Const(Value::Str(s)))
                 if crate::analysis::props::parse_claims(s).is_some() =>
             {
-                return Ok(Some(LogicalType::Str))
+                Ok(Some(LogicalType::Str))
             }
-            (ArgKind::Claims, _) => "expected a string constant of property claims \
-                                     (sorted, revsorted, key, nonil)"
-                .into(),
+            (ArgKind::Claims, _) => mismatch(&|| {
+                "expected a string constant of property claims (sorted, revsorted, key, nonil)"
+                    .into()
+            }),
             (ArgKind::Var, Arg::Const(_) | Arg::Param(_)) => {
-                return Err(self.error(VerifyErrorKind::VarArgExpected { arg: argno }))
+                Err(self.error(VerifyErrorKind::VarArgExpected { arg: argno }))
             }
             (ArgKind::Operand, Arg::Const(Value::Null)) => {
-                "batcalc operand must not be the NULL literal".into()
+                mismatch(&|| "batcalc operand must not be the NULL literal".into())
             }
-            _ => {
-                let mismatch = |expected, found| {
-                    Err(self.error(VerifyErrorKind::KindMismatch {
-                        arg: argno,
-                        expected,
-                        found,
-                    }))
-                };
-                match (kind, self.arg_any(argno)?) {
-                    (ArgKind::Bat | ArgKind::Cand, VarTy::Scalar(_)) => {
-                        return mismatch("bat", "scalar")
-                    }
-                    (ArgKind::Scalar | ArgKind::RowCount, VarTy::Bat(_)) => {
-                        return mismatch("scalar", "bat")
-                    }
-                    (ArgKind::Cand, VarTy::Bat(Some(t))) if t != LogicalType::Oid => {
-                        format!("expected a candidate (oid) bat, found {}", t.name())
-                    }
-                    (ArgKind::RowCount, VarTy::Scalar(Some(t))) if !integer(Some(t)) => {
-                        format!("expected an integer, found {}", t.name())
-                    }
-                    (ArgKind::RowCount, VarTy::Scalar(None))
-                        if matches!(arg, Arg::Const(Value::Null)) =>
-                    {
-                        "expected an integer, found NULL".into()
-                    }
-                    (_, ty) => return Ok(ty.ty()),
+            _ => match (kind, self.arg_any(argno)?) {
+                (ArgKind::Bat | ArgKind::Cand, VarTy::Scalar(_)) => misfit("bat", "scalar"),
+                (ArgKind::Scalar | ArgKind::RowCount, VarTy::Bat(_)) => misfit("scalar", "bat"),
+                (ArgKind::Cand, VarTy::Bat(Some(t))) if t != LogicalType::Oid => {
+                    mismatch(&|| format!("expected a candidate (oid) bat, found {}", t.name()))
                 }
-            }
-        };
-        Err(self.mismatch(argno, detail))
+                (ArgKind::RowCount, VarTy::Scalar(Some(t))) if !integer(Some(t)) => {
+                    mismatch(&|| format!("expected an integer, found {}", t.name()))
+                }
+                (ArgKind::RowCount, VarTy::Scalar(None))
+                    if matches!(arg, Arg::Const(Value::Null)) =>
+                {
+                    mismatch(&|| "expected an integer, found NULL".into())
+                }
+                (_, ty) => Ok(ty.ty()),
+            },
+        }
     }
 
     /// Two operand types that are compared or joined must agree: identical,
@@ -659,7 +661,7 @@ impl<'p> At<'p> {
             |t: LogicalType| t.is_numeric() || t == LogicalType::Oid || t == LogicalType::Bool;
         match (a, b) {
             (Some(a), Some(b)) if a != b && !(num_like(a) && num_like(b)) => {
-                let detail = format!("cannot compare {} with {}", a.name(), b.name());
+                let detail = || format!("cannot compare {} with {}", a.name(), b.name());
                 Err(self.mismatch(argno, detail))
             }
             _ => Ok(()),
@@ -682,7 +684,7 @@ impl<'p> At<'p> {
     fn numeric(&self, argno: usize, t: Option<LogicalType>) -> Result<(), VerifyError> {
         match t {
             Some(t) if !t.is_numeric() && t != LogicalType::Oid => {
-                let detail = format!("expected a numeric operand, found {}", t.name());
+                let detail = || format!("expected a numeric operand, found {}", t.name());
                 Err(self.mismatch(argno, detail))
             }
             _ => Ok(()),

@@ -428,15 +428,15 @@ fn resolve(name: &str, bracket: Option<&str>, args: &mut Vec<Arg>) -> Option<OpC
     };
     let op = OpCode::every()
         .find(|op| {
-            let sig = op.sig();
-            let trailing = !matches!(sig.param, Param::Incl(..)) || incl == Some(sig.param);
+            let (sig, param) = op.sig();
+            let trailing = !matches!(param, Param::Incl(..)) || incl == Some(param);
             trailing && text.starts_with(sig.name) && op.name() == text
         })
         .or_else(|| {
             let op = OpCode::Pipeline(Arc::new(pipeline_spec_from(bracket?)?));
-            (op.sig().name == name).then_some(op)
+            (op.sig().0.name == name).then_some(op)
         })?;
-    if let Param::Incl(..) = op.sig().param {
+    if let (_, Param::Incl(..)) = op.sig() {
         args.truncate(args.len() - 2);
     }
     Some(op)

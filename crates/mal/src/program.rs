@@ -296,25 +296,25 @@ impl fmt::Display for PipelineSpec {
     }
 }
 
-/// An operation's one declaration: the name it prints as and how that
-/// carries its parameter, the kinds of its arguments and results, and the
-/// rule that types its results. The printer, the parser and the verifier
-/// read it; [`OpCode::sig`] holds one per opcode.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Sig<'a> {
+/// An operation's one declaration: the name it prints as, the kinds of its
+/// arguments and results, and the rule that types its results; with the
+/// operation's [`Param`], what [`OpCode::sig`] gives for each opcode. The
+/// printer, the parser and the verifier read it.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Sig {
     /// `module.function`, or the part of it before a name suffix
     /// (`aggr.sub`, `batcalc.`).
-    pub name: &'static str,
-    pub param: Param<'a>,
-    pub args: &'static [ArgKind],
-    pub tail: Tail,
-    pub results: &'static [ResultKind],
-    pub rule: Rule,
+    pub(crate) name: &'static str,
+    pub(crate) args: &'static [ArgKind],
+    pub(crate) tail: Tail,
+    pub(crate) results: &'static [ResultKind],
+    pub(crate) rule: Rule,
 }
 
 /// An operation's parameter, and where its text form carries it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Param<'a> {
+pub(crate) enum Param<'a> {
+    /// No parameter: the name is all of it.
     None,
     /// `[op]` after the name.
     Cmp(CmpOp),
@@ -332,7 +332,7 @@ pub enum Param<'a> {
 
 /// What an argument slot takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArgKind {
+pub(crate) enum ArgKind {
     /// A BAT.
     Bat,
     /// A candidate list or grouping: a BAT of oids.
@@ -356,7 +356,7 @@ pub enum ArgKind {
 
 /// What may follow the declared arguments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tail {
+pub(crate) enum Tail {
     /// Nothing: exactly the declared arguments.
     None,
     /// A selection's optional candidate list, right after the first
@@ -368,7 +368,7 @@ pub enum Tail {
 
 /// What a result binds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResultKind {
+pub(crate) enum ResultKind {
     /// A BAT of oids: candidates, group ids, an order.
     Oids,
     /// A BAT of the type the [`Rule`] gives.
@@ -380,7 +380,7 @@ pub enum ResultKind {
 /// How argument types type the results (and which argument types the
 /// operation refuses).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Rule {
+pub(crate) enum Rule {
     /// The bound column's type, from the catalog (unknown without one).
     Catalog,
     /// Every argument after the first but a candidate list is compared
@@ -393,8 +393,9 @@ pub enum Rule {
     /// The type of the first argument; the fragment coordinates after it
     /// name one of `k` fragments.
     Fragment,
-    /// The aggregate's over the first argument, which it must accept.
-    Agg(AggKind),
+    /// The aggregate's (the [`Param::Agg`]) over the first argument, which
+    /// it must accept.
+    Agg,
     /// Numeric arguments, widened to one type when every type is known.
     Widen,
     /// The one type of every argument.
@@ -405,9 +406,10 @@ pub enum Rule {
     Pipeline,
 }
 
-impl Sig<'_> {
+impl Sig {
     /// Whether the operation takes `n` arguments.
-    pub fn takes(&self, n: usize) -> bool {
+    #[inline]
+    pub(crate) fn takes(&self, n: usize) -> bool {
         let declared = self.args.len();
         match self.tail {
             Tail::None => n == declared,
@@ -417,7 +419,8 @@ impl Sig<'_> {
     }
 
     /// The kind of argument `k` of `n` (which it [`Sig::takes`]).
-    pub fn arg(&self, n: usize, k: usize) -> ArgKind {
+    #[inline]
+    pub(crate) fn arg(&self, n: usize, k: usize) -> ArgKind {
         match self.tail {
             Tail::Cand if n > self.args.len() && k > 0 => match k {
                 1 => ArgKind::Cand,
@@ -444,52 +447,46 @@ impl fmt::Display for Param<'_> {
 }
 
 impl OpCode {
-    /// The operation's declaration.
-    pub fn sig(&self) -> Sig<'_> {
+    /// The operation's declaration, and the value of its parameter. Each
+    /// declaration is a constant: reading one costs a pointer.
+    #[rustfmt::skip]
+    #[inline]
+    pub(crate) fn sig(&self) -> (&'static Sig, Param<'_>) {
         use ArgKind::{Bat, Cand, Claims, Frag, Name, Operand, RowCount, Scalar, Var};
         use ResultKind::{Bat as B, Oids, Scalar as S};
-        #[rustfmt::skip]
-        let (name, param, args, tail, results, rule): (_, _, &[_], _, &[_], _) = match self {
-            OpCode::Bind => ("sql.bind", Param::None, &[Name, Name], Tail::None, &[B], Rule::Catalog),
-            OpCode::ThetaSelect(op) => ("algebra.thetaselect", Param::Cmp(*op), &[Bat, Scalar], Tail::Cand, &[Oids], Rule::Compare),
-            OpCode::RangeSelect { lo_incl, hi_incl } => ("algebra.select", Param::Incl(*lo_incl, *hi_incl), &[Bat, Scalar, Scalar], Tail::Cand, &[Oids], Rule::Compare),
-            OpCode::Projection => ("algebra.projection", Param::None, &[Cand, Bat], Tail::None, &[B], Rule::Like(1)),
-            OpCode::Join => ("algebra.join", Param::None, &[Bat, Bat], Tail::None, &[Oids, Oids], Rule::Compare),
-            OpCode::Group => ("group.group", Param::None, &[Bat], Tail::None, &[Oids, Oids], Rule::Untyped),
-            OpCode::GroupRefine => ("group.refine", Param::None, &[Cand, Bat], Tail::None, &[Oids, Oids], Rule::Untyped),
-            OpCode::Aggr(k) => ("aggr.", Param::Agg(*k), &[Bat], Tail::None, &[S], Rule::Agg(*k)),
-            OpCode::AggrGrouped(k) => ("aggr.sub", Param::Agg(*k), &[Bat, Cand, Cand], Tail::None, &[B], Rule::Agg(*k)),
-            OpCode::Calc(op) => ("batcalc.", Param::Arith(*op), &[Bat, Operand], Tail::None, &[B], Rule::Widen),
-            OpCode::Sort { desc } => ("algebra.sort", Param::Desc(*desc), &[Bat], Tail::None, &[B, Oids], Rule::Like(0)),
-            OpCode::FirstN { desc } => ("algebra.firstn", Param::Desc(*desc), &[Bat, RowCount], Tail::None, &[B, Oids], Rule::Like(0)),
-            OpCode::Slice => ("bat.slice", Param::None, &[Bat, RowCount, RowCount], Tail::None, &[B], Rule::Like(0)),
-            OpCode::PartSlice => ("algebra.slice", Param::None, &[Bat, Frag, Frag], Tail::None, &[B], Rule::Fragment),
-            OpCode::Pack => ("mat.pack", Param::None, &[Bat], Tail::Variadic, &[B], Rule::Same),
-            OpCode::PackSum => ("mat.packsum", Param::None, &[Scalar], Tail::Variadic, &[S], Rule::Widen),
-            OpCode::Count => ("aggr.count", Param::None, &[Bat], Tail::None, &[S], Rule::Of(LogicalType::I64)),
-            OpCode::Mirror => ("bat.mirror", Param::None, &[Bat], Tail::None, &[Oids], Rule::Untyped),
-            OpCode::SetProps => ("bat.setprops", Param::None, &[Bat, Claims], Tail::None, &[B], Rule::Like(0)),
-            OpCode::Result => ("io.result", Param::None, &[Var], Tail::Variadic, &[], Rule::Untyped),
-            OpCode::Free => ("language.pass", Param::None, &[Var], Tail::None, &[], Rule::Untyped),
+        match self {
+            OpCode::Bind => (&Sig { name: "sql.bind", args: &[Name, Name], tail: Tail::None, results: &[B], rule: Rule::Catalog }, Param::None),
+            OpCode::ThetaSelect(op) => (&Sig { name: "algebra.thetaselect", args: &[Bat, Scalar], tail: Tail::Cand, results: &[Oids], rule: Rule::Compare }, Param::Cmp(*op)),
+            OpCode::RangeSelect { lo_incl, hi_incl } => (&Sig { name: "algebra.select", args: &[Bat, Scalar, Scalar], tail: Tail::Cand, results: &[Oids], rule: Rule::Compare }, Param::Incl(*lo_incl, *hi_incl)),
+            OpCode::Projection => (&Sig { name: "algebra.projection", args: &[Cand, Bat], tail: Tail::None, results: &[B], rule: Rule::Like(1) }, Param::None),
+            OpCode::Join => (&Sig { name: "algebra.join", args: &[Bat, Bat], tail: Tail::None, results: &[Oids, Oids], rule: Rule::Compare }, Param::None),
+            OpCode::Group => (&Sig { name: "group.group", args: &[Bat], tail: Tail::None, results: &[Oids, Oids], rule: Rule::Untyped }, Param::None),
+            OpCode::GroupRefine => (&Sig { name: "group.refine", args: &[Cand, Bat], tail: Tail::None, results: &[Oids, Oids], rule: Rule::Untyped }, Param::None),
+            OpCode::Aggr(k) => (&Sig { name: "aggr.", args: &[Bat], tail: Tail::None, results: &[S], rule: Rule::Agg }, Param::Agg(*k)),
+            OpCode::AggrGrouped(k) => (&Sig { name: "aggr.sub", args: &[Bat, Cand, Cand], tail: Tail::None, results: &[B], rule: Rule::Agg }, Param::Agg(*k)),
+            OpCode::Calc(op) => (&Sig { name: "batcalc.", args: &[Bat, Operand], tail: Tail::None, results: &[B], rule: Rule::Widen }, Param::Arith(*op)),
+            OpCode::Sort { desc } => (&Sig { name: "algebra.sort", args: &[Bat], tail: Tail::None, results: &[B, Oids], rule: Rule::Like(0) }, Param::Desc(*desc)),
+            OpCode::FirstN { desc } => (&Sig { name: "algebra.firstn", args: &[Bat, RowCount], tail: Tail::None, results: &[B, Oids], rule: Rule::Like(0) }, Param::Desc(*desc)),
+            OpCode::Slice => (&Sig { name: "bat.slice", args: &[Bat, RowCount, RowCount], tail: Tail::None, results: &[B], rule: Rule::Like(0) }, Param::None),
+            OpCode::PartSlice => (&Sig { name: "algebra.slice", args: &[Bat, Frag, Frag], tail: Tail::None, results: &[B], rule: Rule::Fragment }, Param::None),
+            OpCode::Pack => (&Sig { name: "mat.pack", args: &[Bat], tail: Tail::Variadic, results: &[B], rule: Rule::Same }, Param::None),
+            OpCode::PackSum => (&Sig { name: "mat.packsum", args: &[Scalar], tail: Tail::Variadic, results: &[S], rule: Rule::Widen }, Param::None),
+            OpCode::Count => (&Sig { name: "aggr.count", args: &[Bat], tail: Tail::None, results: &[S], rule: Rule::Of(LogicalType::I64) }, Param::None),
+            OpCode::Mirror => (&Sig { name: "bat.mirror", args: &[Bat], tail: Tail::None, results: &[Oids], rule: Rule::Untyped }, Param::None),
+            OpCode::SetProps => (&Sig { name: "bat.setprops", args: &[Bat, Claims], tail: Tail::None, results: &[B], rule: Rule::Like(0) }, Param::None),
+            OpCode::Result => (&Sig { name: "io.result", args: &[Var], tail: Tail::Variadic, results: &[], rule: Rule::Untyped }, Param::None),
+            OpCode::Free => (&Sig { name: "language.pass", args: &[Var], tail: Tail::None, results: &[], rule: Rule::Untyped }, Param::None),
             // arguments and results as the spec says: checked by its own rule
-            OpCode::Pipeline(spec) => ("vector.pipeline", Param::Spec(spec), &[], Tail::None, &[], Rule::Pipeline),
-        };
-        Sig {
-            name,
-            param,
-            args,
-            tail,
-            results,
-            rule,
+            OpCode::Pipeline(spec) => (&Sig { name: "vector.pipeline", args: &[], tail: Tail::None, results: &[], rule: Rule::Pipeline }, Param::Spec(spec)),
         }
     }
 
     /// Every operation the printer names: each opcode with each value of
     /// its parameter, and a pipeline of each sink form. The parser
     /// resolves a printed name among them.
-    pub fn every() -> impl Iterator<Item = OpCode> {
+    pub(crate) fn every() -> impl Iterator<Item = OpCode> {
         use PipelineOut::{Agg, Col, Count, Key};
-        let pipeline = |sink, outs: &[PipelineOut]| {
+        let pipeline = |(sink, outs): (PipelineSink, &[PipelineOut])| {
             let range = FilterTest::Range {
                 lo_incl: true,
                 hi_incl: false,
@@ -502,6 +499,13 @@ impl OpCode {
             }))
         };
         let top = |desc| PipelineSink::Top { key: 1, desc };
+        let sinks: [(_, &[_]); 5] = [
+            (PipelineSink::Rows, &[Count, Agg(AggKind::Sum, 1)]),
+            (PipelineSink::Rows, &[Col(1)]),
+            (PipelineSink::Group(1), &[Key, Count]),
+            (top(false), &[Col(0)]),
+            (top(true), &[Col(0)]),
+        ];
         let bools = [false, true];
         let plain = [
             OpCode::Bind,
@@ -533,27 +537,22 @@ impl OpCode {
                     .into_iter()
                     .flat_map(|desc| [OpCode::Sort { desc }, OpCode::FirstN { desc }]),
             )
-            .chain([
-                pipeline(PipelineSink::Rows, &[Count, Agg(AggKind::Sum, 1)]),
-                pipeline(PipelineSink::Rows, &[Col(1)]),
-                pipeline(PipelineSink::Group(1), &[Key, Count]),
-                pipeline(top(false), &[Col(0)]),
-                pipeline(top(true), &[Col(0)]),
-            ])
+            // built only when iterated to: the parser rarely gets this far
+            .chain(sinks.into_iter().map(pipeline))
     }
 
     /// Number of results the instruction binds.
     pub fn result_arity(&self) -> usize {
         match self {
             OpCode::Pipeline(spec) => spec.outs.len(),
-            op => op.sig().results.len(),
+            op => op.sig().0.results.len(),
         }
     }
 
     /// The MonetDB-style `module.function` name.
     pub fn name(&self) -> String {
-        let sig = self.sig();
-        format!("{}{}", sig.name, sig.param)
+        let (sig, param) = self.sig();
+        format!("{}{param}", sig.name)
     }
 
     /// Instructions without side effects whose unused results may be
@@ -623,7 +622,7 @@ impl Instr {
     /// the optional candidate list told apart by arity; `None` for any
     /// other opcode or a malformed argument count.
     pub fn select_args(&self) -> Option<SelectArgs<'_>> {
-        let sig = self.op.sig();
+        let (sig, _) = self.op.sig();
         if sig.tail != Tail::Cand || !sig.takes(self.args.len()) {
             return None;
         }
@@ -818,7 +817,7 @@ impl fmt::Display for Program {
                 }
             }
             write!(f, "{}({}", i.op.name(), i.render_args())?;
-            if let Param::Incl(lo_incl, hi_incl) = i.op.sig().param {
+            if let (_, Param::Incl(lo_incl, hi_incl)) = i.op.sig() {
                 write!(f, ", {lo_incl}, {hi_incl}")?;
             }
             writeln!(f, ");")?;
