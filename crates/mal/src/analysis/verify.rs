@@ -7,9 +7,10 @@
 //! * **SSA discipline** — every variable is defined exactly once, before
 //!   any use, and never used after `language.pass` ends its life;
 //! * **arity** — each opcode receives exactly the argument count and binds
-//!   exactly the result count it declares;
-//! * **kind** — BAT-valued and scalar-valued argument slots get the right
-//!   kind of operand;
+//!   exactly the result count its declaration (`OpCode::sig`) states;
+//! * **kind** — each argument slot gets the kind of operand the declaration
+//!   names (BAT or scalar, and a candidate list, row count or literal where
+//!   it says so);
 //! * **types** — column types are inferred through selections, joins,
 //!   groupings, `batcalc` arithmetic and aggregation, and checked at every
 //!   consumer (with a [`Catalog`], `sql.bind` seeds exact column types;
