@@ -300,7 +300,7 @@ impl fmt::Display for PipelineSpec {
 /// arguments and results, and the rule that types its results; with the
 /// operation's [`Param`], what [`OpCode::sig`] gives for each opcode. The
 /// printer, the parser and the verifier read it.
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 pub(crate) struct Sig {
     /// `module.function`, or the part of it before a name suffix
     /// (`aggr.sub`, `batcalc.`).
