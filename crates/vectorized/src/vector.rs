@@ -96,7 +96,7 @@ impl<'a> Column<'a> {
     /// [`Column::slice`] for the driver, which never leaves the column.
     pub(crate) fn window(&self, start: usize, len: usize) -> Column<'a> {
         self.slice(start, len)
-            .expect("a window lies inside its decoded column")
+            .expect("a window lies inside its column")
     }
 }
 
