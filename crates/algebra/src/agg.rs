@@ -174,11 +174,13 @@ fn accumulate(values: &Bat, gid: &[Oid], ngroups: usize) -> Result<(Vec<Acc>, bo
             }
             false
         }
-        other => {
-            return Err(Error::Unsupported(format!(
-                "aggregation over {} columns",
-                other.ty().name()
-            )))
+        TailHeap::Bool(_) => {
+            // a BOOLEAN tail has no nil: only COUNT is meaningful, and it
+            // counts every cell
+            for &g in gid {
+                accs[g as usize].count += 1;
+            }
+            false
         }
     };
     Ok((accs, float))

@@ -8,28 +8,20 @@
 //! cargo run -p mammoth-bench --release --bin exp -- --json e22 > BENCH_E22.json
 //! ```
 //!
-//! Every experiment prints the table recorded in EXPERIMENTS.md. With
-//! `--json`, the human-readable tables go to stderr and stdout carries one
-//! JSON document: per experiment the id, wall clock, and the data points
-//! it recorded (name, params, wall-clock, simulated cache misses).
+//! Every experiment prints the table recorded in EXPERIMENTS.md and, under
+//! each claim it checks, the verdict its predicate computed. With
+//! `--json`, the human-readable report goes to stderr and stdout carries
+//! one JSON document: per experiment the id, wall clock, and the data
+//! points it recorded (name, params, wall-clock, simulated cache misses).
 
-use mammoth_bench::{all_experiments, json_escape, take_metrics, Scale};
+use mammoth_bench::{all_experiments, json_escape, Scale};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = Scale::Full;
-    let mut json = false;
-    args.retain(|a| match a.as_str() {
-        "--quick" => {
-            scale = Scale::Quick;
-            false
-        }
-        "--json" => {
-            json = true;
-            false
-        }
-        _ => true,
-    });
+    let flag = |name: &str| args.iter().any(|a| a == name);
+    let (quick, json) = (flag("--quick"), flag("--json"));
+    let scale = if quick { Scale::Quick } else { Scale::Full };
+    args.retain(|a| a != "--quick" && a != "--json");
     let experiments = all_experiments();
 
     if args.is_empty() || args[0] == "list" {
@@ -57,7 +49,8 @@ fn main() {
                 let elapsed = t0.elapsed();
                 if json {
                     eprintln!("{report}");
-                    let metrics: Vec<String> = take_metrics().iter().map(|m| m.to_json()).collect();
+                    let metrics: Vec<String> =
+                        report.metrics.iter().map(|m| m.to_json(id)).collect();
                     json_blocks.push(format!(
                         "    {{\"id\": \"{}\", \"description\": \"{}\", \
                          \"wall_clock_s\": {:.3}, \"metrics\": [\n      {}\n    ]}}",
@@ -68,18 +61,14 @@ fn main() {
                     ));
                 } else {
                     println!("{}", "=".repeat(78));
-                    println!("{report}");
+                    println!("{report}\n");
                     println!("[{id} took {elapsed:.1?}]\n");
-                    take_metrics(); // drop; only --json consumes them
                 }
             }
         }
     }
     if json {
-        let scale_name = match scale {
-            Scale::Quick => "quick",
-            Scale::Full => "full",
-        };
+        let scale_name = if quick { "quick" } else { "full" };
         println!(
             "{{\n  \"scale\": \"{scale_name}\",\n  \"experiments\": [\n{}\n  ]\n}}",
             json_blocks.join(",\n")

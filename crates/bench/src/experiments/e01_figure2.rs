@@ -5,28 +5,32 @@
 //! cluster layout the way the figure draws it.
 
 use crate::table::TextTable;
-use crate::Scale;
+use crate::{Report, Scale};
 use mammoth_algebra::{partitioned_hash_join, radix_cluster};
 use mammoth_storage::Bat;
 use mammoth_types::Oid;
 
+const FIGURE: &str = "two passes cluster L and R on their lowest 3 bits, and the cluster-wise join finds the figure's five black tuples";
+
 const L: [i64; 12] = [57, 17, 3, 47, 92, 81, 20, 6, 96, 75, 3, 66];
 const R: [i64; 8] = [17, 35, 32, 47, 20, 96, 10, 66];
+/// The figure's black tuples, as (L oid, R oid): values 17, 47, 20, 96, 66.
+const BLACK: [(Oid, Oid); 5] = [(1, 0), (3, 3), (6, 4), (8, 5), (11, 7)];
 
-pub fn run(_scale: Scale) -> String {
+pub fn run(_scale: Scale) -> Report {
     let mut out = String::new();
-    out.push_str("E01  Figure 2: partitioned hash-join with 2-pass radix-cluster (H=8, B=3)\n");
-    out.push_str(
-        "paper: values cluster on their lowest 3 bits; matching clusters are hash-joined\n\n",
-    );
+    out.push_str("E01  Figure 2: partitioned hash-join with 2-pass radix-cluster (H=8, B=3)\n\n");
 
+    let mut clusters_match = true;
     for (name, rel) in [("L", &L[..]), ("R", &R[..])] {
         let keys: Vec<u64> = rel.iter().map(|&x| x as u64).collect();
         let oids: Vec<Oid> = (0..rel.len() as u64).collect();
         let cc = radix_cluster(&keys, &oids, &[2, 1]);
+        clusters_match &= cc.cluster_count() == 8 && cc.keys.len() == rel.len();
         let mut t = TextTable::new(vec!["cluster (bits)", format!("{name} values").as_str()]);
         for c in 0..cc.cluster_count() {
             let (vals, _) = cc.cluster(c);
+            clusters_match &= vals.iter().all(|&v| v & 7 == c as u64);
             let rendered: Vec<String> = vals.iter().map(|v| format!("{v:02}")).collect();
             t.row(vec![
                 format!("{c:03b}"),
@@ -44,29 +48,15 @@ pub fn run(_scale: Scale) -> String {
     let ji = partitioned_hash_join(&Bat::from_vec(L.to_vec()), &Bat::from_vec(R.to_vec()), 3, 2)
         .unwrap()
         .sorted();
+    let matches: Vec<(Oid, Oid)> = ji.left.iter().copied().zip(ji.right).collect();
     let mut t = TextTable::new(vec!["L oid", "R oid", "value (the figure's black tuples)"]);
-    for (l, r) in ji.left.iter().zip(&ji.right) {
+    for &(l, r) in &matches {
         t.row(vec![
             l.to_string(),
             r.to_string(),
-            L[*l as usize].to_string(),
+            L[l as usize].to_string(),
         ]);
     }
     out.push_str(&t.render());
-    out.push_str("\nverdict: clusters and matches reproduce Figure 2 exactly.\n");
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn figure_values_match() {
-        let report = run(Scale::Quick);
-        for v in [17, 20, 47, 66, 96] {
-            assert!(report.contains(&v.to_string()));
-        }
-        assert!(report.contains("verdict"));
-    }
+    Report::new(out).exact("§4.2 Figure 2", FIGURE, clusters_match && matches == BLACK)
 }

@@ -8,11 +8,13 @@
 //! {no partitioning vs radix partitioning}, all running the same join.
 
 use crate::table::TextTable;
-use crate::{ns_per, timed, Scale};
+use crate::{ns_per, timed, Report, Scale};
 use mammoth_algebra::{even_passes, radix_cluster};
 use mammoth_index::{HashTable, KeyHasher, MaskHasher, ModuloHasher};
 use mammoth_types::Oid;
 use mammoth_workload::permutation;
+
+const COMPOUND: &str = "memory and CPU optimizations boost each other: combined, they gain more than the sum of their gains alone";
 
 /// A join over raw u64 keys, parametrized by hasher and partitioning.
 fn join_with<H: KeyHasher>(hasher: H, lk: &[u64], rk: &[u64], bits: u32) -> usize {
@@ -40,7 +42,7 @@ fn join_with<H: KeyHasher>(hasher: H, lk: &[u64], rk: &[u64], bits: u32) -> usiz
     matches
 }
 
-pub fn run(scale: Scale) -> String {
+pub fn run(scale: Scale) -> Report {
     let n = scale.pick(1 << 17, 1 << 23);
     let lk: Vec<u64> = permutation(n, 3).into_iter().map(|x| x as u64).collect();
     let rk: Vec<u64> = permutation(n, 4).into_iter().map(|x| x as u64).collect();
@@ -48,9 +50,8 @@ pub fn run(scale: Scale) -> String {
 
     let mut out = String::new();
     out.push_str(&format!(
-        "E04  CPU x memory ablation over a {n}-tuple join (2x2 design)\n"
+        "E04  CPU x memory ablation over a {n}-tuple join (2x2 design)\n\n"
     ));
-    out.push_str("paper claim: combined improvement > sum of individual improvements\n\n");
 
     // best of 3 interleaved repetitions per variant (VM timing noise)
     let mut best = [f64::MAX; 4];
@@ -76,7 +77,7 @@ pub fn run(scale: Scale) -> String {
         "modulo (idiv)".into(),
         "no".into(),
         format!("{:.1} ns/t", ns_per(t_base, n)),
-        "1.00x".to_string(),
+        "-".to_string(),
     ]);
     t.row(vec![
         "CPU only".into(),
@@ -111,12 +112,7 @@ pub fn run(scale: Scale) -> String {
         (gain_cpu + gain_mem) * 1e3,
         gain_both * 1e3
     ));
-    out.push_str(if gain_both > gain_cpu + gain_mem {
-        "verdict: super-additive — the optimizations boost each other, as claimed.\n"
-    } else {
-        "verdict: combined gain did not exceed the sum on this machine/scale (shape still: both > each alone).\n"
-    });
-    out
+    Report::new(out).wall_clock("§4.2 [25]", COMPOUND)
 }
 
 #[cfg(test)]

@@ -6,17 +6,21 @@
 //! model *chooses* the number of radix bits and its choice is compared to
 //! the simulated optimum — the "automate this tuning task" pay-off.
 
+use crate::experiments::e03_partitioned_join::simulated_join_cycles;
 use crate::table::TextTable;
-use crate::{record_metric, Metric, Scale};
+use crate::{timed, Report, Scale};
 use mammoth_cache::cost::predict_cost;
 use mammoth_cache::pattern::{Pattern, Region};
-use mammoth_cache::trace::{
-    hash_join_pattern, hash_join_trace, pick_radix_bits, predicted_partitioned_join_cycles,
-};
+use mammoth_cache::trace::{pick_radix_bits, predicted_partitioned_join_cycles};
 use mammoth_cache::{HierarchySim, MemoryHierarchy};
 
-pub fn run(scale: Scale) -> String {
+const BASIC_PATTERNS: &str =
+    "the cost model predicts each basic access pattern's simulated cost within 20 %";
+const PICKS_BITS: &str = "the cost model picks the radix bits the simulator finds cheapest for the partitioned hash-join";
+
+pub fn run(scale: Scale) -> Report {
     let h = MemoryHierarchy::generic_modern();
+    let mut r = Report::default();
     let mut out = String::new();
     out.push_str("E06  Cost model validation: predicted vs simulated memory cost (cycles)\n");
     out.push_str("hierarchy: L1 32K / L2 1M / LLC 8M, TLB 64x4K (generic_modern)\n\n");
@@ -24,6 +28,7 @@ pub fn run(scale: Scale) -> String {
     // basic patterns across sizes around the cache boundaries
     let items = scale.pick(1 << 14, 1 << 17);
     let mut t = TextTable::new(vec!["pattern", "bytes", "predicted", "simulated", "error"]);
+    let mut worst_error = 0f64;
     for (name, pat) in [
         (
             "s_trav 128K",
@@ -64,16 +69,17 @@ pub fn run(scale: Scale) -> String {
     ] {
         let predicted = predict_cost(&pat, &h).total_cycles;
         let mut sim = HierarchySim::new(&h);
-        let (_, sim_secs) = crate::timed(|| sim.run(pat.trace()));
+        let (_, sim_secs) = timed(|| sim.run(pat.trace()));
         let measured = sim.cost() as f64;
         let misses: u64 = sim.report().levels.iter().map(|l| l.total()).sum();
-        record_metric(Metric {
-            experiment: "e06",
-            name: format!("pattern/{name}"),
-            params: vec![("predicted_cycles".into(), format!("{predicted:.0}"))],
-            wall_secs: sim_secs,
-            simulated_misses: Some(misses),
-        });
+        r.metric(
+            format!("pattern/{name}"),
+            &[("predicted_cycles", &format!("{predicted:.0}"))],
+            sim_secs,
+        )
+        .simulated_misses = Some(misses);
+        let error = (predicted - measured) / measured;
+        worst_error = worst_error.max(error.abs());
         let bytes = match &pat {
             Pattern::STrav { region } | Pattern::RTrav { region, .. } => region.bytes(),
             Pattern::RRAcc { region, .. } => region.bytes(),
@@ -84,7 +90,7 @@ pub fn run(scale: Scale) -> String {
             bytes.to_string(),
             format!("{predicted:.0}"),
             format!("{measured:.0}"),
-            format!("{:+.1}%", (predicted - measured) / measured * 100.0),
+            format!("{:+.1}%", error * 100.0),
         ]);
     }
     out.push_str(&t.render());
@@ -99,20 +105,8 @@ pub fn run(scale: Scale) -> String {
     let mut best_model = (f64::MAX, 0u32);
     for bits in [0u32, 2, 4, 6, 8, 10] {
         let predicted = predicted_partitioned_join_cycles(&h, n, n, 8, bits);
-        let join_only = predict_cost(&hash_join_pattern(n, n, 8, bits), &h).total_cycles;
-        let _ = join_only;
-        let mut sim = HierarchySim::new(&h);
-        sim.run(hash_join_trace(n, n, 8, bits, 3));
-        // add the clustering cost to the simulated side too
-        let passes = mammoth_cache::trace::cluster_passes(
-            bits,
-            mammoth_cache::trace::max_safe_bits_per_pass(&h),
-        );
-        let mut sim2 = HierarchySim::new(&h);
-        sim2.run(mammoth_cache::trace::radix_cluster_trace(n, 8, &passes, 5));
-        let mut sim3 = HierarchySim::new(&h);
-        sim3.run(mammoth_cache::trace::radix_cluster_trace(n, 8, &passes, 6));
-        let measured = sim.cost() + sim2.cost() + sim3.cost();
+        // the clustering of both sides is simulated too
+        let measured = simulated_join_cycles(&h, n, bits);
         if measured < best_sim.0 {
             best_sim = (measured, bits);
         }
@@ -135,20 +129,7 @@ pub fn run(scale: Scale) -> String {
         "\nmodel-picked bits: {picked} (model optimum {}, simulated optimum {})\n",
         best_model.1, best_sim.1
     ));
-    out.push_str("verdict: predictions track the simulator within tens of percent and, more\n");
-    out.push_str("         importantly, rank the configurations correctly — which is what\n");
-    out.push_str("         automated tuning needs.\n");
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn report_contains_patterns() {
-        let r = run(Scale::Quick);
-        assert!(r.contains("s_trav"));
-        assert!(r.contains("model-picked bits"));
-    }
+    r.text = out;
+    r.simulated("§4.4", BASIC_PATTERNS, worst_error <= 0.2)
+        .simulated("§4.4", PICKS_BITS, picked == best_sim.1)
 }

@@ -7,11 +7,13 @@
 //! intermediates no longer fit the cache.
 
 use crate::table::TextTable;
-use crate::{ns_per, timed, Scale};
+use crate::{fmt_secs, ns_per, timed, Report, Scale};
 use mammoth_vectorized::{
     AggKind, CmpOp, ColRef, Column, ColumnSet, MapOp, Operand, Out, Output, Pipeline, Sink, Stage,
 };
 use mammoth_workload::LineitemSlice;
+
+const SWEET_SPOT: &str = "vectors of 100-1000 values run about 100x faster than a vector size of 1, and full-column vectors lose part of that";
 
 /// `SELECT count(*), sum(qty*price) WHERE shipdate <= 10500 AND qty < 25`
 /// over [`columns`].
@@ -50,7 +52,7 @@ pub fn columns(li: &LineitemSlice) -> ColumnSet<'_> {
     .expect("one slice, one length")
 }
 
-pub fn run(scale: Scale) -> String {
+pub fn run(scale: Scale) -> Report {
     let n = scale.pick(1 << 18, 1 << 22);
     let li = lineitem(n);
     let cols = columns(&li);
@@ -58,14 +60,16 @@ pub fn run(scale: Scale) -> String {
 
     let mut out = String::new();
     out.push_str(&format!(
-        "E07  Vector-size sweep: Q1-like scan+filter+aggregate over {n} rows\n"
+        "E07  Vector-size sweep: Q1-like scan+filter+aggregate over {n} rows\n\n"
     ));
-    out.push_str("paper claim: size 1 ~ tuple-at-a-time RDBMS; 100-1000 ~ 100x better;\n");
-    out.push_str("             full-column materialization worse than cache-resident vectors\n\n");
 
-    let sizes: Vec<usize> = vec![
-        1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16_384, 262_144, n,
-    ];
+    // the sizes below the column's length, then the full column once
+    let sizes = [
+        1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16_384, 262_144,
+    ]
+    .into_iter()
+    .filter(|&vs| vs < n)
+    .chain([n]);
     let mut t = TextTable::new(vec!["vector size", "time", "ns/tuple", "speedup vs 1"]);
     let mut t1 = None;
     let mut best = (f64::MAX, 0usize);
@@ -79,9 +83,6 @@ pub fn run(scale: Scale) -> String {
             None => reference = Some(r),
             Some(prev) => assert_eq!(prev, &r),
         }
-        if t1.is_none() {
-            t1 = Some(secs);
-        }
         if secs < best.0 {
             best = (secs, vs);
         }
@@ -91,27 +92,21 @@ pub fn run(scale: Scale) -> String {
             } else {
                 vs.to_string()
             },
-            crate::fmt_secs(secs),
+            fmt_secs(secs),
             format!("{:.2}", ns_per(secs, n)),
-            format!("{:.1}x", t1.unwrap() / secs),
+            match t1 {
+                None => "-".to_string(),
+                Some(t1) => format!("{:.1}x", t1 / secs),
+            },
         ]);
+        t1.get_or_insert(secs);
     }
+    let t1 = t1.expect("the sweep starts at size 1");
     out.push_str(&t.render());
     out.push_str(&format!(
         "\noptimum at vector size {} ({:.1}x over tuple-at-a-time)\n",
         best.1,
-        t1.unwrap() / best.0
+        t1 / best.0
     ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sweep_runs() {
-        let r = run(Scale::Quick);
-        assert!(r.contains("optimum at vector size"));
-    }
+    Report::new(out).wall_clock("§5", SWEET_SPOT)
 }

@@ -10,7 +10,7 @@
 
 use crate::experiments::e07_vector_size;
 use crate::table::TextTable;
-use crate::{ns_per, timed, Scale};
+use crate::{fmt_secs, ns_per, timed, Report, Scale};
 use mammoth_core::Database;
 use mammoth_storage::{Bat, Table};
 use mammoth_types::{ColumnDef, LogicalType, TableSchema, Value};
@@ -19,7 +19,10 @@ use mammoth_volcano::iter::{collect_all, AggFn};
 use mammoth_volcano::{Expr, FilterOp, HashAggOp, NsmTable, ProjectOp, SeqScanOp};
 use mammoth_workload::LineitemSlice;
 
-pub fn run(scale: Scale) -> String {
+const PARADIGMS: &str =
+    "column-at-a-time and vectorized execution leave the tuple-at-a-time interpreter far behind";
+
+pub fn run(scale: Scale) -> Report {
     let n = scale.pick(1 << 16, 1 << 21);
     let li = LineitemSlice::generate(n, 42);
 
@@ -29,21 +32,18 @@ pub fn run(scale: Scale) -> String {
     ));
     out.push_str("     count(*), sum(qty*price) WHERE shipdate <= 10500 AND qty < 25\n\n");
 
+    let columns = [&li.quantity, &li.extendedprice, &li.shipdate];
+    let schema = TableSchema::new(
+        "li",
+        ["qty", "price", "shipdate"]
+            .map(|c| ColumnDef::new(c, LogicalType::I64))
+            .to_vec(),
+    );
+
     // --- tuple-at-a-time (volcano) ---
     let nsm = NsmTable::from_columns(
-        TableSchema::new(
-            "li",
-            vec![
-                ColumnDef::new("qty", LogicalType::I64),
-                ColumnDef::new("price", LogicalType::I64),
-                ColumnDef::new("shipdate", LogicalType::I64),
-            ],
-        ),
-        &[
-            li.quantity.iter().map(|&x| Value::I64(x)).collect(),
-            li.extendedprice.iter().map(|&x| Value::I64(x)).collect(),
-            li.shipdate.iter().map(|&x| Value::I64(x)).collect(),
-        ],
+        schema.clone(),
+        &columns.map(|c| c.iter().map(|&x| Value::I64(x)).collect()),
     )
     .unwrap();
     let (volcano_rows, t_volcano) = timed(|| {
@@ -68,22 +68,7 @@ pub fn run(scale: Scale) -> String {
     let mut db = Database::new();
     db.catalog_mut()
         .create_table(
-            Table::from_bats(
-                TableSchema::new(
-                    "li",
-                    vec![
-                        ColumnDef::new("qty", LogicalType::I64),
-                        ColumnDef::new("price", LogicalType::I64),
-                        ColumnDef::new("shipdate", LogicalType::I64),
-                    ],
-                ),
-                vec![
-                    Bat::from_vec(li.quantity.clone()),
-                    Bat::from_vec(li.extendedprice.clone()),
-                    Bat::from_vec(li.shipdate.clone()),
-                ],
-            )
-            .unwrap(),
+            Table::from_bats(schema, columns.map(|c| Bat::from_vec(c.clone())).to_vec()).unwrap(),
         )
         .unwrap();
     let mal = r#"
@@ -115,33 +100,24 @@ pub fn run(scale: Scale) -> String {
     assert_eq!(sum_v, sum_b);
 
     let mut t = TextTable::new(vec!["engine", "time", "ns/tuple", "vs volcano"]);
+    t.row(vec![
+        "volcano tuple-at-a-time (NSM, interpreter)".to_string(),
+        fmt_secs(t_volcano),
+        format!("{:.1}", ns_per(t_volcano, n)),
+        "-".to_string(),
+    ]);
     for (name, secs) in [
-        ("volcano tuple-at-a-time (NSM, interpreter)", t_volcano),
         ("vectorized, vector size 1 (degenerate)", t_vec1),
         ("BAT algebra column-at-a-time (MAL)", t_bat),
         ("vectorized, vector size 1024 (X100)", t_vec1024),
     ] {
         t.row(vec![
             name.to_string(),
-            crate::fmt_secs(secs),
+            fmt_secs(secs),
             format!("{:.1}", ns_per(secs, n)),
             format!("{:.1}x", t_volcano / secs),
         ]);
     }
     out.push_str(&t.render());
-    out.push_str("\nverdict: both column engines leave the per-tuple interpreter far behind;\n");
-    out.push_str("         vectorized ~ BAT-algebra speed without full materialization.\n");
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn engines_agree_in_report() {
-        let r = run(Scale::Quick);
-        assert!(r.contains("volcano"));
-        assert!(r.contains("verdict"));
-    }
+    Report::new(out).wall_clock("§3 [6]", PARADIGMS)
 }

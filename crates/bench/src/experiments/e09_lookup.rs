@@ -6,7 +6,7 @@
 //! related-work CSS-tree (Rao & Ross) and plain binary search.
 
 use crate::table::TextTable;
-use crate::{ns_per, timed, Scale};
+use crate::{ns_per, timed, Report, Scale};
 use mammoth_index::{BPlusTree, CssTree};
 use mammoth_storage::Bat;
 use mammoth_types::{ColumnDef, LogicalType, TableSchema, Value};
@@ -14,7 +14,19 @@ use mammoth_volcano::NsmTable;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-pub fn run(scale: Scale) -> String {
+const POSITIONAL: &str = "void-head positional lookup is O(1) and compares favorably to B-tree lookup into slotted pages";
+
+/// Time one access path over every `(position, key)` lookup, summing the
+/// values it finds.
+fn time_path(lookups: &[(u64, i64)], value_at: impl Fn(u64, i64) -> i64) -> (i64, f64) {
+    timed(|| {
+        lookups.iter().fold(0i64, |acc, &(pos, key)| {
+            acc.wrapping_add(value_at(pos, key))
+        })
+    })
+}
+
+pub fn run(scale: Scale) -> Report {
     let n = scale.pick(1 << 16, 1 << 21);
     let probes = scale.pick(1 << 14, 1 << 20);
     // a sorted key column: key = 2*i, so misses are exercised too
@@ -30,42 +42,18 @@ pub fn run(scale: Scale) -> String {
 
     let mut out = String::new();
     out.push_str(&format!(
-        "E09  {probes} random lookups into a {n}-row column\n"
+        "E09  {probes} random lookups into a {n}-row column\n\n"
     ));
-    out.push_str("paper claim: void-head positional access is O(1) and beats B-tree lookup\n");
-    out.push_str("             into slotted pages by a wide margin\n\n");
 
     // positional: oid -> value through the void head
-    let (acc_pos, t_pos) = timed(|| {
-        let data = bat.tail_slice::<i64>().unwrap();
-        let mut acc = 0i64;
-        for &(pos, _) in &lookups {
-            let p = bat.find_oid(pos).unwrap();
-            acc = acc.wrapping_add(data[p]);
-        }
-        acc
-    });
+    let data = bat.tail_slice::<i64>().unwrap();
+    let (acc_pos, t_pos) = time_path(&lookups, |pos, _| data[bat.find_oid(pos).unwrap()]);
 
     // binary search on the sorted column
-    let (acc_bin, t_bin) = timed(|| {
-        let mut acc = 0i64;
-        for &(_, key) in &lookups {
-            let p = keys.partition_point(|&k| k < key);
-            acc = acc.wrapping_add(keys[p]);
-        }
-        acc
-    });
+    let (acc_bin, t_bin) = time_path(&lookups, |_, key| keys[keys.partition_point(|&k| k < key)]);
 
-    // CSS-tree
     let css = CssTree::build(keys.clone());
-    let (acc_css, t_css) = timed(|| {
-        let mut acc = 0i64;
-        for &(_, key) in &lookups {
-            let p = css.get(key).unwrap();
-            acc = acc.wrapping_add(keys[p]);
-        }
-        acc
-    });
+    let (acc_css, t_css) = time_path(&lookups, |_, key| keys[css.get(key).unwrap()]);
 
     // B+-tree over positions
     let pairs: Vec<(i64, u64)> = keys
@@ -74,14 +62,7 @@ pub fn run(scale: Scale) -> String {
         .map(|(i, &k)| (k, i as u64))
         .collect();
     let btree = BPlusTree::bulk_load(&pairs);
-    let (acc_bt, t_bt) = timed(|| {
-        let mut acc = 0i64;
-        for &(_, key) in &lookups {
-            let p = btree.get(key).unwrap();
-            acc = acc.wrapping_add(keys[p as usize]);
-        }
-        acc
-    });
+    let (acc_bt, t_bt) = time_path(&lookups, |_, key| keys[btree.get(key).unwrap() as usize]);
 
     // the full traditional path: B+-tree into NSM slotted pages
     let nsm = NsmTable::from_columns(
@@ -90,14 +71,9 @@ pub fn run(scale: Scale) -> String {
     )
     .unwrap();
     let page_index = nsm.build_btree(0);
-    let (acc_page, t_page) = timed(|| {
-        let mut acc = 0i64;
-        for &(_, key) in &lookups {
-            let enc = page_index.get(key).unwrap();
-            let row = nsm.fetch_encoded(enc).unwrap();
-            acc = acc.wrapping_add(row[0].as_i64().unwrap());
-        }
-        acc
+    let (acc_page, t_page) = time_path(&lookups, |_, key| {
+        let row = nsm.fetch_encoded(page_index.get(key).unwrap()).unwrap();
+        row[0].as_i64().unwrap()
     });
 
     assert_eq!(acc_pos, acc_bin);
@@ -106,8 +82,12 @@ pub fn run(scale: Scale) -> String {
     assert_eq!(acc_pos, acc_page);
 
     let mut t = TextTable::new(vec!["access path", "ns/lookup", "vs positional"]);
+    t.row(vec![
+        "void-head positional (array)".to_string(),
+        format!("{:.1}", ns_per(t_pos, probes)),
+        "-".to_string(),
+    ]);
     for (name, secs) in [
-        ("void-head positional (array)", t_pos),
         ("CSS-tree (array layout)", t_css),
         ("binary search", t_bin),
         ("B+-tree (pointer nodes)", t_bt),
@@ -120,16 +100,5 @@ pub fn run(scale: Scale) -> String {
         ]);
     }
     out.push_str(&t.render());
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn all_paths_agree() {
-        let r = run(Scale::Quick);
-        assert!(r.contains("positional"));
-    }
+    Report::new(out).wall_clock("§3", POSITIONAL)
 }

@@ -7,10 +7,12 @@
 //! attribute.
 
 use crate::table::TextTable;
-use crate::{ns_per, timed, Scale};
+use crate::{ns_per, timed, Report, Scale};
 use mammoth_workload::uniform_i64;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+
+const CROSSOVER: &str = "DSM wins sequential scans and NSM wins random whole-tuple access";
 
 const ARITY: usize = 8;
 /// PAX block size in rows (block = ARITY minipages of this many values).
@@ -21,7 +23,7 @@ struct PaxBlock {
     minipages: Vec<Vec<i64>>,
 }
 
-pub fn run(scale: Scale) -> String {
+pub fn run(scale: Scale) -> Report {
     let n = scale.pick(1 << 18, 1 << 22);
     // DSM: eight separate columns
     let dsm: Vec<Vec<i64>> = (0..ARITY)
@@ -47,10 +49,8 @@ pub fn run(scale: Scale) -> String {
 
     let mut out = String::new();
     out.push_str(&format!(
-        "E14  DSM vs NSM over {n} rows x {ARITY} attributes (i64)\n"
+        "E14  DSM vs NSM over {n} rows x {ARITY} attributes (i64)\n\n"
     ));
-    out.push_str("paper claim ([46]): DSM wins sequential scans; NSM-style grouping wins\n");
-    out.push_str("                    random tuple access — hence in-execution re-grouping\n\n");
 
     // sequential: sum one attribute
     let (s_dsm, t_seq_dsm) = timed(|| dsm[3].iter().fold(0i64, |a, &v| a.wrapping_add(v)));
@@ -130,19 +130,5 @@ pub fn run(scale: Scale) -> String {
         t_seq_nsm / t_seq_dsm,
         t_rand_dsm / t_rand_nsm
     ));
-    out.push_str("verdict: the crossover [46] reports — which is why X100 re-groups columns\n");
-    out.push_str("         into NSM-ish tuples in front of random-access operators. PAX sits\n");
-    out.push_str("         between the two, scanning like DSM with NSM-like tuple locality.\n");
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn both_layouts_agree() {
-        let r = run(Scale::Quick);
-        assert!(r.contains("winner"));
-    }
+    Report::new(out).wall_clock("§5 [46]", CROSSOVER)
 }

@@ -7,22 +7,23 @@
 //! overhead as a function of pending delta size.
 
 use crate::table::TextTable;
-use crate::{fmt_secs, ns_per, timed, Scale};
+use crate::{fmt_secs, ns_per, timed, Report, Scale};
 use mammoth_storage::{Bat, DeletionSet, VersionedColumn};
 use mammoth_types::Value;
 use mammoth_workload::uniform_i64;
 
-pub fn run(scale: Scale) -> String {
+const DELTAS: &str =
+    "delta BATs delay main-column maintenance, and a snapshot copies only the deltas";
+
+pub fn run(scale: Scale) -> Report {
     let n = scale.pick(1 << 16, 1 << 20);
     let inserts = scale.pick(1 << 10, 1 << 13);
     let base = uniform_i64(n, 0, 1 << 30, 55);
 
     let mut out = String::new();
     out.push_str(&format!(
-        "E16  Delta updates over a {n}-row column ({inserts} inserts)\n"
+        "E16  Delta updates over a {n}-row column ({inserts} inserts)\n\n"
     ));
-    out.push_str("paper claim: deltas delay main-column maintenance; snapshots copy only\n");
-    out.push_str("             the deltas\n\n");
 
     // a lone column: the deleted positions belong to a table, and this
     // experiment deletes nothing
@@ -89,19 +90,5 @@ pub fn run(scale: Scale) -> String {
         ]);
     }
     out.push_str(&t.render());
-    out.push_str("\nverdict: appends cost nanoseconds against the delta; snapshots cost the\n");
-    out.push_str("         delta, not the column; merge work is amortized and delayed.\n");
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn delta_report() {
-        let r = run(Scale::Quick);
-        assert!(r.contains("delta BAT"));
-        assert!(r.contains("snapshot"));
-    }
+    Report::new(out).wall_clock("§3.2", DELTAS)
 }

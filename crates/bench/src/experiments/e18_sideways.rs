@@ -10,11 +10,14 @@
 //!   one contiguous slice.
 
 use crate::table::TextTable;
-use crate::{fmt_secs, timed, Scale};
+use crate::{fmt_secs, timed, Report, Scale};
 use mammoth_cracking::{Bound, CrackerColumn, CrackerMap};
 use mammoth_workload::{range_query_log, uniform_i64, QueryPattern};
 
-pub fn run(scale: Scale) -> String {
+const SIDEWAYS: &str =
+    "sideways cracker maps answer select-project faster than cracking plus positional fetches";
+
+pub fn run(scale: Scale) -> Report {
     let n = scale.pick(1 << 18, 1 << 22);
     let nq = scale.pick(100, 500);
     let domain = 100_000_000;
@@ -24,10 +27,8 @@ pub fn run(scale: Scale) -> String {
 
     let mut out = String::new();
     out.push_str(&format!(
-        "E18  sigma(key)->sum(val): {nq} range queries over {n} two-attribute rows\n"
+        "E18  sigma(key)->sum(val): {nq} range queries over {n} two-attribute rows\n\n"
     ));
-    out.push_str("paper context ([18]): plain cracking still pays random tuple\n");
-    out.push_str("reconstruction; cracker maps reorganize the payload sideways\n\n");
 
     // scan
     let (sum_scan, t_scan) = timed(|| {
@@ -72,7 +73,7 @@ pub fn run(scale: Scale) -> String {
     t.row(vec![
         "scan both columns".into(),
         fmt_secs(t_scan),
-        "1.0x".into(),
+        "-".into(),
     ]);
     t.row(vec![
         "crack key + positional fetch val".into(),
@@ -90,18 +91,5 @@ pub fn run(scale: Scale) -> String {
         t_crack / t_side,
         map.pieces()
     ));
-    out.push_str("verdict: the map answers select+project from one contiguous region —\n");
-    out.push_str("         tuple reconstruction self-organizes away, as [18] describes.\n");
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn strategies_agree() {
-        let r = run(Scale::Quick);
-        assert!(r.contains("sideways"));
-    }
+    Report::new(out).wall_clock("§6.1 [18]", SIDEWAYS)
 }

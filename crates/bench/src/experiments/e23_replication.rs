@@ -17,10 +17,10 @@
 //!   place (`PROMOTE`'s path: drain the dead primary's surviving
 //!   directory, rebuild the serving session, go read-write) and its
 //!   directory must recover every acknowledged write
-//!   (acked <= recovered <= acked + 1).
+//!   (acked <= recovered <= acked + 1): the one claim decided exactly.
 
 use crate::table::TextTable;
-use crate::{record_metric, Metric, Scale};
+use crate::{tmpdir, Report, Scale};
 use mammoth_replica::{Replica, ReplicaConfig};
 use mammoth_server::{
     Client, ClientError, Response, RetryPolicy, Server, ServerConfig, SessionSpec,
@@ -32,11 +32,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("mammoth-e23-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
+const KEEPS_ACKED: &str =
+    "the promoted replica recovers every acknowledged write: acked <= recovered <= acked + 1";
+const SCALE_OUT: &str =
+    "read throughput grows with the caught-up replicas, and lag stays bounded under a writer";
 
 fn replica_cfg(primary: &str, dir: &PathBuf) -> ReplicaConfig {
     let mut cfg = ReplicaConfig::new(primary, dir);
@@ -99,10 +98,11 @@ fn lag_bytes(c: &mut Client) -> u64 {
     status_field(c, "lag_bytes").parse().unwrap()
 }
 
-pub fn run(scale: Scale) -> String {
+pub fn run(scale: Scale) -> Report {
     let seed_rows = scale.pick(1 << 9, 1 << 12);
     let per_thread = scale.pick(40, 250);
     let lag_writes = scale.pick(150, 800);
+    let mut r = Report::default();
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -112,7 +112,7 @@ pub fn run(scale: Scale) -> String {
     out.push_str("lag sampled from EXPLAIN REPLICATION under a sustained writer\n\n");
 
     // --- setup: durable primary + two replicas ----------------------------
-    let pdir = tmpdir("primary");
+    let pdir = tmpdir("e23", "primary");
     let primary = Server::start(ServerConfig {
         workers: 8,
         backlog: 128,
@@ -136,7 +136,7 @@ pub fn run(scale: Scale) -> String {
         }
         c.quit().unwrap();
     }
-    let rdirs = [tmpdir("replica-0"), tmpdir("replica-1")];
+    let rdirs = [tmpdir("e23", "replica-0"), tmpdir("e23", "replica-1")];
     let replicas: Vec<Replica> = rdirs
         .iter()
         .map(|d| Replica::start(replica_cfg(&paddr, d)).expect("replica start"))
@@ -159,16 +159,11 @@ pub fn run(scale: Scale) -> String {
             endpoints.len().to_string(),
             format!("{:.0}", stmts as f64 / elapsed.max(1e-9)),
         ]);
-        record_metric(Metric {
-            experiment: "e23",
-            name: "read_scaleout".into(),
-            params: vec![
-                ("replicas".into(), n.to_string()),
-                ("stmts".into(), stmts.to_string()),
-            ],
-            wall_secs: elapsed,
-            simulated_misses: None,
-        });
+        r.metric(
+            "read_scaleout",
+            &[("replicas", &n), ("stmts", &stmts)],
+            elapsed,
+        );
     }
     out.push_str(&t.render());
 
@@ -207,18 +202,16 @@ pub fn run(scale: Scale) -> String {
          the last write\n",
         samples.len()
     ));
-    record_metric(Metric {
-        experiment: "e23",
-        name: "steady_lag".into(),
-        params: vec![
-            ("writes".into(), lag_writes.to_string()),
-            ("max_lag_bytes".into(), max_lag.to_string()),
-            ("mean_lag_bytes".into(), format!("{mean_lag:.0}")),
-            ("converge_ms".into(), format!("{converge_ms:.1}")),
+    r.metric(
+        "steady_lag",
+        &[
+            ("writes", &lag_writes),
+            ("max_lag_bytes", &max_lag),
+            ("mean_lag_bytes", &format!("{mean_lag:.0}")),
+            ("converge_ms", &format!("{converge_ms:.1}")),
         ],
-        wall_secs: 0.0,
-        simulated_misses: None,
-    });
+        0.0,
+    );
     drop(probe);
     for r in replicas {
         r.shutdown().expect("replica shutdown");
@@ -226,8 +219,8 @@ pub fn run(scale: Scale) -> String {
     primary.shutdown().expect("primary shutdown");
 
     // --- failover coda: kill the primary, promote, count survivors --------
-    let fpdir = tmpdir("fail-primary");
-    let frdir = tmpdir("fail-replica");
+    let fpdir = tmpdir("e23", "fail-primary");
+    let frdir = tmpdir("e23", "fail-replica");
     let fs = Arc::new(FaultFs::new(FaultPlan {
         at_op: 97,
         kind: FaultKind::CrashAfter,
@@ -264,40 +257,26 @@ pub fn run(scale: Scale) -> String {
         .table("t")
         .map(|t| t.rows().len() as u64)
         .unwrap_or(0);
-    assert!(
-        recovered == acked || recovered == acked + 1,
-        "promotion lost acked writes: acked {acked}, recovered {recovered}"
-    );
     out.push_str(&format!(
         "\nfailover: primary killed after {acked} acked INSERTs → promoted replica \
          recovered {recovered} ({:.1} ms in-place promotion incl. drain)\n",
         promote_s * 1e3
     ));
-    record_metric(Metric {
-        experiment: "e23",
-        name: "failover_promotion".into(),
-        params: vec![
-            ("acked".into(), acked.to_string()),
-            ("recovered".into(), recovered.to_string()),
-        ],
-        wall_secs: promote_s,
-        simulated_misses: None,
-    });
+    r.metric(
+        "failover_promotion",
+        &[("acked", &acked), ("recovered", &recovered)],
+        promote_s,
+    );
     drop(doomed); // its disk is dead; the process is experiment-scoped
 
     for d in [pdir, rdirs[0].clone(), rdirs[1].clone(), fpdir, frdir] {
         let _ = std::fs::remove_dir_all(&d);
     }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn replicas_converge_and_promotion_keeps_acked_writes() {
-        let r = run(Scale::Quick);
-        assert!(r.contains("lag under") && r.contains("failover:"), "{r}");
-    }
+    r.text = out;
+    r.exact(
+        "extension",
+        KEEPS_ACKED,
+        recovered == acked || recovered == acked + 1,
+    )
+    .wall_clock("extension", SCALE_OUT)
 }

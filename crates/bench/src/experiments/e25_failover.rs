@@ -20,24 +20,20 @@
 //! `acked <= recovered <= acked + 1`, i.e. **0 acked statements lost**.
 
 use crate::table::TextTable;
-use crate::{record_metric, Metric, Scale};
+use crate::{tmpdir, Report, Scale};
 use mammoth_replica::{Replica, ReplicaConfig};
 use mammoth_server::{Client, Response, RetryPolicy, Server, ServerConfig, SessionSpec};
 use mammoth_shard::{shard_of, CoordError, Coordinator, CoordinatorConfig};
 use mammoth_sql::{QueryOutput, Session};
 use mammoth_types::Value;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+const NO_LOSS: &str = "failover loses no acknowledged statement: every shard recovers acked <= recovered <= acked + 1";
+const TIMELY: &str = "the health monitor detects, degrades around and promotes past a dead shard primary within a few probes";
+
 const NSHARDS: usize = 3;
 const VICTIM: usize = 1;
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("mammoth-e25-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
 
 fn quick_retry(seed: u64) -> RetryPolicy {
     RetryPolicy {
@@ -48,14 +44,19 @@ fn quick_retry(seed: u64) -> RetryPolicy {
     }
 }
 
-fn count_all(coord: &Coordinator) -> Result<i64, CoordError> {
-    match coord.execute("SELECT COUNT(*) FROM bench")? {
+/// The answer of a `SELECT COUNT(*)`.
+fn count_of(out: QueryOutput) -> i64 {
+    match out {
         QueryOutput::Table { rows, .. } => match rows[0][0] {
-            Value::I64(n) => Ok(n),
+            Value::I64(n) => n,
             ref other => panic!("COUNT(*) returned {other:?}"),
         },
         other => panic!("COUNT(*) returned {other:?}"),
     }
+}
+
+fn count_all(coord: &Coordinator) -> Result<i64, CoordError> {
+    coord.execute("SELECT COUNT(*) FROM bench").map(count_of)
 }
 
 /// Poll `f` every millisecond until it returns `Some`; panics with
@@ -71,11 +72,12 @@ fn timed_wait<T>(deadline: Duration, what: &str, mut f: impl FnMut() -> Option<T
     }
 }
 
-pub fn run(scale: Scale) -> String {
+pub fn run(scale: Scale) -> Report {
     let rows = scale.pick(96, 960);
     let batch = 8;
     let probe = Duration::from_millis(25);
     let suspect_after = 2u32;
+    let mut r = Report::default();
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -89,8 +91,12 @@ pub fn run(scale: Scale) -> String {
     );
 
     // --- cluster: 3 durable primaries, each with a caught-up replica ------
-    let pdirs: Vec<_> = (0..NSHARDS).map(|i| tmpdir(&format!("p{i}"))).collect();
-    let rdirs: Vec<_> = (0..NSHARDS).map(|i| tmpdir(&format!("r{i}"))).collect();
+    let pdirs: Vec<_> = (0..NSHARDS)
+        .map(|i| tmpdir("e25", &format!("p{i}")))
+        .collect();
+    let rdirs: Vec<_> = (0..NSHARDS)
+        .map(|i| tmpdir("e25", &format!("r{i}")))
+        .collect();
     let mut servers: Vec<Option<Server>> = Vec::new();
     let mut addrs = Vec::new();
     for dir in &pdirs {
@@ -219,21 +225,12 @@ pub fn run(scale: Scale) -> String {
         s.shutdown().expect("shard shutdown");
     }
     let mut lost = 0u64;
+    let mut within_bound = true;
     for i in 0..NSHARDS {
         let dir = if i == VICTIM { &rdirs[i] } else { &pdirs[i] };
         let mut session = Session::open_durable(dir).expect("shard dir must recover");
-        let recovered = match session.execute("SELECT COUNT(*) FROM bench").unwrap() {
-            QueryOutput::Table { rows, .. } => match rows[0][0] {
-                Value::I64(n) => n as u64,
-                ref other => panic!("COUNT(*) returned {other:?}"),
-            },
-            other => panic!("COUNT(*) returned {other:?}"),
-        };
-        assert!(
-            acked[i] <= recovered && recovered <= acked[i] + 1,
-            "shard {i}: acked {} recovered {recovered}",
-            acked[i]
-        );
+        let recovered = count_of(session.execute("SELECT COUNT(*) FROM bench").unwrap()) as u64;
+        within_bound &= acked[i] <= recovered && recovered <= acked[i] + 1;
         lost += acked[i].saturating_sub(recovered);
     }
 
@@ -256,16 +253,14 @@ pub fn run(scale: Scale) -> String {
             format!("{:.1}", secs * 1e3),
             meaning.to_string(),
         ]);
-        record_metric(Metric {
-            experiment: "e25",
-            name: format!("time_to_{name}"),
-            params: vec![
-                ("probe_ms".into(), probe.as_millis().to_string()),
-                ("suspect_after".into(), suspect_after.to_string()),
+        r.metric(
+            format!("time_to_{name}"),
+            &[
+                ("probe_ms", &probe.as_millis()),
+                ("suspect_after", &suspect_after),
             ],
-            wall_secs: secs,
-            simulated_misses: None,
-        });
+            secs,
+        );
     }
     out.push_str(&t.render());
     out.push_str(&format!(
@@ -274,27 +269,16 @@ pub fn run(scale: Scale) -> String {
          (acked <= recovered <= acked+1 per shard)\n",
         acked.iter().sum::<u64>()
     ));
-    record_metric(Metric {
-        experiment: "e25",
-        name: "acked_statements_lost".into(),
-        params: vec![("acked".into(), acked.iter().sum::<u64>().to_string())],
-        wall_secs: lost as f64,
-        simulated_misses: None,
-    });
+    r.metric(
+        "acked_statements_lost",
+        &[("acked", &acked.iter().sum::<u64>())],
+        lost as f64,
+    );
 
     for d in pdirs.iter().chain(rdirs.iter()) {
         let _ = std::fs::remove_dir_all(d);
     }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn failover_loses_no_acked_statement() {
-        let r = run(Scale::Quick);
-        assert!(r.contains(", 0 lost"), "{r}");
-    }
+    r.text = out;
+    r.exact("extension", NO_LOSS, within_bound)
+        .wall_clock("extension", TIMELY)
 }

@@ -3,10 +3,14 @@
 //! One module per experiment of DESIGN.md §4: the paper evidence E01–E18,
 //! and the extensions E20, E22, E23 and E25 that no `benchmark/` workload
 //! measures (the serving layers' numbers live there). Each module exposes
-//! `run(scale) -> String`: it executes the experiment and renders the table
-//! EXPERIMENTS.md records. The `exp` binary dispatches on experiment ids;
-//! the criterion benches under `benches/` wrap the same code paths with
-//! small sizes for `cargo bench`.
+//! `run(scale) -> Report`: it executes the experiment and returns the
+//! tables EXPERIMENTS.md records, the data points `exp --json` emits, and
+//! the claims it checks — each a predicate evaluated over the numbers the
+//! run computed, or a wall-clock comparison this host can only illustrate.
+//! The `exp` binary dispatches on experiment ids and prints every claim's
+//! verdict; `tests/claims.rs` pins every decided one. The criterion benches
+//! under `benches/` wrap the same code paths with small sizes for
+//! `cargo bench`.
 
 #![deny(unsafe_code)]
 
@@ -56,130 +60,148 @@ impl Scale {
 }
 
 /// An experiment: `(id, description, run)`.
-pub type Experiment = (&'static str, &'static str, fn(Scale) -> String);
+pub type Experiment = (&'static str, &'static str, fn(Scale) -> Report);
 
 /// All experiment ids with their run functions and one-line descriptions.
+#[rustfmt::skip]
 pub fn all_experiments() -> Vec<Experiment> {
     use experiments::*;
     vec![
-        (
-            "e01",
-            "Figure 2: 2-pass radix-cluster + partitioned hash-join on the paper's values",
-            e01_figure2::run,
-        ),
-        (
-            "e02",
-            "Radix-cluster: pass count vs bits (TLB/cache thrashing cliff)",
-            e02_radix_cluster::run,
-        ),
-        (
-            "e03",
-            "Partitioned hash-join vs simple hash-join (order-of-magnitude claim)",
-            e03_partitioned_join::run,
-        ),
-        (
-            "e04",
-            "CPU x memory optimization ablation (effects compound)",
-            e04_cpu_memory_ablation::run,
-        ),
-        (
-            "e05",
-            "Projection strategies: naive post-fetch vs radix-decluster vs NSM pre-projection",
-            e05_decluster::run,
-        ),
-        (
-            "e06",
-            "Cost model: predicted vs simulated misses; model-tuned radix bits",
-            e06_cost_model::run,
-        ),
-        (
-            "e07",
-            "Vectorized execution: vector-size sweep (1 .. full column)",
-            e07_vector_size::run,
-        ),
-        (
-            "e08",
-            "Execution paradigms: tuple-at-a-time vs column-at-a-time vs vectorized",
-            e08_paradigms::run,
-        ),
-        (
-            "e09",
-            "Positional O(1) lookup vs B+-tree vs CSS-tree vs binary search",
-            e09_lookup::run,
-        ),
-        (
-            "e10",
-            "Light-weight compression: ratio and decode speed per scheme",
-            e10_compression::run,
-        ),
-        (
-            "e11",
-            "Cooperative scans vs LRU under concurrent queries",
-            e11_coop_scans::run,
-        ),
-        (
-            "e12",
-            "Database cracking vs full sort vs scan (and under updates)",
-            e12_cracking::run,
-        ),
-        (
-            "e13",
-            "Recycler on a Skyserver-like query log",
-            e13_recycler::run,
-        ),
-        (
-            "e14",
-            "DSM vs NSM: sequential vs random-access operators",
-            e14_dsm_nsm::run,
-        ),
-        (
-            "e15",
-            "Staircase join vs naive region join (XPath descendant axis)",
-            e15_staircase::run,
-        ),
-        (
-            "e16",
-            "Delta BATs: update throughput and reader overhead",
-            e16_deltas::run,
-        ),
-        (
-            "e17",
-            "extension - DataCell: bulk-event stream processing (§6.2)",
-            e17_datacell::run,
-        ),
-        (
-            "e18",
-            "extension - sideways cracking: self-organizing tuple reconstruction",
-            e18_sideways::run,
-        ),
-        (
-            "e20",
-            "extension - WAL overhead: group-commit batch sweep + checkpoint cost",
-            e20_wal::run,
-        ),
-        (
-            "e22",
-            "extension - property-driven rewrites: sorted binary-search select + select elimination",
-            e22_props::run,
-        ),
-        (
-            "e23",
-            "extension - WAL-shipping replication: read scale-out, steady lag, failover",
-            e23_replication::run,
-        ),
-        (
-            "e25",
-            "extension - shard-replica failover: time to detect/degrade/promote, zero acked loss",
-            e25_failover::run,
-        ),
+        ("e01", "Figure 2: 2-pass radix-cluster + partitioned hash-join on the paper's values", e01_figure2::run),
+        ("e02", "Radix-cluster: pass count vs bits (TLB/cache thrashing cliff)", e02_radix_cluster::run),
+        ("e03", "Partitioned hash-join vs simple hash-join (order-of-magnitude claim)", e03_partitioned_join::run),
+        ("e04", "CPU x memory optimization ablation (effects compound)", e04_cpu_memory_ablation::run),
+        ("e05", "Projection strategies: naive post-fetch vs radix-decluster vs NSM pre-projection", e05_decluster::run),
+        ("e06", "Cost model: predicted vs simulated misses; model-tuned radix bits", e06_cost_model::run),
+        ("e07", "Vectorized execution: vector-size sweep (1 .. full column)", e07_vector_size::run),
+        ("e08", "Execution paradigms: tuple-at-a-time vs column-at-a-time vs vectorized", e08_paradigms::run),
+        ("e09", "Positional O(1) lookup vs B+-tree vs CSS-tree vs binary search", e09_lookup::run),
+        ("e10", "Light-weight compression: ratio and decode speed per scheme", e10_compression::run),
+        ("e11", "Cooperative scans vs LRU under concurrent queries", e11_coop_scans::run),
+        ("e12", "Database cracking vs full sort vs scan (and under updates)", e12_cracking::run),
+        ("e13", "Recycler on a Skyserver-like query log", e13_recycler::run),
+        ("e14", "DSM vs NSM: sequential vs random-access operators", e14_dsm_nsm::run),
+        ("e15", "Staircase join vs naive region join (XPath descendant axis)", e15_staircase::run),
+        ("e16", "Delta BATs: update throughput and reader overhead", e16_deltas::run),
+        ("e17", "extension - DataCell: bulk-event stream processing (§6.2)", e17_datacell::run),
+        ("e18", "extension - sideways cracking: self-organizing tuple reconstruction", e18_sideways::run),
+        ("e20", "extension - WAL overhead: group-commit batch sweep + checkpoint cost", e20_wal::run),
+        ("e22", "extension - property-driven rewrites: sorted binary-search select + select elimination", e22_props::run),
+        ("e23", "extension - WAL-shipping replication: read scale-out, steady lag, failover", e23_replication::run),
+        ("e25", "extension - shard-replica failover: time to detect/degrade/promote, zero acked loss", e25_failover::run),
     ]
 }
 
-/// One measured data point, recorded by an experiment for `exp --json`.
+/// How a claim is decided, with the outcome where there is one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Basis {
+    /// A predicate over exact results: answers, counts, sizes.
+    Exact(bool),
+    /// A predicate over a simulator's counts: the cache and TLB simulator,
+    /// the stand-in for the hardware counters of the original work
+    /// (DESIGN.md §3), or the simulated disk under the buffer pool.
+    Simulated(bool),
+    /// A wall-clock comparison: shown by the tables, decided by no
+    /// predicate, since a single run on a shared host proves no ordering.
+    WallClock,
+}
+
+/// One claim an experiment checks: where it is made, what it says, and how
+/// it is decided.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Claim {
+    /// The paper section (and reference) making the claim, or `extension`.
+    pub section: &'static str,
+    pub sentence: &'static str,
+    pub basis: Basis,
+}
+
+impl Claim {
+    /// The verdict `exp` prints for this claim.
+    pub fn verdict(&self) -> &'static str {
+        match self.basis {
+            Basis::Exact(true) => "held",
+            Basis::Simulated(true) => "held in simulation",
+            Basis::WallClock => "mechanism only on this host",
+            Basis::Exact(false) | Basis::Simulated(false) => "FAILED",
+        }
+    }
+}
+
+/// What one experiment run returns: its rendered tables, its data points
+/// for `exp --json`, and its claims — one builder call per claim, named
+/// after its basis.
+#[derive(Debug, Default)]
+pub struct Report {
+    pub text: String,
+    pub metrics: Vec<Metric>,
+    pub claims: Vec<Claim>,
+}
+
+impl Report {
+    pub fn new(text: String) -> Report {
+        Report {
+            text,
+            ..Report::default()
+        }
+    }
+
+    pub fn exact(self, section: &'static str, sentence: &'static str, holds: bool) -> Report {
+        self.claim(section, sentence, Basis::Exact(holds))
+    }
+
+    pub fn simulated(self, section: &'static str, sentence: &'static str, holds: bool) -> Report {
+        self.claim(section, sentence, Basis::Simulated(holds))
+    }
+
+    pub fn wall_clock(self, section: &'static str, sentence: &'static str) -> Report {
+        self.claim(section, sentence, Basis::WallClock)
+    }
+
+    fn claim(mut self, section: &'static str, sentence: &'static str, basis: Basis) -> Report {
+        self.claims.push(Claim {
+            section,
+            sentence,
+            basis,
+        });
+        self
+    }
+
+    /// Record a data point; the caller may fill in the simulated misses.
+    pub fn metric(
+        &mut self,
+        name: impl Into<String>,
+        params: &[(&str, &dyn std::fmt::Display)],
+        wall_secs: f64,
+    ) -> &mut Metric {
+        self.metrics.push(Metric {
+            name: name.into(),
+            params: params
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            wall_secs,
+            simulated_misses: None,
+        });
+        self.metrics.last_mut().expect("just pushed")
+    }
+}
+
+/// The tables, then one verdict line under each claim.
+impl std::fmt::Display for Report {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}", self.text.trim_end())?;
+        for c in &self.claims {
+            let (section, sentence, verdict) = (c.section, c.sentence, c.verdict());
+            write!(f, "\n\nclaim ({section}): {sentence}\n  verdict: {verdict}")?;
+        }
+        Ok(())
+    }
+}
+
+/// One measured data point of an experiment, for `exp --json`.
 #[derive(Debug, Clone)]
 pub struct Metric {
-    /// The experiment id, e.g. `"e22"`.
-    pub experiment: &'static str,
     /// The measured thing, e.g. `"sorted_select"`.
     pub name: String,
     /// Free-form parameters: `("probes", "8")`, `("rows", "4194304")`, …
@@ -188,18 +210,6 @@ pub struct Metric {
     pub wall_secs: f64,
     /// Cache-simulator miss count, for model/simulation experiments.
     pub simulated_misses: Option<u64>,
-}
-
-static METRICS: std::sync::Mutex<Vec<Metric>> = std::sync::Mutex::new(Vec::new());
-
-/// Record a data point; `exp --json` drains these after each experiment.
-pub fn record_metric(m: Metric) {
-    METRICS.lock().unwrap().push(m);
-}
-
-/// Drain every metric recorded since the last call.
-pub fn take_metrics() -> Vec<Metric> {
-    std::mem::take(&mut *METRICS.lock().unwrap())
 }
 
 /// Escape a string for embedding in a JSON document (the harness carries
@@ -221,8 +231,8 @@ pub fn json_escape(s: &str) -> String {
 }
 
 impl Metric {
-    /// Render as one JSON object.
-    pub fn to_json(&self) -> String {
+    /// Render as one JSON object of experiment `experiment`.
+    pub fn to_json(&self, experiment: &str) -> String {
         let params: Vec<String> = self
             .params
             .iter()
@@ -235,7 +245,7 @@ impl Metric {
         format!(
             "{{\"experiment\": \"{}\", \"name\": \"{}\", \"params\": {{{}}}, \
              \"wall_clock_s\": {:.6}, \"simulated_misses\": {}}}",
-            json_escape(self.experiment),
+            json_escape(experiment),
             json_escape(&self.name),
             params.join(", "),
             self.wall_secs,
@@ -267,4 +277,12 @@ pub fn fmt_secs(s: f64) -> String {
 /// Nanoseconds per item.
 pub fn ns_per(s: f64, n: usize) -> f64 {
     s * 1e9 / n.max(1) as f64
+}
+
+/// A fresh scratch directory for `experiment`, unique to `tag` and this
+/// process; whatever an earlier run left there is removed.
+pub fn tmpdir(experiment: &str, tag: &str) -> std::path::PathBuf {
+    let d = std::env::temp_dir().join(format!("mammoth-{experiment}-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&d);
+    d
 }

@@ -1,0 +1,86 @@
+//! Every decided claim of every experiment, pinned at `Scale::Quick`.
+//!
+//! Each experiment runs once at its quick size. Every claim it decides by
+//! a predicate (`Basis::Exact` or `Basis::Simulated`) must come out as
+//! pinned here: held, unless [`FAILED`] lists it with the EXPERIMENTS.md
+//! finding that records the failure. A claim that stops holding fails this
+//! test, and so does a pinned failure that starts to hold: its pin and its
+//! finding are then out of date. Wall-clock claims are decided by no
+//! predicate; an experiment only has to state at least one claim.
+
+use mammoth_bench::{all_experiments, Basis, Scale};
+
+/// The decided claims that fail at quick size:
+/// (experiment, the claim's sentence, the EXPERIMENTS.md finding recording it).
+const FAILED: &[(&str, &str, &str)] = &[
+    (
+        "e02",
+        "once 2^B exceeds the TLB entries and cache lines, several passes cluster more cheaply than one",
+        "E02 finding: one pass stays cheapest at 14 bits in simulation",
+    ),
+    (
+        "e03",
+        "the partitioned hash-join's advantage over the simple one grows with cardinality",
+        "E03 finding: the model partitions a 2^14-tuple join too early",
+    ),
+];
+
+const EXPERIMENTS_MD: &str = include_str!("../../../EXPERIMENTS.md");
+
+fn check(id: &str) {
+    let (_, _, run) = all_experiments()
+        .into_iter()
+        .find(|(e, _, _)| *e == id)
+        .expect("a listed experiment");
+    let report = run(Scale::Quick);
+    assert!(!report.claims.is_empty(), "{id} states no claim");
+    for claim in &report.claims {
+        let held = match claim.basis {
+            Basis::Exact(held) | Basis::Simulated(held) => held,
+            Basis::WallClock => continue,
+        };
+        let pinned_failed = FAILED
+            .iter()
+            .any(|&(e, sentence, _)| e == id && sentence == claim.sentence);
+        assert_eq!(
+            held,
+            !pinned_failed,
+            "{id}: \"{}\" is {}\n{report}",
+            claim.sentence,
+            claim.verdict()
+        );
+    }
+    for &(_, sentence, finding) in FAILED.iter().filter(|(e, _, _)| *e == id) {
+        assert!(
+            report.claims.iter().any(|c| c.sentence == sentence),
+            "{id} no longer states the pinned failure \"{sentence}\""
+        );
+        assert!(
+            EXPERIMENTS_MD.contains(finding),
+            "EXPERIMENTS.md has no entry \"{finding}\""
+        );
+    }
+}
+
+/// One test per experiment, so that the harness runs them side by side.
+macro_rules! pinned {
+    ($($id:ident),*) => {
+        $(
+            #[test]
+            fn $id() {
+                check(stringify!($id));
+            }
+        )*
+
+        #[test]
+        fn every_experiment_is_pinned() {
+            let ids: Vec<&str> = all_experiments().iter().map(|(id, _, _)| *id).collect();
+            assert_eq!(ids, [$(stringify!($id)),*]);
+        }
+    };
+}
+
+pinned!(
+    e01, e02, e03, e04, e05, e06, e07, e08, e09, e10, e11, e12, e13, e14, e15, e16, e17, e18, e20,
+    e22, e23, e25
+);

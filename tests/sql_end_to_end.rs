@@ -332,34 +332,72 @@ fn a_nil_sentinel_range_bound_selects_and_deletes_nothing() {
 /// SUM, AVG, MIN and MAX take numbers: over a VARCHAR or a BOOLEAN column,
 /// grouped or not, the statement is refused with one typed error before a
 /// plan exists — the same ad hoc and through PREPARE / EXECUTE — while
-/// COUNT of a string still runs.
+/// COUNT, which counts the non-NULL cells of any type, answers over both,
+/// on either engine. A BOOLEAN column holds no NULL yet (its tail has no
+/// nil, so inserting NULL into one is refused), so COUNT of one equals its
+/// row count.
 #[test]
 fn aggregates_over_strings_and_booleans_are_refused_typed() {
-    let mut db = Database::new();
-    db.execute("CREATE TABLE t (g INT, s VARCHAR, f BOOLEAN)")
-        .unwrap();
-    db.execute("INSERT INTO t VALUES (1, 'a', true), (1, 'b', false), (2, 'c', true)")
-        .unwrap();
-    for (i, agg) in ["SUM", "AVG", "MIN", "MAX"].iter().enumerate() {
-        for (j, col) in ["s", "f"].iter().enumerate() {
-            for query in [
-                format!("SELECT {agg}({col}) FROM t"),
-                format!("SELECT g, {agg}({col}) FROM t WHERE g > ? GROUP BY g"),
-            ] {
-                let name = format!("p{i}{j}{}", query.contains('?') as u8);
-                let prepared = db.execute(&format!("PREPARE {name} AS {query}"));
-                let adhoc = db.execute(&query.replace('?', "0"));
-                let want = format!("{agg}({col}) over a ");
-                let Err(Error::Unsupported(m)) = &adhoc else {
-                    panic!("{query}: {adhoc:?}")
-                };
-                assert!(m.starts_with(&want), "{query}: {m}");
-                assert_eq!(prepared, adhoc, "{query}");
+    for engine in [Engine::Serial, Engine::Parallel { threads: 2 }] {
+        let mut db = Database::with_engine(engine);
+        db.execute("CREATE TABLE t (g INT, s VARCHAR, f BOOLEAN)")
+            .unwrap();
+        db.execute("INSERT INTO t VALUES (1, 'a', true), (1, 'b', false), (2, 'c', true)")
+            .unwrap();
+        for (i, agg) in ["SUM", "AVG", "MIN", "MAX"].iter().enumerate() {
+            for (j, col) in ["s", "f"].iter().enumerate() {
+                for query in [
+                    format!("SELECT {agg}({col}) FROM t"),
+                    format!("SELECT g, {agg}({col}) FROM t WHERE g > ? GROUP BY g"),
+                ] {
+                    let name = format!("p{i}{j}{}", query.contains('?') as u8);
+                    let prepared = db.execute(&format!("PREPARE {name} AS {query}"));
+                    let adhoc = db.execute(&query.replace('?', "0"));
+                    let want = format!("{agg}({col}) over a ");
+                    let Err(Error::Unsupported(m)) = &adhoc else {
+                        panic!("{engine:?}: {query}: {adhoc:?}")
+                    };
+                    assert!(m.starts_with(&want), "{engine:?}: {query}: {m}");
+                    assert_eq!(prepared, adhoc, "{engine:?}: {query}");
+                }
+            }
+        }
+        let counted = rows(db.execute("SELECT g, COUNT(s) FROM t GROUP BY g").unwrap());
+        assert_eq!(counted.len(), 2, "{engine:?}");
+
+        let n = |k: i64| Value::I64(k);
+        for (k, (query, arg, want)) in [
+            ("SELECT COUNT(f) FROM t", "", vec![vec![n(3)]]),
+            ("SELECT COUNT(f) FROM t WHERE g > ?", "1", vec![vec![n(1)]]),
+            (
+                "SELECT g, COUNT(f) FROM t GROUP BY g",
+                "",
+                vec![vec![Value::I32(1), n(2)], vec![Value::I32(2), n(1)]],
+            ),
+            (
+                "SELECT g, COUNT(f) FROM t WHERE g > ? GROUP BY g",
+                "0",
+                vec![vec![Value::I32(1), n(2)], vec![Value::I32(2), n(1)]],
+            ),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            db.execute(&format!("PREPARE c{k} AS {query}")).unwrap();
+            let exec = match arg {
+                "" => format!("EXECUTE c{k}"),
+                arg => format!("EXECUTE c{k} ({arg})"),
+            };
+            for sql in [query.replace('?', arg), exec] {
+                let mut got = rows(
+                    db.execute(&sql)
+                        .unwrap_or_else(|e| panic!("{engine:?}: {sql}: {e}")),
+                );
+                got.sort_by_key(|r| format!("{r:?}"));
+                assert_eq!(got, want, "{engine:?}: {sql}");
             }
         }
     }
-    let counted = rows(db.execute("SELECT g, COUNT(s) FROM t GROUP BY g").unwrap());
-    assert_eq!(counted.len(), 2);
 }
 
 /// A value its column stores as the nil sentinel — `i64::MIN` in a
