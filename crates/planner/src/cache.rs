@@ -1,6 +1,6 @@
 //! The session plan cache: compiled, verified, optimized MAL programs
 //! keyed by the statement's canonical text — its `Display`, whose names the
-//! lexer has already folded.
+//! parser has already folded.
 //!
 //! A cache entry is sound only while the optimizer's premises hold: every
 //! rewrite the pipeline applied was proven against the column properties

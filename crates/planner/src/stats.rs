@@ -495,17 +495,19 @@ impl StatsCatalog {
         self.tables.insert(name.to_string(), t);
     }
 
-    /// Fold one statement's inserted rows (laid out as `schema`'s columns)
-    /// in, a column at a time. A value the column stores as its nil
-    /// sentinel counts as NULL, as it reads back.
-    pub fn on_insert(&mut self, schema: &TableSchema, rows: &[Vec<Value>]) {
+    /// Fold one statement's inserted rows in, a column at a time. The rows
+    /// are laid out row-major in one array, as `schema`'s columns: column
+    /// `i` is every `arity`-th cell from `i`. A value the column stores as
+    /// its nil sentinel counts as NULL, as it reads back.
+    pub fn on_insert(&mut self, schema: &TableSchema, cells: &[Value]) {
         let Some(t) = self.tables.get_mut(&schema.name) else {
             return;
         };
-        t.rows += rows.len() as u64;
+        let arity = schema.columns.len();
+        t.rows += (cells.len() / arity.max(1)) as u64;
         for (i, def) in schema.columns.iter().enumerate() {
             if let Some(cs) = t.columns.get_mut(&def.name) {
-                cs.insert_cells(def.ty, rows.iter().filter_map(|row| row.get(i)));
+                cs.insert_cells(def.ty, cells.iter().skip(i).step_by(arity));
             }
         }
     }
@@ -1048,7 +1050,7 @@ mod tests {
             "t",
             vec![mammoth_types::ColumnDef::new("a", LogicalType::I64)],
         );
-        sc.on_insert(&schema, &[vec![Value::I64(3)], vec![Value::I64(4)]]);
+        sc.on_insert(&schema, &[Value::I64(3), Value::I64(4)]);
         assert_eq!(sc.column("t", "a").unwrap().max, Some(Value::I64(4)));
         assert_eq!(sc.table("t").unwrap().rows, 4);
         assert_eq!(sc.table("t").unwrap().drift(), 1.0);

@@ -486,9 +486,9 @@ fn serve_connection<H: Handler>(core: &Core<H>, widx: usize, mut stream: TcpStre
         // Text is parsed here, once, and nowhere behind this point; the
         // prepared-statement frames are the statements they name already,
         // so an `ExecutePrepared` carries its arguments to the bind as the
-        // values the wire delivered. Their handles are names the lexer
-        // never sees (a `Prepare`'s is lexed by `parse_prepare`), so they
-        // are folded here, as the lexer folds (DESIGN.md, the `sql` row).
+        // values the wire delivered. Their handles are names the parser
+        // never sees (a `Prepare`'s is read by `parse_prepare`), so they
+        // are folded here, as the parser folds (DESIGN.md, the `sql` row).
         let mut nparams = None;
         let parsed = match msg {
             ClientMsg::Quit => return Ok(()),

@@ -64,7 +64,7 @@ use mammoth_mal::{
 use mammoth_server::{Client, ClientError, ErrorCode, Response, RetryPolicy};
 use mammoth_sql::{
     classify, compile_select, parse_sql, reject_stray_params, render_outputs, GatherTable,
-    Predicate, PreparedRegistry, QueryOutput, Scalar, ScatterPlan, SelectStmt, Statement,
+    Predicate, PreparedRegistry, QueryOutput, Rows, Scalar, ScatterPlan, SelectStmt, Statement,
 };
 use mammoth_storage::{Bat, Catalog, Table};
 use mammoth_types::{ColumnDef, Error, EventKind, LogicalType, Recorder, TableSchema, Value};
@@ -462,22 +462,24 @@ impl Coordinator {
 
     // ---------------------------------------------------------------- DML
 
-    fn insert(&self, table: &str, rows: Vec<Vec<Scalar>>) -> Result<QueryOutput, CoordError> {
+    fn insert(&self, table: &str, rows: Rows) -> Result<QueryOutput, CoordError> {
         let spec = self.spec_for(table)?;
         let n = self.nshards();
         let started = Instant::now();
-        let mut per_shard: Vec<Vec<Vec<Scalar>>> = vec![Vec::new(); n];
-        for row in rows {
-            let key = row
-                .get(spec.key_index)
-                .and_then(Scalar::as_lit)
-                .ok_or_else(|| {
-                    CoordError::Sql(Error::Internal(format!(
-                        "INSERT row has no value for partition key column {}",
-                        spec.key_column
-                    )))
-                })?;
-            per_shard[shard_of(key, n)].push(row);
+        let owners = rows.iter().map(|row| {
+            let key = row.get(spec.key_index).and_then(Scalar::as_lit);
+            key.map(|key| shard_of(key, n)).ok_or_else(|| {
+                CoordError::Sql(Error::Internal(format!(
+                    "INSERT row has no value for partition key column {}",
+                    spec.key_column
+                )))
+            })
+        });
+        let owners = owners.collect::<Result<Vec<usize>, _>>()?;
+        // each shard's rows, the cells moved, not copied
+        let mut per_shard = vec![Rows::new(rows.width); n];
+        for (k, cell) in rows.cells.into_iter().enumerate() {
+            per_shard[owners[k / rows.width]].cells.push(cell);
         }
         let mut total: u64 = 0;
         let mut touched = 0usize;

@@ -88,6 +88,72 @@ impl From<Value> for Scalar {
     }
 }
 
+/// The rows of a `VALUES` list, row-major in one array: row `r` is
+/// `cells[r * width..(r + 1) * width]`. Iterating `&Rows` yields each row
+/// as a slice.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Rows {
+    pub width: usize,
+    pub cells: Vec<Scalar>,
+}
+
+impl Rows {
+    /// No rows yet, each to be `width` cells.
+    pub fn new(width: usize) -> Rows {
+        Rows {
+            width,
+            cells: Vec::new(),
+        }
+    }
+
+    /// The number of rows.
+    pub fn len(&self) -> usize {
+        self.cells.len() / self.width.max(1)
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    pub fn iter(&self) -> std::slice::ChunksExact<'_, Scalar> {
+        self.cells.chunks_exact(self.width.max(1))
+    }
+}
+
+impl std::ops::Index<usize> for Rows {
+    type Output = [Scalar];
+
+    fn index(&self, r: usize) -> &[Scalar] {
+        &self.cells[r * self.width..(r + 1) * self.width]
+    }
+}
+
+impl<'a> IntoIterator for &'a Rows {
+    type Item = &'a [Scalar];
+    type IntoIter = std::slice::ChunksExact<'a, Scalar>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// Rows from a list of rows of one width; panics on a row of another.
+impl<R: IntoIterator<Item = Scalar>> FromIterator<R> for Rows {
+    fn from_iter<I: IntoIterator<Item = R>>(rows: I) -> Rows {
+        let mut out = Rows::default();
+        for (r, row) in rows.into_iter().enumerate() {
+            let before = out.cells.len();
+            out.cells.extend(row);
+            let width = out.cells.len() - before;
+            if r == 0 {
+                out.width = width;
+            }
+            assert_eq!(width, out.width, "row {r} is of another width");
+        }
+        out
+    }
+}
+
 /// A conjunct of the WHERE clause: `col op literal-or-param`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Predicate {
@@ -170,7 +236,7 @@ pub enum Statement {
     },
     Insert {
         table: String,
-        rows: Vec<Vec<Scalar>>,
+        rows: Rows,
     },
     Delete {
         table: String,
@@ -237,23 +303,23 @@ impl Statement {
     /// Where the statement holds its literals and placeholders, in the
     /// order the parser numbers them: `WHERE` conjuncts or `VALUES` rows —
     /// for a `PREPARE`, those of the statement it wraps.
-    fn slots(&self) -> (&[Predicate], &[Vec<Scalar>]) {
+    fn slots(&self) -> (&[Predicate], &[Scalar]) {
         match self {
             Statement::Select(s) | Statement::Explain(s) | Statement::Trace(s) => (&s.where_, &[]),
             Statement::Delete { where_, .. } => (where_, &[]),
-            Statement::Insert { rows, .. } => (&[], rows),
+            Statement::Insert { rows, .. } => (&[], &rows.cells),
             Statement::Prepare { stmt, .. } => stmt.slots(),
             _ => (&[], &[]),
         }
     }
 
-    fn slots_mut(&mut self) -> (&mut [Predicate], &mut [Vec<Scalar>]) {
+    fn slots_mut(&mut self) -> (&mut [Predicate], &mut [Scalar]) {
         match self {
             Statement::Select(s) | Statement::Explain(s) | Statement::Trace(s) => {
                 (&mut s.where_, &mut [])
             }
             Statement::Delete { where_, .. } => (where_, &mut []),
-            Statement::Insert { rows, .. } => (&mut [], rows),
+            Statement::Insert { rows, .. } => (&mut [], &mut rows.cells),
             Statement::Prepare { stmt, .. } => stmt.slots_mut(),
             _ => (&mut [], &mut []),
         }
@@ -262,8 +328,8 @@ impl Statement {
     /// The number of `?` placeholder slots this statement uses
     /// (`max index + 1`; placeholders are numbered densely by the parser).
     pub fn param_count(&self) -> usize {
-        let (preds, rows) = self.slots();
-        let scalars = preds.iter().map(|p| &p.value).chain(rows.iter().flatten());
+        let (preds, cells) = self.slots();
+        let scalars = preds.iter().map(|p| &p.value).chain(cells);
         let used = scalars.filter_map(|s| match s {
             Scalar::Param(n) => Some(n + 1),
             Scalar::Lit(_) => None,
@@ -276,9 +342,9 @@ impl Statement {
     /// arguments are rejected by the caller (which knows the handle name).
     pub fn bind_params(&self, args: &[Value]) -> Result<Statement> {
         let mut bound = self.clone();
-        let (preds, rows) = bound.slots_mut();
+        let (preds, cells) = bound.slots_mut();
         let scalars = preds.iter_mut().map(|p| &mut p.value);
-        for s in scalars.chain(rows.iter_mut().flatten()) {
+        for s in scalars.chain(cells) {
             if let Scalar::Param(_) = s {
                 *s = Scalar::Lit(s.bind(args)?);
             }

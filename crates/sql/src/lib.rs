@@ -24,7 +24,7 @@ pub mod routing;
 pub mod session;
 
 pub use ast::{ColumnRef, JoinClause};
-pub use ast::{Predicate, Scalar, SelectItem, SelectStmt, Statement};
+pub use ast::{Predicate, Rows, Scalar, SelectItem, SelectStmt, Statement};
 pub use compile::compile_select;
 pub use parser::{parse_prepare, parse_sql};
 pub use prepared::{reject_stray_params, PreparedRegistry, PreparedStmt};

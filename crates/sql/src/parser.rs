@@ -1,24 +1,26 @@
 //! Recursive-descent SQL parser.
+//!
+//! The parser reads each token once: it keeps one token of lookahead, so
+//! [`Parser::peek`] never lexes again, and it never rewinds the lexer. A
+//! name is folded to ASCII lowercase here, once, when the parser takes it
+//! as an owned `String` (the lexer's tokens borrow the source as written).
 
 use crate::ast::*;
-use crate::lexer::{is_kw, SqlLexer, Token};
+use crate::lexer::{unquote, SqlLexer, Token};
 use mammoth_algebra::{AggKind, CmpOp};
 use mammoth_types::{ColumnDef, Error, LogicalType, Result, TableSchema, Value};
 
 /// Parse one SQL statement (a trailing `;` is optional).
 pub fn parse_sql(src: &str) -> Result<Statement> {
-    let mut p = Parser {
-        lex: SqlLexer::new(src),
-        nparams: 0,
-    };
+    let mut p = Parser::new(src);
     let stmt = p.statement()?;
     // allow trailing semicolon and require EOF
-    if p.lex.peek()? == Token::Semi {
-        p.lex.next()?;
+    if p.peek()? == Token::Semi {
+        p.next()?;
     }
-    match p.lex.next()? {
+    match p.next()? {
         Token::Eof => Ok(stmt),
-        t => Err(p.lex.err(format!("trailing input: {t:?}"))),
+        t => Err(p.err(format!("trailing input: {t:?}"))),
     }
 }
 
@@ -26,11 +28,17 @@ pub fn parse_sql(src: &str) -> Result<Statement> {
 /// `Prepare` frame carries. `name` must be one identifier, as the grammar
 /// would have read it.
 pub fn parse_prepare(name: &str, body: &str) -> Result<Statement> {
-    let mut lex = SqlLexer::new(name);
-    match (lex.next()?, lex.next()?) {
-        (Token::Ident(name), Token::Eof) => prepared(name, parse_sql(body)?, 0),
-        _ => Err(lex.err("a prepared statement's name is one identifier")),
+    let mut p = Parser::new(name);
+    match (p.next()?, p.next()?) {
+        (Token::Ident(name), Token::Eof) => prepared(fold(name), parse_sql(body)?, 0),
+        _ => Err(p.err("a prepared statement's name is one identifier")),
     }
+}
+
+/// A name as the catalog and the prepared-statement registry hold it: ASCII
+/// lowercase (DESIGN.md, the `sql` row).
+fn fold(name: &str) -> String {
+    name.to_ascii_lowercase()
 }
 
 /// `PREPARE name AS stmt`, for a `stmt` that began at `pos`.
@@ -51,50 +59,101 @@ fn prepared(name: String, stmt: Statement, pos: usize) -> Result<Statement> {
 
 struct Parser<'a> {
     lex: SqlLexer<'a>,
+    /// The lookahead slot: a token [`Parser::peek`] lexed and nothing took
+    /// yet, with the offset it was lexed from.
+    ahead: Option<(usize, Token<'a>)>,
     /// `?` placeholders seen so far — they number left-to-right.
     nparams: usize,
 }
 
-impl Parser<'_> {
-    fn expect_kw(&mut self, kw: &str) -> Result<()> {
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Parser<'a> {
+        Parser {
+            lex: SqlLexer::new(src),
+            ahead: None,
+            nparams: 0,
+        }
+    }
+
+    /// The next token, left in place for [`Parser::next`].
+    fn peek(&mut self) -> Result<Token<'a>> {
+        if let Some((_, t)) = self.ahead {
+            return Ok(t);
+        }
+        let pos = self.lex.pos();
         let t = self.lex.next()?;
-        if is_kw(&t, kw) {
+        self.ahead = Some((pos, t));
+        Ok(t)
+    }
+
+    /// The next token, taken.
+    fn next(&mut self) -> Result<Token<'a>> {
+        match self.ahead.take() {
+            Some((_, t)) => Ok(t),
+            None => self.lex.next(),
+        }
+    }
+
+    /// The offset parsing has reached: before a peeked token, after a
+    /// taken one.
+    fn pos(&self) -> usize {
+        self.ahead.map_or(self.lex.pos(), |(pos, _)| pos)
+    }
+
+    fn err(&self, message: impl Into<String>) -> Error {
+        Error::Parse {
+            pos: self.pos(),
+            message: message.into(),
+        }
+    }
+
+    fn expect_kw(&mut self, kw: &str) -> Result<()> {
+        let t = self.next()?;
+        if t.is_kw(kw) {
             Ok(())
         } else {
-            Err(self.lex.err(format!("expected {kw}, got {t:?}")))
+            Err(self.err(format!("expected {kw}, got {t:?}")))
         }
     }
 
     fn accept_kw(&mut self, kw: &str) -> Result<bool> {
-        if is_kw(&self.lex.peek()?, kw) {
-            self.lex.next()?;
-            Ok(true)
-        } else {
-            Ok(false)
+        let hit = self.peek()?.is_kw(kw);
+        if hit {
+            self.next()?;
         }
+        Ok(hit)
     }
 
-    fn expect(&mut self, t: Token) -> Result<()> {
-        let got = self.lex.next()?;
+    /// Take the next token if it is `t`.
+    fn accept(&mut self, t: Token<'_>) -> Result<bool> {
+        let hit = self.peek()? == t;
+        if hit {
+            self.next()?;
+        }
+        Ok(hit)
+    }
+
+    fn expect(&mut self, t: Token<'_>) -> Result<()> {
+        let got = self.next()?;
         if got == t {
             Ok(())
         } else {
-            Err(self.lex.err(format!("expected {t:?}, got {got:?}")))
+            Err(self.err(format!("expected {t:?}, got {got:?}")))
         }
     }
 
+    /// An identifier, folded: a name as the catalog holds it.
     fn ident(&mut self) -> Result<String> {
-        match self.lex.next()? {
-            Token::Ident(s) => Ok(s),
-            t => Err(self.lex.err(format!("expected identifier, got {t:?}"))),
+        match self.next()? {
+            Token::Ident(s) => Ok(fold(s)),
+            t => Err(self.err(format!("expected identifier, got {t:?}"))),
         }
     }
 
     /// `item, item, …`: one or more.
     fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
         let mut out = vec![item(self)?];
-        while self.lex.peek()? == Token::Comma {
-            self.lex.next()?;
+        while self.accept(Token::Comma)? {
             out.push(item(self)?);
         }
         Ok(out)
@@ -103,19 +162,34 @@ impl Parser<'_> {
     /// `(item, item, …)`.
     fn tuple<T>(&mut self, item: impl FnMut(&mut Self) -> Result<T>) -> Result<Vec<T>> {
         self.expect(Token::LParen)?;
-        let out = self.list(item)?;
-        match self.lex.next()? {
-            Token::RParen => Ok(out),
-            t => Err(self.lex.err(format!("expected ',' or ')', got {t:?}"))),
+        let mut out = Vec::new();
+        self.tuple_into(&mut out, item)?;
+        Ok(out)
+    }
+
+    /// `item, item, …)`: the rest of a tuple whose `(` was taken, each item
+    /// pushed onto `out` as it is read.
+    fn tuple_into<T>(
+        &mut self,
+        out: &mut Vec<T>,
+        mut item: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<()> {
+        loop {
+            out.push(item(self)?);
+            match self.next()? {
+                Token::Comma => {}
+                Token::RParen => return Ok(()),
+                t => return Err(self.err(format!("expected ',' or ')', got {t:?}"))),
+            }
         }
     }
 
     fn statement(&mut self) -> Result<Statement> {
-        let t = self.lex.peek()?;
-        if is_kw(&t, "SELECT") {
+        let t = self.peek()?;
+        if t.is_kw("SELECT") {
             Ok(Statement::Select(self.select()?))
-        } else if is_kw(&t, "EXPLAIN") {
-            self.lex.next()?;
+        } else if t.is_kw("EXPLAIN") {
+            self.next()?;
             if self.accept_kw("REPLICATION")? {
                 Ok(Statement::ExplainReplication)
             } else if self.accept_kw("SHARDING")? {
@@ -123,39 +197,39 @@ impl Parser<'_> {
             } else {
                 Ok(Statement::Explain(self.select()?))
             }
-        } else if is_kw(&t, "TRACE") {
-            self.lex.next()?;
+        } else if t.is_kw("TRACE") {
+            self.next()?;
             Ok(Statement::Trace(self.select()?))
-        } else if is_kw(&t, "CREATE") {
+        } else if t.is_kw("CREATE") {
             self.create_table()
-        } else if is_kw(&t, "DROP") {
-            self.lex.next()?;
+        } else if t.is_kw("DROP") {
+            self.next()?;
             self.expect_kw("TABLE")?;
             Ok(Statement::DropTable {
                 name: self.ident()?,
             })
-        } else if is_kw(&t, "INSERT") {
+        } else if t.is_kw("INSERT") {
             self.insert()
-        } else if is_kw(&t, "DELETE") {
+        } else if t.is_kw("DELETE") {
             self.delete()
-        } else if is_kw(&t, "CHECKPOINT") {
-            self.lex.next()?;
+        } else if t.is_kw("CHECKPOINT") {
+            self.next()?;
             Ok(Statement::Checkpoint)
-        } else if is_kw(&t, "PROMOTE") {
-            self.lex.next()?;
+        } else if t.is_kw("PROMOTE") {
+            self.next()?;
             Ok(Statement::Promote)
-        } else if is_kw(&t, "PREPARE") {
+        } else if t.is_kw("PREPARE") {
             self.prepare()
-        } else if is_kw(&t, "EXECUTE") {
+        } else if t.is_kw("EXECUTE") {
             self.execute()
-        } else if is_kw(&t, "DEALLOCATE") {
-            self.lex.next()?;
+        } else if t.is_kw("DEALLOCATE") {
+            self.next()?;
             let _ = self.accept_kw("PREPARE")?;
             Ok(Statement::Deallocate {
                 name: self.ident()?,
             })
         } else {
-            Err(self.lex.err(format!("expected a statement, got {t:?}")))
+            Err(self.err(format!("expected a statement, got {t:?}")))
         }
     }
 
@@ -163,7 +237,7 @@ impl Parser<'_> {
         self.expect_kw("PREPARE")?;
         let name = self.ident()?;
         self.expect_kw("AS")?;
-        let pos = self.lex.pos;
+        let pos = self.pos();
         prepared(name, self.statement()?, pos)
     }
 
@@ -171,15 +245,9 @@ impl Parser<'_> {
         self.expect_kw("EXECUTE")?;
         let name = self.ident()?;
         let mut args = Vec::new();
-        if self.lex.peek()? == Token::LParen {
-            let open = self.lex.pos;
-            self.lex.next()?;
-            if self.lex.peek()? == Token::RParen {
-                self.lex.next()?; // `()`: no arguments
-            } else {
-                self.lex.pos = open;
-                args = self.tuple(Self::literal)?;
-            }
+        // `()` is no arguments, as is no tuple at all
+        if self.accept(Token::LParen)? && !self.accept(Token::RParen)? {
+            self.tuple_into(&mut args, Self::literal)?;
         }
         Ok(Statement::Execute { name, args })
     }
@@ -192,7 +260,7 @@ impl Parser<'_> {
             let cname = p.ident()?;
             let tyname = p.ident()?;
             let ty = LogicalType::parse(&tyname)
-                .ok_or_else(|| p.lex.err(format!("unknown type {tyname}")))?;
+                .ok_or_else(|| p.err(format!("unknown type {tyname}")))?;
             let not_null = p.accept_kw("NOT")?;
             if not_null {
                 p.expect_kw("NULL")?;
@@ -207,7 +275,13 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self) -> Result<Value> {
-        Ok(match self.lex.next()? {
+        let t = self.next()?;
+        self.literal_of(t)
+    }
+
+    /// The literal `t` spells.
+    fn literal_of(&self, t: Token<'_>) -> Result<Value> {
+        Ok(match t {
             Token::Int(x) => {
                 if let Ok(v) = i32::try_from(x) {
                     Value::I32(v)
@@ -216,31 +290,55 @@ impl Parser<'_> {
                 }
             }
             Token::Float(f) => Value::F64(f),
-            Token::Str(s) => Value::Str(s),
-            Token::Ident(s) if s.eq_ignore_ascii_case("NULL") => Value::Null,
-            Token::Ident(s) if s.eq_ignore_ascii_case("TRUE") => Value::Bool(true),
-            Token::Ident(s) if s.eq_ignore_ascii_case("FALSE") => Value::Bool(false),
-            t => return Err(self.lex.err(format!("expected a literal, got {t:?}"))),
+            Token::Str { raw, escaped } => Value::Str(unquote(raw, escaped)),
+            t if t.is_kw("NULL") => Value::Null,
+            t if t.is_kw("TRUE") => Value::Bool(true),
+            t if t.is_kw("FALSE") => Value::Bool(false),
+            t => return Err(self.err(format!("expected a literal, got {t:?}"))),
         })
     }
 
     /// A literal or a `?` placeholder (numbered in occurrence order).
     fn scalar(&mut self) -> Result<Scalar> {
-        if self.lex.peek()? == Token::Question {
-            self.lex.next()?;
-            let n = self.nparams;
-            self.nparams += 1;
-            return Ok(Scalar::Param(n));
+        match self.next()? {
+            Token::Question => {
+                let n = self.nparams;
+                self.nparams += 1;
+                Ok(Scalar::Param(n))
+            }
+            t => Ok(Scalar::Lit(self.literal_of(t)?)),
         }
-        Ok(Scalar::Lit(self.literal()?))
     }
 
+    /// `INSERT INTO t VALUES (…), (…)`: every tuple's cells land in one
+    /// row-major array, as wide as the first tuple — a tuple of another
+    /// width is a parse error naming it.
     fn insert(&mut self) -> Result<Statement> {
         self.expect_kw("INSERT")?;
         self.expect_kw("INTO")?;
         let table = self.ident()?;
         self.expect_kw("VALUES")?;
-        let rows = self.list(|p| p.tuple(Self::scalar))?;
+        let mut cells = Vec::new();
+        let mut width = 0;
+        let mut row = 1;
+        loop {
+            self.expect(Token::LParen)?;
+            let start = cells.len();
+            self.tuple_into(&mut cells, Self::scalar)?;
+            let len = cells.len() - start;
+            if row == 1 {
+                width = len;
+            } else if len != width {
+                return Err(self.err(format!(
+                    "VALUES row {row} has {len} value(s), row 1 has {width}"
+                )));
+            }
+            if !self.accept(Token::Comma)? {
+                break;
+            }
+            row += 1;
+        }
+        let rows = Rows { width, cells };
         Ok(Statement::Insert { table, rows })
     }
 
@@ -258,12 +356,15 @@ impl Parser<'_> {
 
     fn column_ref(&mut self) -> Result<ColumnRef> {
         let first = self.ident()?;
-        if self.lex.peek()? == Token::Dot {
-            self.lex.next()?;
-            let col = self.ident()?;
+        self.column_ref_after(first)
+    }
+
+    /// The rest of a column reference whose first name was taken.
+    fn column_ref_after(&mut self, first: String) -> Result<ColumnRef> {
+        if self.accept(Token::Dot)? {
             Ok(ColumnRef {
                 table: Some(first),
-                column: col,
+                column: self.ident()?,
             })
         } else {
             Ok(ColumnRef {
@@ -292,9 +393,9 @@ impl Parser<'_> {
                     value: hi,
                 });
             } else {
-                let op = match self.lex.next()? {
+                let op = match self.next()? {
                     Token::Op(op) => op,
-                    t => return Err(self.lex.err(format!("expected operator, got {t:?}"))),
+                    t => return Err(self.err(format!("expected operator, got {t:?}"))),
                 };
                 let value = self.scalar()?;
                 out.push(Predicate { col, op, value });
@@ -308,24 +409,21 @@ impl Parser<'_> {
     }
 
     fn select_item(&mut self) -> Result<SelectItem> {
-        let t = self.lex.peek()?;
-        if let Some(&(_, kind)) = AGGREGATES.iter().find(|(name, _)| is_kw(&t, name)) {
+        let t = self.peek()?;
+        if let Some(&(_, kind)) = AGGREGATES.iter().find(|(name, _)| t.is_kw(name)) {
             // aggregates require parentheses; a bare identifier named like
-            // an aggregate is treated as a column
-            let save = self.lex.pos;
-            self.lex.next()?; // the keyword
-            if self.lex.peek()? == Token::LParen {
-                self.lex.next()?;
-                if kind == AggKind::Count && self.lex.peek()? == Token::Star {
-                    self.lex.next()?;
-                    self.expect(Token::RParen)?;
-                    return Ok(SelectItem::CountStar);
-                }
-                let col = self.column_ref()?;
-                self.expect(Token::RParen)?;
-                return Ok(SelectItem::Agg(kind, col));
+            // an aggregate is a column
+            let name = self.ident()?;
+            if !self.accept(Token::LParen)? {
+                return Ok(SelectItem::Column(self.column_ref_after(name)?));
             }
-            self.lex.pos = save;
+            if kind == AggKind::Count && self.accept(Token::Star)? {
+                self.expect(Token::RParen)?;
+                return Ok(SelectItem::CountStar);
+            }
+            let col = self.column_ref()?;
+            self.expect(Token::RParen)?;
+            return Ok(SelectItem::Agg(kind, col));
         }
         Ok(SelectItem::Column(self.column_ref()?))
     }
@@ -339,9 +437,9 @@ impl Parser<'_> {
             let table = self.ident()?;
             self.expect_kw("ON")?;
             let left = self.column_ref()?;
-            match self.lex.next()? {
+            match self.next()? {
                 Token::Op(CmpOp::Eq) => {}
-                t => return Err(self.lex.err(format!("JOIN requires '=', got {t:?}"))),
+                t => return Err(self.err(format!("JOIN requires '=', got {t:?}"))),
             }
             let right = self.column_ref()?;
             Some(JoinClause { table, left, right })
@@ -373,9 +471,9 @@ impl Parser<'_> {
             None
         };
         let limit = if self.accept_kw("LIMIT")? {
-            match self.lex.next()? {
+            match self.next()? {
                 Token::Int(n) if n >= 0 => Some(n as usize),
-                t => return Err(self.lex.err(format!("LIMIT needs a count, got {t:?}"))),
+                t => return Err(self.err(format!("LIMIT needs a count, got {t:?}"))),
             }
         } else {
             None
@@ -598,7 +696,41 @@ mod tests {
             panic!()
         };
         let want = [1e-7, 2.5e16, -1e300].map(|f| Scalar::Lit(Value::F64(f)));
-        assert_eq!(rows, vec![want.to_vec()]);
+        assert_eq!(rows, Rows::from_iter([want]));
+    }
+
+    #[test]
+    fn values_land_row_major_in_one_array() {
+        let Statement::Insert { table, rows } =
+            parse_sql("insert into T values (1, 'a'), (2, 'b''c'), (3, NULL)").unwrap()
+        else {
+            panic!()
+        };
+        assert_eq!(table, "t");
+        assert_eq!((rows.width, rows.len()), (2, 3));
+        let int = |k| Scalar::Lit(Value::I32(k));
+        let text = |s: &str| Scalar::Lit(Value::Str(s.into()));
+        let null = Scalar::Lit(Value::Null);
+        let want = [int(1), text("a"), int(2), text("b'c"), int(3), null];
+        assert_eq!(rows.cells, want);
+        let second: Vec<&[Scalar]> = rows.iter().skip(1).take(1).collect();
+        assert_eq!(second, [&rows[1]]);
+    }
+
+    #[test]
+    fn a_ragged_values_list_is_a_parse_error_naming_the_row() {
+        for (sql, row) in [
+            ("INSERT INTO t VALUES (1, 2), (3)", 2),
+            ("INSERT INTO t VALUES (1), (2), (3, 4)", 3),
+            ("INSERT INTO t VALUES (1, 2), (3, 4), (5, 6, 7), (8)", 3),
+        ] {
+            match parse_sql(sql) {
+                Err(Error::Parse { message, .. }) => {
+                    assert!(message.contains(&format!("row {row} ")), "{sql}: {message}");
+                }
+                other => panic!("{sql}: {other:?}"),
+            }
+        }
     }
 
     #[test]

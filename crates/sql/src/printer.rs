@@ -290,11 +290,11 @@ mod tests {
                 }
                 1 => Statement::DropTable { name: self.ident() },
                 2 => {
-                    let width = 1 + self.below(3);
-                    Statement::Insert {
-                        table: self.ident(),
-                        rows: self.some(|g| g.some(Self::scalar, width, width), 1, 3),
-                    }
+                    let table = self.ident();
+                    let (width, n) = (1 + self.below(3), 1 + self.below(3));
+                    let cells = self.some(Self::scalar, width * n, width * n);
+                    let rows = Rows { width, cells };
+                    Statement::Insert { table, rows }
                 }
                 3 => Statement::Delete {
                     table: self.ident(),

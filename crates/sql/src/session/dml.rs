@@ -54,27 +54,36 @@ impl Session {
             Statement::Insert { table, rows } => {
                 // placeholders were rejected above, so every scalar is a
                 // literal and binding against no arguments cannot fail
-                let rows: Vec<Vec<Value>> = rows
+                let width = rows.width.max(1);
+                if !rows.cells.len().is_multiple_of(width) {
+                    return Err(Error::Bind(format!(
+                        "{} VALUES cells do not make rows of {width}",
+                        rows.cells.len()
+                    )));
+                }
+                let cells: Vec<Value> = rows
+                    .cells
                     .into_iter()
-                    .map(|r| r.into_iter().map(|s| s.into_bound(&[])).collect())
+                    .map(|s| s.into_bound(&[]))
                     .collect::<Result<_>>()?;
-                let n = rows.len();
+                let n = cells.len() / width;
                 {
                     // full validation up front, once per row: after the WAL
                     // records are written, the mutation below must not be
                     // able to fail
                     let t = self.catalog.table(&table)?;
-                    for row in &rows {
+                    for row in cells.chunks_exact(width) {
                         t.validate_row(row)?;
                     }
                 }
                 self.wal_write(|wal| {
-                    rows.iter()
+                    cells
+                        .chunks_exact(width)
                         .try_for_each(|row| wal.append_insert(&table, row))
                 })?;
                 let merged = {
                     let t = self.catalog.table_mut(&table)?;
-                    t.append_rows(&rows)?;
+                    t.append_rows(&cells)?;
                     t.maybe_merge_all(self.merge_threshold)
                 };
                 if merged {
@@ -87,7 +96,7 @@ impl Session {
                     })?;
                 }
                 let schema = &self.catalog.table(&table)?.schema;
-                self.stats.lock().unwrap().on_insert(schema, &rows);
+                self.stats.lock().unwrap().on_insert(schema, &cells);
                 self.wal_commit_statement()?;
                 Ok(QueryOutput::Affected(n))
             }

@@ -238,6 +238,21 @@ fn malformed_sql_errors_leave_session_usable() {
     assert_eq!(rows[0][0], Value::I64(4));
 }
 
+/// Names are folded where the parser takes them, so a mixed-case spelling
+/// reads the same table and heads its result with the folded name.
+#[test]
+fn mixed_case_names_head_the_folded_name() {
+    let mut s = seeded();
+    let out = s
+        .execute("SELECT Name FROM People WHERE AGE = 1907")
+        .unwrap();
+    let QueryOutput::Table { columns, rows } = out else {
+        panic!()
+    };
+    assert_eq!(columns, ["name"]);
+    assert_eq!(rows, vec![vec![Value::Str("John Wayne".into())]]);
+}
+
 #[test]
 fn failed_insert_mutates_nothing() {
     let mut s = seeded();
@@ -250,6 +265,41 @@ fn failed_insert_mutates_nothing() {
         panic!()
     };
     assert_eq!(rows[0][0], Value::I64(4), "partial insert must not land");
+}
+
+/// A VALUES list whose rows differ in width is refused by the parser,
+/// naming the row: nothing reaches the log and the table is unchanged.
+#[test]
+fn a_ragged_values_list_is_refused_before_anything_is_logged() {
+    let dir = std::env::temp_dir().join(format!(
+        "mammoth-sql-ragged-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let logged = || -> u64 {
+        let files = std::fs::read_dir(&dir).unwrap();
+        files.map(|f| f.unwrap().metadata().unwrap().len()).sum()
+    };
+    let mut s = Session::open_durable(&dir).unwrap();
+    s.execute("CREATE TABLE t (a INT, b INT)").unwrap();
+    s.execute("INSERT INTO t VALUES (1, 2)").unwrap();
+    let before = logged();
+    let err = s
+        .execute("INSERT INTO t VALUES (3, 4), (5), (6, 7)")
+        .unwrap_err();
+    let Error::Parse { message, .. } = &err else {
+        panic!("a ragged VALUES list is a parse error, got {err:?}")
+    };
+    assert!(message.contains("row 2"), "{message}");
+    assert_eq!(logged(), before, "a refused statement logs nothing");
+    let out = s.execute("SELECT a, b FROM t").unwrap();
+    let QueryOutput::Table { rows, .. } = out else {
+        panic!()
+    };
+    assert_eq!(rows, vec![vec![Value::I32(1), Value::I32(2)]]);
+    drop(s);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -171,14 +171,17 @@ impl Table {
         Ok(())
     }
 
-    /// Append rows that passed [`Table::validate_row`], one column at a
-    /// time: one typed loop per column over all of them.
-    pub fn append_rows<R: AsRef<[Value]>>(&mut self, rows: &[R]) -> Result<()> {
-        debug_assert!(rows
-            .iter()
-            .all(|r| self.check_row(r.as_ref(), false).is_ok()));
+    /// Append rows that passed [`Table::validate_row`], laid out row-major
+    /// in one array (`arity` cells a row), one column at a time: one typed
+    /// loop per column, striding over the cells.
+    pub fn append_rows(&mut self, cells: &[Value]) -> Result<()> {
+        let arity = self.arity();
+        debug_assert!(cells.len().is_multiple_of(arity));
+        debug_assert!(cells
+            .chunks(arity.max(1))
+            .all(|r| self.check_row(r, false).is_ok()));
         for (i, col) in self.columns.iter_mut().enumerate() {
-            col.extend(rows.iter().map(|r| &r.as_ref()[i]))?;
+            col.extend(cells.iter().skip(i).step_by(arity))?;
         }
         Ok(())
     }
@@ -190,7 +193,7 @@ impl Table {
     /// acknowledged may hold one.
     pub fn insert_row(&mut self, row: &[Value]) -> Result<Oid> {
         self.check_row(row, false)?;
-        self.append_rows(&[row])?;
+        self.append_rows(row)?;
         Ok(self.total_len().saturating_sub(1) as Oid)
     }
 
@@ -280,7 +283,7 @@ pub struct Catalog {
 }
 
 /// The catalog's key for `name`: ASCII-lowercased — borrowed when it
-/// already is, as every name that came through the lexer is, so that a
+/// already is, as every name that came through the SQL parser is, so that a
 /// lookup does not allocate. (Lookups fold because untyped callers reach
 /// them; [`Catalog::create_table`] is where a stored name is folded.)
 fn norm(name: &str) -> Cow<'_, str> {
@@ -477,7 +480,7 @@ mod tests {
             .map(|i| vec![Value::Str(format!("p{i}")), Value::I64(i)])
             .collect();
         rows.iter().try_for_each(|r| t.validate_row(r)).unwrap();
-        t.append_rows(&rows).unwrap();
+        t.append_rows(&rows.concat()).unwrap();
         t.insert_row(&[Value::Null, Value::I32(5)]).unwrap();
         assert_eq!(t.live_len(), 6);
         assert_eq!(

@@ -2,7 +2,7 @@
 
 use mammoth_algebra::{aggregate_scalar, select_cmp, AggKind, CmpOp};
 use mammoth_storage::{Bat, TailHeap};
-use mammoth_types::{Error, Result, TableSchema, Value};
+use mammoth_types::{Error, Oid, Result, TableSchema, Value};
 
 /// Window shapes. Counts are in (post-filter) events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,24 +135,37 @@ impl DataCell {
     }
 
     /// Route the basket contents to every query's pending buffer (applying
-    /// filters in bulk), then fire complete windows.
+    /// filters in bulk), then fire complete windows. The windows come out
+    /// in the order of the event that completed each, ties in query
+    /// registration order: what the same events appended one at a time
+    /// return, whatever the batch size.
     fn drain_basket(&mut self) -> Result<Vec<WindowResult>> {
         let n = self.basket.first().map_or(0, |h| h.len());
         if n == 0 {
             return Ok(Vec::new());
         }
-        let mut fired = Vec::new();
+        // each window beside the basket position of the event completing it
+        let mut fired: Vec<(usize, WindowResult)> = Vec::new();
         for qs in &mut self.queries {
             // bulk filter + projection via the algebra
             let value_bat = Bat::dense(0, self.basket[qs.query.value_col].clone());
-            let selected: TailHeap = match &qs.query.filter {
-                None => value_bat.into_tail(),
+            let cands = match &qs.query.filter {
+                None => None,
                 Some((col, op, c)) => {
                     let fbat = Bat::dense(0, self.basket[*col].clone());
-                    let cands = select_cmp(&fbat, *op, c)?;
-                    mammoth_algebra::fetch_join(&cands, &value_bat)?.into_tail()
+                    Some(select_cmp(&fbat, *op, c)?)
                 }
             };
+            let selected: TailHeap = match &cands {
+                None => value_bat.into_tail(),
+                Some(cands) => mammoth_algebra::fetch_join(cands, &value_bat)?.into_tail(),
+            };
+            // the basket position of each selected event, when filtered
+            let positions = cands.as_ref().map(Bat::tail_slice::<Oid>).transpose()?;
+            // pending is what earlier batches left (fewer than a window)
+            // followed by this batch's selected events
+            let earlier = qs.pending.len();
+            let mut dropped = 0;
             qs.pending.extend_from(&selected)?;
             // fire all complete windows
             loop {
@@ -166,21 +179,30 @@ impl DataCell {
                 }
                 let window = Bat::dense(0, qs.pending.slice_range(0, size));
                 let value = aggregate_scalar(qs.query.agg, &window)?;
-                fired.push(WindowResult {
-                    query: qs.query.name.clone(),
-                    window_no: qs.windows_fired,
-                    value,
-                    events: size,
-                });
+                let last = dropped + size - 1 - earlier;
+                let event = positions.map_or(last, |p| p[last] as usize);
+                fired.push((
+                    event,
+                    WindowResult {
+                        query: qs.query.name.clone(),
+                        window_no: qs.windows_fired,
+                        value,
+                        events: size,
+                    },
+                ));
                 qs.windows_fired += 1;
-                qs.pending = qs.pending.slice_range(slide.min(have), have);
+                let step = slide.min(have);
+                qs.pending = qs.pending.slice_range(step, have);
+                dropped += step;
             }
         }
         // basket consumed
         for (heap, c) in self.basket.iter_mut().zip(&self.schema.columns) {
             *heap = TailHeap::new(c.ty);
         }
-        Ok(fired)
+        // a stable sort: one event's windows stay in registration order
+        fired.sort_by_key(|&(event, _)| event);
+        Ok(fired.into_iter().map(|(_, w)| w).collect())
     }
 }
 
@@ -317,6 +339,50 @@ mod tests {
         }
         assert_eq!(bulk, single);
         assert_eq!(c1.events_seen(), 50);
+    }
+
+    /// Two queries whose windows interleave: a filtered tumbling sum and an
+    /// unfiltered sliding max, over `n` events.
+    fn interleaved(n: i64) -> (DataCell, Vec<Vec<Value>>) {
+        let mut c = cell();
+        c.register(ContinuousQuery {
+            name: "big".into(),
+            value_col: 0,
+            agg: AggKind::Sum,
+            filter: Some((1, CmpOp::Ge, Value::I64(10))),
+            window: WindowKind::Tumbling { size: 3 },
+        })
+        .unwrap();
+        c.register(ContinuousQuery {
+            name: "peak".into(),
+            value_col: 0,
+            agg: AggKind::Max,
+            filter: None,
+            window: WindowKind::Sliding { size: 4, slide: 2 },
+        })
+        .unwrap();
+        let events = (0..n).map(|i| ev(i * 7 % 13, i % 3 * 10)).collect();
+        (c, events)
+    }
+
+    #[test]
+    fn a_batch_fires_its_windows_in_event_order_whatever_its_size() {
+        let n = 40;
+        let (mut one, events) = interleaved(n);
+        let mut single = Vec::new();
+        for e in &events {
+            single.extend(one.append_event(e).unwrap());
+        }
+        assert!(single.iter().any(|w| w.query == "big"));
+        assert!(single.iter().any(|w| w.query == "peak"));
+        for batch in [1, 7, n as usize] {
+            let (mut c, _) = interleaved(n);
+            let mut fired = Vec::new();
+            for chunk in events.chunks(batch) {
+                fired.extend(c.append_batch(chunk).unwrap());
+            }
+            assert_eq!(fired, single, "batch size {batch}");
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ stray=$(grep -nE 'fn gen_query|fn random_where|fn random_plan|struct Workload|fn
 [ -z "$stray" ] || { echo "a generator beside tests/support/gen.rs:"; echo "$stray"; exit 1; }
 
 echo "==> one fold: a name is folded where it enters and compared byte for byte after"
-# lexer, listener, catalog, MAL parser (DESIGN.md's sql row); keyword, type, CLI matches
+# SQL parser, listener, catalog, MAL parser (DESIGN.md's sql row); keyword, type, CLI matches
 entry='crates/(sql/src/(lexer|parser)|storage/src/catalog|types/src/(schema|value)|server/src/(listener|bin/cli)|mal/src/parser)\.rs:'
 stray=$(grep -rnE --include='*.rs' '(to_|make_)(ascii_)?lowercase|eq_ignore_ascii_case' crates/*/src \
     | grep -vE "^$entry" || true)

@@ -15,7 +15,7 @@
 
 use mammoth_algebra::AggKind::{Avg, Sum};
 use mammoth_algebra::CmpOp;
-use mammoth_sql::{parse_sql, Predicate, Scalar, SelectItem, SelectStmt, Session, Statement};
+use mammoth_sql::{parse_sql, Predicate, Rows, Scalar, SelectItem, SelectStmt, Session, Statement};
 use mammoth_types::{Error, TableSchema, Value};
 use std::collections::BTreeMap;
 
@@ -27,15 +27,16 @@ use support::Scratch;
 /// shows it.
 fn productions(stmt: &Statement, tables: &[TableSchema]) -> Vec<(String, bool)> {
     use CmpOp::*;
-    let (select, rows, where_): (_, &[Vec<Scalar>], &[Predicate]) = match stmt {
-        Statement::Select(s) => (Some(s), &[], &s.where_),
-        Statement::Insert { rows, .. } => (None, rows, &[]),
-        Statement::Delete { where_, .. } => (None, &[], where_),
-        _ => (None, &[], &[]),
+    let (select, rows, where_): (_, Option<&Rows>, &[Predicate]) = match stmt {
+        Statement::Select(s) => (Some(s), None, &s.where_),
+        Statement::Insert { rows, .. } => (None, Some(rows), &[]),
+        Statement::Delete { where_, .. } => (None, None, where_),
+        _ => (None, None, &[]),
     };
+    let cells: &[Scalar] = rows.map_or(&[], |r| &r.cells);
     let (int_nil, big_nil) = (Value::I32(i32::MIN), Value::I64(i64::MIN));
     let lit = |v: &Value| where_.iter().any(|p| p.value.as_lit() == Some(v));
-    let cell = |v: &Value| rows.iter().flatten().any(|c| c.as_lit() == Some(v));
+    let cell = |v: &Value| cells.iter().any(|c| c.as_lit() == Some(v));
     // a column name has one type in every generated table
     let columns = tables.iter().flat_map(|t| &t.columns);
     let ty = |p: &Predicate| columns.clone().find(|c| c.name == p.col.column).unwrap().ty;
@@ -62,7 +63,7 @@ fn productions(stmt: &Statement, tables: &[TableSchema]) -> Vec<(String, bool)> 
         ("ORDER BY … DESC LIMIT", ordered(true)),
         ("JOIN", sel(&|s| s.join.is_some())),
         ("aggregate", sel(&|s| s.items.iter().any(agg))),
-        ("multi-row INSERT", rows.len() > 1),
+        ("multi-row INSERT", rows.is_some_and(|r| r.len() > 1)),
         ("sentinel cell", cell(&int_nil) || cell(&big_nil)),
         ("point DELETE", delete && point),
         ("range DELETE", delete && fused),

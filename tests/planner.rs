@@ -499,7 +499,7 @@ mod histogram_props {
                 })
                 .collect();
             for chunk in rows.chunks(batch) {
-                let insert = Statement::Insert { table: "h".into(), rows: chunk.to_vec() };
+                let insert = Statement::Insert { table: "h".into(), rows: chunk.iter().cloned().collect() };
                 s.execute_stmt(insert).unwrap();
             }
             let stats = s.stats_catalog();
@@ -530,7 +530,7 @@ mod histogram_props {
 mod stats_batching {
     //! The statistics fold a statement's rows a column at a time; the
     //! result must not depend on how the rows were batched into statements.
-    use mammoth_sql::{Scalar, Session, Statement};
+    use mammoth_sql::{Rows, Scalar, Session, Statement};
     use mammoth_types::Value;
     use proptest::prelude::*;
 
@@ -581,10 +581,10 @@ mod stats_batching {
             let (mut batched, mut single) = (Session::new(), Session::new());
             batched.execute(DDL).unwrap();
             single.execute(DDL).unwrap();
-            let insert = |rows: Vec<Vec<Scalar>>| Statement::Insert { table: "t".into(), rows };
-            batched.execute_stmt(insert(rows.clone())).unwrap();
+            let insert = |rows: Rows| Statement::Insert { table: "t".into(), rows };
+            batched.execute_stmt(insert(rows.iter().cloned().collect())).unwrap();
             for r in rows {
-                single.execute_stmt(insert(vec![r])).unwrap();
+                single.execute_stmt(insert(Rows::from_iter([r]))).unwrap();
             }
             prop_assert_eq!(batched.stats_catalog(), single.stats_catalog());
 

@@ -12,7 +12,9 @@
 use mammoth::algebra::{AggKind, ArithOp, CmpOp};
 use mammoth::mal::{Arg, OpCode, Program};
 use mammoth::sql::Statement;
-use mammoth::sql::{parse_sql, ColumnRef, JoinClause, Predicate, Scalar, SelectItem, SelectStmt};
+use mammoth::sql::{
+    parse_sql, ColumnRef, JoinClause, Predicate, Rows, Scalar, SelectItem, SelectStmt,
+};
 use mammoth::storage::{Bat, Catalog, Table};
 use mammoth::types::{ColumnDef, LogicalType, TableSchema, Value};
 use mammoth::vectorized::VECTOR_SIZE;
@@ -194,11 +196,11 @@ impl Gen {
     /// [`Gen::refusals`] a sentinel in a NOT NULL one.
     pub fn insert_rows(&mut self, ti: usize, n: usize) -> Statement {
         let cols = self.tables[ti].columns.clone();
-        let mut rows = Vec::with_capacity(n);
+        let mut rows = Rows::new(cols.len());
+        rows.cells.reserve(n * cols.len());
         for _ in 0..n {
-            let mut row = Vec::with_capacity(cols.len());
             for (c, def) in cols.iter().enumerate() {
-                row.push(Scalar::Lit(match self.below(12) {
+                rows.cells.push(Scalar::Lit(match self.below(12) {
                     _ if c == 0 => int(self.keys[ti]),
                     0 if def.nullable => Value::Null,
                     1 if def.nullable => sentinel(def.ty).unwrap_or(Value::Null),
@@ -206,13 +208,13 @@ impl Gen {
                 }));
             }
             self.keys[ti] += 1;
-            rows.push(row);
         }
         if self.refusals && self.below(12) == 0 {
             let strict = cols.iter().enumerate().filter(|(_, d)| !d.nullable);
             let strict: Vec<usize> = strict.map(|(c, _)| c).collect();
             let (r, c) = (self.below(n), self.pick(&strict));
-            rows[r][c] = Scalar::Lit(sentinel(cols[c].ty).expect("an integer column"));
+            let sentinel = sentinel(cols[c].ty).expect("an integer column");
+            rows.cells[r * cols.len() + c] = Scalar::Lit(sentinel);
         }
         let table = self.tables[ti].name.clone();
         Statement::Insert { table, rows }
@@ -380,7 +382,7 @@ pub fn parameterize(stmt: &Statement) -> (Statement, Vec<Value>) {
     let slots: Vec<&mut Scalar> = match &mut body {
         Statement::Select(s) => s.where_.iter_mut().map(|p| &mut p.value).collect(),
         Statement::Delete { where_, .. } => where_.iter_mut().map(|p| &mut p.value).collect(),
-        Statement::Insert { rows, .. } => rows.iter_mut().flatten().collect(),
+        Statement::Insert { rows, .. } => rows.cells.iter_mut().collect(),
         _ => Vec::new(),
     };
     let mut args = Vec::new();
