@@ -26,7 +26,7 @@ use mammoth_server::{
     Client, ClientError, Response, RetryPolicy, Server, ServerConfig, SessionSpec,
 };
 use mammoth_sql::Session;
-use mammoth_storage::{FaultFs, FaultKind, FaultPlan};
+use mammoth_storage::{FaultFs, FaultKind, FaultPlan, RealFs};
 use mammoth_types::Value;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -221,10 +221,13 @@ pub fn run(scale: Scale) -> Report {
     // --- failover coda: kill the primary, promote, count survivors --------
     let fpdir = tmpdir("e23", "fail-primary");
     let frdir = tmpdir("e23", "fail-replica");
-    let fs = Arc::new(FaultFs::new(FaultPlan {
-        at_op: 97,
-        kind: FaultKind::CrashAfter,
-    }));
+    let fs = Arc::new(FaultFs::new(
+        Arc::new(RealFs),
+        FaultPlan {
+            at_op: 97,
+            kind: FaultKind::CrashAfter,
+        },
+    ));
     let doomed = Server::start(ServerConfig {
         spec: SessionSpec::durable_with(fs, &fpdir),
         ..ServerConfig::default()

@@ -21,8 +21,10 @@
 //!   ([`persist`]).
 //! * **Crash safety** — a redo-only write-ahead log ([`wal`]), atomic
 //!   generation-numbered checkpoints ([`persist::checkpoint_catalog`]) and
-//!   a deterministic fault-injection VFS ([`fault`]) that the crash-matrix
-//!   tests drive to prove every kill point recovers the committed prefix.
+//!   a deterministic fault-injection VFS over an in-memory disk that
+//!   forgets what was never synced ([`fault`]), which the crash-matrix
+//!   tests drive to prove every kill point recovers the committed prefix,
+//!   with the page cache intact and after a power loss.
 
 #![deny(unsafe_code)]
 
@@ -40,7 +42,7 @@ pub mod wal;
 pub use bat::{Bat, HeadColumn};
 pub use catalog::{Catalog, Table, TableImage};
 pub use delta::{ColumnView, DeletionSet, Snapshot, VersionedColumn};
-pub use fault::{FaultFs, FaultKind, FaultPlan, RealFs, Vfs};
+pub use fault::{FaultFs, FaultKind, FaultPlan, MemFs, RealFs, Vfs};
 pub use heap::{FixedTail, TailHeap};
 pub use persist::{
     checkpoint_catalog, checkpoint_image_with, read_sidecar, recover, recover_vfs, Recovered,

@@ -284,9 +284,16 @@ impl Wal {
         Ok(wal)
     }
 
+    /// Write and sync the header, then sync the log's directory: a new
+    /// file's entry is durable only then, and without it a power loss can
+    /// drop the whole log. One fsync more per log generation.
     fn write_header(&self) -> Result<()> {
         self.fs.write_file(&self.path, WAL_HEADER)?;
-        self.fs.sync(&self.path)
+        self.fs.sync(&self.path)?;
+        match self.path.parent() {
+            Some(dir) => self.fs.sync_dir(dir),
+            None => Ok(()),
+        }
     }
 
     /// Set the group-commit batch size (clamped to >= 1).

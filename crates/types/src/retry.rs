@@ -152,13 +152,16 @@ impl Iterator for Backoff {
     }
 }
 
-/// SplitMix64: the minimal statistically-decent generator, used only for
-/// jitter. Seeds are decorated so seed 0 still produces a useful stream.
+/// SplitMix64: the minimal statistically-decent generator, used for
+/// jitter here and for every seeded fault schedule (network faults, the
+/// in-memory disk's crash states). Seeds are decorated so seed 0 still
+/// produces a useful stream.
 fn splitmix_seed(seed: u64) -> u64 {
     seed ^ 0x9e37_79b9_7f4a_7c15
 }
 
-pub(crate) fn splitmix_next(state: &mut u64) -> u64 {
+/// The next draw of the SplitMix64 stream whose state is `state`.
+pub fn splitmix_next(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -19,7 +19,7 @@
 
 use mammoth_server::{Client, ClientError, ErrorCode, Response, SessionSpec};
 use mammoth_storage::persist::wal_file_name;
-use mammoth_storage::{FaultFs, FaultKind, FaultPlan};
+use mammoth_storage::{FaultFs, FaultKind, FaultPlan, RealFs};
 use mammoth_types::Value;
 use std::sync::Arc;
 use std::time::Duration;
@@ -157,10 +157,13 @@ fn promotion_after_primary_crash_loses_no_acked_write() {
         .into_iter()
         .enumerate()
     {
-        let fs = Arc::new(FaultFs::new(FaultPlan {
-            at_op,
-            kind: FaultKind::CrashAfter,
-        }));
+        let fs = Arc::new(FaultFs::new(
+            Arc::new(RealFs),
+            FaultPlan {
+                at_op,
+                kind: FaultKind::CrashAfter,
+            },
+        ));
         let pdir = tmpdir(&format!("repl-fail-{round}"));
         let mut cluster = Cluster::start(Spec {
             shards: vec![SessionSpec::durable_with(fs.clone(), pdir)],

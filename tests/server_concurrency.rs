@@ -9,16 +9,18 @@
 //!   mirrors. Shared-table counts must be monotone while
 //!   only inserts run, and the final shared state must equal the sum of
 //!   everything acknowledged. No deadlock: the test simply finishes.
-//! * **Kill and drain recovery** — a durable server is "killed" mid-load
-//!   with a [`FaultFs`] crash schedule (every disk op after the Nth
-//!   fails), or shut down gracefully mid-load. Reopening the store with a
-//!   healthy filesystem must recover every acknowledged INSERT, by value;
-//!   only the one statement in flight at the stop may appear beyond that
-//!   (fsync'd but never acknowledged), and nothing that was never sent.
+//! * **Kill and drain recovery** — a durable server on an in-memory disk
+//!   (`MemFs`) is "killed" mid-load with a [`FaultFs`] crash schedule
+//!   (every disk op after the Nth fails), or shut down gracefully mid-load.
+//!   Reopening the store — as the process left the disk, and after a power
+//!   loss (`MemFs::crash`) — must recover every acknowledged INSERT, by
+//!   value; only the one statement in flight at the stop may appear beyond
+//!   that (fsync'd but never acknowledged), and nothing that was never
+//!   sent.
 
 use mammoth_server::{Client, ClientError, Response, Server, ServerConfig, SessionSpec};
 use mammoth_sql::{QueryOutput, Session};
-use mammoth_storage::{FaultFs, FaultKind, FaultPlan};
+use mammoth_storage::{FaultFs, FaultKind, FaultPlan, MemFs, Vfs};
 use mammoth_types::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -27,7 +29,7 @@ use std::time::Duration;
 
 mod support;
 use support::gen::{Gen, Model};
-use support::{seed, wait_for, Ledger, Scratch};
+use support::{mem_disk, seed, wait_for, Ledger, STORE};
 
 /// The first row of a result table, as integers.
 fn tally(resp: Response) -> Vec<Option<i64>> {
@@ -137,11 +139,11 @@ fn mixed_load_sixteen_threads_is_serializable_equivalent() {
 /// A durable server on `fs` holding one table, and four writers INSERTing
 /// distinct values into it until a statement fails: the server, the
 /// writers, and the ledger of what each INSERT was answered.
-fn insert_load(dir: &Scratch, fs: Arc<FaultFs>) -> (Server, Vec<JoinHandle<()>>, Arc<Ledger>) {
+fn insert_load(fs: Arc<dyn Vfs>) -> (Server, Vec<JoinHandle<()>>, Arc<Ledger>) {
     let srv = Server::start(ServerConfig {
         workers: 4,
         backlog: 16,
-        spec: SessionSpec::durable_with(fs, dir.to_path_buf()),
+        spec: SessionSpec::durable_with(fs, STORE),
         ..ServerConfig::default()
     })
     .unwrap();
@@ -175,31 +177,43 @@ fn insert_load(dir: &Scratch, fs: Arc<FaultFs>) -> (Server, Vec<JoinHandle<()>>,
     (srv, writers, ledger)
 }
 
-/// Reopen `dir` with a healthy filesystem: the committed prefix must be
-/// back — every acknowledged value (the WAL fsyncs before the ack frame)
-/// and, since writes serialize on the session, at most ONE more: the
-/// statement in flight at the stop, durable but never acknowledged.
-fn assert_recovers(dir: &Scratch, ledger: &Ledger) {
-    let mut s = Session::open_durable(dir.to_path_buf()).expect("recovery");
-    let QueryOutput::Table { rows, .. } = s.execute("SELECT a FROM t").unwrap() else {
-        panic!("SELECT did not return a table")
-    };
-    let recovered: Vec<i64> = rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
-    ledger.check(&recovered, 1).unwrap();
-    // And the store is live again: new statements commit.
-    s.execute("INSERT INTO t VALUES (424242)").unwrap();
+/// Reopen the store on `disk` as the process left it, and after a power
+/// loss: each time the committed prefix must be back — every acknowledged
+/// value (the WAL fsyncs before the ack frame) and, since writes serialize
+/// on the session, at most ONE more: the statement in flight at the stop,
+/// durable but never acknowledged.
+fn assert_recovers(disk: Arc<MemFs>, ledger: &Ledger) {
+    let crash_seed = seed("MAMMOTH_FAULT_SEED", 1);
+    let lost = Arc::new(disk.crash(crash_seed));
+    for (view, disk) in [("the volatile view", disk), ("the power loss", lost)] {
+        let ctx = format!("recovered from {view}, crash seed {crash_seed}");
+        let mut s =
+            Session::open_durable_with(disk, STORE.into()).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        let QueryOutput::Table { rows, .. } = s.execute("SELECT a FROM t").unwrap() else {
+            panic!("SELECT did not return a table")
+        };
+        let recovered: Vec<i64> = rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
+        ledger
+            .check(&recovered, 1)
+            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        // And the store is live again: new statements commit.
+        s.execute("INSERT INTO t VALUES (424242)").unwrap();
+    }
 }
 
 #[test]
 fn killed_server_recovers_every_acknowledged_statement() {
-    let dir = Scratch::new("srvtest-kill");
     // Let setup (store creation + CREATE TABLE) through, then crash the
     // "disk" a couple hundred mutating operations into the load.
-    let fs = Arc::new(FaultFs::new(FaultPlan {
-        at_op: 220,
-        kind: FaultKind::CrashAfter,
-    }));
-    let (srv, writers, ledger) = insert_load(&dir, fs.clone());
+    let disk = mem_disk();
+    let fs = Arc::new(FaultFs::new(
+        disk.clone(),
+        FaultPlan {
+            at_op: 220,
+            kind: FaultKind::CrashAfter,
+        },
+    ));
+    let (srv, writers, ledger) = insert_load(fs.clone());
     writers.into_iter().for_each(|w| w.join().unwrap());
     assert!(
         fs.fired_on().is_some(),
@@ -212,22 +226,21 @@ fn killed_server_recovers_every_acknowledged_statement() {
     // Graceful-drain machinery still works, but the shutdown checkpoint
     // hits the dead disk; that error is the expected outcome of a kill.
     let _ = srv.shutdown();
-    assert_recovers(&dir, &ledger);
+    assert_recovers(disk, &ledger);
 }
 
 /// A graceful shutdown in the middle of the same load — drain, then the
 /// shutdown checkpoint — keeps the same contract.
 #[test]
 fn drained_server_recovers_every_acknowledged_statement() {
-    let dir = Scratch::new("srvtest-drain");
-    let fs = Arc::new(FaultFs::new(FaultPlan::none()));
-    let (srv, writers, ledger) = insert_load(&dir, fs);
+    let disk = mem_disk();
+    let (srv, writers, ledger) = insert_load(disk.clone());
     wait_for(Duration::from_secs(30), "acknowledged INSERTs", || {
         (ledger.acked() >= 200).then_some(())
     });
     srv.shutdown().expect("a graceful shutdown");
     writers.into_iter().for_each(|w| w.join().unwrap());
-    assert_recovers(&dir, &ledger);
+    assert_recovers(disk, &ledger);
 }
 
 #[test]

@@ -20,7 +20,7 @@ use mammoth_server::{
 };
 use mammoth_shard::{Coordinator, CoordinatorConfig, FrontConfig, FrontEnd};
 use mammoth_sql::Session;
-use mammoth_storage::{FaultFs, FaultPlan};
+use mammoth_storage::{FaultFs, FaultPlan, RealFs};
 use mammoth_types::Value;
 
 use super::{tmpdir, wait_for};
@@ -88,7 +88,7 @@ impl Shard {
         let mut disk = None;
         if let Storage::Durable { root } = spec.storage.clone() {
             let fs = disk
-                .insert(Arc::new(FaultFs::new(FaultPlan::none())))
+                .insert(Arc::new(FaultFs::new(Arc::new(RealFs), FaultPlan::none())))
                 .clone();
             spec.storage = Storage::DurableVfs { fs, root };
         }
