@@ -18,17 +18,19 @@
 //!   directory, rebuild the serving session, go read-write) and its
 //!   directory must recover every acknowledged write
 //!   (acked <= recovered <= acked + 1): the one claim decided exactly.
+//!
+//! Every node keeps its files on one in-memory disk (`MemFs`), so no
+//! figure here includes a disk.
 
 use crate::table::TextTable;
-use crate::{tmpdir, Report, Scale};
+use crate::{Report, Scale};
 use mammoth_replica::{Replica, ReplicaConfig};
 use mammoth_server::{
     Client, ClientError, Response, RetryPolicy, Server, ServerConfig, SessionSpec,
 };
 use mammoth_sql::Session;
-use mammoth_storage::{FaultFs, FaultKind, FaultPlan, RealFs};
+use mammoth_storage::{FaultFs, FaultKind, FaultPlan, MemFs, Vfs};
 use mammoth_types::Value;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -37,8 +39,9 @@ const KEEPS_ACKED: &str =
 const SCALE_OUT: &str =
     "read throughput grows with the caught-up replicas, and lag stays bounded under a writer";
 
-fn replica_cfg(primary: &str, dir: &PathBuf) -> ReplicaConfig {
+fn replica_cfg(primary: &str, dir: &str, disk: &Arc<dyn Vfs>) -> ReplicaConfig {
     let mut cfg = ReplicaConfig::new(primary, dir);
+    cfg.fs = Arc::clone(disk);
     cfg.poll_interval = Duration::from_millis(5);
     cfg.retry = RetryPolicy {
         attempts: 10,
@@ -112,11 +115,11 @@ pub fn run(scale: Scale) -> Report {
     out.push_str("lag sampled from EXPLAIN REPLICATION under a sustained writer\n\n");
 
     // --- setup: durable primary + two replicas ----------------------------
-    let pdir = tmpdir("e23", "primary");
+    let disk: Arc<dyn Vfs> = Arc::new(MemFs::default());
     let primary = Server::start(ServerConfig {
         workers: 8,
         backlog: 128,
-        spec: SessionSpec::durable(&pdir),
+        spec: SessionSpec::durable_with(Arc::clone(&disk), "/primary"),
         ..ServerConfig::default()
     })
     .expect("primary start");
@@ -136,10 +139,9 @@ pub fn run(scale: Scale) -> Report {
         }
         c.quit().unwrap();
     }
-    let rdirs = [tmpdir("e23", "replica-0"), tmpdir("e23", "replica-1")];
-    let replicas: Vec<Replica> = rdirs
+    let replicas: Vec<Replica> = ["/replica-0", "/replica-1"]
         .iter()
-        .map(|d| Replica::start(replica_cfg(&paddr, d)).expect("replica start"))
+        .map(|d| Replica::start(replica_cfg(&paddr, d, &disk)).expect("replica start"))
         .collect();
     for r in &replicas {
         assert!(
@@ -219,23 +221,22 @@ pub fn run(scale: Scale) -> Report {
     primary.shutdown().expect("primary shutdown");
 
     // --- failover coda: kill the primary, promote, count survivors --------
-    let fpdir = tmpdir("e23", "fail-primary");
-    let frdir = tmpdir("e23", "fail-replica");
+    let (fpdir, frdir) = ("/fail-primary", "/fail-replica");
     let fs = Arc::new(FaultFs::new(
-        Arc::new(RealFs),
+        Arc::clone(&disk),
         FaultPlan {
             at_op: 97,
             kind: FaultKind::CrashAfter,
         },
     ));
     let doomed = Server::start(ServerConfig {
-        spec: SessionSpec::durable_with(fs, &fpdir),
+        spec: SessionSpec::durable_with(fs, fpdir),
         ..ServerConfig::default()
     })
     .expect("doomed primary start");
     let daddr = doomed.local_addr().to_string();
-    let mut rcfg = replica_cfg(&daddr, &frdir);
-    rcfg.primary_data = Some(fpdir.clone());
+    let mut rcfg = replica_cfg(&daddr, frdir, &disk);
+    rcfg.primary_data = Some(fpdir.into());
     let replica = Replica::start(rcfg).expect("failover replica");
     let mut acked = 0u64;
     {
@@ -254,7 +255,7 @@ pub fn run(scale: Scale) -> Report {
     replica.promote_in_place().expect("promotion");
     let promote_s = t_promote.elapsed().as_secs_f64();
     replica.shutdown().expect("promoted replica shutdown");
-    let recovered = Session::open_durable(&frdir)
+    let recovered = Session::open_durable_with(disk, frdir.into())
         .expect("promoted dir must recover")
         .catalog()
         .table("t")
@@ -272,9 +273,6 @@ pub fn run(scale: Scale) -> Report {
     );
     drop(doomed); // its disk is dead; the process is experiment-scoped
 
-    for d in [pdir, rdirs[0].clone(), rdirs[1].clone(), fpdir, frdir] {
-        let _ = std::fs::remove_dir_all(&d);
-    }
     r.text = out;
     r.exact(
         "extension",

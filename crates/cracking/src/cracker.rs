@@ -126,10 +126,6 @@ impl<T: Ord + Copy> CrackerColumn<T> {
         &self.values
     }
 
-    pub fn row_ids(&self) -> &[u32] {
-        &self.rows
-    }
-
     /// Discard all adaptive state — the cracker index, the physical
     /// permutation, and buffered updates — and re-adopt `values` as a fresh
     /// base column. This is the recovery hook: a cracked copy describes the

@@ -746,11 +746,6 @@ impl Program {
         self.nvars
     }
 
-    /// Reserve ids up to `n` (used by the parser).
-    pub fn ensure_vars(&mut self, n: usize) {
-        self.nvars = self.nvars.max(n);
-    }
-
     /// Append `results := op(args)` with fresh result vars; returns them.
     pub fn push(&mut self, op: OpCode, args: Vec<Arg>) -> Vec<VarId> {
         let results: Vec<VarId> = (0..op.result_arity()).map(|_| self.var()).collect();

@@ -60,15 +60,14 @@ impl Applier {
     /// divergence discipline starts it over from nothing — the next poll
     /// re-bootstraps from the primary's current image.
     pub fn open(fs: Arc<dyn Vfs>, root: impl Into<PathBuf>) -> Result<(Applier, bool)> {
-        let root = root.into();
-        fs.create_dir_all(&root)?;
         let mut a = Applier {
             fs,
-            root,
+            root: root.into(),
             gen: 0,
             local_len: 0,
             cursor: WalCursor::new(),
         };
+        a.make_root()?;
         let clean = a.resync()?;
         if !clean {
             a.reset()?;
@@ -109,10 +108,30 @@ impl Applier {
     /// `Subscribe{0, 0}` makes the primary ship a full re-anchor.
     pub fn reset(&mut self) -> Result<()> {
         self.fs.remove_dir_all(&self.root)?;
-        self.fs.create_dir_all(&self.root)?;
+        self.make_root()?;
         self.gen = 0;
         self.local_len = 0;
         self.cursor = WalCursor::new();
+        Ok(())
+    }
+
+    /// Create the mirror directory and make its entry durable: a power
+    /// loss must not take the whole mirror away.
+    fn make_root(&self) -> Result<()> {
+        self.fs.create_dir_all(&self.root)?;
+        self.fs.sync_dir(self.root.parent().unwrap_or(&self.root))
+    }
+
+    /// Append `bytes` to the local log of the current generation. The
+    /// append that creates the log also syncs its directory entry, once per
+    /// log, as `Wal::write_header` does; syncing the bytes is the caller's.
+    pub(crate) fn append_wal(&mut self, bytes: &[u8]) -> Result<()> {
+        self.fs
+            .append(&self.root.join(wal_file_name(self.gen)), bytes)?;
+        if self.local_len == 0 {
+            self.fs.sync_dir(&self.root)?;
+        }
+        self.local_len += bytes.len() as u64;
         Ok(())
     }
 
@@ -149,7 +168,9 @@ impl Applier {
                     self.fs.append(&path, bytes)?;
                     self.fs.sync(&path)?;
                     if *last {
-                        // Every image file is on disk: commit the anchor.
+                        // Every image file and its entry is on disk:
+                        // commit the anchor.
+                        self.fs.sync_dir(&dir)?;
                         write_current(self.fs.as_ref(), &self.root, *generation)?;
                     }
                 }
@@ -165,9 +186,7 @@ impl Applier {
                             self.gen, self.local_len
                         )));
                     }
-                    self.fs
-                        .append(&self.root.join(wal_file_name(self.gen)), bytes)?;
-                    self.local_len += bytes.len() as u64;
+                    self.append_wal(bytes)?;
                     out.groups.append(&mut self.cursor.feed(bytes)?);
                 }
                 ServerMsg::CaughtUp { generation, offset } => {
@@ -215,13 +234,8 @@ fn valid_image_name(name: &str) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mammoth_storage::RealFs;
-
-    fn tmp(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("mammoth-applier-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d
-    }
+    use mammoth_storage::MemFs;
+    use std::path::Path;
 
     #[test]
     fn image_names_are_confined() {
@@ -233,9 +247,7 @@ mod tests {
 
     #[test]
     fn mismatched_chunks_are_divergence() {
-        let d = tmp("mismatch");
-        let fs: Arc<dyn Vfs> = Arc::new(RealFs);
-        let (mut a, wiped) = Applier::open(fs, &d).unwrap();
+        let (mut a, wiped) = Applier::open(Arc::new(MemFs::default()), "/mirror").unwrap();
         assert!(!wiped, "fresh directory is clean");
         // A chunk that does not start at our local length cannot be
         // appended — the stream no longer extends what we hold.
@@ -249,24 +261,22 @@ mod tests {
         assert!(err.to_string().contains("does not extend"), "{err}");
         a.reset().unwrap();
         assert_eq!((a.generation(), a.offset()), (0, 0));
-        let _ = std::fs::remove_dir_all(&d);
     }
 
     #[test]
     fn torn_local_tail_wipes_on_open() {
-        let d = tmp("torn");
-        let fs: Arc<dyn Vfs> = Arc::new(RealFs);
-        std::fs::create_dir_all(&d).unwrap();
+        let fs = Arc::new(MemFs::default());
+        let wal = Path::new("/mirror").join(wal_file_name(0));
+        fs.create_dir_all(Path::new("/mirror")).unwrap();
         // A header plus half a frame: valid prefix, torn at rest.
-        let mut wal = Vec::new();
-        wal.extend_from_slice(b"MWAL1\n");
-        wal.extend_from_slice(&1u16.to_le_bytes());
-        wal.extend_from_slice(&[9, 0, 0, 0]); // claims 9 payload bytes, none follow
-        std::fs::write(d.join(wal_file_name(0)), &wal).unwrap();
-        let (a, wiped) = Applier::open(Arc::clone(&fs), &d).unwrap();
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(b"MWAL1\n");
+        bytes.extend_from_slice(&1u16.to_le_bytes());
+        bytes.extend_from_slice(&[9, 0, 0, 0]); // claims 9 payload bytes, none follow
+        fs.write_file(&wal, &bytes).unwrap();
+        let (a, wiped) = Applier::open(fs.clone(), "/mirror").unwrap();
         assert!(wiped, "torn tail at rest must wipe");
         assert_eq!((a.generation(), a.offset()), (0, 0));
-        assert!(!fs.exists(&d.join(wal_file_name(0))), "wal removed");
-        let _ = std::fs::remove_dir_all(&d);
+        assert!(!fs.exists(&wal), "wal removed");
     }
 }

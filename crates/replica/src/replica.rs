@@ -27,8 +27,7 @@
 
 use crate::applier::Applier;
 use mammoth_server::{Client, RetryPolicy, Server, ServerConfig, SessionSpec, SharedSession};
-use mammoth_storage::persist::apply_wal_record;
-use mammoth_storage::persist::wal_file_name;
+use mammoth_storage::persist::{apply_wal_record, wal_file_name};
 use mammoth_storage::ship::{durable_tip, read_wal_range};
 use mammoth_storage::{RealFs, Vfs};
 use mammoth_types::trace::{EventKind, Recorder};
@@ -47,6 +46,8 @@ pub struct ReplicaConfig {
     pub primary_addr: String,
     /// Local mirror directory (created if missing).
     pub data: PathBuf,
+    /// The disk `data` and `primary_data` are on.
+    pub fs: Arc<dyn Vfs>,
     /// Listen address for the replica's own read-only server.
     pub addr: String,
     /// Worker threads for the read-only server.
@@ -71,6 +72,7 @@ impl ReplicaConfig {
         ReplicaConfig {
             primary_addr: primary_addr.into(),
             data: data.into(),
+            fs: Arc::new(RealFs),
             addr: "127.0.0.1:0".into(),
             workers: 2,
             poll_interval: Duration::from_millis(20),
@@ -136,7 +138,6 @@ impl Counters {
 /// thread and spawns the promotion onto its own thread).
 struct PromoteShared {
     cfg: ReplicaConfig,
-    fs: Arc<dyn Vfs>,
     counters: Arc<Counters>,
     stop: Arc<AtomicBool>,
     puller: Arc<Mutex<Option<JoinHandle<()>>>>,
@@ -173,15 +174,15 @@ impl Replica {
     /// yet — the puller retries per `cfg.retry` and the server meanwhile
     /// answers from whatever the mirror already holds.
     pub fn start(cfg: ReplicaConfig) -> Result<Replica> {
-        let fs: Arc<dyn Vfs> = Arc::new(RealFs);
+        let fs = &cfg.fs;
         let t0 = Instant::now();
         let recorder = Arc::new(Recorder::default());
         let counters = Arc::new(Counters::default());
 
-        let (mut applier, wiped) = Applier::open(Arc::clone(&fs), &cfg.data)?;
+        let (mut applier, wiped) = Applier::open(Arc::clone(fs), &cfg.data)?;
 
         let status = Arc::clone(&counters);
-        let mut spec = SessionSpec::durable_with(Arc::clone(&fs), &cfg.data);
+        let mut spec = SessionSpec::durable_with(Arc::clone(fs), &cfg.data);
         spec.status_provider = Some(Arc::new(move || {
             let s = status.snapshot();
             let role = if s.promoted { "primary" } else { "replica" };
@@ -202,7 +203,6 @@ impl Replica {
         let puller_slot: Arc<Mutex<Option<JoinHandle<()>>>> = Arc::new(Mutex::new(None));
         let promo = Arc::new(PromoteShared {
             cfg: cfg.clone(),
-            fs: Arc::clone(&fs),
             counters: Arc::clone(&counters),
             stop: Arc::clone(&stop),
             puller: Arc::clone(&puller_slot),
@@ -422,7 +422,7 @@ fn run_promotion(promo: &PromoteShared) -> Result<u64> {
         }
         let mut drained = 0u64;
         if let Some(proot) = &promo.cfg.primary_data {
-            drained = drain_into(&promo.fs, &promo.cfg.data, proot)?;
+            drained = drain_into(&promo.cfg.fs, &promo.cfg.data, proot)?;
         }
         rebuild_session(&wiring.shared, &wiring.spec)?;
         promo.counters.promoted.store(true, Ordering::SeqCst);
@@ -455,9 +455,8 @@ fn drain_into(fs: &Arc<dyn Vfs>, data: &Path, proot: &Path) -> Result<u64> {
     let (mut applier, _) = Applier::open(Arc::clone(fs), data)?;
     if tip.gen == applier.generation() {
         if let Some(bytes) = read_wal_range(fs.as_ref(), proot, tip.gen, applier.offset())? {
-            let wal = data.join(wal_file_name(tip.gen));
-            fs.append(&wal, &bytes)?;
-            fs.sync(&wal)?;
+            applier.append_wal(&bytes)?;
+            fs.sync(&data.join(wal_file_name(tip.gen)))?;
             return Ok(bytes.len() as u64);
         }
     }
@@ -469,6 +468,8 @@ fn drain_into(fs: &Arc<dyn Vfs>, data: &Path, proot: &Path) -> Result<u64> {
     for path in fs.read_dir(proot)? {
         copied += copy_tree(fs.as_ref(), &path, data)?;
     }
+    // the copies' own entries, `CURRENT` and `wal-<g>` among them
+    fs.sync_dir(data)?;
     Ok(copied)
 }
 

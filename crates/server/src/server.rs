@@ -14,11 +14,10 @@ use crate::protocol::{ErrorCode, ServerMsg, SERVER_NAME};
 use crate::shared::{ExecError, SessionSpec, SharedSession, Storage};
 use mammoth_sql::{QueryOutput, Statement};
 use mammoth_storage::ship::{durable_tip, export_image, read_wal_range, Tip};
-use mammoth_storage::{RealFs, Vfs};
+use mammoth_storage::Vfs;
 use mammoth_types::trace::EventKind;
 use mammoth_types::{Error, Result};
 use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -357,9 +356,8 @@ impl Handler for Engine {
     /// complete batch is ever transmitted.
     fn subscribe(&self, conn: &Conn<'_>, sub_gen: u64, sub_off: u64) -> Vec<ServerMsg> {
         let started = Instant::now();
-        let (fs, root): (Arc<dyn Vfs>, PathBuf) = match &self.storage {
-            Storage::Durable { root } => (Arc::new(RealFs), root.clone()),
-            Storage::DurableVfs { fs, root } => (Arc::clone(fs), root.clone()),
+        let (fs, root) = match &self.storage {
+            Storage::Durable { fs, root } => (fs, root),
             Storage::InMemory => {
                 return vec![ServerMsg::err(
                     ErrorCode::Protocol,
@@ -371,7 +369,7 @@ impl Handler for Engine {
         conn.trace(EventKind::ReplSubscribe, at.clone(), started, 0);
         let mut last_err = None;
         for _ in 0..3 {
-            match subscription_batch(fs.as_ref(), &root, sub_gen, sub_off) {
+            match subscription_batch(fs.as_ref(), root, sub_gen, sub_off) {
                 Ok((msgs, shipped)) => {
                     let args = format!("{at} msgs={} bytes={shipped}", msgs.len());
                     conn.trace(EventKind::ReplShip, args, started, 0);
@@ -398,7 +396,7 @@ impl Handler for Engine {
 /// Compute one poll's messages: either a tail of the subscriber's own
 /// generation, or a full re-anchor (image + WAL) of the current one.
 /// Returns the messages and the total payload bytes shipped.
-fn subscription_batch(
+pub fn subscription_batch(
     fs: &dyn Vfs,
     root: &std::path::Path,
     sub_gen: u64,

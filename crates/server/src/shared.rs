@@ -26,7 +26,7 @@
 
 use mammoth_parallel::ParallelExecutor;
 use mammoth_sql::{parse_sql, QueryOutput, Session, Statement, StatusProvider};
-use mammoth_storage::Vfs;
+use mammoth_storage::{RealFs, Vfs};
 use mammoth_types::{Error, Result};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -39,10 +39,9 @@ use std::time::{Duration, Instant};
 pub enum Storage {
     /// Catalog lives only in memory; a rebuild starts empty.
     InMemory,
-    /// WAL + checkpoints under `root`; a rebuild recovers committed state.
-    Durable { root: PathBuf },
-    /// Durable through an explicit VFS (fault injection in tests).
-    DurableVfs { fs: Arc<dyn Vfs>, root: PathBuf },
+    /// WAL + checkpoints under `root` on the disk `fs`; a rebuild
+    /// recovers committed state.
+    Durable { fs: Arc<dyn Vfs>, root: PathBuf },
 }
 
 /// The full recipe for (re)building the engine session.
@@ -72,26 +71,18 @@ impl SessionSpec {
         }
     }
 
+    /// Durable under `root` on the real file system.
     pub fn durable(root: impl Into<PathBuf>) -> SessionSpec {
-        SessionSpec {
-            storage: Storage::Durable { root: root.into() },
-            wal_batch: None,
-            merge_threshold: None,
-            status_provider: None,
-            parallel: None,
-        }
+        SessionSpec::durable_with(Arc::new(RealFs), root)
     }
 
     pub fn durable_with(fs: Arc<dyn Vfs>, root: impl Into<PathBuf>) -> SessionSpec {
         SessionSpec {
-            storage: Storage::DurableVfs {
+            storage: Storage::Durable {
                 fs,
                 root: root.into(),
             },
-            wal_batch: None,
-            merge_threshold: None,
-            status_provider: None,
-            parallel: None,
+            ..SessionSpec::in_memory()
         }
     }
 
@@ -100,10 +91,7 @@ impl SessionSpec {
     pub fn build(&self) -> Result<Session> {
         let mut s = match &self.storage {
             Storage::InMemory => Session::new(),
-            Storage::Durable { root } => Session::open_durable(root.clone())?,
-            Storage::DurableVfs { fs, root } => {
-                Session::open_durable_with(fs.clone(), root.clone())?
-            }
+            Storage::Durable { fs, root } => Session::open_durable_with(fs.clone(), root.clone())?,
         };
         if let Some(n) = self.wal_batch {
             s.set_wal_batch(n);

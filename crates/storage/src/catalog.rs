@@ -367,10 +367,6 @@ impl Catalog {
         self.bats.remove(norm(name).as_ref())
     }
 
-    pub fn bat_names(&self) -> impl Iterator<Item = &str> {
-        self.bats.keys().map(|s| s.as_str())
-    }
-
     /// Every table compacted (see [`TableImage`]), in name order. Nothing
     /// is folded yet: pass the result to [`Catalog::adopt_image`] once it
     /// has been written, with no statement in between.

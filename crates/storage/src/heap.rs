@@ -162,13 +162,6 @@ impl TailHeap {
         }
     }
 
-    pub fn as_str_heap_mut(&mut self) -> Option<&mut StrHeap> {
-        match self {
-            TailHeap::Str(h) => Some(h),
-            _ => None,
-        }
-    }
-
     /// Dynamic read of row `i` (slow path: result rendering, constants).
     pub fn value(&self, i: usize) -> Value {
         match self {

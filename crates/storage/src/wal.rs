@@ -403,16 +403,6 @@ impl Wal {
         self.pending -= self.since_boundary;
         self.since_boundary = 0;
     }
-
-    /// Reset the log to empty (after a successful checkpoint).
-    pub fn truncate(&mut self) -> Result<()> {
-        self.buf.clear();
-        self.pending = 0;
-        self.boundary_off = 0;
-        self.since_boundary = 0;
-        self.stmts_pending = 0;
-        self.write_header()
-    }
 }
 
 /// Incremental parser over a WAL byte *stream*: the replication applier's
@@ -677,19 +667,6 @@ mod tests {
                 }
             }
         }
-        let _ = std::fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn truncate_resets_log() {
-        let d = tmp("trunc");
-        let fs: Arc<dyn Vfs> = Arc::new(RealFs);
-        let path = d.join("wal");
-        let mut wal = Wal::open(Arc::clone(&fs), path.clone()).unwrap();
-        wal.append(&WalRecord::Merge { table: "t".into() }).unwrap();
-        wal.truncate().unwrap();
-        let back = replay(fs.as_ref(), &path).unwrap();
-        assert!(back.records.is_empty() && !back.tail_discarded);
         let _ = std::fs::remove_dir_all(&d);
     }
 

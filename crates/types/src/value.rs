@@ -17,24 +17,6 @@ pub enum LogicalType {
 }
 
 impl LogicalType {
-    /// Width in bytes of the fixed part of a value of this type
-    /// (strings store an 8-byte offset into a variable heap).
-    pub fn fixed_width(&self) -> usize {
-        match self {
-            LogicalType::Bool => 1,
-            LogicalType::I8 => 1,
-            LogicalType::I16 => 2,
-            LogicalType::I32 => 4,
-            LogicalType::I64 | LogicalType::F64 | LogicalType::Oid => 8,
-            LogicalType::Str => 8,
-        }
-    }
-
-    /// True for types stored via a variable-width heap.
-    pub fn is_varwidth(&self) -> bool {
-        matches!(self, LogicalType::Str)
-    }
-
     /// True for the numeric family (arithmetic is defined).
     pub fn is_numeric(&self) -> bool {
         matches!(

@@ -19,13 +19,6 @@ impl XmlNode {
         }
     }
 
-    pub fn with_children(tag: impl Into<String>, children: Vec<XmlNode>) -> XmlNode {
-        XmlNode {
-            tag: tag.into(),
-            children,
-        }
-    }
-
     /// Total node count (including self).
     pub fn size(&self) -> usize {
         1 + self.children.iter().map(|c| c.size()).sum::<usize>()

@@ -13,20 +13,23 @@
 //! * **Failover** — with the primary killed at a randomized filesystem
 //!   kill point (`MAMMOTH_FAULT_SEED` selects the schedule), promoting a
 //!   replica in place — it drains the dead primary's surviving directory
-//!   first — loses no acknowledged write: acked <= recovered <= acked + 1
-//!   (the `+ 1` is a write that became durable without its OK reaching
-//!   the client).
+//!   first — loses no acknowledged write, neither one the primary
+//!   acknowledged nor one the promoted node did: acked <= recovered <=
+//!   acked + 1 (the `+ 1` is a write that became durable without its OK
+//!   reaching the client), on the disk as the nodes left it and after
+//!   each of `POWER_LOSSES` power losses.
+//!
+//! Every node keeps its files on the cluster's one in-memory disk.
 
-use mammoth_server::{Client, ClientError, ErrorCode, Response, SessionSpec};
+use mammoth_server::{Client, ClientError, ErrorCode, Response};
 use mammoth_storage::persist::wal_file_name;
-use mammoth_storage::{FaultFs, FaultKind, FaultPlan, RealFs};
+use mammoth_storage::{FaultKind, FaultPlan};
 use mammoth_types::Value;
-use std::sync::Arc;
 use std::time::Duration;
 
 mod support;
 use support::cluster::{ask, wait_served, Cluster, Spec};
-use support::{seed, tmpdir, wait_for};
+use support::{crash_seeds, seed, wait_for, Ledger};
 
 #[test]
 fn replicas_converge_to_identical_tables() {
@@ -109,13 +112,13 @@ fn corrupted_replica_rebootstraps_never_serves_garbage() {
     // Corrupt the mirror's WAL mid-file (flip a byte past the header) and
     // restart the replica on it: it must detect the divergence, wipe, and
     // re-bootstrap.
-    cluster.restart_replica(0, |rdir| {
+    cluster.restart_replica(0, |fs, rdir| {
         let wal = rdir.join(wal_file_name(gen));
-        let mut bytes = std::fs::read(&wal).unwrap();
+        let mut bytes = fs.read(&wal).unwrap();
         assert!(bytes.len() > 12, "need a record to corrupt");
         let mid = 8 + (bytes.len() - 8) / 2;
         bytes[mid] ^= 0x40;
-        std::fs::write(&wal, &bytes).unwrap();
+        fs.write_file(&wal, &bytes).unwrap();
     });
 
     // While it does, every answer must be a clean prefix of the true
@@ -148,57 +151,111 @@ fn corrupted_replica_rebootstraps_never_serves_garbage() {
     );
 }
 
+/// INSERT `values` into `t` at `addr`, one statement each, until one
+/// fails; record each in `ledger`. Returns whether every one was acked.
+fn insert(addr: &str, values: std::ops::Range<i64>, ledger: &Ledger) -> bool {
+    let mut c = Client::connect(addr, "writer", "").unwrap();
+    values.into_iter().all(|v| {
+        let acked = c.query(&format!("INSERT INTO t VALUES ({v})")).is_ok();
+        ledger.record(v, acked);
+        acked
+    })
+}
+
+/// Promote replica 0, whose primary is dead, and write three more values
+/// through it. Hold shard 0's rows to `ledger` after a power loss of each
+/// of `seeds` right after promotion and again after the writes, then on the
+/// disk as the nodes left it.
+fn promote_and_audit(cluster: &mut Cluster, ledger: &Ledger, seeds: &[u64], case: &str) {
+    let check = |when: &str, seed: Option<&u64>, rows: mammoth_types::Result<Vec<Vec<Value>>>| {
+        let lost = seed.map_or("no power loss".into(), |s| format!("crash seed {s}"));
+        let rows = rows.unwrap_or_else(|e| panic!("{case}, {when}, {lost}: recovery failed: {e}"));
+        let recovered: Vec<i64> = rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
+        ledger
+            .check(&recovered, 1)
+            .unwrap_or_else(|e| panic!("{case}, {when}, {lost}: {e}"));
+    };
+    cluster.replica(0).promote_in_place().unwrap();
+    for (seed, rows) in seeds.iter().zip(cluster.power_losses(0, seeds)) {
+        check("promoted", Some(seed), rows);
+    }
+    let promoted = insert(&cluster.replica_addr(0), 1000..1003, ledger);
+    assert!(promoted, "{case}: the promoted node refused a write");
+    for (seed, rows) in seeds.iter().zip(cluster.power_losses(0, seeds)) {
+        check("after three writes", Some(seed), rows);
+    }
+    check("stopped", None, Ok(cluster.audit(0)));
+}
+
 #[test]
 fn promotion_after_primary_crash_loses_no_acked_write() {
     let seed = seed("MAMMOTH_FAULT_SEED", 0);
-    // Three randomized kill points per seed: early (mid-schema), middle,
-    // and late in the insert stream.
-    for (round, at_op) in [23 + seed % 11, 67 + seed % 29, 131 + seed % 53]
-        .into_iter()
-        .enumerate()
-    {
-        let fs = Arc::new(FaultFs::new(
-            Arc::new(RealFs),
-            FaultPlan {
-                at_op,
-                kind: FaultKind::CrashAfter,
-            },
-        ));
-        let pdir = tmpdir(&format!("repl-fail-{round}"));
+    // Three randomized kill points per seed: early, middle and late in the
+    // insert stream.
+    for at_op in [23 + seed % 11, 67 + seed % 29, 131 + seed % 53] {
+        let kind = FaultKind::CrashAfter;
         let mut cluster = Cluster::start(Spec {
-            shards: vec![SessionSpec::durable_with(fs.clone(), pdir)],
+            durable: Some(FaultPlan { at_op, kind }),
             replicas: vec![0],
             primary_data: true,
             ..Spec::in_memory(1)
         });
 
         // Write until the injected crash kills the primary's disk.
-        let mut acked: i64 = 0;
-        let mut c = Client::connect(&cluster.addr(0), "writer", "").unwrap();
-        if c.query("CREATE TABLE t (a INT)").is_ok() {
-            for i in 0..200 {
-                match c.query(&format!("INSERT INTO t VALUES ({i})")) {
-                    Ok(_) => acked = i + 1,
-                    Err(_) => break,
-                }
-            }
-        }
-        drop(c);
+        let ledger = Ledger::default();
+        ask(&cluster.addr(0), "CREATE TABLE t (a INT)").unwrap();
+        insert(&cluster.addr(0), 0..200, &ledger);
         // The primary is gone; fail over. Promotion drains whatever the
         // replica has not pulled yet from the dead primary's directory
         // (reads there keep working), so nothing waits for replication.
         cluster.crash(0);
-        cluster.replica(0).promote_in_place().unwrap();
-
-        let rows = cluster.audit(0);
-        let recovered = rows.len() as i64;
-        assert!(
-            recovered == acked || recovered == acked + 1,
-            "seed {seed} op {at_op} (fired on {:?}): acked {acked} but recovered {recovered}",
-            fs.fired_on()
+        let case = format!(
+            "seed {seed} op {at_op} (fired on {:?})",
+            cluster.fired_on(0)
         );
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(row, &vec![Value::I32(i as i32)], "row {i} garbled");
-        }
+        let seeds: Vec<u64> = crash_seeds(seed, at_op).collect();
+        promote_and_audit(&mut cluster, &ledger, &seeds, &case);
     }
+}
+
+/// A primary that checkpointed, then died: its replica either pulled the
+/// image and the log before the death (its applier wrote the mirror), or
+/// starts only afterwards (promotion copies the dead primary's directory).
+/// Either way the promoted node keeps every acknowledged write.
+fn promotion_after_a_checkpoint(late: bool) {
+    let mut cluster = Cluster::start(Spec {
+        replicas: if late { vec![] } else { vec![0] },
+        primary_data: true,
+        ..Spec::durable(1)
+    });
+    let (paddr, ledger) = (cluster.addr(0), Ledger::default());
+    ask(&paddr, "CREATE TABLE t (a INT)").unwrap();
+    insert(&paddr, 0..5, &ledger);
+    ask(&paddr, "CHECKPOINT").unwrap();
+    insert(&paddr, 5..9, &ledger);
+    if !late {
+        let count = "SELECT COUNT(*) FROM t";
+        wait_served(
+            &cluster.replica_addr(0),
+            count,
+            &ask(&paddr, count).unwrap(),
+        );
+    }
+    cluster.crash(0);
+    if late {
+        cluster.follow(0);
+    }
+    let case = format!("late {late}");
+    let seeds: Vec<u64> = crash_seeds(0, 0).collect();
+    promote_and_audit(&mut cluster, &ledger, &seeds, &case);
+}
+
+#[test]
+fn promotion_keeps_what_the_replica_pulled_after_a_checkpoint() {
+    promotion_after_a_checkpoint(false);
+}
+
+#[test]
+fn promotion_keeps_what_it_copies_after_a_checkpoint() {
+    promotion_after_a_checkpoint(true);
 }

@@ -12,8 +12,8 @@
 //! * **Kill and drain recovery** — a durable server on an in-memory disk
 //!   (`MemFs`) is "killed" mid-load with a [`FaultFs`] crash schedule
 //!   (every disk op after the Nth fails), or shut down gracefully mid-load.
-//!   Reopening the store — as the process left the disk, and after a power
-//!   loss (`MemFs::crash`) — must recover every acknowledged INSERT, by
+//!   Reopening the store — as the process left the disk, and after each of
+//!   `POWER_LOSSES` power losses (`MemFs::crash`) — must recover every acknowledged INSERT, by
 //!   value; only the one statement in flight at the stop may appear beyond
 //!   that (fsync'd but never acknowledged), and nothing that was never
 //!   sent.
@@ -29,7 +29,7 @@ use std::time::Duration;
 
 mod support;
 use support::gen::{Gen, Model};
-use support::{mem_disk, seed, wait_for, Ledger, STORE};
+use support::{crash_seeds, mem_disk, seed, views, wait_for, Ledger, STORE};
 
 /// The first row of a result table, as integers.
 fn tally(resp: Response) -> Vec<Option<i64>> {
@@ -177,16 +177,19 @@ fn insert_load(fs: Arc<dyn Vfs>) -> (Server, Vec<JoinHandle<()>>, Arc<Ledger>) {
     (srv, writers, ledger)
 }
 
-/// Reopen the store on `disk` as the process left it, and after a power
-/// loss: each time the committed prefix must be back — every acknowledged
-/// value (the WAL fsyncs before the ack frame) and, since writes serialize
-/// on the session, at most ONE more: the statement in flight at the stop,
-/// durable but never acknowledged.
-fn assert_recovers(disk: Arc<MemFs>, ledger: &Ledger) {
-    let crash_seed = seed("MAMMOTH_FAULT_SEED", 1);
-    let lost = Arc::new(disk.crash(crash_seed));
-    for (view, disk) in [("the volatile view", disk), ("the power loss", lost)] {
-        let ctx = format!("recovered from {view}, crash seed {crash_seed}");
+/// Reopen the store on `disk` as the process left it, and after the power
+/// loss of each crash seed of kill point `at_op`: each time the committed
+/// prefix must be back — every acknowledged value (the WAL fsyncs before
+/// the ack frame) and, since writes serialize on the session, at most ONE
+/// more: the statement in flight at the stop, durable but never
+/// acknowledged.
+fn assert_recovers(disk: Arc<MemFs>, ledger: &Ledger, at_op: u64) {
+    let seeds = crash_seeds(seed("MAMMOTH_FAULT_SEED", 1), at_op);
+    for (crash, disk) in views(disk, seeds) {
+        let ctx = match crash {
+            Some(s) => format!("recovered after a power loss, crash seed {s}"),
+            None => "recovered from the volatile view".into(),
+        };
         let mut s =
             Session::open_durable_with(disk, STORE.into()).unwrap_or_else(|e| panic!("{ctx}: {e}"));
         let QueryOutput::Table { rows, .. } = s.execute("SELECT a FROM t").unwrap() else {
@@ -206,13 +209,9 @@ fn killed_server_recovers_every_acknowledged_statement() {
     // Let setup (store creation + CREATE TABLE) through, then crash the
     // "disk" a couple hundred mutating operations into the load.
     let disk = mem_disk();
-    let fs = Arc::new(FaultFs::new(
-        disk.clone(),
-        FaultPlan {
-            at_op: 220,
-            kind: FaultKind::CrashAfter,
-        },
-    ));
+    let at_op = 220;
+    let kind = FaultKind::CrashAfter;
+    let fs = Arc::new(FaultFs::new(disk.clone(), FaultPlan { at_op, kind }));
     let (srv, writers, ledger) = insert_load(fs.clone());
     writers.into_iter().for_each(|w| w.join().unwrap());
     assert!(
@@ -226,7 +225,7 @@ fn killed_server_recovers_every_acknowledged_statement() {
     // Graceful-drain machinery still works, but the shutdown checkpoint
     // hits the dead disk; that error is the expected outcome of a kill.
     let _ = srv.shutdown();
-    assert_recovers(disk, &ledger);
+    assert_recovers(disk, &ledger, at_op);
 }
 
 /// A graceful shutdown in the middle of the same load — drain, then the
@@ -240,7 +239,8 @@ fn drained_server_recovers_every_acknowledged_statement() {
     });
     srv.shutdown().expect("a graceful shutdown");
     writers.into_iter().for_each(|w| w.join().unwrap());
-    assert_recovers(disk, &ledger);
+    // no op was faulted: the power fails after the last one
+    assert_recovers(disk, &ledger, u64::MAX);
 }
 
 #[test]

@@ -1,16 +1,17 @@
 //! One in-process cluster for every tier that needs more than one node:
 //! shard primaries, the replicas that follow them and a coordinator, each
-//! on its own loopback socket, started from one [`Spec`] and torn down —
-//! directories included — when the [`Cluster`] drops.
+//! on its own loopback socket, started from one [`Spec`] and stopped when
+//! the [`Cluster`] drops.
 //!
-//! Durable shards the fixture makes itself sit on a [`FaultFs`], so a test
-//! can [`Cluster::crash`] one the way `kill -9` leaves a process: the disk
-//! fails first, then the listener closes, and no shutdown checkpoint ever
-//! reaches the directory. Every other node must stop cleanly: a failed
+//! Every node keeps its files on the cluster's one in-memory disk
+//! ([`MemFs`]): durable shard `i` at `/shard-<i>`, replica `k` at
+//! `/replica-<k>`. A durable shard sits on a [`FaultFs`] of its own, so a
+//! test can [`Cluster::crash`] one the way `kill -9` leaves a process: the
+//! disk fails first, then the listener closes, and no shutdown checkpoint
+//! ever reaches the directory. Every other node must stop cleanly: a failed
 //! shutdown fails the test when the cluster drops.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -20,16 +21,18 @@ use mammoth_server::{
 };
 use mammoth_shard::{Coordinator, CoordinatorConfig, FrontConfig, FrontEnd};
 use mammoth_sql::Session;
-use mammoth_storage::{FaultFs, FaultPlan, RealFs};
+use mammoth_storage::{FaultFs, FaultPlan, MemFs, Vfs};
 use mammoth_types::Value;
 
-use super::{tmpdir, wait_for};
+use super::wait_for;
 
 /// What [`Cluster::start`] brings up.
 pub struct Spec {
-    /// One session recipe per shard primary, in shard order. A
-    /// `Storage::Durable` recipe is moved onto a crashable disk.
+    /// One session recipe per shard primary, in shard order.
     pub shards: Vec<SessionSpec>,
+    /// Put every shard primary on the cluster's disk, under a `FaultFs`
+    /// with this schedule; `None` keeps the recipes' own storage.
+    pub durable: Option<FaultPlan>,
     /// The shard each replica follows, in replica order. A shard's first
     /// replica is the coordinator's failover target.
     pub replicas: Vec<usize>,
@@ -50,6 +53,7 @@ impl Spec {
     pub fn in_memory(n: usize) -> Spec {
         Spec {
             shards: (0..n).map(|_| SessionSpec::in_memory()).collect(),
+            durable: None,
             replicas: Vec::new(),
             primary_data: false,
             deadline: Duration::from_millis(1500),
@@ -58,44 +62,39 @@ impl Spec {
         }
     }
 
-    /// `n` durable shards, each in a fresh temporary directory.
+    /// `n` durable shards whose disks never fail on their own.
     pub fn durable(n: usize) -> Spec {
         Spec {
-            shards: (0..n).map(|_| SessionSpec::durable(fresh_dir())).collect(),
+            durable: Some(FaultPlan::none()),
             ..Spec::in_memory(n)
         }
     }
-}
-
-/// A directory no other node of any cluster in this process uses.
-fn fresh_dir() -> PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    tmpdir(&format!("cluster-{}", NEXT.fetch_add(1, Ordering::SeqCst)))
 }
 
 struct Shard {
     /// `None` once stopped.
     server: Option<Server>,
     addr: String,
-    /// A durable shard's directory, and the disk under it when the
-    /// fixture made that disk.
+    /// A durable shard's directory, and its view of the cluster's disk.
     dir: Option<PathBuf>,
     disk: Option<Arc<FaultFs>>,
 }
 
 impl Shard {
-    fn start(mut spec: SessionSpec) -> Shard {
-        let mut disk = None;
-        if let Storage::Durable { root } = spec.storage.clone() {
-            let fs = disk
-                .insert(Arc::new(FaultFs::new(Arc::new(RealFs), FaultPlan::none())))
-                .clone();
-            spec.storage = Storage::DurableVfs { fs, root };
+    /// Shard `i` from its recipe, moved to `/shard-<i>` on `disk` under
+    /// `plan` when there is one.
+    fn start(i: usize, mut spec: SessionSpec, on: Option<(&Arc<MemFs>, FaultPlan)>) -> Shard {
+        let (mut dir, mut disk) = (None, None);
+        if let Some((mem, plan)) = on {
+            // the directory is durable before the node starts: a power
+            // loss judges the node, not the fixture's set-up
+            let root = dir.insert(PathBuf::from(format!("/shard-{i}")));
+            mem.create_dir_all(root).unwrap();
+            mem.sync_dir(Path::new("/")).unwrap();
+            let fs = disk.insert(Arc::new(FaultFs::new(mem.clone(), plan)));
+            let (fs, root) = (fs.clone(), root.clone());
+            spec.storage = Storage::Durable { fs, root };
         }
-        let dir = match &spec.storage {
-            Storage::DurableVfs { root, .. } => Some(root.clone()),
-            _ => None,
-        };
         let cfg = ServerConfig {
             spec,
             ..ServerConfig::default()
@@ -127,6 +126,26 @@ struct Follower {
 }
 
 impl Follower {
+    /// Replica `k`, of `shard` (shard `of`), at `/replica-<k>` on `disk`;
+    /// it may read the shard's directory when `primary_data` is set.
+    fn start(
+        disk: &Arc<MemFs>,
+        retry: &RetryPolicy,
+        k: usize,
+        (of, shard): (usize, &Shard),
+        primary_data: bool,
+    ) -> Follower {
+        let mut cfg = ReplicaConfig::new(&shard.addr, format!("/replica-{k}"));
+        cfg.fs = disk.clone();
+        cfg.poll_interval = Duration::from_millis(5);
+        cfg.retry = retry.clone();
+        if primary_data {
+            cfg.primary_data = Some(shard.dir.clone().expect("a durable primary"));
+        }
+        let replica = Some(Replica::start(cfg.clone()).unwrap());
+        Follower { replica, cfg, of }
+    }
+
     /// Shut the replica down, if it is up.
     fn stop(&mut self) -> mammoth_types::Result<()> {
         self.replica
@@ -135,12 +154,15 @@ impl Follower {
     }
 }
 
-/// A running cluster. Every node stops, and every directory goes, on drop;
-/// a node whose shutdown fails there fails the test.
+/// A running cluster. Every node stops on drop; a node whose shutdown
+/// fails there fails the test.
 pub struct Cluster {
+    disk: Arc<MemFs>,
     shards: Vec<Shard>,
     replicas: Vec<Follower>,
     coord: Arc<Coordinator>,
+    retry: RetryPolicy,
+    primary_data: bool,
 }
 
 impl Cluster {
@@ -151,21 +173,17 @@ impl Cluster {
             max_delay: Duration::from_millis(25),
             seed: spec.seed,
         };
-        let shards: Vec<Shard> = spec.shards.into_iter().map(Shard::start).collect();
-        let follow = |of: usize| {
-            let mut cfg = ReplicaConfig::new(&shards[of].addr, fresh_dir());
-            cfg.poll_interval = Duration::from_millis(5);
-            cfg.retry = retry.clone();
-            if spec.primary_data {
-                cfg.primary_data = Some(shards[of].dir.clone().expect("a durable primary"));
-            }
-            let replica = Some(Replica::start(cfg.clone()).unwrap());
-            Follower { replica, cfg, of }
+        let disk = Arc::new(MemFs::default());
+        let on = spec.durable.map(|plan| (&disk, plan));
+        let shards = spec.shards.into_iter().enumerate();
+        let shards: Vec<Shard> = shards.map(|(i, s)| Shard::start(i, s, on)).collect();
+        let follow = |(k, of): (usize, usize)| {
+            Follower::start(&disk, &retry, k, (of, &shards[of]), spec.primary_data)
         };
-        let replicas: Vec<Follower> = spec.replicas.iter().copied().map(follow).collect();
+        let replicas: Vec<Follower> = spec.replicas.into_iter().enumerate().map(follow).collect();
         let mut cfg = CoordinatorConfig::new(shards.iter().map(|s| s.addr.clone()).collect());
         cfg.deadline = spec.deadline;
-        cfg.retry = retry;
+        cfg.retry = retry.clone();
         let target = |i| replicas.iter().find(|r| r.of == i);
         cfg.replicas = (0..shards.len())
             .map(|i| target(i).map(|r| r.replica.as_ref().unwrap().local_addr().to_string()))
@@ -178,10 +196,22 @@ impl Cluster {
             coord.start_health_monitor();
         }
         Cluster {
+            disk,
             shards,
             replicas,
             coord,
+            retry,
+            primary_data: spec.primary_data,
         }
+    }
+
+    /// Start one more replica, of shard `of`; returns its index. The
+    /// coordinator knows only the replicas [`Cluster::start`] made.
+    pub fn follow(&mut self, of: usize) -> usize {
+        let (k, shard) = (self.replicas.len(), (of, &self.shards[of]));
+        let node = Follower::start(&self.disk, &self.retry, k, shard, self.primary_data);
+        self.replicas.push(node);
+        k
     }
 
     pub fn coord(&self) -> Arc<Coordinator> {
@@ -206,6 +236,11 @@ impl Cluster {
         self.replica(k).local_addr().to_string()
     }
 
+    /// The operation shard `i`'s disk failed on, if it failed.
+    pub fn fired_on(&self, i: usize) -> Option<String> {
+        self.shards[i].disk.as_ref().and_then(|d| d.fired_on())
+    }
+
     /// Shard `i`'s primary stops gracefully (drain, then a checkpoint); to
     /// its clients it is gone exactly as a dead process is.
     pub fn kill(&mut self, i: usize) {
@@ -213,10 +248,10 @@ impl Cluster {
     }
 
     /// Shard `i`'s primary dies as `kill -9` leaves it: its disk fails
-    /// under every later write — a fixture-made disk now, a test's own
-    /// `FaultFs` when its plan fired — then its listener closes, so the
-    /// shutdown checkpoint never lands and the directory ends where the
-    /// last acknowledged statement left it.
+    /// under every later write — now, or earlier when its `Spec::durable`
+    /// plan fired — then its listener closes, so the shutdown checkpoint
+    /// never lands and the directory ends where the last acknowledged
+    /// statement left it.
     pub fn crash(&mut self, i: usize) {
         let shard = &mut self.shards[i];
         if let Some(disk) = &shard.disk {
@@ -226,12 +261,12 @@ impl Cluster {
         let _ = shard.stop();
     }
 
-    /// Stop replica `k`, hand its directory to `tamper`, and start it again
-    /// on whatever is left there.
-    pub fn restart_replica(&mut self, k: usize, tamper: impl FnOnce(&Path)) {
+    /// Stop replica `k`, hand the disk and its directory to `tamper`, and
+    /// start it again on whatever is left there.
+    pub fn restart_replica(&mut self, k: usize, tamper: impl FnOnce(&dyn Vfs, &Path)) {
         let node = &mut self.replicas[k];
         node.stop().unwrap();
-        tamper(&node.cfg.data);
+        tamper(self.disk.as_ref(), &node.cfg.data);
         node.replica = Some(Replica::start(node.cfg.clone()).unwrap());
     }
 
@@ -243,29 +278,55 @@ impl Cluster {
         });
     }
 
+    /// The replica that took over shard `i`, if one did.
+    fn promoted(&self, i: usize) -> Option<usize> {
+        self.replicas
+            .iter()
+            .position(|r| r.of == i && r.replica.as_ref().is_some_and(|r| r.status().promoted))
+    }
+
     /// The rows of table `t` recovered from shard `i`'s directory — its
     /// promoted replica's, if one took over — once the node holding it has
     /// stopped. A shard that died before creating `t` holds none. Stops the
     /// health monitor first, so the stop is not taken for a death.
     pub fn audit(&mut self, i: usize) -> Vec<Vec<Value>> {
         self.coord.stop_health_monitor();
-        let promoted = |r: &&mut Follower| {
-            r.of == i && r.replica.as_ref().is_some_and(|r| r.status().promoted)
-        };
-        let dir = match self.replicas.iter_mut().find(promoted) {
-            Some(node) => {
-                node.stop().unwrap();
-                node.cfg.data.clone()
+        let dir = match self.promoted(i) {
+            Some(k) => {
+                self.replicas[k].stop().unwrap();
+                self.replicas[k].cfg.data.clone()
             }
             None => {
                 self.shards[i].stop().unwrap();
                 self.shards[i].dir.clone().expect("a durable shard")
             }
         };
-        let session = Session::open_durable(dir).unwrap();
-        let rows = session.catalog().table("t").map(|t| t.rows());
-        rows.unwrap_or_default()
+        rows(self.disk.clone(), dir).expect("recovery of a stopped node")
     }
+
+    /// The rows of table `t` that shard `i`'s directory — its promoted
+    /// replica's, if one took over — holds after the power loss of each of
+    /// `seeds`, a loss of the disk as it is now, or why recovery failed.
+    /// Every node keeps running.
+    pub fn power_losses(
+        &self,
+        i: usize,
+        seeds: &[u64],
+    ) -> Vec<mammoth_types::Result<Vec<Vec<Value>>>> {
+        let dir = match self.promoted(i) {
+            Some(k) => self.replicas[k].cfg.data.clone(),
+            None => self.shards[i].dir.clone().expect("a durable shard"),
+        };
+        let lost = |&seed: &u64| rows(Arc::new(self.disk.crash(seed)), dir.clone());
+        seeds.iter().map(lost).collect()
+    }
+}
+
+/// The rows of table `t` recovered from `dir` on `disk`; none without `t`.
+fn rows(disk: Arc<MemFs>, dir: PathBuf) -> mammoth_types::Result<Vec<Vec<Value>>> {
+    let session = Session::open_durable_with(disk, dir)?;
+    let rows = session.catalog().table("t").map(|t| t.rows());
+    Ok(rows.unwrap_or_default())
 }
 
 impl Drop for Cluster {
@@ -274,13 +335,9 @@ impl Drop for Cluster {
         let mut failed = Vec::new();
         for node in &mut self.replicas {
             failed.extend(node.stop().err());
-            let _ = std::fs::remove_dir_all(&node.cfg.data);
         }
         for shard in &mut self.shards {
             failed.extend(shard.stop().err());
-            if let Some(dir) = &shard.dir {
-                let _ = std::fs::remove_dir_all(dir);
-            }
         }
         // a test that already failed keeps its own message
         if !std::thread::panicking() {
