@@ -23,7 +23,7 @@ use mammoth_storage::persist::{checkpoint_dir_name, read_current, wal_file_name,
 use mammoth_storage::wal::{WalCursor, WalRecord};
 use mammoth_storage::Vfs;
 use mammoth_types::{Error, Result};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// What one subscription batch did to the local state.
@@ -116,10 +116,16 @@ impl Applier {
     }
 
     /// Create the mirror directory and make its entry durable: a power
-    /// loss must not take the whole mirror away.
+    /// loss must not take the whole mirror away. A relative root's entry
+    /// lives in the working directory (`Path::parent` gives `""` there).
     fn make_root(&self) -> Result<()> {
         self.fs.create_dir_all(&self.root)?;
-        self.fs.sync_dir(self.root.parent().unwrap_or(&self.root))
+        let parent = match self.root.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p,
+            Some(_) => Path::new("."),
+            None => &self.root,
+        };
+        self.fs.sync_dir(parent)
     }
 
     /// Append `bytes` to the local log of the current generation. The
@@ -234,8 +240,7 @@ fn valid_image_name(name: &str) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mammoth_storage::MemFs;
-    use std::path::Path;
+    use mammoth_storage::{FaultFs, FaultKind, FaultPlan, MemFs};
 
     #[test]
     fn image_names_are_confined() {
@@ -243,6 +248,18 @@ mod tests {
             assert!(valid_image_name(bad).is_err(), "{bad:?} accepted");
         }
         assert!(valid_image_name("catalog.mmth").is_ok());
+    }
+
+    #[test]
+    fn relative_root_syncs_the_working_directory() {
+        // op 0 creates `mirror`, op 1 syncs the directory holding its entry
+        let plan = FaultPlan {
+            at_op: 1,
+            kind: FaultKind::Fail,
+        };
+        let fs = Arc::new(FaultFs::new(Arc::new(MemFs::default()), plan));
+        assert!(Applier::open(fs.clone(), "mirror").is_err());
+        assert_eq!(fs.fired_on().as_deref(), Some("op 1: sync_dir ."));
     }
 
     #[test]

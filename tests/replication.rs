@@ -170,10 +170,19 @@ fn promote_and_audit(cluster: &mut Cluster, ledger: &Ledger, seeds: &[u64], case
     let check = |when: &str, seed: Option<&u64>, rows: mammoth_types::Result<Vec<Vec<Value>>>| {
         let lost = seed.map_or("no power loss".into(), |s| format!("crash seed {s}"));
         let rows = rows.unwrap_or_else(|e| panic!("{case}, {when}, {lost}: recovery failed: {e}"));
-        let recovered: Vec<i64> = rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
+        let value = |row: &Vec<Value>| match row.as_slice() {
+            [Value::I32(v)] => i64::from(*v),
+            _ => panic!("{case}, {when}, {lost}: garbled row {row:?}"),
+        };
+        let recovered: Vec<i64> = rows.iter().map(value).collect();
         ledger
             .check(&recovered, 1)
             .unwrap_or_else(|e| panic!("{case}, {when}, {lost}: {e}"));
+        // the values went in ascending, so the rows come back in that order
+        assert!(
+            recovered.windows(2).all(|w| w[0] < w[1]),
+            "{case}, {when}, {lost}: rows out of order: {recovered:?}"
+        );
     };
     cluster.replica(0).promote_in_place().unwrap();
     for (seed, rows) in seeds.iter().zip(cluster.power_losses(0, seeds)) {

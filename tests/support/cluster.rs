@@ -28,10 +28,12 @@ use super::wait_for;
 
 /// What [`Cluster::start`] brings up.
 pub struct Spec {
-    /// One session recipe per shard primary, in shard order.
+    /// One session recipe per shard primary, in shard order. Each keeps
+    /// `Storage::InMemory`: `durable` alone decides where a shard's data
+    /// lives.
     pub shards: Vec<SessionSpec>,
     /// Put every shard primary on the cluster's disk, under a `FaultFs`
-    /// with this schedule; `None` keeps the recipes' own storage.
+    /// with this schedule; `None` keeps every shard in memory.
     pub durable: Option<FaultPlan>,
     /// The shard each replica follows, in replica order. A shard's first
     /// replica is the coordinator's failover target.
@@ -84,6 +86,11 @@ impl Shard {
     /// Shard `i` from its recipe, moved to `/shard-<i>` on `disk` under
     /// `plan` when there is one.
     fn start(i: usize, mut spec: SessionSpec, on: Option<(&Arc<MemFs>, FaultPlan)>) -> Shard {
+        // a recipe's own disk would escape the crash model and the audits
+        assert!(
+            matches!(spec.storage, Storage::InMemory),
+            "shard {i}: a durable shard comes from `Spec::durable`, not its recipe"
+        );
         let (mut dir, mut disk) = (None, None);
         if let Some((mem, plan)) = on {
             // the directory is durable before the node starts: a power
