@@ -65,6 +65,7 @@ pub fn run(scale: Scale) -> Report {
         "\nsimulated cache+TLB cost (generic hierarchy, per-pass budget {budget} bits, \
          {sim_n} tuples, 8B records):\n"
     ));
+    let mut report = Report::default();
     let mut multi_pass_wins = true;
     let mut t = TextTable::new(vec!["bits", "1 pass (cycles/t)", "2 passes", "3 passes"]);
     for bits in [6u32, 10, 14] {
@@ -78,9 +79,16 @@ pub fn run(scale: Scale) -> Report {
                 continue;
             }
             let mut sim = HierarchySim::new(&h);
-            sim.run(radix_cluster_trace(sim_n, 8, &schedule, 7));
-            row.push(format!("{:.1}", sim.cost() as f64 / sim_n as f64));
-            cycles.push(sim.cost());
+            let (_, secs) = timed(|| sim.run(radix_cluster_trace(sim_n, 8, &schedule, 7)));
+            let cost = sim.cost();
+            row.push(format!("{:.1}", cost as f64 / sim_n as f64));
+            cycles.push(cost);
+            // the predicate's inputs, which a pinned failure pins
+            report.metric(
+                "simulated_cluster",
+                &[("bits", &bits), ("passes", &passes), ("cycles", &cost)],
+                secs,
+            );
         }
         if bits > budget {
             multi_pass_wins &= cycles[1..].iter().any(|&c| c < cycles[0]);
@@ -88,7 +96,8 @@ pub fn run(scale: Scale) -> Report {
         t.row(row);
     }
     out.push_str(&t.render());
-    Report::new(out)
+    report.text = out;
+    report
         .simulated("§4.2", MULTI_PASS, multi_pass_wins)
         .wall_clock("§4.2", MULTI_PASS)
 }

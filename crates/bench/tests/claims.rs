@@ -5,25 +5,33 @@
 //! pinned here: held, unless [`FAILED`] lists it with the EXPERIMENTS.md
 //! finding that records the failure. A claim that stops holding fails this
 //! test, and so does a pinned failure that starts to hold: its pin and its
-//! finding are then out of date. Wall-clock claims are decided by no
-//! predicate; an experiment only has to state at least one claim.
+//! finding are then out of date. A pinned failure also pins the data points
+//! its experiment reports, the numbers its predicate read, exactly: a fault
+//! that makes it fail for another reason fails this test too. Wall-clock
+//! claims are decided by no predicate; an experiment only has to state at
+//! least one claim.
 
 use mammoth_bench::{all_experiments, Basis, Scale};
 
-/// The decided claims that fail at quick size:
-/// (experiment, the claim's sentence, the EXPERIMENTS.md finding recording it).
-const FAILED: &[(&str, &str, &str)] = &[
-    (
-        "e02",
-        "once 2^B exceeds the TLB entries and cache lines, several passes cluster more cheaply than one",
-        "E02 finding: one pass stays cheapest at 14 bits in simulation",
-    ),
-    (
-        "e03",
-        "the partitioned hash-join's advantage over the simple one grows with cardinality",
-        "E03 finding: the model partitions a 2^14-tuple join too early",
-    ),
-];
+/// The decided claims that fail at quick size: (experiment, the claim's
+/// sentence, the EXPERIMENTS.md finding recording it, the experiment's data
+/// points as `name: params`).
+const FAILED: &[(&str, &str, &str, &[&str])] = &[(
+    "e02",
+    "once 2^B exceeds the TLB entries and cache lines, several passes cluster more cheaply than one",
+    "E02 finding: one pass stays cheapest at 6 bits in simulation",
+    &[
+        "simulated_cluster: bits=6 passes=1 cycles=187066",
+        "simulated_cluster: bits=6 passes=2 cycles=198235",
+        "simulated_cluster: bits=6 passes=3 cycles=210535",
+        "simulated_cluster: bits=10 passes=1 cycles=211420",
+        "simulated_cluster: bits=10 passes=2 cycles=198448",
+        "simulated_cluster: bits=10 passes=3 cycles=210529",
+        "simulated_cluster: bits=14 passes=1 cycles=219358",
+        "simulated_cluster: bits=14 passes=2 cycles=198493",
+        "simulated_cluster: bits=14 passes=3 cycles=210559",
+    ],
+)];
 
 const EXPERIMENTS_MD: &str = include_str!("../../../EXPERIMENTS.md");
 
@@ -41,7 +49,7 @@ fn check(id: &str) {
         };
         let pinned_failed = FAILED
             .iter()
-            .any(|&(e, sentence, _)| e == id && sentence == claim.sentence);
+            .any(|&(e, sentence, _, _)| e == id && sentence == claim.sentence);
         assert_eq!(
             held,
             !pinned_failed,
@@ -50,7 +58,7 @@ fn check(id: &str) {
             claim.verdict()
         );
     }
-    for &(_, sentence, finding) in FAILED.iter().filter(|(e, _, _)| *e == id) {
+    for &(_, sentence, finding, points) in FAILED.iter().filter(|(e, ..)| *e == id) {
         assert!(
             report.claims.iter().any(|c| c.sentence == sentence),
             "{id} no longer states the pinned failure \"{sentence}\""
@@ -58,6 +66,19 @@ fn check(id: &str) {
         assert!(
             EXPERIMENTS_MD.contains(finding),
             "EXPERIMENTS.md has no entry \"{finding}\""
+        );
+        let reported: Vec<String> = report
+            .metrics
+            .iter()
+            .map(|m| {
+                let params: Vec<String> =
+                    m.params.iter().map(|(k, v)| format!("{k}={v}")).collect();
+                format!("{}: {}", m.name, params.join(" "))
+            })
+            .collect();
+        assert_eq!(
+            reported, points,
+            "{id}: the pinned failure's numbers moved\n{report}"
         );
     }
 }

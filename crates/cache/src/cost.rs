@@ -19,14 +19,6 @@ pub struct CostBreakdown {
     pub total_cycles: f64,
 }
 
-/// Predict per-level misses of `pattern` on `hierarchy`.
-pub fn predict_misses(
-    pattern: &Pattern,
-    hierarchy: &MemoryHierarchy,
-) -> (Vec<MissEstimate>, MissEstimate) {
-    pattern.predicted_all(hierarchy)
-}
-
 /// Predict total memory cost (cycles) of `pattern` on `hierarchy`.
 pub fn predict_cost(pattern: &Pattern, hierarchy: &MemoryHierarchy) -> CostBreakdown {
     let (levels, tlb) = pattern.predicted_all(hierarchy);

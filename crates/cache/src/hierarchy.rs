@@ -197,13 +197,6 @@ impl MemoryHierarchy {
             },
         }
     }
-
-    /// The innermost (largest) cache level.
-    pub fn last_level(&self) -> &CacheLevel {
-        self.levels
-            .last()
-            .expect("hierarchy has at least one level")
-    }
 }
 
 #[cfg(test)]
@@ -217,7 +210,6 @@ mod tests {
         assert_eq!(l1.lines(), 512);
         assert_eq!(l1.sets(), 64);
         assert_eq!(h.tlb.reach(), 64 * 4096);
-        assert_eq!(h.last_level().name, "LLC");
     }
 
     #[test]

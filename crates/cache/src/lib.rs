@@ -34,7 +34,7 @@ pub mod pattern;
 pub mod sim;
 pub mod trace;
 
-pub use cost::{predict_cost, predict_misses, CostBreakdown};
+pub use cost::{predict_cost, CostBreakdown};
 pub use hierarchy::{CacheLevel, MemoryHierarchy, Tlb};
 pub use pattern::{AccessKind, Pattern, Region};
 pub use sim::{HierarchySim, LevelStats, SimReport};

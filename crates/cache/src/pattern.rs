@@ -87,13 +87,14 @@ pub enum Pattern {
         accesses: usize,
         seed: u64,
     },
-    /// Interleaved multi-cursor access: `total` writes, each appended to the
-    /// cursor of a randomly chosen region (the radix-cluster output
-    /// pattern). Thrashes when the cursor count exceeds cache lines or
-    /// TLB entries.
+    /// Interleaved multi-cursor access: one write per item of `region`,
+    /// each appended to the cursor of a randomly chosen one of `cursors`
+    /// clusters, which lie back to back at their histogram offsets (the
+    /// radix-cluster output pattern). Thrashes when the cursor count
+    /// exceeds cache lines or TLB entries.
     Interleaved {
-        regions: Vec<Region>,
-        total: usize,
+        region: Region,
+        cursors: usize,
         seed: u64,
     },
     /// Sequential composition: patterns executed one after another.
@@ -122,6 +123,26 @@ impl XorShift {
     pub fn below(&mut self, n: usize) -> usize {
         (self.next_u64() % n as u64) as usize
     }
+}
+
+/// Where each of `fanout` clusters starts when they lie back to back from
+/// `start` in cluster order: the prefix sum of the histogram of `targets`,
+/// the cluster each item goes to. This is how `algebra::radix_cluster`
+/// places its clusters in one output buffer.
+pub fn histogram_offsets(
+    targets: impl Iterator<Item = usize>,
+    fanout: usize,
+    start: usize,
+) -> Vec<usize> {
+    let mut offsets = vec![0usize; fanout];
+    for c in targets {
+        offsets[c] += 1;
+    }
+    let mut at = start;
+    for o in &mut offsets {
+        (*o, at) = (at, at + *o);
+    }
+    offsets
 }
 
 /// Capacity/granule view shared by cache levels and the TLB, so prediction
@@ -192,9 +213,11 @@ impl Pattern {
                 };
                 MissEstimate { seq: 0.0, rand }
             }
-            Pattern::Interleaved { regions, total, .. } => {
-                let h = regions.len() as f64;
-                let compulsory: f64 = regions.iter().map(|r| r.lines(level.granule) as f64).sum();
+            Pattern::Interleaved {
+                region, cursors, ..
+            } => {
+                let h = *cursors as f64;
+                let compulsory = region.lines(level.granule) as f64;
                 if h <= level.granules as f64 {
                     // all cursors keep their line resident: pure sequential
                     MissEstimate {
@@ -205,9 +228,8 @@ impl Pattern {
                     // cursor lines compete for granules; a cursor's line is
                     // still cached on revisit with probability lines/H.
                     let p_evicted = 1.0 - level.granules as f64 / h;
-                    let items_per_line =
-                        (granule / regions.first().map_or(granule, |r| r.width as f64)).max(1.0);
-                    let revisits = (*total as f64) * (1.0 - 1.0 / items_per_line);
+                    let items_per_line = (granule / region.width as f64).max(1.0);
+                    let revisits = region.items as f64 * (1.0 - 1.0 / items_per_line);
                     MissEstimate {
                         seq: compulsory,
                         rand: revisits * p_evicted,
@@ -276,24 +298,23 @@ impl Pattern {
                 }
             }
             Pattern::Interleaved {
-                regions,
-                total,
+                region,
+                cursors,
                 seed,
             } => {
-                let mut cursors = vec![0usize; regions.len()];
                 let mut rng = XorShift::new(*seed);
-                out.reserve(*total);
-                for _ in 0..*total {
-                    let r = rng.below(regions.len());
-                    let c = cursors[r] % regions[r].items.max(1);
-                    cursors[r] += 1;
+                let targets: Vec<usize> = (0..region.items).map(|_| rng.below(*cursors)).collect();
+                let mut at = histogram_offsets(targets.iter().copied(), *cursors, 0);
+                out.reserve(targets.len());
+                for c in targets {
                     // From the cache's perspective each cursor advances
                     // sequentially, but the interleaving makes residency the
                     // question — tag as Sequential so the *miss split* shows
                     // the thrashing (misses explode although the stream is
                     // "sequential" per cursor). Tagging random would hide
                     // the effect the model is after.
-                    out.push((regions[r].addr_of(c), AccessKind::Sequential));
+                    out.push((region.addr_of(at[c]), AccessKind::Sequential));
+                    at[c] += 1;
                 }
             }
             Pattern::Seq(ps) => {
@@ -395,31 +416,47 @@ mod tests {
     #[test]
     fn interleaved_few_cursors_is_sequential() {
         let h = MemoryHierarchy::tiny_test();
-        let mut cur = 0u64;
-        let regions: Vec<Region> = (0..4).map(|_| Region::alloc(&mut cur, 64, 4)).collect();
         let p = Pattern::Interleaved {
-            regions,
-            total: 256,
+            region: Region::new(0, 256, 4),
+            cursors: 4,
             seed: 5,
         };
         let view = LevelView::from(&h.levels[1]); // 64 lines >= 4 cursors
         let e = p.predicted(view);
         assert_eq!(e.rand, 0.0);
-        assert!(e.seq > 0.0);
+        // compulsory misses over the one buffer: 1 KB in 16-byte lines
+        assert_eq!(e.seq, 64.0);
     }
 
     #[test]
     fn interleaved_many_cursors_thrashes() {
         let l1 = l1_view(); // 16 lines
-        let mut cur = 0u64;
-        let regions: Vec<Region> = (0..64).map(|_| Region::alloc(&mut cur, 64, 4)).collect();
         let p = Pattern::Interleaved {
-            regions,
-            total: 4096,
+            region: Region::new(0, 4096, 4),
+            cursors: 64,
             seed: 5,
         };
         let e = p.predicted(l1);
         assert!(e.rand > 1000.0, "rand misses should explode: {e:?}");
+    }
+
+    #[test]
+    fn interleaved_trace_writes_every_slot_once_at_histogram_offsets() {
+        let region = Region::new(0, 1000, 8);
+        let p = Pattern::Interleaved {
+            region: region.clone(),
+            cursors: 7,
+            seed: 3,
+        };
+        let trace = p.trace();
+        let mut addrs: Vec<u64> = trace.iter().map(|(a, _)| *a).collect();
+        addrs.sort_unstable();
+        let expect: Vec<u64> = (0..1000).map(|i| region.addr_of(i)).collect();
+        assert_eq!(addrs, expect);
+        assert_eq!(
+            histogram_offsets([2, 0, 2, 1].into_iter(), 4, 10),
+            [10, 11, 12, 14]
+        );
     }
 
     #[test]

@@ -22,8 +22,8 @@
 use mammoth_mal::{parse_program, Interpreter, MalValue};
 use mammoth_parallel::ParallelExecutor;
 use mammoth_sql::{QueryOutput, Session};
-use mammoth_storage::{persist, Bat, Catalog, Table};
-use mammoth_types::{ColumnDef, LogicalType, Result, TableSchema};
+use mammoth_storage::{persist, Bat, Catalog, RealFs, Table};
+use mammoth_types::{ColumnDef, Error, LogicalType, Result, TableSchema};
 use mammoth_xpath::{Doc, XmlNode};
 use std::path::Path;
 
@@ -136,14 +136,17 @@ impl Database {
         Ok(doc)
     }
 
-    /// Persist the whole catalog to a directory (raw-heap format).
+    /// Persist the whole catalog to a directory as an atomic checkpoint,
+    /// the layout [`Database::open_durable`] recovers from.
     pub fn save(&self, dir: &Path) -> Result<()> {
-        persist::save_catalog(self.catalog(), dir)
+        persist::checkpoint_catalog(&RealFs, self.catalog(), dir).map(|_| ())
     }
 
-    /// Open a database persisted with [`Database::save`].
+    /// Open a database persisted with [`Database::save`]: the checkpoint
+    /// that `dir`'s `CURRENT` names.
     pub fn open(dir: &Path) -> Result<Database> {
-        let catalog = persist::load_catalog(dir)?;
+        let (catalog, _) = persist::load_current(&RealFs, dir)?
+            .ok_or_else(|| Error::Io(format!("no checkpoint in {}", dir.display())))?;
         let mut db = Database::new();
         *db.catalog_mut() = catalog;
         Ok(db)
@@ -239,6 +242,7 @@ mod tests {
     fn persistence_roundtrip() {
         let dir = std::env::temp_dir().join(format!("mammoth-core-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        assert!(Database::open(&dir).is_err(), "nothing was saved");
         {
             let mut db = Database::new();
             db.execute("CREATE TABLE t (a INT NOT NULL)").unwrap();

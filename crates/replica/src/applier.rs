@@ -21,9 +21,9 @@
 use mammoth_server::ServerMsg;
 use mammoth_storage::persist::{checkpoint_dir_name, read_current, wal_file_name, write_current};
 use mammoth_storage::wal::{WalCursor, WalRecord};
-use mammoth_storage::Vfs;
+use mammoth_storage::{create_dir_durable, Vfs};
 use mammoth_types::{Error, Result};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// What one subscription batch did to the local state.
@@ -67,7 +67,8 @@ impl Applier {
             local_len: 0,
             cursor: WalCursor::new(),
         };
-        a.make_root()?;
+        // a power loss must not take the whole mirror away
+        create_dir_durable(a.fs.as_ref(), &a.root)?;
         let clean = a.resync()?;
         if !clean {
             a.reset()?;
@@ -108,24 +109,11 @@ impl Applier {
     /// `Subscribe{0, 0}` makes the primary ship a full re-anchor.
     pub fn reset(&mut self) -> Result<()> {
         self.fs.remove_dir_all(&self.root)?;
-        self.make_root()?;
+        create_dir_durable(self.fs.as_ref(), &self.root)?;
         self.gen = 0;
         self.local_len = 0;
         self.cursor = WalCursor::new();
         Ok(())
-    }
-
-    /// Create the mirror directory and make its entry durable: a power
-    /// loss must not take the whole mirror away. A relative root's entry
-    /// lives in the working directory (`Path::parent` gives `""` there).
-    fn make_root(&self) -> Result<()> {
-        self.fs.create_dir_all(&self.root)?;
-        let parent = match self.root.parent() {
-            Some(p) if !p.as_os_str().is_empty() => p,
-            Some(_) => Path::new("."),
-            None => &self.root,
-        };
-        self.fs.sync_dir(parent)
     }
 
     /// Append `bytes` to the local log of the current generation. The
@@ -241,6 +229,7 @@ fn valid_image_name(name: &str) -> Result<()> {
 mod tests {
     use super::*;
     use mammoth_storage::{FaultFs, FaultKind, FaultPlan, MemFs};
+    use std::path::Path;
 
     #[test]
     fn image_names_are_confined() {

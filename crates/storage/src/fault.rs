@@ -76,6 +76,29 @@ pub trait Vfs: Send + Sync {
     fn read_dir(&self, path: &Path) -> Result<Vec<PathBuf>>;
 }
 
+/// Make the directory entry of `path` durable: fsync the directory that
+/// holds it. A bare relative name's entry lives in `.` (`Path::parent`
+/// gives `""` there); `/` has no entry.
+pub fn sync_entry(fs: &dyn Vfs, path: &Path) -> Result<()> {
+    match path.parent() {
+        Some(dir) if dir.as_os_str().is_empty() => fs.sync_dir(Path::new(".")),
+        Some(dir) => fs.sync_dir(dir),
+        None => Ok(()),
+    }
+}
+
+/// Create directory `dir` and its missing ancestors, and make the entry of
+/// each one it creates durable, up to the first ancestor that already
+/// existed: one `sync_dir` in the usual case, none when `dir` exists.
+pub fn create_dir_durable(fs: &dyn Vfs, dir: &Path) -> Result<()> {
+    let missing: Vec<&Path> = dir
+        .ancestors()
+        .take_while(|d| !d.as_os_str().is_empty() && !fs.exists(d))
+        .collect();
+    fs.create_dir_all(dir)?;
+    missing.iter().rev().try_for_each(|d| sync_entry(fs, d))
+}
+
 /// The production [`Vfs`]: plain `std::fs` with real fsyncs.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RealFs;

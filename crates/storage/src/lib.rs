@@ -42,7 +42,9 @@ pub mod wal;
 pub use bat::{Bat, HeadColumn};
 pub use catalog::{Catalog, Table, TableImage};
 pub use delta::{ColumnView, DeletionSet, Snapshot, VersionedColumn};
-pub use fault::{FaultFs, FaultKind, FaultPlan, MemFs, RealFs, Vfs};
+pub use fault::{
+    create_dir_durable, sync_entry, FaultFs, FaultKind, FaultPlan, MemFs, RealFs, Vfs,
+};
 pub use heap::{FixedTail, TailHeap};
 pub use persist::{
     checkpoint_catalog, checkpoint_image_with, read_sidecar, recover, recover_vfs, Recovered,

@@ -8,11 +8,12 @@
 //!
 //! ## Integrity
 //!
-//! Files written through [`save_bat`]/[`save_catalog`] are *sealed*: the
-//! serialized payload is wrapped in `"MCRC1\n" || crc32(payload) || payload`
-//! so that any truncation or bit flip of a stored image is detected as
-//! [`Error::Corrupt`] instead of being decoded into plausible-but-wrong
-//! data. Unsealed legacy files (pre-seal format) are still readable.
+//! Files written through [`save_bat_vfs`]/[`checkpoint_catalog`] are
+//! *sealed*: the serialized payload is wrapped in
+//! `"MCRC1\n" || crc32(payload) || payload` so that any truncation or bit
+//! flip of a stored image is detected as [`Error::Corrupt`] instead of
+//! being decoded into plausible-but-wrong data. Unsealed legacy files
+//! (pre-seal format) are still readable.
 //!
 //! ## Durable layout
 //!
@@ -35,7 +36,7 @@
 
 use crate::bat::{Bat, HeadColumn};
 use crate::catalog::{Catalog, Table, TableImage};
-use crate::fault::{RealFs, Vfs};
+use crate::fault::{create_dir_durable, RealFs, Vfs};
 use crate::heap::TailHeap;
 use crate::properties::Properties;
 use crate::strheap::StrHeap;
@@ -173,11 +174,6 @@ pub fn save_bat_vfs(fs: &dyn Vfs, bat: &Bat, path: &Path) -> Result<()> {
     fs.write_file(path, &seal(&buf))
 }
 
-/// Save one BAT to a file.
-pub fn save_bat(bat: &Bat, path: &Path) -> Result<()> {
-    save_bat_vfs(&RealFs, bat, path)
-}
-
 /// Load one BAT from a file (sealed or legacy raw image).
 pub fn load_bat_vfs(fs: &dyn Vfs, path: &Path) -> Result<Bat> {
     let buf = fs.read(path)?;
@@ -189,16 +185,10 @@ pub fn load_bat_vfs(fs: &dyn Vfs, path: &Path) -> Result<Bat> {
     Ok(bat)
 }
 
-/// Load one BAT from a file.
-pub fn load_bat(path: &Path) -> Result<Bat> {
-    load_bat_vfs(&RealFs, path)
-}
-
 /// Persist a catalog image into `dir` (created if missing) through a
-/// [`Vfs`]: one sealed `.bat` file per compacted column plus the manifest
-/// naming them. When `sync` is set every file is fsync'd — required on the
-/// checkpoint path, skippable for throwaway exports.
-pub fn save_image_vfs(fs: &dyn Vfs, image: &[TableImage], dir: &Path, sync: bool) -> Result<()> {
+/// [`Vfs`]: one sealed, fsync'd `.bat` file per compacted column plus the
+/// manifest naming them.
+pub fn save_image_vfs(fs: &dyn Vfs, image: &[TableImage], dir: &Path) -> Result<()> {
     fs.create_dir_all(dir)?;
     let mut manifest = CATALOG_MAGIC.to_vec();
     put_u32(image.len() as u32, &mut manifest);
@@ -211,31 +201,15 @@ pub fn save_image_vfs(fs: &dyn Vfs, image: &[TableImage], dir: &Path, sync: bool
             put_str(&file, &mut manifest);
             let path = dir.join(file);
             save_bat_vfs(fs, bat, &path)?;
-            if sync {
-                fs.sync(&path)?;
-            }
+            fs.sync(&path)?;
         }
     }
     let mpath = dir.join(MANIFEST_FILE);
     fs.write_file(&mpath, &seal(&manifest))?;
-    if sync {
-        fs.sync(&mpath)?;
-    }
-    Ok(())
+    fs.sync(&mpath)
 }
 
-/// Persist a whole catalog into `dir` through a [`Vfs`]. Tables are
-/// compacted: deltas are merged into the stored base.
-pub fn save_catalog_vfs(fs: &dyn Vfs, catalog: &Catalog, dir: &Path, sync: bool) -> Result<()> {
-    save_image_vfs(fs, &catalog.image(), dir, sync)
-}
-
-/// Persist a whole catalog into `dir` (created if missing).
-pub fn save_catalog(catalog: &Catalog, dir: &Path) -> Result<()> {
-    save_catalog_vfs(&RealFs, catalog, dir, false)
-}
-
-/// Load a catalog previously written by [`save_catalog`] through a [`Vfs`].
+/// Load a catalog image written by [`save_image_vfs`] through a [`Vfs`].
 pub fn load_catalog_vfs(fs: &dyn Vfs, dir: &Path) -> Result<Catalog> {
     let raw = fs.read(&dir.join(MANIFEST_FILE))?;
     let mut r = Reader::new(unseal(&raw)?);
@@ -272,11 +246,6 @@ pub fn load_catalog_vfs(fs: &dyn Vfs, dir: &Path) -> Result<Catalog> {
     }
     r.finish()?;
     Ok(catalog)
-}
-
-/// Load a catalog previously written by [`save_catalog`].
-pub fn load_catalog(dir: &Path) -> Result<Catalog> {
-    load_catalog_vfs(&RealFs, dir)
 }
 
 // --------------------------------------------------------------------------
@@ -339,7 +308,7 @@ pub fn checkpoint_image_with(
     root: &Path,
     sidecars: &[(String, Vec<u8>)],
 ) -> Result<(u64, PathBuf)> {
-    fs.create_dir_all(root)?;
+    create_dir_durable(fs, root)?;
     let next = read_current(fs, root)?.map_or(1, |g| g + 1);
     let tmp = root.join(format!("{}.tmp", checkpoint_dir_name(next)));
     let fin = root.join(checkpoint_dir_name(next));
@@ -347,7 +316,7 @@ pub fn checkpoint_image_with(
     fs.remove_dir_all(&tmp)?;
     fs.remove_dir_all(&fin)?;
     fs.remove_file(&root.join(wal_file_name(next)))?;
-    save_image_vfs(fs, image, &tmp, true)?;
+    save_image_vfs(fs, image, &tmp)?;
     for (name, bytes) in sidecars {
         let p = tmp.join(name);
         fs.write_file(&p, bytes)?;
@@ -381,13 +350,24 @@ pub fn read_sidecar(fs: &dyn Vfs, root: &Path, name: &str) -> Result<Option<Vec<
     fs.read(&p).map(Some)
 }
 
+/// Load the checkpoint that `CURRENT` names under `root`, with its
+/// generation; `None` when `root` holds no committed checkpoint.
+pub fn load_current(fs: &dyn Vfs, root: &Path) -> Result<Option<(Catalog, u64)>> {
+    let Some(g) = read_current(fs, root)? else {
+        return Ok(None);
+    };
+    let cat = load_catalog_vfs(fs, &root.join(checkpoint_dir_name(g)))
+        .map_err(|e| Error::Recovery(format!("loading checkpoint ckpt-{g}: {e}")))?;
+    Ok(Some((cat, g)))
+}
+
 /// The result of [`recover_vfs`].
 #[derive(Debug)]
 pub struct Recovered {
     /// The reconstructed catalog: last committed checkpoint plus the
     /// committed WAL prefix.
     pub catalog: Catalog,
-    /// The committed generation (0 for a fresh or legacy directory).
+    /// The committed generation (0 for a fresh directory).
     pub gen: u64,
     /// The WAL file the session should continue appending to.
     pub wal_path: PathBuf,
@@ -422,27 +402,15 @@ pub fn apply_wal_record(catalog: &mut Catalog, rec: &WalRecord) -> Result<()> {
 /// Reconstruct the database state under `root` after a crash (or a clean
 /// shutdown — the same path serves both).
 ///
-/// Loads the checkpoint named by `CURRENT` (falling back to a legacy
-/// non-generational `catalog.mmth`, then to an empty catalog) and replays
-/// the matching WAL. A torn or checksum-broken final record is the
-/// expected signature of a crash mid-append and is discarded silently; a
-/// checkpoint that `CURRENT` names but that cannot be read, or a WAL
-/// record that does not apply, is [`Error::Recovery`].
+/// Creates a missing `root` durably, loads the checkpoint named by
+/// `CURRENT` (or starts from an empty catalog) and replays the matching
+/// WAL. A torn or checksum-broken final record is the expected signature
+/// of a crash mid-append and is discarded silently; a checkpoint that
+/// `CURRENT` names but that cannot be read, or a WAL record that does not
+/// apply, is [`Error::Recovery`].
 pub fn recover_vfs(fs: &dyn Vfs, root: &Path) -> Result<Recovered> {
-    fs.create_dir_all(root)?;
-    let (mut catalog, gen) = match read_current(fs, root)? {
-        Some(g) => {
-            let dir = root.join(checkpoint_dir_name(g));
-            let cat = load_catalog_vfs(fs, &dir)
-                .map_err(|e| Error::Recovery(format!("loading checkpoint ckpt-{g}: {e}")))?;
-            (cat, g)
-        }
-        None if fs.exists(&root.join(MANIFEST_FILE)) => {
-            // a directory written by the non-durable save_catalog path
-            (load_catalog_vfs(fs, root)?, 0)
-        }
-        None => (Catalog::new(), 0),
-    };
+    create_dir_durable(fs, root)?;
+    let (mut catalog, gen) = load_current(fs, root)?.unwrap_or_else(|| (Catalog::new(), 0));
     let wal_path = root.join(wal_file_name(gen));
     let replayed = wal::replay(fs, &wal_path)?;
     for rec in &replayed.records {
@@ -465,6 +433,7 @@ pub fn recover(root: &Path) -> Result<Recovered> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::MemFs;
     use crate::wal::Wal;
     use mammoth_types::{netfault, Value};
     use std::fs;
@@ -517,46 +486,46 @@ mod tests {
 
     #[test]
     fn file_roundtrip() {
-        let d = tmpdir("file");
-        let b = Bat::from_vec(vec![2.5f64, 3.5]);
-        let p = d.join("x.bat");
-        save_bat(&b, &p).unwrap();
-        let back = load_bat(&p).unwrap();
+        let fs = MemFs::default();
+        let p = Path::new("/x.bat");
+        save_bat_vfs(&fs, &Bat::from_vec(vec![2.5f64, 3.5]), p).unwrap();
+        let back = load_bat_vfs(&fs, p).unwrap();
         assert_eq!(back.tail_slice::<f64>().unwrap(), &[2.5, 3.5]);
-        fs::remove_dir_all(&d).unwrap();
     }
 
     #[test]
     fn sealed_file_detects_any_flip() {
-        let d = tmpdir("seal");
-        let b = Bat::from_vec(vec![41i32, 42, 43]);
-        let p = d.join("x.bat");
-        save_bat(&b, &p).unwrap();
-        let img = fs::read(&p).unwrap();
+        let fs = MemFs::default();
+        let p = Path::new("/x.bat");
+        save_bat_vfs(&fs, &Bat::from_vec(vec![41i32, 42, 43]), p).unwrap();
+        let img = fs.read(p).unwrap();
         assert_eq!(&img[0..6], SEAL_MAGIC);
         for i in 0..img.len() {
             let mut bad = img.clone();
             bad[i] ^= 0x01;
-            fs::write(&p, &bad).unwrap();
-            assert!(load_bat(&p).is_err(), "flip at byte {i} went undetected");
+            fs.write_file(p, &bad).unwrap();
+            assert!(
+                load_bat_vfs(&fs, p).is_err(),
+                "flip at byte {i} went undetected"
+            );
         }
         for cut in 0..img.len() {
-            fs::write(&p, &img[..cut]).unwrap();
-            assert!(load_bat(&p).is_err(), "truncation to {cut} went undetected");
+            fs.write_file(p, &img[..cut]).unwrap();
+            assert!(
+                load_bat_vfs(&fs, p).is_err(),
+                "truncation to {cut} went undetected"
+            );
         }
-        fs::remove_dir_all(&d).unwrap();
     }
 
     #[test]
     fn legacy_unsealed_bat_still_loads() {
-        let d = tmpdir("legacy");
-        let b = Bat::from_vec(vec![7i64, 8]);
+        let fs = MemFs::default();
         let mut raw = Vec::new();
-        write_bat(&b, &mut raw);
-        fs::write(d.join("x.bat"), &raw).unwrap(); // pre-seal format
-        let back = load_bat(&d.join("x.bat")).unwrap();
+        write_bat(&Bat::from_vec(vec![7i64, 8]), &mut raw);
+        fs.write_file(Path::new("/x.bat"), &raw).unwrap(); // pre-seal format
+        let back = load_bat_vfs(&fs, Path::new("/x.bat")).unwrap();
         assert_eq!(back.tail_slice::<i64>().unwrap(), &[7, 8]);
-        fs::remove_dir_all(&d).unwrap();
     }
 
     fn demo_catalog() -> Catalog {
@@ -581,10 +550,9 @@ mod tests {
 
     #[test]
     fn catalog_roundtrip() {
-        let d = tmpdir("cat");
-        let cat = demo_catalog();
-        save_catalog(&cat, &d).unwrap();
-        let back = load_catalog(&d).unwrap();
+        let fs = MemFs::default();
+        save_image_vfs(&fs, &demo_catalog().image(), Path::new("/cat")).unwrap();
+        let back = load_catalog_vfs(&fs, Path::new("/cat")).unwrap();
         let t = back.table("actors").unwrap();
         assert_eq!(t.live_len(), 1);
         assert_eq!(
@@ -592,7 +560,6 @@ mod tests {
             Some(vec![Value::Str("Bob Fosse".into()), Value::I32(1927)])
         );
         assert!(!t.schema.columns[1].nullable);
-        fs::remove_dir_all(&d).unwrap();
     }
 
     #[test]
@@ -631,18 +598,19 @@ mod tests {
     }
 
     #[test]
-    fn recover_fresh_and_legacy_dirs() {
-        let d = tmpdir("fresh");
-        let rec = recover(&d).unwrap();
+    fn recovery_creates_a_missing_root_durably() {
+        let fs = MemFs::default();
+        let root = Path::new("/a/b/store");
+        let rec = recover_vfs(&fs, root).unwrap();
         assert_eq!(rec.gen, 0);
         assert_eq!(rec.catalog.table_names().count(), 0);
-
-        // legacy layout: catalog.mmth in the root, no CURRENT
-        save_catalog(&demo_catalog(), &d).unwrap();
-        let rec = recover(&d).unwrap();
-        assert_eq!(rec.gen, 0);
-        assert_eq!(rec.catalog.table("actors").unwrap().live_len(), 1);
-        fs::remove_dir_all(&d).unwrap();
+        // every directory the recovery made survives any power loss
+        for seed in 0..16 {
+            assert!(
+                fs.crash(seed).exists(root),
+                "crash seed {seed} lost {root:?}"
+            );
+        }
     }
 
     #[test]
@@ -801,17 +769,16 @@ mod tests {
         // the directory.
         #[test]
         fn prop_mangled_legacy_manifest_loads_or_is_corrupt(seed in 0u64..1 << 20) {
-            let d = tmpdir("manifest-fuzz");
-            save_catalog(&demo_catalog(), &d).unwrap();
-            let sealed = fs::read(d.join(MANIFEST_FILE)).unwrap();
+            let (fs, d) = (MemFs::default(), Path::new("/cat"));
+            save_image_vfs(&fs, &demo_catalog().image(), d).unwrap();
+            let sealed = fs.read(&d.join(MANIFEST_FILE)).unwrap();
             let legacy = &sealed[SEAL_MAGIC.len() + 4..];
             prop_assert_eq!(&legacy[..CATALOG_MAGIC.len()], CATALOG_MAGIC);
-            fs::write(d.join(MANIFEST_FILE), netfault::mangle(legacy, seed)).unwrap();
-            match load_catalog(&d) {
+            fs.write_file(&d.join(MANIFEST_FILE), &netfault::mangle(legacy, seed)).unwrap();
+            match load_catalog_vfs(&fs, d) {
                 Ok(_) | Err(Error::Corrupt(_)) => {}
                 Err(e) => prop_assert!(false, "seed {}: {}", seed, e),
             }
-            fs::remove_dir_all(&d).unwrap();
         }
     }
 }

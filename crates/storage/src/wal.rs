@@ -27,7 +27,7 @@
 //! is unaffected because every fsync'd batch either fully precedes the tear
 //! or was never acknowledged.
 
-use crate::fault::Vfs;
+use crate::fault::{sync_entry, Vfs};
 use mammoth_types::codec::{put_column, put_str, put_u32, put_u64, put_value, Reader};
 use mammoth_types::framing::{self, Frame};
 use mammoth_types::{Error, EventKind, Oid, Result, TableSchema, TraceEvent, Value};
@@ -290,10 +290,7 @@ impl Wal {
     fn write_header(&self) -> Result<()> {
         self.fs.write_file(&self.path, WAL_HEADER)?;
         self.fs.sync(&self.path)?;
-        match self.path.parent() {
-            Some(dir) => self.fs.sync_dir(dir),
-            None => Ok(()),
-        }
+        sync_entry(self.fs.as_ref(), &self.path)
     }
 
     /// Set the group-commit batch size (clamped to >= 1).

@@ -205,6 +205,27 @@ fn power_loss_keeps_a_new_log() {
     assert_eq!(fired.as_deref(), Some("op 13: sync /store/wal-0"));
 }
 
+/// A store's own directory must be durable once the engine creates it.
+/// Without the `sync_dir` of its parent that recovery makes when it
+/// creates the root, a power loss can drop `/store` with every statement
+/// acknowledged in it; the sweeps above cannot see that, since
+/// `mem_disk` makes the directory durable first.
+#[test]
+fn power_loss_keeps_a_new_store() {
+    let disk = Arc::new(MemFs::default());
+    let mut s = Session::open_durable_with(disk.clone(), STORE.into()).unwrap();
+    s.execute("CREATE TABLE t (a INT)").unwrap();
+    for i in 0..3 {
+        s.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
+    }
+    let want = s.catalog().logical_dump();
+    let seeds = crash_seeds(seed("MAMMOTH_FAULT_SEED", 0), u64::MAX);
+    for (view, disk) in views(disk, seeds) {
+        let got = recovered_dump(disk, None).unwrap();
+        assert!(got == want, "{view:?} (crash seed) lost acknowledged rows");
+    }
+}
+
 /// Where the replica's sweep keeps the mirror.
 const MIRROR: &str = "/mirror";
 
