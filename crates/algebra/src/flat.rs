@@ -256,24 +256,45 @@ pub(crate) struct JoinTable {
     next: Vec<usize>,
 }
 
+/// Slots for `rows` build rows: at most half full.
+fn join_slots(rows: usize) -> usize {
+    (2 * rows).next_power_of_two().max(16)
+}
+
 impl JoinTable {
     /// Build over the `(image, is nil)` pair of every build row; nil joins
     /// nothing and is left out.
     pub(crate) fn build(images: impl ExactSizeIterator<Item = (u64, bool)>) -> JoinTable {
         let n = images.len();
         let mut t = JoinTable {
-            heads: Slots::new((2 * n).next_power_of_two().max(16)),
+            heads: Slots::new(join_slots(n)),
             next: vec![0; n],
         };
+        t.insert(images);
+        t
+    }
+
+    /// [`JoinTable::build`] in place: clear the slots and links and build
+    /// over `images`, reusing the memory of every earlier build.
+    pub(crate) fn rebuild(&mut self, images: impl ExactSizeIterator<Item = (u64, bool)>) {
+        let (n, slots) = (images.len(), join_slots(images.len()));
+        self.heads.slots.clear();
+        self.heads.slots.resize(slots, (0, 0));
+        self.heads.shift = shift_for(slots);
+        self.next.clear();
+        self.next.resize(n, 0);
+        self.insert(images);
+    }
+
+    fn insert(&mut self, images: impl Iterator<Item = (u64, bool)>) {
         for (row, (image, nil)) in images.enumerate() {
             if nil {
                 continue;
             }
-            let s = t.heads.probe(image);
-            t.next[row] = t.heads.slots[s].1;
-            t.heads.slots[s] = (image, row + 1);
+            let s = self.heads.probe(image);
+            self.next[row] = self.heads.slots[s].1;
+            self.heads.slots[s] = (image, row + 1);
         }
-        t
     }
 
     /// Build rows whose image equals `image`, latest row first.

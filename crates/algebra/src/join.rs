@@ -87,7 +87,7 @@ pub fn nested_loop_join(l: &Bat, r: &Bat) -> Result<JoinIndex> {
 }
 
 #[inline]
-fn verify_eq(l: &Bat, r: &Bat, i: usize, j: usize, exact: bool) -> bool {
+pub(crate) fn verify_eq(l: &Bat, r: &Bat, i: usize, j: usize, exact: bool) -> bool {
     if exact {
         return true;
     }

@@ -42,8 +42,8 @@ pub use flat::{GroupTable, KeyImage};
 pub use join::{hash_join, merge_join, nested_loop_join, JoinIndex};
 pub use mat::{pack, packsum};
 pub use radix::{
-    even_passes, mix_key_bat, partitioned_hash_join, radix_cluster, radix_decluster,
-    radix_decluster_fixed, ClusteredColumn,
+    mix_key_bat, partitioned_hash_join, radix_cluster, radix_decluster, radix_decluster_fixed,
+    ClusteredColumn,
 };
 pub use select::{
     select_cmp, select_cmp_cand, select_eq, select_range, select_range_cand, CmpOp, Pred, RowId,

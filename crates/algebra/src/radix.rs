@@ -12,7 +12,8 @@
 //!   index by fetch-position region, gather per region, then merge back to
 //!   output order in one sequential pass with `H` bounded cursors.
 
-use crate::join::{JoinIndex, JoinKeys};
+use crate::flat::JoinTable;
+use crate::join::{verify_eq, JoinIndex, JoinKeys};
 use mammoth_storage::{Bat, TailHeap};
 use mammoth_types::{Error, NativeType, Oid, Result};
 
@@ -37,7 +38,8 @@ pub fn mix_key_bat(b: &Bat) -> Result<JoinKeys> {
 pub struct ClusteredColumn {
     /// Key images, arranged cluster by cluster.
     pub keys: Vec<u64>,
-    /// Original oids, aligned with `keys`.
+    /// The oid (or, in [`partitioned_hash_join`], the row number) of each
+    /// key, aligned with `keys`.
     pub oids: Vec<Oid>,
     /// Total radix bits; clusters appear in increasing bit-value order.
     pub bits: u32,
@@ -112,15 +114,7 @@ pub fn radix_cluster(keys: &[u64], oids: &[Oid], bits_per_pass: &[u32]) -> Clust
         shift_high = shift;
     }
 
-    // with zero passes there is a single cluster
-    if bits_per_pass.is_empty() {
-        return ClusteredColumn {
-            keys: src_k,
-            oids: src_o,
-            bits: 0,
-            bounds: vec![0, n],
-        };
-    }
+    // with zero passes `bounds` is still the one cluster 0..n
     debug_assert_eq!(bounds.len(), h + 1);
     ClusteredColumn {
         keys: src_k,
@@ -130,131 +124,56 @@ pub fn radix_cluster(keys: &[u64], oids: &[Oid], bits_per_pass: &[u32]) -> Clust
     }
 }
 
-/// Split `bits` into passes of at most `max_per_pass` bits each.
-pub fn even_passes(bits: u32, max_per_pass: u32) -> Vec<u32> {
-    if bits == 0 {
-        return vec![];
-    }
-    let m = max_per_pass.max(1);
-    let np = bits.div_ceil(m);
-    let base = bits / np;
-    let extra = bits % np;
-    (0..np).map(|i| base + u32::from(i < extra)).collect()
-}
-
 /// Radix-clustered partitioned hash-join (§4.1–4.2, Figure 2).
 ///
-/// Both relations are clustered on the same `bits` (in `P` passes of at
-/// most `max_bits_per_pass`), then corresponding clusters are hash-joined.
-pub fn partitioned_hash_join(
-    l: &Bat,
-    r: &Bat,
-    bits: u32,
-    max_bits_per_pass: u32,
-) -> Result<JoinIndex> {
+/// Both relations are clustered on the same `B = Σ bits_per_pass` bits by
+/// [`radix_cluster`], each cluster carrying the row numbers of its keys;
+/// then one [`JoinTable`] is rebuilt in place over each right cluster and
+/// probed with the matching left cluster, so every build works on one
+/// cache-sized table at the same addresses.
+pub fn partitioned_hash_join(l: &Bat, r: &Bat, bits_per_pass: &[u32]) -> Result<JoinIndex> {
     let lk = mix_key_bat(l)?;
     let rk = mix_key_bat(r)?;
     let exact = lk.exact && rk.exact;
-    let passes = even_passes(bits, max_bits_per_pass);
-
-    let l_oids: Vec<Oid> = (0..l.len()).map(|i| l.oid_at(i)).collect();
-    let r_oids: Vec<Oid> = (0..r.len()).map(|i| r.oid_at(i)).collect();
     // nil rows are excluded before clustering (they never match)
-    let (lkeys, loids) = strip_nils(&lk, &l_oids);
-    let (rkeys, roids) = strip_nils(&rk, &r_oids);
-
-    let lc = radix_cluster(&lkeys, &loids, &passes);
-    let rc = radix_cluster(&rkeys, &roids, &passes);
+    let (lkeys, lrows) = strip_nils(&lk);
+    let (rkeys, rrows) = strip_nils(&rk);
+    let lc = radix_cluster(&lkeys, &lrows, bits_per_pass);
+    let rc = radix_cluster(&rkeys, &rrows, bits_per_pass);
 
     let mut out = JoinIndex::default();
     out.left.reserve(lkeys.len().min(rkeys.len()));
     out.right.reserve(lkeys.len().min(rkeys.len()));
-
-    // One scratch bucket-chained table shared by all clusters: buckets are
-    // validated by an epoch stamp instead of being cleared, so per-cluster
-    // setup is O(cluster), not O(buckets). This is the "CPU optimization"
-    // half of §4.2 applied to our own inner loop.
-    let max_cluster = (0..rc.cluster_count())
-        .map(|c| rc.bounds[c + 1] - rc.bounds[c])
-        .max()
-        .unwrap_or(0);
-    let nbuckets = max_cluster.next_power_of_two().max(4);
-    let mask = (nbuckets - 1) as u64;
-    let mut bucket_head = vec![0u32; nbuckets];
-    let mut bucket_epoch = vec![0u32; nbuckets];
-    let mut next = vec![0u32; max_cluster];
-    let mut epoch = 0u32;
-
-    #[inline(always)]
-    fn bucket_of(key: u64, mask: u64) -> usize {
-        ((key.wrapping_mul(0x9E3779B97F4A7C15) >> 32) & mask) as usize
-    }
-
+    let mut table = JoinTable::build(std::iter::empty());
     for c in 0..lc.cluster_count() {
-        let (lks, los) = lc.cluster(c);
-        let (rks, ros) = rc.cluster(c);
+        let (lks, lrs) = lc.cluster(c);
+        let (rks, rrs) = rc.cluster(c);
         if lks.is_empty() || rks.is_empty() {
             continue;
         }
-        epoch = epoch.wrapping_add(1);
-        if epoch == 0 {
-            bucket_epoch.fill(0);
-            epoch = 1;
-        }
-        // build on the right cluster
-        for (j, &key) in rks.iter().enumerate() {
-            let b = bucket_of(key, mask);
-            next[j] = if bucket_epoch[b] == epoch {
-                bucket_head[b]
-            } else {
-                0
-            };
-            bucket_head[b] = (j + 1) as u32;
-            bucket_epoch[b] = epoch;
-        }
-        // probe with the left cluster
-        for (i, &key) in lks.iter().enumerate() {
-            let b = bucket_of(key, mask);
-            if bucket_epoch[b] != epoch {
-                continue;
-            }
-            let mut cur = bucket_head[b];
-            while cur != 0 {
-                let j = (cur - 1) as usize;
-                if rks[j] == key && verify_pair(l, r, los[i], ros[j], exact) {
-                    out.left.push(los[i]);
-                    out.right.push(ros[j]);
+        table.rebuild(rks.iter().map(|&key| (key, false)));
+        for (&key, &i) in lks.iter().zip(lrs) {
+            for j in table.matches(key) {
+                let (i, j) = (i as usize, rrs[j] as usize);
+                if verify_eq(l, r, i, j, exact) {
+                    out.left.push(l.oid_at(i));
+                    out.right.push(r.oid_at(j));
                 }
-                cur = next[j];
             }
         }
     }
     Ok(out)
 }
 
-fn strip_nils(k: &JoinKeys, oids: &[Oid]) -> (Vec<u64>, Vec<Oid>) {
-    let mut keys = Vec::with_capacity(k.keys.len());
-    let mut os = Vec::with_capacity(oids.len());
-    for ((&key, &nil), &oid) in k.keys.iter().zip(&k.nils).zip(oids) {
-        if !nil {
-            keys.push(key);
-            os.push(oid);
-        }
-    }
-    (keys, os)
-}
-
-fn verify_pair(l: &Bat, r: &Bat, lo: Oid, ro: Oid, exact: bool) -> bool {
-    if exact {
-        return true;
-    }
-    match (l.find_oid(lo), r.find_oid(ro)) {
-        (Some(i), Some(j)) => match (l.tail().as_str_heap(), r.tail().as_str_heap()) {
-            (Some(a), Some(b)) => a.get(i) == b.get(j),
-            _ => true,
-        },
-        _ => false,
-    }
+/// The non-nil keys of `k` and their row numbers.
+fn strip_nils(k: &JoinKeys) -> (Vec<u64>, Vec<Oid>) {
+    let live = k
+        .keys
+        .iter()
+        .zip(&k.nils)
+        .enumerate()
+        .filter(|(_, (_, &nil))| !nil);
+    live.map(|(row, (&key, _))| (key, row as Oid)).unzip()
 }
 
 /// Cache-conscious positional projection through an arbitrary join index.
@@ -449,20 +368,13 @@ mod tests {
     }
 
     #[test]
-    fn even_pass_split() {
-        assert_eq!(even_passes(7, 3), vec![3, 2, 2]);
-        assert_eq!(even_passes(6, 6), vec![6]);
-        assert_eq!(even_passes(0, 4), Vec::<u32>::new());
-    }
-
-    #[test]
     fn partitioned_join_matches_hash_join() {
         let l = Bat::from_vec(vec![5i64, 1, 9, 1, 7, 3, -4, 5]);
         let r = Bat::from_vec(vec![1i64, 3, 3, 9, 2, -4]);
         let expect = hash_join(&l, &r).unwrap().sorted();
-        for bits in [0u32, 2, 4] {
-            let got = partitioned_hash_join(&l, &r, bits, 2).unwrap().sorted();
-            assert_eq!(got, expect, "bits={bits}");
+        for passes in [&[][..], &[2], &[2, 2]] {
+            let got = partitioned_hash_join(&l, &r, passes).unwrap().sorted();
+            assert_eq!(got, expect, "passes={passes:?}");
         }
     }
 
@@ -470,7 +382,7 @@ mod tests {
     fn partitioned_join_strings() {
         let l = Bat::from_strings([Some("a"), Some("b"), None, Some("a")]);
         let r = Bat::from_strings([Some("b"), Some("a")]);
-        let got = partitioned_hash_join(&l, &r, 2, 2).unwrap().sorted();
+        let got = partitioned_hash_join(&l, &r, &[2]).unwrap().sorted();
         let expect = hash_join(&l, &r).unwrap().sorted();
         assert_eq!(got, expect);
     }
@@ -522,9 +434,10 @@ mod tests {
     proptest! {
         #[test]
         fn prop_cluster_is_partition(keys in proptest::collection::vec(0u64..1000, 0..200),
-                                     bits in 0u32..6) {
+                                     passes in proptest::collection::vec(0u32..3, 0..3)) {
             let oids: Vec<Oid> = (0..keys.len() as u64).collect();
-            let cc = radix_cluster(&keys, &oids, &even_passes(bits, 2));
+            let cc = radix_cluster(&keys, &oids, &passes);
+            let bits: u32 = passes.iter().sum();
             // lengths preserved
             prop_assert_eq!(cc.keys.len(), keys.len());
             prop_assert_eq!(*cc.bounds.last().unwrap(), keys.len());
@@ -546,11 +459,14 @@ mod tests {
         fn prop_partitioned_equals_hash(
             lv in proptest::collection::vec(-30i64..30, 0..80),
             rv in proptest::collection::vec(-30i64..30, 0..80),
-            bits in 0u32..5,
+            passes in proptest::collection::vec(0u32..3, 0..3),
+            lbase in 0u64..1000,
+            rbase in 0u64..1000,
         ) {
-            let l = Bat::from_vec(lv);
-            let r = Bat::from_vec(rv);
-            let got = partitioned_hash_join(&l, &r, bits, 2).unwrap().sorted();
+            // the kernel maps its clusters' row numbers to oids
+            let l = Bat::dense(lbase, TailHeap::I64(lv));
+            let r = Bat::dense(rbase, TailHeap::I64(rv));
+            let got = partitioned_hash_join(&l, &r, &passes).unwrap().sorted();
             let expect = hash_join(&l, &r).unwrap().sorted();
             prop_assert_eq!(got, expect);
         }

@@ -2,6 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mammoth_algebra::{hash_join, partitioned_hash_join};
+use mammoth_cache::trace::cluster_passes;
 use mammoth_storage::Bat;
 use mammoth_workload::permutation;
 use std::hint::black_box;
@@ -13,18 +14,13 @@ fn bench(c: &mut Criterion) {
         let n = 1usize << pow;
         let l = Bat::from_vec(permutation(n, 1));
         let r = Bat::from_vec(permutation(n, 2));
+        let passes = cluster_passes(pow.saturating_sub(9), 6);
         g.throughput(Throughput::Elements(n as u64));
         g.bench_with_input(BenchmarkId::new("simple", n), &n, |b, _| {
             b.iter(|| black_box(hash_join(&l, &r).unwrap().len()));
         });
         g.bench_with_input(BenchmarkId::new("partitioned", n), &n, |b, _| {
-            b.iter(|| {
-                black_box(
-                    partitioned_hash_join(&l, &r, pow.saturating_sub(9), 6)
-                        .unwrap()
-                        .len(),
-                )
-            });
+            b.iter(|| black_box(partitioned_hash_join(&l, &r, &passes).unwrap().len()));
         });
     }
     g.finish();

@@ -1,7 +1,8 @@
 //! Criterion bench for E02: radix-cluster pass schedules.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mammoth_algebra::{even_passes, radix_cluster};
+use mammoth_algebra::radix_cluster;
+use mammoth_cache::trace::cluster_passes;
 use mammoth_types::Oid;
 use mammoth_workload::uniform_keys;
 use std::hint::black_box;
@@ -16,7 +17,7 @@ fn bench(c: &mut Criterion) {
     g.throughput(Throughput::Elements(n as u64));
     for bits in [6u32, 12] {
         for passes in [1u32, 2, 3] {
-            let schedule = even_passes(bits, bits.div_ceil(passes));
+            let schedule = cluster_passes(bits, bits.div_ceil(passes));
             if schedule.len() != passes as usize {
                 continue;
             }

@@ -45,7 +45,8 @@ pub fn run(_scale: Scale) -> Report {
         out.push('\n');
     }
 
-    let ji = partitioned_hash_join(&Bat::from_vec(L.to_vec()), &Bat::from_vec(R.to_vec()), 3, 2)
+    let (left, right) = (Bat::from_vec(L.to_vec()), Bat::from_vec(R.to_vec()));
+    let ji = partitioned_hash_join(&left, &right, &[2, 1])
         .unwrap()
         .sorted();
     let matches: Vec<(Oid, Oid)> = ji.left.iter().copied().zip(ji.right).collect();

@@ -7,8 +7,8 @@
 
 use crate::table::TextTable;
 use crate::{ns_per, timed, Report, Scale};
-use mammoth_algebra::{even_passes, radix_cluster};
-use mammoth_cache::trace::{max_safe_bits_per_pass, radix_cluster_trace};
+use mammoth_algebra::radix_cluster;
+use mammoth_cache::trace::{cluster_passes, max_safe_bits_per_pass, radix_cluster_trace};
 use mammoth_cache::{HierarchySim, MemoryHierarchy};
 use mammoth_types::Oid;
 use mammoth_workload::uniform_keys;
@@ -30,8 +30,7 @@ pub fn run(scale: Scale) -> Report {
     for bits in [4u32, 6, 8, 10, 12, 14, 16] {
         let mut times = Vec::new();
         for passes in 1..=3u32 {
-            let per = bits.div_ceil(passes);
-            let schedule = even_passes(bits, per);
+            let schedule = cluster_passes(bits, bits.div_ceil(passes));
             if schedule.len() != passes as usize {
                 times.push(None);
                 continue;
@@ -72,8 +71,7 @@ pub fn run(scale: Scale) -> Report {
         let mut row = vec![bits.to_string()];
         let mut cycles = Vec::new();
         for passes in 1..=3u32 {
-            let per = bits.div_ceil(passes);
-            let schedule = even_passes(bits, per);
+            let schedule = cluster_passes(bits, bits.div_ceil(passes));
             if schedule.len() != passes as usize {
                 row.push("-".into());
                 continue;

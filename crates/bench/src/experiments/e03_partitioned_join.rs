@@ -20,12 +20,13 @@ const GROWS: &str =
 const TENFOLD: &str = "a radix-clustered partitioned hash-join is an order of magnitude faster than a simple hash-join";
 
 /// Simulated memory cycles of joining `n` x `n` 8-byte tuples after
-/// clustering both sides on `bits` radix bits (0: the simple hash-join).
+/// clustering both sides on `bits` radix bits (0: the simple hash-join), in
+/// the pass schedule E03 runs `partitioned_hash_join` with.
 pub fn simulated_join_cycles(h: &MemoryHierarchy, n: usize, bits: u32) -> u64 {
     let passes = cluster_passes(bits, max_safe_bits_per_pass(h));
     let mut cycles = 0;
     for trace in [
-        hash_join_trace(n, n, 8, bits, 3),
+        hash_join_trace(n, 8, bits, 3),
         radix_cluster_trace(n, 8, &passes, 5),
         radix_cluster_trace(n, 8, &passes, 6),
     ] {
@@ -41,7 +42,7 @@ pub fn run(scale: Scale) -> Report {
     let h = MemoryHierarchy::generic_modern();
 
     let mut out = String::new();
-    out.push_str("E03  Partitioned (radix-clustered) hash-join vs bucket-chained hash-join\n\n");
+    out.push_str("E03  Partitioned (radix-clustered) hash-join vs simple hash-join\n\n");
 
     let mut t = TextTable::new(vec![
         "n per side",
@@ -55,12 +56,13 @@ pub fn run(scale: Scale) -> Report {
         // unique keys, shuffled: every tuple matches exactly once
         let l = Bat::from_vec(permutation(n, 1));
         let r = Bat::from_vec(permutation(n, 2));
-        let bits = pick_radix_bits(&h, n, n, 8);
+        let bits = pick_radix_bits(&h, n, 8);
+        let passes = cluster_passes(bits, max_safe_bits_per_pass(&h));
         // best of 2 runs each, interleaved, to tame VM noise
         let (j1, t_simple_a) = timed(|| hash_join(&l, &r).unwrap());
-        let (j2, t_part_a) = timed(|| partitioned_hash_join(&l, &r, bits, 6).unwrap());
+        let (j2, t_part_a) = timed(|| partitioned_hash_join(&l, &r, &passes).unwrap());
         let (_, t_simple_b) = timed(|| hash_join(&l, &r).unwrap());
-        let (_, t_part_b) = timed(|| partitioned_hash_join(&l, &r, bits, 6).unwrap());
+        let (_, t_part_b) = timed(|| partitioned_hash_join(&l, &r, &passes).unwrap());
         let t_simple = t_simple_a.min(t_simple_b);
         let t_part = t_part_a.min(t_part_b);
         assert_eq!(j1.len(), n);
@@ -83,7 +85,7 @@ pub fn run(scale: Scale) -> Report {
     // 2^10 to 2^14 tuples per side, to 2^17 at full size
     for pow in [10, 12, 14, 15, 17].into_iter().take(scale.pick(3, 5)) {
         let n = 1usize << pow;
-        let bits = pick_radix_bits(&h, n, n, 8);
+        let bits = pick_radix_bits(&h, n, 8);
         let ratio =
             simulated_join_cycles(&h, n, 0) as f64 / simulated_join_cycles(&h, n, bits) as f64;
         t.row(vec![

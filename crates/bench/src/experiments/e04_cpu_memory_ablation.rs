@@ -9,7 +9,8 @@
 
 use crate::table::TextTable;
 use crate::{ns_per, timed, Report, Scale};
-use mammoth_algebra::{even_passes, radix_cluster};
+use mammoth_algebra::radix_cluster;
+use mammoth_cache::trace::cluster_passes;
 use mammoth_index::{HashTable, KeyHasher, MaskHasher, ModuloHasher};
 use mammoth_types::Oid;
 use mammoth_workload::permutation;
@@ -20,7 +21,7 @@ const COMPOUND: &str = "memory and CPU optimizations boost each other: combined,
 fn join_with<H: KeyHasher>(hasher: H, lk: &[u64], rk: &[u64], bits: u32) -> usize {
     let oids_l: Vec<Oid> = (0..lk.len() as u64).collect();
     let oids_r: Vec<Oid> = (0..rk.len() as u64).collect();
-    let passes = even_passes(bits, 6);
+    let passes = cluster_passes(bits, 6);
     let lc = radix_cluster(lk, &oids_l, &passes);
     let rc = radix_cluster(rk, &oids_r, &passes);
     let mut matches = 0usize;

@@ -29,12 +29,6 @@ impl CacheLevel {
     pub fn lines(&self) -> usize {
         self.capacity / self.line_size
     }
-
-    /// Number of sets (lines / ways).
-    pub fn sets(&self) -> usize {
-        let ways = self.associativity.min(self.lines());
-        (self.lines() / ways).max(1)
-    }
 }
 
 /// A translation look-aside buffer.
@@ -208,22 +202,24 @@ mod tests {
         let h = MemoryHierarchy::generic_modern();
         let l1 = &h.levels[0];
         assert_eq!(l1.lines(), 512);
-        assert_eq!(l1.sets(), 64);
         assert_eq!(h.tlb.reach(), 64 * 4096);
     }
 
     #[test]
     fn full_associativity_is_one_set() {
-        let l = CacheLevel {
-            name: "x",
-            capacity: 1024,
-            line_size: 64,
-            associativity: usize::MAX,
-            seq_miss_latency: 1,
-            rand_miss_latency: 1,
-        };
-        assert_eq!(l.sets(), 1);
-        assert_eq!(l.lines(), 16);
+        let mut h = MemoryHierarchy::tiny_test();
+        h.levels.truncate(1);
+        h.levels[0].associativity = usize::MAX;
+        assert_eq!(h.levels[0].lines(), 16);
+        // 16 lines a whole capacity apart would share one set of a
+        // set-associative level; one set of 16 ways holds them all
+        let mut sim = crate::sim::HierarchySim::new(&h);
+        for _ in 0..2 {
+            for k in 0..16u64 {
+                sim.access(k * 256, crate::pattern::AccessKind::Random);
+            }
+        }
+        assert_eq!(sim.report().levels[0].total(), 16);
     }
 
     #[test]

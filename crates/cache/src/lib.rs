@@ -19,12 +19,15 @@
 //!   (substitution documented in DESIGN.md).
 //! * [`pattern`] — the model's basic access patterns (sequential traversal,
 //!   random traversal, repetitive random access, interleaved multi-cursor
-//!   access) with both *analytic* miss predictions and *executable* address
-//!   traces, so prediction and simulation can be compared (experiment E06).
-//! * [`cost`] — the `TMem` formula and compound-pattern combination rules.
-//! * [`trace`] — trace generators for radix-cluster and (partitioned)
-//!   hash-join, used to validate the model on real algorithms and to let
-//!   the model *choose* the optimal number of radix bits.
+//!   access) and their sequential composition, which carries each level's
+//!   contents from one pattern to the next, with both *analytic* miss
+//!   predictions and *executable* address traces, so prediction and
+//!   simulation can be compared (experiment E06).
+//! * [`cost`] — the `TMem` formula.
+//! * [`trace`] — the model and the address trace of the kernels'
+//!   radix-cluster and partitioned hash-join, used to validate the model on
+//!   real algorithms and to let the model *choose* the optimal number of
+//!   radix bits.
 
 #![deny(unsafe_code)]
 

@@ -72,6 +72,13 @@ impl MissEstimate {
         self.seq += o.seq;
         self.rand += o.rand;
     }
+
+    fn scaled(self, by: f64) -> MissEstimate {
+        MissEstimate {
+            seq: self.seq * by,
+            rand: self.rand * by,
+        }
+    }
 }
 
 /// A basic or compound access pattern.
@@ -97,8 +104,11 @@ pub enum Pattern {
         cursors: usize,
         seed: u64,
     },
-    /// Sequential composition: patterns executed one after another.
+    /// Sequential composition: patterns executed one after another, each
+    /// finding the caches as the ones before it left them.
     Seq(Vec<Pattern>),
+    /// `pattern` run `times` times in a row over the same regions.
+    Repeat { pattern: Box<Pattern>, times: usize },
 }
 
 /// Minimal deterministic RNG (xorshift64*), so traces are reproducible and
@@ -122,6 +132,13 @@ impl XorShift {
 
     pub fn below(&mut self, n: usize) -> usize {
         (self.next_u64() % n as u64) as usize
+    }
+
+    /// Fisher-Yates: `v` in a uniformly random order.
+    pub fn shuffle<T>(&mut self, v: &mut [T]) {
+        for i in (1..v.len()).rev() {
+            v.swap(i, self.below(i + 1));
+        }
     }
 }
 
@@ -174,74 +191,134 @@ impl From<&Tlb> for LevelView {
     }
 }
 
+/// What one level still holds, as the patterns of a [`Pattern::Seq`] left
+/// it: the byte ranges they touched, most recent first, none overlapping.
+#[derive(Debug, Default)]
+struct LruStack(Vec<(u64, u64)>);
+
+impl LruStack {
+    /// The fraction of `region` a level of `capacity` bytes still holds:
+    /// walking from the most recent range, each keeps what fits in the
+    /// capacity the ranges above it leave.
+    fn resident(&self, region: &Region, capacity: usize) -> f64 {
+        let (start, end) = (region.base, region.base + region.bytes() as u64);
+        let (mut above, mut resident) = (0, 0.0);
+        for &(a, b) in &self.0 {
+            let kept = (capacity as u64).saturating_sub(above).min(b - a);
+            let overlap = b.min(end).saturating_sub(a.max(start));
+            resident += overlap as f64 * kept as f64 / (b - a).max(1) as f64;
+            above += b - a;
+        }
+        resident / region.bytes().max(1) as f64
+    }
+
+    /// Put `region` on top, cutting it out of the ranges below.
+    fn touch(&mut self, region: &Region) {
+        let (start, end) = (region.base, region.base + region.bytes() as u64);
+        let below = std::mem::take(&mut self.0);
+        self.0.push((start, end));
+        for (a, b) in below {
+            if a < start {
+                self.0.push((a, b.min(start)));
+            }
+            if b > end {
+                self.0.push((a.max(end), b));
+            }
+        }
+    }
+}
+
 impl Pattern {
     /// Analytic expected misses of this pattern at one level.
+    ///
+    /// [`Pattern::Seq`] carries the level's contents from one pattern to
+    /// the next (Manegold's sequential composition): a pattern over a
+    /// region an earlier one left resident pays no first-touch misses for
+    /// the resident part. Every other miss, and every pattern on its own,
+    /// is predicted as if the level started cold.
     pub fn predicted(&self, level: LevelView) -> MissEstimate {
-        let granule = level.granule as f64;
-        let cap = level.capacity as f64;
+        self.predicted_after(level, &mut LruStack::default())
+    }
+
+    fn predicted_after(&self, level: LevelView, stack: &mut LruStack) -> MissEstimate {
+        let region = match self {
+            Pattern::Seq(ps) => {
+                let mut e = MissEstimate::default();
+                for p in ps {
+                    e.add(p.predicted_after(level, stack));
+                }
+                return e;
+            }
+            Pattern::Repeat { pattern, times } => {
+                let mut e = MissEstimate::default();
+                for round in 0..*times {
+                    let before = stack.0.clone();
+                    let misses = pattern.predicted_after(level, stack);
+                    e.add(misses);
+                    // a round that leaves the level as it found it is
+                    // what every later round does
+                    if stack.0 == before {
+                        e.add(misses.scaled((times - round - 1) as f64));
+                        break;
+                    }
+                }
+                return e;
+            }
+            Pattern::STrav { region }
+            | Pattern::RTrav { region, .. }
+            | Pattern::RRAcc { region, .. }
+            | Pattern::Interleaved { region, .. } => region,
+        };
+        let cold = 1.0 - stack.resident(region, level.capacity);
+        stack.touch(region);
+        let (first, mut e) = self.cold_misses(level);
+        e.add(first.scaled(cold));
+        e
+    }
+
+    /// A basic pattern's misses from a cold level: (first touches of its
+    /// region's granules, every other miss).
+    fn cold_misses(&self, level: LevelView) -> (MissEstimate, MissEstimate) {
+        let seq = |seq| MissEstimate { seq, rand: 0.0 };
+        let rand = |rand| MissEstimate { seq: 0.0, rand };
+        // once a region exceeds the level, a revisited line survives with
+        // probability ~ capacity/bytes
+        let evicted = |r: &Region| (1.0 - level.capacity as f64 / r.bytes() as f64).max(0.0);
         match self {
-            Pattern::STrav { region } => MissEstimate {
-                seq: region.lines(level.granule) as f64,
-                rand: 0.0,
-            },
+            Pattern::STrav { region } => (seq(region.lines(level.granule) as f64), seq(0.0)),
             Pattern::RTrav { region, .. } => {
+                // compulsory misses plus capacity misses on the revisits
                 let lines = region.lines(level.granule) as f64;
-                let n = region.items as f64;
-                let bytes = region.bytes() as f64;
-                let rand = if bytes <= cap {
-                    lines
-                } else {
-                    // compulsory misses plus capacity misses: once the
-                    // region exceeds the cache, a revisited line survives
-                    // with probability ~ cap/bytes.
-                    lines + (n - lines).max(0.0) * (1.0 - cap / bytes)
-                };
-                MissEstimate { seq: 0.0, rand }
+                let revisits = (region.items as f64 - lines).max(0.0);
+                (rand(lines), rand(revisits * evicted(region)))
             }
             Pattern::RRAcc {
                 region, accesses, ..
             } => {
+                // expected distinct lines touched by r uniform accesses
                 let lines = region.lines(level.granule) as f64;
                 let r = *accesses as f64;
-                let bytes = region.bytes() as f64;
-                // expected distinct lines touched by r uniform accesses
                 let distinct = lines * (1.0 - (1.0 - 1.0 / lines).powf(r));
-                let rand = if bytes <= cap {
-                    distinct
-                } else {
-                    distinct + (r - distinct).max(0.0) * (1.0 - cap / bytes)
-                };
-                MissEstimate { seq: 0.0, rand }
+                (
+                    rand(distinct),
+                    rand((r - distinct).max(0.0) * evicted(region)),
+                )
             }
             Pattern::Interleaved {
                 region, cursors, ..
             } => {
-                let h = *cursors as f64;
+                // up to one cursor per granule every cursor keeps its line
+                // resident: pure sequential. Past that the cursor lines
+                // compete, and a cursor's line is still cached on revisit
+                // with probability granules/H.
+                let p_evicted = (1.0 - level.granules as f64 / *cursors as f64).max(0.0);
+                let items_per_line = (level.granule as f64 / region.width as f64).max(1.0);
+                let revisits = region.items as f64 * (1.0 - 1.0 / items_per_line);
                 let compulsory = region.lines(level.granule) as f64;
-                if h <= level.granules as f64 {
-                    // all cursors keep their line resident: pure sequential
-                    MissEstimate {
-                        seq: compulsory,
-                        rand: 0.0,
-                    }
-                } else {
-                    // cursor lines compete for granules; a cursor's line is
-                    // still cached on revisit with probability lines/H.
-                    let p_evicted = 1.0 - level.granules as f64 / h;
-                    let items_per_line = (granule / region.width as f64).max(1.0);
-                    let revisits = region.items as f64 * (1.0 - 1.0 / items_per_line);
-                    MissEstimate {
-                        seq: compulsory,
-                        rand: revisits * p_evicted,
-                    }
-                }
+                (seq(compulsory), rand(revisits * p_evicted))
             }
-            Pattern::Seq(ps) => {
-                let mut e = MissEstimate::default();
-                for p in ps {
-                    e.add(p.predicted(level));
-                }
-                e
+            Pattern::Seq(_) | Pattern::Repeat { .. } => {
+                unreachable!("a compound pattern has no region of its own")
             }
         }
     }
@@ -273,11 +350,7 @@ impl Pattern {
             }
             Pattern::RTrav { region, seed } => {
                 let mut order: Vec<usize> = (0..region.items).collect();
-                let mut rng = XorShift::new(*seed);
-                // Fisher-Yates
-                for i in (1..order.len()).rev() {
-                    order.swap(i, rng.below(i + 1));
-                }
+                XorShift::new(*seed).shuffle(&mut order);
                 out.reserve(order.len());
                 for i in order {
                     out.push((region.addr_of(i), AccessKind::Random));
@@ -320,6 +393,11 @@ impl Pattern {
             Pattern::Seq(ps) => {
                 for p in ps {
                     p.trace_into(out);
+                }
+            }
+            Pattern::Repeat { pattern, times } => {
+                for _ in 0..*times {
+                    pattern.trace_into(out);
                 }
             }
         }
@@ -470,6 +548,42 @@ mod tests {
         ])
         .predicted(l1_view());
         assert_eq!(both.total(), 2.0 * single.total());
+    }
+
+    #[test]
+    fn seq_pays_no_first_touch_for_what_is_still_resident() {
+        let h = MemoryHierarchy::tiny_test();
+        let fits = Region::new(0, 32, 4); // 128 B: half of L1
+        let rereads = Pattern::Seq(vec![
+            Pattern::STrav {
+                region: fits.clone(),
+            },
+            Pattern::RRAcc {
+                region: fits.clone(),
+                accesses: 100,
+                seed: 1,
+            },
+            Pattern::STrav { region: fits },
+        ]);
+        let (pred, tlb) = rereads.predicted_all(&h);
+        let mut sim = HierarchySim::new(&h);
+        sim.run(rereads.trace());
+        assert_eq!(pred[0].total(), 8.0);
+        assert_eq!(sim.report().levels[0].total() as f64, pred[0].total());
+        assert_eq!(sim.report().tlb.total() as f64, tlb.total());
+        // a 1 KB region keeps the last L1-full (a quarter) of itself
+        let big = Region::new(0, 256, 4);
+        let twice = Pattern::Seq(vec![
+            Pattern::STrav {
+                region: big.clone(),
+            },
+            Pattern::RRAcc {
+                region: big,
+                accesses: 1,
+                seed: 1,
+            },
+        ]);
+        assert_eq!(twice.predicted(l1_view()).total(), 64.0 + 0.75);
     }
 
     #[test]

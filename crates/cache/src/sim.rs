@@ -52,12 +52,6 @@ impl SetAssoc {
             true
         }
     }
-
-    fn reset(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
-    }
 }
 
 /// Miss counters for one level.
@@ -120,9 +114,8 @@ impl HierarchySim {
         HierarchySim {
             hierarchy: hierarchy.clone(),
             report: SimReport {
-                accesses: 0,
                 levels: vec![LevelStats::default(); hierarchy.levels.len()],
-                tlb: LevelStats::default(),
+                ..SimReport::default()
             },
             levels,
             tlb,
@@ -167,19 +160,6 @@ impl HierarchySim {
     /// Total simulated memory cost in cycles.
     pub fn cost(&self) -> u64 {
         self.report.cost(&self.hierarchy)
-    }
-
-    /// Clear cache contents and counters.
-    pub fn reset(&mut self) {
-        for c in &mut self.levels {
-            c.reset();
-        }
-        self.tlb.reset();
-        self.report = SimReport {
-            accesses: 0,
-            levels: vec![LevelStats::default(); self.hierarchy.levels.len()],
-            tlb: LevelStats::default(),
-        };
     }
 }
 
@@ -287,18 +267,8 @@ mod tests {
         let mut s = HierarchySim::new(&h);
         s.access(0, Sequential); // L1 seq (2) + L2 seq (10) + TLB (20)
         assert_eq!(s.cost(), 2 + 10 + 20);
-        s.reset();
+        let mut s = HierarchySim::new(&h);
         s.access(0, Random); // 10 + 60 + 20
         assert_eq!(s.cost(), 90);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut s = tiny();
-        s.access(0, Random);
-        s.reset();
-        assert_eq!(s.report().accesses, 0);
-        s.access(0, Random);
-        assert_eq!(s.report().levels[0].total(), 1, "cold again after reset");
     }
 }

@@ -59,7 +59,7 @@ fn one_and_two_pass_clustering_agree() {
 fn partitioned_join_finds_the_black_tuples() {
     let l = Bat::from_vec(L.to_vec());
     let r = Bat::from_vec(R.to_vec());
-    let ji = partitioned_hash_join(&l, &r, 3, 2).unwrap().sorted();
+    let ji = partitioned_hash_join(&l, &r, &[2, 1]).unwrap().sorted();
     // the figure's matches: values present in both relations
     let mut matched_values: Vec<i64> = ji.left.iter().map(|&o| L[o as usize]).collect();
     matched_values.sort_unstable();
@@ -73,7 +73,7 @@ fn partitioned_join_finds_the_black_tuples() {
 fn join_pairs_point_at_matching_tuples() {
     let l = Bat::from_vec(L.to_vec());
     let r = Bat::from_vec(R.to_vec());
-    let ji = partitioned_hash_join(&l, &r, 3, 2).unwrap();
+    let ji = partitioned_hash_join(&l, &r, &[2, 1]).unwrap();
     assert_eq!(ji.len(), 5);
     for (lo, ro) in ji.left.iter().zip(&ji.right) {
         assert_eq!(
