@@ -5,7 +5,10 @@
 //! per-key allocation, no key copy beside the table itself, one multiply
 //! per hash.
 
+use mammoth_types::AccessKind::{Random, Sequential};
+use mammoth_types::{Buf, Mem};
 use std::hash::{BuildHasher, RandomState};
+use std::mem::size_of;
 use std::sync::OnceLock;
 
 /// The exact `u64` image a fixed-width column value groups and joins
@@ -131,23 +134,27 @@ struct Slots<K> {
     slots: Vec<(K, usize)>,
     shift: u32,
     seed: u64,
+    /// The slot array's name to a [`Mem`] observer.
+    buf: Buf,
 }
 
 impl<K: GroupKey> Slots<K> {
-    fn new(slots: usize) -> Slots<K> {
+    fn new(slots: usize, seed: u64, buf: Buf) -> Slots<K> {
         Slots {
             slots: vec![(K::default(), 0); slots],
             shift: shift_for(slots),
-            seed: seed(),
+            seed,
+            buf,
         }
     }
 
     /// The slot holding `key`, or the empty slot where it belongs.
     #[inline(always)]
-    fn probe(&self, key: K) -> usize {
+    fn probe(&self, key: K, mem: &mut impl Mem) -> usize {
         let mask = self.slots.len() - 1;
         let mut s = slot_of(key.image(), self.seed, self.shift);
         loop {
+            mem.read(self.buf, s, size_of::<(K, usize)>(), Random);
             let (k, tag) = self.slots[s];
             if tag == 0 || k == key {
                 return s;
@@ -157,9 +164,9 @@ impl<K: GroupKey> Slots<K> {
     }
 
     fn grow(&mut self) {
-        let mut bigger = Slots::new(self.slots.len() * 2);
+        let mut bigger = Slots::new(self.slots.len() * 2, self.seed, self.buf);
         for &(k, tag) in self.slots.iter().filter(|(_, tag)| *tag != 0) {
-            let s = bigger.probe(k);
+            let s = bigger.probe(k, &mut ());
             bigger.slots[s] = (k, tag);
         }
         *self = bigger;
@@ -176,7 +183,7 @@ pub(crate) struct Groups<K> {
 impl<K: GroupKey> Groups<K> {
     pub(crate) fn new() -> Groups<K> {
         Groups {
-            table: Slots::new(1024),
+            table: Slots::new(1024, seed(), Buf::default()),
             len: 0,
         }
     }
@@ -184,7 +191,7 @@ impl<K: GroupKey> Groups<K> {
     /// The id of `key`'s group, and whether this is its first appearance.
     #[inline(always)]
     pub(crate) fn id_of(&mut self, key: K) -> (usize, bool) {
-        let s = self.table.probe(key);
+        let s = self.table.probe(key, &mut ());
         match self.table.slots[s].1 {
             0 => {
                 self.len += 1;
@@ -200,7 +207,7 @@ impl<K: GroupKey> Groups<K> {
     }
 }
 
-/// [`Groups`] over single-column [`KeyImage`]s: what `group.group` numbers
+/// `Groups` over single-column [`KeyImage`]s: what `group.group` numbers
 /// its groups with, open to callers that see the column one vector at a
 /// time.
 pub struct GroupTable(Groups<u64>);
@@ -251,9 +258,15 @@ pub(crate) fn assign_groups<K: GroupKey>(keys: impl Iterator<Item = K>) -> (Vec<
 /// A join's build side: each distinct image's slot holds the head of a
 /// chain through `next` (one link per build row, row numbers plus one), so
 /// duplicate keys cost no extra slots.
+///
+/// Every method reports its memory traffic to a [`Mem`] observer, which
+/// also gives the table its hash seed: the per-process random one under the
+/// no-op. The slots and the links keep one name each across rebuilds, also
+/// where a rebuild outgrows and reallocates them.
 pub(crate) struct JoinTable {
     heads: Slots<u64>,
     next: Vec<usize>,
+    next_buf: Buf,
 }
 
 /// Slots for `rows` build rows: at most half full.
@@ -261,65 +274,87 @@ fn join_slots(rows: usize) -> usize {
     (2 * rows).next_power_of_two().max(16)
 }
 
+const SLOT: usize = size_of::<(u64, usize)>();
+const LINK: usize = size_of::<usize>();
+
 impl JoinTable {
-    /// Build over the `(image, is nil)` pair of every build row; nil joins
-    /// nothing and is left out.
-    pub(crate) fn build(images: impl ExactSizeIterator<Item = (u64, bool)>) -> JoinTable {
+    /// Build over the `(image, is nil)` pair of every build row, read from
+    /// element `from.1` on of buffer `from.0`; nil joins nothing and is
+    /// left out.
+    pub(crate) fn build(
+        images: impl ExactSizeIterator<Item = (u64, bool)>,
+        from: (Buf, usize),
+        mem: &mut impl Mem,
+    ) -> JoinTable {
         let n = images.len();
+        let seed = mem.hash_seed().unwrap_or_else(seed);
         let mut t = JoinTable {
-            heads: Slots::new(join_slots(n)),
+            heads: Slots::new(join_slots(n), seed, mem.buffer()),
             next: vec![0; n],
+            next_buf: mem.buffer(),
         };
-        t.insert(images);
+        t.insert(images, from, mem);
         t
     }
 
     /// [`JoinTable::build`] in place: clear the slots and links and build
     /// over `images`, reusing the memory of every earlier build.
-    pub(crate) fn rebuild(&mut self, images: impl ExactSizeIterator<Item = (u64, bool)>) {
+    pub(crate) fn rebuild(
+        &mut self,
+        images: impl ExactSizeIterator<Item = (u64, bool)>,
+        from: (Buf, usize),
+        mem: &mut impl Mem,
+    ) {
         let (n, slots) = (images.len(), join_slots(images.len()));
         self.heads.slots.clear();
         self.heads.slots.resize(slots, (0, 0));
         self.heads.shift = shift_for(slots);
         self.next.clear();
         self.next.resize(n, 0);
-        self.insert(images);
+        self.insert(images, from, mem);
     }
 
-    fn insert(&mut self, images: impl Iterator<Item = (u64, bool)>) {
+    /// Clear the slots and links, as the observer sees it, and insert every
+    /// row.
+    fn insert(
+        &mut self,
+        images: impl Iterator<Item = (u64, bool)>,
+        (from, start): (Buf, usize),
+        mem: &mut impl Mem,
+    ) {
+        for s in 0..self.heads.slots.len() {
+            mem.write(self.heads.buf, s, SLOT, Sequential);
+        }
+        for row in 0..self.next.len() {
+            mem.write(self.next_buf, row, LINK, Sequential);
+        }
         for (row, (image, nil)) in images.enumerate() {
+            mem.read(from, start + row, size_of::<u64>(), Sequential);
             if nil {
                 continue;
             }
-            let s = self.heads.probe(image);
+            let s = self.heads.probe(image, mem);
+            mem.write(self.next_buf, row, LINK, Sequential);
             self.next[row] = self.heads.slots[s].1;
+            mem.write(self.heads.buf, s, SLOT, Random);
             self.heads.slots[s] = (image, row + 1);
         }
     }
 
-    /// Build rows whose image equals `image`, latest row first.
+    /// Call `f` with every build row whose image equals `image`, latest row
+    /// first, handing it the observer back.
     #[inline(always)]
-    pub(crate) fn matches(&self, image: u64) -> Chain<'_> {
-        Chain {
-            next: &self.next,
-            cur: self.heads.slots[self.heads.probe(image)].1,
+    pub(crate) fn each_match<M: Mem>(
+        &self,
+        image: u64,
+        mem: &mut M,
+        mut f: impl FnMut(usize, &mut M),
+    ) {
+        let mut cur = self.heads.slots[self.heads.probe(image, mem)].1;
+        while let Some(row) = cur.checked_sub(1) {
+            mem.read(self.next_buf, row, LINK, Random);
+            cur = self.next[row];
+            f(row, mem);
         }
-    }
-}
-
-/// Iterator over the build rows sharing one image.
-pub(crate) struct Chain<'a> {
-    next: &'a [usize],
-    cur: usize,
-}
-
-impl Iterator for Chain<'_> {
-    type Item = usize;
-
-    #[inline(always)]
-    fn next(&mut self) -> Option<usize> {
-        let row = self.cur.checked_sub(1)?;
-        self.cur = self.next[row];
-        Some(row)
     }
 }

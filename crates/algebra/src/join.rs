@@ -1,6 +1,6 @@
 //! Equi-joins over BAT tails.
 //!
-//! A join's result is a *join index* (Valduriez [39], §4.3): two aligned oid
+//! A join's result is a *join index* (Valduriez \[39\], §4.3): two aligned oid
 //! vectors pairing matching tuples. Column projection happens afterwards by
 //! positional fetch — the DSM post-projection strategy.
 //!
@@ -14,7 +14,7 @@
 use crate::flat::{with_images, JoinTable};
 use crate::radix::mix_key_bat;
 use mammoth_storage::Bat;
-use mammoth_types::{Oid, Result};
+use mammoth_types::{Buf, Oid, Result};
 
 /// Aligned `(left oid, right oid)` match pairs.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -102,7 +102,7 @@ pub(crate) fn verify_eq(l: &Bat, r: &Bat, i: usize, j: usize, exact: bool) -> bo
 /// images; both columns are read in place. Matches come out in left row
 /// order, and for one left row latest right row first.
 pub fn hash_join(l: &Bat, r: &Bat) -> Result<JoinIndex> {
-    let table = with_images!(r, |images| JoinTable::build(images));
+    let table = with_images!(r, |images| JoinTable::build(images, (Buf(0), 0), &mut ()));
     // fixed-width images are injective; string images are payload hashes
     let exact = l.tail().as_str_heap().is_none() && r.tail().as_str_heap().is_none();
     let mut out = JoinIndex::default();
@@ -113,12 +113,12 @@ pub fn hash_join(l: &Bat, r: &Bat) -> Result<JoinIndex> {
             if nil {
                 continue;
             }
-            for j in table.matches(image) {
+            table.each_match(image, &mut (), |j, _| {
                 if verify_eq(l, r, i, j, exact) {
                     out.left.push(l.oid_at(i));
                     out.right.push(r.oid_at(j));
                 }
-            }
+            });
         }
     });
     Ok(out)

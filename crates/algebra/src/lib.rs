@@ -42,7 +42,7 @@ pub use flat::{GroupTable, KeyImage};
 pub use join::{hash_join, merge_join, nested_loop_join, JoinIndex};
 pub use mat::{pack, packsum};
 pub use radix::{
-    mix_key_bat, partitioned_hash_join, radix_cluster, radix_decluster, radix_decluster_fixed,
+    fetch_fixed, mix_key_bat, partitioned_hash_join, radix_cluster, radix_decluster_fixed,
     ClusteredColumn,
 };
 pub use select::{

@@ -7,18 +7,27 @@
 //!   reaching a high overall `H`.
 //! * [`partitioned_hash_join`] clusters both sides, then hash-joins the
 //!   matching cluster pairs — each pair's working set fits the cache.
-//! * [`radix_decluster`] performs cache-friendly positional projection
-//!   through an arbitrarily-ordered join index ([28], §4.3): cluster the
+//! * [`radix_decluster_fixed`] performs cache-friendly positional projection
+//!   through an arbitrarily-ordered join index (\[28\], §4.3): cluster the
 //!   index by fetch-position region, gather per region, then merge back to
 //!   output order in one sequential pass with `H` bounded cursors.
+//!
+//! Each kernel reports its memory traffic to the [`Mem`] observer it is
+//! handed: serving code passes `&mut ()`, and the cache simulator replays
+//! what its recorder saw, so the kernel is its own trace.
 
 use crate::flat::JoinTable;
 use crate::join::{verify_eq, JoinIndex, JoinKeys};
-use mammoth_storage::{Bat, TailHeap};
-use mammoth_types::{Error, NativeType, Oid, Result};
+use mammoth_storage::Bat;
+use mammoth_types::AccessKind::{Random, Sequential};
+use mammoth_types::{Buf, Mem, NativeType, Oid, Result};
+use std::mem::size_of;
 
-/// Build the nil-aware u64 key image of a tail column: the images
-/// [`crate::flat`] hashes in place, copied out for the clustering passes.
+/// Bytes of a key image, an oid and a cluster bound.
+const W: usize = size_of::<u64>();
+
+/// Build the nil-aware u64 key image of a tail column: the images the
+/// flat hash tables hash in place, copied out for the clustering passes.
 ///
 /// Integer types are sign-extended through i64 so that, e.g., an `i32`
 /// column joins correctly against an `i64` column. The image is injective
@@ -45,6 +54,9 @@ pub struct ClusteredColumn {
     pub bits: u32,
     /// `2^bits + 1` boundaries: cluster `c` occupies `bounds[c]..bounds[c+1]`.
     pub bounds: Vec<usize>,
+    /// The names of `keys`, `oids` and `bounds` to the observer that saw
+    /// them written.
+    bufs: [Buf; 3],
 }
 
 impl ClusteredColumn {
@@ -64,63 +76,90 @@ impl ClusteredColumn {
 /// Pass `p` clusters on the most significant `bits_per_pass[p]` bits of the
 /// remaining low-`B` window, sub-dividing each existing cluster. Every pass
 /// is a stable counting sort, so tuples with equal low bits stay in input
-/// order.
-pub fn radix_cluster(keys: &[u64], oids: &[Oid], bits_per_pass: &[u32]) -> ClusteredColumn {
+/// order: per cluster, one read of its keys counts the sub-clusters into a
+/// cursor array, a prefix sum turns the counts into cursors, and a second
+/// read scatters keys and oids to their cursors in the other of two
+/// buffers. The input vectors are the first pass's source; with no pass
+/// they come back as the one cluster.
+pub fn radix_cluster(
+    keys: Vec<u64>,
+    oids: Vec<Oid>,
+    bits_per_pass: &[u32],
+    mem: &mut impl Mem,
+) -> ClusteredColumn {
     assert_eq!(keys.len(), oids.len());
     let total_bits: u32 = bits_per_pass.iter().sum();
     assert!(total_bits <= 32, "more than 2^32 clusters is unreasonable");
     let n = keys.len();
-    let h = 1usize << total_bits;
 
-    let mut src_k = keys.to_vec();
-    let mut src_o = oids.to_vec();
-    let mut dst_k = vec![0u64; n];
-    let mut dst_o = vec![0 as Oid; n];
+    let mut src = (keys, oids, [mem.buffer(), mem.buffer()]);
     let mut bounds = vec![0, n];
-    let mut shift_high = total_bits;
-
-    for &b in bits_per_pass {
-        let shift = shift_high - b;
-        let mask = (1u64 << b) - 1;
-        let sub = 1usize << b;
-        let mut new_bounds = Vec::with_capacity((bounds.len() - 1) * sub + 1);
-        new_bounds.push(0);
-        // each existing cluster is sub-divided independently: the later
-        // passes operate on (cache-sized) fragments, which is the whole
-        // point of multi-pass clustering
-        for w in bounds.windows(2) {
-            let (s, e) = (w[0], w[1]);
-            let mut hist = vec![0usize; sub];
-            for &k in &src_k[s..e] {
-                hist[((k >> shift) & mask) as usize] += 1;
+    let mut bounds_buf = mem.buffer();
+    if let Some(&widest) = bits_per_pass.iter().max() {
+        let mut dst = (vec![0; n], vec![0; n], [mem.buffer(), mem.buffer()]);
+        // one cursor per sub-cluster, reused by every cluster of every pass
+        let mut cursors = vec![0usize; 1 << widest];
+        let cursors_buf = mem.buffer();
+        let mut shift_high = total_bits;
+        for &b in bits_per_pass {
+            let shift = shift_high - b;
+            let digit = |k: u64| ((k >> shift) & ((1 << b) - 1)) as usize;
+            let cursors = &mut cursors[..1 << b];
+            let (keys, oids, [kbuf, obuf]) = &src;
+            let (dst_k, dst_o, [dst_kbuf, dst_obuf]) = &mut dst;
+            let mut new_bounds = Vec::with_capacity(((bounds.len() - 1) << b) + 1);
+            let new_bounds_buf = mem.buffer();
+            mem.write(new_bounds_buf, 0, W, Sequential);
+            new_bounds.push(0);
+            // each existing cluster is sub-divided independently: the later
+            // passes operate on (cache-sized) fragments, which is the whole
+            // point of multi-pass clustering
+            for (c, w) in bounds.windows(2).enumerate() {
+                mem.read(bounds_buf, c + 1, W, Sequential);
+                let (s, e) = (w[0], w[1]);
+                for (d, count) in cursors.iter_mut().enumerate() {
+                    mem.write(cursors_buf, d, W, Sequential);
+                    *count = 0;
+                }
+                for (i, &k) in (s..).zip(&keys[s..e]) {
+                    mem.read(*kbuf, i, W, Sequential);
+                    mem.write(cursors_buf, digit(k), W, Random);
+                    cursors[digit(k)] += 1;
+                }
+                let mut at = s;
+                for (d, cursor) in cursors.iter_mut().enumerate() {
+                    mem.write(cursors_buf, d, W, Sequential);
+                    (*cursor, at) = (at, at + *cursor);
+                    mem.write(new_bounds_buf, new_bounds.len(), W, Sequential);
+                    new_bounds.push(at);
+                }
+                for i in s..e {
+                    mem.read(*kbuf, i, W, Sequential);
+                    mem.read(*obuf, i, W, Sequential);
+                    let d = digit(keys[i]);
+                    mem.write(cursors_buf, d, W, Random);
+                    let to = cursors[d];
+                    mem.write(*dst_kbuf, to, W, Sequential);
+                    mem.write(*dst_obuf, to, W, Sequential);
+                    dst_k[to] = keys[i];
+                    dst_o[to] = oids[i];
+                    cursors[d] += 1;
+                }
             }
-            let mut cursors = Vec::with_capacity(sub);
-            let mut acc = s;
-            for c in hist {
-                cursors.push(acc);
-                acc += c;
-                new_bounds.push(acc);
-            }
-            for i in s..e {
-                let d = ((src_k[i] >> shift) & mask) as usize;
-                dst_k[cursors[d]] = src_k[i];
-                dst_o[cursors[d]] = src_o[i];
-                cursors[d] += 1;
-            }
+            std::mem::swap(&mut src, &mut dst);
+            (bounds, bounds_buf) = (new_bounds, new_bounds_buf);
+            shift_high = shift;
         }
-        std::mem::swap(&mut src_k, &mut dst_k);
-        std::mem::swap(&mut src_o, &mut dst_o);
-        bounds = new_bounds;
-        shift_high = shift;
     }
 
-    // with zero passes `bounds` is still the one cluster 0..n
-    debug_assert_eq!(bounds.len(), h + 1);
+    debug_assert_eq!(bounds.len(), (1usize << total_bits) + 1);
+    let (keys, oids, [kbuf, obuf]) = src;
     ClusteredColumn {
-        keys: src_k,
-        oids: src_o,
+        keys,
+        oids,
         bits: total_bits,
         bounds,
+        bufs: [kbuf, obuf, bounds_buf],
     }
 }
 
@@ -128,38 +167,55 @@ pub fn radix_cluster(keys: &[u64], oids: &[Oid], bits_per_pass: &[u32]) -> Clust
 ///
 /// Both relations are clustered on the same `B = Σ bits_per_pass` bits by
 /// [`radix_cluster`], each cluster carrying the row numbers of its keys;
-/// then one [`JoinTable`] is rebuilt in place over each right cluster and
+/// then one hash table is rebuilt in place over each right cluster and
 /// probed with the matching left cluster, so every build works on one
-/// cache-sized table at the same addresses.
-pub fn partitioned_hash_join(l: &Bat, r: &Bat, bits_per_pass: &[u32]) -> Result<JoinIndex> {
+/// cache-sized table at the same addresses. The observer sees the
+/// clustering and the join, from the non-nil key images on; the images
+/// themselves are extracted unobserved.
+pub fn partitioned_hash_join(
+    l: &Bat,
+    r: &Bat,
+    bits_per_pass: &[u32],
+    mem: &mut impl Mem,
+) -> Result<JoinIndex> {
     let lk = mix_key_bat(l)?;
     let rk = mix_key_bat(r)?;
     let exact = lk.exact && rk.exact;
     // nil rows are excluded before clustering (they never match)
     let (lkeys, lrows) = strip_nils(&lk);
     let (rkeys, rrows) = strip_nils(&rk);
-    let lc = radix_cluster(&lkeys, &lrows, bits_per_pass);
-    let rc = radix_cluster(&rkeys, &rrows, bits_per_pass);
+    let lc = radix_cluster(lkeys, lrows, bits_per_pass, mem);
+    let rc = radix_cluster(rkeys, rrows, bits_per_pass, mem);
+    let ([lkbuf, lobuf, lbbuf], [rkbuf, robuf, rbbuf]) = (lc.bufs, rc.bufs);
 
     let mut out = JoinIndex::default();
-    out.left.reserve(lkeys.len().min(rkeys.len()));
-    out.right.reserve(lkeys.len().min(rkeys.len()));
-    let mut table = JoinTable::build(std::iter::empty());
+    out.left.reserve(lc.keys.len().min(rc.keys.len()));
+    out.right.reserve(lc.keys.len().min(rc.keys.len()));
+    let out_bufs = [mem.buffer(), mem.buffer()];
+    let mut table = JoinTable::build(std::iter::empty(), (rkbuf, 0), mem);
     for c in 0..lc.cluster_count() {
+        mem.read(lbbuf, c + 1, W, Sequential);
+        mem.read(rbbuf, c + 1, W, Sequential);
         let (lks, lrs) = lc.cluster(c);
         let (rks, rrs) = rc.cluster(c);
         if lks.is_empty() || rks.is_empty() {
             continue;
         }
-        table.rebuild(rks.iter().map(|&key| (key, false)));
-        for (&key, &i) in lks.iter().zip(lrs) {
-            for j in table.matches(key) {
+        let (ls, rs) = (lc.bounds[c], rc.bounds[c]);
+        table.rebuild(rks.iter().map(|&key| (key, false)), (rkbuf, rs), mem);
+        for (at, (&key, &i)) in (ls..).zip(lks.iter().zip(lrs)) {
+            mem.read(lkbuf, at, W, Sequential);
+            mem.read(lobuf, at, W, Sequential);
+            table.each_match(key, mem, |j, mem| {
+                mem.read(robuf, rs + j, W, Random);
                 let (i, j) = (i as usize, rrs[j] as usize);
                 if verify_eq(l, r, i, j, exact) {
+                    mem.write(out_bufs[0], out.left.len(), W, Sequential);
+                    mem.write(out_bufs[1], out.right.len(), W, Sequential);
                     out.left.push(l.oid_at(i));
                     out.right.push(r.oid_at(j));
                 }
-            }
+            });
         }
     }
     Ok(out)
@@ -176,126 +232,112 @@ fn strip_nils(k: &JoinKeys) -> (Vec<u64>, Vec<Oid>) {
     live.map(|(row, (&key, _))| (key, row as Oid)).unzip()
 }
 
-/// Cache-conscious positional projection through an arbitrary join index.
-///
-/// `index` is a BAT whose tail holds fetch oids into `column` in *output
-/// order* (e.g. the probe-side join index). A naive fetch reads `column` at
+/// Naive positional fetch, `column[p]` for every position in order: the
+/// random-access post-projection [`radix_decluster_fixed`] bounds. A
+/// position at or past `column.len()` panics.
+pub fn fetch_fixed<T: Copy>(positions: &[u32], column: &[T], mem: &mut impl Mem) -> Vec<T> {
+    let bufs = [mem.buffer(), mem.buffer(), mem.buffer()];
+    gather(positions, column, bufs, mem)
+}
+
+/// [`fetch_fixed`] over named buffers: `positions` is `pos`, `column` is
+/// `col`, and the result is written as `out`.
+fn gather<T: Copy>(
+    positions: &[u32],
+    column: &[T],
+    [pos, col, out]: [Buf; 3],
+    mem: &mut impl Mem,
+) -> Vec<T> {
+    let mut vals = Vec::with_capacity(positions.len());
+    for (i, &p) in positions.iter().enumerate() {
+        mem.read(pos, i, size_of::<u32>(), Sequential);
+        mem.read(col, p as usize, size_of::<T>(), Random);
+        mem.write(out, i, size_of::<T>(), Sequential);
+        vals.push(column[p as usize]);
+    }
+    vals
+}
+
+/// Cache-conscious positional projection of a fixed-width column through
+/// an arbitrary join index: `column[p]` for every `p` of `positions`, in
+/// order, as [`fetch_fixed`] computes it. A naive fetch reads `column` at
 /// random; radix-decluster bounds every random access:
 ///
-/// 1. **cluster** the index entries into `2^bits` buffers by fetch-position
-///    region (one sequential read, `2^bits` cursors);
-/// 2. **fetch** per buffer — each buffer's positions fall in one
+/// 1. **cluster** the positions into `2^bits` regions of `column` (one
+///    histogram read and one scatter, `2^bits` cursors);
+/// 2. **fetch** per region — each region's positions fall in one
 ///    `len/2^bits` slice of `column`, which fits the cache;
 /// 3. **merge** back to output order in one sequential pass that replays the
 ///    cluster function (again `2^bits` cursors, no random access).
 ///
 /// Unlike radix-cluster this is single-pass, hence the scalability limit
-/// §4.3 notes: `2^bits` must stay below the cache-line budget.
-pub fn radix_decluster(index: &Bat, column: &Bat, bits: u32) -> Result<Bat> {
-    let oids = index.tail_slice::<Oid>()?;
-    let n = column.len();
-    let seqbase = match column.head() {
-        mammoth_storage::HeadColumn::Void { seqbase } => *seqbase,
-        mammoth_storage::HeadColumn::Oids(_) => {
-            return Err(Error::Unsupported(
-                "radix_decluster needs a void-headed column".into(),
-            ))
-        }
-    };
-    // region shift so that position >> shift < 2^bits
-    let need_bits = usize::BITS - n.max(1).leading_zeros();
-    let shift = need_bits.saturating_sub(bits);
-    let h = 1usize << bits;
-
-    // phase 1: cluster positions (and remember each entry's cluster by
-    // replaying the radix function in phase 3 — nothing extra to store)
-    let mut clusters: Vec<Vec<u32>> = vec![Vec::new(); h];
-    for &o in oids {
-        if o < seqbase || (o - seqbase) as usize >= n {
-            return Err(Error::OutOfRange {
-                index: o,
-                len: n as u64,
-            });
-        }
-        let pos = (o - seqbase) as usize;
-        clusters[pos >> shift].push(pos as u32);
-    }
-
-    // phase 2: per-cluster gather (bounded region of `column`)
-    let positions_by_cluster: Vec<Vec<usize>> = clusters
-        .iter()
-        .map(|c| c.iter().map(|&p| p as usize).collect())
-        .collect();
-    let fetched: Vec<TailHeap> = positions_by_cluster
-        .iter()
-        .map(|pos| column.tail().take(pos))
-        .collect();
-
-    // phase 3: merge back to output order
-    let mut cursors = vec![0usize; h];
-    let mut out = TailHeap::with_capacity(column.ty(), oids.len());
-    for &o in oids {
-        let pos = (o - seqbase) as usize;
-        let c = pos >> shift;
-        let k = cursors[c];
-        cursors[c] += 1;
-        out.push_value(&fetched[c].value(k))?;
-    }
-    Ok(Bat::dense(0, out))
-}
-
-/// Fast typed variant of [`radix_decluster`] for fixed-width columns,
-/// avoiding the dynamic `Value` path in the merge phase. This is the
-/// version the benchmarks exercise: flat counting-sort buffers, no
-/// per-cluster allocation.
+/// §4.3 notes: `2^bits` must stay below the cache-line budget. The
+/// clusters are flat counting-sort buffers, with no per-cluster
+/// allocation. A position at or past `column.len()` panics.
 pub fn radix_decluster_fixed<T: NativeType + mammoth_storage::FixedTail>(
     positions: &[u32],
     column: &[T],
     bits: u32,
+    mem: &mut impl Mem,
 ) -> Vec<T> {
+    const P: usize = size_of::<u32>();
     let n = column.len();
     let need_bits = usize::BITS - n.max(1).leading_zeros();
     let shift = need_bits.saturating_sub(bits);
     let h = 1usize << bits;
     let m = positions.len();
+    let cluster = |p: u32| (p as usize) >> shift;
+    let [pos_buf, col_buf] = [mem.buffer(), mem.buffer()];
 
     // histogram + prefix sums: one flat cluster-major buffer
     let mut offsets = vec![0u32; h + 1];
-    for &p in positions {
-        offsets[((p as usize) >> shift) + 1] += 1;
+    let offsets_buf = mem.buffer();
+    for (i, &p) in positions.iter().enumerate() {
+        mem.read(pos_buf, i, P, Sequential);
+        mem.write(offsets_buf, cluster(p) + 1, P, Random);
+        offsets[cluster(p) + 1] += 1;
     }
     for c in 0..h {
+        mem.write(offsets_buf, c + 1, P, Sequential);
         offsets[c + 1] += offsets[c];
     }
 
-    // phase 1: scatter positions into cluster order (h bounded cursors)
+    // phase 1: scatter positions into cluster order (h bounded cursors,
+    // a copy of the offsets phase 3 reads again)
+    let mut cursors = offsets[..h].to_vec();
+    let cursors_buf = mem.buffer();
+    for c in 0..h {
+        mem.read(offsets_buf, c, P, Sequential);
+        mem.write(cursors_buf, c, P, Sequential);
+    }
     let mut clustered: Vec<u32> = vec![0; m];
-    {
-        let mut cursors = offsets[..h].to_vec();
-        for &p in positions {
-            let c = (p as usize) >> shift;
-            clustered[cursors[c] as usize] = p;
-            cursors[c] += 1;
-        }
+    let clustered_buf = mem.buffer();
+    for (i, &p) in positions.iter().enumerate() {
+        mem.read(pos_buf, i, P, Sequential);
+        let c = cluster(p);
+        mem.write(cursors_buf, c, P, Random);
+        mem.write(clustered_buf, cursors[c] as usize, P, Sequential);
+        clustered[cursors[c] as usize] = p;
+        cursors[c] += 1;
     }
 
     // phase 2: gather values per cluster — each cluster's positions fall in
     // one n/2^bits slice of `column`, which is cache resident
-    let mut vals: Vec<T> = Vec::with_capacity(m);
-    // SAFETY-free version: plain iteration (LLVM elides the bounds checks
-    // because `clustered` holds values we just wrote from `positions`)
-    for &p in &clustered {
-        vals.push(column[p as usize]);
-    }
+    let vals_buf = mem.buffer();
+    let vals = gather(&clustered, column, [clustered_buf, col_buf, vals_buf], mem);
 
-    // phase 3: merge back to output order (h bounded read cursors,
-    // sequential write)
+    // phase 3: merge back to output order (h bounded read cursors, the
+    // offsets themselves; sequential write)
     let mut out: Vec<T> = Vec::with_capacity(m);
-    let mut cursors = offsets[..h].to_vec();
-    for &p in positions {
-        let c = (p as usize) >> shift;
-        out.push(vals[cursors[c] as usize]);
-        cursors[c] += 1;
+    let out_buf = mem.buffer();
+    for (i, &p) in positions.iter().enumerate() {
+        mem.read(pos_buf, i, P, Sequential);
+        let c = cluster(p);
+        mem.write(offsets_buf, c, P, Random);
+        mem.read(vals_buf, offsets[c] as usize, size_of::<T>(), Sequential);
+        mem.write(out_buf, i, size_of::<T>(), Sequential);
+        out.push(vals[offsets[c] as usize]);
+        offsets[c] += 1;
     }
     out
 }
@@ -305,14 +347,36 @@ mod tests {
     use super::*;
     use crate::fetch::fetch_join;
     use crate::join::hash_join;
+    use mammoth_storage::TailHeap;
     use proptest::prelude::*;
+
+    fn cluster(keys: &[u64], oids: &[Oid], passes: &[u32]) -> ClusteredColumn {
+        radix_cluster(keys.to_vec(), oids.to_vec(), passes, &mut ())
+    }
+
+    /// [`radix_decluster_fixed`] through a join index BAT, as `fetch_join`
+    /// takes it.
+    fn decluster(index: &Bat, column: &Bat, bits: u32) -> Vec<i64> {
+        let positions: Vec<u32> = index
+            .tail_slice::<Oid>()
+            .unwrap()
+            .iter()
+            .map(|&o| o as u32)
+            .collect();
+        radix_decluster_fixed(
+            &positions,
+            column.tail_slice::<i64>().unwrap(),
+            bits,
+            &mut (),
+        )
+    }
 
     /// The exact Figure 2 example: relation L, lower 3 bits, 2-pass (2+1).
     #[test]
     fn figure2_left_relation() {
         let l: Vec<u64> = vec![57, 17, 3, 47, 92, 81, 20, 6, 96, 37, 66, 75];
         let oids: Vec<Oid> = (0..l.len() as u64).collect();
-        let cc = radix_cluster(&l, &oids, &[2, 1]);
+        let cc = cluster(&l, &oids, &[2, 1]);
         assert_eq!(cc.cluster_count(), 8);
         // every cluster holds values agreeing on the lower 3 bits,
         // clusters appear in increasing bit order
@@ -334,7 +398,7 @@ mod tests {
     fn passes_are_stable() {
         let keys = vec![8u64, 0, 8, 0, 8];
         let oids: Vec<Oid> = (0..5).collect();
-        let cc = radix_cluster(&keys, &oids, &[1, 1, 1, 1]);
+        let cc = cluster(&keys, &oids, &[1, 1, 1, 1]);
         // cluster 0: the 0s in original order
         let (k0, o0) = cc.cluster(0);
         assert_eq!(k0, &[0, 0]);
@@ -348,9 +412,9 @@ mod tests {
     fn single_and_multi_pass_agree() {
         let keys: Vec<u64> = (0..512u64).map(|i| i.wrapping_mul(2654435761)).collect();
         let oids: Vec<Oid> = (0..512).collect();
-        let one = radix_cluster(&keys, &oids, &[6]);
-        let two = radix_cluster(&keys, &oids, &[3, 3]);
-        let three = radix_cluster(&keys, &oids, &[2, 2, 2]);
+        let one = cluster(&keys, &oids, &[6]);
+        let two = cluster(&keys, &oids, &[3, 3]);
+        let three = cluster(&keys, &oids, &[2, 2, 2]);
         assert_eq!(one.keys, two.keys);
         assert_eq!(one.oids, two.oids);
         assert_eq!(one.bounds, three.bounds);
@@ -361,7 +425,7 @@ mod tests {
     fn zero_bits_is_one_cluster() {
         let keys = vec![3u64, 1, 2];
         let oids = vec![0 as Oid, 1, 2];
-        let cc = radix_cluster(&keys, &oids, &[]);
+        let cc = cluster(&keys, &oids, &[]);
         assert_eq!(cc.cluster_count(), 1);
         assert_eq!(cc.keys, keys);
         assert_eq!(cc.oids, oids);
@@ -373,7 +437,9 @@ mod tests {
         let r = Bat::from_vec(vec![1i64, 3, 3, 9, 2, -4]);
         let expect = hash_join(&l, &r).unwrap().sorted();
         for passes in [&[][..], &[2], &[2, 2]] {
-            let got = partitioned_hash_join(&l, &r, passes).unwrap().sorted();
+            let got = partitioned_hash_join(&l, &r, passes, &mut ())
+                .unwrap()
+                .sorted();
             assert_eq!(got, expect, "passes={passes:?}");
         }
     }
@@ -382,7 +448,9 @@ mod tests {
     fn partitioned_join_strings() {
         let l = Bat::from_strings([Some("a"), Some("b"), None, Some("a")]);
         let r = Bat::from_strings([Some("b"), Some("a")]);
-        let got = partitioned_hash_join(&l, &r, &[2]).unwrap().sorted();
+        let got = partitioned_hash_join(&l, &r, &[2], &mut ())
+            .unwrap()
+            .sorted();
         let expect = hash_join(&l, &r).unwrap().sorted();
         assert_eq!(got, expect);
     }
@@ -393,10 +461,9 @@ mod tests {
         let idx: Vec<Oid> = (0..500).map(|i| (i * 977) % 1000).collect();
         let index = Bat::from_vec(idx);
         for bits in [0u32, 2, 5] {
-            let a = radix_decluster(&index, &column, bits).unwrap();
             let b = fetch_join(&index, &column).unwrap();
             assert_eq!(
-                a.tail_slice::<i64>().unwrap(),
+                decluster(&index, &column, bits),
                 b.tail_slice::<i64>().unwrap(),
                 "bits={bits}"
             );
@@ -408,16 +475,13 @@ mod tests {
         let column: Vec<i64> = (0..257).map(|i| i * 7).collect();
         let positions: Vec<u32> = (0..100).map(|i| (i * 89) % 257).collect();
         let naive: Vec<i64> = positions.iter().map(|&p| column[p as usize]).collect();
+        assert_eq!(fetch_fixed(&positions, &column, &mut ()), naive);
         for bits in [0u32, 1, 3, 6] {
-            assert_eq!(radix_decluster_fixed(&positions, &column, bits), naive);
+            assert_eq!(
+                radix_decluster_fixed(&positions, &column, bits, &mut ()),
+                naive
+            );
         }
-    }
-
-    #[test]
-    fn decluster_bounds_checked() {
-        let column = Bat::from_vec(vec![1i32, 2]);
-        let index = Bat::from_vec(vec![5u64 as Oid]);
-        assert!(radix_decluster(&index, &column, 2).is_err());
     }
 
     #[test]
@@ -436,7 +500,7 @@ mod tests {
         fn prop_cluster_is_partition(keys in proptest::collection::vec(0u64..1000, 0..200),
                                      passes in proptest::collection::vec(0u32..3, 0..3)) {
             let oids: Vec<Oid> = (0..keys.len() as u64).collect();
-            let cc = radix_cluster(&keys, &oids, &passes);
+            let cc = cluster(&keys, &oids, &passes);
             let bits: u32 = passes.iter().sum();
             // lengths preserved
             prop_assert_eq!(cc.keys.len(), keys.len());
@@ -466,7 +530,7 @@ mod tests {
             // the kernel maps its clusters' row numbers to oids
             let l = Bat::dense(lbase, TailHeap::I64(lv));
             let r = Bat::dense(rbase, TailHeap::I64(rv));
-            let got = partitioned_hash_join(&l, &r, &passes).unwrap().sorted();
+            let got = partitioned_hash_join(&l, &r, &passes, &mut ()).unwrap().sorted();
             let expect = hash_join(&l, &r).unwrap().sorted();
             prop_assert_eq!(got, expect);
         }
@@ -480,9 +544,8 @@ mod tests {
             let column = Bat::from_vec((0..n as i64).collect::<Vec<_>>());
             let idx: Vec<Oid> = picks.iter().map(|&p| (p % n) as Oid).collect();
             let index = Bat::from_vec(idx);
-            let a = radix_decluster(&index, &column, bits).unwrap();
             let b = fetch_join(&index, &column).unwrap();
-            prop_assert_eq!(a.tail_slice::<i64>().unwrap(), b.tail_slice::<i64>().unwrap());
+            prop_assert_eq!(decluster(&index, &column, bits), b.tail_slice::<i64>().unwrap());
         }
     }
 }

@@ -12,7 +12,7 @@
 //! `compress_scalar` is its definition, and on a CPU with AVX2
 //! `compress_dense` runs it as `compress_words` — a vectorized compare into
 //! a 64-row mask, then a table-driven expansion of the mask into row ids —
-//! through [`crate::multiversion`]'s run-time dispatch (E32: the first
+//! through `crate::multiversion`'s run-time dispatch (E32: the first
 //! filter of a scan at ~1.7x the cost of streaming its column, 2.1x
 //! before). Results are candidate BATs (void head, ascending oid tail). The
 //! `_cand` forms test only the rows an earlier candidate list names and

@@ -34,7 +34,7 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::new("radix_decluster", bits),
             &bits,
             |b, &bits| {
-                b.iter(|| black_box(radix_decluster_fixed(&positions, &column, bits)));
+                b.iter(|| black_box(radix_decluster_fixed(&positions, &column, bits, &mut ())));
             },
         );
     }

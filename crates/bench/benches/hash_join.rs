@@ -20,7 +20,13 @@ fn bench(c: &mut Criterion) {
             b.iter(|| black_box(hash_join(&l, &r).unwrap().len()));
         });
         g.bench_with_input(BenchmarkId::new("partitioned", n), &n, |b, _| {
-            b.iter(|| black_box(partitioned_hash_join(&l, &r, &passes).unwrap().len()));
+            b.iter(|| {
+                black_box(
+                    partitioned_hash_join(&l, &r, &passes, &mut ())
+                        .unwrap()
+                        .len(),
+                )
+            });
         });
     }
     g.finish();

@@ -25,7 +25,9 @@ fn bench(c: &mut Criterion) {
                 BenchmarkId::new(format!("bits{bits}"), format!("{passes}pass")),
                 &schedule,
                 |b, schedule| {
-                    b.iter(|| black_box(radix_cluster(&keys, &oids, schedule)));
+                    b.iter(|| {
+                        black_box(radix_cluster(keys.clone(), oids.clone(), schedule, &mut ()))
+                    });
                 },
             );
         }

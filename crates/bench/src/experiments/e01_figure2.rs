@@ -25,7 +25,7 @@ pub fn run(_scale: Scale) -> Report {
     for (name, rel) in [("L", &L[..]), ("R", &R[..])] {
         let keys: Vec<u64> = rel.iter().map(|&x| x as u64).collect();
         let oids: Vec<Oid> = (0..rel.len() as u64).collect();
-        let cc = radix_cluster(&keys, &oids, &[2, 1]);
+        let cc = radix_cluster(keys, oids, &[2, 1], &mut ());
         clusters_match &= cc.cluster_count() == 8 && cc.keys.len() == rel.len();
         let mut t = TextTable::new(vec!["cluster (bits)", format!("{name} values").as_str()]);
         for c in 0..cc.cluster_count() {
@@ -46,7 +46,7 @@ pub fn run(_scale: Scale) -> Report {
     }
 
     let (left, right) = (Bat::from_vec(L.to_vec()), Bat::from_vec(R.to_vec()));
-    let ji = partitioned_hash_join(&left, &right, &[2, 1])
+    let ji = partitioned_hash_join(&left, &right, &[2, 1], &mut ())
         .unwrap()
         .sorted();
     let matches: Vec<(Oid, Oid)> = ji.left.iter().copied().zip(ji.right).collect();

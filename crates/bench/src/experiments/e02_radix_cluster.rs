@@ -8,8 +8,9 @@
 use crate::table::TextTable;
 use crate::{ns_per, timed, Report, Scale};
 use mammoth_algebra::radix_cluster;
-use mammoth_cache::trace::{cluster_passes, max_safe_bits_per_pass, radix_cluster_trace};
-use mammoth_cache::{HierarchySim, MemoryHierarchy};
+use mammoth_cache::pattern::XorShift;
+use mammoth_cache::trace::{cluster_passes, max_safe_bits_per_pass};
+use mammoth_cache::{HierarchySim, MemoryHierarchy, Recorder};
 use mammoth_types::Oid;
 use mammoth_workload::uniform_keys;
 
@@ -35,7 +36,7 @@ pub fn run(scale: Scale) -> Report {
                 times.push(None);
                 continue;
             }
-            let (_, secs) = timed(|| radix_cluster(&keys, &oids, &schedule));
+            let (_, secs) = timed(|| radix_cluster(keys.clone(), oids.clone(), &schedule, &mut ()));
             times.push(Some(secs));
         }
         let best = (0..3)
@@ -66,6 +67,9 @@ pub fn run(scale: Scale) -> Report {
     ));
     let mut report = Report::default();
     let mut multi_pass_wins = true;
+    let mut rng = XorShift::new(7);
+    let sim_keys: Vec<u64> = (0..sim_n).map(|_| rng.next_u64()).collect();
+    let sim_oids: Vec<Oid> = (0..sim_n as u64).collect();
     let mut t = TextTable::new(vec!["bits", "1 pass (cycles/t)", "2 passes", "3 passes"]);
     for bits in [6u32, 10, 14] {
         let mut row = vec![bits.to_string()];
@@ -77,7 +81,9 @@ pub fn run(scale: Scale) -> Report {
                 continue;
             }
             let mut sim = HierarchySim::new(&h);
-            let (_, secs) = timed(|| sim.run(radix_cluster_trace(sim_n, 8, &schedule, 7)));
+            let mut rec = Recorder::new(|addr, kind| sim.access(addr, kind));
+            let (_, secs) =
+                timed(|| radix_cluster(sim_keys.clone(), sim_oids.clone(), &schedule, &mut rec));
             let cost = sim.cost();
             row.push(format!("{:.1}", cost as f64 / sim_n as f64));
             cycles.push(cost);

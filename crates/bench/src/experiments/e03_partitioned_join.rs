@@ -8,10 +8,9 @@
 use crate::table::TextTable;
 use crate::{ns_per, timed, Report, Scale};
 use mammoth_algebra::{hash_join, partitioned_hash_join};
-use mammoth_cache::trace::{
-    cluster_passes, hash_join_trace, max_safe_bits_per_pass, pick_radix_bits, radix_cluster_trace,
-};
-use mammoth_cache::{HierarchySim, MemoryHierarchy};
+use mammoth_cache::pattern::XorShift;
+use mammoth_cache::trace::{cluster_passes, max_safe_bits_per_pass, pick_radix_bits};
+use mammoth_cache::{HierarchySim, MemoryHierarchy, Recorder};
 use mammoth_storage::Bat;
 use mammoth_workload::permutation;
 
@@ -19,22 +18,21 @@ const GROWS: &str =
     "the partitioned hash-join's advantage over the simple one grows with cardinality";
 const TENFOLD: &str = "a radix-clustered partitioned hash-join is an order of magnitude faster than a simple hash-join";
 
-/// Simulated memory cycles of joining `n` x `n` 8-byte tuples after
-/// clustering both sides on `bits` radix bits (0: the simple hash-join), in
-/// the pass schedule E03 runs `partitioned_hash_join` with.
+/// Simulated memory cycles of `partitioned_hash_join` of a permutation of
+/// `n` seeded 8-byte keys against the keys, both sides clustered on `bits`
+/// radix bits (0: one hash table over the whole build side), in the pass
+/// schedule E03 runs it with.
 pub fn simulated_join_cycles(h: &MemoryHierarchy, n: usize, bits: u32) -> u64 {
+    let mut rng = XorShift::new(3);
+    let keys: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+    let mut probe = keys.clone();
+    rng.shuffle(&mut probe);
     let passes = cluster_passes(bits, max_safe_bits_per_pass(h));
-    let mut cycles = 0;
-    for trace in [
-        hash_join_trace(n, 8, bits, 3),
-        radix_cluster_trace(n, 8, &passes, 5),
-        radix_cluster_trace(n, 8, &passes, 6),
-    ] {
-        let mut sim = HierarchySim::new(h);
-        sim.run(trace);
-        cycles += sim.cost();
-    }
-    cycles
+    let (l, r) = (Bat::from_vec(probe), Bat::from_vec(keys));
+    let mut sim = HierarchySim::new(h);
+    let mut rec = Recorder::new(|addr, kind| sim.access(addr, kind));
+    partitioned_hash_join(&l, &r, &passes, &mut rec).expect("u64 keys join");
+    sim.cost()
 }
 
 pub fn run(scale: Scale) -> Report {
@@ -60,9 +58,9 @@ pub fn run(scale: Scale) -> Report {
         let passes = cluster_passes(bits, max_safe_bits_per_pass(&h));
         // best of 2 runs each, interleaved, to tame VM noise
         let (j1, t_simple_a) = timed(|| hash_join(&l, &r).unwrap());
-        let (j2, t_part_a) = timed(|| partitioned_hash_join(&l, &r, &passes).unwrap());
+        let (j2, t_part_a) = timed(|| partitioned_hash_join(&l, &r, &passes, &mut ()).unwrap());
         let (_, t_simple_b) = timed(|| hash_join(&l, &r).unwrap());
-        let (_, t_part_b) = timed(|| partitioned_hash_join(&l, &r, &passes).unwrap());
+        let (_, t_part_b) = timed(|| partitioned_hash_join(&l, &r, &passes, &mut ()).unwrap());
         let t_simple = t_simple_a.min(t_simple_b);
         let t_part = t_part_a.min(t_part_b);
         assert_eq!(j1.len(), n);

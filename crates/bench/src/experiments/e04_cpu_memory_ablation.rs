@@ -1,4 +1,4 @@
-//! E04 — CPU and memory optimizations compound (§4.2, [25]).
+//! E04 — CPU and memory optimizations compound (§4.2, \[25\]).
 //!
 //! "Extensive experiments show that memory and CPU optimization boost each
 //! other, i.e., their combined improvement is larger than the sum of their
@@ -22,8 +22,8 @@ fn join_with<H: KeyHasher>(hasher: H, lk: &[u64], rk: &[u64], bits: u32) -> usiz
     let oids_l: Vec<Oid> = (0..lk.len() as u64).collect();
     let oids_r: Vec<Oid> = (0..rk.len() as u64).collect();
     let passes = cluster_passes(bits, 6);
-    let lc = radix_cluster(lk, &oids_l, &passes);
-    let rc = radix_cluster(rk, &oids_r, &passes);
+    let lc = radix_cluster(lk.to_vec(), oids_l, &passes, &mut ());
+    let rc = radix_cluster(rk.to_vec(), oids_r, &passes, &mut ());
     let mut matches = 0usize;
     for c in 0..lc.cluster_count() {
         let (lks, _) = lc.cluster(c);

@@ -5,7 +5,7 @@
 //!
 //! * **DSM naive post-projection** — `out[i] = column[index[i]]`, random
 //!   access over the whole column;
-//! * **DSM radix-decluster** — the [28] algorithm: bounded-region cluster,
+//! * **DSM radix-decluster** — the \[28\] algorithm: bounded-region cluster,
 //!   gather, sequential merge;
 //! * **NSM pre-projection** — payload travels with the key through the
 //!   join as full rows (modeled as an array of 64-byte structs gathered at
@@ -13,8 +13,8 @@
 
 use crate::table::TextTable;
 use crate::{fmt_secs, ns_per, timed, Report, Scale};
-use mammoth_algebra::radix_decluster_fixed;
-use mammoth_cache::{AccessKind, HierarchySim, MemoryHierarchy};
+use mammoth_algebra::{fetch_fixed, radix_decluster_fixed};
+use mammoth_cache::{HierarchySim, MemoryHierarchy, Recorder};
 use mammoth_workload::uniform_i64;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -48,7 +48,7 @@ pub fn run(scale: Scale) -> Report {
     ));
 
     // best of 2
-    let naive_fetch = || -> Vec<i64> { positions.iter().map(|&p| column[p as usize]).collect() };
+    let naive_fetch = || fetch_fixed(&positions, &column, &mut ());
     let (naive, t_naive_a) = timed(naive_fetch);
     let (_, t_naive_b) = timed(naive_fetch);
     let t_naive = t_naive_a.min(t_naive_b);
@@ -58,8 +58,8 @@ pub fn run(scale: Scale) -> Report {
     let region_bytes = l2 / 4;
     let regions = ((n * 8) as f64 / region_bytes as f64).ceil().max(1.0);
     let bits = (regions.log2().ceil() as u32).clamp(1, 12);
-    let (fast, t_fast_a) = timed(|| radix_decluster_fixed(&positions, &column, bits));
-    let (_, t_fast_b) = timed(|| radix_decluster_fixed(&positions, &column, bits));
+    let (fast, t_fast_a) = timed(|| radix_decluster_fixed(&positions, &column, bits, &mut ()));
+    let (_, t_fast_b) = timed(|| radix_decluster_fixed(&positions, &column, bits, &mut ()));
     let t_fast = t_fast_a.min(t_fast_b);
     assert_eq!(naive, fast);
 
@@ -72,24 +72,17 @@ pub fn run(scale: Scale) -> Report {
     assert_eq!(naive, nsm);
 
     let mut t = TextTable::new(vec!["strategy", "time", "ns/fetch", "vs naive"]);
-    t.row(vec![
-        "DSM naive post-fetch".into(),
-        fmt_secs(t_naive),
-        format!("{:.1}", ns_per(t_naive, fetches)),
-        "-".into(),
-    ]);
-    t.row(vec![
-        format!("DSM radix-decluster ({bits} bits)"),
-        fmt_secs(t_fast),
-        format!("{:.1}", ns_per(t_fast, fetches)),
-        format!("{:.2}x", t_naive / t_fast),
-    ]);
-    t.row(vec![
-        "NSM pre-projection (64B rows)".into(),
-        fmt_secs(t_nsm),
-        format!("{:.1}", ns_per(t_nsm, fetches)),
-        format!("{:.2}x", t_naive / t_nsm),
-    ]);
+    let rows = [
+        ("DSM naive post-fetch".to_string(), t_naive),
+        (format!("DSM radix-decluster ({bits} bits)"), t_fast),
+        ("NSM pre-projection (64B rows)".to_string(), t_nsm),
+    ];
+    for (i, (name, secs)) in rows.into_iter().enumerate() {
+        let vs = format!("{:.2}x", t_naive / secs);
+        let vs = if i == 0 { "-".into() } else { vs };
+        let per = format!("{:.1}", ns_per(secs, fetches));
+        t.row(vec![name, fmt_secs(secs), per, vs]);
+    }
     out.push_str(&t.render());
 
     // Simulated misses: modern cores overlap DRAM misses (deep MLP), which
@@ -102,78 +95,14 @@ pub fn run(scale: Scale) -> Report {
     let sim_pos: Vec<u32> = (0..sim_m)
         .map(|_| rng.random_range(0..sim_n as u32))
         .collect();
+    let sim_column: Vec<i64> = (0..sim_n as i64).collect();
     let sim_bits = 6u32;
-    let shift = (usize::BITS - sim_n.max(1).leading_zeros()).saturating_sub(sim_bits);
-
-    let base_pos = 0u64; // positions array
-    let base_col = 1 << 30; // column
-    let base_clu = 2 << 30; // clustered positions
-    let base_val = 3 << 30; // gathered values
-    let base_out = 4 << 30; // output
-
-    // naive: read positions sequentially, fetch column at random
-    let mut naive_trace: Vec<(u64, AccessKind)> = Vec::with_capacity(2 * sim_m);
-    for (i, &p) in sim_pos.iter().enumerate() {
-        naive_trace.push((base_pos + 4 * i as u64, AccessKind::Sequential));
-        naive_trace.push((base_col + 8 * p as u64, AccessKind::Random));
-    }
-    let mut sim = HierarchySim::new(&h);
-    sim.run(naive_trace);
-    let naive_cost = sim.cost();
-
-    // decluster: three bounded passes
-    let mut dc_trace: Vec<(u64, AccessKind)> = Vec::with_capacity(8 * sim_m);
-    let hh = 1usize << sim_bits;
-    let per = sim_m.div_ceil(hh).max(1);
-    let mut cursors = vec![0usize; hh];
-    // phase 1: scatter positions into clusters (bounded cursors)
-    for (i, &p) in sim_pos.iter().enumerate() {
-        dc_trace.push((base_pos + 4 * i as u64, AccessKind::Sequential));
-        let c = (p as usize) >> shift;
-        let slot = (c * per + cursors[c].min(per - 1)) as u64;
-        cursors[c] += 1;
-        dc_trace.push((base_clu + 4 * slot, AccessKind::Sequential));
-    }
-    // phase 2: per cluster, read positions sequentially, gather in-region
-    let mut k = 0u64;
-    let mut by_cluster: Vec<Vec<u32>> = vec![Vec::new(); hh];
-    for &p in &sim_pos {
-        by_cluster[(p as usize) >> shift].push(p);
-    }
-    for cluster in &by_cluster {
-        for &p in cluster {
-            dc_trace.push((base_clu + 4 * k, AccessKind::Sequential));
-            dc_trace.push((base_col + 8 * p as u64, AccessKind::Random));
-            dc_trace.push((base_val + 8 * k, AccessKind::Sequential));
-            k += 1;
-        }
-    }
-    // phase 3: merge (bounded read cursors + sequential write)
-    let mut cursors = vec![0u64; hh];
-    let offsets: Vec<u64> = {
-        let mut acc = 0u64;
-        by_cluster
-            .iter()
-            .map(|c| {
-                let o = acc;
-                acc += c.len() as u64;
-                o
-            })
-            .collect()
-    };
-    for (i, &p) in sim_pos.iter().enumerate() {
-        dc_trace.push((base_pos + 4 * i as u64, AccessKind::Sequential));
-        let c = (p as usize) >> shift;
-        dc_trace.push((
-            base_val + 8 * (offsets[c] + cursors[c]),
-            AccessKind::Sequential,
-        ));
-        cursors[c] += 1;
-        dc_trace.push((base_out + 8 * i as u64, AccessKind::Sequential));
-    }
-    let mut sim = HierarchySim::new(&h);
-    sim.run(dc_trace);
-    let dc_cost = sim.cost();
+    let [mut naive, mut dc] = [(); 2].map(|_| HierarchySim::new(&h));
+    let mut rec = Recorder::new(|a, k| naive.access(a, k));
+    fetch_fixed(&sim_pos, &sim_column, &mut rec);
+    let mut rec = Recorder::new(|a, k| dc.access(a, k));
+    radix_decluster_fixed(&sim_pos, &sim_column, sim_bits, &mut rec);
+    let (naive_cost, dc_cost) = (naive.cost(), dc.cost());
 
     out.push_str(&format!(
         "\nsimulated memory cost ({sim_m} fetches from {sim_n} rows, {sim_bits} radix bits):\n\

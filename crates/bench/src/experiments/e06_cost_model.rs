@@ -81,8 +81,9 @@ pub fn run(scale: Scale) -> Report {
         let error = (predicted - measured) / measured;
         worst_error = worst_error.max(error.abs());
         let bytes = match &pat {
-            Pattern::STrav { region } | Pattern::RTrav { region, .. } => region.bytes(),
-            Pattern::RRAcc { region, .. } => region.bytes(),
+            Pattern::STrav { region }
+            | Pattern::RTrav { region, .. }
+            | Pattern::RRAcc { region, .. } => region.bytes(),
             _ => 0,
         };
         t.row(vec![

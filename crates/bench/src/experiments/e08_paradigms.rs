@@ -1,4 +1,4 @@
-//! E08 — Execution paradigms head to head (§3, [6]).
+//! E08 — Execution paradigms head to head (§3, \[6\]).
 //!
 //! The same Q1-like query executed by:
 //! * the **tuple-at-a-time** Volcano engine (NSM pages, per-tuple `next()`,

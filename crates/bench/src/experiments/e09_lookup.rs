@@ -1,6 +1,6 @@
 //! E09 — Positional lookup vs index lookup (§3).
 //!
-//! "In effect, this use of arrays in virtual memory … provide[s] an O(1)
+//! "In effect, this use of arrays in virtual memory … provide\[s\] an O(1)
 //! positional database lookup mechanism. From a CPU overhead point of view
 //! this compares favorably to B-tree lookup into slotted pages." Plus the
 //! related-work CSS-tree (Rao & Ross) and plain binary search.

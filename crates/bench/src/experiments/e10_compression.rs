@@ -1,4 +1,4 @@
-//! E10 — Light-weight compression (§5, [44]).
+//! E10 — Light-weight compression (§5, \[44\]).
 //!
 //! "Vectorized ultra-fast compression methods that decompress values in
 //! less than 5 CPU cycles per tuple." For every scheme × data shape:

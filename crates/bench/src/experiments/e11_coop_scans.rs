@@ -1,4 +1,4 @@
-//! E11 — Cooperative scans (§5, [45]).
+//! E11 — Cooperative scans (§5, \[45\]).
 //!
 //! N concurrent full-table scans through a buffer far smaller than the
 //! table, under (a) classical per-query LRU demand paging and (b) the

@@ -1,4 +1,4 @@
-//! E12 — Database cracking (§6.1, [22][18]).
+//! E12 — Database cracking (§6.1, \[22\]\[18\]).
 //!
 //! 1000 random range queries over a large column under three physical
 //! designs: always-scan, sort-everything-first, and cracking. Cumulative

@@ -1,4 +1,4 @@
-//! E13 — The recycler on a Skyserver-like log (§6.1, [19]).
+//! E13 — The recycler on a Skyserver-like log (§6.1, \[19\]).
 //!
 //! The same zipf-repetitive query log is compiled statement by statement to
 //! the same column-at-a-time MAL plans (`compile_select` +

@@ -1,6 +1,6 @@
-//! E14 — DSM vs NSM under block-oriented processing (§5, [46]).
+//! E14 — DSM vs NSM under block-oriented processing (§5, \[46\]).
 //!
-//! [46]'s finding, reproduced in miniature: *sequential* operators (scan +
+//! \[46\]'s finding, reproduced in miniature: *sequential* operators (scan +
 //! aggregate one attribute) love DSM — they touch only the bytes they need;
 //! *random-access* operators (fetch whole tuples by position) prefer NSM —
 //! one cache line delivers the whole tuple, where DSM pays one miss per

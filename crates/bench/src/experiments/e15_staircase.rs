@@ -1,4 +1,4 @@
-//! E15 — Staircase join vs naive region join (§3.2, [8]).
+//! E15 — Staircase join vs naive region join (§3.2, \[8\]).
 //!
 //! Descendant-axis evaluation over synthetic XML documents of growing
 //! size with growing context sets. The staircase join is one sequential

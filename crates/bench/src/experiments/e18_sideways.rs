@@ -1,5 +1,5 @@
 //! E18 (extension) — Sideways cracking: self-organizing tuple
-//! reconstruction ([18], §6.1).
+//! reconstruction (\[18\], §6.1).
 //!
 //! `σ(key) → sum(val)` over a two-attribute table, three ways:
 //! * full scan of both columns every query;

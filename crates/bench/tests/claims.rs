@@ -16,22 +16,7 @@ use mammoth_bench::{all_experiments, Basis, Scale};
 /// The decided claims that fail at quick size: (experiment, the claim's
 /// sentence, the EXPERIMENTS.md finding recording it, the experiment's data
 /// points as `name: params`).
-const FAILED: &[(&str, &str, &str, &[&str])] = &[(
-    "e02",
-    "once 2^B exceeds the TLB entries and cache lines, several passes cluster more cheaply than one",
-    "E02 finding: one pass stays cheapest at 6 bits in simulation",
-    &[
-        "simulated_cluster: bits=6 passes=1 cycles=187066",
-        "simulated_cluster: bits=6 passes=2 cycles=198235",
-        "simulated_cluster: bits=6 passes=3 cycles=210535",
-        "simulated_cluster: bits=10 passes=1 cycles=211420",
-        "simulated_cluster: bits=10 passes=2 cycles=198448",
-        "simulated_cluster: bits=10 passes=3 cycles=210529",
-        "simulated_cluster: bits=14 passes=1 cycles=219358",
-        "simulated_cluster: bits=14 passes=2 cycles=198493",
-        "simulated_cluster: bits=14 passes=3 cycles=210559",
-    ],
-)];
+const FAILED: &[(&str, &str, &str, &[&str])] = &[];
 
 const EXPERIMENTS_MD: &str = include_str!("../../../EXPERIMENTS.md");
 

@@ -1,4 +1,4 @@
-//! Cooperative scans vs. demand-paged LRU scans (§5, [45]).
+//! Cooperative scans vs. demand-paged LRU scans (§5, \[45\]).
 //!
 //! A discrete-event model: a table of `npages` chunks on a device that
 //! delivers one chunk per tick, a buffer of `bufpages` chunks, and `Q`

@@ -24,20 +24,24 @@
 //!   predictions and *executable* address traces, so prediction and
 //!   simulation can be compared (experiment E06).
 //! * [`cost`] — the `TMem` formula.
-//! * [`trace`] — the model and the address trace of the kernels'
-//!   radix-cluster and partitioned hash-join, used to validate the model on
-//!   real algorithms and to let the model *choose* the optimal number of
-//!   radix bits.
+//! * [`record`] — the recorder: the observer the kernels report their own
+//!   memory traffic to, placing their buffers and feeding the simulator, so
+//!   a kernel is its own trace.
+//! * [`trace`] — the model of the kernels' radix-cluster and partitioned
+//!   hash-join, validated against their recorded traffic, and used to let
+//!   the model *choose* the optimal number of radix bits.
 
 #![deny(unsafe_code)]
 
 pub mod cost;
 pub mod hierarchy;
 pub mod pattern;
+pub mod record;
 pub mod sim;
 pub mod trace;
 
 pub use cost::{predict_cost, CostBreakdown};
 pub use hierarchy::{CacheLevel, MemoryHierarchy, Tlb};
 pub use pattern::{AccessKind, Pattern, Region};
+pub use record::Recorder;
 pub use sim::{HierarchySim, LevelStats, SimReport};

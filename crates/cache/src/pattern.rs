@@ -9,16 +9,12 @@
 //! Every pattern supports two dual views:
 //! * an **analytic** miss prediction per cache level ([`Pattern::predicted`])
 //! * an **executable** address trace ([`Pattern::trace`]) that can be fed to
-//!   the simulator, so the two can be compared (experiment E06).
+//!   the simulator, so the two can be compared (experiment E06). The
+//!   interleaved scatter's trace is the radix-cluster kernel's own.
 
 use crate::hierarchy::{CacheLevel, MemoryHierarchy, Tlb};
 
-/// Whether an access participates in a prefetch-friendly stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessKind {
-    Sequential,
-    Random,
-}
+pub use mammoth_types::AccessKind;
 
 /// A contiguous array of `items` records of `width` bytes at `base`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,11 +95,7 @@ pub enum Pattern {
     /// clusters, which lie back to back at their histogram offsets (the
     /// radix-cluster output pattern). Thrashes when the cursor count
     /// exceeds cache lines or TLB entries.
-    Interleaved {
-        region: Region,
-        cursors: usize,
-        seed: u64,
-    },
+    Interleaved { region: Region, cursors: usize },
     /// Sequential composition: patterns executed one after another, each
     /// finding the caches as the ones before it left them.
     Seq(Vec<Pattern>),
@@ -140,26 +132,6 @@ impl XorShift {
             v.swap(i, self.below(i + 1));
         }
     }
-}
-
-/// Where each of `fanout` clusters starts when they lie back to back from
-/// `start` in cluster order: the prefix sum of the histogram of `targets`,
-/// the cluster each item goes to. This is how `algebra::radix_cluster`
-/// places its clusters in one output buffer.
-pub fn histogram_offsets(
-    targets: impl Iterator<Item = usize>,
-    fanout: usize,
-    start: usize,
-) -> Vec<usize> {
-    let mut offsets = vec![0usize; fanout];
-    for c in targets {
-        offsets[c] += 1;
-    }
-    let mut at = start;
-    for o in &mut offsets {
-        (*o, at) = (at, at + *o);
-    }
-    offsets
 }
 
 /// Capacity/granule view shared by cache levels and the TLB, so prediction
@@ -333,7 +305,10 @@ impl Pattern {
         (levels, self.predicted(LevelView::from(&h.tlb)))
     }
 
-    /// Materialize the executable address trace of this pattern.
+    /// Materialize the executable address trace of this pattern. An
+    /// [`Pattern::Interleaved`] has none to copy: the radix-cluster kernel,
+    /// replayed through a [`crate::Recorder`], is its trace, and asking for
+    /// one panics.
     pub fn trace(&self) -> Vec<(u64, AccessKind)> {
         let mut out = Vec::new();
         self.trace_into(&mut out);
@@ -370,25 +345,8 @@ impl Pattern {
                     ));
                 }
             }
-            Pattern::Interleaved {
-                region,
-                cursors,
-                seed,
-            } => {
-                let mut rng = XorShift::new(*seed);
-                let targets: Vec<usize> = (0..region.items).map(|_| rng.below(*cursors)).collect();
-                let mut at = histogram_offsets(targets.iter().copied(), *cursors, 0);
-                out.reserve(targets.len());
-                for c in targets {
-                    // From the cache's perspective each cursor advances
-                    // sequentially, but the interleaving makes residency the
-                    // question — tag as Sequential so the *miss split* shows
-                    // the thrashing (misses explode although the stream is
-                    // "sequential" per cursor). Tagging random would hide
-                    // the effect the model is after.
-                    out.push((region.addr_of(at[c]), AccessKind::Sequential));
-                    at[c] += 1;
-                }
+            Pattern::Interleaved { .. } => {
+                panic!("an interleaved scatter's trace is algebra::radix_cluster's, recorded")
             }
             Pattern::Seq(ps) => {
                 for p in ps {
@@ -497,7 +455,6 @@ mod tests {
         let p = Pattern::Interleaved {
             region: Region::new(0, 256, 4),
             cursors: 4,
-            seed: 5,
         };
         let view = LevelView::from(&h.levels[1]); // 64 lines >= 4 cursors
         let e = p.predicted(view);
@@ -512,29 +469,9 @@ mod tests {
         let p = Pattern::Interleaved {
             region: Region::new(0, 4096, 4),
             cursors: 64,
-            seed: 5,
         };
         let e = p.predicted(l1);
         assert!(e.rand > 1000.0, "rand misses should explode: {e:?}");
-    }
-
-    #[test]
-    fn interleaved_trace_writes_every_slot_once_at_histogram_offsets() {
-        let region = Region::new(0, 1000, 8);
-        let p = Pattern::Interleaved {
-            region: region.clone(),
-            cursors: 7,
-            seed: 3,
-        };
-        let trace = p.trace();
-        let mut addrs: Vec<u64> = trace.iter().map(|(a, _)| *a).collect();
-        addrs.sort_unstable();
-        let expect: Vec<u64> = (0..1000).map(|i| region.addr_of(i)).collect();
-        assert_eq!(addrs, expect);
-        assert_eq!(
-            histogram_offsets([2, 0, 2, 1].into_iter(), 4, 10),
-            [10, 11, 12, 14]
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Light-weight column compression (§5).
 //!
 //! "To reduce I/O bandwidth needs, X100 added vectorized ultra-fast
-//! compression methods [44] that decompress values in less than 5 CPU cycles
+//! compression methods \[44\] that decompress values in less than 5 CPU cycles
 //! per tuple." The schemes reproduced here are the super-scalar family of
 //! Zukowski et al. (ICDE 2006): the decompression loops are branch-light,
 //! data-dependence-free and patch exceptions *after* the bulk unpack, so a

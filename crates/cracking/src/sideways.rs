@@ -1,4 +1,4 @@
-//! Sideways cracking: self-organizing tuple reconstruction ([18], §6.1).
+//! Sideways cracking: self-organizing tuple reconstruction (\[18\], §6.1).
 //!
 //! Plain cracking reorganizes the selection column only; projecting other
 //! attributes then needs a positional fetch through the row-id map — random

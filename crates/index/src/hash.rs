@@ -41,7 +41,7 @@ impl KeyHasher for MaskHasher {
 }
 
 /// Division-based: bucket = key mod prime. One idiv in every inner loop
-/// iteration — the CPU cost §4.2/[25] measured and removed.
+/// iteration — the CPU cost §4.2/\[25\] measured and removed.
 #[derive(Debug, Clone, Default)]
 pub struct ModuloHasher;
 

@@ -2,7 +2,7 @@
 //!
 //! * [`hash`] — the bucket-chained hash table used by hash-join. Bucket
 //!   count is a power of two so bucket selection is a mask, not a division:
-//!   §4.2/[25] found that removing divisions from inner loops is one of the
+//!   §4.2/\[25\] found that removing divisions from inner loops is one of the
 //!   CPU optimizations that *compound* with cache optimizations. A
 //!   division-based hasher is kept for the E04 ablation.
 //! * [`btree`] — a pointer-based B+-tree, the "slotted page" style lookup

@@ -1,6 +1,6 @@
 //! Static analysis over MAL plans: the plan verifier and liveness.
 //!
-//! This is the optimizer's safety tier. [`verify`] checks any [`Program`]
+//! This is the optimizer's safety tier. [`verify()`] checks any [`Program`]
 //! for SSA discipline, opcode arity, BAT/scalar kinds, column types and
 //! plan structure; [`liveness::analyze`] computes last-use information that
 //! the interpreter and the `garbage_collect` pass use to release

@@ -20,7 +20,7 @@
 //!   pipeline run ([`SharedAnalysis`]), recomputed only after a pass
 //!   actually changed the plan;
 //! * a [`Pipeline::checked`] pipeline verifies with
-//!   [`crate::analysis::verify`] the plan that will run, once, on exit;
+//!   [`crate::analysis::verify()`] the plan that will run, once, on exit;
 //!   only when that fails does it replay the input pass by pass to name
 //!   the offender. Debug builds verify after every pass.
 

@@ -27,7 +27,7 @@
 //! One mutex guards the scheduler state (the frame, in-degrees, the ready
 //! queue); `step` runs strictly *outside* the lock. Arguments are
 //! Arc-cloned under the lock — cloning a
-//! [`MalValue`](mammoth_mal::MalValue) is O(1) — so the critical sections
+//! [`MalValue`] is O(1) — so the critical sections
 //! stay tiny and workers contend only on bookkeeping, never on data.
 
 #![deny(unsafe_code)]

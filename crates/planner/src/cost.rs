@@ -387,7 +387,7 @@ fn const_i64(a: Option<&Arg>) -> Option<i64> {
 
 /// Mitosis piece count for a table of `rows` rows, capped at
 /// `max_pieces` (the session's configured parallelism). Scales down for
-/// small tables so fragments stay at least [`MITOSIS_TARGET_ROWS`] rows.
+/// small tables so fragments stay at least `MITOSIS_TARGET_ROWS` rows.
 pub fn choose_pieces(rows: u64, max_pieces: usize) -> usize {
     if max_pieces <= 1 || rows == 0 {
         return max_pieces.max(1);

@@ -19,7 +19,7 @@
 //! `mammoth-parallel`, a scheduler over `mammoth_mal::frame` that adds no
 //! execution semantics. It steps a compiled MAL plan in program order and,
 //! before each step, looks the instruction's result slots up under their
-//! signature ([`signature`] — the key's only producer); what a step
+//! signature (`signature` — the key's only producer); what a step
 //! computes is admitted. The plans worth running through it are *unfused*
 //! ones (`compile_select` + `default_pipeline()`): the candidate lists and
 //! fetched columns between a filter and its aggregate, which

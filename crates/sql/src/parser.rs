@@ -1,7 +1,7 @@
 //! Recursive-descent SQL parser.
 //!
 //! The parser reads each token once: it keeps one token of lookahead, so
-//! [`Parser::peek`] never lexes again, and it never rewinds the lexer. A
+//! `Parser::peek` never lexes again, and it never rewinds the lexer. A
 //! name is folded to ASCII lowercase here, once, when the parser takes it
 //! as an owned `String` (the lexer's tokens borrow the source as written).
 

@@ -17,6 +17,7 @@
 pub mod codec;
 pub mod error;
 pub mod framing;
+pub mod mem;
 pub mod native;
 pub mod netfault;
 pub mod oid;
@@ -27,6 +28,7 @@ pub mod value;
 
 pub use error::{Error, Result};
 pub use framing::{crc32, fnv1a, FNV_OFFSET};
+pub use mem::{AccessKind, Buf, Mem};
 pub use native::NativeType;
 pub use oid::{Oid, OID_NIL};
 pub use retry::{Backoff, RetryPolicy};

@@ -3,7 +3,7 @@
 //! Every operator is "an iterator class with a next() method that returns
 //! the next tuple" (§3). Plans are trees of boxed trait objects; producing
 //! one tuple costs a chain of virtual calls through the whole plan — the
-//! instruction-cache behaviour [6] measured.
+//! instruction-cache behaviour \[6\] measured.
 
 use crate::expr::Expr;
 use crate::page::HeapFile;

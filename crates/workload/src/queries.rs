@@ -63,7 +63,7 @@ pub struct ReuseQuery {
 
 /// A log with power-law *repetition*: a small set of distinct queries is
 /// drawn zipf-style, so some queries recur many times — the property the
-/// Skyserver log has and the recycler exploits ([19]; substitution noted
+/// Skyserver log has and the recycler exploits (\[19\]; substitution noted
 /// in DESIGN.md).
 pub fn skyserver_log(
     n: usize,

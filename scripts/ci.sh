@@ -10,6 +10,8 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+echo "==> rustdoc -D warnings: no broken or private doc link"
+RUSTDOCFLAGS='-D warnings' cargo doc -q --offline --no-deps --workspace --exclude proptest
 
 echo "==> unsafe gate: the dispatch call in mammoth-algebra, and nothing else"
 # The workspace is safe Rust but for one call: the one into the

@@ -20,7 +20,7 @@ fn two_pass_cluster_groups_on_low_3_bits() {
     let keys: Vec<u64> = L.iter().map(|&x| x as u64).collect();
     let oids: Vec<Oid> = (0..L.len() as u64).collect();
     // 2-pass: 2 leftmost bits of the low-3 window, then the last bit
-    let cc = radix_cluster(&keys, &oids, &[2, 1]);
+    let cc = radix_cluster(keys.clone(), oids, &[2, 1], &mut ());
     assert_eq!(cc.cluster_count(), 8);
     // clusters are in ascending order of the 3-bit value, and every value
     // sits in the cluster of its low 3 bits — the figure's invariant
@@ -48,8 +48,8 @@ fn two_pass_cluster_groups_on_low_3_bits() {
 fn one_and_two_pass_clustering_agree() {
     let keys: Vec<u64> = L.iter().map(|&x| x as u64).collect();
     let oids: Vec<Oid> = (0..L.len() as u64).collect();
-    let one = radix_cluster(&keys, &oids, &[3]);
-    let two = radix_cluster(&keys, &oids, &[2, 1]);
+    let one = radix_cluster(keys.clone(), oids.clone(), &[3], &mut ());
+    let two = radix_cluster(keys, oids, &[2, 1], &mut ());
     assert_eq!(one.keys, two.keys);
     assert_eq!(one.oids, two.oids);
     assert_eq!(one.bounds, two.bounds);
@@ -59,7 +59,9 @@ fn one_and_two_pass_clustering_agree() {
 fn partitioned_join_finds_the_black_tuples() {
     let l = Bat::from_vec(L.to_vec());
     let r = Bat::from_vec(R.to_vec());
-    let ji = partitioned_hash_join(&l, &r, &[2, 1]).unwrap().sorted();
+    let ji = partitioned_hash_join(&l, &r, &[2, 1], &mut ())
+        .unwrap()
+        .sorted();
     // the figure's matches: values present in both relations
     let mut matched_values: Vec<i64> = ji.left.iter().map(|&o| L[o as usize]).collect();
     matched_values.sort_unstable();
@@ -73,7 +75,7 @@ fn partitioned_join_finds_the_black_tuples() {
 fn join_pairs_point_at_matching_tuples() {
     let l = Bat::from_vec(L.to_vec());
     let r = Bat::from_vec(R.to_vec());
-    let ji = partitioned_hash_join(&l, &r, &[2, 1]).unwrap();
+    let ji = partitioned_hash_join(&l, &r, &[2, 1], &mut ()).unwrap();
     assert_eq!(ji.len(), 5);
     for (lo, ro) in ji.left.iter().zip(&ji.right) {
         assert_eq!(
