@@ -69,7 +69,7 @@ pub fn run(scale: Scale) -> Report {
     ] {
         let predicted = predict_cost(&pat, &h).total_cycles;
         let mut sim = HierarchySim::new(&h);
-        let (_, sim_secs) = timed(|| sim.run(pat.trace()));
+        let (_, sim_secs) = timed(|| sim.run(pat.trace().expect("a basic pattern")));
         let measured = sim.cost() as f64;
         let misses: u64 = sim.report().levels.iter().map(|l| l.total()).sum();
         r.metric(
@@ -81,9 +81,8 @@ pub fn run(scale: Scale) -> Report {
         let error = (predicted - measured) / measured;
         worst_error = worst_error.max(error.abs());
         let bytes = match &pat {
-            Pattern::STrav { region }
-            | Pattern::RTrav { region, .. }
-            | Pattern::RRAcc { region, .. } => region.bytes(),
+            Pattern::STrav { region } | Pattern::RTrav { region, .. } => region.bytes(),
+            Pattern::RRAcc { region, .. } => region.bytes(),
             _ => 0,
         };
         t.row(vec![

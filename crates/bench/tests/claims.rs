@@ -2,21 +2,39 @@
 //!
 //! Each experiment runs once at its quick size. Every claim it decides by
 //! a predicate (`Basis::Exact` or `Basis::Simulated`) must come out as
-//! pinned here: held, unless [`FAILED`] lists it with the EXPERIMENTS.md
-//! finding that records the failure. A claim that stops holding fails this
-//! test, and so does a pinned failure that starts to hold: its pin and its
-//! finding are then out of date. A pinned failure also pins the data points
-//! its experiment reports, the numbers its predicate read, exactly: a fault
-//! that makes it fail for another reason fails this test too. Wall-clock
+//! pinned here: held, unless [`PINNED`] lists it as failed with the
+//! EXPERIMENTS.md finding that records the failure. A claim that stops
+//! holding fails this test, and so does a pinned failure that starts to
+//! hold: its pin and its finding are then out of date. [`PINNED`] also
+//! lists a held claim whose verdict once flipped, with the finding that
+//! records the flip. A pinned claim also pins the data points its
+//! experiment reports, the numbers its predicate read, exactly: a fault
+//! that moves them but keeps the verdict fails this test too. Wall-clock
 //! claims are decided by no predicate; an experiment only has to state at
 //! least one claim.
 
 use mammoth_bench::{all_experiments, Basis, Scale};
 
-/// The decided claims that fail at quick size: (experiment, the claim's
-/// sentence, the EXPERIMENTS.md finding recording it, the experiment's data
-/// points as `name: params`).
-const FAILED: &[(&str, &str, &str, &[&str])] = &[];
+/// The decided claims pinned by their numbers at quick size: (experiment,
+/// the claim's sentence, whether it holds, the EXPERIMENTS.md finding
+/// recording it, the experiment's data points as `name: params`).
+const PINNED: &[(&str, &str, bool, &str, &[&str])] = &[(
+    "e02",
+    "once 2^B exceeds the TLB entries and cache lines, several passes cluster more cheaply than one",
+    true,
+    "E02 finding: the simulated verdict flipped to held",
+    &[
+        "simulated_cluster: bits=6 passes=1 cycles=442176",
+        "simulated_cluster: bits=6 passes=2 cycles=411367",
+        "simulated_cluster: bits=6 passes=3 cycles=440799",
+        "simulated_cluster: bits=10 passes=1 cycles=561501",
+        "simulated_cluster: bits=10 passes=2 cycles=464313",
+        "simulated_cluster: bits=10 passes=3 cycles=442956",
+        "simulated_cluster: bits=14 passes=1 cycles=1425537",
+        "simulated_cluster: bits=14 passes=2 cycles=551532",
+        "simulated_cluster: bits=14 passes=3 cycles=574575",
+    ],
+)];
 
 const EXPERIMENTS_MD: &str = include_str!("../../../EXPERIMENTS.md");
 
@@ -32,21 +50,22 @@ fn check(id: &str) {
             Basis::Exact(held) | Basis::Simulated(held) => held,
             Basis::WallClock => continue,
         };
-        let pinned_failed = FAILED
+        let pinned_held = PINNED
             .iter()
-            .any(|&(e, sentence, _, _)| e == id && sentence == claim.sentence);
+            .find(|&&(e, sentence, ..)| e == id && sentence == claim.sentence)
+            .is_none_or(|&(_, _, held, ..)| held);
         assert_eq!(
             held,
-            !pinned_failed,
+            pinned_held,
             "{id}: \"{}\" is {}\n{report}",
             claim.sentence,
             claim.verdict()
         );
     }
-    for &(_, sentence, finding, points) in FAILED.iter().filter(|(e, ..)| *e == id) {
+    for &(_, sentence, _, finding, points) in PINNED.iter().filter(|(e, ..)| *e == id) {
         assert!(
             report.claims.iter().any(|c| c.sentence == sentence),
-            "{id} no longer states the pinned failure \"{sentence}\""
+            "{id} no longer states the pinned claim \"{sentence}\""
         );
         assert!(
             EXPERIMENTS_MD.contains(finding),
@@ -63,7 +82,7 @@ fn check(id: &str) {
             .collect();
         assert_eq!(
             reported, points,
-            "{id}: the pinned failure's numbers moved\n{report}"
+            "{id}: the pinned claim's numbers moved\n{report}"
         );
     }
 }

@@ -305,17 +305,17 @@ impl Pattern {
         (levels, self.predicted(LevelView::from(&h.tlb)))
     }
 
-    /// Materialize the executable address trace of this pattern. An
-    /// [`Pattern::Interleaved`] has none to copy: the radix-cluster kernel,
-    /// replayed through a [`crate::Recorder`], is its trace, and asking for
-    /// one panics.
-    pub fn trace(&self) -> Vec<(u64, AccessKind)> {
+    /// Materialize the executable address trace of this pattern, or `None`
+    /// when it holds a [`Pattern::Interleaved`]: that scatter has no trace
+    /// to copy, the radix-cluster kernel replayed through a
+    /// [`crate::Recorder`] is its trace.
+    pub fn trace(&self) -> Option<Vec<(u64, AccessKind)>> {
         let mut out = Vec::new();
-        self.trace_into(&mut out);
-        out
+        self.trace_into(&mut out)?;
+        Some(out)
     }
 
-    fn trace_into(&self, out: &mut Vec<(u64, AccessKind)>) {
+    fn trace_into(&self, out: &mut Vec<(u64, AccessKind)>) -> Option<()> {
         match self {
             Pattern::STrav { region } => {
                 out.reserve(region.items);
@@ -345,20 +345,19 @@ impl Pattern {
                     ));
                 }
             }
-            Pattern::Interleaved { .. } => {
-                panic!("an interleaved scatter's trace is algebra::radix_cluster's, recorded")
-            }
+            Pattern::Interleaved { .. } => return None,
             Pattern::Seq(ps) => {
                 for p in ps {
-                    p.trace_into(out);
+                    p.trace_into(out)?;
                 }
             }
             Pattern::Repeat { pattern, times } => {
                 for _ in 0..*times {
-                    pattern.trace_into(out);
+                    pattern.trace_into(out)?;
                 }
             }
         }
+        Some(())
     }
 }
 
@@ -392,7 +391,7 @@ mod tests {
         let p = Pattern::STrav { region };
         let (pred, tlb_pred) = p.predicted_all(&h);
         let mut sim = HierarchySim::new(&h);
-        sim.run(p.trace());
+        sim.run(p.trace().unwrap());
         let r = sim.report();
         assert_eq!(r.levels[0].total() as f64, pred[0].total());
         assert_eq!(r.levels[1].total() as f64, pred[1].total());
@@ -406,7 +405,7 @@ mod tests {
         let p = Pattern::RTrav { region, seed: 7 };
         let (pred, _) = p.predicted_all(&h);
         let mut sim = HierarchySim::new(&h);
-        sim.run(p.trace());
+        sim.run(p.trace().unwrap());
         assert_eq!(sim.report().levels[0].total() as f64, pred[0].total());
         assert_eq!(pred[0].rand, 8.0);
     }
@@ -419,7 +418,7 @@ mod tests {
         let p = Pattern::RTrav { region, seed: 11 };
         let (pred, _) = p.predicted_all(&h);
         let mut sim = HierarchySim::new(&h);
-        sim.run(p.trace());
+        sim.run(p.trace().unwrap());
         let measured = sim.report().levels[0].total() as f64;
         let predicted = pred[0].total();
         let err = (measured - predicted).abs() / measured;
@@ -440,7 +439,7 @@ mod tests {
         };
         let (pred, _) = p.predicted_all(&h);
         let mut sim = HierarchySim::new(&h);
-        sim.run(p.trace());
+        sim.run(p.trace().unwrap());
         let measured = sim.report().levels[0].total() as f64;
         let err = (measured - pred[0].total()).abs() / measured;
         assert!(err < 0.3, "err {err}");
@@ -461,6 +460,8 @@ mod tests {
         assert_eq!(e.rand, 0.0);
         // compulsory misses over the one buffer: 1 KB in 16-byte lines
         assert_eq!(e.seq, 64.0);
+        // the kernel, recorded, is the scatter's trace: there is none to copy
+        assert_eq!(Pattern::Seq(vec![p]).trace(), None);
     }
 
     #[test]
@@ -504,7 +505,7 @@ mod tests {
         ]);
         let (pred, tlb) = rereads.predicted_all(&h);
         let mut sim = HierarchySim::new(&h);
-        sim.run(rereads.trace());
+        sim.run(rereads.trace().unwrap());
         assert_eq!(pred[0].total(), 8.0);
         assert_eq!(sim.report().levels[0].total() as f64, pred[0].total());
         assert_eq!(sim.report().tlb.total() as f64, tlb.total());
@@ -540,7 +541,7 @@ mod tests {
             region: region.clone(),
             seed: 9,
         };
-        let mut addrs: Vec<u64> = p.trace().iter().map(|(a, _)| *a).collect();
+        let mut addrs: Vec<u64> = p.trace().unwrap().iter().map(|(a, _)| *a).collect();
         addrs.sort_unstable();
         let expect: Vec<u64> = (0..257).map(|i| region.addr_of(i)).collect();
         assert_eq!(addrs, expect);

@@ -365,6 +365,20 @@ mod tests {
         assert!(multi < single, "2-pass {multi} should beat 1-pass {single}");
     }
 
+    #[test]
+    fn partitioned_join_simulates_cheaper_than_plain() {
+        // At 2^14 tuples the plain join's table (512 KB of slots) is far
+        // larger than L1; clustering both sides so that each table fits
+        // more than pays for the clustering.
+        let h = MemoryHierarchy::generic_modern();
+        let plain = join_sim(&h, 1 << 14, 0, 7).cost();
+        let part = join_sim(&h, 1 << 14, 8, 7).cost();
+        assert!(
+            2 * part < plain,
+            "partitioned {part} should be < half of plain {plain}"
+        );
+    }
+
     /// On the tiny hierarchy (256 B L1, 1 KB L2) at 2^10 tuples, clustering
     /// both sides in three 2-bit passes costs more than the cache-sized
     /// tables save: the whole kernel at 5 bits simulates above the plain
