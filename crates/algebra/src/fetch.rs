@@ -26,7 +26,7 @@ pub(crate) fn check_in_range(oids: &[Oid], seqbase: Oid, len: usize) -> Result<(
 }
 
 /// Resolve candidate oids (tail of `cands`) to physical positions in `base`.
-pub fn positions_of(cands: &Bat, base: &Bat) -> Result<Vec<usize>> {
+pub(crate) fn positions_of(cands: &Bat, base: &Bat) -> Result<Vec<usize>> {
     let oids = cands.tail_slice::<Oid>()?;
     match base.head() {
         HeadColumn::Void { seqbase } => {
@@ -87,15 +87,6 @@ pub fn fetch_join(cands: &Bat, values: &Bat) -> Result<Bat> {
         Properties::unknown()
     };
     Ok(Bat::dense(0, tail).with_props(props))
-}
-
-/// Materialize a candidate BAT over `values` into `<oid, value>` pairs with
-/// the candidate oids as an explicit head (useful for result rendering).
-pub fn fetch_join_with_head(cands: &Bat, values: &Bat) -> Result<Bat> {
-    let pos = positions_of(cands, values)?;
-    let tail = values.tail().take(&pos);
-    let head: Vec<Oid> = cands.tail_slice::<Oid>()?.to_vec();
-    Bat::with_head(head, tail)
 }
 
 /// Project a dense BAT through an arbitrary position vector (gather).
@@ -196,16 +187,6 @@ mod tests {
         let base = Bat::from_vec(vec![1i32]);
         let cands = Bat::from_vec(vec![5u64 as Oid]);
         assert!(fetch_join(&cands, &base).is_err());
-    }
-
-    #[test]
-    fn with_head_keeps_oids() {
-        let base = Bat::from_vec(vec![5i32, 6, 7]);
-        let cands = Bat::from_vec(vec![2u64 as Oid, 0]);
-        let r = fetch_join_with_head(&cands, &base).unwrap();
-        assert_eq!(r.oid_at(0), 2);
-        assert_eq!(r.value_at(0), Value::I32(7));
-        assert_eq!(r.oid_at(1), 0);
     }
 
     #[test]

@@ -4,15 +4,12 @@
 //! vectors pairing matching tuples. Column projection happens afterwards by
 //! positional fetch — the DSM post-projection strategy.
 //!
-//! Three algorithms, selected by properties and size:
-//! * [`nested_loop_join`] — tiny inputs;
-//! * [`merge_join`] — both tails sorted;
-//! * [`hash_join`] — the default hash join over a flat open-addressing
-//!   table (build on the right side). The cache-conscious partitioned
-//!   variant lives in [`crate::radix`].
+//! [`hash_join`] is the hash join over a flat open-addressing table (build
+//! on the right side). The cache-conscious partitioned variant lives in
+//! [`crate::radix`].
 
 use crate::flat::{with_images, JoinTable};
-use crate::radix::mix_key_bat;
+
 use mammoth_storage::Bat;
 use mammoth_types::{Buf, Oid, Result};
 
@@ -32,14 +29,6 @@ impl JoinIndex {
         self.left.is_empty()
     }
 
-    /// Swap the two sides.
-    pub fn flipped(self) -> JoinIndex {
-        JoinIndex {
-            left: self.right,
-            right: self.left,
-        }
-    }
-
     /// Canonical ordering for comparisons in tests.
     pub fn sorted(mut self) -> JoinIndex {
         let mut pairs: Vec<(Oid, Oid)> = self
@@ -57,33 +46,11 @@ impl JoinIndex {
 
 /// Join keys: a nil-aware u64 image of a tail column. `None` marks nil
 /// (never matches); for strings `verify` must re-check real equality.
-pub struct JoinKeys {
+pub(crate) struct JoinKeys {
     pub keys: Vec<u64>,
     pub nils: Vec<bool>,
     /// u64 image is injective (ints, floats, oids) — no verify needed.
     pub exact: bool,
-}
-
-/// O(n·m) reference join; used for tiny inputs and as the test oracle.
-pub fn nested_loop_join(l: &Bat, r: &Bat) -> Result<JoinIndex> {
-    let lk = mix_key_bat(l)?;
-    let rk = mix_key_bat(r)?;
-    let mut out = JoinIndex::default();
-    for i in 0..lk.keys.len() {
-        if lk.nils[i] {
-            continue;
-        }
-        for j in 0..rk.keys.len() {
-            if rk.nils[j] {
-                continue;
-            }
-            if lk.keys[i] == rk.keys[j] && verify_eq(l, r, i, j, lk.exact && rk.exact) {
-                out.left.push(l.oid_at(i));
-                out.right.push(r.oid_at(j));
-            }
-        }
-    }
-    Ok(out)
 }
 
 #[inline]
@@ -124,73 +91,10 @@ pub fn hash_join(l: &Bat, r: &Bat) -> Result<JoinIndex> {
     Ok(out)
 }
 
-/// Merge join for tails that are both sorted (checked via properties; falls
-/// back to [`hash_join`] when not).
-pub fn merge_join(l: &Bat, r: &Bat) -> Result<JoinIndex> {
-    if !(l.props().sorted && r.props().sorted) {
-        return hash_join(l, r);
-    }
-    let lk = mix_key_bat(l)?;
-    let rk = mix_key_bat(r)?;
-    let exact = lk.exact && rk.exact;
-    // sortedness of the tail implies sortedness of the u64 image for
-    // unsigned images only; compare via the original order instead:
-    // walk both sides with two cursors using dynamic compare when inexact.
-    let mut out = JoinIndex::default();
-    let (mut i, mut j) = (0usize, 0usize);
-    let n = l.len();
-    let m = r.len();
-    while i < n && j < m {
-        if lk.nils[i] {
-            i += 1;
-            continue;
-        }
-        if rk.nils[j] {
-            j += 1;
-            continue;
-        }
-        let ord = cmp_at(l, r, i, j);
-        match ord {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                // emit the cross product of the two equal runs
-                let i_end = run_end(l, i);
-                let j_end = run_end(r, j);
-                for a in i..i_end {
-                    for b in j..j_end {
-                        if verify_eq(l, r, a, b, exact) {
-                            out.left.push(l.oid_at(a));
-                            out.right.push(r.oid_at(b));
-                        }
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    Ok(out)
-}
-
-fn cmp_at(l: &Bat, r: &Bat, i: usize, j: usize) -> std::cmp::Ordering {
-    l.value_at(i)
-        .sql_cmp(&r.value_at(j))
-        .unwrap_or(std::cmp::Ordering::Equal)
-}
-
-fn run_end(b: &Bat, start: usize) -> usize {
-    let v = b.value_at(start);
-    let mut e = start + 1;
-    while e < b.len() && b.value_at(e) == v {
-        e += 1;
-    }
-    e
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::nested_loop_join;
     use mammoth_types::NativeType;
     use proptest::prelude::*;
 
@@ -214,23 +118,11 @@ mod tests {
 
     #[test]
     fn all_algorithms_agree() {
-        let mut lv = vec![5i64, 1, 9, 1, 7, 3];
-        let mut rv = vec![1i64, 3, 3, 9, 2];
-        let l = Bat::from_vec(lv.clone());
-        let r = Bat::from_vec(rv.clone());
+        let l = Bat::from_vec(vec![5i64, 1, 9, 1, 7, 3]);
+        let r = Bat::from_vec(vec![1i64, 3, 3, 9, 2]);
         let nl = nested_loop_join(&l, &r).unwrap().sorted();
         let hj = hash_join(&l, &r).unwrap().sorted();
         assert_eq!(nl, hj);
-        // merge join needs sorted inputs
-        lv.sort_unstable();
-        rv.sort_unstable();
-        let mut ls = Bat::from_vec(lv);
-        let mut rs = Bat::from_vec(rv);
-        ls.compute_props();
-        rs.compute_props();
-        let mj = merge_join(&ls, &rs).unwrap().sorted();
-        let oracle = nested_loop_join(&ls, &rs).unwrap().sorted();
-        assert_eq!(mj, oracle);
     }
 
     #[test]
@@ -268,14 +160,6 @@ mod tests {
         assert!(hash_join(&r, &l).unwrap().is_empty());
     }
 
-    #[test]
-    fn merge_join_falls_back_when_unsorted() {
-        let l = Bat::from_vec(vec![3i32, 1]);
-        let r = Bat::from_vec(vec![1i32, 3]);
-        let ji = merge_join(&l, &r).unwrap().sorted();
-        assert_eq!(pairs(&ji), vec![(0, 1), (1, 0)]);
-    }
-
     proptest! {
         #[test]
         fn prop_hash_equals_nested_loop(
@@ -289,20 +173,5 @@ mod tests {
             prop_assert_eq!(hj, nl);
         }
 
-        #[test]
-        fn prop_merge_equals_nested_loop(
-            mut lv in proptest::collection::vec(-20i64..20, 0..60),
-            mut rv in proptest::collection::vec(-20i64..20, 0..60),
-        ) {
-            lv.sort_unstable();
-            rv.sort_unstable();
-            let mut l = Bat::from_vec(lv);
-            let mut r = Bat::from_vec(rv);
-            l.compute_props();
-            r.compute_props();
-            let mj = merge_join(&l, &r).unwrap().sorted();
-            let nl = nested_loop_join(&l, &r).unwrap().sorted();
-            prop_assert_eq!(mj, nl);
-        }
     }
 }

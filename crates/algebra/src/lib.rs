@@ -37,16 +37,12 @@ pub use agg::{
     AggTail, Reduction,
 };
 pub use arith::{arith_bat, arith_const, ArithOp};
-pub use fetch::{fetch_join, fetch_join_with_head, gather, positions_of, scatter};
+pub use fetch::{fetch_join, gather, scatter};
 pub use flat::{GroupTable, KeyImage};
-pub use join::{hash_join, merge_join, nested_loop_join, JoinIndex};
+pub use join::hash_join;
 pub use mat::{pack, packsum};
-pub use radix::{
-    fetch_fixed, mix_key_bat, partitioned_hash_join, radix_cluster, radix_decluster_fixed,
-    ClusteredColumn,
-};
+pub use radix::{fetch_fixed, partitioned_hash_join, radix_cluster, radix_decluster_fixed};
 pub use select::{
-    select_cmp, select_cmp_cand, select_eq, select_range, select_range_cand, CmpOp, Pred, RowId,
-    ScanTail,
+    select_cmp, select_cmp_cand, select_eq, select_range, select_range_cand, CmpOp, Pred, ScanTail,
 };
-pub use sort::{firstn, order, sort_bat, sort_bat_dir, sorted_props, TopN};
+pub use sort::{firstn, order, sort_bat_dir, sorted_props, TopN};

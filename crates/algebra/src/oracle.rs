@@ -106,7 +106,7 @@ pub fn select_range(
 /// A selection over a candidate list the way plans used to spell it:
 /// fetch the candidates' values, select over that dense intermediate, and
 /// map the qualifying positions back through the list.
-pub fn through_cands(
+pub(crate) fn through_cands(
     b: &Bat,
     cands: &Bat,
     select: impl Fn(&Bat) -> Result<Vec<Oid>>,
@@ -161,6 +161,29 @@ pub fn hash_join(l: &Bat, r: &Bat) -> Result<JoinIndex> {
     for i in (0..lk.keys.len()).filter(|&i| !lk.nils[i]) {
         for j in table.candidates(lk.keys[i]) {
             if !rk.nils[j] && rk.keys[j] == lk.keys[i] {
+                out.left.push(l.oid_at(i));
+                out.right.push(r.oid_at(j));
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// The O(n·m) join.
+pub(crate) fn nested_loop_join(l: &Bat, r: &Bat) -> Result<JoinIndex> {
+    let lk = mix_key_bat(l)?;
+    let rk = mix_key_bat(r)?;
+    let mut out = JoinIndex::default();
+    for i in 0..lk.keys.len() {
+        if lk.nils[i] {
+            continue;
+        }
+        for j in 0..rk.keys.len() {
+            if rk.nils[j] {
+                continue;
+            }
+            if lk.keys[i] == rk.keys[j] && crate::join::verify_eq(l, r, i, j, lk.exact && rk.exact)
+            {
                 out.left.push(l.oid_at(i));
                 out.right.push(r.oid_at(j));
             }

@@ -33,7 +33,7 @@ const W: usize = size_of::<u64>();
 /// column joins correctly against an `i64` column. The image is injective
 /// ("exact") for all fixed-width types; strings use a content hash and must
 /// be re-verified on match.
-pub fn mix_key_bat(b: &Bat) -> Result<JoinKeys> {
+pub(crate) fn mix_key_bat(b: &Bat) -> Result<JoinKeys> {
     let (keys, nils) = crate::flat::with_images!(b, |images| images.unzip());
     Ok(JoinKeys {
         keys,

@@ -1,7 +1,7 @@
 //! Sorting and order indices.
 //!
 //! `order(b)` produces the permutation that sorts the tail (nil first, like
-//! MonetDB); `sort_bat(b)` materializes the sorted column with its
+//! MonetDB); `sort_bat_dir(b, desc)` materializes the sorted column with its
 //! properties set, enabling the binary-search select fast path downstream.
 
 use mammoth_storage::{Bat, FixedTail, Properties, TailHeap};
@@ -126,16 +126,11 @@ pub fn order(b: &Bat) -> Result<Vec<usize>> {
     Ok(sorted_prefix(b, b.len(), false))
 }
 
-/// Sort the tail of `b`, returning `(sorted BAT, order index)`.
+/// Sort the tail of `b`, returning `(sorted BAT, order index)`:
+/// `descending = true` reverses the order (nil last in that case).
 ///
 /// The order index is a BAT of the original oids in sorted order — exactly
 /// what tuple reconstruction needs to fetch sibling columns.
-pub fn sort_bat(b: &Bat) -> Result<(Bat, Bat)> {
-    sort_bat_dir(b, false)
-}
-
-/// [`sort_bat`] with a direction: `descending = true` reverses the order
-/// (nil last in that case).
 pub fn sort_bat_dir(b: &Bat, descending: bool) -> Result<(Bat, Bat)> {
     firstn(b, b.len(), descending)
 }
@@ -175,7 +170,7 @@ mod tests {
     #[test]
     fn sorts_with_nil_first() {
         let b = Bat::from_vec(vec![3i32, i32::NIL, 1, 2]);
-        let (s, idx) = sort_bat(&b).unwrap();
+        let (s, idx) = sort_bat_dir(&b, false).unwrap();
         assert_eq!(s.tail_slice::<i32>().unwrap(), &[i32::NIL, 1, 2, 3]);
         assert_eq!(idx.tail_slice::<Oid>().unwrap(), &[1, 2, 3, 0]);
         assert!(s.props().sorted);
@@ -202,7 +197,7 @@ mod tests {
     #[test]
     fn string_sort() {
         let b = Bat::from_strings([Some("pear"), None, Some("apple")]);
-        let (s, _) = sort_bat(&b).unwrap();
+        let (s, _) = sort_bat_dir(&b, false).unwrap();
         assert_eq!(s.value_at(0), mammoth_types::Value::Null);
         assert_eq!(s.value_at(1), mammoth_types::Value::Str("apple".into()));
         assert_eq!(s.value_at(2), mammoth_types::Value::Str("pear".into()));
@@ -211,7 +206,7 @@ mod tests {
     #[test]
     fn float_sort_with_nan_nil() {
         let b = Bat::from_vec(vec![2.0f64, f64::NAN, 1.0]);
-        let (s, _) = sort_bat(&b).unwrap();
+        let (s, _) = sort_bat_dir(&b, false).unwrap();
         let v = s.tail_slice::<f64>().unwrap();
         assert!(v[0].is_nan());
         assert_eq!(&v[1..], &[1.0, 2.0]);
@@ -223,7 +218,7 @@ mod tests {
         // other through the order index
         let age = Bat::from_vec(vec![1968i32, 1907, 1927]);
         let name = Bat::from_strings([Some("Will Smith"), Some("John Wayne"), Some("Bob Fosse")]);
-        let (_, idx) = sort_bat(&age).unwrap();
+        let (_, idx) = sort_bat_dir(&age, false).unwrap();
         let names_sorted = fetch_join(&idx, &name).unwrap();
         assert_eq!(
             names_sorted.value_at(0),
@@ -239,7 +234,7 @@ mod tests {
         #[test]
         fn prop_sorted_output(v in proptest::collection::vec(-100i64..100, 0..200)) {
             let b = Bat::from_vec(v.clone());
-            let (s, idx) = sort_bat(&b).unwrap();
+            let (s, idx) = sort_bat_dir(&b, false).unwrap();
             let out = s.tail_slice::<i64>().unwrap();
             prop_assert!(out.windows(2).all(|w| w[0] <= w[1]));
             // permutation property

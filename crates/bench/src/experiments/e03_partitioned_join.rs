@@ -22,7 +22,7 @@ const TENFOLD: &str = "a radix-clustered partitioned hash-join is an order of ma
 /// `n` seeded 8-byte keys against the keys, both sides clustered on `bits`
 /// radix bits (0: one hash table over the whole build side), in the pass
 /// schedule E03 runs it with.
-pub fn simulated_join_cycles(h: &MemoryHierarchy, n: usize, bits: u32) -> u64 {
+pub(crate) fn simulated_join_cycles(h: &MemoryHierarchy, n: usize, bits: u32) -> u64 {
     let mut rng = XorShift::new(3);
     let keys: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
     let mut probe = keys.clone();

@@ -11,7 +11,7 @@
 use crate::experiments::e07_vector_size;
 use crate::table::TextTable;
 use crate::{fmt_secs, ns_per, timed, Report, Scale};
-use mammoth_core::Database;
+use mammoth_mal::{parse_program, Interpreter};
 use mammoth_storage::{Bat, Table};
 use mammoth_types::{ColumnDef, LogicalType, TableSchema, Value};
 use mammoth_volcano::expr::{ArithOp, CmpOp};
@@ -65,7 +65,7 @@ pub fn run(scale: Scale) -> Report {
     let sum_v = volcano_rows[0][1].as_f64().unwrap() as i64;
 
     // --- column-at-a-time (BAT algebra via MAL) ---
-    let mut db = Database::new();
+    let mut db = mammoth_sql::Session::new();
     db.catalog_mut()
         .create_table(
             Table::from_bats(schema, columns.map(|c| Bat::from_vec(c.clone())).to_vec()).unwrap(),
@@ -86,7 +86,8 @@ pub fn run(scale: Scale) -> Report {
         nrows := aggr.count(prod);
         io.result(nrows, total);
     "#;
-    let (mal_out, t_bat) = timed(|| db.execute_mal(mal).unwrap());
+    let prog = parse_program(mal).unwrap();
+    let (mal_out, t_bat) = timed(|| Interpreter::new(db.catalog()).run(&prog).unwrap());
     let count_b = mal_out[0].as_scalar().unwrap().as_i64().unwrap();
     let sum_b = mal_out[1].as_scalar().unwrap().as_i64().unwrap();
 

@@ -60,7 +60,7 @@ impl Scale {
 }
 
 /// An experiment: `(id, description, run)`.
-pub type Experiment = (&'static str, &'static str, fn(Scale) -> Report);
+pub(crate) type Experiment = (&'static str, &'static str, fn(Scale) -> Report);
 
 /// All experiment ids with their run functions and one-line descriptions.
 #[rustfmt::skip]
@@ -154,7 +154,7 @@ impl Report {
         self.claim(section, sentence, Basis::Simulated(holds))
     }
 
-    pub fn wall_clock(self, section: &'static str, sentence: &'static str) -> Report {
+    pub(crate) fn wall_clock(self, section: &'static str, sentence: &'static str) -> Report {
         self.claim(section, sentence, Basis::WallClock)
     }
 
@@ -207,9 +207,9 @@ pub struct Metric {
     /// Free-form parameters: `("probes", "8")`, `("rows", "4194304")`, …
     pub params: Vec<(String, String)>,
     /// Wall-clock seconds of the measured region.
-    pub wall_secs: f64,
+    pub(crate) wall_secs: f64,
     /// Cache-simulator miss count, for model/simulation experiments.
-    pub simulated_misses: Option<u64>,
+    pub(crate) simulated_misses: Option<u64>,
 }
 
 /// Escape a string for embedding in a JSON document (the harness carries
@@ -262,7 +262,7 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 }
 
 /// Format seconds compactly.
-pub fn fmt_secs(s: f64) -> String {
+pub(crate) fn fmt_secs(s: f64) -> String {
     if s >= 1.0 {
         format!("{s:.2}s")
     } else if s >= 1e-3 {
@@ -275,7 +275,7 @@ pub fn fmt_secs(s: f64) -> String {
 }
 
 /// Nanoseconds per item.
-pub fn ns_per(s: f64, n: usize) -> f64 {
+pub(crate) fn ns_per(s: f64, n: usize) -> f64 {
     s * 1e9 / n.max(1) as f64
 }
 

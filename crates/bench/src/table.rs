@@ -2,7 +2,7 @@
 
 /// A simple aligned text table.
 #[derive(Debug, Default)]
-pub struct TextTable {
+pub(crate) struct TextTable {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }

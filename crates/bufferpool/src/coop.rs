@@ -32,7 +32,7 @@ pub struct ScanReport {
     /// Average completion tick.
     pub avg_completion: f64,
     /// Last completion tick (makespan).
-    pub makespan: u64,
+    pub(crate) makespan: u64,
 }
 
 /// Simulate `queries` full scans of a `npages` table through a

@@ -8,13 +8,12 @@
 use crate::hierarchy::MemoryHierarchy;
 use crate::pattern::{MissEstimate, Pattern};
 
-/// A per-level cost decomposition in CPU cycles.
+/// A per-level cost decomposition in CPU cycles; the TLB's share is in the
+/// total only.
 #[derive(Debug, Clone)]
 pub struct CostBreakdown {
     /// `(level name, estimated misses, cycles)` innermost first.
     pub levels: Vec<(String, MissEstimate, f64)>,
-    /// TLB miss estimate and cycles.
-    pub tlb: (MissEstimate, f64),
     /// Total cycles: the `TMem` value.
     pub total_cycles: f64,
 }
@@ -34,7 +33,6 @@ pub fn predict_cost(pattern: &Pattern, hierarchy: &MemoryHierarchy) -> CostBreak
     total += tlb_cycles;
     CostBreakdown {
         levels: out,
-        tlb: (tlb, tlb_cycles),
         total_cycles: total,
     }
 }
@@ -51,10 +49,9 @@ mod tests {
             region: Region::new(0, 64, 4), // 256B: 16 lines, 2 pages
         };
         let c = predict_cost(&p, &h);
-        // L1: 16 seq misses * 2cy; L2: 16 * 10cy; TLB: 2 * 20cy
+        // L1: 16 seq misses * 2cy; L2: 16 * 10cy; TLB: 2 * 20cy (in the total)
         assert_eq!(c.levels[0].2, 32.0);
         assert_eq!(c.levels[1].2, 160.0);
-        assert_eq!(c.tlb.1, 40.0);
         assert_eq!(c.total_cycles, 232.0);
     }
 

@@ -14,14 +14,14 @@ pub struct CacheLevel {
     /// Total capacity in bytes.
     pub capacity: usize,
     /// Cache line size in bytes.
-    pub line_size: usize,
+    pub(crate) line_size: usize,
     /// Set associativity (ways). `usize::MAX` models full associativity.
-    pub associativity: usize,
+    pub(crate) associativity: usize,
     /// Cycles to service a miss at this level when the access stream is
     /// sequential (prefetch-friendly).
-    pub seq_miss_latency: u64,
+    pub(crate) seq_miss_latency: u64,
     /// Cycles to service a miss when the stream is random.
-    pub rand_miss_latency: u64,
+    pub(crate) rand_miss_latency: u64,
 }
 
 impl CacheLevel {
@@ -33,12 +33,12 @@ impl CacheLevel {
 
 /// A translation look-aside buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tlb {
+pub(crate) struct Tlb {
     pub entries: usize,
-    pub page_size: usize,
-    pub associativity: usize,
+    pub(crate) page_size: usize,
+    pub(crate) associativity: usize,
     /// Cycles per TLB miss (page-table walk).
-    pub miss_latency: u64,
+    pub(crate) miss_latency: u64,
 }
 
 impl Tlb {
@@ -52,7 +52,7 @@ impl Tlb {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryHierarchy {
     pub levels: Vec<CacheLevel>,
-    pub tlb: Tlb,
+    pub(crate) tlb: Tlb,
 }
 
 impl MemoryHierarchy {
@@ -163,7 +163,8 @@ impl MemoryHierarchy {
     }
 
     /// A deliberately tiny hierarchy for fast, exhaustive unit tests.
-    pub fn tiny_test() -> Self {
+    #[cfg(test)]
+    pub(crate) fn tiny_test() -> Self {
         MemoryHierarchy {
             levels: vec![
                 CacheLevel {

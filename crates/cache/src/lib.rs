@@ -40,8 +40,8 @@ pub mod record;
 pub mod sim;
 pub mod trace;
 
-pub use cost::{predict_cost, CostBreakdown};
-pub use hierarchy::{CacheLevel, MemoryHierarchy, Tlb};
+pub use cost::predict_cost;
+pub use hierarchy::MemoryHierarchy;
 pub use pattern::{AccessKind, Pattern, Region};
 pub use record::Recorder;
-pub use sim::{HierarchySim, LevelStats, SimReport};
+pub use sim::HierarchySim;

@@ -139,8 +139,8 @@ impl XorShift {
 #[derive(Debug, Clone, Copy)]
 pub struct LevelView {
     pub capacity: usize,
-    pub granule: usize,
-    pub granules: usize,
+    pub(crate) granule: usize,
+    pub(crate) granules: usize,
 }
 
 impl From<&CacheLevel> for LevelView {
@@ -296,7 +296,7 @@ impl Pattern {
     }
 
     /// Analytic misses for every cache level plus the TLB.
-    pub fn predicted_all(&self, h: &MemoryHierarchy) -> (Vec<MissEstimate>, MissEstimate) {
+    pub(crate) fn predicted_all(&self, h: &MemoryHierarchy) -> (Vec<MissEstimate>, MissEstimate) {
         let levels = h
             .levels
             .iter()

@@ -36,7 +36,8 @@ impl<F: FnMut(u64, AccessKind)> Recorder<F> {
 
     /// The bytes of every buffer touched, in first-touch order: what the
     /// kernel's arrays spanned, to check a model's regions against.
-    pub fn buffers(&self) -> Vec<u64> {
+    #[cfg(test)]
+    pub(crate) fn buffers(&self) -> Vec<u64> {
         let mut placed: Vec<(u64, u64)> = self.placed.iter().flatten().copied().collect();
         placed.sort_unstable();
         placed.into_iter().map(|(_, bytes)| bytes).collect()

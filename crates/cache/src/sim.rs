@@ -57,8 +57,8 @@ impl SetAssoc {
 /// Miss counters for one level.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LevelStats {
-    pub seq_misses: u64,
-    pub rand_misses: u64,
+    pub(crate) seq_misses: u64,
+    pub(crate) rand_misses: u64,
 }
 
 impl LevelStats {
@@ -73,7 +73,7 @@ pub struct SimReport {
     pub accesses: u64,
     /// Per cache level, innermost first.
     pub levels: Vec<LevelStats>,
-    pub tlb: LevelStats,
+    pub(crate) tlb: LevelStats,
 }
 
 impl SimReport {

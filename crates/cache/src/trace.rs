@@ -95,7 +95,8 @@ fn cluster_phases(
 
 /// Analytic pattern of `algebra::radix_cluster` over `tuples` records of
 /// `width` bytes and their oids using `bits_per_pass`.
-pub fn radix_cluster_pattern(tuples: usize, width: usize, bits_per_pass: &[u32]) -> Pattern {
+#[cfg(test)]
+pub(crate) fn radix_cluster_pattern(tuples: usize, width: usize, bits_per_pass: &[u32]) -> Pattern {
     let mut cursor = 0u64;
     let input = pair(&mut cursor, tuples, width);
     Pattern::Seq(cluster_phases(&mut cursor, input, bits_per_pass).0)
@@ -122,7 +123,11 @@ fn join_table_bytes(rows: usize) -> [usize; 2] {
 /// average right cluster and probed by the matching left cluster, one link
 /// read per match. [`Pattern::Seq`] keeps the table warm from one cluster
 /// to the next.
-pub fn partitioned_join_pattern(tuples: usize, width: usize, bits_per_pass: &[u32]) -> Pattern {
+pub(crate) fn partitioned_join_pattern(
+    tuples: usize,
+    width: usize,
+    bits_per_pass: &[u32],
+) -> Pattern {
     let bits: u32 = bits_per_pass.iter().sum();
     let rows = tuples.div_ceil(1 << bits).max(1);
     let mut cursor = 0u64;
@@ -332,7 +337,8 @@ mod tests {
             (4, 2964, 824_073, 758_297),
             (5, 4509, 867_732, 758_861),
         ] {
-            let model = predict_cost(&radix_cluster_pattern(n, 8, &[bits]), &h);
+            let pattern = radix_cluster_pattern(n, 8, &[bits]);
+            let model = predict_cost(&pattern, &h);
             let sim = cluster_sim(&h, n, &[bits], 7);
             assert_eq!(
                 (
@@ -343,7 +349,7 @@ mod tests {
                 (tlb, cycles, predicted as f64),
                 "{bits} bits"
             );
-            assert_eq!(model.tlb.0.total().round(), 323.0);
+            assert_eq!(pattern.predicted_all(&h).1.total().round(), 323.0);
             let excess = cycles as f64 - model.total_cycles;
             let tlb_excess = (tlb - 323) as f64 * h.tlb.miss_latency as f64;
             assert!(

@@ -6,7 +6,7 @@
 
 /// Bits needed to represent `v`.
 #[inline]
-pub fn bits_for(v: u64) -> u32 {
+pub(crate) fn bits_for(v: u64) -> u32 {
     64 - v.leading_zeros()
 }
 
@@ -33,7 +33,7 @@ pub fn pack(values: &[u64], width: u32) -> Vec<u64> {
 }
 
 /// Unpack `n` `width`-bit values from `packed`.
-pub fn unpack(packed: &[u64], n: usize, width: u32) -> Vec<u64> {
+pub(crate) fn unpack(packed: &[u64], n: usize, width: u32) -> Vec<u64> {
     assert!(width <= 64);
     let mut out = Vec::with_capacity(n);
     if width == 0 {

@@ -10,7 +10,7 @@ pub struct DictEncoded {
     pub dictionary: Vec<i64>,
     /// Packed `code_width`-bit codes, one per row.
     pub codes: Vec<u64>,
-    pub code_width: u32,
+    pub(crate) code_width: u32,
     pub len: usize,
 }
 
@@ -44,24 +44,8 @@ pub fn decode(e: &DictEncoded) -> Vec<i64> {
 }
 
 /// Encoded size in bytes.
-pub fn encoded_bytes(e: &DictEncoded) -> usize {
+pub(crate) fn encoded_bytes(e: &DictEncoded) -> usize {
     e.dictionary.len() * 8 + e.codes.len() * 8
-}
-
-/// Evaluate `value == needle` directly on codes: find the dictionary code
-/// once, then compare small integers — the "execution on compressed data"
-/// trick of column stores.
-pub fn select_eq_on_codes(e: &DictEncoded, needle: i64) -> Vec<usize> {
-    let Some(code) = e.dictionary.iter().position(|&d| d == needle) else {
-        return Vec::new();
-    };
-    let code = code as u64;
-    let raw = bitpack::unpack(&e.codes, e.len, e.code_width);
-    raw.iter()
-        .enumerate()
-        .filter(|(_, &c)| c == code)
-        .map(|(i, _)| i)
-        .collect()
 }
 
 #[cfg(test)]
@@ -94,29 +78,11 @@ mod tests {
         assert_eq!(decode(&e), Vec::<i64>::new());
     }
 
-    #[test]
-    fn select_on_codes() {
-        let v = vec![5i64, 9, 5, 3, 9, 5];
-        let e = encode(&v);
-        assert_eq!(select_eq_on_codes(&e, 5), vec![0, 2, 5]);
-        assert_eq!(select_eq_on_codes(&e, 9), vec![1, 4]);
-        assert_eq!(select_eq_on_codes(&e, 777), Vec::<usize>::new());
-    }
-
     proptest! {
         #[test]
         fn prop_roundtrip(v in proptest::collection::vec(-8i64..8, 0..400)) {
             prop_assert_eq!(decode(&encode(&v)), v);
         }
 
-        #[test]
-        fn prop_select_matches_scan(v in proptest::collection::vec(-4i64..4, 0..200)) {
-            let e = encode(&v);
-            for needle in -4i64..4 {
-                let expect: Vec<usize> = v.iter().enumerate()
-                    .filter(|(_, &x)| x == needle).map(|(i, _)| i).collect();
-                prop_assert_eq!(select_eq_on_codes(&e, needle), expect);
-            }
-        }
     }
 }

@@ -27,4 +27,4 @@ pub mod pfor_delta;
 pub mod rle;
 pub mod scheme;
 
-pub use scheme::{compress, compressed_size, decompress, pick_scheme, Compressed, Scheme};
+pub use scheme::{compress, compressed_size, decompress, pick_scheme, Scheme};

@@ -19,9 +19,9 @@ pub struct PforBlock {
     /// Packed `width`-bit offsets from `base` (exceptions hold 0).
     pub packed: Vec<u64>,
     /// Positions of exceptions within the block.
-    pub exc_pos: Vec<u32>,
+    pub(crate) exc_pos: Vec<u32>,
     /// Exception values (verbatim).
-    pub exc_val: Vec<i64>,
+    pub(crate) exc_val: Vec<i64>,
 }
 
 /// A PFOR-encoded column.
@@ -98,7 +98,7 @@ pub fn encode(values: &[i64]) -> PforEncoded {
 }
 
 /// Decode one block into `out` (appends `n` values).
-pub fn decode_block(b: &PforBlock, out: &mut Vec<i64>) {
+pub(crate) fn decode_block(b: &PforBlock, out: &mut Vec<i64>) {
     let start = out.len();
     // bulk: branch-free unpack + base add
     let raw = bitpack::unpack(&b.packed, b.n, b.width);
@@ -119,20 +119,11 @@ pub fn decode(e: &PforEncoded) -> Vec<i64> {
 }
 
 /// Encoded size in bytes.
-pub fn encoded_bytes(e: &PforEncoded) -> usize {
+pub(crate) fn encoded_bytes(e: &PforEncoded) -> usize {
     e.blocks
         .iter()
         .map(|b| 8 + 4 + 8 + b.packed.len() * 8 + b.exc_pos.len() * 4 + b.exc_val.len() * 8)
         .sum()
-}
-
-/// Fraction of values stored as exceptions (diagnostics).
-pub fn exception_rate(e: &PforEncoded) -> f64 {
-    if e.len == 0 {
-        return 0.0;
-    }
-    let exc: usize = e.blocks.iter().map(|b| b.exc_val.len()).sum();
-    exc as f64 / e.len as f64
 }
 
 #[cfg(test)]
@@ -145,7 +136,7 @@ mod tests {
         let v: Vec<i64> = (0..5000).map(|i| 1000 + (i % 50)).collect();
         let e = encode(&v);
         assert_eq!(decode(&e), v);
-        assert_eq!(exception_rate(&e), 0.0);
+        assert!(e.blocks.iter().all(|b| b.exc_val.is_empty()));
         // 50 distinct offsets fit in 6 bits: big ratio
         assert!(encoded_bytes(&e) * 8 < v.len() * 8 * 2);
     }

@@ -48,7 +48,7 @@ pub fn decode(e: &PforDeltaEncoded) -> Vec<i64> {
 }
 
 /// Encoded size in bytes.
-pub fn encoded_bytes(e: &PforDeltaEncoded) -> usize {
+pub(crate) fn encoded_bytes(e: &PforDeltaEncoded) -> usize {
     8 + pfor::encoded_bytes(&e.deltas)
 }
 

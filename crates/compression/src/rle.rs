@@ -40,16 +40,8 @@ pub fn decode(runs: &[Run]) -> Vec<i64> {
     out
 }
 
-/// Decode straight into a sum (predicate-less aggregation over compressed
-/// data — each run contributes `value * count` without expanding).
-pub fn sum_without_decoding(runs: &[Run]) -> i64 {
-    runs.iter()
-        .map(|r| r.value.wrapping_mul(r.count as i64))
-        .sum()
-}
-
 /// Encoded size in bytes (value + count per run).
-pub fn encoded_bytes(runs: &[Run]) -> usize {
+pub(crate) fn encoded_bytes(runs: &[Run]) -> usize {
     runs.len() * (8 + 4)
 }
 
@@ -80,14 +72,6 @@ mod tests {
     }
 
     #[test]
-    fn sum_shortcut() {
-        let v = vec![3i64; 1000];
-        let r = encode(&v);
-        assert_eq!(r.len(), 1);
-        assert_eq!(sum_without_decoding(&r), 3000);
-    }
-
-    #[test]
     fn ratio_on_sorted_data() {
         let v: Vec<i64> = (0..10_000).map(|i| i / 100).collect();
         let r = encode(&v);
@@ -101,10 +85,5 @@ mod tests {
             prop_assert_eq!(decode(&encode(&v)), v);
         }
 
-        #[test]
-        fn prop_sum_matches(v in proptest::collection::vec(-100i64..100, 0..300)) {
-            let direct: i64 = v.iter().sum();
-            prop_assert_eq!(sum_without_decoding(&encode(&v)), direct);
-        }
     }
 }

@@ -35,8 +35,9 @@ pub enum Compressed {
     PforDelta(pfor_delta::PforDeltaEncoded),
 }
 
+#[cfg(test)]
 impl Compressed {
-    pub fn scheme(&self) -> Scheme {
+    fn scheme(&self) -> Scheme {
         match self {
             Compressed::Plain(_) => Scheme::Plain,
             Compressed::Rle(_) => Scheme::Rle,

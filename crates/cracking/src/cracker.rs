@@ -34,7 +34,6 @@ pub struct CrackerStats {
     pub cracks_performed: u64,
     pub tuples_touched: u64,
     pub pending_inserts: usize,
-    pub pending_deletes: usize,
     pub merges: u64,
 }
 
@@ -103,41 +102,12 @@ impl<T: Ord + Copy> CrackerColumn<T> {
         self
     }
 
-    /// Live tuple count.
-    pub fn len(&self) -> usize {
-        self.values.len() + self.pending.len() - self.dead_unpurged
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     pub fn stats(&self) -> CrackerStats {
         CrackerStats {
             pieces: self.index.len() + 1,
             pending_inserts: self.pending.len(),
-            pending_deletes: self.dead_unpurged,
             ..self.stats.clone()
         }
-    }
-
-    /// The cracker column's current physical order (for inspection).
-    pub fn values(&self) -> &[T] {
-        &self.values
-    }
-
-    /// Discard all adaptive state — the cracker index, the physical
-    /// permutation, and buffered updates — and re-adopt `values` as a fresh
-    /// base column. This is the recovery hook: a cracked copy describes the
-    /// pre-crash process's physical order, and none of it survives a
-    /// crash + recover cycle (only the base column is durable). Tuning and
-    /// tracing settings are preserved.
-    pub fn uncrack(&mut self, values: Vec<T>) {
-        let tracing = self.tracing;
-        let merge_threshold = self.merge_threshold;
-        *self = CrackerColumn::new(values);
-        self.tracing = tracing;
-        self.merge_threshold = merge_threshold;
     }
 
     /// Append a new tuple; returns its row id.
@@ -396,32 +366,10 @@ mod tests {
     }
 
     #[test]
-    fn uncrack_resets_adaptive_state() {
-        let mut c = col().with_merge_threshold(2);
-        c.set_tracing(true);
-        c.select(Bound::Incl(5), Bound::Excl(12));
-        c.insert(42);
-        c.delete(0);
-        assert!(c.stats().pieces > 1);
-        // recovery: re-adopt the durable base image
-        c.uncrack(vec![10, 20, 30]);
-        let s = c.stats();
-        assert_eq!(s.pieces, 1);
-        assert_eq!(s.pending_inserts, 0);
-        assert_eq!(s.pending_deletes, 0);
-        assert_eq!(c.values(), &[10, 20, 30]);
-        assert_eq!(c.len(), 3);
-        assert!(c.check_invariant());
-        // settings survive: tracing still on, threshold still 2
-        c.select(Bound::Incl(15), Bound::Excl(25));
-        assert!(!c.take_events().is_empty(), "tracing preserved");
-    }
-
-    #[test]
     fn first_query_cracks() {
         let mut c = col();
         let s = c.select(Bound::Incl(5), Bound::Excl(12));
-        let mut vals: Vec<i64> = s.range.clone().map(|i| c.values()[i]).collect();
+        let mut vals: Vec<i64> = s.range.clone().map(|i| c.values[i]).collect();
         vals.sort_unstable();
         assert_eq!(vals, vec![6, 7, 8, 9, 11]);
         assert!(c.check_invariant());
@@ -429,7 +377,7 @@ mod tests {
         // result range is contiguous and rows map back to original values
         let orig = col();
         for &r in &s.rows {
-            let v = orig.values()[r as usize];
+            let v = orig.values[r as usize];
             assert!((5..12).contains(&v));
         }
     }
@@ -487,7 +435,7 @@ mod tests {
         assert!(c.check_invariant());
         let s3 = c.select(Bound::Incl(5), Bound::Excl(12));
         assert_eq!(s3.rows.len(), s2.rows.len());
-        assert_eq!(c.stats().pending_deletes, 0);
+        assert_eq!(c.dead_unpurged, 0);
     }
 
     #[test]
@@ -504,11 +452,12 @@ mod tests {
         for v in [10i64, 20, 30] {
             c.insert(v);
         }
-        let before = c.len();
+        let live = |c: &CrackerColumn<i64>| c.values.len() + c.pending.len() - c.dead_unpurged;
+        let before = live(&c);
         let s = c.select(Bound::Incl(100), Bound::Excl(200));
         assert!(c.check_invariant());
         assert_eq!(c.stats().pending_inserts, 0);
-        assert_eq!(c.len(), before);
+        assert_eq!(live(&c), before);
         // 100..200 originals (100..=199) minus none deleted in range, plus
         // inserts 150, 100
         assert_eq!(s.rows.len(), 100 + 2);

@@ -22,5 +22,5 @@
 pub mod cracker;
 pub mod sideways;
 
-pub use cracker::{Bound, CrackerColumn, CrackerStats, Selection};
+pub use cracker::{Bound, CrackerColumn};
 pub use sideways::CrackerMap;

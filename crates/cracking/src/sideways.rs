@@ -33,14 +33,6 @@ impl<K: Ord + Copy, V: Copy> CrackerMap<K, V> {
         }
     }
 
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
     pub fn pieces(&self) -> usize {
         self.index.len() + 1
     }
@@ -82,7 +74,7 @@ impl<K: Ord + Copy, V: Copy> CrackerMap<K, V> {
 
     /// `σ(lo <= key < hi) → vals`: the qualifying *values* as one
     /// contiguous slice — selection and projection in a single step.
-    pub fn select_project(&mut self, lo: K, hi: K) -> &[V] {
+    pub(crate) fn select_project(&mut self, lo: K, hi: K) -> &[V] {
         let start = self.crack((lo, false));
         let end = self.crack((hi, false)).max(start);
         &self.vals[start..end]
@@ -98,10 +90,10 @@ impl<K: Ord + Copy, V: Copy> CrackerMap<K, V> {
             .fold(0i64, |a, &v| a.wrapping_add(v.into()))
     }
 
-    /// Invariant check (tests only): every partition point splits keys
-    /// correctly and keys/vals stay aligned pairs of the original relation.
-    #[doc(hidden)]
-    pub fn check_invariant(&self, original: &[(K, V)]) -> bool
+    /// Invariant check: every partition point splits keys correctly and
+    /// keys/vals stay aligned pairs of the original relation.
+    #[cfg(test)]
+    fn check_invariant(&self, original: &[(K, V)]) -> bool
     where
         K: std::fmt::Debug + Ord,
         V: PartialEq + Ord + std::fmt::Debug,

@@ -35,8 +35,6 @@ enum Node<K: Ord + Copy + Debug> {
 #[derive(Debug)]
 pub struct BPlusTree<K: Ord + Copy + Debug> {
     root: Box<Node<K>>,
-    len: usize,
-    height: usize,
 }
 
 impl<K: Ord + Copy + Debug> BPlusTree<K> {
@@ -47,8 +45,6 @@ impl<K: Ord + Copy + Debug> BPlusTree<K> {
                 keys: Vec::new(),
                 positions: Vec::new(),
             }),
-            len: 0,
-            height: 1,
         }
     }
 
@@ -60,7 +56,7 @@ impl<K: Ord + Copy + Debug> BPlusTree<K> {
         if pairs.is_empty() {
             return Self::new();
         }
-        // Build the leaf level ~2/3 full so bulk-loaded trees accept inserts.
+        // Build the leaf level ~2/3 full, the room a B+-tree keeps for inserts.
         let per_leaf = (MAX_KEYS * 2 / 3).max(2);
         let mut level: Vec<(K, Box<Node<K>>)> = pairs
             .chunks(per_leaf)
@@ -70,7 +66,6 @@ impl<K: Ord + Copy + Debug> BPlusTree<K> {
                 (keys[0], Box::new(Node::Leaf { keys, positions }))
             })
             .collect();
-        let mut height = 1;
         while level.len() > 1 {
             let per_node = MAX_KEYS.max(2);
             level = level
@@ -83,25 +78,10 @@ impl<K: Ord + Copy + Debug> BPlusTree<K> {
                     (first_key, Box::new(Node::Internal { keys, children }))
                 })
                 .collect();
-            height += 1;
         }
         BPlusTree {
             root: level.pop().unwrap().1,
-            len: pairs.len(),
-            height,
         }
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    pub fn height(&self) -> usize {
-        self.height
     }
 
     /// First position stored under `key`, if any.
@@ -117,100 +97,6 @@ impl<K: Ord + Copy + Debug> BPlusTree<K> {
                     let idx = keys.partition_point(|&k| k < key);
                     return (idx < keys.len() && keys[idx] == key).then(|| positions[idx]);
                 }
-            }
-        }
-    }
-
-    /// All positions with `lo <= key <= hi`, in key order.
-    pub fn range(&self, lo: K, hi: K) -> Vec<u64> {
-        let mut out = Vec::new();
-        if lo <= hi {
-            Self::collect_range(&self.root, lo, hi, &mut out);
-        }
-        out
-    }
-
-    fn collect_range(node: &Node<K>, lo: K, hi: K, out: &mut Vec<u64>) {
-        match node {
-            Node::Internal { keys, children } => {
-                // `k < lo` (not `<=`): a leaf split can leave duplicates of
-                // the separator key in the left sibling.
-                let from = keys.partition_point(|&k| k < lo);
-                let to = keys.partition_point(|&k| k <= hi);
-                for child in &children[from..=to] {
-                    Self::collect_range(child, lo, hi, out);
-                }
-            }
-            Node::Leaf { keys, positions } => {
-                let from = keys.partition_point(|&k| k < lo);
-                let to = keys.partition_point(|&k| k <= hi);
-                out.extend_from_slice(&positions[from..to]);
-            }
-        }
-    }
-
-    /// Insert a `(key, position)` pair, splitting nodes as needed.
-    pub fn insert(&mut self, key: K, position: u64) {
-        if let Some((sep, right)) = Self::insert_rec(&mut self.root, key, position) {
-            // the root split: grow the tree by one level
-            let old_root = std::mem::replace(
-                &mut self.root,
-                Box::new(Node::Leaf {
-                    keys: Vec::new(),
-                    positions: Vec::new(),
-                }),
-            );
-            *self.root = Node::Internal {
-                keys: vec![sep],
-                children: vec![old_root, right],
-            };
-            self.height += 1;
-        }
-        self.len += 1;
-    }
-
-    /// Returns `Some((separator, new right sibling))` when the node split.
-    fn insert_rec(node: &mut Node<K>, key: K, position: u64) -> Option<(K, Box<Node<K>>)> {
-        match node {
-            Node::Leaf { keys, positions } => {
-                let idx = keys.partition_point(|&k| k <= key);
-                keys.insert(idx, key);
-                positions.insert(idx, position);
-                if keys.len() <= MAX_KEYS {
-                    return None;
-                }
-                let mid = keys.len() / 2;
-                let rk = keys.split_off(mid);
-                let rp = positions.split_off(mid);
-                let sep = rk[0];
-                Some((
-                    sep,
-                    Box::new(Node::Leaf {
-                        keys: rk,
-                        positions: rp,
-                    }),
-                ))
-            }
-            Node::Internal { keys, children } => {
-                let idx = keys.partition_point(|&k| k <= key);
-                let split = Self::insert_rec(&mut children[idx], key, position)?;
-                keys.insert(idx, split.0);
-                children.insert(idx + 1, split.1);
-                if keys.len() <= MAX_KEYS {
-                    return None;
-                }
-                let mid = keys.len() / 2;
-                let sep = keys[mid];
-                let rk = keys.split_off(mid + 1);
-                keys.pop(); // sep moves up
-                let rc = children.split_off(mid + 1);
-                Some((
-                    sep,
-                    Box::new(Node::Internal {
-                        keys: rk,
-                        children: rc,
-                    }),
-                ))
             }
         }
     }
@@ -246,8 +132,6 @@ mod tests {
     fn bulk_load_and_get() {
         let pairs: Vec<(i64, u64)> = (0..1000).map(|i| (i * 2, i as u64)).collect();
         let t = BPlusTree::bulk_load(&pairs);
-        assert_eq!(t.len(), 1000);
-        assert!(t.height() >= 3);
         for i in 0..1000i64 {
             assert_eq!(t.get(i * 2), Some(i as u64), "key {}", i * 2);
             assert_eq!(t.get(i * 2 + 1), None);
@@ -263,71 +147,7 @@ mod tests {
         assert_eq!(t.get(4), None);
     }
 
-    #[test]
-    fn range_scan() {
-        let pairs: Vec<(i64, u64)> = (0..100).map(|i| (i, i as u64)).collect();
-        let t = BPlusTree::bulk_load(&pairs);
-        assert_eq!(t.range(10, 15), vec![10, 11, 12, 13, 14, 15]);
-        assert_eq!(t.range(-5, 1), vec![0, 1]);
-        assert_eq!(t.range(98, 200), vec![98, 99]);
-        assert_eq!(t.range(50, 49), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn inserts_split_up_to_root() {
-        let mut t = BPlusTree::new();
-        for i in 0..500i64 {
-            t.insert(i, i as u64 * 10);
-        }
-        assert_eq!(t.len(), 500);
-        assert!(t.height() > 2);
-        for i in 0..500i64 {
-            assert_eq!(t.get(i), Some(i as u64 * 10));
-        }
-    }
-
-    #[test]
-    fn duplicate_keys_in_range() {
-        let mut t = BPlusTree::new();
-        for _ in 0..20 {
-            t.insert(7i64, 1);
-        }
-        t.insert(8, 2);
-        assert_eq!(t.range(7, 7).len(), 20);
-        assert_eq!(t.get(8), Some(2));
-    }
-
-    #[test]
-    fn reverse_insert_order() {
-        let mut t = BPlusTree::new();
-        for i in (0..200i64).rev() {
-            t.insert(i, i as u64);
-        }
-        for i in 0..200i64 {
-            assert_eq!(t.get(i), Some(i as u64));
-        }
-        assert_eq!(t.range(0, 199).len(), 200);
-    }
-
     proptest! {
-        #[test]
-        fn prop_matches_btreemap(mut keys in proptest::collection::vec(-1000i64..1000, 1..300)) {
-            use std::collections::BTreeMap;
-            let mut t = BPlusTree::new();
-            let mut m: BTreeMap<i64, u64> = BTreeMap::new();
-            for (i, &k) in keys.iter().enumerate() {
-                t.insert(k, i as u64);
-                m.entry(k).or_insert(i as u64); // first insert wins is not
-                // guaranteed by our tree; check membership only below.
-            }
-            for &k in keys.iter() {
-                prop_assert!(t.get(k).is_some());
-            }
-            prop_assert_eq!(t.get(5000), None);
-            // range over everything returns every inserted pair
-            keys.sort_unstable();
-            prop_assert_eq!(t.range(-1000, 1000).len(), keys.len());
-        }
 
         #[test]
         fn prop_bulk_load_equals_inserts(keys in proptest::collection::vec(0i64..500, 1..200)) {
@@ -338,7 +158,6 @@ mod tests {
             for &(k, _) in &sorted {
                 prop_assert!(bulk.get(k).is_some());
             }
-            prop_assert_eq!(bulk.range(0, 500).len(), sorted.len());
         }
     }
 }

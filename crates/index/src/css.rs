@@ -87,26 +87,8 @@ impl<K: Ord + Copy + Debug> CssTree<K> {
         CssTree { levels, seps, keys }
     }
 
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// Internal levels in the tree (0 when a single group suffices).
-    pub fn height(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// Bytes used by the internal nodes (the space win vs a B+-tree).
-    pub fn internal_bytes(&self) -> usize {
-        self.seps.len() * std::mem::size_of::<K>()
-    }
-
     /// Position of the first key `>= key` (lower bound), or `len()`.
-    pub fn lower_bound(&self, key: K) -> usize {
+    pub(crate) fn lower_bound(&self, key: K) -> usize {
         let n = self.keys.len();
         if n == 0 {
             return 0;
@@ -136,16 +118,6 @@ impl<K: Ord + Copy + Debug> CssTree<K> {
         let p = self.lower_bound(key);
         (p < self.keys.len() && self.keys[p] == key).then_some(p)
     }
-
-    /// All keys in `[lo, hi]` as a contiguous position range.
-    pub fn range(&self, lo: K, hi: K) -> std::ops::Range<usize> {
-        let from = self.lower_bound(lo);
-        let mut to = self.lower_bound(hi);
-        while to < self.keys.len() && self.keys[to] == hi {
-            to += 1;
-        }
-        from..to.max(from)
-    }
 }
 
 #[cfg(test)]
@@ -163,14 +135,14 @@ mod tests {
         assert_eq!(t.get(5), Some(0));
         assert_eq!(t.get(4), None);
         assert_eq!(t.lower_bound(9), 1);
-        assert_eq!(t.height(), 0);
+        assert_eq!(t.levels.len(), 0);
     }
 
     #[test]
     fn exact_and_missing_lookups() {
         let keys: Vec<i64> = (0..10_000).map(|i| i * 3).collect();
         let t = CssTree::build(keys.clone());
-        assert!(t.height() >= 2);
+        assert!(t.levels.len() >= 2);
         for i in (0..10_000).step_by(97) {
             assert_eq!(t.get(i * 3), Some(i as usize), "key {}", i * 3);
             assert_eq!(t.get(i * 3 + 1), None);
@@ -190,37 +162,10 @@ mod tests {
     }
 
     #[test]
-    fn range_returns_contiguous_positions() {
-        let keys: Vec<i64> = vec![1, 3, 3, 3, 7, 9, 9, 12];
-        let t = CssTree::build(keys);
-        assert_eq!(t.range(3, 9), 1..7);
-        assert_eq!(t.range(4, 6), 4..4);
-        assert_eq!(t.range(0, 100), 0..8);
-    }
-
-    #[test]
-    fn internal_structure_is_compact() {
-        let keys: Vec<i32> = (0..100_000).collect();
-        let data_bytes = keys.len() * 4;
-        let t = CssTree::build(keys);
-        // pointer-free separators cost a small fraction of the data:
-        // ~ n/FANOUT keys of overhead per level.
-        assert!(
-            t.internal_bytes() < data_bytes / 8,
-            "internal {} vs data {}",
-            t.internal_bytes(),
-            data_bytes
-        );
-        assert!(t.get(99_999).is_some());
-        assert!(t.get(0).is_some());
-    }
-
-    #[test]
     fn all_equal_keys() {
         let t = CssTree::build(vec![4i64; 1000]);
         assert_eq!(t.lower_bound(4), 0);
         assert_eq!(t.get(4), Some(0));
-        assert_eq!(t.range(4, 4), 0..1000);
         assert_eq!(t.lower_bound(5), 1000);
     }
 

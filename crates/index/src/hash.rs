@@ -109,20 +109,6 @@ impl<H: KeyHasher> HashTable<H> {
         }
     }
 
-    /// Number of buckets allocated.
-    pub fn bucket_count(&self) -> usize {
-        self.nbuckets
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.next.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.next.is_empty()
-    }
-
     /// Iterate the chain of positions whose key hashes like `key`
     /// (candidates — the caller must re-check equality on the build column).
     #[inline]
@@ -136,18 +122,13 @@ impl<H: KeyHasher> HashTable<H> {
 
     /// Convenience: positions where `keys[pos] == key` exactly, for u64 key
     /// columns.
-    pub fn lookup<'a>(&'a self, keys: &'a [u64], key: u64) -> impl Iterator<Item = usize> + 'a {
+    #[cfg(test)]
+    pub(crate) fn lookup<'a>(
+        &'a self,
+        keys: &'a [u64],
+        key: u64,
+    ) -> impl Iterator<Item = usize> + 'a {
         self.candidates(key).filter(move |&p| keys[p] == key)
-    }
-
-    /// Average chain length over non-empty buckets (diagnostics).
-    pub fn avg_chain_len(&self) -> f64 {
-        let used = self.buckets.iter().filter(|&&b| b != EMPTY).count();
-        if used == 0 {
-            0.0
-        } else {
-            self.len() as f64 / used as f64
-        }
     }
 }
 
@@ -178,25 +159,6 @@ impl Iterator for Chain<'_> {
     }
 }
 
-/// Mix an i64 key into the u64 space the table expects.
-#[inline(always)]
-pub fn mix_i64(x: i64) -> u64 {
-    x as u64
-}
-
-/// Mix an i32 key.
-#[inline(always)]
-pub fn mix_i32(x: i32) -> u64 {
-    x as u32 as u64
-}
-
-/// Mix an f64 key by bit pattern (canonicalizing -0.0 to 0.0).
-#[inline(always)]
-pub fn mix_f64(x: f64) -> u64 {
-    let x = if x == 0.0 { 0.0 } else { x };
-    x.to_bits()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,20 +172,19 @@ mod tests {
         hits.sort_unstable();
         assert_eq!(hits, vec![0, 2, 4]);
         assert_eq!(t.lookup(&keys, 8).count(), 0);
-        assert_eq!(t.len(), 5);
+        assert_eq!(t.next.len(), 5);
     }
 
     #[test]
     fn empty_table() {
         let t = HashTable::build(&[]);
-        assert!(t.is_empty());
+        assert!(t.next.is_empty());
         assert_eq!(t.candidates(42).count(), 0);
     }
 
     #[test]
     fn modulo_hasher_uses_prime_buckets() {
         let t = HashTable::build_with(ModuloHasher, &[1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(t.bucket_count(), 11);
         let keys = [1u64, 2, 3, 4, 5, 6, 7, 8];
         for (i, &k) in keys.iter().enumerate() {
             assert_eq!(t.lookup(&keys, k).collect::<Vec<_>>(), vec![i]);
@@ -246,21 +207,6 @@ mod tests {
         assert_eq!(prime_at_least(10), 11);
         assert_eq!(prime_at_least(11), 11);
         assert_eq!(prime_at_least(12), 13);
-    }
-
-    #[test]
-    fn chain_len_diagnostic() {
-        let keys: Vec<u64> = (0..64).map(|_| 1).collect();
-        let t = HashTable::build(&keys);
-        assert_eq!(t.avg_chain_len(), 64.0); // all collide on purpose
-    }
-
-    #[test]
-    fn mixers() {
-        assert_eq!(mix_i32(-1), 0xFFFF_FFFF);
-        assert_eq!(mix_i64(-1), u64::MAX);
-        assert_eq!(mix_f64(0.0), mix_f64(-0.0));
-        assert_ne!(mix_f64(1.0), mix_f64(2.0));
     }
 
     proptest! {

@@ -9,7 +9,7 @@ use std::fmt::Debug;
 
 /// Min/max of one block of rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Zone<K> {
+pub(crate) struct Zone<K> {
     pub min: K,
     pub max: K,
 }
@@ -18,8 +18,6 @@ pub struct Zone<K> {
 #[derive(Debug, Clone)]
 pub struct ZoneMap<K: Ord + Copy + Debug> {
     zones: Vec<Zone<K>>,
-    block_rows: usize,
-    rows: usize,
 }
 
 impl<K: Ord + Copy + Debug> ZoneMap<K> {
@@ -42,41 +40,7 @@ impl<K: Ord + Copy + Debug> ZoneMap<K> {
                 Zone { min, max }
             })
             .collect();
-        ZoneMap {
-            zones,
-            block_rows,
-            rows: data.len(),
-        }
-    }
-
-    pub fn zone_count(&self) -> usize {
-        self.zones.len()
-    }
-
-    pub fn block_rows(&self) -> usize {
-        self.block_rows
-    }
-
-    /// Row ranges of blocks that may contain keys in `[lo, hi]`.
-    pub fn candidate_ranges(&self, lo: K, hi: K) -> Vec<std::ops::Range<usize>> {
-        let mut out = Vec::new();
-        for (i, z) in self.zones.iter().enumerate() {
-            if z.max < lo || z.min > hi {
-                continue;
-            }
-            let start = i * self.block_rows;
-            let end = ((i + 1) * self.block_rows).min(self.rows);
-            // merge adjacent ranges
-            if let Some(last) = out.last_mut() {
-                let last: &mut std::ops::Range<usize> = last;
-                if last.end == start {
-                    last.end = end;
-                    continue;
-                }
-            }
-            out.push(start..end);
-        }
-        out
+        ZoneMap { zones }
     }
 
     /// Global `[min, max]` over the whole column, folded from the zones.
@@ -96,60 +60,11 @@ impl<K: Ord + Copy + Debug> ZoneMap<K> {
         }
         Some((min, max))
     }
-
-    /// Fraction of blocks pruned for `[lo, hi]` (selectivity diagnostic).
-    pub fn pruning_ratio(&self, lo: K, hi: K) -> f64 {
-        if self.zones.is_empty() {
-            return 0.0;
-        }
-        let kept: usize = self
-            .zones
-            .iter()
-            .filter(|z| !(z.max < lo || z.min > hi))
-            .count();
-        1.0 - kept as f64 / self.zones.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn builds_zones() {
-        let data: Vec<i64> = (0..100).collect();
-        let zm = ZoneMap::build(&data, 10);
-        assert_eq!(zm.zone_count(), 10);
-        assert_eq!(zm.block_rows(), 10);
-    }
-
-    #[test]
-    fn sorted_data_prunes_hard() {
-        let data: Vec<i64> = (0..1000).collect();
-        let zm = ZoneMap::build(&data, 100);
-        let ranges = zm.candidate_ranges(250, 260);
-        assert_eq!(ranges, vec![200..300]);
-        assert!(zm.pruning_ratio(250, 260) >= 0.9);
-    }
-
-    #[test]
-    fn random_data_prunes_little() {
-        // values straddle every block: nothing can be pruned
-        let data: Vec<i64> = (0..1000).map(|i| (i * 7919) % 1000).collect();
-        let zm = ZoneMap::build(&data, 100);
-        assert_eq!(zm.pruning_ratio(400, 600), 0.0);
-        // merged into one big range
-        assert_eq!(zm.candidate_ranges(400, 600), vec![0..1000]);
-    }
-
-    #[test]
-    fn tail_block_is_partial() {
-        let data: Vec<i64> = (0..95).collect();
-        let zm = ZoneMap::build(&data, 10);
-        assert_eq!(zm.zone_count(), 10);
-        let r = zm.candidate_ranges(90, 200);
-        assert_eq!(r, vec![90..95]);
-    }
 
     #[test]
     fn bounds_fold_all_zones() {
@@ -158,33 +73,5 @@ mod tests {
         assert_eq!(zm.bounds(), Some((1, 9)));
         let empty = ZoneMap::build(&[] as &[i64], 4);
         assert_eq!(empty.bounds(), None);
-    }
-
-    #[test]
-    fn no_candidates_outside_domain() {
-        let data = vec![5i64, 6, 7];
-        let zm = ZoneMap::build(&data, 2);
-        assert!(zm.candidate_ranges(100, 200).is_empty());
-        assert_eq!(zm.pruning_ratio(100, 200), 1.0);
-    }
-
-    #[test]
-    fn correctness_no_false_negatives() {
-        let data: Vec<i64> = (0..500).map(|i| (i * 31) % 97).collect();
-        let zm = ZoneMap::build(&data, 64);
-        let (lo, hi) = (20, 25);
-        let candidates = zm.candidate_ranges(lo, hi);
-        let expect: Vec<usize> = data
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v >= lo && v <= hi)
-            .map(|(i, _)| i)
-            .collect();
-        for i in expect {
-            assert!(
-                candidates.iter().any(|r| r.contains(&i)),
-                "row {i} lost by pruning"
-            );
-        }
     }
 }

@@ -14,12 +14,12 @@ use crate::program::{Arg, Program, VarId};
 pub struct Liveness {
     /// Per variable: the index of the last instruction that reads it
     /// (`None` for variables never read).
-    pub last_use: Vec<Option<usize>>,
+    pub(crate) last_use: Vec<Option<usize>>,
     /// Per instruction: variables whose lifetime ends once it has executed
     /// — arguments read for the last time, plus results never read at all.
-    pub dies_at: Vec<Vec<VarId>>,
+    pub(crate) dies_at: Vec<Vec<VarId>>,
     /// Per instruction: number of variables still live after it executes.
-    pub live_after: Vec<usize>,
+    pub(crate) live_after: Vec<usize>,
     /// Maximum number of simultaneously live variables at any point
     /// (counted after an instruction binds its results, before its dead
     /// operands are released).

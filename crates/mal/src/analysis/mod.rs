@@ -18,8 +18,11 @@ pub mod verify;
 
 pub use liveness::{analyze as analyze_liveness, Liveness};
 pub use props::{
-    analyze_with_catalog as analyze_props, analyze_with_facts as analyze_props_with_facts,
-    bound_column_facts, check_bat, check_props_enabled, column_facts, column_facts_with_zonemaps,
-    column_props, Analysis, ColumnFacts as PropFacts, Props, PropsError, CHECK_PROPS_ENV,
+    analyze_with_catalog as analyze_props, bound_column_facts, check_props_enabled, column_facts,
+    column_facts_with_zonemaps, column_props, Props, CHECK_PROPS_ENV,
 };
-pub use verify::{lint, verify, verify_with_catalog, Lint, VarTy, VerifyError, VerifyErrorKind};
+pub(crate) use props::{
+    analyze_with_facts as analyze_props_with_facts, check_bat, Analysis, ColumnFacts as PropFacts,
+};
+pub(crate) use verify::VerifyError;
+pub use verify::{lint, verify, verify_with_catalog, VerifyErrorKind};

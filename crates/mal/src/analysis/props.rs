@@ -10,7 +10,7 @@
 //!
 //! Soundness contract: every fact claimed must hold for the BAT the
 //! interpreter actually materializes for that variable. The runtime
-//! checker (`MAMMOTH_CHECK_PROPS`, see [`check_bat`]) turns any breach
+//! checker (`MAMMOTH_CHECK_PROPS`, see `check_bat`) turns any breach
 //! into a hard error, in both the serial and the dataflow engine.
 //!
 //! The analysis is total: malformed programs degrade to `Top` rather than
@@ -72,7 +72,7 @@ impl Props {
     }
 
     /// An exact cardinality `[n, n]`.
-    pub fn with_card(mut self, n: u64) -> Props {
+    pub(crate) fn with_card(mut self, n: u64) -> Props {
         self.card_lo = n;
         self.card_hi = Some(n);
         self
@@ -130,7 +130,7 @@ impl fmt::Display for Props {
 /// fragments — the mitosis lineage, so `mat.pack` of a complete fragment
 /// group can restore the parent's facts exactly.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BatFacts {
+pub(crate) struct BatFacts {
     pub props: Props,
     /// Void-head seqbase when statically known.
     pub seqbase: Option<u64>,
@@ -196,12 +196,13 @@ impl ColumnFacts {
         ColumnFacts::default()
     }
 
-    /// Record (or replace) the facts of `table.column`, its type unknown.
-    pub fn insert(&mut self, table: &str, column: &str, props: Props) {
-        self.record(table, column, props, None);
-    }
-
-    fn record(&mut self, table: &str, column: &str, props: Props, ty: Option<LogicalType>) {
+    pub(crate) fn record(
+        &mut self,
+        table: &str,
+        column: &str,
+        props: Props,
+        ty: Option<LogicalType>,
+    ) {
         match self.tables.get_mut(table) {
             Some(columns) => columns.insert(column.to_string(), (props, ty)),
             None => self
@@ -224,14 +225,14 @@ impl ColumnFacts {
     /// The type of `table.column`, known when its facts came from a catalog
     /// ([`column_facts`], [`bound_column_facts`]) — a pass that emits
     /// type-specific code asks here and leaves alone what it cannot type.
-    pub fn type_of(&self, table: &str, column: &str) -> Option<LogicalType> {
+    pub(crate) fn type_of(&self, table: &str, column: &str) -> Option<LogicalType> {
         self.entry(table, column)?.1
     }
 }
 
 /// Compare two bound values; `None` when incomparable (nil, or mixed
 /// non-numeric types). Numeric values compare across widths.
-pub fn cmp_vals(a: &Value, b: &Value) -> Option<Ordering> {
+pub(crate) fn cmp_vals(a: &Value, b: &Value) -> Option<Ordering> {
     match (a, b) {
         (Value::Str(x), Value::Str(y)) => Some(x.cmp(y)),
         (Value::Oid(x), Value::Oid(y)) => Some(x.cmp(y)),
@@ -344,7 +345,7 @@ pub struct Analysis {
 
 impl Analysis {
     /// The inferred properties of BAT variable `v`, if it is one.
-    pub fn props_of(&self, v: VarId) -> Option<&Props> {
+    pub(crate) fn props_of(&self, v: VarId) -> Option<&Props> {
         match self.facts.get(v)? {
             Some(VarFacts::Bat(b)) => Some(&b.props),
             _ => None,
@@ -352,7 +353,7 @@ impl Analysis {
     }
 
     /// Full facts (props + seqbase) of BAT variable `v`.
-    pub fn bat_facts(&self, v: VarId) -> Option<&BatFacts> {
+    pub(crate) fn bat_facts(&self, v: VarId) -> Option<&BatFacts> {
         match self.facts.get(v)? {
             Some(VarFacts::Bat(b)) => Some(b),
             _ => None,
@@ -386,7 +387,10 @@ pub fn analyze_with_catalog(prog: &Program, catalog: &Catalog) -> Result<Analysi
 }
 
 /// The forward walk. `Err` only for unconfirmable `bat.setprops` claims.
-pub fn analyze_with_facts(prog: &Program, facts: &ColumnFacts) -> Result<Analysis, PropsError> {
+pub(crate) fn analyze_with_facts(
+    prog: &Program,
+    facts: &ColumnFacts,
+) -> Result<Analysis, PropsError> {
     let mut a = Analyzer {
         facts: vec![None; prog.nvars()],
         columns: facts,
@@ -1104,7 +1108,7 @@ struct CalcInterval {
 
 /// What an interval proof says a selection keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SelectVerdict {
+pub(crate) enum SelectVerdict {
     /// Every row qualifies (requires `nonil`: nil rows never qualify).
     All,
     /// No row qualifies.
@@ -1116,7 +1120,7 @@ pub enum SelectVerdict {
 /// selection's own, or a pipeline filter's); `Unknown` for any other
 /// opcode. Public so the optimizer passes prove their rewrites with the
 /// same logic the checker validates.
-pub fn select_verdict(b: &BatFacts, op: &OpCode, bounds: &[Arg]) -> SelectVerdict {
+pub(crate) fn select_verdict(b: &BatFacts, op: &OpCode, bounds: &[Arg]) -> SelectVerdict {
     match op {
         OpCode::ThetaSelect(op) => select_verdict_theta(b, bounds, *op),
         OpCode::RangeSelect { lo_incl, hi_incl } => {
@@ -1218,7 +1222,7 @@ fn select_verdict_range(
 
 /// The flag set a `bat.setprops` annotation may claim.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Claims {
+pub(crate) struct Claims {
     pub sorted: bool,
     pub revsorted: bool,
     pub key: bool,
@@ -1227,7 +1231,7 @@ pub struct Claims {
 
 /// Parse a `"sorted,nonil"`-style claim string; `None` on any unknown
 /// token (shared by the verifier, the analysis, and the interpreter).
-pub fn parse_claims(s: &str) -> Option<Claims> {
+pub(crate) fn parse_claims(s: &str) -> Option<Claims> {
     let mut c = Claims::default();
     for tok in s.split(',') {
         match tok.trim() {
@@ -1255,7 +1259,7 @@ pub fn check_props_enabled() -> bool {
 /// ([`Bat::computed_props`]) plus direct head/cardinality checks; the
 /// BAT's own runtime property flags are cross-checked too, so a
 /// mis-tagged runtime BAT fails even when the analysis claimed nothing.
-pub fn check_bat(props: &Props, bat: &Bat) -> Result<(), String> {
+pub(crate) fn check_bat(props: &Props, bat: &Bat) -> Result<(), String> {
     let n = bat.len() as u64;
     if n < props.card_lo {
         return Err(format!(

@@ -33,7 +33,7 @@ use std::fmt;
 
 /// What the verifier statically knows about one MAL variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VarTy {
+pub(crate) enum VarTy {
     /// A BAT; the tail type may be statically unknown (`None`).
     Bat(Option<LogicalType>),
     /// A scalar; the type may be statically unknown (`None`).

@@ -41,11 +41,10 @@ pub mod parser;
 pub mod program;
 
 pub use analysis::{
-    analyze_props, analyze_props_with_facts, bound_column_facts, check_bat, check_props_enabled,
-    column_facts, column_facts_with_zonemaps, column_props, Analysis, PropFacts, Props, PropsError,
-    CHECK_PROPS_ENV,
+    analyze_props, bound_column_facts, check_props_enabled, column_facts,
+    column_facts_with_zonemaps, column_props, Props, CHECK_PROPS_ENV,
 };
-pub use analysis::{verify, verify_with_catalog, Liveness, VerifyError, VerifyErrorKind};
+pub use analysis::{verify, verify_with_catalog, Liveness, VerifyErrorKind};
 pub use combine::{
     aggregate_combine, gather_combine, partial_column, shard_partials_table, shard_table_name,
     GatherColumn, PartialMerge,
@@ -53,14 +52,13 @@ pub use combine::{
 pub use frame::{ExecStats, Frame, StepCtx};
 pub use interp::{execute_instr, Interpreter, PlanExecutor};
 pub use mammoth_types::{EventKind, ProfiledRun, TraceEvent, TRACE_ENV};
-pub use mitosis::{bound_column_types, column_types, ColumnTypes, Mergetable, Mitosis};
+pub use mitosis::{bound_column_types, column_types, Mergetable, Mitosis};
 pub use optimizer::{
     default_pipeline, default_pipeline_with_props, parallel_pipeline, parallel_pipeline_with_props,
-    CommonSubexpr, ConstantFold, DeadCode, FusePipeline, GarbageCollect, OptimizerPass, PassError,
-    Pipeline, SelectElimination, SharedAnalysis, SortedSelect,
+    CommonSubexpr, ConstantFold, DeadCode, FusePipeline, GarbageCollect, OptimizerPass, Pipeline,
+    SortedSelect,
 };
 pub use parser::parse_program;
 pub use program::{
-    Arg, FilterTest, Instr, MalValue, OpCode, PipelineFilter, PipelineOut, PipelineSink,
-    PipelineSpec, Program, SelectArgs, VarId,
+    Arg, Instr, MalValue, OpCode, PipelineOut, PipelineSink, PipelineSpec, Program, VarId,
 };

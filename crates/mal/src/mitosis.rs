@@ -51,7 +51,7 @@ use std::collections::HashMap;
 /// Column types keyed by `(table, column)`, used by
 /// [`Mergetable`] to keep float sums serial. Snapshot with
 /// [`column_types`].
-pub type ColumnTypes = HashMap<(String, String), LogicalType>;
+pub(crate) type ColumnTypes = HashMap<(String, String), LogicalType>;
 
 /// Snapshot the catalog's column types for [`Mergetable::with_types`].
 pub fn column_types(catalog: &Catalog) -> ColumnTypes {
@@ -147,7 +147,7 @@ pub enum Kind {
 
 /// Which selection a fragment group is row-aligned with.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Lineage {
+pub(crate) enum Lineage {
     /// The base rows of a table: all bind fragments of one table share it.
     Table(String),
     /// The candidate group born at this instruction index.
@@ -186,10 +186,6 @@ pub struct Mergetable {
 }
 
 impl Mergetable {
-    pub fn new() -> Mergetable {
-        Mergetable::default()
-    }
-
     /// Knowing column types lets the pass merge integer sums with
     /// `mat.packsum` while keeping f64 sums serial.
     pub fn with_types(types: ColumnTypes) -> Mergetable {
@@ -851,6 +847,6 @@ mod tests {
         assert_eq!(Mitosis::new(1).run(p.clone()), p);
         let gc = GarbageCollect.run(p);
         assert_eq!(Mitosis::new(4).run(gc.clone()), gc);
-        assert_eq!(Mergetable::new().run(gc.clone()), gc);
+        assert_eq!(Mergetable::default().run(gc.clone()), gc);
     }
 }

@@ -55,7 +55,7 @@ pub trait OptimizerPass: Send + Sync {
 
     /// [`OptimizerPass::run`] as one step of a pipeline run. A pass that
     /// reads the property analysis takes it from `shared`; a pass that
-    /// changes the plan says so with [`SharedAnalysis::plan_changed`]. The
+    /// changes the plan says so with `SharedAnalysis::plan_changed`. The
     /// default knows nothing about what `run` did, so it reports a change.
     fn run_with(&self, prog: Program, shared: &mut SharedAnalysis) -> Program {
         shared.plan_changed();
@@ -91,7 +91,7 @@ impl SharedAnalysis {
     }
 
     /// The plan is no longer the one the analysis walked.
-    pub fn plan_changed(&mut self) {
+    pub(crate) fn plan_changed(&mut self) {
         self.current = None;
     }
 
@@ -160,13 +160,8 @@ impl Pipeline {
         self
     }
 
-    /// Whether verification is active (always in debug builds).
-    pub fn is_checked(&self) -> bool {
-        self.checked || cfg!(debug_assertions)
-    }
-
-    /// Run all passes. When [`Pipeline::is_checked`], an ill-formed result
-    /// is an error naming the pass that produced it.
+    /// Run all passes. In a debug build, or when [`Pipeline::checked`], an
+    /// ill-formed result is an error naming the pass that produced it.
     pub fn try_optimize(&self, prog: Program) -> Result<Program, Box<PassError>> {
         let verify = if cfg!(debug_assertions) {
             Verify::EachPass
@@ -217,10 +212,6 @@ impl Pipeline {
     /// Run all passes; panics if a checked pass miscompiles the plan.
     pub fn optimize(&self, prog: Program) -> Program {
         self.try_optimize(prog).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
     }
 }
 
@@ -638,7 +629,7 @@ fn released_after<'a>(lv: &'a analysis::Liveness, idx: usize, op: &OpCode) -> &'
 /// * every non-nil predicate constant must coerce losslessly into the
 ///   column's value type — otherwise the select would raise a type error
 ///   at runtime, and eliminating it would mask that error.
-pub struct SelectElimination {
+pub(crate) struct SelectElimination {
     facts: Arc<PropFacts>,
 }
 
@@ -807,7 +798,7 @@ pub struct SortedSelect {
 }
 
 impl SortedSelect {
-    /// See [`SelectElimination::new`] on sharing `facts`.
+    /// See `SelectElimination::new` on sharing `facts`.
     pub fn new(facts: impl Into<Arc<PropFacts>>) -> SortedSelect {
         SortedSelect {
             facts: facts.into(),
@@ -1136,6 +1127,10 @@ mod tests {
         assert_eq!(pl.run_verifying(p, Verify::OnExit).unwrap(), plain);
     }
 
+    fn pass_names(pl: &Pipeline) -> Vec<&'static str> {
+        pl.passes.iter().map(|p| p.name()).collect()
+    }
+
     /// The four constructors are views of one pass list, and `benchmark/`
     /// and `tests/compile_budget.rs` replay two of them: what each runs is
     /// pinned here.
@@ -1144,7 +1139,7 @@ mod tests {
         let facts = PropFacts::default;
         let types = ColumnTypes::new;
         assert_eq!(
-            default_pipeline_with_props(facts()).pass_names(),
+            pass_names(&default_pipeline_with_props(facts())),
             [
                 "constant_fold",
                 "common_subexpression",
@@ -1155,7 +1150,7 @@ mod tests {
             ]
         );
         assert_eq!(
-            parallel_pipeline(4, types()).pass_names(),
+            pass_names(&parallel_pipeline(4, types())),
             [
                 "constant_fold",
                 "common_subexpression",
@@ -1166,7 +1161,7 @@ mod tests {
             ]
         );
         assert_eq!(
-            parallel_pipeline_with_props(4, types(), facts()).pass_names(),
+            pass_names(&parallel_pipeline_with_props(4, types(), facts())),
             [
                 "constant_fold",
                 "common_subexpression",
@@ -1189,7 +1184,7 @@ mod tests {
     fn default_pipeline_composes() {
         let pl = default_pipeline();
         assert_eq!(
-            pl.pass_names(),
+            pass_names(&pl),
             vec!["constant_fold", "common_subexpression", "dead_code"]
         );
         let mut p = Program::new();

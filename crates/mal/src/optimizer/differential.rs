@@ -114,7 +114,7 @@ fn corpus() -> Vec<Case> {
         (sorted.min, sorted.max) = (Some(Value::I64(0)), Some(Value::I64(99)));
         let (mut dense, mut types) = (PropFacts::new(), ColumnTypes::new());
         for (t, c) in prog.bound_columns() {
-            dense.insert(t, c, sorted.clone());
+            dense.record(t, c, sorted.clone(), None);
             types.insert((t.to_string(), c.to_string()), LogicalType::I64);
         }
         for (label, facts) in [("no facts", PropFacts::new()), ("sorted facts", dense)] {

@@ -65,7 +65,7 @@ pub struct FusePipeline {
 
 impl FusePipeline {
     /// `facts` name the types of the bound columns; see
-    /// [`super::SelectElimination::new`] on sharing them.
+    /// `super::SelectElimination::new` on sharing them.
     pub fn new(facts: impl Into<Arc<PropFacts>>) -> FusePipeline {
         FusePipeline {
             facts: facts.into(),

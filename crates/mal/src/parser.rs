@@ -461,7 +461,7 @@ mod tests {
         assert_eq!(p.instrs.len(), 5);
         assert_eq!(p.instrs[0].op, OpCode::Bind);
         assert!(matches!(p.instrs[1].op, OpCode::ThetaSelect(CmpOp::Eq)));
-        assert_eq!(p.outputs().len(), 1);
+        assert_eq!(p.instrs[4].op, OpCode::Result);
     }
 
     #[test]

@@ -178,7 +178,7 @@ pub enum FilterTest {
 
 impl PipelineFilter {
     /// Bound arguments the filter takes.
-    pub fn nbounds(&self) -> usize {
+    pub(crate) fn nbounds(&self) -> usize {
         match self.test {
             FilterTest::Theta(_) => 1,
             FilterTest::Range { .. } => 2,
@@ -234,7 +234,7 @@ impl PipelineSpec {
 
     /// Whether the results are columns of rows of the table (rather than
     /// aggregates over them).
-    pub fn emits_columns(&self) -> bool {
+    pub(crate) fn emits_columns(&self) -> bool {
         matches!(self.outs.first(), Some(PipelineOut::Col(_)))
     }
 
@@ -542,7 +542,7 @@ impl OpCode {
     }
 
     /// Number of results the instruction binds.
-    pub fn result_arity(&self) -> usize {
+    pub(crate) fn result_arity(&self) -> usize {
         match self {
             OpCode::Pipeline(spec) => spec.outs.len(),
             op => op.sig().0.results.len(),
@@ -557,7 +557,7 @@ impl OpCode {
 
     /// Instructions without side effects whose unused results may be
     /// removed, and whose results are recyclable.
-    pub fn is_pure(&self) -> bool {
+    pub(crate) fn is_pure(&self) -> bool {
         !matches!(self, OpCode::Result | OpCode::Free)
     }
 }
@@ -640,7 +640,7 @@ impl Instr {
 
     /// The argument list in the program's textual form (`x3, 1927`) — the
     /// profiler records this per event so traces read like the plan.
-    pub fn render_args(&self) -> String {
+    pub(crate) fn render_args(&self) -> String {
         let mut out = String::new();
         for (k, a) in self.args.iter().enumerate() {
             if k > 0 {
@@ -778,20 +778,6 @@ impl Program {
                 _ => None,
             })
     }
-
-    /// The variables marked as outputs.
-    pub fn outputs(&self) -> Vec<VarId> {
-        self.instrs
-            .iter()
-            .filter(|i| i.op == OpCode::Result)
-            .flat_map(|i| {
-                i.args.iter().filter_map(|a| match a {
-                    Arg::Var(v) => Some(*v),
-                    Arg::Const(_) | Arg::Param(_) => None,
-                })
-            })
-            .collect()
-    }
 }
 
 impl fmt::Display for Program {
@@ -848,7 +834,6 @@ mod tests {
         assert!(text.contains("x0 := sql.bind(\"people\", \"age\");"));
         assert!(text.contains("x1 := algebra.thetaselect[==](x0, 1927);"));
         assert!(text.contains("io.result(x1);"));
-        assert_eq!(p.outputs(), vec![c]);
     }
 
     #[test]

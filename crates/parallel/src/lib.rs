@@ -268,10 +268,6 @@ impl ParallelExecutor {
             threads: resolve_threads(threads),
         }
     }
-
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
 }
 
 impl PlanExecutor for ParallelExecutor {
@@ -461,7 +457,7 @@ mod tests {
         let prog = scan_select_sum();
         let serial = Interpreter::new(&cat).run(&prog).unwrap();
         let ex = ParallelExecutor::new(3);
-        assert_eq!(ex.threads(), 3);
+        assert_eq!(ex.threads, 3);
         assert_eq!(ex.engine_name(), "dataflow");
         let out = ex.run_plan(&cat, &prog).unwrap();
         assert_eq!(out[0].as_scalar(), serial[0].as_scalar());

@@ -92,14 +92,6 @@ impl PlanCache {
         self.map.clear();
     }
 
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     pub fn hits(&self) -> u64 {
         self.hits
     }
@@ -220,7 +212,7 @@ mod tests {
             ..premise.clone()
         };
         assert!(cache.lookup("k", |_, _| Some(drifted.clone())).is_none());
-        assert!(cache.is_empty(), "stale entry must be evicted");
+        assert!(cache.map.is_empty(), "stale entry must be evicted");
         // unknown key: plain miss
         assert!(cache.lookup("nope", |_, _| None).is_none());
     }

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 /// Default selectivity for a range predicate whose bound is unknown
 /// (a `?N` parameter, or no histogram).
-pub const DEFAULT_RANGE_SELECTIVITY: f64 = 1.0 / 3.0;
+pub(crate) const DEFAULT_RANGE_SELECTIVITY: f64 = 1.0 / 3.0;
 
 /// Target rows per mitosis fragment: fragments smaller than this lose
 /// more to per-piece overhead than they gain from parallelism.

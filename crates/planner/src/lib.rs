@@ -29,4 +29,4 @@ pub mod stats;
 
 pub use cache::{bind_program, referenced_columns, CachedPlan, PlanCache};
 pub use cost::{choose_pieces, estimate_program, selectivity, InstrEstimate};
-pub use stats::{ColumnStats, Histogram, StatsCatalog, TableStats};
+pub use stats::{ColumnStats, Histogram, StatsCatalog};

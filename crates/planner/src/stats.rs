@@ -31,7 +31,7 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Default number of equi-depth histogram buckets.
-pub const HISTOGRAM_BUCKETS: usize = 64;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 64;
 
 /// An equi-depth histogram over the f64 projection of a numeric column.
 ///
@@ -140,7 +140,7 @@ impl Histogram {
 
     /// Estimated fraction of values `<= x` (linear interpolation inside
     /// the covering bucket).
-    pub fn cdf(&self, x: f64) -> f64 {
+    pub(crate) fn cdf(&self, x: f64) -> f64 {
         if self.total == 0 {
             return 0.0;
         }
@@ -176,7 +176,7 @@ pub struct ColumnStats {
     pub nulls: u64,
     /// Distinct-value estimate (linear-counting sketch; exact while the
     /// sketch is sparse).
-    pub ndv: u64,
+    pub(crate) ndv: u64,
     pub min: Option<Value>,
     pub max: Option<Value>,
     pub histogram: Option<Histogram>,
@@ -420,7 +420,7 @@ impl ColumnStats {
     }
 
     /// Distinct values, never reported as 0 for a non-empty column.
-    pub fn ndv_clamped(&self) -> u64 {
+    pub(crate) fn ndv_clamped(&self) -> u64 {
         self.ndv
             .clamp(1, (self.rows - self.nulls.min(self.rows)).max(1))
     }
@@ -431,19 +431,9 @@ impl ColumnStats {
 pub struct TableStats {
     /// Live rows now (incrementally maintained).
     pub rows: u64,
-    /// Live rows when the per-column stats were last (re)built — the
-    /// baseline the drift test compares against.
-    pub rows_at_build: u64,
+    /// Live rows when the per-column stats were last (re)built.
+    pub(crate) rows_at_build: u64,
     pub columns: HashMap<String, ColumnStats>,
-}
-
-impl TableStats {
-    /// Relative drift since the last rebuild: `|rows - rows_at_build|`
-    /// over the baseline.
-    pub fn drift(&self) -> f64 {
-        let base = self.rows_at_build.max(1) as f64;
-        (self.rows as f64 - self.rows_at_build as f64).abs() / base
-    }
 }
 
 /// Per-table statistics for every table of a catalog.
@@ -1039,13 +1029,12 @@ mod tests {
     }
 
     #[test]
-    fn drift_measures_relative_change() {
+    fn an_insert_folds_into_rows_and_bounds() {
         let mut sc = StatsCatalog::new();
         sc.rebuild_table(
             "t",
             vec![("a".into(), ColumnStats::build_native(&[1i64, 2]))],
         );
-        assert_eq!(sc.table("t").unwrap().drift(), 0.0);
         let schema = TableSchema::new(
             "t",
             vec![mammoth_types::ColumnDef::new("a", LogicalType::I64)],
@@ -1053,7 +1042,6 @@ mod tests {
         sc.on_insert(&schema, &[Value::I64(3), Value::I64(4)]);
         assert_eq!(sc.column("t", "a").unwrap().max, Some(Value::I64(4)));
         assert_eq!(sc.table("t").unwrap().rows, 4);
-        assert_eq!(sc.table("t").unwrap().drift(), 1.0);
     }
 
     #[test]

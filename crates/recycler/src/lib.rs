@@ -154,14 +154,6 @@ impl Recycler {
         &self.stats
     }
 
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Exact-match lookup by instruction signature.
     pub fn lookup(&mut self, sig: &str) -> Option<Arc<Bat>> {
         self.clock += 1;
@@ -307,13 +299,6 @@ impl Recycler {
         self.stats.invalidations += dropped as u64;
         self.stats.resident_bytes = self.resident();
         self.trace(EventKind::RecyclerInvalidate, column, dropped as u64, 0);
-    }
-
-    /// Wipe everything.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.ranges.clear();
-        self.stats.resident_bytes = 0;
     }
 
     fn resident(&self) -> usize {
@@ -739,14 +724,5 @@ mod tests {
         );
         assert_eq!(base_columns(&p.instrs[0], &[]), ["t.a"]);
         assert_eq!(base_columns(&p.instrs[1], &[vec!["t.a".into()]]), ["t.a"]);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut r = Recycler::new(1 << 20, EvictPolicy::Lru);
-        r.admit("x", bat(4), vec![], 1);
-        r.clear();
-        assert!(r.is_empty());
-        assert_eq!(r.stats().resident_bytes, 0);
     }
 }

@@ -41,5 +41,5 @@
 pub mod applier;
 pub mod replica;
 
-pub use applier::{Applier, BatchOutcome};
-pub use replica::{Replica, ReplicaConfig, ReplicaStatus};
+pub use applier::Applier;
+pub use replica::{Replica, ReplicaConfig};

@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 #[derive(Clone)]
 pub struct ReplicaConfig {
     /// The primary's `host:port`.
-    pub primary_addr: String,
+    pub(crate) primary_addr: String,
     /// Local mirror directory (created if missing).
     pub data: PathBuf,
     /// The disk `data` and `primary_data` are on.
@@ -92,7 +92,7 @@ pub struct ReplicaStatus {
     /// Local WAL bytes staged (the next poll's resume offset).
     pub local_offset: u64,
     /// The primary's WAL length at the last `CaughtUp`.
-    pub primary_offset: u64,
+    pub(crate) primary_offset: u64,
     pub lag_bytes: u64,
     pub caught_up: bool,
     /// Committed statement groups applied to the serving session.

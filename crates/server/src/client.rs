@@ -81,7 +81,7 @@ pub enum Response {
 /// **poisoned** and refuses further requests: after such a failure the
 /// stream may be desynchronized (e.g. half a frame consumed), and reusing
 /// it would misattribute the next response. Callers observe the typed
-/// poison error (or check [`Client::is_poisoned`]) and reconnect.
+/// poison error and reconnect.
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
@@ -174,17 +174,6 @@ impl Client {
         policy: &RetryPolicy,
     ) -> Result<Client, ClientError> {
         policy.run(retryable, |_| Client::connect(addr, name, token))
-    }
-
-    /// The protocol version negotiated at connect time.
-    pub fn protocol_version(&self) -> u16 {
-        self.negotiated
-    }
-
-    /// Whether a transport failure has desynchronized this connection.
-    /// A poisoned client refuses further requests; reconnect instead.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
     }
 
     /// Send one request, unless the connection cannot carry it: the verb

@@ -15,14 +15,14 @@
 //!
 //! The payload's first byte is a message tag (see [`crate::protocol`]);
 //! the rest is written in [`mammoth_types::codec`], the byte codec the WAL
-//! and the checkpoint images use too. Frames above [`MAX_FRAME`] are rejected before allocation — a client
+//! and the checkpoint images use too. Frames above `MAX_FRAME` are rejected before allocation — a client
 //! cannot make the server allocate gigabytes with an 8-byte header.
 
 use mammoth_types::{framing, Result};
 use std::io::{Read, Write};
 
 /// Sanity cap on one frame's payload, either direction.
-pub const MAX_FRAME: usize = 16 << 20;
+pub(crate) const MAX_FRAME: usize = 16 << 20;
 
 /// Write one frame (header + payload) with a single `write_all`.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {

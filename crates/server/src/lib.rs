@@ -39,8 +39,8 @@ pub use listener::{Handler, Listener};
 pub use protocol::{
     ClientMsg, ErrorCode, ServerMsg, MIN_PROTO_VERSION, PROTO_VERSION, SERVER_NAME,
 };
-pub use server::{Server, ServerConfig, StatsSnapshot};
-pub use shared::{ExecError, SessionSpec, SharedSession, Storage};
+pub use server::{Server, ServerConfig};
+pub use shared::{SessionSpec, SharedSession, Storage};
 
 #[cfg(test)]
 mod tests {
@@ -198,7 +198,6 @@ mod tests {
             ..ServerConfig::default()
         });
         let mut c = Client::connect(&addr, "writer", "").unwrap();
-        assert_eq!(c.protocol_version(), PROTO_VERSION);
         c.query("CREATE TABLE t (a INT)").unwrap();
         c.query("INSERT INTO t VALUES (1), (2)").unwrap();
         // No checkpoint has run, and a (0,0) subscriber is tailing the
@@ -372,13 +371,11 @@ mod tests {
             s.flush().unwrap();
         });
         let mut c = Client::connect(&addr, "x", "").unwrap();
-        assert!(!c.is_poisoned());
         let err = c.query("SELECT 1").unwrap_err();
         assert!(
             !matches!(err, ClientError::Server { .. }),
             "expected a transport failure, got {err:?}"
         );
-        assert!(c.is_poisoned());
         match c.query("SELECT 1") {
             Err(ClientError::Protocol(m)) => {
                 assert!(m.contains("poisoned"), "refusal should say why: {m}")
@@ -414,7 +411,6 @@ mod tests {
         use mammoth_types::Value;
         let (srv, addr) = start(ServerConfig::default());
         let mut c = Client::connect(&addr, "prep", "").unwrap();
-        assert_eq!(c.protocol_version(), PROTO_VERSION);
         c.query("CREATE TABLE t (a INT, s TEXT)").unwrap();
         c.query("INSERT INTO t VALUES (1, 'one'), (2, 'two'), (3, 'three')")
             .unwrap();
@@ -527,10 +523,7 @@ mod tests {
 
     #[test]
     fn poisoned_statement_reported_and_survivable() {
-        let (srv, addr) = start(ServerConfig {
-            test_panics: true,
-            ..ServerConfig::default()
-        });
+        let (srv, addr) = start(ServerConfig::default());
         let mut c = Client::connect(&addr, "x", "").unwrap();
         c.query("CREATE TABLE t (a INT)").unwrap();
         assert!(matches!(

@@ -186,7 +186,7 @@ impl<H: Handler> Listener<H> {
     }
 
     /// Connections accepted and connections shed with `SERVER_BUSY`.
-    pub fn admission_counts(&self) -> (u64, u64) {
+    pub(crate) fn admission_counts(&self) -> (u64, u64) {
         (
             self.core.accepted.load(Ordering::Relaxed),
             self.core.shed.load(Ordering::Relaxed),
@@ -196,11 +196,6 @@ impl<H: Handler> Listener<H> {
     /// Flip the drain flag; returns immediately. Idempotent.
     pub fn request_shutdown(&self) {
         self.core.request_shutdown();
-    }
-
-    /// Whether a shutdown has been requested (locally or by a client).
-    pub fn shutdown_requested(&self) -> bool {
-        self.core.draining()
     }
 
     /// Block until some client sends `Shutdown` (or a local

@@ -94,7 +94,7 @@ impl ErrorCode {
         }
     }
 
-    pub fn from_u16(x: u16) -> Result<ErrorCode> {
+    pub(crate) fn from_u16(x: u16) -> Result<ErrorCode> {
         Ok(match x {
             1 => ErrorCode::Sql,
             2 => ErrorCode::ServerBusy,
@@ -471,7 +471,7 @@ impl ServerMsg {
 
     /// Rows this response carries or reports affected — what a
     /// `server.statement` trace event records as `rows_out`.
-    pub fn result_rows(&self) -> u64 {
+    pub(crate) fn result_rows(&self) -> u64 {
         match self {
             ServerMsg::Table { rows, .. } | ServerMsg::FragmentResult { rows, .. } => {
                 rows.len() as u64

@@ -44,8 +44,6 @@ pub struct ServerConfig {
     /// Whether a client `Shutdown` message is honored (mammoth-cli's
     /// `SHUTDOWN`); servers embedded in tests may refuse it.
     pub allow_remote_shutdown: bool,
-    /// Honor the `__PANIC__` statement (poison-recovery tests only).
-    pub test_panics: bool,
     /// Serve reads only: mutating statements are refused with
     /// [`ErrorCode::ReadOnly`]. Replicas run this way — their catalog is
     /// written by the replication applier, never by clients — and the
@@ -54,7 +52,8 @@ pub struct ServerConfig {
     pub read_only: bool,
     /// Invoked when a client sends the `PROMOTE` statement. A replica
     /// installs a handler that kicks off its in-place promotion (and the
-    /// server later leaves read-only mode via [`Server::set_read_only`]);
+    /// server later leaves read-only mode through
+    /// [`Server::read_only_switch`]);
     /// servers without one refuse `PROMOTE` with a protocol error. The
     /// handler must return promptly — promotion itself runs elsewhere.
     pub promote_handler: Option<Arc<dyn Fn() + Send + Sync>>,
@@ -71,7 +70,6 @@ impl Default for ServerConfig {
             stmt_timeout: Some(Duration::from_secs(10)),
             auth_token: None,
             allow_remote_shutdown: true,
-            test_panics: false,
             read_only: false,
             promote_handler: None,
             spec: SessionSpec::in_memory(),
@@ -117,10 +115,7 @@ impl Server {
     /// Bind, spin up the acceptor and worker pool, and return immediately.
     pub fn start(cfg: ServerConfig) -> Result<Server> {
         let listener = Listener::start(&cfg, || {
-            let mut shared = SharedSession::new(cfg.spec.clone(), cfg.stmt_timeout)?;
-            if cfg.test_panics {
-                shared = shared.enable_test_panics();
-            }
+            let shared = SharedSession::new(cfg.spec.clone(), cfg.stmt_timeout)?;
             Ok(Engine {
                 shared: Arc::new(shared),
                 read_only: Arc::new(AtomicBool::new(cfg.read_only)),
@@ -177,15 +172,8 @@ impl Server {
     }
 
     /// Whether mutating statements are currently refused.
-    pub fn is_read_only(&self) -> bool {
+    pub(crate) fn is_read_only(&self) -> bool {
         self.engine().read_only.load(Ordering::SeqCst)
-    }
-
-    /// Flip the read-only gate at runtime. Promotion calls this *after*
-    /// the serving session has been rebuilt over the recovered state, so
-    /// no write can sneak in against the pre-promotion catalog.
-    pub fn set_read_only(&self, read_only: bool) {
-        self.engine().read_only.store(read_only, Ordering::SeqCst);
     }
 
     /// A clonable handle to the runtime read-only switch, for promotion
@@ -197,11 +185,6 @@ impl Server {
     /// Flip the drain flag; returns immediately. Idempotent.
     pub fn request_shutdown(&self) {
         self.listener.request_shutdown();
-    }
-
-    /// Whether a shutdown has been requested (locally or by a client).
-    pub fn shutdown_requested(&self) -> bool {
-        self.listener.shutdown_requested()
     }
 
     /// Block until some client sends `Shutdown` (or a local

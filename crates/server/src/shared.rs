@@ -160,9 +160,6 @@ pub struct SharedSession {
     cv: Condvar,
     spec: SessionSpec,
     stmt_timeout: Option<Duration>,
-    /// Honor the `__PANIC__` test statement (fault injection for the
-    /// poison-recovery tests; never enabled by default).
-    test_panics: bool,
 }
 
 impl SharedSession {
@@ -180,14 +177,7 @@ impl SharedSession {
             cv: Condvar::new(),
             spec,
             stmt_timeout,
-            test_panics: false,
         })
-    }
-
-    /// Enable the `__PANIC__` statement (tests only).
-    pub fn enable_test_panics(mut self) -> SharedSession {
-        self.test_panics = true;
-        self
     }
 
     /// How many times the session has been rebuilt after a panic.
@@ -278,10 +268,17 @@ impl SharedSession {
     }
 
     /// What text that is not a statement comes to: `err`, the parser's
-    /// verdict on it — except that, with test panics enabled, `__PANIC__`
-    /// is the statement that panics holding the session.
-    pub fn unparsed(&self, sql: &str, err: Error) -> std::result::Result<QueryOutput, ExecError> {
-        if self.test_panics && sql.trim() == "__PANIC__" {
+    /// verdict on it — except that, in this crate's own test build,
+    /// `__PANIC__` is the statement that panics holding the session (the
+    /// poison-recovery tests' fault injection).
+    #[cfg_attr(not(test), allow(unused_variables))]
+    pub(crate) fn unparsed(
+        &self,
+        sql: &str,
+        err: Error,
+    ) -> std::result::Result<QueryOutput, ExecError> {
+        #[cfg(test)]
+        if sql.trim() == "__PANIC__" {
             return self.exclusive(|_| panic!("test-injected statement panic"));
         }
         Err(ExecError::Engine(err))
@@ -396,9 +393,7 @@ mod tests {
     use std::sync::Barrier;
 
     fn shared() -> Arc<SharedSession> {
-        let s = SharedSession::new(SessionSpec::in_memory(), Some(Duration::from_secs(5)))
-            .unwrap()
-            .enable_test_panics();
+        let s = SharedSession::new(SessionSpec::in_memory(), Some(Duration::from_secs(5))).unwrap();
         s.execute("CREATE TABLE t (a INT)").unwrap();
         s.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
         Arc::new(s)
@@ -510,9 +505,7 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let s = SharedSession::new(SessionSpec::durable(&dir), None)
-            .unwrap()
-            .enable_test_panics();
+        let s = SharedSession::new(SessionSpec::durable(&dir), None).unwrap();
         s.execute("CREATE TABLE t (a INT)").unwrap();
         s.execute("INSERT INTO t VALUES (10), (20)").unwrap();
         assert!(matches!(

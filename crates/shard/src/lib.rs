@@ -37,4 +37,4 @@ pub mod partition;
 
 pub use coordinator::{CoordError, Coordinator, CoordinatorConfig};
 pub use front::{FrontConfig, FrontEnd, COORDINATOR_NAME};
-pub use partition::{hash_value, shard_of, PartitionMap, PartitionSpec};
+pub use partition::{shard_of, PartitionMap};

@@ -22,7 +22,7 @@ use mammoth_types::{fnv1a, Error, Result, TableSchema, Value, FNV_OFFSET};
 /// Each type class gets a tag byte so `Str("")` and `Null` cannot collide
 /// structurally; integers normalise to `i64` little-endian so the two
 /// integer widths route identically.
-pub fn hash_value(v: &Value) -> u64 {
+pub(crate) fn hash_value(v: &Value) -> u64 {
     let tagged = |tag: u8, bytes: &[u8]| fnv1a(fnv1a(FNV_OFFSET, &[tag]), bytes);
     match v {
         Value::Null => tagged(0, &[]),
@@ -77,7 +77,7 @@ impl PartitionMap {
     }
 
     /// Forget a dropped table.
-    pub fn remove_table(&mut self, name: &str) {
+    pub(crate) fn remove_table(&mut self, name: &str) {
         self.specs.remove(name);
     }
 

@@ -74,7 +74,7 @@ impl Scalar {
     }
 
     /// [`Scalar::bind`] by move: a literal is taken, not copied.
-    pub fn into_bound(self, args: &[Value]) -> Result<Value> {
+    pub(crate) fn into_bound(self, args: &[Value]) -> Result<Value> {
         match self {
             Scalar::Lit(v) => Ok(v),
             param => param.bind(args),

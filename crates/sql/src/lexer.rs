@@ -1,6 +1,6 @@
 //! SQL tokenizer.
 //!
-//! **Tokens borrow the source.** A [`Token`] is `Copy` and holds spans of
+//! **Tokens borrow the source.** A `Token` is `Copy` and holds spans of
 //! the statement text, never a copy of it: an identifier is its span as
 //! written (keywords are matched against it without folding; the parser
 //! folds a name to ASCII lowercase once, when it takes it as an owned
@@ -14,7 +14,7 @@ use mammoth_types::{Error, Result};
 
 /// SQL tokens, borrowing the source they were lexed from.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Token<'a> {
+pub(crate) enum Token<'a> {
     /// An identifier or keyword, as written (not folded).
     Ident(&'a str),
     Int(i64),
@@ -40,14 +40,14 @@ pub enum Token<'a> {
 
 impl Token<'_> {
     /// Keyword check: `kw` in either case against an identifier as written.
-    pub fn is_kw(&self, kw: &str) -> bool {
+    pub(crate) fn is_kw(&self, kw: &str) -> bool {
         matches!(self, Token::Ident(s) if s.eq_ignore_ascii_case(kw))
     }
 }
 
 /// A string literal's value from its [`Token::Str`] parts: one `String`,
 /// with `''` undone.
-pub fn unquote(raw: &str, escaped: bool) -> String {
+pub(crate) fn unquote(raw: &str, escaped: bool) -> String {
     if escaped {
         raw.replace("''", "'")
     } else {
@@ -55,7 +55,7 @@ pub fn unquote(raw: &str, escaped: bool) -> String {
     }
 }
 
-pub struct SqlLexer<'a> {
+pub(crate) struct SqlLexer<'a> {
     src: &'a str,
     pos: usize,
 }

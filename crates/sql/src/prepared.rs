@@ -27,7 +27,7 @@ pub struct PreparedStmt {
 impl PreparedStmt {
     /// The statement, if it is a SELECT, with the key its plan is cached
     /// under.
-    pub fn cached_select(&self) -> Option<(&SelectStmt, &str)> {
+    pub(crate) fn cached_select(&self) -> Option<(&SelectStmt, &str)> {
         match (&self.stmt, &self.plan_key) {
             (Statement::Select(sel), Some(key)) => Some((sel, key)),
             _ => None,

@@ -166,7 +166,7 @@ impl Bat {
     }
 
     /// Append one dynamic value, keeping a void head dense.
-    pub fn append_value(&mut self, v: &Value) -> Result<()> {
+    pub(crate) fn append_value(&mut self, v: &Value) -> Result<()> {
         self.extend_values(std::slice::from_ref(v).iter())
     }
 
@@ -174,7 +174,7 @@ impl Bat {
     /// ([`TailHeap::extend_values`]), keeping a void head dense. On error
     /// the values before the failing one stay appended, head and tail
     /// aligned.
-    pub fn extend_values<'a>(
+    pub(crate) fn extend_values<'a>(
         &mut self,
         vals: impl ExactSizeIterator<Item = &'a Value>,
     ) -> Result<()> {
@@ -243,13 +243,6 @@ impl Bat {
                 b
             }
         }
-    }
-
-    /// `reverse(b)`: swap head and tail. The tail must be oid-typed.
-    pub fn reverse(&self) -> Result<Bat> {
-        let tail_oids = self.tail_slice::<Oid>()?.to_vec();
-        let head_oids: Vec<Oid> = (0..self.len()).map(|i| self.oid_at(i)).collect();
-        Bat::with_head(tail_oids, TailHeap::from_vec(head_oids))
     }
 
     /// Scan the tail and (re)derive all properties. O(n); used when an
@@ -426,19 +419,12 @@ mod tests {
     }
 
     #[test]
-    fn mirror_and_reverse() {
+    fn mirror_pairs_each_oid_with_itself() {
         let b = Bat::dense(5, TailHeap::from_vec(vec![10i32, 20]));
         let m = b.mirror();
         assert_eq!(m.tail_slice::<Oid>().unwrap(), &[5, 6]);
         assert_eq!(m.oid_at(0), 5);
         assert!(m.props().key && m.props().sorted);
-
-        let oids = Bat::dense(0, TailHeap::from_vec(vec![42u64 as Oid, 17]));
-        let r = oids.reverse().unwrap();
-        assert_eq!(r.oid_at(0), 42);
-        assert_eq!(r.tail_slice::<Oid>().unwrap(), &[0, 1]);
-        // reverse of non-oid tail fails
-        assert!(b.reverse().is_err());
     }
 
     #[test]

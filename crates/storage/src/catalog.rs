@@ -278,8 +278,6 @@ impl Table {
 #[derive(Debug, Default)]
 pub struct Catalog {
     tables: BTreeMap<String, Table>,
-    /// Free-standing named BATs (join indices, MAL scratch objects).
-    bats: BTreeMap<String, Bat>,
 }
 
 /// The catalog's key for `name`: ASCII-lowercased — borrowed when it
@@ -348,23 +346,6 @@ impl Catalog {
 
     pub fn table_names(&self) -> impl Iterator<Item = &str> {
         self.tables.keys().map(|s| s.as_str())
-    }
-
-    pub fn register_bat(&mut self, name: &str, bat: Bat) {
-        self.bats.insert(norm(name).into_owned(), bat);
-    }
-
-    pub fn bat(&self, name: &str) -> Result<&Bat> {
-        self.bats
-            .get(norm(name).as_ref())
-            .ok_or_else(|| Error::NotFound {
-                kind: "bat",
-                name: name.to_string(),
-            })
-    }
-
-    pub fn unregister_bat(&mut self, name: &str) -> Option<Bat> {
-        self.bats.remove(norm(name).as_ref())
     }
 
     /// Every table compacted (see [`TableImage`]), in name order. Nothing
@@ -533,16 +514,6 @@ mod tests {
         assert!(c.create_table(people()).is_err());
         assert!(c.drop_table("People").is_ok());
         assert!(c.table("people").is_err());
-    }
-
-    #[test]
-    fn named_bats() {
-        let mut c = Catalog::new();
-        c.register_bat("idx_people_age", Bat::from_vec(vec![1i32]));
-        assert!(c.bat("IDX_people_age").is_ok());
-        assert!(c.bat("missing").is_err());
-        assert!(c.unregister_bat("idx_people_age").is_some());
-        assert!(c.bat("idx_people_age").is_err());
     }
 
     #[test]

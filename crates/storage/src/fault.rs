@@ -79,7 +79,7 @@ pub trait Vfs: Send + Sync {
 /// Make the directory entry of `path` durable: fsync the directory that
 /// holds it. A bare relative name's entry lives in `.` (`Path::parent`
 /// gives `""` there); `/` has no entry.
-pub fn sync_entry(fs: &dyn Vfs, path: &Path) -> Result<()> {
+pub(crate) fn sync_entry(fs: &dyn Vfs, path: &Path) -> Result<()> {
     match path.parent() {
         Some(dir) if dir.as_os_str().is_empty() => fs.sync_dir(Path::new(".")),
         Some(dir) => fs.sync_dir(dir),

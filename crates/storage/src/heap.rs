@@ -179,17 +179,6 @@ impl TailHeap {
         }
     }
 
-    /// Checked dynamic read.
-    pub fn try_value(&self, i: usize) -> Result<Value> {
-        if i >= self.len() {
-            return Err(Error::OutOfRange {
-                index: i as u64,
-                len: self.len() as u64,
-            });
-        }
-        Ok(self.value(i))
-    }
-
     /// Dynamic append of one value with coercion.
     pub fn push_value(&mut self, v: &Value) -> Result<()> {
         self.extend_values(std::slice::from_ref(v).iter())
@@ -198,7 +187,7 @@ impl TailHeap {
     /// Append a column of dynamic values with coercion: one typed loop for
     /// the whole column. Stops at the first value the column cannot hold,
     /// the ones before it appended.
-    pub fn extend_values<'a>(
+    pub(crate) fn extend_values<'a>(
         &mut self,
         vals: impl ExactSizeIterator<Item = &'a Value>,
     ) -> Result<()> {
@@ -288,7 +277,11 @@ impl TailHeap {
     /// Append the rows of `other` that `runs` name (ascending, in range),
     /// run by run: a slice copy per run for fixed-width types, offsets and
     /// first-seen payloads for strings. Errors on type mismatch.
-    pub fn extend_from_runs(&mut self, other: &TailHeap, runs: &[Range<usize>]) -> Result<()> {
+    pub(crate) fn extend_from_runs(
+        &mut self,
+        other: &TailHeap,
+        runs: &[Range<usize>],
+    ) -> Result<()> {
         fn copy<T: Copy>(out: &mut Vec<T>, src: &[T], runs: &[Range<usize>]) {
             for r in runs {
                 out.extend_from_slice(&src[r.clone()]);
@@ -399,16 +392,6 @@ mod tests {
         assert_eq!(a.as_slice::<i32>(), Some(&[1, 2, 3][..]));
         let c = TailHeap::from_vec(vec![1i64]);
         assert!(a.extend_from(&c).is_err());
-    }
-
-    #[test]
-    fn try_value_bounds() {
-        let h = TailHeap::from_vec(vec![1i32]);
-        assert!(h.try_value(0).is_ok());
-        assert!(matches!(
-            h.try_value(5),
-            Err(Error::OutOfRange { index: 5, len: 1 })
-        ));
     }
 
     #[test]

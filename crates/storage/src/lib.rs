@@ -42,14 +42,10 @@ pub mod wal;
 pub use bat::{Bat, HeadColumn};
 pub use catalog::{Catalog, Table, TableImage};
 pub use delta::{ColumnView, DeletionSet, Snapshot, VersionedColumn};
-pub use fault::{
-    create_dir_durable, sync_entry, FaultFs, FaultKind, FaultPlan, MemFs, RealFs, Vfs,
-};
+pub use fault::{create_dir_durable, FaultFs, FaultKind, FaultPlan, MemFs, RealFs, Vfs};
 pub use heap::{FixedTail, TailHeap};
-pub use persist::{
-    checkpoint_catalog, checkpoint_image_with, read_sidecar, recover, recover_vfs, Recovered,
-};
+pub use persist::{checkpoint_catalog, checkpoint_image_with, read_sidecar, recover, recover_vfs};
 pub use properties::Properties;
 pub use ship::{durable_tip, export_image, read_wal_range, Tip};
 pub use strheap::StrHeap;
-pub use wal::{Wal, WalCursor, WalRecord, WalReplay};
+pub use wal::{Wal, WalCursor, WalRecord};

@@ -8,7 +8,7 @@
 //!
 //! ## Integrity
 //!
-//! Files written through [`save_bat_vfs`]/[`checkpoint_catalog`] are
+//! Files written through `save_bat_vfs`/[`checkpoint_catalog`] are
 //! *sealed*: the serialized payload is wrapped in
 //! `"MCRC1\n" || crc32(payload) || payload` so that any truncation or bit
 //! flip of a stored image is detected as [`Error::Corrupt`] instead of
@@ -52,9 +52,9 @@ const CATALOG_MAGIC: &[u8; 6] = b"MCAT1\n";
 const SEAL_MAGIC: &[u8; 6] = b"MCRC1\n";
 
 /// Name of the commit-point file in a durable root directory.
-pub const CURRENT_FILE: &str = "CURRENT";
+pub(crate) const CURRENT_FILE: &str = "CURRENT";
 /// Name of the manifest file inside a checkpoint directory.
-pub const MANIFEST_FILE: &str = "catalog.mmth";
+pub(crate) const MANIFEST_FILE: &str = "catalog.mmth";
 
 /// Checkpoint directory name for generation `g`.
 pub fn checkpoint_dir_name(g: u64) -> String {
@@ -97,7 +97,7 @@ fn unseal(buf: &[u8]) -> Result<&[u8]> {
 }
 
 /// Serialize a BAT into `out`.
-pub fn write_bat(bat: &Bat, out: &mut Vec<u8>) {
+pub(crate) fn write_bat(bat: &Bat, out: &mut Vec<u8>) {
     out.extend_from_slice(BAT_MAGIC);
     put_ty(bat.ty(), out);
     // properties: a conservative bitmask (min/max are recomputed on demand)
@@ -130,7 +130,7 @@ pub fn write_bat(bat: &Bat, out: &mut Vec<u8>) {
 }
 
 /// Deserialize a BAT; returns the BAT and bytes consumed.
-pub fn read_bat(buf: &[u8]) -> Result<(Bat, usize)> {
+pub(crate) fn read_bat(buf: &[u8]) -> Result<(Bat, usize)> {
     let mut r = Reader::new(buf);
     if r.bytes(BAT_MAGIC.len()).ok() != Some(&BAT_MAGIC[..]) {
         return Err(Error::Corrupt("bad BAT magic".into()));
@@ -168,14 +168,14 @@ pub fn read_bat(buf: &[u8]) -> Result<(Bat, usize)> {
 }
 
 /// Save one BAT to a file (sealed) through a [`Vfs`].
-pub fn save_bat_vfs(fs: &dyn Vfs, bat: &Bat, path: &Path) -> Result<()> {
+pub(crate) fn save_bat_vfs(fs: &dyn Vfs, bat: &Bat, path: &Path) -> Result<()> {
     let mut buf = Vec::with_capacity(bat.tail().byte_size() + 64);
     write_bat(bat, &mut buf);
     fs.write_file(path, &seal(&buf))
 }
 
 /// Load one BAT from a file (sealed or legacy raw image).
-pub fn load_bat_vfs(fs: &dyn Vfs, path: &Path) -> Result<Bat> {
+pub(crate) fn load_bat_vfs(fs: &dyn Vfs, path: &Path) -> Result<Bat> {
     let buf = fs.read(path)?;
     let payload = unseal(&buf)?;
     let (bat, used) = read_bat(payload)?;
@@ -188,7 +188,7 @@ pub fn load_bat_vfs(fs: &dyn Vfs, path: &Path) -> Result<Bat> {
 /// Persist a catalog image into `dir` (created if missing) through a
 /// [`Vfs`]: one sealed, fsync'd `.bat` file per compacted column plus the
 /// manifest naming them.
-pub fn save_image_vfs(fs: &dyn Vfs, image: &[TableImage], dir: &Path) -> Result<()> {
+pub(crate) fn save_image_vfs(fs: &dyn Vfs, image: &[TableImage], dir: &Path) -> Result<()> {
     fs.create_dir_all(dir)?;
     let mut manifest = CATALOG_MAGIC.to_vec();
     put_u32(image.len() as u32, &mut manifest);
@@ -210,7 +210,7 @@ pub fn save_image_vfs(fs: &dyn Vfs, image: &[TableImage], dir: &Path) -> Result<
 }
 
 /// Load a catalog image written by [`save_image_vfs`] through a [`Vfs`].
-pub fn load_catalog_vfs(fs: &dyn Vfs, dir: &Path) -> Result<Catalog> {
+pub(crate) fn load_catalog_vfs(fs: &dyn Vfs, dir: &Path) -> Result<Catalog> {
     let raw = fs.read(&dir.join(MANIFEST_FILE))?;
     let mut r = Reader::new(unseal(&raw)?);
     if r.bytes(CATALOG_MAGIC.len()).ok() != Some(&CATALOG_MAGIC[..]) {

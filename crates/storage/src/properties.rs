@@ -54,20 +54,6 @@ impl Properties {
             max: None,
         }
     }
-
-    /// Merge with properties of rows appended after this BAT's rows.
-    /// Sortedness only survives if the boundary respects the order, which
-    /// the caller asserts via `boundary_ok`.
-    pub fn after_append(&self, appended: &Properties, boundary_ok: bool) -> Properties {
-        Properties {
-            sorted: self.sorted && appended.sorted && boundary_ok,
-            revsorted: false,
-            key: false, // uniqueness across the boundary is not checked
-            nonil: self.nonil && appended.nonil,
-            min: None,
-            max: None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -93,20 +79,5 @@ mod tests {
         let f = p.after_filter();
         assert!(f.sorted && f.key && f.nonil);
         assert_eq!(f.min, None);
-    }
-
-    #[test]
-    fn append_needs_boundary() {
-        let a = Properties {
-            sorted: true,
-            ..Properties::empty()
-        };
-        let b = Properties {
-            sorted: true,
-            ..Properties::empty()
-        };
-        assert!(a.after_append(&b, true).sorted);
-        assert!(!a.after_append(&b, false).sorted);
-        assert!(!a.after_append(&b, true).key);
     }
 }

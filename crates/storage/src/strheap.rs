@@ -13,7 +13,7 @@ use std::collections::hash_map::{Entry, HashMap};
 use std::ops::Range;
 
 /// Offset value representing the nil string.
-pub const STR_NIL_OFFSET: u64 = u64::MAX;
+pub(crate) const STR_NIL_OFFSET: u64 = u64::MAX;
 
 /// A deduplicating variable-width string heap.
 #[derive(Debug, Clone, Default)]
@@ -73,13 +73,8 @@ impl StrHeap {
         self.offsets.is_empty()
     }
 
-    /// Number of distinct non-nil strings stored in the blob.
-    pub fn distinct_count(&self) -> usize {
-        self.distinct
-    }
-
     /// Total bytes used by the blob (for storage accounting).
-    pub fn blob_bytes(&self) -> usize {
+    pub(crate) fn blob_bytes(&self) -> usize {
         self.blob.len()
     }
 
@@ -91,7 +86,7 @@ impl StrHeap {
     }
 
     /// Append a NULL entry. Returns its row index.
-    pub fn push_nil(&mut self) -> usize {
+    pub(crate) fn push_nil(&mut self) -> usize {
         self.offsets.push(STR_NIL_OFFSET);
         self.offsets.len() - 1
     }
@@ -141,17 +136,6 @@ impl StrHeap {
         self.offsets[i]
     }
 
-    /// Checked variant of [`StrHeap::get`].
-    pub fn try_get(&self, i: usize) -> Result<Option<&str>> {
-        if i >= self.len() {
-            return Err(Error::OutOfRange {
-                index: i as u64,
-                len: self.len() as u64,
-            });
-        }
-        Ok(self.get(i))
-    }
-
     /// Iterate rows as `Option<&str>`.
     pub fn iter(&self) -> impl Iterator<Item = Option<&str>> + '_ {
         (0..self.len()).map(move |i| self.get(i))
@@ -173,11 +157,6 @@ impl StrHeap {
         out
     }
 
-    /// Append all rows of `other`.
-    pub fn extend_from(&mut self, other: &StrHeap) {
-        self.extend_from_runs(other, std::slice::from_ref(&(0..other.len())));
-    }
-
     /// Append the rows of `src` that `runs` name (ascending, in range).
     ///
     /// Rows are copied by offset: a table from `src` blob offsets to offsets
@@ -185,7 +164,7 @@ impl StrHeap {
     /// is first seen, and every other row costs one lookup. Payloads land in
     /// first-seen order, so the result is the heap that pushing the same
     /// strings one by one would have built, byte for byte.
-    pub fn extend_from_runs(&mut self, src: &StrHeap, runs: &[Range<usize>]) {
+    pub(crate) fn extend_from_runs(&mut self, src: &StrHeap, runs: &[Range<usize>]) {
         let whole = matches!(runs, [all] if *all == (0..src.len()));
         if whole && self.offsets.is_empty() && self.blob.is_empty() {
             // the whole of `src` into an empty heap: its blob already is
@@ -216,14 +195,14 @@ impl StrHeap {
     /// Serialize: the offsets, then the blob, in the byte codec's shapes.
     /// The dedup table is rebuilt on load (it is an in-memory acceleration
     /// structure only).
-    pub fn write_to(&self, out: &mut Vec<u8>) {
+    pub(crate) fn write_to(&self, out: &mut Vec<u8>) {
         codec::put_fixed(&self.offsets, out);
         codec::put_u64(self.blob.len() as u64, out);
         out.extend_from_slice(&self.blob);
     }
 
     /// Deserialize what [`StrHeap::write_to`] wrote.
-    pub fn read_from(r: &mut Reader) -> Result<StrHeap> {
+    pub(crate) fn read_from(r: &mut Reader) -> Result<StrHeap> {
         let offsets = r.fixed()?;
         let n = r.count64(1)?;
         let mut heap = StrHeap {
@@ -288,7 +267,7 @@ mod tests {
             h.push("other-value");
         }
         assert_eq!(h.len(), 2000);
-        assert_eq!(h.distinct_count(), 2);
+        assert_eq!(h.distinct, 2);
         // blob holds exactly two length-prefixed payloads
         assert_eq!(
             h.blob_bytes(),
@@ -318,13 +297,7 @@ mod tests {
         assert_eq!(t.get(0), Some("d"));
         assert_eq!(t.get(1), Some("b"));
         assert_eq!(t.get(2), Some("b"));
-        assert_eq!(t.distinct_count(), 2);
-    }
-
-    #[test]
-    fn try_get_bounds() {
-        let h = StrHeap::new();
-        assert!(h.try_get(0).is_err());
+        assert_eq!(t.distinct, 2);
     }
 
     #[test]
@@ -343,11 +316,11 @@ mod tests {
         assert_eq!(back.get(0), Some("x"));
         assert_eq!(back.get(1), None);
         assert_eq!(back.get(2), Some("yy"));
-        assert_eq!(back.distinct_count(), 2);
+        assert_eq!(back.distinct, 2);
         // dedup index still works after reload
         let mut back = back;
         back.push("x");
-        assert_eq!(back.distinct_count(), 2);
+        assert_eq!(back.distinct, 2);
     }
 
     #[test]
@@ -392,7 +365,7 @@ mod tests {
                 h.push(s);
             }
             let expect: std::collections::HashSet<_> = strings.iter().collect();
-            prop_assert_eq!(h.distinct_count(), expect.len());
+            prop_assert_eq!(h.distinct, expect.len());
         }
     }
 }

@@ -134,7 +134,7 @@ impl WalRecord {
 
 /// The payload of a [`WalRecord::Insert`], written from a borrowed row —
 /// the one encoding of that record, whether or not a record value exists.
-pub fn encode_insert(table: &str, row: &[Value], out: &mut Vec<u8>) {
+pub(crate) fn encode_insert(table: &str, row: &[Value], out: &mut Vec<u8>) {
     out.push(3);
     put_str(table, out);
     put_u32(row.len() as u32, out);
@@ -144,7 +144,7 @@ pub fn encode_insert(table: &str, row: &[Value], out: &mut Vec<u8>) {
 }
 
 /// The payload of a [`WalRecord::Delete`] (see [`encode_insert`]).
-pub fn encode_delete(table: &str, pos: Oid, out: &mut Vec<u8>) {
+pub(crate) fn encode_delete(table: &str, pos: Oid, out: &mut Vec<u8>) {
     out.push(4);
     put_str(table, out);
     put_u64(pos, out);
@@ -168,7 +168,7 @@ pub struct WalReplay {
 /// `tail_discarded = true`. Records land in [`WalReplay::records`] only
 /// when a [`WalRecord::Commit`] marker follows them, so a crash anywhere
 /// inside a statement's batch discards the whole statement.
-pub fn replay_bytes(buf: &[u8]) -> Result<WalReplay> {
+pub(crate) fn replay_bytes(buf: &[u8]) -> Result<WalReplay> {
     if buf.is_empty() {
         return Ok(WalReplay::default());
     }
@@ -298,15 +298,6 @@ impl Wal {
         self.batch = batch.max(1);
     }
 
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Records buffered but not yet durable.
-    pub fn pending(&self) -> usize {
-        self.pending
-    }
-
     /// Toggle durability tracing (wal.append events, drained by
     /// [`Wal::take_events`]).
     pub fn set_tracing(&mut self, on: bool) {
@@ -406,7 +397,7 @@ impl Wal {
 /// view of the log, where bytes arrive in arbitrarily-sliced chunks off
 /// the wire rather than as one file image.
 ///
-/// Unlike [`replay_bytes`], which charitably discards a bad tail (a crash
+/// Unlike `replay_bytes`, which charitably discards a bad tail (a crash
 /// tears the final append), the cursor treats any bad frame as an error:
 /// the primary only ships frames it has durably written, so a CRC mismatch
 /// or undecodable record mid-stream means the replica's copy has diverged
@@ -679,7 +670,7 @@ mod tests {
             wal.append(&WalRecord::Merge { table: "t".into() }).unwrap();
             wal.statement_boundary().unwrap();
         }
-        assert_eq!(wal.pending(), 1, "7 % 3 records still buffered");
+        assert_eq!(wal.pending, 1, "7 % 3 records still buffered");
         wal.commit().unwrap();
         let ev = wal.take_events();
         assert_eq!(ev.len(), 3, "two full batches plus the final flush");

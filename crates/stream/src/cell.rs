@@ -53,7 +53,6 @@ pub struct DataCell {
     /// The basket: arriving events, column-wise.
     basket: Vec<TailHeap>,
     queries: Vec<QueryState>,
-    events_seen: u64,
 }
 
 impl DataCell {
@@ -64,16 +63,7 @@ impl DataCell {
             schema,
             basket,
             queries: Vec::new(),
-            events_seen: 0,
         })
-    }
-
-    pub fn schema(&self) -> &TableSchema {
-        &self.schema
-    }
-
-    pub fn events_seen(&self) -> u64 {
-        self.events_seen
     }
 
     /// Register a continuous query. Windows start from the next event.
@@ -124,14 +114,7 @@ impl DataCell {
                 heap.push_value(v)?;
             }
         }
-        self.events_seen += rows.len() as u64;
         self.drain_basket()
-    }
-
-    /// Convenience single-event append (the slow path a classical stream
-    /// engine is stuck with; kept for the E17 comparison).
-    pub fn append_event(&mut self, row: &[Value]) -> Result<Vec<WindowResult>> {
-        self.append_batch(std::slice::from_ref(&row.to_vec()))
     }
 
     /// Route the basket contents to every query's pending buffer (applying
@@ -335,10 +318,9 @@ mod tests {
         let mut c2 = mk();
         let mut single = Vec::new();
         for e in &events {
-            single.extend(c2.append_event(e).unwrap());
+            single.extend(c2.append_batch(std::slice::from_ref(e)).unwrap());
         }
         assert_eq!(bulk, single);
-        assert_eq!(c1.events_seen(), 50);
     }
 
     /// Two queries whose windows interleave: a filtered tumbling sum and an
@@ -371,7 +353,7 @@ mod tests {
         let (mut one, events) = interleaved(n);
         let mut single = Vec::new();
         for e in &events {
-            single.extend(one.append_event(e).unwrap());
+            single.extend(one.append_batch(std::slice::from_ref(e)).unwrap());
         }
         assert!(single.iter().any(|w| w.query == "big"));
         assert!(single.iter().any(|w| w.query == "peak"));

@@ -17,4 +17,4 @@
 
 pub mod cell;
 
-pub use cell::{ContinuousQuery, DataCell, WindowKind, WindowResult};
+pub use cell::{ContinuousQuery, DataCell, WindowKind};

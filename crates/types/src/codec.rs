@@ -267,7 +267,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::OID_NIL;
+    use crate::oid::OID_NIL;
 
     /// One value of every variant — the nil sentinels among them — and
     /// its bytes, written out by hand. A change here moves the WAL, the

@@ -22,7 +22,7 @@ use crate::{Error, Result};
 use std::io::{Read, Write};
 
 /// Frame header size: u32 length + u32 CRC.
-pub const FRAME_HEADER: usize = 8;
+pub(crate) const FRAME_HEADER: usize = 8;
 
 // --------------------------------------------------------------------------
 // CRC-32 (IEEE 802.3), table-driven (slicing-by-8: eight bytes a step, so

@@ -30,11 +30,8 @@ pub use error::{Error, Result};
 pub use framing::{crc32, fnv1a, FNV_OFFSET};
 pub use mem::{AccessKind, Buf, Mem};
 pub use native::NativeType;
-pub use oid::{Oid, OID_NIL};
-pub use retry::{Backoff, RetryPolicy};
+pub use oid::Oid;
+pub use retry::RetryPolicy;
 pub use schema::{ColumnDef, TableSchema};
-pub use trace::{
-    validate_trace, validate_trace_line, EventKind, FlushGuard, ProfiledRun, Recorder, TraceEvent,
-    TRACE_ENV,
-};
+pub use trace::{validate_trace, EventKind, ProfiledRun, Recorder, TraceEvent, TRACE_ENV};
 pub use value::{LogicalType, Value};

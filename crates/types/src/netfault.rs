@@ -28,17 +28,17 @@
 //!
 //! * **connect refusal** — the nth client connect attempt fails with
 //!   `ConnectionRefused` before any socket is opened;
-//! * **mid-frame disconnect** ([`ReadFault::Disconnect`]) — a framed read
+//! * **mid-frame disconnect** (`ReadFault::Disconnect`) — a framed read
 //!   fails as if the peer vanished before the header arrived;
-//! * **torn frame** ([`ReadFault::Torn`]) — the header is consumed and
+//! * **torn frame** (`ReadFault::Torn`) — the header is consumed and
 //!   then the connection dies, leaving the stream desynchronized (this is
 //!   the case connection poisoning exists for);
-//! * **corrupted frame** ([`ReadFault::Corrupt`]) — the frame arrives but
+//! * **corrupted frame** (`ReadFault::Corrupt`) — the frame arrives but
 //!   fails its CRC; the real payload is discarded so corruption can never
 //!   leak data upward;
-//! * **stall** ([`ReadFault::Stall`]) — the read blocks past its deadline
+//! * **stall** (`ReadFault::Stall`) — the read blocks past its deadline
 //!   and then fails as a timeout;
-//! * **one-way partition** ([`WriteFault::Drop`]) — a framed write
+//! * **one-way partition** (`WriteFault::Drop`) — a framed write
 //!   pretends to succeed but sends nothing; only the peer's read deadline
 //!   can surface it, which is why deadlines are not optional in this
 //!   codebase.
@@ -49,13 +49,13 @@ use std::time::Duration;
 
 use crate::retry::splitmix_next;
 
-/// Environment variable the chaos tier (and any opted-in process) reads to
-/// install a seeded schedule via [`install_from_env`].
+/// Environment variable naming the seed of the chaos tier's schedule
+/// ([`plan_from_seed`]).
 pub const NET_FAULT_SEED_ENV: &str = "MAMMOTH_NET_FAULT_SEED";
 
 /// A fault fired by a framed read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadFault {
+pub(crate) enum ReadFault {
     /// The peer vanished before the frame header arrived.
     Disconnect,
     /// The header arrived, then the connection died mid-payload. The
@@ -69,7 +69,7 @@ pub enum ReadFault {
 
 /// A fault fired by a framed write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteFault {
+pub(crate) enum WriteFault {
     /// The write fails immediately (broken pipe).
     Broken,
     /// One-way partition: the write "succeeds" but nothing is sent.
@@ -85,11 +85,11 @@ pub enum WriteFault {
 #[derive(Debug, Clone, Default)]
 pub struct NetFaultPlan {
     /// Connect attempts to refuse.
-    pub connects: Vec<u64>,
+    pub(crate) connects: Vec<u64>,
     /// Framed reads to fault, with the fault to fire.
-    pub reads: Vec<(u64, ReadFault)>,
+    pub(crate) reads: Vec<(u64, ReadFault)>,
     /// Framed writes to fault, with the fault to fire.
-    pub writes: Vec<(u64, WriteFault)>,
+    pub(crate) writes: Vec<(u64, WriteFault)>,
 }
 
 impl NetFaultPlan {
@@ -138,11 +138,6 @@ pub fn clear() {
     *st = State::default();
 }
 
-/// Whether a schedule is currently armed.
-pub fn armed() -> bool {
-    ARMED.load(Ordering::SeqCst)
-}
-
 /// How many scheduled faults have fired since the last [`install`].
 pub fn fired() -> u64 {
     lock().fired
@@ -180,20 +175,6 @@ pub fn plan_from_seed(seed: u64) -> NetFaultPlan {
     plan
 }
 
-/// Read `MAMMOTH_NET_FAULT_SEED` and install [`plan_from_seed`] when set;
-/// returns the seed that was installed. Processes opt in explicitly (the
-/// chaos tier calls this once its cluster is up) — framing hooks never
-/// consult the environment on their own.
-pub fn install_from_env() -> Option<u64> {
-    let seed: u64 = std::env::var(NET_FAULT_SEED_ENV)
-        .ok()?
-        .trim()
-        .parse()
-        .ok()?;
-    install(plan_from_seed(seed));
-    Some(seed)
-}
-
 /// Hook: the client is about to open a TCP connection. Returns the error
 /// to fail with when this attempt is scheduled to be refused.
 pub fn on_connect() -> Option<std::io::Error> {
@@ -215,7 +196,7 @@ pub fn on_connect() -> Option<std::io::Error> {
 }
 
 /// Hook: a framed read is starting. Returns the fault to fire, if any.
-pub fn on_read() -> Option<ReadFault> {
+pub(crate) fn on_read() -> Option<ReadFault> {
     if !ARMED.load(Ordering::Relaxed) {
         return None;
     }
@@ -235,7 +216,7 @@ pub fn on_read() -> Option<ReadFault> {
 }
 
 /// Hook: a framed write is starting. Returns the fault to fire, if any.
-pub fn on_write() -> Option<WriteFault> {
+pub(crate) fn on_write() -> Option<WriteFault> {
     if !ARMED.load(Ordering::Relaxed) {
         return None;
     }
@@ -324,7 +305,6 @@ mod tests {
         assert_eq!(on_write(), Some(WriteFault::Drop));
         assert_eq!(fired(), 3);
         clear();
-        assert!(!armed());
         assert!(on_connect().is_none() && on_read().is_none() && on_write().is_none());
     }
 

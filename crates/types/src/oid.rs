@@ -12,22 +12,4 @@
 pub type Oid = u64;
 
 /// The nil oid, MonetDB's in-domain NULL for the oid type.
-pub const OID_NIL: Oid = u64::MAX;
-
-/// Returns true if `o` is the nil oid.
-#[inline(always)]
-pub fn oid_is_nil(o: Oid) -> bool {
-    o == OID_NIL
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn nil_is_max() {
-        assert!(oid_is_nil(OID_NIL));
-        assert!(!oid_is_nil(0));
-        assert!(!oid_is_nil(u64::MAX - 1));
-    }
-}
+pub(crate) const OID_NIL: Oid = u64::MAX;

@@ -17,12 +17,8 @@
 //!   reconnecting replicas does not stampede in sync, yet a test can
 //!   replay the exact schedule. The generator is local (no `rand`
 //!   dependency): this crate stays std-only.
-//! * **Deadline budgets** — a [`Backoff`] can carry a deadline; once the
-//!   next sleep would land past it, the iterator ends. Retries that run
-//!   inside a statement's deadline (the coordinator's redial) use this so
-//!   backoff can never spend more than the statement is allowed to.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Reconnect discipline: bounded attempts, capped exponential backoff,
 /// deterministic jitter. Retryability itself is the caller's judgment —
@@ -53,24 +49,13 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// The jittered delay sequence this policy paces retries with. The
-    /// iterator is infinite (the *attempts* bound lives in [`RetryPolicy::run`];
-    /// long-lived reconnect loops like the replica puller deliberately
-    /// outlive it) unless a deadline is attached.
-    pub fn backoff(&self) -> Backoff {
+    /// iterator is infinite: the *attempts* bound lives in [`RetryPolicy::run`].
+    pub(crate) fn backoff(&self) -> Backoff {
         Backoff {
             delay: self.base_delay,
             max: self.max_delay,
             rng: splitmix_seed(self.seed),
-            deadline: None,
         }
-    }
-
-    /// Like [`RetryPolicy::backoff`], but the sequence ends once the next
-    /// sleep would finish after `deadline`.
-    pub fn backoff_until(&self, deadline: Instant) -> Backoff {
-        let mut b = self.backoff();
-        b.deadline = Some(deadline);
-        b
     }
 
     /// Run `op` up to `attempts` times, sleeping a jittered backoff delay
@@ -82,59 +67,25 @@ impl RetryPolicy {
         retryable: impl Fn(&E) -> bool,
         mut op: impl FnMut(u32) -> Result<T, E>,
     ) -> Result<T, E> {
-        self.run_paced(self.backoff(), retryable, &mut op)
-    }
-
-    /// Like [`RetryPolicy::run`], additionally bounded by a wall-clock
-    /// budget measured from now: no retry sleep may extend past it. The
-    /// attempt in flight is not interrupted — the budget bounds *waiting*,
-    /// the same way the statement timeout bounds queueing.
-    pub fn run_with_deadline<T, E>(
-        &self,
-        budget: Duration,
-        retryable: impl Fn(&E) -> bool,
-        mut op: impl FnMut(u32) -> Result<T, E>,
-    ) -> Result<T, E> {
-        self.run_paced(
-            self.backoff_until(Instant::now() + budget),
-            retryable,
-            &mut op,
-        )
-    }
-
-    fn run_paced<T, E>(
-        &self,
-        mut backoff: Backoff,
-        retryable: impl Fn(&E) -> bool,
-        op: &mut impl FnMut(u32) -> Result<T, E>,
-    ) -> Result<T, E> {
         let attempts = self.attempts.max(1);
-        let mut last = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                match backoff.next() {
-                    Some(d) => std::thread::sleep(d),
-                    // Deadline exhausted: report the newest failure.
-                    None => break,
-                }
-            }
+        let mut backoff = self.backoff();
+        let mut attempt = 0;
+        loop {
             match op(attempt) {
-                Ok(v) => return Ok(v),
-                Err(e) if retryable(&e) && attempt + 1 < attempts => last = Some(e),
-                Err(e) => return Err(e),
+                Err(e) if retryable(&e) && attempt + 1 < attempts => attempt += 1,
+                done => return done,
             }
+            std::thread::sleep(backoff.next().expect("the backoff sequence is infinite"));
         }
-        Err(last.expect("at least one attempt was made"))
     }
 }
 
 /// The jittered capped-exponential delay sequence of a [`RetryPolicy`].
 #[derive(Debug, Clone)]
-pub struct Backoff {
+pub(crate) struct Backoff {
     delay: Duration,
     max: Duration,
     rng: u64,
-    deadline: Option<Instant>,
 }
 
 impl Iterator for Backoff {
@@ -142,11 +93,6 @@ impl Iterator for Backoff {
 
     fn next(&mut self) -> Option<Duration> {
         let jittered = self.delay.mul_f64(jitter_frac(&mut self.rng));
-        if let Some(deadline) = self.deadline {
-            if Instant::now() + jittered > deadline {
-                return None;
-            }
-        }
         self.delay = (self.delay * 2).min(self.max);
         Some(jittered)
     }
@@ -242,25 +188,5 @@ mod tests {
         );
         assert_eq!(out, Ok(2));
         assert_eq!(calls, 3);
-    }
-
-    #[test]
-    fn deadline_budget_stops_the_backoff() {
-        let p = RetryPolicy {
-            attempts: 1000,
-            base_delay: Duration::from_millis(20),
-            max_delay: Duration::from_millis(20),
-            seed: 3,
-        };
-        let t0 = Instant::now();
-        let out: Result<(), &str> =
-            p.run_with_deadline(Duration::from_millis(60), |_| true, |_| Err("down"));
-        assert_eq!(out, Err("down"));
-        // ~3 sleeps fit in the budget; 1000 attempts would take 20 s.
-        assert!(
-            t0.elapsed() < Duration::from_millis(500),
-            "{:?}",
-            t0.elapsed()
-        );
     }
 }

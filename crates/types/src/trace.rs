@@ -299,7 +299,7 @@ impl ProfiledRun {
     }
 
     /// The run-summary JSON line (kind `run`), emitted ahead of the events.
-    pub fn header_json(&self) -> String {
+    pub(crate) fn header_json(&self) -> String {
         format!(
             "{{\"kind\":\"run\",\"engine\":\"{}\",\"threads\":{},\"executed\":{},\
              \"recycled\":{},\"released_early\":{},\"peak_live_bats\":{},\
@@ -342,7 +342,7 @@ impl ProfiledRun {
     /// one `write` call, so concurrent appenders do not interleave; the
     /// [`FlushGuard`] flushes again on drop so a panic between the write
     /// and the close still leaves complete lines behind.
-    pub fn append_to_path(&self, path: &str) -> std::io::Result<()> {
+    pub(crate) fn append_to_path(&self, path: &str) -> std::io::Result<()> {
         let f = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -369,7 +369,7 @@ impl ProfiledRun {
 /// channels: losing buffered bytes on an early return or panic would leave
 /// a silently truncated trace, so the drop path flushes best-effort while
 /// [`FlushGuard::finish`] reports errors to callers that care.
-pub struct FlushGuard {
+pub(crate) struct FlushGuard {
     file: Option<std::fs::File>,
 }
 
@@ -487,7 +487,7 @@ impl Recorder {
 }
 
 /// Escape a string for embedding in a JSON document.
-pub fn escape_json(s: &str) -> String {
+pub(crate) fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -705,7 +705,7 @@ const EVENT_KEYS: &[&str] = &[
 
 /// Validate one trace line against the schema. Returns the line's kind
 /// (`"run"` or an [`EventKind`] name) on success.
-pub fn validate_trace_line(line: &str) -> Result<String, String> {
+pub(crate) fn validate_trace_line(line: &str) -> Result<String, String> {
     let fields = parse_flat_object(line)?;
     let kind = match require(&fields, "kind", "trace")? {
         JsonVal::Str(s) => s.clone(),

@@ -174,14 +174,6 @@ impl Sink {
             outs,
         }
     }
-
-    /// One row per distinct value of `key`.
-    pub fn group_by(key: ColRef, outs: Vec<Out>) -> Sink {
-        Sink {
-            kind: SinkKind::GroupBy(key),
-            outs,
-        }
-    }
 }
 
 /// A complete vectorized query.
@@ -738,14 +730,14 @@ mod tests {
         let li = Lineitem::new();
         let p = Pipeline {
             stages: vec![Stage::theta(ColRef::Source(0), CmpOp::Ge, 2i64)],
-            sink: Sink::group_by(
-                ColRef::Source(2),
-                vec![
+            sink: Sink {
+                kind: SinkKind::GroupBy(ColRef::Source(2)),
+                outs: vec![
                     Out::Key,
                     Out::Count,
                     Out::Agg(AggKind::Sum, ColRef::Source(0)),
                 ],
-            ),
+            },
             computed_slots: 0,
         };
         // rows 0 and 1 (classes 0 and 1) fail the filter: class 2 is seen

@@ -64,12 +64,24 @@ fn map_i64(
 }
 
 /// `out[i] = a[i] op b[i]` at selected positions.
-pub fn map_arith_i64(op: MapOp, a: &[i64], b: &[i64], sel: Option<&[u32]>, out: &mut Vec<i64>) {
+pub(crate) fn map_arith_i64(
+    op: MapOp,
+    a: &[i64],
+    b: &[i64],
+    sel: Option<&[u32]>,
+    out: &mut Vec<i64>,
+) {
     map_i64(op, a, |i| b[i], sel, out);
 }
 
 /// `out[i] = a[i] op c` at selected positions.
-pub fn map_arith_i64_const(op: MapOp, a: &[i64], c: i64, sel: Option<&[u32]>, out: &mut Vec<i64>) {
+pub(crate) fn map_arith_i64_const(
+    op: MapOp,
+    a: &[i64],
+    c: i64,
+    sel: Option<&[u32]>,
+    out: &mut Vec<i64>,
+) {
     map_i64(op, a, |_| c, sel, out);
 }
 

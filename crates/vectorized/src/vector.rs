@@ -122,22 +122,6 @@ impl<'a> ColumnSet<'a> {
         Ok(ColumnSet { columns })
     }
 
-    pub fn len(&self) -> usize {
-        self.columns.first().map_or(0, |c| c.len())
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub fn arity(&self) -> usize {
-        self.columns.len()
-    }
-
-    pub fn column(&self, i: usize) -> Option<&Column<'a>> {
-        self.columns.get(i)
-    }
-
     pub(crate) fn columns(&self) -> &[Column<'a>] {
         &self.columns
     }

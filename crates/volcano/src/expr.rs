@@ -66,7 +66,7 @@ impl Expr {
 
     /// Evaluate against one tuple. SQL three-valued logic: NULL comparisons
     /// yield NULL, which [`Expr::eval_pred`] treats as false.
-    pub fn eval(&self, tuple: &[Value]) -> Result<Value> {
+    pub(crate) fn eval(&self, tuple: &[Value]) -> Result<Value> {
         Ok(match self {
             Expr::Col(i) => tuple.get(*i).cloned().ok_or(Error::OutOfRange {
                 index: *i as u64,
@@ -146,7 +146,7 @@ impl Expr {
     }
 
     /// Evaluate as a predicate: NULL collapses to false.
-    pub fn eval_pred(&self, tuple: &[Value]) -> Result<bool> {
+    pub(crate) fn eval_pred(&self, tuple: &[Value]) -> Result<bool> {
         Ok(matches!(self.eval(tuple)?, Value::Bool(true)))
     }
 }

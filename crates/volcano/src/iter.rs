@@ -11,16 +11,12 @@ use mammoth_types::{Result, Value};
 use std::collections::HashMap;
 
 /// One tuple.
-pub type Tuple = Vec<Value>;
+pub(crate) type Tuple = Vec<Value>;
 
 /// The Volcano iterator contract.
 pub trait TupleIter {
     /// Produce the next tuple, or `None` when exhausted.
     fn next(&mut self) -> Result<Option<Tuple>>;
-    /// Output arity.
-    fn arity(&self) -> usize;
-    /// Restart from the beginning.
-    fn reset(&mut self);
 }
 
 /// Sequential scan over a heap file.
@@ -64,15 +60,6 @@ impl TupleIter for SeqScanOp<'_> {
             }
         }
     }
-
-    fn arity(&self) -> usize {
-        self.file.arity()
-    }
-
-    fn reset(&mut self) {
-        self.page = 0;
-        self.slot = 0;
-    }
 }
 
 /// Filter by a predicate expression.
@@ -95,14 +82,6 @@ impl<I: TupleIter> TupleIter for FilterOp<I> {
             }
         }
         Ok(None)
-    }
-
-    fn arity(&self) -> usize {
-        self.input.arity()
-    }
-
-    fn reset(&mut self) {
-        self.input.reset();
     }
 }
 
@@ -130,98 +109,6 @@ impl<I: TupleIter> TupleIter for ProjectOp<I> {
                 Ok(Some(out))
             }
         }
-    }
-
-    fn arity(&self) -> usize {
-        self.exprs.len()
-    }
-
-    fn reset(&mut self) {
-        self.input.reset();
-    }
-}
-
-/// In-memory hash join: build the right side, stream the left.
-/// Output = left tuple ++ right tuple (pre-projection: payload travels
-/// through the join, the NSM strategy of §4.3).
-pub struct HashJoinOp<L: TupleIter, R: TupleIter> {
-    left: L,
-    right: R,
-    left_key: usize,
-    right_key: usize,
-    table: Option<HashMap<String, Vec<Tuple>>>,
-    pending: Vec<Tuple>,
-}
-
-/// Hash key wrapper: Value is not Hash/Eq (floats), so join keys are the
-/// canonical string image for simplicity — this is the *baseline*, not the
-/// fast path.
-fn key_image(v: &Value) -> Option<String> {
-    if v.is_null() {
-        None
-    } else {
-        Some(format!("{v:?}"))
-    }
-}
-
-impl<L: TupleIter, R: TupleIter> HashJoinOp<L, R> {
-    pub fn new(left: L, right: R, left_key: usize, right_key: usize) -> Self {
-        HashJoinOp {
-            left,
-            right,
-            left_key,
-            right_key,
-            table: None,
-            pending: Vec::new(),
-        }
-    }
-
-    fn build(&mut self) -> Result<()> {
-        let mut table: HashMap<String, Vec<Tuple>> = HashMap::new();
-        while let Some(t) = self.right.next()? {
-            if let Some(k) = key_image(&t[self.right_key]) {
-                table.entry(k).or_default().push(t);
-            }
-        }
-        self.table = Some(table);
-        Ok(())
-    }
-}
-
-impl<L: TupleIter, R: TupleIter> TupleIter for HashJoinOp<L, R> {
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        if self.table.is_none() {
-            self.build()?;
-        }
-        loop {
-            if let Some(t) = self.pending.pop() {
-                return Ok(Some(t));
-            }
-            let Some(l) = self.left.next()? else {
-                return Ok(None);
-            };
-            let Some(k) = key_image(&l[self.left_key]) else {
-                continue;
-            };
-            if let Some(matches) = self.table.as_ref().unwrap().get(&k) {
-                for r in matches {
-                    let mut joined = l.clone();
-                    joined.extend(r.iter().cloned());
-                    self.pending.push(joined);
-                }
-            }
-        }
-    }
-
-    fn arity(&self) -> usize {
-        self.left.arity() + self.right.arity()
-    }
-
-    fn reset(&mut self) {
-        self.left.reset();
-        self.right.reset();
-        self.table = None;
-        self.pending.clear();
     }
 }
 
@@ -363,123 +250,6 @@ impl<I: TupleIter> TupleIter for HashAggOp<I> {
             Ok(None)
         }
     }
-
-    fn arity(&self) -> usize {
-        self.group_cols.len() + self.aggs.len()
-    }
-
-    fn reset(&mut self) {
-        self.input.reset();
-        self.results = None;
-        self.cursor = 0;
-    }
-}
-
-/// Materializing sort.
-pub struct SortOp<I: TupleIter> {
-    input: I,
-    key_col: usize,
-    descending: bool,
-    sorted: Option<Vec<Tuple>>,
-    cursor: usize,
-}
-
-impl<I: TupleIter> SortOp<I> {
-    pub fn new(input: I, key_col: usize, descending: bool) -> Self {
-        SortOp {
-            input,
-            key_col,
-            descending,
-            sorted: None,
-            cursor: 0,
-        }
-    }
-}
-
-impl<I: TupleIter> TupleIter for SortOp<I> {
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        if self.sorted.is_none() {
-            let mut all = Vec::new();
-            while let Some(t) = self.input.next()? {
-                all.push(t);
-            }
-            let key = self.key_col;
-            all.sort_by(|a, b| {
-                let ord = a[key].sql_cmp(&b[key]).unwrap_or(std::cmp::Ordering::Equal);
-                // NULLs first, like the column engine
-                let ord = match (a[key].is_null(), b[key].is_null()) {
-                    (true, false) => std::cmp::Ordering::Less,
-                    (false, true) => std::cmp::Ordering::Greater,
-                    _ => ord,
-                };
-                if self.descending {
-                    ord.reverse()
-                } else {
-                    ord
-                }
-            });
-            self.sorted = Some(all);
-            self.cursor = 0;
-        }
-        let s = self.sorted.as_ref().unwrap();
-        if self.cursor < s.len() {
-            self.cursor += 1;
-            Ok(Some(s[self.cursor - 1].clone()))
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn arity(&self) -> usize {
-        self.input.arity()
-    }
-
-    fn reset(&mut self) {
-        self.input.reset();
-        self.sorted = None;
-        self.cursor = 0;
-    }
-}
-
-/// LIMIT n.
-pub struct LimitOp<I: TupleIter> {
-    input: I,
-    limit: usize,
-    produced: usize,
-}
-
-impl<I: TupleIter> LimitOp<I> {
-    pub fn new(input: I, limit: usize) -> Self {
-        LimitOp {
-            input,
-            limit,
-            produced: 0,
-        }
-    }
-}
-
-impl<I: TupleIter> TupleIter for LimitOp<I> {
-    fn next(&mut self) -> Result<Option<Tuple>> {
-        if self.produced >= self.limit {
-            return Ok(None);
-        }
-        match self.input.next()? {
-            Some(t) => {
-                self.produced += 1;
-                Ok(Some(t))
-            }
-            None => Ok(None),
-        }
-    }
-
-    fn arity(&self) -> usize {
-        self.input.arity()
-    }
-
-    fn reset(&mut self) {
-        self.input.reset();
-        self.produced = 0;
-    }
 }
 
 /// Drain an iterator into a vector (test/bench helper).
@@ -535,30 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn join_produces_pairs() {
-        let l = HeapFile::from_columns(
-            &[LogicalType::I32],
-            &[vec![Value::I32(1), Value::I32(2), Value::I32(2)]],
-        )
-        .unwrap();
-        let r = HeapFile::from_columns(
-            &[LogicalType::I32, LogicalType::Str],
-            &[
-                vec![Value::I32(2), Value::I32(3)],
-                vec![Value::Str("two".into()), Value::Str("three".into())],
-            ],
-        )
-        .unwrap();
-        let plan = HashJoinOp::new(SeqScanOp::new(&l), SeqScanOp::new(&r), 0, 0);
-        let rows = collect_all(plan).unwrap();
-        assert_eq!(rows.len(), 2);
-        for row in rows {
-            assert_eq!(row[0], Value::I32(2));
-            assert_eq!(row[2], Value::Str("two".into()));
-        }
-    }
-
-    #[test]
     fn aggregate_with_groups() {
         let hf = people();
         let plan = HashAggOp::new(
@@ -582,36 +328,5 @@ mod tests {
         let plan = HashAggOp::new(SeqScanOp::new(&hf), vec![], vec![AggFn::CountStar]);
         let rows = collect_all(plan).unwrap();
         assert_eq!(rows, vec![vec![Value::I64(0)]]);
-    }
-
-    #[test]
-    fn sort_and_limit() {
-        let hf = people();
-        let plan = LimitOp::new(SortOp::new(SeqScanOp::new(&hf), 1, true), 2);
-        let rows = collect_all(plan).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0][1], Value::I32(1968));
-        assert_eq!(rows[1][1], Value::I32(1927));
-    }
-
-    #[test]
-    fn nulls_skip_join_keys() {
-        let l = HeapFile::from_columns(&[LogicalType::I32], &[vec![Value::Null, Value::I32(1)]])
-            .unwrap();
-        let r = HeapFile::from_columns(&[LogicalType::I32], &[vec![Value::Null, Value::I32(1)]])
-            .unwrap();
-        let plan = HashJoinOp::new(SeqScanOp::new(&l), SeqScanOp::new(&r), 0, 0);
-        let rows = collect_all(plan).unwrap();
-        assert_eq!(rows.len(), 1, "NULL join keys never match");
-    }
-
-    #[test]
-    fn reset_replays() {
-        let hf = people();
-        let mut plan = SeqScanOp::new(&hf);
-        assert!(plan.next().unwrap().is_some());
-        plan.reset();
-        let rows = collect_all(plan).unwrap();
-        assert_eq!(rows.len(), 4);
     }
 }

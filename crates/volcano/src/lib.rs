@@ -20,6 +20,5 @@ pub mod page;
 pub mod table;
 
 pub use expr::Expr;
-pub use iter::{FilterOp, HashAggOp, HashJoinOp, LimitOp, ProjectOp, SeqScanOp, SortOp, TupleIter};
-pub use page::{HeapFile, Page, Rid, PAGE_SIZE};
+pub use iter::{FilterOp, HashAggOp, ProjectOp, SeqScanOp};
 pub use table::NsmTable;

@@ -10,7 +10,7 @@ use mammoth_types::codec::{put_value, Reader};
 use mammoth_types::{Error, LogicalType, Result, Value};
 
 /// Page size in bytes (classic 8 KiB).
-pub const PAGE_SIZE: usize = 8192;
+pub(crate) const PAGE_SIZE: usize = 8192;
 
 /// A record id: page number and slot number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -21,7 +21,7 @@ pub struct Rid {
 
 /// One slotted page: payload grows from the front, slots from the back.
 #[derive(Debug, Clone)]
-pub struct Page {
+pub(crate) struct Page {
     data: Vec<u8>,
     /// (offset, len) per slot.
     slots: Vec<(u16, u16)>,
@@ -59,7 +59,7 @@ impl Page {
         Some(&self.data[off as usize..off as usize + len as usize])
     }
 
-    pub fn tuple_count(&self) -> usize {
+    pub(crate) fn tuple_count(&self) -> usize {
         self.slots.len()
     }
 }
@@ -81,15 +81,11 @@ impl HeapFile {
         }
     }
 
-    pub fn arity(&self) -> usize {
-        self.arity
-    }
-
-    pub fn tuple_count(&self) -> usize {
+    pub(crate) fn tuple_count(&self) -> usize {
         self.tuples
     }
 
-    pub fn page_count(&self) -> usize {
+    pub(crate) fn page_count(&self) -> usize {
         self.pages.len()
     }
 

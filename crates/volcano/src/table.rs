@@ -1,8 +1,7 @@
 //! NSM tables: a heap file plus a schema, with helpers to build from
-//! columnar data and to run the classical pre-projection join strategy.
+//! columnar data and to look rows up through a B+-tree over a column.
 
-use crate::expr::Expr;
-use crate::iter::{collect_all, FilterOp, SeqScanOp, Tuple};
+use crate::iter::Tuple;
 use crate::page::{HeapFile, Rid};
 use mammoth_index::BPlusTree;
 use mammoth_types::{Result, TableSchema, Value};
@@ -15,14 +14,6 @@ pub struct NsmTable {
 }
 
 impl NsmTable {
-    pub fn new(schema: TableSchema) -> NsmTable {
-        let arity = schema.arity();
-        NsmTable {
-            schema,
-            file: HeapFile::new(arity),
-        }
-    }
-
     /// Build from aligned columns of values.
     pub fn from_columns(schema: TableSchema, columns: &[Vec<Value>]) -> Result<NsmTable> {
         let types: Vec<_> = schema.columns.iter().map(|c| c.ty).collect();
@@ -32,21 +23,12 @@ impl NsmTable {
         })
     }
 
-    pub fn insert(&mut self, row: &[Value]) -> Result<Rid> {
-        self.file.insert(row)
-    }
-
     pub fn len(&self) -> usize {
         self.file.tuple_count()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Full-table filter via the iterator pipeline.
-    pub fn filter(&self, pred: Expr) -> Result<Vec<Tuple>> {
-        collect_all(FilterOp::new(SeqScanOp::new(&self.file), pred))
     }
 
     /// Build a B+-tree over an integer column, mapping key → rid-encoded
@@ -76,7 +58,6 @@ impl NsmTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::CmpOp;
     use mammoth_types::{ColumnDef, LogicalType};
 
     fn table() -> NsmTable {
@@ -97,15 +78,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_pipeline() {
-        let t = table();
-        let rows = t
-            .filter(Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit(3i64)))
-            .unwrap();
-        assert_eq!(rows.len(), 3);
-    }
-
-    #[test]
     fn btree_lookup_roundtrip() {
         let t = table();
         let idx = t.build_btree(0);
@@ -116,17 +88,5 @@ mod tests {
             assert_eq!(row[1], Value::Str(format!("s{k}")));
         }
         assert!(idx.get(1000).is_none());
-    }
-
-    #[test]
-    fn insert_after_build() {
-        let mut t = NsmTable::new(TableSchema::new(
-            "x",
-            vec![ColumnDef::new("a", LogicalType::I32)],
-        ));
-        t.insert(&[Value::I32(1)]).unwrap();
-        t.insert(&[Value::I32(2)]).unwrap();
-        assert_eq!(t.len(), 2);
-        assert!(t.insert(&[Value::I32(1), Value::I32(2)]).is_err());
     }
 }

@@ -12,13 +12,13 @@ use rand::{RngExt, SeedableRng};
 /// Columns of the slice (money in cents, dates in days since epoch).
 #[derive(Debug, Clone)]
 pub struct LineitemSlice {
-    pub quantity: Vec<i64>,      // 1..=50
-    pub extendedprice: Vec<i64>, // 90_000..=10_500_000 cents
-    pub discount: Vec<i64>,      // 0..=10 (percent)
-    pub tax: Vec<i64>,           // 0..=8 (percent)
-    pub shipdate: Vec<i64>,      // ~7 years of days
-    pub returnflag: Vec<i64>,    // 0..=2  (A/N/R)
-    pub linestatus: Vec<i64>,    // 0..=1  (O/F)
+    pub quantity: Vec<i64>,          // 1..=50
+    pub extendedprice: Vec<i64>,     // 90_000..=10_500_000 cents
+    pub(crate) discount: Vec<i64>,   // 0..=10 (percent)
+    pub(crate) tax: Vec<i64>,        // 0..=8 (percent)
+    pub shipdate: Vec<i64>,          // ~7 years of days
+    pub(crate) returnflag: Vec<i64>, // 0..=2  (A/N/R)
+    pub(crate) linestatus: Vec<i64>, // 0..=1  (O/F)
 }
 
 impl LineitemSlice {

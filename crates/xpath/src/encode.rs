@@ -81,7 +81,7 @@ impl Doc {
     }
 
     /// Tag id for a name, if any node uses it.
-    pub fn tag_id(&self, name: &str) -> Option<u32> {
+    pub(crate) fn tag_id(&self, name: &str) -> Option<u32> {
         self.tag_names
             .iter()
             .position(|t| t == name)
@@ -99,7 +99,7 @@ impl Doc {
     }
 
     /// Is `d` a descendant of `c`? (region predicate)
-    pub fn is_descendant(&self, d: u32, c: u32) -> bool {
+    pub(crate) fn is_descendant(&self, d: u32, c: u32) -> bool {
         d > c && self.post[d as usize] < self.post[c as usize]
     }
 

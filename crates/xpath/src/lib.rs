@@ -9,7 +9,7 @@
 //!
 //! * [`xml`] — a minimal XML parser (elements only).
 //! * [`encode`] — the pre/post/level/tag encoding; `pre` is the void head.
-//! * [`staircase`] — the staircase join for descendant/ancestor/child axes,
+//! * [`staircase`] — the staircase join for the descendant and child axes,
 //!   plus the naive region join it replaces (the E15 baseline).
 //! * [`path`] — evaluation of simple `/a//b` location paths.
 
@@ -21,8 +21,6 @@ pub mod staircase;
 pub mod xml;
 
 pub use encode::Doc;
-pub use path::{eval_path, Axis, Step};
-pub use staircase::{
-    ancestors_naive, ancestors_staircase, descendants_naive, descendants_staircase,
-};
+pub use path::{eval_path, Step};
+pub use staircase::{descendants_naive, descendants_staircase};
 pub use xml::XmlNode;

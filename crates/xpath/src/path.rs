@@ -19,7 +19,7 @@ pub struct Step {
 }
 
 /// Parse a path like `/a//b/*` into steps.
-pub fn parse_path(path: &str) -> Result<Vec<Step>> {
+pub(crate) fn parse_path(path: &str) -> Result<Vec<Step>> {
     if !path.starts_with('/') {
         return Err(Error::Parse {
             pos: 0,

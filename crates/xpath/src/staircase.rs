@@ -44,67 +44,6 @@ pub fn descendants_staircase(doc: &Doc, context: &[u32]) -> Vec<u32> {
     out
 }
 
-/// Ancestor axis, naive: O(|doc| × |context|).
-pub fn ancestors_naive(doc: &Doc, context: &[u32]) -> Vec<u32> {
-    let mut out = Vec::new();
-    for a in 0..doc.len() as u32 {
-        if context.iter().any(|&c| doc.is_descendant(c, a)) {
-            out.push(a);
-        }
-    }
-    out
-}
-
-/// Ancestor axis, staircase: walk the document once keeping an ancestor
-/// stack; a node is output when any context node falls in its region.
-///
-/// `context` must be sorted ascending; output is in document order.
-pub fn ancestors_staircase(doc: &Doc, context: &[u32]) -> Vec<u32> {
-    debug_assert!(context.windows(2).all(|w| w[0] < w[1]));
-    let mut out = Vec::new();
-    let mut emitted = vec![false; doc.len()];
-    // For each context node, its ancestors are exactly the nodes whose
-    // region contains it. Walk contexts left-to-right with a stack of open
-    // regions (the staircase).
-    let mut stack: Vec<u32> = Vec::new();
-    let mut next_pre = 0u32;
-    for &c in context {
-        // advance the open-region stack up to c
-        while next_pre <= c {
-            // pop regions that ended before next_pre
-            while let Some(&top) = stack.last() {
-                if top + doc.size[top as usize] < next_pre {
-                    stack.pop();
-                } else {
-                    break;
-                }
-            }
-            stack.push(next_pre);
-            next_pre += 1;
-        }
-        // pop regions that ended before c
-        while let Some(&top) = stack.last() {
-            if top + doc.size[top as usize] < c {
-                stack.pop();
-            } else {
-                break;
-            }
-        }
-        // everything on the stack below c itself is an ancestor
-        for &a in stack.iter() {
-            if a != c && !emitted[a as usize] {
-                emitted[a as usize] = true;
-            }
-        }
-    }
-    for (a, e) in emitted.iter().enumerate() {
-        if *e {
-            out.push(a as u32);
-        }
-    }
-    out
-}
-
 /// Child axis via the region encoding: descendants at `level(c)+1`.
 pub fn children(doc: &Doc, context: &[u32]) -> Vec<u32> {
     let mut out = Vec::new();
@@ -164,16 +103,6 @@ mod tests {
     }
 
     #[test]
-    fn staircase_matches_naive_ancestors() {
-        let d = doc();
-        for context in [vec![6u32], vec![2, 6], vec![0], vec![4, 5], vec![]] {
-            let naive = ancestors_naive(&d, &context);
-            let fast = ancestors_staircase(&d, &context);
-            assert_eq!(fast, naive, "context {context:?}");
-        }
-    }
-
-    #[test]
     fn children_axis() {
         let d = doc();
         assert_eq!(children(&d, &[0]), vec![1, 3]);
@@ -192,11 +121,6 @@ mod tests {
             assert_eq!(
                 descendants_staircase(&d, &context),
                 descendants_naive(&d, &context),
-                "seed {seed}"
-            );
-            assert_eq!(
-                ancestors_staircase(&d, &context),
-                ancestors_naive(&d, &context),
                 "seed {seed}"
             );
         }

@@ -14,8 +14,8 @@
 //!
 //! Run with: `cargo run --release --example cracking_session`
 
-use mammoth::cracking::{Bound, CrackerColumn};
-use mammoth::workload::{range_query_log, uniform_i64, QueryPattern};
+use mammoth_cracking::{Bound, CrackerColumn};
+use mammoth_workload::{range_query_log, uniform_i64, QueryPattern};
 use std::time::Instant;
 
 fn main() {

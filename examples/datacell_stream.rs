@@ -7,9 +7,9 @@
 //! Run with: `cargo run --release --example datacell_stream`
 
 use mammoth::algebra::{AggKind, CmpOp};
-use mammoth::stream::{ContinuousQuery, DataCell, WindowKind};
 use mammoth::types::{ColumnDef, LogicalType, TableSchema, Value};
-use mammoth::workload::uniform_i64;
+use mammoth_stream::{ContinuousQuery, DataCell, WindowKind};
+use mammoth_workload::uniform_i64;
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

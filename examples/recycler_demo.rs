@@ -9,11 +9,11 @@
 //! Run with: `cargo run --release --example recycler_demo`
 
 use mammoth::mal::{default_pipeline, Interpreter, Program};
-use mammoth::recycler::{run_recycling, EvictPolicy, Recycler};
 use mammoth::sql::{compile_select, parse_sql, Statement};
 use mammoth::storage::{Bat, Catalog, Table};
 use mammoth::types::{ColumnDef, LogicalType, TableSchema};
-use mammoth::workload::{skyserver_log, uniform_i64};
+use mammoth_recycler::{run_recycling, EvictPolicy, Recycler};
+use mammoth_workload::{skyserver_log, uniform_i64};
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -8,11 +8,11 @@
 //!
 //! Run with: `cargo run --release --example vectorized_analytics`
 
-use mammoth::compression::{compress, decompress, Scheme};
 use mammoth::vectorized::{
     AggKind, CmpOp, ColRef, Column, ColumnSet, MapOp, Operand, Out, Output, Pipeline, Sink, Stage,
 };
-use mammoth::workload::LineitemSlice;
+use mammoth_compression::{compress, decompress, Scheme};
+use mammoth_workload::LineitemSlice;
 use std::time::Instant;
 
 fn q1_pipeline() -> Pipeline {

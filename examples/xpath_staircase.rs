@@ -6,9 +6,9 @@
 //!
 //! Run with: `cargo run --release --example xpath_staircase`
 
-use mammoth::xpath::encode::synthetic_tree;
-use mammoth::xpath::{descendants_naive, descendants_staircase, eval_path, Doc};
 use mammoth::Database;
+use mammoth_xpath::encode::synthetic_tree;
+use mammoth_xpath::{descendants_naive, descendants_staircase, eval_path, Doc};
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

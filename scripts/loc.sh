@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # The line-budget measure simplicity PRs quote (ROADMAP needle 2): code
 # lines — not blank, not a `//` comment — per crate over crates/*/src
-# outside cfg(test), plus scripts/. An item under `#[cfg(test)]` is left
-# out whole (by brace depth), and so is the file of a module declared
-# under it. Run it on the parent checkout and on the change; only the
-# difference means much.
+# outside cfg(test), plus the umbrella package's src/ and scripts/. An item
+# under `#[cfg(test)]` is left out whole (by brace depth, or to its `;` or,
+# for a one-line field, its `,`), and so is the file of a module declared
+# under it.
+# Run it on the parent checkout and on the change; only the difference
+# means much.
 #
 #   scripts/loc.sh [REPO_ROOT]
 set -euo pipefail
@@ -27,11 +29,12 @@ count() {
         }
         FNR == 1 { skipping = 0; stem = FILENAME; sub(/(\/mod)?\.rs$/, "", stem); sub(/.*\//, "", stem) }
         stem in test_only { next }
-        line ~ /^#\[cfg\(test\)\]/ { skipping = 1; depth = 0; opened = 0; next }
+        line ~ /^#\[cfg\(test\)\]/ { skipping = 1; depth = 0; opened = 0; first = 1; next }
         skipping {
             depth += gsub(/\{/, "{", line) - gsub(/\}/, "}", line)
             if (line ~ /\{/) opened = 1
-            if ((opened && depth <= 0) || (!opened && line ~ /;$/)) skipping = 0
+            if ((opened && depth <= 0) || (!opened && (line ~ /;$/ || (first && line ~ /,$/)))) skipping = 0
+            first = 0
             next
         }
         line != "" && line !~ /^\/\// { n++ }
@@ -43,6 +46,7 @@ count() {
     for src in crates/*/src; do
         echo "$(basename "${src%/src}") $(count "$src")"
     done
+    echo "src/ $(count src)"
     echo "scripts/ $(cat scripts/* | grep -vc '^[[:space:]]*\(#\|$\)')"
 } | awk '
     { printf "%-14s %6d\n", $1, $2; total += $2 }

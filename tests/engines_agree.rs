@@ -12,11 +12,11 @@ use mammoth::vectorized::{
     AggKind, CmpOp as VCmp, ColRef, Column, ColumnSet, MapOp, Operand, Out, Output, Pipeline, Sink,
     Stage,
 };
-use mammoth::volcano::{
+use mammoth::{Database, Engine, QueryOutput};
+use mammoth_volcano::{
     expr::CmpOp as ExprCmp, iter::AggFn, Expr, FilterOp, HashAggOp, NsmTable, SeqScanOp,
 };
-use mammoth::workload::LineitemSlice;
-use mammoth::{Database, Engine, QueryOutput};
+use mammoth_workload::LineitemSlice;
 
 mod support;
 use support::gen::Gen;
@@ -71,10 +71,10 @@ fn volcano_engine_matches_oracle() {
     );
     // project qty*price then aggregate
     let plan = HashAggOp::new(
-        mammoth::volcano::ProjectOp::new(
+        mammoth_volcano::ProjectOp::new(
             FilterOp::new(SeqScanOp::new(&table.file), pred),
             vec![Expr::arith(
-                mammoth::volcano::expr::ArithOp::Mul,
+                mammoth_volcano::expr::ArithOp::Mul,
                 Expr::col(0),
                 Expr::col(1),
             )],
@@ -82,7 +82,7 @@ fn volcano_engine_matches_oracle() {
         vec![],
         vec![AggFn::CountStar, AggFn::Sum(0)],
     );
-    let rows = mammoth::volcano::iter::collect_all(plan).unwrap();
+    let rows = mammoth_volcano::iter::collect_all(plan).unwrap();
     let (count, sum) = oracle();
     assert_eq!(rows[0][0], Value::I64(count));
     assert_eq!(rows[0][1], Value::F64(sum as f64));
@@ -210,7 +210,7 @@ fn sql_count_agrees_with_volcano() {
         vec![],
         vec![AggFn::CountStar],
     );
-    let rows = mammoth::volcano::iter::collect_all(plan).unwrap();
+    let rows = mammoth_volcano::iter::collect_all(plan).unwrap();
     assert_eq!(rows[0][0], Value::I64(expect));
 }
 

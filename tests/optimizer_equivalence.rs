@@ -12,7 +12,7 @@ use mammoth::mal::{default_pipeline, parse_program, Interpreter};
 use mammoth::sql::{compile_select, parse_sql, Statement};
 use mammoth::storage::{Bat, Catalog, Table};
 use mammoth::types::{ColumnDef, LogicalType, TableSchema};
-use mammoth::workload::{strings_low_card, uniform_i64};
+use mammoth_workload::{strings_low_card, uniform_i64};
 
 mod support;
 
@@ -202,7 +202,7 @@ fn cse_actually_fires_on_shared_binds() {
 
 #[test]
 fn recycled_and_cold_runs_agree_per_value() {
-    use mammoth::recycler::{run_recycling, EvictPolicy, Recycler};
+    use mammoth_recycler::{run_recycling, EvictPolicy, Recycler};
     let cat = catalog(1000);
     let mut rec = Recycler::new(64 << 20, EvictPolicy::Lru);
     for sql in QUERIES {

@@ -29,8 +29,8 @@ use mammoth::mal::{
     CHECK_PROPS_ENV,
 };
 use mammoth::parallel::run_dataflow;
-use mammoth::recycler::{run_recycling, EvictPolicy, Recycler};
 use mammoth::types::{LogicalType, Value};
+use mammoth_recycler::{run_recycling, EvictPolicy, Recycler};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 

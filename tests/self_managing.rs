@@ -1,14 +1,14 @@
 //! Integration tests for the §6.1 "new species": cracking and recycling
 //! working inside the full engine, at a scale unit tests don't reach.
 
-use mammoth::cracking::{Bound, CrackerColumn};
 use mammoth::mal::{default_pipeline, EventKind, ProfiledRun, Program};
-use mammoth::recycler::{run_recycling, run_recycling_profiled, EvictPolicy, Recycler};
 use mammoth::sql::{compile_select, parse_sql, render_outputs, Statement};
 use mammoth::storage::{Bat, Table};
 use mammoth::types::{ColumnDef, LogicalType, TableSchema, Value};
-use mammoth::workload::{range_query_log, skyserver_log, uniform_i64, QueryPattern};
 use mammoth::{Database, QueryOutput};
+use mammoth_cracking::{Bound, CrackerColumn};
+use mammoth_recycler::{run_recycling, run_recycling_profiled, EvictPolicy, Recycler};
+use mammoth_workload::{range_query_log, skyserver_log, uniform_i64, QueryPattern};
 
 mod support;
 
@@ -165,7 +165,7 @@ fn recycler_on_skyserver_log_with_dml() {
     let mut sky = Recycling::over(Table::from_bats(schema, columns).unwrap());
 
     let log = skyserver_log(120, 2, 15, 1.1, 100_000, 3);
-    let sql = |q: &mammoth::workload::ReuseQuery| {
+    let sql = |q: &mammoth_workload::ReuseQuery| {
         let col = if q.column == 0 { "ra" } else { "dec" };
         let (lo, hi) = (q.range.lo, q.range.hi);
         format!("SELECT COUNT({col}) FROM sky WHERE {col} >= {lo} AND {col} <= {hi}")
@@ -298,7 +298,7 @@ mod recycler_equivalence {
     use mammoth::algebra::{AggKind, CmpOp};
     use mammoth::mal::{Arg, Interpreter, MalValue, OpCode, Program};
     use mammoth::storage::Catalog;
-    use mammoth::workload::uniform_i64 as gen_i64;
+    use mammoth_workload::uniform_i64 as gen_i64;
     use proptest::prelude::*;
 
     fn catalog() -> Catalog {

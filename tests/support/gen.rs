@@ -18,7 +18,7 @@ use mammoth::sql::{
 use mammoth::storage::{Bat, Catalog, Table};
 use mammoth::types::{ColumnDef, LogicalType, TableSchema, Value};
 use mammoth::vectorized::VECTOR_SIZE;
-use mammoth::workload::uniform_i64;
+use mammoth_workload::uniform_i64;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 

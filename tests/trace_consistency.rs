@@ -8,7 +8,7 @@
 //! outputs, so results compare bit-exactly) runs on:
 //!
 //! * the serial interpreter,
-//! * the recycling scheduler (`mammoth::recycler`), twice (cold, then warm),
+//! * the recycling scheduler (`mammoth_recycler`), twice (cold, then warm),
 //! * the dataflow worker pool at 1, 2 and 4 threads — on the *same*
 //!   unrewritten plan, so the executed-opcode multiset must match the
 //!   serial one exactly.
@@ -31,8 +31,8 @@
 
 use mammoth::mal::{GarbageCollect, Interpreter, MalValue, OptimizerPass};
 use mammoth::parallel::run_dataflow_profiled;
-use mammoth::recycler::{run_recycling_profiled, EvictPolicy, Recycler};
 use mammoth::types::{EventKind, ProfiledRun, Value};
+use mammoth_recycler::{run_recycling_profiled, EvictPolicy, Recycler};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -103,10 +103,10 @@ impl Daemon {
     }
 
     /// What the daemon's `main` does: block until a client's `Shutdown`
-    /// is honored, then drain.
+    /// is honored, then drain. No transcript may poison a server's session.
     fn wait(self) {
         match self {
-            Daemon::Server(s) => drop(s.wait().unwrap()),
+            Daemon::Server(s) => assert_eq!(s.wait().unwrap().poisonings, 0),
             // the cluster stops after its front end, when the arm ends
             Daemon::Front(f, _cluster) => f.wait().unwrap(),
         }
@@ -512,6 +512,27 @@ fn transcripts(name: &str) -> Vec<(&'static str, Cfg, Vec<Step>)> {
                     ErrorCode::Protocol,
                     "Subscribe requires protocol version 2",
                 )),
+                Closed,
+            ],
+        ),
+        (
+            // `__PANIC__` is the poison-recovery tests' fault injection,
+            // compiled into the server crate's own test build only: a
+            // shipped daemon refuses it as text that is no statement and
+            // keeps serving (and `Daemon::wait` finds no poisoning)
+            "__PANIC__ is text that is no statement",
+            open,
+            vec![
+                login(PROTO_VERSION),
+                Expect(ServerMsg::Ready),
+                Send(query("__PANIC__")),
+                Expect(ServerMsg::err(
+                    ErrorCode::Sql,
+                    "parse error at 0: expected a statement, got Ident(\"__PANIC__\")",
+                )),
+                Send(query("CREATE TABLE t (a BIGINT NOT NULL)")),
+                Expect(ServerMsg::Ok),
+                Send(ClientMsg::Quit),
                 Closed,
             ],
         ),
