@@ -65,12 +65,10 @@ pub fn run(scale: Scale) -> Report {
     let sum_v = volcano_rows[0][1].as_f64().unwrap() as i64;
 
     // --- column-at-a-time (BAT algebra via MAL) ---
+    let bats = columns.map(|c| Bat::from_vec(c.clone())).to_vec();
+    let table = Table::from_bats(schema, bats).unwrap();
     let mut db = mammoth_sql::Session::new();
-    db.catalog_mut()
-        .create_table(
-            Table::from_bats(schema, columns.map(|c| Bat::from_vec(c.clone())).to_vec()).unwrap(),
-        )
-        .unwrap();
+    db.catalog_mut().create_table(table).unwrap();
     let mal = r#"
         qty   := sql.bind("li", "qty");
         price := sql.bind("li", "price");
@@ -86,8 +84,8 @@ pub fn run(scale: Scale) -> Report {
         nrows := aggr.count(prod);
         io.result(nrows, total);
     "#;
-    let prog = parse_program(mal).unwrap();
-    let (mal_out, t_bat) = timed(|| Interpreter::new(db.catalog()).run(&prog).unwrap());
+    let run_mal = || Interpreter::new(db.catalog()).run(&parse_program(mal)?);
+    let (mal_out, t_bat) = timed(|| run_mal().unwrap());
     let count_b = mal_out[0].as_scalar().unwrap().as_i64().unwrap();
     let sum_b = mal_out[1].as_scalar().unwrap().as_i64().unwrap();
 

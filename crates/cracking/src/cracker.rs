@@ -1,6 +1,5 @@
 //! The cracker column and cracker index.
 
-use mammoth_types::{EventKind, TraceEvent};
 use std::collections::BTreeMap;
 
 /// A range bound. `Incl`usive or `Excl`usive of the value.
@@ -56,10 +55,6 @@ pub struct CrackerColumn<T: Ord + Copy> {
     dead_unpurged: usize,
     merge_threshold: usize,
     stats: CrackerStats,
-    /// When on, physical reorganizations emit [`TraceEvent`]s (drained by
-    /// [`CrackerColumn::take_events`]). Off by default.
-    tracing: bool,
-    events: Vec<TraceEvent>,
 }
 
 impl<T: Ord + Copy> CrackerColumn<T> {
@@ -77,23 +72,7 @@ impl<T: Ord + Copy> CrackerColumn<T> {
             dead_unpurged: 0,
             merge_threshold: 4096,
             stats: CrackerStats::default(),
-            tracing: false,
-            events: Vec::new(),
         }
-    }
-
-    /// Toggle reorganization tracing: each crack (piece split) and merge
-    /// becomes a [`TraceEvent`], so §6.1 adaptivity is observable.
-    pub fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-        if !on {
-            self.events.clear();
-        }
-    }
-
-    /// Drain the events recorded since the last call.
-    pub fn take_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
     }
 
     /// Tune how many buffered updates trigger a merge (default 4096).
@@ -166,16 +145,6 @@ impl<T: Ord + Copy> CrackerColumn<T> {
         self.stats.cracks_performed += 1;
         self.stats.tuples_touched += (hi - lo) as u64;
         self.index.insert(k, i);
-        if self.tracing {
-            self.events.push(TraceEvent {
-                kind: EventKind::CrackPartition,
-                op: "cracker".to_string(),
-                args: format!("piece [{lo}, {hi}) split at {i}"),
-                rows_in: (hi - lo) as u64,
-                rows_out: (self.index.len() + 1) as u64,
-                ..TraceEvent::default()
-            });
-        }
         i
     }
 
@@ -242,19 +211,6 @@ impl<T: Ord + Copy> CrackerColumn<T> {
             return;
         }
         self.stats.merges += 1;
-        if self.tracing {
-            self.events.push(TraceEvent {
-                kind: EventKind::CrackMerge,
-                op: "cracker".to_string(),
-                args: format!(
-                    "{} pending inserts, {} pending deletes",
-                    self.pending.len(),
-                    self.dead_unpurged
-                ),
-                rows_in: (self.pending.len() + self.dead_unpurged) as u64,
-                ..TraceEvent::default()
-            });
-        }
         // Collect piece boundaries: [0, b1, b2, ..., n] with their keys.
         let old_bounds: Vec<(CrackKey<T>, usize)> =
             self.index.iter().map(|(k, &v)| (*k, v)).collect();
@@ -346,23 +302,6 @@ mod tests {
 
     fn col() -> CrackerColumn<i64> {
         CrackerColumn::new(vec![13, 16, 4, 9, 2, 12, 7, 1, 19, 3, 14, 11, 8, 6])
-    }
-
-    #[test]
-    fn tracing_emits_partition_and_merge_events() {
-        let mut c = col();
-        c.select(Bound::Incl(5), Bound::Excl(12));
-        assert!(c.take_events().is_empty(), "tracing off by default");
-
-        c.set_tracing(true);
-        c.select(Bound::Incl(3), Bound::Excl(15));
-        c.insert(42);
-        c.merge();
-        let kinds: Vec<EventKind> = c.take_events().iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&EventKind::CrackPartition));
-        assert!(kinds.contains(&EventKind::CrackMerge));
-        assert!(c.take_events().is_empty(), "drained");
-        assert!(c.check_invariant());
     }
 
     #[test]

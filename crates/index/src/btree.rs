@@ -5,8 +5,8 @@
 //! lookup" (§3), i.e. the baseline that positional (void-head) access is
 //! measured against in experiment E09. Nodes are individually heap
 //! allocated so lookups pay real pointer-chasing costs, exactly the effect
-//! the comparison is about. It supports bulk-load from sorted input,
-//! point and range lookups, and insertion.
+//! the comparison is about. It supports bulk-load from sorted input and
+//! point lookups.
 
 use std::fmt::Debug;
 
@@ -56,7 +56,8 @@ impl<K: Ord + Copy + Debug> BPlusTree<K> {
         if pairs.is_empty() {
             return Self::new();
         }
-        // Build the leaf level ~2/3 full, the room a B+-tree keeps for inserts.
+        // Build the leaf level ~2/3 full: E09 measures a tree that has taken
+        // inserts, whose leaves keep that much room.
         let per_leaf = (MAX_KEYS * 2 / 3).max(2);
         let mut level: Vec<(K, Box<Node<K>>)> = pairs
             .chunks(per_leaf)
@@ -128,10 +129,22 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Levels from the root down to the leftmost leaf.
+    fn depth<K: Ord + Copy + Debug>(t: &BPlusTree<K>) -> usize {
+        let mut node = &*t.root;
+        let mut levels = 1;
+        while let Node::Internal { children, .. } = node {
+            node = &children[0];
+            levels += 1;
+        }
+        levels
+    }
+
     #[test]
     fn bulk_load_and_get() {
         let pairs: Vec<(i64, u64)> = (0..1000).map(|i| (i * 2, i as u64)).collect();
         let t = BPlusTree::bulk_load(&pairs);
+        assert!(depth(&t) >= 3);
         for i in 0..1000i64 {
             assert_eq!(t.get(i * 2), Some(i as u64), "key {}", i * 2);
             assert_eq!(t.get(i * 2 + 1), None);
@@ -150,7 +163,7 @@ mod tests {
     proptest! {
 
         #[test]
-        fn prop_bulk_load_equals_inserts(keys in proptest::collection::vec(0i64..500, 1..200)) {
+        fn prop_bulk_load_finds_every_key(keys in proptest::collection::vec(0i64..500, 1..200)) {
             let mut sorted: Vec<(i64, u64)> =
                 keys.iter().enumerate().map(|(i, &k)| (k, i as u64)).collect();
             sorted.sort_by_key(|p| p.0);

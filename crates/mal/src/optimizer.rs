@@ -96,7 +96,8 @@ impl SharedAnalysis {
     }
 
     /// Abstract interpretations computed so far.
-    pub fn walks(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn walks(&self) -> usize {
         self.walks
     }
 }

@@ -334,7 +334,8 @@ impl Client {
     }
 
     /// Drop the statement prepared under `name` (protocol v4).
-    pub fn deallocate(&mut self, name: &str) -> Result<(), ClientError> {
+    #[cfg(test)]
+    pub(crate) fn deallocate(&mut self, name: &str) -> Result<(), ClientError> {
         self.request(&ClientMsg::Deallocate { name: name.into() })?;
         match self.read_msg()? {
             ServerMsg::Ok => Ok(()),

@@ -181,7 +181,8 @@ impl SharedSession {
     }
 
     /// How many times the session has been rebuilt after a panic.
-    pub fn generation(&self) -> u64 {
+    #[cfg(test)]
+    fn generation(&self) -> u64 {
         self.locked().generation
     }
 

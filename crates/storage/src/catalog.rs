@@ -2,12 +2,10 @@
 //!
 //! Per the Decomposed Storage Model, a [`Table`] is nothing but a set of
 //! aligned [`VersionedColumn`]s, the table's [`DeletionSet`] and a
-//! [`TableSchema`]. The [`Catalog`] maps names to tables and to
-//! free-standing named BATs (used by the MAL layer for join indices and
-//! other auxiliary structures).
+//! [`TableSchema`]. The [`Catalog`] maps names to tables.
 
 use crate::bat::Bat;
-use crate::delta::{ColumnView, DeletionSet, Snapshot, VersionedColumn};
+use crate::delta::{ColumnView, DeletionSet, VersionedColumn};
 use mammoth_types::{Error, Oid, Result, TableSchema, Value};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -201,17 +199,6 @@ impl Table {
     /// deleted or out of range.
     pub fn delete_row(&mut self, pos: Oid) -> bool {
         (pos as usize) < self.total_len() && self.deleted.insert(pos)
-    }
-
-    /// Point-in-time snapshots of all columns (a consistent table view,
-    /// assuming the caller holds the table borrow while snapshotting).
-    /// Copies only the deltas; the deleted positions are copied once and
-    /// shared.
-    pub fn snapshot(&self) -> Vec<Snapshot> {
-        let deleted = Arc::new(self.deleted.clone());
-        (0..self.arity())
-            .map(|i| self.column(i).snapshot_sharing(Arc::clone(&deleted)))
-            .collect()
     }
 
     /// Fold the deltas into the bases if more than `threshold_rows` rows

@@ -128,8 +128,7 @@ pub struct ColumnView<'a> {
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     col: VersionedColumn,
-    /// Shared between the snapshots of one table's columns.
-    deleted: Arc<DeletionSet>,
+    deleted: DeletionSet,
 }
 
 impl VersionedColumn {
@@ -284,15 +283,9 @@ impl<'a> ColumnView<'a> {
 
     /// Point-in-time view: copies only the deltas (cheap snapshot isolation).
     pub fn snapshot(&self) -> Snapshot {
-        self.snapshot_sharing(Arc::new(self.deleted.clone()))
-    }
-
-    /// [`ColumnView::snapshot`] with the copy of the deletion set shared
-    /// with the snapshots of the table's other columns.
-    pub(crate) fn snapshot_sharing(&self, deleted: Arc<DeletionSet>) -> Snapshot {
         Snapshot {
             col: self.col.clone(),
-            deleted,
+            deleted: self.deleted.clone(),
         }
     }
 
@@ -337,32 +330,8 @@ impl Snapshot {
         self.col.view(&self.deleted)
     }
 
-    pub fn ty(&self) -> LogicalType {
-        self.col.ty()
-    }
-
-    pub fn total_len(&self) -> usize {
-        self.col.total_len()
-    }
-
     pub fn live_len(&self) -> usize {
         self.view().live_len()
-    }
-
-    pub fn get(&self, pos: Oid) -> Option<Value> {
-        self.view().get(pos)
-    }
-
-    pub fn is_live(&self, pos: Oid) -> bool {
-        self.view().is_live(pos)
-    }
-
-    pub fn scan(&self) -> impl Iterator<Item = (Oid, Value)> + '_ {
-        self.view().scan()
-    }
-
-    pub fn materialize(&self) -> Bat {
-        self.view().materialize()
     }
 }
 
@@ -464,8 +433,8 @@ mod tests {
         c.delete(0);
         // the snapshot still sees the original state
         assert_eq!(snap.live_len(), 3);
-        assert_eq!(snap.get(0), Some(Value::I32(1)));
-        assert_eq!(snap.get(3), None);
+        assert_eq!(snap.view().get(0), Some(Value::I32(1)));
+        assert_eq!(snap.view().get(3), None);
         // while the column moved on
         assert_eq!(c.view().live_len(), 3);
         assert_eq!(c.view().get(0), None);
@@ -631,7 +600,7 @@ mod tests {
         assert_eq!(values(&shared), values(&want), "{what}");
         let snap = c.view().snapshot();
         assert_eq!(
-            image_bytes(&snap.materialize()),
+            image_bytes(&snap.view().materialize()),
             image_bytes(&want),
             "{what}"
         );
@@ -779,11 +748,11 @@ mod tests {
                 }
             }
             let (snap, frozen) = snap.expect("snapshot taken");
-            let seen: Vec<Value> = snap.scan().map(|(_, v)| v).collect();
+            let seen: Vec<Value> = snap.view().scan().map(|(_, v)| v).collect();
             prop_assert_eq!(&seen, &frozen, "snapshot image must not move");
             prop_assert_eq!(snap.live_len(), frozen.len());
             // and materializing the snapshot yields the same image
-            let m = snap.materialize();
+            let m = snap.view().materialize();
             let mat: Vec<Value> = (0..m.len()).map(|i| m.value_at(i)).collect();
             prop_assert_eq!(&mat, &frozen);
         }

@@ -41,7 +41,7 @@ pub mod wal;
 
 pub use bat::{Bat, HeadColumn};
 pub use catalog::{Catalog, Table, TableImage};
-pub use delta::{ColumnView, DeletionSet, Snapshot, VersionedColumn};
+pub use delta::{ColumnView, DeletionSet, VersionedColumn};
 pub use fault::{create_dir_durable, FaultFs, FaultKind, FaultPlan, MemFs, RealFs, Vfs};
 pub use heap::{FixedTail, TailHeap};
 pub use persist::{checkpoint_catalog, checkpoint_image_with, read_sidecar, recover, recover_vfs};

@@ -36,10 +36,6 @@ pub enum EventKind {
     RecyclerEvict,
     /// A DML statement invalidated dependent cache entries.
     RecyclerInvalidate,
-    /// A cracker select split a piece (physical reorganization).
-    CrackPartition,
-    /// The cracker merged its pending delta into the cracked store.
-    CrackMerge,
     /// A batch of redo records was appended (and fsync'd) to the WAL.
     WalAppend,
     /// An atomic checkpoint was written and the WAL truncated.
@@ -106,8 +102,6 @@ impl EventKind {
             EventKind::RecyclerAdmit => "recycler.admit",
             EventKind::RecyclerEvict => "recycler.evict",
             EventKind::RecyclerInvalidate => "recycler.invalidate",
-            EventKind::CrackPartition => "crack.partition",
-            EventKind::CrackMerge => "crack.merge",
             EventKind::WalAppend => "wal.append",
             EventKind::Checkpoint => "checkpoint",
             EventKind::Recover => "recover",
@@ -143,8 +137,6 @@ impl EventKind {
             "recycler.admit" => EventKind::RecyclerAdmit,
             "recycler.evict" => EventKind::RecyclerEvict,
             "recycler.invalidate" => EventKind::RecyclerInvalidate,
-            "crack.partition" => EventKind::CrackPartition,
-            "crack.merge" => EventKind::CrackMerge,
             "wal.append" => EventKind::WalAppend,
             "checkpoint" => EventKind::Checkpoint,
             "recover" => EventKind::Recover,
@@ -880,8 +872,6 @@ mod tests {
             EventKind::RecyclerAdmit,
             EventKind::RecyclerEvict,
             EventKind::RecyclerInvalidate,
-            EventKind::CrackPartition,
-            EventKind::CrackMerge,
             EventKind::WalAppend,
             EventKind::Checkpoint,
             EventKind::Recover,

@@ -192,19 +192,6 @@ impl Database {
     pub fn is_durable(&self) -> bool {
         self.session.is_durable()
     }
-
-    /// Fold the WAL into a fresh atomic checkpoint (durable databases only;
-    /// the SQL statement `CHECKPOINT` does the same).
-    pub fn checkpoint(&mut self) -> Result<()> {
-        self.session.checkpoint()
-    }
-
-    /// Group-commit batch size: WAL records per fsync (default 1).
-    /// Returns `&mut Self` for builder-style chaining.
-    pub fn set_wal_batch(&mut self, n: usize) -> &mut Self {
-        self.session.set_wal_batch(n);
-        self
-    }
 }
 
 #[cfg(test)]
