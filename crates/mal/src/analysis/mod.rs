@@ -19,7 +19,7 @@ pub mod verify;
 pub use liveness::{analyze as analyze_liveness, Liveness};
 pub use props::{
     analyze_with_catalog as analyze_props, bound_column_facts, check_props_enabled, column_facts,
-    column_facts_with_zonemaps, column_props, Props, CHECK_PROPS_ENV,
+    column_facts_with_scanned_bounds, column_props, Props, CHECK_PROPS_ENV,
 };
 pub(crate) use props::{
     analyze_with_facts as analyze_props_with_facts, check_bat, Analysis, ColumnFacts as PropFacts,

@@ -3,8 +3,8 @@
 //! One forward walk infers, per SSA variable, a [`Props`] element:
 //! cardinality bounds, a value interval over the non-nil tail values,
 //! order/key/nullability flags, and head density. Base binds are seeded
-//! from catalog statistics ([`column_facts`], optionally sharpened by zone
-//! maps via [`column_facts_with_zonemaps`]); every opcode has a transfer
+//! from catalog statistics ([`column_facts`], optionally sharpened by a
+//! scan via [`column_facts_with_scanned_bounds`]); every opcode has a transfer
 //! function documented in `docs/mal-analysis.md`, and anything unmodeled
 //! falls back to the conservative [`Props::top`].
 //!
@@ -20,7 +20,6 @@
 
 use crate::program::{Arg, Instr, OpCode, PipelineOut, PipelineSink, PipelineSpec, Program, VarId};
 use mammoth_algebra::{AggKind, ArithOp, CmpOp};
-use mammoth_index::ZoneMap;
 use mammoth_storage::{Bat, Catalog, ColumnView};
 use mammoth_types::{LogicalType, Value};
 use std::cmp::Ordering;
@@ -263,11 +262,11 @@ pub fn column_facts(catalog: &Catalog) -> ColumnFacts {
     facts_impl(catalog, false)
 }
 
-/// [`column_facts`], additionally folding a zone map over each clean `i64`
-/// column into the value interval — the zone-map fact path the tentpole
-/// calls for. Costs one scan per column; meant for tests, `malcheck`, and
-/// benchmark setup rather than the per-query path.
-pub fn column_facts_with_zonemaps(catalog: &Catalog) -> ColumnFacts {
+/// [`column_facts`], additionally folding the min/max of each clean `i64`
+/// column whose base properties carry no bounds into its value interval.
+/// Costs one scan per such column; meant for tests rather than the
+/// per-query path.
+pub fn column_facts_with_scanned_bounds(catalog: &Catalog) -> ColumnFacts {
     facts_impl(catalog, true)
 }
 
@@ -302,19 +301,19 @@ fn typed_column_props(
     Some((props_of(t.column(i), ty, false), ty))
 }
 
-fn facts_impl(catalog: &Catalog, zonemaps: bool) -> ColumnFacts {
+fn facts_impl(catalog: &Catalog, scan_bounds: bool) -> ColumnFacts {
     let mut out = ColumnFacts::new();
     for name in catalog.table_names() {
         let Ok(t) = catalog.table(name) else { continue };
         for (i, cdef) in t.schema.columns.iter().enumerate() {
-            let props = props_of(t.column(i), cdef.ty, zonemaps);
+            let props = props_of(t.column(i), cdef.ty, scan_bounds);
             out.record(name, &cdef.name, props, Some(cdef.ty));
         }
     }
     out
 }
 
-fn props_of(col: ColumnView<'_>, ty: LogicalType, zonemaps: bool) -> Props {
+fn props_of(col: ColumnView<'_>, ty: LogicalType, scan_bounds: bool) -> Props {
     let mut p = Props::top().with_card(col.live_len() as u64);
     p.void_head = true;
     if let Some(sp) = col.stable_props() {
@@ -324,10 +323,10 @@ fn props_of(col: ColumnView<'_>, ty: LogicalType, zonemaps: bool) -> Props {
         p.nonil = sp.nonil;
         p.min = sp.min.clone();
         p.max = sp.max.clone();
-        if zonemaps && p.min.is_none() && ty == LogicalType::I64 {
+        if scan_bounds && p.min.is_none() && ty == LogicalType::I64 {
             if let Ok(vals) = col.base().tail_slice::<i64>() {
-                let live: Vec<i64> = vals.iter().copied().filter(|&v| v != i64::MIN).collect();
-                if let Some((lo, hi)) = ZoneMap::build(&live, 1024).bounds() {
+                let live = || vals.iter().copied().filter(|&v| v != i64::MIN);
+                if let (Some(lo), Some(hi)) = (live().min(), live().max()) {
                     p.min = Some(Value::I64(lo));
                     p.max = Some(Value::I64(hi));
                 }

@@ -42,7 +42,7 @@ pub mod program;
 
 pub use analysis::{
     analyze_props, bound_column_facts, check_props_enabled, column_facts,
-    column_facts_with_zonemaps, column_props, Props, CHECK_PROPS_ENV,
+    column_facts_with_scanned_bounds, column_props, Props, CHECK_PROPS_ENV,
 };
 pub use analysis::{verify, verify_with_catalog, Liveness, VerifyErrorKind};
 pub use combine::{

@@ -616,7 +616,7 @@ fn released_after<'a>(lv: &'a analysis::Liveness, idx: usize, op: &OpCode) -> &'
 /// With a candidate list the accept-all result is the list itself (later
 /// uses are re-pointed at it) and the accept-none result is its empty
 /// prefix, `bat.slice(cand, 0, 0)`. Both proofs compare the input's
-/// inferred value interval (seeded from column statistics and zone maps)
+/// inferred value interval (seeded from column statistics)
 /// against the constant predicate.
 ///
 /// Soundness guards, in order:

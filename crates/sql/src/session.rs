@@ -1,8 +1,8 @@
 //! The SQL session: parse → compile → optimize → interpret.
 //!
 //! Since the planner tier, compilation is *statistics-fed*: the session
-//! maintains a [`StatsCatalog`] (incremental on DML, folded at
-//! CHECKPOINT, persisted as a checkpoint sidecar), consults it for
+//! maintains a [`StatsCatalog`] (incremental on DML, rebuilt from the
+//! tables at CHECKPOINT and when a durable store opens), consults it for
 //! predicate ordering and mitosis piece counts, and serves `PREPARE`d
 //! statements from a premise-checked [`PlanCache`].
 //!

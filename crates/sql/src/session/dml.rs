@@ -159,28 +159,18 @@ impl Session {
         self.stats.lock().unwrap().clone()
     }
 
-    /// Reconcile the statistics catalog with the live tables, given as
-    /// their compacted image: drop stats of vanished tables and (re)build
-    /// any table whose stats are absent, stale by row count, or — when
-    /// `force` — unconditionally. Each column is read in place, as the
-    /// typed array it is.
-    pub(super) fn sync_stats(&self, image: &[TableImage], force: bool) {
-        let mut stats = self.stats.lock().unwrap();
-        let known: Vec<String> = stats.table_names().map(str::to_string).collect();
-        for k in known {
-            if !image.iter().any(|t| t.name == k) {
-                stats.drop_table(&k);
-            }
-        }
+    /// Replace the statistics catalog with one built from the live tables,
+    /// given as their compacted image — what opening a durable store and
+    /// every CHECKPOINT do. Each column is read in place, as the typed
+    /// array it is.
+    pub(super) fn rebuild_stats(&self, image: &[TableImage]) {
+        let mut stats = StatsCatalog::new();
         for t in image {
-            let rows = t.columns.first().map_or(0, |b| b.len()) as u64;
-            let fresh = !force && stats.table(&t.name).is_some_and(|ts| ts.rows == rows);
-            if !fresh {
-                let columns = t.schema.columns.iter().zip(&t.columns);
-                let built = columns.map(|(def, bat)| (def.name.clone(), column_stats(bat)));
-                stats.rebuild_table(&t.name, built.collect());
-            }
+            let columns = t.schema.columns.iter().zip(&t.columns);
+            let built = columns.map(|(def, bat)| (def.name.clone(), column_stats(bat)));
+            stats.rebuild_table(&t.name, built.collect());
         }
+        *self.stats.lock().unwrap() = stats;
     }
 
     /// Positions (delta oids) of live rows matching the AND-ed predicates —

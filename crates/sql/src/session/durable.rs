@@ -3,14 +3,10 @@
 use super::explain::{export_profile, trace_env_on};
 use super::Session;
 use mammoth_mal::{EventKind, ProfiledRun, TraceEvent};
-use mammoth_planner::StatsCatalog;
 use mammoth_storage::{persist, Vfs, Wal};
 use mammoth_types::{Error, Result};
 use std::path::PathBuf;
 use std::sync::Arc;
-
-/// File name of the statistics sidecar inside a checkpoint directory.
-const STATS_SIDECAR: &str = "stats.mstats";
 
 /// The crash-safety state of a durable session: the VFS it performs file
 /// operations through, the root directory, and the open redo log.
@@ -29,17 +25,9 @@ impl Session {
         self.catalog = rec.catalog;
         // compiled plans were proven against the pre-recovery catalog
         self.plan_cache.lock().unwrap().clear();
-        // restore the statistics sidecar of the committed checkpoint and
-        // self-heal: the sidecar describes the image, not the WAL tail
-        // replayed on top of it, so any replayed records (or a missing /
-        // unreadable sidecar) force a rebuild from the live columns
-        let loaded = persist::read_sidecar(fs.as_ref(), &root, STATS_SIDECAR)
-            .ok()
-            .flatten()
-            .and_then(|bytes| StatsCatalog::deserialize(&bytes).ok())
-            .unwrap_or_default();
-        *self.stats.lock().unwrap() = loaded;
-        self.sync_stats(&self.catalog.image(), rec.wal_records > 0);
+        // the statistics are derived state: the recovered tables are their
+        // one source, as at every CHECKPOINT
+        self.rebuild_stats(&self.catalog.image());
         self.durable = Some(Durability { fs, root, wal });
         if tracing {
             self.export_durability_events(vec![TraceEvent {
@@ -94,19 +82,11 @@ impl Session {
         let image = self.catalog.image();
         // fold the statistics: a deterministic rebuild from the live
         // columns squashes the approximation drift the incremental DML
-        // maintenance accumulated, and the serialized catalog rides the
-        // checkpoint image as a sidecar (committing — and replicating —
-        // atomically with the data it describes)
-        self.sync_stats(&image, true);
-        let sidecar = self.stats.lock().unwrap().serialize();
+        // maintenance accumulated
+        self.rebuild_stats(&image);
         let d = self.durable.as_mut().unwrap();
         d.wal.commit()?;
-        let (gen, wal_path) = persist::checkpoint_image_with(
-            d.fs.as_ref(),
-            &image,
-            &d.root,
-            &[(STATS_SIDECAR.to_string(), sidecar)],
-        )?;
+        let (gen, wal_path) = persist::checkpoint_image(d.fs.as_ref(), &image, &d.root)?;
         let mut wal = Wal::open(Arc::clone(&d.fs), wal_path)?;
         let tracing = trace_env_on();
         wal.set_tracing(tracing);

@@ -20,7 +20,7 @@
 //!   plus a tiny descriptor, mimicking MonetDB's memory-mapped files
 //!   ([`persist`]).
 //! * **Crash safety** — a redo-only write-ahead log ([`wal`]), atomic
-//!   generation-numbered checkpoints ([`persist::checkpoint_catalog`]) and
+//!   generation-numbered checkpoints ([`persist::checkpoint_image`]) and
 //!   a deterministic fault-injection VFS over an in-memory disk that
 //!   forgets what was never synced ([`fault`]), which the crash-matrix
 //!   tests drive to prove every kill point recovers the committed prefix,
@@ -44,7 +44,7 @@ pub use catalog::{Catalog, Table, TableImage};
 pub use delta::{ColumnView, DeletionSet, VersionedColumn};
 pub use fault::{create_dir_durable, FaultFs, FaultKind, FaultPlan, MemFs, RealFs, Vfs};
 pub use heap::{FixedTail, TailHeap};
-pub use persist::{checkpoint_catalog, checkpoint_image_with, read_sidecar, recover, recover_vfs};
+pub use persist::{checkpoint_image, recover, recover_vfs};
 pub use properties::Properties;
 pub use ship::{durable_tip, export_image, read_wal_range, Tip};
 pub use strheap::StrHeap;

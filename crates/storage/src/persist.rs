@@ -8,7 +8,7 @@
 //!
 //! ## Integrity
 //!
-//! Files written through `save_bat_vfs`/[`checkpoint_catalog`] are
+//! Files written through `save_bat_vfs`/[`checkpoint_image`] are
 //! *sealed*: the serialized payload is wrapped in
 //! `"MCRC1\n" || crc32(payload) || payload` so that any truncation or bit
 //! flip of a stored image is detected as [`Error::Corrupt`] instead of
@@ -17,7 +17,7 @@
 //!
 //! ## Durable layout
 //!
-//! The crash-safe layout managed by [`checkpoint_catalog`]/[`recover_vfs`]
+//! The crash-safe layout managed by [`checkpoint_image`]/[`recover_vfs`]
 //! is versioned by a *generation* number `g`:
 //!
 //! ```text
@@ -282,32 +282,16 @@ pub fn write_current(fs: &dyn Vfs, root: &Path, g: u64) -> Result<()> {
     fs.sync_dir(root)
 }
 
-/// Write an atomic checkpoint of `catalog` under `root` and commit it.
+/// Write an atomic checkpoint of `image` (a catalog's compacted tables,
+/// [`Catalog::image`]) under `root` and commit it.
 ///
 /// Returns the new generation and the path of its (not yet existing) WAL
-/// file; the caller reopens its [`crate::wal::Wal`] there. The sequence is
+/// file; the caller reopens its [`crate::wal::Wal`] there and may fold its
+/// live tables onto the image ([`Catalog::adopt_image`]). The sequence is
 /// crash-safe at every step: the store flips from generation `g` to `g+1`
 /// exactly when the `CURRENT` rename lands, and the per-generation WAL
 /// naming means the old log can never be replayed on top of the new image.
-pub fn checkpoint_catalog(fs: &dyn Vfs, catalog: &Catalog, root: &Path) -> Result<(u64, PathBuf)> {
-    checkpoint_image_with(fs, &catalog.image(), root, &[])
-}
-
-/// [`checkpoint_catalog`] of an image the caller already holds (and goes
-/// on to fold the live tables onto, [`Catalog::adopt_image`]), plus
-/// *sidecar* files: each `(name, bytes)` pair is written into the
-/// checkpoint directory before the atomic rename, so the sidecars commit
-/// (and replicate — the image shipper enumerates every file of the
-/// generation directory) exactly with the data they describe. Sidecars are
-/// written as given, not sealed: no CRC guards them, so their readers must
-/// treat the bytes as untrusted. Used by the SQL session to persist the
-/// planner's statistics catalog.
-pub fn checkpoint_image_with(
-    fs: &dyn Vfs,
-    image: &[TableImage],
-    root: &Path,
-    sidecars: &[(String, Vec<u8>)],
-) -> Result<(u64, PathBuf)> {
+pub fn checkpoint_image(fs: &dyn Vfs, image: &[TableImage], root: &Path) -> Result<(u64, PathBuf)> {
     create_dir_durable(fs, root)?;
     let next = read_current(fs, root)?.map_or(1, |g| g + 1);
     let tmp = root.join(format!("{}.tmp", checkpoint_dir_name(next)));
@@ -317,11 +301,6 @@ pub fn checkpoint_image_with(
     fs.remove_dir_all(&fin)?;
     fs.remove_file(&root.join(wal_file_name(next)))?;
     save_image_vfs(fs, image, &tmp)?;
-    for (name, bytes) in sidecars {
-        let p = tmp.join(name);
-        fs.write_file(&p, bytes)?;
-        fs.sync(&p)?;
-    }
     fs.sync_dir(&tmp)?;
     fs.rename(&tmp, &fin)?;
     fs.sync_dir(root)?;
@@ -333,21 +312,6 @@ pub fn checkpoint_image_with(
         fs.remove_file(&root.join(wal_file_name(next - 1)))?;
     }
     Ok((next, root.join(wal_file_name(next))))
-}
-
-/// Read a sidecar file from the *committed* checkpoint generation (the
-/// one `CURRENT` names). Returns `Ok(None)` when there is no committed
-/// checkpoint or the sidecar was never written — absence is normal
-/// (pre-sidecar images, fresh stores), not corruption.
-pub fn read_sidecar(fs: &dyn Vfs, root: &Path, name: &str) -> Result<Option<Vec<u8>>> {
-    let Some(g) = read_current(fs, root)? else {
-        return Ok(None);
-    };
-    let p = root.join(checkpoint_dir_name(g)).join(name);
-    if !fs.exists(&p) {
-        return Ok(None);
-    }
-    fs.read(&p).map(Some)
 }
 
 /// Load the checkpoint that `CURRENT` names under `root`, with its
@@ -567,7 +531,7 @@ mod tests {
         let d = tmpdir("ckpt");
         let fs_: Arc<dyn Vfs> = Arc::new(RealFs);
         let cat = demo_catalog();
-        let (g1, wal1) = checkpoint_catalog(fs_.as_ref(), &cat, &d).unwrap();
+        let (g1, wal1) = checkpoint_image(fs_.as_ref(), &cat.image(), &d).unwrap();
         assert_eq!(g1, 1);
 
         // append DML to the generation-1 WAL
@@ -587,7 +551,7 @@ mod tests {
         assert_eq!(t.live_len(), 2);
 
         // a second checkpoint folds the WAL in and retires generation 1
-        let (g2, _) = checkpoint_catalog(fs_.as_ref(), &rec.catalog, &d).unwrap();
+        let (g2, _) = checkpoint_image(fs_.as_ref(), &rec.catalog.image(), &d).unwrap();
         assert_eq!(g2, 2);
         assert!(!d.join(checkpoint_dir_name(1)).exists());
         assert!(!d.join(wal_file_name(1)).exists());

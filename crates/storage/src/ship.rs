@@ -107,7 +107,7 @@ pub fn export_image(fs: &dyn Vfs, root: &Path, gen: u64) -> Result<Vec<(String, 
 mod tests {
     use super::*;
     use crate::fault::RealFs;
-    use crate::persist::{checkpoint_catalog, recover_vfs};
+    use crate::persist::{checkpoint_image, recover_vfs};
     use crate::wal::{Wal, WalRecord};
     use crate::Catalog;
     use mammoth_types::{ColumnDef, LogicalType, TableSchema, Value};
@@ -193,7 +193,7 @@ mod tests {
             .unwrap()
             .insert_row(&[Value::I32(7)])
             .unwrap();
-        let (gen, _walp) = checkpoint_catalog(fs.as_ref(), &catalog, &d).unwrap();
+        let (gen, _walp) = checkpoint_image(fs.as_ref(), &catalog.image(), &d).unwrap();
         let files = export_image(fs.as_ref(), &d, gen).unwrap();
         assert!(files.iter().any(|(n, _)| n == "catalog.mmth"));
         // replant the files under a new root and recover from them

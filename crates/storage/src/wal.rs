@@ -3,7 +3,7 @@
 //! Crash safety in mammoth follows the classic redo-only recipe: DML is
 //! recorded in an append-only log *before* the in-memory delta BATs are
 //! touched, commits are made durable with one fsync per batch, and the
-//! periodic [checkpoint](crate::persist::checkpoint_catalog) folds the
+//! periodic [checkpoint](crate::persist::checkpoint_image) folds the
 //! logged state into the raw-heap image and truncates the log. Recovery
 //! loads the last good checkpoint and replays the log tail.
 //!

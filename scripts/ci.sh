@@ -62,7 +62,7 @@ stray=$(grep -ohE '\b(crates|examples|scripts)/[A-Za-z0-9_.*/-]*[A-Za-z0-9_*]' R
 echo "==> serving gate: mammoth-server links no evidence crate"
 # What reproduces a paper claim but serves no request (DESIGN.md's "serves /
 # evidence" column) stays out of the daemons.
-evidence='recycler|cracking|bufferpool|volcano|cache|compression|xpath|stream|workload|bench'
+evidence='recycler|cracking|bufferpool|volcano|cache|compression|xpath|stream|workload|bench|index'
 linked=$(cargo tree --offline -p mammoth-server -e normal --prefix none \
     | grep -E "^mammoth-($evidence) " | sort -u || true)
 [ -z "$linked" ] || { echo "mammoth-server links evidence crates:"; echo "$linked"; exit 1; }

@@ -30,7 +30,6 @@
 //! | [`types`] | values, schemas, errors |
 //! | [`storage`] | BATs, heaps, deltas, catalog, persistence |
 //! | [`algebra`] | the BAT Algebra: selects, joins, radix-cluster/-decluster |
-//! | [`index`] | hash table, B+-tree, CSS-tree, zone maps |
 //! | [`vectorized`] | the X100-style vectorized engine |
 //! | [`mal`] | MAL programs, optimizer pipeline, interpreter |
 //! | [`parallel`] | multi-core dataflow execution of MAL plans |
@@ -43,7 +42,6 @@
 pub use mammoth_sql::QueryOutput;
 
 pub use mammoth_algebra as algebra;
-pub use mammoth_index as index;
 pub use mammoth_mal as mal;
 pub use mammoth_parallel as parallel;
 pub use mammoth_server as server;
@@ -166,7 +164,7 @@ impl Database {
     /// Persist the whole catalog to a directory as an atomic checkpoint,
     /// the layout [`Database::open_durable`] recovers from.
     pub fn save(&self, dir: &Path) -> Result<()> {
-        persist::checkpoint_catalog(&RealFs, self.catalog(), dir).map(|_| ())
+        persist::checkpoint_image(&RealFs, &self.catalog().image(), dir).map(|_| ())
     }
 
     /// Open a database persisted with [`Database::save`]: the checkpoint

@@ -222,7 +222,6 @@ ckpt-1.tmp/ty.3.bat 131 6b7c8d8aa8c44cb9
 ckpt-1.tmp/ty.4.bat 227 438fd7c54d6c9336
 ckpt-1.tmp/ty.5.bat 289 30f77a667d87683e
 ckpt-1.tmp/catalog.mmth 214 6510e6bee7534e1b
-ckpt-1.tmp/stats.mstats 1341 0e7bbf119e163c1e
 CURRENT.tmp 7 a465704396a541bd
 wal-1 1438 9d656c349803f842
 ckpt-2.tmp/ev.0.bat 323 dfe42bb96a3de534
@@ -235,7 +234,6 @@ ckpt-2.tmp/ty.3.bat 115 5c6212316e58513f
 ckpt-2.tmp/ty.4.bat 195 4817651c2901748b
 ckpt-2.tmp/ty.5.bat 245 f2295776f2465b70
 ckpt-2.tmp/catalog.mmth 214 6510e6bee7534e1b
-ckpt-2.tmp/stats.mstats 1232 85bd61ac2e1c0009
 CURRENT.tmp 7 a45b2e43969c7d12
 wal-2 8 c180be7318560832
 ckpt-3.tmp/ev.0.bat 323 0230eee448d5b891
@@ -248,14 +246,12 @@ ckpt-3.tmp/ty.3.bat 115 ecfc2df5af446804
 ckpt-3.tmp/ty.4.bat 195 e91023a63f1fb10a
 ckpt-3.tmp/ty.5.bat 245 b5a50b5f555c4378
 ckpt-3.tmp/catalog.mmth 214 6510e6bee7534e1b
-ckpt-3.tmp/stats.mstats 1232 85bd61ac2e1c0009
 CURRENT.tmp 7 a45e9043969f596f
 wal-3 5071 cb1c65f3623c4df3
 ckpt-4.tmp/ev.0.bat 59 83d66d8903410a64
 ckpt-4.tmp/ev.1.bat 59 3af88a7f2136a983
 ckpt-4.tmp/ev.2.bat 88 b1c41456e79b7815
 ckpt-4.tmp/catalog.mmth 87 24db8ddc5441183b
-ckpt-4.tmp/stats.mstats 154 09fd87966d7c55eb
 CURRENT.tmp 7 a4546e439696cb24
 wal-4 117 20abd13e8f073b0f
 ";
@@ -292,5 +288,37 @@ fn wal_and_checkpoint_bytes_match_the_pinned_hashes() {
         got.trim(),
         PINNED.trim(),
         "WAL or checkpoint bytes drifted from the pinned format; got:\n{got}"
+    );
+}
+
+/// A store written before the statistics stopped being stored has a
+/// `stats.mstats` in its checkpoint directory. Nothing reads it: an open
+/// rebuilds the statistics from the image, and the next CHECKPOINT leaves
+/// the old generation, file and all, behind.
+#[test]
+fn a_legacy_stats_file_is_ignored_and_dropped() {
+    use mammoth_storage::MemFs;
+    let fs = Arc::new(MemFs::default());
+    let root = PathBuf::from("/db");
+    let fresh = {
+        let mut s = Session::open_durable_with(fs.clone(), root.clone()).unwrap();
+        for stmt in script().iter().take_while(|stmt| *stmt != "CHECKPOINT") {
+            s.execute(stmt).unwrap_or_else(|e| panic!("{stmt}: {e}"));
+        }
+        s.execute("CHECKPOINT").unwrap();
+        s.stats_catalog()
+    };
+    let legacy = root.join("ckpt-1/stats.mstats");
+    fs.write_file(&legacy, b"MSTATS1\ntable ev 9 9\ncol k \xff garbage")
+        .unwrap();
+    fs.sync(&legacy).unwrap();
+    let mut s = Session::open_durable_with(fs.clone(), root.clone()).unwrap();
+    assert_eq!(s.stats_catalog(), fresh);
+    s.execute("CHECKPOINT").unwrap();
+    let files = fs.read_dir(&root.join("ckpt-2")).unwrap();
+    assert!(!files.is_empty() && !fs.exists(&legacy));
+    assert!(
+        files.iter().all(|p| !p.ends_with("stats.mstats")),
+        "{files:?}"
     );
 }

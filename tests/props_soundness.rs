@@ -25,7 +25,7 @@
 //!   with them disabled, on every engine.
 
 use mammoth::mal::{
-    column_facts_with_zonemaps, default_pipeline_with_props, Interpreter, MalValue, OpCode,
+    column_facts_with_scanned_bounds, default_pipeline_with_props, Interpreter, MalValue, OpCode,
     CHECK_PROPS_ENV,
 };
 use mammoth::parallel::run_dataflow;
@@ -61,7 +61,7 @@ fn property_checker_reports_zero_violations_across_engines() {
     // interpreters pin the checker explicitly via the builder as well
     std::env::set_var(CHECK_PROPS_ENV, "1");
     let cat = catalog();
-    let facts = column_facts_with_zonemaps(&cat);
+    let facts = column_facts_with_scanned_bounds(&cat);
     let mut rng = StdRng::seed_from_u64(0xC0FFEE);
     // chains that ran fused, by the kind of result their sink binds
     let (mut scalars, mut bats) = (0, 0);
