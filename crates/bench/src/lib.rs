@@ -1,8 +1,9 @@
 //! The experiment harness.
 //!
 //! One module per experiment of DESIGN.md §4: the paper evidence E01–E18,
-//! and the extensions E20, E22, E23 and E25 that no `benchmark/` workload
-//! measures (the serving layers' numbers live there). Each module exposes
+//! and the extensions E20 and E22 that no `benchmark/` workload measures.
+//! The harness links no daemon: the serving layers' numbers live in
+//! `benchmark/`, their contracts in the tier tests. Each module exposes
 //! `run(scale) -> Report`: it executes the experiment and returns the
 //! tables EXPERIMENTS.md records, the data points `exp --json` emits, and
 //! the claims it checks — each a predicate evaluated over the numbers the
@@ -37,8 +38,6 @@ pub mod experiments {
     pub mod e18_sideways;
     pub mod e20_wal;
     pub mod e22_props;
-    pub mod e23_replication;
-    pub mod e25_failover;
 }
 
 /// Workload scale for the harness: `Quick` for smoke runs and CI,
@@ -87,8 +86,6 @@ pub fn all_experiments() -> Vec<Experiment> {
         ("e18", "extension - sideways cracking: self-organizing tuple reconstruction", e18_sideways::run),
         ("e20", "extension - WAL overhead: group-commit batch sweep + checkpoint cost", e20_wal::run),
         ("e22", "extension - property-driven rewrites: sorted binary-search select + select elimination", e22_props::run),
-        ("e23", "extension - WAL-shipping replication: read scale-out, steady lag, failover", e23_replication::run),
-        ("e25", "extension - shard-replica failover: time to detect/degrade/promote, zero acked loss", e25_failover::run),
     ]
 }
 
@@ -281,7 +278,7 @@ pub(crate) fn ns_per(s: f64, n: usize) -> f64 {
 
 /// A fresh scratch directory for `experiment`, unique to `tag` and this
 /// process; whatever an earlier run left there is removed.
-pub fn tmpdir(experiment: &str, tag: &str) -> std::path::PathBuf {
+pub(crate) fn tmpdir(experiment: &str, tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("mammoth-{experiment}-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d

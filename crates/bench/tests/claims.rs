@@ -107,5 +107,5 @@ macro_rules! pinned {
 
 pinned!(
     e01, e02, e03, e04, e05, e06, e07, e08, e09, e10, e11, e12, e13, e14, e15, e16, e17, e18, e20,
-    e22, e23, e25
+    e22
 );

@@ -469,13 +469,23 @@ mod tests {
             SharedSession::new(SessionSpec::in_memory(), Some(Duration::from_millis(50))).unwrap(),
         );
         s.execute("CREATE TABLE t (a INT)").unwrap();
+        let (inside, entered) = std::sync::mpsc::channel();
+        let (release, released) = std::sync::mpsc::channel::<()>();
         let s2 = s.clone();
         let hold = std::thread::spawn(move || {
-            s2.with_session_mut(|_| std::thread::sleep(Duration::from_millis(400)))
-                .unwrap();
+            s2.with_session_mut(|_| {
+                inside.send(()).unwrap();
+                // Bounded, so a statement that never times out fails the
+                // test below instead of hanging it.
+                let _ = released.recv_timeout(Duration::from_secs(10));
+            })
+            .unwrap();
         });
-        std::thread::sleep(Duration::from_millis(100)); // let the holder in
+        entered
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the holder took the session");
         let err = s.execute("INSERT INTO t VALUES (1)").unwrap_err();
+        release.send(()).unwrap();
         assert!(matches!(err, ExecError::Timeout), "got {err:?}");
         hold.join().unwrap();
         // After the holder leaves, statements flow again.
@@ -499,14 +509,8 @@ mod tests {
 
     #[test]
     fn panic_recovery_preserves_committed_state_when_durable() {
-        let dir = std::env::temp_dir().join(format!(
-            "mammoth-shared-poison-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let s = SharedSession::new(SessionSpec::durable(&dir), None).unwrap();
+        let disk: Arc<dyn Vfs> = Arc::new(mammoth_storage::MemFs::default());
+        let s = SharedSession::new(SessionSpec::durable_with(disk, "/poison"), None).unwrap();
         s.execute("CREATE TABLE t (a INT)").unwrap();
         s.execute("INSERT INTO t VALUES (10), (20)").unwrap();
         assert!(matches!(
@@ -520,6 +524,5 @@ mod tests {
             }
             other => panic!("expected table, got {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -54,9 +54,9 @@ stray=$(grep -rnE --include='*.rs' '(to_|make_)(ascii_)?lowercase|eq_ignore_asci
 [ -z "$stray" ] || { echo "a name folded past its entry point:"; echo "$stray"; exit 1; }
 
 echo "==> docs name no missing file"
-# A crates/, examples/ or scripts/ path (or glob) in README.md, DESIGN.md or docs/ must exist.
-stray=$(grep -ohE '\b(crates|examples|scripts)/[A-Za-z0-9_.*/-]*[A-Za-z0-9_*]' README.md \
-    DESIGN.md docs/*.md | sort -u | while read -r p; do compgen -G "$p" >/dev/null || echo "$p"; done)
+# A crates/ examples/ scripts/ tests/ path or glob in the docs must exist; `{a,b}/tests/` is no path.
+stray=$(grep -ohP '(?<!}/)\b(crates|examples|scripts|tests)/[A-Za-z0-9_.*/-]*[A-Za-z0-9_*]' README.md \
+    DESIGN.md EXPERIMENTS.md docs/*.md | sort -u | while read -r p; do compgen -G "$p" >/dev/null || echo "$p"; done)
 [ -z "$stray" ] || { echo "docs name files that do not exist:"; echo "$stray"; exit 1; }
 
 echo "==> serving gate: mammoth-server links no evidence crate"

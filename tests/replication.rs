@@ -3,9 +3,10 @@
 //!
 //! The invariants under test:
 //!
-//! * **Convergence** — after the primary quiesces and every replica
-//!   reports `CaughtUp`, each replica's result tables are *identical* to
-//!   the primary's (same columns, same rows, same order).
+//! * **Convergence** — once the primary quiesces, every replica's
+//!   `EXPLAIN REPLICATION` reaches `lag_bytes` 0 and `caught_up` true, a
+//!   checkpoint's generation flip included, and its result tables are
+//!   *identical* to the primary's (same columns, same rows, same order).
 //! * **Divergence discipline** — a replica whose local WAL mirror is
 //!   corrupted must wipe and re-bootstrap from the primary's checkpoint
 //!   image; it may briefly serve an empty or shorter prefix, but never a
@@ -48,6 +49,9 @@ fn replicas_converge_to_identical_tables() {
     // A mid-stream checkpoint flips the generation under the replicas:
     // their next polls must re-anchor from the shipped image.
     c.query("CHECKPOINT").unwrap();
+    for k in 0..2 {
+        wait_lag_zero(&cluster.replica_addr(k));
+    }
     for i in 20..30 {
         c.query(&format!("INSERT INTO t VALUES ({i}, 'row-{i}')"))
             .unwrap();
@@ -62,6 +66,7 @@ fn replicas_converge_to_identical_tables() {
     for k in 0..2 {
         let (r, addr) = (cluster.replica(k), cluster.replica_addr(k));
         assert!(r.wait_caught_up(Duration::from_secs(20)), "never caught up");
+        wait_lag_zero(&addr);
         wait_served(&addr, sql, &want);
         // Writes must be refused at the replica.
         let mut rc = Client::connect(&addr, "misguided", "").unwrap();
@@ -83,6 +88,20 @@ fn replicas_converge_to_identical_tables() {
         let status = r.status();
         assert!(status.applied_groups > 0 || status.bootstraps > 0);
     }
+}
+
+/// Wait until the replica at `addr` says through plain SQL that it holds
+/// all of its quiet primary's log: `lag_bytes` 0 and `caught_up` true.
+fn wait_lag_zero(addr: &str) {
+    let what = format!("{addr} to report lag_bytes 0 and caught_up true");
+    wait_for(Duration::from_secs(20), &what, || {
+        let Ok(Response::Table { rows, .. }) = ask(addr, "EXPLAIN REPLICATION") else {
+            return None;
+        };
+        let says =
+            |k: &str, v: &str| rows.contains(&vec![Value::Str(k.into()), Value::Str(v.into())]);
+        (says("lag_bytes", "0") && says("caught_up", "true")).then_some(())
+    });
 }
 
 #[test]
