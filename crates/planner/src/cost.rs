@@ -1,13 +1,14 @@
 //! The cost model: predicate selectivity from the statistics, per-
 //! instruction cardinality/cost estimates over a MAL program, and the
-//! small decision procedures the SQL session consults (select-algorithm
-//! gating, mitosis piece count).
+//! small decision procedures the SQL session consults (predicate order,
+//! mitosis piece count).
 //!
 //! Estimates are heuristic and advisory — classic System-R style
-//! independence assumptions, refined by the equi-depth histograms when a
-//! column has them. `EXPLAIN` prints them next to each instruction and
-//! `TRACE` diffs them against the measured row counts (`est_rows` vs
-//! `rows`), so estimation error is observable, not silent.
+//! independence assumptions over a column's distinct-value estimate and
+//! its `[min, max]` bounds, with values spread evenly between them.
+//! `EXPLAIN` prints them next to each instruction and `TRACE` diffs them
+//! against the measured row counts (`est_rows` vs `rows`), so estimation
+//! error is observable, not silent.
 
 use crate::stats::StatsCatalog;
 use mammoth_algebra::CmpOp;
@@ -15,8 +16,9 @@ use mammoth_mal::{Arg, OpCode, PipelineOut, PipelineSink, Program, VarId};
 use mammoth_types::Value;
 use std::collections::HashMap;
 
-/// Default selectivity for a range predicate whose bound is unknown
-/// (a `?N` parameter, or no histogram).
+/// Default selectivity for a range predicate whose bound is unknown (a
+/// `?N` parameter) or not numeric, or over a column without numeric
+/// bounds.
 pub(crate) const DEFAULT_RANGE_SELECTIVITY: f64 = 1.0 / 3.0;
 
 /// Target rows per mitosis fragment: fragments smaller than this lose
@@ -55,31 +57,32 @@ pub fn selectivity(
     };
     let live = (cs.rows - cs.nulls.min(cs.rows)).max(1) as f64;
     let uniq = 1.0 / cs.ndv_clamped() as f64;
+    // the bound and the column's numeric range, when both are known
+    let x = value.and_then(Value::as_f64);
+    let range = match (&cs.min, &cs.max) {
+        (Some(lo), Some(hi)) if cs.rows > cs.nulls => lo.as_f64().zip(hi.as_f64()),
+        _ => None,
+    };
     match op {
-        CmpOp::Eq => match (value.and_then(|v| v.as_f64()), &cs.histogram) {
-            // histogram refinement: equality is zero outside the
-            // recorded value range, else the uniform 1/ndv share
-            (Some(x), Some(h)) if h.total > 0 => {
-                if x < h.lo || h.bounds.last().is_some_and(|&hi| x > hi) {
-                    0.0
-                } else {
-                    uniq
-                }
-            }
+        // zero outside the range, else the uniform 1/ndv share
+        CmpOp::Eq => match (x, range) {
+            (Some(x), Some((lo, hi))) if x < lo || x > hi => 0.0,
             _ => uniq,
         },
         CmpOp::Ne => (1.0 - uniq).max(0.0),
         CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => {
-            let Some(x) = value.and_then(|v| v.as_f64()) else {
+            let (Some(x), Some((lo, hi))) = (x, range) else {
                 return DEFAULT_RANGE_SELECTIVITY;
             };
-            let Some(h) = &cs.histogram else {
-                return DEFAULT_RANGE_SELECTIVITY;
+            // the share of the range at or below `x`, by linear
+            // interpolation
+            let below = if x < lo {
+                0.0
+            } else if x >= hi {
+                1.0
+            } else {
+                ((x - lo) / (hi - lo)).clamp(0.0, 1.0)
             };
-            if h.total == 0 {
-                return DEFAULT_RANGE_SELECTIVITY;
-            }
-            let below = h.cdf(x);
             let point = 1.0 / live; // half-open adjustment for one value
             match op {
                 CmpOp::Le => below,
@@ -366,9 +369,10 @@ fn select_selectivity(
                 side(bounds.first(), CmpOp::Ge),
                 side(bounds.get(1), CmpOp::Le),
             );
-            // both sides come off one CDF, so the kept share is their
-            // overlap; where that collapses — no histogram, so two fixed
-            // defaults — fall back to independence rather than "no rows"
+            // both sides come off one range, so the kept share is their
+            // overlap; where that collapses — no numeric bounds, so two
+            // fixed defaults — fall back to independence rather than "no
+            // rows"
             match s_lo + s_hi - 1.0 {
                 overlap if overlap > 0.0 => overlap.min(1.0),
                 _ => s_lo * s_hi,
@@ -409,12 +413,12 @@ mod tests {
     }
 
     #[test]
-    fn selectivity_uses_ndv_and_histogram() {
+    fn selectivity_uses_ndv_and_bounds() {
         let sc = catalog_with_t();
         let eq = selectivity(&sc, "t", "a", CmpOp::Eq, Some(&Value::I64(50)));
         assert!((eq - 0.01).abs() < 0.005, "1/ndv for eq, got {eq}");
         let lt = selectivity(&sc, "t", "a", CmpOp::Lt, Some(&Value::I64(50)));
-        assert!((lt - 0.5).abs() < 0.1, "cdf for range, got {lt}");
+        assert!((lt - 0.5).abs() < 0.1, "share of [min, max], got {lt}");
         // out-of-range equality is (near) zero
         let miss = selectivity(&sc, "t", "a", CmpOp::Eq, Some(&Value::I64(5000)));
         assert_eq!(miss, 0.0);
@@ -494,7 +498,7 @@ mod tests {
         let est = estimate_program(&p, &sc, |_| None);
         assert!(
             (est[1].rows as i64 - 500).abs() <= 60,
-            "half the cdf: {est:?}"
+            "half the range: {est:?}"
         );
         assert_eq!(est[1].cost, 1000, "the first select sweeps the column");
         assert_eq!(

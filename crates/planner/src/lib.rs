@@ -7,10 +7,9 @@
 //! cooperating parts:
 //!
 //! * [`stats`] — a [`StatsCatalog`] of per-column row counts, null counts,
-//!   distinct-value estimates, min/max bounds and equi-depth histograms,
-//!   maintained incrementally on DML and folded (rebuilt from the live
-//!   columns) at CHECKPOINT. Serializable, so it rides the checkpoint
-//!   image and recovery restores it.
+//!   distinct-value estimates and min/max bounds, maintained incrementally
+//!   on DML and rebuilt from the live columns at CHECKPOINT and when a
+//!   durable store opens. It is derived state: nothing of it is stored.
 //! * [`cache`] — a [`PlanCache`] of compiled, verified, optimized MAL
 //!   programs keyed by canonical statement text, with `?N` parameter
 //!   slots substituted as constants at EXECUTE time. Entries carry the
@@ -18,8 +17,9 @@
 //!   mismatch (or DDL, or recovery) invalidates.
 //! * [`cost`] — per-instruction cardinality/cost estimates over a MAL
 //!   program ([`estimate_program`]), predicate selectivity from the
-//!   histograms, and the small decision procedures the SQL session
-//!   consults: predicate ordering, mitosis piece count.
+//!   bounds and distinct-value estimates, and the small decision
+//!   procedures the SQL session consults: predicate ordering, mitosis
+//!   piece count.
 
 #![deny(unsafe_code)]
 
@@ -29,4 +29,4 @@ pub mod stats;
 
 pub use cache::{bind_program, referenced_columns, CachedPlan, PlanCache};
 pub use cost::{choose_pieces, estimate_program, selectivity, InstrEstimate};
-pub use stats::{ColumnStats, Histogram, StatsCatalog};
+pub use stats::{ColumnStats, StatsCatalog};

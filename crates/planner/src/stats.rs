@@ -1,25 +1,26 @@
-//! Per-column statistics: row/null counts, distinct-value estimates,
-//! min/max bounds, and equi-depth histograms.
+//! Per-column statistics: row/null counts, distinct-value estimates and
+//! min/max bounds.
 //!
 //! The statistics are *advisory*: every consumer (selectivity estimation,
-//! select-algorithm gating, piece-count choice) degrades gracefully when a
-//! column has no stats or the stats have drifted. Correctness never
-//! depends on them — the plan cache separately re-checks the *soundness*
-//! premises (column properties) a cached rewrite was proven under.
+//! predicate order, piece-count choice) degrades gracefully when a column
+//! has no stats or the stats have drifted. Correctness never depends on
+//! them — the plan cache separately re-checks the *soundness* premises
+//! (column properties) a cached rewrite was proven under.
 //!
 //! Maintenance discipline:
 //! * `CREATE TABLE` registers an empty [`TableStats`].
 //! * INSERT folds a statement's rows in incrementally, per statement and
-//!   one column at a time: one loop over a column's cells updates counts,
-//!   ndv sketch bits and histogram buckets (found by binary search over
-//!   the bounds, clamped at the edges); the ndv estimate is re-derived and
-//!   a new bound cloned once per column. The result is the one folding
-//!   the cells one at a time would give, field for field.
-//! * DELETE decrements conservatively and marks drift, per column too.
+//!   one column at a time: one loop over a column's cells updates counts
+//!   and ndv sketch bits; the ndv estimate is re-derived and a new bound
+//!   cloned once per column. The result is the one folding the cells one
+//!   at a time would give, field for field — and, with no DELETE in
+//!   between, the counts and bounds a rebuild from the live column gives.
+//! * DELETE decrements the row and null counts, per column too; bounds and
+//!   ndv stay as upper bounds.
 //! * The nil rule: a cell whose stored image is its column type's nil
 //!   sentinel (`i64::MIN` in a BIGINT, any NaN in a DOUBLE) is NULL —
-//!   what the read path returns for it — so it counts as a null and the
-//!   histogram never sees a NaN.
+//!   what the read path returns for it — so it counts as a null and never
+//!   as a bound.
 //! * CHECKPOINT and the opening of a durable store *rebuild* from the live
 //!   column values — the "fold" that squashes accumulated approximation
 //!   error. Nothing of the statistics is stored: they are derived state.
@@ -27,144 +28,6 @@
 use mammoth_types::{fnv1a, LogicalType, NativeType, TableSchema, Value, FNV_OFFSET};
 use std::cmp::Ordering;
 use std::collections::HashMap;
-
-/// Default number of equi-depth histogram buckets.
-pub(crate) const HISTOGRAM_BUCKETS: usize = 64;
-
-/// An equi-depth histogram over the f64 projection of a numeric column.
-///
-/// Invariants (property-tested):
-/// * `counts.len() == bounds.len()`
-/// * `counts.iter().sum() == total` == number of non-null numeric values
-/// * every value `v` satisfies `lo <= v <= bounds.last()` where `lo` is
-///   the histogram's recorded minimum
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Histogram {
-    /// Lowest value covered (inclusive).
-    pub lo: f64,
-    /// Per-bucket inclusive upper bounds, non-decreasing.
-    pub bounds: Vec<f64>,
-    /// Per-bucket value counts.
-    pub counts: Vec<u64>,
-    /// Sum of `counts`.
-    pub total: u64,
-}
-
-impl Histogram {
-    /// Build an equi-depth histogram from (unsorted) values.
-    pub fn build(mut vals: Vec<f64>, buckets: usize) -> Option<Histogram> {
-        if vals.is_empty() || buckets == 0 {
-            return None;
-        }
-        vals.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let n = vals.len();
-        let b = buckets.min(n);
-        let mut bounds = Vec::with_capacity(b);
-        let mut counts = Vec::with_capacity(b);
-        let mut start = 0usize;
-        for k in 0..b {
-            // equal-depth split: bucket k covers ranks [start, end)
-            let mut end = ((k + 1) * n) / b;
-            // never split a run of equal values across buckets — the CDF
-            // interpolation assumes bucket bounds are honest
-            while end < n && end > 0 && vals[end] == vals[end - 1] {
-                end += 1;
-            }
-            if end <= start {
-                continue;
-            }
-            bounds.push(vals[end - 1]);
-            counts.push((end - start) as u64);
-            start = end;
-            if start >= n {
-                break;
-            }
-        }
-        Some(Histogram {
-            lo: vals[0],
-            bounds,
-            counts,
-            total: n as u64,
-        })
-    }
-
-    /// The first bucket whose bound is `>= v`, by binary search over the
-    /// non-decreasing bounds; `bounds.len()` when `v` is above them all.
-    fn bucket(&self, v: f64) -> usize {
-        self.bounds.partition_point(|&b| b < v)
-    }
-
-    /// Fold one inserted value in: bump the covering bucket (clamped to
-    /// the nearest edge bucket when the value falls outside the bounds,
-    /// widening the recorded range so containment still holds).
-    pub fn add(&mut self, v: f64) {
-        if self.counts.is_empty() {
-            self.lo = v;
-            self.bounds = vec![v];
-            self.counts = vec![1];
-            self.total = 1;
-            return;
-        }
-        if v < self.lo {
-            self.lo = v;
-        }
-        let last = self.bounds.len() - 1;
-        let idx = self.bucket(v);
-        if idx > last {
-            self.bounds[last] = v; // widen the top bucket
-        }
-        self.counts[idx.min(last)] += 1;
-        self.total += 1;
-    }
-
-    /// Remove one value (conservatively — the bucket may underflow to the
-    /// neighbor when approximation error accumulated; the fold at
-    /// CHECKPOINT rebuilds exactly).
-    pub fn remove(&mut self, v: f64) {
-        if self.total == 0 {
-            return;
-        }
-        let idx = self.bucket(v).min(self.bounds.len() - 1);
-        // steal from the nearest non-empty bucket if this one is empty
-        let idx = (idx..self.counts.len())
-            .chain((0..idx).rev())
-            .find(|&k| self.counts[k] > 0)
-            .unwrap_or(idx);
-        if self.counts[idx] > 0 {
-            self.counts[idx] -= 1;
-            self.total -= 1;
-        }
-    }
-
-    /// Estimated fraction of values `<= x` (linear interpolation inside
-    /// the covering bucket).
-    pub(crate) fn cdf(&self, x: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        if x < self.lo {
-            return 0.0;
-        }
-        let mut below = 0u64;
-        let mut prev = self.lo;
-        for (k, &hi) in self.bounds.iter().enumerate() {
-            if x >= hi {
-                below += self.counts[k];
-                prev = hi;
-                continue;
-            }
-            // interpolate inside bucket k
-            let width = hi - prev;
-            let frac = if width > 0.0 {
-                ((x - prev) / width).clamp(0.0, 1.0)
-            } else {
-                1.0
-            };
-            return (below as f64 + frac * self.counts[k] as f64) / self.total as f64;
-        }
-        1.0
-    }
-}
 
 /// Statistics of one column.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -177,8 +40,8 @@ pub struct ColumnStats {
     pub(crate) ndv: u64,
     pub min: Option<Value>,
     pub max: Option<Value>,
-    pub histogram: Option<Histogram>,
-    /// The linear-counting bitmap backing `ndv` (fixed 2^14 bits).
+    /// The linear-counting bitmap backing `ndv` (2^14 bits), allocated at
+    /// the first non-null cell, by a rebuild as by an INSERT.
     sketch: Vec<u64>,
     /// Bits set in `sketch`, kept as they are set, so that re-estimating
     /// ndv after a statement costs no pass over the bitmap.
@@ -211,6 +74,15 @@ fn beats(v: &Value, cur: Option<&Value>, toward: Ordering) -> bool {
     cur.is_none_or(|b| v.sql_cmp(b) == Some(toward))
 }
 
+/// A bound as a rebuild records it: an INT or BIGINT one widened to
+/// `Value::I64`, the domain the property facts compare integer intervals in.
+fn bound(v: Value, ty: LogicalType) -> Value {
+    match v.as_i64() {
+        Some(x) if matches!(ty, LogicalType::I64 | LogicalType::I32) => Value::I64(x),
+        _ => v,
+    }
+}
+
 /// A non-null cell's sketch hash, from its bytes and never a rendering.
 /// Integers hash as `i64`, so that I32(5) and I64(5) agree the way SQL
 /// comparison does.
@@ -227,20 +99,9 @@ fn value_hash(v: &Value) -> u64 {
 }
 
 impl ColumnStats {
-    fn with_sketch() -> ColumnStats {
-        ColumnStats {
-            sketch: vec![0u64; SKETCH_BITS / 64],
-            ..ColumnStats::default()
-        }
-    }
-
     /// Build from the live cells of a fixed-width column, read in place.
-    /// An INT or BIGINT column's bounds are widened to `Value::I64`, the
-    /// domain the property facts compare integer intervals in.
     pub fn build_native<T: NativeType>(cells: &[T]) -> ColumnStats {
-        let mut s = ColumnStats::with_sketch();
-        let widen = matches!(T::LOGICAL, LogicalType::I64 | LogicalType::I32);
-        let mut numeric: Vec<f64> = Vec::new();
+        let mut s = ColumnStats::default();
         let (mut lo, mut hi): (Option<T>, Option<T>) = (None, None);
         for &x in cells {
             s.rows += 1;
@@ -252,7 +113,6 @@ impl ColumnStats {
             // `Value`s, and a rebuild must set the same sketch bits
             let v = x.to_value();
             s.sketch_set(value_hash(&v));
-            numeric.extend(v.as_f64());
             if lo.is_none_or(|m| x < m) {
                 lo = Some(x);
             }
@@ -260,20 +120,15 @@ impl ColumnStats {
                 hi = Some(x);
             }
         }
-        let bound = |x: T| match x.to_value() {
-            v if widen => v.as_i64().map_or(v, Value::I64),
-            v => v,
-        };
-        s.min = lo.map(bound);
-        s.max = hi.map(bound);
+        s.min = lo.map(|x| bound(x.to_value(), T::LOGICAL));
+        s.max = hi.map(|x| bound(x.to_value(), T::LOGICAL));
         s.ndv = s.sketch_estimate();
-        s.histogram = Histogram::build(numeric, HISTOGRAM_BUCKETS);
         s
     }
 
     /// Build from the live cells of a string column, `None` for NULL.
     pub fn build_strs<'a>(cells: impl Iterator<Item = Option<&'a str>>) -> ColumnStats {
-        let mut s = ColumnStats::with_sketch();
+        let mut s = ColumnStats::default();
         let (mut lo, mut hi): (Option<&str>, Option<&str>) = (None, None);
         for cell in cells {
             s.rows += 1;
@@ -299,8 +154,7 @@ impl ColumnStats {
     /// cell: kept as their oracle.
     #[cfg(test)]
     fn build(ty: LogicalType, values: &[Value]) -> ColumnStats {
-        let mut s = ColumnStats::with_sketch();
-        let mut numeric: Vec<f64> = Vec::new();
+        let mut s = ColumnStats::default();
         for v in values {
             s.rows += 1;
             if v.is_null() {
@@ -308,9 +162,6 @@ impl ColumnStats {
                 continue;
             }
             s.sketch_set(value_hash(v));
-            if let Some(f) = v.as_f64() {
-                numeric.push(f);
-            }
             if beats(v, s.min.as_ref(), Ordering::Less) {
                 s.min = Some(v.clone());
             }
@@ -318,13 +169,9 @@ impl ColumnStats {
                 s.max = Some(v.clone());
             }
         }
-        if ty == LogicalType::I64 || ty == LogicalType::I32 {
-            let widen = |b: Option<Value>| b.map(|v| v.as_i64().map_or(v, Value::I64));
-            s.min = widen(s.min);
-            s.max = widen(s.max);
-        }
+        s.min = s.min.map(|v| bound(v, ty));
+        s.max = s.max.map(|v| bound(v, ty));
         s.ndv = s.sketch_estimate();
-        s.histogram = Histogram::build(numeric, HISTOGRAM_BUCKETS);
         s
     }
 
@@ -352,10 +199,11 @@ impl ColumnStats {
     }
 
     /// Fold one statement's inserted cells of a `ty` column in, in one pass:
-    /// counts, sketch bits and histogram buckets per cell, the ndv estimate
-    /// once, and a bound cloned only once it has survived the column. A
-    /// batch of one cell is the per-cell fold; a longer batch ends where
-    /// that many one-cell batches would, field for field.
+    /// counts and sketch bits per cell, the ndv estimate once, and a bound
+    /// cloned — as the column stores it, widened as a rebuild widens it —
+    /// only once it has survived the column. A batch of one cell is the
+    /// per-cell fold; a longer batch ends where that many one-cell batches
+    /// would, field for field.
     fn insert_cells<'a>(&mut self, ty: LogicalType, cells: impl Iterator<Item = &'a Value>) {
         let (mut lo, mut hi): (Option<&Value>, Option<&Value>) = (None, None);
         let mut folded = false;
@@ -367,9 +215,6 @@ impl ColumnStats {
             }
             folded = true;
             self.sketch_set(value_hash(v));
-            if let Some(f) = v.as_f64() {
-                self.histogram.get_or_insert_with(Histogram::default).add(f);
-            }
             if beats(v, lo.or(self.min.as_ref()), Ordering::Less) {
                 lo = Some(v);
             }
@@ -380,25 +225,23 @@ impl ColumnStats {
         if folded {
             self.ndv = self.sketch_estimate();
         }
+        let stored = |v: &Value| bound(v.coerce(ty).unwrap_or_else(|| v.clone()), ty);
         if let Some(v) = lo {
-            self.min = Some(v.clone());
+            self.min = Some(stored(v));
         }
         if let Some(v) = hi {
-            self.max = Some(v.clone());
+            self.max = Some(stored(v));
         }
     }
 
-    /// Fold one statement's deleted cells of a `ty` column out (bounds and
-    /// ndv stay as upper bounds — the CHECKPOINT fold tightens them).
+    /// Fold one statement's deleted cells of a `ty` column out: the row and
+    /// null counts (bounds and ndv stay as upper bounds — the CHECKPOINT
+    /// fold tightens them).
     fn delete_cells<'a>(&mut self, ty: LogicalType, cells: impl Iterator<Item = &'a Value>) {
         for v in cells {
             self.rows = self.rows.saturating_sub(1);
             if is_null(v, ty) {
                 self.nulls = self.nulls.saturating_sub(1);
-                continue;
-            }
-            if let (Some(f), Some(h)) = (v.as_f64(), &mut self.histogram) {
-                h.remove(f);
             }
         }
     }
@@ -583,9 +426,6 @@ mod tests {
         assert_eq!(s.min, Some(Value::I64(1)));
         assert_eq!(s.max, Some(Value::I64(9)));
         assert_eq!(s.ndv, 5, "small columns count distinct exactly");
-        let h = s.histogram.as_ref().unwrap();
-        assert_eq!(h.total, 8);
-        assert_eq!(h.counts.iter().sum::<u64>(), 8);
     }
 
     #[test]
@@ -595,7 +435,7 @@ mod tests {
         let s = ColumnStats::build(LogicalType::I64, &vals);
         assert_eq!(s.rows, 3);
         assert_eq!(s.nulls, 1);
-        assert_eq!(s.histogram.as_ref().unwrap().total, 2);
+        assert_eq!((s.min, s.max), (Some(Value::I64(1)), Some(Value::I64(2))));
     }
 
     #[test]
@@ -607,34 +447,15 @@ mod tests {
     }
 
     #[test]
-    fn histogram_cdf_is_monotone_and_bounded() {
-        let h = Histogram::build((0..1000).map(|i| i as f64).collect(), 16).unwrap();
-        let mut prev = -1.0;
-        for x in [-5.0, 0.0, 100.0, 499.5, 999.0, 2000.0] {
-            let c = h.cdf(x);
-            assert!((0.0..=1.0).contains(&c));
-            assert!(c >= prev, "cdf must be monotone");
-            prev = c;
-        }
-        assert_eq!(h.cdf(-5.0), 0.0);
-        assert_eq!(h.cdf(2000.0), 1.0);
-        // the median of 0..1000 is near 500
-        assert!((h.cdf(500.0) - 0.5).abs() < 0.05);
-    }
-
-    #[test]
     fn incremental_insert_delete_keeps_totals() {
         let mut s = ColumnStats::build(LogicalType::I64, &ints(&[1, 2, 3]));
         s.insert_cells(LogicalType::I64, [Value::I64(10), Value::Null].iter());
         assert_eq!(s.rows, 5);
         assert_eq!(s.nulls, 1);
         assert_eq!(s.max, Some(Value::I64(10)), "bounds widen on insert");
-        let h = s.histogram.as_ref().unwrap();
-        assert_eq!(h.total, 4);
-        assert_eq!(h.counts.iter().sum::<u64>(), h.total);
-        s.delete_cells(LogicalType::I64, [Value::I64(2)].iter());
-        assert_eq!(s.rows, 4);
-        assert_eq!(s.histogram.as_ref().unwrap().total, 3);
+        s.delete_cells(LogicalType::I64, [Value::I64(2), Value::Null].iter());
+        assert_eq!((s.rows, s.nulls), (3, 0));
+        assert_eq!(s.min, Some(Value::I64(1)), "a delete never narrows bounds");
     }
 
     /// Folding a column's cells in one batch ends where folding them one
@@ -692,27 +513,11 @@ mod tests {
         }
         let mut s = ColumnStats::default();
         s.insert_cells(LogicalType::F64, floats.iter());
-        let h = s.histogram.as_ref().unwrap();
-        assert!(h.bounds.iter().all(|b| !b.is_nan()), "NaN is NULL");
-        assert!(s
-            .min
-            .as_ref()
-            .and_then(Value::as_f64)
-            .is_some_and(|m| !m.is_nan()));
-    }
-
-    #[test]
-    fn the_bucket_binary_search_is_the_first_covering_bound() {
-        let h = Histogram {
-            lo: -1.0,
-            bounds: vec![0.0, 0.0, 2.0, 2.0, 2.0, 5.0, f64::INFINITY],
-            counts: vec![1; 7],
-            total: 7,
-        };
-        for v in [-2.0, -0.0, 0.0, 1.0, 2.0, 3.0, 5.0, 1e300, f64::INFINITY] {
-            let linear = h.bounds.iter().position(|&b| v <= b).unwrap_or(7);
-            assert_eq!(h.bucket(v), linear, "{v}");
-        }
+        let bounds = [&s.min, &s.max].map(|b| b.as_ref().and_then(Value::as_f64));
+        assert!(
+            bounds.iter().all(|b| b.is_some_and(|f| !f.is_nan())),
+            "NaN is NULL"
+        );
     }
 
     #[test]
@@ -737,5 +542,12 @@ mod tests {
         // bounds come back as I64, the domain integer facts compare in
         assert_eq!(s.min, Some(Value::I64(-3)));
         assert_eq!(s.max, Some(Value::I64(12)));
+        // an INSERT's literal is a bound as the rebuild records it
+        let cells = [Value::I32(5), Value::I64(9), Value::I32(-2)];
+        for ty in [LogicalType::I32, LogicalType::I64] {
+            let mut folded = ColumnStats::default();
+            folded.insert_cells(ty, cells.iter());
+            assert_eq!(folded, ColumnStats::build(ty, &cells), "{ty}");
+        }
     }
 }

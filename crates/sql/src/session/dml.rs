@@ -153,8 +153,8 @@ impl Session {
         }
     }
 
-    /// A snapshot of the planner's statistics catalog (it is small:
-    /// histograms and scalars, no data).
+    /// A snapshot of the planner's statistics catalog (it is small: counts,
+    /// bounds and one ndv sketch per column, no data).
     pub fn stats_catalog(&self) -> StatsCatalog {
         self.stats.lock().unwrap().clone()
     }

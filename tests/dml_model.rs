@@ -9,10 +9,11 @@
 //! At each crash, [`Catalog::logical_dump`] of the online state, of the
 //! recovered state and the model's rows must all be the same; every
 //! statement's row count and every read must match the model as well.
-//! Around every CHECKPOINT, the statistics DML kept up incrementally must
-//! agree with the ones it rebuilds (see [`check_statistics`]). Some INSERTs
-//! carry a column's nil sentinel: a nullable column stores it as NULL, and
-//! the NOT NULL key refuses the statement, leaving the table as it was.
+//! Around every CHECKPOINT and every recovery, the statistics DML kept up
+//! incrementally must agree with the ones rebuilt from the live columns
+//! (see [`check_statistics`]). Some INSERTs carry a column's nil sentinel:
+//! a nullable column stores it as NULL, and the NOT NULL key refuses the
+//! statement, leaving the table as it was.
 //!
 //! Runs under `MAMMOTH_CHECK_PROPS=1` in CI: the reads bind columns with
 //! deletes pending, which is where a fact about the *stored* column (its
@@ -33,11 +34,19 @@ fn table_rows(s: &Session) -> Vec<Vec<Value>> {
     dump.into_iter().next().unwrap().2
 }
 
-/// The statistics DML kept up incrementally against the ones CHECKPOINT
-/// rebuilds from the live columns: the same row and null counts per
-/// column, and bounds that contain the rebuilt ones (a DELETE never
-/// narrows them).
-fn check_statistics(incremental: &StatsCatalog, rebuilt: &StatsCatalog, ctx: &str) {
+/// The statistics DML kept up incrementally against the ones a CHECKPOINT
+/// or a recovery rebuilds from the live columns. With no DELETE since the
+/// last rebuild they are the same, field for field, ndv sketch included.
+/// After one, each column has the same row and null counts, and bounds
+/// that contain the rebuilt ones (a DELETE never narrows them).
+fn check_statistics(incremental: &StatsCatalog, rebuilt: &StatsCatalog, deleted: bool, ctx: &str) {
+    if !deleted {
+        assert_eq!(
+            incremental, rebuilt,
+            "{ctx}: INSERTs only since the last rebuild"
+        );
+        return;
+    }
     for col in incremental.table("t").unwrap().columns.keys() {
         let (inc, built) = (
             incremental.column("t", col).unwrap(),
@@ -80,6 +89,8 @@ fn run(seed: u64) {
     s.execute(&g.render(&create)).unwrap();
     let mut model = Model::new(&g.tables[0]);
     let (mut merges_seen, mut crashes) = (0, 0);
+    // whether a DELETE removed rows since the statistics were last rebuilt
+    let mut deleted = false;
     for step in 0..400 {
         let ctx = |stmt: &dyn std::fmt::Display| format!("seed {seed} step {step}: {stmt}");
         match g.below(20) {
@@ -88,7 +99,9 @@ fn run(seed: u64) {
             // DELETEs, whose WHERE runs through the select kernels
             kind @ 0..=14 => {
                 let stmt = if kind < 10 { g.insert(0) } else { g.delete(0) };
-                let want = model.apply(&stmt).map(QueryOutput::Affected);
+                let want = model.apply(&stmt);
+                deleted |= kind >= 10 && want.is_some_and(|n| n > 0);
+                let want = want.map(QueryOutput::Affected);
                 assert_eq!(s.execute(&g.render(&stmt)).ok(), want, "{}", ctx(&stmt));
             }
             15 | 16 => {
@@ -105,16 +118,22 @@ fn run(seed: u64) {
                 s.execute("CHECKPOINT").unwrap();
                 let t = s.catalog().table("t").unwrap();
                 assert_eq!(t.total_len(), t.live_len(), "a checkpoint folds the deltas");
-                check_statistics(&incremental, &s.stats_catalog(), &ctx(&"CHECKPOINT"));
+                let rebuilt = s.stats_catalog();
+                check_statistics(&incremental, &rebuilt, deleted, &ctx(&"CHECKPOINT"));
+                deleted = false;
             }
             _ => {
                 // crash: what the WAL and the last checkpoint hold is all
                 // that survives; it must be everything acknowledged
                 let online = table_rows(&s);
                 assert_eq!(online, model.rows, "{}", ctx(&"online"));
+                let incremental = s.stats_catalog();
                 drop(s);
                 s = open();
                 assert_eq!(table_rows(&s), online, "{}", ctx(&"recovered"));
+                let rebuilt = s.stats_catalog();
+                check_statistics(&incremental, &rebuilt, deleted, &ctx(&"recovered"));
+                deleted = false;
                 crashes += 1;
             }
         }

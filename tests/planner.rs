@@ -10,14 +10,13 @@
 //!   *identical* result tables — under both the serial interpreter and the
 //!   parallel dataflow engine, and identically on the cold (first) and warm
 //!   (cached-plan) execution.
-//! * **Histogram laws** (property tests) — equi-depth histograms keep
-//!   their bucket counts summing to the row count, bounds sorted, and
-//!   min/max containment, through any interleaving of incremental
-//!   folds; and a fold-maintained total always matches a from-scratch
-//!   rebuild of the surviving multiset.
+//! * **Bound laws** (property tests) — the statistics INSERTs fold count
+//!   exactly the cells that read back as NULL as nulls, and every other
+//!   cell lies in the column's `[min, max]`.
 //! * **Estimate quality** — on single-predicate selects over data the
 //!   statistics have seen, the planner's row estimate is within a small
-//!   q-error of the true cardinality.
+//!   q-error of the true cardinality, on an in-memory session and on a
+//!   durable one whose CHECKPOINT rebuilt its statistics.
 //! * **Cost-guided ordering** — writing the same conjunctive predicates
 //!   in their worst textual order compiles to the *same* optimized MAL as
 //!   the best order (the planner re-orders by estimated selectivity), so
@@ -235,48 +234,56 @@ fn prepared_stays_correct_across_dml() {
 }
 
 /// Estimate quality: single-predicate selects over stats-covered data
-/// land within a small q-error of the truth.
+/// land within a small q-error of the truth — on an in-memory session,
+/// whose statistics the INSERTs folded, and on a durable one, whose
+/// CHECKPOINT rebuilt them from the live columns.
 #[test]
 fn estimates_bound_q_error_on_single_predicates() {
     use mammoth_algebra::CmpOp;
-    let mut s = session(false);
-    seed_table(&mut s, 23);
-    let stats = s.stats_catalog();
-    let total = stats.table("t").unwrap().rows as f64;
-    let mut worst: f64 = 1.0;
-    let mut rng = StdRng::seed_from_u64(99);
-    for _ in 0..30 {
-        let (col, op, c) = match rng.random_range(0i64..4) {
-            0 => ("k", CmpOp::Eq, rng.random_range(0i64..50)),
-            1 => ("k", CmpOp::Le, rng.random_range(0i64..50)),
-            2 => ("v", CmpOp::Ge, rng.random_range(-10_000i64..10_000)),
-            _ => ("v", CmpOp::Lt, rng.random_range(-10_000i64..10_000)),
-        };
-        let frac = mammoth_planner::selectivity(&stats, "t", col, op, Some(&Value::I64(c)));
-        let est = (frac * total).max(1.0);
-        let opstr = match op {
-            CmpOp::Eq => "=",
-            CmpOp::Le => "<=",
-            CmpOp::Ge => ">=",
-            CmpOp::Lt => "<",
-            _ => unreachable!(),
-        };
-        let out = s
-            .execute(&format!("SELECT COUNT(*) FROM t WHERE {col} {opstr} {c}"))
-            .unwrap();
-        let QueryOutput::Table { rows, .. } = out else {
-            panic!()
-        };
-        let actual = rows[0][0].as_i64().unwrap() as f64;
-        let q = (est / actual.max(1.0)).max(actual.max(1.0) / est);
-        worst = worst.max(q);
-        assert!(
-            q <= 8.0,
-            "q-error {q:.2} too large: {col} {opstr} {c}, est {est:.1} vs actual {actual}"
-        );
+    let mut in_memory = session(false);
+    seed_table(&mut in_memory, 23);
+    let mut durable =
+        Session::open_durable_with(support::mem_disk(), support::STORE.into()).unwrap();
+    seed_table(&mut durable, 23);
+    durable.execute("CHECKPOINT").unwrap();
+    for (regime, mut s) in [("in-memory", in_memory), ("checkpointed", durable)] {
+        let stats = s.stats_catalog();
+        let total = stats.table("t").unwrap().rows as f64;
+        let mut worst: f64 = 1.0;
+        let mut rng = StdRng::seed_from_u64(99);
+        for _ in 0..30 {
+            let (col, op, c) = match rng.random_range(0i64..4) {
+                0 => ("k", CmpOp::Eq, rng.random_range(0i64..50)),
+                1 => ("k", CmpOp::Le, rng.random_range(0i64..50)),
+                2 => ("v", CmpOp::Ge, rng.random_range(-10_000i64..10_000)),
+                _ => ("v", CmpOp::Lt, rng.random_range(-10_000i64..10_000)),
+            };
+            let frac = mammoth_planner::selectivity(&stats, "t", col, op, Some(&Value::I64(c)));
+            let est = (frac * total).max(1.0);
+            let opstr = match op {
+                CmpOp::Eq => "=",
+                CmpOp::Le => "<=",
+                CmpOp::Ge => ">=",
+                CmpOp::Lt => "<",
+                _ => unreachable!(),
+            };
+            let out = s
+                .execute(&format!("SELECT COUNT(*) FROM t WHERE {col} {opstr} {c}"))
+                .unwrap();
+            let QueryOutput::Table { rows, .. } = out else {
+                panic!()
+            };
+            let actual = rows[0][0].as_i64().unwrap() as f64;
+            let q = (est / actual.max(1.0)).max(actual.max(1.0) / est);
+            worst = worst.max(q);
+            assert!(
+                q <= 8.0,
+                "{regime}: q-error {q:.2} too large: {col} {opstr} {c}, est {est:.1} vs actual {actual}"
+            );
+        }
+        // The workload must exercise real estimation, not degenerate cases.
+        assert!(worst > 1.0, "{regime}: every estimate exact is suspicious");
     }
-    // The workload must exercise real estimation, not degenerate cases.
-    assert!(worst > 1.0, "every estimate exact is suspicious");
 }
 
 /// A table the statistics have never seen — made from whole columns
@@ -400,82 +407,14 @@ fn predicate_order_is_normalized_by_cost() {
     );
 }
 
-mod histogram_props {
-    use mammoth_planner::Histogram;
+mod stats_bound_props {
     use proptest::prelude::*;
 
-    fn check_invariants(h: &Histogram) {
-        assert_eq!(
-            h.counts.iter().sum::<u64>(),
-            h.total,
-            "bucket counts must sum to the row count"
-        );
-        assert_eq!(h.counts.len(), h.bounds.len());
-        let mut prev = h.lo;
-        for &b in &h.bounds {
-            assert!(b >= prev, "bounds must be non-decreasing from lo");
-            prev = b;
-        }
-    }
-
     proptest! {
-        #[test]
-        fn prop_build_sums_and_contains(
-            vals in proptest::collection::vec(-1000i64..1000, 1..300),
-            buckets in 1usize..20,
-        ) {
-            let f: Vec<f64> = vals.iter().map(|&v| v as f64).collect();
-            let h = Histogram::build(f.clone(), buckets).unwrap();
-            check_invariants(&h);
-            prop_assert_eq!(h.total, vals.len() as u64);
-            let mn = f.iter().cloned().fold(f64::INFINITY, f64::min);
-            let mx = f.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            prop_assert_eq!(h.lo, mn);
-            prop_assert_eq!(*h.bounds.last().unwrap(), mx);
-            // every value is inside [lo, last bound]
-            for v in &f {
-                prop_assert!(*v >= h.lo && *v <= *h.bounds.last().unwrap());
-            }
-        }
-
-        #[test]
-        fn prop_incremental_fold_matches_rebuild_total(
-            base in proptest::collection::vec(-500i64..500, 1..150),
-            adds in proptest::collection::vec(-800i64..800, 0..80),
-            dels in proptest::collection::vec(0usize..100, 0..40),
-        ) {
-            let mut live: Vec<f64> = base.iter().map(|&v| v as f64).collect();
-            let mut h = Histogram::build(live.clone(), 8).unwrap();
-            for &a in &adds {
-                h.add(a as f64);
-                live.push(a as f64);
-            }
-            for &d in &dels {
-                if live.is_empty() { break; }
-                let idx = d % live.len();
-                let v = live.swap_remove(idx);
-                h.remove(v);
-            }
-            check_invariants(&h);
-            // The incrementally-folded total tracks the live multiset
-            // exactly; bucket placement may drift (the CHECKPOINT fold
-            // rebuilds), but never the mass.
-            prop_assert_eq!(h.total, live.len() as u64);
-            if !live.is_empty() {
-                let rebuilt = Histogram::build(live.clone(), 8).unwrap();
-                prop_assert_eq!(rebuilt.total, h.total);
-                // containment survives folding: min/max of the live set
-                // stay inside the folded histogram's recorded range
-                let mn = live.iter().cloned().fold(f64::INFINITY, f64::min);
-                let mx = live.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                prop_assert!(h.lo <= mn);
-                prop_assert!(*h.bounds.last().unwrap() >= mx);
-            }
-        }
-
-        // The same laws for histograms a session folds as INSERTs apply,
-        // nil sentinels among the values: the histogram holds exactly the
-        // values that read back as non-NULL.
+        // The statistics a session folds as INSERTs apply, nil sentinels
+        // among the values: the nulls are exactly the values that read
+        // back as NULL, and every other one lies in the column's
+        // [min, max].
         #[test]
         fn prop_session_inserts_keep_the_laws(
             cells in proptest::collection::vec((0u8..10, -400i64..400), 1..120),
@@ -509,18 +448,17 @@ mod histogram_props {
                 else {
                     panic!("not a table")
                 };
-                let live: Vec<f64> = read.iter().filter_map(|r| r[0].as_f64()).collect();
+                let live: Vec<&Value> = read.iter().map(|r| &r[0]).filter(|v| !v.is_null()).collect();
                 let c = stats.column("h", col).unwrap();
                 prop_assert_eq!(c.nulls, (read.len() - live.len()) as u64, "{}", col);
-                let Some(h) = &c.histogram else {
-                    prop_assert!(live.is_empty());
+                let (Some(lo), Some(hi)) = (&c.min, &c.max) else {
+                    prop_assert!(live.is_empty() && c.min.is_none() && c.max.is_none(), "{}: {:?}", col, c);
                     continue;
                 };
-                check_invariants(h);
-                prop_assert_eq!(h.total, live.len() as u64, "{}: {:?}", col, h);
-                let top = *h.bounds.last().unwrap();
-                for v in &live {
-                    prop_assert!(*v >= h.lo && *v <= top, "{}: {} outside {:?}", col, v, h);
+                for v in live {
+                    let inside = v.sql_cmp(lo).is_some_and(|o| o.is_ge())
+                        && v.sql_cmp(hi).is_some_and(|o| o.is_le());
+                    prop_assert!(inside, "{}: {:?} outside [{:?}, {:?}]", col, v, lo, hi);
                 }
             }
         }

@@ -64,7 +64,7 @@ fn insert_sql(ddl: &str, from: i64, rows: i64, row: impl Fn(i64) -> String) -> S
 fn measure(ddl: &str, rows: i64, row: impl Fn(i64) -> String) -> (u64, u64) {
     let mut s = Session::new();
     s.execute(&format!("CREATE TABLE {ddl}")).unwrap();
-    // the first statement sizes the deltas and creates the histograms
+    // the first statement sizes the deltas and the statistics' ndv sketches
     s.execute(&insert_sql(ddl, 0, rows, &row)).unwrap();
     let text = insert_sql(ddl, rows, rows, &row);
     let (parse, stmt) = allocations(|| parse_sql(&text).unwrap());
