@@ -98,6 +98,16 @@ fn value_hash(v: &Value) -> u64 {
     }
 }
 
+/// [`value_hash`] of `v` as a `ty` column stores it, without cloning it: an
+/// integer literal in a DOUBLE column sets the bit of the double it
+/// becomes, the bit a rebuild from the column sets.
+fn stored_hash(v: &Value, ty: LogicalType) -> u64 {
+    match (ty, v.as_f64()) {
+        (LogicalType::F64, Some(f)) => value_hash(&Value::F64(f)),
+        _ => value_hash(v),
+    }
+}
+
 impl ColumnStats {
     /// Build from the live cells of a fixed-width column, read in place.
     pub fn build_native<T: NativeType>(cells: &[T]) -> ColumnStats {
@@ -214,7 +224,7 @@ impl ColumnStats {
                 continue;
             }
             folded = true;
-            self.sketch_set(value_hash(v));
+            self.sketch_set(stored_hash(v, ty));
             if beats(v, lo.or(self.min.as_ref()), Ordering::Less) {
                 lo = Some(v);
             }

@@ -1,8 +1,9 @@
 //! The programmatic client — what `mammoth-cli`, the benchmark's `wire_*`
 //! workloads, and the concurrency tests all build on.
 
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{self, write_frame};
 use crate::protocol::{ClientMsg, ErrorCode, ServerMsg, MIN_PROTO_VERSION, PROTO_VERSION};
+use mammoth_types::framing::FrameReader;
 use mammoth_types::{netfault, Value};
 use std::fmt;
 use std::io;
@@ -85,6 +86,7 @@ pub enum Response {
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
+    frames: FrameReader,
     negotiated: u16,
     poisoned: bool,
 }
@@ -119,6 +121,7 @@ impl Client {
             .map_err(ClientError::Io)?;
         let mut c = Client {
             stream,
+            frames: frame::reader(),
             negotiated: PROTO_VERSION,
             poisoned: false,
         };
@@ -370,20 +373,12 @@ impl Client {
     }
 
     fn read_msg(&mut self) -> Result<ServerMsg, ClientError> {
-        let payload = match read_frame(&mut self.stream) {
-            Ok(p) => p,
-            Err(e) => {
-                self.poisoned = true;
-                return Err(e.into());
-            }
-        };
-        match ServerMsg::decode(&payload) {
-            Ok(m) => Ok(m),
-            Err(e) => {
-                self.poisoned = true;
-                Err(e.into())
-            }
-        }
+        let msg = self
+            .frames
+            .read_frame(&mut self.stream)
+            .and_then(ServerMsg::decode);
+        self.poisoned |= msg.is_err();
+        Ok(msg?)
     }
 }
 

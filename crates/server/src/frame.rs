@@ -15,11 +15,14 @@
 //!
 //! The payload's first byte is a message tag (see [`crate::protocol`]);
 //! the rest is written in [`mammoth_types::codec`], the byte codec the WAL
-//! and the checkpoint images use too. Frames above `MAX_FRAME` are rejected before allocation — a client
-//! cannot make the server allocate gigabytes with an 8-byte header.
+//! and the checkpoint images use too. Each connection reads through one
+//! [`FrameReader`], which rejects a frame above `MAX_FRAME` on its header
+//! and allocates only as bytes arrive — a client cannot make the server
+//! allocate gigabytes with an 8-byte header.
 
-use mammoth_types::{framing, Result};
-use std::io::{Read, Write};
+use mammoth_types::framing::{self, FrameReader};
+use mammoth_types::Result;
+use std::io::Write;
 
 /// Sanity cap on one frame's payload, either direction.
 pub(crate) const MAX_FRAME: usize = 16 << 20;
@@ -30,10 +33,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
     framing::write_frame(w, payload)
 }
 
-/// Read one frame, verifying length bound and CRC. Blocks until a whole
-/// frame arrives; returns `Err` on EOF, oversized frames, or CRC mismatch.
-pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>> {
-    framing::read_frame(r, MAX_FRAME)
+/// A connection's frame reader, capped at `MAX_FRAME`: one per connection,
+/// for as long as it lives, since it may hold bytes of the next frame.
+pub fn reader() -> FrameReader {
+    FrameReader::new(MAX_FRAME)
 }
 
 #[cfg(test)]
@@ -45,10 +48,10 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, b"hello").unwrap();
         write_frame(&mut wire, b"").unwrap();
-        let mut r = &wire[..];
-        assert_eq!(read_frame(&mut r).unwrap(), b"hello");
-        assert_eq!(read_frame(&mut r).unwrap(), b"");
-        assert!(read_frame(&mut r).is_err(), "EOF is an error");
+        let (mut r, mut frames) = (&wire[..], reader());
+        assert_eq!(frames.read_frame(&mut r).unwrap(), b"hello");
+        assert_eq!(frames.read_frame(&mut r).unwrap(), b"");
+        assert!(frames.read_frame(&mut r).is_err(), "EOF is an error");
     }
 
     #[test]
@@ -58,11 +61,11 @@ mod tests {
         // flip a payload byte: CRC must catch it
         let mut bad = wire.clone();
         bad[10] ^= 0x01;
-        assert!(read_frame(&mut &bad[..]).is_err());
-        // absurd length: rejected before allocation
+        assert!(reader().read_frame(&mut &bad[..]).is_err());
+        // a length over the cap: rejected on its header
         let mut huge = Vec::new();
-        huge.extend_from_slice(&(u32::MAX).to_le_bytes());
+        huge.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
         huge.extend_from_slice(&0u32.to_le_bytes());
-        assert!(read_frame(&mut &huge[..]).is_err());
+        assert!(reader().read_frame(&mut &huge[..]).is_err());
     }
 }

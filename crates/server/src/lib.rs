@@ -359,10 +359,11 @@ mod tests {
                 version: PROTO_VERSION,
                 server: "fake".into(),
             };
+            let mut frames = frame::reader();
             frame::write_frame(&mut s, &hello.encode()).unwrap();
-            let _ = frame::read_frame(&mut s).unwrap(); // Login
+            let _ = frames.read_frame(&mut s).unwrap(); // Login
             frame::write_frame(&mut s, &ServerMsg::Ready.encode()).unwrap();
-            let _ = frame::read_frame(&mut s).unwrap(); // Query
+            let _ = frames.read_frame(&mut s).unwrap(); // Query
             let mut bad = Vec::new();
             mammoth_types::framing::frame_into(&ServerMsg::Ok.encode(), &mut bad);
             let last = bad.len() - 1;
@@ -383,6 +384,63 @@ mod tests {
             other => panic!("expected a fast poisoned refusal, got {other:?}"),
         }
         fake.join().unwrap();
+    }
+
+    /// A raw logged-in connection, its frame reader, and a reader of what
+    /// the server sends next.
+    fn raw_login(addr: &str) -> (std::net::TcpStream, mammoth_types::framing::FrameReader) {
+        let mut s = std::net::TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut frames = frame::reader();
+        let hello = ServerMsg::decode(frames.read_frame(&mut s).unwrap()).unwrap();
+        assert!(matches!(hello, ServerMsg::Hello { .. }), "{hello:?}");
+        let login = ClientMsg::Login {
+            version: PROTO_VERSION,
+            client: "raw".into(),
+            token: String::new(),
+        };
+        frame::write_frame(&mut s, &login.encode()).unwrap();
+        let ready = ServerMsg::decode(frames.read_frame(&mut s).unwrap()).unwrap();
+        assert_eq!(ready, ServerMsg::Ready);
+        (s, frames)
+    }
+
+    /// A frame whose halves arrive more than an idle poll apart is served:
+    /// a read timeout after a frame's first byte waits for the rest.
+    #[test]
+    fn a_frame_split_across_idle_polls_is_served() {
+        use std::io::Write;
+        let (srv, addr) = start(ServerConfig::default());
+        let (mut s, mut frames) = raw_login(&addr);
+        let mut wire = Vec::new();
+        let query = ClientMsg::Query {
+            sql: "CREATE TABLE t (a INT)".into(),
+        };
+        frame::write_frame(&mut wire, &query.encode()).unwrap();
+        let (head, tail) = wire.split_at(5);
+        s.write_all(head).unwrap();
+        std::thread::sleep(Duration::from_millis(80));
+        s.write_all(tail).unwrap();
+        let answer = ServerMsg::decode(frames.read_frame(&mut s).unwrap()).unwrap();
+        assert_eq!(answer, ServerMsg::Ok);
+        drop(s);
+        srv.shutdown().unwrap();
+    }
+
+    /// A drain reaches a connection that idles between statements: its
+    /// worker sees the flag at its next poll, tells the client, and closes.
+    #[test]
+    fn a_drain_while_idle_ends_the_connection_with_shutting_down() {
+        let (srv, addr) = start(ServerConfig::default());
+        let (mut s, mut frames) = raw_login(&addr);
+        srv.request_shutdown();
+        match ServerMsg::decode(frames.read_frame(&mut s).unwrap()).unwrap() {
+            ServerMsg::Err { code, .. } => assert_eq!(code, ErrorCode::ShuttingDown),
+            other => panic!("expected SHUTTING_DOWN, got {other:?}"),
+        }
+        let end = frames.poll(&mut s).unwrap();
+        assert_eq!(end, mammoth_types::framing::Poll::Closed);
+        srv.wait().unwrap();
     }
 
     /// `PROMOTE` is only meaningful on a replica wired with a promotion

@@ -25,10 +25,11 @@
 //! `MAMMOTH_TRACE` like every other profiled run — `tracecheck` validates
 //! these traces with no special cases.
 
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{self, write_frame};
 use crate::protocol::{ClientMsg, ErrorCode, ServerMsg, MIN_PROTO_VERSION, PROTO_VERSION};
 use crate::server::ServerConfig;
 use mammoth_sql::{parse_prepare, parse_sql, Statement};
+use mammoth_types::framing::{FrameReader, Poll};
 use mammoth_types::trace::{EventKind, Recorder};
 use mammoth_types::{Error, Result};
 use std::collections::VecDeque;
@@ -320,56 +321,43 @@ fn worker_loop<H: Handler>(core: &Core<H>, widx: usize) {
     }
 }
 
-enum Wait {
-    /// Bytes are available; a frame read will not block indefinitely.
-    Data,
-    /// Peer closed the connection.
-    Closed,
-    /// The listener began draining while the connection idled.
-    Drain,
-}
+/// How long a worker's read waits before it looks at the drain flag again
+/// while its connection idles: the socket's read timeout, set once per
+/// connection.
+const IDLE_POLL: Duration = Duration::from_millis(25);
 
-/// Idle-poll for the next frame without consuming bytes, so the drain flag
-/// is observed between statements but a read timeout can never fire
-/// mid-frame and desynchronize the stream.
-fn wait_for_data(stream: &TcpStream, draining: impl Fn() -> bool) -> io::Result<Wait> {
-    stream.set_read_timeout(Some(Duration::from_millis(25)))?;
-    let mut b = [0u8; 1];
-    loop {
-        match stream.peek(&mut b) {
-            Ok(0) => return Ok(Wait::Closed),
-            Ok(_) => {
-                // Commit to the frame: generous timeout so a stalled peer
-                // cannot pin the worker forever, long enough that a frame
-                // split across packets always makes it.
-                stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-                return Ok(Wait::Data);
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if draining() {
-                    return Ok(Wait::Drain);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
+/// How long a frame may take to arrive whole, from its first byte:
+/// generous, so that a frame split across packets always makes it, and
+/// bounded, so that a stalled peer cannot pin the worker forever.
+const FRAME_DEADLINE: Duration = Duration::from_secs(30);
 
 /// The next frame's payload, or `None` when the connection is over: the
 /// peer closed it, or the listener is draining and the peer has been told.
-/// A client pipelining statements back-to-back never idles, so the drain
-/// flag is checked once more when data *is* there: shutdown means "finish
-/// the statement in flight", not "finish the client's whole future
-/// workload".
-fn next_frame<H>(core: &Core<H>, stream: &mut TcpStream) -> Result<Option<Vec<u8>>> {
-    match wait_for_data(stream, || core.draining())? {
-        Wait::Data if !core.draining() => Ok(Some(read_frame(stream)?)),
-        Wait::Closed => Ok(None),
-        Wait::Data | Wait::Drain => {
-            refuse(stream, ErrorCode::ShuttingDown, SHUTTING_DOWN);
-            Ok(None)
+/// A read that times out is the idle poll, which observes the drain flag.
+/// A client pipelining statements back-to-back never idles, so the flag
+/// is checked once more when a frame *is* there, buffered or not: shutdown
+/// means "finish the statement in flight", not "finish the client's whole
+/// future workload".
+fn next_frame<'f, H>(
+    core: &Core<H>,
+    stream: &mut TcpStream,
+    frames: &'f mut FrameReader,
+) -> Result<Option<&'f [u8]>> {
+    loop {
+        match frames.poll(stream)? {
+            Poll::Closed => return Ok(None),
+            _ if core.draining() => {
+                refuse(stream, ErrorCode::ShuttingDown, SHUTTING_DOWN);
+                return Ok(None);
+            }
+            Poll::Ready => return Ok(Some(frames.take())),
+            Poll::Waiting { since: Some(first) } if first.elapsed() >= FRAME_DEADLINE => {
+                return Err(Error::Io(format!(
+                    "frame incomplete {}s after its first byte",
+                    FRAME_DEADLINE.as_secs()
+                )));
+            }
+            Poll::Waiting { .. } => {}
         }
     }
 }
@@ -390,6 +378,8 @@ fn serve_connection<H: Handler>(core: &Core<H>, widx: usize, mut stream: TcpStre
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "?".into());
     conn.trace(EventKind::ServerAccept, peer.clone(), accepted, 0);
+    stream.set_read_timeout(Some(IDLE_POLL))?;
+    let mut frames = frame::reader();
     send(
         &mut stream,
         &ServerMsg::Hello {
@@ -401,10 +391,10 @@ fn serve_connection<H: Handler>(core: &Core<H>, widx: usize, mut stream: TcpStre
     // Handshake: exactly one Login must follow the Hello. Every refusal
     // below closes the connection.
     let hs_started = Instant::now();
-    let Some(payload) = next_frame(core, &mut stream)? else {
+    let Some(payload) = next_frame(core, &mut stream, &mut frames)? else {
         return Ok(());
     };
-    let (client, proto) = match ClientMsg::decode(&payload) {
+    let (client, proto) = match ClientMsg::decode(payload) {
         Ok(ClientMsg::Login {
             version,
             client,
@@ -445,8 +435,8 @@ fn serve_connection<H: Handler>(core: &Core<H>, widx: usize, mut stream: TcpStre
     conn.trace(EventKind::ServerHandshake, args, hs_started, 0);
     send(&mut stream, &ServerMsg::Ready)?;
 
-    while let Some(payload) = next_frame(core, &mut stream)? {
-        let msg = match ClientMsg::decode(&payload) {
+    while let Some(payload) = next_frame(core, &mut stream, &mut frames)? {
+        let msg = match ClientMsg::decode(payload) {
             Ok(msg) => msg,
             Err(e) => {
                 refuse(&mut stream, ErrorCode::Protocol, &format!("bad frame: {e}"));

@@ -19,7 +19,7 @@ pub(super) struct Durability {
 impl Session {
     pub(super) fn attach_durable(&mut self, fs: Arc<dyn Vfs>, root: PathBuf) -> Result<()> {
         let rec = persist::recover_vfs(fs.as_ref(), &root)?;
-        let mut wal = Wal::open(Arc::clone(&fs), rec.wal_path.clone())?;
+        let mut wal = rec.open_wal(Arc::clone(&fs))?;
         let tracing = trace_env_on();
         wal.set_tracing(tracing);
         self.catalog = rec.catalog;

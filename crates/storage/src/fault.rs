@@ -87,6 +87,17 @@ pub(crate) fn sync_entry(fs: &dyn Vfs, path: &Path) -> Result<()> {
     }
 }
 
+/// Replace the file at `path` with `bytes` atomically: write a temporary
+/// file beside it, sync it, rename it over `path`, then sync the directory.
+/// A crash leaves the old file or the new one.
+pub(crate) fn replace_file(fs: &dyn Vfs, path: &Path, bytes: &[u8]) -> Result<()> {
+    let tmp = path.with_extension("tmp");
+    fs.write_file(&tmp, bytes)?;
+    fs.sync(&tmp)?;
+    fs.rename(&tmp, path)?;
+    sync_entry(fs, path)
+}
+
 /// Create directory `dir` and its missing ancestors, and make the entry of
 /// each one it creates durable, up to the first ancestor that already
 /// existed: one `sync_dir` in the usual case, none when `dir` exists.

@@ -36,16 +36,17 @@
 
 use crate::bat::{Bat, HeadColumn};
 use crate::catalog::{Catalog, Table, TableImage};
-use crate::fault::{create_dir_durable, RealFs, Vfs};
+use crate::fault::{create_dir_durable, replace_file, RealFs, Vfs};
 use crate::heap::TailHeap;
 use crate::properties::Properties;
 use crate::strheap::StrHeap;
-use crate::wal::{self, WalRecord};
+use crate::wal::{self, Wal, WalRecord};
 use mammoth_types::codec::{
     put_column, put_fixed, put_str, put_ty, put_u32, put_u64, put_u8, Reader,
 };
 use mammoth_types::{crc32, Error, LogicalType, Result, TableSchema};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const BAT_MAGIC: &[u8; 6] = b"MBAT1\n";
 const CATALOG_MAGIC: &[u8; 6] = b"MCAT1\n";
@@ -274,12 +275,11 @@ pub fn read_current(fs: &dyn Vfs, root: &Path) -> Result<Option<u64>> {
 /// received checkpoint image the same way the checkpointer commits a
 /// locally-written one.
 pub fn write_current(fs: &dyn Vfs, root: &Path, g: u64) -> Result<()> {
-    let tmp = root.join(format!("{CURRENT_FILE}.tmp"));
-    let fin = root.join(CURRENT_FILE);
-    fs.write_file(&tmp, format!("ckpt-{g}\n").as_bytes())?;
-    fs.sync(&tmp)?;
-    fs.rename(&tmp, &fin)?;
-    fs.sync_dir(root)
+    replace_file(
+        fs,
+        &root.join(CURRENT_FILE),
+        format!("ckpt-{g}\n").as_bytes(),
+    )
 }
 
 /// Write an atomic checkpoint of `image` (a catalog's compacted tables,
@@ -339,6 +339,24 @@ pub struct Recovered {
     pub wal_records: usize,
     /// Whether a torn WAL tail was discarded during replay.
     pub tail_discarded: bool,
+    /// Bytes of the WAL through its last commit marker.
+    committed_len: usize,
+    /// Whether the discarded tail held damage rather than a tear.
+    tail_corrupt: bool,
+}
+
+impl Recovered {
+    /// Open the WAL for appending after this recovery. When replay
+    /// discarded a tail, the first append cuts the log back to its
+    /// committed prefix (a damaged tail is kept aside in `<log>.discarded`
+    /// first); recovery itself writes nothing to the log.
+    pub fn open_wal(&self, fs: Arc<dyn Vfs>) -> Result<Wal> {
+        let mut wal = Wal::open(fs, self.wal_path.clone())?;
+        if self.tail_discarded {
+            wal.cut_before_append(self.committed_len, self.tail_corrupt);
+        }
+        Ok(wal)
+    }
 }
 
 /// Apply one redo record to a catalog (replay path).
@@ -369,7 +387,8 @@ pub fn apply_wal_record(catalog: &mut Catalog, rec: &WalRecord) -> Result<()> {
 /// Creates a missing `root` durably, loads the checkpoint named by
 /// `CURRENT` (or starts from an empty catalog) and replays the matching
 /// WAL. A torn or checksum-broken final record is the expected signature
-/// of a crash mid-append and is discarded silently; a checkpoint that
+/// of a crash mid-append and is discarded silently (the writer cuts it
+/// away before it appends: [`Recovered::open_wal`]); a checkpoint that
 /// `CURRENT` names but that cannot be read, or a WAL record that does not
 /// apply, is [`Error::Recovery`].
 pub fn recover_vfs(fs: &dyn Vfs, root: &Path) -> Result<Recovered> {
@@ -386,6 +405,8 @@ pub fn recover_vfs(fs: &dyn Vfs, root: &Path) -> Result<Recovered> {
         wal_path,
         wal_records: replayed.records.len(),
         tail_discarded: replayed.tail_discarded,
+        committed_len: replayed.committed_len,
+        tail_corrupt: replayed.tail_corrupt,
     })
 }
 
@@ -398,10 +419,8 @@ pub fn recover(root: &Path) -> Result<Recovered> {
 mod tests {
     use super::*;
     use crate::fault::MemFs;
-    use crate::wal::Wal;
-    use mammoth_types::{netfault, Value};
+    use mammoth_types::{netfault, ColumnDef, Value};
     use std::fs;
-    use std::sync::Arc;
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("mammoth-persist-{tag}-{}", std::process::id()));
@@ -559,6 +578,42 @@ mod tests {
         assert_eq!(rec2.wal_records, 0);
         assert_eq!(rec2.catalog.table("actors").unwrap().live_len(), 2);
         fs::remove_dir_all(&d).unwrap();
+    }
+
+    #[test]
+    fn a_discarded_tail_is_cut_by_the_first_append_and_damage_kept_aside() {
+        let fs: Arc<dyn Vfs> = Arc::new(MemFs::default());
+        let root = Path::new("/db");
+        let create = |name: &str| WalRecord::CreateTable {
+            schema: TableSchema::new(name, vec![ColumnDef::new("a", LogicalType::I32)]),
+        };
+        let mut wal = recover_vfs(fs.as_ref(), root)
+            .unwrap()
+            .open_wal(Arc::clone(&fs))
+            .unwrap();
+        wal.append(&create("t")).unwrap();
+        wal.statement_boundary().unwrap();
+        drop(wal);
+        // a whole frame whose checksum does not match: damage, not a tear
+        let path = root.join(wal_file_name(0));
+        let damage = [4, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4];
+        fs.append(&path, &damage).unwrap();
+        let before = fs.read(&path).unwrap();
+        // recovery, and a writer that never appends, leave the log alone
+        let rec = recover_vfs(fs.as_ref(), root).unwrap();
+        assert!(rec.tail_discarded);
+        assert_eq!(rec.wal_records, 1);
+        drop(rec.open_wal(Arc::clone(&fs)).unwrap());
+        assert_eq!(fs.read(&path).unwrap(), before);
+        // the first append keeps the damage aside and follows the commit
+        let mut wal = rec.open_wal(Arc::clone(&fs)).unwrap();
+        wal.append(&create("u")).unwrap();
+        wal.statement_boundary().unwrap();
+        let aside = root.join(format!("{}.discarded", wal_file_name(0)));
+        assert_eq!(fs.read(&aside).unwrap(), damage);
+        let rec = recover_vfs(fs.as_ref(), root).unwrap();
+        assert!(!rec.tail_discarded);
+        assert_eq!(rec.catalog.table_names().count(), 2);
     }
 
     #[test]

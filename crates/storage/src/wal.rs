@@ -25,9 +25,11 @@
 //! before the last valid record cannot be distinguished from a torn tail
 //! and is treated the same way; the checkpoint + committed-prefix guarantee
 //! is unaffected because every fsync'd batch either fully precedes the tear
-//! or was never acknowledged.
+//! or was never acknowledged. Replay only reads the file; the writer that
+//! reopens it cuts the discarded tail away before its first append
+//! ([`crate::persist::Recovered::open_wal`]).
 
-use crate::fault::{sync_entry, Vfs};
+use crate::fault::{replace_file, sync_entry, Vfs};
 use mammoth_types::codec::{put_column, put_str, put_u32, put_u64, put_value, Reader};
 use mammoth_types::framing::{self, Frame};
 use mammoth_types::{Error, EventKind, Oid, Result, TableSchema, TraceEvent, Value};
@@ -161,6 +163,14 @@ pub struct WalReplay {
     /// torn/corrupt frame, or intact records never followed by a marker
     /// (the unterminated batch of a crashed process).
     pub tail_discarded: bool,
+    /// Bytes of the log through its last intact commit marker, header
+    /// included: the prefix the records came from (0 when even the header
+    /// tore).
+    pub committed_len: usize,
+    /// Whether the discarded bytes hold a checksum-broken or undecodable
+    /// frame: damage rather than a tear, which a writer keeps aside in
+    /// `<log>.discarded` instead of dropping (see [`crate::persist::Recovered::open_wal`]).
+    pub tail_corrupt: bool,
 }
 
 /// Parse a WAL image. A missing header on a non-empty file is corruption
@@ -178,10 +188,14 @@ pub(crate) fn replay_bytes(buf: &[u8]) -> Result<WalReplay> {
         return Ok(WalReplay {
             records: Vec::new(),
             tail_discarded: true,
+            ..WalReplay::default()
         });
     }
     check_header(buf)?;
-    let mut out = WalReplay::default();
+    let mut out = WalReplay {
+        committed_len: WAL_HEADER.len(),
+        ..WalReplay::default()
+    };
     // records staged until their statement's commit marker arrives
     let mut staged: Vec<WalRecord> = Vec::new();
     let mut rest = &buf[WAL_HEADER.len()..];
@@ -189,7 +203,10 @@ pub(crate) fn replay_bytes(buf: &[u8]) -> Result<WalReplay> {
         match framing::split_frame(rest, MAX_RECORD) {
             Frame::Complete { payload, consumed } => {
                 match WalRecord::decode(payload) {
-                    Ok(WalRecord::Commit) => out.records.append(&mut staged),
+                    Ok(WalRecord::Commit) => {
+                        out.records.append(&mut staged);
+                        out.committed_len = buf.len() - rest.len() + consumed;
+                    }
                     Ok(rec) => staged.push(rec),
                     Err(_) => {
                         // framed and checksummed but undecodable: a torn
@@ -197,6 +214,7 @@ pub(crate) fn replay_bytes(buf: &[u8]) -> Result<WalReplay> {
                         // but treat it the same way — replay stops at the
                         // last good record
                         out.tail_discarded = true;
+                        out.tail_corrupt = true;
                         break;
                     }
                 }
@@ -210,6 +228,7 @@ pub(crate) fn replay_bytes(buf: &[u8]) -> Result<WalReplay> {
             }
             Frame::Corrupt(_) => {
                 out.tail_discarded = true;
+                out.tail_corrupt = true;
                 break;
             }
         }
@@ -260,6 +279,17 @@ pub struct Wal {
     appended: u64,
     tracing: bool,
     events: Vec<TraceEvent>,
+    /// The torn tail recovery left past the committed prefix, cut away
+    /// before the first append ([`Wal::cut_before_append`]).
+    torn: Option<TornTail>,
+}
+
+/// What [`Wal::cut_before_append`] cuts: everything past the first
+/// `committed_len` bytes, kept aside first when `corrupt`.
+#[derive(Debug, Clone, Copy)]
+struct TornTail {
+    committed_len: usize,
+    corrupt: bool,
 }
 
 impl Wal {
@@ -277,6 +307,7 @@ impl Wal {
             appended: 0,
             tracing: false,
             events: Vec::new(),
+            torn: None,
         };
         if !wal.fs.exists(&wal.path) {
             wal.write_header()?;
@@ -291,6 +322,41 @@ impl Wal {
         self.fs.write_file(&self.path, WAL_HEADER)?;
         self.fs.sync(&self.path)?;
         sync_entry(self.fs.as_ref(), &self.path)
+    }
+
+    /// Have the first append cut the log back to the committed prefix a
+    /// replay that discarded its tail found: appended behind a tear, a
+    /// statement would be acknowledged and then lost, since the next
+    /// replay stops at the tear. The cut waits for an append so that
+    /// recovery stays read-only for a session that never writes — a
+    /// replica serving reads over a mirror its puller is still extending.
+    /// A `corrupt` tail is damage rather than a tear; its bytes are kept in
+    /// `<log>.discarded` before the cut.
+    pub(crate) fn cut_before_append(&mut self, committed_len: usize, corrupt: bool) {
+        self.torn = Some(TornTail {
+            committed_len,
+            corrupt,
+        });
+    }
+
+    /// The cut [`Wal::cut_before_append`] armed, as an atomic replace: a
+    /// crash leaves the old log or the cut one, and both replay to the
+    /// same records.
+    fn cut_torn_tail(&self, torn: TornTail) -> Result<()> {
+        let fs = self.fs.as_ref();
+        let mut log = fs.read(&self.path)?;
+        let keep = torn.committed_len.min(log.len());
+        if torn.corrupt {
+            let aside = self.path.with_extension("discarded");
+            fs.write_file(&aside, &log[keep..])?;
+            fs.sync(&aside)?;
+        }
+        log.truncate(keep);
+        if log.is_empty() {
+            // the header itself tore: the prefix is an empty log
+            log.extend_from_slice(WAL_HEADER);
+        }
+        replace_file(fs, &self.path, &log)
     }
 
     /// Set the group-commit batch size (clamped to >= 1).
@@ -343,6 +409,10 @@ impl Wal {
     pub fn commit(&mut self) -> Result<()> {
         if self.buf.is_empty() {
             return Ok(());
+        }
+        if let Some(torn) = self.torn {
+            self.cut_torn_tail(torn)?;
+            self.torn = None;
         }
         let n = self.pending as u64;
         let bytes = self.buf.len() as u64;
@@ -610,6 +680,8 @@ mod tests {
             assert_eq!(got.records.len(), committed, "cut at {cut}");
             let clean = boundaries.contains(&cut);
             assert_eq!(!got.tail_discarded, clean, "cut at {cut}");
+            assert_eq!(got.committed_len, boundaries[committed], "cut at {cut}");
+            assert!(!got.tail_corrupt, "cut at {cut}");
         }
         let _ = std::fs::remove_dir_all(&d);
     }

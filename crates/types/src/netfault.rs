@@ -9,8 +9,10 @@
 //! the cluster once can be replayed byte-for-byte with the same seed
 //! (`MAMMOTH_NET_FAULT_SEED`).
 //!
-//! Faults are injected inside [`crate::framing::read_frame`] /
-//! [`crate::framing::write_frame`] and at client connect time, which is
+//! Faults are injected inside [`crate::framing::FrameReader`] (one draw
+//! per frame, when its first byte is buffered, however many reads the
+//! frame takes) / [`crate::framing::write_frame`] and at client connect
+//! time, which is
 //! exactly the wire boundary: the WAL writes frames to disk through the
 //! *pure* `split_frame`/`frame_into` half of the codec and is untouched —
 //! a network fault can never damage durable state directly, only the

@@ -29,8 +29,8 @@ use std::sync::Arc;
 use mammoth_replica::Applier;
 use mammoth_server::server::subscription_batch;
 use mammoth_server::ServerMsg;
-use mammoth_sql::{Session, Statement};
-use mammoth_storage::{persist, FaultFs, FaultKind, FaultPlan, MemFs};
+use mammoth_sql::{QueryOutput, Session, Statement};
+use mammoth_storage::{persist, FaultFs, FaultKind, FaultPlan, MemFs, Vfs};
 use mammoth_types::{TableSchema, Value};
 
 mod support;
@@ -226,6 +226,43 @@ fn power_loss_keeps_a_new_store() {
     }
 }
 
+/// A torn frame at the log's tail is cut away when recovery discards it,
+/// so the statements acknowledged after that recovery follow the last
+/// commit marker. Appended after the tear instead, they were acknowledged
+/// and then lost at the next recovery, whose replay stops at the tear.
+#[test]
+fn statements_acknowledged_after_a_torn_tail_survive_the_next_recovery() {
+    let count = |s: &mut Session| match s.execute("SELECT COUNT(*) FROM t").unwrap() {
+        QueryOutput::Table { rows, .. } => rows[0][0].as_i64().unwrap(),
+        other => panic!("{other:?}"),
+    };
+    let disk = mem_disk();
+    let mut s = Session::open_durable_with(disk.clone(), STORE.into()).unwrap();
+    s.execute("CREATE TABLE t (a INT)").unwrap();
+    s.execute("INSERT INTO t VALUES (1)").unwrap();
+    s.execute("INSERT INTO t VALUES (2)").unwrap();
+    drop(s);
+    // a crash mid-append: a header announcing 40 bytes, then 5 of them
+    let wal = Path::new(STORE).join("wal-0");
+    let mut torn = Vec::new();
+    torn.extend_from_slice(&40u32.to_le_bytes());
+    torn.extend_from_slice(&0u32.to_le_bytes());
+    torn.extend_from_slice(&[0xa5; 5]);
+    disk.append(&wal, &torn).unwrap();
+    disk.sync(&wal).unwrap();
+    let mut s = Session::open_durable_with(disk.clone(), STORE.into()).unwrap();
+    assert_eq!(count(&mut s), 2);
+    s.execute("INSERT INTO t VALUES (3)").unwrap();
+    s.execute("INSERT INTO t VALUES (4)").unwrap();
+    assert_eq!(count(&mut s), 4);
+    drop(s);
+    let seeds = crash_seeds(seed("MAMMOTH_FAULT_SEED", 0), 0);
+    for (view, disk) in views(disk, seeds) {
+        let mut s = Session::open_durable_with(disk, STORE.into()).unwrap();
+        assert_eq!(count(&mut s), 4, "{view:?} (crash seed)");
+    }
+}
+
 /// Where the replica's sweep keeps the mirror.
 const MIRROR: &str = "/mirror";
 
@@ -347,6 +384,72 @@ fn check_mirror(case: &str, disk: Arc<MemFs>, shipped: &Shipped) {
         Some(&got) == shipped.states.last(),
         "{case}: after catching up, the mirror differs from the primary"
     );
+}
+
+/// The puller rebuilds its serving session after every bootstrap, and a
+/// bootstrap batch can end inside a frame (the primary's read raced an
+/// append). That session recovers the mirror with a torn tail, yet must
+/// leave the log to the puller, whose next poll appends the rest of the
+/// frame: a restart, and a promotion that then writes, recover every
+/// group.
+#[test]
+fn a_session_over_a_mirror_torn_mid_frame_leaves_the_log_to_the_puller() {
+    let shipped = shipped();
+    let mut first = shipped.batches[0].clone();
+    let at = first
+        .iter()
+        .rposition(|m| matches!(m, ServerMsg::WalChunk { .. }))
+        .unwrap();
+    let ServerMsg::WalChunk {
+        generation,
+        offset,
+        bytes,
+    } = first[at].clone()
+    else {
+        unreachable!()
+    };
+    // end the batch three bytes short of its last frame
+    let cut = bytes.len() - 3;
+    first.truncate(at);
+    first.push(ServerMsg::WalChunk {
+        generation,
+        offset,
+        bytes: bytes[..cut].to_vec(),
+    });
+    first.push(ServerMsg::CaughtUp {
+        generation,
+        offset: offset + cut as u64,
+    });
+    let rest = vec![
+        ServerMsg::WalChunk {
+            generation,
+            offset: offset + cut as u64,
+            bytes: bytes[cut..].to_vec(),
+        },
+        ServerMsg::CaughtUp {
+            generation,
+            offset: offset + bytes.len() as u64,
+        },
+    ];
+    let disk = Arc::new(MemFs::default());
+    let (mut a, _) = Applier::open(disk.clone(), MIRROR).unwrap();
+    assert!(a.apply_batch(&first).unwrap().bootstrapped);
+    let serving = Session::open_durable_with(disk.clone(), MIRROR.into()).unwrap();
+    assert_eq!(serving.catalog().logical_dump(), shipped.states[4]);
+    a.apply_batch(&rest).unwrap();
+    drop(serving);
+    // a restart adopts the mirror as it is
+    let (_, wiped) = Applier::open(disk.clone(), MIRROR).unwrap();
+    assert!(!wiped, "the mirror no longer parses end to end");
+    assert_eq!(mirror_dump(&disk).unwrap(), shipped.states[5]);
+    // a promoted session writes behind every group
+    let mut promoted = Session::open_durable_with(disk.clone(), MIRROR.into()).unwrap();
+    promoted
+        .execute("INSERT INTO t VALUES (9, 'nine')")
+        .unwrap();
+    let want = promoted.catalog().logical_dump();
+    drop(promoted);
+    assert_eq!(mirror_dump(&disk).unwrap(), want);
 }
 
 /// Stage the shipped batches under `plan` on a fresh disk, then check the

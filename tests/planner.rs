@@ -286,6 +286,23 @@ fn estimates_bound_q_error_on_single_predicates() {
     }
 }
 
+/// An integer literal INSERTed into a DOUBLE column sets the sketch bit
+/// of the double the column stores, so the statistics INSERTs fold equal
+/// the ones a CHECKPOINT rebuilds from the column, sketch included.
+/// (`Gen` draws no such literal.)
+#[test]
+fn integer_literals_in_a_double_column_fold_as_the_rebuild_reads_them() {
+    let mut s = Session::open_durable_with(support::mem_disk(), support::STORE.into()).unwrap();
+    s.execute("CREATE TABLE d (x DOUBLE, y DOUBLE)").unwrap();
+    for i in 0..40 {
+        s.execute(&format!("INSERT INTO d VALUES ({i}, {}.5)", i * 3))
+            .unwrap();
+    }
+    let incremental = s.stats_catalog();
+    s.execute("CHECKPOINT").unwrap();
+    assert_eq!(incremental, s.stats_catalog());
+}
+
 /// A table the statistics have never seen — made from whole columns
 /// through `Catalog::create_table`, as every bulk load is — is costed at the
 /// catalog's live row count. (It used to be a constant 1 000 rows: every

@@ -19,13 +19,14 @@
 //! a backlog that sheds. The last test pins the structure itself, so the
 //! loop cannot quietly fork again.
 
-use mammoth_server::frame::{read_frame, write_frame};
+use mammoth_server::frame::{self, write_frame};
 use mammoth_server::{
     ClientMsg, ErrorCode, Server, ServerConfig, ServerMsg, MIN_PROTO_VERSION, PROTO_VERSION,
 };
 use mammoth_shard::{FrontConfig, FrontEnd};
+use mammoth_types::framing::{FrameReader, Poll};
 use mammoth_types::Value;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -92,7 +93,7 @@ impl Daemon {
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
-        Conn(stream)
+        Conn(stream, frame::reader())
     }
 
     fn request_shutdown(&self) {
@@ -119,7 +120,22 @@ impl Daemon {
 }
 
 /// A raw client connection: frames in, frames out, no client-side checks.
-struct Conn(TcpStream);
+struct Conn(TcpStream, FrameReader);
+
+/// The socket as a raw client reads it: a reset racing the peer's close
+/// reads as that close, so a clean close is told apart from a frame
+/// without guessing at error kinds afterwards.
+struct Sock<'a>(&'a TcpStream);
+
+impl Read for Sock<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let mut stream = self.0;
+        match stream.read(buf) {
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => Ok(0),
+            read => read,
+        }
+    }
+}
 
 /// What a read produced: a decoded frame, or the peer closing.
 #[derive(Debug, PartialEq)]
@@ -134,14 +150,10 @@ impl Conn {
     }
 
     fn recv(&mut self) -> Got {
-        // Peek first so a clean close (or a reset racing it) is told apart
-        // from a frame without guessing at error kinds afterwards.
-        let mut b = [0u8; 1];
-        match self.0.peek(&mut b) {
-            Ok(0) => Got::Closed,
-            Ok(_) => Got::Frame(ServerMsg::decode(&read_frame(&mut self.0).unwrap()).unwrap()),
-            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => Got::Closed,
-            Err(e) => panic!("read failed: {e}"),
+        match self.1.poll(&mut Sock(&self.0)) {
+            Ok(Poll::Ready) => Got::Frame(ServerMsg::decode(self.1.take()).unwrap()),
+            Ok(Poll::Closed) => Got::Closed,
+            other => panic!("read failed: {other:?}"),
         }
     }
 
@@ -829,8 +841,8 @@ fn the_front_door_is_defined_once() {
     for needle in [
         "fn serve_connection",
         "fn acceptor_loop",
-        "fn wait_for_data",
-        "enum Wait",
+        "struct FrameReader",
+        "enum Poll",
         "fn refuse",
         "TcpListener::bind",
         "struct PreparedStmt",
