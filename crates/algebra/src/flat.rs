@@ -270,7 +270,7 @@ pub(crate) struct JoinTable {
 }
 
 /// Slots for `rows` build rows: at most half full.
-fn join_slots(rows: usize) -> usize {
+pub(crate) fn join_slots(rows: usize) -> usize {
     (2 * rows).next_power_of_two().max(16)
 }
 
@@ -339,6 +339,12 @@ impl JoinTable {
             mem.write(self.heads.buf, s, SLOT, Random);
             self.heads.slots[s] = (image, row + 1);
         }
+    }
+
+    /// The slots' and links' bytes.
+    #[cfg(test)]
+    pub(crate) fn bytes(&self) -> usize {
+        self.heads.slots.len() * SLOT + self.next.len() * LINK
     }
 
     /// Call `f` with every build row whose image equals `image`, latest row

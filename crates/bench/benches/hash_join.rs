@@ -1,7 +1,9 @@
-//! Criterion bench for E03: simple vs partitioned hash-join.
+//! Criterion bench for E03: simple vs partitioned hash-join, on E03's
+//! sparse keys, and the simple join over a dense key domain.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mammoth_algebra::{hash_join, partitioned_hash_join};
+use mammoth_bench::experiments::e03_partitioned_join::sparse_keys;
 use mammoth_cache::trace::cluster_passes;
 use mammoth_storage::Bat;
 use mammoth_workload::permutation;
@@ -12,8 +14,7 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     for pow in [16u32, 19] {
         let n = 1usize << pow;
-        let l = Bat::from_vec(permutation(n, 1));
-        let r = Bat::from_vec(permutation(n, 2));
+        let (l, r) = sparse_keys(n);
         let passes = cluster_passes(pow.saturating_sub(9), 6);
         g.throughput(Throughput::Elements(n as u64));
         g.bench_with_input(BenchmarkId::new("simple", n), &n, |b, _| {
@@ -27,6 +28,14 @@ fn bench(c: &mut Criterion) {
                         .len(),
                 )
             });
+        });
+        // the keys 0..n: the positional table (mechanism only)
+        let (dl, dr) = (
+            Bat::from_vec(permutation(n, 1)),
+            Bat::from_vec(permutation(n, 2)),
+        );
+        g.bench_with_input(BenchmarkId::new("simple_dense", n), &n, |b, _| {
+            b.iter(|| black_box(hash_join(&dl, &dr).unwrap().len()));
         });
     }
     g.finish();

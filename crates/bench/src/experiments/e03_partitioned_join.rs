@@ -18,17 +18,24 @@ const GROWS: &str =
     "the partitioned hash-join's advantage over the simple one grows with cardinality";
 const TENFOLD: &str = "a radix-clustered partitioned hash-join is an order of magnitude faster than a simple hash-join";
 
-/// Simulated memory cycles of `partitioned_hash_join` of a permutation of
-/// `n` seeded 8-byte keys against the keys, both sides clustered on `bits`
-/// radix bits (0: one hash table over the whole build side), in the pass
-/// schedule E03 runs it with.
-pub(crate) fn simulated_join_cycles(h: &MemoryHierarchy, n: usize, bits: u32) -> u64 {
+/// `(probe, build)`: `n` seeded 8-byte keys and a shuffle of them. The
+/// keys are distinct (an `XorShift` repeats no output within its period),
+/// so every tuple matches once, and spread over the whole u64 domain, so
+/// `hash_join` builds its hashed table over them, not its positional one.
+pub fn sparse_keys(n: usize) -> (Bat, Bat) {
     let mut rng = XorShift::new(3);
     let keys: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
     let mut probe = keys.clone();
     rng.shuffle(&mut probe);
+    (Bat::from_vec(probe), Bat::from_vec(keys))
+}
+
+/// Simulated memory cycles of `partitioned_hash_join` of [`sparse_keys`],
+/// both sides clustered on `bits` radix bits (0: one hash table over the
+/// whole build side), in the pass schedule E03 runs it with.
+pub(crate) fn simulated_join_cycles(h: &MemoryHierarchy, n: usize, bits: u32) -> u64 {
     let passes = cluster_passes(bits, max_safe_bits_per_pass(h));
-    let (l, r) = (Bat::from_vec(probe), Bat::from_vec(keys));
+    let (l, r) = sparse_keys(n);
     let mut sim = HierarchySim::new(h);
     let mut rec = Recorder::new(|addr, kind| sim.access(addr, kind));
     partitioned_hash_join(&l, &r, &passes, &mut rec).expect("u64 keys join");
@@ -48,12 +55,12 @@ pub fn run(scale: Scale) -> Report {
         "partitioned",
         "bits (model)",
         "speedup",
+        "simple, dense keys",
     ]);
     for pow in (15..=max_pow).step_by(2) {
         let n = 1usize << pow;
         // unique keys, shuffled: every tuple matches exactly once
-        let l = Bat::from_vec(permutation(n, 1));
-        let r = Bat::from_vec(permutation(n, 2));
+        let (l, r) = sparse_keys(n);
         let bits = pick_radix_bits(&h, n, 8);
         let passes = cluster_passes(bits, max_safe_bits_per_pass(&h));
         // best of 2 runs each, interleaved, to tame VM noise
@@ -65,12 +72,22 @@ pub fn run(scale: Scale) -> Report {
         let t_part = t_part_a.min(t_part_b);
         assert_eq!(j1.len(), n);
         assert_eq!(j2.len(), n);
+        // the keys 0..n, both sides shuffled: a dense domain, which
+        // `hash_join` addresses by position (mechanism only)
+        let (dl, dr) = (
+            Bat::from_vec(permutation(n, 1)),
+            Bat::from_vec(permutation(n, 2)),
+        );
+        let (j3, t_dense_a) = timed(|| hash_join(&dl, &dr).unwrap());
+        let (_, t_dense_b) = timed(|| hash_join(&dl, &dr).unwrap());
+        assert_eq!(j3.len(), n);
         t.row(vec![
             n.to_string(),
             format!("{:.1} ns/t", ns_per(t_simple, n)),
             format!("{:.1} ns/t", ns_per(t_part, n)),
             bits.to_string(),
             format!("{:.2}x", t_simple / t_part),
+            format!("{:.1} ns/t", ns_per(t_dense_a.min(t_dense_b), n)),
         ]);
     }
     out.push_str(&t.render());

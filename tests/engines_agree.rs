@@ -385,6 +385,107 @@ fn candidate_threaded_shapes_match_a_plain_loop_on_every_engine() {
     }
 }
 
+/// A join whose build side is a dense key domain and a NULL key, probed by
+/// an INT foreign key that is NULL every ninth row, against a plain nested
+/// loop on both engines: once with unique keys (the positional build
+/// table) and once with repeated ones (the hashed table). The BIGINT keys
+/// start at -2147483648, the value an INT column stores its NULL as: a
+/// NULL foreign key must still find no partner.
+#[test]
+fn a_dense_dimension_with_null_foreign_keys_joins_on_every_engine() {
+    // keys base..base+16, with 24 rows the first eight twice, then a NULL key
+    for dim_rows in [16, 24] {
+        dense_dimension_join_on_every_engine(dim_rows);
+    }
+}
+
+fn dense_dimension_join_on_every_engine(dim_rows: i64) {
+    let base = i32::MIN as i64;
+    let dim_k: Vec<i64> = (0..dim_rows)
+        .map(|i| base + i % 16)
+        .chain([i64::NIL])
+        .collect();
+    let dim_w: Vec<i64> = (0..=dim_rows).map(|i| i % 5).collect();
+    // foreign keys base+1..base+24 (a third find no partner), NULL every ninth row
+    let fk: Vec<Option<i64>> = (0..2_000i64)
+        .map(|i| (i % 9 != 0).then_some(base + 1 + i * 7 % 24))
+        .collect();
+    let v: Vec<i64> = (0..2_000i64).map(|i| i * 13 % 1000).collect();
+    let pairs: Vec<(usize, usize)> = (0..fk.len())
+        .flat_map(|i| (0..dim_k.len()).map(move |j| (i, j)))
+        .filter(|&(i, j)| fk[i] == Some(dim_k[j]) && !dim_k[j].is_nil())
+        .collect();
+    let count_sum = |keep: &dyn Fn(usize) -> bool| {
+        let hit: Vec<_> = pairs.iter().filter(|&&(i, _)| keep(i)).collect();
+        let sum: i64 = hit.iter().map(|&&(i, _)| v[i]).sum();
+        vec![vec![Value::I64(hit.len() as i64), Value::I64(sum)]]
+    };
+    let mut by_w: Vec<Vec<Value>> = (0..5)
+        .map(|w| {
+            let n = pairs.iter().filter(|&&(_, j)| dim_w[j] == w).count();
+            vec![Value::I64(w), Value::I64(n as i64)]
+        })
+        .collect();
+    by_w.sort_by_key(|row| format!("{row:?}"));
+    let cases = [
+        (
+            "SELECT COUNT(*), SUM(fact.v) FROM fact JOIN dim ON fact.fk = dim.k",
+            count_sum(&|_| true),
+        ),
+        (
+            "SELECT COUNT(*), SUM(fact.v) FROM fact JOIN dim ON fact.fk = dim.k \
+             WHERE fact.v < 400",
+            count_sum(&|i| v[i] < 400),
+        ),
+        (
+            "SELECT dim.w, COUNT(*) FROM fact JOIN dim ON fact.fk = dim.k GROUP BY dim.w",
+            by_w,
+        ),
+    ];
+    for engine in [Engine::Serial, Engine::Parallel { threads: 2 }] {
+        let mut db = Database::with_engine(engine);
+        let fact = Table::from_bats(
+            TableSchema::new(
+                "fact",
+                vec![
+                    ColumnDef::new("fk", LogicalType::I32),
+                    ColumnDef::new("v", LogicalType::I64),
+                ],
+            ),
+            vec![
+                Bat::from_vec(
+                    fk.iter()
+                        .map(|k| k.map_or(i32::NIL, |k| k as i32))
+                        .collect(),
+                ),
+                Bat::from_vec(v.clone()),
+            ],
+        )
+        .unwrap();
+        let dim = Table::from_bats(
+            TableSchema::new(
+                "dim",
+                vec![
+                    ColumnDef::new("k", LogicalType::I64),
+                    ColumnDef::new("w", LogicalType::I64),
+                ],
+            ),
+            vec![Bat::from_vec(dim_k.clone()), Bat::from_vec(dim_w.clone())],
+        )
+        .unwrap();
+        for t in [fact, dim] {
+            db.catalog_mut().create_table(t).unwrap();
+        }
+        for (sql, want) in &cases {
+            let QueryOutput::Table { mut rows, .. } = db.execute(sql).unwrap() else {
+                panic!("{sql}: not a table")
+            };
+            rows.sort_by_key(|row| format!("{row:?}"));
+            assert_eq!(&rows, want, "{engine:?}, {dim_rows} dim rows: {sql}");
+        }
+    }
+}
+
 /// Filter → aggregate, filter → fetch and filter → top-N statements run as
 /// one fused `vector.pipeline` instruction on the serial engine, and per
 /// mitosis fragment (sums, counts and fetched columns) or not at all
