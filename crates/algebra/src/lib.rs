@@ -43,6 +43,7 @@ pub use join::hash_join;
 pub use mat::{pack, packsum};
 pub use radix::{fetch_fixed, partitioned_hash_join, radix_cluster, radix_decluster_fixed};
 pub use select::{
-    select_cmp, select_cmp_cand, select_eq, select_range, select_range_cand, CmpOp, Pred, ScanTail,
+    select_cmp, select_cmp_cand, select_eq, select_range, select_range_cand, selects_with, CmpOp,
+    Pred, ScanTail,
 };
 pub use sort::{firstn, order, sort_bat_dir, sorted_props, TopN};

@@ -25,7 +25,7 @@
 use crate::fetch::check_in_range;
 use crate::multiversion::{dispatch, Kernel};
 use mammoth_storage::{Bat, FixedTail, HeadColumn, Properties, StrHeap, TailHeap};
-use mammoth_types::{Error, NativeType, Oid, Result, Value};
+use mammoth_types::{Error, LogicalType, NativeType, Oid, Result, Value};
 
 /// Comparison operators supported by [`select_cmp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -270,13 +270,28 @@ fn compress_among<T: Copy, O: RowId>(
     }
 }
 
-fn typed_const<T: NativeType>(v: &Value) -> Result<T> {
-    T::from_value(v)
-        .or_else(|| v.coerce(T::LOGICAL).as_ref().and_then(T::from_value))
-        .ok_or_else(|| Error::TypeMismatch {
-            expected: T::LOGICAL.name().into(),
-            found: format!("{v:?}"),
-        })
+/// `v` in the type `T`, when some value of `T` is `v`.
+fn exact<T: NativeType>(v: &Value) -> Option<T> {
+    T::from_value(v).or_else(|| v.coerce(T::LOGICAL).as_ref().and_then(T::from_value))
+}
+
+/// Whether SQL orders a column of type `ty` against the literal `v`, so
+/// that `x op v` selects rows, perhaps none, where `Err` is the
+/// [`Error::TypeMismatch`] every selection raises for the pair. NULL meets
+/// every type. An integer or OID column takes any number by value (see
+/// [`Pred`]); a DOUBLE column any number; a string or a BOOLEAN column only
+/// its own type.
+pub fn selects_with(ty: LogicalType, v: &Value) -> Result<()> {
+    let ordered = match ty {
+        _ if v.is_null() => true,
+        LogicalType::Str => matches!(v, Value::Str(_)),
+        LogicalType::Bool | LogicalType::F64 => v.coerce(ty).is_some(),
+        _ => v.coerce(ty).is_some() || v.as_f64().is_some_and(|f| !f.is_nan()),
+    };
+    ordered.then_some(()).ok_or_else(|| Error::TypeMismatch {
+        expected: ty.name().into(),
+        found: format!("{v:?}"),
+    })
 }
 
 /// A fixed-width tail type a selection can scan. Every such domain is
@@ -292,6 +307,12 @@ pub trait ScanTail: NativeType + FixedTail {
     fn succ(self) -> Option<Self>;
     /// The greatest value below this one, if the domain has one.
     fn pred(self) -> Option<Self>;
+    /// The value equal to the whole number `f`, if the type holds one.
+    /// Only an integer type is asked: every number a DOUBLE or a BOOLEAN
+    /// column orders against is one of its values already.
+    fn from_whole(_: f64) -> Option<Self> {
+        None
+    }
     /// `lo <= x <= hi` for `lo <= hi` inside the live domain, in the
     /// cheapest form the type allows; nil never passes.
     fn between(lo: Self, hi: Self) -> impl Fn(Self) -> bool;
@@ -340,6 +361,9 @@ macro_rules! integer_scan_tail {
             fn pred(self) -> Option<$t> {
                 self.checked_sub(1)
             }
+            fn from_whole(f: f64) -> Option<$t> {
+                <$t>::try_from(f as i128).ok()
+            }
             fn between(lo: $t, hi: $t) -> impl Fn($t) -> bool {
                 let span = hi.wrapping_sub(lo) as $unsigned;
                 move |x| x.wrapping_sub(lo) as $unsigned <= span
@@ -359,7 +383,17 @@ fn null_bound(lo: Option<&Value>, hi: Option<&Value>) -> bool {
 }
 
 /// A selection predicate in its column's native type: the one form the
-/// select kernels here and the vectorized pipeline's filters both run.
+/// select kernels here and the vectorized pipeline's filters both run, and
+/// the one place a literal meets its column's type.
+///
+/// SQL compares by value, which a column's type does not promise to hold:
+/// `i4 < 5000000000` and `i4 < 2.5` are fine predicates on an INT column
+/// whose literals no INT holds. So an integer or OID column takes any
+/// numeric literal by value ([`selects_with`] names the pairs SQL orders):
+/// a fraction, or a number beyond the column's type, moves to the nearest
+/// value of that type on the side that keeps the same rows, after which
+/// `=` selects nothing and `<>` every live value. NULL, and a literal the
+/// column stores as its nil, select nothing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Pred<T> {
     /// `lo <= x <= hi`, with `lo <= hi` inside the live domain.
@@ -368,6 +402,45 @@ pub enum Pred<T> {
     Ne(T),
     /// No row qualifies: an empty range, or a comparison with nil.
     Nothing,
+}
+
+/// One end of a range, its literal moved into the column's type.
+#[derive(Debug, Clone, Copy)]
+enum End<T> {
+    /// No bound on this side.
+    Open,
+    /// The bound, and whether it is inclusive.
+    At(T, bool),
+    /// No value of the type lies on the kept side: nothing qualifies.
+    Past,
+}
+
+impl<T: ScanTail> End<T> {
+    /// `v` as the lower (or upper) end of a range over a column of type
+    /// `T`, `None` being open: in the column's type when a value of it is
+    /// `v`, else — a number against an integer column — moved to the
+    /// nearest whole number that keeps the same rows (up for `>=` and `<`,
+    /// down for `>` and `<=`), which may lie beyond the type either way.
+    fn of(v: Option<&Value>, lower: bool, incl: bool) -> Result<End<T>> {
+        let Some(v) = v else {
+            return Ok(End::Open);
+        };
+        if let Some(c) = exact::<T>(v) {
+            return Ok(End::At(c, incl));
+        }
+        selects_with(T::LOGICAL, v)?;
+        let Some(f) = v.as_f64() else {
+            return Ok(End::Past);
+        };
+        let f = if lower == incl { f.ceil() } else { f.floor() };
+        Ok(match T::from_whole(f) {
+            Some(c) => End::At(c, incl),
+            // below every value of the type for a lower end, or above
+            // every one for an upper end
+            None if (f < 0.0) == lower => End::Open,
+            None => End::Past,
+        })
+    }
 }
 
 /// Evaluate `$body` with `$test` bound to the predicate's row test — a
@@ -390,17 +463,19 @@ macro_rules! with_test {
 }
 
 impl<T: ScanTail> Pred<T> {
-    /// `lo <(=) x <(=) hi` over already typed bounds; `None` is open.
-    fn closed(lo: Option<(T, bool)>, hi: Option<(T, bool)>) -> Pred<T> {
+    /// `lo <(=) x <(=) hi` over ends already in the column's type.
+    fn closed(lo: End<T>, hi: End<T>) -> Pred<T> {
         let lo = match lo {
-            None => Some(T::LIVE_MIN),
-            Some((v, true)) => Some(v),
-            Some((v, false)) => v.succ(),
+            End::Open => Some(T::LIVE_MIN),
+            End::At(v, true) => Some(v),
+            End::At(v, false) => v.succ(),
+            End::Past => None,
         };
         let hi = match hi {
-            None => Some(T::LIVE_MAX),
-            Some((v, true)) => Some(v),
-            Some((v, false)) => v.pred(),
+            End::Open => Some(T::LIVE_MAX),
+            End::At(v, true) => Some(v),
+            End::At(v, false) => v.pred(),
+            End::Past => None,
         };
         match (lo, hi) {
             (Some(lo), Some(hi)) => {
@@ -418,26 +493,30 @@ impl<T: ScanTail> Pred<T> {
         }
     }
 
-    /// `x op v`, with `v` coerced into the column's type (a constant the
-    /// type cannot hold is a typed error). Comparing with NULL selects
-    /// nothing.
+    /// `x op v` by value (see [`Pred`]); a literal SQL does not order
+    /// against the column's type is a typed error.
     pub fn theta(op: CmpOp, v: &Value) -> Result<Pred<T>> {
-        let c: T = typed_const(v)?;
-        if c.is_nil() {
+        if v.is_null() || exact::<T>(v).is_some_and(|c| c.is_nil()) {
             return Ok(Pred::Nothing);
         }
+        let end = |lower, incl| End::of(Some(v), lower, incl);
         Ok(match op {
-            CmpOp::Eq => Pred::closed(Some((c, true)), Some((c, true))),
-            CmpOp::Lt => Pred::closed(None, Some((c, false))),
-            CmpOp::Le => Pred::closed(None, Some((c, true))),
-            CmpOp::Gt => Pred::closed(Some((c, false)), None),
-            CmpOp::Ge => Pred::closed(Some((c, true)), None),
-            CmpOp::Ne => Pred::Ne(c),
+            CmpOp::Eq => Pred::closed(end(true, true)?, end(false, true)?),
+            CmpOp::Lt => Pred::closed(End::Open, end(false, false)?),
+            CmpOp::Le => Pred::closed(End::Open, end(false, true)?),
+            CmpOp::Gt => Pred::closed(end(true, false)?, End::Open),
+            CmpOp::Ge => Pred::closed(end(true, true)?, End::Open),
+            // every live value but the one equal to `v`, if there is one
+            CmpOp::Ne => match Pred::theta(CmpOp::Eq, v)? {
+                Pred::Between(c, _) => Pred::Ne(c),
+                _ => Pred::closed(End::Open, End::Open),
+            },
         })
     }
 
-    /// `lo <(=) x <(=) hi` with open bounds expressed as `None`; a NULL
-    /// bound, like any comparison with NULL, selects nothing.
+    /// `lo <(=) x <(=) hi` with open bounds expressed as `None`, each bound
+    /// by value as in [`Pred::theta`]; a NULL bound, like any comparison
+    /// with NULL, selects nothing.
     pub fn range(
         lo: Option<&Value>,
         hi: Option<&Value>,
@@ -447,10 +526,10 @@ impl<T: ScanTail> Pred<T> {
         if null_bound(lo, hi) {
             return Ok(Pred::Nothing);
         }
-        let typed = |v: Option<&Value>, incl: bool| -> Result<Option<(T, bool)>> {
-            v.map(|v| typed_const(v).map(|c| (c, incl))).transpose()
-        };
-        Ok(Pred::closed(typed(lo, lo_incl)?, typed(hi, hi_incl)?))
+        Ok(Pred::closed(
+            End::of(lo, true, lo_incl)?,
+            End::of(hi, false, hi_incl)?,
+        ))
     }
 
     /// Whether one value qualifies (the row-at-a-time form, for paths with
@@ -565,14 +644,10 @@ fn scan_str(
     Ok(out)
 }
 
+/// A string column's non-NULL constant, or the error [`selects_with`] names.
 fn str_const(v: &Value) -> Result<&str> {
-    match v {
-        Value::Str(s) => Ok(s.as_str()),
-        other => Err(Error::TypeMismatch {
-            expected: "string".into(),
-            found: format!("{other:?}"),
-        }),
-    }
+    selects_with(LogicalType::Str, v)?;
+    Ok(v.as_str().unwrap_or_default())
 }
 
 fn theta(b: &Bat, cands: Option<&Bat>, op: CmpOp, v: &Value) -> Result<Bat> {
@@ -984,7 +1059,89 @@ mod tests {
         // i64 constant against i32 column coerces
         let r = select_eq(&b, &Value::I64(2)).unwrap();
         assert_eq!(r.tail_slice::<Oid>().unwrap(), &[1]);
-        // out-of-range constant cannot coerce
-        assert!(select_eq(&b, &Value::I64(i64::MAX)).is_err());
+        // a constant no i32 holds equals no row
+        assert!(select_eq(&b, &Value::I64(i64::MAX)).unwrap().is_empty());
+    }
+
+    /// A number against an integer or OID column selects what comparing
+    /// each live value with it by value keeps, whatever the number: a
+    /// fraction, the nil sentinel's value, or beyond the type on either
+    /// side. Pairs SQL does not order are the error [`selects_with`] names.
+    #[test]
+    fn numbers_compare_with_integer_columns_by_value() {
+        let tiny = Bat::from_vec((i8::MIN..=i8::MAX).collect::<Vec<_>>());
+        let oids = Bat::from_vec(vec![0 as Oid, 1, 2, 1 << 60, Oid::MAX - 1, Oid::NIL]);
+        let nums = [
+            -1e19, -200.0, -128.5, -128.0, -127.5, -1.0, -0.5, 0.0, 0.5, 2.0, 126.5,
+        ]
+        .into_iter()
+        .chain([127.0, 127.5, 200.0, 1.5e19, 1e300, f64::INFINITY])
+        .map(Value::F64)
+        .chain([i64::MIN, -129, 128, i64::MAX].map(Value::I64));
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        for lit in nums {
+            let f = lit.as_f64().unwrap();
+            for b in [&tiny, &oids] {
+                assert!(selects_with(b.ty(), &lit).is_ok());
+                // the live values, as the numbers they are
+                let live: Vec<(Oid, f64)> = (0..b.len())
+                    .filter_map(|i| match b.value_at(i) {
+                        Value::Oid(x) => Some((i as Oid, x as f64)),
+                        v => v.as_f64().map(|x| (i as Oid, x)),
+                    })
+                    .collect();
+                let keep = |test: &dyn Fn(f64) -> bool| -> Vec<Oid> {
+                    let mut rows: Vec<Oid> = live
+                        .iter()
+                        .filter(|(_, x)| test(*x))
+                        .map(|(i, _)| *i)
+                        .collect();
+                    rows.sort_unstable();
+                    rows
+                };
+                for op in ops {
+                    let want = keep(&|x| match op {
+                        CmpOp::Eq => x == f,
+                        CmpOp::Ne => x != f,
+                        CmpOp::Lt => x < f,
+                        CmpOp::Le => x <= f,
+                        CmpOp::Gt => x > f,
+                        CmpOp::Ge => x >= f,
+                    });
+                    let got = select_cmp(b, op, &lit).unwrap();
+                    assert_eq!(got.tail_slice::<Oid>().unwrap(), want, "{op:?} {lit:?}");
+                }
+                for (lo_incl, hi_incl) in [(true, false), (false, true)] {
+                    let (lo, hi) = (Value::F64(-f.abs() - 0.5), Value::F64(f.abs()));
+                    let want = keep(&|x| {
+                        let (l, h) = (lo.as_f64().unwrap(), hi.as_f64().unwrap());
+                        (if lo_incl { x >= l } else { x > l })
+                            && (if hi_incl { x <= h } else { x < h })
+                    });
+                    let got = select_range(b, Some(&lo), Some(&hi), lo_incl, hi_incl).unwrap();
+                    assert_eq!(got.tail_slice::<Oid>().unwrap(), want, "{lo:?}..{hi:?}");
+                }
+            }
+        }
+        for (ty, lit) in [
+            (LogicalType::I32, Value::Str("7".into())),
+            (LogicalType::I32, Value::Bool(true)),
+            (LogicalType::I32, Value::F64(f64::NAN)),
+            (LogicalType::Bool, Value::I32(1)),
+            (LogicalType::Str, Value::I32(4)),
+            (LogicalType::F64, Value::Str("0.5".into())),
+        ] {
+            assert!(selects_with(ty, &lit).is_err(), "{ty} {lit:?}");
+        }
+        let seven = Value::Str("7".into());
+        let e = select_cmp(&tiny, CmpOp::Lt, &seven).unwrap_err();
+        assert_eq!(e, selects_with(LogicalType::I8, &seven).unwrap_err());
     }
 }

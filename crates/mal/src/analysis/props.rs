@@ -229,24 +229,12 @@ impl ColumnFacts {
     }
 }
 
-/// Compare two bound values; `None` when incomparable (nil, or mixed
-/// non-numeric types). Numeric values compare across widths.
-pub(crate) fn cmp_vals(a: &Value, b: &Value) -> Option<Ordering> {
-    match (a, b) {
-        (Value::Str(x), Value::Str(y)) => Some(x.cmp(y)),
-        (Value::Oid(x), Value::Oid(y)) => Some(x.cmp(y)),
-        (Value::Bool(x), Value::Bool(y)) => Some(x.cmp(y)),
-        (Value::F64(_), _) | (_, Value::F64(_)) => a.as_f64()?.partial_cmp(&b.as_f64()?),
-        _ => Some(a.as_i64()?.cmp(&b.as_i64()?)),
-    }
-}
-
 fn le(a: &Value, b: &Value) -> bool {
-    matches!(cmp_vals(a, b), Some(Ordering::Less | Ordering::Equal))
+    matches!(a.sql_cmp(b), Some(Ordering::Less | Ordering::Equal))
 }
 
 fn lt(a: &Value, b: &Value) -> bool {
-    matches!(cmp_vals(a, b), Some(Ordering::Less))
+    matches!(a.sql_cmp(b), Some(Ordering::Less))
 }
 
 /// Cheap per-column facts from the delta layer's eager base statistics:
@@ -1152,8 +1140,8 @@ fn select_verdict_theta(b: &BatFacts, bounds: &[Arg], op: CmpOp) -> SelectVerdic
         CmpOp::Gt => some_all(min, &|m| lt(c, m)),
         CmpOp::Ge => some_all(min, &|m| le(c, m)),
         CmpOp::Eq => {
-            some_all(min, &|m| cmp_vals(m, c) == Some(Ordering::Equal))
-                && some_all(max, &|m| cmp_vals(m, c) == Some(Ordering::Equal))
+            some_all(min, &|m| m.sql_cmp(c) == Some(Ordering::Equal))
+                && some_all(max, &|m| m.sql_cmp(c) == Some(Ordering::Equal))
         }
         CmpOp::Ne => some_all(max, &|m| lt(m, c)) || some_all(min, &|m| lt(c, m)),
     };
@@ -1168,8 +1156,8 @@ fn select_verdict_theta(b: &BatFacts, bounds: &[Arg], op: CmpOp) -> SelectVerdic
         CmpOp::Ge => some_all(max, &|m| lt(m, c)),
         CmpOp::Eq => some_all(max, &|m| lt(m, c)) || some_all(min, &|m| lt(c, m)),
         CmpOp::Ne => {
-            some_all(min, &|m| cmp_vals(m, c) == Some(Ordering::Equal))
-                && some_all(max, &|m| cmp_vals(m, c) == Some(Ordering::Equal))
+            some_all(min, &|m| m.sql_cmp(c) == Some(Ordering::Equal))
+                && some_all(max, &|m| m.sql_cmp(c) == Some(Ordering::Equal))
                 && b.props.nonil
         }
     };
@@ -1193,6 +1181,15 @@ fn select_verdict_range(
         return SelectVerdict::Unknown;
     };
     let (bmin, bmax) = (&b.props.min, &b.props.max);
+    // a bound SQL does not order against the column fails the select at
+    // run time, whatever the other bound proves
+    let refused = |v: &Value| {
+        let m = bmin.as_ref().or(bmax.as_ref());
+        !v.is_null() && m.is_some_and(|m| m.sql_cmp(v).is_none())
+    };
+    if refused(lo) || refused(hi) {
+        return SelectVerdict::Unknown;
+    }
     // open (nil) bounds are unbounded on that side
     let lo_ok_all = lo.is_null()
         || bmin
@@ -1313,7 +1310,7 @@ pub(crate) fn check_bat(props: &Props, bat: &Bat) -> Result<(), String> {
     }
     for (tag, truth, name) in [(&rt.min, &ground.min, "min"), (&rt.max, &ground.max, "max")] {
         if let (Some(t), Some(g)) = (tag, truth) {
-            if cmp_vals(t, g) != Some(Ordering::Equal) {
+            if t.sql_cmp(g) != Some(Ordering::Equal) {
                 return Err(format!("runtime {name} {t} disagrees with actual {g}"));
             }
         }
@@ -1472,6 +1469,81 @@ mod tests {
             [f64::NEG_INFINITY, 0.0, f64::INFINITY],
             floats.map(Value::F64).to_vec(),
         );
+    }
+
+    /// What lets select elimination drop no guard of its own for refused
+    /// constants: for every column type and every literal the kernels
+    /// refuse ([`mammoth_algebra::selects_with`]), neither select opcode
+    /// gets a verdict — as a theta constant, or as either range bound
+    /// beside one that would decide — so the select stays in the plan and
+    /// raises its error.
+    #[test]
+    fn refused_constants_get_no_verdict() {
+        use mammoth_algebra::selects_with;
+        let literals = [
+            Value::Null,
+            Value::Bool(true),
+            Value::I8(-3),
+            Value::I32(4),
+            Value::I64(5_000_000_000),
+            Value::F64(2.5),
+            Value::F64(f64::NAN),
+            Value::Str("7".into()),
+            Value::Oid(u64::MAX - 1),
+        ];
+        let columns = [
+            (LogicalType::Bool, Value::Bool(false), Value::Bool(true)),
+            (LogicalType::I8, Value::I8(1), Value::I8(9)),
+            (LogicalType::I32, Value::I64(1), Value::I64(9)),
+            (LogicalType::I64, Value::I64(1), Value::I64(9)),
+            (LogicalType::F64, Value::F64(1.0), Value::F64(9.0)),
+            (
+                LogicalType::Str,
+                Value::Str("a".into()),
+                Value::Str("z".into()),
+            ),
+            (LogicalType::Oid, Value::Oid(1), Value::Oid(9)),
+        ];
+        let mut refused = 0;
+        for (ty, min, max) in columns {
+            let mut props = Props::top().with_card(3);
+            props.nonil = true;
+            (props.min, props.max) = (Some(min.clone()), Some(max.clone()));
+            let facts = BatFacts::dense0(props);
+            // a bound beside which the other one would decide "none"
+            let decisive = [Arg::Const(max), Arg::Const(min)];
+            for lit in literals.iter().filter(|v| selects_with(ty, v).is_err()) {
+                refused += 1;
+                let c = Arg::Const(lit.clone());
+                let unknown = |op: OpCode, bounds: &[Arg]| {
+                    let verdict = select_verdict(&facts, &op, bounds);
+                    assert_eq!(verdict, SelectVerdict::Unknown, "{ty} {op:?} {bounds:?}");
+                };
+                for op in [
+                    CmpOp::Eq,
+                    CmpOp::Ne,
+                    CmpOp::Lt,
+                    CmpOp::Le,
+                    CmpOp::Gt,
+                    CmpOp::Ge,
+                ] {
+                    unknown(OpCode::ThetaSelect(op), std::slice::from_ref(&c));
+                }
+                let null = Arg::Const(Value::Null);
+                for (lo_incl, hi_incl) in [(true, true), (false, false)] {
+                    let op = OpCode::RangeSelect { lo_incl, hi_incl };
+                    for bounds in [
+                        [c.clone(), null.clone()],
+                        [null.clone(), c.clone()],
+                        [c.clone(), decisive[1].clone()],
+                        [decisive[0].clone(), c.clone()],
+                    ] {
+                        unknown(op.clone(), &bounds);
+                    }
+                }
+            }
+        }
+        assert!(refused > 20, "{refused} refused pairs");
     }
 
     #[test]

@@ -626,10 +626,12 @@ fn released_after<'a>(lv: &'a analysis::Liveness, idx: usize, op: &OpCode) -> &'
 ///   mirrored oid list is bit-identical to the select's candidate output;
 /// * a candidate list must provably name rows of the input only —
 ///   otherwise the select would raise an out-of-range error at runtime,
-///   and eliminating it would mask that error;
-/// * every non-nil predicate constant must coerce losslessly into the
-///   column's value type — otherwise the select would raise a type error
-///   at runtime, and eliminating it would mask that error.
+///   and eliminating it would mask that error.
+///
+/// A constant the select would refuse at runtime
+/// ([`mammoth_algebra::selects_with`]) needs no guard of its own: SQL
+/// orders no value of the column against it, so no interval comparison
+/// decides the select and it stays in the plan to raise its error.
 pub(crate) struct SelectElimination {
     facts: Arc<PropFacts>,
 }
@@ -659,9 +661,6 @@ impl SelectElimination {
                 return SelectVerdict::Unknown;
             }
         }
-        if !consts_coerce(f, sel.bounds) {
-            return SelectVerdict::Unknown;
-        }
         analysis::props::select_verdict(f, &instr.op, sel.bounds)
     }
 }
@@ -679,30 +678,6 @@ fn cands_in_range(cand: &analysis::Props, input: &analysis::Props) -> bool {
     let below = |n: u64| matches!(&cand.max, Some(Value::Oid(m)) if *m < n);
     // an empty list names no row at all
     cand.card_hi == Some(0) || (cand.nonil && below(input.card_lo))
-}
-
-/// True when every constant predicate argument either is nil (an open /
-/// no-candidates bound the runtime handles without touching the column
-/// type) or coerces losslessly into the type of the column's bounds.
-fn consts_coerce(f: &BatFacts, preds: &[Arg]) -> bool {
-    let consts = preds.iter().map(|a| match a {
-        Arg::Const(c) => Some(c),
-        // a parameter's value (and thus coercibility) is unknown until
-        // EXECUTE binds it — treat like a variable: not provably safe
-        Arg::Var(_) | Arg::Param(_) => None,
-    });
-    let bty = f
-        .props
-        .min
-        .as_ref()
-        .or(f.props.max.as_ref())
-        .and_then(|v| v.logical_type());
-    match bty {
-        Some(ty) => consts
-            .flatten()
-            .all(|c| c.is_null() || c.coerce(ty).is_some()),
-        None => consts.flatten().all(|c| c.is_null()),
-    }
 }
 
 impl OptimizerPass for SelectElimination {
@@ -1362,9 +1337,8 @@ mod tests {
 
     #[test]
     fn select_elimination_keeps_type_error_behavior() {
-        // i8 column, predicate constant outside the i8 range: the select
-        // raises a type error at runtime, so the pass must leave it in
-        // place even though the interval proof says "all rows match".
+        // i8 column, a string constant: the select raises a type error at
+        // runtime, so the pass must leave it in place.
         let mut cat = Catalog::new();
         let t = Table::from_bats(
             TableSchema::new("t8", vec![ColumnDef::new("c", LogicalType::I8)]),
@@ -1376,7 +1350,7 @@ mod tests {
         let b = bind(&mut p, "t8", "c");
         let s = p.push(
             OpCode::ThetaSelect(CmpOp::Lt),
-            vec![Arg::Var(b), Arg::Const(Value::I64(1000))],
+            vec![Arg::Var(b), Arg::Const(Value::Str("1000".into()))],
         )[0];
         p.push_result(&[s]);
         let out = SelectElimination::new(analysis::column_facts(&cat)).run(p.clone());

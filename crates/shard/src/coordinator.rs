@@ -12,10 +12,11 @@
 //! * **DDL** (`CREATE`/`DROP TABLE`, `CHECKPOINT`) broadcasts the
 //!   statement, printed back to text, to every shard and mirrors the
 //!   change into the planning catalog and partition map.
-//! * **DML** routes by partition key: an `INSERT` splits its rows by
-//!   [`shard_of`] and ships each shard only its subset (durable via that
-//!   shard's WAL); a `DELETE` whose predicate pins the key goes to the one
-//!   owning shard, anything else broadcasts.
+//! * **DML** routes by partition key, as the key column stores it
+//!   ([`PartitionSpec::owner`]): an `INSERT` splits its rows by owner and
+//!   ships each shard only its subset (durable via that shard's WAL); a
+//!   `DELETE` whose predicate pins the key to a value of its type goes to
+//!   the one owning shard, anything else broadcasts.
 //! * **SELECT** scatters read-only fragments (protocol v3 `Fragment`
 //!   messages) and merges through the same `mat.pack` / `mat.packsum`
 //!   machinery the in-process mergetable uses — see
@@ -69,7 +70,7 @@ use mammoth_sql::{
 use mammoth_storage::{Bat, Catalog, Table};
 use mammoth_types::{ColumnDef, Error, EventKind, LogicalType, Recorder, TableSchema, Value};
 
-use crate::partition::{shard_of, PartitionMap, PartitionSpec};
+use crate::partition::{PartitionMap, PartitionSpec};
 
 /// How to reach and pace the shard set.
 #[derive(Debug, Clone)]
@@ -468,12 +469,15 @@ impl Coordinator {
         let started = Instant::now();
         let owners = rows.iter().map(|row| {
             let key = row.get(spec.key_index).and_then(Scalar::as_lit);
-            key.map(|key| shard_of(key, n)).ok_or_else(|| {
-                CoordError::Sql(Error::Internal(format!(
-                    "INSERT row has no value for partition key column {}",
-                    spec.key_column
-                )))
-            })
+            // a key the column does not store is refused by whichever
+            // shard receives it
+            key.map(|key| spec.owner(key, n).unwrap_or(0))
+                .ok_or_else(|| {
+                    CoordError::Sql(Error::Internal(format!(
+                        "INSERT row has no value for partition key column {}",
+                        spec.key_column
+                    )))
+                })
         });
         let owners = owners.collect::<Result<Vec<usize>, _>>()?;
         // each shard's rows, the cells moved, not copied
@@ -517,21 +521,20 @@ impl Coordinator {
         let spec = self.spec_for(table)?;
         let n = self.nshards();
         let started = Instant::now();
-        // A predicate that pins the partition key to one literal means
-        // only the owning shard can hold matching rows.
+        // A predicate that pins the partition key to one value of its type
+        // means only the owning shard can hold matching rows.
         let pinned = where_.iter().find_map(|p| {
             if p.op == CmpOp::Eq
                 && p.col.column == spec.key_column
                 && p.col.table.as_ref().is_none_or(|t| t == table)
             {
-                p.value.as_lit()
+                spec.owner(p.value.as_lit()?, n)
             } else {
                 None
             }
         });
         let (total, routed) = match pinned {
-            Some(v) => {
-                let target = shard_of(v, n);
+            Some(target) => {
                 let resp = self.with_shard(target, |c| c.query(sql))?;
                 match resp {
                     Response::Affected(k) => (k, format!("shard={target}")),

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use mammoth_types::{fnv1a, Error, Result, TableSchema, Value, FNV_OFFSET};
+use mammoth_types::{fnv1a, Error, LogicalType, Result, TableSchema, Value, FNV_OFFSET};
 
 /// FNV-1a over the canonical encoding of a value.
 ///
@@ -51,6 +51,23 @@ pub struct PartitionSpec {
     /// Index of the key column in the table's schema (and in INSERT rows,
     /// which mammoth requires to list every column in schema order).
     pub key_index: usize,
+    /// The key column's type: rows are placed by the key as it is stored.
+    pub key_type: LogicalType,
+}
+
+impl PartitionSpec {
+    /// The shard, out of `nshards`, that owns the rows whose key equals the
+    /// literal `v`: `v` is hashed as the key column stores it, so `1`,
+    /// `1.0` and the cell they become route alike, and so do `-0.0` and
+    /// `0.0`, which compare equal. `None` when no value of the key's type
+    /// is `v` (`2.5` against an INT key): no one shard owns what such a
+    /// literal matches.
+    pub fn owner(&self, v: &Value, nshards: usize) -> Option<usize> {
+        match v.coerce(self.key_type)? {
+            Value::F64(x) => Some(shard_of(&Value::F64(x + 0.0), nshards)),
+            k => Some(shard_of(&k, nshards)),
+        }
+    }
 }
 
 /// Partition specs for every sharded table, keyed by name.
@@ -71,6 +88,7 @@ impl PartitionMap {
             PartitionSpec {
                 key_column: first.name.clone(),
                 key_index: 0,
+                key_type: first.ty,
             },
         );
         Ok(())
@@ -175,7 +193,11 @@ mod tests {
         map.add_table(&schema).unwrap();
         let spec = map.spec("t").expect("registered");
         assert_eq!(spec.key_column, "id");
-        assert_eq!(spec.key_index, 0);
+        assert_eq!((spec.key_index, spec.key_type), (0, LogicalType::I64));
+        // a literal routes as the key stores it
+        let one = spec.owner(&Value::I32(1), 7);
+        assert_eq!(one, Some(shard_of(&Value::I64(1), 7)));
+        assert_eq!(spec.owner(&Value::F64(2.5), 7), None);
         map.remove_table("t");
         assert!(map.spec("t").is_none());
     }

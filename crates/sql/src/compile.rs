@@ -9,7 +9,7 @@
 //! top-N under a LIMIT) and re-fetches the others through the order index.
 
 use crate::ast::{ColumnRef, JoinClause, Predicate, Scalar, SelectItem, SelectStmt};
-use mammoth_algebra::AggKind;
+use mammoth_algebra::{selects_with, AggKind};
 use mammoth_mal::{Arg, OpCode, Program, VarId};
 use mammoth_storage::Catalog;
 use mammoth_types::{Error, LogicalType, Result, Value};
@@ -81,6 +81,13 @@ pub(crate) fn compile_select_ordered(
                 (OpCode::ThetaSelect(pred.op), vec![value])
             }
         };
+        // a literal SQL does not order against the column fails here, as
+        // its select would, and never reaches the plan verifier
+        for b in &bounds {
+            if let Arg::Const(v) = b {
+                selects_with(ty, v)?;
+            }
+        }
         let mut args = vec![Arg::Var(c.bind(side, &pred.col.column)?)];
         args.extend(c.cands[side as usize].map(Arg::Var));
         args.extend(bounds);

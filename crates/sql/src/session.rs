@@ -424,7 +424,6 @@ pub fn render_outputs(names: Vec<String>, outputs: Vec<MalValue>) -> Result<Quer
     })
 }
 
-mod column_test;
 #[cfg(test)]
 mod delete_oracle;
 mod dml;

@@ -8,17 +8,17 @@
 //! checked against (the pattern of `crates/algebra/src/oracle.rs`).
 //!
 //! Two documented differences, both where the kernels do what SELECT
-//! always has. Against an `OID` column they coerce an integer literal,
-//! while `Value::sql_cmp` does not order an oid against an integer and so
-//! the old loop never matched there. And a literal equal to an integer
-//! type's minimum *is* that type's nil sentinel (the engine cannot store
-//! it either), so the kernels take `x > -128` on a TINYINT for a
-//! comparison with NULL. No table below has an `OID` column and no literal
-//! is a sentinel.
+//! always has. A literal SQL does not order against the column (a string
+//! against a number, a BOOLEAN against either) fails the statement with
+//! the `TypeMismatch` SELECT raises, where the old loop matched no row.
+//! And a literal equal to an integer type's minimum *is* that type's nil
+//! sentinel (the engine cannot store it either), so the kernels take
+//! `x > -128` on a TINYINT for a comparison with NULL. No literal below is
+//! a sentinel.
 
 use super::*;
 use crate::ast::{ColumnRef, Predicate, Scalar};
-use mammoth_algebra::CmpOp;
+use mammoth_algebra::{selects_with, CmpOp};
 use mammoth_types::Oid;
 use std::cmp::Ordering;
 
@@ -181,11 +181,25 @@ fn literals(column: &str) -> Vec<Value> {
 
 const COLUMNS: [&str; 6] = ["a", "b", "c", "f", "s", "ok"];
 
+/// The kernel path against the oracle, or, where a literal is one SQL does
+/// not order against its column, the error a SELECT raises for it.
 fn check(s: &Session, preds: &[Predicate]) {
-    let got = s
-        .matching_positions("t", preds)
-        .unwrap_or_else(|e| panic!("{preds:?}: {e}"));
-    assert_eq!(got, s.matching_positions_oracle("t", preds), "{preds:?}");
+    let t = s.catalog().table("t").unwrap();
+    let refused: Vec<Error> = preds
+        .iter()
+        .filter_map(|p| {
+            let (_, def) = t.schema.column(&p.col.column).unwrap();
+            selects_with(def.ty, p.value.as_lit().unwrap()).err()
+        })
+        .collect();
+    let got = s.matching_positions("t", preds);
+    if refused.is_empty() {
+        let got = got.unwrap_or_else(|e| panic!("{preds:?}: {e}"));
+        assert_eq!(got, s.matching_positions_oracle("t", preds), "{preds:?}");
+    } else {
+        let e = got.expect_err("a literal SQL does not order");
+        assert!(refused.contains(&e), "{preds:?}: {e}");
+    }
 }
 
 #[test]
@@ -197,7 +211,8 @@ fn one_predicate_every_op_column_and_literal() {
             for op in OPS {
                 let p = [pred(column, op, &lit)];
                 check(&s, &p);
-                nonempty += !s.matching_positions("t", &p).unwrap().is_empty() as usize;
+                let hit = s.matching_positions("t", &p).is_ok_and(|v| !v.is_empty());
+                nonempty += hit as usize;
             }
         }
     }

@@ -1,10 +1,10 @@
 //! The write path of a [`Session`]: DDL and DML under the write-ahead
 //! discipline, and the statistics upkeep that follows them.
 
-use super::column_test::ColumnTest;
 use super::explain::profile_table;
 use super::{QueryOutput, Session};
 use crate::ast::{Predicate, Statement};
+use mammoth_algebra as alg;
 use mammoth_planner::{ColumnStats, StatsCatalog};
 use mammoth_storage::{Bat, Table, TableImage, TailHeap, WalRecord};
 use mammoth_types::{Error, Oid, Result, Value};
@@ -183,8 +183,7 @@ impl Session {
     pub(super) fn matching_positions(&self, table: &str, preds: &[Predicate]) -> Result<Vec<Oid>> {
         let t = self.catalog.table(table)?;
         // resolve predicate columns and literals up-front
-        let mut todo: Vec<(usize, ColumnTest)> = Vec::new();
-        let mut satisfiable = true;
+        let mut todo = Vec::with_capacity(preds.len());
         for p in preds {
             if let Some(pt) = &p.col.table {
                 if pt != table {
@@ -197,32 +196,31 @@ impl Session {
                 Error::Bind("DELETE predicate has an unbound placeholder (?)".into())
             })?;
             let (idx, def) = t.schema.column(&p.col.column)?;
-            match ColumnTest::new(def.ty, p.op, lit) {
-                Some(test) => todo.push((idx, test)),
-                None => satisfiable = false,
-            }
-        }
-        if !satisfiable {
-            return Ok(Vec::new());
+            todo.push((idx, def.ty, p, lit));
         }
         // candidates among the base rows and among the insert delta's
         let mut cands: [Option<Bat>; 2] = [None, None];
         while !todo.is_empty() {
-            let (idx, mut test) = todo.remove(0);
-            let partner = todo.iter().enumerate().find_map(|(k, (i, other))| {
-                let fused = if *i == idx { test.fuse(other) } else { None };
-                fused.map(|f| (k, f))
-            });
-            if let Some((k, fused)) = partner {
-                todo.remove(k);
-                test = fused;
-            }
+            let (idx, ty, p, lit) = todo.remove(0);
+            let partner = todo.iter().position(|o| p.range_with(o.2, ty).is_some());
+            let range = partner.and_then(|k| p.range_with(todo.remove(k).2, ty));
             let col = t.stored_column(idx);
             for (part, cand) in [col.base().as_ref(), col.inserts()]
                 .into_iter()
                 .zip(&mut cands)
             {
-                *cand = Some(test.select(part, cand.as_ref())?);
+                *cand = Some(match (range, cand.as_ref()) {
+                    (Some((lo, hi)), None) => {
+                        let (l, h) = (lo.inclusive, hi.inclusive);
+                        alg::select_range(part, Some(lo.value), Some(hi.value), l, h)
+                    }
+                    (Some((lo, hi)), Some(c)) => {
+                        let (l, h) = (lo.inclusive, hi.inclusive);
+                        alg::select_range_cand(part, c, Some(lo.value), Some(hi.value), l, h)
+                    }
+                    (None, None) => alg::select_cmp(part, p.op, lit),
+                    (None, Some(c)) => alg::select_cmp_cand(part, c, p.op, lit),
+                }?);
             }
         }
         let total = t.total_len();

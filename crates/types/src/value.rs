@@ -125,13 +125,14 @@ impl Value {
         matches!(self, Value::Null)
     }
 
-    /// Numeric view as f64 (for aggregation/rendering).
+    /// Numeric view as f64 (for aggregation/rendering), an OID included.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::I8(x) => Some(*x as f64),
             Value::I16(x) => Some(*x as f64),
             Value::I32(x) => Some(*x as f64),
             Value::I64(x) => Some(*x as f64),
+            Value::Oid(x) => Some(*x as f64),
             Value::F64(x) => Some(*x),
             _ => None,
         }
@@ -156,7 +157,10 @@ impl Value {
         }
     }
 
-    /// Coerce to `ty` if a lossless conversion exists.
+    /// Coerce to `ty` where the value has an image there: an integer into
+    /// a narrower integer type or an OID only when it fits; any number, an
+    /// OID too, into DOUBLE, which is exact up to 2^53 in magnitude and
+    /// rounds to the nearest double beyond it.
     pub fn coerce(&self, ty: LogicalType) -> Option<Value> {
         if self.is_null() {
             return Some(Value::Null);
@@ -220,7 +224,8 @@ impl Value {
     }
 
     /// SQL-style comparison: `None` when either side is NULL or the types
-    /// are incomparable.
+    /// are incomparable. Two integers, or an integer and an OID, compare
+    /// exactly; a DOUBLE against an integer or an OID compares as doubles.
     pub fn sql_cmp(&self, other: &Value) -> Option<std::cmp::Ordering> {
         use Value::*;
         match (self, other) {
@@ -228,10 +233,10 @@ impl Value {
             (Bool(a), Bool(b)) => a.partial_cmp(b),
             (Str(a), Str(b)) => a.partial_cmp(b),
             (Oid(a), Oid(b)) => a.partial_cmp(b),
-            _ => {
-                let (a, b) = (self.as_f64()?, other.as_f64()?);
-                a.partial_cmp(&b)
-            }
+            _ => match (self.as_i64(), other.as_i64()) {
+                (Some(a), Some(b)) => Some(a.cmp(&b)),
+                _ => self.as_f64()?.partial_cmp(&other.as_f64()?),
+            },
         }
     }
 }
@@ -325,6 +330,13 @@ mod tests {
         );
         assert_eq!(
             Value::Str("b".into()).sql_cmp(&Value::Str("a".into())),
+            Some(std::cmp::Ordering::Greater)
+        );
+        // integers past 2^53, and an oid against an integer, compare exactly
+        let (a, b) = (Value::I64(1 << 53), Value::I64((1 << 53) + 1));
+        assert_eq!(a.sql_cmp(&b), Some(std::cmp::Ordering::Less));
+        assert_eq!(
+            Value::Oid(3).sql_cmp(&Value::I32(2)),
             Some(std::cmp::Ordering::Greater)
         );
     }

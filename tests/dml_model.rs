@@ -155,3 +155,27 @@ fn interleaved_dml_checkpoints_merges_and_crashes_match_the_model() {
         run(seed);
     }
 }
+
+/// Integers past 2^53, where doubles no longer tell neighbours apart: the
+/// bounds DML keeps up are the live extremes, the ones a rebuild reads.
+#[test]
+fn bigint_bounds_past_two_to_the_53_match_a_rebuild() {
+    let root = Scratch::new("dml-model-bigint-bounds");
+    let mut s = Session::open_durable(root.to_path_buf()).unwrap();
+    s.execute("CREATE TABLE t (k BIGINT)").unwrap();
+    for k in [
+        "9007199254740992",
+        "9007199254740993",
+        "-9007199254740992",
+        "-9007199254740993",
+    ] {
+        s.execute(&format!("INSERT INTO t VALUES ({k})")).unwrap();
+    }
+    let incremental = s.stats_catalog();
+    let k = incremental.column("t", "k").unwrap();
+    let bounds = (k.min.clone(), k.max.clone());
+    let want = (Value::I64(-9007199254740993), Value::I64(9007199254740993));
+    assert_eq!(bounds, (Some(want.0), Some(want.1)));
+    s.execute("CHECKPOINT").unwrap();
+    check_statistics(&incremental, &s.stats_catalog(), false, "BIGINT past 2^53");
+}

@@ -156,8 +156,9 @@ fn null_bounds_select_nothing_adhoc_cold_and_warm() {
 
 /// A `?` in a fused filter stays an ordinary argument of the pipeline
 /// instruction, so one cached plan serves every binding: ad-hoc == cold ==
-/// warm for each, a NULL binding still selects nothing, and a binding the
-/// column's type cannot hold is the error the ad-hoc statement raises.
+/// warm for each, a NULL binding still selects nothing, a number no value
+/// of the column's type holds compares by value, and a binding SQL does not
+/// order against the column is the error the ad-hoc statement raises.
 #[test]
 fn fused_filter_bounds_bind_like_any_parameter() {
     use mammoth_mal::{bound_column_facts, default_pipeline_with_props, Arg, OpCode};
@@ -193,6 +194,8 @@ fn fused_filter_bounds_bind_like_any_parameter() {
         ["10", "12", "-20000"],
         ["3", "30", "NULL"],
         ["0", "50", "20000"],
+        ["3", "5000000000", "500"],
+        ["-5000000000", "30.5", "500"],
     ] {
         let want = s.execute(&body(args[0], args[1], args[2])).unwrap();
         let exec = format!("EXECUTE f ({})", args.join(", "));
@@ -208,9 +211,9 @@ fn fused_filter_bounds_bind_like_any_parameter() {
             "{exec}"
         );
     }
-    // `k` is an INT column: a bound only a BIGINT holds is refused alike
-    let adhoc = s.execute(&body("3", "5000000000", "0")).unwrap_err();
-    let bound = s.execute("EXECUTE f (3, 5000000000, 0)").unwrap_err();
+    // `k` is an INT column: a string bound is refused alike
+    let adhoc = s.execute(&body("3", "'x'", "0")).unwrap_err();
+    let bound = s.execute("EXECUTE f (3, 'x', 0)").unwrap_err();
     assert_eq!(adhoc.to_string(), bound.to_string());
 }
 

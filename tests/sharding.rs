@@ -179,6 +179,46 @@ fn explain_sharding_accounts_for_every_row() {
     }
 }
 
+/// A key literal routes as the key column stores it: rows inserted into a
+/// DOUBLE key as integers (or as `-0.0`) are found by a DELETE that pins
+/// them as doubles (or as `0`), and a literal no value of an INT key
+/// equals (`2.5`) reaches every shard, each answering by value. Statement
+/// by statement, the coordinator says what one node says.
+#[test]
+fn a_key_literal_routes_as_the_key_stores_it() {
+    let cluster = Cluster::start(Spec::in_memory(NSHARDS));
+    let coord = cluster.coord();
+    let mut single = Session::new();
+    for ty in ["DOUBLE", "INT"] {
+        let rows: Vec<String> = (1..=6).map(|k| format!("({k}, {})", k * 10)).collect();
+        let statements: &[&str] = match ty {
+            "DOUBLE" => &[
+                "INSERT INTO t VALUES (-0.0, 0)",
+                "DELETE FROM t WHERE k = 1.0",
+                "DELETE FROM t WHERE k = 2.0",
+                "DELETE FROM t WHERE k = 3.0",
+                "DELETE FROM t WHERE k = 0",
+            ],
+            _ => &[
+                "DELETE FROM t WHERE k = 1.0",
+                "DELETE FROM t WHERE k = 2.5",
+                "DELETE FROM t WHERE k = 2",
+                "DELETE FROM t WHERE k < 3.5",
+            ],
+        };
+        let script = [
+            format!("CREATE TABLE t (k {ty}, v INT)"),
+            format!("INSERT INTO t VALUES {}", rows.join(", ")),
+        ]
+        .into_iter()
+        .chain(statements.iter().map(|s| s.to_string()))
+        .chain(["SELECT k, v FROM t".into(), "DROP TABLE t".into()]);
+        for sql in script {
+            assert!(differ(&coord, &mut single, &sql, ty), "{ty}: {sql}");
+        }
+    }
+}
+
 // --------------------------------------------------------------- failure
 
 /// Kill one shard at a randomized point mid-workload: fan-out statements

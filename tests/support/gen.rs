@@ -149,13 +149,17 @@ impl Gen {
     }
 
     /// A literal to compare column `c` with: mostly a datum, else NULL, the
-    /// type's nil sentinel or, when `wide`, an integer no INT holds.
-    fn literal(&mut self, ti: usize, c: usize, wide: bool) -> Value {
+    /// type's nil sentinel or, against an INT, a number no INT holds — an
+    /// integer beyond the type, or a half.
+    fn literal(&mut self, ti: usize, c: usize) -> Value {
         let ty = self.tables[ti].columns[c].ty;
-        match self.below(10) {
-            0 => Value::Null,
-            1 => sentinel(ty).unwrap_or(Value::Null),
-            2 if wide && ty == LogicalType::I32 => int(self.pick(&[5_000_000_000, -5_000_000_000])),
+        match self.below(20) {
+            0 | 1 => Value::Null,
+            2 | 3 => sentinel(ty).unwrap_or(Value::Null),
+            4 | 5 if ty == LogicalType::I32 => int(self.pick(&[5_000_000_000, -5_000_000_000])),
+            6 if ty == LogicalType::I32 => {
+                Value::F64(self.rng.random_range(-20..20i64) as f64 + 0.5)
+            }
             _ => self.datum(ti, c),
         }
     }
@@ -163,7 +167,7 @@ impl Gen {
     /// One to three conjuncts on table `ti`: comparisons with every
     /// operator, and lower-and-upper bound pairs on one column, which fuse
     /// into one range select unless a bound is NULL or a nil sentinel.
-    fn conjuncts(&mut self, ti: usize, qualify: bool, wide: bool) -> Vec<Predicate> {
+    fn conjuncts(&mut self, ti: usize, qualify: bool) -> Vec<Predicate> {
         use CmpOp::*;
         let mut out = Vec::new();
         for _ in 0..1 + self.below(3) {
@@ -174,12 +178,12 @@ impl Gen {
             };
             let col = self.column(ti, c, qualify);
             if self.below(3) == 0 {
-                let (lo, hi) = (self.literal(ti, c, wide), self.literal(ti, c, wide));
+                let (lo, hi) = (self.literal(ti, c), self.literal(ti, c));
                 out.push(cmp(&col, self.pick(&[Gt, Ge]), lo));
                 out.push(cmp(&col, self.pick(&[Lt, Le]), hi));
                 continue;
             }
-            let lit = self.literal(ti, c, wide);
+            let lit = self.literal(ti, c);
             out.push(cmp(&col, self.pick(&[Eq, Ne, Lt, Le, Gt, Ge]), lit));
         }
         out
@@ -221,7 +225,7 @@ impl Gen {
     }
 
     /// A DELETE from table `ti`: of one key, of a key range, or of a
-    /// conjunction, whose literals may be integers no INT holds.
+    /// conjunction drawn as a SELECT's is.
     pub fn delete(&mut self, ti: usize) -> Statement {
         let key = self.column(ti, 0, false);
         let lo = self.rng.random_range(-2..self.keys[ti] + 2);
@@ -229,7 +233,7 @@ impl Gen {
         let where_ = match self.below(4) {
             0 => vec![cmp(&key, CmpOp::Eq, int(lo))],
             1 => vec![cmp(&key, CmpOp::Ge, int(lo)), cmp(&key, CmpOp::Lt, int(hi))],
-            _ => self.conjuncts(ti, false, true),
+            _ => self.conjuncts(ti, false),
         };
         let table = self.tables[ti].name.clone();
         Statement::Delete { table, where_ }
@@ -270,7 +274,7 @@ impl Gen {
                     right: u,
                 });
                 let (side, c) = (self.below(2), self.below(ncols));
-                sel.where_ = self.conjuncts(side, true, false);
+                sel.where_ = self.conjuncts(side, true);
                 match self.below(2) {
                     0 => vec![SelectItem::CountStar],
                     _ => vec![t, self.column(0, c, true), self.column(1, 1, true)]
@@ -315,7 +319,7 @@ impl Gen {
             items: vec![SelectItem::CountStar],
             from: self.tables[ti].name.clone(),
             join: None,
-            where_: self.conjuncts(ti, false, false),
+            where_: self.conjuncts(ti, false),
             group_by: Vec::new(),
             order_by: None,
             limit: None,
